@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench bench-json bench-concurrent bench-obs dist-smoke trace fmt fmt-check vet ci
+.PHONY: build test race lint bench benchmark-smoke dist-smoke fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -25,52 +25,31 @@ race:
 lint:
 	$(GO) run ./cmd/quokka-vet
 
-## bench: one iteration of every benchmark in short mode (CI smoke), plus
-## the allocation-regression guard over the hash-path inner loops. For
-## real measurements use `go test -bench=<name> -benchtime=...` or
-## `go run ./cmd/quokka-bench`.
+## bench: one iteration of every benchmark in short mode (CI smoke: drives
+## each paper figure once, in modelled time), plus the allocation-regression
+## guard over the hash-path inner loops. Measurements come from
+## `bash benchmark/run.sh`, not from here.
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) test -short -run 'ZeroAllocs' ./internal/ops/
 
-## bench-json: regenerate the checked-in perf records (hash path, the
-## out-of-core spill sweep, the planner's naive-vs-optimized sweep, the
-## concurrent-session admission sweep, and the byte-engine
-## compression/pruning sweep).
-bench-json:
-	$(GO) run ./cmd/quokka-bench -exp hashpath -json BENCH_hashpath.json
-	$(GO) run ./cmd/quokka-bench -exp spill -json BENCH_spill.json
-	$(GO) run ./cmd/quokka-bench -exp planner -repeats 3 -json BENCH_planner.json
-	$(GO) run ./cmd/quokka-bench -exp concurrent -json BENCH_concurrent.json
-	$(GO) run ./cmd/quokka-bench -exp bytes -json BENCH_bytes.json
-	$(GO) run ./cmd/quokka-bench -exp obs -json BENCH_obs.json
+## benchmark-smoke: the real-time benchmark is a Go module of its own
+## (benchmark/go.mod), outside `go build ./... && go test ./...` — vet and
+## test it, then run its control-plane workload for 5 s; the last stdout
+## line is the result record and must say correct, with no failed operation.
+benchmark-smoke:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+	@out=$$(bash benchmark/run.sh --workload tpch-ctl --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+		echo "$$out"; \
+		echo "$$out" | grep -Eq '"correct": ?true' && echo "$$out" | grep -Eq '"failed": ?0[,}]'
 
-## bench-concurrent: just the admission-level sweep (1/2/4/8/16 plus the
-## group-commit-off ablation at 4); regenerates BENCH_concurrent.json.
-## Every concurrent result is verified byte-identical against its serial
-## reference as part of the run.
-bench-concurrent:
-	$(GO) run ./cmd/quokka-bench -exp concurrent -json BENCH_concurrent.json
-
-## bench-obs: the flight-recorder overhead sweep (tracing off vs on, with
-## byte-identity verified pair by pair); regenerates BENCH_obs.json.
-bench-obs:
-	$(GO) run ./cmd/quokka-bench -exp obs -json BENCH_obs.json
-
-## dist-smoke: process mode end to end — build the quokka-worker binary,
+## dist-smoke: process mode end to end — build the quokka-worker binary and
 ## run the three-process SIGKILL fault test (opt-in via QUOKKA_DIST_TEST
-## because it forks real OS processes), and regenerate BENCH_dist.json:
-## the in-memory vs process-mode wall-clock comparison on TPC-H 1/3/9,
-## with real wire bytes recorded next to the modelled shuffle volume.
+## because it forks real OS processes).
 dist-smoke:
 	$(GO) build -o quokka-worker ./cmd/quokka-worker
 	QUOKKA_DIST_TEST=1 $(GO) test -run TestDistSIGKILL -v ./internal/wire/
-	$(GO) run ./cmd/quokka-bench -exp dist -worker-bin ./quokka-worker -json BENCH_dist.json
-
-## trace: run the obs sweep and export one traced TPC-H query as Chrome
-## trace-event JSON (load trace.json in Perfetto or chrome://tracing).
-trace:
-	$(GO) run ./cmd/quokka-bench -exp obs -trace trace.json
 
 fmt:
 	gofmt -w .
@@ -82,4 +61,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet lint build test race bench dist-smoke
+ci: fmt-check vet lint build test race bench benchmark-smoke dist-smoke

@@ -1,9 +1,10 @@
 package quokka
 
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation (§V). These run reduced configurations so that
-// `go test -bench=.` finishes in minutes; `cmd/quokka-bench` runs the
-// full-size versions and prints the paper-style tables.
+// paper's evaluation (§V), in modelled time. These run reduced
+// configurations so that `go test -bench=.` finishes in minutes;
+// `cmd/quokka-bench` runs the full-size versions and prints the paper-style
+// tables. Real-time measurement is benchmark/run.sh.
 
 import (
 	"io"
@@ -253,113 +254,3 @@ func BenchmarkMorselAggSerial(b *testing.B) { benchMorselAgg(b, 1) }
 // BenchmarkMorselAggParallel4 runs the same aggregation split into 4 hash
 // partitions on 4 CPU slots.
 func BenchmarkMorselAggParallel4(b *testing.B) { benchMorselAgg(b, 4) }
-
-// --- Hash-path kernel benchmarks ---------------------------------------
-//
-// These measure the arena-backed vectorized hash path (open-addressing
-// tables, hash-once key hashing) against a faithful replica of the
-// map[string]-based kernels it replaced, on the serial operator
-// (Parallelism=1). Run with -benchmem: the acceptance bar is >= 1.5x on
-// grouped-agg and join-probe plus a large allocs/op drop. The replicas
-// live in internal/bench so the comparison outlives the old code.
-
-var hashPathWorkload *bench.HashPathWorkload
-
-func hashPathData(b *testing.B) *bench.HashPathWorkload {
-	b.Helper()
-	if hashPathWorkload == nil {
-		hashPathWorkload = bench.DefaultHashPathWorkload()
-	}
-	return hashPathWorkload
-}
-
-// BenchmarkHashPathAggMap is the pre-PR map-based grouped aggregation.
-func BenchmarkHashPathAggMap(b *testing.B) {
-	w := hashPathData(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if w.RunMapAgg() != w.AggGroups {
-			b.Fatal("bad group count")
-		}
-	}
-}
-
-// BenchmarkHashPathAggVector is the arena/open-addressing aggregation.
-func BenchmarkHashPathAggVector(b *testing.B) {
-	w := hashPathData(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if w.RunVecAgg() != w.AggGroups {
-			b.Fatal("bad group count")
-		}
-	}
-}
-
-// BenchmarkHashPathJoinMap is the pre-PR map-based join build+probe.
-func BenchmarkHashPathJoinMap(b *testing.B) {
-	w := hashPathData(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if w.RunMapJoin() != w.ProbeRows/2 {
-			b.Fatal("bad join rows")
-		}
-	}
-}
-
-// BenchmarkHashPathJoinVector is the arena/open-addressing join.
-func BenchmarkHashPathJoinVector(b *testing.B) {
-	w := hashPathData(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if w.RunVecJoin() != w.ProbeRows/2 {
-			b.Fatal("bad join rows")
-		}
-	}
-}
-
-// --- Engine-level morsel benchmarks ------------------------------------
-//
-// The ops-level benchmarks above need real cores; in the simulated engine,
-// cores are the CPUPerWorker slots of the cost model, so the engine-level
-// pair below demonstrates the multi-core speedup wherever it runs: the same
-// TPC-H join/agg queries under bench.MorselConfig with serial operators
-// (Parallelism=1) vs 4-way partitioned operators. Compare the two ns/op;
-// `go run ./cmd/quokka-bench -exp morsel` prints the per-query table.
-
-var morselHarness *bench.Harness
-
-func engineMorselHarness(b *testing.B) *bench.Harness {
-	b.Helper()
-	if morselHarness == nil {
-		p := bench.DefaultParams(io.Discard)
-		p.SF = 0.02
-		p.SplitRows = 2048
-		p.TimeScale = 0.25
-		morselHarness = bench.New(p)
-	}
-	return morselHarness
-}
-
-func benchEngineMorsel(b *testing.B, parallelism int) {
-	h := engineMorselHarness(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, q := range []int{5, 9} {
-			if _, err := h.RunQuery(4, q, bench.MorselConfig(parallelism)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkEngineMorselSerial runs TPC-H Q5+Q9 with serial operators on
-// 4-CPU workers: the claimed-mutex baseline the tentpole replaces.
-func BenchmarkEngineMorselSerial(b *testing.B) { benchEngineMorsel(b, 1) }
-
-// BenchmarkEngineMorselParallel4 runs the same queries with operators split
-// into 4 hash/row-range partitions per channel.
-func BenchmarkEngineMorselParallel4(b *testing.B) { benchEngineMorsel(b, 4) }

@@ -1,28 +1,24 @@
 // Command quokka-bench regenerates the paper's evaluation tables and
-// figures (§V) on the simulated cluster. Each experiment prints the same
-// rows/series as the corresponding figure; shapes (who wins, by what
-// factor) are the reproduction target, not absolute seconds.
+// figures (§V) on the simulated cluster, in modelled time: the cost model
+// sleeps for I/O and compute, and every table says so under its title.
+// Each experiment prints the same rows/series as the corresponding figure;
+// shapes (who wins, by what factor) are the reproduction target, not
+// absolute seconds. Real-time measurement is benchmark/run.sh.
 //
 // Usage:
 //
-//	quokka-bench -exp all                      # everything (slow)
+//	quokka-bench -exp all                      # every experiment (slow)
 //	quokka-bench -exp fig6 -workers 4          # one experiment
 //	quokka-bench -exp fig9 -sf 0.05 -repeats 3
-//	quokka-bench -exp hashpath -json BENCH_hashpath.json
 //
-// Experiments: table1, fig6, fig7, fig8, fig9, ckpt, morsel, hashpath,
-// spill, planner, concurrent, bytes, obs, dist, fig10a, fig10b, fig11a,
-// fig11b, all. dist forks real quokka-worker processes and therefore only
-// runs when named explicitly — `-exp all` skips it.
-//
-// -json writes the machine-readable results of the experiments that
-// produce them (hashpath, morsel, spill, planner, concurrent, bytes) to
-// the given file, so the perf trajectory is tracked across PRs.
+// The experiments slice below is the list of names -exp accepts.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -31,227 +27,139 @@ import (
 	"quokka/internal/tpch"
 )
 
-func main() {
+// options are the per-run settings an experiment may consult.
+type options struct {
+	workers int   // -workers override, 0 = the figure's own sizes
+	queries []int // -queries, default all 22
+}
+
+// w returns the worker count for a figure whose default is def.
+func (o options) w(def int) int {
+	if o.workers > 0 {
+		return o.workers
+	}
+	return def
+}
+
+// bothSizes runs fn at the paper's 4- and 16-worker cluster sizes, or only
+// at the -workers override.
+func (o options) bothSizes(fn func(workers int) error) error {
+	if o.workers > 0 {
+		return fn(o.workers)
+	}
+	if err := fn(4); err != nil {
+		return err
+	}
+	return fn(16)
+}
+
+type experiment struct {
+	name string
+	run  func(h *bench.Harness, o options) error
+}
+
+// experiments is the one list of experiment names, in the order -exp all
+// runs them: the flag help and the unknown-name error are printed from it.
+var experiments = []experiment{
+	{"table1", func(h *bench.Harness, _ options) error { h.Table1(); return nil }},
+	{"fig6", func(h *bench.Harness, o options) error {
+		return o.bothSizes(func(w int) error { _, err := h.Fig6(w, o.queries); return err })
+	}},
+	{"fig7", func(h *bench.Harness, o options) error {
+		return o.bothSizes(func(w int) error { _, err := h.Fig7(w); return err })
+	}},
+	{"fig8", func(h *bench.Harness, o options) error {
+		return o.bothSizes(func(w int) error { _, err := h.Fig8(w); return err })
+	}},
+	{"fig9", func(h *bench.Harness, o options) error {
+		return o.bothSizes(func(w int) error { _, err := h.Fig9(w); return err })
+	}},
+	{"ckpt", func(h *bench.Harness, o options) error { _, err := h.CheckpointAblation(o.w(4)); return err }},
+	{"fig10a", func(h *bench.Harness, o options) error { _, err := h.Fig10a(o.w(16)); return err }},
+	{"fig10b", func(h *bench.Harness, o options) error { _, err := h.Fig10b(o.w(16)); return err }},
+	{"fig11a", func(h *bench.Harness, o options) error { _, err := h.Fig6(o.w(32), o.queries); return err }},
+	{"fig11b", func(h *bench.Harness, o options) error { _, err := h.Fig10a(o.w(32)); return err }},
+}
+
+// experimentNames returns the accepted -exp values joined by sep.
+func experimentNames(sep string) string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), sep)
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and exit code made explicit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "quokka-bench: "+format+"\n", a...)
+		return 1
+	}
+	fs := flag.NewFlagSet("quokka-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|fig6|fig7|fig8|fig9|ckpt|morsel|hashpath|spill|planner|concurrent|bytes|obs|dist|fig10a|fig10b|fig11a|fig11b|all")
-		sf        = flag.Float64("sf", 0.02, "TPC-H scale factor")
-		splitRows = flag.Int("split-rows", 512, "rows per table split")
-		timeScale = flag.Float64("timescale", 1.0, "I/O cost-model time scale")
-		repeats   = flag.Int("repeats", 1, "timing repetitions (mean reported)")
-		workers   = flag.Int("workers", 0, "override worker count (0 = per-figure defaults)")
-		queries   = flag.String("queries", "", "comma-separated query list for fig6/fig11a (default: all 22)")
-		jsonOut   = flag.String("json", "", "write machine-readable results (JSON array) to this file")
-		traceOut  = flag.String("trace", "", "write one traced query's Chrome trace-event JSON to this file (obs experiment)")
-		workerBin = flag.String("worker-bin", "", "prebuilt quokka-worker binary for -exp dist (empty: built on demand)")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		exp       = fs.String("exp", "all", "experiment: "+experimentNames("|"))
+		sf        = fs.Float64("sf", 0.02, "TPC-H scale factor")
+		splitRows = fs.Int("split-rows", 512, "rows per table split")
+		timeScale = fs.Float64("timescale", 1.0, "I/O cost-model time scale")
+		repeats   = fs.Int("repeats", 1, "timing repetitions (mean reported)")
+		workers   = fs.Int("workers", 0, "override worker count (0 = per-figure defaults)")
+		queries   = fs.String("queries", "", "comma-separated query list for fig6/fig11a (default: all 22)")
+		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	var selected []experiment
+	for _, e := range experiments {
+		if *exp == "all" || *exp == e.name {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		return fail("unknown experiment %q (have: %s)", *exp, experimentNames(", "))
+	}
+
+	o := options{workers: *workers, queries: tpch.QueryNumbers()}
+	if *queries != "" {
+		o.queries = nil
+		for _, part := range strings.Split(*queries, ",") {
+			var q int
+			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &q); err != nil {
+				return fail("bad -queries entry %q", part)
+			}
+			o.queries = append(o.queries, q)
+		}
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fatal("cpuprofile: %v", err)
+			return fail("cpuprofile: %v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal("cpuprofile: %v", err)
+			return fail("cpuprofile: %v", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 
-	// The simulated cluster (and its TPC-H dataset) is built lazily: the
-	// kernel-level hashpath experiment does not need it.
-	var lazy *bench.Harness
-	h := func() *bench.Harness {
-		if lazy == nil {
-			p := bench.DefaultParams(os.Stdout)
-			p.SF = *sf
-			p.SplitRows = *splitRows
-			p.TimeScale = *timeScale
-			p.Repeats = *repeats
-			lazy = bench.New(p)
-		}
-		return lazy
-	}
-	var jsonResults []bench.JSONResult
-
-	qlist := tpch.QueryNumbers()
-	if *queries != "" {
-		qlist = nil
-		for _, part := range strings.Split(*queries, ",") {
-			var q int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &q); err != nil {
-				fatal("bad -queries entry %q", part)
-			}
-			qlist = append(qlist, q)
+	p := bench.DefaultParams(stdout)
+	p.SF = *sf
+	p.SplitRows = *splitRows
+	p.TimeScale = *timeScale
+	p.Repeats = *repeats
+	h := bench.New(p)
+	for _, e := range selected {
+		if err := e.run(h, o); err != nil {
+			return fail("%s: %v", e.name, err)
 		}
 	}
-	w := func(def int) int {
-		if *workers > 0 {
-			return *workers
-		}
-		return def
-	}
-
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		if err := fn(); err != nil {
-			fatal("%s: %v", name, err)
-		}
-	}
-
-	run("table1", func() error { h().Table1(); return nil })
-	run("fig6", func() error {
-		if _, err := h().Fig6(w(4), qlist); err != nil {
-			return err
-		}
-		if *workers > 0 {
-			return nil
-		}
-		_, err := h().Fig6(16, qlist)
-		return err
-	})
-	run("fig7", func() error {
-		if _, err := h().Fig7(w(4)); err != nil {
-			return err
-		}
-		if *workers > 0 {
-			return nil
-		}
-		_, err := h().Fig7(16)
-		return err
-	})
-	run("fig8", func() error {
-		if _, err := h().Fig8(w(4)); err != nil {
-			return err
-		}
-		if *workers > 0 {
-			return nil
-		}
-		_, err := h().Fig8(16)
-		return err
-	})
-	run("fig9", func() error {
-		if _, err := h().Fig9(w(4)); err != nil {
-			return err
-		}
-		if *workers > 0 {
-			return nil
-		}
-		_, err := h().Fig9(16)
-		return err
-	})
-	run("ckpt", func() error { _, err := h().CheckpointAblation(w(4)); return err })
-	run("morsel", func() error {
-		rows, err := h().MorselSpeedup(w(4), qlist)
-		if err != nil {
-			return err
-		}
-		jsonResults = append(jsonResults, bench.MorselJSON(rows))
-		return nil
-	})
-	run("spill", func() error {
-		qs := qlist
-		if *queries == "" {
-			qs = nil // SpillSweep's own join/agg-heavy defaults
-		}
-		res, err := h().SpillSweep(w(4), qs)
-		if err != nil {
-			return err
-		}
-		jsonResults = append(jsonResults, res)
-		return nil
-	})
-	run("concurrent", func() error {
-		qs := qlist
-		if *queries == "" {
-			qs = nil // ConcurrentSweep's own mixed defaults
-		}
-		res, err := h().ConcurrentSweep(w(4), qs)
-		if err != nil {
-			return err
-		}
-		jsonResults = append(jsonResults, res)
-		return nil
-	})
-	run("planner", func() error {
-		qs := qlist
-		if *queries == "" {
-			qs = nil // PlannerSweep's own mixed scan/join defaults
-		}
-		res, err := h().PlannerSweep(w(4), qs)
-		if err != nil {
-			return err
-		}
-		jsonResults = append(jsonResults, res)
-		return nil
-	})
-	run("bytes", func() error {
-		qs := qlist
-		if *queries == "" {
-			qs = nil // BytesSweep's own scan/shuffle-heavy defaults
-		}
-		res, err := h().BytesSweep(w(4), qs)
-		if err != nil {
-			return err
-		}
-		jsonResults = append(jsonResults, res)
-		return nil
-	})
-	run("obs", func() error {
-		qs := qlist
-		if *queries == "" {
-			qs = nil // ObsSweep's own scan/join mix
-		}
-		res, err := h().ObsSweep(w(4), qs, *traceOut)
-		if err != nil {
-			return err
-		}
-		jsonResults = append(jsonResults, res)
-		return nil
-	})
-	run("dist", func() error {
-		// Forks real quokka-worker OS processes (building the binary if
-		// -worker-bin is empty): opt-in only, `-exp all` skips it.
-		if *exp != "dist" {
-			return nil
-		}
-		qs := qlist
-		if *queries == "" {
-			qs = nil // DistSweep's SIGKILL-suite trio {1, 3, 9}
-		}
-		res, err := h().DistSweep(w(3), qs, *workerBin)
-		if err != nil {
-			return err
-		}
-		jsonResults = append(jsonResults, res)
-		return nil
-	})
-	run("hashpath", func() error {
-		jsonResults = append(jsonResults, bench.RunHashPath(os.Stdout, max(*repeats, 3)))
-		return nil
-	})
-	run("fig10a", func() error { _, err := h().Fig10a(w(16)); return err })
-	run("fig10b", func() error { _, err := h().Fig10b(w(16)); return err })
-	run("fig11a", func() error { _, err := h().Fig6(w(32), qlist); return err })
-	run("fig11b", func() error { _, err := h().Fig10a(w(32)); return err })
-
-	switch *exp {
-	case "table1", "fig6", "fig7", "fig8", "fig9", "ckpt", "morsel", "hashpath", "spill", "planner", "concurrent", "bytes", "obs", "dist", "fig10a", "fig10b", "fig11a", "fig11b", "all":
-	default:
-		fatal("unknown experiment %q", *exp)
-	}
-
-	if *jsonOut != "" {
-		if err := bench.WriteJSON(*jsonOut, jsonResults); err != nil {
-			fatal("write %s: %v", *jsonOut, err)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "quokka-bench: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

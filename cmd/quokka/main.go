@@ -7,6 +7,7 @@
 //	quokka -q 3 -ft spool                            # durable spooling
 //	quokka -q 9 -kill 0.5                            # kill a worker halfway
 //	quokka -q 3 -explain                             # print the optimized plan
+//	quokka -q 9 -trace q9.json                       # Perfetto trace of the run
 package main
 
 import (
@@ -32,6 +33,7 @@ func main() {
 		showRows  = flag.Bool("rows", true, "print result rows")
 		metrics   = flag.Bool("metrics", false, "print all execution counters")
 		explain   = flag.Bool("explain", false, "print the optimized logical plan (pushed predicates, pruned columns, join strategies) instead of running the query")
+		traceOut  = flag.String("trace", "", "record the query's flight-recorder trace and write it as Chrome trace-event JSON (open in Perfetto) to this file")
 	)
 	flag.Parse()
 
@@ -71,7 +73,8 @@ func main() {
 		return
 	}
 
-	cl, err := quokka.NewCluster(quokka.ClusterConfig{Workers: *workers, TimeScale: *timeScale})
+	cl, err := quokka.NewCluster(quokka.ClusterConfig{Workers: *workers, TimeScale: *timeScale},
+		quokka.WithTracing(*traceOut != ""))
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -93,9 +96,19 @@ func main() {
 		})
 	}
 
-	res, err := quokka.RunTPCH(context.Background(), cl, *q, cfg)
+	query, err := quokka.SubmitTPCH(context.Background(), cl, *q, cfg)
 	if err != nil {
 		fatal("run: %v", err)
+	}
+	res, err := query.Result()
+	if err != nil {
+		fatal("run: %v", err)
+	}
+	if *traceOut != "" {
+		if err := writeTrace(*traceOut, query.Trace()); err != nil {
+			fatal("trace: %v", err)
+		}
+		fmt.Printf("wrote %s (%d spans)\n", *traceOut, query.Trace().Len())
 	}
 	fmt.Printf("\nTPC-H Q%d on %d workers (%s, ft=%s): %v, %d rows, %d tasks (%d replayed), %d recoveries\n",
 		*q, *workers, *system, cfg.FT, res.Duration().Round(time.Millisecond),
@@ -109,6 +122,18 @@ func main() {
 			fmt.Printf("  %-24s %d\n", k, v)
 		}
 	}
+}
+
+func writeTrace(path string, t *quokka.Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(format string, args ...any) {

@@ -5,9 +5,10 @@
 // fault-tolerance overhead (Fig. 9 plus the checkpointing discussion of
 // §V-C), and fault-recovery behaviour (Fig. 10a, 10b, 11b).
 //
-// Absolute times depend on the simulated cost model; the harness reports
-// the paper's metrics (speedups and overhead ratios) whose *shape* is the
-// reproduction target.
+// Every time it prints is modelled: the cost model (storage.CostModel)
+// sleeps for I/O and compute, and each table says so under its title. The
+// harness reports the paper's metrics (speedups and overhead ratios) whose
+// *shape* is the reproduction target; real-time measurement is benchmark/.
 package bench
 
 import (
@@ -68,6 +69,13 @@ func (h *Harness) printf(format string, args ...any) {
 	if h.P.Out != nil {
 		fmt.Fprintf(h.P.Out, format, args...)
 	}
+}
+
+// title prints a timing table's title line followed by the reminder that
+// its seconds are the cost model's, not the machine's.
+func (h *Harness) title(format string, args ...any) {
+	h.printf(format+"\n", args...)
+	h.printf("time: modelled (TimeScale=%g)\n", h.cost.TimeScale)
 }
 
 // newCluster builds a fresh cluster sharing the loaded table store.
@@ -189,27 +197,3 @@ func geomean(vs []float64) float64 {
 }
 
 func seconds(d time.Duration) float64 { return d.Seconds() }
-
-// MorselConfig is the intra-operator parallelism measurement setup: one
-// pipeline-driver thread per worker (so channel-level concurrency cannot
-// hide the operator's own serialism), four modelled cores, and kernels
-// scaled to SF100-class per-core work (the benchmark datasets are tiny;
-// without the scale-down the per-split S3 and control-plane latencies
-// drown out compute, which no real engine at real scale observes).
-// parallelism is the operator partition count under test.
-func MorselConfig(parallelism int) engine.Config {
-	cfg := engine.DefaultConfig()
-	cfg.ThreadsPerWorker = 1
-	cfg.CPUPerWorker = 4
-	cfg.Parallelism = parallelism
-	cfg.ComputeScale = 0.15
-	return cfg
-}
-
-// RunQuery executes one TPC-H query under the given configuration and
-// returns its mean duration (Repeats runs). Exported for the benchmark
-// suite in the repository root.
-func (h *Harness) RunQuery(workers, q int, cfg engine.Config) (time.Duration, error) {
-	d, _, err := h.run(workers, q, cfg)
-	return d, err
-}

@@ -38,7 +38,7 @@ func (h *Harness) Table1() {
 // Fig6 compares Quokka vs the SparkSQL-like and Trino-like (with FT)
 // baselines on the given queries and worker count, returning speedups.
 func (h *Harness) Fig6(workers int, queries []int) ([]SpeedupRow, error) {
-	h.printf("Figure 6/11a — Quokka speedup vs SparkSQL and Trino(FT), %d workers, SF %g\n", workers, h.P.SF)
+	h.title("Figure 6/11a — Quokka speedup vs SparkSQL and Trino(FT), %d workers, SF %g", workers, h.P.SF)
 	h.printf("%-5s %10s %10s %10s %9s %9s\n", "query", "quokka(s)", "spark(s)", "trino(s)", "vs.spark", "vs.trino")
 	var rows []SpeedupRow
 	var vsS, vsT []float64
@@ -79,7 +79,7 @@ type AblationRow struct {
 // Fig7 compares pipelined vs stagewise execution (both with write-ahead
 // lineage) on the representative queries.
 func (h *Harness) Fig7(workers int) ([]AblationRow, error) {
-	h.printf("Figure 7 — pipelined vs stagewise execution, %d workers\n", workers)
+	h.title("Figure 7 — pipelined vs stagewise execution, %d workers", workers)
 	h.printf("%-5s %13s %13s %9s\n", "query", "pipelined(s)", "stagewise(s)", "speedup")
 	var rows []AblationRow
 	var sp []float64
@@ -105,42 +105,10 @@ func (h *Harness) Fig7(workers int) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// MorselSpeedup measures intra-operator partition parallelism (not a paper
-// figure — the paper assumes each worker saturates its cores; this
-// experiment verifies our engine actually does): the same join/agg-heavy
-// queries at CPUPerWorker=4 with serial operators (Parallelism=1) vs
-// partition-parallel operators (Parallelism=4).
-func (h *Harness) MorselSpeedup(workers int, queries []int) ([]AblationRow, error) {
-	h.printf("Morsel parallelism — serial vs 4-partition operators, %d workers, 4 CPU/worker\n", workers)
-	h.printf("%-5s %10s %10s %9s\n", "query", "serial(s)", "par-4(s)", "speedup")
-	serialCfg := MorselConfig(1)
-	parCfg := MorselConfig(4)
-	var rows []AblationRow
-	var sp []float64
-	for _, q := range queries {
-		ser, _, err := h.run(workers, q, serialCfg)
-		if err != nil {
-			return nil, fmt.Errorf("morsel q%d serial: %w", q, err)
-		}
-		par, _, err := h.run(workers, q, parCfg)
-		if err != nil {
-			return nil, fmt.Errorf("morsel q%d par4: %w", q, err)
-		}
-		rows = append(rows, AblationRow{Query: q, Timings: map[string]time.Duration{
-			"serial": ser, "parallel4": par,
-		}})
-		s := seconds(ser) / seconds(par)
-		sp = append(sp, s)
-		h.printf("%-5d %10.3f %10.3f %8.2fx\n", q, seconds(ser), seconds(par), s)
-	}
-	h.printf("geomean morsel speedup: %.2fx\n\n", geomean(sp))
-	return rows, nil
-}
-
 // Fig8 compares dynamic task dependencies against the two static lineage
 // strategies (batch 8 and batch 128).
 func (h *Harness) Fig8(workers int) ([]AblationRow, error) {
-	h.printf("Figure 8 — dynamic vs static task dependencies, %d workers\n", workers)
+	h.title("Figure 8 — dynamic vs static task dependencies, %d workers", workers)
 	h.printf("%-5s %11s %11s %12s\n", "query", "dynamic(s)", "static-8(s)", "static-128(s)")
 	var rows []AblationRow
 	for _, q := range tpch.RepresentativeQueries {
@@ -181,7 +149,7 @@ type OverheadRow struct {
 // Fig9 measures normal-execution overhead of each fault-tolerance
 // strategy: runtime with FT divided by runtime with FT off, per system.
 func (h *Harness) Fig9(workers int) ([]OverheadRow, error) {
-	h.printf("Figure 9 — fault tolerance overhead (runtime FT-on / FT-off), %d workers\n", workers)
+	h.title("Figure 9 — fault tolerance overhead (runtime FT-on / FT-off), %d workers", workers)
 	h.printf("%-5s %12s %13s %7s %14s %14s %13s\n",
 		"query", "trino-spool", "quokka-spool", "wal", "spooled(MB)", "backup(MB)", "lineage(KB)")
 	var rows []OverheadRow
@@ -242,7 +210,7 @@ func (h *Harness) Fig9(workers int) ([]OverheadRow, error) {
 // more expensive than spooling: it compares WAL, S3 spooling and
 // checkpointing overheads (and bytes persisted) on join-heavy queries.
 func (h *Harness) CheckpointAblation(workers int) ([]OverheadRow, error) {
-	h.printf("Checkpointing ablation (§V-C) — overhead vs FT-off, %d workers\n", workers)
+	h.title("Checkpointing ablation (§V-C) — overhead vs FT-off, %d workers", workers)
 	h.printf("%-5s %7s %7s %12s %15s %14s\n", "query", "wal", "spool", "checkpoint", "ckpt bytes(MB)", "spooled(MB)")
 	queries := []int{3, 5, 9}
 	var rows []OverheadRow
@@ -300,7 +268,7 @@ type RecoveryRow struct {
 // Fig10a kills one worker at 50% of each representative query and
 // compares Quokka's and the Spark baseline's recovery overhead.
 func (h *Harness) Fig10a(workers int) ([]RecoveryRow, error) {
-	h.printf("Figure 10a/11b — recovery overhead, worker killed at 50%%, %d workers\n", workers)
+	h.title("Figure 10a/11b — recovery overhead, worker killed at 50%%, %d workers", workers)
 	h.printf("%-5s %15s %15s %10s %14s\n", "query", "spark overhead", "quokka overhead", "restart", "e2e speedup")
 	var rows []RecoveryRow
 	var so, qo []float64
@@ -323,7 +291,7 @@ func (h *Harness) Fig10a(workers int) ([]RecoveryRow, error) {
 // the query; recovery overhead is compared against the restart baseline
 // and Spark, including the measured restart cost.
 func (h *Harness) Fig10b(workers int) ([]RecoveryRow, error) {
-	h.printf("Figure 10b — TPC-H Q9 case study, failure at varying completion, %d workers\n", workers)
+	h.title("Figure 10b — TPC-H Q9 case study, failure at varying completion, %d workers", workers)
 	h.printf("%-8s %15s %15s %15s %14s\n", "kill at", "spark overhead", "quokka overhead", "restart (meas.)", "e2e speedup")
 	fracs := []float64{1.0 / 6, 2.0 / 6, 3.0 / 6, 4.0 / 6, 5.0 / 6}
 	var rows []RecoveryRow

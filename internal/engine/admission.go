@@ -55,13 +55,11 @@ type clusterShared struct {
 	tracingOn bool
 
 	// Process mode (experimental): listenAddr is the TCP address the head
-	// serves its control plane on ("" = in-memory only), transportName
-	// selects the wire transport implementation, and remoteExec — installed
-	// by the wire layer once the server is up — reroutes task-manager
-	// execution to worker processes.
-	listenAddr    string
-	transportName string
-	remoteExec    RemoteExec
+	// serves its control plane on ("" = in-memory only), and remoteExec —
+	// installed by the wire layer once the server is up — reroutes
+	// task-manager execution to worker processes.
+	listenAddr string
+	remoteExec RemoteExec
 
 	// The cluster's shared group committer: ONE flusher serves every
 	// admitted query, so concurrent queries' lineage commits fold into the
@@ -154,27 +152,6 @@ func (s *clusterShared) ledgerFor(w cluster.WorkerID) *spill.Ledger {
 		s.mem[w] = l
 	}
 	return l
-}
-
-// SetAdmissionLimit bounds how many queries the cluster executes
-// concurrently; further submissions queue FIFO until a slot frees. n <= 0
-// restores DefaultAdmissionLimit. Raising the limit immediately admits
-// queued queries; lowering it only affects future admissions.
-//
-// Deprecated: use Configure(cl, WithAdmissionLimit(n)).
-func SetAdmissionLimit(cl *cluster.Cluster, n int) {
-	Configure(cl, WithAdmissionLimit(n))
-}
-
-// SetWorkerMemoryBudget installs a per-worker accounted-memory cap shared
-// by ALL in-flight queries on the cluster: with it set, two concurrent
-// budgeted queries on one worker spill against the worker's total, not
-// just their own budgets. 0 (the default) disables the cross-query cap.
-// Only queries submitted after the call observe the new ledger.
-//
-// Deprecated: use Configure(cl, WithWorkerMemoryBudget(bytes)).
-func SetWorkerMemoryBudget(cl *cluster.Cluster, bytes int64) {
-	Configure(cl, WithWorkerMemoryBudget(bytes))
 }
 
 // admission is a FIFO bounded-concurrency gate.

@@ -123,7 +123,7 @@ func TestConcurrentQueriesByteIdentical(t *testing.T) {
 // never overlap — the second queues FIFO and still completes correctly.
 func TestAdmissionFIFOBound(t *testing.T) {
 	cl := testCluster(t, 4, map[string][]*batch.Batch{"numbers": numbersTable(1000, 8)})
-	SetAdmissionLimit(cl, 1)
+	Configure(cl, WithAdmissionLimit(1))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -155,7 +155,7 @@ func TestAdmissionFIFOBound(t *testing.T) {
 // from the FIFO without consuming a slot, and later submissions still run.
 func TestAdmissionCancelWhileQueued(t *testing.T) {
 	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(2000, 16)})
-	SetAdmissionLimit(cl, 1)
+	Configure(cl, WithAdmissionLimit(1))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 

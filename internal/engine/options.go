@@ -124,24 +124,6 @@ func WithListenAddr(addr string) Option {
 	}
 }
 
-// DefaultTransport is the wire transport used when none is selected:
-// length-prefixed frames over plain TCP.
-const DefaultTransport = "tcp"
-
-// WithTransport selects the wire transport implementation for process mode.
-// "tcp" (the default) is length-prefixed framing over plain TCP; the name
-// exists so alternative transports can be added without an API change.
-// Ignored without WithListenAddr.
-//
-// Experimental: the wire protocol and this option's shape may change.
-func WithTransport(name string) Option {
-	return func(s *clusterShared) {
-		s.mu.Lock()
-		s.transportName = name
-		s.mu.Unlock()
-	}
-}
-
 // ListenAddr returns the cluster's configured process-mode listen address
 // ("" = in-memory only).
 func ListenAddr(cl *cluster.Cluster) string {
@@ -149,18 +131,6 @@ func ListenAddr(cl *cluster.Cluster) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.listenAddr
-}
-
-// TransportName returns the cluster's configured wire transport name,
-// defaulting to DefaultTransport.
-func TransportName(cl *cluster.Cluster) string {
-	s := sharedFor(cl)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.transportName == "" {
-		return DefaultTransport
-	}
-	return s.transportName
 }
 
 // Configure applies cluster-level options. It may be called at any time;

@@ -116,14 +116,8 @@ func (r *Runner) recover(ctx context.Context) error {
 		r.rec.Record(trace.Span{Kind: trace.KindRecovery, Worker: -1, Stage: -1, Channel: -1, Seq: -1,
 			Epoch: gen, Start: started, Dur: time.Since(started)})
 	}
-	if debugRecovery {
-		fmt.Printf("[recovery %d] took %v\n", gen, time.Since(started))
-	}
 	return nil
 }
-
-// debugRecovery prints recovery timings; enabled by tests/experiments.
-var debugRecovery = false
 
 // reconcile is the body of Algorithm 2, run under the barrier.
 func (r *Runner) reconcile(tx *gcs.Txn) error {
@@ -262,6 +256,3 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 	}
 	return nil
 }
-
-// SetDebugRecovery toggles recovery timing prints (experiments only).
-func SetDebugRecovery(v bool) { debugRecovery = v }

@@ -158,11 +158,43 @@ func (r *Runner) pollHeader(ver uint64) (bar, gep, recn int) {
 	return r.snapBar, r.snapGep, r.snapRecn
 }
 
-// NewRunner validates the plan against the cluster and prepares a runner.
+// NewRunner validates the plan against the cluster and prepares a runner,
+// minting its query id and resolving the cluster-level options.
 func NewRunner(cl *cluster.Cluster, plan *Plan, cfg Config) (*Runner, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
+	shared := sharedFor(cl)
+	r, err := newRunner(cl, plan, cfg, shared.newQueryID())
+	if err != nil {
+		return nil, err
+	}
+	r.cursorLimit = shared.cursorBufferFor(cfg.CursorBufferBytes)
+	r.flushEvery = shared.flushIntervalFor(cfg.LineageFlushInterval)
+	r.shuffleCompress = shared.shuffleCompressionFor()
+	r.spillCompress = shared.spillCompressionFor()
+	if shared.tracingFor() {
+		r.startTrace()
+	}
+	// Credit the planner's zone-map pruning to this query's report: the
+	// splits the reader stages will never even schedule.
+	for _, st := range plan.Stages {
+		if st.Reader != nil && st.Reader.Splits != nil && st.Reader.TotalSplits > 0 {
+			if pruned := st.Reader.TotalSplits - len(st.Reader.Splits); pruned > 0 {
+				r.count(metrics.ScanSplitsPruned, int64(pruned))
+			}
+		}
+	}
+	return r, nil
+}
+
+// newRunner is the one Runner constructor, shared by the head (NewRunner)
+// and the worker process (newWorkerRunner): config floors, per-stage
+// tables, collector, key table and histogram handles for query qid. The
+// group-commit, codec and tracing choices are left at their zero values
+// for the caller to fill — from the cluster options on the head, from the
+// shipped spec in a worker.
+func newRunner(cl *cluster.Cluster, plan *Plan, cfg Config, qid string) (*Runner, error) {
 	out, err := plan.OutputStage()
 	if err != nil {
 		return nil, err
@@ -194,14 +226,13 @@ func NewRunner(cl *cluster.Cluster, plan *Plan, cfg Config) (*Runner, error) {
 	if !cfg.Dynamic && cfg.StaticBatch <= 0 {
 		return nil, fmt.Errorf("engine: static dependency mode requires StaticBatch > 0")
 	}
-	shared := sharedFor(cl)
 	qmet := &metrics.Collector{}
 	r := &Runner{
 		cl:     cl,
 		plan:   plan,
 		cfg:    cfg,
-		qid:    shared.newQueryID(),
-		shared: shared,
+		qid:    qid,
+		shared: sharedFor(cl),
 		met:    cl.Metrics,
 		qmet:   qmet,
 		tee:    metrics.Tee(cl.Metrics, qmet),
@@ -228,38 +259,24 @@ func NewRunner(cl *cluster.Cluster, plan *Plan, cfg Config) (*Runner, error) {
 	r.buildKeys()
 	r.place = make(map[lineage.ChannelID]int)
 	r.failCh = make(chan error, 1)
-	r.cursorLimit = shared.cursorBufferFor(cfg.CursorBufferBytes)
-	r.flushEvery = shared.flushIntervalFor(cfg.LineageFlushInterval)
-	r.shuffleCompress = shared.shuffleCompressionFor()
-	r.spillCompress = shared.spillCompressionFor()
-	if shared.tracingFor() {
-		names := make([]string, len(plan.Stages))
-		for i, st := range plan.Stages {
-			names[i] = st.Name
-		}
-		r.rec = trace.New(len(cl.Workers), 0, names)
-	}
 	r.hTask = histPair{qmet.Hist(metrics.TaskLatencyNS), cl.Metrics.Hist(metrics.TaskLatencyNS)}
 	r.hAdmit = histPair{qmet.Hist(metrics.AdmissionWaitNS), cl.Metrics.Hist(metrics.AdmissionWaitNS)}
 	r.hFlush = histPair{qmet.Hist(metrics.FlushLatencyNS), cl.Metrics.Hist(metrics.FlushLatencyNS)}
 	r.hStall = histPair{qmet.Hist(metrics.CursorStallNS), cl.Metrics.Hist(metrics.CursorStallNS)}
-	// Credit the planner's zone-map pruning to this query's report: the
-	// splits the reader stages will never even schedule.
-	for _, st := range plan.Stages {
-		if st.Reader != nil && st.Reader.Splits != nil && st.Reader.TotalSplits > 0 {
-			if pruned := st.Reader.TotalSplits - len(st.Reader.Splits); pruned > 0 {
-				r.count(metrics.ScanSplitsPruned, int64(pruned))
-			}
-		}
-	}
 	return r, nil
+}
+
+// startTrace attaches the query's flight recorder.
+func (r *Runner) startTrace() {
+	names := make([]string, len(r.plan.Stages))
+	for i, st := range r.plan.Stages {
+		names[i] = st.Name
+	}
+	r.rec = trace.New(len(r.cl.Workers), 0, names)
 }
 
 // QueryID returns the runner's cluster-unique query id.
 func (r *Runner) QueryID() string { return r.qid }
-
-// Spool exposes the durable spool store (tests and benches inspect it).
-func (r *Runner) Spool() *storage.ObjectStore { return r.spool }
 
 // count records an engine event into both the cluster-wide collector and
 // this query's private collector.

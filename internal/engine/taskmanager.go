@@ -142,7 +142,7 @@ func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 	if r.cfg.MemoryBudget > 0 {
 		// The accountant is per query per worker (MemoryBudget is a query
 		// knob); the worker's cross-query ledger tracks total accounted
-		// state across queries and, when SetWorkerMemoryBudget configured a
+		// state across queries and, when WithWorkerMemoryBudget configured a
 		// cap, makes concurrent queries spill against the worker's total as
 		// well. The tee collector routes spill metrics into both the
 		// cluster-wide and the per-query counters.

@@ -310,17 +310,16 @@ func TestOptionDefaultsResolve(t *testing.T) {
 		t.Errorf("runner resolved flush=%v cursor=%d", r.flushEvery, r.cursorLimit)
 	}
 
-	// Deprecated setters still compile and behave as Configure sugar.
-	SetAdmissionLimit(cl, 2)
-	SetWorkerMemoryBudget(cl, 1<<20)
+	// Admission and worker-memory options reach shared state; 0 restores
+	// the admission default.
+	Configure(cl, WithAdmissionLimit(2), WithWorkerMemoryBudget(1<<20))
 	if s.admit.limit != 2 || s.workerBudget != 1<<20 {
-		t.Error("deprecated setters no longer reach shared state")
+		t.Error("admission / worker-memory options did not reach shared state")
 	}
-	SetAdmissionLimit(cl, 0)
+	Configure(cl, WithAdmissionLimit(0), WithWorkerMemoryBudget(0))
 	if s.admit.limit != DefaultAdmissionLimit {
-		t.Error("SetAdmissionLimit(0) should restore the default")
+		t.Error("WithAdmissionLimit(0) should restore the default")
 	}
-	SetWorkerMemoryBudget(cl, 0)
 }
 
 // TestContextAwareHandles: WaitContext and NextContext honour their

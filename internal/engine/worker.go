@@ -8,8 +8,6 @@ import (
 
 	"quokka/internal/cluster"
 	"quokka/internal/lineage"
-	"quokka/internal/metrics"
-	"quokka/internal/storage"
 	"quokka/internal/trace"
 )
 
@@ -33,87 +31,26 @@ const minWorkerPollInterval = 2 * time.Millisecond
 // collector live on the head; the spec carries the id and the sink relays
 // deliveries to it.
 func newWorkerRunner(cl *cluster.Cluster, spec *WorkerQuerySpec, sink ResultSink) (*Runner, error) {
-	cfg := spec.Cfg
-	if cfg.FT != FTNone && cfg.FT != FTWriteAheadLineage {
+	if ft := spec.Cfg.FT; ft != FTNone && ft != FTWriteAheadLineage {
 		return nil, fmt.Errorf("engine: process mode supports FTNone and FTWriteAheadLineage only")
 	}
 	if sink == nil {
 		return nil, fmt.Errorf("engine: worker runner needs a result sink")
 	}
-	out, err := spec.Plan.OutputStage()
+	r, err := newRunner(cl, spec.Plan, spec.Cfg, spec.QueryID)
 	if err != nil {
 		return nil, err
 	}
-	// The head's NewRunner resolved every zero-valued knob before the spec
-	// shipped; re-apply the floors defensively so a hand-built spec cannot
-	// divide by zero here.
-	if cfg.MaxTake <= 0 {
-		cfg.MaxTake = 64
+	if r.cfg.PollInterval < minWorkerPollInterval {
+		r.cfg.PollInterval = minWorkerPollInterval
 	}
-	if cfg.MinTake <= 0 {
-		cfg.MinTake = 1
-	}
-	if cfg.ThreadsPerWorker <= 0 {
-		cfg.ThreadsPerWorker = 8
-	}
-	if cfg.CPUPerWorker <= 0 {
-		cfg.CPUPerWorker = 2
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = cfg.CPUPerWorker
-	}
-	if cfg.PollInterval < minWorkerPollInterval {
-		cfg.PollInterval = minWorkerPollInterval
-	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 2 * time.Millisecond
-	}
-	qmet := &metrics.Collector{}
-	r := &Runner{
-		cl:     cl,
-		plan:   spec.Plan,
-		cfg:    cfg,
-		qid:    spec.QueryID,
-		shared: sharedFor(cl),
-		met:    cl.Metrics,
-		qmet:   qmet,
-		tee:    metrics.Tee(cl.Metrics, qmet),
-		out:    out,
-		// The spool only backs FTSpool/FTCheckpoint, which the gate above
-		// excludes; a local store keeps the field non-nil.
-		spool: storage.NewObjectStore(cl.Cost, cfg.SpoolProfile, cl.Metrics),
-	}
-	r.par = make([]int, len(spec.Plan.Stages))
-	for i := range spec.Plan.Stages {
-		r.par[i] = spec.Plan.Parallelism(i, len(cl.Workers))
-	}
-	r.spooled = make([]bool, len(spec.Plan.Stages))
-	for i := range spec.Plan.Stages {
-		for _, e := range spec.Plan.Consumers(i) {
-			if e.Part.Kind != PartitionDirect {
-				r.spooled[i] = true
-			}
-		}
-	}
-	r.collector = newCollector(out, r.par[out]) // inert; deliveries go to sink
-	r.sink = sink
-	r.buildKeys()
-	r.place = make(map[lineage.ChannelID]int)
-	r.failCh = make(chan error, 1)
+	r.sink = sink // the runner's own collector stays inert
 	r.flushEvery = spec.FlushEvery
 	r.shuffleCompress = spec.ShuffleCompress
 	r.spillCompress = spec.SpillCompress
 	if spec.Tracing {
-		names := make([]string, len(spec.Plan.Stages))
-		for i, st := range spec.Plan.Stages {
-			names[i] = st.Name
-		}
-		r.rec = trace.New(len(cl.Workers), 0, names)
+		r.startTrace()
 	}
-	r.hTask = histPair{qmet.Hist(metrics.TaskLatencyNS), cl.Metrics.Hist(metrics.TaskLatencyNS)}
-	r.hAdmit = histPair{qmet.Hist(metrics.AdmissionWaitNS), cl.Metrics.Hist(metrics.AdmissionWaitNS)}
-	r.hFlush = histPair{qmet.Hist(metrics.FlushLatencyNS), cl.Metrics.Hist(metrics.FlushLatencyNS)}
-	r.hStall = histPair{qmet.Hist(metrics.CursorStallNS), cl.Metrics.Hist(metrics.CursorStallNS)}
 	return r, nil
 }
 

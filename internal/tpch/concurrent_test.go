@@ -82,7 +82,7 @@ func runQuery2(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Config) *bat
 
 func TestConcurrentTPCHMatchesSerial(t *testing.T) {
 	cl := loadCluster(t, 4)
-	engine.SetAdmissionLimit(cl, len(concurrentMix)) // let the whole mix overlap
+	engine.Configure(cl, engine.WithAdmissionLimit(len(concurrentMix))) // let the whole mix overlap
 
 	want := make([]*batch.Batch, len(concurrentMix))
 	for i, c := range concurrentMix {

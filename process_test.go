@@ -73,11 +73,3 @@ func TestProcessModePublicSurface(t *testing.T) {
 		t.Error("net.bytes.wire non-zero on an in-memory cluster")
 	}
 }
-
-func TestProcessModeUnknownTransport(t *testing.T) {
-	_, err := quokka.NewCluster(quokka.ClusterConfig{Workers: 1},
-		quokka.WithListenAddr("127.0.0.1:0"), quokka.WithTransport("quic"))
-	if err == nil {
-		t.Fatal("NewCluster accepted an unknown wire transport")
-	}
-}

@@ -162,7 +162,7 @@ func TestSubmitPlanTimeErrors(t *testing.T) {
 func TestAdmissionLimitPublic(t *testing.T) {
 	c := newTestCluster(t, 2)
 	salesTable(t, c, 1000)
-	c.SetAdmissionLimit(1)
+	c.Configure(WithAdmissionLimit(1))
 	sess := NewSession(c)
 	frame := sess.Read("sales").GroupBy(nil, CountAll("n"))
 	q1, err := frame.Submit(context.Background(), DefaultConfig())

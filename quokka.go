@@ -143,14 +143,6 @@ func WithSpillCompression(on bool) Option { return engine.WithSpillCompression(o
 // Experimental: the wire protocol and this option's shape may change.
 func WithListenAddr(addr string) Option { return engine.WithListenAddr(addr) }
 
-// WithTransport selects the wire transport implementation for process
-// mode. "tcp" (the default) is length-prefixed framing over plain TCP;
-// the name exists so alternative transports can be added without an API
-// change. Ignored without WithListenAddr.
-//
-// Experimental: the wire protocol and this option's shape may change.
-func WithTransport(name string) Option { return engine.WithTransport(name) }
-
 // WithTracing enables the per-query flight recorder (off by default).
 // Traced queries record a structured span for every unit of work — task
 // executions, partition pushes, lineage flushes, admission waits, recovery
@@ -211,9 +203,6 @@ func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 	engine.Configure(inner, opts...)
 	c := &Cluster{inner: inner}
 	if addr := engine.ListenAddr(inner); addr != "" {
-		if name := engine.TransportName(inner); name != engine.DefaultTransport {
-			return nil, fmt.Errorf("quokka: unknown wire transport %q (have %q)", name, engine.DefaultTransport)
-		}
 		srv, err := wire.NewServer(inner, addr)
 		if err != nil {
 			return nil, err
@@ -291,28 +280,6 @@ func (c *Cluster) KillWorker(i int) error {
 // Metrics returns a snapshot of the cluster's counters (bytes shuffled,
 // backed up, spooled, GCS transactions, tasks executed/replayed, ...).
 func (c *Cluster) Metrics() map[string]int64 { return c.inner.Metrics.Snapshot() }
-
-// SetAdmissionLimit bounds how many queries the cluster executes
-// concurrently (default engine.DefaultAdmissionLimit = 4). Submissions
-// beyond the bound queue FIFO and are admitted as slots free up. n <= 0
-// restores the default.
-//
-// Deprecated: use Configure(WithAdmissionLimit(n)).
-func (c *Cluster) SetAdmissionLimit(n int) { c.Configure(WithAdmissionLimit(n)) }
-
-// SetWorkerMemoryBudget installs a per-worker accounted-memory cap shared
-// by ALL in-flight queries: concurrent budgeted queries then spill against
-// the worker's total accounted operator state, not just their own
-// RunConfig.MemoryBudget. 0 (the default) disables the cross-query cap.
-// Only queries submitted after the call observe it.
-//
-// Deprecated: use Configure(WithWorkerMemoryBudget(bytes)).
-func (c *Cluster) SetWorkerMemoryBudget(bytes int64) {
-	c.Configure(WithWorkerMemoryBudget(bytes))
-}
-
-// Internal accessor for the benchmark harness.
-func (c *Cluster) internalCluster() *cluster.Cluster { return c.inner }
 
 // ColumnType enumerates the supported table column types.
 type ColumnType = batch.Type
