@@ -27,11 +27,11 @@ lint:
 
 ## bench: one iteration of every benchmark in short mode (CI smoke: drives
 ## each paper figure once, in modelled time), plus the allocation-regression
-## guard over the hash-path inner loops. Measurements come from
-## `bash benchmark/run.sh`, not from here.
+## guard over the hash-path inner loops and the QBA2 encoder. Measurements
+## come from `bash benchmark/run.sh`, not from here.
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) test -short -run 'ZeroAllocs' ./internal/ops/
+	$(GO) test -short -run 'ZeroAllocs' ./internal/ops/ ./internal/batch/
 
 ## benchmark-smoke: the real-time benchmark is a Go module of its own
 ## (benchmark/go.mod), outside `go build ./... && go test ./...` — vet and

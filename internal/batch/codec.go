@@ -30,74 +30,50 @@ func corruptf(format string, args ...any) error {
 
 const codecMagic = 0x51424131 // "QBA1"
 
-// Encode serializes the batch into a fresh byte slice. A selection vector,
-// if present, is materialized first — the wire format always carries
-// physical rows.
+// Encode serializes the batch into a fresh, exactly sized byte slice.
 func Encode(b *Batch) []byte {
+	return AppendRaw(make([]byte, 0, RawEncodedSize(b)), b)
+}
+
+// AppendRaw appends the batch's QBA1 frame to dst and returns the extended
+// slice. A selection vector, if present, is materialized first — the wire
+// format always carries physical rows.
+func AppendRaw(dst []byte, b *Batch) []byte {
 	b = b.Materialize()
-	size := 12
+	dst = binary.LittleEndian.AppendUint32(dst, codecMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.Schema.Len()))
 	for _, f := range b.Schema.Fields {
-		size += 5 + len(f.Name)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Name)))
+		dst = append(dst, f.Name...)
+		dst = append(dst, byte(f.Type))
 	}
-	rows := b.NumRows()
-	for _, c := range b.Cols {
-		switch c.Type {
-		case Int64, Date, Float64:
-			size += rows * 8
-		case String:
-			size += rows * 4
-			for _, s := range c.Strings {
-				size += len(s)
-			}
-		case Bool:
-			size += rows
-		}
-	}
-	out := make([]byte, 0, size)
-	var u32 [4]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		out = append(out, u32[:]...)
-	}
-	var u64 [8]byte
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		out = append(out, u64[:]...)
-	}
-	put32(codecMagic)
-	put32(uint32(b.Schema.Len()))
-	for _, f := range b.Schema.Fields {
-		put32(uint32(len(f.Name)))
-		out = append(out, f.Name...)
-		out = append(out, byte(f.Type))
-	}
-	put32(uint32(rows))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.NumRows()))
 	for _, c := range b.Cols {
 		switch c.Type {
 		case Int64, Date:
 			for _, v := range c.Ints {
-				put64(uint64(v))
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 			}
 		case Float64:
 			for _, v := range c.Floats {
-				put64(math.Float64bits(v))
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 			}
 		case String:
 			for _, s := range c.Strings {
-				put32(uint32(len(s)))
-				out = append(out, s...)
+				dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+				dst = append(dst, s...)
 			}
 		case Bool:
 			for _, v := range c.Bools {
 				if v {
-					out = append(out, 1)
+					dst = append(dst, 1)
 				} else {
-					out = append(out, 0)
+					dst = append(dst, 0)
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Run-file framing: spilled operator state is stored as a sequence of

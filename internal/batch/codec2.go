@@ -2,10 +2,11 @@ package batch
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
-	"io"
 	"math"
+	"math/bits"
+	"slices"
+	"sync"
 )
 
 // QBA2 is the compressed wire format. It keeps QBA1's self-describing
@@ -39,51 +40,77 @@ const (
 	encVarint = 2 // Int64/Date: zigzag uvarint per value
 	encDelta  = 3 // Int64/Date: zigzag uvarint first value, then deltas
 	encRLE    = 4 // Bool: first value byte + alternating uvarint run lengths
-	encFlate  = 5 // any type: DEFLATE over the raw (encoding-0) payload
 )
 
-// EncodeCompressed serializes the batch into the QBA2 format, choosing the
-// smallest encoding per column. A selection vector, if present, is
-// materialized first — the wire format always carries physical rows.
+// encScratch is the encoder's reusable working memory for the dictionary
+// candidates of the column being sized. Pooled: a steady-state encode
+// allocates nothing but the destination bytes.
+type encScratch struct {
+	slots []uint32 // open-addressing directory: dictionary index + 1, 0 = empty
+	idx   []uint32 // per-row dictionary index, valid when the dictionary won
+	fdict []uint64 // distinct Float64bits patterns, first-occurrence order
+	first []uint32 // string dictionary: row of each entry's first occurrence
+	out   []byte   // EncodeCompressed's build buffer
+}
+
+var encPool = sync.Pool{New: func() any { return new(encScratch) }}
+
+// EncodeCompressed serializes the batch into a fresh, exactly sized QBA2
+// frame: AppendCompressed into pooled scratch, then one copy.
 func EncodeCompressed(b *Batch) []byte {
-	b = b.Materialize()
-	payloads := make([][]byte, len(b.Cols))
-	encs := make([]byte, len(b.Cols))
-	size := 12
-	for i, c := range b.Cols {
-		encs[i], payloads[i] = encodeColumn(c)
-		size += 10 + len(b.Schema.Fields[i].Name) + len(payloads[i])
-	}
-	out := make([]byte, 0, size)
-	var u32 [4]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		out = append(out, u32[:]...)
-	}
-	put32(codecMagic2)
-	put32(uint32(b.Schema.Len()))
-	for i, f := range b.Schema.Fields {
-		put32(uint32(len(f.Name)))
-		out = append(out, f.Name...)
-		out = append(out, byte(f.Type), encs[i])
-		put32(uint32(len(payloads[i])))
-	}
-	put32(uint32(b.NumRows()))
-	for _, p := range payloads {
-		out = append(out, p...)
-	}
+	sc := encPool.Get().(*encScratch)
+	sc.out = sc.appendFrame(sc.out[:0], b)
+	out := bytes.Clone(sc.out)
+	encPool.Put(sc)
 	return out
 }
 
-// AppendFramedCompressed appends a length-prefixed EncodeCompressed(b)
-// frame to dst; the framing is identical to AppendFramed, so RunIter reads
-// mixed raw/compressed runs.
+// AppendCompressed appends the batch's QBA2 frame to dst, choosing the
+// smallest encoding per column, and returns the extended slice. A
+// selection vector, if present, is materialized first — the wire format
+// always carries physical rows.
+//
+// Selection is size-first: one pass per candidate computes its exact
+// encoded size, the smallest wins (ties to the lowest encoding number) and
+// only the winner's bytes are ever written, straight into dst.
+func AppendCompressed(dst []byte, b *Batch) []byte {
+	sc := encPool.Get().(*encScratch)
+	dst = sc.appendFrame(dst, b)
+	encPool.Put(sc)
+	return dst
+}
+
+func (sc *encScratch) appendFrame(dst []byte, b *Batch) []byte {
+	b = b.Materialize()
+	dst = binary.LittleEndian.AppendUint32(dst, codecMagic2)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.Schema.Len()))
+	hdr := len(dst) // walks the field headers as their columns are written
+	for _, f := range b.Schema.Fields {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Name)))
+		dst = append(dst, f.Name...)
+		dst = append(dst, byte(f.Type), 0, 0, 0, 0, 0) // enc and payloadLen filled below
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.NumRows()))
+	for i, c := range b.Cols {
+		hdr += 4 + len(b.Schema.Fields[i].Name) + 1
+		start := len(dst)
+		var enc byte
+		dst, enc = sc.appendColumn(dst, c)
+		dst[hdr] = enc
+		binary.LittleEndian.PutUint32(dst[hdr+1:], uint32(len(dst)-start))
+		hdr += 5
+	}
+	return dst
+}
+
+// AppendFramedCompressed appends a length-prefixed QBA2 frame of b to dst;
+// the framing is identical to AppendFramed, so RunIter reads mixed
+// raw/compressed runs.
 func AppendFramedCompressed(dst []byte, b *Batch) []byte {
-	enc := EncodeCompressed(b)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(enc)))
-	dst = append(dst, u32[:]...)
-	return append(dst, enc...)
+	at := len(dst)
+	dst = AppendCompressed(append(dst, 0, 0, 0, 0), b)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
 }
 
 // RawEncodedSize returns exactly len(Encode(b)) without building the
@@ -116,73 +143,20 @@ func RawEncodedSize(b *Batch) int {
 	return size
 }
 
-// encodeColumn returns the chosen encoding and its payload for one
-// materialized column: the smallest candidate, ties to the lowest number.
-func encodeColumn(c *Column) (byte, []byte) {
-	best := rawColumnPayload(c)
-	bestEnc := byte(encRaw)
-	consider := func(enc byte, p []byte) {
-		if len(p) < len(best) {
-			best, bestEnc = p, enc
-		}
-	}
+// appendColumn appends one materialized column's payload in its smallest
+// encoding (ties to the lowest number) and returns that encoding.
+func (sc *encScratch) appendColumn(dst []byte, c *Column) ([]byte, byte) {
 	switch c.Type {
 	case Int64, Date:
-		consider(encVarint, varintPayload(c.Ints))
-		consider(encDelta, deltaPayload(c.Ints))
-	case String:
-		consider(encDict, dictPayload(c.Strings))
-	case Bool:
-		consider(encRLE, rlePayload(c.Bools))
+		return appendInts(dst, c.Ints)
 	case Float64:
-		// Floats compress by bit-pattern dictionary: TPC-H-style measures
-		// (quantities, discounts, prices) repeat heavily, and indexing the
-		// distinct Float64bits is exact — the bit-exactness invariant holds
-		// trivially, NaN payloads and -0.0 included. High-entropy columns
-		// fall back to raw via smallest-wins.
-		consider(encDict, dictFloatPayload(c.Floats))
-	}
-	return bestEnc, best
-}
-
-// rawColumnPayload is the QBA1 column layout for one column (encoding 0).
-func rawColumnPayload(c *Column) []byte {
-	switch c.Type {
-	case Int64, Date:
-		out := make([]byte, 8*len(c.Ints))
-		for i, v := range c.Ints {
-			binary.LittleEndian.PutUint64(out[i*8:], uint64(v))
-		}
-		return out
-	case Float64:
-		out := make([]byte, 8*len(c.Floats))
-		for i, v := range c.Floats {
-			binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-		}
-		return out
+		return sc.appendFloats(dst, c.Floats)
 	case String:
-		size := 0
-		for _, s := range c.Strings {
-			size += 4 + len(s)
-		}
-		out := make([]byte, 0, size)
-		var u32 [4]byte
-		for _, s := range c.Strings {
-			binary.LittleEndian.PutUint32(u32[:], uint32(len(s)))
-			out = append(out, u32[:]...)
-			out = append(out, s...)
-		}
-		return out
+		return sc.appendStrings(dst, c.Strings)
 	case Bool:
-		out := make([]byte, len(c.Bools))
-		for i, v := range c.Bools {
-			if v {
-				out[i] = 1
-			}
-		}
-		return out
+		return appendBools(dst, c.Bools)
 	}
-	return nil
+	return dst, encRaw
 }
 
 // zigzag maps signed values to unsigned so small magnitudes of either sign
@@ -191,104 +165,280 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-func varintPayload(vals []int64) []byte {
-	out := make([]byte, 0, len(vals)*2)
-	for _, v := range vals {
-		out = binary.AppendUvarint(out, zigzag(v))
-	}
-	return out
+// uvarintLen is the number of bytes binary.PutUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// grow extends dst by n bytes and returns it with the offset of the first.
+func grow(dst []byte, n int) ([]byte, int) {
+	at := len(dst)
+	return slices.Grow(dst, n)[:at+n], at
 }
 
-// deltaPayload stores the first value then successive differences, all
-// zigzag-varint. Differences use wrapping int64 arithmetic, so extreme
-// spreads round-trip exactly.
-func deltaPayload(vals []int64) []byte {
-	out := make([]byte, 0, len(vals)*2)
+// appendInts sizes raw (8 bytes per value), varint (zigzag uvarint per
+// value) and delta (zigzag uvarint of the wrapping difference to the
+// previous value, the first against 0 — extreme spreads round-trip
+// exactly) in one pass and writes the winner.
+func appendInts(dst []byte, vals []int64) ([]byte, byte) {
+	varint, delta := 0, 0
 	prev := int64(0)
 	for _, v := range vals {
-		out = binary.AppendUvarint(out, zigzag(v-prev))
+		varint += uvarintLen(zigzag(v))
+		delta += uvarintLen(zigzag(v - prev))
 		prev = v
 	}
-	return out
-}
-
-// dictPayload: ndict uint32, then each distinct string (uint32 length +
-// bytes) in first-occurrence order, then one uvarint index per row.
-func dictPayload(vals []string) []byte {
-	idx := make(map[string]uint64, 16)
-	order := make([]string, 0, 16)
-	for _, s := range vals {
-		if _, ok := idx[s]; !ok {
-			idx[s] = uint64(len(order))
-			order = append(order, s)
+	size, enc := 8*len(vals), byte(encRaw)
+	if varint < size {
+		size, enc = varint, encVarint
+	}
+	if delta < size {
+		size, enc = delta, encDelta
+	}
+	dst, at := grow(dst, size)
+	switch enc {
+	case encRaw:
+		for _, v := range vals {
+			binary.LittleEndian.PutUint64(dst[at:], uint64(v))
+			at += 8
+		}
+	case encVarint:
+		for _, v := range vals {
+			at += binary.PutUvarint(dst[at:], zigzag(v))
+		}
+	case encDelta:
+		prev = 0
+		for _, v := range vals {
+			at += binary.PutUvarint(dst[at:], zigzag(v-prev))
+			prev = v
 		}
 	}
-	out := make([]byte, 0, len(vals)*2)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(order)))
-	out = append(out, u32[:]...)
-	for _, s := range order {
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(s)))
-		out = append(out, u32[:]...)
-		out = append(out, s...)
-	}
-	for _, s := range vals {
-		out = binary.AppendUvarint(out, idx[s])
-	}
-	return out
+	return dst, enc
 }
 
-// dictFloatPayload: ndict uint32, then each distinct Float64bits pattern
-// (8 bytes LE) in first-occurrence order, then one uvarint index per row.
-// Distinctness is by bit pattern, so -0.0 and every NaN payload keep their
-// exact bits.
-func dictFloatPayload(vals []float64) []byte {
-	idx := make(map[uint64]uint64, 16)
-	order := make([]uint64, 0, 16)
-	for _, v := range vals {
-		bits := math.Float64bits(v)
-		if _, ok := idx[bits]; !ok {
-			idx[bits] = uint64(len(order))
-			order = append(order, bits)
+// resetDict readies the directory and index vector for a column of n
+// rows. The directory holds at least 2n slots, so it never fills or grows:
+// a dictionary stops being sized long before n distinct values.
+func (sc *encScratch) resetDict(n int) (slots []uint32, shift uint) {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(sc.slots) < size {
+		sc.slots = make([]uint32, size)
+	}
+	slots = sc.slots[:size]
+	clear(slots)
+	if cap(sc.idx) < n {
+		sc.idx = make([]uint32, n)
+	}
+	sc.idx = sc.idx[:n]
+	return slots, shiftFor(size)
+}
+
+// dictHome is a key's home slot in a directory of 1<<(64-shift) slots: the
+// top bits of a multiplicative mix, as in HashTable.slotIndex. Round
+// decimals are float patterns with 40+ trailing zero bits, which any low or
+// middle bits of the product inherit. The index is the encoder's own and
+// never leaves it: routing and key identity (HashKeys) are untouched.
+func dictHome(h uint64, shift uint) uint64 { return (h * fibMul) >> shift }
+
+// dictHashString hashes a string eight bytes at a time for the string
+// dictionary's directory (the last word overlaps its predecessor; the
+// length seeds the hash, so the overlap is unambiguous). Like dictHome it
+// serves only the encoder: near-unique comment columns are hashed in full
+// before the dictionary is ruled out, and byte-at-a-time fnv (HashString)
+// made that the encoder's most expensive loop.
+func dictHashString(s string) uint64 {
+	h := uint64(len(s))
+	if len(s) < 8 {
+		for i := 0; i < len(s); i++ {
+			h = h<<8 | uint64(s[i])
+		}
+		return h * fibMul
+	}
+	word := func(s string) uint64 {
+		_ = s[7]
+		return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+	}
+	last := s[len(s)-8:]
+	for ; len(s) > 8; s = s[8:] {
+		h = (h ^ word(s)) * fibMul
+		h ^= h >> 32
+	}
+	return (h ^ word(last)) * fibMul
+}
+
+// appendIdx writes the per-row dictionary indexes as uvarints.
+func (sc *encScratch) appendIdx(dst []byte, at int) {
+	for _, d := range sc.idx {
+		if d < 0x80 {
+			dst[at] = byte(d)
+			at++
+		} else {
+			at += binary.PutUvarint(dst[at:], uint64(d))
 		}
 	}
-	out := make([]byte, 0, 4+8*len(order)+2*len(vals))
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(order)))
-	out = append(out, u32[:]...)
-	var u64 [8]byte
-	for _, bits := range order {
-		binary.LittleEndian.PutUint64(u64[:], bits)
-		out = append(out, u64[:]...)
-	}
-	for _, v := range vals {
-		out = binary.AppendUvarint(out, idx[math.Float64bits(v)])
-	}
-	return out
 }
 
-// rlePayload: one byte for the first value, then alternating uvarint run
-// lengths. Empty columns encode as an empty payload.
-func rlePayload(vals []bool) []byte {
-	if len(vals) == 0 {
-		return []byte{}
+// appendFloats writes a float column raw or as a bit-pattern dictionary:
+// ndict uint32, each distinct Float64bits pattern (8 bytes LE) in
+// first-occurrence order, then one uvarint index per row. TPC-H-style
+// measures (quantities, discounts, prices) repeat heavily, and indexing
+// the distinct bit patterns is exact — -0.0 and every NaN payload keep
+// their bits; high-entropy columns stay raw.
+//
+// Sizing stops the moment the dictionary provably cannot be smaller than
+// raw (every remaining row costs at least one index byte), which is exact:
+// the choice is the one full sizing would make.
+func (sc *encScratch) appendFloats(dst []byte, vals []float64) ([]byte, byte) {
+	n := len(vals)
+	raw := 8 * n
+	slots, shift := sc.resetDict(n)
+	mask := uint64(len(slots) - 1)
+	idx, dict := sc.idx, sc.fdict[:0]
+	size := 4
+sizing:
+	for r, v := range vals {
+		w := math.Float64bits(v)
+		var d uint32
+		for i := dictHome(w, shift); ; i = (i + 1) & mask {
+			if s := slots[i]; s == 0 {
+				d = uint32(len(dict))
+				dict = append(dict, w)
+				slots[i] = d + 1
+				if size += 8; size+n-r >= raw {
+					size = raw
+					break sizing
+				}
+				break
+			} else if dict[s-1] == w {
+				d = s - 1
+				break
+			}
+		}
+		idx[r] = d
+		size += uvarintLen(uint64(d))
 	}
-	out := make([]byte, 0, 16)
-	if vals[0] {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+	sc.fdict = dict
+	if size >= raw {
+		dst, at := grow(dst, raw)
+		for _, v := range vals {
+			binary.LittleEndian.PutUint64(dst[at:], math.Float64bits(v))
+			at += 8
+		}
+		return dst, encRaw
 	}
+	dst, at := grow(dst, size)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dict)))
+	at += 4
+	for _, w := range dict {
+		binary.LittleEndian.PutUint64(dst[at:], w)
+		at += 8
+	}
+	sc.appendIdx(dst, at)
+	return dst, encDict
+}
+
+// appendStrings writes a string column raw (uint32 length + bytes per row)
+// or as a dictionary: ndict uint32, each distinct string (uint32 length +
+// bytes) in first-occurrence order, then one uvarint index per row. Sizing
+// stops early exactly as for floats.
+func (sc *encScratch) appendStrings(dst []byte, vals []string) ([]byte, byte) {
+	n := len(vals)
+	raw := 4 * n
+	for _, s := range vals {
+		raw += len(s)
+	}
+	slots, shift := sc.resetDict(n)
+	mask := uint64(len(slots) - 1)
+	idx, first := sc.idx, sc.first[:0]
+	size := 4
+sizing:
+	for r, v := range vals {
+		var d uint32
+		for i := dictHome(dictHashString(v), shift); ; i = (i + 1) & mask {
+			if s := slots[i]; s == 0 {
+				d = uint32(len(first))
+				first = append(first, uint32(r))
+				slots[i] = d + 1
+				if size += 4 + len(v); size+n-r >= raw {
+					size = raw
+					break sizing
+				}
+				break
+			} else if vals[first[s-1]] == v {
+				d = s - 1
+				break
+			}
+		}
+		idx[r] = d
+		size += uvarintLen(uint64(d))
+	}
+	sc.first = first
+	if size >= raw {
+		dst, at := grow(dst, raw)
+		for _, s := range vals {
+			binary.LittleEndian.PutUint32(dst[at:], uint32(len(s)))
+			at += 4 + copy(dst[at+4:], s)
+		}
+		return dst, encRaw
+	}
+	dst, at := grow(dst, size)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(first)))
+	at += 4
+	for _, r := range first {
+		s := vals[r]
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(s)))
+		at += 4 + copy(dst[at+4:], s)
+	}
+	sc.appendIdx(dst, at)
+	return dst, encDict
+}
+
+// appendBools writes a bool column raw (one byte per value) or run-length
+// encoded: one byte for the first value, then alternating uvarint run
+// lengths. Empty columns are an empty raw payload.
+func appendBools(dst []byte, vals []bool) ([]byte, byte) {
+	n := len(vals)
+	size := 1
 	run := uint64(1)
-	for i := 1; i < len(vals); i++ {
+	for i := 1; i < n; i++ {
 		if vals[i] == vals[i-1] {
 			run++
 			continue
 		}
-		out = binary.AppendUvarint(out, run)
+		size += uvarintLen(run)
 		run = 1
 	}
-	return binary.AppendUvarint(out, run)
+	size += uvarintLen(run)
+	if n == 0 || size >= n {
+		dst, at := grow(dst, n)
+		for i, v := range vals {
+			if v {
+				dst[at+i] = 1
+			} else {
+				dst[at+i] = 0
+			}
+		}
+		return dst, encRaw
+	}
+	dst, at := grow(dst, size)
+	dst[at] = 0
+	if vals[0] {
+		dst[at] = 1
+	}
+	at++
+	run = 1
+	for i := 1; i < n; i++ {
+		if vals[i] == vals[i-1] {
+			run++
+			continue
+		}
+		at += binary.PutUvarint(dst[at:], run)
+		run = 1
+	}
+	binary.PutUvarint(dst[at:], run)
+	return dst, encRLE
 }
 
 // DecodeProject parses a batch keeping only the named columns, in the
@@ -421,12 +571,6 @@ func decodeColumn(f Field, enc byte, rows int, p []byte) (*Column, error) {
 	switch {
 	case enc == encRaw:
 		return decodeRawColumn(f, rows, p)
-	case enc == encFlate:
-		raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(p)))
-		if err != nil {
-			return nil, corruptf("flate column %q: %v", f.Name, err)
-		}
-		return decodeRawColumn(f, rows, raw)
 	case enc == encVarint && (f.Type == Int64 || f.Type == Date):
 		v, err := decodeVarints(f, rows, p)
 		if err != nil {

@@ -2,10 +2,11 @@ package batch
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -266,44 +267,22 @@ func TestCorruptCountsRejected(t *testing.T) {
 	}
 }
 
-// TestFlateEncodedColumnDecodes covers the reserved DEFLATE encoding: the
-// current encoder prefers the structural encodings, but the decoder must
-// accept tag 5 (a flate-compressed raw payload) for any column type.
-func TestFlateEncodedColumnDecodes(t *testing.T) {
-	vals := []float64{1.5, 1.5, math.Copysign(0, -1), math.NaN(), 2.25}
-	raw := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
-	}
-	var comp bytes.Buffer
-	w, _ := flate.NewWriter(&comp, flate.BestSpeed)
-	w.Write(raw)
-	w.Close()
-
-	var frame []byte
-	put32 := func(v uint32) { frame = binary.LittleEndian.AppendUint32(frame, v) }
-	put32(codecMagic2)
-	put32(1) // one field
-	put32(1) // nameLen
-	frame = append(frame, 'f', byte(Float64), encFlate)
-	put32(uint32(comp.Len()))
-	put32(uint32(len(vals))) // nrows
-	frame = append(frame, comp.Bytes()...)
-
-	got, err := Decode(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vals {
-		if math.Float64bits(got.Cols[0].Floats[i]) != math.Float64bits(v) {
-			t.Fatalf("row %d: bits differ", i)
+// TestUnknownEncodingRejected: a column tagged with an encoding no encoder
+// has ever written (5 was once reserved for DEFLATE) is corrupt for every
+// column type, never a panic.
+func TestUnknownEncodingRejected(t *testing.T) {
+	for _, typ := range []Type{Int64, Float64, String, Bool, Date} {
+		var frame []byte
+		put32 := func(v uint32) { frame = binary.LittleEndian.AppendUint32(frame, v) }
+		put32(codecMagic2)
+		put32(1) // one field
+		put32(1) // nameLen
+		frame = append(frame, 'f', byte(typ), 5)
+		put32(0) // payloadLen
+		put32(0) // nrows
+		if _, err := Decode(frame); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("type %d: error = %v, want ErrCorrupt", typ, err)
 		}
-	}
-	// A garbage flate stream is a typed error, not a panic.
-	bad := append([]byte(nil), frame...)
-	bad[len(bad)-3] ^= 0xFF
-	if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupt flate stream: error = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -342,6 +321,542 @@ func TestZoneMapRoundTrip(t *testing.T) {
 	for i := 0; i < len(enc); i++ {
 		if _, err := DecodeZoneMap(enc[:i]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("prefix %d: error = %v, want ErrCorrupt", i, err)
+		}
+	}
+}
+
+// ---- Reference encoder ----
+//
+// The candidate-materializing QBA2 encoder the engine shipped before
+// size-first selection, kept verbatim as the oracle: it builds every
+// candidate payload, keeps the shortest (ties to the lowest encoding
+// number) and copies it into the frame. AppendCompressed must produce the
+// same bytes for every batch.
+
+// ReferenceEncodeCompressed is exported (to tests only) so the external
+// test package can run the oracle over generated TPC-H tables.
+func ReferenceEncodeCompressed(b *Batch) []byte {
+	b = b.Materialize()
+	payloads := make([][]byte, len(b.Cols))
+	encs := make([]byte, len(b.Cols))
+	size := 12
+	for i, c := range b.Cols {
+		encs[i], payloads[i] = refEncodeColumn(c)
+		size += 10 + len(b.Schema.Fields[i].Name) + len(payloads[i])
+	}
+	out := make([]byte, 0, size)
+	var u32 [4]byte
+	put32 := func(v uint32) {
+		binary.LittleEndian.PutUint32(u32[:], v)
+		out = append(out, u32[:]...)
+	}
+	put32(codecMagic2)
+	put32(uint32(b.Schema.Len()))
+	for i, f := range b.Schema.Fields {
+		put32(uint32(len(f.Name)))
+		out = append(out, f.Name...)
+		out = append(out, byte(f.Type), encs[i])
+		put32(uint32(len(payloads[i])))
+	}
+	put32(uint32(b.NumRows()))
+	for _, p := range payloads {
+		out = append(out, p...)
+	}
+	return out
+}
+
+func refEncodeColumn(c *Column) (byte, []byte) {
+	best := rawColumnPayload(c)
+	bestEnc := byte(encRaw)
+	consider := func(enc byte, p []byte) {
+		if len(p) < len(best) {
+			best, bestEnc = p, enc
+		}
+	}
+	switch c.Type {
+	case Int64, Date:
+		consider(encVarint, varintPayload(c.Ints))
+		consider(encDelta, deltaPayload(c.Ints))
+	case String:
+		consider(encDict, dictPayload(c.Strings))
+	case Bool:
+		consider(encRLE, rlePayload(c.Bools))
+	case Float64:
+		consider(encDict, dictFloatPayload(c.Floats))
+	}
+	return bestEnc, best
+}
+
+func rawColumnPayload(c *Column) []byte {
+	switch c.Type {
+	case Int64, Date:
+		out := make([]byte, 8*len(c.Ints))
+		for i, v := range c.Ints {
+			binary.LittleEndian.PutUint64(out[i*8:], uint64(v))
+		}
+		return out
+	case Float64:
+		out := make([]byte, 8*len(c.Floats))
+		for i, v := range c.Floats {
+			binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+		}
+		return out
+	case String:
+		size := 0
+		for _, s := range c.Strings {
+			size += 4 + len(s)
+		}
+		out := make([]byte, 0, size)
+		var u32 [4]byte
+		for _, s := range c.Strings {
+			binary.LittleEndian.PutUint32(u32[:], uint32(len(s)))
+			out = append(out, u32[:]...)
+			out = append(out, s...)
+		}
+		return out
+	case Bool:
+		out := make([]byte, len(c.Bools))
+		for i, v := range c.Bools {
+			if v {
+				out[i] = 1
+			}
+		}
+		return out
+	}
+	return nil
+}
+
+func varintPayload(vals []int64) []byte {
+	out := make([]byte, 0, len(vals)*2)
+	for _, v := range vals {
+		out = binary.AppendUvarint(out, zigzag(v))
+	}
+	return out
+}
+
+func deltaPayload(vals []int64) []byte {
+	out := make([]byte, 0, len(vals)*2)
+	prev := int64(0)
+	for _, v := range vals {
+		out = binary.AppendUvarint(out, zigzag(v-prev))
+		prev = v
+	}
+	return out
+}
+
+func dictPayload(vals []string) []byte {
+	idx := make(map[string]uint64, 16)
+	order := make([]string, 0, 16)
+	for _, s := range vals {
+		if _, ok := idx[s]; !ok {
+			idx[s] = uint64(len(order))
+			order = append(order, s)
+		}
+	}
+	out := make([]byte, 0, len(vals)*2)
+	var u32 [4]byte
+	binary.LittleEndian.PutUint32(u32[:], uint32(len(order)))
+	out = append(out, u32[:]...)
+	for _, s := range order {
+		binary.LittleEndian.PutUint32(u32[:], uint32(len(s)))
+		out = append(out, u32[:]...)
+		out = append(out, s...)
+	}
+	for _, s := range vals {
+		out = binary.AppendUvarint(out, idx[s])
+	}
+	return out
+}
+
+func dictFloatPayload(vals []float64) []byte {
+	idx := make(map[uint64]uint64, 16)
+	order := make([]uint64, 0, 16)
+	for _, v := range vals {
+		bits := math.Float64bits(v)
+		if _, ok := idx[bits]; !ok {
+			idx[bits] = uint64(len(order))
+			order = append(order, bits)
+		}
+	}
+	out := make([]byte, 0, 4+8*len(order)+2*len(vals))
+	var u32 [4]byte
+	binary.LittleEndian.PutUint32(u32[:], uint32(len(order)))
+	out = append(out, u32[:]...)
+	var u64 [8]byte
+	for _, bits := range order {
+		binary.LittleEndian.PutUint64(u64[:], bits)
+		out = append(out, u64[:]...)
+	}
+	for _, v := range vals {
+		out = binary.AppendUvarint(out, idx[math.Float64bits(v)])
+	}
+	return out
+}
+
+func rlePayload(vals []bool) []byte {
+	if len(vals) == 0 {
+		return []byte{}
+	}
+	out := make([]byte, 0, 16)
+	if vals[0] {
+		out = append(out, 1)
+	} else {
+		out = append(out, 0)
+	}
+	run := uint64(1)
+	for i := 1; i < len(vals); i++ {
+		if vals[i] == vals[i-1] {
+			run++
+			continue
+		}
+		out = binary.AppendUvarint(out, run)
+		run = 1
+	}
+	return binary.AppendUvarint(out, run)
+}
+
+// assertMatchesReference is the oracle check: the size-first encoder writes
+// the reference encoder's bytes, behind whatever dst already holds, and
+// EncodeCompressed returns that frame.
+func assertMatchesReference(t testing.TB, what string, b *Batch) {
+	t.Helper()
+	want := ReferenceEncodeCompressed(b)
+	if got := AppendCompressed(nil, b); !bytes.Equal(got, want) {
+		t.Fatalf("%s: AppendCompressed differs from the reference encoder (%d vs %d bytes)", what, len(got), len(want))
+	}
+	prefix := []byte("kept")
+	got := AppendCompressed(append([]byte(nil), prefix...), b)
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("%s: AppendCompressed behind a prefix differs from the reference encoder", what)
+	}
+	if got := EncodeCompressed(b); !bytes.Equal(got, want) {
+		t.Fatalf("%s: EncodeCompressed differs from the reference encoder", what)
+	}
+}
+
+// colOf builds a one-column batch.
+func colOf(c *Column) *Batch {
+	return MustNew(NewSchema(Field{Name: "c", Type: c.Type}), []*Column{c})
+}
+
+func TestAppendCompressedMatchesReference(t *testing.T) {
+	for _, rows := range []int{0, 1, 2, 3, 100, 1000} {
+		assertMatchesReference(t, "codecBatch", codecBatch(rows))
+	}
+	assertMatchesReference(t, "selection", codecBatch(100).WithSel([]int32{3, 7, 7, 50, 99, 0}))
+	assertMatchesReference(t, "empty selection", codecBatch(100).WithSel([]int32{}))
+	assertMatchesReference(t, "no columns", MustNew(NewSchema(), nil))
+
+	// Every (rows, distinct) shape up to 40 rows, which walks through the
+	// exact break-even sizes of both dictionaries: 4 + 8·nd + rows == 8·rows
+	// (floats; e.g. 4 rows of 3 values, 12 rows of 10) must stay raw, one
+	// value fewer must switch to the dictionary.
+	for rows := 1; rows <= 40; rows++ {
+		for nd := 1; nd <= rows; nd++ {
+			fs := make([]float64, rows)
+			for i := range fs {
+				fs[i] = float64(i%nd) * 0.01
+			}
+			assertMatchesReference(t, "float break-even", colOf(NewFloatColumn(fs)))
+			for _, slen := range []int{0, 1, 3, 4, 9} {
+				ss := make([]string, rows)
+				for i := range ss {
+					ss[i] = strings.Repeat("s", slen) + string(rune('A'+i%nd))
+				}
+				assertMatchesReference(t, "string break-even", colOf(NewStringColumn(ss)))
+			}
+		}
+	}
+
+	// NaNs with distinct payloads and both zeros are distinct dictionary
+	// entries; extreme ints make the delta wrap.
+	nans := make([]float64, 300)
+	for i := range nans {
+		switch i % 4 {
+		case 0:
+			nans[i] = math.Float64frombits(0x7FF8000000000000 | uint64(i%3+1))
+		case 1:
+			nans[i] = math.Copysign(0, -1)
+		case 2:
+			nans[i] = 0
+		default:
+			nans[i] = math.Float64frombits(0xFFF0000000000001)
+		}
+	}
+	assertMatchesReference(t, "nan payloads", colOf(NewFloatColumn(nans)))
+	assertMatchesReference(t, "extreme deltas", colOf(NewIntColumn(
+		[]int64{math.MaxInt64, math.MinInt64, math.MaxInt64, 0, math.MinInt64, -1, 1, math.MinInt64})))
+	assertMatchesReference(t, "empty strings", colOf(NewStringColumn(make([]string, 500))))
+
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 400; i++ {
+		assertMatchesReference(t, "random", randomCodecBatch(rng))
+	}
+}
+
+// randomCodecBatch draws a batch of 0..3000 rows and 1..6 columns whose
+// value distributions cover every encoder decision: all-equal, a small
+// alphabet, all-distinct and arbitrary bit patterns, optionally behind a
+// selection vector.
+func randomCodecBatch(rng *rand.Rand) *Batch {
+	rows := []int{0, 1, 2, 7, 128, 129, 1000, 3000}[rng.Intn(8)]
+	ncols := 1 + rng.Intn(6)
+	fields := make([]Field, ncols)
+	cols := make([]*Column, ncols)
+	for ci := range cols {
+		alphabet := []int{1, 2, 11, 127, 128, 129, 1 << 20}[rng.Intn(7)]
+		pick := func() int64 { return int64(rng.Intn(alphabet)) }
+		typ := Type(rng.Intn(5))
+		fields[ci] = Field{Name: strings.Repeat("n", ci), Type: typ}
+		switch typ {
+		case Int64, Date:
+			v := make([]int64, rows)
+			base, stride := rng.Int63()-rng.Int63(), int64(rng.Intn(3))
+			for i := range v {
+				switch alphabet {
+				case 1 << 20:
+					v[i] = int64(rng.Uint64()) // arbitrary, wrapping deltas
+				default:
+					v[i] = base + int64(i)*stride + pick()
+				}
+			}
+			cols[ci] = &Column{Type: typ, Ints: v}
+		case Float64:
+			v := make([]float64, rows)
+			for i := range v {
+				switch k := pick(); {
+				case alphabet == 1<<20:
+					v[i] = math.Float64frombits(rng.Uint64())
+				case k%7 == 6:
+					v[i] = math.Float64frombits(0x7FF8000000000000 | uint64(k))
+				case k%7 == 5:
+					v[i] = math.Copysign(0, -1)
+				default:
+					v[i] = float64(k) / 100
+				}
+			}
+			cols[ci] = NewFloatColumn(v)
+		case String:
+			v := make([]string, rows)
+			for i := range v {
+				k := pick()
+				v[i] = strings.Repeat("x", int(k%5)) + strconv.FormatInt(k, 36)
+				if k%9 == 0 {
+					v[i] = ""
+				}
+			}
+			cols[ci] = NewStringColumn(v)
+		case Bool:
+			v := make([]bool, rows)
+			for i := range v {
+				v[i] = pick()%2 == 0 && (alphabet > 2 || i%97 != 0)
+			}
+			cols[ci] = NewBoolColumn(v)
+		}
+	}
+	b := MustNew(NewSchema(fields...), cols)
+	if rows > 0 && rng.Intn(3) == 0 {
+		sel := make([]int32, rng.Intn(rows+1))
+		for i := range sel {
+			sel[i] = int32(rng.Intn(rows))
+		}
+		b = b.WithSel(sel)
+	}
+	return b
+}
+
+// fuzzCodecBatch decodes arbitrary bytes into a small batch: a header
+// (rows, columns, selection flag), then per column a type, an alphabet size
+// and values drawn from the remaining bytes (zero once they run out).
+func fuzzCodecBatch(data []byte) *Batch {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		v := data[0]
+		data = data[1:]
+		return v
+	}
+	next64 := func() uint64 {
+		var v uint64
+		for i := 0; i < 8; i++ {
+			v = v<<8 | uint64(next())
+		}
+		return v
+	}
+	rows, ncols, withSel := int(next())%200, 1+int(next())%4, next()%2 == 1
+	fields := make([]Field, ncols)
+	cols := make([]*Column, ncols)
+	for ci := range cols {
+		typ := Type(next() % 5)
+		alphabet := uint64(next())
+		fields[ci] = Field{Name: string(rune('a' + ci)), Type: typ}
+		value := func() uint64 {
+			if alphabet == 0 {
+				return next64()
+			}
+			return uint64(next()) % alphabet
+		}
+		c := NewColumn(typ, rows)
+		for r := 0; r < rows; r++ {
+			switch v := value(); typ {
+			case Int64, Date:
+				c.Ints = append(c.Ints, int64(v))
+			case Float64:
+				if alphabet == 0 {
+					c.Floats = append(c.Floats, math.Float64frombits(v))
+				} else {
+					c.Floats = append(c.Floats, float64(v)/100)
+				}
+			case String:
+				c.Strings = append(c.Strings, strings.Repeat("k", int(v%4))+strconv.FormatUint(v, 36))
+			case Bool:
+				c.Bools = append(c.Bools, v%2 == 1)
+			}
+		}
+		cols[ci] = c
+	}
+	b := MustNew(NewSchema(fields...), cols)
+	if withSel && rows > 0 {
+		sel := make([]int32, int(next())%(2*rows))
+		for i := range sel {
+			sel[i] = int32(int(next()) % rows)
+		}
+		b = b.WithSel(sel)
+	}
+	return b
+}
+
+// FuzzAppendCompressedMatchesReference: whatever batch the bytes describe,
+// the size-first encoder writes the reference encoder's frame and the
+// frame decodes back transparently. Corpus in testdata/fuzz.
+func FuzzAppendCompressedMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzCodecBatch(data)
+		assertMatchesReference(t, "fuzz", b)
+		assertTransparent(t, b)
+	})
+}
+
+// TestDictionaryIndexSpreadsRoundDecimals is the hash-quality regression:
+// TPC-H quantities {1.0 … 50.0} and discounts {0.00 … 0.10} are float bit
+// patterns with 40+ trailing zero bits, so a directory index taken from low
+// or middle bits of a multiplicative mix sends every key to a handful of
+// slots. 32768 draws from either set must resolve within 1.25 probes each.
+func TestDictionaryIndexSpreadsRoundDecimals(t *testing.T) {
+	const rows = 32768
+	quantities := make([]float64, 50)
+	for i := range quantities {
+		quantities[i] = float64(i + 1)
+	}
+	discounts := make([]float64, 11)
+	for i := range discounts {
+		discounts[i] = float64(i) / 100
+	}
+	rng := rand.New(rand.NewSource(1))
+	for name, set := range map[string][]float64{"quantity": quantities, "discount": discounts} {
+		var sc encScratch
+		slots, shift := sc.resetDict(rows)
+		mask := uint64(len(slots) - 1)
+		var dict []uint64
+		probes := 0
+		for r := 0; r < rows; r++ {
+			w := math.Float64bits(set[rng.Intn(len(set))])
+			for i := dictHome(w, shift); ; i = (i + 1) & mask {
+				probes++
+				if s := slots[i]; s == 0 {
+					dict = append(dict, w)
+					slots[i] = uint32(len(dict))
+					break
+				} else if dict[s-1] == w {
+					break
+				}
+			}
+		}
+		if budget := rows + rows/4; probes > budget {
+			t.Errorf("%s: %d probes for %d rows over %d distinct values, budget %d", name, probes, rows, len(dict), budget)
+		}
+	}
+}
+
+// lineitemShaped builds a batch with TPC-H lineitem's column mix: clustered
+// and random int keys, round-decimal measures, a high-cardinality price,
+// clustered dates, flag/instruction strings and near-unique comments.
+func lineitemShaped(rows int) *Batch {
+	rng := rand.New(rand.NewSource(7))
+	ints := func(f func(i int) int64) *Column {
+		v := make([]int64, rows)
+		for i := range v {
+			v[i] = f(i)
+		}
+		return NewIntColumn(v)
+	}
+	floats := func(f func() float64) *Column {
+		v := make([]float64, rows)
+		for i := range v {
+			v[i] = f()
+		}
+		return NewFloatColumn(v)
+	}
+	strs := func(f func() string) *Column {
+		v := make([]string, rows)
+		for i := range v {
+			v[i] = f()
+		}
+		return NewStringColumn(v)
+	}
+	oneOf := func(set ...string) func() string { return func() string { return set[rng.Intn(len(set))] } }
+	date := func(i int) int64 { return int64(8035 + i/40 + rng.Intn(120)) }
+	fields := []Field{
+		F("l_orderkey", Int64), F("l_partkey", Int64), F("l_suppkey", Int64), F("l_linenumber", Int64),
+		F("l_quantity", Float64), F("l_extendedprice", Float64), F("l_discount", Float64), F("l_tax", Float64),
+		F("l_returnflag", String), F("l_linestatus", String),
+		F("l_shipdate", Date), F("l_commitdate", Date), F("l_receiptdate", Date),
+		F("l_shipinstruct", String), F("l_shipmode", String), F("l_comment", String),
+	}
+	cols := []*Column{
+		ints(func(i int) int64 { return int64(1 + i/4) }),
+		ints(func(int) int64 { return 1 + rng.Int63n(200000) }),
+		ints(func(int) int64 { return 1 + rng.Int63n(10000) }),
+		ints(func(i int) int64 { return int64(1 + i%4) }),
+		floats(func() float64 { return float64(1 + rng.Intn(50)) }),
+		floats(func() float64 { return float64(90000+rng.Intn(10000000)) / 100 }),
+		floats(func() float64 { return float64(rng.Intn(11)) / 100 }),
+		floats(func() float64 { return float64(rng.Intn(9)) / 100 }),
+		strs(oneOf("A", "N", "R")), strs(oneOf("F", "O")),
+		ints(date), ints(date), ints(date),
+		strs(oneOf("DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN")),
+		strs(oneOf("REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB")),
+		strs(func() string { return "carefully final deposits " + strconv.Itoa(rng.Intn(1<<30)) }),
+	}
+	for _, i := range []int{10, 11, 12} {
+		cols[i].Type = Date
+	}
+	return MustNew(NewSchema(fields...), cols)
+}
+
+func BenchmarkAppendCompressed(b *testing.B) {
+	li := lineitemShaped(32768)
+	dst := make([]byte, 0, RawEncodedSize(li))
+	b.ReportAllocs()
+	b.SetBytes(int64(RawEncodedSize(li)))
+	for b.Loop() {
+		dst = AppendCompressed(dst[:0], li)
+	}
+}
+
+// TestAppendCompressedZeroAllocs: with a pre-sized destination and warm
+// scratch an encode allocates nothing, however many columns the batch has —
+// no candidate payload, dictionary or index vector is built per column.
+// (The scratch is held here rather than taken from AppendCompressed's pool,
+// which the race detector empties at random.)
+func TestAppendCompressedZeroAllocs(t *testing.T) {
+	for _, b := range []*Batch{lineitemShaped(4096), lineitemShaped(4096).Select("l_quantity", "l_comment")} {
+		var sc encScratch
+		dst := sc.appendFrame(make([]byte, 0, RawEncodedSize(b)), b) // warm the scratch
+		if allocs := testing.AllocsPerRun(20, func() { dst = sc.appendFrame(dst[:0], b) }); allocs != 0 {
+			t.Errorf("%d columns: %.1f allocs per encode, want 0", len(b.Cols), allocs)
 		}
 	}
 }

@@ -99,8 +99,11 @@ func shiftFor(slots int) uint {
 // reinserts by, and what partition routing uses (hash mod P), so the
 // remix is invisible outside slot placement.
 func (t *HashTable) slotIndex(hash uint64) uint64 {
-	return (hash * 0x9E3779B97F4A7C15) >> t.shift
+	return (hash * fibMul) >> t.shift
 }
+
+// fibMul is 2^64/phi, the Fibonacci-hashing multiplier.
+const fibMul = 0x9E3779B97F4A7C15
 
 // Len returns the number of distinct keys inserted.
 func (t *HashTable) Len() int { return t.n }

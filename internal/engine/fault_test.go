@@ -9,6 +9,7 @@ import (
 	"quokka/internal/batch"
 	"quokka/internal/cluster"
 	"quokka/internal/expr"
+	"quokka/internal/gcs"
 	"quokka/internal/metrics"
 	"quokka/internal/ops"
 )
@@ -26,6 +27,26 @@ func killAfterTasks(cl *cluster.Cluster, victim int, n int64) <-chan struct{} {
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
+	}()
+	return done
+}
+
+// killWhen kills the given worker as soon as the query's committed state
+// satisfies cond, polled from a background goroutine — a kill placed by
+// what has been committed rather than by a cluster-wide task count, for
+// tests that need the recovery to find specific lineage. It returns a done
+// channel.
+func killWhen(r *Runner, victim int, cond func(tx *gcs.Txn) bool) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ready := false; !ready; time.Sleep(50 * time.Microsecond) {
+			r.gcsView(func(tx *gcs.Txn) error {
+				ready = cond(tx)
+				return nil
+			})
+		}
+		r.cl.Worker(cluster.WorkerID(victim)).Kill()
 	}()
 	return done
 }

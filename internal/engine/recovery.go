@@ -144,6 +144,10 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 	// Walk stages in reverse topological order (IDs descend: plans list
 	// stages topologically), scheduling the inputs each rewound channel
 	// will need and cascading rewinds for unrecoverable partitions.
+	// reproduce marks the producers that must re-execute to regenerate lost
+	// partitions: they restart from scratch, because a checkpoint restart
+	// would skip the tasks — and so the partitions — below the checkpoint.
+	reproduce := make(map[lineage.ChannelID]bool)
 	rrInput := 0 // round-robin cursor for input re-read placement
 	for s := len(r.plan.Stages) - 1; s >= 0; s-- {
 		stage := r.plan.Stages[s]
@@ -187,6 +191,7 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 							// with an unspooled narrow stage): rewind the
 							// producer channel too (Figure 5's (0,2,*)).
 							rewind[uid] = true
+							reproduce[uid] = true
 						}
 					}
 				}
@@ -238,7 +243,7 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 
 		restart := 0
 		wm := lineage.Watermark{}
-		if r.cfg.FT == FTCheckpoint {
+		if r.cfg.FT == FTCheckpoint && !reproduce[id] {
 			if v, ok := tx.Get(r.keyCheckpoint(id)); ok {
 				if ck, err := decodeCheckpoint(v); err == nil {
 					restart = ck.Seq

@@ -65,6 +65,9 @@ type Runner struct {
 	par     []int  // parallelism per stage
 	spooled []bool // per stage: FTSpool persists its outputs (wide edges)
 
+	// seededAlive is the live-worker count seed placed the channels over.
+	seededAlive int
+
 	collector *collector
 	// sink receives the output stage's partitions from this runner's task
 	// managers: the collector itself in-memory, a wire client to the head
@@ -461,6 +464,7 @@ func (r *Runner) seed() error {
 	if len(alive) == 0 {
 		return ErrNoWorkers
 	}
+	r.seededAlive = len(alive)
 	r.sweepSpill()
 	return r.gcsUpdate(func(tx *gcs.Txn) error {
 		for s := range r.plan.Stages {
@@ -487,7 +491,10 @@ func (r *Runner) seed() error {
 // own coordinator; a worker failure makes every one of them replay its own
 // lineage independently.
 func (r *Runner) coordinate(ctx context.Context) error {
-	aliveBefore := r.cl.AliveCount()
+	// Liveness is compared against the workers the channels were placed on:
+	// a worker killed after seeding but before this loop first runs would
+	// otherwise never be missed, and its channels never recovered.
+	aliveBefore := r.seededAlive
 	ticker := time.NewTicker(r.cfg.HeartbeatInterval)
 	defer ticker.Stop()
 	for {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -105,14 +106,23 @@ type chanState struct {
 }
 
 // pendingTask is a task that executed but whose pushes failed (a consumer
-// worker died). Algorithm 1 returns without committing; the outputs are
-// kept so the retry re-pushes without re-running the operator, preserving
+// worker died, or the cursor buffer is full). Algorithm 1 returns without
+// committing; the serialized output is kept so every retry re-pushes the
+// same bytes without re-running the operator or the encoder, preserving
 // exactly-once state mutation.
 type pendingTask struct {
 	seq      int
 	rec      lineage.Record
-	out      *batch.Batch // nil if the task produced no rows
+	out      *batch.Batch // nil if the task produced no rows, and once encoded
 	finalize bool
+
+	// The task's one serialization, built by the first finishTask: the piece
+	// set of a stage with consumers (pieces indexes it), the result frame of
+	// an output-stage task. nil for an empty output. Pieces depend on channel
+	// counts, never on placement, so they stay valid across a recovery.
+	payload []byte
+	pieces  pieceSet
+	outRows int64
 
 	// started stamps task creation; the task-latency histogram and trace
 	// span measure creation -> successful commit, so backpressure retries
@@ -940,16 +950,15 @@ func (t *taskManager) replayStep(cs *chanState, rec lineage.Record) (bool, error
 // committed.
 func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (bool, error) {
 	task := lineage.TaskName{Stage: cs.id.Stage, Channel: cs.id.Channel, Seq: p.seq}
-	// One encode serves the spool, the collector delivery and the upstream
-	// backup. The codec choice is invisible downstream (frames are
-	// self-describing and decode to identical bytes), so compressed backups
-	// and spools replay exactly like raw ones.
-	var encoded []byte
-	if p.out != nil && p.out.NumRows() > 0 {
-		if t.r.shuffleCompress {
-			encoded = batch.EncodeCompressed(p.out)
-		} else {
-			encoded = batch.Encode(p.out)
+	// One serialization serves the push, the spool and the upstream backup,
+	// under every FT mode; the modes differ only in where else the bytes go.
+	// A retry of a pending task finds it built. The codec choice is invisible
+	// downstream (frames are self-describing and decode to identical bytes),
+	// so compressed backups and spools replay exactly like raw ones.
+	edges := t.r.plan.Consumers(cs.id.Stage)
+	if p.out != nil {
+		if err := t.encodeOutput(p, edges, cs.id.Channel); err != nil {
+			return false, err
 		}
 	}
 
@@ -960,10 +969,10 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 	if t.r.cfg.FT == FTSpool && t.r.spooled[cs.id.Stage] && !isReplay {
 		spoolKey := "spool/" + task.String()
 		if !t.r.spool.Has(spoolKey) {
-			if err := t.r.spool.Put(spoolKey, encoded); err != nil {
+			if err := t.r.spool.Put(spoolKey, p.payload); err != nil {
 				return false, err
 			}
-			t.r.count(metrics.SpoolWriteBytes, int64(len(encoded)))
+			t.r.count(metrics.SpoolWriteBytes, int64(len(p.payload)))
 		}
 	}
 
@@ -975,26 +984,26 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 	if t.r.rec != nil {
 		pushStart = time.Now()
 	}
-	if err := t.pushOutputs(cs, task, p.out, encoded); err != nil {
+	if err := t.pushOutputs(cs, task, p, edges); err != nil {
 		return false, nil
 	}
 	if t.r.rec != nil {
 		t.r.rec.Record(trace.Span{Kind: trace.KindPush, Replay: isReplay, Worker: int(t.w.ID),
 			Stage: cs.id.Stage, Channel: cs.id.Channel, Seq: p.seq, Epoch: cs.cep,
-			Start: pushStart, Dur: time.Since(pushStart), OutBytes: int64(len(encoded))})
+			Start: pushStart, Dur: time.Since(pushStart), OutBytes: int64(len(p.payload))})
 	}
 
-	// Upstream backup: store outputs on local disk so consumers can be
-	// re-fed after someone else's failure. Reader outputs are backed up
-	// too (Figure 5 shows stage-0 partitions replayed from TaskManagers);
+	// Upstream backup: store the pushed bytes on local disk so consumers
+	// can be re-fed after someone else's failure. Reader outputs are backed
+	// up too (Figure 5 shows stage-0 partitions replayed from TaskManagers);
 	// only partitions whose backup died with its worker fall back to
 	// Algorithm 2's "input task" S3 re-read.
 	needBackup := t.r.cfg.FT == FTWriteAheadLineage || t.r.cfg.FT == FTCheckpoint
 	if needBackup {
-		if err := t.w.Disk.Write(backupKey(t.r.qid, task), encoded); err != nil {
+		if err := t.w.Disk.Write(backupKey(t.r.qid, task), p.payload); err != nil {
 			return false, err
 		}
-		t.r.count(metrics.BackupWriteBytes, int64(len(encoded)))
+		t.r.count(metrics.BackupWriteBytes, int64(len(p.payload)))
 	}
 
 	// Commit: lineage + cursor + watermark (+ done marker) atomically.
@@ -1086,15 +1095,11 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 			spillB, spillR = wb-cs.spillBytes, wr-cs.spillRuns
 			cs.spillBytes, cs.spillRuns = wb, wr
 		}
-		var outRows int64
-		if p.out != nil {
-			outRows = int64(p.out.NumRows())
-		}
 		t.r.rec.Record(trace.Span{Kind: trace.KindTask, Replay: isReplay, Worker: int(t.w.ID),
 			Stage: cs.id.Stage, Channel: cs.id.Channel, Seq: p.seq, Epoch: cs.cep,
 			Start: p.started, Dur: lat,
 			InRows: p.inRows, InBytes: p.inBytes,
-			OutRows: outRows, OutBytes: int64(len(encoded)),
+			OutRows: p.outRows, OutBytes: int64(len(p.payload)),
 			SpillBytes: spillB, SpillRuns: spillR})
 	}
 
@@ -1104,63 +1109,118 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 	return true, nil
 }
 
-// pushOutputs partitions a task's output per consumer edge and pushes the
-// pieces to the Flight servers of the consuming channels' workers. Output-
-// stage tasks deliver to the head-node collector instead. Empty partitions
-// are still pushed: watermarks count them.
-func (t *taskManager) pushOutputs(cs *chanState, task lineage.TaskName, out *batch.Batch, encoded []byte) error {
-	edges := t.r.plan.Consumers(cs.id.Stage)
+// encodeOutput serializes a pending task's output, once: with consumer
+// edges it becomes a piece set, without (the output stage) the whole-output
+// frame that is the result partition. The batch is released; retries, the
+// backup and the spool all use the bytes.
+func (t *taskManager) encodeOutput(p *pendingTask, edges []Edge, prodChannel int) error {
+	if p.out.NumRows() > 0 {
+		p.outRows = int64(p.out.NumRows())
+		if len(edges) == 0 {
+			if t.r.shuffleCompress {
+				p.payload = batch.EncodeCompressed(p.out)
+			} else {
+				p.payload = batch.Encode(p.out)
+			}
+		} else {
+			var err error
+			if p.payload, p.pieces, err = t.encodePieces(p.out, edges, prodChannel); err != nil {
+				return err
+			}
+		}
+	}
+	p.out = nil
+	return nil
+}
+
+// pieceBufs recycles the buffers piece sets are built in: a set is
+// assembled in a pooled buffer that has already grown to a typical task's
+// size, then copied once into the exactly sized container that mailboxes,
+// the backup and the spool hold on to.
+var pieceBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodePieces serializes a non-empty output for every consumer edge of
+// its stage into one piece set and indexes it. prodChannel is the producing
+// channel (used by direct edges).
+func (t *taskManager) encodePieces(out *batch.Batch, edges []Edge, prodChannel int) ([]byte, pieceSet, error) {
+	bp := pieceBufs.Get().(*[]byte)
+	w := beginPieceSet((*bp)[:0], edges, t.r.par)
+	var err error
+	for _, e := range edges {
+		if err = t.partitionFor(&w, out, e, prodChannel); err != nil {
+			break
+		}
+	}
+	set := bytes.Clone(w.buf)
+	*bp = w.buf
+	pieceBufs.Put(bp)
+	if err != nil {
+		return nil, nil, err
+	}
+	ps, err := parsePieceSet(set)
+	return set, ps, err
+}
+
+// pushOutputs pushes a task's pieces to the Flight servers of the consuming
+// channels' workers. Output-stage tasks deliver to the head-node collector
+// instead. Empty partitions are still pushed: watermarks count them.
+func (t *taskManager) pushOutputs(cs *chanState, task lineage.TaskName, p *pendingTask, edges []Edge) error {
 	if len(edges) == 0 {
 		// Result spooling (default): keep the payload on this worker and
 		// hand the head only a manifest, so N concurrent queries' result
 		// traffic doesn't serialize through the head-node link. Empty
 		// partitions carry no bytes and are delivered directly — a fetch
 		// round-trip for them would be pure overhead.
-		if t.r.cfg.DisableResultSpool || len(encoded) == 0 {
-			if !t.r.sink.Deliver(task, encoded, cs.cep) {
+		if t.r.cfg.DisableResultSpool || len(p.payload) == 0 {
+			if !t.r.sink.Deliver(task, p.payload, cs.cep) {
 				// Cursor backpressure: the head-node buffer is full. Keep the
 				// task pending (uncommitted) and retry once the consumer pulls.
 				return errCollectorFull
 			}
-			t.r.count(metrics.HeadResultBytes, int64(len(encoded)))
+			t.r.count(metrics.HeadResultBytes, int64(len(p.payload)))
 			return nil
 		}
-		if err := t.w.Flight.SpoolResult(t.r.qid, task, encoded, cs.cep); err != nil {
+		if err := t.w.Flight.SpoolResult(t.r.qid, task, p.payload, cs.cep); err != nil {
 			return err // worker dying: transient, like a failed push
 		}
-		if !t.r.sink.DeliverSpooled(task, int(t.w.ID), int64(len(encoded)), cs.cep) {
+		if !t.r.sink.DeliverSpooled(task, int(t.w.ID), int64(len(p.payload)), cs.cep) {
 			return errCollectorFull
 		}
 		t.r.count(metrics.HeadResultBytes, resultManifestBytes)
 		return nil
 	}
-	for _, e := range edges {
-		pieces, err := t.partitionFor(out, e, cs.id.Channel)
-		if err != nil {
-			return err
-		}
-		for cc, data := range pieces {
+	for ei, e := range edges {
+		for cc := 0; cc < t.r.par[e.To]; cc++ {
+			data, _ := p.pieces.piece(ei, cc)
 			dest := lineage.ChannelID{Stage: e.To, Channel: cc}
-			wid, err := t.r.placement(dest)
-			if err != nil {
-				return err
-			}
-			dw := t.r.cl.Worker(cluster.WorkerID(wid))
-			local := dw.ID == t.w.ID || len(data) == 0
-			if err := dw.Flight.Push(flight.Partition{
-				Query: t.r.qid, From: task, Dest: dest, Input: e.Input, Data: data,
-				Epoch: cs.cep, Local: local,
-			}); err != nil {
+			if err := t.pushPiece(task, dest, e.Input, data, cs.cep); err != nil {
 				return err
 			}
 			t.r.count(metrics.PartitionsMoved, 1)
-			if !local {
-				// The flight server counts network traffic into the cluster
-				// collector; attribute it to this query as well.
-				t.r.qmet.Add(metrics.NetworkBytes, int64(len(data)))
-				t.r.qmet.Add(metrics.NetworkPushes, 1)
-			}
 		}
+	}
+	return nil
+}
+
+// pushPiece delivers one piece to the worker hosting its consumer channel.
+func (t *taskManager) pushPiece(from lineage.TaskName, dest lineage.ChannelID, input int, data []byte, epoch int) error {
+	wid, err := t.r.placement(dest)
+	if err != nil {
+		return err
+	}
+	dw := t.r.cl.Worker(cluster.WorkerID(wid))
+	local := dw.ID == t.w.ID || len(data) == 0
+	if err := dw.Flight.Push(flight.Partition{
+		Query: t.r.qid, From: from, Dest: dest, Input: input, Data: data,
+		Epoch: epoch, Local: local,
+	}); err != nil {
+		return err
+	}
+	if !local {
+		// The flight server counts network traffic into the cluster
+		// collector; attribute it to this query as well.
+		t.r.qmet.Add(metrics.NetworkBytes, int64(len(data)))
+		t.r.qmet.Add(metrics.NetworkPushes, 1)
 	}
 	return nil
 }
@@ -1175,52 +1235,55 @@ var errCollectorFull = fmt.Errorf("engine: head-node cursor buffer full")
 // the payload when result spooling is on.
 const resultManifestBytes = 48
 
-// partitionFor splits an output batch for one consumer edge, returning one
-// encoded payload per consumer channel (nil payload = empty partition).
+// partitionFor splits a non-empty output batch for one consumer edge and
+// appends one encoded piece per consumer channel to the piece set (an empty
+// partition is a zero-length piece; a broadcast edge is one shared piece).
 // prodChannel is the producing channel (used by direct edges). Routing
 // (HashPartition over the key encoding) happens on the decoded batch and
 // is untouched by the codec choice — compression only changes the bytes a
 // partition travels as, never which partition a row lands in.
-func (t *taskManager) partitionFor(out *batch.Batch, e Edge, prodChannel int) ([][]byte, error) {
+func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, prodChannel int) error {
 	n := t.r.par[e.To]
-	pieces := make([][]byte, n)
-	if out == nil || out.NumRows() == 0 {
-		return pieces, nil
-	}
-	encode := func(b *batch.Batch) []byte {
-		wire := batch.Encode
+	encode := func(b *batch.Batch) {
 		if t.r.shuffleCompress {
-			wire = batch.EncodeCompressed
+			w.buf = batch.AppendCompressed(w.buf, b)
+		} else {
+			w.buf = batch.AppendRaw(w.buf, b)
 		}
-		enc := wire(b)
 		t.r.count(metrics.ShuffleRawBytes, int64(batch.RawEncodedSize(b)))
-		t.r.count(metrics.ShuffleWireBytes, int64(len(enc)))
-		return enc
+		t.r.count(metrics.ShuffleWireBytes, int64(len(w.buf)-w.mark))
+	}
+	// only sends the whole output to one channel of n.
+	only := func(target int) {
+		for i := 0; i < n; i++ {
+			if i == target {
+				encode(out)
+			}
+			w.add()
+		}
 	}
 	switch e.Part.Kind {
 	case PartitionSingle:
-		pieces[0] = encode(out)
+		only(0)
 	case PartitionDirect:
-		pieces[prodChannel%n] = encode(out)
+		only(prodChannel % n)
 	case PartitionBroadcast:
-		enc := encode(out)
-		for i := range pieces {
-			pieces[i] = enc
-		}
+		encode(out)
+		w.add()
 	case PartitionHash:
 		for _, k := range e.Part.Keys {
 			if out.Schema.Index(k) < 0 {
-				return nil, fmt.Errorf("engine: partition key %q missing from output schema %s", k, out.Schema)
+				return fmt.Errorf("engine: partition key %q missing from output schema %s", k, out.Schema)
 			}
 		}
-		parts := out.HashPartition(e.Part.Keys, n)
-		for i, pb := range parts {
+		for _, pb := range out.HashPartition(e.Part.Keys, n) {
 			if pb.NumRows() > 0 {
-				pieces[i] = encode(pb)
+				encode(pb)
 			}
+			w.add()
 		}
 	}
-	return pieces, nil
+	return nil
 }
 
 // maybeCheckpoint snapshots the operator state every CheckpointEveryTasks
@@ -1308,7 +1371,11 @@ func (t *taskManager) runOneReplay(fullKey, rest string, destsRaw []byte, fromSo
 	if err != nil || len(dests) == 0 {
 		return false
 	}
-	var out *batch.Batch
+	// The pieces to re-push: stored ones, exactly as first pushed, wherever a
+	// backup or spool object exists; only an input re-read has to rebuild
+	// them from the source split.
+	edges := t.r.plan.Consumers(task.Stage)
+	var pieces pieceSet
 	if fromSource {
 		// Re-read the split named by the committed lineage.
 		var rec lineage.Record
@@ -1332,41 +1399,33 @@ func (t *taskManager) runOneReplay(fullKey, rest string, destsRaw []byte, fromSo
 			}
 			// Same physical split, same column projection as the original
 			// read — the replayed output is byte-identical.
-			b, err := t.readSplit(st.Reader, rec.Split)
+			out, err := t.readSplit(st.Reader, rec.Split)
 			if err != nil {
 				return false
 			}
-			out = b
+			if out.NumRows() > 0 {
+				if _, pieces, err = t.encodePieces(out, edges, task.Channel); err != nil {
+					return false
+				}
+			}
 		case lineage.KindFinalize:
 			// A reader's final task produced an empty partition; re-push
 			// the emptiness so the consumer's watermark can pass it.
-			out = nil
 		default:
 			return false
 		}
-	} else if t.r.cfg.FT == FTSpool {
-		data, err := t.r.spool.Get("spool/" + task.String())
-		if err != nil {
-			return false
-		}
-		if len(data) > 0 {
-			b, err := batch.Decode(data)
-			if err != nil {
-				return false
-			}
-			out = b
-		}
 	} else {
-		data, err := t.w.Disk.Read(backupKey(t.r.qid, task))
+		var stored []byte
+		if t.r.cfg.FT == FTSpool {
+			stored, err = t.r.spool.Get("spool/" + task.String())
+		} else {
+			stored, err = t.w.Disk.Read(backupKey(t.r.qid, task))
+		}
 		if err != nil {
 			return false // disk lost; the next recovery pass reroutes
 		}
-		if len(data) > 0 {
-			b, err := batch.Decode(data)
-			if err != nil {
-				return false
-			}
-			out = b
+		if pieces, err = parsePieceSet(stored); err != nil {
+			return false
 		}
 	}
 
@@ -1375,30 +1434,16 @@ func (t *taskManager) runOneReplay(fullKey, rest string, destsRaw []byte, fromSo
 	// once for all of them.
 	pushed := false
 	for _, dest := range dests {
-		for _, e := range t.r.plan.Consumers(task.Stage) {
+		for ei, e := range edges {
 			if e.To != dest.Stage {
 				continue
 			}
-			pieces, err := t.partitionFor(out, e, task.Channel)
-			if err != nil {
+			data, ok := pieces.piece(ei, dest.Channel)
+			if !ok {
 				return false
 			}
-			wid, err := t.r.placement(dest)
-			if err != nil {
+			if err := t.pushPiece(task, dest, e.Input, data, flight.EpochCommitted); err != nil {
 				return false
-			}
-			dw := t.r.cl.Worker(cluster.WorkerID(wid))
-			data := pieces[dest.Channel]
-			local := dw.ID == t.w.ID || len(data) == 0
-			if err := dw.Flight.Push(flight.Partition{
-				Query: t.r.qid, From: task, Dest: dest, Input: e.Input, Data: data,
-				Epoch: flight.EpochCommitted, Local: local,
-			}); err != nil {
-				return false
-			}
-			if !local {
-				t.r.qmet.Add(metrics.NetworkBytes, int64(len(data)))
-				t.r.qmet.Add(metrics.NetworkPushes, 1)
 			}
 			pushed = true
 		}

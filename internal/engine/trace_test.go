@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"quokka/internal/batch"
+	"quokka/internal/gcs"
+	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/trace"
 )
@@ -94,13 +96,18 @@ func TestTracingStageStats(t *testing.T) {
 // re-placed channels and replayed work, under more than one epoch.
 func TestTracingRecoveryEpochs(t *testing.T) {
 	const n = 2000
-	cl := testCluster(t, 4, map[string][]*batch.Batch{"numbers": numbersTable(n, 24)})
+	cl := testCluster(t, 4, map[string][]*batch.Batch{"numbers": numbersTable(n, 100)})
 	Configure(cl, WithTracing(true))
 	r, err := NewRunner(cl, scanFilterAggPlan(0), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	killed := killAfterTasks(cl, 1, 5)
+	// Kill worker 1 once its reader channel (seeded on it: channel c starts on
+	// worker c) has committed a task, so the recovery has lineage to replay —
+	// a kill timed on the cluster-wide task count can land before that.
+	killed := killWhen(r, 1, func(tx *gcs.Txn) bool {
+		return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 0, Channel: 1}), 0) > 0
+	})
 	q := r.Start(t.Context())
 	out, rep, err := q.Result()
 	<-killed

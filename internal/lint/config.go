@@ -12,7 +12,10 @@ func DefaultAnalyzers() []*Analyzer {
 		// ROADMAP: "The same 64-bit hash is computed once per row ... No
 		// second hash function." fnv (inlined in internal/batch/key.go)
 		// is the only hash; nothing else may import a hash package or
-		// spell the fnv constants.
+		// spell the fnv constants. (The QBA2 encoder's dictionary directory,
+		// also in internal/batch, indexes distinct column values by a
+		// multiplicative mix; that index never leaves the encoder, so it is
+		// no second routing or key hash.)
 		NewHashOnce(HashOnceConfig{
 			// internal/lint itself is allowed: it spells the fnv
 			// constants as the DATA it detects them by.
