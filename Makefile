@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench benchmark-smoke dist-smoke fmt fmt-check vet ci
+.PHONY: build test race lint loc bench fuzz-smoke benchmark-smoke dist-smoke fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -22,8 +22,14 @@ race:
 ## via cmd/quokka-vet): hashonce, nskey, tracegate, detrange — each
 ## mechanically enforces one ROADMAP recovery invariant. The same suite
 ## runs as a test in `make test` (go test ./internal/lint).
-lint:
+lint: loc
 	$(GO) run ./cmd/quokka-vet
+
+## loc: the non-test Go line count, by the exact find the ROADMAP quotes
+## (outside benchmark/, build products and testdata) — the number a
+## simplicity PR reports, reproducible rather than hand-typed.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 ## bench: one iteration of every benchmark in short mode (CI smoke: drives
 ## each paper figure once, in modelled time), plus the allocation-regression
@@ -32,6 +38,14 @@ lint:
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) test -short -run 'ZeroAllocs' ./internal/ops/ ./internal/batch/
+
+## fuzz-smoke: each native fuzz target mutates for 10 s on top of its
+## checked-in corpus (which plain `go test` only replays). -fuzz takes one
+## target in one package per run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendCompressedMatchesReference$$' -fuzztime 10s ./internal/batch
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePieceSet$$' -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleOp$$' -fuzztime 10s ./internal/wire
 
 ## benchmark-smoke: the real-time benchmark is a Go module of its own
 ## (benchmark/go.mod), outside `go build ./... && go test ./...` — vet and
@@ -61,4 +75,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet lint build test race bench benchmark-smoke dist-smoke
+ci: fmt-check vet lint build test race bench fuzz-smoke benchmark-smoke dist-smoke

@@ -52,7 +52,7 @@ func TestSharedObjStore(t *testing.T) {
 	shared := storage.NewObjectStore(met, storage.ProfileS3, nil)
 	shared.PutFree("data", []byte("x"))
 	c, _ := New(Options{Workers: 1, Cost: met, ObjStore: shared})
-	if !c.ObjStore.Has("data") {
+	if c.ObjStore != storage.Objects(shared) {
 		t.Error("cluster should use the provided object store")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"quokka/internal/cluster"
 	"quokka/internal/gcs"
@@ -41,38 +40,29 @@ type clusterShared struct {
 	workerBudget int64
 	met          *metrics.Collector
 
-	// Cluster-level defaults installed by Configure options; a query's own
-	// Config fields, when set, take precedence (see resolve sites in
-	// NewRunner).
-	cursorBufferDefault int64
-	flushDefault        time.Duration
-	// Compression is ON by default; the flags record the opt-out (the
-	// encoding-0 escape hatch for debugging wire bytes).
-	shuffleCompressOff bool
-	spillCompressOff   bool
-	// tracingOn enables the per-query flight recorder (off by default —
-	// disabled tracing costs nothing on the task hot path).
-	tracingOn bool
+	// opts is what the Configure options set and resolve reads: the
+	// cluster-level half of every query's Policy.
+	opts clusterOptions
 
-	// Process mode (experimental): listenAddr is the TCP address the head
-	// serves its control plane on ("" = in-memory only), and remoteExec —
-	// installed by the wire layer once the server is up — reroutes
-	// task-manager execution to worker processes.
+	// listenAddr is the TCP address the head serves its control plane on in
+	// process mode ("" = in-memory only; experimental). exec is where a
+	// query's task managers run: the in-memory workers (localExec) until the
+	// wire layer installs its server with SetRemoteExec.
 	listenAddr string
-	remoteExec RemoteExec
+	exec       RemoteExec
 
 	// The cluster's shared group committer: ONE flusher serves every
 	// admitted query, so concurrent queries' lineage commits fold into the
-	// same GCS transactions. Refcounted — it runs only while at least one
-	// group-commit query is in flight.
+	// same GCS transactions. Refcounted — it runs only while some worker's
+	// task-manager threads are up (see runTaskManager).
 	gcMu   sync.Mutex
 	gcRefs int
 	gc     *groupCommitter
 }
 
 // committer returns the cluster's shared group committer, starting it on
-// first acquisition. Every runner that acquires it must call
-// committerDone after its last task-manager thread has exited.
+// first acquisition. Every acquirer must call committerDone after its last
+// task-manager thread has exited.
 func (s *clusterShared) committer(store gcs.Backend) *groupCommitter {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
@@ -103,6 +93,7 @@ func sharedFor(cl *cluster.Cluster) *clusterShared {
 			cpus:  make(map[cluster.WorkerID]chan struct{}),
 			mem:   make(map[cluster.WorkerID]*spill.Ledger),
 			met:   cl.Metrics,
+			exec:  localExec{},
 		}
 	}).(*clusterShared)
 }

@@ -35,7 +35,9 @@ func startPlan(t *testing.T, cl *cluster.Cluster, p *Plan, cfg Config, ctx conte
 // worker disk holds spill or backup files — the full teardown guarantee.
 func assertNoQueryState(t *testing.T, cl *cluster.Cluster, label string) {
 	t.Helper()
-	cl.GCS.View(func(tx *gcs.Txn) error {
+	// The whole-store scan is a probe of the head's concrete store, not part
+	// of the gcs.Backend contract.
+	cl.GCS.(*gcs.Store).View(func(tx *gcs.Txn) error {
 		if keys := tx.List("q/"); len(keys) != 0 {
 			t.Errorf("%s: GCS still holds %d per-query keys, e.g. %q", label, len(keys), keys[0])
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"time"
 
 	"quokka/internal/storage"
@@ -58,6 +59,44 @@ func (m FTMode) String() string {
 	}
 	return "none"
 }
+
+// ftCaps is what a fault-tolerance mode does, as capability bits. The mode
+// is decided here, once; every downstream site — the persist steps of the
+// task path, the commit's write set, poll snapshots, coordination and
+// Algorithm 2 — asks for a capability, never for a mode.
+type ftCaps uint8
+
+const (
+	// capLineage: task lineage is logged to the GCS before outputs are
+	// consumable, so a worker loss is recovered instead of failing the query.
+	capLineage ftCaps = 1 << iota
+	// capBackup: every pushed piece set is kept on the producer's local disk;
+	// recovery replays from it while the producer lives and cascades the
+	// rewind when it does not.
+	capBackup
+	// capSpool: outputs crossing a wide edge are persisted in the durable
+	// store before they are pushed; recovery re-feeds them from there on any
+	// live worker and never cascades past them.
+	capSpool
+	// capCheckpoint: operator state is snapshotted to the durable store every
+	// CheckpointEveryTasks commits; a rewound channel restarts from it.
+	capCheckpoint
+)
+
+// ftTable is Table I: what each mode does. An unknown mode does nothing.
+var ftTable = map[FTMode]ftCaps{
+	FTWriteAheadLineage: capLineage | capBackup,
+	FTSpool:             capLineage | capSpool,
+	FTCheckpoint:        capLineage | capBackup | capCheckpoint,
+}
+
+func (c ftCaps) has(bit ftCaps) bool { return c&bit != 0 }
+
+// needsSharedStore reports whether the mode writes through Runner.spool.
+// That store is private to the process that built the runner, so such a
+// query cannot be split across worker processes: each would spool into,
+// and recover from, a store the others cannot see.
+func (c ftCaps) needsSharedStore() bool { return c.has(capSpool | capCheckpoint) }
 
 // RecoveryMode selects how rewound channels are spread over live workers.
 type RecoveryMode uint8
@@ -227,8 +266,82 @@ func SparkConfig() Config {
 func TrinoConfig() Config {
 	c := DefaultConfig()
 	c.Dynamic = false
-	c.StaticBatch = 8
 	c.FT = FTSpool
 	c.SpoolProfile = storage.ProfileHDFS
 	return c
+}
+
+// clusterOptions are the cluster-level settings a query inherits: what the
+// Configure options write and resolve reads. The zero value is the built-in
+// behaviour.
+type clusterOptions struct {
+	cursorBuffer       int64         // WithCursorBufferBytes; 0 = DefaultCursorBufferBytes
+	flushInterval      time.Duration // WithLineageFlushInterval
+	shuffleCompressOff bool          // WithShuffleCompression(false)
+	spillCompressOff   bool          // WithSpillCompression(false)
+	tracing            bool          // WithTracing
+}
+
+// Policy is one query's effective settings: the caller's Config with every
+// floor and inherited value filled in — so CursorBufferBytes is never 0
+// (negative = no bound) and LineageFlushInterval is the query's own or the
+// cluster's — plus the cluster-level options as they stood at submit time.
+// resolve builds it once; the Runner keeps it and WorkerQuerySpec ships it
+// whole, so the head and every worker process run one query under one
+// policy and nothing downstream re-derives a default.
+type Policy struct {
+	Config
+
+	// ShuffleCompress / SpillCompress select QBA2 over raw encoding-0 for
+	// shuffle, backup and spool bytes / for spill runs. Frozen per query:
+	// decode is self-describing, but byte metrics should mean one thing.
+	ShuffleCompress, SpillCompress bool
+	// Tracing attaches a flight recorder to the query.
+	Tracing bool
+}
+
+// resolve turns a caller's Config and the cluster's options into the
+// query's Policy. This is the one place a default or floor is applied: an
+// unset (<= 0) field takes its DefaultConfig value.
+func resolve(cfg Config, o clusterOptions) (Policy, error) {
+	if !cfg.Dynamic && cfg.StaticBatch <= 0 {
+		return Policy{}, fmt.Errorf("engine: static dependency mode requires StaticBatch > 0")
+	}
+	d := DefaultConfig()
+	unset := func(v *int, def int) {
+		if *v <= 0 {
+			*v = def
+		}
+	}
+	unset(&cfg.MaxTake, d.MaxTake)
+	// MinTake floors at 1, not at the default 8: 8 is a tuning for pipelined
+	// TPC-H, while an unset MinTake has always meant "take whatever is
+	// committed" — hand-built Configs in tests and ablations rely on it.
+	unset(&cfg.MinTake, 1)
+	cfg.MinTake = min(cfg.MinTake, cfg.MaxTake)
+	unset(&cfg.ThreadsPerWorker, d.ThreadsPerWorker)
+	unset(&cfg.CPUPerWorker, d.CPUPerWorker)
+	unset(&cfg.Parallelism, cfg.CPUPerWorker)
+	unset(&cfg.CheckpointEveryTasks, d.CheckpointEveryTasks)
+	if cfg.PollInterval <= 0 {
+		cfg.PollInterval = d.PollInterval
+	}
+	if cfg.HeartbeatInterval <= 0 {
+		cfg.HeartbeatInterval = d.HeartbeatInterval
+	}
+	if cfg.CursorBufferBytes == 0 {
+		cfg.CursorBufferBytes = o.cursorBuffer
+	}
+	if cfg.CursorBufferBytes == 0 {
+		cfg.CursorBufferBytes = DefaultCursorBufferBytes
+	}
+	if cfg.LineageFlushInterval == 0 {
+		cfg.LineageFlushInterval = o.flushInterval
+	}
+	return Policy{
+		Config:          cfg,
+		ShuffleCompress: !o.shuffleCompressOff,
+		SpillCompress:   !o.spillCompressOff,
+		Tracing:         o.tracing,
+	}, nil
 }

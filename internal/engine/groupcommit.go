@@ -27,8 +27,12 @@ import (
 // flush interval additionally holds each flush open to widen batches; the
 // default (0) adds no latency at all.
 //
-// The committer is started by the first admitted query that enables group
-// commit and stopped when the last one finishes (see clusterShared).
+// flush is the only function that writes a task commit. A query that turns
+// batching off (LineageFlushInterval < 0: one GCS transaction per task
+// commit) goes through it too, as a batch of one on the committing thread.
+//
+// The committer is started by the first task manager to come up and
+// stopped when the last one exits (see clusterShared, runTaskManager).
 type groupCommitter struct {
 	store  gcs.Backend
 	reqs   chan *commitReq
@@ -39,11 +43,10 @@ type groupCommitter struct {
 // commitReq carries everything one task commit writes, plus the fences
 // guarding it. Values are copied in by the requester (which holds the
 // channel's protocol lock), so the flusher never touches chanState. The
-// runner pointer scopes every key to the request's own query namespace;
-// hold is that query's resolved flush interval.
+// runner pointer scopes every key to the request's own query namespace and
+// carries its policy (flush interval, whether lineage is logged).
 type commitReq struct {
 	r        *Runner
-	hold     time.Duration
 	alive    func() bool // requester worker's liveness
 	workerID int
 	id       lineage.ChannelID
@@ -57,6 +60,11 @@ type commitReq struct {
 	resp     chan error
 }
 
+// logsLineage reports whether this commit writes a lineage record: a replay
+// retraces a record that is already committed, and a query without the
+// lineage capability logs none.
+func (q *commitReq) logsLineage() bool { return !q.isReplay && q.r.ft.has(capLineage) }
+
 func newGroupCommitter(store gcs.Backend) *groupCommitter {
 	g := &groupCommitter{
 		store:  store,
@@ -68,22 +76,28 @@ func newGroupCommitter(store gcs.Backend) *groupCommitter {
 	return g
 }
 
-// commit enqueues a task commit and blocks until its flush resolves.
+// commit hands a task commit to flush and blocks until it resolves: queued
+// for the flusher to batch, or — when the query's policy turns batching off
+// — flushed alone, here, on the caller's goroutine.
 // Returns gcs.ErrAborted when the entry was fenced off (barrier raised,
 // channel rewound, epoch changed, worker died) — the task then stays
-// pending and is retried, exactly as with an individual transaction.
-// The enqueue-to-resolve time is the requesting query's flush latency.
+// pending and is retried. The enqueue-to-resolve time is the requesting
+// query's flush latency.
 func (g *groupCommitter) commit(req *commitReq) error {
 	req.resp = make(chan error, 1)
 	start := time.Now()
-	g.reqs <- req
+	if req.r.cfg.LineageFlushInterval < 0 {
+		g.flush([]*commitReq{req})
+	} else {
+		g.reqs <- req
+	}
 	err := <-req.resp
 	req.r.hFlush.observe(int64(time.Since(start)))
 	return err
 }
 
-// stop shuts the flusher down. Must only be called once no registered
-// query remains (clusterShared refcounts acquirers, and each runner only
+// stop shuts the flusher down. Must only be called once no
+// acquirer remains (clusterShared refcounts them, and runTaskManager only
 // releases after its task-manager threads exited), so no requester can be
 // left waiting; any residue in the queue is refused.
 func (g *groupCommitter) stop() {
@@ -102,8 +116,8 @@ func (g *groupCommitter) loop() {
 			return
 		}
 		batch := []*commitReq{first}
-		if first.hold > 0 {
-			timer := time.NewTimer(first.hold)
+		if hold := first.r.cfg.LineageFlushInterval; hold > 0 {
+			timer := time.NewTimer(hold)
 		hold:
 			for {
 				select {
@@ -152,7 +166,7 @@ func (g *groupCommitter) drainAbort() {
 // entry keeps its own fences: entries whose worker died, whose channel was
 // rewound, whose placement epoch moved, or whose query has its recovery
 // barrier raised are refused individually while the rest commit —
-// identical outcomes to running each commit alone, just amortized onto one
+// identical outcomes to flushing each commit alone, just amortized onto one
 // head-node round trip. (A query's recovery holds its namespace shard
 // lock, so this transaction serializes against every reconcile.)
 func (g *groupCommitter) flush(batch []*commitReq) {
@@ -181,6 +195,9 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 		applied := 0
 		for i, req := range batch {
 			st := states[req.r]
+			// Fenced: recovery holds the barrier, the worker died, the channel
+			// was rewound under the task, or placement moved since its pushes
+			// (a retry under a fresh view keeps pieces off a stale worker).
 			if st.barrier || !req.alive() ||
 				txGetInt(tx, req.r.keyChanEpoch(req.id), 0) != req.cep ||
 				st.gep != req.stepGep {
@@ -188,7 +205,7 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 				continue
 			}
 			r := req.r
-			if !req.isReplay && r.cfg.FT != FTNone {
+			if req.logsLineage() {
 				tx.Put(r.keyLineage(req.task), req.rec.Encode())
 			}
 			txPutInt(tx, r.keyCursor(req.id), req.task.Seq+1)
@@ -216,7 +233,7 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 				continue
 			}
 			applied++
-			if !req.isReplay && req.r.cfg.FT != FTNone {
+			if req.logsLineage() {
 				req.r.count(metrics.LineageRecords, 1)
 			}
 		}

@@ -48,11 +48,7 @@ func WithWorkerMemoryBudget(bytes int64) Option {
 // when set on a query, takes precedence). 0 restores
 // DefaultCursorBufferBytes; negative disables the bound.
 func WithCursorBufferBytes(n int64) Option {
-	return func(s *clusterShared) {
-		s.mu.Lock()
-		s.cursorBufferDefault = n
-		s.mu.Unlock()
-	}
+	return inherited(func(o *clusterOptions) { o.cursorBuffer = n })
 }
 
 // WithLineageFlushInterval sets the cluster default for lineage group
@@ -61,11 +57,7 @@ func WithCursorBufferBytes(n int64) Option {
 // interval holds each flush open that long to widen batches; negative
 // disables group commit entirely.
 func WithLineageFlushInterval(d time.Duration) Option {
-	return func(s *clusterShared) {
-		s.mu.Lock()
-		s.flushDefault = d
-		s.mu.Unlock()
-	}
+	return inherited(func(o *clusterOptions) { o.flushInterval = d })
 }
 
 // WithShuffleCompression selects the compressed (QBA2) codec for shuffle
@@ -75,11 +67,7 @@ func WithLineageFlushInterval(d time.Duration) Option {
 // byte-identical either way, so results, lineage replay and routing are
 // unaffected. Only queries submitted after the call observe the change.
 func WithShuffleCompression(on bool) Option {
-	return func(s *clusterShared) {
-		s.mu.Lock()
-		s.shuffleCompressOff = !on
-		s.mu.Unlock()
-	}
+	return inherited(func(o *clusterOptions) { o.shuffleCompressOff = !on })
 }
 
 // WithSpillCompression selects the compressed (QBA2) codec for spill run
@@ -87,11 +75,7 @@ func WithShuffleCompression(on bool) Option {
 // transparency contract as WithShuffleCompression. Only queries submitted
 // after the call observe the change.
 func WithSpillCompression(on bool) Option {
-	return func(s *clusterShared) {
-		s.mu.Lock()
-		s.spillCompressOff = !on
-		s.mu.Unlock()
-	}
+	return inherited(func(o *clusterOptions) { o.spillCompressOff = !on })
 }
 
 // WithTracing enables (or disables) the per-query flight recorder: with it
@@ -102,11 +86,7 @@ func WithSpillCompression(on bool) Option {
 // and allocates nothing on the task hot path. Tracing observes and never
 // gates: results are byte-identical with it on or off.
 func WithTracing(on bool) Option {
-	return func(s *clusterShared) {
-		s.mu.Lock()
-		s.tracingOn = on
-		s.mu.Unlock()
-	}
+	return inherited(func(o *clusterOptions) { o.tracing = on })
 }
 
 // WithListenAddr switches the cluster into process mode: the head serves
@@ -144,57 +124,18 @@ func Configure(cl *cluster.Cluster, opts ...Option) {
 	}
 }
 
-// cursorBufferFor resolves the effective cursor buffer bound for one
-// query: its own Config setting if non-zero, else the cluster default,
-// else DefaultCursorBufferBytes. Negative means unbounded.
-func (s *clusterShared) cursorBufferFor(cfg int64) int64 {
-	v := cfg
-	if v == 0 {
+// inherited builds an Option that edits the settings queries inherit.
+func inherited(set func(*clusterOptions)) Option {
+	return func(s *clusterShared) {
 		s.mu.Lock()
-		v = s.cursorBufferDefault
+		set(&s.opts)
 		s.mu.Unlock()
 	}
-	if v == 0 {
-		v = DefaultCursorBufferBytes
-	}
-	if v < 0 {
-		return 0 // unbounded
-	}
-	return v
 }
 
-// flushIntervalFor resolves the effective lineage flush interval for one
-// query: its own Config setting if non-zero, else the cluster default.
-// Zero means opportunistic group commit; negative disables group commit.
-func (s *clusterShared) flushIntervalFor(cfg time.Duration) time.Duration {
-	if cfg != 0 {
-		return cfg
-	}
+// options snapshots the cluster-level settings for resolve.
+func (s *clusterShared) options() clusterOptions {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.flushDefault
-}
-
-// shuffleCompressionFor reports whether shuffle/spool/backup bytes should
-// use the compressed codec (cluster-level flag; on unless opted out).
-func (s *clusterShared) shuffleCompressionFor() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.shuffleCompressOff
-}
-
-// spillCompressionFor reports whether spill runs should use the compressed
-// codec (cluster-level flag; on unless opted out).
-func (s *clusterShared) spillCompressionFor() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.spillCompressOff
-}
-
-// tracingFor reports whether queries should carry a flight recorder
-// (cluster-level flag; off unless opted in).
-func (s *clusterShared) tracingFor() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tracingOn
+	return s.opts
 }

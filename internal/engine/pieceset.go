@@ -20,7 +20,7 @@ import (
 //	payloads:  the pieces, in length order
 //
 // The container is the push payload (every flight.Partition.Data is a
-// sub-slice of it), the upstream backup and the FTSpool object, so a replay
+// sub-slice of it), the upstream backup and the spooled object, so a replay
 // re-pushes stored pieces as they are — no decode, no re-partitioning, no
 // re-encode. A zero-length container is an empty output: every piece empty.
 

@@ -208,17 +208,6 @@ func (p *Plan) Parallelism(stage, def int) int {
 	return def
 }
 
-// MaxPhase returns the largest input phase of the stage.
-func (s *Stage) MaxPhase() int {
-	m := 0
-	for _, in := range s.Inputs {
-		if in.Phase > m {
-			m = in.Phase
-		}
-	}
-	return m
-}
-
 // PipelineDepth counts the stages on the longest root-to-output path; the
 // paper's recovery parallelism is proportional to it (§III-B).
 func (p *Plan) PipelineDepth() int {

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"time"
 )
 
 // WorkerQuerySpec is everything a worker process needs to execute its
-// share of one query: the physical plan, the execution config, and the
-// cluster-level policies the head resolved at submit time (codec choices,
-// group-commit interval, tracing). It travels gob-encoded inside the wire
-// layer's START_QUERY message.
+// share of one query: the physical plan and the policy the head resolved at
+// submit time — the execution config with its floors applied, codec
+// choices, group-commit interval, tracing. The worker runs the query under
+// exactly that policy (metrics and replay byte-identity depend on one query
+// never mixing codecs) and resolves nothing itself. It travels gob-encoded
+// inside the wire layer's START_QUERY message.
 //
 // Plans are serializable because every built-in operator spec and
 // expression node is a data-only value type registered with gob (see
@@ -21,20 +22,24 @@ import (
 type WorkerQuerySpec struct {
 	QueryID string
 	Plan    *Plan
-	Cfg     Config
+	Cfg     Policy
+}
 
-	// Resolved cluster-level policies: the worker must encode shuffle and
-	// spill bytes exactly as the head's config resolved them (metrics and
-	// replay byte-identity depend on one query never mixing codecs), and
-	// run the same group-commit policy.
-	ShuffleCompress bool
-	SpillCompress   bool
-	FlushEvery      time.Duration
-	Tracing         bool
+// shippable is the process-mode rejection, asked on both sides of the
+// wire: by the head before a spec is encoded and by the worker after it is
+// decoded.
+func (s *WorkerQuerySpec) shippable() error {
+	if ftTable[s.Cfg.FT].needsSharedStore() {
+		return fmt.Errorf("engine: FT mode %s needs an object store every worker shares; process mode has none", s.Cfg.FT)
+	}
+	return nil
 }
 
 // Encode serializes the spec for the wire.
 func (s *WorkerQuerySpec) Encode() ([]byte, error) {
+	if err := s.shippable(); err != nil {
+		return nil, err
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
 		return nil, fmt.Errorf("engine: encode worker spec: %w", err)
@@ -54,6 +59,9 @@ func DecodeWorkerSpec(data []byte) (*WorkerQuerySpec, error) {
 	if err := s.Plan.Validate(); err != nil {
 		return nil, err
 	}
+	if err := s.shippable(); err != nil {
+		return nil, err
+	}
 	return &s, nil
 }
 
@@ -61,13 +69,5 @@ func DecodeWorkerSpec(data []byte) (*WorkerQuerySpec, error) {
 // query. Called by the wire layer when RemoteExec.StartQuery ships the
 // query out.
 func (r *Runner) WorkerSpec() *WorkerQuerySpec {
-	return &WorkerQuerySpec{
-		QueryID:         r.qid,
-		Plan:            r.plan,
-		Cfg:             r.cfg,
-		ShuffleCompress: r.shuffleCompress,
-		SpillCompress:   r.spillCompress,
-		FlushEvery:      r.flushEvery,
-		Tracing:         r.rec != nil,
-	}
+	return &WorkerQuerySpec{QueryID: r.qid, Plan: r.plan, Cfg: r.cfg}
 }

@@ -163,7 +163,7 @@ func (q *Query) Result() (*batch.Batch, *Report, error) {
 // return the same cursor.
 func (q *Query) Cursor() *Cursor {
 	q.curOnce.Do(func() {
-		q.r.collector.stream(q.r.cursorLimit)
+		q.r.collector.stream(q.r.cfg.CursorBufferBytes)
 		q.cur = &Cursor{q: q}
 	})
 	return q.cur

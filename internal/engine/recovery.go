@@ -159,8 +159,7 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 			// Rewound channels restart from their checkpoint (if any) or
 			// from scratch; they need every committed partition of every
 			// upstream channel re-delivered.
-			for e, in := range stage.Inputs {
-				_ = e
+			for _, in := range stage.Inputs {
 				up := in.Stage
 				for uc := 0; uc < r.par[up]; uc++ {
 					uid := lineage.ChannelID{Stage: up, Channel: uc}
@@ -169,14 +168,14 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 						utask := lineage.TaskName{Stage: up, Channel: uc, Seq: q}
 						owner := txGetInt(tx, r.keyPartDir(utask), -1)
 						switch {
-						case r.cfg.FT == FTSpool && r.spooled[up]:
+						case r.ft.has(capSpool) && r.spooled[up]:
 							// Spooled partitions are durable: fetch them
 							// from the object store on any live worker.
 							// No cascade — the whole point of spooling.
 							w := int(aliveIDs[rrInput%len(aliveIDs)])
 							rrInput++
 							addReplayDest(tx, r.keyReplay(w, utask), id)
-						case r.cfg.FT != FTSpool && aliveSet[owner]:
+						case r.ft.has(capBackup) && aliveSet[owner]:
 							// Replay from the owner's local backup — the
 							// cheap, common case of Figure 5.
 							addReplayDest(tx, r.keyReplay(owner, utask), id)
@@ -243,7 +242,7 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 
 		restart := 0
 		wm := lineage.Watermark{}
-		if r.cfg.FT == FTCheckpoint && !reproduce[id] {
+		if r.ft.has(capCheckpoint) && !reproduce[id] {
 			if v, ok := tx.Get(r.keyCheckpoint(id)); ok {
 				if ck, err := decodeCheckpoint(v); err == nil {
 					restart = ck.Seq

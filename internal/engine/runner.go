@@ -52,18 +52,19 @@ type Report struct {
 type Runner struct {
 	cl     *cluster.Cluster
 	plan   *Plan
-	cfg    Config
+	cfg    Policy         // the query's resolved settings (see resolve)
+	ft     ftCaps         // the policy's FT mode as capability bits; the only form read downstream
 	qid    string         // cluster-unique query id; prefixes all per-query state
 	shared *clusterShared // per-cluster admission + worker resource pools
 
-	spool *storage.ObjectStore // durable target for FTSpool/FTCheckpoint
+	spool *storage.ObjectStore // durable target of the spool and checkpoint capabilities
 	met   *metrics.Collector   // cluster-wide collector
 	qmet  *metrics.Collector   // per-query collector (feeds the Report)
 	tee   *metrics.Collector   // write-only fan-out to both of the above
 
 	out     int    // output stage
 	par     []int  // parallelism per stage
-	spooled []bool // per stage: FTSpool persists its outputs (wide edges)
+	spooled []bool // per stage: its outputs cross a wide edge, which capSpool persists
 
 	// seededAlive is the live-worker count seed placed the channels over.
 	seededAlive int
@@ -76,27 +77,9 @@ type Runner struct {
 	recovered int
 	failCh    chan error
 
-	// cursorLimit is the resolved head-node buffer bound for a streaming
-	// cursor (Config.CursorBufferBytes, falling back to the cluster's
-	// WithCursorBufferBytes default; 0 = unbounded).
-	cursorLimit int64
-	// flushEvery is the resolved lineage group-commit policy
-	// (Config.LineageFlushInterval falling back to the cluster default):
-	// 0 = opportunistic batching, >0 = bounded hold, <0 = disabled.
-	flushEvery time.Duration
-	// gc batches this query's task commits into shared GCS transactions.
-	// Set before the task managers start and stopped after they exit; nil
-	// when group commit is disabled.
-	gc *groupCommitter
-	// shuffleCompress / spillCompress are the resolved byte-codec choices
-	// (cluster-level WithShuffleCompression / WithSpillCompression flags,
-	// frozen at NewRunner so one query never mixes policies mid-flight —
-	// decode is self-describing, but metrics should mean one thing).
-	shuffleCompress bool
-	spillCompress   bool
-	// rec is the query's flight recorder, nil unless the cluster ran with
-	// WithTracing(true) at submit time. Per-query like every other piece of
-	// runner state; a nil recorder makes every span site a no-op.
+	// rec is the query's flight recorder, nil unless the policy enables
+	// tracing (WithTracing(true) at submit time). Per-query like every other
+	// piece of runner state; a nil recorder makes every span site a no-op.
 	rec *trace.Recorder
 	// Pre-resolved histogram pairs (per-query + cluster-wide): hot paths
 	// observe into both handles directly, skipping the collector's
@@ -162,22 +145,20 @@ func (r *Runner) pollHeader(ver uint64) (bar, gep, recn int) {
 }
 
 // NewRunner validates the plan against the cluster and prepares a runner,
-// minting its query id and resolving the cluster-level options.
+// minting its query id and resolving its policy against the cluster-level
+// options.
 func NewRunner(cl *cluster.Cluster, plan *Plan, cfg Config) (*Runner, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
 	shared := sharedFor(cl)
-	r, err := newRunner(cl, plan, cfg, shared.newQueryID())
+	pol, err := resolve(cfg, shared.options())
 	if err != nil {
 		return nil, err
 	}
-	r.cursorLimit = shared.cursorBufferFor(cfg.CursorBufferBytes)
-	r.flushEvery = shared.flushIntervalFor(cfg.LineageFlushInterval)
-	r.shuffleCompress = shared.shuffleCompressionFor()
-	r.spillCompress = shared.spillCompressionFor()
-	if shared.tracingFor() {
-		r.startTrace()
+	r, err := newRunner(cl, plan, pol, shared.newQueryID())
+	if err != nil {
+		return nil, err
 	}
 	// Credit the planner's zone-map pruning to this query's report: the
 	// splits the reader stages will never even schedule.
@@ -191,56 +172,28 @@ func NewRunner(cl *cluster.Cluster, plan *Plan, cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// newRunner is the one Runner constructor, shared by the head (NewRunner)
-// and the worker process (newWorkerRunner): config floors, per-stage
-// tables, collector, key table and histogram handles for query qid. The
-// group-commit, codec and tracing choices are left at their zero values
-// for the caller to fill — from the cluster options on the head, from the
-// shipped spec in a worker.
-func newRunner(cl *cluster.Cluster, plan *Plan, cfg Config, qid string) (*Runner, error) {
+// newRunner is the one Runner constructor, shared by the head (NewRunner,
+// which resolves the policy) and the worker process (newWorkerRunner, which
+// received it in the spec): per-stage tables, collector, key table,
+// recorder and histogram handles for query qid under policy pol.
+func newRunner(cl *cluster.Cluster, plan *Plan, pol Policy, qid string) (*Runner, error) {
 	out, err := plan.OutputStage()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxTake <= 0 {
-		cfg.MaxTake = 64
-	}
-	if cfg.MinTake <= 0 {
-		cfg.MinTake = 1
-	}
-	if cfg.MinTake > cfg.MaxTake {
-		cfg.MinTake = cfg.MaxTake
-	}
-	if cfg.ThreadsPerWorker <= 0 {
-		cfg.ThreadsPerWorker = 8
-	}
-	if cfg.CPUPerWorker <= 0 {
-		cfg.CPUPerWorker = 2
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = cfg.CPUPerWorker
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 200 * time.Microsecond
-	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 2 * time.Millisecond
-	}
-	if !cfg.Dynamic && cfg.StaticBatch <= 0 {
-		return nil, fmt.Errorf("engine: static dependency mode requires StaticBatch > 0")
 	}
 	qmet := &metrics.Collector{}
 	r := &Runner{
 		cl:     cl,
 		plan:   plan,
-		cfg:    cfg,
+		cfg:    pol,
+		ft:     ftTable[pol.FT],
 		qid:    qid,
 		shared: sharedFor(cl),
 		met:    cl.Metrics,
 		qmet:   qmet,
 		tee:    metrics.Tee(cl.Metrics, qmet),
 		out:    out,
-		spool:  storage.NewObjectStore(cl.Cost, cfg.SpoolProfile, cl.Metrics),
+		spool:  storage.NewObjectStore(cl.Cost, pol.SpoolProfile, cl.Metrics),
 	}
 	r.par = make([]int, len(plan.Stages))
 	for i := range plan.Stages {
@@ -258,24 +211,22 @@ func newRunner(cl *cluster.Cluster, plan *Plan, cfg Config, qid string) (*Runner
 		}
 	}
 	r.collector = newCollector(out, r.par[out])
-	r.sink = collectorSink{r.collector}
+	r.sink = r.collector
 	r.buildKeys()
 	r.place = make(map[lineage.ChannelID]int)
 	r.failCh = make(chan error, 1)
+	if pol.Tracing {
+		names := make([]string, len(plan.Stages))
+		for i, st := range plan.Stages {
+			names[i] = st.Name
+		}
+		r.rec = trace.New(len(cl.Workers), 0, names)
+	}
 	r.hTask = histPair{qmet.Hist(metrics.TaskLatencyNS), cl.Metrics.Hist(metrics.TaskLatencyNS)}
 	r.hAdmit = histPair{qmet.Hist(metrics.AdmissionWaitNS), cl.Metrics.Hist(metrics.AdmissionWaitNS)}
 	r.hFlush = histPair{qmet.Hist(metrics.FlushLatencyNS), cl.Metrics.Hist(metrics.FlushLatencyNS)}
 	r.hStall = histPair{qmet.Hist(metrics.CursorStallNS), cl.Metrics.Hist(metrics.CursorStallNS)}
 	return r, nil
-}
-
-// startTrace attaches the query's flight recorder.
-func (r *Runner) startTrace() {
-	names := make([]string, len(r.plan.Stages))
-	for i, st := range r.plan.Stages {
-		names[i] = st.Name
-	}
-	r.rec = trace.New(len(r.cl.Workers), 0, names)
 }
 
 // QueryID returns the runner's cluster-unique query id.
@@ -357,93 +308,30 @@ func (r *Runner) execute(ctx context.Context) error {
 		r.cleanup()
 		return err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var wg sync.WaitGroup
-	var stopRemote func()
-	if rx := r.shared.remoteExecFor(); rx != nil {
-		// Process mode: the task managers run inside worker processes,
-		// which commit against the head's wire-served GCS. The head keeps
-		// coordination, recovery, the collector and teardown. Each worker
-		// process runs its own group committer; the head-side one would
-		// have no clients.
-		if r.cfg.FT != FTNone && r.cfg.FT != FTWriteAheadLineage {
-			r.cleanup()
-			return fmt.Errorf("engine: process mode supports FTNone and FTWriteAheadLineage only")
-		}
-		stop, err := rx.StartQuery(r)
-		if err != nil {
-			r.cleanup()
-			return err
-		}
-		stopRemote = stop
-	} else {
-		// The group committer must outlive every task-manager thread:
-		// threads block inside finishTask until their flush resolves, so it
-		// is acquired before they start and released only after wg.Wait.
-		// The committer itself is cluster-shared — commits fold across every
-		// admitted query — and refcounted by clusterShared.
-		if r.flushEvery >= 0 {
-			r.gc = r.shared.committer(r.cl.GCS)
-		}
-		for _, w := range r.cl.Workers {
-			if !w.Alive() {
-				continue
-			}
-			t := newTaskManager(r, w)
-			for i := 0; i < r.cfg.ThreadsPerWorker; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					t.loop(ctx)
-				}()
-			}
-		}
+	stop, err := r.shared.executor().StartQuery(r)
+	if err != nil {
+		r.cleanup()
+		return err
 	}
-
-	err := r.coordinate(ctx)
-	cancel()
-	wg.Wait()
-	if stopRemote != nil {
-		// Synchronous: workers must have stopped before cleanup deletes the
-		// query's namespace, or a straggler commit would re-create keys
-		// behind the sweep.
-		stopRemote()
-	}
-	if r.gc != nil {
-		r.shared.committerDone()
-		r.gc = nil
-	}
+	err = r.coordinate(ctx)
+	// Synchronous: every task manager must have stopped — and swept its own
+	// worker's disk — before cleanup deletes the query's namespace, or a
+	// straggler commit would re-create keys behind the sweep.
+	stop()
 	r.cleanup()
 	return err
 }
 
-// sweepSpill deletes every spill run file of THIS query from the live
-// workers' disks. Run at seed time (defensive: query ids are unique, so
-// the namespace should be empty) and at query teardown on every exit path
-// — completion, failure and cancellation — which is the no-leak guarantee
-// the tests assert on. Other queries' spill namespaces are untouched.
-func (r *Runner) sweepSpill() {
+// cleanup tears down what the head owns of the query: its flight mailbox
+// slots and its whole GCS namespace. Worker-local disk state (spill runs,
+// upstream backups) is swept by each worker's runTaskManager as its threads
+// exit. Must only run after the query's task managers have stopped (they
+// would otherwise re-create state behind the sweep).
+func (r *Runner) cleanup() {
 	for _, w := range r.cl.Workers {
 		if w.Alive() {
-			w.Disk.DeletePrefix(spillQueryPrefix(r.qid))
+			w.Flight.DropQuery(r.qid)
 		}
-	}
-}
-
-// cleanup tears down every trace of the query outside the head node: spill
-// namespaces, flight mailbox slots, upstream backups, and the query's
-// whole GCS namespace. Must only run after the query's task managers have
-// stopped (they would otherwise re-create state behind the sweep).
-func (r *Runner) cleanup() {
-	r.sweepSpill()
-	for _, w := range r.cl.Workers {
-		if !w.Alive() {
-			continue
-		}
-		w.Flight.DropQuery(r.qid)
-		w.Disk.DeletePrefix(backupQueryPrefix(r.qid))
 	}
 	ns := r.keyNS()
 	r.gcsUpdate(func(tx *gcs.Txn) error {
@@ -465,7 +353,6 @@ func (r *Runner) seed() error {
 		return ErrNoWorkers
 	}
 	r.seededAlive = len(alive)
-	r.sweepSpill()
 	return r.gcsUpdate(func(tx *gcs.Txn) error {
 		for s := range r.plan.Stages {
 			for c := 0; c < r.par[s]; c++ {
@@ -510,7 +397,7 @@ func (r *Runner) coordinate(ctx context.Context) error {
 			return ErrNoWorkers
 		}
 		if aliveNow < aliveBefore {
-			if r.cfg.FT == FTNone {
+			if !r.ft.has(capLineage) {
 				return ErrQueryFailed
 			}
 			if err := r.recover(ctx); err != nil {
@@ -756,16 +643,16 @@ func newCollector(outStage, channels int) *collector {
 	return c
 }
 
-// deliver offers a payload partition to the head node. It reports false
+// Deliver offers a payload partition to the head node. It reports false
 // only under cursor backpressure (buffer full); the producing task must
 // then retry.
-func (c *collector) deliver(t lineage.TaskName, data []byte, epoch int) bool {
+func (c *collector) Deliver(t lineage.TaskName, data []byte, epoch int) bool {
 	return c.admit(t, resultPart{data: data, size: int64(len(data)), epoch: epoch})
 }
 
-// deliverSpooled offers a manifest: the payload (size bytes) stays spooled
-// on the given worker. Backpressure semantics are identical to deliver.
-func (c *collector) deliverSpooled(t lineage.TaskName, worker int, size int64, epoch int) bool {
+// DeliverSpooled offers a manifest: the payload (size bytes) stays spooled
+// on the given worker. Backpressure semantics are identical to Deliver.
+func (c *collector) DeliverSpooled(t lineage.TaskName, worker int, size int64, epoch int) bool {
 	return c.admit(t, resultPart{size: size, epoch: epoch, spooled: true, worker: worker})
 }
 

@@ -3,9 +3,9 @@ package engine
 import "quokka/internal/lineage"
 
 // ResultSink receives the output stage's partitions as their tasks commit.
-// In-memory execution wires it straight to the head-node collector; in
-// process mode the worker's sink is a wire client that relays deliveries to
-// the head, which feeds them into the same collector.
+// In memory it is the head-node collector itself; in process mode the
+// worker's sink is a wire client that relays deliveries to the head, which
+// feeds them into the same collector.
 //
 // Both methods report false under cursor backpressure (the head-node buffer
 // is full): the producing task then stays pending and retries, exactly as
@@ -18,16 +18,4 @@ type ResultSink interface {
 	// DeliverSpooled offers a manifest: the payload (size bytes) stays
 	// spooled on the given worker's flight server.
 	DeliverSpooled(t lineage.TaskName, worker int, size int64, epoch int) bool
-}
-
-// collectorSink is the in-memory ResultSink: the head-node collector
-// itself.
-type collectorSink struct{ c *collector }
-
-func (s collectorSink) Deliver(t lineage.TaskName, data []byte, epoch int) bool {
-	return s.c.deliver(t, data, epoch)
-}
-
-func (s collectorSink) DeliverSpooled(t lineage.TaskName, worker int, size int64, epoch int) bool {
-	return s.c.deliverSpooled(t, worker, size, epoch)
 }

@@ -118,3 +118,47 @@ func TestTxHelpers(t *testing.T) {
 		return nil
 	})
 }
+
+// TestFTModeCapabilities pins Table I as data — what each mode does — and
+// the one process-mode predicate on both sides of the wire: a mode that
+// writes through the runner's private object store cannot be encoded for,
+// nor decoded by, a worker process.
+func TestFTModeCapabilities(t *testing.T) {
+	want := map[FTMode]ftCaps{
+		FTNone:              0,
+		FTWriteAheadLineage: capLineage | capBackup,
+		FTSpool:             capLineage | capSpool,
+		FTCheckpoint:        capLineage | capBackup | capCheckpoint,
+		FTMode(99):          0, // an unknown mode does nothing
+	}
+	for mode, caps := range want {
+		if got := ftTable[mode]; got != caps {
+			t.Errorf("%s: capabilities %04b, want %04b", mode, got, caps)
+		}
+		cfg := DefaultConfig()
+		cfg.FT = mode
+		pol, err := resolve(cfg, clusterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := &WorkerQuerySpec{QueryID: "q1", Plan: scanFilterAggPlan(0), Cfg: pol}
+		data, err := spec.Encode()
+		if refused := err != nil; refused != caps.needsSharedStore() {
+			t.Errorf("%s: Encode error %v, needs a shared store = %v", mode, err, caps.needsSharedStore())
+		}
+		if err != nil {
+			continue
+		}
+		got, err := DecodeWorkerSpec(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", mode, err)
+		}
+		if !reflect.DeepEqual(got.Cfg, pol) {
+			t.Errorf("%s: policy changed across the wire:\n got %+v\nwant %+v", mode, got.Cfg, pol)
+		}
+	}
+	// The worker side asks the same predicate of what it decoded.
+	if err := (&WorkerQuerySpec{Cfg: Policy{Config: Config{FT: FTSpool}}}).shippable(); err == nil {
+		t.Error("a decoded spool-mode spec was accepted")
+	}
+}

@@ -128,12 +128,6 @@ func TableZoneMaps(store storage.Objects, name string) ([]*batch.ZoneMap, error)
 	return zms, nil
 }
 
-// ReadSplit reads and decodes one split, paying the object-store read cost.
-func ReadSplit(store storage.Objects, name string, i int) (*batch.Batch, error) {
-	b, _, err := ReadSplitCols(store, name, i, nil)
-	return b, err
-}
-
 // ReadSplitCols reads one split keeping only the named columns (nil =
 // all), paying the full object-store read cost — the split object still
 // moves whole — but skipping the decode of dropped column payloads.

@@ -28,6 +28,9 @@ import (
 type taskManager struct {
 	r *Runner
 	w *cluster.Worker
+	// gc is the cluster's shared committer, held by runTaskManager for
+	// exactly the lifetime of this task manager's threads.
+	gc *groupCommitter
 
 	mu       sync.Mutex
 	channels map[lineage.ChannelID]*chanState
@@ -159,7 +162,7 @@ func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 		acct := spill.NewAccountant(r.cfg.MemoryBudget, r.tee)
 		acct.AttachLedger(r.shared.ledgerFor(w.ID))
 		t.spill = spill.NewContext(w.Disk, acct, r.tee, spill.DefaultPartitions)
-		t.spill.SetCompression(r.spillCompress)
+		t.spill.SetCompression(r.cfg.SpillCompress)
 	}
 	return t
 }
@@ -466,21 +469,6 @@ func (t *taskManager) newOperator(cs *chanState) ops.Operator {
 	return op
 }
 
-// opSharesFor returns how many CPU slots an operator actually fans work on
-// a batch of the given row count out over — row-wise morsel operators run
-// small batches on a single lane, and the modelled kernel cost must not
-// claim parallelism the kernels don't deliver. Finalize call sites pass
-// the finalize output's row count: hash-partitioned operators (the only
-// ones with real finalize fan-out) ignore the row count.
-func opSharesFor(op ops.Operator, rows int) int {
-	if p, ok := op.(ops.Partitioned); ok {
-		if s := p.SharesFor(rows); s > 1 {
-			return s
-		}
-	}
-	return 1
-}
-
 // cachedMetas returns every state's chanMeta from the query's shared
 // version-stamped poll snapshot, refetching (one GCS view) when the
 // namespace changed since the snapshot was taken or a channel is missing
@@ -561,7 +549,7 @@ func (t *taskManager) loadMetas(states []*chanState) ([]*chanMeta, error) {
 				}
 				m.stageDone[up] = allDone
 			}
-			if t.r.cfg.FT == FTCheckpoint {
+			if t.r.ft.has(capCheckpoint) {
 				if v, ok := tx.Get(t.r.keyCheckpoint(cs.id)); ok {
 					ck, err := decodeCheckpoint(v)
 					if err != nil {
@@ -630,62 +618,60 @@ func (t *taskManager) resetChannel(cs *chanState, meta *chanMeta) error {
 	return nil
 }
 
-// restoreCheckpoint loads the operator state snapshot referenced by the
-// checkpoint marker.
-func (t *taskManager) restoreCheckpoint(cs *chanState, ck *checkpointMark) error {
-	sn, ok := cs.op.(ops.Snapshotter)
-	if !ok {
-		return fmt.Errorf("engine: channel %s has checkpoint but operator cannot restore", cs.id)
-	}
-	data, err := t.r.spool.Get(ck.ObjKey)
-	if err != nil {
-		return err
-	}
-	if err := sn.Restore(data); err != nil {
-		return err
-	}
-	cs.wm = ck.WM.Clone()
-	cs.lastCkpt = ck.Seq
-	return nil
-}
-
 // normalStep executes a task whose lineage is not yet determined: pick
-// inputs dynamically (or per the static policy), run the operator, push,
-// back up, and commit the write-ahead lineage.
+// inputs dynamically (or per the static policy), then run the task the
+// chosen record describes.
 func (t *taskManager) normalStep(cs *chanState, meta *chanMeta) (bool, error) {
 	if cs.stage.Reader != nil {
 		return t.readerStep(cs)
 	}
 	choice, exhausted := t.chooseInput(cs, meta)
-	if choice == nil && !exhausted {
-		return false, nil // nothing consumable yet; task "exits without executing"
+	switch {
+	case choice != nil:
+		return t.runTask(cs, lineage.Consume(choice.ec.Input, choice.ec.UpChannel, choice.from, choice.count), false)
+	case exhausted:
+		return t.runTask(cs, lineage.Finalize(), false) // the channel's final task
 	}
-	var p *pendingTask
-	started := time.Now()
-	if choice == nil {
-		// All inputs exhausted: the channel's final task.
-		outs, err := cs.op.Finalize()
-		if err != nil {
-			return false, fmt.Errorf("engine: finalize %s: %w", cs.id, err)
+	return false, nil // nothing consumable yet; task "exits without executing"
+}
+
+// runTask executes the task a lineage record describes — read a split, run
+// the operator over a range of one upstream channel's outputs, or finalize —
+// and finishes it (push, back up, commit). A record just chosen and a
+// record retraced from the log run through here alike, which is what makes
+// a replayed task's output the original's.
+func (t *taskManager) runTask(cs *chanState, rec lineage.Record, isReplay bool) (bool, error) {
+	p := &pendingTask{seq: cs.cursor, rec: rec, started: time.Now()}
+	var err error
+	switch rec.Kind {
+	case lineage.KindRead:
+		// rec.Split is physical, and every read of it uses the plan's column
+		// projection: a replayed read is byte-identical.
+		p.out, err = t.readSplit(cs.stage.Reader, rec.Split)
+	case lineage.KindConsume:
+		p.out, p.inRows, p.inBytes, err = t.consume(cs, rec)
+	case lineage.KindFinalize:
+		p.finalize = true
+		if cs.op != nil { // a reader channel has no operator: it finalizes empty
+			var outs []*batch.Batch
+			if outs, err = cs.op.Finalize(); err != nil {
+				return false, fmt.Errorf("engine: finalize %s: %w", cs.id, err)
+			}
+			if p.out, err = batch.Concat(outs); p.out != nil {
+				t.chargeCompute(cs.op, p.out)
+			}
 		}
-		out, err := batch.Concat(outs)
-		if err != nil {
-			return false, err
-		}
-		if out != nil {
-			t.chargeCompute(out.ByteSize(), opSharesFor(cs.op, out.NumRows()))
-		}
-		p = &pendingTask{seq: cs.cursor, rec: lineage.Finalize(), out: out, finalize: true, started: started}
-	} else {
-		rec := lineage.Consume(choice.ec.Input, choice.ec.UpChannel, choice.from, choice.count)
-		out, inRows, inBytes, err := t.consume(cs, rec)
-		if err != nil {
-			return false, err
-		}
-		p = &pendingTask{seq: cs.cursor, rec: rec, out: out, started: started, inRows: inRows, inBytes: inBytes}
+	default:
+		err = fmt.Errorf("engine: %s: lineage record of unknown kind %d", cs.id, rec.Kind)
+	}
+	if err != nil {
+		return false, err
 	}
 	cs.pending = p
-	return t.finishTask(cs, p, false)
+	if isReplay {
+		t.r.count(metrics.TasksReplayed, 1)
+	}
+	return t.finishTask(cs, p, isReplay)
 }
 
 // inputChoice is the selected upstream range for one task.
@@ -812,7 +798,7 @@ func (t *taskManager) consume(cs *chanState, rec lineage.Record) (out *batch.Bat
 		}
 		inRows += int64(b.NumRows())
 		inBytes += int64(len(d))
-		t.chargeCompute(b.ByteSize(), opSharesFor(cs.op, b.NumRows()))
+		t.chargeCompute(cs.op, b)
 		o, err := cs.op.Consume(rec.Input, b)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("engine: %s consume: %w", cs.id, err)
@@ -823,19 +809,34 @@ func (t *taskManager) consume(cs *chanState, rec lineage.Record) (out *batch.Bat
 	return out, inRows, inBytes, err
 }
 
-// chargeCompute applies the modelled operator-kernel cost for processing
-// the given payload, adjusted by the configured kernel efficiency. shares
-// is how many partitions execute the work concurrently: each share holds
-// its own CPU slot for 1/shares of the payload, so partitioned operators
-// finish in ~1/shares the modelled wall time when slots are free — the
-// cost-model analogue of the real morsel parallelism in internal/ops.
-func (t *taskManager) chargeCompute(bytes int64, shares int) {
+// chargeCompute applies the modelled operator-kernel cost of op processing
+// b, adjusted by the configured kernel efficiency. The operator's share
+// count is how many partitions execute the work concurrently: each share
+// holds its own CPU slot for 1/shares of the payload, so partitioned
+// operators finish in ~1/shares the modelled wall time when slots are free
+// — the cost-model analogue of the real morsel parallelism in internal/ops.
+func (t *taskManager) chargeCompute(op ops.Operator, b *batch.Batch) {
+	if t.r.cl.Cost.TimeScale <= 0 {
+		// Real time: nothing would be slept, so neither the operator nor a
+		// CPU slot — the channel ops.Pool runs real partition lanes on — is
+		// touched.
+		return
+	}
+	// Shares are the CPU slots the operator really fans a batch of this many
+	// rows out over: row-wise morsel operators run small batches on one lane,
+	// and the model must not claim parallelism the kernels don't deliver.
+	// (Finalize passes its output's row count; hash-partitioned operators,
+	// the only ones with real finalize fan-out, ignore it.)
+	bytes, shares := b.ByteSize(), 1
+	if p, ok := op.(ops.Partitioned); ok {
+		shares = p.SharesFor(b.NumRows())
+	}
 	link := t.r.cl.Cost.Compute
 	if s := t.r.cfg.ComputeScale; s > 0 && s != 1 {
 		link.BytesPerS *= s
 		link.Latency = time.Duration(float64(link.Latency) / s)
 	}
-	if shares <= 1 || t.r.cl.Cost.TimeScale <= 0 {
+	if shares <= 1 {
 		// Hold a CPU slot for the duration of the modelled kernel work.
 		t.cpu <- struct{}{}
 		t.r.cl.Cost.Apply(link, bytes)
@@ -862,25 +863,14 @@ func (t *taskManager) chargeCompute(bytes int64, shares int) {
 // before the read — and it is the PHYSICAL number that lineage records, so
 // a replay never needs the survivor list to find the same bytes.
 func (t *taskManager) readerStep(cs *chanState) (bool, error) {
-	p := t.r.par[cs.id.Stage]
-	split := cs.id.Channel + cs.cursor*p
-	started := time.Now()
+	split := cs.id.Channel + cs.cursor*t.r.par[cs.id.Stage]
 	if split >= cs.splits {
-		pend := &pendingTask{seq: cs.cursor, rec: lineage.Finalize(), finalize: true, started: started}
-		cs.pending = pend
-		return t.finishTask(cs, pend, false)
+		return t.runTask(cs, lineage.Finalize(), false)
 	}
-	spec := cs.stage.Reader
-	if spec.Splits != nil {
+	if spec := cs.stage.Reader; spec.Splits != nil {
 		split = spec.Splits[split]
 	}
-	b, err := t.readSplit(spec, split)
-	if err != nil {
-		return false, err
-	}
-	pend := &pendingTask{seq: cs.cursor, rec: lineage.Read(split), out: b, started: started}
-	cs.pending = pend
-	return t.finishTask(cs, pend, false)
+	return t.runTask(cs, lineage.Read(split), false)
 }
 
 // readSplit reads one physical split for a reader spec, decoding only the
@@ -899,55 +889,22 @@ func (t *taskManager) readSplit(spec *ReaderSpec, split int) (*batch.Batch, erro
 // replayStep re-executes a task under its committed lineage: the task is
 // "retracing its footsteps" (§IV-C) and may not choose inputs dynamically.
 func (t *taskManager) replayStep(cs *chanState, rec lineage.Record) (bool, error) {
-	var p *pendingTask
-	started := time.Now()
-	switch rec.Kind {
-	case lineage.KindRead:
-		// rec.Split is physical; the same column projection as the original
-		// read keeps the replayed output byte-identical.
-		b, err := t.readSplit(cs.stage.Reader, rec.Split)
-		if err != nil {
-			return false, err
-		}
-		p = &pendingTask{seq: cs.cursor, rec: rec, out: b, started: started}
-	case lineage.KindConsume:
-		// All replayed inputs must be present; if replays are still in
-		// flight, wait.
-		if got := t.w.Flight.ContiguousFrom(t.r.qid, cs.id, rec.Input, rec.UpChannel, rec.FromSeq); got < rec.Count {
-			return false, nil
-		}
-		out, inRows, inBytes, err := t.consume(cs, rec)
-		if err != nil {
-			return false, err
-		}
-		p = &pendingTask{seq: cs.cursor, rec: rec, out: out, started: started, inRows: inRows, inBytes: inBytes}
-	case lineage.KindFinalize:
-		var outs []*batch.Batch
-		var err error
-		if cs.op != nil {
-			outs, err = cs.op.Finalize()
-			if err != nil {
-				return false, err
-			}
-		}
-		out, err := batch.Concat(outs)
-		if err != nil {
-			return false, err
-		}
-		if out != nil {
-			t.chargeCompute(out.ByteSize(), opSharesFor(cs.op, out.NumRows()))
-		}
-		p = &pendingTask{seq: cs.cursor, rec: rec, out: out, finalize: true, started: started}
+	// All replayed inputs must be present; if replays are still in flight,
+	// wait.
+	if rec.Kind == lineage.KindConsume &&
+		t.w.Flight.ContiguousFrom(t.r.qid, cs.id, rec.Input, rec.UpChannel, rec.FromSeq) < rec.Count {
+		return false, nil
 	}
-	cs.pending = p
-	t.r.count(metrics.TasksReplayed, 1)
-	return t.finishTask(cs, p, true)
+	return t.runTask(cs, rec, true)
 }
 
-// finishTask pushes a task's outputs, persists the upstream backup, and
-// commits the write-ahead lineage in a single GCS transaction — the core
-// of Algorithm 1. isReplay skips re-writing lineage that is already
-// committed.
+// finishTask is the core of Algorithm 1, a straight line: encode the task's
+// output once, persist what the FT policy wants durable before a consumer
+// can see it, push, persist the producer-local backup, commit the
+// write-ahead lineage in one flush, then the post-commit bookkeeping. The
+// three persist steps (persist.go) each ask the policy for their capability
+// and are no-ops without it. isReplay skips re-writing lineage that is
+// already committed.
 func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (bool, error) {
 	task := lineage.TaskName{Stage: cs.id.Stage, Channel: cs.id.Channel, Seq: p.seq}
 	// One serialization serves the push, the spool and the upstream backup,
@@ -962,18 +919,8 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 		}
 	}
 
-	// Spool mode: persist the partition durably before it can be consumed.
-	// Only exchange (wide-edge) outputs spool; fused narrow pipelines
-	// don't materialize, which is why the paper's category I queries see
-	// little spooling after aggregation pushdown (§V-C).
-	if t.r.cfg.FT == FTSpool && t.r.spooled[cs.id.Stage] && !isReplay {
-		spoolKey := "spool/" + task.String()
-		if !t.r.spool.Has(spoolKey) {
-			if err := t.r.spool.Put(spoolKey, p.payload); err != nil {
-				return false, err
-			}
-			t.r.count(metrics.SpoolWriteBytes, int64(len(p.payload)))
-		}
+	if err := t.persistBeforePush(cs, task, p, isReplay); err != nil {
+		return false, err
 	}
 
 	// Push results downstream. Per Algorithm 1, a failed push (dead
@@ -993,75 +940,34 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 			Start: pushStart, Dur: time.Since(pushStart), OutBytes: int64(len(p.payload))})
 	}
 
-	// Upstream backup: store the pushed bytes on local disk so consumers
-	// can be re-fed after someone else's failure. Reader outputs are backed
-	// up too (Figure 5 shows stage-0 partitions replayed from TaskManagers);
-	// only partitions whose backup died with its worker fall back to
-	// Algorithm 2's "input task" S3 re-read.
-	needBackup := t.r.cfg.FT == FTWriteAheadLineage || t.r.cfg.FT == FTCheckpoint
-	if needBackup {
-		if err := t.w.Disk.Write(backupKey(t.r.qid, task), p.payload); err != nil {
-			return false, err
-		}
-		t.r.count(metrics.BackupWriteBytes, int64(len(p.payload)))
+	if err := t.persistAfterPush(task, p); err != nil {
+		return false, err
 	}
 
-	// Commit: lineage + cursor + watermark (+ done marker) atomically.
-	// With group commit enabled the write set is handed to the cluster's
-	// shared flusher, which folds commits from many channels — across every
-	// admitted query — into one shared GCS transaction; commit-before-ack
-	// ordering is preserved because this call still blocks until the flush
-	// containing it has been applied.
+	// Commit: lineage + cursor + watermark (+ done marker) atomically. The
+	// write set is handed to the cluster's shared committer, whose flush
+	// folds commits from many channels — across every admitted query — into
+	// one GCS transaction (or, with batching off, carries this one alone);
+	// commit-before-ack ordering is preserved because this call blocks until
+	// the flush containing it has been applied.
 	wmAfter := cs.wm
 	if p.rec.Kind == lineage.KindConsume {
 		wmAfter = cs.wm.Clone()
 		wmAfter[lineage.EdgeChannel{Input: p.rec.Input, UpChannel: p.rec.UpChannel}] += p.rec.Count
 	}
-	var err error
-	if t.r.gc != nil {
-		err = t.r.gc.commit(&commitReq{
-			r:        t.r,
-			hold:     t.r.flushEvery,
-			alive:    t.w.Alive,
-			workerID: int(t.w.ID),
-			id:       cs.id,
-			cep:      cs.cep,
-			stepGep:  cs.stepGep,
-			task:     task,
-			rec:      p.rec,
-			wmAfter:  wmAfter,
-			finalize: p.finalize,
-			isReplay: isReplay,
-		})
-	} else {
-		err = t.r.gcsUpdate(func(tx *gcs.Txn) error {
-			if !t.w.Alive() {
-				return gcs.ErrAborted
-			}
-			if txGetInt(tx, t.r.keyBarrier(), 0) != 0 {
-				return gcs.ErrAborted // recovery holds the GCS lock
-			}
-			if txGetInt(tx, t.r.keyChanEpoch(cs.id), 0) != cs.cep {
-				return gcs.ErrAborted // channel was rewound under us
-			}
-			if txGetInt(tx, t.r.keyGlobalEpoch(), 0) != cs.stepGep {
-				// Placement may have changed since our pushes; retry with a
-				// fresh view so no partition lands on a stale worker.
-				return gcs.ErrAborted
-			}
-			if !isReplay && t.r.cfg.FT != FTNone {
-				tx.Put(t.r.keyLineage(task), p.rec.Encode())
-				t.r.count(metrics.LineageRecords, 1)
-			}
-			txPutInt(tx, t.r.keyCursor(cs.id), p.seq+1)
-			txPutWatermark(tx, t.r.keyWatermark(cs.id), wmAfter)
-			txPutInt(tx, t.r.keyPartDir(task), int(t.w.ID))
-			if p.finalize {
-				txPutInt(tx, t.r.keyDone(cs.id), p.seq+1)
-			}
-			return nil
-		})
-	}
+	err := t.gc.commit(&commitReq{
+		r:        t.r,
+		alive:    t.w.Alive,
+		workerID: int(t.w.ID),
+		id:       cs.id,
+		cep:      cs.cep,
+		stepGep:  cs.stepGep,
+		task:     task,
+		rec:      p.rec,
+		wmAfter:  wmAfter,
+		finalize: p.finalize,
+		isReplay: isReplay,
+	})
 	if err != nil {
 		if err == gcs.ErrAborted {
 			return false, nil // keep pending; retried after barrier/rewind
@@ -1103,9 +1009,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 			SpillBytes: spillB, SpillRuns: spillR})
 	}
 
-	if t.r.cfg.FT == FTCheckpoint && !p.finalize {
-		t.maybeCheckpoint(cs)
-	}
+	t.persistAfterCommit(cs, p)
 	return true, nil
 }
 
@@ -1117,7 +1021,7 @@ func (t *taskManager) encodeOutput(p *pendingTask, edges []Edge, prodChannel int
 	if p.out.NumRows() > 0 {
 		p.outRows = int64(p.out.NumRows())
 		if len(edges) == 0 {
-			if t.r.shuffleCompress {
+			if t.r.cfg.ShuffleCompress {
 				p.payload = batch.EncodeCompressed(p.out)
 			} else {
 				p.payload = batch.Encode(p.out)
@@ -1245,7 +1149,7 @@ const resultManifestBytes = 48
 func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, prodChannel int) error {
 	n := t.r.par[e.To]
 	encode := func(b *batch.Batch) {
-		if t.r.shuffleCompress {
+		if t.r.cfg.ShuffleCompress {
 			w.buf = batch.AppendCompressed(w.buf, b)
 		} else {
 			w.buf = batch.AppendRaw(w.buf, b)
@@ -1284,44 +1188,6 @@ func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, 
 		}
 	}
 	return nil
-}
-
-// maybeCheckpoint snapshots the operator state every CheckpointEveryTasks
-// committed tasks (FTCheckpoint). The snapshot goes to durable storage —
-// this is exactly the growing-state cost §V-C measures.
-func (t *taskManager) maybeCheckpoint(cs *chanState) {
-	if cs.op == nil {
-		return
-	}
-	sn, ok := cs.op.(ops.Snapshotter)
-	if !ok {
-		return
-	}
-	every := t.r.cfg.CheckpointEveryTasks
-	if every <= 0 {
-		every = 4
-	}
-	if cs.cursor-cs.lastCkpt < every {
-		return
-	}
-	data, err := sn.Snapshot()
-	if err != nil || len(data) == 0 {
-		return
-	}
-	objKey := fmt.Sprintf("ckpt/%s/%s/%d", t.r.qid, cs.id, cs.cursor)
-	if err := t.r.spool.Put(objKey, data); err != nil {
-		return
-	}
-	t.r.count(metrics.CheckpointBytes, int64(len(data)))
-	mark := checkpointMark{Seq: cs.cursor, ObjKey: objKey, WM: cs.wm}
-	t.r.gcsUpdate(func(tx *gcs.Txn) error {
-		if txGetInt(tx, t.r.keyChanEpoch(cs.id), 0) != cs.cep {
-			return gcs.ErrAborted
-		}
-		tx.Put(t.r.keyCheckpoint(cs.id), encodeCheckpoint(mark))
-		return nil
-	})
-	cs.lastCkpt = cs.cursor
 }
 
 // runReplays drains this worker's replay queue: re-pushing backed-up
@@ -1415,12 +1281,7 @@ func (t *taskManager) runOneReplay(fullKey, rest string, destsRaw []byte, fromSo
 			return false
 		}
 	} else {
-		var stored []byte
-		if t.r.cfg.FT == FTSpool {
-			stored, err = t.r.spool.Get("spool/" + task.String())
-		} else {
-			stored, err = t.w.Disk.Read(backupKey(t.r.qid, task))
-		}
+		stored, err := t.storedPieceSet(task)
 		if err != nil {
 			return false // disk lost; the next recovery pass reroutes
 		}

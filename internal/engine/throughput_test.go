@@ -213,8 +213,12 @@ func TestGroupCommitReducesTxns(t *testing.T) {
 	solo := DefaultConfig()
 	solo.LineageFlushInterval = -1 // one GCS transaction per task commit
 	outSolo, repSolo := runPlan(t, cl, scanFilterAggPlan(0), solo)
-	if repSolo.Metrics[metrics.LineageFlushes] != 0 {
-		t.Errorf("disabled group commit still flushed %d times", repSolo.Metrics[metrics.LineageFlushes])
+	// Batching off goes through the same flush, one entry at a time.
+	if n := repSolo.Metrics[metrics.GCSTxnBatched]; n != 0 {
+		t.Errorf("disabled group commit folded %d commits into shared transactions", n)
+	}
+	if got := repSolo.Metrics[metrics.LineageFlushes]; got != repSolo.TasksExecuted {
+		t.Errorf("disabled group commit: %d flushes for %d committed tasks, want one each", got, repSolo.TasksExecuted)
 	}
 
 	grouped := DefaultConfig()
@@ -275,28 +279,59 @@ func TestOptionDefaultsResolve(t *testing.T) {
 	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(100, 2)})
 	s := sharedFor(cl)
 
-	if got := s.cursorBufferFor(0); got != DefaultCursorBufferBytes {
+	// res resolves a Config carrying just the two inheritable fields.
+	res := func(cursor int64, flush time.Duration) Policy {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.CursorBufferBytes, cfg.LineageFlushInterval = cursor, flush
+		p, err := resolve(cfg, s.options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if got := res(0, 0).CursorBufferBytes; got != DefaultCursorBufferBytes {
 		t.Errorf("built-in cursor default = %d", got)
 	}
 	Configure(cl, WithCursorBufferBytes(9999), WithLineageFlushInterval(-1))
-	if got := s.cursorBufferFor(0); got != 9999 {
+	if got := res(0, 0).CursorBufferBytes; got != 9999 {
 		t.Errorf("cluster cursor default = %d, want 9999", got)
 	}
-	if got := s.cursorBufferFor(123); got != 123 {
+	if got := res(123, 0).CursorBufferBytes; got != 123 {
 		t.Errorf("per-query cursor override = %d, want 123", got)
 	}
-	if got := s.cursorBufferFor(-1); got != 0 {
-		t.Errorf("negative per-query cursor = %d, want 0 (unbounded)", got)
+	if got := res(-1, 0).CursorBufferBytes; got >= 0 {
+		t.Errorf("negative per-query cursor = %d, want it kept negative (unbounded)", got)
 	}
-	if got := s.flushIntervalFor(0); got != -1 {
+	if got := res(0, 0).LineageFlushInterval; got != -1 {
 		t.Errorf("cluster flush default = %v, want -1", got)
 	}
-	if got := s.flushIntervalFor(time.Millisecond); got != time.Millisecond {
+	if got := res(0, time.Millisecond).LineageFlushInterval; got != time.Millisecond {
 		t.Errorf("per-query flush override = %v", got)
 	}
 	Configure(cl, WithCursorBufferBytes(0), WithLineageFlushInterval(0))
-	if got := s.cursorBufferFor(0); got != DefaultCursorBufferBytes {
+	if got := res(0, 0).CursorBufferBytes; got != DefaultCursorBufferBytes {
 		t.Errorf("reset cursor default = %d", got)
+	}
+
+	// A zero Config resolves to the documented defaults; MinTake alone
+	// floors below its default (take whatever is committed).
+	zero, err := resolve(Config{Dynamic: true}, clusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := DefaultConfig()
+	if zero.MaxTake != d.MaxTake || zero.MinTake != 1 || zero.ThreadsPerWorker != d.ThreadsPerWorker ||
+		zero.CPUPerWorker != d.CPUPerWorker || zero.Parallelism != d.CPUPerWorker ||
+		zero.CheckpointEveryTasks != d.CheckpointEveryTasks ||
+		zero.PollInterval != d.PollInterval || zero.HeartbeatInterval != d.HeartbeatInterval {
+		t.Errorf("zero Config resolved to %+v", zero.Config)
+	}
+	if !zero.ShuffleCompress || !zero.SpillCompress || zero.Tracing {
+		t.Errorf("zero options resolved to compress=%v/%v tracing=%v", zero.ShuffleCompress, zero.SpillCompress, zero.Tracing)
+	}
+	if _, err := resolve(Config{}, clusterOptions{}); err == nil {
+		t.Error("static mode without StaticBatch resolved")
 	}
 
 	// The resolved values reach the runner.
@@ -306,8 +341,8 @@ func TestOptionDefaultsResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.flushEvery != -1 || r.cursorLimit != DefaultCursorBufferBytes {
-		t.Errorf("runner resolved flush=%v cursor=%d", r.flushEvery, r.cursorLimit)
+	if r.cfg.LineageFlushInterval != -1 || r.cfg.CursorBufferBytes != DefaultCursorBufferBytes {
+		t.Errorf("runner resolved flush=%v cursor=%d", r.cfg.LineageFlushInterval, r.cfg.CursorBufferBytes)
 	}
 
 	// Admission and worker-memory options reach shared state; 0 restores

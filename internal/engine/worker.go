@@ -7,16 +7,51 @@ import (
 	"time"
 
 	"quokka/internal/cluster"
-	"quokka/internal/lineage"
 	"quokka/internal/trace"
 )
 
-// This file is the worker-process side of process mode: a Runner built
-// from a wire-shipped WorkerQuerySpec instead of NewRunner, executing ONE
-// worker's task-manager threads against the head's remote GCS, flight
-// mailboxes, object store and result sink. Coordination, recovery, the
-// collector and teardown stay on the head; the worker's only jobs are the
-// Algorithm 1 task protocol and the replay queue.
+// This file is the launch of one worker's task manager — the same function
+// for goroutines in the head's process and for a quokka-worker process —
+// and the worker-process side of process mode: a Runner built from a
+// wire-shipped WorkerQuerySpec instead of NewRunner, executing ONE worker's
+// threads against the head's remote GCS, mailboxes, object store and result
+// sink. Coordination, recovery, the collector and teardown stay on the
+// head; the worker's only jobs are the Algorithm 1 task protocol and the
+// replay queue.
+
+// runTaskManager is the one launch: it runs worker w's ThreadsPerWorker
+// executor threads for this query until ctx is cancelled (or w is killed),
+// then sweeps the query's state off w's disk. The in-memory executor calls
+// it for every live worker on the head's Runner; RunWorkerQuery calls it
+// for the one worker its process is.
+func (r *Runner) runTaskManager(ctx context.Context, w *cluster.Worker) {
+	t := newTaskManager(r, w)
+	// The committer is held for exactly the threads' lifetime: a thread
+	// blocks inside finishTask until its flush resolves, so the flusher must
+	// outlive them all. It is cluster-shared and refcounted: commits fold
+	// across every worker and admitted query of this process, which in a
+	// worker process also amortizes wire round trips.
+	t.gc = r.shared.committer(r.cl.GCS)
+	var wg sync.WaitGroup
+	for i := 0; i < r.cfg.ThreadsPerWorker; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t.loop(ctx)
+		}()
+	}
+	wg.Wait()
+	r.shared.committerDone()
+	// Worker-local teardown on every exit path — completion, failure and
+	// cancellation: this query's spill runs and upstream backups on THIS
+	// worker's disk, the no-leak guarantee the tests assert on. Only w's own
+	// threads write its disk, and they have exited; a killed worker's disk
+	// was wiped with it. Mailbox and GCS cleanup is the head's (cleanup).
+	if w.Alive() {
+		w.Disk.DeletePrefix(spillQueryPrefix(r.qid))
+		w.Disk.DeletePrefix(backupQueryPrefix(r.qid))
+	}
+}
 
 // minWorkerPollInterval floors the task-manager poll interval inside a
 // worker process. In-memory polls are nanosecond map reads; over the wire
@@ -26,14 +61,12 @@ import (
 const minWorkerPollInterval = 2 * time.Millisecond
 
 // newWorkerRunner builds the worker-process twin of the head's Runner for
-// one query. It deliberately does NOT mint a query id, pass admission, or
-// attach a collector-backed sink: the id, the admission slot and the
-// collector live on the head; the spec carries the id and the sink relays
-// deliveries to it.
+// one query. It deliberately does NOT mint a query id, resolve a policy,
+// pass admission, or attach a collector-backed sink: the id, the policy,
+// the admission slot and the collector are the head's; the spec carries
+// the first two and the sink relays deliveries to the last. Only what is
+// local to this process is set here.
 func newWorkerRunner(cl *cluster.Cluster, spec *WorkerQuerySpec, sink ResultSink) (*Runner, error) {
-	if ft := spec.Cfg.FT; ft != FTNone && ft != FTWriteAheadLineage {
-		return nil, fmt.Errorf("engine: process mode supports FTNone and FTWriteAheadLineage only")
-	}
 	if sink == nil {
 		return nil, fmt.Errorf("engine: worker runner needs a result sink")
 	}
@@ -45,18 +78,12 @@ func newWorkerRunner(cl *cluster.Cluster, spec *WorkerQuerySpec, sink ResultSink
 		r.cfg.PollInterval = minWorkerPollInterval
 	}
 	r.sink = sink // the runner's own collector stays inert
-	r.flushEvery = spec.FlushEvery
-	r.shuffleCompress = spec.ShuffleCompress
-	r.spillCompress = spec.SpillCompress
-	if spec.Tracing {
-		r.startTrace()
-	}
 	return r, nil
 }
 
 // RunWorkerQuery executes one worker's share of a query inside a worker
-// process: it spawns the task-manager threads for worker self on cl (whose
-// GCS, flight transports and object store are the wire clients the caller
+// process: it runs the task manager of worker self on cl (whose GCS,
+// flight transports and object store are the wire clients the caller
 // assembled) and blocks until ctx is cancelled — the wire layer cancels it
 // on the head's STOP_QUERY. It returns the worker's recorded trace spans
 // (nil when the spec did not enable tracing) for ship-back to the head.
@@ -75,13 +102,6 @@ func RunWorkerQuery(ctx context.Context, cl *cluster.Cluster, spec *WorkerQueryS
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Same ordering contract as execute(): the committer must outlive every
-	// task-manager thread. This process's committer folds its channels'
-	// commits into shared remote transactions — the group-commit batching
-	// now also amortizes wire round trips.
-	if r.flushEvery >= 0 {
-		r.gc = r.shared.committer(r.cl.GCS)
-	}
 	failDone := make(chan struct{})
 	go func() {
 		defer close(failDone)
@@ -96,30 +116,9 @@ func RunWorkerQuery(ctx context.Context, cl *cluster.Cluster, spec *WorkerQueryS
 			}
 		}
 	}()
-	w := cl.Worker(self)
-	t := newTaskManager(r, w)
-	var wg sync.WaitGroup
-	for i := 0; i < r.cfg.ThreadsPerWorker; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t.loop(ctx)
-		}()
-	}
-	<-ctx.Done()
-	wg.Wait()
+	r.runTaskManager(ctx, cl.Worker(self))
 	cancel()
 	<-failDone
-	if r.gc != nil {
-		r.shared.committerDone()
-		r.gc = nil
-	}
-	// Local teardown only: spill runs and backups of this query on THIS
-	// worker's disk. GCS and mailbox cleanup is the head's job.
-	if w.Alive() {
-		w.Disk.DeletePrefix(spillQueryPrefix(r.qid))
-		w.Disk.DeletePrefix(backupQueryPrefix(r.qid))
-	}
 	if r.rec != nil {
 		return r.rec.Snapshot(), nil
 	}
@@ -129,17 +128,10 @@ func RunWorkerQuery(ctx context.Context, cl *cluster.Cluster, spec *WorkerQueryS
 // The head-side counterparts the wire server needs to relay worker
 // messages into a running query.
 
-// DeliverResult feeds a worker-relayed output partition into this runner's
-// head-node collector, with the collector's usual backpressure semantics.
-func (r *Runner) DeliverResult(t lineage.TaskName, data []byte, epoch int) bool {
-	return r.collector.deliver(t, data, epoch)
-}
-
-// DeliverSpooledResult feeds a worker-relayed spool manifest into this
-// runner's head-node collector.
-func (r *Runner) DeliverSpooledResult(t lineage.TaskName, worker int, size int64, epoch int) bool {
-	return r.collector.deliverSpooled(t, worker, size, epoch)
-}
+// HeadSink is this runner's head-node collector as a ResultSink: the wire
+// server feeds worker-relayed output partitions and spool manifests into
+// it, with the collector's usual backpressure semantics.
+func (r *Runner) HeadSink() ResultSink { return r.collector }
 
 // ReportWorkerFailure surfaces a worker process's fatal task error to the
 // coordinator, failing the query like a local reportFailure would.

@@ -53,10 +53,11 @@ type Partition struct {
 // channel incarnations.
 const EpochCommitted = int(^uint(0) >> 1)
 
-// Transport is one worker's view of a shuffle mailbox. Server is the
-// in-memory default; process-mode workers use a wire client that proxies
-// these calls to the mailbox the head node hosts for each worker. The
-// semantics every implementation must preserve are the ones recovery
+// Transport is one worker's view of a shuffle mailbox — exactly the methods
+// the engine calls, specified in docs/contracts/flight-transport.md. Server
+// is the in-memory default; process-mode workers use a wire client that
+// proxies these calls to the mailbox the head node hosts for each worker.
+// The semantics every implementation must preserve are the ones recovery
 // leans on: pushes are idempotent within an epoch, lower-epoch (zombie)
 // pushes never replace higher-epoch slots, and every operation on a
 // failed worker's mailbox errors with ErrServerDown.
@@ -66,13 +67,11 @@ type Transport interface {
 	Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([][]byte, error)
 	Drop(query string, dest lineage.ChannelID, input, upChannel, from, count int)
 	DropBelow(query string, dest lineage.ChannelID, input, upChannel, wm int)
-	DropChannel(query string, dest lineage.ChannelID)
 	DropQuery(query string)
 	SpoolResult(query string, task lineage.TaskName, data []byte, epoch int) error
 	FetchResult(query string, task lineage.TaskName) ([]byte, error)
 	DropResult(query string, task lineage.TaskName)
 	Fail()
-	BufferedBytes() int64
 }
 
 // edgeKey identifies a consumer's view of one upstream channel within one
@@ -238,8 +237,9 @@ func (s *Server) DropBelow(query string, dest lineage.ChannelID, input, upChanne
 }
 
 // DropChannel clears every partition buffered for a consumer channel of
-// one query; the coordinator uses it when that channel is rewound
-// elsewhere.
+// one query. Not part of Transport: no engine path calls it (a rewound
+// channel's stale slots are overwritten or dropped below the watermark);
+// the package's edge-isolation test does.
 func (s *Server) DropChannel(query string, dest lineage.ChannelID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -329,7 +329,8 @@ func (s *Server) Fail() {
 	s.bytes = 0
 }
 
-// BufferedBytes returns the current mailbox payload size.
+// BufferedBytes returns the current mailbox payload size. Not part of
+// Transport: it is the probe tests read at the mailbox's authoritative end.
 func (s *Server) BufferedBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

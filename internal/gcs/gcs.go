@@ -12,9 +12,10 @@
 // The keyspace is sharded by namespace — the "q/<qid>/" prefix every
 // engine key carries — so concurrent queries' transactions (UpdateNS,
 // ViewNS) lock only their own shard and never contend on one global
-// mutex. Cross-namespace transactions (Update, View) still exist for
-// callers that scan the whole store; they take every shard lock in order,
-// preserving full serializability against the single-shard path.
+// mutex. Whole-store transactions (Update, View) exist on Store only, for
+// in-process callers that scan everything — tests and leak probes; they
+// take every shard lock in order, preserving full serializability against
+// the single-shard path.
 package gcs
 
 import (
@@ -30,18 +31,23 @@ import (
 	"quokka/internal/storage"
 )
 
-// Backend is the GCS surface the engine runs against. Store is the
+// Backend is the GCS surface the engine runs against — exactly the methods
+// it calls, specified in docs/contracts/gcs-backend.md. Store is the
 // in-memory default (the head node's real store); process-mode workers
 // use a wire client that runs each transaction interactively against the
 // head — reads are served over the connection while the head holds the
-// shard lock, writes are buffered locally and shipped at commit.
+// shard lock, writes are buffered locally and shipped at commit. Every
+// transaction names its namespaces: the whole-store Update and View are
+// Store methods only, so no remote peer can hold every query's shard lock.
 type Backend interface {
 	UpdateNS(ns string, fn func(tx *Txn) error) error
 	UpdateMulti(nss []string, fn func(tx *Txn) error) error
 	ViewNS(ns string, fn func(tx *Txn) error) error
 	VersionNS(ns string) uint64
-	Update(fn func(tx *Txn) error) error
-	View(fn func(tx *Txn) error) error
+	// Version and WaitChange are reserved: nothing calls them through the
+	// interface today. ROADMAP item 1(a) names them as the wake-up source
+	// that replaces the poll sleep; the PR that closes that item removes
+	// them if it does not use them.
 	Version() uint64
 	WaitChange(since uint64, timeout time.Duration) uint64
 }

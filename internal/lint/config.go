@@ -44,15 +44,16 @@ func DefaultAnalyzers() []*Analyzer {
 			SweepFuncs: []FuncRef{
 				// The per-query teardown/rewind sweeps (arguments built by
 				// the blessed helpers above) and the per-worker replay-
-				// queue scan (prefix under q/<qid>/rp/).
-				{Pkg: "quokka/internal/engine", Name: "Runner.sweepSpill"},
+				// queue scan (prefix under q/<qid>/rp/). Runner.cleanup
+				// lists and deletes the query's GCS namespace;
+				// runTaskManager — the one launch of a worker's task manager,
+				// in the head's process or a worker's — sweeps THAT worker's
+				// disk of the one query's spill/backup namespaces as its
+				// threads exit.
 				{Pkg: "quokka/internal/engine", Name: "Runner.cleanup"},
+				{Pkg: "quokka/internal/engine", Name: "Runner.runTaskManager"},
 				{Pkg: "quokka/internal/engine", Name: "taskManager.resetChannel"},
 				{Pkg: "quokka/internal/engine", Name: "taskManager.runReplays"},
-				// Process mode: the worker-process teardown sweeps ITS disk's
-				// spill/backup namespaces of the one query it just ran
-				// (arguments built by the blessed helpers above).
-				{Pkg: "quokka/internal/engine", Name: "RunWorkerQuery"},
 				// The wire server's transaction relay executes a REMOTE
 				// caller's List: the prefix was built worker-side by the
 				// blessed helpers and arrives as opaque bytes. The relay is

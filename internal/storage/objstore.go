@@ -26,19 +26,17 @@ func (p Profile) String() string {
 	return "s3"
 }
 
-// Objects is durable shared storage (the S3/HDFS role). Tables and
-// spooled/checkpointed state live behind it; it survives worker failures.
-// ObjectStore is the in-memory default; process-mode workers use a wire
-// client that proxies these calls to the head.
+// Objects is durable shared storage (the S3/HDFS role) as the engine reads
+// and loads tables through it — exactly the methods table.go calls,
+// specified in docs/contracts/storage-objects.md. It survives worker
+// failures. ObjectStore is the in-memory default; process-mode workers use
+// a wire client that proxies these calls to the head. Spooled partitions
+// and checkpoints go through a runner's own *ObjectStore, not through this
+// interface, so it carries no costed write, delete or listing.
 type Objects interface {
-	Put(key string, value []byte) error
 	PutFree(key string, value []byte)
 	Get(key string) ([]byte, error)
 	GetFree(key string) ([]byte, error)
-	Has(key string) bool
-	Delete(key string)
-	List(prefix string) []string
-	Size(key string) int64
 }
 
 // ObjectStore simulates durable shared storage (S3 or HDFS). It survives

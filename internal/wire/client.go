@@ -249,37 +249,24 @@ func (g *gcsClient) ViewNS(ns string, fn func(tx *gcs.Txn) error) error {
 	return g.txn(txnViewNS, []string{ns}, true, fn)
 }
 
-func (g *gcsClient) Update(fn func(tx *gcs.Txn) error) error {
-	return g.txn(txnUpdate, nil, false, fn)
-}
-
-func (g *gcsClient) View(fn func(tx *gcs.Txn) error) error {
-	return g.txn(txnView, nil, true, fn)
-}
-
 func (g *gcsClient) VersionNS(ns string) uint64 {
 	var w wbuf
 	w.str(ns)
 	rp, err := g.p.expect(mtGCSVersionNS, w.b, mtU64Resp)
-	if err != nil {
-		return 0
-	}
-	r := rbuf{b: rp}
-	v := r.u64("version")
-	if r.err() != nil {
-		return 0
-	}
-	return v
+	return versionResp(rp, err)
 }
 
 func (g *gcsClient) Version() uint64 {
 	rp, err := g.p.expect(mtGCSVersion, nil, mtU64Resp)
-	if err != nil {
-		return 0
-	}
+	return versionResp(rp, err)
+}
+
+// versionResp decodes an mtU64Resp body; a failed exchange or a malformed
+// body reads as 0 (the version methods have no error slot).
+func versionResp(rp []byte, err error) uint64 {
 	r := rbuf{b: rp}
 	v := r.u64("version")
-	if r.err() != nil {
+	if err != nil || r.err() != nil {
 		return 0
 	}
 	return v
@@ -341,17 +328,24 @@ func (f *flightClient) hdr() *wbuf {
 	return w
 }
 
+// edgeReq builds the body of a per-edge request: mailbox, query, consumer
+// channel, then the request's integers (input, upChannel, from, ...).
+func (f *flightClient) edgeReq(query string, dest lineage.ChannelID, ints ...int) []byte {
+	w := f.hdr()
+	w.str(query)
+	w.chanID(dest)
+	for _, v := range ints {
+		w.i64(int64(v))
+	}
+	return w.b
+}
+
 // fireAndForget runs an exchange whose interface slot has no error
 // return; wire failures are swallowed (the ops are cleanup/advisory, and
 // a broken head conn means this worker is about to be declared dead
 // anyway).
 func (f *flightClient) fireAndForget(typ byte, payload []byte) {
-	rt, rp, err := f.p.roundTrip(typ, payload)
-	_ = rp
-	if err == nil && rt != mtOK && rt != mtErrResp {
-		// Protocol skew; nothing to do without an error slot.
-		_ = rt
-	}
+	_, _, _ = f.p.roundTrip(typ, payload)
 }
 
 func (f *flightClient) Push(p flight.Partition) error {
@@ -368,13 +362,7 @@ func (f *flightClient) Push(p flight.Partition) error {
 }
 
 func (f *flightClient) ContiguousFrom(query string, dest lineage.ChannelID, input, upChannel, from int) int {
-	w := f.hdr()
-	w.str(query)
-	w.chanID(dest)
-	w.i64(int64(input))
-	w.i64(int64(upChannel))
-	w.i64(int64(from))
-	rp, err := f.p.expect(mtFlContig, w.b, mtIntResp)
+	rp, err := f.p.expect(mtFlContig, f.edgeReq(query, dest, input, upChannel, from), mtIntResp)
 	if err != nil {
 		return 0
 	}
@@ -387,14 +375,7 @@ func (f *flightClient) ContiguousFrom(query string, dest lineage.ChannelID, inpu
 }
 
 func (f *flightClient) Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([][]byte, error) {
-	w := f.hdr()
-	w.str(query)
-	w.chanID(dest)
-	w.i64(int64(input))
-	w.i64(int64(upChannel))
-	w.i64(int64(from))
-	w.i64(int64(count))
-	rp, err := f.p.expect(mtFlTake, w.b, mtBytesListResp)
+	rp, err := f.p.expect(mtFlTake, f.edgeReq(query, dest, input, upChannel, from, count), mtBytesListResp)
 	if err != nil {
 		return nil, err
 	}
@@ -411,31 +392,11 @@ func (f *flightClient) Take(query string, dest lineage.ChannelID, input, upChann
 }
 
 func (f *flightClient) Drop(query string, dest lineage.ChannelID, input, upChannel, from, count int) {
-	w := f.hdr()
-	w.str(query)
-	w.chanID(dest)
-	w.i64(int64(input))
-	w.i64(int64(upChannel))
-	w.i64(int64(from))
-	w.i64(int64(count))
-	f.fireAndForget(mtFlDrop, w.b)
+	f.fireAndForget(mtFlDrop, f.edgeReq(query, dest, input, upChannel, from, count))
 }
 
 func (f *flightClient) DropBelow(query string, dest lineage.ChannelID, input, upChannel, wm int) {
-	w := f.hdr()
-	w.str(query)
-	w.chanID(dest)
-	w.i64(int64(input))
-	w.i64(int64(upChannel))
-	w.i64(int64(wm))
-	f.fireAndForget(mtFlDropBelow, w.b)
-}
-
-func (f *flightClient) DropChannel(query string, dest lineage.ChannelID) {
-	w := f.hdr()
-	w.str(query)
-	w.chanID(dest)
-	f.fireAndForget(mtFlDropChannel, w.b)
+	f.fireAndForget(mtFlDropBelow, f.edgeReq(query, dest, input, upChannel, wm))
 }
 
 func (f *flightClient) DropQuery(query string) {
@@ -482,19 +443,6 @@ func (f *flightClient) DropResult(query string, task lineage.TaskName) {
 // a worker process never fails a mailbox itself.
 func (f *flightClient) Fail() {}
 
-func (f *flightClient) BufferedBytes() int64 {
-	rp, err := f.p.expect(mtFlBuffered, f.hdr().b, mtIntResp)
-	if err != nil {
-		return 0
-	}
-	r := rbuf{b: rp}
-	n := r.i64("buffered")
-	if r.err() != nil {
-		return 0
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------------
 // Object store client
 
@@ -503,18 +451,14 @@ type objClient struct {
 	p *pool
 }
 
-func (o *objClient) put(key string, value []byte, free bool) error {
+// PutFree has no error slot: a failed put surfaces when the object is read.
+func (o *objClient) PutFree(key string, value []byte) {
 	var w wbuf
 	w.str(key)
-	w.boolean(free)
+	w.boolean(true) // free: the only form of put there is
 	w.bytes(value)
-	_, err := o.p.expect(mtObjPut, w.b, mtOK)
-	return err
+	_, _ = o.p.expect(mtObjPut, w.b, mtOK)
 }
-
-func (o *objClient) Put(key string, value []byte) error { return o.put(key, value, false) }
-
-func (o *objClient) PutFree(key string, value []byte) { _ = o.put(key, value, true) }
 
 func (o *objClient) get(key string, free bool) ([]byte, error) {
 	var w wbuf
@@ -535,61 +479,6 @@ func (o *objClient) get(key string, free bool) ([]byte, error) {
 func (o *objClient) Get(key string) ([]byte, error) { return o.get(key, false) }
 
 func (o *objClient) GetFree(key string) ([]byte, error) { return o.get(key, true) }
-
-func (o *objClient) Has(key string) bool {
-	var w wbuf
-	w.str(key)
-	rp, err := o.p.expect(mtObjHas, w.b, mtBoolResp)
-	if err != nil {
-		return false
-	}
-	r := rbuf{b: rp}
-	ok := r.boolean("has")
-	if r.err() != nil {
-		return false
-	}
-	return ok
-}
-
-func (o *objClient) Delete(key string) {
-	var w wbuf
-	w.str(key)
-	_, _ = o.p.expect(mtObjDelete, w.b, mtOK)
-}
-
-func (o *objClient) List(prefix string) []string {
-	var w wbuf
-	w.str(prefix)
-	rp, err := o.p.expect(mtObjList, w.b, mtStrListResp)
-	if err != nil {
-		return nil
-	}
-	r := rbuf{b: rp}
-	n := int(r.u32("list count"))
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.str("list key"))
-	}
-	if r.err() != nil {
-		return nil
-	}
-	return out
-}
-
-func (o *objClient) Size(key string) int64 {
-	var w wbuf
-	w.str(key)
-	rp, err := o.p.expect(mtObjSize, w.b, mtIntResp)
-	if err != nil {
-		return -1
-	}
-	r := rbuf{b: rp}
-	n := r.i64("size")
-	if r.err() != nil {
-		return -1
-	}
-	return n
-}
 
 // ---------------------------------------------------------------------------
 // Result sink client

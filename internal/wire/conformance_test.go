@@ -28,9 +28,12 @@ type backends struct {
 	gcs gcs.Backend
 	fl  func(i int) flight.Transport
 	obj storage.Objects
-	// failWorker fails worker i's mailbox at the authoritative end (the
-	// in-memory server itself, or the head-hosted server behind the wire).
-	failWorker func(i int)
+	// server is worker i's mailbox at its authoritative end (the in-memory
+	// server itself, or the head-hosted server behind the wire): where a
+	// mailbox is failed, and where the suite probes what it buffers.
+	server func(i int) *flight.Server
+	// remote marks handles that proxy to a head in another process.
+	remote bool
 }
 
 func memBackends(t *testing.T) *backends {
@@ -39,10 +42,10 @@ func memBackends(t *testing.T) *backends {
 	cost := storage.CostModel{}
 	servers := []*flight.Server{flight.NewServer(cost, met), flight.NewServer(cost, met)}
 	return &backends{
-		gcs:        gcs.New(cost, met),
-		fl:         func(i int) flight.Transport { return servers[i] },
-		obj:        storage.NewObjectStore(cost, storage.ProfileS3, met),
-		failWorker: func(i int) { servers[i].Fail() },
+		gcs:    gcs.New(cost, met),
+		fl:     func(i int) flight.Transport { return servers[i] },
+		obj:    storage.NewObjectStore(cost, storage.ProfileS3, met),
+		server: func(i int) *flight.Server { return servers[i] },
 	}
 }
 
@@ -64,13 +67,17 @@ func wireBackends(t *testing.T) *backends {
 		&flightClient{p: p, worker: 1},
 	}
 	return &backends{
-		gcs:        &gcsClient{p: p},
-		fl:         func(i int) flight.Transport { return clients[i] },
-		obj:        &objClient{p: p},
-		failWorker: func(i int) { cl.Workers[i].Flight.Fail() },
+		gcs:    &gcsClient{p: p},
+		fl:     func(i int) flight.Transport { return clients[i] },
+		obj:    &objClient{p: p},
+		server: func(i int) *flight.Server { return cl.Workers[i].Flight.(*flight.Server) },
+		remote: true,
 	}
 }
 
+// TestConformance runs every case against both implementations. The case
+// names (TestConformance/<impl>/<contract>/<case>) are what the contract
+// pages under docs/contracts/ cite, clause by clause.
 func TestConformance(t *testing.T) {
 	impls := []struct {
 		name string
@@ -95,145 +102,161 @@ func TestConformance(t *testing.T) {
 // keys as one namespace "".)
 func nsKey(part string) string { return "conf-" + part }
 
+// gcsConformance's cases share one store and run in order: later cases
+// read what earlier ones committed.
 func gcsConformance(t *testing.T, b *backends) {
 	g := b.gcs
 	ns := "" // prefix-free keys all map to the "" namespace shard
 
 	// Write, read-your-writes inside the txn, then visibility after commit.
-	err := g.UpdateNS(ns, func(tx *gcs.Txn) error {
-		tx.Put(nsKey("a"), []byte("1"))
-		tx.Put(nsKey("b"), []byte("2"))
-		if v, ok := tx.Get(nsKey("a")); !ok || string(v) != "1" {
-			return fmt.Errorf("read-your-writes: got %q ok=%v", v, ok)
+	t.Run("read-your-writes", func(t *testing.T) {
+		err := g.UpdateNS(ns, func(tx *gcs.Txn) error {
+			tx.Put(nsKey("a"), []byte("1"))
+			tx.Put(nsKey("b"), []byte("2"))
+			if v, ok := tx.Get(nsKey("a")); !ok || string(v) != "1" {
+				return fmt.Errorf("read-your-writes: got %q ok=%v", v, ok)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("update: %v", err)
 		}
-		return nil
+		err = g.ViewNS(ns, func(tx *gcs.Txn) error {
+			if v, ok := tx.Get(nsKey("a")); !ok || string(v) != "1" {
+				return fmt.Errorf("committed value: got %q ok=%v", v, ok)
+			}
+			if _, ok := tx.Get(nsKey("missing")); ok {
+				return fmt.Errorf("absent key reported present")
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("view: %v", err)
+		}
 	})
-	if err != nil {
-		t.Fatalf("update: %v", err)
-	}
-	err = g.ViewNS(ns, func(tx *gcs.Txn) error {
-		if v, ok := tx.Get(nsKey("a")); !ok || string(v) != "1" {
-			return fmt.Errorf("committed value: got %q ok=%v", v, ok)
-		}
-		if _, ok := tx.Get(nsKey("missing")); ok {
-			return fmt.Errorf("absent key reported present")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("view: %v", err)
-	}
 
 	// List reflects committed state merged with uncommitted writes and
-	// deletes, sorted.
-	err = g.UpdateNS(ns, func(tx *gcs.Txn) error {
-		tx.Put(nsKey("c"), []byte("3"))
-		tx.Delete(nsKey("a"))
-		got := tx.List(nsKey(""))
-		want := []string{nsKey("b"), nsKey("c")}
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("list = %v, want %v", got, want)
+	// deletes, sorted; the delete commits.
+	t.Run("list-merge", func(t *testing.T) {
+		err := g.UpdateNS(ns, func(tx *gcs.Txn) error {
+			tx.Put(nsKey("c"), []byte("3"))
+			tx.Delete(nsKey("a"))
+			got := tx.List(nsKey(""))
+			want := []string{nsKey("b"), nsKey("c")}
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("list = %v, want %v", got, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("list txn: %v", err)
 		}
-		return nil
+		g.ViewNS(ns, func(tx *gcs.Txn) error {
+			if _, ok := tx.Get(nsKey("a")); ok {
+				t.Errorf("deleted key still present")
+			}
+			return nil
+		})
 	})
-	if err != nil {
-		t.Fatalf("list txn: %v", err)
-	}
 
 	// A body error aborts: no effects, and the error comes back with its
 	// identity intact (the engine compares against gcs.ErrAborted).
-	err = g.UpdateNS(ns, func(tx *gcs.Txn) error {
-		tx.Put(nsKey("doomed"), []byte("x"))
-		return gcs.ErrAborted
-	})
-	if !errors.Is(err, gcs.ErrAborted) {
-		t.Fatalf("abort error identity lost: %v", err)
-	}
-	g.ViewNS(ns, func(tx *gcs.Txn) error {
-		if _, ok := tx.Get(nsKey("doomed")); ok {
-			t.Errorf("aborted write visible")
+	t.Run("abort-identity", func(t *testing.T) {
+		err := g.UpdateNS(ns, func(tx *gcs.Txn) error {
+			tx.Put(nsKey("doomed"), []byte("x"))
+			return gcs.ErrAborted
+		})
+		if !errors.Is(err, gcs.ErrAborted) {
+			t.Fatalf("abort error identity lost: %v", err)
 		}
-		return nil
+		g.ViewNS(ns, func(tx *gcs.Txn) error {
+			if _, ok := tx.Get(nsKey("doomed")); ok {
+				t.Errorf("aborted write visible")
+			}
+			return nil
+		})
 	})
 
-	// Deletes commit.
-	g.ViewNS(ns, func(tx *gcs.Txn) error {
-		if _, ok := tx.Get(nsKey("a")); ok {
-			t.Errorf("deleted key still present")
+	// UpdateMulti commits over the namespaces it names, atomically, and an
+	// abort discards the whole write set.
+	t.Run("multi", func(t *testing.T) {
+		err := g.UpdateMulti([]string{ns}, func(tx *gcs.Txn) error {
+			tx.Put(nsKey("m1"), []byte("x"))
+			tx.Put(nsKey("m2"), []byte("y"))
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("multi: %v", err)
 		}
-		return nil
+		err = g.UpdateMulti([]string{ns}, func(tx *gcs.Txn) error {
+			tx.Put(nsKey("m3"), []byte("z"))
+			return gcs.ErrAborted
+		})
+		if !errors.Is(err, gcs.ErrAborted) {
+			t.Fatalf("multi abort identity lost: %v", err)
+		}
+		g.ViewNS(ns, func(tx *gcs.Txn) error {
+			_, ok1 := tx.Get(nsKey("m1"))
+			_, ok2 := tx.Get(nsKey("m2"))
+			_, ok3 := tx.Get(nsKey("m3"))
+			if !ok1 || !ok2 || ok3 {
+				t.Errorf("multi visibility: m1=%v m2=%v m3(aborted)=%v", ok1, ok2, ok3)
+			}
+			return nil
+		})
 	})
 
-	// UpdateMulti spans namespaces atomically.
-	err = g.UpdateMulti([]string{ns}, func(tx *gcs.Txn) error {
-		tx.Put(nsKey("m1"), []byte("x"))
-		tx.Put(nsKey("m2"), []byte("y"))
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("multi: %v", err)
-	}
-
-	// Global Update/View see everything.
-	err = g.Update(func(tx *gcs.Txn) error {
-		if _, ok := tx.Get(nsKey("m1")); !ok {
-			return fmt.Errorf("global view missed m1")
+	// Version advances on commit; VersionNS tracks the namespace's shard;
+	// neither moves on a view or an aborted update.
+	t.Run("version", func(t *testing.T) {
+		v0 := g.Version()
+		nsv0 := g.VersionNS(ns)
+		g.ViewNS(ns, func(tx *gcs.Txn) error { return nil })
+		g.UpdateNS(ns, func(tx *gcs.Txn) error { return gcs.ErrAborted })
+		if g.Version() != v0 || g.VersionNS(ns) != nsv0 {
+			t.Errorf("version moved without a commit: %d/%d -> %d/%d", v0, nsv0, g.Version(), g.VersionNS(ns))
 		}
-		tx.Put(nsKey("g"), []byte("z"))
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("global update: %v", err)
-	}
-	if err := g.View(func(tx *gcs.Txn) error {
-		if _, ok := tx.Get(nsKey("g")); !ok {
-			return fmt.Errorf("global write invisible")
+		if err := g.UpdateNS(ns, func(tx *gcs.Txn) error {
+			tx.Put(nsKey("v"), []byte("1"))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatalf("global view: %v", err)
-	}
-
-	// Version advances on commit; VersionNS tracks the namespace's shard.
-	v0 := g.Version()
-	nsv0 := g.VersionNS(ns)
-	if err := g.UpdateNS(ns, func(tx *gcs.Txn) error {
-		tx.Put(nsKey("v"), []byte("1"))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if g.Version() <= v0 {
-		t.Errorf("Version did not advance: %d -> %d", v0, g.Version())
-	}
-	if g.VersionNS(ns) <= nsv0 {
-		t.Errorf("VersionNS did not advance: %d -> %d", nsv0, g.VersionNS(ns))
-	}
-
-	// WaitChange returns promptly once the version moves past since...
-	done := make(chan uint64, 1)
-	since := g.Version()
-	go func() { done <- g.WaitChange(since, 10*time.Second) }()
-	time.Sleep(10 * time.Millisecond)
-	g.UpdateNS(ns, func(tx *gcs.Txn) error {
-		tx.Put(nsKey("w"), []byte("1"))
-		return nil
-	})
-	select {
-	case v := <-done:
-		if v <= since {
-			t.Errorf("WaitChange returned %d, want > %d", v, since)
+		if g.Version() <= v0 {
+			t.Errorf("Version did not advance: %d -> %d", v0, g.Version())
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("WaitChange did not wake on commit")
-	}
-	// ...and times out (returning the current version) when nothing moves.
-	v := g.WaitChange(g.Version(), 50*time.Millisecond)
-	if v != g.Version() {
-		t.Errorf("WaitChange timeout returned %d, current %d", v, g.Version())
-	}
+		if g.VersionNS(ns) <= nsv0 {
+			t.Errorf("VersionNS did not advance: %d -> %d", nsv0, g.VersionNS(ns))
+		}
+	})
+
+	t.Run("wait-change", func(t *testing.T) {
+		// WaitChange returns promptly once the version moves past since...
+		done := make(chan uint64, 1)
+		since := g.Version()
+		go func() { done <- g.WaitChange(since, 10*time.Second) }()
+		time.Sleep(10 * time.Millisecond)
+		g.UpdateNS(ns, func(tx *gcs.Txn) error {
+			tx.Put(nsKey("w"), []byte("1"))
+			return nil
+		})
+		select {
+		case v := <-done:
+			if v <= since {
+				t.Errorf("WaitChange returned %d, want > %d", v, since)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("WaitChange did not wake on commit")
+		}
+		// ...and times out (returning the current version) when nothing moves.
+		v := g.WaitChange(g.Version(), 50*time.Millisecond)
+		if v != g.Version() {
+			t.Errorf("WaitChange timeout returned %d, current %d", v, g.Version())
+		}
+	})
 }
 
+// flightConformance's cases share worker 0's mailbox and run in order.
 func flightConformance(t *testing.T, b *backends) {
 	fl := b.fl(0)
 	q := "q-conf"
@@ -247,120 +270,134 @@ func flightConformance(t *testing.T, b *backends) {
 	}
 
 	// Contiguity tracks pushes in order, tolerates gaps.
-	for seq, d := range []string{"p0", "p1"} {
-		if err := push(seq, 0, d); err != nil {
-			t.Fatalf("push %d: %v", seq, err)
+	t.Run("push-contiguous-take", func(t *testing.T) {
+		for seq, d := range []string{"p0", "p1"} {
+			if err := push(seq, 0, d); err != nil {
+				t.Fatalf("push %d: %v", seq, err)
+			}
 		}
-	}
-	if err := push(3, 0, "p3"); err != nil {
-		t.Fatal(err)
-	}
-	if n := fl.ContiguousFrom(q, dest, 0, 2, 0); n != 2 {
-		t.Fatalf("contiguous = %d, want 2 (gap at 2)", n)
-	}
-	got, err := fl.Take(q, dest, 0, 2, 0, 2)
-	if err != nil {
-		t.Fatalf("take: %v", err)
-	}
-	if string(got[0]) != "p0" || string(got[1]) != "p1" {
-		t.Fatalf("take content: %q %q", got[0], got[1])
-	}
-	// Take of a missing partition errors.
-	if _, err := fl.Take(q, dest, 0, 2, 0, 3); err == nil {
-		t.Fatalf("take across gap succeeded")
-	}
+		if err := push(3, 0, "p3"); err != nil {
+			t.Fatal(err)
+		}
+		if n := fl.ContiguousFrom(q, dest, 0, 2, 0); n != 2 {
+			t.Fatalf("contiguous = %d, want 2 (gap at 2)", n)
+		}
+		got, err := fl.Take(q, dest, 0, 2, 0, 2)
+		if err != nil {
+			t.Fatalf("take: %v", err)
+		}
+		if string(got[0]) != "p0" || string(got[1]) != "p1" {
+			t.Fatalf("take content: %q %q", got[0], got[1])
+		}
+		// Take of a missing partition errors.
+		if _, err := fl.Take(q, dest, 0, 2, 0, 3); err == nil {
+			t.Fatalf("take across gap succeeded")
+		}
+	})
 
 	// Idempotent re-push replaces within an epoch; zombie (lower-epoch)
 	// pushes are dropped; higher epochs replace.
-	if err := push(0, 1, "p0-epoch1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := push(0, 0, "p0-zombie"); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = fl.Take(q, dest, 0, 2, 0, 1)
-	if string(got[0]) != "p0-epoch1" {
-		t.Fatalf("after zombie push: %q, want the epoch-1 content", got[0])
-	}
-	// EpochCommitted re-feeds are always accepted.
-	if err := push(0, flight.EpochCommitted, "p0-committed"); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = fl.Take(q, dest, 0, 2, 0, 1)
-	if string(got[0]) != "p0-committed" {
-		t.Fatalf("committed re-feed rejected: %q", got[0])
-	}
+	t.Run("push-epoch-fence", func(t *testing.T) {
+		if err := push(0, 1, "p0-epoch1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := push(0, 0, "p0-zombie"); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := fl.Take(q, dest, 0, 2, 0, 1)
+		if string(got[0]) != "p0-epoch1" {
+			t.Fatalf("after zombie push: %q, want the epoch-1 content", got[0])
+		}
+		// EpochCommitted re-feeds are always accepted.
+		if err := push(0, flight.EpochCommitted, "p0-committed"); err != nil {
+			t.Fatal(err)
+		}
+		got, _ = fl.Take(q, dest, 0, 2, 0, 1)
+		if string(got[0]) != "p0-committed" {
+			t.Fatalf("committed re-feed rejected: %q", got[0])
+		}
+	})
 
-	// BufferedBytes tracks payloads; Drop frees.
-	if bb := fl.BufferedBytes(); bb <= 0 {
-		t.Fatalf("buffered = %d, want > 0", bb)
-	}
-	fl.Drop(q, dest, 0, 2, 0, 2)
-	if n := fl.ContiguousFrom(q, dest, 0, 2, 0); n != 0 {
-		t.Fatalf("after drop contiguous = %d, want 0", n)
-	}
+	// The mailbox holds payloads until Drop frees them.
+	t.Run("drop", func(t *testing.T) {
+		if bb := b.server(0).BufferedBytes(); bb <= 0 {
+			t.Fatalf("buffered = %d, want > 0", bb)
+		}
+		fl.Drop(q, dest, 0, 2, 0, 2)
+		if n := fl.ContiguousFrom(q, dest, 0, 2, 0); n != 0 {
+			t.Fatalf("after drop contiguous = %d, want 0", n)
+		}
+	})
 
 	// DropBelow clears retransmissions under the watermark (seq 3 from the
 	// gap push above is still buffered and must survive).
-	push(1, 0, "r1")
-	push(2, 0, "r2")
-	fl.DropBelow(q, dest, 0, 2, 2)
-	if n := fl.ContiguousFrom(q, dest, 0, 2, 1); n != 0 {
-		t.Fatalf("after dropBelow contiguous from 1 = %d, want 0", n)
-	}
-	if n := fl.ContiguousFrom(q, dest, 0, 2, 2); n != 2 {
-		t.Fatalf("after dropBelow contiguous from 2 = %d, want 2", n)
-	}
+	t.Run("drop-below", func(t *testing.T) {
+		push(1, 0, "r1")
+		push(2, 0, "r2")
+		fl.DropBelow(q, dest, 0, 2, 2)
+		if n := fl.ContiguousFrom(q, dest, 0, 2, 1); n != 0 {
+			t.Fatalf("after dropBelow contiguous from 1 = %d, want 0", n)
+		}
+		if n := fl.ContiguousFrom(q, dest, 0, 2, 2); n != 2 {
+			t.Fatalf("after dropBelow contiguous from 2 = %d, want 2", n)
+		}
+	})
 
 	// Spooled results: idempotent by task, zombie-fenced, fetchable.
 	task := lineage.TaskName{Stage: 1, Channel: 0, Seq: 7}
-	if err := fl.SpoolResult(q, task, []byte("res-e1"), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.SpoolResult(q, task, []byte("res-zombie"), 0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := fl.FetchResult(q, task)
-	if err != nil || string(res) != "res-e1" {
-		t.Fatalf("fetch = %q, %v; want res-e1", res, err)
-	}
-	if _, err := fl.FetchResult(q, lineage.TaskName{Stage: 1, Channel: 0, Seq: 99}); err == nil {
-		t.Fatalf("fetch of unspooled task succeeded")
-	}
-	fl.DropResult(q, task)
-	if _, err := fl.FetchResult(q, task); err == nil {
-		t.Fatalf("fetch after DropResult succeeded")
-	}
+	t.Run("spool-fetch-drop-result", func(t *testing.T) {
+		if err := fl.SpoolResult(q, task, []byte("res-e1"), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := fl.SpoolResult(q, task, []byte("res-zombie"), 0); err != nil {
+			t.Fatal(err)
+		}
+		res, err := fl.FetchResult(q, task)
+		if err != nil || string(res) != "res-e1" {
+			t.Fatalf("fetch = %q, %v; want res-e1", res, err)
+		}
+		if _, err := fl.FetchResult(q, lineage.TaskName{Stage: 1, Channel: 0, Seq: 99}); err == nil {
+			t.Fatalf("fetch of unspooled task succeeded")
+		}
+		fl.DropResult(q, task)
+		if _, err := fl.FetchResult(q, task); err == nil {
+			t.Fatalf("fetch after DropResult succeeded")
+		}
+	})
 
-	// DropChannel and DropQuery clear without error; DropQuery also clears
-	// spooled results.
-	push(5, 0, "x")
-	fl.SpoolResult(q, task, []byte("y"), 2)
-	fl.DropChannel(q, dest)
-	if n := fl.ContiguousFrom(q, dest, 0, 2, 5); n != 0 {
-		t.Fatalf("after dropChannel contiguous = %d", n)
-	}
-	fl.DropQuery(q)
-	if _, err := fl.FetchResult(q, task); err == nil {
-		t.Fatalf("spooled result survived DropQuery")
-	}
-	if bb := fl.BufferedBytes(); bb != 0 {
-		t.Fatalf("buffered after DropQuery = %d, want 0", bb)
-	}
+	// DropQuery clears the query's partitions and spooled results, and
+	// leaves another query's alone.
+	t.Run("drop-query", func(t *testing.T) {
+		push(5, 0, "x")
+		fl.SpoolResult(q, task, []byte("y"), 2)
+		other := flight.Partition{Query: "q-other", From: task, Dest: dest, Data: []byte("keep")}
+		if err := fl.Push(other); err != nil {
+			t.Fatal(err)
+		}
+		fl.DropQuery(q)
+		if n := fl.ContiguousFrom(q, dest, 0, 2, 5); n != 0 {
+			t.Fatalf("after DropQuery contiguous = %d", n)
+		}
+		if _, err := fl.FetchResult(q, task); err == nil {
+			t.Fatalf("spooled result survived DropQuery")
+		}
+		if bb := b.server(0).BufferedBytes(); bb != int64(len(other.Data)) {
+			t.Fatalf("buffered after DropQuery = %d, want the other query's %d", bb, len(other.Data))
+		}
+	})
 
 	// Mailboxes are isolated per worker.
-	other := b.fl(1)
-	push(0, 0, "w0-only")
-	if n := other.ContiguousFrom(q, dest, 0, 2, 0); n != 0 {
-		t.Fatalf("worker 1 sees worker 0's partition")
-	}
+	t.Run("worker-isolation", func(t *testing.T) {
+		push(0, 0, "w0-only")
+		if n := b.fl(1).ContiguousFrom(q, dest, 0, 2, 0); n != 0 {
+			t.Fatalf("worker 1 sees worker 0's partition")
+		}
+	})
 }
 
 func objConformance(t *testing.T, b *backends) {
 	o := b.obj
-	if err := o.Put("tbl-x/0", []byte("split0")); err != nil {
-		t.Fatal(err)
-	}
+	o.PutFree("tbl-x/0", []byte("split0"))
 	o.PutFree("tbl-x/1", []byte("split1"))
 	v, err := o.Get("tbl-x/0")
 	if err != nil || string(v) != "split0" {
@@ -370,24 +407,16 @@ func objConformance(t *testing.T, b *backends) {
 	if err != nil || string(v) != "split1" {
 		t.Fatalf("getfree = %q, %v", v, err)
 	}
+	// A put replaces: last writer wins.
+	o.PutFree("tbl-x/0", []byte("split0-v2"))
+	if v, err = o.Get("tbl-x/0"); err != nil || string(v) != "split0-v2" {
+		t.Fatalf("get after overwrite = %q, %v", v, err)
+	}
 	if _, err := o.Get("absent"); err == nil {
 		t.Fatalf("get of absent key succeeded")
 	}
-	if !o.Has("tbl-x/0") || o.Has("absent") {
-		t.Fatalf("Has wrong")
-	}
-	if got := o.List("tbl-x/"); !reflect.DeepEqual(got, []string{"tbl-x/0", "tbl-x/1"}) {
-		t.Fatalf("list = %v", got)
-	}
-	if s := o.Size("tbl-x/0"); s != 6 {
-		t.Fatalf("size = %d, want 6", s)
-	}
-	if s := o.Size("absent"); s != -1 {
-		t.Fatalf("size(absent) = %d, want -1", s)
-	}
-	o.Delete("tbl-x/0")
-	if o.Has("tbl-x/0") {
-		t.Fatalf("deleted key still present")
+	if _, err := o.GetFree("absent"); err == nil {
+		t.Fatalf("getfree of absent key succeeded")
 	}
 }
 
@@ -401,7 +430,16 @@ func failureConformance(t *testing.T, b *backends) {
 	if err := fl.Push(flight.Partition{Query: q, From: task, Dest: lineage.ChannelID{Stage: 1}, Data: []byte("x")}); err != nil {
 		t.Fatalf("pre-failure push: %v", err)
 	}
-	b.failWorker(1)
+	if b.remote {
+		// A worker process never fails a mailbox itself: Fail through a
+		// remote handle is a no-op, only the head declares failure.
+		fl.Fail()
+		if err := fl.Push(flight.Partition{Query: q, From: task, Dest: lineage.ChannelID{Stage: 1}, Data: []byte("x")}); err != nil {
+			t.Fatalf("push after a remote handle's Fail: %v", err)
+		}
+	}
+	// Fail, through the contract, at the authoritative end.
+	flight.Transport(b.server(1)).Fail()
 	err := fl.Push(flight.Partition{Query: q, From: task, Dest: lineage.ChannelID{Stage: 1}, Data: []byte("y")})
 	if !errors.Is(err, flight.ErrServerDown) {
 		t.Fatalf("push to failed worker: %v, want ErrServerDown", err)

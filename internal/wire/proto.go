@@ -10,6 +10,12 @@ import (
 // Message types. The control conn (one per worker, full-duplex) carries
 // the 0x0x range; op conns (pooled, strict request/response) carry the
 // rest. An op conn is any conn whose first frame is not mtHello.
+//
+// This const block is the whole message set: one request type per method
+// of the three backend contracts (docs/contracts/) plus the control plane,
+// the result sink and the shared responses. A type byte not listed here —
+// including the retired 0x25, 0x2a and 0x32–0x35 — is refused as
+// ErrCorrupt and the conn closed; retired bytes are not reused.
 const (
 	// Control plane, worker <-> head.
 	mtHello      = byte(0x01) // C->S: u32 worker id
@@ -37,25 +43,20 @@ const (
 
 	// Flight: every request names the target worker's head-hosted mailbox
 	// first (u32 worker id).
-	mtFlPush        = byte(0x20) // + str query, task from, chan dest, i64 input, i64 epoch, bool local, bytes data -> mtOK
-	mtFlContig      = byte(0x21) // + str query, chan dest, i64 input, i64 upChannel, i64 from -> mtIntResp
-	mtFlTake        = byte(0x22) // + str query, chan dest, i64 input, i64 upChannel, i64 from, i64 count -> mtBytesListResp
-	mtFlDrop        = byte(0x23) // + same shape as take -> mtOK
-	mtFlDropBelow   = byte(0x24) // + str query, chan dest, i64 input, i64 upChannel, i64 wm -> mtOK
-	mtFlDropChannel = byte(0x25) // + str query, chan dest -> mtOK
-	mtFlDropQuery   = byte(0x26) // + str query -> mtOK
-	mtFlSpool       = byte(0x27) // + str query, task, i64 epoch, bytes data -> mtOK
-	mtFlFetch       = byte(0x28) // + str query, task -> mtBytesResp
-	mtFlDropResult  = byte(0x29) // + str query, task -> mtOK
-	mtFlBuffered    = byte(0x2a) // -> mtIntResp
+	mtFlPush       = byte(0x20) // + str query, task from, chan dest, i64 input, i64 epoch, bool local, bytes data -> mtOK
+	mtFlContig     = byte(0x21) // + str query, chan dest, i64 input, i64 upChannel, i64 from -> mtIntResp
+	mtFlTake       = byte(0x22) // + str query, chan dest, i64 input, i64 upChannel, i64 from, i64 count -> mtBytesListResp
+	mtFlDrop       = byte(0x23) // + same shape as take -> mtOK
+	mtFlDropBelow  = byte(0x24) // + str query, chan dest, i64 input, i64 upChannel, i64 wm -> mtOK
+	mtFlDropQuery  = byte(0x26) // + str query -> mtOK
+	mtFlSpool      = byte(0x27) // + str query, task, i64 epoch, bytes data -> mtOK
+	mtFlFetch      = byte(0x28) // + str query, task -> mtBytesResp
+	mtFlDropResult = byte(0x29) // + str query, task -> mtOK
 
-	// Object store.
-	mtObjPut    = byte(0x30) // str key, bool free, bytes val -> mtOK
-	mtObjGet    = byte(0x31) // str key, bool free -> mtBytesResp
-	mtObjHas    = byte(0x32) // str key -> mtBoolResp
-	mtObjDelete = byte(0x33) // str key -> mtOK
-	mtObjList   = byte(0x34) // str prefix -> mtStrListResp
-	mtObjSize   = byte(0x35) // str key -> mtIntResp
+	// Object store. A put is always the uncosted PutFree: free must be true
+	// (the costed form was retired with storage.Objects.Put and is refused).
+	mtObjPut = byte(0x30) // str key, bool free, bytes val -> mtOK
+	mtObjGet = byte(0x31) // str key, bool free -> mtBytesResp
 
 	// Result sink: worker task managers relaying output-stage deliveries
 	// into the head-side collector of the named query.
@@ -70,16 +71,15 @@ const (
 	mtBoolResp      = byte(0x44) // bool
 	mtBytesResp     = byte(0x45) // bytes
 	mtBytesListResp = byte(0x46) // u32 n, n*bytes
-	mtStrListResp   = byte(0x47) // u32 n, n*str
 )
 
-// GCS transaction kinds (mtTxnBegin's u8).
+// GCS transaction kinds (mtTxnBegin's u8). Every kind names its
+// namespaces; the whole-store kinds 3 and 4 were retired with
+// gcs.Backend.Update/View and are refused.
 const (
 	txnUpdateNS = byte(iota)
 	txnViewNS
 	txnUpdateMulti
-	txnUpdate
-	txnView
 )
 
 // Error codes carried by mtErrResp. Sentinel errors the engine's

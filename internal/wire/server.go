@@ -501,8 +501,7 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		return writeFrame(c, mtU64Resp, w.b)
 
 	case mtFlPush, mtFlContig, mtFlTake, mtFlDrop, mtFlDropBelow,
-		mtFlDropChannel, mtFlDropQuery, mtFlSpool, mtFlFetch,
-		mtFlDropResult, mtFlBuffered:
+		mtFlDropQuery, mtFlSpool, mtFlFetch, mtFlDropResult:
 		return s.handleFlight(c, typ, payload)
 
 	case mtObjPut:
@@ -513,13 +512,10 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		if err := r.err(); err != nil {
 			return err
 		}
-		if free {
-			s.cl.ObjStore.PutFree(key, val)
-			return writeFrame(c, mtOK, nil)
+		if !free {
+			return fmt.Errorf("%w: costed object put", ErrCorrupt)
 		}
-		if err := s.cl.ObjStore.Put(key, val); err != nil {
-			return writeFrame(c, mtErrResp, encodeErr(err))
-		}
+		s.cl.ObjStore.PutFree(key, val)
 		return writeFrame(c, mtOK, nil)
 	case mtObjGet:
 		r := rbuf{b: payload}
@@ -541,45 +537,6 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		var w wbuf
 		w.bytes(val)
 		return writeFrame(c, mtBytesResp, w.b)
-	case mtObjHas:
-		r := rbuf{b: payload}
-		key := r.str("key")
-		if err := r.err(); err != nil {
-			return err
-		}
-		var w wbuf
-		w.boolean(s.cl.ObjStore.Has(key))
-		return writeFrame(c, mtBoolResp, w.b)
-	case mtObjDelete:
-		r := rbuf{b: payload}
-		key := r.str("key")
-		if err := r.err(); err != nil {
-			return err
-		}
-		s.cl.ObjStore.Delete(key)
-		return writeFrame(c, mtOK, nil)
-	case mtObjList:
-		r := rbuf{b: payload}
-		prefix := r.str("prefix")
-		if err := r.err(); err != nil {
-			return err
-		}
-		keys := s.cl.ObjStore.List(prefix)
-		var w wbuf
-		w.u32(uint32(len(keys)))
-		for _, k := range keys {
-			w.str(k)
-		}
-		return writeFrame(c, mtStrListResp, w.b)
-	case mtObjSize:
-		r := rbuf{b: payload}
-		key := r.str("key")
-		if err := r.err(); err != nil {
-			return err
-		}
-		var w wbuf
-		w.i64(s.cl.ObjStore.Size(key))
-		return writeFrame(c, mtIntResp, w.b)
 
 	case mtSinkDeliver:
 		r := rbuf{b: payload}
@@ -597,7 +554,7 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		// drop, so a straggler worker never spins on backpressure retries.
 		ok := true
 		if run != nil {
-			ok = run.DeliverResult(t, data, epoch)
+			ok = run.HeadSink().Deliver(t, data, epoch)
 		}
 		var w wbuf
 		w.boolean(ok)
@@ -617,7 +574,7 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		s.mu.Unlock()
 		ok := true
 		if run != nil {
-			ok = run.DeliverSpooledResult(t, worker, size, epoch)
+			ok = run.HeadSink().DeliverSpooled(t, worker, size, epoch)
 		}
 		var w wbuf
 		w.boolean(ok)
@@ -654,19 +611,23 @@ func (s *Server) handleFlight(c net.Conn, typ byte, payload []byte) error {
 			return writeFrame(c, mtErrResp, encodeErr(err))
 		}
 		return writeFrame(c, mtOK, nil)
-	case mtFlContig:
+	case mtFlContig, mtFlDropBelow:
 		query := r.str("query")
 		dest := r.chanID("dest")
 		input := int(r.i64("input"))
 		up := int(r.i64("upChannel"))
-		from := int(r.i64("from"))
+		seq := int(r.i64("from / wm"))
 		if err := r.err(); err != nil {
 			return err
 		}
+		if typ == mtFlDropBelow {
+			tr.DropBelow(query, dest, input, up, seq)
+			return writeFrame(c, mtOK, nil)
+		}
 		var w wbuf
-		w.i64(int64(tr.ContiguousFrom(query, dest, input, up, from)))
+		w.i64(int64(tr.ContiguousFrom(query, dest, input, up, seq)))
 		return writeFrame(c, mtIntResp, w.b)
-	case mtFlTake:
+	case mtFlTake, mtFlDrop:
 		query := r.str("query")
 		dest := r.chanID("dest")
 		input := int(r.i64("input"))
@@ -676,8 +637,14 @@ func (s *Server) handleFlight(c net.Conn, typ byte, payload []byte) error {
 		if err := r.err(); err != nil {
 			return err
 		}
+		// Both walk count slots under the mailbox lock: an unbounded count is
+		// one frame that wedges the mailbox (found by FuzzHandleOp).
 		if count < 0 || count > 1<<20 {
-			return fmt.Errorf("%w: take count %d", ErrCorrupt, count)
+			return fmt.Errorf("%w: partition count %d", ErrCorrupt, count)
+		}
+		if typ == mtFlDrop {
+			tr.Drop(query, dest, input, up, from, count)
+			return writeFrame(c, mtOK, nil)
 		}
 		parts, err := tr.Take(query, dest, input, up, from, count)
 		if err != nil {
@@ -689,37 +656,6 @@ func (s *Server) handleFlight(c net.Conn, typ byte, payload []byte) error {
 			w.bytes(p)
 		}
 		return writeFrame(c, mtBytesListResp, w.b)
-	case mtFlDrop:
-		query := r.str("query")
-		dest := r.chanID("dest")
-		input := int(r.i64("input"))
-		up := int(r.i64("upChannel"))
-		from := int(r.i64("from"))
-		count := int(r.i64("count"))
-		if err := r.err(); err != nil {
-			return err
-		}
-		tr.Drop(query, dest, input, up, from, count)
-		return writeFrame(c, mtOK, nil)
-	case mtFlDropBelow:
-		query := r.str("query")
-		dest := r.chanID("dest")
-		input := int(r.i64("input"))
-		up := int(r.i64("upChannel"))
-		wm := int(r.i64("wm"))
-		if err := r.err(); err != nil {
-			return err
-		}
-		tr.DropBelow(query, dest, input, up, wm)
-		return writeFrame(c, mtOK, nil)
-	case mtFlDropChannel:
-		query := r.str("query")
-		dest := r.chanID("dest")
-		if err := r.err(); err != nil {
-			return err
-		}
-		tr.DropChannel(query, dest)
-		return writeFrame(c, mtOK, nil)
 	case mtFlDropQuery:
 		query := r.str("query")
 		if err := r.err(); err != nil {
@@ -760,13 +696,6 @@ func (s *Server) handleFlight(c net.Conn, typ byte, payload []byte) error {
 		}
 		tr.DropResult(query, t)
 		return writeFrame(c, mtOK, nil)
-	case mtFlBuffered:
-		if err := r.err(); err != nil {
-			return err
-		}
-		var w wbuf
-		w.i64(tr.BufferedBytes())
-		return writeFrame(c, mtIntResp, w.b)
 	}
 	return fmt.Errorf("%w: unknown flight op 0x%02x", ErrCorrupt, typ)
 }
@@ -798,7 +727,7 @@ func (s *Server) serveTxn(c net.Conn, payload []byte) error {
 	if err := r.err(); err != nil {
 		return err
 	}
-	readOnly := kind == txnViewNS || kind == txnView
+	readOnly := kind == txnViewNS
 
 	var connErr error
 	body := func(tx *gcs.Txn) (err error) {
@@ -910,10 +839,6 @@ func (s *Server) serveTxn(c net.Conn, payload []byte) error {
 		err = s.store.ViewNS(nss[0], body)
 	case txnUpdateMulti:
 		err = s.store.UpdateMulti(nss, body)
-	case txnUpdate:
-		err = s.store.Update(body)
-	case txnView:
-		err = s.store.View(body)
 	default:
 		return fmt.Errorf("%w: unknown txn kind %d", ErrCorrupt, kind)
 	}
