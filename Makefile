@@ -49,21 +49,25 @@ fuzz-smoke:
 
 ## benchmark-smoke: the real-time benchmark is a Go module of its own
 ## (benchmark/go.mod), outside `go build ./... && go test ./...` — vet and
-## test it, then run its control-plane workload for 5 s; the last stdout
-## line is the result record and must say correct, with no failed operation.
+## test it, then run its control-plane workload and its process-mode workload
+## for 5 s each; the last stdout line of a run is the result record and must
+## say correct, with no failed operation.
 benchmark-smoke:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
-	@out=$$(bash benchmark/run.sh --workload tpch-ctl --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+	@for w in tpch-ctl proc; do \
+		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 | tail -n 1); \
 		echo "$$out"; \
-		echo "$$out" | grep -Eq '"correct": ?true' && echo "$$out" | grep -Eq '"failed": ?0[,}]'
+		echo "$$out" | grep -Eq '"correct": ?true' && echo "$$out" | grep -Eq '"failed": ?0[,}]' || exit 1; \
+	done
 
 ## dist-smoke: process mode end to end — build the quokka-worker binary and
 ## run the three-process SIGKILL fault test (opt-in via QUOKKA_DIST_TEST
-## because it forks real OS processes).
+## because it forks real OS processes) beside the round-trip budget: op
+## request frames per committed task on a query over two wire workers.
 dist-smoke:
 	$(GO) build -o quokka-worker ./cmd/quokka-worker
-	QUOKKA_DIST_TEST=1 $(GO) test -run TestDistSIGKILL -v ./internal/wire/
+	QUOKKA_DIST_TEST=1 $(GO) test -run 'TestDistSIGKILL|TestRoundTripsPerTask' -v ./internal/wire/
 
 fmt:
 	gofmt -w .

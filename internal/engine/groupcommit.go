@@ -168,7 +168,8 @@ func (g *groupCommitter) drainAbort() {
 // barrier raised are refused individually while the rest commit —
 // identical outcomes to flushing each commit alone, just amortized onto one
 // head-node round trip. (A query's recovery holds its namespace shard
-// lock, so this transaction serializes against every reconcile.)
+// lock, so this transaction serializes against every reconcile; from a
+// worker process the fences are its read set, which the head validates.)
 func (g *groupCommitter) flush(batch []*commitReq) {
 	errs := make([]error, len(batch))
 	type qstate struct {
@@ -186,6 +187,7 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 	var bytes int64
 	flushStart := time.Now()
 	err := g.store.UpdateMulti(nss, func(tx *gcs.Txn) error {
+		clear(errs) // a remote backend re-runs a body whose fences moved under it
 		for r := range states {
 			states[r] = qstate{
 				barrier: txGetInt(tx, r.keyBarrier(), 0) != 0,

@@ -52,8 +52,11 @@ import (
 // what lets one query recover from a worker failure without quiescing the
 // others.
 
-// keyNS returns the runner's whole GCS namespace prefix ("q/<qid>/").
-func (r *Runner) keyNS() string { return "q/" + r.qid + "/" }
+// QueryNamespace is query qid's GCS namespace, spelled here and nowhere else;
+// exported for the process-mode worker, which drops its replica of it.
+func QueryNamespace(qid string) string { return "q/" + qid + "/" }
+
+func (r *Runner) keyNS() string { return QueryNamespace(r.qid) }
 
 // Disk key schema. Worker-local disk state is namespaced per query just
 // like the GCS: spill run files under spill/<qid>/, upstream partition

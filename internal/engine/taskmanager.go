@@ -709,7 +709,10 @@ func (t *taskManager) chooseInput(cs *chanState, meta *chanMeta) (*inputChoice, 
 		return nil, true
 	}
 
-	var best *inputChoice
+	// The current phase's edges that could yield a task — upstream committed
+	// cursor past this channel's watermark — go into ONE mailbox probe (which
+	// also clears retransmissions below each watermark); none, no probe.
+	var probes []flight.Edge
 	for e, in := range cs.stage.Inputs {
 		if in.Phase != curPhase {
 			continue
@@ -724,53 +727,51 @@ func (t *taskManager) chooseInput(cs *chanState, meta *chanMeta) (*inputChoice, 
 		}
 		for uc := 0; uc < t.r.par[in.Stage]; uc++ {
 			ec := lineage.EdgeChannel{Input: e, UpChannel: uc}
-			wm := cs.wm[ec]
-			// Clear retransmissions below the watermark.
-			t.w.Flight.DropBelow(t.r.qid, cs.id, e, uc, wm)
-			committed := meta.upCursor[ec]
-			avail := t.w.Flight.ContiguousFrom(t.r.qid, cs.id, e, uc, wm)
-			if committed-wm < avail {
-				avail = committed - wm // only lineage-committed inputs count
+			if meta.upCursor[ec] > cs.wm[ec] {
+				probes = append(probes, flight.Edge{Input: e, UpChannel: uc, Watermark: cs.wm[ec]})
 			}
-			if avail <= 0 {
+		}
+	}
+	if len(probes) == 0 {
+		return nil, false
+	}
+
+	var best *inputChoice
+	for i, avail := range t.w.Flight.Probe(t.r.qid, cs.id, probes) {
+		ec := lineage.EdgeChannel{Input: probes[i].Input, UpChannel: probes[i].UpChannel}
+		wm := probes[i].Watermark
+		avail = min(avail, meta.upCursor[ec]-wm) // only lineage-committed inputs count
+		if avail <= 0 {
+			continue
+		}
+		upFinished := meta.upDone[ec] >= 0
+		var take int
+		if t.r.cfg.Dynamic {
+			// Consume as much as is available, but don't wake up for
+			// dribbles while the producer is still running: tiny tasks
+			// would drown the pipeline in per-task overhead. Once the
+			// producer finishes, any remainder is consumed. Under
+			// admission pressure takeScale coarsens both bounds, so each
+			// committed task covers more rows and the head node sees
+			// fewer transactions per query.
+			scale := max(int(t.takeScale.Load()), 1)
+			if !upFinished && avail < t.r.cfg.MinTake*scale {
 				continue
 			}
-			upFinished := meta.upDone[ec] >= 0
-			var take int
-			if t.r.cfg.Dynamic {
-				// Consume as much as is available, but don't wake up for
-				// dribbles while the producer is still running: tiny tasks
-				// would drown the pipeline in per-task overhead. Once the
-				// producer finishes, any remainder is consumed. Under
-				// admission pressure takeScale coarsens both bounds, so each
-				// committed task covers more rows and the head node sees
-				// fewer transactions per query.
-				scale := int(t.takeScale.Load())
-				if scale < 1 {
-					scale = 1
-				}
-				if !upFinished && avail < t.r.cfg.MinTake*scale {
-					continue
-				}
-				take = avail
-				if take > t.r.cfg.MaxTake*scale {
-					take = t.r.cfg.MaxTake * scale
-				}
-			} else {
-				k := t.r.cfg.StaticBatch
-				switch {
-				case avail >= k:
-					take = k
-				case upFinished && wm+avail == meta.upDone[ec]:
-					take = avail // final short batch
-				default:
-					continue // static policy: wait for a full batch
-				}
+			take = min(avail, t.r.cfg.MaxTake*scale)
+		} else {
+			k := t.r.cfg.StaticBatch
+			switch {
+			case avail >= k:
+				take = k
+			case upFinished && wm+avail == meta.upDone[ec]:
+				take = avail // final short batch
+			default:
+				continue // static policy: wait for a full batch
 			}
-			c := &inputChoice{ec: ec, from: wm, count: take}
-			if best == nil || c.count > best.count {
-				best = c
-			}
+		}
+		if best == nil || take > best.count {
+			best = &inputChoice{ec: ec, from: wm, count: take}
 		}
 	}
 	return best, false
@@ -891,8 +892,8 @@ func (t *taskManager) readSplit(spec *ReaderSpec, split int) (*batch.Batch, erro
 func (t *taskManager) replayStep(cs *chanState, rec lineage.Record) (bool, error) {
 	// All replayed inputs must be present; if replays are still in flight,
 	// wait.
-	if rec.Kind == lineage.KindConsume &&
-		t.w.Flight.ContiguousFrom(t.r.qid, cs.id, rec.Input, rec.UpChannel, rec.FromSeq) < rec.Count {
+	edge := flight.Edge{Input: rec.Input, UpChannel: rec.UpChannel, Watermark: rec.FromSeq}
+	if rec.Kind == lineage.KindConsume && t.w.Flight.Probe(t.r.qid, cs.id, []flight.Edge{edge})[0] < rec.Count {
 		return false, nil
 	}
 	return t.runTask(cs, rec, true)

@@ -63,15 +63,20 @@ const EpochCommitted = int(^uint(0) >> 1)
 // failed worker's mailbox errors with ErrServerDown.
 type Transport interface {
 	Push(p Partition) error
-	ContiguousFrom(query string, dest lineage.ChannelID, input, upChannel, from int) int
+	Probe(query string, dest lineage.ChannelID, edges []Edge) []int
 	Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([][]byte, error)
 	Drop(query string, dest lineage.ChannelID, input, upChannel, from, count int)
-	DropBelow(query string, dest lineage.ChannelID, input, upChannel, wm int)
 	DropQuery(query string)
 	SpoolResult(query string, task lineage.TaskName, data []byte, epoch int) error
 	FetchResult(query string, task lineage.TaskName) ([]byte, error)
 	DropResult(query string, task lineage.TaskName)
 	Fail()
+}
+
+// Edge names one upstream channel of a consumer channel with the consumer's
+// watermark on it: the producer sequence number it will consume next.
+type Edge struct {
+	Input, UpChannel, Watermark int
 }
 
 // edgeKey identifies a consumer's view of one upstream channel within one
@@ -168,21 +173,32 @@ func (s *Server) Push(p Partition) error {
 	return nil
 }
 
-// ContiguousFrom reports how many consecutive producer sequence numbers
-// starting at from are present for the given consumer edge. This is what
-// lets a task decide how many outputs of one upstream channel it can
-// consume (its inputs must be taken in order, §III-A).
-func (s *Server) ContiguousFrom(query string, dest lineage.ChannelID, input, upChannel, from int) int {
+// Probe is a consumer channel's one question per poll round: for each edge,
+// how many consecutive producer sequence numbers from its watermark on are
+// present — how much of that upstream channel a task can consume (inputs are
+// taken in order, §III-A). On the way it removes every partition below the
+// watermark: a rewound producer retransmits its whole history and the
+// consumer ignores what it already consumed (§III). One lock for all edges.
+func (s *Server) Probe(query string, dest lineage.ChannelID, edges []Edge) []int {
+	avail := make([]int, len(edges))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	box := s.boxes[edgeKey{query, dest, input, upChannel}]
-	n := 0
-	for {
-		if _, ok := box[from+n]; !ok {
-			return n
+	for i, e := range edges {
+		box := s.boxes[edgeKey{query, dest, e.Input, e.UpChannel}]
+		for seq, d := range box {
+			if seq < e.Watermark {
+				s.bytes -= int64(len(d.data))
+				delete(box, seq)
+			}
 		}
-		n++
+		for {
+			if _, ok := box[e.Watermark+avail[i]]; !ok {
+				break
+			}
+			avail[i]++
+		}
 	}
+	return avail
 }
 
 // Take returns the partitions [from, from+count) for the consumer edge
@@ -219,26 +235,9 @@ func (s *Server) Drop(query string, dest lineage.ChannelID, input, upChannel, fr
 	}
 }
 
-// DropBelow removes every partition with producer sequence below wm for
-// the consumer edge. During recovery a rewound producer retransmits its
-// whole history; consumers discard what their watermark says they already
-// consumed (the paper's "ignore the recovered task's re-transmitted
-// output", §III).
-func (s *Server) DropBelow(query string, dest lineage.ChannelID, input, upChannel, wm int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	box := s.boxes[edgeKey{query, dest, input, upChannel}]
-	for seq, d := range box {
-		if seq < wm {
-			s.bytes -= int64(len(d.data))
-			delete(box, seq)
-		}
-	}
-}
-
 // DropChannel clears every partition buffered for a consumer channel of
 // one query. Not part of Transport: no engine path calls it (a rewound
-// channel's stale slots are overwritten or dropped below the watermark);
+// channel's stale slots are overwritten or dropped below the watermark by Probe);
 // the package's edge-isolation test does.
 func (s *Server) DropChannel(query string, dest lineage.ChannelID) {
 	s.mu.Lock()

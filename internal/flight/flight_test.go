@@ -22,6 +22,13 @@ func part(stage, ch, seq int, dest lineage.ChannelID, input int, data string) Pa
 	}
 }
 
+// contig asks the mailbox the one-edge form of the consumer's question: how
+// many partitions are buffered in sequence from `from` on. Like every Probe
+// it drops what lies below `from`.
+func contig(s *Server, query string, dest lineage.ChannelID, input, upChannel, from int) int {
+	return s.Probe(query, dest, []Edge{{Input: input, UpChannel: upChannel, Watermark: from}})[0]
+}
+
 func TestPushTakeDrop(t *testing.T) {
 	s := newServer()
 	dest := lineage.ChannelID{Stage: 1, Channel: 0}
@@ -30,22 +37,51 @@ func TestPushTakeDrop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.ContiguousFrom("q1", dest, 0, 2, 0); got != 3 {
-		t.Errorf("ContiguousFrom(0) = %d, want 3", got)
-	}
-	if got := s.ContiguousFrom("q1", dest, 0, 2, 1); got != 2 {
-		t.Errorf("ContiguousFrom(1) = %d, want 2", got)
+	if got := contig(s, "q1", dest, 0, 2, 0); got != 3 {
+		t.Errorf("contiguous from 0 = %d, want 3", got)
 	}
 	data, err := s.Take("q1", dest, 0, 2, 0, 2)
 	if err != nil || len(data) != 2 {
 		t.Fatalf("Take: %v, %v", data, err)
 	}
 	s.Drop("q1", dest, 0, 2, 0, 2)
-	if got := s.ContiguousFrom("q1", dest, 0, 2, 0); got != 0 {
-		t.Errorf("after drop ContiguousFrom(0) = %d", got)
+	if got := contig(s, "q1", dest, 0, 2, 0); got != 0 {
+		t.Errorf("after drop contiguous from 0 = %d", got)
 	}
-	if got := s.ContiguousFrom("q1", dest, 0, 2, 2); got != 1 {
+	if got := contig(s, "q1", dest, 0, 2, 2); got != 1 {
 		t.Errorf("seq 2 should remain: %d", got)
+	}
+}
+
+// TestProbeBatch: one Probe answers several edges of a channel at once, each
+// from its own watermark, and drops below each watermark — nothing at or
+// above it, nothing of an edge it was not asked about.
+func TestProbeBatch(t *testing.T) {
+	s := newServer()
+	dest := lineage.ChannelID{Stage: 1, Channel: 0}
+	for seq := 0; seq < 4; seq++ {
+		s.Push(part(0, 0, seq, dest, 0, "aa")) // edge (0,0): 0..3
+	}
+	s.Push(part(0, 1, 1, dest, 0, "bb")) // edge (0,1): 1 only — a gap at its watermark 0
+	s.Push(part(0, 0, 0, dest, 1, "cc")) // edge (1,0): not probed
+	got := s.Probe("q1", dest, []Edge{
+		{Input: 0, UpChannel: 0, Watermark: 2},
+		{Input: 0, UpChannel: 1, Watermark: 0},
+		{Input: 0, UpChannel: 7, Watermark: 0}, // never pushed to
+	})
+	if len(got) != 3 || got[0] != 2 || got[1] != 0 || got[2] != 0 {
+		t.Fatalf("Probe = %v, want [2 0 0]", got)
+	}
+	// Dropped: seqs 0 and 1 of edge (0,0). Kept: its 2 and 3, edge (0,1)'s
+	// seq 1 (at or above its watermark), and the unprobed edge.
+	if want := int64(len("aa")*2 + len("bb") + len("cc")); s.BufferedBytes() != want {
+		t.Errorf("BufferedBytes = %d after probe, want %d", s.BufferedBytes(), want)
+	}
+	if _, err := s.Take("q1", dest, 0, 0, 1, 1); err == nil {
+		t.Error("a partition below the watermark survived the probe")
+	}
+	if got := s.Probe("q1", dest, nil); len(got) != 0 {
+		t.Errorf("empty probe = %v", got)
 	}
 }
 
@@ -54,8 +90,8 @@ func TestContiguityGap(t *testing.T) {
 	dest := lineage.ChannelID{Stage: 1, Channel: 0}
 	s.Push(part(0, 0, 0, dest, 0, "a"))
 	s.Push(part(0, 0, 2, dest, 0, "c")) // gap at 1
-	if got := s.ContiguousFrom("q1", dest, 0, 0, 0); got != 1 {
-		t.Errorf("ContiguousFrom with gap = %d, want 1", got)
+	if got := contig(s, "q1", dest, 0, 0, 0); got != 1 {
+		t.Errorf("contiguous with gap = %d, want 1", got)
 	}
 	if _, err := s.Take("q1", dest, 0, 0, 0, 3); err == nil {
 		t.Error("Take across gap must fail")
@@ -83,17 +119,17 @@ func TestEdgesAreIsolated(t *testing.T) {
 	s.Push(part(0, 0, 0, d1, 0, "x"))
 	s.Push(part(0, 0, 0, d2, 0, "y"))
 	s.Push(part(0, 0, 0, d1, 1, "z")) // same dest, different input edge
-	if got := s.ContiguousFrom("q1", d1, 0, 0, 0); got != 1 {
+	if got := contig(s, "q1", d1, 0, 0, 0); got != 1 {
 		t.Errorf("d1 input0 = %d", got)
 	}
-	if got := s.ContiguousFrom("q1", d1, 1, 0, 0); got != 1 {
+	if got := contig(s, "q1", d1, 1, 0, 0); got != 1 {
 		t.Errorf("d1 input1 = %d", got)
 	}
 	s.DropChannel("q1", d1)
-	if got := s.ContiguousFrom("q1", d1, 0, 0, 0); got != 0 {
+	if got := contig(s, "q1", d1, 0, 0, 0); got != 0 {
 		t.Error("DropChannel should clear all d1 edges")
 	}
-	if got := s.ContiguousFrom("q1", d2, 0, 0, 0); got != 1 {
+	if got := contig(s, "q1", d2, 0, 0, 0); got != 1 {
 		t.Error("DropChannel must not touch other channels")
 	}
 }
@@ -133,10 +169,10 @@ func TestQueriesAreIsolated(t *testing.T) {
 	}
 	// Tearing one query down leaves the other untouched.
 	s.DropQuery("q1")
-	if got := s.ContiguousFrom("q1", dest, 0, 0, 0); got != 0 {
+	if got := contig(s, "q1", dest, 0, 0, 0); got != 0 {
 		t.Errorf("q1 after DropQuery = %d", got)
 	}
-	if got := s.ContiguousFrom("q2", dest, 0, 0, 0); got != 1 {
+	if got := contig(s, "q2", dest, 0, 0, 0); got != 1 {
 		t.Errorf("q2 after q1 DropQuery = %d", got)
 	}
 	if s.BufferedBytes() != int64(len("query-two")) {

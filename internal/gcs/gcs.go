@@ -33,12 +33,13 @@ import (
 
 // Backend is the GCS surface the engine runs against — exactly the methods
 // it calls, specified in docs/contracts/gcs-backend.md. Store is the
-// in-memory default (the head node's real store); process-mode workers
-// use a wire client that runs each transaction interactively against the
-// head — reads are served over the connection while the head holds the
-// shard lock, writes are buffered locally and shipped at commit. Every
-// transaction names its namespaces: the whole-store Update and View are
-// Store methods only, so no remote peer can hold every query's shard lock.
+// in-memory default (the head node's real store); a process-mode worker's
+// wire client runs each transaction body locally against a Replica of the
+// namespace, at one frame to the head per transaction (replica.go). A body
+// is therefore a pure function of its reads, and on a remote backend runs
+// again when the head finds them stale. Every transaction names its
+// namespaces: the whole-store Update and View are Store methods only, so
+// no remote peer can lock — or enumerate — every query's shard.
 type Backend interface {
 	UpdateNS(ns string, fn func(tx *Txn) error) error
 	UpdateMulti(nss []string, fn func(tx *Txn) error) error
@@ -66,6 +67,23 @@ type shard struct {
 	// Pollers snapshot it (VersionNS) to skip read transactions entirely
 	// while their namespace is unchanged.
 	ver atomic.Uint64
+
+	// logs records, per namespace some remote replica follows, which keys
+	// changed at which version (replica.go); empty in an in-memory run.
+	logs map[string]*nsLog
+}
+
+// apply installs one committed write (a nil value deletes) at version ver.
+// The caller holds the shard lock.
+func (sh *shard) apply(k string, v []byte, ver uint64) {
+	if len(sh.logs) > 0 {
+		sh.record(k, v, ver)
+	}
+	if v == nil {
+		delete(sh.data, k)
+	} else {
+		sh.data[k] = v
+	}
 }
 
 // Store is the Global Control Store. It is safe for concurrent use.
@@ -90,6 +108,7 @@ func New(cost storage.CostModel, met *metrics.Collector) *Store {
 	s := &Store{cost: cost, met: met}
 	for i := range s.shards {
 		s.shards[i].data = make(map[string][]byte)
+		s.shards[i].logs = make(map[string]*nsLog)
 	}
 	s.cond = sync.NewCond(&s.verMu)
 	return s
@@ -121,229 +140,132 @@ func shardOf(ns string) int {
 // Txn methods must only be used inside the transaction body.
 type Txn struct {
 	s      *Store
-	si     int               // locked shard index; -1 = all, -2 = multi (see multi)
-	multi  *[numShards]bool  // locked-shard mask when si == -2
+	locked []int             // the shards this transaction holds, ascending
+	one    [1]int            // backs locked for a one-namespace transaction
 	writes map[string][]byte // nil value means delete
 	bytes  int64
 
-	// remote, when set, makes this a wire-client transaction: reads
-	// delegate to the remote head (which holds the shard lock for the
-	// transaction's duration) and writes stay buffered for shipment at
-	// commit. rerr latches the first remote read failure — Get/List have
-	// no error slot, so the client surfaces it after the body returns.
-	remote TxnOps
-	rerr   error
+	// rep, when set, makes this a replica transaction (ReplicaTxn): reads are
+	// served from worker-side Replicas and recorded, so the head can check at
+	// commit that they are still current.
+	rep *replicaReads
 }
-
-// TxnOps serves the read half of a remote transaction: Get and List
-// executed on the head inside the open transaction's lock scope.
-type TxnOps interface {
-	Get(key string) ([]byte, bool, error)
-	List(prefix string) ([]string, error)
-}
-
-// RemoteTxn builds the client half of a wire transaction. Reads go to
-// ops; writes (unless readOnly) buffer locally — the caller ships
-// Writes() to the head at commit, where they are applied through a real
-// Txn so the namespace-shard discipline is still enforced.
-func RemoteTxn(ops TxnOps, readOnly bool) *Txn {
-	tx := &Txn{si: -1, remote: ops}
-	if !readOnly {
-		tx.writes = make(map[string][]byte)
-	}
-	return tx
-}
-
-// Writes exposes a remote transaction's buffered write set (key -> value,
-// nil meaning delete) for shipment at commit.
-func (tx *Txn) Writes() map[string][]byte { return tx.writes }
-
-// RemoteErr returns the first remote read failure observed by this
-// transaction, if any.
-func (tx *Txn) RemoteErr() error { return tx.rerr }
 
 // ErrAborted is returned when a transaction body asks to abort.
 var ErrAborted = fmt.Errorf("gcs: transaction aborted")
 
-// shardFor returns the shard holding key, enforcing the single-shard
-// discipline: a namespaced transaction must only touch keys of its own
-// namespace (all engine keys under one "q/<qid>/" prefix satisfy this).
+// shardFor returns the shard holding key, enforcing the shard discipline: a
+// namespaced transaction must only touch keys of its own namespaces (all
+// engine keys under one "q/<qid>/" prefix satisfy this).
 func (tx *Txn) shardFor(key string) *shard {
 	si := shardOf(nsOf(key))
-	switch {
-	case tx.si == -1:
-	case tx.si == -2:
-		if !tx.multi[si] {
-			panic(fmt.Sprintf("gcs: key %q outside the transaction's namespace shards", key))
+	for _, held := range tx.locked {
+		if held == si {
+			return &tx.s.shards[si]
 		}
-	case si != tx.si:
-		panic(fmt.Sprintf("gcs: key %q outside the transaction's namespace shard", key))
 	}
-	return &tx.s.shards[si]
+	panic(fmt.Sprintf("gcs: key %q outside the transaction's namespace shards", key))
 }
 
-// UpdateNS runs fn as a serializable read-write transaction confined to
-// one namespace ("q/<qid>/"): only that namespace's shard is locked, so
-// concurrent queries' transactions proceed in parallel. If fn returns an
-// error the transaction is discarded and the error returned. Each
-// committed transaction is charged one GCS round trip.
-func (s *Store) UpdateNS(ns string, fn func(tx *Txn) error) error {
-	si := shardOf(ns)
-	sh := &s.shards[si]
-	sh.mu.Lock()
-	tx := &Txn{s: s, si: si, writes: make(map[string][]byte)}
-	err := fn(tx)
-	if err != nil {
-		sh.mu.Unlock()
-		return err
-	}
-	for k, v := range tx.writes {
-		if v == nil {
-			delete(sh.data, k)
-		} else {
-			sh.data[k] = v
-		}
-	}
-	sh.ver.Add(1)
-	sh.mu.Unlock()
-	s.bumpVersion()
-
-	s.met.Add(metrics.GCSTxns, 1)
-	s.met.Add(metrics.GCSBytes, tx.bytes)
-	s.cost.Apply(s.cost.GCS, tx.bytes)
-	return nil
-}
-
-// UpdateMulti runs fn as one serializable read-write transaction spanning
-// the shards of the given namespaces — the group committer's path for
-// folding several queries' lineage commits into a single head-node round
-// trip. The shards are locked in index order (deadlock-free against every
-// other path), only their version counters are bumped, and the whole batch
-// is still charged as ONE transaction: that amortization is the point.
-func (s *Store) UpdateMulti(nss []string, fn func(tx *Txn) error) error {
-	var mask [numShards]bool
-	var order []int
-	for _, ns := range nss {
-		if si := shardOf(ns); !mask[si] {
-			mask[si] = true
-			order = append(order, si)
-		}
-	}
-	sort.Ints(order)
-	for _, si := range order {
+// run executes fn as one serializable transaction over the shards tx holds,
+// locked in ascending order (deadlock-free against every other path). If tx
+// buffers writes and the body returns nil they are applied and each held
+// shard's version bumped once; a body's error discards the transaction and
+// is returned. Whatever it spans, a transaction is charged as ONE head-node
+// round trip: for the group committer's batches that is the point.
+func (s *Store) run(tx *Txn, fn func(tx *Txn) error) error {
+	for _, si := range tx.locked {
 		s.shards[si].mu.Lock()
 	}
-	tx := &Txn{s: s, si: -2, multi: &mask, writes: make(map[string][]byte)}
 	err := fn(tx)
-	if err != nil {
-		for _, si := range order {
-			s.shards[si].mu.Unlock()
+	if err == nil && tx.writes != nil {
+		for k, v := range tx.writes {
+			sh := &s.shards[tx.locked[0]]
+			if len(tx.locked) > 1 {
+				sh = &s.shards[shardOf(nsOf(k))]
+			}
+			sh.apply(k, v, sh.ver.Load()+1)
 		}
-		return err
-	}
-	for k, v := range tx.writes {
-		sh := &s.shards[shardOf(nsOf(k))]
-		if v == nil {
-			delete(sh.data, k)
-		} else {
-			sh.data[k] = v
+		for _, si := range tx.locked {
+			s.shards[si].ver.Add(1)
 		}
 	}
-	for _, si := range order {
-		s.shards[si].ver.Add(1)
+	for _, si := range tx.locked {
 		s.shards[si].mu.Unlock()
 	}
-	s.bumpVersion()
-
+	if err != nil {
+		return err
+	}
+	if tx.writes != nil {
+		s.bumpVersion()
+		s.met.Add(metrics.GCSBytes, tx.bytes)
+	}
 	s.met.Add(metrics.GCSTxns, 1)
-	s.met.Add(metrics.GCSBytes, tx.bytes)
 	s.cost.Apply(s.cost.GCS, tx.bytes)
 	return nil
 }
 
-// VersionNS returns the commit counter of the shard holding ns. It is a
-// local atomic read — no transaction, no modelled round trip — so pollers
-// can cheaply detect "nothing in my namespace changed" and skip their read
-// transaction. A committed update to ns is always visible to a ViewNS that
-// follows a VersionNS observing its increment.
+// UpdateNS runs fn as a read-write transaction confined to one namespace
+// ("q/<qid>/"): only that namespace's shard is locked, so concurrent
+// queries' transactions proceed in parallel.
+func (s *Store) UpdateNS(ns string, fn func(tx *Txn) error) error {
+	return s.run(s.txnNS(ns, make(map[string][]byte)), fn)
+}
+
+// txnNS builds a transaction holding the one shard of ns.
+func (s *Store) txnNS(ns string, writes map[string][]byte) *Txn {
+	tx := &Txn{s: s, one: [1]int{shardOf(ns)}, writes: writes}
+	tx.locked = tx.one[:]
+	return tx
+}
+
+// UpdateMulti runs fn as one read-write transaction spanning the shards of
+// the given namespaces — the group committer's path for folding several
+// queries' lineage commits into a single head-node round trip.
+func (s *Store) UpdateMulti(nss []string, fn func(tx *Txn) error) error {
+	var seen [numShards]bool
+	var locked []int
+	for _, ns := range nss {
+		if si := shardOf(ns); !seen[si] {
+			seen[si] = true
+			locked = append(locked, si)
+		}
+	}
+	sort.Ints(locked)
+	return s.run(&Txn{s: s, locked: locked, writes: make(map[string][]byte)}, fn)
+}
+
+// VersionNS returns the commit counter of the shard holding ns: a local
+// atomic read — no transaction, no modelled round trip — by which pollers
+// detect "nothing in my namespace changed" and skip their view. A committed
+// update is visible to a ViewNS that follows a VersionNS observing it.
 func (s *Store) VersionNS(ns string) uint64 {
 	return s.shards[shardOf(ns)].ver.Load()
 }
 
-// ViewNS runs fn as a read-only transaction confined to one namespace
-// (one round trip, no payload).
+// ViewNS runs fn as a read-only transaction confined to one namespace.
 func (s *Store) ViewNS(ns string, fn func(tx *Txn) error) error {
-	si := shardOf(ns)
-	sh := &s.shards[si]
-	sh.mu.Lock()
-	tx := &Txn{s: s, si: si}
-	err := fn(tx)
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.met.Add(metrics.GCSTxns, 1)
-	s.cost.Apply(s.cost.GCS, 0)
-	return err
+	return s.run(s.txnNS(ns, nil), fn)
 }
 
-// Update runs fn as a serializable read-write transaction over the whole
-// keyspace. It takes every shard lock (in order), so it serializes against
-// all namespaced transactions; use UpdateNS when the keys touched live
-// under one query namespace.
+// Update runs fn as a read-write transaction over the whole keyspace. It
+// takes every shard lock, so it serializes against all namespaced
+// transactions; use UpdateNS when the keys touched live under one query
+// namespace.
 func (s *Store) Update(fn func(tx *Txn) error) error {
-	s.lockAll()
-	tx := &Txn{s: s, si: -1, writes: make(map[string][]byte)}
-	err := fn(tx)
-	if err != nil {
-		s.unlockAll()
-		return err
-	}
-	for k, v := range tx.writes {
-		sh := &s.shards[shardOf(nsOf(k))]
-		if v == nil {
-			delete(sh.data, k)
-		} else {
-			sh.data[k] = v
-		}
-	}
-	for i := range s.shards {
-		s.shards[i].ver.Add(1)
-	}
-	s.unlockAll()
-	s.bumpVersion()
-
-	s.met.Add(metrics.GCSTxns, 1)
-	s.met.Add(metrics.GCSBytes, tx.bytes)
-	s.cost.Apply(s.cost.GCS, tx.bytes)
-	return nil
+	return s.run(&Txn{s: s, locked: allShards(), writes: make(map[string][]byte)}, fn)
 }
 
-// View runs fn as a read-only transaction over the whole keyspace (one
-// round trip, no payload).
+// View runs fn as a read-only transaction over the whole keyspace.
 func (s *Store) View(fn func(tx *Txn) error) error {
-	s.lockAll()
-	tx := &Txn{s: s, si: -1}
-	err := fn(tx)
-	s.unlockAll()
-	if err != nil {
-		return err
-	}
-	s.met.Add(metrics.GCSTxns, 1)
-	s.cost.Apply(s.cost.GCS, 0)
-	return err
+	return s.run(&Txn{s: s, locked: allShards()}, fn)
 }
 
-func (s *Store) lockAll() {
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
+func allShards() (all []int) {
+	for i := 0; i < numShards; i++ {
+		all = append(all, i)
 	}
-}
-
-func (s *Store) unlockAll() {
-	for i := range s.shards {
-		s.shards[i].mu.Unlock()
-	}
+	return all
 }
 
 func (s *Store) bumpVersion() {
@@ -361,112 +283,60 @@ func (tx *Txn) WriteBytes() int64 { return tx.bytes }
 // Get returns the value for key, observing earlier writes in the same
 // transaction. ok is false when the key is absent.
 func (tx *Txn) Get(key string) (val []byte, ok bool) {
-	if tx.writes != nil {
-		if v, written := tx.writes[key]; written {
-			if v == nil {
-				return nil, false
-			}
-			return v, true
-		}
+	if v, written := tx.writes[key]; written {
+		return v, v != nil
 	}
-	if tx.remote != nil {
-		v, ok, err := tx.remote.Get(key)
-		if err != nil {
-			if tx.rerr == nil {
-				tx.rerr = err
-			}
-			return nil, false
-		}
-		return v, ok
+	if tx.rep != nil {
+		return tx.rep.get(key)
 	}
 	v, ok := tx.shardFor(key).data[key]
 	return v, ok
 }
 
-// Put stores value under key at commit.
-func (tx *Txn) Put(key string, value []byte) {
+// write buffers one write (nil value: delete), enforcing the namespace
+// discipline at write time.
+func (tx *Txn) write(op, key string, value []byte) {
 	if tx.writes == nil {
-		panic("gcs: Put inside read-only transaction")
+		panic("gcs: " + op + " inside read-only transaction")
 	}
-	if tx.remote == nil {
-		tx.shardFor(key) // enforce the namespace discipline at write time
+	if tx.rep != nil {
+		tx.rep.replicaFor(key)
+	} else {
+		tx.shardFor(key)
 	}
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	tx.writes[key] = cp
+	tx.writes[key] = value
 	tx.bytes += int64(len(key) + len(value))
 }
 
-// Delete removes key at commit.
-func (tx *Txn) Delete(key string) {
-	if tx.writes == nil {
-		panic("gcs: Delete inside read-only transaction")
-	}
-	if tx.remote == nil {
-		tx.shardFor(key)
-	}
-	tx.writes[key] = nil
-	tx.bytes += int64(len(key))
+// Put stores value under key at commit.
+func (tx *Txn) Put(key string, value []byte) {
+	tx.write("Put", key, append(make([]byte, 0, len(value)), value...))
 }
+
+// Delete removes key at commit.
+func (tx *Txn) Delete(key string) { tx.write("Delete", key, nil) }
 
 // List returns the sorted keys having the given prefix, reflecting
 // uncommitted writes of this transaction. In a namespaced transaction the
 // prefix must lie within the transaction's namespace.
 func (tx *Txn) List(prefix string) []string {
-	seen := make(map[string]bool)
 	var out []string
-	if tx.remote != nil {
-		keys, err := tx.remote.List(prefix)
-		if err != nil {
-			if tx.rerr == nil {
-				tx.rerr = err
+	scan := func(data map[string][]byte) { // committed keys this transaction has not rewritten
+		for k := range data {
+			if _, written := tx.writes[k]; !written && strings.HasPrefix(k, prefix) {
+				out = append(out, k)
 			}
-			return nil
 		}
-		for _, k := range keys {
-			if tx.writes != nil {
-				if v, written := tx.writes[k]; written && v == nil {
-					continue
-				}
-			}
-			seen[k] = true
+	}
+	if tx.rep != nil {
+		scan(tx.rep.list(prefix))
+	}
+	for _, si := range tx.locked {
+		scan(tx.s.shards[si].data)
+	}
+	for k, v := range tx.writes { // and its own puts
+		if v != nil && strings.HasPrefix(k, prefix) {
 			out = append(out, k)
-		}
-		if tx.writes != nil {
-			for k, v := range tx.writes {
-				if v != nil && strings.HasPrefix(k, prefix) && !seen[k] {
-					out = append(out, k)
-				}
-			}
-		}
-		sort.Strings(out)
-		return out
-	}
-	scan := func(sh *shard) {
-		for k := range sh.data {
-			if strings.HasPrefix(k, prefix) {
-				if tx.writes != nil {
-					if v, written := tx.writes[k]; written && v == nil {
-						continue
-					}
-				}
-				seen[k] = true
-				out = append(out, k)
-			}
-		}
-	}
-	if tx.si >= 0 {
-		scan(&tx.s.shards[tx.si])
-	} else {
-		for i := range tx.s.shards {
-			scan(&tx.s.shards[i])
-		}
-	}
-	if tx.writes != nil {
-		for k, v := range tx.writes {
-			if v != nil && strings.HasPrefix(k, prefix) && !seen[k] {
-				out = append(out, k)
-			}
 		}
 	}
 	sort.Strings(out)

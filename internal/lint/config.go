@@ -29,9 +29,9 @@ func DefaultAnalyzers() []*Analyzer {
 		NewNSKey(NSKeyConfig{
 			Prefixes: map[string][]FuncRef{
 				// q/<qid>/... — the GCS key namespace: built by
-				// Runner.keyNS, parsed back by the store's shard mapper.
+				// QueryNamespace, parsed back by the store's shard mapper.
 				"q/": {
-					{Pkg: "quokka/internal/engine", Name: "Runner.keyNS"},
+					{Pkg: "quokka/internal/engine", Name: "QueryNamespace"},
 					{Pkg: "quokka/internal/gcs", Name: "nsOf"},
 				},
 				// spill/<qid>/... — spill run files on worker disks.
@@ -54,16 +54,17 @@ func DefaultAnalyzers() []*Analyzer {
 				{Pkg: "quokka/internal/engine", Name: "Runner.runTaskManager"},
 				{Pkg: "quokka/internal/engine", Name: "taskManager.resetChannel"},
 				{Pkg: "quokka/internal/engine", Name: "taskManager.runReplays"},
-				// The wire server's transaction relay executes a REMOTE
-				// caller's List: the prefix was built worker-side by the
-				// blessed helpers and arrives as opaque bytes. The relay is
-				// audited to pass it through verbatim — wire code still
-				// cannot construct namespace prefixes of its own (no wire
-				// package is blessed for any prefix literal).
-				{Pkg: "quokka/internal/wire", Name: "Server.serveTxn"},
+				// The wire server's transaction handler has the store
+				// enumerate a namespace a REMOTE caller named (Sync and Commit
+				// answer with what changed in it): the prefix was built
+				// worker-side by the blessed helper and arrives as opaque
+				// bytes. The handler is audited to refuse anything but exactly
+				// one query's namespace — wire code still cannot construct
+				// namespace prefixes of its own (no wire package is blessed).
+				{Pkg: "quokka/internal/wire", Name: "Server.handleGCS"},
 			},
 			SweepMethodNames: []string{"DeletePrefix"},
-			RangeMethods:     map[string]string{"List": "gcs.Txn"},
+			RangeMethods:     map[string]string{"List": "gcs.Txn", "Sync": "gcs.Store", "Commit": "gcs.Store"},
 			DefiningPkgs: []string{
 				"quokka/internal/storage",
 				"quokka/internal/gcs",

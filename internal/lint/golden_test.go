@@ -117,17 +117,17 @@ func TestGoldenNSKey(t *testing.T) {
 }
 
 func TestGoldenNSKeyWireRelay(t *testing.T) {
-	// The wire-relay configuration: the relay method is an audited sweep
-	// (its range calls execute REMOTE callers' prefixes, built by blessed
-	// helpers on the other end of the conn), the package is blessed for no
-	// prefix, and closures inside the relay attribute to it.
+	// The wire-handler configuration: the transaction handler is an audited
+	// sweep (its range calls enumerate namespaces REMOTE callers named, built
+	// by blessed helpers on the other end of the conn), the package is blessed
+	// for no prefix, and closures inside the handler attribute to it.
 	runGolden(t, "testdata/src/nskey/wire", func(pkgPath string) *Analyzer {
 		return NewNSKey(NSKeyConfig{
 			Prefixes: map[string][]FuncRef{
 				"q/": {{Pkg: "some/other/engine", Name: "keyNS"}},
 			},
-			SweepFuncs:   []FuncRef{{Pkg: pkgPath, Name: "Server.serveTxn"}},
-			RangeMethods: map[string]string{"List": "wire.Txn"},
+			SweepFuncs:   []FuncRef{{Pkg: pkgPath, Name: "Server.handleGCS"}},
+			RangeMethods: map[string]string{"Sync": "wire.Store"},
 		})
 	})
 }

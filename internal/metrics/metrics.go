@@ -89,6 +89,17 @@ const (
 	WorkerMemPeak    = "mem.worker.peak"    // peak accounted operator bytes on any worker, across queries (gauge)
 )
 
+// Process-mode traffic by message type, counted by the head's op dispatcher:
+// WireFrames+<op> request frames, WireBytes+<op> their bytes plus the answers'.
+// <op> (wire.opNames): gcs_{sync,commit,version_ns,version,wait_change}
+// fl_{push,probe,take,drop,drop_query,spool,fetch,drop_result} obj_{put,get}
+// sink_{deliver,spooled}.
+const (
+	WireFrames        = "wire.frames."
+	WireBytes         = "wire.bytes."
+	WireFramesRefused = "wire.frames.refused" // op frames of a retired or unassigned type
+)
+
 // Histogram names used across the engine. All values are durations in
 // nanoseconds observed via Collector.Observe.
 const (
@@ -111,7 +122,13 @@ var gaugeNames = map[string]bool{
 // rather than a monotonic counter.
 func IsGauge(name string) bool { return gaugeNames[name] }
 
-func (c *Collector) counter(name string) *atomic.Int64 {
+// Counter returns the named counter itself, for call sites hot enough to
+// resolve it once and pay one atomic add per event (the histogram analogue
+// is Hist). A nil Collector and a tee return a counter nothing reads.
+func (c *Collector) Counter(name string) *atomic.Int64 {
+	if c == nil || c.fan != nil {
+		return new(atomic.Int64)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.counters == nil {
@@ -137,7 +154,7 @@ func (c *Collector) Add(name string, delta int64) {
 		}
 		return
 	}
-	c.counter(name).Add(delta)
+	c.Counter(name).Add(delta)
 }
 
 // Max raises the named counter to v if v is larger — a high-water-mark
@@ -153,7 +170,7 @@ func (c *Collector) Max(name string, v int64) {
 		}
 		return
 	}
-	ctr := c.counter(name)
+	ctr := c.Counter(name)
 	for {
 		cur := ctr.Load()
 		if v <= cur || ctr.CompareAndSwap(cur, v) {

@@ -12,11 +12,11 @@ import (
 )
 
 // pool is a free-list of op connections to the head. Each checked-out
-// conn carries exactly one outstanding request (or one open GCS
-// transaction); a conn is returned to the pool only after its exchange
-// completed cleanly, and discarded on any error — the server aborts
-// whatever the conn was doing when the read fails, so a half-finished
-// exchange can never leak onto a reused conn.
+// conn carries exactly one outstanding request; a conn is returned to the
+// pool only after its exchange completed cleanly, and discarded on any
+// error — a request is one frame and the head acts on it only once it has
+// read all of it, so a half-sent exchange does nothing and can never leak
+// onto a reused conn.
 type pool struct {
 	addr string
 
@@ -40,7 +40,11 @@ func (p *pool) get() (net.Conn, error) {
 		return c, nil
 	}
 	p.mu.Unlock()
-	return net.DialTimeout("tcp", p.addr, 10*time.Second)
+	c, err := net.DialTimeout("tcp", p.addr, 10*time.Second)
+	if err == nil {
+		noDelay(c)
+	}
+	return c, err
 }
 
 func (p *pool) put(c net.Conn) {
@@ -98,155 +102,167 @@ func (p *pool) expect(typ byte, payload []byte, want byte) ([]byte, error) {
 	return rp, nil
 }
 
+// bytesOf runs a round trip answered by one byte string (mtBytesResp).
+func (p *pool) bytesOf(typ byte, payload []byte) ([]byte, error) {
+	rp, err := p.expect(typ, payload, mtBytesResp)
+	if err != nil {
+		return nil, err
+	}
+	r := rbuf{b: rp}
+	data := r.bytesOwned("bytes response")
+	return data, r.err()
+}
+
+// boolOf runs a round trip answered by one bool (mtBoolResp); a failed
+// exchange reads as false.
+func (p *pool) boolOf(typ byte, payload []byte) bool {
+	rp, err := p.expect(typ, payload, mtBoolResp)
+	r := rbuf{b: rp}
+	ok := r.boolean("bool response")
+	return ok && err == nil && r.err() == nil
+}
+
 // ---------------------------------------------------------------------------
 // GCS client
 
-// gcsClient implements gcs.Backend against the head's store. Reads inside
-// a transaction are served interactively over the conn while the head
-// holds the shard lock; writes buffer in the client-side gcs.Txn and ship
-// in one commit frame.
+// gcsClient implements gcs.Backend against the head's store at one request
+// frame per transaction. It keeps a gcs.Replica of every namespace its
+// process runs; a transaction body runs locally against them — a view after
+// a sync, an update before a commit frame the head validates.
 type gcsClient struct {
 	p *pool
+
+	// mu guards the replicas: bodies read under RLock, answers apply their
+	// deltas under Lock, nothing is held across a round trip.
+	mu   sync.RWMutex
+	reps map[string]*gcs.Replica
 }
 
-// connTxnOps serves a transaction body's reads from the open conn.
-type connTxnOps struct {
-	c net.Conn
-}
+// maxBodyRuns bounds how often one update runs its body. A stale answer means
+// another writer committed a key the body read — for the engine's bodies a
+// recovery pass, which writes a handful of times and is done. Past the bound
+// the update reports gcs.ErrAborted: "fenced, try again on a later round".
+const maxBodyRuns = 8
 
-func (o connTxnOps) Get(key string) ([]byte, bool, error) {
-	var w wbuf
-	w.str(key)
-	if err := writeFrame(o.c, mtTxnGet, w.b); err != nil {
-		return nil, false, err
+// replica returns the process's replica of ns, creating it — empty, at
+// version 0, known = false — on first use.
+func (g *gcsClient) replica(ns string) (rep *gcs.Replica, known bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if rep, known = g.reps[ns]; !known {
+		if g.reps == nil {
+			g.reps = make(map[string]*gcs.Replica)
+		}
+		rep = &gcs.Replica{NS: ns}
+		g.reps[ns] = rep
 	}
-	rt, rp, err := readFrame(o.c)
+	return rep, known
+}
+
+// forget drops the replica of a namespace whose query stopped on this worker.
+func (g *gcsClient) forget(ns string) {
+	g.mu.Lock()
+	delete(g.reps, ns)
+	g.mu.Unlock()
+}
+
+// exchange sends one transaction frame about reps and applies the answer's
+// deltas — and own, the request's write set, if the answer says committed.
+func (g *gcsClient) exchange(typ byte, req []byte, reps []*gcs.Replica, own map[string][]byte) (committed bool, err error) {
+	rp, err := g.p.expect(typ, req, mtGCSResult)
 	if err != nil {
-		return nil, false, err
-	}
-	if rt != mtTxnGetResp {
-		return nil, false, respErr(rt, mtTxnGetResp)
+		return false, err
 	}
 	r := rbuf{b: rp}
-	ok := r.boolean("txn get ok")
-	val := r.bytesOwned("txn get val")
-	if derr := r.err(); derr != nil {
-		return nil, false, derr
+	if committed = r.boolean("committed"); !committed {
+		own = nil
 	}
-	if !ok {
-		return nil, false, nil
+	if n := int(r.u32("delta count")); r.e == nil && n != len(reps) {
+		return false, fmt.Errorf("%w: %d deltas for %d namespaces", ErrCorrupt, n, len(reps))
 	}
-	return val, true, nil
+	deltas := make([]gcs.Delta, len(reps))
+	for i := range deltas {
+		deltas[i] = gcs.Delta{Version: r.u64("delta version"), Full: r.boolean("delta full"), Set: r.kvs("delta entry")}
+	}
+	if err := r.err(); err != nil {
+		return false, err
+	}
+	g.mu.Lock()
+	for i, rep := range reps {
+		rep.Apply(deltas[i], own)
+	}
+	g.mu.Unlock()
+	return committed, nil
 }
 
-func (o connTxnOps) List(prefix string) ([]string, error) {
+// sync brings one replica up to the head's version: a view's one frame.
+func (g *gcsClient) sync(rep *gcs.Replica) error {
 	var w wbuf
-	w.str(prefix)
-	if err := writeFrame(o.c, mtTxnList, w.b); err != nil {
-		return nil, err
-	}
-	rt, rp, err := readFrame(o.c)
-	if err != nil {
-		return nil, err
-	}
-	if rt != mtTxnListResp {
-		return nil, respErr(rt, mtTxnListResp)
-	}
-	r := rbuf{b: rp}
-	n := int(r.u32("txn list count"))
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.str("txn list key"))
-	}
-	if derr := r.err(); derr != nil {
-		return nil, derr
-	}
-	return out, nil
+	w.str(rep.NS)
+	g.mu.RLock()
+	w.u64(rep.Version)
+	g.mu.RUnlock()
+	_, err := g.exchange(mtGCSSync, w.b, []*gcs.Replica{rep}, nil)
+	return err
 }
 
-// txn runs one remote transaction. The conn is occupied for the whole
-// transaction; the head holds the shard lock(s) until commit or abort,
-// and aborts on its own if the conn dies (a SIGKILLed worker can never
-// wedge a shard).
-func (g *gcsClient) txn(kind byte, nss []string, readOnly bool, fn func(tx *gcs.Txn) error) error {
-	c, err := g.p.get()
-	if err != nil {
+// body runs fn against the replicas as they stand.
+func (g *gcsClient) body(reps []*gcs.Replica, readOnly bool, fn func(tx *gcs.Txn) error) (*gcs.Txn, error) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	tx := gcs.ReplicaTxn(reps, readOnly)
+	return tx, fn(tx)
+}
+
+// ViewNS is always one frame, never zero: the sync is what makes the body
+// see every transaction committed before the view began.
+func (g *gcsClient) ViewNS(ns string, fn func(tx *gcs.Txn) error) error {
+	rep, _ := g.replica(ns)
+	if err := g.sync(rep); err != nil {
 		return err
 	}
-	var w wbuf
-	w.u8(kind)
-	w.u32(uint32(len(nss)))
-	for _, ns := range nss {
-		w.str(ns)
-	}
-	if err := writeFrame(c, mtTxnBegin, w.b); err != nil {
-		c.Close()
-		return err
-	}
-	tx := gcs.RemoteTxn(connTxnOps{c}, readOnly)
-	ferr := fn(tx)
-	if ferr == nil {
-		// A failed remote read surfaces after the body: Get/List have no
-		// error slot, so the body may have completed on zero values.
-		ferr = tx.RemoteErr()
-	}
-	if ferr != nil {
-		var a wbuf
-		a.str(ferr.Error())
-		if writeFrame(c, mtTxnAbort, a.b) == nil {
-			if rt, _, err := readFrame(c); err == nil && rt == mtTxnDone {
-				g.p.put(c)
-				return ferr
+	_, err := g.body([]*gcs.Replica{rep}, true, fn)
+	return err
+}
+
+// UpdateMulti runs the body against the replicas as last synced (a new
+// replica is synced first: a body never runs on a namespace nothing is known
+// about) and ships what it read and wrote in one frame; answered stale, it
+// runs the body again on the state the answer's deltas brought. A body's
+// error aborts without a frame: an abort has no effect wherever decided.
+func (g *gcsClient) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+	reps := make([]*gcs.Replica, len(nss))
+	for i, ns := range nss {
+		rep, known := g.replica(ns)
+		if reps[i] = rep; !known {
+			if err := g.sync(rep); err != nil {
+				return err
 			}
 		}
-		c.Close()
-		return ferr
 	}
-	var cm wbuf
-	writes := tx.Writes()
-	cm.u32(uint32(len(writes)))
-	for k, v := range writes {
-		cm.str(k)
-		cm.boolean(v == nil)
-		cm.bytes(v)
+	for run := 0; run < maxBodyRuns; run++ {
+		tx, err := g.body(reps, false, fn)
+		if err != nil {
+			return err
+		}
+		var w wbuf
+		w.u32(uint32(len(nss)))
+		for _, rs := range tx.ReadSets() {
+			w.str(rs.NS)
+			w.u64(rs.Version)
+			w.strs(rs.Keys)
+			w.strs(rs.Prefixes)
+		}
+		w.kvs(tx.Writes())
+		if committed, err := g.exchange(mtGCSCommit, w.b, reps, tx.Writes()); committed || err != nil {
+			return err
+		}
 	}
-	if err := writeFrame(c, mtTxnCommit, cm.b); err != nil {
-		c.Close()
-		return err
-	}
-	rt, rp, err := readFrame(c)
-	if err != nil {
-		c.Close()
-		return err
-	}
-	if rt != mtTxnDone {
-		c.Close()
-		return respErr(rt, mtTxnDone)
-	}
-	r := rbuf{b: rp}
-	ok := r.boolean("txn done ok")
-	msg := r.str("txn done msg")
-	if derr := r.err(); derr != nil {
-		c.Close()
-		return derr
-	}
-	g.p.put(c)
-	if !ok {
-		return fmt.Errorf("wire: txn rejected by head: %s", msg)
-	}
-	return nil
+	return gcs.ErrAborted
 }
 
 func (g *gcsClient) UpdateNS(ns string, fn func(tx *gcs.Txn) error) error {
-	return g.txn(txnUpdateNS, []string{ns}, false, fn)
-}
-
-func (g *gcsClient) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
-	return g.txn(txnUpdateMulti, nss, false, fn)
-}
-
-func (g *gcsClient) ViewNS(ns string, fn func(tx *gcs.Txn) error) error {
-	return g.txn(txnViewNS, []string{ns}, true, fn)
+	return g.UpdateMulti([]string{ns}, fn)
 }
 
 func (g *gcsClient) VersionNS(ns string) uint64 {
@@ -340,14 +356,6 @@ func (f *flightClient) edgeReq(query string, dest lineage.ChannelID, ints ...int
 	return w.b
 }
 
-// fireAndForget runs an exchange whose interface slot has no error
-// return; wire failures are swallowed (the ops are cleanup/advisory, and
-// a broken head conn means this worker is about to be declared dead
-// anyway).
-func (f *flightClient) fireAndForget(typ byte, payload []byte) {
-	_, _, _ = f.p.roundTrip(typ, payload)
-}
-
 func (f *flightClient) Push(p flight.Partition) error {
 	w := f.hdr()
 	w.str(p.Query)
@@ -361,17 +369,29 @@ func (f *flightClient) Push(p flight.Partition) error {
 	return err
 }
 
-func (f *flightClient) ContiguousFrom(query string, dest lineage.ChannelID, input, upChannel, from int) int {
-	rp, err := f.p.expect(mtFlContig, f.edgeReq(query, dest, input, upChannel, from), mtIntResp)
-	if err != nil {
-		return 0
+// Probe has no error slot: a failed exchange reads as nothing available,
+// and the channel waits for a later round.
+func (f *flightClient) Probe(query string, dest lineage.ChannelID, edges []flight.Edge) []int {
+	w := wbuf{b: f.edgeReq(query, dest)}
+	w.u32(uint32(len(edges)))
+	for _, e := range edges {
+		w.i64(int64(e.Input))
+		w.i64(int64(e.UpChannel))
+		w.i64(int64(e.Watermark))
 	}
+	avail := make([]int, len(edges))
+	rp, err := f.p.expect(mtFlProbe, w.b, mtIntsResp)
 	r := rbuf{b: rp}
-	n := r.i64("contig")
-	if r.err() != nil {
-		return 0
+	if n := r.count("probe count", 8); err != nil || n != len(edges) {
+		return avail
 	}
-	return int(n)
+	for i := range avail {
+		avail[i] = int(r.i64("probe available"))
+	}
+	if r.err() != nil {
+		clear(avail)
+	}
+	return avail
 }
 
 func (f *flightClient) Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([][]byte, error) {
@@ -380,10 +400,9 @@ func (f *flightClient) Take(query string, dest lineage.ChannelID, input, upChann
 		return nil, err
 	}
 	r := rbuf{b: rp}
-	n := int(r.u32("take count"))
-	out := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.bytesOwned("take partition"))
+	out := make([][]byte, r.count("take count", 4))
+	for i := range out {
+		out[i] = r.bytesOwned("take partition")
 	}
 	if derr := r.err(); derr != nil {
 		return nil, derr
@@ -391,18 +410,17 @@ func (f *flightClient) Take(query string, dest lineage.ChannelID, input, upChann
 	return out, nil
 }
 
+// The three drops have no error slot and swallow wire failures: they are
+// cleanup, and a broken head conn means this worker is about to be declared
+// dead anyway.
 func (f *flightClient) Drop(query string, dest lineage.ChannelID, input, upChannel, from, count int) {
-	f.fireAndForget(mtFlDrop, f.edgeReq(query, dest, input, upChannel, from, count))
-}
-
-func (f *flightClient) DropBelow(query string, dest lineage.ChannelID, input, upChannel, wm int) {
-	f.fireAndForget(mtFlDropBelow, f.edgeReq(query, dest, input, upChannel, wm))
+	f.p.roundTrip(mtFlDrop, f.edgeReq(query, dest, input, upChannel, from, count))
 }
 
 func (f *flightClient) DropQuery(query string) {
 	w := f.hdr()
 	w.str(query)
-	f.fireAndForget(mtFlDropQuery, w.b)
+	f.p.roundTrip(mtFlDropQuery, w.b)
 }
 
 func (f *flightClient) SpoolResult(query string, task lineage.TaskName, data []byte, epoch int) error {
@@ -419,23 +437,14 @@ func (f *flightClient) FetchResult(query string, task lineage.TaskName) ([]byte,
 	w := f.hdr()
 	w.str(query)
 	w.task(task)
-	rp, err := f.p.expect(mtFlFetch, w.b, mtBytesResp)
-	if err != nil {
-		return nil, err
-	}
-	r := rbuf{b: rp}
-	data := r.bytesOwned("fetch result")
-	if derr := r.err(); derr != nil {
-		return nil, derr
-	}
-	return data, nil
+	return f.p.bytesOf(mtFlFetch, w.b)
 }
 
 func (f *flightClient) DropResult(query string, task lineage.TaskName) {
 	w := f.hdr()
 	w.str(query)
 	w.task(task)
-	f.fireAndForget(mtFlDropResult, w.b)
+	f.p.roundTrip(mtFlDropResult, w.b)
 }
 
 // Fail is a no-op on the client: mailbox failure is declared by the HEAD
@@ -464,16 +473,7 @@ func (o *objClient) get(key string, free bool) ([]byte, error) {
 	var w wbuf
 	w.str(key)
 	w.boolean(free)
-	rp, err := o.p.expect(mtObjGet, w.b, mtBytesResp)
-	if err != nil {
-		return nil, err
-	}
-	r := rbuf{b: rp}
-	data := r.bytesOwned("object")
-	if derr := r.err(); derr != nil {
-		return nil, derr
-	}
-	return data, nil
+	return o.p.bytesOf(mtObjGet, w.b)
 }
 
 func (o *objClient) Get(key string) ([]byte, error) { return o.get(key, false) }
@@ -500,16 +500,7 @@ func (s *sinkClient) Deliver(t lineage.TaskName, data []byte, epoch int) bool {
 	w.task(t)
 	w.i64(int64(epoch))
 	w.bytes(data)
-	rp, err := s.p.expect(mtSinkDeliver, w.b, mtBoolResp)
-	if err != nil {
-		return false
-	}
-	r := rbuf{b: rp}
-	ok := r.boolean("deliver")
-	if r.err() != nil {
-		return false
-	}
-	return ok
+	return s.p.boolOf(mtSinkDeliver, w.b)
 }
 
 func (s *sinkClient) DeliverSpooled(t lineage.TaskName, worker int, size int64, epoch int) bool {
@@ -519,14 +510,5 @@ func (s *sinkClient) DeliverSpooled(t lineage.TaskName, worker int, size int64, 
 	w.i64(int64(worker))
 	w.i64(size)
 	w.i64(int64(epoch))
-	rp, err := s.p.expect(mtSinkSpooled, w.b, mtBoolResp)
-	if err != nil {
-		return false
-	}
-	r := rbuf{b: rp}
-	ok := r.boolean("deliver spooled")
-	if r.err() != nil {
-		return false
-	}
-	return ok
+	return s.p.boolOf(mtSinkSpooled, w.b)
 }

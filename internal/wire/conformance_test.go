@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"quokka/internal/cluster"
+	"quokka/internal/engine"
 	"quokka/internal/flight"
 	"quokka/internal/gcs"
 	"quokka/internal/lineage"
@@ -34,6 +35,12 @@ type backends struct {
 	server func(i int) *flight.Server
 	// remote marks handles that proxy to a head in another process.
 	remote bool
+	// store is the authoritative store behind gcs (the same value in memory);
+	// peer, over the wire, is a second worker process's client of it; met
+	// counts the head's op frames.
+	store *gcs.Store
+	peer  gcs.Backend
+	met   *metrics.Collector
 }
 
 func memBackends(t *testing.T) *backends {
@@ -41,8 +48,11 @@ func memBackends(t *testing.T) *backends {
 	met := &metrics.Collector{}
 	cost := storage.CostModel{}
 	servers := []*flight.Server{flight.NewServer(cost, met), flight.NewServer(cost, met)}
+	store := gcs.New(cost, met)
 	return &backends{
-		gcs:    gcs.New(cost, met),
+		gcs:    store,
+		store:  store,
+		peer:   store,
 		fl:     func(i int) flight.Transport { return servers[i] },
 		obj:    storage.NewObjectStore(cost, storage.ProfileS3, met),
 		server: func(i int) *flight.Server { return servers[i] },
@@ -72,6 +82,9 @@ func wireBackends(t *testing.T) *backends {
 		obj:    &objClient{p: p},
 		server: func(i int) *flight.Server { return cl.Workers[i].Flight.(*flight.Server) },
 		remote: true,
+		store:  cl.GCS.(*gcs.Store),
+		peer:   &gcsClient{p: p},
+		met:    cl.Metrics,
 	}
 }
 
@@ -88,7 +101,11 @@ func TestConformance(t *testing.T) {
 	}
 	for _, impl := range impls {
 		t.Run(impl.name, func(t *testing.T) {
-			t.Run("gcs", func(t *testing.T) { gcsConformance(t, impl.mk(t)) })
+			t.Run("gcs", func(t *testing.T) {
+				b := impl.mk(t)
+				gcsConformance(t, b)
+				replicaConformance(t, b)
+			})
 			t.Run("flight", func(t *testing.T) { flightConformance(t, impl.mk(t)) })
 			t.Run("objstore", func(t *testing.T) { objConformance(t, impl.mk(t)) })
 			t.Run("failure", func(t *testing.T) { failureConformance(t, impl.mk(t)) })
@@ -96,17 +113,18 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// nsKey builds a test key inside namespace ns. (The production "q/<qid>/"
-// keyspace is built by the engine's blessed helpers; the conformance
-// suite uses its own prefix-free namespace so the shard mapper treats all
-// keys as one namespace "".)
-func nsKey(part string) string { return "conf-" + part }
+// confNS is the suite's namespace: a query namespace like any other, built
+// by the engine's blessed helper (a remote backend serves nothing else).
+var confNS = engine.QueryNamespace("conf")
+
+// nsKey builds a test key inside confNS.
+func nsKey(part string) string { return confNS + "conf-" + part }
 
 // gcsConformance's cases share one store and run in order: later cases
 // read what earlier ones committed.
 func gcsConformance(t *testing.T, b *backends) {
 	g := b.gcs
-	ns := "" // prefix-free keys all map to the "" namespace shard
+	ns := confNS
 
 	// Write, read-your-writes inside the txn, then visibility after commit.
 	t.Run("read-your-writes", func(t *testing.T) {
@@ -256,6 +274,276 @@ func gcsConformance(t *testing.T, b *backends) {
 	})
 }
 
+// opFrames reads the head's request-frame counter of one op type (0 in
+// memory: nothing crosses a socket).
+func (b *backends) opFrames(op string) int64 { return b.met.Get(metrics.WireFrames + op) }
+
+// namespaceKeys is what a replica of ns at version since is sent — every key
+// a worker would receive — and whether it was the whole namespace: in memory
+// the store's own answer, over the wire the decoded answer to a raw sync
+// frame.
+func namespaceKeys(t *testing.T, b *backends, ns string, since uint64) (keys []string, full bool) {
+	t.Helper()
+	d := gcs.Delta{}
+	if !b.remote {
+		d = b.store.Sync(ns, since)
+	} else {
+		var w wbuf
+		w.str(ns)
+		w.u64(since)
+		rp, err := b.gcs.(*gcsClient).p.expect(mtGCSSync, w.b, mtGCSResult)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rbuf{b: rp}
+		r.boolean("committed")
+		if n := r.u32("delta count"); n != 1 {
+			t.Fatalf("sync answered %d deltas", n)
+		}
+		d = gcs.Delta{Version: r.u64("version"), Full: r.boolean("full"), Set: r.kvs("entry")}
+		if err := r.err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := range d.Set {
+		keys = append(keys, k)
+	}
+	return keys, d.Full
+}
+
+// replicaConformance is the part of the control-store contract that exists
+// because a remote backend runs bodies against a replica: one frame per
+// transaction, re-run on a stale read, deletes and nothing foreign in a
+// delta, no residue after the query. The assertions on outcomes hold in
+// memory too; the frame counts are checked where there are frames.
+func replicaConformance(t *testing.T, b *backends) {
+	g, ns := b.gcs, confNS
+	put := func(be gcs.Backend, ns, key, val string) {
+		t.Helper()
+		if err := be.UpdateNS(ns, func(tx *gcs.Txn) error { tx.Put(key, []byte(val)); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counter := nsKey("n")
+	bump := func(be gcs.Backend, body func()) error {
+		return be.UpdateNS(ns, func(tx *gcs.Txn) error {
+			if body != nil {
+				body()
+			}
+			v, _ := tx.Get(counter)
+			var n int
+			fmt.Sscanf(string(v), "%d", &n)
+			tx.Put(counter, []byte(fmt.Sprint(n+1)))
+			return nil
+		})
+	}
+	read := func(be gcs.Backend, key string) (val string, ok bool) {
+		t.Helper()
+		if err := be.ViewNS(ns, func(tx *gcs.Txn) error {
+			v, present := tx.Get(key)
+			val, ok = string(v), present
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return val, ok
+	}
+
+	// A view is one request frame however much its body reads — and never
+	// zero: it sees what a peer committed just before it.
+	t.Run("view-one-frame", func(t *testing.T) {
+		put(g, ns, nsKey("one-1"), "1")
+		put(g, ns, nsKey("one-2"), "2")
+		put(b.peer, ns, nsKey("one-3"), "3")
+		syncs, commits := b.opFrames("gcs_sync"), b.opFrames("gcs_commit")
+		err := g.ViewNS(ns, func(tx *gcs.Txn) error {
+			for i, k := range []string{"one-1", "one-2", "one-3"} {
+				if v, ok := tx.Get(nsKey(k)); !ok || string(v) != fmt.Sprint(i+1) {
+					return fmt.Errorf("%s = %q, %v", k, v, ok)
+				}
+			}
+			if got := tx.List(nsKey("one-")); len(got) != 3 {
+				return fmt.Errorf("list = %v", got)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.remote {
+			if s, c := b.opFrames("gcs_sync")-syncs, b.opFrames("gcs_commit")-commits; s != 1 || c != 0 {
+				t.Fatalf("a view of 3 reads and a list cost %d sync + %d commit frames, want 1 + 0", s, c)
+			}
+		}
+	})
+
+	// An update whose reads are current is one request frame: read set,
+	// write set and verdict.
+	t.Run("update-one-frame", func(t *testing.T) {
+		put(g, ns, counter, "0")
+		read(g, counter) // the replica is current
+		syncs, commits := b.opFrames("gcs_sync"), b.opFrames("gcs_commit")
+		runs := 0
+		if err := bump(g, func() { runs++ }); err != nil {
+			t.Fatal(err)
+		}
+		if b.remote {
+			if s, c := b.opFrames("gcs_sync")-syncs, b.opFrames("gcs_commit")-commits; s != 0 || c != 1 {
+				t.Fatalf("a read-modify-write cost %d sync + %d commit frames, want 0 + 1", s, c)
+			}
+		}
+		if v, _ := read(b.peer, counter); v != "1" || runs != 1 {
+			t.Fatalf("counter = %q after %d body runs, want 1 after 1", v, runs)
+		}
+	})
+
+	// A peer's commit to a key the body read lands between the body and its
+	// commit: nothing is applied, the body runs again on the fresh value, and
+	// the result is the serial order's — no lost update. (In memory the shard
+	// lock makes that interleaving impossible; the peer goes first.)
+	t.Run("conflict-rerun", func(t *testing.T) {
+		start, _ := read(g, counter)
+		version := b.store.VersionNS(ns)
+		runs := 0
+		if !b.remote {
+			bump(b.peer, nil)
+		}
+		err := bump(g, func() {
+			if runs++; runs == 1 && b.remote {
+				if err := bump(b.peer, nil); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var from int
+		fmt.Sscanf(start, "%d", &from)
+		if v, _ := read(b.peer, counter); v != fmt.Sprint(from+2) {
+			t.Fatalf("counter = %q, want %d: an update was lost", v, from+2)
+		}
+		if want := map[bool]int{false: 1, true: 2}[b.remote]; runs != want {
+			t.Fatalf("body ran %d times, want %d", runs, want)
+		}
+		if got := b.store.VersionNS(ns); got != version+2 {
+			t.Fatalf("version moved %d -> %d, want two commits: the stale attempt must apply nothing", version, got)
+		}
+	})
+
+	// A peer's delete reaches the replica: the key is gone from Get and List.
+	t.Run("delta-delete", func(t *testing.T) {
+		put(g, ns, nsKey("d1"), "x")
+		put(g, ns, nsKey("d2"), "y")
+		if _, ok := read(g, nsKey("d1")); !ok {
+			t.Fatal("d1 missing before the delete")
+		}
+		if err := b.peer.UpdateNS(ns, func(tx *gcs.Txn) error { tx.Delete(nsKey("d1")); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		err := g.ViewNS(ns, func(tx *gcs.Txn) error {
+			if _, ok := tx.Get(nsKey("d1")); ok {
+				return fmt.Errorf("deleted key still readable")
+			}
+			if got := tx.List(nsKey("d")); !reflect.DeepEqual(got, []string{nsKey("d2")}) {
+				return fmt.Errorf("list = %v", got)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// Two namespaces on one shard share a lock and a version counter and
+	// nothing else: a worker syncing one is never sent a key of the other,
+	// and a commit to the other does not make its reads stale.
+	t.Run("sync-namespace-isolation", func(t *testing.T) {
+		var other string
+		for i := 0; other == ""; i++ {
+			cand := engine.QueryNamespace(fmt.Sprintf("conf-%d", i))
+			before := b.store.VersionNS(ns)
+			put(b.peer, cand, cand+"k", "theirs")
+			if b.store.VersionNS(ns) != before {
+				other = cand // same shard: its commit moved our version
+			}
+		}
+		keys, full := namespaceKeys(t, b, ns, 0)
+		if !full || len(keys) == 0 {
+			t.Fatalf("first contact: full=%v, %d keys", full, len(keys))
+		}
+		for _, k := range keys {
+			if len(k) < len(ns) || k[:len(ns)] != ns {
+				t.Fatalf("syncing %s delivered %q", ns, k)
+			}
+		}
+		if got, _ := namespaceKeys(t, b, other, 0); !reflect.DeepEqual(got, []string{other + "k"}) {
+			t.Fatalf("syncing %s delivered %v", other, got)
+		}
+		read(g, counter)
+		runs := 0
+		if err := bump(g, func() {
+			if runs++; runs == 1 && b.remote {
+				put(b.peer, other, other+"k2", "theirs") // moves the shard version mid-transaction
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if runs != 1 {
+			t.Fatalf("a commit to another namespace on the shard re-ran the body (%d runs)", runs)
+		}
+		// Reading the other query's key inside this namespace's transaction is
+		// refused outright over the wire (in memory the shard is shared).
+		if b.remote {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("a foreign namespace's key was readable")
+					}
+				}()
+				g.ViewNS(ns, func(tx *gcs.Txn) error { tx.Get(other + "k"); return nil })
+			}()
+		}
+	})
+
+	// When the query is over — every key of the namespace deleted, the
+	// worker's replica forgotten — neither end keeps anything of it: the head
+	// no longer knows what changed since any version (it answers with the
+	// whole, empty, namespace; gcs.TestChangeTrackingLifecycle looks inside),
+	// and the client holds no replica.
+	t.Run("replica-dropped-with-query", func(t *testing.T) {
+		version := b.store.VersionNS(ns)
+		if _, full := namespaceKeys(t, b, ns, version); full {
+			t.Fatalf("a followed namespace answered a current replica with the whole namespace")
+		}
+		if err := b.peer.UpdateNS(ns, func(tx *gcs.Txn) error {
+			for _, k := range tx.List(ns) {
+				tx.Delete(k)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ { // the second sync finds what the first left: nothing
+			if keys, full := namespaceKeys(t, b, ns, version); !full || len(keys) != 0 {
+				t.Fatalf("swept namespace: full=%v, keys %v; want the whole, empty namespace", full, keys)
+			}
+		}
+		if c, ok := g.(*gcsClient); ok {
+			c.forget(ns)
+			if _, held := c.reps[ns]; held {
+				t.Fatalf("client still holds a replica of %s", ns)
+			}
+		}
+	})
+}
+
+// contig is the one-edge probe: how many partitions are buffered in sequence
+// from `from` on (and, like every probe, a drop of what lies below it).
+func contig(fl flight.Transport, q string, dest lineage.ChannelID, input, up, from int) int {
+	return fl.Probe(q, dest, []flight.Edge{{Input: input, UpChannel: up, Watermark: from}})[0]
+}
+
 // flightConformance's cases share worker 0's mailbox and run in order.
 func flightConformance(t *testing.T, b *backends) {
 	fl := b.fl(0)
@@ -279,7 +567,7 @@ func flightConformance(t *testing.T, b *backends) {
 		if err := push(3, 0, "p3"); err != nil {
 			t.Fatal(err)
 		}
-		if n := fl.ContiguousFrom(q, dest, 0, 2, 0); n != 2 {
+		if n := contig(fl, q, dest, 0, 2, 0); n != 2 {
 			t.Fatalf("contiguous = %d, want 2 (gap at 2)", n)
 		}
 		got, err := fl.Take(q, dest, 0, 2, 0, 2)
@@ -324,22 +612,59 @@ func flightConformance(t *testing.T, b *backends) {
 			t.Fatalf("buffered = %d, want > 0", bb)
 		}
 		fl.Drop(q, dest, 0, 2, 0, 2)
-		if n := fl.ContiguousFrom(q, dest, 0, 2, 0); n != 0 {
+		if n := contig(fl, q, dest, 0, 2, 0); n != 0 {
 			t.Fatalf("after drop contiguous = %d, want 0", n)
 		}
 	})
 
-	// DropBelow clears retransmissions under the watermark (seq 3 from the
-	// gap push above is still buffered and must survive).
+	// A probe clears retransmissions under its watermark and nothing at or
+	// above it (seq 3 from the gap push above is still buffered and must
+	// survive).
 	t.Run("drop-below", func(t *testing.T) {
 		push(1, 0, "r1")
 		push(2, 0, "r2")
-		fl.DropBelow(q, dest, 0, 2, 2)
-		if n := fl.ContiguousFrom(q, dest, 0, 2, 1); n != 0 {
-			t.Fatalf("after dropBelow contiguous from 1 = %d, want 0", n)
+		before := b.server(0).BufferedBytes()
+		if n := contig(fl, q, dest, 0, 2, 2); n != 2 {
+			t.Fatalf("contiguous from 2 = %d, want 2", n)
 		}
-		if n := fl.ContiguousFrom(q, dest, 0, 2, 2); n != 2 {
-			t.Fatalf("after dropBelow contiguous from 2 = %d, want 2", n)
+		if got := b.server(0).BufferedBytes(); got != before-int64(len("r1")) {
+			t.Fatalf("buffered %d -> %d, want exactly seq 1 dropped", before, got)
+		}
+		if _, err := fl.Take(q, dest, 0, 2, 1, 1); err == nil {
+			t.Fatalf("a partition below the watermark survived the probe")
+		}
+	})
+
+	// One probe answers every edge it names, each from its own watermark, in
+	// the order asked — over the wire in one request frame.
+	t.Run("probe-batch", func(t *testing.T) {
+		other := func(seq int) error {
+			return fl.Push(flight.Partition{
+				Query: q, From: lineage.TaskName{Stage: 0, Channel: 5, Seq: seq},
+				Dest: dest, Input: 1, Data: []byte("o"), Epoch: 0,
+			})
+		}
+		for _, seq := range []int{0, 1, 2} {
+			if err := other(seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frames := b.met.Get(metrics.WireFrames + "fl_probe")
+		got := fl.Probe(q, dest, []flight.Edge{
+			{Input: 1, UpChannel: 5, Watermark: 1},
+			{Input: 0, UpChannel: 2, Watermark: 2}, // seqs 2 and 3 from the cases above
+			{Input: 1, UpChannel: 9, Watermark: 0}, // never pushed to
+		})
+		if !reflect.DeepEqual(got, []int{2, 2, 0}) {
+			t.Fatalf("probe = %v, want [2 2 0]", got)
+		}
+		if b.remote {
+			if n := b.met.Get(metrics.WireFrames+"fl_probe") - frames; n != 1 {
+				t.Fatalf("a three-edge probe cost %d request frames, want 1", n)
+			}
+		}
+		if len(fl.Probe(q, dest, nil)) != 0 {
+			t.Fatalf("empty probe answered edges")
 		}
 	})
 
@@ -375,7 +700,7 @@ func flightConformance(t *testing.T, b *backends) {
 			t.Fatal(err)
 		}
 		fl.DropQuery(q)
-		if n := fl.ContiguousFrom(q, dest, 0, 2, 5); n != 0 {
+		if n := contig(fl, q, dest, 0, 2, 5); n != 0 {
 			t.Fatalf("after DropQuery contiguous = %d", n)
 		}
 		if _, err := fl.FetchResult(q, task); err == nil {
@@ -389,7 +714,7 @@ func flightConformance(t *testing.T, b *backends) {
 	// Mailboxes are isolated per worker.
 	t.Run("worker-isolation", func(t *testing.T) {
 		push(0, 0, "w0-only")
-		if n := b.fl(1).ContiguousFrom(q, dest, 0, 2, 0); n != 0 {
+		if n := contig(b.fl(1), q, dest, 0, 2, 0); n != 0 {
 			t.Fatalf("worker 1 sees worker 0's partition")
 		}
 	})

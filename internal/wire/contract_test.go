@@ -6,6 +6,7 @@ package wire
 // without touching its state.
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -74,17 +75,43 @@ func opServer(t testing.TB) *Server {
 
 // opRequests is the op-conn request set of proto.go.
 var opRequests = map[byte]bool{
-	mtTxnBegin: true, mtGCSVersionNS: true, mtGCSVersion: true, mtGCSWaitChange: true,
-	mtFlPush: true, mtFlContig: true, mtFlTake: true, mtFlDrop: true, mtFlDropBelow: true,
+	mtGCSVersionNS: true, mtGCSVersion: true, mtGCSWaitChange: true, mtGCSSync: true, mtGCSCommit: true,
+	mtFlPush: true, mtFlTake: true, mtFlDrop: true, mtFlProbe: true,
 	mtFlDropQuery: true, mtFlSpool: true, mtFlFetch: true, mtFlDropResult: true,
 	mtObjPut: true, mtObjGet: true, mtSinkDeliver: true, mtSinkSpooled: true,
 }
 
+// Type bytes this protocol version once assigned and retired: the
+// interactive transaction (begin, get, get response, list, list response,
+// commit, abort, done), the two per-edge mailbox probes and their response.
+const (
+	retiredTxnBegin    = byte(0x10)
+	retiredTxnDone     = byte(0x17)
+	retiredFlContig    = byte(0x21)
+	retiredFlDropBelow = byte(0x24)
+	retiredIntResp     = byte(0x43)
+)
+
 // TestOpMessageSetPinned: of the 256 type bytes, handleOp dispatches exactly
 // the declared requests; every other byte — control-plane types, responses,
-// mid-transaction frames, retired and never-assigned bytes — is an unknown
-// op, refused as ErrCorrupt.
+// retired and never-assigned bytes — is an unknown op, refused as
+// ErrCorrupt. The names the head counts frames under are the same set.
 func TestOpMessageSetPinned(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		if _, named := opNames[byte(b)]; named != opRequests[byte(b)] {
+			t.Errorf("type 0x%02x: counted under a name=%v, declared a request=%v", b, named, opRequests[byte(b)])
+		}
+	}
+	for typ := retiredTxnBegin; typ <= retiredTxnDone; typ++ {
+		if opRequests[typ] {
+			t.Errorf("retired transaction type 0x%02x is a request again", typ)
+		}
+	}
+	for _, typ := range []byte{retiredFlContig, retiredFlDropBelow, retiredIntResp} {
+		if opRequests[typ] {
+			t.Errorf("retired probe type 0x%02x is a request again", typ)
+		}
+	}
 	s := opServer(t)
 	c, peer := net.Pipe()
 	peer.Close() // nothing may be written for a refused frame
@@ -127,7 +154,30 @@ func retiredFrames() map[string]rawFrame {
 	dropChan.chanID(lineage.ChannelID{Stage: 1})
 	var buffered wbuf
 	buffered.u32(0)
-	begin := func(kind byte) []byte { var w wbuf; w.u8(kind); w.u32(0); return w.b }
+	// The interactive transaction, as its last client spoke it: a begin naming
+	// one namespace, then reads, a commit of one write, an abort — each is now
+	// a first frame on a fresh conn and refused as such.
+	begin := func(kind byte, nss ...string) []byte {
+		var w wbuf
+		w.u8(kind)
+		w.strs(nss)
+		return w.b
+	}
+	var commit wbuf
+	commit.u32(1)
+	commit.str(confNS + "conf-a")
+	commit.boolean(false)
+	commit.bytes([]byte("overwritten"))
+	edge := func(ints ...int64) []byte {
+		var w wbuf
+		w.u32(0)
+		w.str("q-keep")
+		w.chanID(lineage.ChannelID{Stage: 1})
+		for _, v := range ints {
+			w.i64(v)
+		}
+		return w.b
+	}
 	return map[string]rawFrame{
 		"obj put, costed":  {0x30, put.b},
 		"obj has":          {0x32, key("tbl-x/0")},
@@ -136,8 +186,15 @@ func retiredFrames() map[string]rawFrame {
 		"obj size":         {0x35, key("tbl-x/0")},
 		"flight drop chan": {0x25, dropChan.b},
 		"flight buffered":  {0x2a, buffered.b},
-		"txn begin update": {mtTxnBegin, begin(3)},
-		"txn begin view":   {mtTxnBegin, begin(4)},
+		"txn begin update": {retiredTxnBegin, begin(3)},
+		"txn begin view":   {retiredTxnBegin, begin(4)},
+		"txn begin ns":     {retiredTxnBegin, begin(0, confNS)},
+		"txn get":          {0x11, key(confNS + "conf-a")},
+		"txn list":         {0x13, key(confNS)},
+		"txn commit":       {0x15, commit.b},
+		"txn abort":        {0x16, key("changed my mind")},
+		"flight contig":    {retiredFlContig, edge(0, 0, 0)},
+		"flight dropbelow": {retiredFlDropBelow, edge(0, 0, 1<<40)},
 	}
 }
 
@@ -158,7 +215,7 @@ func TestRetiredFramesRefused(t *testing.T) {
 	objs := cl.ObjStore.(*storage.ObjectStore)
 	objs.PutFree("tbl-x/0", []byte("split0"))
 	store := cl.GCS.(*gcs.Store)
-	store.UpdateNS("", func(tx *gcs.Txn) error { tx.Put("conf-a", []byte("1")); return nil })
+	store.UpdateNS(confNS, func(tx *gcs.Txn) error { tx.Put(confNS+"conf-a", []byte("1")); return nil })
 	mailbox := cl.Workers[0].Flight.(*flight.Server)
 	mailbox.Push(flight.Partition{Query: "q-keep", Dest: lineage.ChannelID{Stage: 1}, Data: []byte("piece")})
 	version, buffered := store.Version(), mailbox.BufferedBytes()
@@ -195,10 +252,11 @@ func TestRetiredFramesRefused(t *testing.T) {
 	}
 }
 
-// TestTxnPeerCrashAborts: a peer that dies inside a transaction — the conn
-// drops between Begin and Commit — leaves nothing behind: no write, no
-// version bump, and the namespace's shard lock is free for the next caller
-// at once (not after txnDeadline).
+// TestTxnPeerCrashAborts: a peer that dies inside a transaction leaves
+// nothing behind. A transaction is one frame, so "inside" is mid-frame: the
+// conn drops with the commit frame cut at every offset. Whatever arrived, no
+// write is applied, the version does not move, and the namespace's shard
+// lock was never taken — a local transaction goes through at once.
 func TestTxnPeerCrashAborts(t *testing.T) {
 	cl, err := cluster.New(cluster.Options{Workers: 1, Cost: storage.CostModel{}})
 	if err != nil {
@@ -210,45 +268,80 @@ func TestTxnPeerCrashAborts(t *testing.T) {
 	}
 	defer srv.Close()
 	store := cl.GCS.(*gcs.Store)
+	key := confNS + "conf-a"
+	store.UpdateNS(confNS, func(tx *gcs.Txn) error { tx.Put(key, []byte("1")); return nil })
 	version := store.Version()
 
-	c, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
-	if err != nil {
+	// The frame a healthy client would send: read conf-a at the current
+	// version, overwrite it.
+	var w wbuf
+	w.u32(1)
+	w.str(confNS)
+	w.u64(store.VersionNS(confNS))
+	w.strs([]string{key})
+	w.strs(nil)
+	w.u32(1)
+	w.str(key)
+	w.boolean(false)
+	w.bytes([]byte("from the dead"))
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, mtGCSCommit, w.b); err != nil {
 		t.Fatal(err)
 	}
-	c.SetDeadline(time.Now().Add(10 * time.Second))
-	var begin, get wbuf
-	begin.u8(txnUpdateNS)
-	begin.u32(1)
-	begin.str("")
-	get.str("conf-a")
-	if err := writeFrame(c, mtTxnBegin, begin.b); err != nil {
-		t.Fatal(err)
+	full := frame.Bytes()
+
+	for cut := 1; cut < len(full); cut++ {
+		c, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := c.Write(full[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		c.(*net.TCPConn).CloseWrite() // the crash: the head reads EOF mid-frame
+		if rt, _, err := readFrame(c); err != io.EOF {
+			t.Fatalf("cut %d: head answered 0x%02x, %v; want the conn closed", cut, rt, err)
+		}
+		c.Close()
 	}
-	if err := writeFrame(c, mtTxnGet, get.b); err != nil {
-		t.Fatal(err)
-	}
-	// The read is answered from inside the transaction: the lock is held.
-	if rt, _, err := readFrame(c); err != nil || rt != mtTxnGetResp {
-		t.Fatalf("txn get: 0x%02x, %v", rt, err)
-	}
-	c.Close() // the crash
 
 	done := make(chan error, 1)
 	go func() {
-		done <- store.UpdateNS("", func(tx *gcs.Txn) error {
-			if store.Version() != version {
-				t.Errorf("crashed transaction moved the version %d -> %d", version, store.Version())
+		done <- store.UpdateNS(confNS, func(tx *gcs.Txn) error {
+			if v, _ := tx.Get(key); string(v) != "1" {
+				t.Errorf("a cut frame wrote %q", v)
 			}
-			return nil
+			return gcs.ErrAborted
 		})
 	}()
 	select {
 	case err := <-done:
-		if err != nil {
+		if err != gcs.ErrAborted {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("shard lock still held after the peer's conn dropped")
+		t.Fatal("shard lock held after a peer's conn dropped")
+	}
+	if store.Version() != version {
+		t.Errorf("cut frames moved the version %d -> %d", version, store.Version())
+	}
+
+	// The whole frame, for contrast, commits.
+	c, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := c.Write(full); err != nil {
+		t.Fatal(err)
+	}
+	rt, rp, err := readFrame(c)
+	if err != nil || rt != mtGCSResult || rp[0] != 1 {
+		t.Fatalf("whole frame: 0x%02x %v, %v; want committed", rt, rp, err)
+	}
+	if store.Version() != version+1 {
+		t.Errorf("version %d after the whole frame, want %d", store.Version(), version+1)
 	}
 }

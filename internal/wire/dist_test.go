@@ -75,15 +75,7 @@ func TestDistSIGKILL(t *testing.T) {
 	// KillWorker on a spawned worker delivers a real SIGKILL to its
 	// process (Server.Spawn installed the hook); the dropped control conn
 	// then confirms the death to the head's liveness detection.
-	base := cl.GCS.Version()
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		for cl.GCS.Version() < base+10 {
-			time.Sleep(time.Millisecond)
-		}
-		cl.Worker(1).Kill()
-	}()
+	killed := killMidQuery(cl, 1)
 
 	plan, err := tpch.Query(q)
 	if err != nil {

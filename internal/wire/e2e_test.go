@@ -9,6 +9,8 @@ package wire
 import (
 	"context"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"quokka/internal/batch"
 	"quokka/internal/cluster"
 	"quokka/internal/engine"
+	"quokka/internal/gcs"
 	"quokka/internal/metrics"
 	"quokka/internal/storage"
 	"quokka/internal/tpch"
@@ -239,6 +242,37 @@ func TestProcessModeDynamicEquivalence(t *testing.T) {
 	sameResult(t, q, want, got)
 }
 
+// killMidQuery kills worker w once lineage commits are landing and one of
+// them is w's own: the query is then provably mid-flight, with committed
+// tasks of the victim to preserve (replay) and in-flight ones to rewind. (Ten
+// commits alone used to imply that; at a frame per transaction the worker the
+// head starts first can land ten before the next has landed one.) The
+// returned channel closes once the kill is delivered.
+func killMidQuery(cl *cluster.Cluster, w cluster.WorkerID) <-chan struct{} {
+	store, base := cl.GCS.(*gcs.Store), cl.GCS.Version()
+	victimCommitted := func() (yes bool) {
+		store.View(func(tx *gcs.Txn) error {
+			for _, k := range tx.List("") {
+				// pd/<task> records which worker holds a committed task's backup.
+				if v, _ := tx.Get(k); strings.Contains(k, "/pd/") && string(v) == strconv.Itoa(int(w)) {
+					yes = true
+				}
+			}
+			return nil
+		})
+		return yes
+	}
+	killed := make(chan struct{})
+	go func() {
+		defer close(killed)
+		for cl.GCS.Version() < base+10 || !victimCommitted() {
+			time.Sleep(time.Millisecond)
+		}
+		cl.Worker(w).Kill()
+	}()
+	return killed
+}
+
 // TestProcessModeKillWorker kills one wire-attached worker mid-query (from
 // the head side: mailbox failed, worker process zombied) and demands full
 // recovery — exact result (FP tolerance on the float sums, like the fault
@@ -253,18 +287,7 @@ func TestProcessModeKillWorker(t *testing.T) {
 	cl, _ := distCluster(t, workers, engine.WithTracing(true))
 	want := memRun(t, q, workers, cfg)
 
-	// Kill worker 1 once lineage commits start landing: the query is then
-	// provably mid-flight, with committed tasks to preserve (replay) and
-	// in-flight ones to rewind.
-	base := cl.GCS.Version()
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		for cl.GCS.Version() < base+10 {
-			time.Sleep(time.Millisecond)
-		}
-		cl.Worker(1).Kill()
-	}()
+	killed := killMidQuery(cl, 1)
 
 	got, rep, spans, err := distRun(t, cl, q, cfg)
 	<-killed

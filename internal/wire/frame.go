@@ -13,6 +13,13 @@
 // this repo targets, and exactly how the paper's head-node Redis + NVMe
 // cache behaves for lineage and spooled results).
 //
+// Every operation is one request frame answered by one response frame, a
+// GCS transaction included: its body runs in the worker against a replica
+// of the query's namespace (gcs.Replica) — a view after one sync frame, an
+// update before one commit frame that ships what the body read and wrote,
+// applied only if the reads are still current. The head keeps no per-conn
+// state and holds no store lock while it reads from or writes to a conn.
+//
 // Framing is deliberately minimal: a four-byte header (magic, version,
 // type, flags) and a big-endian length, then the payload — which for
 // shuffle partitions is the engine's existing QBA2-compressed encoding,
@@ -26,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 
 	"quokka/internal/lineage"
 )
@@ -47,40 +55,39 @@ const (
 // errors.Is(err, ErrCorrupt).
 var ErrCorrupt = errors.New("wire: corrupt frame")
 
-// writeFrame sends one frame. Payload may be nil (length 0).
+// writeFrame sends one frame as one vectored write — on a TCP_NODELAY conn a
+// header written alone would be a segment, and a reader wake-up, of its own.
+// Payload may be nil (length 0).
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("wire: frame payload %d exceeds limit", len(payload))
 	}
-	var h [headerSize]byte
-	h[0] = frameMagic
-	h[1] = frameVersion
-	h[2] = typ
-	h[3] = 0
+	h := [headerSize]byte{frameMagic, frameVersion, typ, 0}
 	binary.BigEndian.PutUint32(h[4:], uint32(len(payload)))
-	if _, err := w.Write(h[:]); err != nil {
-		return err
-	}
+	bufs := net.Buffers{h[:]}
 	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
+		bufs = append(bufs, payload)
 	}
-	return nil
+	cc, counted := w.(*countingConn)
+	if counted {
+		w = cc.Conn // net.Buffers gathers only into a conn the net package knows
+	}
+	n, err := bufs.WriteTo(w)
+	if counted {
+		cc.count(int(n))
+	}
+	return err
 }
 
-// readFrame reads one frame. A clean EOF at a frame boundary returns
-// io.EOF; an EOF inside a header or payload is truncation and wraps
-// ErrCorrupt, as do bad magic, version or length.
+// readFrame reads one frame in two reads, header then payload. A clean EOF
+// at a frame boundary returns io.EOF; an EOF inside a header or payload is
+// truncation and wraps ErrCorrupt, as do bad magic, version or length.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var h [headerSize]byte
-	if _, err := io.ReadFull(r, h[:1]); err != nil {
+	if _, err := io.ReadFull(r, h[:]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
-		return 0, nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
-	}
-	if _, err := io.ReadFull(r, h[1:]); err != nil {
 		return 0, nil, fmt.Errorf("%w: truncated header: %v", ErrCorrupt, err)
 	}
 	if h[0] != frameMagic {
@@ -98,7 +105,7 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated payload (%d of %d bytes): %v", ErrCorrupt, 0, n, err)
+		return 0, nil, fmt.Errorf("%w: truncated payload (%d bytes): %v", ErrCorrupt, n, err)
 	}
 	return h[2], payload, nil
 }
@@ -132,6 +139,23 @@ func (w *wbuf) boolean(v bool) {
 func (w *wbuf) str(s string) {
 	w.u32(uint32(len(s)))
 	w.b = append(w.b, s...)
+}
+
+func (w *wbuf) strs(ss []string) {
+	w.u32(uint32(len(ss)))
+	for _, s := range ss {
+		w.str(s)
+	}
+}
+
+// kvs writes a key → value set; a nil value is marked as a delete.
+func (w *wbuf) kvs(m map[string][]byte) {
+	w.u32(uint32(len(m)))
+	for k, v := range m {
+		w.str(k)
+		w.boolean(v == nil)
+		w.bytes(v)
+	}
 }
 
 func (w *wbuf) bytes(p []byte) {
@@ -204,6 +228,37 @@ func (r *rbuf) u64(what string) uint64 {
 }
 
 func (r *rbuf) i64(what string) int64 { return int64(r.u64(what)) }
+
+// count reads a u32 element count, refusing one the rest of the body could
+// not hold at min bytes an element — before anything is allocated or walked.
+func (r *rbuf) count(what string, min int) int {
+	n := int(r.u32(what))
+	if r.e == nil && n > (len(r.b)-r.off)/min {
+		r.fail(what)
+		return 0
+	}
+	return n
+}
+
+func (r *rbuf) strs(what string) []string {
+	out := make([]string, r.count(what, 4))
+	for i := range out {
+		out[i] = r.str(what)
+	}
+	return out
+}
+
+func (r *rbuf) kvs(what string) map[string][]byte {
+	m := make(map[string][]byte)
+	for n := r.count(what, 9); n > 0; n-- {
+		k, deleted, v := r.str(what), r.boolean(what), r.bytesOwned(what)
+		if deleted {
+			v = nil
+		}
+		m[k] = v
+	}
+	return m
+}
 
 func (r *rbuf) boolean(what string) bool { return r.u8(what) != 0 }
 

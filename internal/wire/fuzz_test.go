@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"quokka/internal/gcs"
 	"quokka/internal/lineage"
 )
 
@@ -27,18 +28,19 @@ func pushBody() []byte {
 
 // opResponses are the frames a head may answer an op with.
 var opResponses = map[byte]bool{
-	mtOK: true, mtErrResp: true, mtU64Resp: true, mtIntResp: true, mtBoolResp: true,
-	mtBytesResp: true, mtBytesListResp: true, mtTxnDone: true,
+	mtOK: true, mtErrResp: true, mtU64Resp: true, mtBoolResp: true,
+	mtBytesResp: true, mtBytesListResp: true, mtIntsResp: true, mtGCSResult: true,
 }
 
 // FuzzHandleOp feeds the op dispatcher arbitrary (type, payload) frames over
 // a net.Pipe. Whatever arrives, the head never panics and either answers
 // with one well-formed response frame or refuses with ErrCorrupt without
 // answering; every type outside the declared request set (the retired ones
-// included), retired transaction kinds and the costed object put are
-// refused whatever their payload. The checked-in corpus
-// (testdata/fuzz/FuzzHandleOp) is the truncation sweep's body at several
-// cuts plus one frame per retired type.
+// included), a transaction frame naming anything but whole query namespaces
+// and the costed object put are refused whatever their payload. The
+// checked-in corpus (testdata/fuzz/FuzzHandleOp) is the truncation sweep's
+// body at several cuts, one frame per retired type, and the transaction and
+// probe frames well-formed and with hostile counts.
 func FuzzHandleOp(f *testing.F) {
 	f.Add(mtFlPush, pushBody())
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
@@ -57,22 +59,10 @@ func FuzzHandleOp(f *testing.F) {
 			srv.Close()
 			done <- err
 		}()
-		aborted := make(chan struct{})
-		go func() {
-			defer close(aborted)
-			if typ == mtTxnBegin {
-				// An accepted Begin holds the conn for the transaction's
-				// frames: abort it. A refused one never reads this.
-				var a wbuf
-				a.str("fuzz")
-				writeFrame(cli, mtTxnAbort, a.b)
-			}
-		}()
 		cli.SetDeadline(time.Now().Add(20 * time.Second))
 		rt, rp, rerr := readFrame(cli)
 		err := <-done
 		cli.Close()
-		<-aborted
 
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
@@ -92,8 +82,28 @@ func FuzzHandleOp(f *testing.F) {
 		switch {
 		case !opRequests[typ]:
 			t.Fatalf("type 0x%02x accepted: retired or never declared", typ)
-		case typ == mtTxnBegin && payload[0] > txnUpdateMulti:
-			t.Fatalf("retired transaction kind %d accepted", payload[0])
+		case typ == mtGCSSync:
+			r := rbuf{b: payload}
+			if ns := r.str("ns"); !gcs.IsNamespace(ns) {
+				t.Fatalf("sync of %q accepted: not one query's namespace", ns)
+			}
+		case typ == mtGCSCommit:
+			r := rbuf{b: payload}
+			n := r.u32("namespace count")
+			if n == 0 {
+				t.Fatal("commit over no namespace accepted")
+			}
+			for ; n > 0; n-- {
+				if ns := r.str("ns"); !gcs.IsNamespace(ns) {
+					t.Fatalf("commit over %q accepted: not one query's namespace", ns)
+				}
+				r.u64("version")
+				for _, what := range []string{"keys", "prefixes"} {
+					for k := r.u32(what); k > 0; k-- {
+						r.str(what)
+					}
+				}
+			}
 		case typ == mtObjPut:
 			r := rbuf{b: payload}
 			r.str("key")

@@ -14,8 +14,9 @@ import (
 // This const block is the whole message set: one request type per method
 // of the three backend contracts (docs/contracts/) plus the control plane,
 // the result sink and the shared responses. A type byte not listed here —
-// including the retired 0x25, 0x2a and 0x32–0x35 — is refused as
-// ErrCorrupt and the conn closed; retired bytes are not reused.
+// including the retired 0x10–0x17, 0x21, 0x24, 0x25, 0x2a, 0x32–0x35 and
+// 0x43 — is refused as ErrCorrupt and the conn closed; retired bytes are
+// not reused.
 const (
 	// Control plane, worker <-> head.
 	mtHello      = byte(0x01) // C->S: u32 worker id
@@ -26,32 +27,28 @@ const (
 	mtStopped    = byte(0x06) // C->S: str qid, bytes gob []trace.Span
 	mtFail       = byte(0x07) // C->S: str qid, str errmsg
 
-	// GCS. A transaction occupies its conn from Begin to Done: the head
-	// runs the real store transaction holding the shard lock and serves
-	// the client's reads interactively from the same conn.
-	mtTxnBegin      = byte(0x10) // C->S: u8 kind, u32 n, n*str ns
-	mtTxnGet        = byte(0x11) // C->S: str key
-	mtTxnGetResp    = byte(0x12) // S->C: bool ok, bytes val
-	mtTxnList       = byte(0x13) // C->S: str prefix
-	mtTxnListResp   = byte(0x14) // S->C: u32 n, n*str key
-	mtTxnCommit     = byte(0x15) // C->S: u32 n, n*(str key, bool delete, bytes val)
-	mtTxnAbort      = byte(0x16) // C->S: str errmsg
-	mtTxnDone       = byte(0x17) // S->C: bool ok, str errmsg
+	// GCS. A transaction is one request frame: its body runs in the worker
+	// against a replica of the namespace (gcs.Replica), a view after a sync,
+	// an update before a commit that ships what the body read and wrote. A
+	// namespace is exactly one "q/<qid>/" prefix (gcs.IsNamespace); a kvs is
+	// u32 n, n*(str key, bool deleted, bytes val); a delta is u64 version,
+	// bool full, kvs.
 	mtGCSVersionNS  = byte(0x18) // C->S: str ns -> mtU64Resp
 	mtGCSVersion    = byte(0x19) // C->S: -> mtU64Resp
 	mtGCSWaitChange = byte(0x1a) // C->S: u64 since, i64 timeout ns -> mtU64Resp
+	mtGCSSync       = byte(0x1b) // C->S: str ns, u64 replica version -> mtGCSResult (one delta)
+	mtGCSCommit     = byte(0x1c) // C->S: u32 n, n*(str ns, u64 replica version, u32 k, k*str read key, u32 p, p*str read prefix), kvs writes -> mtGCSResult (n deltas)
 
 	// Flight: every request names the target worker's head-hosted mailbox
 	// first (u32 worker id).
 	mtFlPush       = byte(0x20) // + str query, task from, chan dest, i64 input, i64 epoch, bool local, bytes data -> mtOK
-	mtFlContig     = byte(0x21) // + str query, chan dest, i64 input, i64 upChannel, i64 from -> mtIntResp
 	mtFlTake       = byte(0x22) // + str query, chan dest, i64 input, i64 upChannel, i64 from, i64 count -> mtBytesListResp
 	mtFlDrop       = byte(0x23) // + same shape as take -> mtOK
-	mtFlDropBelow  = byte(0x24) // + str query, chan dest, i64 input, i64 upChannel, i64 wm -> mtOK
 	mtFlDropQuery  = byte(0x26) // + str query -> mtOK
 	mtFlSpool      = byte(0x27) // + str query, task, i64 epoch, bytes data -> mtOK
 	mtFlFetch      = byte(0x28) // + str query, task -> mtBytesResp
 	mtFlDropResult = byte(0x29) // + str query, task -> mtOK
+	mtFlProbe      = byte(0x2b) // + str query, chan dest, u32 n, n*(i64 input, i64 upChannel, i64 watermark) -> mtIntsResp
 
 	// Object store. A put is always the uncosted PutFree: free must be true
 	// (the costed form was retired with storage.Objects.Put and is refused).
@@ -67,20 +64,23 @@ const (
 	mtOK            = byte(0x40) // empty
 	mtErrResp       = byte(0x41) // u8 code, str msg
 	mtU64Resp       = byte(0x42) // u64
-	mtIntResp       = byte(0x43) // i64
 	mtBoolResp      = byte(0x44) // bool
 	mtBytesResp     = byte(0x45) // bytes
 	mtBytesListResp = byte(0x46) // u32 n, n*bytes
+	mtIntsResp      = byte(0x47) // u32 n, n*i64
+	mtGCSResult     = byte(0x48) // bool committed, u32 n, n*delta
 )
 
-// GCS transaction kinds (mtTxnBegin's u8). Every kind names its
-// namespaces; the whole-store kinds 3 and 4 were retired with
-// gcs.Backend.Update/View and are refused.
-const (
-	txnUpdateNS = byte(iota)
-	txnViewNS
-	txnUpdateMulti
-)
+// opNames names every op request type for the head's per-type frame and
+// byte counters (metrics.WireFrames/WireBytes + name).
+var opNames = map[byte]string{
+	mtGCSVersionNS: "gcs_version_ns", mtGCSVersion: "gcs_version", mtGCSWaitChange: "gcs_wait_change",
+	mtGCSSync: "gcs_sync", mtGCSCommit: "gcs_commit",
+	mtFlPush: "fl_push", mtFlTake: "fl_take", mtFlDrop: "fl_drop", mtFlDropQuery: "fl_drop_query",
+	mtFlSpool: "fl_spool", mtFlFetch: "fl_fetch", mtFlDropResult: "fl_drop_result", mtFlProbe: "fl_probe",
+	mtObjPut: "obj_put", mtObjGet: "obj_get",
+	mtSinkDeliver: "sink_deliver", mtSinkSpooled: "sink_spooled",
+}
 
 // Error codes carried by mtErrResp. Sentinel errors the engine's
 // semantics lean on travel as codes so the client can hand back the

@@ -3,13 +3,13 @@ package wire
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -21,12 +21,6 @@ import (
 	"quokka/internal/trace"
 )
 
-// txnDeadline bounds how long the head lets one remote transaction hold
-// its shard lock(s) while waiting for the worker's next frame. A healthy
-// transaction exchanges frames in microseconds; hitting this means the
-// worker hung mid-transaction without dropping the conn.
-const txnDeadline = 30 * time.Second
-
 // Server is the head node's wire endpoint. It serves the cluster's GCS,
 // every worker's head-hosted flight mailbox, the object store and the
 // result sinks of registered queries to quokka-worker processes, and
@@ -36,6 +30,12 @@ type Server struct {
 	store *gcs.Store
 	met   *metrics.Collector
 	ln    net.Listener
+
+	// Pre-resolved counters (one atomic add each): every byte a conn moves
+	// (net.bytes.wire) and, per op request type, frames and bytes (opNames).
+	wireBytes *atomic.Int64
+	opFrames  [256]*atomic.Int64
+	opBytes   [256]*atomic.Int64
 
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast on worker attach/detach
@@ -88,6 +88,12 @@ func NewServer(cl *cluster.Cluster, addr string) (*Server, error) {
 		ln:      ln,
 		ctrl:    make(map[cluster.WorkerID]*controlConn),
 		queries: make(map[string]*engine.Runner),
+
+		wireBytes: cl.Metrics.Counter(metrics.NetBytesWire),
+	}
+	for typ, name := range opNames {
+		s.opFrames[typ] = cl.Metrics.Counter(metrics.WireFrames + name)
+		s.opBytes[typ] = cl.Metrics.Counter(metrics.WireBytes + name)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	go s.acceptLoop()
@@ -134,14 +140,24 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		go s.serve(&countingConn{Conn: conn, met: s.met})
+		noDelay(conn)
+		go s.serve(&countingConn{Conn: conn, wire: s.wireBytes})
+	}
+}
+
+// noDelay turns Nagle's algorithm off on a dialled or accepted conn: an
+// exchange is one small frame each way, and a coalescing delay on either would
+// be the round trip. Go's default, stated and checked (TestNoDelayOnOpConns).
+func noDelay(c net.Conn) {
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
 	}
 }
 
 // serve dispatches one accepted conn: a first frame of mtHello makes it a
 // worker's control conn; anything else starts the op request/response
 // loop with that frame as the first request.
-func (s *Server) serve(c net.Conn) {
+func (s *Server) serve(c *countingConn) {
 	typ, payload, err := readFrame(c)
 	if err != nil {
 		c.Close()
@@ -153,6 +169,13 @@ func (s *Server) serve(c net.Conn) {
 	}
 	defer c.Close()
 	for {
+		// Attribution: the request frame here, the answer as handleOp writes it.
+		if c.op = s.opBytes[typ]; c.op != nil {
+			s.opFrames[typ].Add(1)
+			c.op.Add(int64(headerSize + len(payload)))
+		} else {
+			s.met.Add(metrics.WireFramesRefused, 1)
+		}
 		if err := s.handleOp(c, typ, payload); err != nil {
 			return
 		}
@@ -468,21 +491,17 @@ func (s *Server) StartQuery(r *engine.Runner) (func(), error) {
 // client can act on are sent as mtErrResp instead.
 func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 	switch typ {
-	case mtTxnBegin:
-		return s.serveTxn(c, payload)
+	case mtGCSSync, mtGCSCommit:
+		return s.handleGCS(c, typ, payload)
 	case mtGCSVersionNS:
 		r := rbuf{b: payload}
 		ns := r.str("ns")
 		if err := r.err(); err != nil {
 			return err
 		}
-		var w wbuf
-		w.u64(s.store.VersionNS(ns))
-		return writeFrame(c, mtU64Resp, w.b)
+		return replyU64(c, s.store.VersionNS(ns))
 	case mtGCSVersion:
-		var w wbuf
-		w.u64(s.store.Version())
-		return writeFrame(c, mtU64Resp, w.b)
+		return replyU64(c, s.store.Version())
 	case mtGCSWaitChange:
 		r := rbuf{b: payload}
 		since := r.u64("since")
@@ -496,12 +515,10 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		if timeout > maxWaitChange {
 			timeout = maxWaitChange
 		}
-		var w wbuf
-		w.u64(s.store.WaitChange(since, timeout))
-		return writeFrame(c, mtU64Resp, w.b)
+		return replyU64(c, s.store.WaitChange(since, timeout))
 
-	case mtFlPush, mtFlContig, mtFlTake, mtFlDrop, mtFlDropBelow,
-		mtFlDropQuery, mtFlSpool, mtFlFetch, mtFlDropResult:
+	case mtFlPush, mtFlTake, mtFlDrop, mtFlDropQuery, mtFlSpool, mtFlFetch,
+		mtFlDropResult, mtFlProbe:
 		return s.handleFlight(c, typ, payload)
 
 	case mtObjPut:
@@ -538,12 +555,17 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		w.bytes(val)
 		return writeFrame(c, mtBytesResp, w.b)
 
-	case mtSinkDeliver:
+	case mtSinkDeliver, mtSinkSpooled:
 		r := rbuf{b: payload}
-		qid := r.str("qid")
-		t := r.task("task")
-		epoch := int(r.i64("epoch"))
-		data := r.bytesOwned("data")
+		qid, t := r.str("qid"), r.task("task")
+		var deliver func(engine.ResultSink) bool
+		if typ == mtSinkDeliver {
+			epoch, data := int(r.i64("epoch")), r.bytesOwned("data")
+			deliver = func(k engine.ResultSink) bool { return k.Deliver(t, data, epoch) }
+		} else {
+			worker, size, epoch := int(r.i64("worker")), r.i64("size"), int(r.i64("epoch"))
+			deliver = func(k engine.ResultSink) bool { return k.DeliverSpooled(t, worker, size, epoch) }
+		}
 		if err := r.err(); err != nil {
 			return err
 		}
@@ -552,35 +574,17 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		s.mu.Unlock()
 		// An unknown query means it already finished teardown: accept-and-
 		// drop, so a straggler worker never spins on backpressure retries.
-		ok := true
-		if run != nil {
-			ok = run.HeadSink().Deliver(t, data, epoch)
-		}
 		var w wbuf
-		w.boolean(ok)
-		return writeFrame(c, mtBoolResp, w.b)
-	case mtSinkSpooled:
-		r := rbuf{b: payload}
-		qid := r.str("qid")
-		t := r.task("task")
-		worker := int(r.i64("worker"))
-		size := r.i64("size")
-		epoch := int(r.i64("epoch"))
-		if err := r.err(); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		run := s.queries[qid]
-		s.mu.Unlock()
-		ok := true
-		if run != nil {
-			ok = run.HeadSink().DeliverSpooled(t, worker, size, epoch)
-		}
-		var w wbuf
-		w.boolean(ok)
+		w.boolean(run == nil || deliver(run.HeadSink()))
 		return writeFrame(c, mtBoolResp, w.b)
 	}
 	return fmt.Errorf("%w: unknown op 0x%02x", ErrCorrupt, typ)
+}
+
+func replyU64(c net.Conn, v uint64) error {
+	var w wbuf
+	w.u64(v)
+	return writeFrame(c, mtU64Resp, w.b)
 }
 
 // handleFlight serves one mailbox op against the target worker's
@@ -611,22 +615,22 @@ func (s *Server) handleFlight(c net.Conn, typ byte, payload []byte) error {
 			return writeFrame(c, mtErrResp, encodeErr(err))
 		}
 		return writeFrame(c, mtOK, nil)
-	case mtFlContig, mtFlDropBelow:
+	case mtFlProbe:
 		query := r.str("query")
 		dest := r.chanID("dest")
-		input := int(r.i64("input"))
-		up := int(r.i64("upChannel"))
-		seq := int(r.i64("from / wm"))
+		edges := make([]flight.Edge, r.count("edge count", 24))
+		for i := range edges {
+			edges[i] = flight.Edge{Input: int(r.i64("input")), UpChannel: int(r.i64("upChannel")), Watermark: int(r.i64("watermark"))}
+		}
 		if err := r.err(); err != nil {
 			return err
 		}
-		if typ == mtFlDropBelow {
-			tr.DropBelow(query, dest, input, up, seq)
-			return writeFrame(c, mtOK, nil)
-		}
 		var w wbuf
-		w.i64(int64(tr.ContiguousFrom(query, dest, input, up, seq)))
-		return writeFrame(c, mtIntResp, w.b)
+		w.u32(uint32(len(edges)))
+		for _, a := range tr.Probe(query, dest, edges) {
+			w.i64(int64(a))
+		}
+		return writeFrame(c, mtIntsResp, w.b)
 	case mtFlTake, mtFlDrop:
 		query := r.str("query")
 		dest := r.chanID("dest")
@@ -701,158 +705,59 @@ func (s *Server) handleFlight(c net.Conn, typ byte, payload []byte) error {
 }
 
 // ---------------------------------------------------------------------------
-// Interactive GCS transactions
+// One-frame GCS transactions
 
-// errClientAbort marks a transaction the client's body chose to abort (as
-// opposed to a conn/protocol failure).
-var errClientAbort = errors.New("wire: client aborted transaction")
-
-// serveTxn runs one remote transaction against the real store. The
-// transaction body reads the client's frames from the conn: Get and List
-// are answered inside the shard lock, Commit applies the client's
-// buffered writes through the real Txn (so the namespace-shard discipline
-// still holds), Abort discards. A conn failure or deadline aborts — a
-// SIGKILLed worker can never wedge a shard lock.
-func (s *Server) serveTxn(c net.Conn, payload []byte) error {
+// handleGCS serves a transaction frame: the whole request is decoded, the
+// store answers it under its own shard locks, and only then is the answer
+// written — no lock is held across a conn read or write, so a hung or dead
+// peer cannot stall a query's control plane. Both requests enumerate a
+// namespace the PEER named (built worker-side by the blessed helper, opaque
+// bytes here), so each must be exactly one query's namespace.
+func (s *Server) handleGCS(c net.Conn, typ byte, payload []byte) error {
 	r := rbuf{b: payload}
-	kind := r.u8("txn kind")
-	n := int(r.u32("txn ns count"))
-	if n < 0 || n > 1<<16 {
-		return fmt.Errorf("%w: txn namespace count %d", ErrCorrupt, n)
-	}
-	nss := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		nss = append(nss, r.str("txn ns"))
-	}
-	if err := r.err(); err != nil {
-		return err
-	}
-	readOnly := kind == txnViewNS
-
-	var connErr error
-	body := func(tx *gcs.Txn) (err error) {
-		// The client's write set is applied through real tx.Put/Delete
-		// calls, which panic on keys outside the transaction's namespace
-		// shard. Over the wire that discipline violation must abort the
-		// transaction, not crash the head.
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("wire: txn body: %v", p)
-			}
-		}()
-		c.SetReadDeadline(time.Now().Add(txnDeadline))
-		defer c.SetReadDeadline(time.Time{})
-		for {
-			typ, pl, rerr := readFrame(c)
-			if rerr != nil {
-				connErr = rerr
-				return fmt.Errorf("wire: txn conn: %w", rerr)
-			}
-			pr := rbuf{b: pl}
-			switch typ {
-			case mtTxnGet:
-				key := pr.str("txn get key")
-				if derr := pr.err(); derr != nil {
-					connErr = derr
-					return derr
-				}
-				val, ok := tx.Get(key)
-				var w wbuf
-				w.boolean(ok)
-				w.bytes(val)
-				if werr := writeFrame(c, mtTxnGetResp, w.b); werr != nil {
-					connErr = werr
-					return werr
-				}
-			case mtTxnList:
-				prefix := pr.str("txn list prefix")
-				if derr := pr.err(); derr != nil {
-					connErr = derr
-					return derr
-				}
-				keys := tx.List(prefix)
-				var w wbuf
-				w.u32(uint32(len(keys)))
-				for _, k := range keys {
-					w.str(k)
-				}
-				if werr := writeFrame(c, mtTxnListResp, w.b); werr != nil {
-					connErr = werr
-					return werr
-				}
-			case mtTxnCommit:
-				nw := int(pr.u32("txn write count"))
-				if nw < 0 || nw > 1<<24 {
-					derr := fmt.Errorf("%w: txn write count %d", ErrCorrupt, nw)
-					connErr = derr
-					return derr
-				}
-				if readOnly && nw > 0 {
-					return fmt.Errorf("wire: %d writes in a read-only transaction", nw)
-				}
-				for i := 0; i < nw; i++ {
-					key := pr.str("txn write key")
-					del := pr.boolean("txn write delete")
-					val := pr.bytesOwned("txn write val")
-					// Mid-loop only the latched error is checked: err()
-					// would flag the still-unread writes as trailing bytes.
-					if pr.e != nil {
-						connErr = pr.e
-						return pr.e
-					}
-					if del {
-						tx.Delete(key)
-					} else {
-						tx.Put(key, val)
-					}
-				}
-				if derr := pr.err(); derr != nil {
-					connErr = derr
-					return derr
-				}
-				return nil
-			case mtTxnAbort:
-				msg := pr.str("txn abort msg")
-				if pr.err() != nil {
-					msg = "(malformed abort)"
-				}
-				return fmt.Errorf("%w: %s", errClientAbort, msg)
-			default:
-				derr := fmt.Errorf("%w: frame 0x%02x inside transaction", ErrCorrupt, typ)
-				connErr = derr
-				return derr
-			}
+	namespace := func() string {
+		ns := r.str("ns")
+		if r.e == nil && !gcs.IsNamespace(ns) {
+			r.e = fmt.Errorf("%w: %q is not a query namespace", ErrCorrupt, ns)
 		}
+		return ns
 	}
-
-	var err error
-	switch kind {
-	case txnUpdateNS:
-		if len(nss) != 1 {
-			return fmt.Errorf("%w: UpdateNS with %d namespaces", ErrCorrupt, len(nss))
+	var committed bool
+	var deltas []gcs.Delta
+	if typ == mtGCSSync {
+		ns, since := namespace(), r.u64("replica version")
+		if err := r.err(); err != nil {
+			return err
 		}
-		err = s.store.UpdateNS(nss[0], body)
-	case txnViewNS:
-		if len(nss) != 1 {
-			return fmt.Errorf("%w: ViewNS with %d namespaces", ErrCorrupt, len(nss))
+		deltas = []gcs.Delta{s.store.Sync(ns, since)}
+	} else {
+		reads := make([]gcs.ReadSet, r.count("namespace count", 20))
+		for i := range reads {
+			reads[i] = gcs.ReadSet{NS: namespace(), Version: r.u64("replica version"),
+				Keys: r.strs("read key"), Prefixes: r.strs("read prefix")}
 		}
-		err = s.store.ViewNS(nss[0], body)
-	case txnUpdateMulti:
-		err = s.store.UpdateMulti(nss, body)
-	default:
-		return fmt.Errorf("%w: unknown txn kind %d", ErrCorrupt, kind)
-	}
-	if connErr != nil {
-		return connErr // conn unusable: no Done frame possible
+		writes := r.kvs("write")
+		if err := r.err(); err != nil {
+			return err
+		}
+		if len(reads) == 0 {
+			return fmt.Errorf("%w: commit over no namespace", ErrCorrupt)
+		}
+		var err error
+		if committed, deltas, err = s.store.Commit(reads, writes); err != nil {
+			// A write outside the named namespaces: the peer's error, no effect.
+			return writeFrame(c, mtErrResp, encodeErr(err))
+		}
 	}
 	var w wbuf
-	w.boolean(err == nil)
-	if err != nil {
-		w.str(err.Error())
-	} else {
-		w.str("")
+	w.boolean(committed)
+	w.u32(uint32(len(deltas)))
+	for _, d := range deltas {
+		w.u64(d.Version)
+		w.boolean(d.Full)
+		w.kvs(d.Set)
 	}
-	return writeFrame(c, mtTxnDone, w.b)
+	return writeFrame(c, mtGCSResult, w.b)
 }
 
 // ---------------------------------------------------------------------------
@@ -862,23 +767,30 @@ func (s *Server) serveTxn(c net.Conn, payload []byte) error {
 // control traffic and payloads, both directions — into net.bytes.wire.
 // Contrast with net.bytes.modelled, the shuffle payload bytes the cost
 // model charges: the gap between the two is the real protocol overhead.
+// On an op conn what is written is also the answer to the request being
+// served, and counts toward that request type's bytes.
 type countingConn struct {
 	net.Conn
-	met *metrics.Collector
+	wire *atomic.Int64
+	op   *atomic.Int64 // the current request's wire.bytes.<op>; nil on a control conn
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	if n > 0 {
-		c.met.Add(metrics.NetBytesWire, int64(n))
-	}
+	c.wire.Add(int64(n))
 	return n, err
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
-	if n > 0 {
-		c.met.Add(metrics.NetBytesWire, int64(n))
-	}
+	c.count(n)
 	return n, err
+}
+
+// count accounts n written bytes (writeFrame writes past Write, vectored).
+func (c *countingConn) count(n int) {
+	c.wire.Add(int64(n))
+	if c.op != nil {
+		c.op.Add(int64(n))
+	}
 }

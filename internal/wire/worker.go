@@ -252,6 +252,7 @@ func (w *workerRT) startQuery(ctx context.Context, qid string, specBytes []byte)
 		if runErr != nil {
 			onFail(runErr)
 		}
+		w.cl.GCS.(*gcsClient).forget(engine.QueryNamespace(qid)) // stopped here: the replica goes with it
 		var spansGob []byte
 		if len(spans) > 0 {
 			var buf bytes.Buffer
