@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint loc bench fuzz-smoke benchmark-smoke dist-smoke fmt fmt-check vet ci
+.PHONY: build test race lint loc loc-check bench fuzz-smoke benchmark-smoke dist-smoke fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,7 @@ race:
 ## via cmd/quokka-vet): hashonce, nskey, tracegate, detrange — each
 ## mechanically enforces one ROADMAP recovery invariant. The same suite
 ## runs as a test in `make test` (go test ./internal/lint).
-lint: loc
+lint: loc-check
 	$(GO) run ./cmd/quokka-vet
 
 ## loc: the non-test Go line count, by the exact find the ROADMAP quotes
@@ -30,6 +30,14 @@ lint: loc
 ## simplicity PR reports, reproducible rather than hand-typed.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -not -path '*/testdata/*' | xargs cat | wc -l
+
+## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
+## removes code lowers LOC_MAX to its own count, a PR that has to add code
+## raises it in the same diff, where a reviewer sees the number move.
+LOC_MAX := 23761
+loc-check:
+	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
+	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi
 
 ## bench: one iteration of every benchmark in short mode (CI smoke: drives
 ## each paper figure once, in modelled time), plus the allocation-regression

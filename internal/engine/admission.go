@@ -152,11 +152,6 @@ type admission struct {
 	active  int
 	waiters []chan struct{} // FIFO; closed slot == admitted
 	met     *metrics.Collector
-	// queued mirrors len(waiters) and running mirrors active as lock-free
-	// gauges: task managers read them every poll round (adaptive
-	// granularity) and must not contend on the admission mutex to do so.
-	queued  atomic.Int32
-	running atomic.Int32
 }
 
 func newAdmission(limit int, met *metrics.Collector) *admission {
@@ -178,8 +173,6 @@ func (a *admission) grantLocked() {
 		a.active++
 		close(w)
 	}
-	a.queued.Store(int32(len(a.waiters)))
-	a.running.Store(int32(a.active))
 }
 
 // acquire blocks until the query is admitted or ctx is done. Admission is
@@ -188,14 +181,12 @@ func (a *admission) acquire(ctx context.Context) error {
 	a.mu.Lock()
 	if len(a.waiters) == 0 && a.active < a.limit {
 		a.active++
-		a.running.Store(int32(a.active))
 		a.recordActiveLocked()
 		a.mu.Unlock()
 		return nil
 	}
 	w := make(chan struct{})
 	a.waiters = append(a.waiters, w)
-	a.queued.Store(int32(len(a.waiters)))
 	a.mu.Unlock()
 	a.met.Add(metrics.QueriesQueued, 1)
 
@@ -211,7 +202,6 @@ func (a *admission) acquire(ctx context.Context) error {
 		for i, q := range a.waiters {
 			if q == w {
 				a.waiters = append(a.waiters[:i], a.waiters[i+1:]...)
-				a.queued.Store(int32(len(a.waiters)))
 				admitted = false
 				goto out
 			}
@@ -233,22 +223,6 @@ func (a *admission) recordActiveLocked() {
 	a.met.Add(metrics.QueriesAdmitted, 1)
 	a.met.Add(metrics.QueriesActive, 1)
 	a.met.Max(metrics.QueriesPeak, int64(a.active))
-}
-
-// queuedNow returns how many queries are currently waiting in the
-// admission queue — a live gauge (unlike the monotonic queries.queued
-// counter) the engine uses as its load-pressure signal for adaptive task
-// granularity. Lock-free: read from every task-manager poll round.
-func (a *admission) queuedNow() int {
-	return int(a.queued.Load())
-}
-
-// activeNow returns how many queries currently hold an admission slot.
-// Together with queuedNow it forms the head-pressure signal: every
-// admitted query polls and commits against the same head node, whether or
-// not anything queues behind the gate.
-func (a *admission) activeNow() int {
-	return int(a.running.Load())
 }
 
 // release frees an admission slot and admits the next queued query.

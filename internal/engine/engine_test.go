@@ -246,15 +246,11 @@ func TestPlanValidation(t *testing.T) {
 	}
 	// Forward reference.
 	if _, err := NewPlan(
-		&Stage{ID: 0, Op: ops.NewLimitSpec(1), Inputs: []StageInput{{Stage: 0}}},
+		&Stage{ID: 0, Op: ops.NewFilterSpec(expr.Ge(expr.C("id"), expr.Int64(0))), Inputs: []StageInput{{Stage: 0}}},
 	); err == nil {
 		t.Error("self reference should fail")
 	}
-	p := joinPlan()
-	if got := p.PipelineDepth(); got != 3 {
-		t.Errorf("PipelineDepth = %d, want 3", got)
-	}
-	if out, _ := p.OutputStage(); out != 3 {
+	if out, _ := joinPlan().OutputStage(); out != 3 {
 		t.Errorf("OutputStage = %d", out)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"quokka/internal/cluster"
 	"quokka/internal/expr"
 	"quokka/internal/gcs"
+	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/ops"
 )
@@ -49,6 +50,12 @@ func killWhen(r *Runner, victim int, cond func(tx *gcs.Txn) bool) <-chan struct{
 		r.cl.Worker(cluster.WorkerID(victim)).Kill()
 	}()
 	return done
+}
+
+// txGetWatermark decodes a channel's committed watermark for a kill condition.
+func txGetWatermark(tx *gcs.Txn, key string) (lineage.Watermark, error) {
+	v, _ := tx.Get(key)
+	return lineage.DecodeWatermark(v)
 }
 
 func runWithFailure(t *testing.T, cl *cluster.Cluster, p *Plan, cfg Config, victim int, afterTasks int64) (*batch.Batch, *Report, error) {

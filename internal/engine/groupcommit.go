@@ -51,7 +51,7 @@ type commitReq struct {
 	workerID int
 	id       lineage.ChannelID
 	cep      int
-	stepGep  int
+	gep      int // global epoch of the snapshot the task's pushes were placed by
 	task     lineage.TaskName
 	rec      lineage.Record
 	wmAfter  lineage.Watermark
@@ -202,7 +202,7 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 			// (a retry under a fresh view keeps pieces off a stale worker).
 			if st.barrier || !req.alive() ||
 				txGetInt(tx, req.r.keyChanEpoch(req.id), 0) != req.cep ||
-				st.gep != req.stepGep {
+				st.gep != req.gep {
 				errs[i] = gcs.ErrAborted
 				continue
 			}

@@ -207,23 +207,3 @@ func (p *Plan) Parallelism(stage, def int) int {
 	}
 	return def
 }
-
-// PipelineDepth counts the stages on the longest root-to-output path; the
-// paper's recovery parallelism is proportional to it (§III-B).
-func (p *Plan) PipelineDepth() int {
-	depth := make([]int, len(p.Stages))
-	max := 0
-	for i, s := range p.Stages {
-		d := 1
-		for _, in := range s.Inputs {
-			if depth[in.Stage]+1 > d {
-				d = depth[in.Stage] + 1
-			}
-		}
-		depth[i] = d
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}

@@ -16,9 +16,8 @@ import (
 //
 // Plans are serializable because every built-in operator spec and
 // expression node is a data-only value type registered with gob (see
-// internal/ops/gob.go and internal/expr/gob.go). Plans carrying
-// user-supplied closure specs (ops.SpecFunc) fail at Encode time — process
-// mode cannot ship closures.
+// internal/ops/gob.go and internal/expr/gob.go). A plan carrying a spec of
+// any other type fails at Encode time.
 type WorkerQuerySpec struct {
 	QueryID string
 	Plan    *Plan

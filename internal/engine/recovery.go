@@ -101,7 +101,6 @@ func (r *Runner) recover(ctx context.Context) error {
 	}); err != nil {
 		return err
 	}
-	r.invalidatePlacement()
 	// Manifests pointing at dead workers reference payloads that died with
 	// them; drop them so completion detection waits for the rewound output
 	// channels to re-execute and re-deliver those partitions.

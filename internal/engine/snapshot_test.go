@@ -1,0 +1,314 @@
+package engine
+
+import (
+	"strings"
+	"sync"
+	"testing"
+
+	"quokka/internal/batch"
+	"quokka/internal/expr"
+	"quokka/internal/gcs"
+	"quokka/internal/lineage"
+	"quokka/internal/metrics"
+	"quokka/internal/ops"
+)
+
+// The snapshot is the one read path of Algorithm 1; these tests pin what the
+// design leans on: a stale image is rejected at step time, an unchanged
+// version costs no transaction, a version change costs one view per process,
+// and an image is never stamped newer than its content.
+
+// TestStepRejectsStaleSnapshot drives step under images the channel has
+// moved past — a lower cursor at the same epoch, and the same cursor at a
+// lower epoch, whose replayRec-less row would otherwise pass for "choose
+// fresh inputs at seq 1". Each must do nothing at all: no push, no lineage
+// write, no cursor movement. This is the exactly-once hazard of the "stale
+// poll snapshots" invariant.
+func TestStepRejectsStaleSnapshot(t *testing.T) {
+	cl := testCluster(t, 1, map[string][]*batch.Batch{"numbers": numbersTable(400, 4)})
+	mu, pushes := logPushes(cl, nil)
+	// A seeded query and worker 0's task manager, threads not started: the
+	// test drives step itself.
+	r, err := NewRunner(cl, scanFilterAggPlan(0), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.seed(); err != nil {
+		t.Fatal(err)
+	}
+	tm := newTaskManager(r, cl.Worker(0))
+	tm.gc = r.shared.committer(cl.GCS)
+	defer r.shared.committerDone()
+	reader := lineage.ChannelID{Stage: 0, Channel: 0}
+
+	image := func() *snapshot {
+		t.Helper()
+		s, err := r.snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	step := func(cs *chanState, s *snapshot) bool {
+		t.Helper()
+		cs.protocol.Lock()
+		defer cs.protocol.Unlock()
+		ok, err := tm.step(cs, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	// committed is everything a step may leave behind: pushes delivered, and
+	// the namespace's lineage records and cursor.
+	committed := func() (n int, state string) {
+		mu.Lock()
+		n = len(*pushes)
+		mu.Unlock()
+		r.gcsView(func(tx *gcs.Txn) error {
+			cur, _ := tx.Get(r.keyCursor(reader))
+			state = "cur=" + string(cur) + " " + strings.Join(tx.List(r.keyNS()+"lin/"), ",")
+			return nil
+		})
+		return n, state
+	}
+	rejects := func(cs *chanState, stale *snapshot, why string) {
+		t.Helper()
+		n, state := committed()
+		cursor := cs.cursor
+		if step(cs, stale) {
+			t.Errorf("%s: step made progress", why)
+		}
+		if n2, state2 := committed(); n2 != n || state2 != state || cs.cursor != cursor {
+			t.Errorf("%s: %d pushes, %s, cursor %d -> %d pushes, %s, cursor %d",
+				why, n, state, cursor, n2, state2, cs.cursor)
+		}
+	}
+
+	atSeed := image()
+	tm.refreshChannels(atSeed)
+	cs := tm.channels[reader]
+	if cs == nil || !step(cs, atSeed) || cs.cursor != 1 {
+		t.Fatalf("the first reader task did not commit (channel %v)", cs)
+	}
+	afterOne := image()
+	if m := afterOne.chans[0][0]; m.cursor != 1 || m.cep != 0 || afterOne.ver <= atSeed.ver {
+		t.Fatalf("image after one commit: cursor %d, epoch %d, version %d -> %d", m.cursor, m.cep, atSeed.ver, afterOne.ver)
+	}
+	rejects(cs, atSeed, "previous image (cursor 0, channel at 1)")
+
+	// Rewind the channel as reconcile would, and let it retrace task 0 under
+	// the new epoch: it stands at cursor 1 again, epoch 1.
+	if err := r.gcsUpdate(func(tx *gcs.Txn) error {
+		txPutInt(tx, r.keyChanEpoch(reader), 1)
+		txPutInt(tx, r.keyCursor(reader), 0)
+		txPutWatermark(tx, r.keyWatermark(reader), lineage.Watermark{})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rewound := image()
+	if rewound.chans[0][0].replayRec == nil {
+		t.Fatal("the rewound image carries no lineage record to retrace")
+	}
+	if !step(cs, rewound) || cs.cep != 1 || cs.cursor != 1 {
+		t.Fatalf("replay under the new epoch: epoch %d, cursor %d", cs.cep, cs.cursor)
+	}
+	rejects(cs, afterOne, "image of the previous epoch (same cursor)")
+	rejects(cs, rewound, "image the replay already consumed")
+}
+
+// hookedStore runs after once a view has read and before its caller sees the
+// answer: a commit that races the view.
+type hookedStore struct {
+	gcs.Backend
+	after func()
+}
+
+func (s *hookedStore) ViewNS(ns string, fn func(tx *gcs.Txn) error) error {
+	err := s.Backend.ViewNS(ns, fn)
+	if s.after != nil {
+		s.after()
+	}
+	return err
+}
+
+// TestSnapshotOneViewPerVersion: while the namespace version stands still,
+// any number of rounds on any number of threads cost no transaction; one
+// commit is followed by exactly one view, whoever asks first; and an image
+// whose view raced a commit is stamped with the version probed before the
+// view, so the next round does not take it for current.
+func TestSnapshotOneViewPerVersion(t *testing.T) {
+	cl := testCluster(t, 4, map[string][]*batch.Batch{"numbers": numbersTable(400, 4)})
+	store := &hookedStore{Backend: cl.GCS}
+	cl.GCS = store
+	r, err := NewRunner(cl, scanFilterAggPlan(0), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.seed(); err != nil {
+		t.Fatal(err)
+	}
+	txns := func() int64 { return cl.Metrics.Get(metrics.GCSTxns) }
+	// everyone polls from 4 workers x 8 threads at once and returns the one
+	// image they must all have been served.
+	everyone := func(rounds int) *snapshot {
+		t.Helper()
+		const pollers = 32
+		got := make([]*snapshot, pollers)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; n < rounds; n++ {
+					s, err := r.snapshot()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[i] = s
+				}
+			}()
+		}
+		wg.Wait()
+		for _, s := range got {
+			if s != got[0] {
+				t.Fatalf("pollers at one version were served different images (%p, %p)", s, got[0])
+			}
+		}
+		return got[0]
+	}
+	commit := func(key string, v int) {
+		t.Helper()
+		if err := r.gcsUpdate(func(tx *gcs.Txn) error { txPutInt(tx, key, v); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	base := txns()
+	first := everyone(1)
+	if got := txns() - base; got != 1 {
+		t.Errorf("first image: %d transactions, want the one view", got)
+	}
+	if again := everyone(50); again != first || txns()-base != 1 {
+		t.Errorf("unchanged version: image %p -> %p, %d transactions since the first view", first, again, txns()-base-1)
+	}
+
+	commit(r.keyRecoveries(), 3)
+	base = txns()
+	second := everyone(20)
+	if got := txns() - base; got != 1 {
+		t.Errorf("after one commit: %d views for 32 pollers, want 1", got)
+	}
+	if second == first || second.recn != 3 || second.ver <= first.ver {
+		t.Errorf("after one commit: recn %d at version %d (was %d)", second.recn, second.ver, first.ver)
+	}
+
+	// A commit lands between a view's read and its return. The image must not
+	// claim the version that commit produced.
+	commit(r.keyRecoveries(), 4)
+	store.after = func() {
+		store.after = nil
+		commit(r.keyRecoveries(), 5)
+	}
+	raced, err := r.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now := r.gcsVersion(); raced.recn != 4 || raced.ver >= now {
+		t.Fatalf("raced image: recn %d stamped %d, namespace at %d", raced.recn, raced.ver, now)
+	}
+	base = txns()
+	if next := everyone(10); next.recn != 5 || next.ver != r.gcsVersion() || txns()-base != 1 {
+		t.Errorf("after the race: recn %d at version %d (namespace at %d), %d views", next.recn, next.ver, r.gcsVersion(), txns()-base)
+	}
+}
+
+// q3Tables and q3ShapedPlan are TPC-H Q3's shape over toy tables: two joins
+// down a build chain, a grouped aggregate and a top-k.
+func q3Tables(orders, items int) map[string][]*batch.Batch {
+	split := func(n, per int, mk func(lo, hi int) *batch.Batch) (out []*batch.Batch) {
+		for lo := 0; lo < n; lo += per {
+			out = append(out, mk(lo, min(lo+per, n)))
+		}
+		return out
+	}
+	ints := func(lo, hi int, f func(i int) int64) *batch.Column {
+		v := make([]int64, hi-lo)
+		for i := range v {
+			v[i] = f(lo + i)
+		}
+		return batch.NewIntColumn(v)
+	}
+	cust := batch.NewSchema(batch.F("ck", batch.Int64))
+	ord := batch.NewSchema(batch.F("ok", batch.Int64), batch.F("ock", batch.Int64))
+	item := batch.NewSchema(batch.F("iok", batch.Int64), batch.F("price", batch.Float64))
+	return map[string][]*batch.Batch{
+		"cust": split(20, 5, func(lo, hi int) *batch.Batch {
+			return batch.MustNew(cust, []*batch.Column{ints(lo, hi, func(i int) int64 { return int64(i) })})
+		}),
+		"ord": split(orders, 25, func(lo, hi int) *batch.Batch {
+			return batch.MustNew(ord, []*batch.Column{
+				ints(lo, hi, func(i int) int64 { return int64(i) }),
+				ints(lo, hi, func(i int) int64 { return int64(i % 40) }), // half match a customer
+			})
+		}),
+		"item": split(items, 25, func(lo, hi int) *batch.Batch {
+			price := make([]float64, hi-lo)
+			for i := range price {
+				price[i] = float64((lo + i) % 17)
+			}
+			return batch.MustNew(item, []*batch.Column{
+				ints(lo, hi, func(i int) int64 { return int64(i % orders) }), batch.NewFloatColumn(price),
+			})
+		}),
+	}
+}
+
+func q3ShapedPlan() *Plan {
+	return MustPlan(
+		&Stage{ID: 0, Name: "cust", Reader: &ReaderSpec{Table: "cust"}},
+		&Stage{ID: 1, Name: "ord", Reader: &ReaderSpec{Table: "ord"}},
+		&Stage{ID: 2, Name: "item", Reader: &ReaderSpec{Table: "item"}},
+		&Stage{ID: 3, Name: "cust-ord",
+			Op: ops.NewHashJoinSpec(ops.InnerJoin, []string{"ck"}, []string{"ock"}),
+			Inputs: []StageInput{
+				{Stage: 0, Part: Hash("ck"), Phase: 0},
+				{Stage: 1, Part: Hash("ock"), Phase: 1},
+			}},
+		&Stage{ID: 4, Name: "ord-item",
+			Op: ops.NewHashJoinSpec(ops.InnerJoin, []string{"ok"}, []string{"iok"}),
+			Inputs: []StageInput{
+				{Stage: 3, Part: Hash("ok"), Phase: 0},
+				{Stage: 2, Part: Hash("iok"), Phase: 1},
+			}},
+		&Stage{ID: 5, Name: "revenue",
+			Op:     ops.NewHashAggSpec([]string{"iok"}, ops.Sum("rev", expr.C("price"))),
+			Inputs: []StageInput{{Stage: 4, Part: Hash("iok")}}},
+		&Stage{ID: 6, Name: "top", Parallelism: 1,
+			Op:     ops.NewTopKSpec(10, ops.Desc("rev"), ops.Asc("iok")),
+			Inputs: []StageInput{{Stage: 5, Part: Single()}}},
+	)
+}
+
+// TestTxnsPerTask bounds what a committed task costs the control store, all
+// told — its flush plus its share of every snapshot load, seed and teardown:
+// at most two transactions. The five caches the snapshot replaced read 2.7 to
+// 3.6 per task on this shape.
+func TestTxnsPerTask(t *testing.T) {
+	cl := testCluster(t, 2, q3Tables(800, 4000))
+	out, rep := runPlan(t, cl, q3ShapedPlan(), DefaultConfig())
+	if out == nil || out.NumRows() != 10 {
+		t.Fatalf("result: %v", out)
+	}
+	txns, tasks := rep.Metrics[metrics.GCSTxns], rep.TasksExecuted
+	perTask := float64(txns) / float64(tasks)
+	t.Logf("%d transactions / %d tasks = %.2f per task (%d flushes)", txns, tasks, perTask, rep.Metrics[metrics.LineageFlushes])
+	if tasks < 100 {
+		t.Fatalf("%d tasks: too few to amortise the query's fixed transactions", tasks)
+	}
+	if perTask > 2.0 {
+		t.Errorf("%.2f GCS transactions per committed task, want <= 2.0", perTask)
+	}
+}

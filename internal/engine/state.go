@@ -94,24 +94,25 @@ func backupKey(qid string, t lineage.TaskName) string {
 	return backupQueryPrefix(qid) + t.String()
 }
 
-// chanKeys holds one channel's prebuilt GCS key strings. Poll rounds
-// build keys for every channel of the plan on every snapshot refetch, so
-// the per-channel keys are formatted once at runner setup and the table
-// is read-only (hence lock-free) afterwards.
+// chanKeys holds one channel's prebuilt GCS key strings. A snapshot load
+// builds keys for every channel of the plan, so the per-channel keys are
+// formatted once at runner setup and the table is read-only (hence
+// lock-free) afterwards.
 type chanKeys struct {
 	place, cep, cursor, wm, done, ck string
 }
 
-// buildKeys precomputes the per-channel key table. Called once from
-// NewRunner, after stage parallelism is resolved.
+// buildKeys precomputes the per-channel key table, indexed [stage][channel]
+// like a snapshot. Called once from newRunner, after stage parallelism is
+// resolved; it covers every channel of the plan.
 func (r *Runner) buildKeys() {
 	ns := r.keyNS()
-	r.keys = make(map[lineage.ChannelID]*chanKeys)
-	for s := range r.plan.Stages {
-		for c := 0; c < r.par[s]; c++ {
-			id := lineage.ChannelID{Stage: s, Channel: c}
-			cs := id.String()
-			r.keys[id] = &chanKeys{
+	r.keys = make([][]chanKeys, len(r.par))
+	for s, n := range r.par {
+		r.keys[s] = make([]chanKeys, n)
+		for c := range r.keys[s] {
+			cs := lineage.ChannelID{Stage: s, Channel: c}.String()
+			r.keys[s][c] = chanKeys{
 				place:  ns + "pl/" + cs,
 				cep:    ns + "cep/" + cs,
 				cursor: ns + "cur/" + cs,
@@ -123,47 +124,12 @@ func (r *Runner) buildKeys() {
 	}
 }
 
-func (r *Runner) keyPlacement(c lineage.ChannelID) string {
-	if k, ok := r.keys[c]; ok {
-		return k.place
-	}
-	return r.keyNS() + "pl/" + c.String()
-}
-
-func (r *Runner) keyChanEpoch(c lineage.ChannelID) string {
-	if k, ok := r.keys[c]; ok {
-		return k.cep
-	}
-	return r.keyNS() + "cep/" + c.String()
-}
-
-func (r *Runner) keyCursor(c lineage.ChannelID) string {
-	if k, ok := r.keys[c]; ok {
-		return k.cursor
-	}
-	return r.keyNS() + "cur/" + c.String()
-}
-
-func (r *Runner) keyWatermark(c lineage.ChannelID) string {
-	if k, ok := r.keys[c]; ok {
-		return k.wm
-	}
-	return r.keyNS() + "wm/" + c.String()
-}
-
-func (r *Runner) keyDone(c lineage.ChannelID) string {
-	if k, ok := r.keys[c]; ok {
-		return k.done
-	}
-	return r.keyNS() + "done/" + c.String()
-}
-
-func (r *Runner) keyCheckpoint(c lineage.ChannelID) string {
-	if k, ok := r.keys[c]; ok {
-		return k.ck
-	}
-	return r.keyNS() + "ck/" + c.String()
-}
+func (r *Runner) keyPlacement(c lineage.ChannelID) string  { return r.keys[c.Stage][c.Channel].place }
+func (r *Runner) keyChanEpoch(c lineage.ChannelID) string  { return r.keys[c.Stage][c.Channel].cep }
+func (r *Runner) keyCursor(c lineage.ChannelID) string     { return r.keys[c.Stage][c.Channel].cursor }
+func (r *Runner) keyWatermark(c lineage.ChannelID) string  { return r.keys[c.Stage][c.Channel].wm }
+func (r *Runner) keyDone(c lineage.ChannelID) string       { return r.keys[c.Stage][c.Channel].done }
+func (r *Runner) keyCheckpoint(c lineage.ChannelID) string { return r.keys[c.Stage][c.Channel].ck }
 
 func (r *Runner) keyLineage(t lineage.TaskName) string { return r.keyNS() + "lin/" + t.String() }
 func (r *Runner) keyPartDir(t lineage.TaskName) string { return r.keyNS() + "pd/" + t.String() }
@@ -230,16 +196,6 @@ func txGetInt(tx *gcs.Txn, key string, def int) int {
 
 func txPutInt(tx *gcs.Txn, key string, v int) {
 	tx.Put(key, []byte(strconv.Itoa(v)))
-}
-
-func txHas(tx *gcs.Txn, key string) bool {
-	_, ok := tx.Get(key)
-	return ok
-}
-
-func txGetWatermark(tx *gcs.Txn, key string) (lineage.Watermark, error) {
-	v, _ := tx.Get(key)
-	return lineage.DecodeWatermark(v)
 }
 
 func txPutWatermark(tx *gcs.Txn, key string, w lineage.Watermark) {

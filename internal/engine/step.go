@@ -1,0 +1,284 @@
+package engine
+
+import (
+	"slices"
+
+	"quokka/internal/flight"
+	"quokka/internal/lineage"
+	"quokka/internal/ops"
+)
+
+// step attempts one Algorithm 1 task step for a channel under snap, the
+// caller's image of the namespace; the caller holds cs.protocol. It returns
+// whether progress was made.
+func (t *taskManager) step(cs *chanState, snap *snapshot) (bool, error) {
+	meta := &snap.chans[cs.id.Stage][cs.id.Channel]
+	// A meta is a snapshot; this channel may have moved since it was read
+	// (another executor thread committed a task, or recovery rewound the
+	// channel, between the snapshot and our TryLock). Epochs and cursors
+	// only grow, so staleness is detectable — and acting on a stale meta is
+	// not just wasted work: meta.replayRec is "the lineage record at
+	// meta.cursor", which for a stale cursor is the PREVIOUS task's record;
+	// replaying it at the current seq would duplicate that task's output
+	// and commit the seq without lineage. Skip instead — whatever moved the
+	// channel also bumped the namespace version, so the next poll round
+	// loads a fresh snapshot.
+	if meta.cep < cs.cep {
+		return false, nil
+	}
+	if meta.cep > cs.cep {
+		if err := t.resetChannel(cs, meta); err != nil {
+			return false, err
+		}
+	}
+	if cs.done {
+		return false, nil
+	}
+	if meta.cursor != cs.cursor {
+		return false, nil
+	}
+	// snap is current for this channel: the step's pushes are placed by it
+	// and its commit — a pending task's retry included — is fenced on its
+	// global epoch.
+	cs.snap = snap
+	if cs.op == nil && cs.stage.Op != nil {
+		cs.op = t.newOperator(cs)
+		if meta.checkpoint != nil && meta.checkpoint.Seq == cs.cursor && cs.cursor > 0 {
+			if err := t.restoreCheckpoint(cs, meta.checkpoint); err != nil {
+				return false, err
+			}
+		}
+	}
+	// Retry a pending task whose pushes previously failed.
+	if p := cs.pending; p != nil {
+		if p.seq != cs.cursor {
+			cs.pending = nil
+		} else {
+			return t.finishTask(cs, p, meta.replayRec != nil)
+		}
+	}
+	if meta.replayRec != nil {
+		return t.replayStep(cs, *meta.replayRec)
+	}
+	return t.normalStep(cs)
+}
+
+// newOperator instantiates the channel's operator. When the query's
+// recorded partition count is > 1 and the spec supports it, the operator is
+// created partition-parallel: its state split into hash partitions that
+// execute on this worker's CPU-slot pool. The partition count comes from
+// the GCS (seeded once per query), not the local config, so replacement
+// TaskManagers replaying lineage rebuild identically partitioned state.
+func (t *taskManager) newOperator(cs *chanState) ops.Operator {
+	p := cs.snap.opp
+	var op ops.Operator
+	if p > 1 {
+		if ps, ok := cs.stage.Op.(ops.ParallelSpec); ok {
+			op = ps.NewParallel(cs.id.Channel, t.r.par[cs.id.Stage], p, t.pool)
+		}
+	}
+	if op == nil {
+		op = cs.stage.Op.New(cs.id.Channel, t.r.par[cs.id.Stage])
+	}
+	// Memory governance: spill-capable operators get a handle namespaced
+	// by query, channel AND channel epoch, so a rewound channel's
+	// replacement operator never collides with (or reads) stale
+	// pre-failure run files — and concurrent queries' spill files never
+	// collide with each other.
+	if t.spill != nil {
+		if sb, ok := op.(ops.Spillable); ok {
+			so := t.spill.NewOp(spillNS(t.r.qid, cs.id, cs.cep))
+			sb.SetSpill(so)
+			cs.spillOp, cs.spillBytes, cs.spillRuns = so, 0, 0
+		}
+	}
+	return op
+}
+
+// resetChannel synchronizes in-memory state with the GCS after a rewind
+// (or on first touch): fresh operator; epoch, cursor, watermark and done
+// mark all from the one transaction meta was read in.
+func (t *taskManager) resetChannel(cs *chanState, meta *chanMeta) error {
+	// Rewind cleanup: release the dead operator's accounted memory and
+	// delete its spill runs, then sweep stale run files of ANY earlier
+	// incarnation of this channel from the local disk (recovery restart
+	// must not leak pre-failure spill files).
+	if sb, ok := cs.op.(ops.Spillable); ok {
+		sb.DropSpill()
+	}
+	if t.spill != nil {
+		t.w.Disk.DeletePrefix(spillChanPrefix(t.r.qid, cs.id))
+	}
+	cs.cep = meta.cep
+	cs.cursor = meta.cursor
+	cs.op = nil
+	cs.pending = nil
+	cs.lastCkpt = meta.cursor
+	cs.spillOp, cs.spillBytes, cs.spillRuns = nil, 0, 0
+	var err error
+	if cs.wm, err = lineage.DecodeWatermark(meta.wm); err != nil {
+		return err
+	}
+	cs.done = meta.done == cs.cursor && cs.cursor > 0
+	if cs.stage.Reader != nil {
+		if cs.stage.Reader.Splits != nil {
+			// The planner pruned: the cursor walks the survivor list, not
+			// the physical split range.
+			cs.splits = len(cs.stage.Reader.Splits)
+		} else {
+			n, err := TableSplits(t.r.cl.ObjStore, cs.stage.Reader.Table)
+			if err != nil {
+				return err
+			}
+			cs.splits = n
+		}
+	}
+	return nil
+}
+
+// normalStep executes a task whose lineage is not yet determined: pick
+// inputs dynamically (or per the static policy), then run the task the
+// chosen record describes.
+func (t *taskManager) normalStep(cs *chanState) (bool, error) {
+	if cs.stage.Reader != nil {
+		return t.readerStep(cs)
+	}
+	choice, exhausted := t.chooseInput(cs)
+	switch {
+	case choice != nil:
+		return t.runTask(cs, lineage.Consume(choice.ec.Input, choice.ec.UpChannel, choice.from, choice.count), false)
+	case exhausted:
+		return t.runTask(cs, lineage.Finalize(), false) // the channel's final task
+	}
+	return false, nil // nothing consumable yet; task "exits without executing"
+}
+
+// inputChoice is the selected upstream range for one task.
+type inputChoice struct {
+	ec    lineage.EdgeChannel
+	from  int
+	count int
+}
+
+// chooseInput implements the consumption policy. It returns nil with
+// exhausted=true when every input edge is fully consumed (time to
+// finalize), or nil with exhausted=false when the task should wait.
+func (t *taskManager) chooseInput(cs *chanState) (*inputChoice, bool) {
+	// Establish the current phase: the smallest phase with an unexhausted
+	// edge. Later-phase inputs are not consumable yet (build before probe).
+	// What is known of an upstream channel — its committed task count and,
+	// once finished, its done mark — is its row of the step's snapshot.
+	curPhase := -1
+	allExhausted := true
+	for e, in := range cs.stage.Inputs {
+		done := true
+		for uc, up := range cs.snap.chans[in.Stage] {
+			if up.done < 0 || cs.wm[lineage.EdgeChannel{Input: e, UpChannel: uc}] < up.done {
+				done = false
+				break
+			}
+		}
+		if !done {
+			allExhausted = false
+			if curPhase == -1 || in.Phase < curPhase {
+				curPhase = in.Phase
+			}
+		}
+	}
+	if allExhausted {
+		return nil, true
+	}
+
+	// The current phase's edges that could yield a task — upstream committed
+	// cursor past this channel's watermark — go into ONE mailbox probe (which
+	// also clears retransmissions below each watermark); none, no probe.
+	var probes []flight.Edge
+	for e, in := range cs.stage.Inputs {
+		if in.Phase != curPhase {
+			continue
+		}
+		// Stagewise execution: Spark-style barrier at shuffle boundaries —
+		// consume nothing across a wide edge until the entire upstream
+		// stage has finished. Narrow (Direct) edges fuse into the same
+		// Spark stage and keep streaming, the way Spark fuses chains of
+		// narrow dependencies.
+		ups := cs.snap.chans[in.Stage]
+		if t.r.cfg.Execution == Stagewise && in.Part.Kind != PartitionDirect &&
+			slices.ContainsFunc(ups, func(up chanMeta) bool { return up.done < 0 }) {
+			continue
+		}
+		for uc, up := range ups {
+			if wm := cs.wm[lineage.EdgeChannel{Input: e, UpChannel: uc}]; up.cursor > wm {
+				probes = append(probes, flight.Edge{Input: e, UpChannel: uc, Watermark: wm})
+			}
+		}
+	}
+	if len(probes) == 0 {
+		return nil, false
+	}
+
+	var best *inputChoice
+	for i, avail := range t.w.Flight.Probe(t.r.qid, cs.id, probes) {
+		ec := lineage.EdgeChannel{Input: probes[i].Input, UpChannel: probes[i].UpChannel}
+		up := &cs.snap.chans[cs.stage.Inputs[ec.Input].Stage][ec.UpChannel]
+		wm := probes[i].Watermark
+		avail = min(avail, up.cursor-wm) // only lineage-committed inputs count
+		if avail <= 0 {
+			continue
+		}
+		upFinished := up.done >= 0
+		var take int
+		if t.r.cfg.Dynamic {
+			// Consume as much as is available, but don't wake up for
+			// dribbles while the producer is still running: tiny tasks
+			// would drown the pipeline in per-task overhead. Once the
+			// producer finishes, any remainder is consumed.
+			if !upFinished && avail < t.r.cfg.MinTake {
+				continue
+			}
+			take = min(avail, t.r.cfg.MaxTake)
+		} else {
+			k := t.r.cfg.StaticBatch
+			switch {
+			case avail >= k:
+				take = k
+			case upFinished && wm+avail == up.done:
+				take = avail // final short batch
+			default:
+				continue // static policy: wait for a full batch
+			}
+		}
+		if best == nil || take > best.count {
+			best = &inputChoice{ec: ec, from: wm, count: take}
+		}
+	}
+	return best, false
+}
+
+// readerStep executes one input-reader task: read the channel's next
+// split from the object store. With zone-map pruning the cursor walk
+// indexes the survivor list, which is mapped to the physical split number
+// before the read — and it is the PHYSICAL number that lineage records, so
+// a replay never needs the survivor list to find the same bytes.
+func (t *taskManager) readerStep(cs *chanState) (bool, error) {
+	split := cs.id.Channel + cs.cursor*t.r.par[cs.id.Stage]
+	if split >= cs.splits {
+		return t.runTask(cs, lineage.Finalize(), false)
+	}
+	if spec := cs.stage.Reader; spec.Splits != nil {
+		split = spec.Splits[split]
+	}
+	return t.runTask(cs, lineage.Read(split), false)
+}
+
+// replayStep re-executes a task under its committed lineage: the task is
+// "retracing its footsteps" (§IV-C) and may not choose inputs dynamically.
+func (t *taskManager) replayStep(cs *chanState, rec lineage.Record) (bool, error) {
+	// All replayed inputs must be present; if replays are still in flight,
+	// wait.
+	edge := flight.Edge{Input: rec.Input, UpChannel: rec.UpChannel, Watermark: rec.FromSeq}
+	if rec.Kind == lineage.KindConsume && t.w.Flight.Probe(t.r.qid, cs.id, []flight.Edge{edge})[0] < rec.Count {
+		return false, nil
+	}
+	return t.runTask(cs, rec, true)
+}

@@ -1,0 +1,261 @@
+package engine
+
+import (
+	"fmt"
+	"sync"
+	"time"
+
+	"quokka/internal/batch"
+	"quokka/internal/gcs"
+	"quokka/internal/lineage"
+	"quokka/internal/metrics"
+	"quokka/internal/ops"
+	"quokka/internal/trace"
+)
+
+// runTask executes the task a lineage record describes — read a split, run
+// the operator over a range of one upstream channel's outputs, or finalize —
+// and finishes it (push, back up, commit). A record just chosen and a
+// record retraced from the log run through here alike, which is what makes
+// a replayed task's output the original's.
+func (t *taskManager) runTask(cs *chanState, rec lineage.Record, isReplay bool) (bool, error) {
+	p := &pendingTask{seq: cs.cursor, rec: rec, started: time.Now()}
+	var err error
+	switch rec.Kind {
+	case lineage.KindRead:
+		// rec.Split is physical, and every read of it uses the plan's column
+		// projection: a replayed read is byte-identical.
+		p.out, err = t.readSplit(cs.stage.Reader, rec.Split)
+	case lineage.KindConsume:
+		p.out, p.inRows, p.inBytes, err = t.consume(cs, rec)
+	case lineage.KindFinalize:
+		p.finalize = true
+		if cs.op != nil { // a reader channel has no operator: it finalizes empty
+			var outs []*batch.Batch
+			if outs, err = cs.op.Finalize(); err != nil {
+				return false, fmt.Errorf("engine: finalize %s: %w", cs.id, err)
+			}
+			if p.out, err = batch.Concat(outs); p.out != nil {
+				t.chargeCompute(cs.op, p.out)
+			}
+		}
+	default:
+		err = fmt.Errorf("engine: %s: lineage record of unknown kind %d", cs.id, rec.Kind)
+	}
+	if err != nil {
+		return false, err
+	}
+	cs.pending = p
+	if isReplay {
+		t.r.count(metrics.TasksReplayed, 1)
+	}
+	return t.finishTask(cs, p, isReplay)
+}
+
+// consume runs the operator over the chosen inputs and returns the
+// concatenated output (nil if no rows) plus the consumed input volume
+// (rows and wire bytes, for the task's trace span).
+func (t *taskManager) consume(cs *chanState, rec lineage.Record) (out *batch.Batch, inRows, inBytes int64, err error) {
+	datas, err := t.w.Flight.Take(t.r.qid, cs.id, rec.Input, rec.UpChannel, rec.FromSeq, rec.Count)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	var outs []*batch.Batch
+	for _, d := range datas {
+		if len(d) == 0 {
+			continue // empty partition: counts for the watermark only
+		}
+		b, err := batch.Decode(d)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("engine: corrupt partition for %s: %w", cs.id, err)
+		}
+		if b.NumRows() == 0 {
+			continue
+		}
+		inRows += int64(b.NumRows())
+		inBytes += int64(len(d))
+		t.chargeCompute(cs.op, b)
+		o, err := cs.op.Consume(rec.Input, b)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("engine: %s consume: %w", cs.id, err)
+		}
+		outs = append(outs, o...)
+	}
+	out, err = batch.Concat(outs)
+	return out, inRows, inBytes, err
+}
+
+// chargeCompute applies the modelled operator-kernel cost of op processing
+// b, adjusted by the configured kernel efficiency. The operator's share
+// count is how many partitions execute the work concurrently: each share
+// holds its own CPU slot for 1/shares of the payload, so partitioned
+// operators finish in ~1/shares the modelled wall time when slots are free
+// — the cost-model analogue of the real morsel parallelism in internal/ops.
+func (t *taskManager) chargeCompute(op ops.Operator, b *batch.Batch) {
+	if t.r.cl.Cost.TimeScale <= 0 {
+		// Real time: nothing would be slept, so neither the operator nor a
+		// CPU slot — the channel ops.Pool runs real partition lanes on — is
+		// touched.
+		return
+	}
+	// Shares are the CPU slots the operator really fans a batch of this many
+	// rows out over: row-wise morsel operators run small batches on one lane,
+	// and the model must not claim parallelism the kernels don't deliver.
+	// (Finalize passes its output's row count; hash-partitioned operators,
+	// the only ones with real finalize fan-out, ignore it.)
+	bytes, shares := b.ByteSize(), 1
+	if p, ok := op.(ops.Partitioned); ok {
+		shares = p.SharesFor(b.NumRows())
+	}
+	link := t.r.cl.Cost.Compute
+	if s := t.r.cfg.ComputeScale; s > 0 && s != 1 {
+		link.BytesPerS *= s
+		link.Latency = time.Duration(float64(link.Latency) / s)
+	}
+	if shares <= 1 {
+		// Hold a CPU slot for the duration of the modelled kernel work.
+		t.cpu <- struct{}{}
+		t.r.cl.Cost.Apply(link, bytes)
+		<-t.cpu
+		return
+	}
+	share := bytes / int64(shares)
+	var wg sync.WaitGroup
+	for i := 0; i < shares; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t.cpu <- struct{}{}
+			t.r.cl.Cost.Apply(link, share)
+			<-t.cpu
+		}()
+	}
+	wg.Wait()
+}
+
+// readSplit reads one physical split for a reader spec, decoding only the
+// columns the plan consumes and crediting the skipped column bytes.
+func (t *taskManager) readSplit(spec *ReaderSpec, split int) (*batch.Batch, error) {
+	b, skipped, err := ReadSplitCols(t.r.cl.ObjStore, spec.Table, split, spec.Cols)
+	if err != nil {
+		return nil, err
+	}
+	if skipped > 0 {
+		t.r.count(metrics.ScanBytesSkipped, skipped)
+	}
+	return b, nil
+}
+
+// finishTask is the core of Algorithm 1, a straight line: encode the task's
+// output once, persist what the FT policy wants durable before a consumer
+// can see it, push, persist the producer-local backup, commit the
+// write-ahead lineage in one flush, then the post-commit bookkeeping. The
+// three persist steps (persist.go) each ask the policy for their capability
+// and are no-ops without it. isReplay skips re-writing lineage that is
+// already committed.
+func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (bool, error) {
+	task := lineage.TaskName{Stage: cs.id.Stage, Channel: cs.id.Channel, Seq: p.seq}
+	// One serialization serves the push, the spool and the upstream backup,
+	// under every FT mode; the modes differ only in where else the bytes go.
+	// A retry of a pending task finds it built. The codec choice is invisible
+	// downstream (frames are self-describing and decode to identical bytes),
+	// so compressed backups and spools replay exactly like raw ones.
+	edges := t.r.plan.Consumers(cs.id.Stage)
+	if p.out != nil {
+		if err := t.encodeOutput(p, edges, cs.id.Channel); err != nil {
+			return false, err
+		}
+	}
+
+	if err := t.persistBeforePush(cs, task, p, isReplay); err != nil {
+		return false, err
+	}
+
+	// Push results downstream. Per Algorithm 1, a failed push (dead
+	// consumer) aborts the task without committing; the pending outputs
+	// are retried after recovery re-places the consumer. Push failures
+	// are transient by construction, never fatal.
+	var pushStart time.Time
+	if t.r.rec != nil {
+		pushStart = time.Now()
+	}
+	if err := t.pushOutputs(cs, task, p, edges); err != nil {
+		return false, nil
+	}
+	if t.r.rec != nil {
+		t.r.rec.Record(trace.Span{Kind: trace.KindPush, Replay: isReplay, Worker: int(t.w.ID),
+			Stage: cs.id.Stage, Channel: cs.id.Channel, Seq: p.seq, Epoch: cs.cep,
+			Start: pushStart, Dur: time.Since(pushStart), OutBytes: int64(len(p.payload))})
+	}
+
+	if err := t.persistAfterPush(task, p); err != nil {
+		return false, err
+	}
+
+	// Commit: lineage + cursor + watermark (+ done marker) atomically. The
+	// write set is handed to the cluster's shared committer, whose flush
+	// folds commits from many channels — across every admitted query — into
+	// one GCS transaction (or, with batching off, carries this one alone);
+	// commit-before-ack ordering is preserved because this call blocks until
+	// the flush containing it has been applied.
+	wmAfter := cs.wm
+	if p.rec.Kind == lineage.KindConsume {
+		wmAfter = cs.wm.Clone()
+		wmAfter[lineage.EdgeChannel{Input: p.rec.Input, UpChannel: p.rec.UpChannel}] += p.rec.Count
+	}
+	err := t.gc.commit(&commitReq{
+		r:        t.r,
+		alive:    t.w.Alive,
+		workerID: int(t.w.ID),
+		id:       cs.id,
+		cep:      cs.cep,
+		gep:      cs.snap.gep,
+		task:     task,
+		rec:      p.rec,
+		wmAfter:  wmAfter,
+		finalize: p.finalize,
+		isReplay: isReplay,
+	})
+	if err != nil {
+		if err == gcs.ErrAborted {
+			return false, nil // keep pending; retried after barrier/rewind
+		}
+		return false, err
+	}
+
+	// Post-commit bookkeeping.
+	if p.rec.Kind == lineage.KindConsume {
+		t.w.Flight.Drop(t.r.qid, cs.id, p.rec.Input, p.rec.UpChannel, p.rec.FromSeq, p.rec.Count)
+	}
+	cs.wm = wmAfter
+	cs.cursor = p.seq + 1
+	cs.pending = nil
+	if p.finalize {
+		cs.done = true
+		// The channel is complete: its spill runs (if any survive the
+		// operator's own finalize cleanup) are garbage now.
+		if sb, ok := cs.op.(ops.Spillable); ok {
+			sb.DropSpill()
+		}
+	}
+	t.r.count(metrics.TasksExecuted, 1)
+	lat := time.Since(p.started)
+	t.r.hTask.observe(int64(lat))
+	if t.r.rec != nil {
+		var spillB, spillR int64
+		if cs.spillOp != nil {
+			wb, wr := cs.spillOp.WrittenBytes(), cs.spillOp.WrittenRuns()
+			spillB, spillR = wb-cs.spillBytes, wr-cs.spillRuns
+			cs.spillBytes, cs.spillRuns = wb, wr
+		}
+		t.r.rec.Record(trace.Span{Kind: trace.KindTask, Replay: isReplay, Worker: int(t.w.ID),
+			Stage: cs.id.Stage, Channel: cs.id.Channel, Seq: p.seq, Epoch: cs.cep,
+			Start: p.started, Dur: lat,
+			InRows: p.inRows, InBytes: p.inBytes,
+			OutRows: p.outRows, OutBytes: int64(len(p.payload)),
+			SpillBytes: spillB, SpillRuns: spillR})
+	}
+
+	t.persistAfterCommit(cs, p)
+	return true, nil
+}

@@ -14,7 +14,7 @@ import (
 )
 
 // Head-node throughput work: group-commit lineage, worker-side result
-// spooling, adaptive granularity and the consolidated tuning API. Every
+// spooling, admission queueing and the consolidated tuning API. Every
 // test asserts the cardinal invariant first — none of these optimizations
 // may change a single output byte — and then the mechanism-specific
 // property (fewer transactions, fewer head bytes, context plumbing).
@@ -401,9 +401,11 @@ func TestContextAwareHandles(t *testing.T) {
 	assertNoQueryState(t, cl, "after context-aware handles")
 }
 
-// TestAdaptiveGranularityCoarsens: with queries queued behind the
-// admission gate, executing queries run coarser tasks (fewer commits for
-// the same rows) than an unqueued run — and still produce identical bytes.
+// TestAdaptiveGranularityCoarsens: a query executing with others queued
+// behind the admission gate produces the bytes of an unqueued run, and so do
+// the queued ones once admitted. (The take-coarsening ladder the name recalls
+// left the task path with the sweep that tuned it; MinTake/MaxTake apply as
+// configured.)
 func TestAdaptiveGranularityCoarsens(t *testing.T) {
 	tables := map[string][]*batch.Batch{"numbers": numbersTable(4000, 32)}
 	cl := testCluster(t, 4, tables)

@@ -39,9 +39,6 @@ func Columns(e Expr) []string {
 	return out
 }
 
-// CollectColumns adds every column the expression reads into set.
-func CollectColumns(e Expr, set map[string]struct{}) { collectColumns(e, set) }
-
 func collectColumns(e Expr, set map[string]struct{}) {
 	switch x := e.(type) {
 	case Col:

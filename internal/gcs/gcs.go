@@ -1,8 +1,8 @@
 // Package gcs implements the Global Control Store: the transactional
 // key-value store at the heart of the paper's design (§IV-B). In the paper
 // it is a Redis server on the head node; here it is an in-memory store
-// with serializable multi-key transactions, prefix scans and a version
-// counter that lets pollers wait efficiently for changes.
+// with serializable multi-key transactions, prefix scans and per-namespace
+// version counters by which pollers skip reads while nothing changed.
 //
 // Everything coordinated in Quokka — committed lineage, outstanding tasks,
 // channel placement, done markers, the recovery barrier flag — lives here.
@@ -24,7 +24,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"quokka/internal/batch"
 	"quokka/internal/metrics"
@@ -45,12 +44,6 @@ type Backend interface {
 	UpdateMulti(nss []string, fn func(tx *Txn) error) error
 	ViewNS(ns string, fn func(tx *Txn) error) error
 	VersionNS(ns string) uint64
-	// Version and WaitChange are reserved: nothing calls them through the
-	// interface today. ROADMAP item 1(a) names them as the wake-up source
-	// that replaces the poll sleep; the PR that closes that item removes
-	// them if it does not use them.
-	Version() uint64
-	WaitChange(since uint64, timeout time.Duration) uint64
 }
 
 // numShards is the fixed shard count of the keyspace. Namespaces hash onto
@@ -95,11 +88,8 @@ type Store struct {
 
 	shards [numShards]shard
 
-	// version is the store-wide commit counter, maintained under its own
-	// tiny lock so WaitChange pollers never block data-plane commits.
-	verMu   sync.Mutex
-	version uint64
-	cond    *sync.Cond
+	// version is the store-wide commit counter (Version).
+	version atomic.Uint64
 }
 
 // New creates an empty store with the given cost model; each transaction
@@ -110,7 +100,6 @@ func New(cost storage.CostModel, met *metrics.Collector) *Store {
 		s.shards[i].data = make(map[string][]byte)
 		s.shards[i].logs = make(map[string]*nsLog)
 	}
-	s.cond = sync.NewCond(&s.verMu)
 	return s
 }
 
@@ -197,7 +186,7 @@ func (s *Store) run(tx *Txn, fn func(tx *Txn) error) error {
 		return err
 	}
 	if tx.writes != nil {
-		s.bumpVersion()
+		s.version.Add(1)
 		s.met.Add(metrics.GCSBytes, tx.bytes)
 	}
 	s.met.Add(metrics.GCSTxns, 1)
@@ -268,13 +257,6 @@ func allShards() (all []int) {
 	return all
 }
 
-func (s *Store) bumpVersion() {
-	s.verMu.Lock()
-	s.version++
-	s.cond.Broadcast()
-	s.verMu.Unlock()
-}
-
 // WriteBytes returns the transaction's accumulated write payload (keys +
 // values). The engine reads it to attribute GCS traffic to the query the
 // transaction belongs to; the store itself keeps counting cluster totals.
@@ -343,42 +325,7 @@ func (tx *Txn) List(prefix string) []string {
 	return out
 }
 
-// Version returns the store's commit counter. It increases on every
-// committed update; pollers use it with WaitChange.
-func (s *Store) Version() uint64 {
-	s.verMu.Lock()
-	defer s.verMu.Unlock()
-	return s.version
-}
-
-// WaitChange blocks until the store version exceeds since or the timeout
-// elapses, returning the current version. TaskManagers use it to poll the
-// GCS without busy-waiting, preserving the paper's "stateless pollers"
-// design at reasonable CPU cost.
-func (s *Store) WaitChange(since uint64, timeout time.Duration) uint64 {
-	deadline := time.Now().Add(timeout)
-	s.verMu.Lock()
-	defer s.verMu.Unlock()
-	for s.version <= since {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			break
-		}
-		// Wake the waiter when the deadline passes even if no commit
-		// happens; sync.Cond has no timed wait, so arm a timer.
-		done := make(chan struct{})
-		t := time.AfterFunc(remain, func() {
-			s.verMu.Lock()
-			s.cond.Broadcast()
-			s.verMu.Unlock()
-			close(done)
-		})
-		s.cond.Wait()
-		t.Stop()
-		select {
-		case <-done:
-		default:
-		}
-	}
-	return s.version
-}
+// Version returns the store-wide commit counter: it increases on every
+// committed update of any namespace. Not part of Backend — in-process
+// callers (tests) read it as their "nothing changed anywhere" probe.
+func (s *Store) Version() uint64 { return s.version.Load() }

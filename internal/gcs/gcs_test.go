@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"quokka/internal/metrics"
 	"quokka/internal/storage"
@@ -129,28 +128,6 @@ func TestConcurrentCountersAreSerializable(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestWaitChange(t *testing.T) {
-	s, _ := newStore()
-	v0 := s.Version()
-	start := time.Now()
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		s.Update(func(tx *Txn) error { tx.Put("k", nil); return nil })
-	}()
-	v1 := s.WaitChange(v0, time.Second)
-	if v1 <= v0 {
-		t.Errorf("WaitChange returned %d, want > %d", v1, v0)
-	}
-	if time.Since(start) > 500*time.Millisecond {
-		t.Error("WaitChange took too long")
-	}
-	// Timeout path: no change coming.
-	v2 := s.WaitChange(v1, 20*time.Millisecond)
-	if v2 != v1 {
-		t.Errorf("timeout WaitChange = %d, want %d", v2, v1)
-	}
 }
 
 func TestViewPutPanics(t *testing.T) {

@@ -91,7 +91,7 @@ const (
 
 // Process-mode traffic by message type, counted by the head's op dispatcher:
 // WireFrames+<op> request frames, WireBytes+<op> their bytes plus the answers'.
-// <op> (wire.opNames): gcs_{sync,commit,version_ns,version,wait_change}
+// <op> (wire.opNames): gcs_{sync,commit,version_ns}
 // fl_{push,probe,take,drop,drop_query,spool,fetch,drop_result} obj_{put,get}
 // sink_{deliver,spooled}.
 const (

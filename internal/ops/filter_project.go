@@ -237,38 +237,3 @@ func (fp *FilterProject) Consume(_ int, b *batch.Batch) ([]*batch.Batch, error) 
 
 // Finalize implements Operator.
 func (fp *FilterProject) Finalize() ([]*batch.Batch, error) { return nil, nil }
-
-// Limit passes through the first N rows it sees and drops the rest. It is
-// stateful (a counter) but cheap; used for LIMIT queries.
-type Limit struct {
-	N    int
-	seen int
-}
-
-// NewLimitSpec builds a Spec for Limit n.
-func NewLimitSpec(n int) Spec {
-	return limitSpec{N: n}
-}
-
-// limitSpec is a data-only Spec (serializable for process mode).
-type limitSpec struct{ N int }
-
-func (s limitSpec) Name() string          { return fmt.Sprintf("limit[%d]", s.N) }
-func (s limitSpec) New(_, _ int) Operator { return &Limit{N: s.N} }
-
-// Consume implements Operator.
-func (l *Limit) Consume(_ int, b *batch.Batch) ([]*batch.Batch, error) {
-	if l.seen >= l.N {
-		return nil, nil
-	}
-	remain := l.N - l.seen
-	if b.NumRows() <= remain {
-		l.seen += b.NumRows()
-		return single(b), nil
-	}
-	l.seen = l.N
-	return single(b.Slice(0, remain)), nil
-}
-
-// Finalize implements Operator.
-func (l *Limit) Finalize() ([]*batch.Batch, error) { return nil, nil }

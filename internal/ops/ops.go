@@ -1,6 +1,6 @@
 // Package ops implements the vectorised relational operators the query
 // engine schedules: filter, project, hash join (inner/left/semi/anti),
-// hash aggregation (partial and final), sort, top-k and limit. These play
+// hash aggregation (partial and final), sort and top-k. These play
 // the role DuckDB and Polars play as single-node kernels in the paper's
 // Quokka.
 //
@@ -53,18 +53,6 @@ type Spec interface {
 	// Name identifies the operator in plans and logs.
 	Name() string
 }
-
-// SpecFunc adapts a factory function to Spec.
-type SpecFunc struct {
-	Label   string
-	Factory func(channel, channels int) Operator
-}
-
-// New implements Spec.
-func (s SpecFunc) New(channel, channels int) Operator { return s.Factory(channel, channels) }
-
-// Name implements Spec.
-func (s SpecFunc) Name() string { return s.Label }
 
 // single wraps one batch in a slice, dropping nil/empty batches.
 func single(b *batch.Batch) []*batch.Batch {

@@ -74,22 +74,6 @@ func TestProjectAndFused(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	op := NewLimitSpec(3).New(0, 1)
-	out := consumeAll(t, op, 0, b2(t, []int64{1, 2}, []float64{0, 0}))
-	if out[0].NumRows() != 2 {
-		t.Fatal("limit first batch")
-	}
-	out = consumeAll(t, op, 0, b2(t, []int64{3, 4, 5}, []float64{0, 0, 0}))
-	if out[0].NumRows() != 1 || out[0].Col("id").Ints[0] != 3 {
-		t.Fatalf("limit clip: %v", out[0])
-	}
-	out = consumeAll(t, op, 0, b2(t, []int64{6}, []float64{0}))
-	if len(out) != 0 {
-		t.Fatal("limit should drop after N")
-	}
-}
-
 func joinInputs(t *testing.T) (build, probe *batch.Batch) {
 	t.Helper()
 	bs := batch.NewSchema(batch.F("k", batch.Int64), batch.F("name", batch.String))

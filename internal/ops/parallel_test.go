@@ -324,24 +324,6 @@ func TestParallelAggSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestChainSpecParallelizesMembers: fused pipelines must propagate
-// partitioning into partitionable members and report their width.
-func TestChainSpecParallelizesMembers(t *testing.T) {
-	spec := NewChainSpec(
-		NewHashAggSpec([]string{"k"}, CountStar("c")),
-		NewSortSpec(SortKey{Col: "c"}),
-	).(ParallelSpec)
-	op := spec.NewParallel(0, 1, 4, testPool(4)).(*Chain)
-	if got := op.Partitions(); got != 4 {
-		t.Fatalf("chain partitions = %d, want 4", got)
-	}
-	serial := NewChainSpec(NewSortSpec(SortKey{Col: "c"})).(ParallelSpec).
-		NewParallel(0, 1, 4, testPool(4)).(*Chain)
-	if got := serial.Partitions(); got != 1 {
-		t.Fatalf("serial chain partitions = %d, want 1", got)
-	}
-}
-
 // TestPoolPropagatesError: the first partition error must surface.
 func TestPoolPropagatesError(t *testing.T) {
 	boom := errors.New("boom")

@@ -111,15 +111,6 @@ func ExplainAt(n int, sf float64) (string, error) {
 	return plan.Explain(opt), nil
 }
 
-// MustQuery is Query panicking on error.
-func MustQuery(n int) *engine.Plan {
-	p, err := Query(n)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // QueryNumbers lists the implemented queries.
 func QueryNumbers() []int {
 	out := make([]int, 22)

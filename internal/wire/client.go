@@ -265,65 +265,17 @@ func (g *gcsClient) UpdateNS(ns string, fn func(tx *gcs.Txn) error) error {
 	return g.UpdateMulti([]string{ns}, fn)
 }
 
+// VersionNS has no error slot: a failed exchange or a malformed answer reads
+// as 0.
 func (g *gcsClient) VersionNS(ns string) uint64 {
 	var w wbuf
 	w.str(ns)
 	rp, err := g.p.expect(mtGCSVersionNS, w.b, mtU64Resp)
-	return versionResp(rp, err)
-}
-
-func (g *gcsClient) Version() uint64 {
-	rp, err := g.p.expect(mtGCSVersion, nil, mtU64Resp)
-	return versionResp(rp, err)
-}
-
-// versionResp decodes an mtU64Resp body; a failed exchange or a malformed
-// body reads as 0 (the version methods have no error slot).
-func versionResp(rp []byte, err error) uint64 {
 	r := rbuf{b: rp}
 	v := r.u64("version")
 	if err != nil || r.err() != nil {
 		return 0
 	}
-	return v
-}
-
-// maxWaitChange caps a long-poll's server-side residence so a pooled conn
-// is never parked longer than this; the engine's pollers re-issue waits.
-const maxWaitChange = 30 * time.Second
-
-func (g *gcsClient) WaitChange(since uint64, timeout time.Duration) uint64 {
-	if timeout > maxWaitChange {
-		timeout = maxWaitChange
-	}
-	c, err := g.p.get()
-	if err != nil {
-		time.Sleep(timeout)
-		return since
-	}
-	var w wbuf
-	w.u64(since)
-	w.i64(int64(timeout))
-	if err := writeFrame(c, mtGCSWaitChange, w.b); err != nil {
-		c.Close()
-		return since
-	}
-	// The response legitimately takes up to the poll timeout; bound the
-	// read a little beyond it so a dead head cannot hang the poller.
-	c.SetReadDeadline(time.Now().Add(timeout + 10*time.Second))
-	rt, rp, err := readFrame(c)
-	c.SetReadDeadline(time.Time{})
-	if err != nil || rt != mtU64Resp {
-		c.Close()
-		return since
-	}
-	r := rbuf{b: rp}
-	v := r.u64("version")
-	if r.err() != nil {
-		c.Close()
-		return since
-	}
-	g.p.put(c)
 	return v
 }
 

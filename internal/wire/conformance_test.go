@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"quokka/internal/cluster"
 	"quokka/internal/engine"
@@ -224,15 +223,14 @@ func gcsConformance(t *testing.T, b *backends) {
 		})
 	})
 
-	// Version advances on commit; VersionNS tracks the namespace's shard;
-	// neither moves on a view or an aborted update.
+	// VersionNS tracks the namespace's shard: it advances on commit and does
+	// not move on a view or an aborted update.
 	t.Run("version", func(t *testing.T) {
-		v0 := g.Version()
 		nsv0 := g.VersionNS(ns)
 		g.ViewNS(ns, func(tx *gcs.Txn) error { return nil })
 		g.UpdateNS(ns, func(tx *gcs.Txn) error { return gcs.ErrAborted })
-		if g.Version() != v0 || g.VersionNS(ns) != nsv0 {
-			t.Errorf("version moved without a commit: %d/%d -> %d/%d", v0, nsv0, g.Version(), g.VersionNS(ns))
+		if g.VersionNS(ns) != nsv0 {
+			t.Errorf("version moved without a commit: %d -> %d", nsv0, g.VersionNS(ns))
 		}
 		if err := g.UpdateNS(ns, func(tx *gcs.Txn) error {
 			tx.Put(nsKey("v"), []byte("1"))
@@ -240,36 +238,8 @@ func gcsConformance(t *testing.T, b *backends) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if g.Version() <= v0 {
-			t.Errorf("Version did not advance: %d -> %d", v0, g.Version())
-		}
 		if g.VersionNS(ns) <= nsv0 {
 			t.Errorf("VersionNS did not advance: %d -> %d", nsv0, g.VersionNS(ns))
-		}
-	})
-
-	t.Run("wait-change", func(t *testing.T) {
-		// WaitChange returns promptly once the version moves past since...
-		done := make(chan uint64, 1)
-		since := g.Version()
-		go func() { done <- g.WaitChange(since, 10*time.Second) }()
-		time.Sleep(10 * time.Millisecond)
-		g.UpdateNS(ns, func(tx *gcs.Txn) error {
-			tx.Put(nsKey("w"), []byte("1"))
-			return nil
-		})
-		select {
-		case v := <-done:
-			if v <= since {
-				t.Errorf("WaitChange returned %d, want > %d", v, since)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("WaitChange did not wake on commit")
-		}
-		// ...and times out (returning the current version) when nothing moves.
-		v := g.WaitChange(g.Version(), 50*time.Millisecond)
-		if v != g.Version() {
-			t.Errorf("WaitChange timeout returned %d, current %d", v, g.Version())
 		}
 	})
 }

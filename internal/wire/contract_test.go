@@ -75,7 +75,7 @@ func opServer(t testing.TB) *Server {
 
 // opRequests is the op-conn request set of proto.go.
 var opRequests = map[byte]bool{
-	mtGCSVersionNS: true, mtGCSVersion: true, mtGCSWaitChange: true, mtGCSSync: true, mtGCSCommit: true,
+	mtGCSVersionNS: true, mtGCSSync: true, mtGCSCommit: true,
 	mtFlPush: true, mtFlTake: true, mtFlDrop: true, mtFlProbe: true,
 	mtFlDropQuery: true, mtFlSpool: true, mtFlFetch: true, mtFlDropResult: true,
 	mtObjPut: true, mtObjGet: true, mtSinkDeliver: true, mtSinkSpooled: true,
@@ -83,10 +83,13 @@ var opRequests = map[byte]bool{
 
 // Type bytes this protocol version once assigned and retired: the
 // interactive transaction (begin, get, get response, list, list response,
-// commit, abort, done), the two per-edge mailbox probes and their response.
+// commit, abort, done), the store-wide version and its long poll, the two
+// per-edge mailbox probes and their response.
 const (
 	retiredTxnBegin    = byte(0x10)
 	retiredTxnDone     = byte(0x17)
+	retiredGCSVersion  = byte(0x19)
+	retiredGCSWait     = byte(0x1a)
 	retiredFlContig    = byte(0x21)
 	retiredFlDropBelow = byte(0x24)
 	retiredIntResp     = byte(0x43)
@@ -107,9 +110,9 @@ func TestOpMessageSetPinned(t *testing.T) {
 			t.Errorf("retired transaction type 0x%02x is a request again", typ)
 		}
 	}
-	for _, typ := range []byte{retiredFlContig, retiredFlDropBelow, retiredIntResp} {
+	for _, typ := range []byte{retiredGCSVersion, retiredGCSWait, retiredFlContig, retiredFlDropBelow, retiredIntResp} {
 		if opRequests[typ] {
-			t.Errorf("retired probe type 0x%02x is a request again", typ)
+			t.Errorf("retired type 0x%02x is a request again", typ)
 		}
 	}
 	s := opServer(t)
@@ -118,9 +121,6 @@ func TestOpMessageSetPinned(t *testing.T) {
 	defer c.Close()
 	for b := 0; b < 256; b++ {
 		typ := byte(b)
-		if typ == mtGCSVersion {
-			continue // takes no body: it would answer into the closed pipe
-		}
 		// One byte is a short body for every request with a body.
 		err := s.handleOp(c, typ, []byte{0xff})
 		if !errors.Is(err, ErrCorrupt) {
@@ -193,6 +193,8 @@ func retiredFrames() map[string]rawFrame {
 		"txn list":         {0x13, key(confNS)},
 		"txn commit":       {0x15, commit.b},
 		"txn abort":        {0x16, key("changed my mind")},
+		"gcs version":      {retiredGCSVersion, nil},
+		"gcs wait change":  {retiredGCSWait, make([]byte, 16)}, // u64 since, i64 timeout: returns at once
 		"flight contig":    {retiredFlContig, edge(0, 0, 0)},
 		"flight dropbelow": {retiredFlDropBelow, edge(0, 0, 1<<40)},
 	}

@@ -249,7 +249,8 @@ func TestProcessModeDynamicEquivalence(t *testing.T) {
 // head starts first can land ten before the next has landed one.) The
 // returned channel closes once the kill is delivered.
 func killMidQuery(cl *cluster.Cluster, w cluster.WorkerID) <-chan struct{} {
-	store, base := cl.GCS.(*gcs.Store), cl.GCS.Version()
+	store := cl.GCS.(*gcs.Store)
+	base := store.Version()
 	victimCommitted := func() (yes bool) {
 		store.View(func(tx *gcs.Txn) error {
 			for _, k := range tx.List("") {
@@ -265,7 +266,7 @@ func killMidQuery(cl *cluster.Cluster, w cluster.WorkerID) <-chan struct{} {
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
-		for cl.GCS.Version() < base+10 || !victimCommitted() {
+		for store.Version() < base+10 || !victimCommitted() {
 			time.Sleep(time.Millisecond)
 		}
 		cl.Worker(w).Kill()

@@ -26,8 +26,10 @@ import (
 // transaction read, two mailbox frames per upstream channel per round —
 // measured 54.1 to 56.3 here (8,930 to 9,283 frames for the same 165 tasks,
 // counted in handleOp and serveTxn of a scratch copy of the parent commit);
-// the budget is under a fifth of that. This protocol measures 7.9 to 8.4.
-const framesPerTaskBudget = 10
+// the budget is under a sixth of that. One frame per transaction measured 7.9
+// to 8.4; with every poll read served from one snapshot — a sync only when the
+// namespace version moved — it measures 6.8 to 7.1.
+const framesPerTaskBudget = 8
 
 // TestRoundTripsPerTask runs one TPC-H query on two wire-attached workers and
 // divides the head's op request frames by the tasks committed: a transaction
@@ -83,6 +85,12 @@ func TestRoundTripsPerTask(t *testing.T) {
 	txnFrames := cl.Metrics.Get(metrics.WireFrames+"gcs_sync") + cl.Metrics.Get(metrics.WireFrames+"gcs_commit")
 	if txns := cl.Metrics.Get(metrics.GCSTxns); txnFrames > txns {
 		t.Errorf("%d transaction frames for %d transactions", txnFrames, txns)
+	}
+	// A worker reads the store only when a version probe showed it moved: one
+	// sync per observed version change, plus each worker's first contact.
+	syncs, probes := cl.Metrics.Get(metrics.WireFrames+"gcs_sync"), cl.Metrics.Get(metrics.WireFrames+"gcs_version_ns")
+	if syncs > probes+workers {
+		t.Errorf("%d sync frames for %d version probes: a poll round read the store without a version change", syncs, probes)
 	}
 }
 

@@ -499,23 +499,9 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		if err := r.err(); err != nil {
 			return err
 		}
-		return replyU64(c, s.store.VersionNS(ns))
-	case mtGCSVersion:
-		return replyU64(c, s.store.Version())
-	case mtGCSWaitChange:
-		r := rbuf{b: payload}
-		since := r.u64("since")
-		timeout := time.Duration(r.i64("timeout"))
-		if err := r.err(); err != nil {
-			return err
-		}
-		if timeout < 0 {
-			timeout = 0
-		}
-		if timeout > maxWaitChange {
-			timeout = maxWaitChange
-		}
-		return replyU64(c, s.store.WaitChange(since, timeout))
+		var w wbuf
+		w.u64(s.store.VersionNS(ns))
+		return writeFrame(c, mtU64Resp, w.b)
 
 	case mtFlPush, mtFlTake, mtFlDrop, mtFlDropQuery, mtFlSpool, mtFlFetch,
 		mtFlDropResult, mtFlProbe:
@@ -579,12 +565,6 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		return writeFrame(c, mtBoolResp, w.b)
 	}
 	return fmt.Errorf("%w: unknown op 0x%02x", ErrCorrupt, typ)
-}
-
-func replyU64(c net.Conn, v uint64) error {
-	var w wbuf
-	w.u64(v)
-	return writeFrame(c, mtU64Resp, w.b)
 }
 
 // handleFlight serves one mailbox op against the target worker's
