@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint loc loc-check bench fuzz-smoke benchmark-smoke dist-smoke fmt fmt-check vet ci
+.PHONY: build test race wake-stress lint loc loc-check bench fuzz-smoke benchmark-smoke dist-smoke fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,16 @@ test:
 ## race: the race-detector job over every internal package (engine, ops,
 ## spill, batch, flight, trace, gcs, metrics, tpch, lint, ...), plus the
 ## public Submit/Cursor API suites in the root package.
-race:
+race: wake-stress
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestSubmit|TestAdmissionLimitPublic' .
+
+## wake-stress: the control plane waits instead of polling, so a lost wake-up
+## is the bug to look for: twenty race-detector rounds of the wait primitive
+## on both backends, the one-watcher-per-worker rule, teardown, and every
+## query with the fallback timers set far beyond the test.
+wake-stress:
+	$(GO) test -race -count=20 -run 'AwaitNS|NothingWaitsForTheFallback|Teardown|OneWatcher' ./internal/gcs ./internal/engine ./internal/tpch ./internal/wire
 
 ## lint: the repo-specific invariant linter (internal/lint run standalone
 ## via cmd/quokka-vet): hashonce, nskey, tracegate, detrange — each
@@ -34,7 +41,7 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 23761
+LOC_MAX := 23911
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi

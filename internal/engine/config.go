@@ -216,11 +216,14 @@ type Config struct {
 	// them or the query completes. Timing-only; never output-visible.
 	DisableResultSpool bool
 
-	// PollInterval is the TaskManager's idle backoff between GCS polls.
+	// PollInterval bounds what a lost wake-up costs: a worker's idle watcher
+	// waits for the query's namespace to move and rescans regardless after 16
+	// of these, which is also when an event that is no commit (a cursor
+	// draining the head's buffer) is noticed at the latest.
 	PollInterval time.Duration
 
-	// HeartbeatInterval is how often the coordinator checks worker
-	// liveness.
+	// HeartbeatInterval bounds how long a death, which commits nothing, goes
+	// unnoticed: the coordinator runs on every commit and at least this often.
 	HeartbeatInterval time.Duration
 }
 

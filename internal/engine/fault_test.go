@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"quokka/internal/batch"
 	"quokka/internal/cluster"
 	"quokka/internal/expr"
+	"quokka/internal/flight"
 	"quokka/internal/gcs"
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
@@ -16,20 +18,43 @@ import (
 )
 
 // killAfterTasks kills the given worker once the cluster has executed at
-// least n tasks, from a background goroutine. It returns a done channel.
+// least n tasks. The kill is delivered from inside the push of whichever task
+// pushes next — a task that has not committed yet, so the query cannot have
+// finished, however fast it runs — with a polling goroutine behind it for a
+// query whose pushes are all done. It returns a done channel.
 func killAfterTasks(cl *cluster.Cluster, victim int, n int64) <-chan struct{} {
 	done := make(chan struct{})
+	var once sync.Once
+	due := func() bool {
+		if cl.Metrics.Get(metrics.TasksExecuted) < n {
+			return false
+		}
+		once.Do(func() {
+			cl.Worker(cluster.WorkerID(victim)).Kill()
+			close(done)
+		})
+		return true
+	}
+	for _, w := range cl.Workers {
+		w.Flight = killerTransport{Transport: w.Flight, due: due}
+	}
 	go func() {
-		defer close(done)
-		for {
-			if cl.Metrics.Get(metrics.TasksExecuted) >= n {
-				cl.Worker(cluster.WorkerID(victim)).Kill()
-				return
-			}
+		for !due() {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
 	return done
+}
+
+// killerTransport asks due before every push.
+type killerTransport struct {
+	flight.Transport
+	due func() bool
+}
+
+func (k killerTransport) Push(p flight.Partition) error {
+	k.due()
+	return k.Transport.Push(p)
 }
 
 // killWhen kills the given worker as soon as the query's committed state

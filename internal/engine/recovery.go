@@ -50,10 +50,13 @@ func (r *Runner) recover(ctx context.Context) error {
 		return err
 	}
 
-	// Wait for every live TaskManager to acknowledge. Workers that die
-	// while we wait are simply dropped from the wait set.
+	// Wait for every live TaskManager to acknowledge: an ack is a commit, so
+	// the wait is for the version to pass the one observed before the view
+	// that found an ack missing. Workers that die while we wait commit
+	// nothing; a heartbeat later they are dropped from the wait set.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
+	for before, wait := uint64(0), time.Duration(0); ; wait = r.cfg.HeartbeatInterval {
+		before = r.gcsAwait(ctx, before, wait)
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -79,7 +82,6 @@ func (r *Runner) recover(ctx context.Context) error {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("engine: recovery barrier timed out")
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
 
 	// With the barrier held the coordinator has exclusive access; plan and

@@ -227,12 +227,20 @@ func (r *Runner) gcsUpdate(fn func(tx *gcs.Txn) error) error {
 	return err
 }
 
-// gcsVersion is the commit counter of this query's GCS namespace — in memory
-// a local atomic read, not a modelled round trip; in a worker process one
-// frame. It is the snapshot's stamp: a round probes it and reads the store
-// only when it has moved.
-func (r *Runner) gcsVersion() uint64 {
-	return r.cl.GCS.VersionNS(r.keyNS())
+// gcsAwait is the one wait of the control plane: it returns the commit counter
+// of this query's GCS namespace once it exceeds after, or after itself when
+// wait elapsed or ctx ended first (a backend's failed exchange reads as 0:
+// nothing moved). wait 0 never parks: a probe. In memory it is a channel
+// receive, in a worker process one frame parked on the head. The result is the
+// snapshot's stamp; how each parked wait ended is counted, which gates nothing.
+func (r *Runner) gcsAwait(ctx context.Context, after uint64, wait time.Duration) uint64 {
+	ver := max(r.cl.GCS.AwaitNS(ctx, r.keyNS(), after, wait), after)
+	if wait > 0 && ver > after {
+		r.count(metrics.WaitWakes, 1)
+	} else if wait > 0 && ctx.Err() == nil {
+		r.count(metrics.WaitFallbacks, 1)
+	}
+	return ver
 }
 
 // gcsView runs a read-only GCS transaction, counted into the per-query
@@ -345,21 +353,22 @@ func (r *Runner) seed() error {
 // coordinate is the head-node loop: it watches worker liveness, triggers
 // recovery, and detects query completion. Each in-flight query runs its
 // own coordinator; a worker failure makes every one of them replay its own
-// lineage independently.
+// lineage independently. It runs on every commit in the namespace — the
+// last one is completion — and each HeartbeatInterval: a death commits nothing.
 func (r *Runner) coordinate(ctx context.Context) error {
 	// Liveness is compared against the workers the channels were placed on:
 	// a worker killed after seeding but before this loop first runs would
 	// otherwise never be missed, and its channels never recovered.
 	aliveBefore := r.seededAlive
-	ticker := time.NewTicker(r.cfg.HeartbeatInterval)
-	defer ticker.Stop()
+	var seen uint64
 	for {
+		seen = r.gcsAwait(ctx, seen, r.cfg.HeartbeatInterval)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case err := <-r.failCh:
 			return err
-		case <-ticker.C:
+		default:
 		}
 		aliveNow := r.cl.AliveCount()
 		if aliveNow == 0 {
@@ -375,7 +384,7 @@ func (r *Runner) coordinate(ctx context.Context) error {
 			aliveBefore = aliveNow
 			continue
 		}
-		done, err := r.queryDone()
+		done, err := r.queryDone(seen)
 		if err != nil {
 			return err
 		}
@@ -389,18 +398,17 @@ func (r *Runner) coordinate(ctx context.Context) error {
 // the collector has received all of their partitions. As a side effect it
 // records known per-channel task counts in the collector, which is what
 // lets an attached Cursor advance past a channel's last partition. It reads
-// the shared snapshot: a heartbeat that finds the namespace unchanged costs
-// no transaction.
-func (r *Runner) queryDone() (bool, error) {
-	snap, err := r.snapshot()
+// the shared snapshot of version ver: a heartbeat that finds the namespace
+// unchanged costs no transaction.
+func (r *Runner) queryDone(ver uint64) (bool, error) {
+	snap, err := r.snapshotAt(ver)
 	if err != nil {
 		return false, err
 	}
 	out := snap.chans[r.out]
 	complete := true
 	for c, m := range out {
-		// The committed watermark releases delivered partitions to the
-		// cursor; it lags commits by at most one heartbeat.
+		// The committed watermark releases delivered partitions to the cursor.
 		r.collector.setCommitted(c, m.cursor)
 		if m.done < 0 {
 			complete = false

@@ -38,12 +38,11 @@ type chanMeta struct {
 	checkpoint *checkpointMark
 }
 
-// snapshot returns the image of the namespace's current version: the
-// published one while the version has not moved, else a fresh load. Loads are
-// single-flight, so a version change costs one view however many threads and
-// workers of this process poll.
-func (r *Runner) snapshot() (*snapshot, error) {
-	ver := r.gcsVersion()
+// snapshotAt returns the image of the namespace at ver, a version the caller's
+// gcsAwait just returned: the published one while the version has not moved,
+// else a fresh load. Loads are single-flight, so a version change costs one
+// view however many threads and workers of this process scan.
+func (r *Runner) snapshotAt(ver uint64) (*snapshot, error) {
 	if s := r.snap.Load(); s != nil && s.ver == ver {
 		return s, nil
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,12 @@ import (
 // design leans on: a stale image is rejected at step time, an unchanged
 // version costs no transaction, a version change costs one view per process,
 // and an image is never stamped newer than its content.
+
+// gcsVersion and snapshot are a scan's two reads as these tests take them: a
+// probe of the namespace version, and the image of the version it returned.
+func (r *Runner) gcsVersion() uint64 { return r.gcsAwait(context.Background(), 0, 0) }
+
+func (r *Runner) snapshot() (*snapshot, error) { return r.snapshotAt(r.gcsVersion()) }
 
 // TestStepRejectsStaleSnapshot drives step under images the channel has
 // moved past — a lower cursor at the same epoch, and the same cursor at a
@@ -116,6 +123,70 @@ func TestStepRejectsStaleSnapshot(t *testing.T) {
 	}
 	rejects(cs, afterOne, "image of the previous epoch (same cursor)")
 	rejects(cs, rewound, "image the replay already consumed")
+}
+
+// TestStaleImageDoesNotRunANewChannelSet: a round does not run under an image
+// older than the recovery that made the worker's channel set. A channel a
+// recovery has just placed on this worker starts blank, so step's checks
+// cannot tell its pre-rewind row — the dead incarnation's epoch, cursor and
+// watermark — from news: it would adopt the row, and its mailbox probe would
+// clear, below the dead incarnation's watermark, the partitions being replayed
+// for the new one, which then waits for them for good (the recovery
+// benchmark's rare "deadline exceeded").
+func TestStaleImageDoesNotRunANewChannelSet(t *testing.T) {
+	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(400, 4)})
+	r, err := NewRunner(cl, scanFilterAggPlan(0), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.seed(); err != nil {
+		t.Fatal(err)
+	}
+	tm := newTaskManager(r, cl.Worker(0))
+	tm.gc = r.shared.committer(cl.GCS)
+	defer r.shared.committerDone()
+	old, err := r.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := lineage.ChannelID{Stage: 1, Channel: 1} // a filter channel, seeded on worker 1
+	if !tm.refreshChannels(old) || tm.channels[moved] != nil {
+		t.Fatalf("seed image: channel %s on worker 0: %v", moved, tm.channels[moved])
+	}
+	// Worker 1's channels as a recovery leaves them: re-placed on worker 0
+	// under a new epoch, and the global epoch bumped.
+	if err := r.gcsUpdate(func(tx *gcs.Txn) error {
+		for s := range r.par {
+			for c := 1; c < r.par[s]; c += 2 {
+				id := lineage.ChannelID{Stage: s, Channel: c}
+				txPutInt(tx, r.keyPlacement(id), 0)
+				txPutInt(tx, r.keyChanEpoch(id), 1)
+			}
+		}
+		txPutInt(tx, r.keyGlobalEpoch(), 2)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := r.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tm.refreshChannels(fresh) || tm.channels[moved] == nil {
+		t.Fatalf("image after the recovery: channel %s not on worker 0", moved)
+	}
+	// A slow thread still holds the old image: its round runs nothing.
+	r.snap.Store(old)
+	if progressed, _, scanned := tm.poll(old.ver, func() {}); progressed || scanned != old.ver {
+		t.Errorf("a round under the pre-recovery image: progressed %v under version %d (image %d)", progressed, scanned, old.ver)
+	}
+	if cs := tm.channels[moved]; cs.cep != -1 || cs.op != nil {
+		t.Errorf("the pre-recovery image reached channel %s: epoch %d", moved, cs.cep)
+	}
+	r.snap.Store(fresh)
+	if progressed, _, _ := tm.poll(fresh.ver, func() {}); !progressed {
+		t.Error("a round under the current image ran nothing")
+	}
 }
 
 // hookedStore runs after once a view has read and before its caller sees the

@@ -54,6 +54,7 @@ func (t *taskManager) step(cs *chanState, snap *snapshot) (bool, error) {
 		if p.seq != cs.cursor {
 			cs.pending = nil
 		} else {
+			cs.yield()
 			return t.finishTask(cs, p, meta.replayRec != nil)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 // record retraced from the log run through here alike, which is what makes
 // a replayed task's output the original's.
 func (t *taskManager) runTask(cs *chanState, rec lineage.Record, isReplay bool) (bool, error) {
+	cs.yield()
 	p := &pendingTask{seq: cs.cursor, rec: rec, started: time.Now()}
 	var err error
 	switch rec.Kind {

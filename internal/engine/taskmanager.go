@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"quokka/internal/batch"
@@ -15,10 +16,10 @@ import (
 )
 
 // taskManager runs the channels placed on one worker. It is the paper's
-// TaskManager (§IV-A): a stateless poller of the GCS executing Algorithm 1
-// steps. All inter-component coordination flows through the GCS; the only
-// state a TaskManager keeps in memory is the operator state of its
-// channels, which is reconstructable from the lineage log.
+// TaskManager (§IV-A): a stateless reader of the GCS executing Algorithm 1
+// steps when the query's namespace moves. All inter-component coordination
+// flows through the GCS; the only state a TaskManager keeps in memory is the
+// operator state of its channels, reconstructable from the lineage log.
 type taskManager struct {
 	r *Runner
 	w *cluster.Worker
@@ -52,6 +53,11 @@ type taskManager struct {
 	// ensures a single thread drains the queue at a time.
 	replayGen  int
 	replayLock sync.Mutex
+
+	// watch holds the worker's one watcher token (loop): an idle thread parks on
+	// the namespace version only while it has taken it; queued wait for it.
+	watch  chan struct{}
+	queued atomic.Int32
 }
 
 // chanState is the in-memory execution state of one channel: the operator
@@ -78,8 +84,10 @@ type chanState struct {
 	pending  *pendingTask
 	lastCkpt int
 	// snap is the image the current step runs under: where its pushes go and
-	// the global epoch that fences its commit come from this one read.
-	snap *snapshot
+	// the global epoch that fences its commit come from this one read. yield,
+	// set beside it, hands the stepping thread's watcher token on (loop).
+	snap  *snapshot
+	yield func()
 
 	// spillOp is the operator's root spill handle (nil without memory
 	// governance); spillBytes/spillRuns are its write totals at the last
@@ -127,8 +135,10 @@ func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 		// query: concurrent queries' channels (and their partition lanes)
 		// compete for the same modelled cores instead of each bringing
 		// their own.
-		cpu: r.shared.cpuFor(w.ID, r.cfg.CPUPerWorker),
+		cpu:   r.shared.cpuFor(w.ID, r.cfg.CPUPerWorker),
+		watch: make(chan struct{}, 1),
 	}
+	t.watch <- struct{}{}
 	t.pool = ops.NewPool(t.cpu, func(n int) {
 		r.count(metrics.PartitionTasks, int64(n))
 	})
@@ -150,53 +160,84 @@ func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 // loop is one executor thread. Multiple threads of the same TaskManager
 // share the channel map; the per-channel claim lock keeps a channel's
 // tasks sequential, as the execution model requires.
+//
+// A thread scans (poll) under the image of the version it last saw, again
+// while that makes progress. Only a commit makes a channel runnable — inputs
+// count once their lineage is persisted, a barrier rises and falls by commits,
+// a replay entry is written by one — so with nothing to do it waits for the
+// version to pass the one it scanned under. One thread per worker waits, the
+// holder of the watcher token, and the rest queue for it: every idle thread
+// waiting is a herd, each re-reading the image and re-probing every mailbox
+// per commit. The watcher hands the token on before it does work
+// (chanState.yield, poll), so while something runs, something watches. A
+// fruitless scan does not wait if a newer image was published meanwhile:
+// another thread may have skipped, on TryLock, the channel this one held under
+// the older image. What is no commit — a cursor draining the collector — is
+// retried at the next commit or after the fallback, 16 poll intervals.
 func (t *taskManager) loop(ctx context.Context) {
-	idle := t.r.cfg.PollInterval
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.w.Killed():
-			return
-		default:
+	var seen uint64        // the version of the image last scanned under
+	var wait time.Duration // how long the next gcsAwait may park
+	watching := false      // this thread holds the watcher token
+	yield := func() {
+		if watching {
+			watching = false
+			t.watch <- struct{}{}
 		}
-		progressed, barrier := t.poll()
+	}
+	for ctx.Err() == nil {
+		ver := t.r.gcsAwait(ctx, seen, wait)
+		alone := wait > 0 && int(t.queued.Load()) == t.r.cfg.ThreadsPerWorker-1
+		progressed, barrier, scanned := t.poll(ver, yield)
 		if barrier != 0 {
-			t.ackBarrier(barrier)
-			time.Sleep(t.r.cfg.PollInterval)
+			t.ackBarrier(barrier) // a commit, as the barrier's fall will be
+		}
+		if progressed && alone && scanned == seen {
+			// A timer ended the wait, every other thread was queued, and under
+			// the same image there is work: nothing was going to wake this worker.
+			t.r.count(metrics.WaitFallbackHits, 1)
+		}
+		seen, wait = scanned, 0
+		if s := t.r.snap.Load(); progressed || s != nil && s.ver > seen {
 			continue
 		}
-		if progressed {
-			idle = t.r.cfg.PollInterval
-			continue
+		if !watching {
+			t.queued.Add(1)
+			select {
+			case <-t.watch:
+				watching = true
+			case <-ctx.Done():
+				return
+			}
+			t.queued.Add(-1)
 		}
-		// Exponential idle backoff keeps control-store pressure bounded
-		// on wide clusters while staying responsive under load.
-		time.Sleep(idle)
-		if idle < 16*t.r.cfg.PollInterval {
-			idle *= 2
-		}
+		wait = 16 * t.r.cfg.PollInterval
 	}
 }
 
-// poll runs one round over the worker's channels and replay queue under one
-// snapshot of the query's namespace — the round's only read of the control
-// store, and none at all while the namespace version has not moved — keeping
-// the control plane cost per task negligible, as the paper reports for its
-// optimized naming scheme (§IV-B). A raised barrier ends the round: its
-// generation is returned for the caller to acknowledge.
-func (t *taskManager) poll() (progressed bool, barrier int) {
-	snap, err := t.r.snapshot()
+// poll runs one round over the worker's channels and replay queue under the
+// image of namespace version ver — the round's only read of the control store,
+// and none at all while the version has not moved — keeping the control plane
+// cost per task negligible, as the paper reports for its optimized naming
+// scheme (§IV-B). A raised barrier ends the round: its generation is returned
+// for the caller to acknowledge. yield is called before any work is done;
+// scanned is the version of the image the round ran under, ver or newer.
+func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, barrier int, scanned uint64) {
+	snap, err := t.r.snapshotAt(ver)
 	if err != nil {
 		if t.w.Alive() {
 			t.r.reportFailure(err)
 		}
-		return false, 0
+		return false, 0, ver
 	}
 	if snap.bar != 0 {
-		return false, snap.bar
+		return false, snap.bar, snap.ver
 	}
-	t.refreshChannels(snap)
+	if !t.refreshChannels(snap) {
+		// A slow thread's image from before the recovery that made the channel
+		// set: a fresh channel would take its pre-rewind row for news, and probe
+		// its mailbox — clearing it — below the dead incarnation's watermark.
+		return false, 0, snap.ver
+	}
 
 	// Replay queues are only populated by recovery; skip the prefix scans
 	// entirely in steady state and once this generation's queue drained.
@@ -204,6 +245,7 @@ func (t *taskManager) poll() (progressed bool, barrier int) {
 	needReplays := snap.recn > 0 && t.replayGen < snap.recn
 	t.mu.Unlock()
 	if needReplays && t.replayLock.TryLock() {
+		yield()
 		ran, drained := t.runReplays(snap)
 		t.replayLock.Unlock()
 		if ran {
@@ -227,6 +269,7 @@ func (t *taskManager) poll() (progressed bool, barrier int) {
 		if !cs.protocol.TryLock() {
 			continue
 		}
+		cs.yield = yield
 		ok, err := t.step(cs, snap)
 		cs.protocol.Unlock()
 		if err != nil {
@@ -241,7 +284,7 @@ func (t *taskManager) poll() (progressed bool, barrier int) {
 			progressed = true
 		}
 	}
-	return progressed, 0
+	return progressed, 0, snap.ver
 }
 
 // ackBarrier records that this TaskManager has quiesced under barrier
@@ -265,12 +308,13 @@ func (t *taskManager) ackBarrier(gen int) {
 // refreshChannels re-derives the set of channels placed on this worker when
 // the global epoch moves (initially and after each recovery): the rows of
 // the snapshot whose placement is this worker. The epoch only grows, so an
-// older image held by a slow thread never moves the set backwards.
-func (t *taskManager) refreshChannels(snap *snapshot) {
+// older image held by a slow thread never moves the set backwards; it reports
+// whether snap is of the set's epoch, the only images a round may run under.
+func (t *taskManager) refreshChannels(snap *snapshot) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if snap.gep <= t.gep {
-		return
+		return snap.gep == t.gep
 	}
 	mine := make(map[lineage.ChannelID]bool)
 	for s, row := range snap.chans {
@@ -287,8 +331,9 @@ func (t *taskManager) refreshChannels(snap *snapshot) {
 	}
 	for id := range mine {
 		if _, ok := t.channels[id]; !ok {
-			t.channels[id] = &chanState{id: id, stage: t.r.plan.Stages[id.Stage], cep: -1}
+			t.channels[id] = &chanState{id: id, stage: t.r.plan.Stages[id.Stage], cep: -1, yield: func() {}}
 		}
 	}
 	t.gep = snap.gep
+	return true
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"quokka/internal/cluster"
 	"quokka/internal/trace"
@@ -20,10 +19,11 @@ import (
 // replay queue.
 
 // runTaskManager is the one launch: it runs worker w's ThreadsPerWorker
-// executor threads for this query until ctx is cancelled (or w is killed),
-// then sweeps the query's state off w's disk. The in-memory executor calls
-// it for every live worker on the head's Runner; RunWorkerQuery calls it
-// for the one worker its process is.
+// executor threads for this query until ctx is cancelled or w is killed —
+// either ends every wait a thread is parked in — then sweeps the query's
+// state off w's disk. The in-memory executor calls it for every live worker
+// on the head's Runner; RunWorkerQuery calls it for the one worker its
+// process is.
 func (r *Runner) runTaskManager(ctx context.Context, w *cluster.Worker) {
 	t := newTaskManager(r, w)
 	// The committer is held for exactly the threads' lifetime: a thread
@@ -32,6 +32,15 @@ func (r *Runner) runTaskManager(ctx context.Context, w *cluster.Worker) {
 	// across every worker and admitted query of this process, which in a
 	// worker process also amortizes wire round trips.
 	t.gc = r.shared.committer(r.cl.GCS)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	go func() {
+		select {
+		case <-w.Killed():
+		case <-ctx.Done():
+		}
+		cancel()
+	}()
 	var wg sync.WaitGroup
 	for i := 0; i < r.cfg.ThreadsPerWorker; i++ {
 		wg.Add(1)
@@ -53,13 +62,6 @@ func (r *Runner) runTaskManager(ctx context.Context, w *cluster.Worker) {
 	}
 }
 
-// minWorkerPollInterval floors the task-manager poll interval inside a
-// worker process. In-memory polls are nanosecond map reads; over the wire
-// each version probe is a head round trip, and sub-millisecond polling
-// from W workers x ThreadsPerWorker threads would saturate the head with
-// no-progress probes.
-const minWorkerPollInterval = 2 * time.Millisecond
-
 // newWorkerRunner builds the worker-process twin of the head's Runner for
 // one query. It deliberately does NOT mint a query id, resolve a policy,
 // pass admission, or attach a collector-backed sink: the id, the policy,
@@ -73,9 +75,6 @@ func newWorkerRunner(cl *cluster.Cluster, spec *WorkerQuerySpec, sink ResultSink
 	r, err := newRunner(cl, spec.Plan, spec.Cfg, spec.QueryID)
 	if err != nil {
 		return nil, err
-	}
-	if r.cfg.PollInterval < minWorkerPollInterval {
-		r.cfg.PollInterval = minWorkerPollInterval
 	}
 	r.sink = sink // the runner's own collector stays inert
 	return r, nil

@@ -2,7 +2,7 @@
 // key-value store at the heart of the paper's design (§IV-B). In the paper
 // it is a Redis server on the head node; here it is an in-memory store
 // with serializable multi-key transactions, prefix scans and per-namespace
-// version counters by which pollers skip reads while nothing changed.
+// version counters on which a reader waits (AwaitNS) until something changed.
 //
 // Everything coordinated in Quokka — committed lineage, outstanding tasks,
 // channel placement, done markers, the recovery barrier flag — lives here.
@@ -19,11 +19,13 @@
 package gcs
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"quokka/internal/batch"
 	"quokka/internal/metrics"
@@ -43,7 +45,7 @@ type Backend interface {
 	UpdateNS(ns string, fn func(tx *Txn) error) error
 	UpdateMulti(nss []string, fn func(tx *Txn) error) error
 	ViewNS(ns string, fn func(tx *Txn) error) error
-	VersionNS(ns string) uint64
+	AwaitNS(ctx context.Context, ns string, after uint64, max time.Duration) uint64
 }
 
 // numShards is the fixed shard count of the keyspace. Namespaces hash onto
@@ -57,9 +59,14 @@ type shard struct {
 	data map[string][]byte
 
 	// ver counts committed write transactions that touched this shard.
-	// Pollers snapshot it (VersionNS) to skip read transactions entirely
+	// Readers wait on it (AwaitNS) and skip read transactions entirely
 	// while their namespace is unchanged.
 	ver atomic.Uint64
+
+	// moved exists while waiters AwaitNS callers are parked; the commit that
+	// bumps ver closes and nils it. A commit nobody awaits pays one nil check.
+	moved   chan struct{}
+	waiters int
 
 	// logs records, per namespace some remote replica follows, which keys
 	// changed at which version (replica.go); empty in an in-memory run.
@@ -176,7 +183,12 @@ func (s *Store) run(tx *Txn, fn func(tx *Txn) error) error {
 			sh.apply(k, v, sh.ver.Load()+1)
 		}
 		for _, si := range tx.locked {
-			s.shards[si].ver.Add(1)
+			sh := &s.shards[si]
+			sh.ver.Add(1)
+			if sh.moved != nil {
+				close(sh.moved)
+				sh.moved, sh.waiters = nil, 0
+			}
 		}
 	}
 	for _, si := range tx.locked {
@@ -224,12 +236,48 @@ func (s *Store) UpdateMulti(nss []string, fn func(tx *Txn) error) error {
 	return s.run(&Txn{s: s, locked: locked, writes: make(map[string][]byte)}, fn)
 }
 
-// VersionNS returns the commit counter of the shard holding ns: a local
-// atomic read — no transaction, no modelled round trip — by which pollers
-// detect "nothing in my namespace changed" and skip their view. A committed
-// update is visible to a ViewNS that follows a VersionNS observing it.
+// VersionNS is the commit counter of the shard holding ns: an atomic read.
 func (s *Store) VersionNS(ns string) uint64 {
 	return s.shards[shardOf(ns)].ver.Load()
+}
+
+// AwaitNS returns that counter as soon as it exceeds after, when max elapses
+// or when ctx is done; max <= 0 never parks. Shards are shared, so a return
+// with the version unchanged may come early; a commit is never slept through,
+// and is visible to a ViewNS that follows the AwaitNS observing it.
+func (s *Store) AwaitNS(ctx context.Context, ns string, after uint64, max time.Duration) uint64 {
+	sh := &s.shards[shardOf(ns)]
+	if v := sh.ver.Load(); v > after || max <= 0 {
+		return v
+	}
+	sh.mu.Lock()
+	if v := sh.ver.Load(); v > after {
+		sh.mu.Unlock()
+		return v
+	}
+	if sh.moved == nil {
+		sh.moved = make(chan struct{})
+	}
+	moved := sh.moved
+	sh.waiters++
+	sh.mu.Unlock()
+	timer := time.NewTimer(max)
+	defer timer.Stop()
+	select {
+	case <-moved:
+		return sh.ver.Load()
+	case <-timer.C:
+	case <-ctx.Done():
+	}
+	// Gave up: the last waiter to leave takes the channel with it.
+	sh.mu.Lock()
+	if sh.moved == moved {
+		if sh.waiters--; sh.waiters == 0 {
+			sh.moved = nil
+		}
+	}
+	sh.mu.Unlock()
+	return sh.ver.Load()
 }
 
 // ViewNS runs fn as a read-only transaction confined to one namespace.

@@ -1,9 +1,12 @@
 package gcs
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The sharded keyspace: per-query-namespace transactions (UpdateNS/ViewNS)
@@ -95,5 +98,95 @@ func TestNamespaceTxnMetricsAndVersion(t *testing.T) {
 	}
 	if s.Version() <= v0 {
 		t.Error("NS update did not bump the store version")
+	}
+}
+
+// TestAwaitNS: a wait for a version already passed returns at once; a parked
+// one returns on a commit in its shard and on nothing else that happens to the
+// store — a view, an aborted update, a commit in another shard; max and ctx
+// each end it with the version unchanged; and a waiter that left, however it
+// left, leaves no goroutine and no channel behind.
+func TestAwaitNS(t *testing.T) {
+	s, _ := newStore()
+	ctx := context.Background()
+	ns, other := "q/q1/", ""
+	for i := 0; other == ""; i++ {
+		if o := fmt.Sprintf("q/o%d/", i); shardOf(o) != shardOf(ns) {
+			other = o
+		}
+	}
+	sh := &s.shards[shardOf(ns)]
+	commit := func(ns string) {
+		t.Helper()
+		if err := s.UpdateNS(ns, func(tx *Txn) error { tx.Put(ns+"k", []byte("v")); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// park starts n waiters on ns and returns once all are parked.
+	park := func(ctx context.Context, n int, after uint64, max time.Duration) <-chan uint64 {
+		got := make(chan uint64, n)
+		for i := 0; i < n; i++ {
+			go func() { got <- s.AwaitNS(ctx, ns, after, max) }()
+		}
+		for parked := 0; parked < n; {
+			runtime.Gosched()
+			sh.mu.Lock()
+			parked = sh.waiters
+			sh.mu.Unlock()
+		}
+		return got
+	}
+	goroutines := runtime.NumGoroutine()
+
+	commit(ns)
+	v := s.VersionNS(ns)
+	if got := s.AwaitNS(ctx, ns, v-1, time.Hour); got != v {
+		t.Fatalf("waiting for a passed version returned %d, want %d at once", got, v)
+	}
+	if got := s.AwaitNS(ctx, ns, v, 0); got != v {
+		t.Fatalf("max 0 returned %d, want %d at once", got, v)
+	}
+
+	got := park(ctx, 3, v, time.Hour)
+	s.ViewNS(ns, func(*Txn) error { return nil })
+	s.UpdateNS(ns, func(*Txn) error { return ErrAborted })
+	commit(other)
+	select {
+	case woke := <-got:
+		t.Fatalf("a view, an abort or another shard's commit woke a waiter (version %d)", woke)
+	case <-time.After(20 * time.Millisecond):
+	}
+	commit(ns)
+	for i := 0; i < 3; i++ {
+		if woke := <-got; woke != v+1 {
+			t.Errorf("woken at version %d, want %d", woke, v+1)
+		}
+	}
+
+	if got := <-park(ctx, 1, v+1, 5*time.Millisecond); got != v+1 {
+		t.Errorf("max elapsed: version %d, want %d unchanged", got, v+1)
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	got = park(cctx, 2, v+1, time.Hour)
+	cancel()
+	for i := 0; i < 2; i++ {
+		if woke := <-got; woke != v+1 {
+			t.Errorf("ctx done: version %d, want %d unchanged", woke, v+1)
+		}
+	}
+
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		if sh.moved != nil || sh.waiters != 0 {
+			t.Errorf("shard %d: %d waiters and a channel left behind", i, sh.waiters)
+		}
+		sh.mu.Unlock()
+	}
+	for i := 0; runtime.NumGoroutine() > goroutines && i < 1000; i++ {
+		time.Sleep(time.Millisecond) // a woken waiter's goroutine exits after its send
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines, %d before the waits", n, goroutines)
 	}
 }

@@ -89,9 +89,21 @@ const (
 	WorkerMemPeak    = "mem.worker.peak"    // peak accounted operator bytes on any worker, across queries (gauge)
 )
 
+// SpillForcedPeak is how far forced reservations, which skip the budget check,
+// took a worker's accounted bytes past its budget (gauge): SpillPeakBytes
+// exceeds the budget by this much and no more.
+const SpillForcedPeak = "spill.forced.peak.bytes"
+
+// How the control plane's parked waits (engine.Runner.gcsAwait) ended.
+const (
+	WaitWakes        = "engine.wait.wakes"         // the namespace version moved
+	WaitFallbacks    = "engine.wait.fallbacks"     // a timer or an early return, version unchanged
+	WaitFallbackHits = "engine.wait.fallback_hits" // of those, found work nothing else was going to do: a lost wake-up
+)
+
 // Process-mode traffic by message type, counted by the head's op dispatcher:
 // WireFrames+<op> request frames, WireBytes+<op> their bytes plus the answers'.
-// <op> (wire.opNames): gcs_{sync,commit,version_ns}
+// <op> (wire.opNames): gcs_{sync,commit,await_ns}
 // fl_{push,probe,take,drop,drop_query,spool,fetch,drop_result} obj_{put,get}
 // sink_{deliver,spooled}.
 const (
@@ -113,9 +125,10 @@ const (
 // Report renderers group them separately: summing or diffing a gauge the
 // way counters are diffed is meaningless.
 var gaugeNames = map[string]bool{
-	SpillPeakBytes: true,
-	QueriesPeak:    true,
-	WorkerMemPeak:  true,
+	SpillPeakBytes:  true,
+	SpillForcedPeak: true,
+	QueriesPeak:     true,
+	WorkerMemPeak:   true,
 }
 
 // IsGauge reports whether name is a high-water-mark gauge (set via Max)

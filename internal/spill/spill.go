@@ -135,9 +135,12 @@ func (a *Accountant) Fits(delta int64) bool {
 
 // Grow adds delta to the accounted bytes unconditionally and updates the
 // peak. Callers check Fits first and spill instead when it fails; growing
-// past the budget is reserved for ForceReserve-style last resorts.
+// past the budget is reserved for ForceReserve-style last resorts, the only
+// way past it: SpillForcedPeak is how far they took it.
 func (a *Accountant) Grow(delta int64) {
-	a.bumpPeak(a.cur.Add(delta))
+	cur := a.cur.Add(delta)
+	a.bumpPeak(cur)
+	a.met.Max(metrics.SpillForcedPeak, cur-a.budget)
 	if a.parent != nil {
 		a.parent.grow(delta)
 	}

@@ -43,6 +43,9 @@ func TestAccountant(t *testing.T) {
 	if met.Get(metrics.SpillPeakBytes) != 110 {
 		t.Errorf("peak gauge = %d, want 110", met.Get(metrics.SpillPeakBytes))
 	}
+	if met.Get(metrics.SpillForcedPeak) != 10 {
+		t.Errorf("forced past the budget = %d, want 10", met.Get(metrics.SpillForcedPeak))
+	}
 }
 
 // TestPartitionBitsAreTopBits pins the routing-invariant satellite: spill

@@ -6,12 +6,14 @@ package tpch
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
 	"quokka/internal/batch"
 	"quokka/internal/cluster"
 	"quokka/internal/engine"
+	"quokka/internal/flight"
 	"quokka/internal/metrics"
 )
 
@@ -27,13 +29,29 @@ func runQueryWithKill(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Confi
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The kill is delivered from inside the push of whichever task pushes next
+	// once afterTasks have run — a task not yet committed, so the query cannot
+	// have finished, however fast it runs — with a polling goroutine behind it
+	// for a query whose pushes are all done.
 	done := make(chan struct{})
+	var once sync.Once
+	due := func() bool {
+		if cl.Metrics.Get(metrics.TasksExecuted) < afterTasks {
+			return false
+		}
+		once.Do(func() {
+			cl.Worker(cluster.WorkerID(victim)).Kill()
+			close(done)
+		})
+		return true
+	}
+	for _, w := range cl.Workers {
+		w.Flight = killerTransport{Transport: w.Flight, due: due}
+	}
 	go func() {
-		defer close(done)
-		for cl.Metrics.Get(metrics.TasksExecuted) < afterTasks {
+		for !due() {
 			time.Sleep(100 * time.Microsecond)
 		}
-		cl.Worker(cluster.WorkerID(victim)).Kill()
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -46,6 +64,17 @@ func runQueryWithKill(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Confi
 		t.Errorf("q%d: worker killed but no recovery ran", q)
 	}
 	return out
+}
+
+// killerTransport asks due before every push.
+type killerTransport struct {
+	flight.Transport
+	due func() bool
+}
+
+func (k killerTransport) Push(p flight.Partition) error {
+	k.due()
+	return k.Transport.Push(p)
 }
 
 // TestTPCHFailureRecoveryMatchesFailureFree kills a worker mid-query on
@@ -105,4 +134,50 @@ func TestTPCHCheckpointRecovery(t *testing.T) {
 	want := runQuery(t, loadCluster(t, 4), 5, cfg)
 	got := runQueryWithKill(t, loadCluster(t, 4), 5, cfg, 1, 40)
 	assertSameResult(t, 5, want, got)
+}
+
+// TestNothingWaitsForTheFallback sets the timers the control plane falls back
+// on far beyond the test — poll interval 1 s (the watcher's fallback is 16 of
+// them), heartbeat 5 s — and runs every query on 4 workers: each must match
+// the 1-worker reference and finish as fast as ever, because every wait ends
+// on the commit it waits for. Then Q3, Q5 and Q9 with a worker killed
+// mid-query (the heartbeat, which is how a death is noticed, at its default).
+// engine.wait.fallback_hits counts waits a timer ended that then found work.
+func TestNothingWaitsForTheFallback(t *testing.T) {
+	timed := func(t *testing.T, cl *cluster.Cluster, run func() *batch.Batch) *batch.Batch {
+		t.Helper()
+		start := time.Now()
+		out := run()
+		if took := time.Since(start); took > 3*time.Second {
+			t.Errorf("took %v: something waited for a timer", took)
+		}
+		if hits := cl.Metrics.Get(metrics.WaitFallbackHits); hits != 0 {
+			t.Errorf("%d waits were ended by a timer and then found work", hits)
+		}
+		return out
+	}
+	for _, q := range QueryNumbers() {
+		t.Run(queryName(q), func(t *testing.T) {
+			t.Parallel()
+			cfg := engine.DefaultConfig()
+			cfg.PollInterval, cfg.HeartbeatInterval = time.Second, 5*time.Second
+			want := runQuery(t, loadCluster(t, 1), q, engine.DefaultConfig())
+			cl := loadCluster(t, 4)
+			got := timed(t, cl, func() *batch.Batch { return runQuery(t, cl, q, cfg) })
+			assertSameResult(t, q, want, got)
+		})
+	}
+	for _, q := range []int{3, 5, 9} {
+		for _, threads := range []int{1, 8} {
+			t.Run(queryName(q)+"-kill-threads"+itoa(threads), func(t *testing.T) {
+				t.Parallel()
+				cfg := engine.DefaultConfig()
+				cfg.PollInterval, cfg.ThreadsPerWorker = 500*time.Millisecond, threads
+				want := runQuery(t, loadCluster(t, 1), q, engine.DefaultConfig())
+				cl := loadCluster(t, 4)
+				got := timed(t, cl, func() *batch.Batch { return runQueryWithKill(t, cl, q, cfg, 2, 25) })
+				assertSameResult(t, q, want, got)
+			})
+		}
+	}
 }

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -69,21 +71,27 @@ func (p *pool) close() {
 
 // roundTrip runs one request/response exchange on a pooled conn.
 func (p *pool) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
+	return p.roundTripCtx(context.Background(), typ, payload)
+}
+
+// roundTripCtx is roundTrip for an exchange the head may park: ctx ending
+// poisons the conn's deadline, failing the pending read, and a conn whose
+// deadline may have been poisoned is closed, never pooled.
+func (p *pool) roundTripCtx(ctx context.Context, typ byte, payload []byte) (rt byte, rp []byte, err error) {
 	c, err := p.get()
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := writeFrame(c, typ, payload); err != nil {
-		c.Close()
-		return 0, nil, err
+	stop := context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
+	if err = writeFrame(c, typ, payload); err == nil {
+		rt, rp, err = readFrame(c)
 	}
-	rt, rp, err := readFrame(c)
-	if err != nil {
+	if !stop() || err != nil {
 		c.Close()
-		return 0, nil, err
+	} else {
+		p.put(c)
 	}
-	p.put(c)
-	return rt, rp, nil
+	return rt, rp, err
 }
 
 // expect runs a round trip whose response must be want (or mtErrResp,
@@ -265,18 +273,27 @@ func (g *gcsClient) UpdateNS(ns string, fn func(tx *gcs.Txn) error) error {
 	return g.UpdateMulti([]string{ns}, fn)
 }
 
-// VersionNS has no error slot: a failed exchange or a malformed answer reads
-// as 0.
-func (g *gcsClient) VersionNS(ns string) uint64 {
+// AwaitNS is one frame, which the head parks for at most park and its own cap.
+// No error slot: a failed exchange or a malformed answer reads as 0 — once park
+// or ctx has run out, lest a dead head turn a waiting loop into a spinning one.
+func (g *gcsClient) AwaitNS(ctx context.Context, ns string, after uint64, park time.Duration) uint64 {
+	start := time.Now()
 	var w wbuf
 	w.str(ns)
-	rp, err := g.p.expect(mtGCSVersionNS, w.b, mtU64Resp)
+	w.u64(after)
+	w.u32(uint32(min(max(park, 0).Microseconds(), math.MaxUint32)))
+	rt, rp, err := g.p.roundTripCtx(ctx, mtGCSAwaitNS, w.b)
 	r := rbuf{b: rp}
-	v := r.u64("version")
-	if err != nil || r.err() != nil {
-		return 0
+	if v := r.u64("version"); err == nil && rt == mtU64Resp && r.err() == nil {
+		return v
 	}
-	return v
+	if rest := park - time.Since(start); rest > 0 {
+		select {
+		case <-time.After(rest):
+		case <-ctx.Done():
+		}
+	}
+	return 0
 }
 
 // ---------------------------------------------------------------------------

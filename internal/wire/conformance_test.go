@@ -9,10 +9,12 @@ package wire
 // identity — so the suite is the contract and both must pass it.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"quokka/internal/cluster"
 	"quokka/internal/engine"
@@ -223,23 +225,57 @@ func gcsConformance(t *testing.T, b *backends) {
 		})
 	})
 
-	// VersionNS tracks the namespace's shard: it advances on commit and does
-	// not move on a view or an aborted update.
-	t.Run("version", func(t *testing.T) {
-		nsv0 := g.VersionNS(ns)
+	// AwaitNS returns the namespace's shard version: at once when it is past
+	// after or max is 0, else when a commit — not a view, not an aborted update
+	// — moves it, when max elapses or when ctx ends. One request frame per call.
+	t.Run("await", func(t *testing.T) {
+		ctx, frames := context.Background(), b.opFrames("gcs_await_ns")
+		v0 := g.AwaitNS(ctx, ns, 0, 0)
+		if v0 == 0 || g.AwaitNS(ctx, ns, v0-1, 5*time.Second) != v0 {
+			t.Fatalf("version %d, or a wait for a version already passed parked", v0)
+		}
 		g.ViewNS(ns, func(tx *gcs.Txn) error { return nil })
 		g.UpdateNS(ns, func(tx *gcs.Txn) error { return gcs.ErrAborted })
-		if g.VersionNS(ns) != nsv0 {
-			t.Errorf("version moved without a commit: %d -> %d", nsv0, g.VersionNS(ns))
+		if v := g.AwaitNS(ctx, ns, v0, 20*time.Millisecond); v != v0 {
+			t.Errorf("version moved without a commit: %d -> %d", v0, v)
 		}
-		if err := g.UpdateNS(ns, func(tx *gcs.Txn) error {
-			tx.Put(nsKey("v"), []byte("1"))
-			return nil
-		}); err != nil {
+		// Parked with max = 5 s (the pause only lets it park: a commit that beat
+		// it would return it at once), woken by a second client's commit.
+		parked := func(ctx context.Context, after uint64) <-chan uint64 {
+			got := make(chan uint64, 1)
+			go func() { got <- g.AwaitNS(ctx, ns, after, 5*time.Second) }()
+			time.Sleep(10 * time.Millisecond)
+			return got
+		}
+		start, got := time.Now(), parked(ctx, v0)
+		if err := b.peer.UpdateNS(ns, func(tx *gcs.Txn) error { tx.Put(nsKey("v"), []byte("1")); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if g.VersionNS(ns) <= nsv0 {
-			t.Errorf("VersionNS did not advance: %d -> %d", nsv0, g.VersionNS(ns))
+		v1 := <-got
+		if woke := time.Since(start); v1 <= v0 || woke > time.Second {
+			t.Errorf("a peer's commit: version %d -> %d after %v, want a wake-up", v0, v1, woke)
+		}
+		if n := b.opFrames("gcs_await_ns") - frames; b.remote && n != 4 {
+			t.Errorf("%d request frames for 4 calls", n)
+		}
+		// Cancelled while parked: it returns nothing newer, and what it was
+		// parked on is not handed to the next exchange.
+		cctx, cancel := context.WithCancel(ctx)
+		got = parked(cctx, v1)
+		cancel()
+		if v := <-got; v > v1 {
+			t.Errorf("cancelled wait returned %d, namespace at %d", v, v1)
+		}
+		if v := g.AwaitNS(ctx, ns, 0, 0); v != v1 {
+			t.Errorf("after a cancelled wait the version reads %d, want %d", v, v1)
+		}
+		if err := g.ViewNS(ns, func(tx *gcs.Txn) error {
+			if v, _ := tx.Get(nsKey("v")); string(v) != "1" {
+				return fmt.Errorf("the peer's write reads %q", v)
+			}
+			return nil
+		}); err != nil {
+			t.Errorf("view after a cancelled wait: %v", err)
 		}
 	})
 }

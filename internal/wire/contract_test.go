@@ -70,12 +70,12 @@ func opServer(t testing.TB) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Server{cl: cl, store: cl.GCS.(*gcs.Store), met: cl.Metrics, queries: map[string]*engine.Runner{}}
+	return &Server{cl: cl, store: cl.GCS.(*gcs.Store), met: cl.Metrics, queries: map[string]*engine.Runner{}, parkCap: time.Millisecond}
 }
 
 // opRequests is the op-conn request set of proto.go.
 var opRequests = map[byte]bool{
-	mtGCSVersionNS: true, mtGCSSync: true, mtGCSCommit: true,
+	mtGCSSync: true, mtGCSCommit: true, mtGCSAwaitNS: true,
 	mtFlPush: true, mtFlTake: true, mtFlDrop: true, mtFlProbe: true,
 	mtFlDropQuery: true, mtFlSpool: true, mtFlFetch: true, mtFlDropResult: true,
 	mtObjPut: true, mtObjGet: true, mtSinkDeliver: true, mtSinkSpooled: true,
@@ -83,11 +83,13 @@ var opRequests = map[byte]bool{
 
 // Type bytes this protocol version once assigned and retired: the
 // interactive transaction (begin, get, get response, list, list response,
-// commit, abort, done), the store-wide version and its long poll, the two
-// per-edge mailbox probes and their response.
+// commit, abort, done), the namespace version probe that AwaitNS replaced, the
+// store-wide version and its long poll, the two per-edge mailbox probes and
+// their response.
 const (
 	retiredTxnBegin    = byte(0x10)
 	retiredTxnDone     = byte(0x17)
+	retiredGCSVerNS    = byte(0x18)
 	retiredGCSVersion  = byte(0x19)
 	retiredGCSWait     = byte(0x1a)
 	retiredFlContig    = byte(0x21)
@@ -110,7 +112,7 @@ func TestOpMessageSetPinned(t *testing.T) {
 			t.Errorf("retired transaction type 0x%02x is a request again", typ)
 		}
 	}
-	for _, typ := range []byte{retiredGCSVersion, retiredGCSWait, retiredFlContig, retiredFlDropBelow, retiredIntResp} {
+	for _, typ := range []byte{retiredGCSVerNS, retiredGCSVersion, retiredGCSWait, retiredFlContig, retiredFlDropBelow, retiredIntResp} {
 		if opRequests[typ] {
 			t.Errorf("retired type 0x%02x is a request again", typ)
 		}
@@ -193,6 +195,7 @@ func retiredFrames() map[string]rawFrame {
 		"txn list":         {0x13, key(confNS)},
 		"txn commit":       {0x15, commit.b},
 		"txn abort":        {0x16, key("changed my mind")},
+		"gcs version ns":   {retiredGCSVerNS, key(confNS)},
 		"gcs version":      {retiredGCSVersion, nil},
 		"gcs wait change":  {retiredGCSWait, make([]byte, 16)}, // u64 since, i64 timeout: returns at once
 		"flight contig":    {retiredFlContig, edge(0, 0, 0)},

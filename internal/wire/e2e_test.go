@@ -75,6 +75,13 @@ func memRun(t *testing.T, q int, workers int, cfg engine.Config) *batch.Batch {
 // and attaches `workers` goroutine workers via RunWorker.
 func distCluster(t *testing.T, workers int, opts ...engine.Option) (*cluster.Cluster, *Server) {
 	t.Helper()
+	cl, srv, _ := distClusterMet(t, workers, opts...)
+	return cl, srv
+}
+
+// distClusterMet is distCluster, returning each worker's own collector too.
+func distClusterMet(t *testing.T, workers int, opts ...engine.Option) (*cluster.Cluster, *Server, []*metrics.Collector) {
+	t.Helper()
 	cl, err := cluster.New(cluster.Options{
 		Workers:  workers,
 		Cost:     storage.CostModel{},
@@ -93,18 +100,20 @@ func distCluster(t *testing.T, workers int, opts ...engine.Option) (*cluster.Clu
 
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
+	mets := make([]*metrics.Collector, workers)
 	for i := 0; i < workers; i++ {
 		wc := WorkerConfig{Head: srv.Addr(), ID: i, SpillDir: t.TempDir()}
+		mets[i] = &metrics.Collector{}
 		go func() {
 			// A worker error after the head shut down is expected noise;
-			// RunWorker returns nil on clean ctx cancellation.
-			_ = RunWorker(ctx, wc)
+			// runWorker returns nil on clean ctx cancellation.
+			_ = runWorker(ctx, wc, mets[i])
 		}()
 	}
 	if err := srv.AwaitWorkers(workers, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	return cl, srv
+	return cl, srv, mets
 }
 
 func distRun(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Config) (*batch.Batch, *engine.Report, []trace.Span, error) {
@@ -202,6 +211,42 @@ func TestProcessModeEquivalence(t *testing.T) {
 	}
 	if n := cl.Metrics.Get(metrics.NetBytesWire); n == 0 {
 		t.Error("net.bytes.wire stayed 0 across wire-transported queries")
+	}
+}
+
+// TestProcessModeNothingWaitsForTheFallback runs the equivalence queries with
+// the poll interval at 1 s — the watcher's fallback at 16 s, what it is really
+// parked for the head's 100 ms cap — beside the default: no slower (twice, and
+// a scheduling hiccup, allowed), no wait in head or worker that a timer ended
+// and that then found work, and the same result.
+func TestProcessModeNothingWaitsForTheFallback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-mode e2e is not short")
+	}
+	const workers = 3
+	cl, _, mets := distClusterMet(t, workers)
+	for _, q := range []int{1, 3, 9} {
+		want, rep, _, err := distRun(t, cl, q, engine.DefaultConfig())
+		if err != nil {
+			t.Fatalf("Q%d: %v", q, err)
+		}
+		slow := engine.DefaultConfig()
+		slow.PollInterval = time.Second
+		got, slowRep, _, err := distRun(t, cl, q, slow)
+		if err != nil {
+			t.Fatalf("Q%d at a 1 s poll interval: %v", q, err)
+		}
+		sameResult(t, q, want, got)
+		if slowRep.Duration > 2*rep.Duration+100*time.Millisecond {
+			t.Errorf("Q%d: %v at a 1 s poll interval, %v at the default: something waited for a timer", q, slowRep.Duration, rep.Duration)
+		}
+	}
+	hits := cl.Metrics.Get(metrics.WaitFallbackHits)
+	for _, met := range mets {
+		hits += met.Get(metrics.WaitFallbackHits)
+	}
+	if hits != 0 {
+		t.Errorf("%d waits were ended by a timer and then found work", hits)
 	}
 }
 

@@ -36,11 +36,12 @@ var opResponses = map[byte]bool{
 // a net.Pipe. Whatever arrives, the head never panics and either answers
 // with one well-formed response frame or refuses with ErrCorrupt without
 // answering; every type outside the declared request set (the retired ones
-// included), a transaction frame naming anything but whole query namespaces
-// and the costed object put are refused whatever their payload. The
+// included), a transaction or await frame naming anything but whole query
+// namespaces and the costed object put are refused whatever their payload. The
 // checked-in corpus (testdata/fuzz/FuzzHandleOp) is the truncation sweep's
-// body at several cuts, one frame per retired type, and the transaction and
-// probe frames well-formed and with hostile counts.
+// body at several cuts, one frame per retired type, and the transaction, await
+// and probe frames well-formed and with hostile counts. An await frame parks
+// for the server's cap at most (opServer: 1 ms), whatever it asks for.
 func FuzzHandleOp(f *testing.F) {
 	f.Add(mtFlPush, pushBody())
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
@@ -75,10 +76,10 @@ func FuzzHandleOp(f *testing.F) {
 		switch {
 		case !opRequests[typ]:
 			t.Fatalf("type 0x%02x accepted: retired or never declared", typ)
-		case typ == mtGCSSync:
+		case typ == mtGCSSync || typ == mtGCSAwaitNS:
 			r := rbuf{b: payload}
 			if ns := r.str("ns"); !gcs.IsNamespace(ns) {
-				t.Fatalf("sync of %q accepted: not one query's namespace", ns)
+				t.Fatalf("0x%02x of %q accepted: not one query's namespace", typ, ns)
 			}
 		case typ == mtGCSCommit:
 			r := rbuf{b: payload}

@@ -14,9 +14,9 @@ import (
 // This const block is the whole message set: one request type per method
 // of the three backend contracts (docs/contracts/) plus the control plane,
 // the result sink and the shared responses. A type byte not listed here —
-// including the retired 0x10–0x17, 0x19, 0x1a, 0x21, 0x24, 0x25, 0x2a,
-// 0x32–0x35 and 0x43 — is refused as ErrCorrupt and the conn closed; retired
-// bytes are not reused.
+// including the retired 0x10–0x1a, 0x21, 0x24, 0x25, 0x2a, 0x32–0x35 and
+// 0x43 — is refused as ErrCorrupt and the conn closed; retired bytes are not
+// reused.
 const (
 	// Control plane, worker <-> head.
 	mtHello      = byte(0x01) // C->S: u32 worker id
@@ -33,9 +33,9 @@ const (
 	// namespace is exactly one "q/<qid>/" prefix (gcs.IsNamespace); a kvs is
 	// u32 n, n*(str key, bool deleted, bytes val); a delta is u64 version,
 	// bool full, kvs.
-	mtGCSVersionNS = byte(0x18) // C->S: str ns -> mtU64Resp
-	mtGCSSync      = byte(0x1b) // C->S: str ns, u64 replica version -> mtGCSResult (one delta)
-	mtGCSCommit    = byte(0x1c) // C->S: u32 n, n*(str ns, u64 replica version, u32 k, k*str read key, u32 p, p*str read prefix), kvs writes -> mtGCSResult (n deltas)
+	mtGCSSync    = byte(0x1b) // C->S: str ns, u64 replica version -> mtGCSResult (one delta)
+	mtGCSCommit  = byte(0x1c) // C->S: u32 n, n*(str ns, u64 replica version, u32 k, k*str read key, u32 p, p*str read prefix), kvs writes -> mtGCSResult (n deltas)
+	mtGCSAwaitNS = byte(0x1d) // C->S: str ns, u64 after, u32 max microseconds -> mtU64Resp, once the version passes after or max (capped by the head) elapses
 
 	// Flight: every request names the target worker's head-hosted mailbox
 	// first (u32 worker id).
@@ -72,7 +72,7 @@ const (
 // opNames names every op request type for the head's per-type frame and
 // byte counters (metrics.WireFrames/WireBytes + name).
 var opNames = map[byte]string{
-	mtGCSVersionNS: "gcs_version_ns", mtGCSSync: "gcs_sync", mtGCSCommit: "gcs_commit",
+	mtGCSSync: "gcs_sync", mtGCSCommit: "gcs_commit", mtGCSAwaitNS: "gcs_await_ns",
 	mtFlPush: "fl_push", mtFlTake: "fl_take", mtFlDrop: "fl_drop", mtFlDropQuery: "fl_drop_query",
 	mtFlSpool: "fl_spool", mtFlFetch: "fl_fetch", mtFlDropResult: "fl_drop_result", mtFlProbe: "fl_probe",
 	mtObjPut: "obj_put", mtObjGet: "obj_get",

@@ -86,11 +86,16 @@ func TestRoundTripsPerTask(t *testing.T) {
 	if txns := cl.Metrics.Get(metrics.GCSTxns); txnFrames > txns {
 		t.Errorf("%d transaction frames for %d transactions", txnFrames, txns)
 	}
-	// A worker reads the store only when a version probe showed it moved: one
+	// A worker reads the store only when an await showed its version moved: one
 	// sync per observed version change, plus each worker's first contact.
-	syncs, probes := cl.Metrics.Get(metrics.WireFrames+"gcs_sync"), cl.Metrics.Get(metrics.WireFrames+"gcs_version_ns")
-	if syncs > probes+workers {
-		t.Errorf("%d sync frames for %d version probes: a poll round read the store without a version change", syncs, probes)
+	syncs, awaits := cl.Metrics.Get(metrics.WireFrames+"gcs_sync"), cl.Metrics.Get(metrics.WireFrames+"gcs_await_ns")
+	if syncs > awaits+workers {
+		t.Errorf("%d sync frames for %d awaits: a scan read the store without a version change", syncs, awaits)
+	}
+	// One thread per worker watches the version, and a commit ends its wait
+	// once. Every idle thread watching — the herd — multiplies the awaits.
+	if commits := cl.Metrics.Get(metrics.WireFrames + "gcs_commit"); awaits > commits+2*workers {
+		t.Errorf("%d await frames for %d commit frames on %d workers", awaits, commits, workers)
 	}
 }
 

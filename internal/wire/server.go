@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"net"
@@ -36,6 +37,11 @@ type Server struct {
 	wireBytes *atomic.Int64
 	opFrames  [256]*atomic.Int64
 	opBytes   [256]*atomic.Int64
+
+	// parkCap bounds how long one mtGCSAwaitNS frame parks its handler,
+	// whatever the peer asked for: a dead or hostile one pins a goroutine
+	// that long and no longer, a live one asks again.
+	parkCap time.Duration
 
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast on worker attach/detach
@@ -90,6 +96,7 @@ func NewServer(cl *cluster.Cluster, addr string) (*Server, error) {
 		queries: make(map[string]*engine.Runner),
 
 		wireBytes: cl.Metrics.Counter(metrics.NetBytesWire),
+		parkCap:   100 * time.Millisecond,
 	}
 	for typ, name := range opNames {
 		s.opFrames[typ] = cl.Metrics.Counter(metrics.WireFrames + name)
@@ -491,17 +498,8 @@ func (s *Server) StartQuery(r *engine.Runner) (func(), error) {
 // client can act on are sent as mtErrResp instead.
 func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 	switch typ {
-	case mtGCSSync, mtGCSCommit:
+	case mtGCSSync, mtGCSCommit, mtGCSAwaitNS:
 		return s.handleGCS(c, typ, payload)
-	case mtGCSVersionNS:
-		r := rbuf{b: payload}
-		ns := r.str("ns")
-		if err := r.err(); err != nil {
-			return err
-		}
-		var w wbuf
-		w.u64(s.store.VersionNS(ns))
-		return writeFrame(c, mtU64Resp, w.b)
 
 	case mtFlPush, mtFlTake, mtFlDrop, mtFlDropQuery, mtFlSpool, mtFlFetch,
 		mtFlDropResult, mtFlProbe:
@@ -687,12 +685,13 @@ func (s *Server) handleFlight(c net.Conn, typ byte, payload []byte) error {
 // ---------------------------------------------------------------------------
 // One-frame GCS transactions
 
-// handleGCS serves a transaction frame: the whole request is decoded, the
-// store answers it under its own shard locks, and only then is the answer
-// written — no lock is held across a conn read or write, so a hung or dead
-// peer cannot stall a query's control plane. Both requests enumerate a
-// namespace the PEER named (built worker-side by the blessed helper, opaque
-// bytes here), so each must be exactly one query's namespace.
+// handleGCS serves a transaction or await frame: the whole request is decoded,
+// the store answers it under its own shard locks — an await parked on none —
+// and only then is the answer written: no lock is held across a conn read or
+// write, so a hung or dead peer cannot stall a query's control plane. The
+// transactions enumerate a namespace the PEER named (built worker-side by the
+// blessed helper, opaque bytes here), so each must be exactly one query's
+// namespace; an await is held to the same rule.
 func (s *Server) handleGCS(c net.Conn, typ byte, payload []byte) error {
 	r := rbuf{b: payload}
 	namespace := func() string {
@@ -704,7 +703,15 @@ func (s *Server) handleGCS(c net.Conn, typ byte, payload []byte) error {
 	}
 	var committed bool
 	var deltas []gcs.Delta
-	if typ == mtGCSSync {
+	if typ == mtGCSAwaitNS {
+		ns, after, park := namespace(), r.u64("after"), time.Duration(r.u32("max"))*time.Microsecond
+		if err := r.err(); err != nil {
+			return err
+		}
+		var w wbuf
+		w.u64(s.store.AwaitNS(context.Background(), ns, after, min(park, s.parkCap)))
+		return writeFrame(c, mtU64Resp, w.b)
+	} else if typ == mtGCSSync {
 		ns, since := namespace(), r.u64("replica version")
 		if err := r.err(); err != nil {
 			return err

@@ -39,6 +39,11 @@ type WorkerConfig struct {
 // quokka-worker process: dial, handshake, then run task-manager threads
 // for every query the head starts.
 func RunWorker(ctx context.Context, wc WorkerConfig) error {
+	return runWorker(ctx, wc, &metrics.Collector{})
+}
+
+// runWorker is RunWorker counting into met, the process's own collector.
+func runWorker(ctx context.Context, wc WorkerConfig, met *metrics.Collector) error {
 	if wc.SpillDir == "" {
 		d, err := os.MkdirTemp("", "quokka-worker-spill-")
 		if err != nil {
@@ -77,7 +82,7 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 
 	p := newPool(wc.Head)
 	defer p.close()
-	cl, err := workerCluster(p, numWorkers, cluster.WorkerID(self), wc.SpillDir)
+	cl, err := workerCluster(p, numWorkers, cluster.WorkerID(self), wc.SpillDir, met)
 	if err != nil {
 		return err
 	}
@@ -98,8 +103,7 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 // object store are wire clients, and only THIS worker's disk is real (a
 // directory); the other workers' disks are inert placeholders no
 // worker-side code path touches.
-func workerCluster(p *pool, numWorkers int, self cluster.WorkerID, spillDir string) (*cluster.Cluster, error) {
-	met := &metrics.Collector{}
+func workerCluster(p *pool, numWorkers int, self cluster.WorkerID, spillDir string, met *metrics.Collector) (*cluster.Cluster, error) {
 	// TimeScale 0: a worker process pays real I/O and real network
 	// latency; layering modelled sleeps on top would double-charge.
 	cost := storage.CostModel{}
