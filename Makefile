@@ -13,10 +13,13 @@ test:
 
 ## race: the race-detector job over every internal package (engine, ops,
 ## spill, batch, flight, trace, gcs, metrics, tpch, lint, ...), plus the
-## public Submit/Cursor API suites in the root package.
+## public Submit/Cursor API suites in the root package, plus five rounds of
+## the wire kill suite: a worker killed, stopped or unreachable mid-query now
+## takes its own listener, accepted conns and mailbox with it, in its own time.
 race: wake-stress
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestSubmit|TestAdmissionLimitPublic' .
+	$(GO) test -race -count=5 -run 'TestProcessModeKillWorker|TestPeerPushFailureIsARetryNotAVerdict|TestWorkerStopClosesMailboxConns' ./internal/wire
 
 ## wake-stress: the control plane waits instead of polling, so a lost wake-up
 ## is the bug to look for: twenty race-detector rounds of the wait primitive
@@ -41,7 +44,7 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 23911
+LOC_MAX := 24007
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -61,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendCompressedMatchesReference$$' -fuzztime 10s ./internal/batch
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePieceSet$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleOp$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzMailboxOp$$' -fuzztime 10s ./internal/wire
 
 ## benchmark-smoke: the real-time benchmark is a Go module of its own
 ## (benchmark/go.mod), outside `go build ./... && go test ./...` — vet and
@@ -78,11 +82,13 @@ benchmark-smoke:
 
 ## dist-smoke: process mode end to end — build the quokka-worker binary and
 ## run the three-process SIGKILL fault test (opt-in via QUOKKA_DIST_TEST
-## because it forks real OS processes) beside the round-trip budget: op
-## request frames per committed task on a query over two wire workers.
+## because it forks real OS processes) beside the round-trip budget (op
+## request frames per committed task on a query over two wire workers, the
+## workers' own listeners included), the zero-frame same-worker edge, and the
+## peer that cannot be reached staying a retry.
 dist-smoke:
 	$(GO) build -o quokka-worker ./cmd/quokka-worker
-	QUOKKA_DIST_TEST=1 $(GO) test -run 'TestDistSIGKILL|TestRoundTripsPerTask' -v ./internal/wire/
+	QUOKKA_DIST_TEST=1 $(GO) test -run 'TestDistSIGKILL|TestRoundTripsPerTask|TestSameWorkerEdgesCostNoFrames|TestPeerPushFailureIsARetryNotAVerdict' -v ./internal/wire/
 
 fmt:
 	gofmt -w .

@@ -1,12 +1,16 @@
 // Command quokka-worker is one worker machine of a process-mode cluster:
-// it dials the head node's wire endpoint, announces its worker id, and
-// runs task-manager threads for every query the head ships it — against
-// the head's GCS, flight mailboxes and object store over the wire, and a
-// local spill directory standing in for the worker's NVMe.
+// it dials the head node's wire endpoint, opens its own flight mailbox on a
+// listener of its own (same interface, ephemeral port: no flag), announces
+// its worker id and that address, and runs task-manager threads for every
+// query the head ships it — against its own mailbox by function call, its
+// peers' mailboxes and the head's GCS and object store (table objects
+// cached once fetched) over the wire, and a local spill directory standing
+// in for the worker's NVMe.
 //
 // The process is disposable by design: SIGKILL it at any moment and the
-// head's liveness detection fails the worker, triggering the engine's
-// write-ahead-lineage rewind/replay recovery on the survivors.
+// head's liveness detection — the control conn, nothing else — fails the
+// worker, triggering the engine's write-ahead-lineage rewind/replay
+// recovery on the survivors; its mailbox is gone because it is.
 //
 // Usage:
 //

@@ -21,8 +21,9 @@ type WorkerID int
 
 // Worker is one machine: simulated (goroutines against in-memory
 // backends) or real (an OS process attached in process mode — then
-// Flight is the head-hosted mailbox serving that process and killFn
-// delivers a real SIGKILL).
+// Flight is the head's handle on the mailbox that process hosts, whose
+// Fail severs the process's control connection, and killFn delivers a
+// real SIGKILL).
 type Worker struct {
 	ID     WorkerID
 	Flight flight.Transport

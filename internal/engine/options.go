@@ -90,9 +90,9 @@ func WithTracing(on bool) Option {
 }
 
 // WithListenAddr switches the cluster into process mode: the head serves
-// its control plane — GCS transactions, flight mailboxes, the object store
-// and the result sink — to quokka-worker processes over TCP on the given
-// address (e.g. "127.0.0.1:7070", or ":0" for an ephemeral port). Empty
+// its control plane — GCS transactions, the object store and the result
+// sink — to quokka-worker processes (each hosting its own flight mailbox)
+// over TCP on the given address (e.g. "127.0.0.1:7070", or ":0" for an ephemeral port). Empty
 // (the default) keeps the cluster fully in-memory.
 //
 // Experimental: the wire protocol and this option's shape may change.

@@ -13,8 +13,8 @@ import (
 // for goroutines in the head's process and for a quokka-worker process —
 // and the worker-process side of process mode: a Runner built from a
 // wire-shipped WorkerQuerySpec instead of NewRunner, executing ONE worker's
-// threads against the head's remote GCS, mailboxes, object store and result
-// sink. Coordination, recovery, the collector and teardown stay on the
+// threads against its own mailbox, its peers' over the wire, and the head's
+// remote GCS, object store and result sink. Coordination, recovery, the collector and teardown stay on the
 // head; the worker's only jobs are the Algorithm 1 task protocol and the
 // replay queue.
 
@@ -81,9 +81,9 @@ func newWorkerRunner(cl *cluster.Cluster, spec *WorkerQuerySpec, sink ResultSink
 }
 
 // RunWorkerQuery executes one worker's share of a query inside a worker
-// process: it runs the task manager of worker self on cl (whose GCS,
-// flight transports and object store are the wire clients the caller
-// assembled) and blocks until ctx is cancelled — the wire layer cancels it
+// process: it runs the task manager of worker self on cl (whose GCS, object
+// store and peers' flight transports are the wire clients the caller
+// assembled, and whose own transport is the mailbox the process hosts) and blocks until ctx is cancelled — the wire layer cancels it
 // on the head's STOP_QUERY. It returns the worker's recorded trace spans
 // (nil when the spec did not enable tracing) for ship-back to the head.
 //

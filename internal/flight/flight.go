@@ -55,8 +55,10 @@ const EpochCommitted = int(^uint(0) >> 1)
 
 // Transport is one worker's view of a shuffle mailbox — exactly the methods
 // the engine calls, specified in docs/contracts/flight-transport.md. Server
-// is the in-memory default; process-mode workers use a wire client that
-// proxies these calls to the mailbox the head node hosts for each worker.
+// is the mailbox itself, in memory and in a worker process alike: each
+// worker hosts its own. In process mode a peer (for Push) and the head (for
+// FetchResult, DropResult, DropQuery) hold a wire client of it; Probe, Take,
+// Drop and SpoolResult are the owner's alone and have no remote form.
 // The semantics every implementation must preserve are the ones recovery
 // leans on: pushes are idempotent within an epoch, lower-epoch (zombie)
 // pushes never replace higher-epoch slots, and every operation on a

@@ -101,11 +101,11 @@ const (
 	WaitFallbackHits = "engine.wait.fallback_hits" // of those, found work nothing else was going to do: a lost wake-up
 )
 
-// Process-mode traffic by message type, counted by the head's op dispatcher:
-// WireFrames+<op> request frames, WireBytes+<op> their bytes plus the answers'.
-// <op> (wire.opNames): gcs_{sync,commit,await_ns}
-// fl_{push,probe,take,drop,drop_query,spool,fetch,drop_result} obj_{put,get}
-// sink_{deliver,spooled}.
+// Process-mode traffic by message type, counted by the listener that serves it
+// (a worker's reaches the head with its counter report): WireFrames+<op> request
+// frames, WireBytes+<op> their bytes plus the answers'. <op>, at the head
+// (wire.headOps): gcs_{sync,commit,await_ns} obj_{put,get} sink_{deliver,spooled};
+// at a worker's mailbox (wire.mailboxOps): fl_{push,drop_query,fetch,drop_result}.
 const (
 	WireFrames        = "wire.frames."
 	WireBytes         = "wire.bytes."

@@ -50,6 +50,7 @@ type ObjectStore struct {
 
 	mu   sync.RWMutex
 	data map[string][]byte
+	gen  uint64 // puts and deletes so far: what a remote cache of objects is valid under
 }
 
 // NewObjectStore creates an empty durable store with the given profile.
@@ -71,6 +72,7 @@ func (s *ObjectStore) Put(key string, value []byte) error {
 	cp := make([]byte, len(value))
 	copy(cp, value)
 	s.data[key] = cp
+	s.gen++
 	s.mu.Unlock()
 	s.met.Add(metrics.ObjWriteBytes, int64(len(value)))
 	s.met.Add(metrics.ObjWrites, 1)
@@ -85,6 +87,16 @@ func (s *ObjectStore) PutFree(key string, value []byte) {
 	cp := make([]byte, len(value))
 	copy(cp, value)
 	s.data[key] = cp
+	s.gen++
+}
+
+// PutGen returns how many puts and deletes the store has applied. Whoever
+// caches its objects elsewhere (a worker process, docs/contracts/
+// storage-objects.md) holds them valid only while this stands still.
+func (s *ObjectStore) PutGen() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.gen
 }
 
 // Get retrieves the value under key.
@@ -128,6 +140,7 @@ func (s *ObjectStore) Delete(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.data, key)
+	s.gen++
 }
 
 // List returns the sorted keys with the given prefix.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -13,21 +14,36 @@ import (
 	"quokka/internal/lineage"
 )
 
-// pool is a free-list of op connections to the head. Each checked-out
-// conn carries exactly one outstanding request; a conn is returned to the
-// pool only after its exchange completed cleanly, and discarded on any
-// error — a request is one frame and the head acts on it only once it has
-// read all of it, so a half-sent exchange does nothing and can never leak
-// onto a reused conn.
+// pool is a free-list of op connections to one listener: the head's, or a
+// worker's mailbox. Each checked-out conn carries exactly one outstanding
+// request; a conn is returned to the pool only after its exchange completed
+// cleanly, and discarded on any error — a request is one frame and the
+// listener acts on it only once it has read all of it, so a half-sent exchange
+// does nothing and can never leak onto a reused conn.
 type pool struct {
-	addr string
+	ctx  context.Context // ends a dial, as dial elapsing does
+	dial time.Duration
 
 	mu     sync.Mutex
+	addr   string // "" until known: a worker's mailbox address arrives with its hello, a peer's with a query
 	idle   []net.Conn
 	closed bool
 }
 
-func newPool(addr string) *pool { return &pool{addr: addr} }
+// newPool dials the head; newPeerPool a worker's mailbox, once setAddr has said
+// where it is: from an executor thread mid-task (or the head's cursor), to a
+// process that may be gone, so a dial gives up after a second, or with ctx.
+func newPool(addr string) *pool {
+	return &pool{ctx: context.Background(), dial: 10 * time.Second, addr: addr}
+}
+func newPeerPool(ctx context.Context) *pool { return &pool{ctx: ctx, dial: time.Second} }
+
+// setAddr names the listener; a live worker's mailbox address never changes.
+func (p *pool) setAddr(addr string) {
+	p.mu.Lock()
+	p.addr = addr
+	p.mu.Unlock()
+}
 
 func (p *pool) get() (net.Conn, error) {
 	p.mu.Lock()
@@ -41,8 +57,13 @@ func (p *pool) get() (net.Conn, error) {
 		p.mu.Unlock()
 		return c, nil
 	}
+	addr := p.addr
 	p.mu.Unlock()
-	c, err := net.DialTimeout("tcp", p.addr, 10*time.Second)
+	if addr == "" {
+		return nil, fmt.Errorf("wire: no live process to dial")
+	}
+	d := net.Dialer{Timeout: p.dial}
+	c, err := d.DialContext(p.ctx, "tcp", addr)
 	if err == nil {
 		noDelay(c)
 	}
@@ -299,35 +320,30 @@ func (g *gcsClient) AwaitNS(ctx context.Context, ns string, after uint64, park t
 // ---------------------------------------------------------------------------
 // Flight client
 
-// flightClient implements flight.Transport for ONE worker's head-hosted
-// mailbox; every worker in a worker process's cluster view gets its own
-// flightClient sharing the process-wide pool.
+// flightClient is a remote handle on ONE worker's mailbox, hosted by that
+// worker's process: a peer's for pushing to it, or the head's for fetching and
+// dropping spooled results and sweeping a query. The owner-only methods of
+// flight.Transport (docs/contracts/flight-transport.md) send no frame.
 type flightClient struct {
 	p      *pool
 	worker uint32
+	fail   func() // the head's handle: declare the worker dead. nil on a peer's
 }
 
-func (f *flightClient) hdr() *wbuf {
+var errOwnerOnly = errors.New("wire: owner-only mailbox method called through a remote handle")
+
+// req starts a request body: mailbox, query.
+func (f *flightClient) req(query string) *wbuf {
 	w := &wbuf{}
 	w.u32(f.worker)
+	w.str(query)
 	return w
 }
 
-// edgeReq builds the body of a per-edge request: mailbox, query, consumer
-// channel, then the request's integers (input, upChannel, from, ...).
-func (f *flightClient) edgeReq(query string, dest lineage.ChannelID, ints ...int) []byte {
-	w := f.hdr()
-	w.str(query)
-	w.chanID(dest)
-	for _, v := range ints {
-		w.i64(int64(v))
-	}
-	return w.b
-}
-
+// Push is one frame to the peer. Failing to reach it is an error like the
+// mailbox's own — the task stays pending — never a verdict on the peer.
 func (f *flightClient) Push(p flight.Partition) error {
-	w := f.hdr()
-	w.str(p.Query)
+	w := f.req(p.Query)
 	w.task(p.From)
 	w.chanID(p.Dest)
 	w.i64(int64(p.Input))
@@ -338,95 +354,70 @@ func (f *flightClient) Push(p flight.Partition) error {
 	return err
 }
 
-// Probe has no error slot: a failed exchange reads as nothing available,
-// and the channel waits for a later round.
-func (f *flightClient) Probe(query string, dest lineage.ChannelID, edges []flight.Edge) []int {
-	w := wbuf{b: f.edgeReq(query, dest)}
-	w.u32(uint32(len(edges)))
-	for _, e := range edges {
-		w.i64(int64(e.Input))
-		w.i64(int64(e.UpChannel))
-		w.i64(int64(e.Watermark))
-	}
-	avail := make([]int, len(edges))
-	rp, err := f.p.expect(mtFlProbe, w.b, mtIntsResp)
-	r := rbuf{b: rp}
-	if n := r.count("probe count", 8); err != nil || n != len(edges) {
-		return avail
-	}
-	for i := range avail {
-		avail[i] = int(r.i64("probe available"))
-	}
-	if r.err() != nil {
-		clear(avail)
-	}
-	return avail
+// The owner's four: an error where there is a slot for one, a panic where a
+// silent answer would read as "nothing there" and park the caller for good.
+func (f *flightClient) Probe(string, lineage.ChannelID, []flight.Edge) []int { panic(errOwnerOnly) }
+func (f *flightClient) Drop(string, lineage.ChannelID, int, int, int, int)   { panic(errOwnerOnly) }
+func (f *flightClient) Take(string, lineage.ChannelID, int, int, int, int) ([][]byte, error) {
+	return nil, errOwnerOnly
 }
+func (f *flightClient) SpoolResult(string, lineage.TaskName, []byte, int) error { return errOwnerOnly }
 
-func (f *flightClient) Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([][]byte, error) {
-	rp, err := f.p.expect(mtFlTake, f.edgeReq(query, dest, input, upChannel, from, count), mtBytesListResp)
-	if err != nil {
-		return nil, err
-	}
-	r := rbuf{b: rp}
-	out := make([][]byte, r.count("take count", 4))
-	for i := range out {
-		out[i] = r.bytesOwned("take partition")
-	}
-	if derr := r.err(); derr != nil {
-		return nil, derr
-	}
-	return out, nil
-}
-
-// The three drops have no error slot and swallow wire failures: they are
-// cleanup, and a broken head conn means this worker is about to be declared
-// dead anyway.
-func (f *flightClient) Drop(query string, dest lineage.ChannelID, input, upChannel, from, count int) {
-	f.p.roundTrip(mtFlDrop, f.edgeReq(query, dest, input, upChannel, from, count))
-}
-
+// The two drops have no error slot and swallow wire failures: they are
+// cleanup, and a mailbox that cannot be reached is gone or going.
 func (f *flightClient) DropQuery(query string) {
-	w := f.hdr()
-	w.str(query)
-	f.p.roundTrip(mtFlDropQuery, w.b)
-}
-
-func (f *flightClient) SpoolResult(query string, task lineage.TaskName, data []byte, epoch int) error {
-	w := f.hdr()
-	w.str(query)
-	w.task(task)
-	w.i64(int64(epoch))
-	w.bytes(data)
-	_, err := f.p.expect(mtFlSpool, w.b, mtOK)
-	return err
+	f.p.roundTrip(mtFlDropQuery, f.req(query).b)
 }
 
 func (f *flightClient) FetchResult(query string, task lineage.TaskName) ([]byte, error) {
-	w := f.hdr()
-	w.str(query)
+	w := f.req(query)
 	w.task(task)
 	return f.p.bytesOf(mtFlFetch, w.b)
 }
 
 func (f *flightClient) DropResult(query string, task lineage.TaskName) {
-	w := f.hdr()
-	w.str(query)
+	w := f.req(query)
 	w.task(task)
 	f.p.roundTrip(mtFlDropResult, w.b)
 }
 
-// Fail is a no-op on the client: mailbox failure is declared by the HEAD
-// (when it loses the worker's control conn), on the head-hosted Server —
-// a worker process never fails a mailbox itself.
-func (f *flightClient) Fail() {}
+// Fail does nothing through a worker's handle on a peer: liveness is the
+// head's call alone.
+func (f *flightClient) Fail() {
+	if f.fail != nil {
+		f.fail()
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Object store client
 
-// objClient implements storage.Objects against the head's store.
+// objClient implements storage.Objects against the head's store, keeping what
+// it fetched: table objects are written once, before queries run. The cache is
+// valid only under the head store's put generation the last start frame named
+// and emptied by its own PutFree; a fetch in flight across either — epoch
+// moved — is not kept (docs/contracts/storage-objects.md).
 type objClient struct {
-	p *pool
+	p   *pool
+	max int64 // bound on the cached bytes (values only): objCacheMax outside tests
+
+	mu    sync.Mutex
+	gen   uint64
+	epoch uint64 // bumped by setGen and PutFree
+	cache map[string][]byte
+	size  int64
+}
+
+// objCacheMax is a worker process's bound: a constant, not a knob.
+const objCacheMax = 64 << 20
+
+// setGen names the head store's put generation a starting query runs under.
+func (o *objClient) setGen(gen uint64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if gen != o.gen {
+		o.gen, o.cache, o.size, o.epoch = gen, nil, 0, o.epoch+1
+	}
 }
 
 // PutFree has no error slot: a failed put surfaces when the object is read.
@@ -436,13 +427,34 @@ func (o *objClient) PutFree(key string, value []byte) {
 	w.boolean(true) // free: the only form of put there is
 	w.bytes(value)
 	_, _ = o.p.expect(mtObjPut, w.b, mtOK)
+	o.mu.Lock()
+	o.cache, o.size, o.epoch = nil, 0, o.epoch+1
+	o.mu.Unlock()
 }
 
 func (o *objClient) get(key string, free bool) ([]byte, error) {
+	o.mu.Lock()
+	val, hit := o.cache[key]
+	epoch := o.epoch
+	o.mu.Unlock()
+	if hit {
+		return val, nil
+	}
 	var w wbuf
 	w.str(key)
 	w.boolean(free)
-	return o.p.bytesOf(mtObjGet, w.b)
+	val, err := o.p.bytesOf(mtObjGet, w.b)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if _, raced := o.cache[key]; err != nil || raced || o.epoch != epoch || int64(len(val)) > o.max {
+		return val, err
+	}
+	if o.cache == nil || o.size+int64(len(val)) > o.max { // full: start over, no ranking nobody measured
+		o.cache, o.size = make(map[string][]byte), 0
+	}
+	o.cache[key] = val
+	o.size += int64(len(val))
+	return val, nil
 }
 
 func (o *objClient) Get(key string) ([]byte, error) { return o.get(key, false) }

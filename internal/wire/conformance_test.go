@@ -2,7 +2,8 @@ package wire
 
 // The backend conformance suite: the SAME assertions run against the
 // in-memory backends (gcs.Store, flight.Server, storage.ObjectStore) and
-// against the wire clients talking to a head server over loopback TCP.
+// against the wire clients talking to a head server — and, for the mailbox,
+// to a worker-hosted flight.Server behind its own listener — over loopback TCP.
 // Process mode is only sound if both implementations agree on the
 // semantics recovery leans on — idempotent pushes, zombie-epoch fencing,
 // ErrServerDown after failure, transactional read-your-writes, abort
@@ -31,18 +32,36 @@ type backends struct {
 	fl  func(i int) flight.Transport
 	obj storage.Objects
 	// server is worker i's mailbox at its authoritative end (the in-memory
-	// server itself, or the head-hosted server behind the wire): where a
+	// server itself, or the worker-hosted server behind its listener): where a
 	// mailbox is failed, and where the suite probes what it buffers.
 	server func(i int) *flight.Server
-	// remote marks handles that proxy to a head in another process.
+	// remote marks handles that proxy to another process.
 	remote bool
 	// store is the authoritative store behind gcs (the same value in memory);
 	// peer, over the wire, is a second worker process's client of it; met
-	// counts the head's op frames.
-	store *gcs.Store
-	peer  gcs.Backend
-	met   *metrics.Collector
+	// counts the head's op frames, mboxMet what the mailbox listeners serve.
+	store   *gcs.Store
+	peer    gcs.Backend
+	met     *metrics.Collector
+	mboxMet *metrics.Collector
 }
+
+// hosted is a worker-hosted mailbox as a cluster's processes reach it: the
+// owner-only methods in the hosting process (the embedded server), the remote
+// ones — a peer's push, the head's fetch and drops — through a client of its
+// listener.
+type hosted struct {
+	*flight.Server
+	remote *flightClient
+}
+
+func (h hosted) Push(p flight.Partition) error { return h.remote.Push(p) }
+func (h hosted) DropQuery(q string)            { h.remote.DropQuery(q) }
+func (h hosted) Fail()                         { h.remote.Fail() }
+func (h hosted) FetchResult(q string, t lineage.TaskName) ([]byte, error) {
+	return h.remote.FetchResult(q, t)
+}
+func (h hosted) DropResult(q string, t lineage.TaskName) { h.remote.DropResult(q, t) }
 
 func memBackends(t *testing.T) *backends {
 	t.Helper()
@@ -73,19 +92,25 @@ func wireBackends(t *testing.T) *backends {
 	t.Cleanup(srv.Close)
 	p := newPool(srv.Addr())
 	t.Cleanup(p.close)
-	clients := []flight.Transport{
-		&flightClient{p: p, worker: 0},
-		&flightClient{p: p, worker: 1},
+	mboxMet := &metrics.Collector{}
+	var mailboxes []hosted
+	for i := range 2 {
+		m := opMailbox(t, uint32(i), mboxMet)
+		peer := newPeerPool(context.Background())
+		peer.setAddr(m.ln.Addr().String())
+		t.Cleanup(peer.close)
+		mailboxes = append(mailboxes, hosted{m.fl, &flightClient{p: peer, worker: uint32(i)}})
 	}
 	return &backends{
-		gcs:    &gcsClient{p: p},
-		fl:     func(i int) flight.Transport { return clients[i] },
-		obj:    &objClient{p: p},
-		server: func(i int) *flight.Server { return cl.Workers[i].Flight.(*flight.Server) },
-		remote: true,
-		store:  cl.GCS.(*gcs.Store),
-		peer:   &gcsClient{p: p},
-		met:    cl.Metrics,
+		gcs:     &gcsClient{p: p},
+		fl:      func(i int) flight.Transport { return mailboxes[i] },
+		obj:     &objClient{p: p, max: objCacheMax},
+		server:  func(i int) *flight.Server { return mailboxes[i].Server },
+		remote:  true,
+		store:   cl.GCS.(*gcs.Store),
+		peer:    &gcsClient{p: p},
+		met:     cl.Metrics,
+		mboxMet: mboxMet,
 	}
 }
 
@@ -283,6 +308,14 @@ func gcsConformance(t *testing.T, b *backends) {
 // opFrames reads the head's request-frame counter of one op type (0 in
 // memory: nothing crosses a socket).
 func (b *backends) opFrames(op string) int64 { return b.met.Get(metrics.WireFrames + op) }
+
+// mailboxFrames is every request frame the mailbox listeners have served.
+func (b *backends) mailboxFrames() (n int64) {
+	for _, v := range flFrames(b.mboxMet) {
+		n += v
+	}
+	return n
+}
 
 // namespaceKeys is what a replica of ns at version since is sent — every key
 // a worker would receive — and whether it was the whole namespace: in memory
@@ -642,7 +675,7 @@ func flightConformance(t *testing.T, b *backends) {
 	})
 
 	// One probe answers every edge it names, each from its own watermark, in
-	// the order asked — over the wire in one request frame.
+	// the order asked — the owner's question of its own mailbox: no frame.
 	t.Run("probe-batch", func(t *testing.T) {
 		other := func(seq int) error {
 			return fl.Push(flight.Partition{
@@ -655,7 +688,7 @@ func flightConformance(t *testing.T, b *backends) {
 				t.Fatal(err)
 			}
 		}
-		frames := b.met.Get(metrics.WireFrames + "fl_probe")
+		frames := b.mailboxFrames()
 		got := fl.Probe(q, dest, []flight.Edge{
 			{Input: 1, UpChannel: 5, Watermark: 1},
 			{Input: 0, UpChannel: 2, Watermark: 2}, // seqs 2 and 3 from the cases above
@@ -664,10 +697,8 @@ func flightConformance(t *testing.T, b *backends) {
 		if !reflect.DeepEqual(got, []int{2, 2, 0}) {
 			t.Fatalf("probe = %v, want [2 2 0]", got)
 		}
-		if b.remote {
-			if n := b.met.Get(metrics.WireFrames+"fl_probe") - frames; n != 1 {
-				t.Fatalf("a three-edge probe cost %d request frames, want 1", n)
-			}
+		if n := b.mailboxFrames() - frames; n != 0 {
+			t.Fatalf("a three-edge probe of one's own mailbox cost %d request frames", n)
 		}
 		if len(fl.Probe(q, dest, nil)) != 0 {
 			t.Fatalf("empty probe answered edges")
@@ -722,6 +753,40 @@ func flightConformance(t *testing.T, b *backends) {
 		push(0, 0, "w0-only")
 		if n := contig(b.fl(1), q, dest, 0, 2, 0); n != 0 {
 			t.Fatalf("worker 1 sees worker 0's partition")
+		}
+	})
+
+	// Nobody reads, frees or spools into a mailbox but its owner: through a
+	// remote handle those methods answer an error (a probe and a drop, which
+	// have no slot for one, panic) and send no frame; what was pushed stays
+	// where it is.
+	t.Run("owner-only", func(t *testing.T) {
+		h, ok := fl.(hosted)
+		if !ok {
+			t.Skip("in memory every handle is the owner's")
+		}
+		frames, buffered := b.mailboxFrames(), b.server(0).BufferedBytes()
+		if _, err := h.remote.Take(q, dest, 0, 2, 0, 1); err == nil {
+			t.Error("a remote take succeeded")
+		}
+		if err := h.remote.SpoolResult(q, task, []byte("theirs"), 9); err == nil {
+			t.Error("a remote spool succeeded")
+		}
+		for name, call := range map[string]func(){
+			"drop":  func() { h.remote.Drop(q, dest, 0, 2, 0, 1) },
+			"probe": func() { h.remote.Probe(q, dest, []flight.Edge{{Input: 0, UpChannel: 2, Watermark: 1}}) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("a remote %s returned: with no error slot it must not pass for an answer", name)
+					}
+				}()
+				call()
+			}()
+		}
+		if n, bb := b.mailboxFrames()-frames, b.server(0).BufferedBytes(); n != 0 || bb != buffered {
+			t.Errorf("owner-only methods through a remote handle: %d frames, mailbox %d -> %d bytes", n, buffered, bb)
 		}
 	})
 }

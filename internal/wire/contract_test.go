@@ -1,9 +1,9 @@
 package wire
 
 // The seam's pins: each backend interface has exactly the methods its
-// docs/contracts/ page lists, the op dispatcher accepts exactly the message
-// set proto.go declares, and every retired frame is refused by a live head
-// without touching its state.
+// docs/contracts/ page lists, each listener's dispatcher accepts exactly its
+// half of the message set proto.go declares, and every retired frame is
+// refused by a live head and a live worker's mailbox without touching state.
 
 import (
 	"bytes"
@@ -23,6 +23,7 @@ import (
 	"quokka/internal/flight"
 	"quokka/internal/gcs"
 	"quokka/internal/lineage"
+	"quokka/internal/metrics"
 	"quokka/internal/storage"
 )
 
@@ -70,22 +71,39 @@ func opServer(t testing.TB) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Server{cl: cl, store: cl.GCS.(*gcs.Store), met: cl.Metrics, queries: map[string]*engine.Runner{}, parkCap: time.Millisecond}
+	return &Server{cl: cl, store: cl.GCS.(*gcs.Store), objs: cl.ObjStore.(*storage.ObjectStore), met: cl.Metrics, queries: map[string]*engine.Runner{}, parkCap: time.Millisecond}
 }
 
-// opRequests is the op-conn request set of proto.go.
-var opRequests = map[byte]bool{
-	mtGCSSync: true, mtGCSCommit: true, mtGCSAwaitNS: true,
-	mtFlPush: true, mtFlTake: true, mtFlDrop: true, mtFlProbe: true,
-	mtFlDropQuery: true, mtFlSpool: true, mtFlFetch: true, mtFlDropResult: true,
-	mtObjPut: true, mtObjGet: true, mtSinkDeliver: true, mtSinkSpooled: true,
+// opMailbox is worker self's mailbox behind a live loopback listener, counting
+// into met and closed with the test.
+func opMailbox(t testing.TB, self uint32, met *metrics.Collector) *mailbox {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := openMailbox(ln, self, met)
+	t.Cleanup(m.stopListening)
+	return m
 }
+
+// headRequests and mailboxRequests are the two op-conn request sets of
+// proto.go: what the head's listener serves, what a worker's does.
+var (
+	headRequests = map[byte]bool{
+		mtGCSSync: true, mtGCSCommit: true, mtGCSAwaitNS: true,
+		mtObjPut: true, mtObjGet: true, mtSinkDeliver: true, mtSinkSpooled: true,
+	}
+	mailboxRequests = map[byte]bool{mtFlPush: true, mtFlDropQuery: true, mtFlFetch: true, mtFlDropResult: true}
+)
 
 // Type bytes this protocol version once assigned and retired: the
 // interactive transaction (begin, get, get response, list, list response,
 // commit, abort, done), the namespace version probe that AwaitNS replaced, the
 // store-wide version and its long poll, the two per-edge mailbox probes and
-// their response.
+// their response, and the owner-only mailbox methods (take, drop, spool, probe,
+// with the two responses only they were answered by) that left the wire when
+// workers began hosting their own mailboxes.
 const (
 	retiredTxnBegin    = byte(0x10)
 	retiredTxnDone     = byte(0x17)
@@ -95,43 +113,62 @@ const (
 	retiredFlContig    = byte(0x21)
 	retiredFlDropBelow = byte(0x24)
 	retiredIntResp     = byte(0x43)
+	retiredFlTake      = byte(0x22)
+	retiredFlDrop      = byte(0x23)
+	retiredFlSpool     = byte(0x27)
+	retiredFlProbe     = byte(0x2b)
+	retiredBytesList   = byte(0x46)
+	retiredIntsResp    = byte(0x47)
 )
 
-// TestOpMessageSetPinned: of the 256 type bytes, handleOp dispatches exactly
-// the declared requests; every other byte — control-plane types, responses,
-// retired and never-assigned bytes — is an unknown op, refused as
-// ErrCorrupt. The names the head counts frames under are the same set.
+// TestOpMessageSetPinned: of the 256 type bytes, each listener dispatches
+// exactly its declared requests and the two sets share none; every other byte
+// — the other listener's types, control-plane types, responses, retired and
+// never-assigned bytes — is an unknown op, refused as ErrCorrupt. The names
+// each listener counts frames under are the same sets.
 func TestOpMessageSetPinned(t *testing.T) {
 	for b := 0; b < 256; b++ {
-		if _, named := opNames[byte(b)]; named != opRequests[byte(b)] {
-			t.Errorf("type 0x%02x: counted under a name=%v, declared a request=%v", b, named, opRequests[byte(b)])
+		typ := byte(b)
+		_, head := headOps[typ]
+		_, mbox := mailboxOps[typ]
+		if head != headRequests[typ] || mbox != mailboxRequests[typ] || head && mbox {
+			t.Errorf("type 0x%02x: named head=%v mailbox=%v, declared head=%v mailbox=%v", b, head, mbox, headRequests[typ], mailboxRequests[typ])
 		}
 	}
+	retired := []byte{retiredGCSVerNS, retiredGCSVersion, retiredGCSWait, retiredFlContig, retiredFlDropBelow, retiredIntResp,
+		retiredFlTake, retiredFlDrop, retiredFlSpool, retiredFlProbe, retiredBytesList, retiredIntsResp}
 	for typ := retiredTxnBegin; typ <= retiredTxnDone; typ++ {
-		if opRequests[typ] {
-			t.Errorf("retired transaction type 0x%02x is a request again", typ)
-		}
+		retired = append(retired, typ)
 	}
-	for _, typ := range []byte{retiredGCSVerNS, retiredGCSVersion, retiredGCSWait, retiredFlContig, retiredFlDropBelow, retiredIntResp} {
-		if opRequests[typ] {
+	for _, typ := range retired {
+		if headRequests[typ] || mailboxRequests[typ] {
 			t.Errorf("retired type 0x%02x is a request again", typ)
 		}
 	}
-	s := opServer(t)
 	c, peer := net.Pipe()
 	peer.Close() // nothing may be written for a refused frame
 	defer c.Close()
-	for b := 0; b < 256; b++ {
-		typ := byte(b)
-		// One byte is a short body for every request with a body.
-		err := s.handleOp(c, typ, []byte{0xff})
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("type 0x%02x: %v, want ErrCorrupt", typ, err)
-			continue
-		}
-		unknown := strings.Contains(err.Error(), "unknown op")
-		if unknown == opRequests[typ] {
-			t.Errorf("type 0x%02x: dispatched=%v, declared=%v (%v)", typ, !unknown, opRequests[typ], err)
+	listeners := []struct {
+		name     string
+		handle   func(net.Conn, byte, []byte) error
+		declared map[byte]bool
+	}{
+		{"head", opServer(t).handleOp, headRequests},
+		{"mailbox", opMailbox(t, 0, nil).handle, mailboxRequests},
+	}
+	for _, l := range listeners {
+		for b := 0; b < 256; b++ {
+			typ := byte(b)
+			// One byte is a short body for every request with a body.
+			err := l.handle(c, typ, []byte{0xff})
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, type 0x%02x: %v, want ErrCorrupt", l.name, typ, err)
+				continue
+			}
+			unknown := strings.Contains(err.Error(), "unknown")
+			if unknown == l.declared[typ] {
+				t.Errorf("%s, type 0x%02x: dispatched=%v, declared=%v (%v)", l.name, typ, !unknown, l.declared[typ], err)
+			}
 		}
 	}
 }
@@ -180,6 +217,17 @@ func retiredFrames() map[string]rawFrame {
 		}
 		return w.b
 	}
+	var spool wbuf
+	spool.u32(0)
+	spool.str("q-keep")
+	spool.task(lineage.TaskName{Stage: 1})
+	spool.i64(9) // an epoch that would win
+	spool.bytes([]byte("overwritten"))
+	probe := wbuf{b: edge()}
+	probe.u32(1)
+	for range 3 {
+		probe.i64(0)
+	}
 	return map[string]rawFrame{
 		"obj put, costed":  {0x30, put.b},
 		"obj has":          {0x32, key("tbl-x/0")},
@@ -200,12 +248,19 @@ func retiredFrames() map[string]rawFrame {
 		"gcs wait change":  {retiredGCSWait, make([]byte, 16)}, // u64 since, i64 timeout: returns at once
 		"flight contig":    {retiredFlContig, edge(0, 0, 0)},
 		"flight dropbelow": {retiredFlDropBelow, edge(0, 0, 1<<40)},
+		// The owner-only methods, as their last clients spoke them: input,
+		// upChannel, from, count; a spool of one task; a probe of one edge.
+		"flight take":  {retiredFlTake, edge(0, 0, 0, 1)},
+		"flight drop":  {retiredFlDrop, edge(0, 0, 0, 1)},
+		"flight spool": {retiredFlSpool, spool.b},
+		"flight probe": {retiredFlProbe, probe.b},
 	}
 }
 
-// TestRetiredFramesRefused sends each retired frame to a live head: the
-// head closes the conn without answering (the dispatcher's error is
-// ErrCorrupt), and its object store, GCS and mailboxes are as they were.
+// TestRetiredFramesRefused sends each retired frame to a live head and to a
+// live worker's mailbox listener: each closes the conn without answering (the
+// dispatcher's error is ErrCorrupt), and the head's object store and GCS and
+// the worker's mailbox are as they were.
 func TestRetiredFramesRefused(t *testing.T) {
 	cl, err := cluster.New(cluster.Options{Workers: 2, Cost: storage.CostModel{}})
 	if err != nil {
@@ -216,30 +271,40 @@ func TestRetiredFramesRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	mbox := opMailbox(t, 0, nil)
 
 	objs := cl.ObjStore.(*storage.ObjectStore)
 	objs.PutFree("tbl-x/0", []byte("split0"))
 	store := cl.GCS.(*gcs.Store)
 	store.UpdateNS(confNS, func(tx *gcs.Txn) error { tx.Put(confNS+"conf-a", []byte("1")); return nil })
-	mailbox := cl.Workers[0].Flight.(*flight.Server)
-	mailbox.Push(flight.Partition{Query: "q-keep", Dest: lineage.ChannelID{Stage: 1}, Data: []byte("piece")})
-	version, buffered := store.Version(), mailbox.BufferedBytes()
+	mbox.fl.Push(flight.Partition{Query: "q-keep", Dest: lineage.ChannelID{Stage: 1}, Data: []byte("piece")})
+	mbox.fl.SpoolResult("q-keep", lineage.TaskName{Stage: 1}, []byte("result"), 1)
+	version, buffered := store.Version(), mbox.fl.BufferedBytes()
 
+	listeners := []struct {
+		name, addr string
+		handle     func(net.Conn, byte, []byte) error
+	}{
+		{"head", srv.Addr(), srv.handleOp},
+		{"mailbox", mbox.ln.Addr().String(), mbox.handle},
+	}
 	for name, f := range retiredFrames() {
-		c, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.SetDeadline(time.Now().Add(10 * time.Second))
-		if err := writeFrame(c, f.typ, f.payload); err != nil {
-			t.Fatalf("%s: write: %v", name, err)
-		}
-		if rt, _, err := readFrame(c); err != io.EOF {
-			t.Errorf("%s: head answered 0x%02x, %v; want the conn closed with no answer", name, rt, err)
-		}
-		c.Close()
-		if err := srv.handleOp(c, f.typ, f.payload); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: dispatcher returned %v, want ErrCorrupt", name, err)
+		for _, l := range listeners {
+			c, err := net.DialTimeout("tcp", l.addr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetDeadline(time.Now().Add(10 * time.Second))
+			if err := writeFrame(c, f.typ, f.payload); err != nil {
+				t.Fatalf("%s to the %s: write: %v", name, l.name, err)
+			}
+			if rt, _, err := readFrame(c); err != io.EOF {
+				t.Errorf("%s: the %s answered 0x%02x, %v; want the conn closed with no answer", name, l.name, rt, err)
+			}
+			c.Close()
+			if err := l.handle(c, f.typ, f.payload); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: the %s's dispatcher returned %v, want ErrCorrupt", name, l.name, err)
+			}
 		}
 	}
 
@@ -252,8 +317,11 @@ func TestRetiredFramesRefused(t *testing.T) {
 	if store.Version() != version {
 		t.Errorf("GCS version moved %d -> %d", version, store.Version())
 	}
-	if mailbox.BufferedBytes() != buffered {
-		t.Errorf("mailbox holds %d bytes, had %d", mailbox.BufferedBytes(), buffered)
+	if mbox.fl.BufferedBytes() != buffered {
+		t.Errorf("mailbox holds %d bytes, had %d", mbox.fl.BufferedBytes(), buffered)
+	}
+	if v, err := mbox.fl.FetchResult("q-keep", lineage.TaskName{Stage: 1}); string(v) != "result" {
+		t.Errorf("spooled result = %q, %v; want it untouched", v, err)
 	}
 }
 

@@ -82,6 +82,20 @@ func distCluster(t *testing.T, workers int, opts ...engine.Option) (*cluster.Clu
 // distClusterMet is distCluster, returning each worker's own collector too.
 func distClusterMet(t *testing.T, workers int, opts ...engine.Option) (*cluster.Cluster, *Server, []*metrics.Collector) {
 	t.Helper()
+	cl, srv, ws, _ := distWorkers(t, workers, nil, opts...)
+	mets := make([]*metrics.Collector, workers)
+	for i, w := range ws {
+		mets[i] = w.cl.Metrics
+	}
+	return cl, srv, mets
+}
+
+// distWorkers is distCluster handing back every attached worker — its view of
+// the cluster, its mailbox, its collector — and the cancel that stops it. prep,
+// if not nil, sees each worker after it attached and before its control loop
+// runs: where a test interposes on the worker's cluster view.
+func distWorkers(t *testing.T, workers int, prep func(w *workerRT), opts ...engine.Option) (*cluster.Cluster, *Server, []*workerRT, []context.CancelFunc) {
+	t.Helper()
 	cl, err := cluster.New(cluster.Options{
 		Workers:  workers,
 		Cost:     storage.CostModel{},
@@ -98,22 +112,29 @@ func distClusterMet(t *testing.T, workers int, opts ...engine.Option) (*cluster.
 	t.Cleanup(srv.Close)
 	engine.SetRemoteExec(cl, srv)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	mets := make([]*metrics.Collector, workers)
+	ws, stops := make([]*workerRT, workers), make([]context.CancelFunc, workers)
 	for i := 0; i < workers; i++ {
-		wc := WorkerConfig{Head: srv.Addr(), ID: i, SpillDir: t.TempDir()}
-		mets[i] = &metrics.Collector{}
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		w, err := attachWorker(ctx, WorkerConfig{Head: srv.Addr(), ID: i, SpillDir: t.TempDir()}, &metrics.Collector{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prep != nil {
+			prep(w)
+		}
+		ws[i], stops[i] = w, cancel
 		go func() {
-			// A worker error after the head shut down is expected noise;
-			// runWorker returns nil on clean ctx cancellation.
-			_ = runWorker(ctx, wc, mets[i])
+			defer w.close()
+			// A worker error after the head shut down is expected noise; loop
+			// returns nil on clean ctx cancellation.
+			_ = w.loop(ctx)
 		}()
 	}
 	if err := srv.AwaitWorkers(workers, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	return cl, srv, mets
+	return cl, srv, ws, stops
 }
 
 func distRun(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Config) (*batch.Batch, *engine.Report, []trace.Span, error) {

@@ -1,24 +1,25 @@
-// Package wire is the process-mode transport: it runs the engine's three
-// head-node services — the GCS, the per-worker flight mailboxes and the
-// durable object store — plus the result sink over plain TCP, so that
+// Package wire is the process-mode transport: it runs the engine's two
+// head-node services — the GCS and the durable object store — plus the
+// result sink, and each worker's flight mailbox, over plain TCP, so that
 // quokka-worker OS processes can execute a query's task managers against
 // a head node in another process.
 //
-// The topology is head-relay: the head hosts every worker's mailbox (a
-// real flight.Server per worker), the GCS store and the object store;
-// workers dial the head and nothing else. That keeps every head-side
-// engine path — recovery, cursor fetches, result draining, cleanup —
-// working unchanged against head-local state, at the cost of routing
-// worker-to-worker shuffle through the head (acceptable for the scale
-// this repo targets, and exactly how the paper's head-node Redis + NVMe
-// cache behaves for lineage and spooled results).
+// The topology is the paper's (§IV-A): the head hosts the GCS store, the
+// object store and the result sinks; every worker hosts its own mailbox (a
+// real flight.Server) behind its own listener, whose address the head learns
+// at hello and hands to every peer with each query. A worker reads its own
+// inbox by function call and pushes a piece to a peer in one frame; the head
+// reaches a mailbox only to fetch and drop spooled results and to sweep a
+// finished query. The head's control conn to a worker stays the only
+// liveness arbiter: a push that cannot reach a peer is an error to retry,
+// never a verdict (docs/contracts/flight-transport.md).
 //
 // Every operation is one request frame answered by one response frame, a
 // GCS transaction included: its body runs in the worker against a replica
 // of the query's namespace (gcs.Replica) — a view after one sync frame, an
 // update before one commit frame that ships what the body read and wrote,
-// applied only if the reads are still current. The head keeps no per-conn
-// state and holds no store lock while it reads from or writes to a conn.
+// applied only if the reads are still current. Neither listener keeps
+// per-conn state or holds a lock while it reads from or writes to a conn.
 //
 // Framing is deliberately minimal: a four-byte header (magic, version,
 // type, flags) and a big-endian length, then the payload — which for
@@ -118,13 +119,9 @@ type wbuf struct {
 
 func (w *wbuf) u8(v byte) { w.b = append(w.b, v) }
 
-func (w *wbuf) u32(v uint32) {
-	w.b = binary.BigEndian.AppendUint32(w.b, v)
-}
+func (w *wbuf) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
 
-func (w *wbuf) u64(v uint64) {
-	w.b = binary.BigEndian.AppendUint64(w.b, v)
-}
+func (w *wbuf) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
 
 func (w *wbuf) i64(v int64) { w.u64(uint64(v)) }
 
@@ -282,18 +279,11 @@ func (r *rbuf) bytesOwned(what string) []byte {
 }
 
 func (r *rbuf) task(what string) lineage.TaskName {
-	return lineage.TaskName{
-		Stage:   int(r.i64(what)),
-		Channel: int(r.i64(what)),
-		Seq:     int(r.i64(what)),
-	}
+	return lineage.TaskName{Stage: int(r.i64(what)), Channel: int(r.i64(what)), Seq: int(r.i64(what))}
 }
 
 func (r *rbuf) chanID(what string) lineage.ChannelID {
-	return lineage.ChannelID{
-		Stage:   int(r.i64(what)),
-		Channel: int(r.i64(what)),
-	}
+	return lineage.ChannelID{Stage: int(r.i64(what)), Channel: int(r.i64(what))}
 }
 
 // err returns the latched decode failure, also flagging trailing garbage:

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"quokka/internal/flight"
 	"quokka/internal/gcs"
 	"quokka/internal/lineage"
+	"quokka/internal/storage"
 )
 
 // pushBody is the representative message body of
@@ -26,56 +28,67 @@ func pushBody() []byte {
 	return w.b
 }
 
-// opResponses are the frames a head may answer an op with.
+// opResponses are the frames a listener may answer an op with.
 var opResponses = map[byte]bool{
 	mtOK: true, mtErrResp: true, mtU64Resp: true, mtBoolResp: true,
-	mtBytesResp: true, mtBytesListResp: true, mtIntsResp: true, mtGCSResult: true,
+	mtBytesResp: true, mtGCSResult: true,
 }
 
-// FuzzHandleOp feeds the op dispatcher arbitrary (type, payload) frames over
-// a net.Pipe. Whatever arrives, the head never panics and either answers
-// with one well-formed response frame or refuses with ErrCorrupt without
-// answering; every type outside the declared request set (the retired ones
-// included), a transaction or await frame naming anything but whole query
-// namespaces and the costed object put are refused whatever their payload. The
+// fuzzDispatch drives one dispatcher with one (type, payload) frame over a
+// net.Pipe and holds it to the refused-frame rule: whatever arrives, no panic,
+// and either one well-formed response frame of a declared request type, or a
+// refusal with ErrCorrupt and no answer. It reports whether the frame was
+// accepted.
+func fuzzDispatch(t *testing.T, handle func(net.Conn, byte, []byte) error, declared map[byte]bool, typ byte, payload []byte) bool {
+	srv, cli := net.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		err := handle(srv, typ, payload)
+		srv.Close()
+		done <- err
+	}()
+	cli.SetDeadline(time.Now().Add(20 * time.Second))
+	rt, rp, rerr := readFrame(cli)
+	err := <-done
+	cli.Close()
+
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("type 0x%02x: refused with %v, want ErrCorrupt", typ, err)
+		}
+		if rerr == nil {
+			t.Fatalf("type 0x%02x: answered 0x%02x and then refused", typ, rt)
+		}
+		return false
+	}
+	if rerr != nil || !opResponses[rt] {
+		t.Fatalf("type 0x%02x: accepted, but the answer was 0x%02x, %v", typ, rt, rerr)
+	}
+	if rt == mtErrResp && errors.Is(decodeErr(rp), ErrCorrupt) {
+		t.Fatalf("type 0x%02x: malformed error response", typ)
+	}
+	if !declared[typ] {
+		t.Fatalf("type 0x%02x accepted: retired, never declared or the other listener's", typ)
+	}
+	return true
+}
+
+// FuzzHandleOp feeds the head's op dispatcher arbitrary (type, payload)
+// frames. Every type outside its declared request set (the retired ones and
+// every flight type included: the head hosts no mailbox), a transaction or
+// await frame naming anything but whole query namespaces and the costed object
+// put are refused whatever their payload. The
 // checked-in corpus (testdata/fuzz/FuzzHandleOp) is the truncation sweep's
 // body at several cuts, one frame per retired type, and the transaction, await
-// and probe frames well-formed and with hostile counts. An await frame parks
-// for the server's cap at most (opServer: 1 ms), whatever it asks for.
+// and (retired) probe frames well-formed and with hostile counts. An await
+// frame parks for the server's cap at most (opServer: 1 ms), whatever it asks for.
 func FuzzHandleOp(f *testing.F) {
 	f.Add(mtFlPush, pushBody())
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
-		s := opServer(t)
-		srv, cli := net.Pipe()
-		done := make(chan error, 1)
-		go func() {
-			err := s.handleOp(srv, typ, payload)
-			srv.Close()
-			done <- err
-		}()
-		cli.SetDeadline(time.Now().Add(20 * time.Second))
-		rt, rp, rerr := readFrame(cli)
-		err := <-done
-		cli.Close()
-
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("type 0x%02x: refused with %v, want ErrCorrupt", typ, err)
-			}
-			if rerr == nil {
-				t.Fatalf("type 0x%02x: answered 0x%02x and then refused", typ, rt)
-			}
+		if !fuzzDispatch(t, opServer(t).handleOp, headRequests, typ, payload) {
 			return
 		}
-		if rerr != nil || !opResponses[rt] {
-			t.Fatalf("type 0x%02x: accepted, but the answer was 0x%02x, %v", typ, rt, rerr)
-		}
-		if rt == mtErrResp && errors.Is(decodeErr(rp), ErrCorrupt) {
-			t.Fatalf("type 0x%02x: malformed error response", typ)
-		}
 		switch {
-		case !opRequests[typ]:
-			t.Fatalf("type 0x%02x accepted: retired or never declared", typ)
 		case typ == mtGCSSync || typ == mtGCSAwaitNS:
 			r := rbuf{b: payload}
 			if ns := r.str("ns"); !gcs.IsNamespace(ns) {
@@ -104,6 +117,34 @@ func FuzzHandleOp(f *testing.F) {
 			if !r.boolean("free") {
 				t.Fatal("costed object put accepted")
 			}
+		}
+	})
+}
+
+// FuzzMailboxOp feeds a worker's mailbox dispatcher — the second listener, so
+// the second attack surface — arbitrary (type, payload) frames. Every type but
+// the four remote flight requests, a request naming another worker's mailbox,
+// and a body cut or padded anywhere are refused whatever the rest says, and a
+// refused frame leaves the mailbox as it was. The checked-in corpus
+// (testdata/fuzz/FuzzMailboxOp) is the fl_* half of FuzzHandleOp's: the push
+// body at several cuts, a foreign worker id, and the retired owner-only frames
+// with their hostile counts.
+func FuzzMailboxOp(f *testing.F) {
+	f.Add(mtFlPush, pushBody())
+	m := &mailbox{self: 1, fl: flight.NewServer(storage.CostModel{}, nil)}
+	keep := lineage.TaskName{Stage: 9}
+	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
+		m.fl.SpoolResult("q-keep", keep, []byte("kept"), 0)
+		before := m.fl.BufferedBytes()
+		if fuzzDispatch(t, m.handle, mailboxRequests, typ, payload) {
+			if wid := (&rbuf{b: payload}).u32("worker"); wid != m.self {
+				t.Fatalf("0x%02x for worker %d accepted by worker %d", typ, wid, m.self)
+			}
+			m.fl.DropQuery((&rbuf{b: payload[4:]}).str("query")) // an accepted push: swept, the next input starts clean
+			return
+		}
+		if v, err := m.fl.FetchResult("q-keep", keep); string(v) != "kept" || m.fl.BufferedBytes() != before {
+			t.Fatalf("a refused 0x%02x changed the mailbox: result %q, %v; %d -> %d bytes", typ, v, err, before, m.fl.BufferedBytes())
 		}
 	})
 }

@@ -9,22 +9,24 @@ import (
 
 // Message types. The control conn (one per worker, full-duplex) carries
 // the 0x0x range; op conns (pooled, strict request/response) carry the
-// rest. An op conn is any conn whose first frame is not mtHello.
+// rest: to the head's listener (any conn whose first frame is not mtHello)
+// the GCS, object and sink requests, to a worker's mailbox listener the
+// flight requests.
 //
 // This const block is the whole message set: one request type per method
-// of the three backend contracts (docs/contracts/) plus the control plane,
-// the result sink and the shared responses. A type byte not listed here —
-// including the retired 0x10–0x1a, 0x21, 0x24, 0x25, 0x2a, 0x32–0x35 and
-// 0x43 — is refused as ErrCorrupt and the conn closed; retired bytes are not
-// reused.
+// of the three backend contracts (docs/contracts/) that has a remote caller,
+// plus the control plane, the result sink and the shared responses. A type
+// byte not listed here — including the retired 0x10–0x1a, 0x21–0x25, 0x27,
+// 0x2a, 0x2b, 0x32–0x35, 0x43, 0x46 and 0x47 — is refused as ErrCorrupt and
+// the conn closed; retired bytes are not reused.
 const (
 	// Control plane, worker <-> head.
-	mtHello      = byte(0x01) // C->S: u32 worker id
+	mtHello      = byte(0x01) // C->S: u32 worker id, str address of the worker's mailbox listener
 	mtHelloResp  = byte(0x02) // S->C: u32 cluster size, u32 self
-	mtStartQuery = byte(0x03) // S->C: str qid, bytes gob WorkerQuerySpec
+	mtStartQuery = byte(0x03) // S->C: str qid, bytes gob WorkerQuerySpec, u64 object put generation, u32 n, n*str mailbox address by worker id ("" = no live process)
 	mtStartAck   = byte(0x04) // C->S: str qid, bool ok, str errmsg
 	mtStopQuery  = byte(0x05) // S->C: str qid
-	mtStopped    = byte(0x06) // C->S: str qid, bytes gob []trace.Span
+	mtStopped    = byte(0x06) // C->S: str qid, bytes gob []trace.Span, u32 n, n*(str counter, i64 delta since the worker's last report, never negative)
 	mtFail       = byte(0x07) // C->S: str qid, str errmsg
 
 	// GCS. A transaction is one request frame: its body runs in the worker
@@ -37,16 +39,14 @@ const (
 	mtGCSCommit  = byte(0x1c) // C->S: u32 n, n*(str ns, u64 replica version, u32 k, k*str read key, u32 p, p*str read prefix), kvs writes -> mtGCSResult (n deltas)
 	mtGCSAwaitNS = byte(0x1d) // C->S: str ns, u64 after, u32 max microseconds -> mtU64Resp, once the version passes after or max (capped by the head) elapses
 
-	// Flight: every request names the target worker's head-hosted mailbox
-	// first (u32 worker id).
+	// Flight, served by the worker that hosts the mailbox: what a peer (push)
+	// and the head (the rest) ask of it. Every request names the mailbox's
+	// worker first (u32), which must be the serving worker itself. Probe, take,
+	// drop and spool are the owner's function calls and have no frame.
 	mtFlPush       = byte(0x20) // + str query, task from, chan dest, i64 input, i64 epoch, bool local, bytes data -> mtOK
-	mtFlTake       = byte(0x22) // + str query, chan dest, i64 input, i64 upChannel, i64 from, i64 count -> mtBytesListResp
-	mtFlDrop       = byte(0x23) // + same shape as take -> mtOK
 	mtFlDropQuery  = byte(0x26) // + str query -> mtOK
-	mtFlSpool      = byte(0x27) // + str query, task, i64 epoch, bytes data -> mtOK
 	mtFlFetch      = byte(0x28) // + str query, task -> mtBytesResp
 	mtFlDropResult = byte(0x29) // + str query, task -> mtOK
-	mtFlProbe      = byte(0x2b) // + str query, chan dest, u32 n, n*(i64 input, i64 upChannel, i64 watermark) -> mtIntsResp
 
 	// Object store. A put is always the uncosted PutFree: free must be true
 	// (the costed form was retired with storage.Objects.Put and is refused).
@@ -59,25 +59,27 @@ const (
 	mtSinkSpooled = byte(0x39) // str qid, task, i64 worker, i64 size, i64 epoch -> mtBoolResp
 
 	// Responses.
-	mtOK            = byte(0x40) // empty
-	mtErrResp       = byte(0x41) // u8 code, str msg
-	mtU64Resp       = byte(0x42) // u64
-	mtBoolResp      = byte(0x44) // bool
-	mtBytesResp     = byte(0x45) // bytes
-	mtBytesListResp = byte(0x46) // u32 n, n*bytes
-	mtIntsResp      = byte(0x47) // u32 n, n*i64
-	mtGCSResult     = byte(0x48) // bool committed, u32 n, n*delta
+	mtOK        = byte(0x40) // empty
+	mtErrResp   = byte(0x41) // u8 code, str msg
+	mtU64Resp   = byte(0x42) // u64
+	mtBoolResp  = byte(0x44) // bool
+	mtBytesResp = byte(0x45) // bytes
+	mtGCSResult = byte(0x48) // bool committed, u32 n, n*delta
 )
 
-// opNames names every op request type for the head's per-type frame and
-// byte counters (metrics.WireFrames/WireBytes + name).
-var opNames = map[byte]string{
-	mtGCSSync: "gcs_sync", mtGCSCommit: "gcs_commit", mtGCSAwaitNS: "gcs_await_ns",
-	mtFlPush: "fl_push", mtFlTake: "fl_take", mtFlDrop: "fl_drop", mtFlDropQuery: "fl_drop_query",
-	mtFlSpool: "fl_spool", mtFlFetch: "fl_fetch", mtFlDropResult: "fl_drop_result", mtFlProbe: "fl_probe",
-	mtObjPut: "obj_put", mtObjGet: "obj_get",
-	mtSinkDeliver: "sink_deliver", mtSinkSpooled: "sink_spooled",
-}
+// headOps and mailboxOps are the two dispatch sets — what the head's listener
+// and a worker's mailbox listener serve — each type under the name its
+// listener counts frames and bytes by (metrics.WireFrames/WireBytes + name).
+var (
+	headOps = map[byte]string{
+		mtGCSSync: "gcs_sync", mtGCSCommit: "gcs_commit", mtGCSAwaitNS: "gcs_await_ns",
+		mtObjPut: "obj_put", mtObjGet: "obj_get",
+		mtSinkDeliver: "sink_deliver", mtSinkSpooled: "sink_spooled",
+	}
+	mailboxOps = map[byte]string{
+		mtFlPush: "fl_push", mtFlDropQuery: "fl_drop_query", mtFlFetch: "fl_fetch", mtFlDropResult: "fl_drop_result",
+	}
+)
 
 // Error codes carried by mtErrResp. Sentinel errors the engine's
 // semantics lean on travel as codes so the client can hand back the
@@ -102,8 +104,7 @@ func encodeErr(err error) []byte {
 // decodeErr rebuilds the error behind an mtErrResp payload.
 func decodeErr(payload []byte) error {
 	r := rbuf{b: payload}
-	code := r.u8("err code")
-	msg := r.str("err msg")
+	code, msg := r.u8("err code"), r.str("err msg")
 	if derr := r.err(); derr != nil {
 		return derr
 	}

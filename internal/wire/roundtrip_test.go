@@ -26,15 +26,19 @@ import (
 // transaction read, two mailbox frames per upstream channel per round —
 // measured 54.1 to 56.3 here (8,930 to 9,283 frames for the same 165 tasks,
 // counted in handleOp and serveTxn of a scratch copy of the parent commit);
-// the budget is under a sixth of that. One frame per transaction measured 7.9
+// the budget is under a tenth of that. One frame per transaction measured 7.9
 // to 8.4; with every poll read served from one snapshot — a sync only when the
-// namespace version moved — it measures 6.8 to 7.1.
-const framesPerTaskBudget = 8
+// namespace version moved — 6.8 to 7.1; with each worker hosting its own
+// mailbox (probe, take, drop and spool are function calls, a same-worker push
+// too) 3.4 to 3.8, of which a worker's listener serves about one.
+const framesPerTaskBudget = 5
 
 // TestRoundTripsPerTask runs one TPC-H query on two wire-attached workers and
-// divides the head's op request frames by the tasks committed: a transaction
-// is one frame and a channel's mailbox probe one frame per round, so the
-// quotient stays within a small multiple of the paper's "one write per task".
+// divides the op request frames the fleet served — the head's and, reported
+// when the query stopped, each worker's mailbox listener's — by the tasks
+// committed: a transaction is one frame, a piece pushed to a peer one frame and
+// reading one's own inbox none, so the quotient stays within a small multiple
+// of the paper's "one write per task".
 func TestRoundTripsPerTask(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-mode e2e is not short")
@@ -78,7 +82,17 @@ func TestRoundTripsPerTask(t *testing.T) {
 		t.Errorf("%.1f request frames per committed task, budget %d", perTask, framesPerTaskBudget)
 	}
 	if n := cl.Metrics.Get(metrics.WireFramesRefused); n != 0 {
-		t.Errorf("%d frames of a retired or unknown type reached the head", n)
+		t.Errorf("%d frames of a retired or unknown type reached a listener", n)
+	}
+	// A push crosses a socket only between workers, once: never more frames
+	// than pieces whose consumer is placed elsewhere (counted by the mailboxes
+	// that stored them; an empty piece is pushed but not counted there).
+	pushes, cross, moved := cl.Metrics.Get(metrics.WireFrames+"fl_push"), cl.Metrics.Get(metrics.NetworkPushes), cl.Metrics.Get(metrics.PartitionsMoved)
+	if pushes == 0 || cross == 0 || cross > pushes {
+		t.Errorf("%d push frames, %d non-empty cross-worker pieces stored", pushes, cross)
+	}
+	if pushes >= moved {
+		t.Errorf("%d push frames for %d pieces: a same-worker piece crossed a socket", pushes, moved)
 	}
 	// A transaction is one frame: as many sync and commit frames as the store
 	// counted transactions from the wire, never more.
@@ -100,9 +114,11 @@ func TestRoundTripsPerTask(t *testing.T) {
 }
 
 func knownOp(op string) bool {
-	for _, name := range opNames {
-		if name == op {
-			return true
+	for _, ops := range []map[byte]string{headOps, mailboxOps} {
+		for _, name := range ops {
+			if name == op {
+				return true
+			}
 		}
 	}
 	return false
@@ -211,7 +227,9 @@ func TestConcurrentClientsSerialize(t *testing.T) {
 }
 
 // TestNoDelayOnOpConns reads TCP_NODELAY back from the kernel on both ends of
-// a dialled conn: the pool's end and the head's accepted end.
+// all three kinds of conn: worker to head (the pool's end and the head's
+// accepted end), and to a worker's mailbox from a peer and from the head (the
+// dialling pool's end and the mailbox's accepted end).
 func TestNoDelayOnOpConns(t *testing.T) {
 	cl, err := cluster.New(cluster.Options{Workers: 1, Cost: storage.CostModel{}})
 	if err != nil {
@@ -250,10 +268,19 @@ func TestNoDelayOnOpConns(t *testing.T) {
 		t.Error("TCP_NODELAY is off on a conn the pool dialled")
 	}
 
-	// The accepted end: attach as worker 0 over that conn and look at the conn
-	// the head filed under it — every accepted conn takes the same path.
+	// The accepted end: attach as worker 0 over that conn, naming a mailbox,
+	// and look at the conn the head filed under it — every accepted conn takes
+	// the same path.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mailboxEnd := make(chan net.Conn, 1) // the one conn dialled to it below
+	mbox := openMailbox(recordingListener{ln, mailboxEnd}, 0, nil)
+	defer mbox.stopListening()
 	var hello wbuf
 	hello.u32(0)
+	hello.str(mbox.ln.Addr().String())
 	if err := writeFrame(dialled, mtHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
@@ -266,4 +293,38 @@ func TestNoDelayOnOpConns(t *testing.T) {
 	if noDelayOf(accepted) == 0 {
 		t.Error("TCP_NODELAY is off on a conn the head accepted")
 	}
+
+	// A mailbox conn, dialled by the head's handle on worker 0 (a peer's pool is
+	// the same constructor) and held open by an exchange on it.
+	cl.Workers[0].Flight.DropQuery("q")
+	peer, err := srv.peers[0].get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	if noDelayOf(peer) == 0 {
+		t.Error("TCP_NODELAY is off on a conn dialled to a mailbox")
+	}
+	select {
+	case c := <-mailboxEnd:
+		if noDelayOf(c) == 0 {
+			t.Error("TCP_NODELAY is off on a conn a mailbox accepted")
+		}
+	default:
+		t.Fatal("the mailbox accepted no conn")
+	}
+}
+
+// recordingListener hands a test the conns its listener accepted.
+type recordingListener struct {
+	net.Listener
+	conns chan net.Conn
+}
+
+func (l recordingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.conns <- c
+	}
+	return c, err
 }

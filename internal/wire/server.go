@@ -16,27 +16,28 @@ import (
 
 	"quokka/internal/cluster"
 	"quokka/internal/engine"
-	"quokka/internal/flight"
 	"quokka/internal/gcs"
 	"quokka/internal/metrics"
+	"quokka/internal/storage"
 	"quokka/internal/trace"
 )
 
-// Server is the head node's wire endpoint. It serves the cluster's GCS,
-// every worker's head-hosted flight mailbox, the object store and the
-// result sinks of registered queries to quokka-worker processes, and
-// implements engine.RemoteExec to ship queries out to them.
+// Server is the head node's wire endpoint. It serves the cluster's GCS, the
+// object store and the result sinks of registered queries to quokka-worker
+// processes, and implements engine.RemoteExec to ship queries out to them.
+// It hosts no mailbox: each worker process serves its own (mailbox), and the
+// head's cl.Workers[i].Flight is a client of worker i's listener.
 type Server struct {
 	cl    *cluster.Cluster
 	store *gcs.Store
+	objs  *storage.ObjectStore
 	met   *metrics.Collector
 	ln    net.Listener
+	meter *opMeter
 
-	// Pre-resolved counters (one atomic add each): every byte a conn moves
-	// (net.bytes.wire) and, per op request type, frames and bytes (opNames).
-	wireBytes *atomic.Int64
-	opFrames  [256]*atomic.Int64
-	opBytes   [256]*atomic.Int64
+	// peers[i] dials worker i's mailbox listener: made once here, pointed at
+	// the address the worker names when it attaches.
+	peers []*pool
 
 	// parkCap bounds how long one mtGCSAwaitNS frame parks its handler,
 	// whatever the peer asked for: a dead or hostile one pins a goroutine
@@ -53,8 +54,9 @@ type Server struct {
 
 // controlConn is the head's handle on one attached worker process.
 type controlConn struct {
-	wid cluster.WorkerID
-	c   net.Conn
+	wid  cluster.WorkerID
+	c    net.Conn
+	addr string // the worker's mailbox listener
 
 	wmu sync.Mutex // serializes frame writes (start/stop vs concurrent queries)
 
@@ -76,12 +78,18 @@ func (cc *controlConn) send(typ byte, payload []byte) error {
 }
 
 // NewServer starts the head's wire endpoint on addr (":0" for an
-// ephemeral port). The cluster's GCS must be the in-memory store — the
-// head is where the real store lives in process mode.
+// ephemeral port). The cluster's GCS and object store must be the in-memory
+// ones — the head is where the real stores live in process mode. Every
+// worker's Flight becomes the head's handle on the mailbox its process will
+// host: installed here, once, so no query sees the field change.
 func NewServer(cl *cluster.Cluster, addr string) (*Server, error) {
 	store, ok := cl.GCS.(*gcs.Store)
 	if !ok {
 		return nil, fmt.Errorf("wire: cluster GCS is %T, need the head's in-memory *gcs.Store", cl.GCS)
+	}
+	objs, ok := cl.ObjStore.(*storage.ObjectStore)
+	if !ok {
+		return nil, fmt.Errorf("wire: cluster object store is %T, need the head's *storage.ObjectStore", cl.ObjStore)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -90,20 +98,32 @@ func NewServer(cl *cluster.Cluster, addr string) (*Server, error) {
 	s := &Server{
 		cl:      cl,
 		store:   store,
+		objs:    objs,
 		met:     cl.Metrics,
 		ln:      ln,
+		meter:   newOpMeter(cl.Metrics, headOps),
 		ctrl:    make(map[cluster.WorkerID]*controlConn),
 		queries: make(map[string]*engine.Runner),
-
-		wireBytes: cl.Metrics.Counter(metrics.NetBytesWire),
-		parkCap:   100 * time.Millisecond,
+		parkCap: 100 * time.Millisecond,
 	}
-	for typ, name := range opNames {
-		s.opFrames[typ] = cl.Metrics.Counter(metrics.WireFrames + name)
-		s.opBytes[typ] = cl.Metrics.Counter(metrics.WireBytes + name)
+	for _, w := range cl.Workers {
+		p := newPeerPool(context.Background())
+		s.peers = append(s.peers, p)
+		// Fail through the head's handle declares the worker dead: no more frames
+		// to its mailbox, and its control conn severed, on which the process
+		// fails the mailbox itself.
+		w.Flight = &flightClient{p: p, worker: uint32(w.ID), fail: func() {
+			p.close()
+			s.mu.Lock()
+			cc := s.ctrl[w.ID]
+			s.mu.Unlock()
+			if cc != nil {
+				cc.c.Close()
+			}
+		}}
 	}
 	s.cond = sync.NewCond(&s.mu)
-	go s.acceptLoop()
+	go s.meter.listen(ln, s.serve)
 	return s, nil
 }
 
@@ -131,6 +151,9 @@ func (s *Server) Close() {
 	for _, cc := range ctrl {
 		cc.c.Close()
 	}
+	for _, p := range s.peers {
+		p.close()
+	}
 	for _, cmd := range procs {
 		if cmd.Process != nil {
 			cmd.Process.Signal(syscall.SIGKILL)
@@ -138,17 +161,6 @@ func (s *Server) Close() {
 	}
 	for _, cmd := range procs {
 		cmd.Wait()
-	}
-}
-
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		noDelay(conn)
-		go s.serve(&countingConn{Conn: conn, wire: s.wireBytes})
 	}
 }
 
@@ -175,19 +187,58 @@ func (s *Server) serve(c *countingConn) {
 		return
 	}
 	defer c.Close()
+	s.meter.serveOps(c, typ, payload, s.handleOp)
+}
+
+// opMeter is one listener's attribution, into its process's collector: every
+// byte its accepted conns move (net.bytes.wire) and, per request type of its
+// dispatch set, frames and bytes — pre-resolved, one atomic add each.
+type opMeter struct {
+	met    *metrics.Collector
+	wire   *atomic.Int64
+	frames [256]*atomic.Int64
+	bytes  [256]*atomic.Int64
+}
+
+func newOpMeter(met *metrics.Collector, ops map[byte]string) *opMeter {
+	m := &opMeter{met: met, wire: met.Counter(metrics.NetBytesWire)}
+	for typ, name := range ops {
+		m.frames[typ] = met.Counter(metrics.WireFrames + name)
+		m.bytes[typ] = met.Counter(metrics.WireBytes + name)
+	}
+	return m
+}
+
+// listen hands every conn ln accepts — Nagle off, its bytes counted — to serve,
+// on a goroutine of its own, until ln closes.
+func (m *opMeter) listen(ln net.Listener, serve func(*countingConn)) {
 	for {
-		// Attribution: the request frame here, the answer as handleOp writes it.
-		if c.op = s.opBytes[typ]; c.op != nil {
-			s.opFrames[typ].Add(1)
-			c.op.Add(int64(headerSize + len(payload)))
-		} else {
-			s.met.Add(metrics.WireFramesRefused, 1)
-		}
-		if err := s.handleOp(c, typ, payload); err != nil {
+		conn, err := ln.Accept()
+		if err != nil {
 			return
 		}
-		typ, payload, err = readFrame(c)
-		if err != nil {
+		noDelay(conn)
+		go serve(&countingConn{Conn: conn, wire: m.wire})
+	}
+}
+
+// serveOps is the request/response loop of one accepted op conn, from the
+// request already read on: count it, hand it to the listener's dispatcher,
+// read the next. A dispatcher's error ends the conn unanswered.
+func (m *opMeter) serveOps(c *countingConn, typ byte, payload []byte, handle func(net.Conn, byte, []byte) error) {
+	for {
+		// Attribution: the request frame here, the answer as handle writes it.
+		if c.op = m.bytes[typ]; c.op != nil {
+			m.frames[typ].Add(1)
+			c.op.Add(int64(headerSize + len(payload)))
+		} else {
+			m.met.Add(metrics.WireFramesRefused, 1)
+		}
+		if handle(c, typ, payload) != nil {
+			return
+		}
+		var err error
+		if typ, payload, err = readFrame(c); err != nil {
 			return
 		}
 	}
@@ -199,17 +250,15 @@ func (s *Server) serve(c *countingConn) {
 func (s *Server) serveControl(c net.Conn, hello []byte) {
 	r := rbuf{b: hello}
 	wid := cluster.WorkerID(r.u32("hello worker id"))
-	if err := r.err(); err != nil {
-		c.Close()
-		return
-	}
-	if int(wid) < 0 || int(wid) >= len(s.cl.Workers) {
+	addr := r.str("hello mailbox address")
+	if r.err() != nil || int(wid) < 0 || int(wid) >= len(s.cl.Workers) || addr == "" {
 		c.Close()
 		return
 	}
 	cc := &controlConn{
 		wid:   wid,
 		c:     c,
+		addr:  addr,
 		acks:  make(map[string]chan startAck),
 		stops: make(map[string]chan []trace.Span),
 		down:  make(chan struct{}),
@@ -221,31 +270,27 @@ func (s *Server) serveControl(c net.Conn, hello []byte) {
 		return
 	}
 	s.ctrl[wid] = cc
+	s.peers[wid].setAddr(addr)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
 	var h wbuf
 	h.u32(uint32(len(s.cl.Workers)))
 	h.u32(uint32(wid))
+	defer s.detach(cc) // however the loop ends, the conn has: a write or read failed, or a frame was corrupt
 	if cc.send(mtHelloResp, h.b) != nil {
-		s.detach(cc, true)
 		return
 	}
-
 	for {
 		typ, payload, err := readFrame(c)
 		if err != nil {
-			s.detach(cc, true)
 			return
 		}
 		pr := rbuf{b: payload}
 		switch typ {
 		case mtStartAck:
-			qid := pr.str("ack qid")
-			ok := pr.boolean("ack ok")
-			msg := pr.str("ack msg")
+			qid, ok, msg := pr.str("ack qid"), pr.boolean("ack ok"), pr.str("ack msg")
 			if pr.err() != nil {
-				s.detach(cc, true)
 				return
 			}
 			cc.mu.Lock()
@@ -256,11 +301,25 @@ func (s *Server) serveControl(c net.Conn, hello []byte) {
 				ch <- startAck{ok: ok, msg: msg}
 			}
 		case mtStopped:
-			qid := pr.str("stopped qid")
-			spansGob := pr.bytesOwned("stopped spans")
+			qid, spansGob := pr.str("stopped qid"), pr.bytesOwned("stopped spans")
+			// What the worker's collector counted since its last report: added
+			// in here, before the stop that waits for this frame returns. Counters
+			// only: a gauge is not summed, and one that shrank is a corrupt frame.
+			deltas := map[string]int64{}
+			for n := pr.count("stopped counter count", 12); n > 0; n-- {
+				name, d := pr.str("stopped counter"), pr.i64("stopped delta")
+				if d < 0 {
+					return
+				}
+				if !metrics.IsGauge(name) {
+					deltas[name] += d
+				}
+			}
 			if pr.err() != nil {
-				s.detach(cc, true)
 				return
+			}
+			for name, d := range deltas {
+				s.met.Add(name, d)
 			}
 			var spans []trace.Span
 			if len(spansGob) > 0 {
@@ -276,10 +335,8 @@ func (s *Server) serveControl(c net.Conn, hello []byte) {
 				ch <- spans
 			}
 		case mtFail:
-			qid := pr.str("fail qid")
-			msg := pr.str("fail msg")
+			qid, msg := pr.str("fail qid"), pr.str("fail msg")
 			if pr.err() != nil {
-				s.detach(cc, true)
 				return
 			}
 			s.mu.Lock()
@@ -289,17 +346,16 @@ func (s *Server) serveControl(c net.Conn, hello []byte) {
 				run.ReportWorkerFailure(fmt.Errorf("worker %d: %s", cc.wid, msg))
 			}
 		default:
-			s.detach(cc, true)
 			return
 		}
 	}
 }
 
 // detach drops a worker's control conn. Losing the conn outside a server
-// shutdown IS the liveness signal: the worker process died (or hung), so
-// the head kills the cluster-side worker — failing its head-hosted
-// mailbox and triggering the engine's usual rewind/replay recovery.
-func (s *Server) detach(cc *controlConn, kill bool) {
+// shutdown IS the liveness signal, and the only one: the worker process died
+// (or hung) and its mailbox with it, so the head kills the cluster-side
+// worker, triggering the engine's usual rewind/replay recovery.
+func (s *Server) detach(cc *controlConn) {
 	s.mu.Lock()
 	if s.ctrl[cc.wid] == cc {
 		delete(s.ctrl, cc.wid)
@@ -309,7 +365,7 @@ func (s *Server) detach(cc *controlConn, kill bool) {
 	s.mu.Unlock()
 	cc.c.Close()
 	close(cc.down)
-	if kill && !closed {
+	if !closed {
 		s.cl.Worker(cc.wid).Kill()
 	}
 }
@@ -401,6 +457,7 @@ func (s *Server) StartQuery(r *engine.Runner) (func(), error) {
 	// spans all live workers, and a missing process would strand its
 	// channels' tasks forever.
 	var ccs []*controlConn
+	addrs := make([]string, len(s.cl.Workers)) // the peer table: "" for a worker with no live process
 	for _, w := range s.cl.Workers {
 		if !w.Alive() {
 			continue
@@ -411,6 +468,7 @@ func (s *Server) StartQuery(r *engine.Runner) (func(), error) {
 			return nil, fmt.Errorf("wire: worker %d is alive but no process is attached", w.ID)
 		}
 		ccs = append(ccs, cc)
+		addrs[w.ID] = cc.addr
 	}
 	if len(ccs) == 0 {
 		s.mu.Unlock()
@@ -422,8 +480,12 @@ func (s *Server) StartQuery(r *engine.Runner) (func(), error) {
 	var msg wbuf
 	msg.str(qid)
 	msg.bytes(data)
+	msg.u64(s.objs.PutGen())
+	msg.strs(addrs)
 
-	started := make([]*controlConn, 0, len(ccs))
+	// Every worker gets its frame before any ack is awaited: a start costs one
+	// round trip and one spec decode, not one of each per worker.
+	acks := make([]chan startAck, 0, len(ccs))
 	var startErr error
 	for _, cc := range ccs {
 		ack := make(chan startAck, 1)
@@ -434,20 +496,31 @@ func (s *Server) StartQuery(r *engine.Runner) (func(), error) {
 			startErr = fmt.Errorf("wire: start query on worker %d: %w", cc.wid, err)
 			break
 		}
-		select {
-		case a := <-ack:
-			if !a.ok {
-				startErr = fmt.Errorf("wire: worker %d rejected query: %s", cc.wid, a.msg)
-			}
-		case <-cc.down:
-			startErr = fmt.Errorf("wire: worker %d died during query start", cc.wid)
-		case <-time.After(30 * time.Second):
-			startErr = fmt.Errorf("wire: worker %d start ack timeout", cc.wid)
-		}
+		acks = append(acks, ack)
+	}
+	started := ccs[:len(acks)] // whom a frame went to, and stop() must reach
+	timeout := time.After(30 * time.Second)
+	for i, cc := range started {
 		if startErr != nil {
 			break
 		}
-		started = append(started, cc)
+		var a startAck // not ok until the worker says so
+		select {
+		case a = <-acks[i]:
+		case <-cc.down:
+			// Acked and then died (a head-side kill severs the conn at once) is a
+			// death mid-query, recovery's business: the ack was filed first.
+			select {
+			case a = <-acks[i]:
+			default:
+				a.msg = "died before its ack"
+			}
+		case <-timeout:
+			a.msg = "ack timeout"
+		}
+		if !a.ok {
+			startErr = fmt.Errorf("wire: worker %d did not start the query: %s", cc.wid, a.msg)
+		}
 	}
 
 	stop := func() {
@@ -460,10 +533,7 @@ func (s *Server) StartQuery(r *engine.Runner) (func(), error) {
 			cc.stops[qid] = ch
 			cc.mu.Unlock()
 			waits[i] = ch
-			if cc.send(mtStopQuery, sq.b) != nil {
-				// Conn already dead; the down channel unblocks the wait.
-				continue
-			}
+			cc.send(mtStopQuery, sq.b) // on a dead conn the down channel unblocks the wait
 		}
 		for i, cc := range started {
 			select {
@@ -501,37 +571,28 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 	case mtGCSSync, mtGCSCommit, mtGCSAwaitNS:
 		return s.handleGCS(c, typ, payload)
 
-	case mtFlPush, mtFlTake, mtFlDrop, mtFlDropQuery, mtFlSpool, mtFlFetch,
-		mtFlDropResult, mtFlProbe:
-		return s.handleFlight(c, typ, payload)
-
 	case mtObjPut:
 		r := rbuf{b: payload}
-		key := r.str("key")
-		free := r.boolean("free")
-		val := r.bytesOwned("val")
+		key, free, val := r.str("key"), r.boolean("free"), r.bytesOwned("val")
 		if err := r.err(); err != nil {
 			return err
 		}
 		if !free {
 			return fmt.Errorf("%w: costed object put", ErrCorrupt)
 		}
-		s.cl.ObjStore.PutFree(key, val)
+		s.objs.PutFree(key, val)
 		return writeFrame(c, mtOK, nil)
 	case mtObjGet:
 		r := rbuf{b: payload}
-		key := r.str("key")
-		free := r.boolean("free")
+		key, free := r.str("key"), r.boolean("free")
 		if err := r.err(); err != nil {
 			return err
 		}
-		var val []byte
-		var err error
+		get := s.objs.Get
 		if free {
-			val, err = s.cl.ObjStore.GetFree(key)
-		} else {
-			val, err = s.cl.ObjStore.Get(key)
+			get = s.objs.GetFree
 		}
+		val, err := get(key)
 		if err != nil {
 			return writeFrame(c, mtErrResp, encodeErr(err))
 		}
@@ -563,123 +624,6 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		return writeFrame(c, mtBoolResp, w.b)
 	}
 	return fmt.Errorf("%w: unknown op 0x%02x", ErrCorrupt, typ)
-}
-
-// handleFlight serves one mailbox op against the target worker's
-// head-hosted flight server.
-func (s *Server) handleFlight(c net.Conn, typ byte, payload []byte) error {
-	r := rbuf{b: payload}
-	wid := int(r.u32("flight worker id"))
-	if r.e == nil && (wid < 0 || wid >= len(s.cl.Workers)) {
-		return fmt.Errorf("%w: flight op for unknown worker %d", ErrCorrupt, wid)
-	}
-	var tr flight.Transport
-	if r.e == nil {
-		tr = s.cl.Workers[wid].Flight
-	}
-	switch typ {
-	case mtFlPush:
-		p := flight.Partition{Query: r.str("query")}
-		p.From = r.task("from")
-		p.Dest = r.chanID("dest")
-		p.Input = int(r.i64("input"))
-		p.Epoch = int(r.i64("epoch"))
-		p.Local = r.boolean("local")
-		p.Data = r.bytesOwned("data")
-		if err := r.err(); err != nil {
-			return err
-		}
-		if err := tr.Push(p); err != nil {
-			return writeFrame(c, mtErrResp, encodeErr(err))
-		}
-		return writeFrame(c, mtOK, nil)
-	case mtFlProbe:
-		query := r.str("query")
-		dest := r.chanID("dest")
-		edges := make([]flight.Edge, r.count("edge count", 24))
-		for i := range edges {
-			edges[i] = flight.Edge{Input: int(r.i64("input")), UpChannel: int(r.i64("upChannel")), Watermark: int(r.i64("watermark"))}
-		}
-		if err := r.err(); err != nil {
-			return err
-		}
-		var w wbuf
-		w.u32(uint32(len(edges)))
-		for _, a := range tr.Probe(query, dest, edges) {
-			w.i64(int64(a))
-		}
-		return writeFrame(c, mtIntsResp, w.b)
-	case mtFlTake, mtFlDrop:
-		query := r.str("query")
-		dest := r.chanID("dest")
-		input := int(r.i64("input"))
-		up := int(r.i64("upChannel"))
-		from := int(r.i64("from"))
-		count := int(r.i64("count"))
-		if err := r.err(); err != nil {
-			return err
-		}
-		// Both walk count slots under the mailbox lock: an unbounded count is
-		// one frame that wedges the mailbox (found by FuzzHandleOp).
-		if count < 0 || count > 1<<20 {
-			return fmt.Errorf("%w: partition count %d", ErrCorrupt, count)
-		}
-		if typ == mtFlDrop {
-			tr.Drop(query, dest, input, up, from, count)
-			return writeFrame(c, mtOK, nil)
-		}
-		parts, err := tr.Take(query, dest, input, up, from, count)
-		if err != nil {
-			return writeFrame(c, mtErrResp, encodeErr(err))
-		}
-		var w wbuf
-		w.u32(uint32(len(parts)))
-		for _, p := range parts {
-			w.bytes(p)
-		}
-		return writeFrame(c, mtBytesListResp, w.b)
-	case mtFlDropQuery:
-		query := r.str("query")
-		if err := r.err(); err != nil {
-			return err
-		}
-		tr.DropQuery(query)
-		return writeFrame(c, mtOK, nil)
-	case mtFlSpool:
-		query := r.str("query")
-		t := r.task("task")
-		epoch := int(r.i64("epoch"))
-		data := r.bytesOwned("data")
-		if err := r.err(); err != nil {
-			return err
-		}
-		if err := tr.SpoolResult(query, t, data, epoch); err != nil {
-			return writeFrame(c, mtErrResp, encodeErr(err))
-		}
-		return writeFrame(c, mtOK, nil)
-	case mtFlFetch:
-		query := r.str("query")
-		t := r.task("task")
-		if err := r.err(); err != nil {
-			return err
-		}
-		data, err := tr.FetchResult(query, t)
-		if err != nil {
-			return writeFrame(c, mtErrResp, encodeErr(err))
-		}
-		var w wbuf
-		w.bytes(data)
-		return writeFrame(c, mtBytesResp, w.b)
-	case mtFlDropResult:
-		query := r.str("query")
-		t := r.task("task")
-		if err := r.err(); err != nil {
-			return err
-		}
-		tr.DropResult(query, t)
-		return writeFrame(c, mtOK, nil)
-	}
-	return fmt.Errorf("%w: unknown flight op 0x%02x", ErrCorrupt, typ)
 }
 
 // ---------------------------------------------------------------------------
@@ -750,7 +694,7 @@ func (s *Server) handleGCS(c net.Conn, typ byte, payload []byte) error {
 // ---------------------------------------------------------------------------
 // Wire byte accounting
 
-// countingConn counts every byte a head-side conn moves — framing,
+// countingConn counts every byte an accepted conn moves — framing,
 // control traffic and payloads, both directions — into net.bytes.wire.
 // Contrast with net.bytes.modelled, the shuffle payload bytes the cost
 // model charges: the gap between the two is the real protocol overhead.

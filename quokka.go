@@ -134,11 +134,12 @@ func WithShuffleCompression(on bool) Option { return engine.WithShuffleCompressi
 func WithSpillCompression(on bool) Option { return engine.WithSpillCompression(on) }
 
 // WithListenAddr switches a cluster into process mode: the head serves
-// its control plane — GCS transactions, flight mailboxes, the object
-// store and the result sink — to quokka-worker processes over TCP on the
-// given address (":0" picks an ephemeral port; see Cluster.WireAddr).
-// Queries then execute on attached worker processes instead of local
-// goroutines. Empty (the default) keeps the cluster fully in-memory.
+// its control plane — GCS transactions, the object store and the result
+// sink — to quokka-worker processes over TCP on the given address (":0"
+// picks an ephemeral port; see Cluster.WireAddr). Queries then execute on
+// attached worker processes instead of local goroutines; each hosts its
+// own flight mailbox on a listener of its own and pushes to its peers
+// directly. Empty (the default) keeps the cluster fully in-memory.
 //
 // Experimental: the wire protocol and this option's shape may change.
 func WithListenAddr(addr string) Option { return engine.WithListenAddr(addr) }
