@@ -3,13 +3,29 @@
 
 GO ?= go
 
-.PHONY: build test race wake-stress lint loc loc-check bench fuzz-smoke benchmark-smoke dist-smoke fmt fmt-check vet ci
+.PHONY: build test dark race wake-stress lint loc loc-check bench fuzz-smoke benchmark-smoke dist-smoke fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+## dark: one coverage run of every package's tests over every package, then
+## no non-test function of the control plane (internal/engine, wire, gcs,
+## flight, cluster) may sit at 0 % unless internal/lint/dark.allow names it —
+## the check that found checkpoint restart, the fatal-error path and zone-map
+## pruning untested. A listed function that is no longer dark fails it too.
+dark:
+	$(GO) test -coverpkg=./... -coverprofile=.dark.cover ./... > /dev/null
+	@$(GO) tool cover -func=.dark.cover | awk '$$NF == "0.0%" && $$1 ~ /internal\/(engine|wire|gcs|flight|cluster)\// \
+		{ sub(/^quokka\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1 ":" $$2 }' | sort -u > .dark.found; \
+	sed 's/[[:space:]]*#.*//; /^$$/d' internal/lint/dark.allow | sort -u > .dark.allowed; \
+	dark=$$(comm -23 .dark.found .dark.allowed); stale=$$(comm -13 .dark.found .dark.allowed); \
+	rm -f .dark.cover .dark.found .dark.allowed; \
+	if [ -n "$$dark" ]; then echo "functions no test reaches (test them, or list them in internal/lint/dark.allow with a reason):"; echo "$$dark"; fi; \
+	if [ -n "$$stale" ]; then echo "internal/lint/dark.allow lists functions that are covered or gone:"; echo "$$stale"; fi; \
+	[ -z "$$dark$$stale" ] && echo "dark: no unlisted function at 0 %"
 
 ## race: the race-detector job over every internal package (engine, ops,
 ## spill, batch, flight, trace, gcs, metrics, tpch, lint, ...), plus the
@@ -44,7 +60,7 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 24007
+LOC_MAX := 23994
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -100,4 +116,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet lint build test race bench fuzz-smoke benchmark-smoke dist-smoke
+ci: fmt-check vet lint build test dark race bench fuzz-smoke benchmark-smoke dist-smoke

@@ -29,7 +29,7 @@ func main() {
 		system    = flag.String("system", "quokka", "engine preset: quokka|spark|trino")
 		ft        = flag.String("ft", "", "override fault tolerance: none|wal|spool|checkpoint")
 		kill      = flag.Float64("kill", 0, "kill worker 1 at this fraction of the expected runtime (0 = no failure)")
-		timeScale = flag.Float64("timescale", 1.0, "I/O cost-model time scale")
+		timeScale = flag.Float64("timescale", 1.0, "I/O cost-model time scale: > 0 sleeps modelled service times, 0 or negative runs in real time")
 		showRows  = flag.Bool("rows", true, "print result rows")
 		metrics   = flag.Bool("metrics", false, "print all execution counters")
 		explain   = flag.Bool("explain", false, "print the optimized logical plan (pushed predicates, pruned columns, join strategies) instead of running the query")

@@ -20,7 +20,9 @@ const (
 )
 
 func timeRun(cfg quokka.RunConfig) (time.Duration, *quokka.Result) {
-	cl, err := quokka.NewCluster(quokka.ClusterConfig{Workers: workers})
+	// Modelled time: what spooling and checkpointing cost is the object
+	// store's service time, which only the cost model charges here.
+	cl, err := quokka.NewCluster(quokka.ClusterConfig{Workers: workers, TimeScale: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,9 @@ const (
 )
 
 func run(cfg quokka.RunConfig, killAt time.Duration) (*quokka.Result, error) {
-	cl, err := quokka.NewCluster(quokka.ClusterConfig{Workers: workers})
+	// Modelled time (TimeScale 1): the overheads compared are the cost
+	// model's I/O service times, and the kills are placed on its clock.
+	cl, err := quokka.NewCluster(quokka.ClusterConfig{Workers: workers, TimeScale: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +62,7 @@ func main() {
 		log.Fatal("expected the unprotected run to fail")
 	}
 	// Rerun on a degraded cluster.
-	cl, err := quokka.NewCluster(quokka.ClusterConfig{Workers: workers})
+	cl, err := quokka.NewCluster(quokka.ClusterConfig{Workers: workers, TimeScale: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

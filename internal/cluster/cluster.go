@@ -20,14 +20,19 @@ import (
 type WorkerID int
 
 // Worker is one machine: simulated (goroutines against in-memory
-// backends) or real (an OS process attached in process mode — then
-// Flight is the head's handle on the mailbox that process hosts, whose
+// backends) or real (an OS process attached in process mode — then the
+// head's Peer is its handle on the mailbox that process hosts, whose
 // Fail severs the process's control connection, and killFn delivers a
 // real SIGKILL).
 type Worker struct {
-	ID     WorkerID
-	Flight flight.Transport
-	Disk   storage.Disk
+	ID WorkerID
+	// Peer is the worker's mailbox as every process may call it. Mailbox and
+	// Disk are the owner's view, set only in the process that hosts the
+	// worker — the one there is in memory, the quokka-worker itself in
+	// process mode — and nil in every other.
+	Peer    flight.Peer
+	Mailbox flight.Mailbox
+	Disk    storage.Disk
 
 	alive  atomic.Bool
 	kill   chan struct{} // closed on Kill; task loops select on it
@@ -35,9 +40,17 @@ type Worker struct {
 	killFn func() // optional: kill the real process behind this worker
 }
 
-// NewWorker builds a live worker from its parts.
-func NewWorker(id WorkerID, fl flight.Transport, disk storage.Disk) *Worker {
-	w := &Worker{ID: id, Flight: fl, Disk: disk, kill: make(chan struct{})}
+// NewWorker builds a live worker this process hosts from its parts.
+func NewWorker(id WorkerID, mb flight.Mailbox, disk storage.Disk) *Worker {
+	w := NewPeer(id, mb)
+	w.Mailbox, w.Disk = mb, disk
+	return w
+}
+
+// NewPeer builds a live worker another process hosts: all there is of it
+// here is a handle on its mailbox.
+func NewPeer(id WorkerID, p flight.Peer) *Worker {
+	w := &Worker{ID: id, Peer: p, kill: make(chan struct{})}
 	w.alive.Store(true)
 	return w
 }
@@ -61,8 +74,10 @@ func (w *Worker) Kill() {
 		if w.killFn != nil {
 			w.killFn()
 		}
-		w.Flight.Fail()
-		w.Disk.Wipe()
+		w.Peer.Fail()
+		if w.Disk != nil {
+			w.Disk.Wipe()
+		}
 		close(w.kill)
 	})
 }

@@ -22,7 +22,7 @@ import (
 // pushLog wraps a worker's Flight transport, recording every delivered
 // push; fail, when set, may refuse a push before it reaches the mailbox.
 type pushLog struct {
-	flight.Transport
+	flight.Peer
 	mu     *sync.Mutex
 	pushes *[]flight.Partition
 	fail   func(p flight.Partition) error
@@ -34,7 +34,7 @@ func (l pushLog) Push(p flight.Partition) error {
 			return err
 		}
 	}
-	if err := l.Transport.Push(p); err != nil {
+	if err := l.Peer.Push(p); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -47,7 +47,7 @@ func (l pushLog) Push(p flight.Partition) error {
 func logPushes(cl *cluster.Cluster, fail func(p flight.Partition) error) (*sync.Mutex, *[]flight.Partition) {
 	mu, pushes := new(sync.Mutex), new([]flight.Partition)
 	for _, w := range cl.Workers {
-		w.Flight = pushLog{Transport: w.Flight, mu: mu, pushes: pushes, fail: fail}
+		w.Peer = pushLog{Peer: w.Peer, mu: mu, pushes: pushes, fail: fail}
 	}
 	return mu, pushes
 }
@@ -228,7 +228,7 @@ func TestReplayedPiecesAreTheStoredOnes(t *testing.T) {
 			// empty): their backups, or spool objects, then feed the rewound
 			// consumers.
 			consumedOwn := func(tx *gcs.Txn, ch int) bool {
-				wm, _ := txGetWatermark(tx, r.keyWatermark(lineage.ChannelID{Stage: 1, Channel: ch}))
+				wm := committedWatermark(tx, r, lineage.ChannelID{Stage: 1, Channel: ch}, -1)
 				return wm[lineage.EdgeChannel{Input: 0, UpChannel: ch}] > 0
 			}
 			killed := killWhen(r, 1, func(tx *gcs.Txn) bool { return consumedOwn(tx, 0) && consumedOwn(tx, 2) })

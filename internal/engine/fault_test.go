@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/ops"
+	"quokka/internal/trace"
 )
 
 // killAfterTasks kills the given worker once the cluster has executed at
@@ -36,7 +39,7 @@ func killAfterTasks(cl *cluster.Cluster, victim int, n int64) <-chan struct{} {
 		return true
 	}
 	for _, w := range cl.Workers {
-		w.Flight = killerTransport{Transport: w.Flight, due: due}
+		w.Peer = killerTransport{Peer: w.Peer, due: due}
 	}
 	go func() {
 		for !due() {
@@ -48,13 +51,13 @@ func killAfterTasks(cl *cluster.Cluster, victim int, n int64) <-chan struct{} {
 
 // killerTransport asks due before every push.
 type killerTransport struct {
-	flight.Transport
+	flight.Peer
 	due func() bool
 }
 
 func (k killerTransport) Push(p flight.Partition) error {
 	k.due()
-	return k.Transport.Push(p)
+	return k.Peer.Push(p)
 }
 
 // killWhen kills the given worker as soon as the query's committed state
@@ -77,10 +80,62 @@ func killWhen(r *Runner, victim int, cond func(tx *gcs.Txn) bool) <-chan struct{
 	return done
 }
 
-// txGetWatermark decodes a channel's committed watermark for a kill condition.
-func txGetWatermark(tx *gcs.Txn, key string) (lineage.Watermark, error) {
-	v, _ := tx.Get(key)
-	return lineage.DecodeWatermark(v)
+// killInTxn kills the given worker from inside the first update transaction
+// on the cluster's control store that leaves cond true: placed, like
+// killWhen's, by what has been committed, but never late — a poller can sample
+// its way past a short query's last commit and then wait for good. Install it
+// before the query starts.
+func killInTxn(cl *cluster.Cluster, victim int, cond func(tx *gcs.Txn) bool) {
+	kill := cl.Worker(cluster.WorkerID(victim)).Kill // idempotent
+	cl.GCS = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, _ bool) {
+		if cond(tx) {
+			kill()
+		}
+	}}
+}
+
+// txnHook shows after every update transaction that is about to commit — its
+// body returned nil — and whether it is a flush of task commits, the one
+// UpdateMulti caller there is.
+type txnHook struct {
+	gcs.Backend
+	after func(tx *gcs.Txn, flush bool)
+}
+
+func (h txnHook) body(flush bool, fn func(tx *gcs.Txn) error) func(tx *gcs.Txn) error {
+	return func(tx *gcs.Txn) error {
+		err := fn(tx)
+		if err == nil {
+			h.after(tx, flush)
+		}
+		return err
+	}
+}
+
+func (h txnHook) UpdateNS(ns string, fn func(tx *gcs.Txn) error) error {
+	return h.Backend.UpdateNS(ns, h.body(false, fn))
+}
+
+func (h txnHook) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+	return h.Backend.UpdateMulti(nss, h.body(true, fn))
+}
+
+// committedWatermark folds a channel's committed lineage — its first n lin/
+// records, all of them below cur/ for n < 0 — into the watermark it has
+// consumed up to, for a kill condition: the control store keeps no watermark,
+// only what derives one (docs/contracts/control-store.md).
+func committedWatermark(tx *gcs.Txn, r *Runner, id lineage.ChannelID, n int) lineage.Watermark {
+	if n < 0 {
+		n = txGetInt(tx, r.keyCursor(id), 0)
+	}
+	wm := lineage.Watermark{}
+	for q := range n {
+		v, _ := tx.Get(r.keyLineage(lineage.TaskName{Stage: id.Stage, Channel: id.Channel, Seq: q}))
+		if rec, err := lineage.DecodeRecord(v); err == nil && rec.Kind == lineage.KindConsume {
+			wm[lineage.EdgeChannel{Input: rec.Input, UpChannel: rec.UpChannel}] += rec.Count
+		}
+	}
+	return wm
 }
 
 func runWithFailure(t *testing.T, cl *cluster.Cluster, p *Plan, cfg Config, victim int, afterTasks int64) (*batch.Batch, *Report, error) {
@@ -337,4 +392,97 @@ func TestFailureRecoveryWithParallelOperators(t *testing.T) {
 	if string(batch.Encode(gotOut)) != string(batch.Encode(wantOut)) {
 		t.Fatalf("results differ:\nwant %v\ngot  %v", wantOut, gotOut)
 	}
+}
+
+// TestCheckpointRestartRestoresState: the one kind of channel that restarts
+// from a checkpoint mark — an output-stage channel, which no rewound consumer
+// needs re-produced — does: killed past a mark, the sort channel comes back at
+// the mark's Seq, not at 0, with the snapshot's rows and the mark's watermark
+// (the only stored one there is: it equals the fold of the lineage below the
+// mark), and the result is the no-fault run's byte for byte.
+func TestCheckpointRestartRestoresState(t *testing.T) {
+	const n = 6000
+	tables := map[string][]*batch.Batch{"numbers": numbersTable(n, 120)}
+	cfg := DefaultConfig()
+	cfg.FT = FTCheckpoint
+	cfg.CheckpointEveryTasks = 2
+	cfg.MaxTake = 2 // many small sort tasks: marks land while there is work left
+	want, _ := runPlan(t, testCluster(t, 4, tables), spillSortPlan(), cfg)
+	if want == nil || want.NumRows() != n {
+		t.Fatalf("failure-free result: %v", want)
+	}
+
+	cl := testCluster(t, 4, tables)
+	Configure(cl, WithTracing(true))
+	r, err := NewRunner(cl, spillSortPlan(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sort channel is seeded on worker 0. Kill it once the channel has
+	// committed past a mark, so the restart has lineage above the mark to
+	// retrace as well.
+	sortCh := lineage.ChannelID{Stage: 1, Channel: 0}
+	var mark checkpointMark
+	var folded lineage.Watermark
+	killInTxn(cl, 0, func(tx *gcs.Txn) bool {
+		v, _ := tx.Get(r.keyCheckpoint(sortCh))
+		m, err := decodeCheckpoint(v)
+		if err != nil || m.Seq == 0 || txGetInt(tx, r.keyCursor(sortCh), 0) <= m.Seq {
+			return false
+		}
+		if mark.Seq == 0 {
+			mark, folded = m, committedWatermark(tx, r, sortCh, m.Seq)
+		}
+		return true
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	q := r.Start(ctx)
+	got, rep, err := q.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Recoveries == 0 {
+		t.Fatal("no kill, or none the query noticed: nothing recovered")
+	}
+	if !reflect.DeepEqual(mark.WM, folded) {
+		t.Errorf("mark at task %d carries watermark %v, its lineage folds to %v", mark.Seq, mark.WM, folded)
+	}
+	if !bytes.Equal(batch.Encode(got), batch.Encode(want)) {
+		t.Fatalf("result differs from the failure-free run: %d rows, want %d", got.NumRows(), want.NumRows())
+	}
+	// The restarted incarnation: its first task is at a mark (the one the kill
+	// saw, or a later one), and it consumed fewer rows than the table has —
+	// the rest came out of the snapshot.
+	first, rows := -1, int64(0)
+	for _, s := range q.Trace().Snapshot() {
+		if s.Kind == trace.KindTask && s.Stage == sortCh.Stage && s.Epoch > 0 {
+			if first < 0 || s.Seq < first {
+				first = s.Seq
+			}
+			rows += s.InRows
+		}
+	}
+	if first < mark.Seq || rows >= n {
+		t.Errorf("the rewound sort channel restarted at task %d having consumed %d of %d rows: want a start at or past the mark (task %d) and the rest from its snapshot", first, rows, n, mark.Seq)
+	}
+}
+
+// TestFatalTaskErrorFailsQuery: an error retrying cannot fix — here a split
+// object that does not decode — ends Run with that error, under a deadline
+// that a task manager retrying it forever would run out.
+func TestFatalTaskErrorFailsQuery(t *testing.T) {
+	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(400, 8)})
+	cl.ObjStore.PutFree(tableSplitKey("numbers", 3), []byte("not a batch"))
+	r, err := NewRunner(cl, scanFilterAggPlan(0), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, _, err = r.Run(ctx)
+	if err == nil || ctx.Err() != nil || errors.Is(err, ErrQueryFailed) {
+		t.Fatalf("Run over a corrupt split: %v (deadline: %v), want the decode error", err, ctx.Err())
+	}
+	assertNoQueryState(t, cl, "after a fatal task error")
 }

@@ -54,7 +54,6 @@ type commitReq struct {
 	gep      int // global epoch of the snapshot the task's pushes were placed by
 	task     lineage.TaskName
 	rec      lineage.Record
-	wmAfter  lineage.Watermark
 	finalize bool
 	isReplay bool
 	resp     chan error
@@ -211,8 +210,9 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 				tx.Put(r.keyLineage(req.task), req.rec.Encode())
 			}
 			txPutInt(tx, r.keyCursor(req.id), req.task.Seq+1)
-			txPutWatermark(tx, r.keyWatermark(req.id), req.wmAfter)
-			txPutInt(tx, r.keyPartDir(req.task), req.workerID)
+			if r.ft.has(capBackup) {
+				txPutInt(tx, r.keyPartDir(req.task), req.workerID)
+			}
 			if req.finalize {
 				txPutInt(tx, r.keyDone(req.id), req.task.Seq+1)
 			}

@@ -47,7 +47,7 @@ func (t *taskManager) persistAfterPush(task lineage.TaskName, p *pendingTask) er
 	if !t.r.ft.has(capBackup) {
 		return nil
 	}
-	if err := t.w.Disk.Write(backupKey(t.r.qid, task), p.payload); err != nil {
+	if err := t.disk.Write(backupKey(t.r.qid, task), p.payload); err != nil {
 		return err
 	}
 	t.r.count(metrics.BackupWriteBytes, int64(len(p.payload)))
@@ -62,7 +62,7 @@ func (t *taskManager) storedPieceSet(task lineage.TaskName) ([]byte, error) {
 	if t.r.ft.has(capSpool) {
 		return t.r.spool.Get(spoolKey(task))
 	}
-	return t.w.Disk.Read(backupKey(t.r.qid, task))
+	return t.disk.Read(backupKey(t.r.qid, task))
 }
 
 // persistAfterCommit (capCheckpoint) snapshots the channel's operator state

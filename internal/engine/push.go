@@ -134,7 +134,7 @@ func (t *taskManager) pushOutputs(cs *chanState, task lineage.TaskName, p *pendi
 			t.r.count(metrics.HeadResultBytes, int64(len(p.payload)))
 			return nil
 		}
-		if err := t.w.Flight.SpoolResult(t.r.qid, task, p.payload, cs.cep); err != nil {
+		if err := t.mb.SpoolResult(t.r.qid, task, p.payload, cs.cep); err != nil {
 			return err // worker dying: transient, like a failed push
 		}
 		if !t.r.sink.DeliverSpooled(task, int(t.w.ID), int64(len(p.payload)), cs.cep) {
@@ -167,7 +167,7 @@ func (t *taskManager) pushPiece(snap *snapshot, from lineage.TaskName, dest line
 	}
 	dw := t.r.cl.Worker(cluster.WorkerID(wid))
 	local := dw.ID == t.w.ID || len(data) == 0
-	if err := dw.Flight.Push(flight.Partition{
+	if err := dw.Peer.Push(flight.Partition{
 		Query: t.r.qid, From: from, Dest: dest, Input: input, Data: data,
 		Epoch: epoch, Local: local,
 	}); err != nil {

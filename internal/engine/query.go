@@ -195,10 +195,10 @@ func (c *Cursor) NextContext(ctx context.Context) (*batch.Batch, error) {
 	}
 	r := c.q.r
 	fetch := func(t lineage.TaskName, worker int) ([]byte, error) {
-		return r.cl.Worker(cluster.WorkerID(worker)).Flight.FetchResult(r.qid, t)
+		return r.cl.Worker(cluster.WorkerID(worker)).Peer.FetchResult(r.qid, t)
 	}
 	drop := func(t lineage.TaskName, worker int) {
-		r.cl.Worker(cluster.WorkerID(worker)).Flight.DropResult(r.qid, t)
+		r.cl.Worker(cluster.WorkerID(worker)).Peer.DropResult(r.qid, t)
 	}
 	// The collector blocks on a cond var; wake it when ctx fires so the
 	// cancellation is observed promptly.

@@ -98,7 +98,6 @@ func (r *Runner) recover(ctx context.Context) error {
 	if err := r.gcsUpdate(func(tx *gcs.Txn) error {
 		tx.Delete(r.keyBarrier())
 		txPutInt(tx, r.keyGlobalEpoch(), txGetInt(tx, r.keyGlobalEpoch(), 0)+1)
-		txPutInt(tx, r.keyRecoveries(), r.recovered)
 		return nil
 	}); err != nil {
 		return err
@@ -241,18 +240,17 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 				Start: time.Now()})
 		}
 
+		// A channel restarts from scratch, or at its checkpoint mark: the
+		// mark carries the watermark that goes with the operator state.
 		restart := 0
-		wm := lineage.Watermark{}
 		if r.ft.has(capCheckpoint) && !reproduce[id] {
 			if v, ok := tx.Get(r.keyCheckpoint(id)); ok {
 				if ck, err := decodeCheckpoint(v); err == nil {
 					restart = ck.Seq
-					wm = ck.WM
 				}
 			}
 		}
 		txPutInt(tx, r.keyCursor(id), restart)
-		txPutWatermark(tx, r.keyWatermark(id), wm)
 		r.count(metrics.RecoveryRewinds, 1)
 
 		// Any partitions this channel had buffered on other live workers

@@ -197,9 +197,6 @@ func newRunner(cl *cluster.Cluster, plan *Plan, pol Policy, qid string) (*Runner
 	return r, nil
 }
 
-// QueryID returns the runner's cluster-unique query id.
-func (r *Runner) QueryID() string { return r.qid }
-
 // count records an engine event into both the cluster-wide collector and
 // this query's private collector.
 func (r *Runner) count(name string, delta int64) {
@@ -307,7 +304,7 @@ func (r *Runner) execute(ctx context.Context) error {
 func (r *Runner) cleanup() {
 	for _, w := range r.cl.Workers {
 		if w.Alive() {
-			w.Flight.DropQuery(r.qid)
+			w.Peer.DropQuery(r.qid)
 		}
 	}
 	ns := r.keyNS()
@@ -320,7 +317,8 @@ func (r *Runner) cleanup() {
 }
 
 // seed writes the initial execution state into the query's GCS namespace:
-// placement of every channel, zero cursors and epochs. Channel c of every
+// placement of every channel (a cursor and an epoch nobody wrote read as 0).
+// Channel c of every
 // stage starts on worker c mod W, so each worker hosts one channel of each
 // data-parallel stage, as in §IV-A. Nothing outside q/<qid>/ is touched —
 // concurrent queries' state is invisible from here.
@@ -336,8 +334,6 @@ func (r *Runner) seed() error {
 				id := lineage.ChannelID{Stage: s, Channel: c}
 				w := alive[c%len(alive)]
 				txPutInt(tx, r.keyPlacement(id), int(w))
-				txPutInt(tx, r.keyCursor(id), 0)
-				txPutInt(tx, r.keyChanEpoch(id), 0)
 			}
 		}
 		// Record the operator partition count: every TaskManager — including
@@ -444,7 +440,7 @@ func (r *Runner) queryDone(ver uint64) (bool, error) {
 func (r *Runner) drainSpooled() error {
 	for _, e := range r.collector.spooledRefs() {
 		w := r.cl.Worker(cluster.WorkerID(e.worker))
-		data, err := w.Flight.FetchResult(r.qid, e.task)
+		data, err := w.Peer.FetchResult(r.qid, e.task)
 		if err != nil {
 			if !r.collector.hasSpooledOn(e.task, e.worker) {
 				continue // consumed or invalidated while we fetched
@@ -452,7 +448,7 @@ func (r *Runner) drainSpooled() error {
 			return err
 		}
 		if r.collector.materialize(e.task, e.worker, data) {
-			w.Flight.DropResult(r.qid, e.task)
+			w.Peer.DropResult(r.qid, e.task)
 		}
 	}
 	if r.collector.spooledCount() != 0 {

@@ -17,10 +17,9 @@ import (
 type snapshot struct {
 	ver uint64
 
-	bar  int // recovery barrier generation; 0 = down
-	gep  int // global placement epoch
-	recn int // recovery generation: replay queues exist once it is non-zero
-	opp  int // operator partition count seeded for the query
+	bar int // recovery barrier generation; 0 = down
+	gep int // global placement epoch: seeded 1, one more per finished recovery
+	opp int // operator partition count seeded for the query
 
 	chans [][]chanMeta // [stage][channel]
 }
@@ -30,8 +29,7 @@ type chanMeta struct {
 	place  int // hosting worker; -1 = unplaced
 	cep    int
 	cursor int
-	done   int    // task count of the finished channel; -1 = still running
-	wm     []byte // encoded watermark, decoded only by a reset
+	done   int // task count of the finished channel; -1 = still running
 	// replayRec is the committed lineage record at cursor, if there is one: a
 	// rewound channel retraces it instead of choosing inputs.
 	replayRec  *lineage.Record
@@ -74,7 +72,6 @@ func (r *Runner) loadSnapshot(ver uint64) (*snapshot, error) {
 			ver:   ver,
 			bar:   txGetInt(tx, r.keyBarrier(), 0),
 			gep:   txGetInt(tx, r.keyGlobalEpoch(), 0),
-			recn:  txGetInt(tx, r.keyRecoveries(), 0),
 			opp:   txGetInt(tx, r.keyOpParallelism(), r.cfg.Parallelism),
 			chans: make([][]chanMeta, len(r.par)),
 		}
@@ -87,7 +84,6 @@ func (r *Runner) loadSnapshot(ver uint64) (*snapshot, error) {
 				m.cep = txGetInt(tx, r.keyChanEpoch(id), 0)
 				m.cursor = txGetInt(tx, r.keyCursor(id), 0)
 				m.done = txGetInt(tx, r.keyDone(id), -1)
-				m.wm, _ = tx.Get(r.keyWatermark(id))
 				// A finished channel has no task at its cursor. Equality, not
 				// presence: a rewound channel keeps its done/ key while its
 				// cursor starts over.

@@ -109,7 +109,6 @@ func TestStepRejectsStaleSnapshot(t *testing.T) {
 	if err := r.gcsUpdate(func(tx *gcs.Txn) error {
 		txPutInt(tx, r.keyChanEpoch(reader), 1)
 		txPutInt(tx, r.keyCursor(reader), 0)
-		txPutWatermark(tx, r.keyWatermark(reader), lineage.Watermark{})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -266,33 +265,33 @@ func TestSnapshotOneViewPerVersion(t *testing.T) {
 		t.Errorf("unchanged version: image %p -> %p, %d transactions since the first view", first, again, txns()-base-1)
 	}
 
-	commit(r.keyRecoveries(), 3)
+	commit(r.keyOpParallelism(), 3)
 	base = txns()
 	second := everyone(20)
 	if got := txns() - base; got != 1 {
 		t.Errorf("after one commit: %d views for 32 pollers, want 1", got)
 	}
-	if second == first || second.recn != 3 || second.ver <= first.ver {
-		t.Errorf("after one commit: recn %d at version %d (was %d)", second.recn, second.ver, first.ver)
+	if second == first || second.opp != 3 || second.ver <= first.ver {
+		t.Errorf("after one commit: opp %d at version %d (was %d)", second.opp, second.ver, first.ver)
 	}
 
 	// A commit lands between a view's read and its return. The image must not
 	// claim the version that commit produced.
-	commit(r.keyRecoveries(), 4)
+	commit(r.keyOpParallelism(), 4)
 	store.after = func() {
 		store.after = nil
-		commit(r.keyRecoveries(), 5)
+		commit(r.keyOpParallelism(), 5)
 	}
 	raced, err := r.snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if now := r.gcsVersion(); raced.recn != 4 || raced.ver >= now {
-		t.Fatalf("raced image: recn %d stamped %d, namespace at %d", raced.recn, raced.ver, now)
+	if now := r.gcsVersion(); raced.opp != 4 || raced.ver >= now {
+		t.Fatalf("raced image: opp %d stamped %d, namespace at %d", raced.opp, raced.ver, now)
 	}
 	base = txns()
-	if next := everyone(10); next.recn != 5 || next.ver != r.gcsVersion() || txns()-base != 1 {
-		t.Errorf("after the race: recn %d at version %d (namespace at %d), %d views", next.recn, next.ver, r.gcsVersion(), txns()-base)
+	if next := everyone(10); next.opp != 5 || next.ver != r.gcsVersion() || txns()-base != 1 {
+		t.Errorf("after the race: opp %d at version %d (namespace at %d), %d views", next.opp, next.ver, r.gcsVersion(), txns()-base)
 	}
 }
 

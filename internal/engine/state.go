@@ -10,47 +10,34 @@ import (
 )
 
 // GCS key schema. Everything the engine coordinates through lives in the
-// GCS under these prefixes (§IV-B: "the single source of truth for the
-// execution state of the entire system"). Every key is namespaced under
-// the owning query's id — q/<qid>/... — so any number of in-flight queries
-// coexist in one GCS without clobbering each other's lineage, cursors,
-// barriers or recovery queues. A query's whole namespace is deleted when
-// it finishes (success, failure or cancellation):
+// GCS under the owning query's namespace q/<qid>/ (§IV-B: "the single source
+// of truth for the execution state of the entire system"), so any number of
+// in-flight queries coexist in one GCS without clobbering each other's
+// lineage, cursors, barriers or recovery queues, and a query's whole
+// namespace is deleted when it finishes. docs/contracts/control-store.md is
+// the normative table — value, the one writer, every reader and lifetime of
+// each class; a class nothing reads is not written — and TestControlStoreSchema
+// holds this package to it. In short:
 //
-//	q/<qid>/pl/<s>.<c>      channel placement: worker id
-//	q/<qid>/cep/<s>.<c>     channel epoch; bumped on rewind so TaskManagers
-//	                drop cached operator state
-//	q/<qid>/cur/<s>.<c>     task cursor: next sequence number == number of
-//	                committed tasks. Consumers use it as the "lineage is
-//	                committed" check of Algorithm 1.
-//	q/<qid>/lin/<s>.<c>.<q> committed lineage record of task (s,c,q)
-//	q/<qid>/wm/<s>.<c>      consumption watermark vector of channel (s,c)
-//	q/<qid>/done/<s>.<c>    set when the channel finished; value = task count
-//	q/<qid>/pd/<s>.<c>.<q>  partition directory: worker holding the task's
-//	                backup
-//	q/<qid>/bar             recovery barrier flag (value = barrier generation)
-//	q/<qid>/ack/<w>         TaskManager w's acknowledgment of the barrier
-//	q/<qid>/gep             global placement epoch; bumped when recovery ends
-//	q/<qid>/rp/<w>/<s>.<c>.<q>   replay task: worker w re-reads its backed-up
-//	                partition (s,c,q) once and re-pushes a piece to each
-//	                consumer channel in the entry's value ("ds.dc;...")
-//	q/<qid>/rpi/<w>/<s>.<c>.<q>  input replay: re-read the split of reader
-//	                task (s,c,q) from the object store; same value format
-//	q/<qid>/recn            recovery generation; replay queues are only
-//	                scanned after it becomes non-zero
-//	q/<qid>/ck/<s>.<c>      checkpoint marker: "<seq> <objkey> <wm>"
-//	q/<qid>/opp             operator partition count for this query; recorded
-//	                at seed time so TaskManagers (including replacements that
-//	                replay lineage after a failure) all split stateful
-//	                operator state into the same hash partitions. Recovery
-//	                depends on the per-query opp record: partition routing is
-//	                fnv-1a(key) mod P with P read from here, never from the
-//	                local config.
+//	pl/<s>.<c>  cep/<s>.<c>  cur/<s>.<c>  done/<s>.<c>  ck/<s>.<c>
+//	            a channel's placement, epoch, task cursor, finished task
+//	            count, checkpoint mark "<seq> <objkey> <watermark>"
+//	lin/<s>.<c>.<q>  pd/<s>.<c>.<q>
+//	            a task's committed lineage record; the worker holding its
+//	            upstream backup (written only when the policy backs up)
+//	bar  ack/<w>  gep  opp
+//	            recovery barrier generation and worker w's acknowledgment of
+//	            it; global placement epoch (seeded 1, +1 per finished
+//	            recovery); operator partition count, seeded so that a
+//	            replacement worker splits state as the dead one did
+//	rp/<w>/<s>.<c>.<q>  rpi/<w>/<s>.<c>.<q>
+//	            replay queues: worker w re-pushes its stored piece set of the
+//	            task — or re-reads the task's split — for the consumer
+//	            channels in the value ("ds.dc;...")
 //
 // The key helpers are Runner methods because the Runner owns the query id;
-// barriers, acks, epochs and recovery generations are per query, which is
-// what lets one query recover from a worker failure without quiescing the
-// others.
+// barriers, acks and epochs are per query, which is what lets one query
+// recover from a worker failure without quiescing the others.
 
 // QueryNamespace is query qid's GCS namespace, spelled here and nowhere else;
 // exported for the process-mode worker, which drops its replica of it.
@@ -99,7 +86,7 @@ func backupKey(qid string, t lineage.TaskName) string {
 // formatted once at runner setup and the table is read-only (hence
 // lock-free) afterwards.
 type chanKeys struct {
-	place, cep, cursor, wm, done, ck string
+	place, cep, cursor, done, ck string
 }
 
 // buildKeys precomputes the per-channel key table, indexed [stage][channel]
@@ -116,7 +103,6 @@ func (r *Runner) buildKeys() {
 				place:  ns + "pl/" + cs,
 				cep:    ns + "cep/" + cs,
 				cursor: ns + "cur/" + cs,
-				wm:     ns + "wm/" + cs,
 				done:   ns + "done/" + cs,
 				ck:     ns + "ck/" + cs,
 			}
@@ -127,7 +113,6 @@ func (r *Runner) buildKeys() {
 func (r *Runner) keyPlacement(c lineage.ChannelID) string  { return r.keys[c.Stage][c.Channel].place }
 func (r *Runner) keyChanEpoch(c lineage.ChannelID) string  { return r.keys[c.Stage][c.Channel].cep }
 func (r *Runner) keyCursor(c lineage.ChannelID) string     { return r.keys[c.Stage][c.Channel].cursor }
-func (r *Runner) keyWatermark(c lineage.ChannelID) string  { return r.keys[c.Stage][c.Channel].wm }
 func (r *Runner) keyDone(c lineage.ChannelID) string       { return r.keys[c.Stage][c.Channel].done }
 func (r *Runner) keyCheckpoint(c lineage.ChannelID) string { return r.keys[c.Stage][c.Channel].ck }
 
@@ -136,7 +121,6 @@ func (r *Runner) keyPartDir(t lineage.TaskName) string { return r.keyNS() + "pd/
 func (r *Runner) keyBarrier() string                   { return r.keyNS() + "bar" }
 func (r *Runner) keyAck(w int) string                  { return fmt.Sprintf("%sack/%d", r.keyNS(), w) }
 func (r *Runner) keyGlobalEpoch() string               { return r.keyNS() + "gep" }
-func (r *Runner) keyRecoveries() string                { return r.keyNS() + "recn" }
 func (r *Runner) keyOpParallelism() string             { return r.keyNS() + "opp" }
 
 func (r *Runner) keyReplay(w int, t lineage.TaskName) string {
@@ -196,10 +180,6 @@ func txGetInt(tx *gcs.Txn, key string, def int) int {
 
 func txPutInt(tx *gcs.Txn, key string, v int) {
 	tx.Put(key, []byte(strconv.Itoa(v)))
-}
-
-func txPutWatermark(tx *gcs.Txn, key string, w lineage.Watermark) {
-	tx.Put(key, w.Encode())
 }
 
 // checkpointMark is the decoded ck/ value.

@@ -22,7 +22,6 @@ func TestKeySchema(t *testing.T) {
 		r.keyChanEpoch(c):    "q/q7/cep/2.5",
 		r.keyCursor(c):       "q/q7/cur/2.5",
 		r.keyLineage(n):      "q/q7/lin/2.5.9",
-		r.keyWatermark(c):    "q/q7/wm/2.5",
 		r.keyDone(c):         "q/q7/done/2.5",
 		r.keyPartDir(n):      "q/q7/pd/2.5.9",
 		r.keyCheckpoint(c):   "q/q7/ck/2.5",
@@ -158,5 +157,26 @@ func TestFTModeCapabilities(t *testing.T) {
 	// The worker side asks the same predicate of what it decoded.
 	if err := (&WorkerQuerySpec{Cfg: Policy{Config: Config{FT: FTSpool}}}).shippable(); err == nil {
 		t.Error("a decoded spool-mode spec was accepted")
+	}
+}
+
+// TestCollectorSpooledManifests: a manifest names the worker its payload sits
+// on until the payload is materialized or that worker is declared dead — what
+// drainSpooled asks when a fetch fails under it.
+func TestCollectorSpooledManifests(t *testing.T) {
+	c := newCollector(0, 1)
+	a, b := lineage.TaskName{Seq: 0}, lineage.TaskName{Seq: 1}
+	if !c.DeliverSpooled(a, 2, 10, 0) || !c.DeliverSpooled(b, 3, 10, 0) {
+		t.Fatal("manifests refused")
+	}
+	if !c.hasSpooledOn(a, 2) || c.hasSpooledOn(a, 3) || c.spooledCount() != 2 {
+		t.Fatalf("manifest of %s: on 2 = %v, on 3 = %v, %d spooled", a, c.hasSpooledOn(a, 2), c.hasSpooledOn(a, 3), c.spooledCount())
+	}
+	if !c.materialize(a, 2, []byte("payload")) || c.hasSpooledOn(a, 2) {
+		t.Error("a materialized partition still reads as a manifest")
+	}
+	c.invalidateSpooledExcept(map[int]bool{2: true})
+	if c.hasSpooledOn(b, 3) || c.has(b) || !c.has(a) {
+		t.Error("a dead worker's manifest survived, or a live worker's payload did not")
 	}
 }

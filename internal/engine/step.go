@@ -97,8 +97,10 @@ func (t *taskManager) newOperator(cs *chanState) ops.Operator {
 }
 
 // resetChannel synchronizes in-memory state with the GCS after a rewind
-// (or on first touch): fresh operator; epoch, cursor, watermark and done
-// mark all from the one transaction meta was read in.
+// (or on first touch): epoch, cursor and done mark all from the one
+// transaction meta was read in, a fresh operator, and an empty watermark — a
+// channel restarting at a checkpoint mark takes the mark's, with the state it
+// restores (step).
 func (t *taskManager) resetChannel(cs *chanState, meta *chanMeta) error {
 	// Rewind cleanup: release the dead operator's accounted memory and
 	// delete its spill runs, then sweep stale run files of ANY earlier
@@ -108,7 +110,7 @@ func (t *taskManager) resetChannel(cs *chanState, meta *chanMeta) error {
 		sb.DropSpill()
 	}
 	if t.spill != nil {
-		t.w.Disk.DeletePrefix(spillChanPrefix(t.r.qid, cs.id))
+		t.disk.DeletePrefix(spillChanPrefix(t.r.qid, cs.id))
 	}
 	cs.cep = meta.cep
 	cs.cursor = meta.cursor
@@ -116,10 +118,7 @@ func (t *taskManager) resetChannel(cs *chanState, meta *chanMeta) error {
 	cs.pending = nil
 	cs.lastCkpt = meta.cursor
 	cs.spillOp, cs.spillBytes, cs.spillRuns = nil, 0, 0
-	var err error
-	if cs.wm, err = lineage.DecodeWatermark(meta.wm); err != nil {
-		return err
-	}
+	cs.wm = lineage.Watermark{}
 	cs.done = meta.done == cs.cursor && cs.cursor > 0
 	if cs.stage.Reader != nil {
 		if cs.stage.Reader.Splits != nil {
@@ -219,7 +218,7 @@ func (t *taskManager) chooseInput(cs *chanState) (*inputChoice, bool) {
 	}
 
 	var best *inputChoice
-	for i, avail := range t.w.Flight.Probe(t.r.qid, cs.id, probes) {
+	for i, avail := range t.mb.Probe(t.r.qid, cs.id, probes) {
 		ec := lineage.EdgeChannel{Input: probes[i].Input, UpChannel: probes[i].UpChannel}
 		up := &cs.snap.chans[cs.stage.Inputs[ec.Input].Stage][ec.UpChannel]
 		wm := probes[i].Watermark
@@ -278,7 +277,7 @@ func (t *taskManager) replayStep(cs *chanState, rec lineage.Record) (bool, error
 	// All replayed inputs must be present; if replays are still in flight,
 	// wait.
 	edge := flight.Edge{Input: rec.Input, UpChannel: rec.UpChannel, Watermark: rec.FromSeq}
-	if rec.Kind == lineage.KindConsume && t.w.Flight.Probe(t.r.qid, cs.id, []flight.Edge{edge})[0] < rec.Count {
+	if rec.Kind == lineage.KindConsume && t.mb.Probe(t.r.qid, cs.id, []flight.Edge{edge})[0] < rec.Count {
 		return false, nil
 	}
 	return t.runTask(cs, rec, true)

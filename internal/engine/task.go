@@ -57,7 +57,7 @@ func (t *taskManager) runTask(cs *chanState, rec lineage.Record, isReplay bool) 
 // concatenated output (nil if no rows) plus the consumed input volume
 // (rows and wire bytes, for the task's trace span).
 func (t *taskManager) consume(cs *chanState, rec lineage.Record) (out *batch.Batch, inRows, inBytes int64, err error) {
-	datas, err := t.w.Flight.Take(t.r.qid, cs.id, rec.Input, rec.UpChannel, rec.FromSeq, rec.Count)
+	datas, err := t.mb.Take(t.r.qid, cs.id, rec.Input, rec.UpChannel, rec.FromSeq, rec.Count)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -193,17 +193,12 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 		return false, err
 	}
 
-	// Commit: lineage + cursor + watermark (+ done marker) atomically. The
+	// Commit: lineage + cursor (+ done marker) atomically. The
 	// write set is handed to the cluster's shared committer, whose flush
 	// folds commits from many channels — across every admitted query — into
 	// one GCS transaction (or, with batching off, carries this one alone);
 	// commit-before-ack ordering is preserved because this call blocks until
 	// the flush containing it has been applied.
-	wmAfter := cs.wm
-	if p.rec.Kind == lineage.KindConsume {
-		wmAfter = cs.wm.Clone()
-		wmAfter[lineage.EdgeChannel{Input: p.rec.Input, UpChannel: p.rec.UpChannel}] += p.rec.Count
-	}
 	err := t.gc.commit(&commitReq{
 		r:        t.r,
 		alive:    t.w.Alive,
@@ -213,7 +208,6 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 		gep:      cs.snap.gep,
 		task:     task,
 		rec:      p.rec,
-		wmAfter:  wmAfter,
 		finalize: p.finalize,
 		isReplay: isReplay,
 	})
@@ -224,11 +218,12 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 		return false, err
 	}
 
-	// Post-commit bookkeeping.
+	// Post-commit bookkeeping. The watermark lives here, with the operator
+	// state it describes, and nowhere in the control store.
 	if p.rec.Kind == lineage.KindConsume {
-		t.w.Flight.Drop(t.r.qid, cs.id, p.rec.Input, p.rec.UpChannel, p.rec.FromSeq, p.rec.Count)
+		t.mb.Drop(t.r.qid, cs.id, p.rec.Input, p.rec.UpChannel, p.rec.FromSeq, p.rec.Count)
+		cs.wm[lineage.EdgeChannel{Input: p.rec.Input, UpChannel: p.rec.UpChannel}] += p.rec.Count
 	}
-	cs.wm = wmAfter
 	cs.cursor = p.seq + 1
 	cs.pending = nil
 	if p.finalize {

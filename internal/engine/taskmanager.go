@@ -8,11 +8,13 @@ import (
 
 	"quokka/internal/batch"
 	"quokka/internal/cluster"
+	"quokka/internal/flight"
 	"quokka/internal/gcs"
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/ops"
 	"quokka/internal/spill"
+	"quokka/internal/storage"
 )
 
 // taskManager runs the channels placed on one worker. It is the paper's
@@ -23,6 +25,10 @@ import (
 type taskManager struct {
 	r *Runner
 	w *cluster.Worker
+	// mb and disk are the owner's view of w — the consuming side of its
+	// mailbox, its local disk — which only the process hosting w has.
+	mb   flight.Mailbox
+	disk storage.Disk
 	// gc is the cluster's shared committer, held by runTaskManager for
 	// exactly the lifetime of this task manager's threads.
 	gc *groupCommitter
@@ -47,10 +53,12 @@ type taskManager struct {
 	// this worker, spilling operator state to the worker's local disk.
 	spill *spill.Context
 
-	// replayGen is the last recovery generation whose replay queue this
-	// TaskManager has fully drained; prefix scans of the replay queue
-	// only happen after a recovery, never in steady state. replayLock
-	// ensures a single thread drains the queue at a time.
+	// replayGen is the last global epoch whose replay queue this TaskManager
+	// has fully drained. It starts at the seeded epoch, 1, which has none: the
+	// epoch moves where a recovery ends, in the transaction after the one that
+	// filled the queues, so prefix scans of the replay queue only happen after
+	// a recovery, never in steady state. replayLock ensures a single thread
+	// drains the queue at a time.
 	replayGen  int
 	replayLock sync.Mutex
 
@@ -128,9 +136,10 @@ type pendingTask struct {
 
 func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 	t := &taskManager{
-		r: r, w: w,
-		channels: map[lineage.ChannelID]*chanState{},
-		gep:      -1,
+		r: r, w: w, mb: w.Mailbox, disk: w.Disk,
+		channels:  map[lineage.ChannelID]*chanState{},
+		gep:       -1,
+		replayGen: 1,
 		// The CPU slot pool is a WORKER resource shared by every in-flight
 		// query: concurrent queries' channels (and their partition lanes)
 		// compete for the same modelled cores instead of each bringing
@@ -151,7 +160,7 @@ func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 		// cluster-wide and the per-query counters.
 		acct := spill.NewAccountant(r.cfg.MemoryBudget, r.tee)
 		acct.AttachLedger(r.shared.ledgerFor(w.ID))
-		t.spill = spill.NewContext(w.Disk, acct, r.tee, spill.DefaultPartitions)
+		t.spill = spill.NewContext(t.disk, acct, r.tee, spill.DefaultPartitions)
 		t.spill.SetCompression(r.cfg.SpillCompress)
 	}
 	return t
@@ -240,9 +249,9 @@ func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, barrier i
 	}
 
 	// Replay queues are only populated by recovery; skip the prefix scans
-	// entirely in steady state and once this generation's queue drained.
+	// entirely in steady state and once this epoch's queue drained.
 	t.mu.Lock()
-	needReplays := snap.recn > 0 && t.replayGen < snap.recn
+	needReplays := t.replayGen < snap.gep
 	t.mu.Unlock()
 	if needReplays && t.replayLock.TryLock() {
 		yield()
@@ -253,9 +262,7 @@ func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, barrier i
 		}
 		if drained && !ran {
 			t.mu.Lock()
-			if snap.recn > t.replayGen {
-				t.replayGen = snap.recn
-			}
+			t.replayGen = max(t.replayGen, snap.gep)
 			t.mu.Unlock()
 		}
 	}

@@ -57,8 +57,8 @@ func (r *Runner) runTaskManager(ctx context.Context, w *cluster.Worker) {
 	// threads write its disk, and they have exited; a killed worker's disk
 	// was wiped with it. Mailbox and GCS cleanup is the head's (cleanup).
 	if w.Alive() {
-		w.Disk.DeletePrefix(spillQueryPrefix(r.qid))
-		w.Disk.DeletePrefix(backupQueryPrefix(r.qid))
+		t.disk.DeletePrefix(spillQueryPrefix(r.qid))
+		t.disk.DeletePrefix(backupQueryPrefix(r.qid))
 	}
 }
 
@@ -82,8 +82,9 @@ func newWorkerRunner(cl *cluster.Cluster, spec *WorkerQuerySpec, sink ResultSink
 
 // RunWorkerQuery executes one worker's share of a query inside a worker
 // process: it runs the task manager of worker self on cl (whose GCS, object
-// store and peers' flight transports are the wire clients the caller
-// assembled, and whose own transport is the mailbox the process hosts) and blocks until ctx is cancelled — the wire layer cancels it
+// store and peers are the wire clients the caller assembled, and whose worker
+// self carries the owner's view: the mailbox and disk the process hosts) and
+// blocks until ctx is cancelled — the wire layer cancels it
 // on the head's STOP_QUERY. It returns the worker's recorded trace spans
 // (nil when the spec did not enable tracing) for ship-back to the head.
 //
@@ -92,8 +93,8 @@ func newWorkerRunner(cl *cluster.Cluster, spec *WorkerQuerySpec, sink ResultSink
 // fate, exactly as with the in-memory failCh. Transient errors (dead
 // consumers, fenced commits) never reach onFail.
 func RunWorkerQuery(ctx context.Context, cl *cluster.Cluster, spec *WorkerQuerySpec, self cluster.WorkerID, sink ResultSink, onFail func(error)) ([]trace.Span, error) {
-	if int(self) < 0 || int(self) >= len(cl.Workers) {
-		return nil, fmt.Errorf("engine: no worker %d in a %d-worker cluster", self, len(cl.Workers))
+	if int(self) < 0 || int(self) >= len(cl.Workers) || cl.Worker(self).Mailbox == nil {
+		return nil, fmt.Errorf("engine: this process hosts no worker %d of the %d-worker cluster", self, len(cl.Workers))
 	}
 	r, err := newWorkerRunner(cl, spec, sink)
 	if err != nil {

@@ -53,26 +53,33 @@ type Partition struct {
 // channel incarnations.
 const EpochCommitted = int(^uint(0) >> 1)
 
-// Transport is one worker's view of a shuffle mailbox — exactly the methods
-// the engine calls, specified in docs/contracts/flight-transport.md. Server
-// is the mailbox itself, in memory and in a worker process alike: each
-// worker hosts its own. In process mode a peer (for Push) and the head (for
-// FetchResult, DropResult, DropQuery) hold a wire client of it; Probe, Take,
-// Drop and SpoolResult are the owner's alone and have no remote form.
+// Peer is a worker's shuffle mailbox as any process may call it — a producer
+// pushing to it, the head fetching and dropping spooled results, sweeping a
+// query and declaring the worker dead — specified, like Mailbox, in
+// docs/contracts/flight-transport.md. Server is the mailbox itself, in memory
+// and in a worker process alike: each worker hosts its own, and in process
+// mode everybody else holds a wire client of it, which is a Peer and no more.
 // The semantics every implementation must preserve are the ones recovery
 // leans on: pushes are idempotent within an epoch, lower-epoch (zombie)
 // pushes never replace higher-epoch slots, and every operation on a
 // failed worker's mailbox errors with ErrServerDown.
-type Transport interface {
+type Peer interface {
 	Push(p Partition) error
-	Probe(query string, dest lineage.ChannelID, edges []Edge) []int
-	Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([][]byte, error)
-	Drop(query string, dest lineage.ChannelID, input, upChannel, from, count int)
 	DropQuery(query string)
-	SpoolResult(query string, task lineage.TaskName, data []byte, epoch int) error
 	FetchResult(query string, task lineage.TaskName) ([]byte, error)
 	DropResult(query string, task lineage.TaskName)
 	Fail()
+}
+
+// Mailbox is the owner's view: nobody reads, frees or spools into a mailbox
+// but the worker it belongs to, so these four exist only where the mailbox
+// lives and have no remote form.
+type Mailbox interface {
+	Peer
+	Probe(query string, dest lineage.ChannelID, edges []Edge) []int
+	Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([][]byte, error)
+	Drop(query string, dest lineage.ChannelID, input, upChannel, from, count int)
+	SpoolResult(query string, task lineage.TaskName, data []byte, epoch int) error
 }
 
 // Edge names one upstream channel of a consumer channel with the consumer's
@@ -238,7 +245,7 @@ func (s *Server) Drop(query string, dest lineage.ChannelID, input, upChannel, fr
 }
 
 // DropChannel clears every partition buffered for a consumer channel of
-// one query. Not part of Transport: no engine path calls it (a rewound
+// one query. Not part of Mailbox: no engine path calls it (a rewound
 // channel's stale slots are overwritten or dropped below the watermark by Probe);
 // the package's edge-isolation test does.
 func (s *Server) DropChannel(query string, dest lineage.ChannelID) {
@@ -331,7 +338,7 @@ func (s *Server) Fail() {
 }
 
 // BufferedBytes returns the current mailbox payload size. Not part of
-// Transport: it is the probe tests read at the mailbox's authoritative end.
+// Mailbox: it is the probe tests read at the mailbox's authoritative end.
 func (s *Server) BufferedBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -158,8 +158,10 @@ func (r Record) String() string { return string(r.Encode()) }
 
 // Watermark tracks, per (input edge, upstream channel), how many upstream
 // outputs a consumer channel has consumed — the paper's "vector of length
-// C" input requirement (§III-A). It is derivable from the lineage log but
-// stored alongside it for O(1) access.
+// C" input requirement (§III-A). It is a fold of the channel's committed
+// lineage records and is stored nowhere in the control store: it lives with
+// the operator state it describes, in a task manager's memory or in a
+// checkpoint mark (docs/contracts/control-store.md).
 type Watermark map[EdgeChannel]int
 
 // EdgeChannel is a (input edge, upstream channel) pair.

@@ -46,7 +46,7 @@ func runQueryWithKill(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Confi
 		return true
 	}
 	for _, w := range cl.Workers {
-		w.Flight = killerTransport{Transport: w.Flight, due: due}
+		w.Peer = killerTransport{Peer: w.Peer, due: due}
 	}
 	go func() {
 		for !due() {
@@ -68,13 +68,13 @@ func runQueryWithKill(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Confi
 
 // killerTransport asks due before every push.
 type killerTransport struct {
-	flight.Transport
+	flight.Peer
 	due func() bool
 }
 
 func (k killerTransport) Push(p flight.Partition) error {
 	k.due()
-	return k.Transport.Push(p)
+	return k.Peer.Push(p)
 }
 
 // TestTPCHFailureRecoveryMatchesFailureFree kills a worker mid-query on

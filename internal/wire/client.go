@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -322,15 +321,14 @@ func (g *gcsClient) AwaitNS(ctx context.Context, ns string, after uint64, park t
 
 // flightClient is a remote handle on ONE worker's mailbox, hosted by that
 // worker's process: a peer's for pushing to it, or the head's for fetching and
-// dropping spooled results and sweeping a query. The owner-only methods of
-// flight.Transport (docs/contracts/flight-transport.md) send no frame.
+// dropping spooled results and sweeping a query. It is a flight.Peer and
+// nothing else: the owner's four methods (docs/contracts/flight-transport.md)
+// exist only on the mailbox itself.
 type flightClient struct {
 	p      *pool
 	worker uint32
 	fail   func() // the head's handle: declare the worker dead. nil on a peer's
 }
-
-var errOwnerOnly = errors.New("wire: owner-only mailbox method called through a remote handle")
 
 // req starts a request body: mailbox, query.
 func (f *flightClient) req(query string) *wbuf {
@@ -353,15 +351,6 @@ func (f *flightClient) Push(p flight.Partition) error {
 	_, err := f.p.expect(mtFlPush, w.b, mtOK)
 	return err
 }
-
-// The owner's four: an error where there is a slot for one, a panic where a
-// silent answer would read as "nothing there" and park the caller for good.
-func (f *flightClient) Probe(string, lineage.ChannelID, []flight.Edge) []int { panic(errOwnerOnly) }
-func (f *flightClient) Drop(string, lineage.ChannelID, int, int, int, int)   { panic(errOwnerOnly) }
-func (f *flightClient) Take(string, lineage.ChannelID, int, int, int, int) ([][]byte, error) {
-	return nil, errOwnerOnly
-}
-func (f *flightClient) SpoolResult(string, lineage.TaskName, []byte, int) error { return errOwnerOnly }
 
 // The two drops have no error slot and swallow wire failures: they are
 // cleanup, and a mailbox that cannot be reached is gone or going.

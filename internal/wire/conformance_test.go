@@ -29,11 +29,14 @@ import (
 // backends is one implementation under test.
 type backends struct {
 	gcs gcs.Backend
-	fl  func(i int) flight.Transport
+	// fl is worker i's mailbox as another process reaches it: the in-memory
+	// server itself, or a client of the worker-hosted server's listener.
+	fl  func(i int) flight.Peer
 	obj storage.Objects
 	// server is worker i's mailbox at its authoritative end (the in-memory
-	// server itself, or the worker-hosted server behind its listener): where a
-	// mailbox is failed, and where the suite probes what it buffers.
+	// server itself, or the worker-hosted server behind its listener): the
+	// owner's view, where a mailbox is failed and where the suite probes what
+	// it buffers.
 	server func(i int) *flight.Server
 	// remote marks handles that proxy to another process.
 	remote bool
@@ -46,23 +49,6 @@ type backends struct {
 	mboxMet *metrics.Collector
 }
 
-// hosted is a worker-hosted mailbox as a cluster's processes reach it: the
-// owner-only methods in the hosting process (the embedded server), the remote
-// ones — a peer's push, the head's fetch and drops — through a client of its
-// listener.
-type hosted struct {
-	*flight.Server
-	remote *flightClient
-}
-
-func (h hosted) Push(p flight.Partition) error { return h.remote.Push(p) }
-func (h hosted) DropQuery(q string)            { h.remote.DropQuery(q) }
-func (h hosted) Fail()                         { h.remote.Fail() }
-func (h hosted) FetchResult(q string, t lineage.TaskName) ([]byte, error) {
-	return h.remote.FetchResult(q, t)
-}
-func (h hosted) DropResult(q string, t lineage.TaskName) { h.remote.DropResult(q, t) }
-
 func memBackends(t *testing.T) *backends {
 	t.Helper()
 	met := &metrics.Collector{}
@@ -73,7 +59,7 @@ func memBackends(t *testing.T) *backends {
 		gcs:    store,
 		store:  store,
 		peer:   store,
-		fl:     func(i int) flight.Transport { return servers[i] },
+		fl:     func(i int) flight.Peer { return servers[i] },
 		obj:    storage.NewObjectStore(cost, storage.ProfileS3, met),
 		server: func(i int) *flight.Server { return servers[i] },
 	}
@@ -93,19 +79,20 @@ func wireBackends(t *testing.T) *backends {
 	p := newPool(srv.Addr())
 	t.Cleanup(p.close)
 	mboxMet := &metrics.Collector{}
-	var mailboxes []hosted
+	var mailboxes []*mailbox
+	var clients []*flightClient
 	for i := range 2 {
 		m := opMailbox(t, uint32(i), mboxMet)
 		peer := newPeerPool(context.Background())
 		peer.setAddr(m.ln.Addr().String())
 		t.Cleanup(peer.close)
-		mailboxes = append(mailboxes, hosted{m.fl, &flightClient{p: peer, worker: uint32(i)}})
+		mailboxes, clients = append(mailboxes, m), append(clients, &flightClient{p: peer, worker: uint32(i)})
 	}
 	return &backends{
 		gcs:     &gcsClient{p: p},
-		fl:      func(i int) flight.Transport { return mailboxes[i] },
+		fl:      func(i int) flight.Peer { return clients[i] },
 		obj:     &objClient{p: p, max: objCacheMax},
-		server:  func(i int) *flight.Server { return mailboxes[i].Server },
+		server:  func(i int) *flight.Server { return mailboxes[i].fl },
 		remote:  true,
 		store:   cl.GCS.(*gcs.Store),
 		peer:    &gcsClient{p: p},
@@ -579,13 +566,15 @@ func replicaConformance(t *testing.T, b *backends) {
 
 // contig is the one-edge probe: how many partitions are buffered in sequence
 // from `from` on (and, like every probe, a drop of what lies below it).
-func contig(fl flight.Transport, q string, dest lineage.ChannelID, input, up, from int) int {
+func contig(fl flight.Mailbox, q string, dest lineage.ChannelID, input, up, from int) int {
 	return fl.Probe(q, dest, []flight.Edge{{Input: input, UpChannel: up, Watermark: from}})[0]
 }
 
-// flightConformance's cases share worker 0's mailbox and run in order.
+// flightConformance's cases share worker 0's mailbox and run in order: fl is
+// anybody's handle on it, own its owner's view in the hosting process.
 func flightConformance(t *testing.T, b *backends) {
 	fl := b.fl(0)
+	var own flight.Mailbox = b.server(0)
 	q := "q-conf"
 	dest := lineage.ChannelID{Stage: 1, Channel: 0}
 	push := func(seq, epoch int, data string) error {
@@ -606,10 +595,10 @@ func flightConformance(t *testing.T, b *backends) {
 		if err := push(3, 0, "p3"); err != nil {
 			t.Fatal(err)
 		}
-		if n := contig(fl, q, dest, 0, 2, 0); n != 2 {
+		if n := contig(own, q, dest, 0, 2, 0); n != 2 {
 			t.Fatalf("contiguous = %d, want 2 (gap at 2)", n)
 		}
-		got, err := fl.Take(q, dest, 0, 2, 0, 2)
+		got, err := own.Take(q, dest, 0, 2, 0, 2)
 		if err != nil {
 			t.Fatalf("take: %v", err)
 		}
@@ -617,7 +606,7 @@ func flightConformance(t *testing.T, b *backends) {
 			t.Fatalf("take content: %q %q", got[0], got[1])
 		}
 		// Take of a missing partition errors.
-		if _, err := fl.Take(q, dest, 0, 2, 0, 3); err == nil {
+		if _, err := own.Take(q, dest, 0, 2, 0, 3); err == nil {
 			t.Fatalf("take across gap succeeded")
 		}
 	})
@@ -631,7 +620,7 @@ func flightConformance(t *testing.T, b *backends) {
 		if err := push(0, 0, "p0-zombie"); err != nil {
 			t.Fatal(err)
 		}
-		got, _ := fl.Take(q, dest, 0, 2, 0, 1)
+		got, _ := own.Take(q, dest, 0, 2, 0, 1)
 		if string(got[0]) != "p0-epoch1" {
 			t.Fatalf("after zombie push: %q, want the epoch-1 content", got[0])
 		}
@@ -639,7 +628,7 @@ func flightConformance(t *testing.T, b *backends) {
 		if err := push(0, flight.EpochCommitted, "p0-committed"); err != nil {
 			t.Fatal(err)
 		}
-		got, _ = fl.Take(q, dest, 0, 2, 0, 1)
+		got, _ = own.Take(q, dest, 0, 2, 0, 1)
 		if string(got[0]) != "p0-committed" {
 			t.Fatalf("committed re-feed rejected: %q", got[0])
 		}
@@ -650,8 +639,8 @@ func flightConformance(t *testing.T, b *backends) {
 		if bb := b.server(0).BufferedBytes(); bb <= 0 {
 			t.Fatalf("buffered = %d, want > 0", bb)
 		}
-		fl.Drop(q, dest, 0, 2, 0, 2)
-		if n := contig(fl, q, dest, 0, 2, 0); n != 0 {
+		own.Drop(q, dest, 0, 2, 0, 2)
+		if n := contig(own, q, dest, 0, 2, 0); n != 0 {
 			t.Fatalf("after drop contiguous = %d, want 0", n)
 		}
 	})
@@ -663,13 +652,13 @@ func flightConformance(t *testing.T, b *backends) {
 		push(1, 0, "r1")
 		push(2, 0, "r2")
 		before := b.server(0).BufferedBytes()
-		if n := contig(fl, q, dest, 0, 2, 2); n != 2 {
+		if n := contig(own, q, dest, 0, 2, 2); n != 2 {
 			t.Fatalf("contiguous from 2 = %d, want 2", n)
 		}
 		if got := b.server(0).BufferedBytes(); got != before-int64(len("r1")) {
 			t.Fatalf("buffered %d -> %d, want exactly seq 1 dropped", before, got)
 		}
-		if _, err := fl.Take(q, dest, 0, 2, 1, 1); err == nil {
+		if _, err := own.Take(q, dest, 0, 2, 1, 1); err == nil {
 			t.Fatalf("a partition below the watermark survived the probe")
 		}
 	})
@@ -689,7 +678,7 @@ func flightConformance(t *testing.T, b *backends) {
 			}
 		}
 		frames := b.mailboxFrames()
-		got := fl.Probe(q, dest, []flight.Edge{
+		got := own.Probe(q, dest, []flight.Edge{
 			{Input: 1, UpChannel: 5, Watermark: 1},
 			{Input: 0, UpChannel: 2, Watermark: 2}, // seqs 2 and 3 from the cases above
 			{Input: 1, UpChannel: 9, Watermark: 0}, // never pushed to
@@ -700,7 +689,7 @@ func flightConformance(t *testing.T, b *backends) {
 		if n := b.mailboxFrames() - frames; n != 0 {
 			t.Fatalf("a three-edge probe of one's own mailbox cost %d request frames", n)
 		}
-		if len(fl.Probe(q, dest, nil)) != 0 {
+		if len(own.Probe(q, dest, nil)) != 0 {
 			t.Fatalf("empty probe answered edges")
 		}
 	})
@@ -708,10 +697,10 @@ func flightConformance(t *testing.T, b *backends) {
 	// Spooled results: idempotent by task, zombie-fenced, fetchable.
 	task := lineage.TaskName{Stage: 1, Channel: 0, Seq: 7}
 	t.Run("spool-fetch-drop-result", func(t *testing.T) {
-		if err := fl.SpoolResult(q, task, []byte("res-e1"), 1); err != nil {
+		if err := own.SpoolResult(q, task, []byte("res-e1"), 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := fl.SpoolResult(q, task, []byte("res-zombie"), 0); err != nil {
+		if err := own.SpoolResult(q, task, []byte("res-zombie"), 0); err != nil {
 			t.Fatal(err)
 		}
 		res, err := fl.FetchResult(q, task)
@@ -731,13 +720,13 @@ func flightConformance(t *testing.T, b *backends) {
 	// leaves another query's alone.
 	t.Run("drop-query", func(t *testing.T) {
 		push(5, 0, "x")
-		fl.SpoolResult(q, task, []byte("y"), 2)
+		own.SpoolResult(q, task, []byte("y"), 2)
 		other := flight.Partition{Query: "q-other", From: task, Dest: dest, Data: []byte("keep")}
 		if err := fl.Push(other); err != nil {
 			t.Fatal(err)
 		}
 		fl.DropQuery(q)
-		if n := contig(fl, q, dest, 0, 2, 5); n != 0 {
+		if n := contig(own, q, dest, 0, 2, 5); n != 0 {
 			t.Fatalf("after DropQuery contiguous = %d", n)
 		}
 		if _, err := fl.FetchResult(q, task); err == nil {
@@ -751,42 +740,8 @@ func flightConformance(t *testing.T, b *backends) {
 	// Mailboxes are isolated per worker.
 	t.Run("worker-isolation", func(t *testing.T) {
 		push(0, 0, "w0-only")
-		if n := contig(b.fl(1), q, dest, 0, 2, 0); n != 0 {
+		if n := contig(b.server(1), q, dest, 0, 2, 0); n != 0 {
 			t.Fatalf("worker 1 sees worker 0's partition")
-		}
-	})
-
-	// Nobody reads, frees or spools into a mailbox but its owner: through a
-	// remote handle those methods answer an error (a probe and a drop, which
-	// have no slot for one, panic) and send no frame; what was pushed stays
-	// where it is.
-	t.Run("owner-only", func(t *testing.T) {
-		h, ok := fl.(hosted)
-		if !ok {
-			t.Skip("in memory every handle is the owner's")
-		}
-		frames, buffered := b.mailboxFrames(), b.server(0).BufferedBytes()
-		if _, err := h.remote.Take(q, dest, 0, 2, 0, 1); err == nil {
-			t.Error("a remote take succeeded")
-		}
-		if err := h.remote.SpoolResult(q, task, []byte("theirs"), 9); err == nil {
-			t.Error("a remote spool succeeded")
-		}
-		for name, call := range map[string]func(){
-			"drop":  func() { h.remote.Drop(q, dest, 0, 2, 0, 1) },
-			"probe": func() { h.remote.Probe(q, dest, []flight.Edge{{Input: 0, UpChannel: 2, Watermark: 1}}) },
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("a remote %s returned: with no error slot it must not pass for an answer", name)
-					}
-				}()
-				call()
-			}()
-		}
-		if n, bb := b.mailboxFrames()-frames, b.server(0).BufferedBytes(); n != 0 || bb != buffered {
-			t.Errorf("owner-only methods through a remote handle: %d frames, mailbox %d -> %d bytes", n, buffered, bb)
 		}
 	})
 }
@@ -820,7 +775,7 @@ func objConformance(t *testing.T, b *backends) {
 // failed worker's mailbox errors every operation with ErrServerDown — so
 // a producer pushing to it aborts without committing (Algorithm 1).
 func failureConformance(t *testing.T, b *backends) {
-	fl := b.fl(1)
+	fl, own := b.fl(1), flight.Mailbox(b.server(1))
 	q := "q-fail"
 	task := lineage.TaskName{Stage: 0, Channel: 0, Seq: 0}
 	if err := fl.Push(flight.Partition{Query: q, From: task, Dest: lineage.ChannelID{Stage: 1}, Data: []byte("x")}); err != nil {
@@ -835,15 +790,15 @@ func failureConformance(t *testing.T, b *backends) {
 		}
 	}
 	// Fail, through the contract, at the authoritative end.
-	flight.Transport(b.server(1)).Fail()
+	own.Fail()
 	err := fl.Push(flight.Partition{Query: q, From: task, Dest: lineage.ChannelID{Stage: 1}, Data: []byte("y")})
 	if !errors.Is(err, flight.ErrServerDown) {
 		t.Fatalf("push to failed worker: %v, want ErrServerDown", err)
 	}
-	if _, err := fl.Take(q, lineage.ChannelID{Stage: 1}, 0, 0, 0, 1); !errors.Is(err, flight.ErrServerDown) {
+	if _, err := own.Take(q, lineage.ChannelID{Stage: 1}, 0, 0, 0, 1); !errors.Is(err, flight.ErrServerDown) {
 		t.Fatalf("take on failed worker: %v, want ErrServerDown", err)
 	}
-	if err := fl.SpoolResult(q, task, []byte("z"), 0); !errors.Is(err, flight.ErrServerDown) {
+	if err := own.SpoolResult(q, task, []byte("z"), 0); !errors.Is(err, flight.ErrServerDown) {
 		t.Fatalf("spool on failed worker: %v, want ErrServerDown", err)
 	}
 	if _, err := fl.FetchResult(q, task); !errors.Is(err, flight.ErrServerDown) {

@@ -20,6 +20,7 @@ import (
 	"quokka/internal/engine"
 	"quokka/internal/gcs"
 	"quokka/internal/metrics"
+	"quokka/internal/ops"
 	"quokka/internal/storage"
 	"quokka/internal/tpch"
 	"quokka/internal/trace"
@@ -390,5 +391,36 @@ func TestProcessModeKillWorker(t *testing.T) {
 	want2 := memRun(t, 3, workers, staticCfg())
 	if string(batch.Encode(got2)) != string(batch.Encode(want2)) {
 		t.Error("Q3 after worker loss differs from in-memory")
+	}
+}
+
+// TestProcessModeFatalTaskErrorFailsQuery: a task error no retry can fix — a
+// shuffle key the producer's output does not have — raised inside a worker
+// process travels as mtFail to the head, whose coordinator ends the query with
+// it (the worker that raised it named), well inside a deadline that a task
+// manager retrying it forever would run out; the fleet then runs the next query.
+func TestProcessModeFatalTaskErrorFailsQuery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-mode e2e is not short")
+	}
+	cl, _ := distCluster(t, 2)
+	bad := engine.MustPlan(
+		&engine.Stage{ID: 0, Name: "read", Reader: &engine.ReaderSpec{Table: "nation"}},
+		&engine.Stage{ID: 1, Name: "count", Parallelism: 1,
+			Op:     ops.NewHashAggSpec(nil, ops.CountStar("c")),
+			Inputs: []engine.StageInput{{Stage: 0, Part: engine.Hash("no_such_column")}}},
+	)
+	r, err := engine.NewRunner(cl, bad, engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, _, err = r.Run(ctx)
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), "no_such_column") || !strings.Contains(err.Error(), "worker ") {
+		t.Fatalf("Run of a plan with a missing shuffle key: %v (deadline: %v), want the worker's partition-key error", err, ctx.Err())
+	}
+	if _, _, _, err := distRun(t, cl, 6, staticCfg()); err != nil {
+		t.Fatalf("Q6 after a failed query: %v", err)
 	}
 }

@@ -204,7 +204,7 @@ type pieceKey struct {
 // the first push that carries bytes, and keeps, per such piece, where they lived
 // at every refused offer.
 type peerLog struct {
-	flight.Transport
+	flight.Peer
 	onBytes func()
 
 	once    sync.Once
@@ -216,7 +216,7 @@ func (l *peerLog) Push(p flight.Partition) error {
 	if len(p.Data) > 0 {
 		l.once.Do(l.onBytes)
 	}
-	err := l.Transport.Push(p)
+	err := l.Peer.Push(p)
 	if err != nil && len(p.Data) > 0 {
 		l.mu.Lock()
 		k := pieceKey{p.From, p.Dest, p.Input}
@@ -246,8 +246,8 @@ func TestPeerPushFailureIsARetryNotAVerdict(t *testing.T) {
 			peer <- w
 			return
 		}
-		log.Transport = w.cl.Workers[1].Flight
-		w.cl.Workers[1].Flight = log
+		log.Peer = w.cl.Workers[1].Peer
+		w.cl.Workers[1].Peer = log
 	})
 	cfg := staticCfg()
 	want := memRun(t, q, workers, cfg)

@@ -296,7 +296,7 @@ func TestNoDelayOnOpConns(t *testing.T) {
 
 	// A mailbox conn, dialled by the head's handle on worker 0 (a peer's pool is
 	// the same constructor) and held open by an exchange on it.
-	cl.Workers[0].Flight.DropQuery("q")
+	cl.Workers[0].Peer.DropQuery("q")
 	peer, err := srv.peers[0].get()
 	if err != nil {
 		t.Fatal(err)

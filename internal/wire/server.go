@@ -26,7 +26,7 @@ import (
 // object store and the result sinks of registered queries to quokka-worker
 // processes, and implements engine.RemoteExec to ship queries out to them.
 // It hosts no mailbox: each worker process serves its own (mailbox), and the
-// head's cl.Workers[i].Flight is a client of worker i's listener.
+// head's cl.Workers[i].Peer is a client of worker i's listener.
 type Server struct {
 	cl    *cluster.Cluster
 	store *gcs.Store
@@ -80,8 +80,9 @@ func (cc *controlConn) send(typ byte, payload []byte) error {
 // NewServer starts the head's wire endpoint on addr (":0" for an
 // ephemeral port). The cluster's GCS and object store must be the in-memory
 // ones — the head is where the real stores live in process mode. Every
-// worker's Flight becomes the head's handle on the mailbox its process will
-// host: installed here, once, so no query sees the field change.
+// worker's Peer becomes the head's handle on the mailbox its process will
+// host, and the owner's view the in-memory cluster was built with goes:
+// installed here, once, so no query sees the fields change.
 func NewServer(cl *cluster.Cluster, addr string) (*Server, error) {
 	store, ok := cl.GCS.(*gcs.Store)
 	if !ok {
@@ -112,7 +113,8 @@ func NewServer(cl *cluster.Cluster, addr string) (*Server, error) {
 		// Fail through the head's handle declares the worker dead: no more frames
 		// to its mailbox, and its control conn severed, on which the process
 		// fails the mailbox itself.
-		w.Flight = &flightClient{p: p, worker: uint32(w.ID), fail: func() {
+		w.Mailbox, w.Disk = nil, nil
+		w.Peer = &flightClient{p: p, worker: uint32(w.ID), fail: func() {
 			p.close()
 			s.mu.Lock()
 			cc := s.ctrl[w.ID]

@@ -104,9 +104,9 @@ func attachWorker(ctx context.Context, wc WorkerConfig, met *metrics.Collector) 
 	// hosts — probe, take, drop, spool and same-worker pushes are function
 	// calls — and a peer's a client of that peer's listener, whose address
 	// arrives with each query. GCS and object store are clients of the head.
-	// Only THIS worker's disk is real (a directory); the others' are inert
-	// placeholders no worker-side code path touches. TimeScale 0: a worker
-	// process pays real I/O and network latency, not modelled sleeps on top.
+	// Only this worker has an owner's view here: the mailbox and a disk (a
+	// directory). TimeScale 0: a worker process pays real I/O and network
+	// latency, not modelled sleeps on top.
 	cost := storage.CostModel{}
 	w.pool = newPool(wc.Head)
 	w.objs = &objClient{p: w.pool, max: objCacheMax}
@@ -115,8 +115,7 @@ func attachWorker(ctx context.Context, wc WorkerConfig, met *metrics.Collector) 
 	for i := range w.peers {
 		if i != self {
 			w.peers[i] = newPeerPool(ctx)
-			w.cl.Workers = append(w.cl.Workers, cluster.NewWorker(cluster.WorkerID(i),
-				&flightClient{p: w.peers[i], worker: uint32(i)}, storage.NewLocalDisk(cost, met)))
+			w.cl.Workers = append(w.cl.Workers, cluster.NewPeer(cluster.WorkerID(i), &flightClient{p: w.peers[i], worker: uint32(i)}))
 			continue
 		}
 		disk, err := storage.NewDirDisk(wc.SpillDir, met)

@@ -86,6 +86,9 @@ func TestSubmitConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if q1.QueryID() == "" || q1.QueryID() == q2.QueryID() {
+		t.Errorf("concurrent queries are named %q and %q: ids must be set and distinct", q1.QueryID(), q2.QueryID())
+	}
 	r1, err := q1.Result()
 	if err != nil {
 		t.Fatal(err)

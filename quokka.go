@@ -158,9 +158,11 @@ func WithTracing(on bool) Option { return engine.WithTracing(on) }
 type ClusterConfig struct {
 	// Workers is the number of simulated worker machines.
 	Workers int
-	// TimeScale scales the simulated I/O service times. 0 uses the
-	// calibrated default (suitable for benchmarks); negative disables
-	// I/O cost simulation entirely (fastest, for tests).
+	// TimeScale turns the cost model on: positive, every simulated I/O
+	// (object store, network, disk, GCS round trip) sleeps its calibrated
+	// service time times TimeScale — modelled time, what the paper-figure
+	// reproductions run at 1.0. Zero, the zero value, and negative mean real
+	// time: nothing sleeps and a run costs what the machine makes it cost.
 	TimeScale float64
 	// HDFSObjectStore selects the HDFS cost profile for the shared object
 	// store instead of S3.
@@ -183,12 +185,7 @@ type Cluster struct {
 // with SpawnWorker or attach externally; see AwaitWorkers).
 func NewCluster(cfg ClusterConfig, opts ...Option) (*Cluster, error) {
 	cost := storage.DefaultCostModel()
-	switch {
-	case cfg.TimeScale > 0:
-		cost.TimeScale = cfg.TimeScale
-	case cfg.TimeScale < 0:
-		cost.TimeScale = 0
-	}
+	cost.TimeScale = max(cfg.TimeScale, 0)
 	profile := storage.ProfileS3
 	if cfg.HDFSObjectStore {
 		profile = storage.ProfileHDFS

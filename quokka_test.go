@@ -17,6 +17,21 @@ func newTestCluster(t *testing.T, workers int) *Cluster {
 	return c
 }
 
+// TestTimeScaleZeroValueIsRealTime: a ClusterConfig that does not mention
+// TimeScale sleeps nothing; only a positive value turns the cost model on.
+func TestTimeScaleZeroValueIsRealTime(t *testing.T) {
+	for in, want := range map[float64]float64{0: 0, -1: 0, 0.25: 0.25, 1: 1} {
+		c, err := NewCluster(ClusterConfig{Workers: 1, TimeScale: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.inner.Cost.TimeScale; got != want {
+			t.Errorf("ClusterConfig.TimeScale %v: the cluster's cost model runs at %v, want %v", in, got, want)
+		}
+		c.Close()
+	}
+}
+
 func salesTable(t *testing.T, c *Cluster, n int) {
 	t.Helper()
 	rows := make([][]any, n)
