@@ -8,6 +8,9 @@ import (
 
 // Batch is an immutable columnar record batch: a schema plus one column per
 // field, all of equal length. Batches are the engine's unit of data exchange.
+// An operator must not write to an input batch or to an output it has
+// returned: a same-worker consumer is handed its producer's output itself,
+// while a replay decodes the bytes encoded from it.
 //
 // A batch may carry a selection vector: when Sel is non-nil, the batch
 // logically contains the physical rows Sel[0], Sel[1], ... in that order,

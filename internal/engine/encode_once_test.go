@@ -94,6 +94,11 @@ func TestRetriesDoNotReencode(t *testing.T) {
 	cl := testCluster(t, 4, tables)
 	var mu sync.Mutex
 	refused := map[lineage.TaskName]int{}
+	type offer struct {
+		data  *byte
+		batch *batch.Batch
+	}
+	offers := map[lineage.TaskName][]offer{}
 	logPushes(cl, func(p flight.Partition) error {
 		// The aggregate's mailbox turns away each filter task's first pushes.
 		if p.Dest.Stage != 2 || len(p.Data) == 0 {
@@ -101,6 +106,7 @@ func TestRetriesDoNotReencode(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
+		offers[p.From] = append(offers[p.From], offer{&p.Data[0], p.Batch})
 		if refused[p.From]++; refused[p.From] <= rounds {
 			return errors.New("mailbox busy")
 		}
@@ -135,6 +141,22 @@ func TestRetriesDoNotReencode(t *testing.T) {
 				t.Fatalf("%s: a retry offered re-encoded bytes", task)
 			}
 		}
+	}
+	// A retried push offers the same bytes and, to a consumer on the
+	// producer's worker, the same batch.
+	handed := 0
+	for task, all := range offers {
+		for _, o := range all {
+			if o != all[0] {
+				t.Fatalf("%s: a retried push offered other bytes or another batch", task)
+			}
+		}
+		if all[0].batch != nil {
+			handed++
+		}
+	}
+	if handed == 0 {
+		t.Error("no push to the aggregate carried its batch")
 	}
 	for _, name := range []string{metrics.ShuffleRawBytes, metrics.ShuffleWireBytes} {
 		if got, want := rep.Metrics[name], clean.Metrics[name]; got != want {

@@ -314,13 +314,11 @@ func TestAllWorkersDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for cl.Metrics.Get(metrics.TasksExecuted) < 3 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		cl.Worker(0).Kill()
-		cl.Worker(1).Kill()
-	}()
+	// Both die inside a transaction once three tasks ran: a poller could
+	// sample its way past the query's last commit.
+	ran3 := func(*gcs.Txn) bool { return cl.Metrics.Get(metrics.TasksExecuted) >= 3 }
+	killInTxn(cl, 0, ran3)
+	killInTxn(cl, 1, ran3)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	_, _, runErr := r.Run(ctx)

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"quokka/internal/batch"
 )
 
 // A piece set is one task's output, serialized exactly once: for every
@@ -34,34 +36,43 @@ type edgePieces struct {
 	nchan  int      // destination channels
 	shared bool     // one payload serves all nchan channels
 	data   [][]byte // nchan payloads, or one when shared; nil = empty partition
+	// batches[i] is the batch data[i] encodes, on a set encodePieces just
+	// built; nil on a parsed one (a backup, a spool object).
+	batches []*batch.Batch
 }
 
 // pieceSet indexes a container edge by edge. The nil set is the empty
 // output's.
 type pieceSet []edgePieces
 
-// piece returns the payload for channel ch of consumer edge e; ok is false
-// when the set has no such piece (a container that does not match the plan).
-func (ps pieceSet) piece(e, ch int) (data []byte, ok bool) {
+// piece returns the payload for channel ch of consumer edge e and, on a set
+// built in this process, the batch behind it; ok is false when the set has
+// no such piece (a container that does not match the plan).
+func (ps pieceSet) piece(e, ch int) (data []byte, b *batch.Batch, ok bool) {
 	if ps == nil {
-		return nil, true
+		return nil, nil, true
 	}
 	if e < 0 || e >= len(ps) || ch < 0 || ch >= ps[e].nchan {
-		return nil, false
+		return nil, nil, false
 	}
 	if ps[e].shared {
-		return ps[e].data[0], true
+		ch = 0
 	}
-	return ps[e].data[ch], true
+	if ps[e].batches != nil {
+		b = ps[e].batches[ch]
+	}
+	return ps[e].data[ch], b, true
 }
 
 // pieceSetWriter lays a container out in buf. begin writes the index with
 // zeroed lengths; the caller then appends each piece's bytes to buf and
-// calls add, which records what was appended since the previous piece.
+// calls add, which records what was appended since the previous piece and
+// the batch it encodes.
 type pieceSetWriter struct {
-	buf  []byte
-	slot int // offset of the next unrecorded length
-	mark int // len(buf) where the next piece starts
+	buf     []byte
+	slot    int            // offset of the next unrecorded length
+	mark    int            // len(buf) where the next piece starts
+	batches []*batch.Batch // one per recorded piece, in container order
 }
 
 // beginPieceSet starts a container in buf for the given consumer edges;
@@ -86,11 +97,12 @@ func beginPieceSet(buf []byte, edges []Edge, par []int) pieceSetWriter {
 }
 
 // add records the bytes appended to buf since the previous piece (possibly
-// none: an empty partition) as the next piece.
-func (w *pieceSetWriter) add() {
+// none: an empty partition, whose b is nil) as the next piece, encoding b.
+func (w *pieceSetWriter) add(b *batch.Batch) {
 	binary.LittleEndian.PutUint32(w.buf[w.slot:], uint32(len(w.buf)-w.mark))
 	w.slot += 4
 	w.mark = len(w.buf)
+	w.batches = append(w.batches, b)
 }
 
 // parsePieceSet indexes a container. Every count and length is validated

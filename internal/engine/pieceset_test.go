@@ -14,7 +14,7 @@ func buildTestPieceSet(edges []Edge, par []int, pieces [][][]byte) []byte {
 	for _, edge := range pieces {
 		for _, p := range edge {
 			w.buf = append(w.buf, p...)
-			w.add()
+			w.add(nil)
 		}
 	}
 	return w.buf
@@ -55,7 +55,7 @@ func TestPieceSetRoundTrip(t *testing.T) {
 			if edge.Part.Kind != PartitionBroadcast {
 				want = pieces[e][c]
 			}
-			got, ok := ps.piece(e, c)
+			got, _, ok := ps.piece(e, c)
 			if !ok || !bytes.Equal(got, want) {
 				t.Errorf("piece(%d,%d) = %q, %v; want %q", e, c, got, ok, want)
 			}
@@ -63,14 +63,14 @@ func TestPieceSetRoundTrip(t *testing.T) {
 				t.Errorf("piece(%d,%d) can grow into its neighbour: len %d cap %d", e, c, len(got), cap(got))
 			}
 		}
-		if _, ok := ps.piece(e, par[edge.To]); ok {
+		if _, _, ok := ps.piece(e, par[edge.To]); ok {
 			t.Errorf("edge %d: channel %d past the edge's width was served", e, par[edge.To])
 		}
 	}
-	if _, ok := ps.piece(len(edges), 0); ok {
+	if _, _, ok := ps.piece(len(edges), 0); ok {
 		t.Error("an edge past the set was served")
 	}
-	if _, ok := ps.piece(-1, 0); ok {
+	if _, _, ok := ps.piece(-1, 0); ok {
 		t.Error("edge -1 was served")
 	}
 
@@ -84,7 +84,7 @@ func TestPieceSetRoundTrip(t *testing.T) {
 	if err != nil || empty != nil {
 		t.Fatalf("empty container: %v, %v", empty, err)
 	}
-	if got, ok := empty.piece(2, 7); !ok || got != nil {
+	if got, _, ok := empty.piece(2, 7); !ok || got != nil {
 		t.Errorf("empty set piece = %q, %v", got, ok)
 	}
 }
@@ -127,7 +127,7 @@ func FuzzParsePieceSet(f *testing.F) {
 		total := 0
 		for e, edge := range ps {
 			for c := range edge.data {
-				got, ok := ps.piece(e, c)
+				got, _, ok := ps.piece(e, c)
 				if !ok {
 					t.Fatalf("declared piece (%d,%d) not served", e, c)
 				}

@@ -14,8 +14,9 @@ import (
 
 // encodeOutput serializes a pending task's output, once: with consumer
 // edges it becomes a piece set, without (the output stage) the whole-output
-// frame that is the result partition. The batch is released; retries, the
-// backup and the spool all use the bytes.
+// frame that is the result partition. Retries, the backup and the spool all
+// use the bytes; the piece set keeps the batch behind each piece until the
+// task commits, for pushes to consumers on this worker.
 func (t *taskManager) encodeOutput(p *pendingTask, edges []Edge, prodChannel int) error {
 	if p.out.NumRows() > 0 {
 		p.outRows = int64(p.out.NumRows())
@@ -43,8 +44,8 @@ func (t *taskManager) encodeOutput(p *pendingTask, edges []Edge, prodChannel int
 var pieceBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // encodePieces serializes a non-empty output for every consumer edge of
-// its stage into one piece set and indexes it. prodChannel is the producing
-// channel (used by direct edges).
+// its stage into one piece set and indexes it, with the batch behind each
+// piece. prodChannel is the producing channel (used by direct edges).
 func (t *taskManager) encodePieces(out *batch.Batch, edges []Edge, prodChannel int) ([]byte, pieceSet, error) {
 	bp := pieceBufs.Get().(*[]byte)
 	w := beginPieceSet((*bp)[:0], edges, t.r.par)
@@ -61,6 +62,10 @@ func (t *taskManager) encodePieces(out *batch.Batch, edges []Edge, prodChannel i
 		return nil, nil, err
 	}
 	ps, err := parsePieceSet(set)
+	for i := range ps {
+		n := len(ps[i].data)
+		ps[i].batches, w.batches = w.batches[:n:n], w.batches[n:]
+	}
 	return set, ps, err
 }
 
@@ -73,22 +78,27 @@ func (t *taskManager) encodePieces(out *batch.Batch, edges []Edge, prodChannel i
 // partition travels as, never which partition a row lands in.
 func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, prodChannel int) error {
 	n := t.r.par[e.To]
-	encode := func(b *batch.Batch) {
-		if t.r.cfg.ShuffleCompress {
-			w.buf = batch.AppendCompressed(w.buf, b)
-		} else {
-			w.buf = batch.AppendRaw(w.buf, b)
+	// put appends b's piece; nil is an empty partition.
+	put := func(b *batch.Batch) {
+		if b != nil {
+			if t.r.cfg.ShuffleCompress {
+				w.buf = batch.AppendCompressed(w.buf, b)
+			} else {
+				w.buf = batch.AppendRaw(w.buf, b)
+			}
+			t.r.count(metrics.ShuffleRawBytes, int64(batch.RawEncodedSize(b)))
+			t.r.count(metrics.ShuffleWireBytes, int64(len(w.buf)-w.mark))
 		}
-		t.r.count(metrics.ShuffleRawBytes, int64(batch.RawEncodedSize(b)))
-		t.r.count(metrics.ShuffleWireBytes, int64(len(w.buf)-w.mark))
+		w.add(b)
 	}
 	// only sends the whole output to one channel of n.
 	only := func(target int) {
 		for i := 0; i < n; i++ {
 			if i == target {
-				encode(out)
+				put(out)
+			} else {
+				put(nil)
 			}
-			w.add()
 		}
 	}
 	switch e.Part.Kind {
@@ -97,8 +107,7 @@ func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, 
 	case PartitionDirect:
 		only(prodChannel % n)
 	case PartitionBroadcast:
-		encode(out)
-		w.add()
+		put(out)
 	case PartitionHash:
 		for _, k := range e.Part.Keys {
 			if out.Schema.Index(k) < 0 {
@@ -106,10 +115,10 @@ func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, 
 			}
 		}
 		for _, pb := range out.HashPartition(e.Part.Keys, n) {
-			if pb.NumRows() > 0 {
-				encode(pb)
+			if pb.NumRows() == 0 {
+				pb = nil
 			}
-			w.add()
+			put(pb)
 		}
 	}
 	return nil
@@ -145,9 +154,9 @@ func (t *taskManager) pushOutputs(cs *chanState, task lineage.TaskName, p *pendi
 	}
 	for ei, e := range edges {
 		for cc := 0; cc < t.r.par[e.To]; cc++ {
-			data, _ := p.pieces.piece(ei, cc)
+			data, b, _ := p.pieces.piece(ei, cc)
 			dest := lineage.ChannelID{Stage: e.To, Channel: cc}
-			if err := t.pushPiece(cs.snap, task, dest, e.Input, data, cs.cep); err != nil {
+			if err := t.pushPiece(cs.snap, task, dest, e.Input, data, b, cs.cep); err != nil {
 				return err
 			}
 			t.r.count(metrics.PartitionsMoved, 1)
@@ -159,18 +168,23 @@ func (t *taskManager) pushOutputs(cs *chanState, task lineage.TaskName, p *pendi
 // pushPiece delivers one piece to the worker hosting its consumer channel
 // according to snap — the image whose global epoch fences the caller's
 // commit (or replay-entry delete), so a piece placed by a stale image is
-// never acknowledged.
-func (t *taskManager) pushPiece(snap *snapshot, from lineage.TaskName, dest lineage.ChannelID, input int, data []byte, epoch int) error {
+// never acknowledged. b, the batch data encodes (nil for a replay), goes
+// along only to a consumer on this worker, which then need not decode.
+func (t *taskManager) pushPiece(snap *snapshot, from lineage.TaskName, dest lineage.ChannelID, input int, data []byte, b *batch.Batch, epoch int) error {
 	wid := snap.chans[dest.Stage][dest.Channel].place
 	if wid < 0 {
 		return fmt.Errorf("engine: no placement for channel %s", dest)
 	}
 	dw := t.r.cl.Worker(cluster.WorkerID(wid))
 	local := dw.ID == t.w.ID || len(data) == 0
-	if err := dw.Peer.Push(flight.Partition{
+	p := flight.Partition{
 		Query: t.r.qid, From: from, Dest: dest, Input: input, Data: data,
 		Epoch: epoch, Local: local,
-	}); err != nil {
+	}
+	if local {
+		p.Batch = b
+	}
+	if err := dw.Peer.Push(p); err != nil {
 		return err
 	}
 	if !local {

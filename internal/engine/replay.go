@@ -123,11 +123,11 @@ func (t *taskManager) runOneReplay(snap *snapshot, fullKey, rest string, destsRa
 			if e.To != dest.Stage {
 				continue
 			}
-			data, ok := pieces.piece(ei, dest.Channel)
+			data, _, ok := pieces.piece(ei, dest.Channel)
 			if !ok {
 				return false
 			}
-			if err := t.pushPiece(snap, task, dest, e.Input, data, flight.EpochCommitted); err != nil {
+			if err := t.pushPiece(snap, task, dest, e.Input, data, nil, flight.EpochCommitted); err != nil {
 				return false
 			}
 			pushed = true

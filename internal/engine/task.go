@@ -55,26 +55,31 @@ func (t *taskManager) runTask(cs *chanState, rec lineage.Record, isReplay bool) 
 
 // consume runs the operator over the chosen inputs and returns the
 // concatenated output (nil if no rows) plus the consumed input volume
-// (rows and wire bytes, for the task's trace span).
+// (rows and wire bytes, for the task's trace span). A piece pushed from
+// this worker comes with its producer's batch; only the others are decoded.
 func (t *taskManager) consume(cs *chanState, rec lineage.Record) (out *batch.Batch, inRows, inBytes int64, err error) {
-	datas, err := t.mb.Take(t.r.qid, cs.id, rec.Input, rec.UpChannel, rec.FromSeq, rec.Count)
+	pieces, err := t.mb.Take(t.r.qid, cs.id, rec.Input, rec.UpChannel, rec.FromSeq, rec.Count)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	var outs []*batch.Batch
-	for _, d := range datas {
-		if len(d) == 0 {
+	for _, pc := range pieces {
+		if len(pc.Data) == 0 {
 			continue // empty partition: counts for the watermark only
 		}
-		b, err := batch.Decode(d)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("engine: corrupt partition for %s: %w", cs.id, err)
+		b, how := pc.Batch, metrics.PiecesHanded
+		if b == nil {
+			if b, err = batch.Decode(pc.Data); err != nil {
+				return nil, 0, 0, fmt.Errorf("engine: corrupt partition for %s: %w", cs.id, err)
+			}
+			how = metrics.PiecesDecoded
 		}
+		t.r.count(how, 1)
 		if b.NumRows() == 0 {
 			continue
 		}
 		inRows += int64(b.NumRows())
-		inBytes += int64(len(d))
+		inBytes += int64(len(pc.Data))
 		t.chargeCompute(cs.op, b)
 		o, err := cs.op.Consume(rec.Input, b)
 		if err != nil {

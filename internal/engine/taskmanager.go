@@ -120,7 +120,8 @@ type pendingTask struct {
 	// The task's one serialization, built by the first finishTask: the piece
 	// set of a stage with consumers (pieces indexes it), the result frame of
 	// an output-stage task. nil for an empty output. Pieces depend on channel
-	// counts, never on placement, so they stay valid across a recovery.
+	// counts, never on placement, so they stay valid across a recovery; they
+	// keep the batch behind each piece, for same-worker pushes, until commit.
 	payload []byte
 	pieces  pieceSet
 	outRows int64

@@ -26,7 +26,7 @@ func TestPushEpochFencesZombies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return string(d[0])
+		return string(d[0].Data)
 	}
 
 	push("old-incarnation", 0)

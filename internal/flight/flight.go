@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sync"
 
+	"quokka/internal/batch"
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/storage"
@@ -44,8 +45,18 @@ type Partition struct {
 	Epoch int
 	// Local marks a same-worker delivery (producer and consumer channels
 	// share the machine): no network transfer is charged, like Arrow
-	// Flight's local IPC path.
+	// Flight's local IPC path, and the mailbox keeps Batch.
 	Local bool
+	// Batch is the batch Data encodes, as its producer built it, for the
+	// consumer to use instead of decoding. It never travels over the wire.
+	Batch *batch.Batch
+}
+
+// Piece is one slot as Take returns it: the bytes as pushed and, when a
+// Local push left it, the batch they encode (nil otherwise).
+type Piece struct {
+	Data  []byte
+	Batch *batch.Batch
 }
 
 // EpochCommitted marks a push that re-feeds lineage-committed content:
@@ -77,7 +88,7 @@ type Peer interface {
 type Mailbox interface {
 	Peer
 	Probe(query string, dest lineage.ChannelID, edges []Edge) []int
-	Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([][]byte, error)
+	Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([]Piece, error)
 	Drop(query string, dest lineage.ChannelID, input, upChannel, from, count int)
 	SpoolResult(query string, task lineage.TaskName, data []byte, epoch int) error
 }
@@ -105,7 +116,7 @@ type Server struct {
 
 	mu     sync.Mutex
 	failed bool
-	// boxes[edge][producerSeq] = encoded batch + producer epoch
+	// boxes[edge][producerSeq] = encoded batch + producer epoch (+ the batch)
 	boxes map[edgeKey]map[int]slot
 	bytes int64
 	// results holds worker-side spooled final-stage output: payloads the
@@ -122,10 +133,12 @@ type resultKey struct {
 }
 
 // slot is one mailbox entry: the partition bytes plus the epoch of the
-// producer incarnation that pushed them.
+// producer incarnation that pushed them, and the batch a Local push left.
+// Whatever frees the slot frees the batch with it.
 type slot struct {
 	epoch int
 	data  []byte
+	batch *batch.Batch
 }
 
 // NewServer creates an empty mailbox.
@@ -147,10 +160,12 @@ var ErrServerDown = fmt.Errorf("flight: server down (worker failed)")
 // replaces it; partitions the consumer has already dropped simply reappear
 // and will be ignored by the watermark. A push carrying a lower epoch than
 // the slot it targets is a zombie (see Partition.Epoch) and is dropped
-// without effect. Push fails if the hosting worker has failed.
+// without effect. Only a Local push keeps its Batch; any accepted push
+// replaces the slot's. Push fails if the hosting worker has failed.
 func (s *Server) Push(p Partition) error {
 	if !p.Local {
 		s.cost.Apply(s.cost.Network, int64(len(p.Data)))
+		p.Batch = nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -169,7 +184,7 @@ func (s *Server) Push(p Partition) error {
 		}
 		s.bytes -= int64(len(old.data))
 	}
-	box[p.From.Seq] = slot{epoch: p.Epoch, data: p.Data}
+	box[p.From.Seq] = slot{epoch: p.Epoch, data: p.Data, batch: p.Batch}
 	s.bytes += int64(len(p.Data))
 	if !p.Local {
 		s.met.Add(metrics.NetworkBytes, int64(len(p.Data)))
@@ -211,22 +226,23 @@ func (s *Server) Probe(query string, dest lineage.ChannelID, edges []Edge) []int
 }
 
 // Take returns the partitions [from, from+count) for the consumer edge
-// without removing them. It fails if any is missing.
-func (s *Server) Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([][]byte, error) {
+// without removing them, each with the batch a Local push left in its slot.
+// It fails if any is missing.
+func (s *Server) Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([]Piece, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
 		return nil, ErrServerDown
 	}
 	box := s.boxes[edgeKey{query, dest, input, upChannel}]
-	out := make([][]byte, count)
+	out := make([]Piece, count)
 	for i := 0; i < count; i++ {
 		d, ok := box[from+i]
 		if !ok {
 			return nil, fmt.Errorf("flight: partition %d.%d.%d for %s input %d missing",
 				dest.Stage, upChannel, from+i, dest, input)
 		}
-		out[i] = d.data
+		out[i] = Piece{Data: d.data, Batch: d.batch}
 	}
 	return out, nil
 }
@@ -240,23 +256,6 @@ func (s *Server) Drop(query string, dest lineage.ChannelID, input, upChannel, fr
 		if d, ok := box[from+i]; ok {
 			s.bytes -= int64(len(d.data))
 			delete(box, from+i)
-		}
-	}
-}
-
-// DropChannel clears every partition buffered for a consumer channel of
-// one query. Not part of Mailbox: no engine path calls it (a rewound
-// channel's stale slots are overwritten or dropped below the watermark by Probe);
-// the package's edge-isolation test does.
-func (s *Server) DropChannel(query string, dest lineage.ChannelID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, box := range s.boxes {
-		if k.query == query && k.dest == dest {
-			for _, d := range box {
-				s.bytes -= int64(len(d.data))
-			}
-			delete(s.boxes, k)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package flight
 import (
 	"testing"
 
+	"quokka/internal/batch"
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/storage"
@@ -107,7 +108,7 @@ func TestPushIdempotent(t *testing.T) {
 		t.Errorf("BufferedBytes = %d after overwrite", s.BufferedBytes())
 	}
 	data, err := s.Take("q1", dest, 0, 0, 0, 1)
-	if err != nil || string(data[0]) != "retransmit" {
+	if err != nil || string(data[0].Data) != "retransmit" {
 		t.Fatalf("Take after overwrite: %q, %v", data, err)
 	}
 }
@@ -125,12 +126,88 @@ func TestEdgesAreIsolated(t *testing.T) {
 	if got := contig(s, "q1", d1, 1, 0, 0); got != 1 {
 		t.Errorf("d1 input1 = %d", got)
 	}
-	s.DropChannel("q1", d1)
+	// A drop frees one edge of one channel and nothing else.
+	s.Drop("q1", d1, 0, 0, 0, 1)
 	if got := contig(s, "q1", d1, 0, 0, 0); got != 0 {
-		t.Error("DropChannel should clear all d1 edges")
+		t.Error("Drop should clear d1 input 0")
 	}
-	if got := contig(s, "q1", d2, 0, 0, 0); got != 1 {
-		t.Error("DropChannel must not touch other channels")
+	if contig(s, "q1", d1, 1, 0, 0) != 1 || contig(s, "q1", d2, 0, 0, 0) != 1 {
+		t.Error("Drop must not touch another edge or channel")
+	}
+	s.DropQuery("q1")
+	if s.BufferedBytes() != 0 {
+		t.Errorf("BufferedBytes = %d after DropQuery", s.BufferedBytes())
+	}
+}
+
+// handedSlots counts the slots holding a batch.
+func handedSlots(s *Server) (n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, box := range s.boxes {
+		for _, d := range box {
+			if d.batch != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestHandedBatch: a Local push leaves its batch for Take, any other push
+// leaves none and clears the one a slot held, a zombie cannot swap its own
+// in, and whatever frees a slot frees its batch.
+func TestHandedBatch(t *testing.T) {
+	s := newServer()
+	dest := lineage.ChannelID{Stage: 1, Channel: 0}
+	b := batch.MustNew(batch.NewSchema(batch.F("x", batch.Int64)), []*batch.Column{batch.NewIntColumn([]int64{7})})
+	push := func(seq, epoch int, local bool, with *batch.Batch) {
+		p := part(0, 0, seq, dest, 0, "data")
+		p.Epoch, p.Local, p.Batch = epoch, local, with
+		if err := s.Push(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	taken := func(seq int) *batch.Batch {
+		got, err := s.Take("q1", dest, 0, 0, seq, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got[0].Batch
+	}
+	push(0, 1, true, b)
+	if taken(0) != b {
+		t.Fatal("a Local push's batch did not come back")
+	}
+	push(0, 0, true, batch.Empty(b.Schema)) // a zombie's
+	if taken(0) != b {
+		t.Fatal("a lower-epoch push swapped in its batch")
+	}
+	push(0, EpochCommitted, true, nil) // a replay
+	if taken(0) != nil {
+		t.Fatal("a re-push without a batch left the old one")
+	}
+	push(1, 1, false, b)
+	if taken(1) != nil {
+		t.Fatal("a cross-worker push kept its batch")
+	}
+
+	for seq := range 3 {
+		push(seq, 1, true, b)
+	}
+	s.Drop("q1", dest, 0, 0, 0, 1)
+	contig(s, "q1", dest, 0, 0, 2) // drops seq 1
+	if n := handedSlots(s); n != 1 {
+		t.Fatalf("%d batches held after Drop and Probe, want 1", n)
+	}
+	s.DropQuery("q1")
+	if n := handedSlots(s); n != 0 {
+		t.Fatalf("%d batches held after DropQuery", n)
+	}
+	push(0, 1, true, b)
+	s.Fail()
+	if n := handedSlots(s); n != 0 {
+		t.Fatalf("%d batches held after Fail", n)
 	}
 }
 
@@ -160,11 +237,11 @@ func TestQueriesAreIsolated(t *testing.T) {
 	s.Push(p1)
 	s.Push(p2)
 	d1, err := s.Take("q1", dest, 0, 0, 0, 1)
-	if err != nil || string(d1[0]) != "query-one" {
+	if err != nil || string(d1[0].Data) != "query-one" {
 		t.Fatalf("q1 Take: %q, %v", d1, err)
 	}
 	d2, err := s.Take("q2", dest, 0, 0, 0, 1)
-	if err != nil || string(d2[0]) != "query-two" {
+	if err != nil || string(d2[0].Data) != "query-two" {
 		t.Fatalf("q2 Take: %q, %v", d2, err)
 	}
 	// Tearing one query down leaves the other untouched.

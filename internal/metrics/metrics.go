@@ -71,6 +71,8 @@ const (
 	RecoveryRewinds  = "recovery.rewinds"
 	LineageRecords   = "lineage.records"
 	SpoolWriteBytes  = "spool.write.bytes"
+	PiecesHanded     = "shuffle.pieces.handed"  // pieces consumed as the batch a same-worker producer built
+	PiecesDecoded    = "shuffle.pieces.decoded" // pieces consumed by decoding (cross-worker pushes, replays)
 	BackupWriteBytes = "backup.write.bytes"
 	SpillWriteBytes  = "spill.bytes"        // operator state spilled to local disk (raw framed size)
 	SpillWireBytes   = "spill.bytes.wire"   // spill run bytes as written (post-compression)

@@ -14,9 +14,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
+	"quokka/internal/batch"
 	"quokka/internal/cluster"
 	"quokka/internal/engine"
 	"quokka/internal/flight"
@@ -570,6 +573,17 @@ func contig(fl flight.Mailbox, q string, dest lineage.ChannelID, input, up, from
 	return fl.Probe(q, dest, []flight.Edge{{Input: input, UpChannel: up, Watermark: from}})[0]
 }
 
+// oneRowBatch is a batch for a same-worker push to hand over.
+func oneRowBatch() *batch.Batch {
+	return batch.MustNew(batch.NewSchema(batch.F("x", batch.Int64)), []*batch.Column{batch.NewIntColumn([]int64{1})})
+}
+
+// released reports whether nothing holds the batch w points to any more.
+func released(w weak.Pointer[batch.Batch]) bool {
+	runtime.GC()
+	return w.Value() == nil
+}
+
 // flightConformance's cases share worker 0's mailbox and run in order: fl is
 // anybody's handle on it, own its owner's view in the hosting process.
 func flightConformance(t *testing.T, b *backends) {
@@ -602,8 +616,8 @@ func flightConformance(t *testing.T, b *backends) {
 		if err != nil {
 			t.Fatalf("take: %v", err)
 		}
-		if string(got[0]) != "p0" || string(got[1]) != "p1" {
-			t.Fatalf("take content: %q %q", got[0], got[1])
+		if string(got[0].Data) != "p0" || string(got[1].Data) != "p1" {
+			t.Fatalf("take content: %q %q", got[0].Data, got[1].Data)
 		}
 		// Take of a missing partition errors.
 		if _, err := own.Take(q, dest, 0, 2, 0, 3); err == nil {
@@ -621,16 +635,16 @@ func flightConformance(t *testing.T, b *backends) {
 			t.Fatal(err)
 		}
 		got, _ := own.Take(q, dest, 0, 2, 0, 1)
-		if string(got[0]) != "p0-epoch1" {
-			t.Fatalf("after zombie push: %q, want the epoch-1 content", got[0])
+		if string(got[0].Data) != "p0-epoch1" {
+			t.Fatalf("after zombie push: %q, want the epoch-1 content", got[0].Data)
 		}
 		// EpochCommitted re-feeds are always accepted.
 		if err := push(0, flight.EpochCommitted, "p0-committed"); err != nil {
 			t.Fatal(err)
 		}
 		got, _ = own.Take(q, dest, 0, 2, 0, 1)
-		if string(got[0]) != "p0-committed" {
-			t.Fatalf("committed re-feed rejected: %q", got[0])
+		if string(got[0].Data) != "p0-committed" {
+			t.Fatalf("committed re-feed rejected: %q", got[0].Data)
 		}
 	})
 
@@ -691,6 +705,74 @@ func flightConformance(t *testing.T, b *backends) {
 		}
 		if len(own.Probe(q, dest, nil)) != 0 {
 			t.Fatalf("empty probe answered edges")
+		}
+	})
+
+	// A same-worker push — the owner's, by function call — leaves its batch
+	// for Take; any other accepted push replaces the slot's batch with none;
+	// a zombie cannot swap its own in; and a batch never crosses the wire.
+	t.Run("handed-batch", func(t *testing.T) {
+		hb := oneRowBatch()
+		at := func(h flight.Peer, seq, epoch int, local bool, with *batch.Batch) *batch.Batch {
+			t.Helper()
+			if err := h.Push(flight.Partition{
+				Query: q, From: lineage.TaskName{Stage: 0, Channel: 3, Seq: seq}, Dest: dest, Input: 2,
+				Data: []byte("h"), Epoch: epoch, Local: local, Batch: with,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := own.Take(q, dest, 2, 3, seq, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got[0].Batch
+		}
+		if at(own, 0, 1, true, hb) != hb {
+			t.Fatal("a same-worker push's batch did not come back")
+		}
+		if at(own, 0, 0, true, oneRowBatch()) != hb {
+			t.Fatal("a lower-epoch push swapped in its batch")
+		}
+		if at(own, 0, flight.EpochCommitted, true, nil) != nil {
+			t.Fatal("a replay without a batch left the old one")
+		}
+		if at(own, 1, 1, false, hb) != nil {
+			t.Fatal("a push not marked Local kept its batch")
+		}
+		// Anybody's handle: the mailbox itself in memory, a client over the
+		// wire, whose frame carries the bytes only.
+		want := hb
+		if b.remote {
+			want = nil
+		}
+		if got := at(fl, 2, 1, true, hb); got != want {
+			t.Fatalf("a Local push through anybody's handle left %p, want %p", got, want)
+		}
+	})
+
+	// Whatever frees a slot frees its batch: Drop, a probe past it, DropQuery.
+	t.Run("handed-batch-released", func(t *testing.T) {
+		hq := q + "-handed"
+		handed := func(seq int) weak.Pointer[batch.Batch] {
+			hb := oneRowBatch()
+			if err := own.Push(flight.Partition{Query: hq, From: lineage.TaskName{Seq: seq}, Dest: dest,
+				Data: []byte("h"), Local: true, Batch: hb}); err != nil {
+				t.Fatal(err)
+			}
+			return weak.Make(hb)
+		}
+		dropped, below, swept := handed(0), handed(1), handed(2)
+		own.Drop(hq, dest, 0, 0, 0, 1)
+		contig(own, hq, dest, 0, 0, 2)
+		if !released(dropped) || !released(below) {
+			t.Fatalf("batch held after Drop: %v, after a probe past it: %v", !released(dropped), !released(below))
+		}
+		if released(swept) {
+			t.Fatal("a batch still in its slot was collected")
+		}
+		fl.DropQuery(hq)
+		if !released(swept) {
+			t.Fatal("batch held after DropQuery")
 		}
 	})
 
@@ -789,8 +871,17 @@ func failureConformance(t *testing.T, b *backends) {
 			t.Fatalf("push after a remote handle's Fail: %v", err)
 		}
 	}
-	// Fail, through the contract, at the authoritative end.
+	// Fail, through the contract, at the authoritative end; it frees the
+	// batches the slots held with them.
+	hb := oneRowBatch()
+	if err := own.Push(flight.Partition{Query: q, From: task, Dest: lineage.ChannelID{Stage: 2}, Data: []byte("h"), Local: true, Batch: hb}); err != nil {
+		t.Fatal(err)
+	}
+	handed := weak.Make(hb)
 	own.Fail()
+	if !released(handed) {
+		t.Fatal("a failed mailbox still holds a batch")
+	}
 	err := fl.Push(flight.Partition{Query: q, From: task, Dest: lineage.ChannelID{Stage: 1}, Data: []byte("y")})
 	if !errors.Is(err, flight.ErrServerDown) {
 		t.Fatalf("push to failed worker: %v, want ErrServerDown", err)

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"net"
 	"testing"
@@ -26,6 +28,44 @@ func pushBody() []byte {
 	w.boolean(true)
 	w.bytes([]byte("payload-bytes"))
 	return w.b
+}
+
+// TestPushFrameCarriesNoBatch: a batch offered to a remote handle stays in
+// its process. The mtFlPush body a client sends for a Local push carrying one
+// is pushBody — what FuzzMailboxOp's corpus is cut from — byte for byte.
+func TestPushFrameCarriesNoBatch(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	body := make(chan []byte, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		typ, payload, err := readFrame(c)
+		if err == nil && typ == mtFlPush {
+			body <- payload
+			writeFrame(c, mtOK, nil)
+		}
+		close(body)
+	}()
+	peer := newPeerPool(context.Background())
+	peer.setAddr(ln.Addr().String())
+	defer peer.close()
+	err = (&flightClient{p: peer, worker: 1}).Push(flight.Partition{
+		Query: "q-0007", From: lineage.TaskName{Stage: 1, Channel: 3, Seq: 42}, Dest: lineage.ChannelID{Stage: 2},
+		Input: 1, Epoch: 5, Local: true, Data: []byte("payload-bytes"), Batch: oneRowBatch(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := <-body; !bytes.Equal(got, pushBody()) {
+		t.Fatalf("push body %x, want %x", got, pushBody())
+	}
 }
 
 // opResponses are the frames a listener may answer an op with.

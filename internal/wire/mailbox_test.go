@@ -69,6 +69,10 @@ func TestSameWorkerEdgesCostNoFrames(t *testing.T) {
 		if moved := met.Get(metrics.PartitionsMoved); moved == 0 {
 			t.Errorf("%s counted no piece moved: the query pushed nothing?", who)
 		}
+		// Every push a function call, so every piece is taken with its batch.
+		if handed, decoded := met.Get(metrics.PiecesHanded), met.Get(metrics.PiecesDecoded); handed == 0 || decoded != 0 {
+			t.Errorf("%s counted %d pieces handed, %d decoded; want all handed", who, handed, decoded)
+		}
 	}
 	if n := cl.Metrics.Get(metrics.NetBytesModelled); n != 0 {
 		t.Errorf("net.bytes.modelled = %d with every edge local", n)
