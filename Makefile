@@ -31,14 +31,16 @@ dark:
 ## spill, batch, flight, trace, gcs, metrics, tpch, lint, ...), plus the
 ## public Submit/Cursor API suites in the root package, plus five rounds of
 ## the wire kill suite: a worker killed, stopped or unreachable mid-query now
-## takes its own listener, accepted conns and mailbox with it, in its own time;
-## and five rounds of the engine kill suites beside the handed-batch check: a
-## same-worker consumer reads its producer's batch, which must stay its piece.
+## takes its own listener, accepted conns and mailbox with it, in its own time,
+## and a cursor streams over the wire through a kill; and five rounds of the
+## engine kill suites beside the handed-batch check: a same-worker consumer
+## reads its producer's batch, which must stay its piece, and a checkpoint
+## restart keeps the results its output channel delivered below the mark.
 race: wake-stress
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestSubmit|TestAdmissionLimitPublic' .
-	$(GO) test -race -count=5 -run 'TestProcessModeKillWorker|TestPeerPushFailureIsARetryNotAVerdict|TestWorkerStopClosesMailboxConns' ./internal/wire
-	$(GO) test -race -count=5 -run 'TestHandedBatchIsItsPiece|Recover|Fail|Kill|Dead|TestReplayedPiecesAreTheStoredOnes|TestCheckpointRestart' ./internal/engine
+	$(GO) test -race -count=5 -run 'TestProcessModeKillWorker|TestProcessModeCursorMatchesResult|TestProcessModeKillWorkerMidCursor|TestPeerPushFailureIsARetryNotAVerdict|TestWorkerStopClosesMailboxConns' ./internal/wire
+	$(GO) test -race -count=5 -run 'TestHandedBatchIsItsPiece|Recover|Fail|Kill|Dead|TestReplayedPiecesAreTheStoredOnes|TestCheckpointRestart(RestoresState|KeepsDeliveredResults)' ./internal/engine
 
 ## wake-stress: the control plane waits instead of polling, so a lost wake-up
 ## is the bug to look for: twenty race-detector rounds of the wait primitive
@@ -63,7 +65,7 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 24030
+LOC_MAX := 23756
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi

@@ -8,16 +8,10 @@ import (
 	"quokka/internal/lineage"
 )
 
-// collector receives the output stage's partitions on the head node. It
-// deduplicates retransmissions by task name, so recovery replays are
-// harmless.
-//
-// With worker-side result spooling (the default) an entry is usually just
-// a manifest — the payload stays on the producing worker and the entry
-// records where; the cursor (or the completion drain) fetches the bytes on
-// demand. The backpressure accounting always charges the real payload
-// size, manifest or not, so the buffer bound means the same thing in both
-// modes.
+// collector receives the output stage's partitions on the head node, the
+// query's last consumer: an output task delivers its payload here and then
+// commits. It deduplicates retransmissions by task name, so recovery replays
+// are harmless.
 //
 // When a Cursor is attached it doubles as the streaming buffer: partitions
 // are released as the cursor consumes them (the consumed prefix is then
@@ -31,7 +25,7 @@ type collector struct {
 	cond *sync.Cond
 
 	parts map[lineage.TaskName]resultPart
-	bytes int64 // accounted payload bytes (spooled entries count their real size)
+	bytes int64 // buffered payload bytes
 
 	outStage  int
 	channels  int
@@ -48,21 +42,10 @@ type collector struct {
 	termErr error
 }
 
-// resultPart is one output partition at the head: either the payload
-// itself (data non-nil or a consumed empty partition) or a manifest
-// pointing at the worker spooling it.
+// resultPart is one output partition at the head.
 type resultPart struct {
-	data    []byte
-	size    int64 // real payload size, accounted against the buffer bound
-	epoch   int   // producing channel's rewind epoch at delivery
-	spooled bool
-	worker  int // spooling worker, when spooled
-}
-
-// spoolRef names a spooled entry for the completion drain.
-type spoolRef struct {
-	task   lineage.TaskName
-	worker int
+	data  []byte
+	epoch int // producing channel's rewind epoch at delivery
 }
 
 func newCollector(outStage, channels int) *collector {
@@ -85,16 +68,6 @@ func newCollector(outStage, channels int) *collector {
 // only under cursor backpressure (buffer full); the producing task must
 // then retry.
 func (c *collector) Deliver(t lineage.TaskName, data []byte, epoch int) bool {
-	return c.admit(t, resultPart{data: data, size: int64(len(data)), epoch: epoch})
-}
-
-// DeliverSpooled offers a manifest: the payload (size bytes) stays spooled
-// on the given worker. Backpressure semantics are identical to Deliver.
-func (c *collector) DeliverSpooled(t lineage.TaskName, worker int, size int64, epoch int) bool {
-	return c.admit(t, resultPart{size: size, epoch: epoch, spooled: true, worker: worker})
-}
-
-func (c *collector) admit(t lineage.TaskName, p resultPart) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t.Channel < c.channels {
@@ -109,16 +82,17 @@ func (c *collector) admit(t lineage.TaskName, p resultPart) bool {
 			return true
 		}
 	}
+	size := int64(len(data))
 	if old, ok := c.parts[t]; ok {
-		if old.epoch > p.epoch {
+		if old.epoch > epoch {
 			// Zombie delivery: a worker declared dead (or a task of a since-
 			// rewound channel) can still be mid-push and land after the new
 			// incarnation re-delivered this seq, possibly with different
 			// content. Accept-and-drop, mirroring the flight mailbox.
 			return true
 		}
-		c.bytes -= old.size
-	} else if c.streaming && c.limit > 0 && c.bytes+p.size > c.limit &&
+		c.bytes -= int64(len(old.data))
+	} else if c.streaming && c.limit > 0 && c.bytes+size > c.limit &&
 		!(t.Channel == c.needCh && t.Seq == c.needSeq) {
 		// Buffer full and this is not the partition the cursor is waiting
 		// for: refuse, so the producer keeps it pending. The next-needed
@@ -126,8 +100,8 @@ func (c *collector) admit(t lineage.TaskName, p resultPart) bool {
 		// even when out-of-order channels fill the buffer.
 		return false
 	}
-	c.parts[t] = p
-	c.bytes += p.size
+	c.parts[t] = resultPart{data: data, epoch: epoch}
+	c.bytes += size
 	c.cond.Broadcast()
 	return true
 }
@@ -140,72 +114,6 @@ func (c *collector) has(t lineage.TaskName) bool {
 	}
 	_, ok := c.parts[t]
 	return ok
-}
-
-// hasSpooledOn reports whether the entry for t is still a manifest
-// pointing at the given worker.
-func (c *collector) hasSpooledOn(t lineage.TaskName, worker int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.parts[t]
-	return ok && p.spooled && p.worker == worker
-}
-
-// spooledRefs snapshots the entries whose payloads are still on workers.
-func (c *collector) spooledRefs() []spoolRef {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []spoolRef
-	for t, p := range c.parts {
-		if p.spooled {
-			out = append(out, spoolRef{task: t, worker: p.worker})
-		}
-	}
-	return out
-}
-
-func (c *collector) spooledCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, p := range c.parts {
-		if p.spooled {
-			n++
-		}
-	}
-	return n
-}
-
-// materialize replaces a manifest with its fetched payload. It reports
-// false when the entry changed while the fetch was in flight (consumed by
-// the cursor, or re-delivered after a rewind) — the caller must then NOT
-// drop the worker-side spool it fetched from.
-func (c *collector) materialize(t lineage.TaskName, worker int, data []byte) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.parts[t]
-	if !ok || !p.spooled || p.worker != worker {
-		return false
-	}
-	c.parts[t] = resultPart{data: data, size: p.size, epoch: p.epoch}
-	c.cond.Broadcast()
-	return true
-}
-
-// invalidateSpooledExcept drops manifests pointing at workers outside the
-// alive set: their payloads died with the worker. Called after recovery
-// reconciliation; the rewound output channels re-execute and re-deliver
-// these partitions (deliveries below the cursor's read watermark stay
-// deduplicated, so nothing is ever consumed twice).
-func (c *collector) invalidateSpooledExcept(alive map[int]bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for t, p := range c.parts {
-		if p.spooled && !alive[p.worker] {
-			c.bytes -= p.size
-			delete(c.parts, t)
-		}
-	}
 }
 
 // setDoneCount records the committed task count of a finished output
@@ -221,7 +129,7 @@ func (c *collector) setDoneCount(channel, n int) {
 		// the committed output — drop them so Result never assembles them.
 		for t, p := range c.parts {
 			if t.Channel == channel && t.Seq >= n {
-				c.bytes -= p.size
+				c.bytes -= int64(len(p.data))
 				delete(c.parts, t)
 			}
 		}
@@ -281,19 +189,12 @@ func (c *collector) wake() {
 // available AND lineage-committed (the head node is a consumer, and
 // consumers only ever consume committed inputs — an uncommitted delivery
 // may still be aborted and re-executed with different boundaries), then
-// consumes and releases it, returning its payload. Spooled partitions are
-// fetched from their worker through the fetch callback (invoked without
-// the collector lock held); a fetch failure means the worker died — the
-// stale manifest is invalidated and next waits for recovery to re-deliver
-// the partition. drop releases the worker-side spool once its entry has
-// been consumed.
+// consumes and releases it, returning its payload.
 //
 // It returns (nil, false, nil) at end of stream, ctx.Err() when ctx is
 // cancelled, and the query's terminal error if it failed. Empty payloads
 // (empty partitions) are returned like any other; the cursor skips them.
-func (c *collector) next(ctx context.Context,
-	fetch func(t lineage.TaskName, worker int) ([]byte, error),
-	drop func(t lineage.TaskName, worker int)) (data []byte, ok bool, err error) {
+func (c *collector) next(ctx context.Context) (data []byte, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
@@ -310,40 +211,11 @@ func (c *collector) next(ctx context.Context,
 		}
 		t := lineage.TaskName{Stage: c.outStage, Channel: c.needCh, Seq: c.needSeq}
 		if p, found := c.parts[t]; found && c.needSeq < c.committed[c.needCh] {
-			if !p.spooled {
-				delete(c.parts, t)
-				c.bytes -= p.size
-				c.read[c.needCh] = c.needSeq + 1
-				c.needSeq++
-				return p.data, true, nil
-			}
-			// Manifest: pull the payload from its worker, lock released.
-			worker := p.worker
-			c.mu.Unlock()
-			fetched, ferr := fetch(t, worker)
-			c.mu.Lock()
-			if ferr != nil {
-				// The worker died under us. Invalidate the stale manifest
-				// (unless it was already replaced) and wait for the rewound
-				// output channel to re-deliver the partition.
-				if cur, ok := c.parts[t]; ok && cur.spooled && cur.worker == worker {
-					c.bytes -= cur.size
-					delete(c.parts, t)
-				}
-				continue
-			}
-			// Confirm the entry is unchanged before consuming: a rewind may
-			// have re-delivered it (necessarily from a different, live
-			// worker) while the fetch was in flight.
-			if cur, ok := c.parts[t]; ok && cur.spooled && cur.worker == worker {
-				delete(c.parts, t)
-				c.bytes -= cur.size
-				c.read[c.needCh] = c.needSeq + 1
-				c.needSeq++
-				drop(t, worker)
-				return fetched, true, nil
-			}
-			continue
+			delete(c.parts, t)
+			c.bytes -= int64(len(p.data))
+			c.read[c.needCh] = c.needSeq + 1
+			c.needSeq++
+			return p.data, true, nil
 		}
 		if c.term {
 			if c.termErr != nil {
@@ -355,17 +227,13 @@ func (c *collector) next(ctx context.Context,
 	}
 }
 
-// snapshot returns the buffered payloads. Spooled entries have been
-// drained to the head before the query reports completion, so after a
-// successful Wait every remaining entry carries its payload.
+// snapshot returns the buffered payloads.
 func (c *collector) snapshot() map[lineage.TaskName][]byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[lineage.TaskName][]byte, len(c.parts))
 	for k, v := range c.parts {
-		if !v.spooled {
-			out[k] = v.data
-		}
+		out[k] = v.data
 	}
 	return out
 }

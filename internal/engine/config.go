@@ -209,13 +209,6 @@ type Config struct {
 	// never output-visible.
 	LineageFlushInterval time.Duration
 
-	// DisableResultSpool turns off worker-side result spooling: final-stage
-	// outputs are then pushed to the head node eagerly, as before. With
-	// spooling on (the default) only a manifest reaches the head during
-	// execution; payloads stay on the producing worker until a cursor pulls
-	// them or the query completes. Timing-only; never output-visible.
-	DisableResultSpool bool
-
 	// PollInterval bounds what a lost wake-up costs: a worker's idle watcher
 	// waits for the query's namespace to move and rescans regardless after 16
 	// of these, which is also when an event that is no commit (a cursor

@@ -86,7 +86,6 @@ func TestRetriesDoNotReencode(t *testing.T) {
 	const n, rounds = 1000, 25
 	tables := map[string][]*batch.Batch{"numbers": numbersTable(n, 8)}
 	cfg := DefaultConfig()
-	cfg.DisableResultSpool = true // the sink sees payloads, not manifests
 	cfg.Dynamic, cfg.StaticBatch = false, 1
 
 	_, clean := runPlan(t, testCluster(t, 4, tables), scanFilterAggPlan(0), cfg)

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -464,6 +467,62 @@ func TestCheckpointRestartRestoresState(t *testing.T) {
 	if first < mark.Seq || rows >= n {
 		t.Errorf("the rewound sort channel restarted at task %d having consumed %d of %d rows: want a start at or past the mark (task %d) and the rest from its snapshot", first, rows, n, mark.Seq)
 	}
+}
+
+// TestCheckpointRestartKeepsDeliveredResults: an output-stage operator that
+// emits before it finalizes — a hash join — restarts from its mark after its
+// worker dies, and the results its tasks below the mark delivered and
+// committed are still the head's: nothing re-delivers them, so the head must
+// have held them since their commit. The rows are the failure-free run's (as a
+// multiset: raw join output is partition-grouped).
+func TestCheckpointRestartKeepsDeliveredResults(t *testing.T) {
+	tables := joinTables(4000)
+	p := MustPlan(joinPlan().Stages[:3]...) // the join is the output stage
+	cfg := DefaultConfig()
+	cfg.FT = FTCheckpoint
+	cfg.CheckpointEveryTasks = 2
+	cfg.MaxTake = 1
+	want, _ := runPlan(t, testCluster(t, 4, tables), p, cfg)
+
+	cl := testCluster(t, 4, tables)
+	r, err := NewRunner(cl, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Join channel 1 is seeded on worker 1: kill it once the channel has
+	// committed past a mark that has results below it.
+	joinCh := lineage.ChannelID{Stage: 2, Channel: 1}
+	killInTxn(cl, 1, func(tx *gcs.Txn) bool {
+		v, _ := tx.Get(r.keyCheckpoint(joinCh))
+		m, err := decodeCheckpoint(v)
+		return err == nil && m.Seq >= 10 && txGetInt(tx, r.keyCursor(joinCh), 0) > m.Seq+1
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	got, rep, err := r.Start(ctx).Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Recoveries == 0 {
+		t.Fatal("no kill, or none the query noticed: nothing recovered")
+	}
+	if g, w := rowMultiset(got), rowMultiset(want); !slices.Equal(g, w) {
+		t.Fatalf("result differs from the failure-free run: %d rows, want %d", len(g), len(w))
+	}
+}
+
+// rowMultiset renders every row of b and sorts them.
+func rowMultiset(b *batch.Batch) []string {
+	var rows []string
+	for i := 0; b != nil && i < b.NumRows(); i++ {
+		var row strings.Builder
+		for _, c := range b.Cols {
+			fmt.Fprintf(&row, "|%v", c.Value(i))
+		}
+		rows = append(rows, row.String())
+	}
+	slices.Sort(rows)
+	return rows
 }
 
 // TestFatalTaskErrorFailsQuery: an error retrying cannot fix — here a split

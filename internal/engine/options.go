@@ -61,7 +61,7 @@ func WithLineageFlushInterval(d time.Duration) Option {
 }
 
 // WithShuffleCompression selects the compressed (QBA2) codec for shuffle
-// partitions, result spools and replay backups (true, the default) or the
+// partitions, result partitions and replay backups (true, the default) or the
 // raw encoding-0 format (false) — the escape hatch for debugging wire
 // bytes. Compression is output-transparent: decoded batches are
 // byte-identical either way, so results, lineage replay and routing are

@@ -129,27 +129,11 @@ func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, 
 // instead. Empty partitions are still pushed: watermarks count them.
 func (t *taskManager) pushOutputs(cs *chanState, task lineage.TaskName, p *pendingTask, edges []Edge) error {
 	if len(edges) == 0 {
-		// Result spooling (default): keep the payload on this worker and
-		// hand the head only a manifest, so N concurrent queries' result
-		// traffic doesn't serialize through the head-node link. Empty
-		// partitions carry no bytes and are delivered directly — a fetch
-		// round-trip for them would be pure overhead.
-		if t.r.cfg.DisableResultSpool || len(p.payload) == 0 {
-			if !t.r.sink.Deliver(task, p.payload, cs.cep) {
-				// Cursor backpressure: the head-node buffer is full. Keep the
-				// task pending (uncommitted) and retry once the consumer pulls.
-				return errCollectorFull
-			}
-			t.r.count(metrics.HeadResultBytes, int64(len(p.payload)))
-			return nil
-		}
-		if err := t.mb.SpoolResult(t.r.qid, task, p.payload, cs.cep); err != nil {
-			return err // worker dying: transient, like a failed push
-		}
-		if !t.r.sink.DeliverSpooled(task, int(t.w.ID), int64(len(p.payload)), cs.cep) {
+		if !t.r.sink.Deliver(task, p.payload, cs.cep) {
+			// Cursor backpressure: the head-node buffer is full. Keep the
+			// task pending (uncommitted) and retry once the consumer pulls.
 			return errCollectorFull
 		}
-		t.r.count(metrics.HeadResultBytes, resultManifestBytes)
 		return nil
 	}
 	for ei, e := range edges {
@@ -200,8 +184,3 @@ func (t *taskManager) pushPiece(snap *snapshot, from lineage.TaskName, dest line
 // cursor's head-node buffer is full; like a dead-consumer push failure it
 // keeps the task pending instead of failing the query.
 var errCollectorFull = fmt.Errorf("engine: head-node cursor buffer full")
-
-// resultManifestBytes is the modelled wire size of a spooled-result
-// manifest (task name + worker + size) — what the head receives instead of
-// the payload when result spooling is on.
-const resultManifestBytes = 48

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"quokka/internal/batch"
-	"quokka/internal/cluster"
-	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/trace"
 )
@@ -187,26 +185,19 @@ func (c *Cursor) Next() (*batch.Batch, error) {
 
 // NextContext is Next honouring ctx: a ctx expiry unblocks the wait and
 // returns ctx.Err() without latching it — the cursor stays usable and the
-// query keeps running. Spooled result partitions are fetched directly from
-// the worker holding them; the head only ever saw their manifests.
+// query keeps running.
 func (c *Cursor) NextContext(ctx context.Context) (*batch.Batch, error) {
 	if c.err != nil || c.eos {
 		return nil, c.err
 	}
 	r := c.q.r
-	fetch := func(t lineage.TaskName, worker int) ([]byte, error) {
-		return r.cl.Worker(cluster.WorkerID(worker)).Peer.FetchResult(r.qid, t)
-	}
-	drop := func(t lineage.TaskName, worker int) {
-		r.cl.Worker(cluster.WorkerID(worker)).Peer.DropResult(r.qid, t)
-	}
 	// The collector blocks on a cond var; wake it when ctx fires so the
 	// cancellation is observed promptly.
 	stop := context.AfterFunc(ctx, r.collector.wake)
 	defer stop()
 	for {
 		stallStart := time.Now()
-		data, ok, err := r.collector.next(ctx, fetch, drop)
+		data, ok, err := r.collector.next(ctx)
 		r.hStall.observe(int64(time.Since(stallStart)))
 		if err != nil {
 			if ctx.Err() == nil {

@@ -102,14 +102,6 @@ func (r *Runner) recover(ctx context.Context) error {
 	}); err != nil {
 		return err
 	}
-	// Manifests pointing at dead workers reference payloads that died with
-	// them; drop them so completion detection waits for the rewound output
-	// channels to re-execute and re-deliver those partitions.
-	alive := make(map[int]bool, len(r.cl.Workers))
-	for _, w := range r.cl.Alive() {
-		alive[int(w)] = true
-	}
-	r.collector.invalidateSpooledExcept(alive)
 	if r.rec != nil {
 		// One span for the whole pass (barrier -> reconcile -> epoch bump),
 		// stamped with the recovery generation.

@@ -422,39 +422,7 @@ func (r *Runner) queryDone(ver uint64) (bool, error) {
 			}
 		}
 	}
-	// Every partition is accounted for, but some may still be spooled on
-	// workers (only their manifests are at the head). Drain them now, while
-	// the workers are still up — teardown drops the spools. A failed fetch
-	// means a worker just died: report not-done and let the liveness check
-	// run recovery, which re-executes the lost output channel.
-	if err := r.drainSpooled(); err != nil {
-		return false, nil
-	}
 	return true, nil
-}
-
-// drainSpooled pulls every spooled result payload still referenced by a
-// head-node manifest into the collector. Runs once, at completion; a
-// streaming cursor may be consuming concurrently, so entries that vanish
-// mid-drain (just consumed) are skipped.
-func (r *Runner) drainSpooled() error {
-	for _, e := range r.collector.spooledRefs() {
-		w := r.cl.Worker(cluster.WorkerID(e.worker))
-		data, err := w.Peer.FetchResult(r.qid, e.task)
-		if err != nil {
-			if !r.collector.hasSpooledOn(e.task, e.worker) {
-				continue // consumed or invalidated while we fetched
-			}
-			return err
-		}
-		if r.collector.materialize(e.task, e.worker, data) {
-			w.Peer.DropResult(r.qid, e.task)
-		}
-	}
-	if r.collector.spooledCount() != 0 {
-		return fmt.Errorf("engine: spooled results changed during drain")
-	}
-	return nil
 }
 
 // assembleResult decodes and concatenates the output partitions still held

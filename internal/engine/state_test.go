@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"quokka/internal/gcs"
 	"quokka/internal/lineage"
@@ -160,23 +162,46 @@ func TestFTModeCapabilities(t *testing.T) {
 	}
 }
 
-// TestCollectorSpooledManifests: a manifest names the worker its payload sits
-// on until the payload is materialized or that worker is declared dead — what
-// drainSpooled asks when a fetch fails under it.
-func TestCollectorSpooledManifests(t *testing.T) {
+// TestCollectorFences: the head's one kind of entry is a payload, and what
+// fences it is the task name and the producing epoch. A lower-epoch (zombie)
+// delivery never replaces a higher-epoch one; once a channel's committed task
+// count is known, a delivery at or past it is a leftover and is dropped, the
+// buffered one included; and the cursor consumes nothing above the committed
+// count.
+func TestCollectorFences(t *testing.T) {
 	c := newCollector(0, 1)
-	a, b := lineage.TaskName{Seq: 0}, lineage.TaskName{Seq: 1}
-	if !c.DeliverSpooled(a, 2, 10, 0) || !c.DeliverSpooled(b, 3, 10, 0) {
-		t.Fatal("manifests refused")
+	task := func(seq int) lineage.TaskName { return lineage.TaskName{Seq: seq} }
+	c.Deliver(task(0), []byte("fresh"), 2)
+	c.Deliver(task(0), []byte("zombie"), 1)
+	if got := c.snapshot()[task(0)]; string(got) != "fresh" {
+		t.Errorf("after a zombie delivery the entry is %q, want fresh", got)
 	}
-	if !c.hasSpooledOn(a, 2) || c.hasSpooledOn(a, 3) || c.spooledCount() != 2 {
-		t.Fatalf("manifest of %s: on 2 = %v, on 3 = %v, %d spooled", a, c.hasSpooledOn(a, 2), c.hasSpooledOn(a, 3), c.spooledCount())
+	c.Deliver(task(1), []byte("one"), 2)
+	c.Deliver(task(2), []byte("leftover"), 1)
+	if c.bytes != int64(len("fresh")+len("one")+len("leftover")) {
+		t.Errorf("buffered %d bytes", c.bytes)
 	}
-	if !c.materialize(a, 2, []byte("payload")) || c.hasSpooledOn(a, 2) {
-		t.Error("a materialized partition still reads as a manifest")
+	c.setDoneCount(0, 2)
+	if c.has(task(2)) || c.bytes != int64(len("fresh")+len("one")) {
+		t.Errorf("a leftover past the committed count survived: %d bytes", c.bytes)
 	}
-	c.invalidateSpooledExcept(map[int]bool{2: true})
-	if c.hasSpooledOn(b, 3) || c.has(b) || !c.has(a) {
-		t.Error("a dead worker's manifest survived, or a live worker's payload did not")
+	if !c.Deliver(task(3), []byte("late"), 3) || c.has(task(3)) {
+		t.Error("a late leftover was refused or kept")
+	}
+
+	c = newCollector(0, 1)
+	c.Deliver(task(0), []byte("uncommitted"), 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	defer context.AfterFunc(ctx, c.wake)()
+	if _, _, err := c.next(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("the cursor read a delivery not yet committed: %v", err)
+	}
+	c.setCommitted(0, 1)
+	if data, ok, err := c.next(context.Background()); !ok || err != nil || string(data) != "uncommitted" {
+		t.Fatalf("after the commit: %q, %v, %v", data, ok, err)
+	}
+	if !c.Deliver(task(0), []byte("rerun"), 1) || len(c.parts) != 0 {
+		t.Error("a rerun below the read watermark was buffered again")
 	}
 }

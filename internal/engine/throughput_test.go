@@ -13,16 +13,15 @@ import (
 	"quokka/internal/ops"
 )
 
-// Head-node throughput work: group-commit lineage, worker-side result
-// spooling, admission queueing and the consolidated tuning API. Every
-// test asserts the cardinal invariant first — none of these optimizations
-// may change a single output byte — and then the mechanism-specific
-// property (fewer transactions, fewer head bytes, context plumbing).
+// Head-node throughput work: group-commit lineage, streaming cursors,
+// admission queueing and the consolidated tuning API. Every test asserts
+// the cardinal invariant first — none of these optimizations may change a
+// single output byte — and then the mechanism-specific property (fewer
+// transactions, bounded buffers, context plumbing).
 
 // TestConcurrentAdmission8ByteIdentical: eight queries of four plan shapes
-// run concurrently under an admission limit of 8 with result spooling on
-// (the default); every one is byte-identical to its serial run and full
-// teardown holds.
+// run concurrently under an admission limit of 8; every one is
+// byte-identical to its serial run and full teardown holds.
 func TestConcurrentAdmission8ByteIdentical(t *testing.T) {
 	tables := spillTables(3000, 4000)
 	tables["numbers"] = numbersTable(3000, 12)
@@ -84,8 +83,8 @@ func TestConcurrentAdmission8ByteIdentical(t *testing.T) {
 }
 
 // TestConcurrentCursorsAdmission8: eight streaming cursors drain eight
-// concurrent queries (admission 8, spooling on, tiny buffers forcing
-// fetch-on-demand from workers); each stream equals its Collect result.
+// concurrent queries (admission 8, tiny buffers forcing backpressure);
+// each stream equals its Collect result.
 func TestConcurrentCursorsAdmission8(t *testing.T) {
 	tables := map[string][]*batch.Batch{"numbers": numbersTable(3000, 12)}
 	cl := testCluster(t, 4, tables)
@@ -101,7 +100,7 @@ func TestConcurrentCursorsAdmission8(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		cfg := DefaultConfig()
-		cfg.CursorBufferBytes = 2048 // force spooled fetches + backpressure
+		cfg.CursorBufferBytes = 2048 // force backpressure
 		q := startPlan(t, cl, spillSortPlan(), cfg, ctx)
 		cur := q.Cursor()
 		wg.Add(1)
@@ -144,11 +143,10 @@ func TestConcurrentCursorsAdmission8(t *testing.T) {
 }
 
 // TestKillWorkerMidCursorFetch: a multi-channel output plan is consumed
-// through a tiny-buffer cursor (so result payloads stay spooled on their
-// workers); an output-stage worker is killed mid-iteration. The cursor's
-// fetch from the dead worker fails, recovery replays the channel's
-// committed lineage, and the drained stream is still byte-identical — no
-// lost rows, no duplicates past the read watermark.
+// through a tiny-buffer cursor (so output tasks wait on backpressure); an
+// output-stage worker is killed mid-iteration. Recovery replays the
+// channel's committed lineage, and the drained stream is still
+// byte-identical — no lost rows, no duplicates past the read watermark.
 func TestKillWorkerMidCursorFetch(t *testing.T) {
 	tables := map[string][]*batch.Batch{"numbers": numbersTable(6000, 24)}
 	cl := testCluster(t, 4, tables)
@@ -244,32 +242,6 @@ func TestGroupCommitReducesTxns(t *testing.T) {
 	if repGrouped.Metrics[metrics.LineageRecords] != repSolo.Metrics[metrics.LineageRecords] {
 		t.Errorf("lineage records differ: grouped %d vs solo %d",
 			repGrouped.Metrics[metrics.LineageRecords], repSolo.Metrics[metrics.LineageRecords])
-	}
-}
-
-// TestResultSpoolingShrinksHeadBytes: with spooling on (default) the head
-// receives manifests, not payloads, during execution; the head.result.bytes
-// gauge collapses versus the DisableResultSpool run while the result stays
-// byte-identical.
-func TestResultSpoolingShrinksHeadBytes(t *testing.T) {
-	tables := map[string][]*batch.Batch{"numbers": numbersTable(3000, 12)}
-	cl := testCluster(t, 4, tables)
-
-	direct := DefaultConfig()
-	direct.DisableResultSpool = true
-	outDirect, repDirect := runPlan(t, cl, spillSortPlan(), direct)
-
-	outSpooled, repSpooled := runPlan(t, cl, spillSortPlan(), DefaultConfig())
-
-	if string(batch.Encode(outDirect)) != string(batch.Encode(outSpooled)) {
-		t.Fatal("result spooling changed query output")
-	}
-	hd, hs := repDirect.Metrics[metrics.HeadResultBytes], repSpooled.Metrics[metrics.HeadResultBytes]
-	if hd == 0 {
-		t.Fatal("direct run recorded no head result bytes")
-	}
-	if hs >= hd {
-		t.Errorf("head.result.bytes: spooled %d >= direct %d — manifests not smaller than payloads", hs, hd)
 	}
 }
 
@@ -449,7 +421,7 @@ func TestAdaptiveGranularityCoarsens(t *testing.T) {
 
 // multiChannelOutputPlan: read -> parallel filter output (no final merge),
 // so the output stage has one channel per worker and result partitions
-// spool across the whole cluster.
+// come from the whole cluster.
 func multiChannelOutputPlan() *Plan {
 	return MustPlan(
 		&Stage{ID: 0, Name: "read", Reader: &ReaderSpec{Table: "numbers"}},

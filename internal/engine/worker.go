@@ -129,8 +129,8 @@ func RunWorkerQuery(ctx context.Context, cl *cluster.Cluster, spec *WorkerQueryS
 // messages into a running query.
 
 // HeadSink is this runner's head-node collector as a ResultSink: the wire
-// server feeds worker-relayed output partitions and spool manifests into
-// it, with the collector's usual backpressure semantics.
+// server feeds worker-relayed output partitions into it, with the
+// collector's usual backpressure semantics.
 func (r *Runner) HeadSink() ResultSink { return r.collector }
 
 // ReportWorkerFailure surfaces a worker process's fatal task error to the

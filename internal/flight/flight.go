@@ -65,11 +65,11 @@ type Piece struct {
 const EpochCommitted = int(^uint(0) >> 1)
 
 // Peer is a worker's shuffle mailbox as any process may call it — a producer
-// pushing to it, the head fetching and dropping spooled results, sweeping a
-// query and declaring the worker dead — specified, like Mailbox, in
-// docs/contracts/flight-transport.md. Server is the mailbox itself, in memory
-// and in a worker process alike: each worker hosts its own, and in process
-// mode everybody else holds a wire client of it, which is a Peer and no more.
+// pushing to it, the head sweeping a query and declaring the worker dead —
+// specified, like Mailbox, in docs/contracts/flight-transport.md. Server is
+// the mailbox itself, in memory and in a worker process alike: each worker
+// hosts its own, and in process mode everybody else holds a wire client of
+// it, which is a Peer and no more.
 // The semantics every implementation must preserve are the ones recovery
 // leans on: pushes are idempotent within an epoch, lower-epoch (zombie)
 // pushes never replace higher-epoch slots, and every operation on a
@@ -77,20 +77,17 @@ const EpochCommitted = int(^uint(0) >> 1)
 type Peer interface {
 	Push(p Partition) error
 	DropQuery(query string)
-	FetchResult(query string, task lineage.TaskName) ([]byte, error)
-	DropResult(query string, task lineage.TaskName)
 	Fail()
 }
 
-// Mailbox is the owner's view: nobody reads, frees or spools into a mailbox
-// but the worker it belongs to, so these four exist only where the mailbox
-// lives and have no remote form.
+// Mailbox is the owner's view: nobody reads or frees a mailbox but the worker
+// it belongs to, so these three exist only where the mailbox lives and have
+// no remote form.
 type Mailbox interface {
 	Peer
 	Probe(query string, dest lineage.ChannelID, edges []Edge) []int
 	Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([]Piece, error)
 	Drop(query string, dest lineage.ChannelID, input, upChannel, from, count int)
-	SpoolResult(query string, task lineage.TaskName, data []byte, epoch int) error
 }
 
 // Edge names one upstream channel of a consumer channel with the consumer's
@@ -119,14 +116,11 @@ type Server struct {
 	// boxes[edge][producerSeq] = encoded batch + producer epoch (+ the batch)
 	boxes map[edgeKey]map[int]slot
 	bytes int64
-	// results holds worker-side spooled final-stage output: payloads the
-	// head node holds only a manifest for, fetched lazily by the query's
-	// cursor (or drained once at completion). Contents die with the worker,
-	// like the mailbox; durability still comes from lineage + backup.
+	// results holds what SpoolResult parked, swept by DropQuery and Fail.
 	results map[resultKey]slot
 }
 
-// resultKey addresses one spooled output partition of one query.
+// resultKey addresses one parked payload of one query.
 type resultKey struct {
 	query string
 	task  lineage.TaskName
@@ -261,8 +255,8 @@ func (s *Server) Drop(query string, dest lineage.ChannelID, input, upChannel, fr
 }
 
 // DropQuery clears every partition buffered for one query — shuffle
-// mailboxes and spooled result payloads alike — leaving the other queries'
-// state untouched. Called when a query completes, fails or is cancelled,
+// mailboxes and parked payloads alike — leaving the other queries' state
+// untouched. Called when a query completes, fails or is cancelled,
 // so a torn-down query never leaks shuffle memory on the workers.
 func (s *Server) DropQuery(query string) {
 	s.mu.Lock()
@@ -282,10 +276,12 @@ func (s *Server) DropQuery(query string) {
 	}
 }
 
-// SpoolResult stores a final-stage output payload on this worker, keyed by
-// its producing task. Idempotent like Push: a retried task overwrites its
-// previous spool, and a lower-epoch (zombie) spool never replaces a
-// higher-epoch one. Fails if the worker has died.
+// SpoolResult and FetchResult park a payload on this worker under a task name
+// and read it back. They are on neither contract: the engine delivers results
+// to the head directly, and their one caller is the benchmark module's layer
+// suite, which times them. SpoolResult is idempotent like Push — a lower-epoch
+// payload never replaces a higher-epoch one — and both fail with ErrServerDown
+// once the worker has died.
 func (s *Server) SpoolResult(query string, task lineage.TaskName, data []byte, epoch int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -300,10 +296,6 @@ func (s *Server) SpoolResult(query string, task lineage.TaskName, data []byte, e
 	return nil
 }
 
-// FetchResult returns a spooled output payload. The head node calls it
-// when a cursor (or the final result assembly) needs the bytes behind a
-// manifest. ErrServerDown if the worker died — the caller then waits for
-// recovery to re-execute and re-spool the partition.
 func (s *Server) FetchResult(query string, task lineage.TaskName) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,14 +307,6 @@ func (s *Server) FetchResult(query string, task lineage.TaskName) ([]byte, error
 		return nil, fmt.Errorf("flight: spooled result %s missing", task)
 	}
 	return d.data, nil
-}
-
-// DropResult releases one spooled output payload after the head consumed
-// it.
-func (s *Server) DropResult(query string, task lineage.TaskName) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.results, resultKey{query, task})
 }
 
 // Fail marks the worker dead: contents are dropped and all subsequent

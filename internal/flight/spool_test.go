@@ -6,8 +6,9 @@ import (
 	"quokka/internal/lineage"
 )
 
-// Worker-side result spooling: final-stage payloads parked on the
-// producing worker until the head (or a cursor) fetches them.
+// SpoolResult and FetchResult, the two Server methods on no contract: a
+// payload parked under a task name, read back, fenced by epoch, swept with its
+// query and gone with the worker.
 
 func rtask(seq int) lineage.TaskName { return lineage.TaskName{Stage: 2, Channel: 0, Seq: seq} }
 
@@ -25,9 +26,12 @@ func TestSpoolFetchDropResult(t *testing.T) {
 	if got, _ := s.FetchResult("q1", rtask(0)); string(got) != "retry" {
 		t.Errorf("after overwrite = %q", got)
 	}
-	s.DropResult("q1", rtask(0))
+	if _, err := s.FetchResult("q1", rtask(1)); err == nil {
+		t.Error("FetchResult of a task never spooled should fail")
+	}
+	s.DropQuery("q1")
 	if _, err := s.FetchResult("q1", rtask(0)); err == nil {
-		t.Error("FetchResult after drop should fail")
+		t.Error("FetchResult after the query's sweep should fail")
 	}
 }
 

@@ -57,10 +57,9 @@ const (
 	ObjWrites        = "objstore.writes"
 	ObjReads         = "objstore.reads"
 	GCSTxns          = "gcs.txns"
-	GCSBytes         = "gcs.bytes"         // bytes written into the GCS (lineage log size)
-	GCSTxnBatched    = "gcs.txn.batched"   // GCS transactions saved by folding task commits into shared flushes
-	LineageFlushes   = "lineage.flushes"   // group-commit flush transactions issued
-	HeadResultBytes  = "head.result.bytes" // result bytes physically delivered to the head during execution
+	GCSBytes         = "gcs.bytes"       // bytes written into the GCS (lineage log size)
+	GCSTxnBatched    = "gcs.txn.batched" // GCS transactions saved by folding task commits into shared flushes
+	LineageFlushes   = "lineage.flushes" // group-commit flush transactions issued
 	TasksExecuted    = "tasks.executed"
 	TasksReplayed    = "tasks.replayed"
 	PartitionsMoved  = "partitions.moved"

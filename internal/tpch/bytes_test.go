@@ -198,7 +198,6 @@ func TestZoneMapPruningPrunesClusteredScan(t *testing.T) {
 // active: replay must rebuild the same result from compressed backups.
 func TestCompressedFaultRecovery(t *testing.T) {
 	cfg := engine.DefaultConfig()
-	cfg.ThreadsPerWorker = 1 // see TestTPCHFailureRecoveryMatchesFailureFree
 	cfg.Parallelism = 4
 	cfg.CPUPerWorker = 4
 	cfg.MemoryBudget = 32 << 10

@@ -121,8 +121,7 @@ func TestConcurrentTPCHMatchesSerial(t *testing.T) {
 
 // TestConcurrentTPCHKillWorker: the same mix in flight when a worker dies;
 // every query must recover independently (its own barrier, its own
-// lineage replay) and still match its serial run. One executor thread per
-// worker, matching the repo's other TPC-H fault tests.
+// lineage replay) and still match its serial run.
 func TestConcurrentTPCHKillWorker(t *testing.T) {
 	mix := []concurrentCase{{3, 4, 32_000}, {6, 4, 0}, {9, 2, 0}}
 	cl := loadCluster(t, 4)
@@ -143,7 +142,6 @@ func TestConcurrentTPCHKillWorker(t *testing.T) {
 		cfg := engine.DefaultConfig()
 		cfg.Parallelism = c.par
 		cfg.MemoryBudget = c.budget
-		cfg.ThreadsPerWorker = 1 // see TestTPCHFailureRecoveryMatchesFailureFree
 		r, err := engine.NewRunner(cl, plan, cfg)
 		if err != nil {
 			t.Fatalf("q%d: %v", c.q, err)

@@ -81,16 +81,6 @@ func (k killerTransport) Push(p flight.Partition) error {
 // representative queries across all fault-tolerant configurations and
 // requires the exact failure-free result.
 func TestTPCHFailureRecoveryMatchesFailureFree(t *testing.T) {
-	// KNOWN ISSUE: with multiple executor threads per TaskManager there is
-	// a rare thread-interleaving race around recovery that can perturb
-	// results (tracked in EXPERIMENTS.md "Known issues"). Recovery logic
-	// itself is thread-count independent, so these tests pin one executor
-	// thread per worker; the engine-level fault tests exercise the
-	// multi-threaded path.
-	single := func(c engine.Config) engine.Config {
-		c.ThreadsPerWorker = 1
-		return c
-	}
 	par4 := func(c engine.Config) engine.Config {
 		c.Parallelism = 4
 		c.CPUPerWorker = 4
@@ -101,13 +91,13 @@ func TestTPCHFailureRecoveryMatchesFailureFree(t *testing.T) {
 		cfg  engine.Config
 		name string
 	}{
-		{5, single(engine.DefaultConfig()), "Q5-wal"},
-		{9, single(engine.DefaultConfig()), "Q9-wal"},
-		{3, single(engine.SparkConfig()), "Q3-spark"},
-		{10, single(engine.TrinoConfig()), "Q10-trino"},
+		{5, engine.DefaultConfig(), "Q5-wal"},
+		{9, engine.DefaultConfig(), "Q9-wal"},
+		{3, engine.SparkConfig(), "Q3-spark"},
+		{10, engine.TrinoConfig(), "Q10-trino"},
 		// Partition-parallel operators: replay must rebuild the same hash-
 		// partitioned join/agg state the dead worker held mid-probe.
-		{9, par4(single(engine.DefaultConfig())), "Q9-wal-par4"},
+		{9, par4(engine.DefaultConfig()), "Q9-wal-par4"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -128,7 +118,6 @@ func TestTPCHFailureRecoveryMatchesFailureFree(t *testing.T) {
 // query: state restored from the object store, remainder replayed.
 func TestTPCHCheckpointRecovery(t *testing.T) {
 	cfg := engine.DefaultConfig()
-	cfg.ThreadsPerWorker = 1 // see TestTPCHFailureRecoveryMatchesFailureFree
 	cfg.FT = engine.FTCheckpoint
 	cfg.CheckpointEveryTasks = 3
 	want := runQuery(t, loadCluster(t, 4), 5, cfg)

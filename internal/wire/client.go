@@ -320,10 +320,10 @@ func (g *gcsClient) AwaitNS(ctx context.Context, ns string, after uint64, park t
 // Flight client
 
 // flightClient is a remote handle on ONE worker's mailbox, hosted by that
-// worker's process: a peer's for pushing to it, or the head's for fetching and
-// dropping spooled results and sweeping a query. It is a flight.Peer and
-// nothing else: the owner's four methods (docs/contracts/flight-transport.md)
-// exist only on the mailbox itself.
+// worker's process: a peer's for pushing to it, or the head's for sweeping a
+// query and declaring the worker dead. It is a flight.Peer and nothing else:
+// the owner's three methods (docs/contracts/flight-transport.md) exist only on
+// the mailbox itself.
 type flightClient struct {
 	p      *pool
 	worker uint32
@@ -352,22 +352,10 @@ func (f *flightClient) Push(p flight.Partition) error {
 	return err
 }
 
-// The two drops have no error slot and swallow wire failures: they are
-// cleanup, and a mailbox that cannot be reached is gone or going.
+// DropQuery has no error slot and swallows wire failures: it is cleanup, and
+// a mailbox that cannot be reached is gone or going.
 func (f *flightClient) DropQuery(query string) {
 	f.p.roundTrip(mtFlDropQuery, f.req(query).b)
-}
-
-func (f *flightClient) FetchResult(query string, task lineage.TaskName) ([]byte, error) {
-	w := f.req(query)
-	w.task(task)
-	return f.p.bytesOf(mtFlFetch, w.b)
-}
-
-func (f *flightClient) DropResult(query string, task lineage.TaskName) {
-	w := f.req(query)
-	w.task(task)
-	f.p.roundTrip(mtFlDropResult, w.b)
 }
 
 // Fail does nothing through a worker's handle on a peer: liveness is the
@@ -471,14 +459,4 @@ func (s *sinkClient) Deliver(t lineage.TaskName, data []byte, epoch int) bool {
 	w.i64(int64(epoch))
 	w.bytes(data)
 	return s.p.boolOf(mtSinkDeliver, w.b)
-}
-
-func (s *sinkClient) DeliverSpooled(t lineage.TaskName, worker int, size int64, epoch int) bool {
-	var w wbuf
-	w.str(s.qid)
-	w.task(t)
-	w.i64(int64(worker))
-	w.i64(size)
-	w.i64(int64(epoch))
-	return s.p.boolOf(mtSinkSpooled, w.b)
 }

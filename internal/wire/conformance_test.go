@@ -776,43 +776,17 @@ func flightConformance(t *testing.T, b *backends) {
 		}
 	})
 
-	// Spooled results: idempotent by task, zombie-fenced, fetchable.
-	task := lineage.TaskName{Stage: 1, Channel: 0, Seq: 7}
-	t.Run("spool-fetch-drop-result", func(t *testing.T) {
-		if err := own.SpoolResult(q, task, []byte("res-e1"), 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := own.SpoolResult(q, task, []byte("res-zombie"), 0); err != nil {
-			t.Fatal(err)
-		}
-		res, err := fl.FetchResult(q, task)
-		if err != nil || string(res) != "res-e1" {
-			t.Fatalf("fetch = %q, %v; want res-e1", res, err)
-		}
-		if _, err := fl.FetchResult(q, lineage.TaskName{Stage: 1, Channel: 0, Seq: 99}); err == nil {
-			t.Fatalf("fetch of unspooled task succeeded")
-		}
-		fl.DropResult(q, task)
-		if _, err := fl.FetchResult(q, task); err == nil {
-			t.Fatalf("fetch after DropResult succeeded")
-		}
-	})
-
-	// DropQuery clears the query's partitions and spooled results, and
-	// leaves another query's alone.
+	// DropQuery clears the query's partitions and leaves another query's
+	// alone.
 	t.Run("drop-query", func(t *testing.T) {
 		push(5, 0, "x")
-		own.SpoolResult(q, task, []byte("y"), 2)
-		other := flight.Partition{Query: "q-other", From: task, Dest: dest, Data: []byte("keep")}
+		other := flight.Partition{Query: "q-other", From: lineage.TaskName{Stage: 1, Seq: 7}, Dest: dest, Data: []byte("keep")}
 		if err := fl.Push(other); err != nil {
 			t.Fatal(err)
 		}
 		fl.DropQuery(q)
 		if n := contig(own, q, dest, 0, 2, 5); n != 0 {
 			t.Fatalf("after DropQuery contiguous = %d", n)
-		}
-		if _, err := fl.FetchResult(q, task); err == nil {
-			t.Fatalf("spooled result survived DropQuery")
 		}
 		if bb := b.server(0).BufferedBytes(); bb != int64(len(other.Data)) {
 			t.Fatalf("buffered after DropQuery = %d, want the other query's %d", bb, len(other.Data))
@@ -888,12 +862,6 @@ func failureConformance(t *testing.T, b *backends) {
 	}
 	if _, err := own.Take(q, lineage.ChannelID{Stage: 1}, 0, 0, 0, 1); !errors.Is(err, flight.ErrServerDown) {
 		t.Fatalf("take on failed worker: %v, want ErrServerDown", err)
-	}
-	if err := own.SpoolResult(q, task, []byte("z"), 0); !errors.Is(err, flight.ErrServerDown) {
-		t.Fatalf("spool on failed worker: %v, want ErrServerDown", err)
-	}
-	if _, err := fl.FetchResult(q, task); !errors.Is(err, flight.ErrServerDown) {
-		t.Fatalf("fetch on failed worker: %v, want ErrServerDown", err)
 	}
 	// The healthy worker is unaffected.
 	if err := b.fl(0).Push(flight.Partition{Query: q, From: task, Dest: lineage.ChannelID{Stage: 1}, Data: []byte("ok")}); err != nil {

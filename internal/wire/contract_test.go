@@ -34,7 +34,7 @@ import (
 // conformance case pinning it. A page that specifies two interfaces gives each
 // its own "## `Name`" part; Mailbox's is what it adds to the Peer it embeds.
 // And a remote handle on a mailbox is a Peer to the method: what a panic once
-// said about the owner's four, the method set now does.
+// said about the owner's methods, the method set now does.
 func TestContractMethodSets(t *testing.T) {
 	methods := func(typ reflect.Type, except ...string) []string {
 		var names []string
@@ -118,18 +118,20 @@ func opMailbox(t testing.TB, self uint32, met *metrics.Collector) *mailbox {
 var (
 	headRequests = map[byte]bool{
 		mtGCSSync: true, mtGCSCommit: true, mtGCSAwaitNS: true,
-		mtObjPut: true, mtObjGet: true, mtSinkDeliver: true, mtSinkSpooled: true,
+		mtObjPut: true, mtObjGet: true, mtSinkDeliver: true,
 	}
-	mailboxRequests = map[byte]bool{mtFlPush: true, mtFlDropQuery: true, mtFlFetch: true, mtFlDropResult: true}
+	mailboxRequests = map[byte]bool{mtFlPush: true, mtFlDropQuery: true}
 )
 
 // Type bytes this protocol version once assigned and retired: the
 // interactive transaction (begin, get, get response, list, list response,
 // commit, abort, done), the namespace version probe that AwaitNS replaced, the
 // store-wide version and its long poll, the two per-edge mailbox probes and
-// their response, and the owner-only mailbox methods (take, drop, spool, probe,
+// their response, the owner-only mailbox methods (take, drop, spool, probe,
 // with the two responses only they were answered by) that left the wire when
-// workers began hosting their own mailboxes.
+// workers began hosting their own mailboxes, and the worker-side result spool's
+// fetch, drop and manifest delivery, which left when a result began reaching
+// the head once.
 const (
 	retiredTxnBegin    = byte(0x10)
 	retiredTxnDone     = byte(0x17)
@@ -145,6 +147,9 @@ const (
 	retiredFlProbe     = byte(0x2b)
 	retiredBytesList   = byte(0x46)
 	retiredIntsResp    = byte(0x47)
+	retiredFlFetch     = byte(0x28)
+	retiredFlDropRes   = byte(0x29)
+	retiredSinkSpooled = byte(0x39)
 )
 
 // TestOpMessageSetPinned: of the 256 type bytes, each listener dispatches
@@ -162,7 +167,8 @@ func TestOpMessageSetPinned(t *testing.T) {
 		}
 	}
 	retired := []byte{retiredGCSVerNS, retiredGCSVersion, retiredGCSWait, retiredFlContig, retiredFlDropBelow, retiredIntResp,
-		retiredFlTake, retiredFlDrop, retiredFlSpool, retiredFlProbe, retiredBytesList, retiredIntsResp}
+		retiredFlTake, retiredFlDrop, retiredFlSpool, retiredFlProbe, retiredBytesList, retiredIntsResp,
+		retiredFlFetch, retiredFlDropRes, retiredSinkSpooled}
 	for typ := retiredTxnBegin; typ <= retiredTxnDone; typ++ {
 		retired = append(retired, typ)
 	}
@@ -254,6 +260,16 @@ func retiredFrames() map[string]rawFrame {
 	for range 3 {
 		probe.i64(0)
 	}
+	var result wbuf
+	result.u32(0)
+	result.str("q-keep")
+	result.task(lineage.TaskName{Stage: 1})
+	var manifest wbuf
+	manifest.str("q-keep")
+	manifest.task(lineage.TaskName{Stage: 1})
+	for _, v := range []int64{0, 6, 9} { // worker, size, an epoch that would win
+		manifest.i64(v)
+	}
 	return map[string]rawFrame{
 		"obj put, costed":  {0x30, put.b},
 		"obj has":          {0x32, key("tbl-x/0")},
@@ -280,6 +296,11 @@ func retiredFrames() map[string]rawFrame {
 		"flight drop":  {retiredFlDrop, edge(0, 0, 0, 1)},
 		"flight spool": {retiredFlSpool, spool.b},
 		"flight probe": {retiredFlProbe, probe.b},
+		// The result spool, as its last clients spoke it: the head's fetch and
+		// drop of one spooled result, a worker's manifest of one.
+		"flight fetch":       {retiredFlFetch, result.b},
+		"flight drop result": {retiredFlDropRes, result.b},
+		"sink spooled":       {retiredSinkSpooled, manifest.b},
 	}
 }
 

@@ -45,7 +45,6 @@ func TestDistSIGKILL(t *testing.T) {
 	bin := buildWorkerBinary(t)
 
 	cfg := engine.DefaultConfig()
-	cfg.ThreadsPerWorker = 1 // the fault suite's thread-interleaving caveat
 	want := memRun(t, q, workers, cfg)
 
 	cl, err := cluster.New(cluster.Options{

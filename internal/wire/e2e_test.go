@@ -159,14 +159,18 @@ func distRun(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Config) (*batc
 	return out, rep, spans, runErr
 }
 
-// staticCfg fixes task consumption (no dynamic take) and pins one
-// executor thread per worker: with consumption order and thread
-// interleaving pinned, Q1/Q3-class queries are bitwise deterministic
-// across runs, so process mode can be held to full byte identity. (Q9 is
-// not bitwise self-deterministic even between two in-memory runs — its
-// final aggregation folds partials from multiple upstream channels in
-// arrival order, which perturbs float summation; the fault suite's FP
-// tolerance applies there, see EXPERIMENTS.md "Known issues".)
+// staticCfg fixes task consumption (no dynamic take): with consumption
+// order pinned, Q1/Q3-class queries are bitwise deterministic across runs,
+// so process mode can be held to full byte identity. (Q9 is not bitwise
+// self-deterministic even between two in-memory runs — its final
+// aggregation folds partials from multiple upstream channels in arrival
+// order, which perturbs float summation; the fault suite's FP tolerance
+// applies there.) It also pins one executor thread per worker, for the frame
+// budgets, not for correctness: at the default thread count
+// TestRoundTripsPerTask's Q3 draws 369–405 await frames for ~160 commit
+// frames (its bound is commits + 4) and 5.9–6.3 request frames per task
+// (budget 5), and TestPeerPushFailureIsARetryNotAVerdict saw no retried push
+// within its 30 s once in two runs.
 func staticCfg() engine.Config {
 	cfg := engine.DefaultConfig()
 	cfg.Dynamic = false
@@ -351,7 +355,6 @@ func TestProcessModeKillWorker(t *testing.T) {
 	}
 	const workers, q = 3, 9
 	cfg := engine.DefaultConfig()
-	cfg.ThreadsPerWorker = 1 // the fault suite's thread-interleaving caveat
 	cl, _ := distCluster(t, workers, engine.WithTracing(true))
 	want := memRun(t, q, workers, cfg)
 

@@ -163,12 +163,13 @@ func FuzzHandleOp(f *testing.F) {
 
 // FuzzMailboxOp feeds a worker's mailbox dispatcher — the second listener, so
 // the second attack surface — arbitrary (type, payload) frames. Every type but
-// the four remote flight requests, a request naming another worker's mailbox,
+// the two remote flight requests, a request naming another worker's mailbox,
 // and a body cut or padded anywhere are refused whatever the rest says, and a
-// refused frame leaves the mailbox as it was. The checked-in corpus
-// (testdata/fuzz/FuzzMailboxOp) is the fl_* half of FuzzHandleOp's: the push
-// body at several cuts, a foreign worker id, and the retired owner-only frames
-// with their hostile counts.
+// refused frame leaves the mailbox as it was — a payload parked by SpoolResult
+// included, which the retired fetch and drop-result frames once reached. The
+// checked-in corpus (testdata/fuzz/FuzzMailboxOp) is the fl_* half of
+// FuzzHandleOp's: the push body at several cuts, a foreign worker id, and the
+// retired frames with their hostile counts.
 func FuzzMailboxOp(f *testing.F) {
 	f.Add(mtFlPush, pushBody())
 	m := &mailbox{self: 1, fl: flight.NewServer(storage.CostModel{}, nil)}

@@ -41,9 +41,9 @@ func flFrames(met *metrics.Collector) map[string]int64 {
 
 // TestSameWorkerEdgesCostNoFrames runs Q3 on ONE wire-attached worker: every
 // edge is a same-worker edge and every inbox the worker's own, so no push,
-// probe, take, drop or spool crosses a socket — what the fleet counts of flight
-// frames is the head's fetch and drops of the spooled result and its sweep,
-// nothing else — and the result is the in-memory one.
+// probe, take or drop crosses a socket — what the fleet counts of flight frames
+// is the head's sweep of each query, nothing else — and the result is the
+// in-memory one.
 func TestSameWorkerEdgesCostNoFrames(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-mode e2e is not short")
@@ -62,7 +62,7 @@ func TestSameWorkerEdgesCostNoFrames(t *testing.T) {
 	}
 	for who, met := range map[string]*metrics.Collector{"the head, workers' reports merged": cl.Metrics, "the worker": mets[0]} {
 		for op, n := range flFrames(met) {
-			if op != "fl_fetch" && op != "fl_drop_result" && op != "fl_drop_query" || n > 2 {
+			if op != "fl_drop_query" || n > 2 {
 				t.Errorf("%s counted %d %s frames on a one-worker query", who, n, op)
 			}
 		}

@@ -16,9 +16,9 @@ import (
 // This const block is the whole message set: one request type per method
 // of the three backend contracts (docs/contracts/) that has a remote caller,
 // plus the control plane, the result sink and the shared responses. A type
-// byte not listed here — including the retired 0x10–0x1a, 0x21–0x25, 0x27,
-// 0x2a, 0x2b, 0x32–0x35, 0x43, 0x46 and 0x47 — is refused as ErrCorrupt and
-// the conn closed; retired bytes are not reused.
+// byte not listed here — including the retired 0x10–0x1a, 0x21–0x25,
+// 0x27–0x2b, 0x32–0x35, 0x39, 0x43, 0x46 and 0x47 — is refused as ErrCorrupt
+// and the conn closed; retired bytes are not reused.
 const (
 	// Control plane, worker <-> head.
 	mtHello      = byte(0x01) // C->S: u32 worker id, str address of the worker's mailbox listener
@@ -40,13 +40,11 @@ const (
 	mtGCSAwaitNS = byte(0x1d) // C->S: str ns, u64 after, u32 max microseconds -> mtU64Resp, once the version passes after or max (capped by the head) elapses
 
 	// Flight, served by the worker that hosts the mailbox: what a peer (push)
-	// and the head (the rest) ask of it. Every request names the mailbox's
-	// worker first (u32), which must be the serving worker itself. Probe, take,
-	// drop and spool are the owner's function calls and have no frame.
-	mtFlPush       = byte(0x20) // + str query, task from, chan dest, i64 input, i64 epoch, bool local, bytes data -> mtOK
-	mtFlDropQuery  = byte(0x26) // + str query -> mtOK
-	mtFlFetch      = byte(0x28) // + str query, task -> mtBytesResp
-	mtFlDropResult = byte(0x29) // + str query, task -> mtOK
+	// and the head (drop query) ask of it. Every request names the mailbox's
+	// worker first (u32), which must be the serving worker itself. Probe, take
+	// and drop are the owner's function calls and have no frame.
+	mtFlPush      = byte(0x20) // + str query, task from, chan dest, i64 input, i64 epoch, bool local, bytes data -> mtOK
+	mtFlDropQuery = byte(0x26) // + str query -> mtOK
 
 	// Object store. A put is always the uncosted PutFree: free must be true
 	// (the costed form was retired with storage.Objects.Put and is refused).
@@ -56,7 +54,6 @@ const (
 	// Result sink: worker task managers relaying output-stage deliveries
 	// into the head-side collector of the named query.
 	mtSinkDeliver = byte(0x38) // str qid, task, i64 epoch, bytes data -> mtBoolResp
-	mtSinkSpooled = byte(0x39) // str qid, task, i64 worker, i64 size, i64 epoch -> mtBoolResp
 
 	// Responses.
 	mtOK        = byte(0x40) // empty
@@ -74,11 +71,9 @@ var (
 	headOps = map[byte]string{
 		mtGCSSync: "gcs_sync", mtGCSCommit: "gcs_commit", mtGCSAwaitNS: "gcs_await_ns",
 		mtObjPut: "obj_put", mtObjGet: "obj_get",
-		mtSinkDeliver: "sink_deliver", mtSinkSpooled: "sink_spooled",
+		mtSinkDeliver: "sink_deliver",
 	}
-	mailboxOps = map[byte]string{
-		mtFlPush: "fl_push", mtFlDropQuery: "fl_drop_query", mtFlFetch: "fl_fetch", mtFlDropResult: "fl_drop_result",
-	}
+	mailboxOps = map[byte]string{mtFlPush: "fl_push", mtFlDropQuery: "fl_drop_query"}
 )
 
 // Error codes carried by mtErrResp. Sentinel errors the engine's

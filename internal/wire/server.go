@@ -48,8 +48,15 @@ type Server struct {
 	cond    *sync.Cond // broadcast on worker attach/detach
 	ctrl    map[cluster.WorkerID]*controlConn
 	queries map[string]*engine.Runner
-	procs   []*exec.Cmd
+	procs   []spawned
 	closed  bool
+}
+
+// spawned is a worker process this head started, and the end of the one
+// goroutine that waits for it.
+type spawned struct {
+	proc   *os.Process
+	reaped <-chan struct{}
 }
 
 // controlConn is the head's handle on one attached worker process.
@@ -156,13 +163,11 @@ func (s *Server) Close() {
 	for _, p := range s.peers {
 		p.close()
 	}
-	for _, cmd := range procs {
-		if cmd.Process != nil {
-			cmd.Process.Signal(syscall.SIGKILL)
-		}
+	for _, p := range procs {
+		p.proc.Signal(syscall.SIGKILL)
 	}
-	for _, cmd := range procs {
-		cmd.Wait()
+	for _, p := range procs {
+		<-p.reaped
 	}
 }
 
@@ -428,10 +433,14 @@ func (s *Server) Spawn(bin string, id int, slots int, memBudget int64, spillDir 
 	s.cl.Worker(cluster.WorkerID(id)).SetKillFn(func() {
 		proc.Signal(syscall.SIGKILL)
 	})
+	reaped := make(chan struct{})
 	s.mu.Lock()
-	s.procs = append(s.procs, cmd)
+	s.procs = append(s.procs, spawned{proc, reaped})
 	s.mu.Unlock()
-	go cmd.Wait() // reap; liveness is detected via the control conn
+	go func() { // reap; liveness is detected via the control conn
+		cmd.Wait()
+		close(reaped)
+	}()
 	return nil
 }
 
@@ -602,17 +611,9 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		w.bytes(val)
 		return writeFrame(c, mtBytesResp, w.b)
 
-	case mtSinkDeliver, mtSinkSpooled:
+	case mtSinkDeliver:
 		r := rbuf{b: payload}
-		qid, t := r.str("qid"), r.task("task")
-		var deliver func(engine.ResultSink) bool
-		if typ == mtSinkDeliver {
-			epoch, data := int(r.i64("epoch")), r.bytesOwned("data")
-			deliver = func(k engine.ResultSink) bool { return k.Deliver(t, data, epoch) }
-		} else {
-			worker, size, epoch := int(r.i64("worker")), r.i64("size"), int(r.i64("epoch"))
-			deliver = func(k engine.ResultSink) bool { return k.DeliverSpooled(t, worker, size, epoch) }
-		}
+		qid, t, epoch, data := r.str("qid"), r.task("task"), int(r.i64("epoch")), r.bytesOwned("data")
 		if err := r.err(); err != nil {
 			return err
 		}
@@ -622,7 +623,7 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		// An unknown query means it already finished teardown: accept-and-
 		// drop, so a straggler worker never spins on backpressure retries.
 		var w wbuf
-		w.boolean(run == nil || deliver(run.HeadSink()))
+		w.boolean(run == nil || run.HeadSink().Deliver(t, data, epoch))
 		return writeFrame(c, mtBoolResp, w.b)
 	}
 	return fmt.Errorf("%w: unknown op 0x%02x", ErrCorrupt, typ)

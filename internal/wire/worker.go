@@ -14,7 +14,6 @@ import (
 	"quokka/internal/cluster"
 	"quokka/internal/engine"
 	"quokka/internal/flight"
-	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/storage"
 )
@@ -128,9 +127,9 @@ func attachWorker(ctx context.Context, wc WorkerConfig, met *metrics.Collector) 
 }
 
 // mailbox is the worker's own flight server behind its own listener: what a
-// peer pushes to and the head fetches spooled results from. It serves the
-// mailboxOps set, for this worker's id only, and counts what its conns move
-// into the worker's collector.
+// peer pushes to and the head sweeps a query from. It serves the mailboxOps
+// set, for this worker's id only, and counts what its conns move into the
+// worker's collector.
 type mailbox struct {
 	self  uint32
 	fl    *flight.Server
@@ -176,33 +175,16 @@ func (m *mailbox) handle(c net.Conn, typ byte, payload []byte) error {
 		return fmt.Errorf("%w: flight op for worker %d reached worker %d", ErrCorrupt, wid, m.self)
 	}
 	p := flight.Partition{Query: r.str("query")}
-	var spooled lineage.TaskName // fetch, drop result
 	if typ == mtFlPush {
 		p.From, p.Dest, p.Input, p.Epoch = r.task("from"), r.chanID("dest"), int(r.i64("input")), int(r.i64("epoch"))
 		p.Local, p.Data = r.boolean("local"), r.bytesOwned("data")
-	} else if typ != mtFlDropQuery {
-		spooled = r.task("task")
 	}
 	if err := r.err(); err != nil {
 		return err
 	}
-	var err error
-	switch typ {
-	case mtFlPush:
-		err = m.fl.Push(p)
-	case mtFlDropQuery:
+	if typ == mtFlDropQuery {
 		m.fl.DropQuery(p.Query)
-	case mtFlDropResult:
-		m.fl.DropResult(p.Query, spooled)
-	case mtFlFetch:
-		var w wbuf
-		data, ferr := m.fl.FetchResult(p.Query, spooled)
-		if err = ferr; err == nil {
-			w.bytes(data)
-			return writeFrame(c, mtBytesResp, w.b)
-		}
-	}
-	if err != nil {
+	} else if err := m.fl.Push(p); err != nil {
 		return writeFrame(c, mtErrResp, encodeErr(err))
 	}
 	return writeFrame(c, mtOK, nil)
