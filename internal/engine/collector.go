@@ -123,9 +123,9 @@ func (c *collector) setDoneCount(channel, n int) {
 	if c.doneCount[channel] != n {
 		c.doneCount[channel] = n
 		// Deliveries at seq >= n are leftovers of tasks whose commit was
-		// aborted (a recovery barrier fences whole group-commit flushes) and
-		// whose channel was then rewound and re-executed with different task
-		// boundaries, finishing in fewer, coarser tasks. They are not part of
+		// aborted (a recovery's epoch bump fences every commit prepared before
+		// it) and whose channel was then rewound and re-executed with different
+		// task boundaries, finishing in fewer, coarser tasks. They are not part of
 		// the committed output — drop them so Result never assembles them.
 		for t, p := range c.parts {
 			if t.Channel == channel && t.Seq >= n {

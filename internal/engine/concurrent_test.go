@@ -322,21 +322,21 @@ func TestConcurrentKillWorkerBothRecover(t *testing.T) {
 		wantSum += float64(2 * i)
 	}
 
+	// Kill once BOTH queries have committed three tasks (per query, not the
+	// cluster total, so neither is still in seed).
+	store := cl.GCS
+	killOnCommits(cl, 1, func(commits map[string]int) bool {
+		for _, c := range commits {
+			if c < 3 {
+				return false
+			}
+		}
+		return len(commits) == 2
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	qa := startPlan(t, cl, spillJoinAggPlan(), DefaultConfig(), ctx)
 	qb := startPlan(t, cl, scanFilterAggPlan(0), DefaultConfig(), ctx)
-
-	// Kill once BOTH queries are demonstrably executing (per-query
-	// counters, not the cluster total, so neither is still in seed).
-	deadline := time.Now().Add(60 * time.Second)
-	for qa.r.qmet.Get(metrics.TasksExecuted) < 3 || qb.r.qmet.Get(metrics.TasksExecuted) < 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("queries did not start executing")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	cl.Worker(1).Kill()
 
 	outA, repA, errA := qa.Result()
 	outB, repB, errB := qb.Result()
@@ -350,5 +350,6 @@ func TestConcurrentKillWorkerBothRecover(t *testing.T) {
 	if repA.Recoveries == 0 && repB.Recoveries == 0 {
 		t.Error("neither query recorded a recovery after a worker kill")
 	}
+	cl.GCS = store // the teardown probe reads the concrete store
 	assertNoQueryState(t, cl, "after concurrent kill")
 }

@@ -205,7 +205,7 @@ type Config struct {
 	// the pre-group-commit behaviour). Group commit preserves the
 	// commit-before-ack ordering of Algorithm 1 exactly: a task's outputs
 	// remain unconsumable until its flush transaction commits, and every
-	// batched entry carries its own barrier/epoch fences. Timing-only;
+	// batched entry carries its own liveness/epoch fences. Timing-only;
 	// never output-visible.
 	LineageFlushInterval time.Duration
 

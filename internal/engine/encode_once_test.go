@@ -252,11 +252,10 @@ func TestReplayedPiecesAreTheStoredOnes(t *testing.T) {
 				wm := committedWatermark(tx, r, lineage.ChannelID{Stage: 1, Channel: ch}, -1)
 				return wm[lineage.EdgeChannel{Input: 0, UpChannel: ch}] > 0
 			}
-			killed := killWhen(r, 1, func(tx *gcs.Txn) bool { return consumedOwn(tx, 0) && consumedOwn(tx, 2) })
+			killInTxn(cl, 1, func(tx *gcs.Txn) bool { return consumedOwn(tx, 0) && consumedOwn(tx, 2) })
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			got, rep, err := r.Run(ctx)
-			<-killed
 			if err != nil {
 				t.Fatal(err)
 			}

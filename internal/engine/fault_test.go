@@ -9,13 +9,13 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"quokka/internal/batch"
 	"quokka/internal/cluster"
 	"quokka/internal/expr"
-	"quokka/internal/flight"
 	"quokka/internal/gcs"
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
@@ -23,71 +23,48 @@ import (
 	"quokka/internal/trace"
 )
 
-// killAfterTasks kills the given worker once the cluster has executed at
-// least n tasks. The kill is delivered from inside the push of whichever task
-// pushes next — a task that has not committed yet, so the query cannot have
-// finished, however fast it runs — with a polling goroutine behind it for a
-// query whose pushes are all done. It returns a done channel.
-func killAfterTasks(cl *cluster.Cluster, victim int, n int64) <-chan struct{} {
-	done := make(chan struct{})
-	var once sync.Once
-	due := func() bool {
-		if cl.Metrics.Get(metrics.TasksExecuted) < n {
-			return false
+// killAfterTasks kills the given worker from inside the flush that carries
+// the cluster's n-th task commit: placed by a commit, so never past the
+// query's last one, however fast it runs. Install it before the query starts.
+func killAfterTasks(cl *cluster.Cluster, victim int, n int) {
+	killOnCommits(cl, victim, func(commits map[string]int) bool {
+		total := 0
+		for _, c := range commits {
+			total += c
 		}
-		once.Do(func() {
-			cl.Worker(cluster.WorkerID(victim)).Kill()
-			close(done)
-		})
-		return true
-	}
-	for _, w := range cl.Workers {
-		w.Peer = killerTransport{Peer: w.Peer, due: due}
-	}
-	go func() {
-		for !due() {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-	return done
+		return total >= n
+	})
 }
 
-// killerTransport asks due before every push.
-type killerTransport struct {
-	flight.Peer
-	due func() bool
-}
-
-func (k killerTransport) Push(p flight.Partition) error {
-	k.due()
-	return k.Peer.Push(p)
-}
-
-// killWhen kills the given worker as soon as the query's committed state
-// satisfies cond, polled from a background goroutine — a kill placed by
-// what has been committed rather than by a cluster-wide task count, for
-// tests that need the recovery to find specific lineage. It returns a done
-// channel.
-func killWhen(r *Runner, victim int, cond func(tx *gcs.Txn) bool) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ready := false; !ready; time.Sleep(50 * time.Microsecond) {
-			r.gcsView(func(tx *gcs.Txn) error {
-				ready = cond(tx)
-				return nil
-			})
+// killOnCommits kills the given worker from inside the first flush after
+// which due holds of the task commits flushed so far — cur/ puts, counted
+// per query id.
+func killOnCommits(cl *cluster.Cluster, victim int, due func(commits map[string]int) bool) {
+	kill := cl.Worker(cluster.WorkerID(victim)).Kill // idempotent
+	var mu sync.Mutex
+	commits := map[string]int{}
+	cl.GCS = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, flush bool) {
+		if !flush {
+			return
 		}
-		r.cl.Worker(cluster.WorkerID(victim)).Kill()
-	}()
-	return done
+		mu.Lock()
+		defer mu.Unlock()
+		for k, v := range tx.Writes() {
+			if qid, rest, _ := strings.Cut(strings.TrimPrefix(k, "q/"), "/"); v != nil && strings.HasPrefix(rest, "cur/") {
+				commits[qid]++
+			}
+		}
+		if due(commits) {
+			kill()
+		}
+	}}
 }
 
 // killInTxn kills the given worker from inside the first update transaction
-// on the cluster's control store that leaves cond true: placed, like
-// killWhen's, by what has been committed, but never late — a poller can sample
-// its way past a short query's last commit and then wait for good. Install it
-// before the query starts.
+// on the cluster's control store that leaves cond true: placed by what has
+// been committed, and never late — a poller can sample its way past a short
+// query's last commit and then wait for good. Install it before the query
+// starts.
 func killInTxn(cl *cluster.Cluster, victim int, cond func(tx *gcs.Txn) bool) {
 	kill := cl.Worker(cluster.WorkerID(victim)).Kill // idempotent
 	cl.GCS = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, _ bool) {
@@ -141,18 +118,16 @@ func committedWatermark(tx *gcs.Txn, r *Runner, id lineage.ChannelID, n int) lin
 	return wm
 }
 
-func runWithFailure(t *testing.T, cl *cluster.Cluster, p *Plan, cfg Config, victim int, afterTasks int64) (*batch.Batch, *Report, error) {
+func runWithFailure(t *testing.T, cl *cluster.Cluster, p *Plan, cfg Config, victim int, afterTasks int) (*batch.Batch, *Report, error) {
 	t.Helper()
 	r, err := NewRunner(cl, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	killed := killAfterTasks(cl, victim, afterTasks)
+	killAfterTasks(cl, victim, afterTasks)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	out, rep, runErr := r.Run(ctx)
-	<-killed
-	return out, rep, runErr
+	return r.Run(ctx)
 }
 
 func TestRecoveryScanAggregate(t *testing.T) {
@@ -202,9 +177,12 @@ func TestFailureResultEqualsFailureFreeResult(t *testing.T) {
 	wantOut, _ := runPlan(t, clean, joinPlan(), DefaultConfig())
 
 	faulty := testCluster(t, 4, tables)
-	gotOut, _, err := runWithFailure(t, faulty, joinPlan(), DefaultConfig(), 1, 4)
+	gotOut, rep, err := runWithFailure(t, faulty, joinPlan(), DefaultConfig(), 1, 4)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if rep.Recoveries == 0 {
+		t.Error("expected a recovery")
 	}
 	wantEnc := batch.Encode(wantOut)
 	gotEnc := batch.Encode(gotOut)
@@ -267,6 +245,9 @@ func TestRecoveryCheckpointMode(t *testing.T) {
 	if rep.Metrics[metrics.CheckpointBytes] == 0 {
 		t.Error("checkpoint mode should persist state bytes")
 	}
+	if rep.Recoveries == 0 {
+		t.Error("expected a recovery")
+	}
 }
 
 func TestNoFaultToleranceFailsQuery(t *testing.T) {
@@ -286,13 +267,11 @@ func TestNestedFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1 := killAfterTasks(cl, 1, 4)
-	k2 := killAfterTasks(cl, 3, 12)
+	killAfterTasks(cl, 1, 4)
+	killAfterTasks(cl, 3, 12)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	out, rep, runErr := r.Run(ctx)
-	<-k1
-	<-k2
 	if runErr != nil {
 		t.Fatalf("Run: %v", runErr)
 	}
@@ -308,6 +287,128 @@ func TestNestedFailures(t *testing.T) {
 	// single reconciliation pass handles them together — also correct.
 	if rep.Recoveries < 1 {
 		t.Errorf("recoveries = %d, want >= 1", rep.Recoveries)
+	}
+}
+
+// flushHold holds the first flush — the one UpdateMulti caller — that starts
+// once armed is set: it kills victim, then lets the flush run only when the
+// query's global epoch has reached 2 (a recovery committed), or after 10 s.
+// The flush's outcome goes to held.
+type flushHold struct {
+	gcs.Backend
+	r      *Runner
+	victim *cluster.Worker
+	armed  atomic.Bool
+	taken  atomic.Bool
+	held   chan error
+}
+
+func (h *flushHold) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+	if !h.armed.Load() || h.taken.Swap(true) {
+		return h.Backend.UpdateMulti(nss, fn)
+	}
+	h.victim.Kill()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for ver, gep := uint64(0), 0; gep < 2 && ctx.Err() == nil; {
+		ver = h.Backend.AwaitNS(ctx, h.r.keyNS(), ver, time.Second)
+		h.Backend.ViewNS(h.r.keyNS(), func(tx *gcs.Txn) error {
+			gep = txGetInt(tx, h.r.keyGlobalEpoch(), 0)
+			return nil
+		})
+	}
+	err := h.Backend.UpdateMulti(nss, fn)
+	h.held <- err
+	return err
+}
+
+// TestFlushAcrossRecoveryIsFenced pins the fence that makes a recovery one
+// transaction: a flush whose entries were prepared before a recovery and that
+// reaches the store after it applies nothing, and the query recovers and
+// completes. With one thread per worker, the threads whose tasks are in the
+// held flush cannot step until it resolves, so recovery must not wait for
+// them.
+func TestFlushAcrossRecoveryIsFenced(t *testing.T) {
+	tables := joinTables(800)
+	cfg := DefaultConfig()
+	cfg.ThreadsPerWorker = 1
+	want, _ := runPlan(t, testCluster(t, 4, tables), joinPlan(), cfg)
+
+	cl := testCluster(t, 4, tables)
+	r, err := NewRunner(cl, joinPlan(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Arm inside the first flush after which stage-1 channels 0 and 2 have both
+	// committed; the next flush kills worker 2 as it starts, so every entry it
+	// carries was prepared under the seeded epoch, and is held across the
+	// recovery that follows.
+	hold := &flushHold{r: r, victim: cl.Worker(2), held: make(chan error, 1)}
+	cur := func(tx *gcs.Txn, c int) int {
+		return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 1, Channel: c}), 0)
+	}
+	hold.Backend = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, flush bool) {
+		if flush && cur(tx, 0) > 0 && cur(tx, 2) > 0 {
+			hold.armed.Store(true)
+		}
+	}}
+	cl.GCS = hold
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	got, rep, err := r.Run(ctx)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	select {
+	case err := <-hold.held:
+		if err != gcs.ErrAborted {
+			t.Errorf("the flush held across the recovery returned %v, want gcs.ErrAborted: it applied entries prepared under the old epoch", err)
+		}
+	default:
+		t.Fatal("no flush was held")
+	}
+	if rep.Recoveries < 1 {
+		t.Errorf("recoveries = %d, want >= 1", rep.Recoveries)
+	}
+	if !bytes.Equal(batch.Encode(got), batch.Encode(want)) {
+		t.Fatalf("result differs from the failure-free run:\nwant %v\ngot  %v", want, got)
+	}
+}
+
+// TestKillInsideRecovery: a second worker dies inside the recovery
+// transaction itself — which may just have placed rewound channels on it — so
+// the pass it commits is already stale; the next pass reconciles again, and
+// the result is whole.
+func TestKillInsideRecovery(t *testing.T) {
+	const nFact = 1500
+	cl := testCluster(t, 5, joinTables(nFact))
+	r, err := NewRunner(cl, joinPlan(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	killInTxn(cl, 1, func(tx *gcs.Txn) bool {
+		return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 1, Channel: 1}), 0) > 0
+	})
+	killInTxn(cl, 3, func(tx *gcs.Txn) bool {
+		v, ok := tx.Writes()[r.keyGlobalEpoch()]
+		return ok && string(v) == "2"
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	out, rep, err := r.Run(ctx)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Recoveries < 2 {
+		t.Errorf("recoveries = %d, want >= 2", rep.Recoveries)
+	}
+	if out == nil || out.NumRows() != 10 {
+		t.Fatalf("result: %v", out)
+	}
+	for i := 0; i < out.NumRows(); i++ {
+		if out.Col("c").Ints[i] != nFact/10 {
+			t.Errorf("group %q count = %d, want %d", out.Col("name").Strings[i], out.Col("c").Ints[i], nFact/10)
+		}
 	}
 }
 

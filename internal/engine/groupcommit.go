@@ -78,10 +78,9 @@ func newGroupCommitter(store gcs.Backend) *groupCommitter {
 // commit hands a task commit to flush and blocks until it resolves: queued
 // for the flusher to batch, or — when the query's policy turns batching off
 // — flushed alone, here, on the caller's goroutine.
-// Returns gcs.ErrAborted when the entry was fenced off (barrier raised,
-// channel rewound, epoch changed, worker died) — the task then stays
-// pending and is retried. The enqueue-to-resolve time is the requesting
-// query's flush latency.
+// Returns gcs.ErrAborted when the entry was fenced off (channel rewound,
+// epoch changed, worker died) — the task then stays pending and is retried.
+// The enqueue-to-resolve time is the requesting query's flush latency.
 func (g *groupCommitter) commit(req *commitReq) error {
 	req.resp = make(chan error, 1)
 	start := time.Now()
@@ -163,23 +162,20 @@ func (g *groupCommitter) drainAbort() {
 // flush commits a batch of task commits — possibly spanning several
 // queries — in ONE GCS transaction over their namespaces' shards. Each
 // entry keeps its own fences: entries whose worker died, whose channel was
-// rewound, whose placement epoch moved, or whose query has its recovery
-// barrier raised are refused individually while the rest commit —
-// identical outcomes to flushing each commit alone, just amortized onto one
-// head-node round trip. (A query's recovery holds its namespace shard
-// lock, so this transaction serializes against every reconcile; from a
-// worker process the fences are its read set, which the head validates.)
+// rewound, or whose placement epoch moved are refused individually while
+// the rest commit — identical outcomes to flushing each commit alone, just
+// amortized onto one head-node round trip. (A query's recovery is one
+// transaction on its namespace shard that moves the epoch, so this
+// transaction serializes against it: before it, and recovery sees the
+// commit; after it, and the commit is refused. From a worker process the
+// fences are its read set, which the head validates.)
 func (g *groupCommitter) flush(batch []*commitReq) {
 	errs := make([]error, len(batch))
-	type qstate struct {
-		barrier bool
-		gep     int
-	}
-	states := make(map[*Runner]qstate, 4)
+	geps := make(map[*Runner]int, 4) // each query's live global epoch
 	nss := make([]string, 0, 4)
 	for _, req := range batch {
-		if _, ok := states[req.r]; !ok {
-			states[req.r] = qstate{}
+		if _, ok := geps[req.r]; !ok {
+			geps[req.r] = 0
 			nss = append(nss, req.r.keyNS())
 		}
 	}
@@ -187,21 +183,17 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 	flushStart := time.Now()
 	err := g.store.UpdateMulti(nss, func(tx *gcs.Txn) error {
 		clear(errs) // a remote backend re-runs a body whose fences moved under it
-		for r := range states {
-			states[r] = qstate{
-				barrier: txGetInt(tx, r.keyBarrier(), 0) != 0,
-				gep:     txGetInt(tx, r.keyGlobalEpoch(), 0),
-			}
+		for r := range geps {
+			geps[r] = txGetInt(tx, r.keyGlobalEpoch(), 0)
 		}
 		applied := 0
 		for i, req := range batch {
-			st := states[req.r]
-			// Fenced: recovery holds the barrier, the worker died, the channel
-			// was rewound under the task, or placement moved since its pushes
-			// (a retry under a fresh view keeps pieces off a stale worker).
-			if st.barrier || !req.alive() ||
+			// Fenced: the worker died, the channel was rewound under the task,
+			// or placement moved since its pushes (a retry under a fresh view
+			// keeps pieces off a stale worker).
+			if !req.alive() ||
 				txGetInt(tx, req.r.keyChanEpoch(req.id), 0) != req.cep ||
-				st.gep != req.gep {
+				geps[req.r] != req.gep {
 				errs[i] = gcs.ErrAborted
 				continue
 			}

@@ -131,12 +131,6 @@ func (q *Query) Trace() *trace.Recorder { return q.r.rec }
 // query still runs.
 func (q *Query) Stats() []StageStats { return q.r.stageStats() }
 
-// Metric reads one of THIS query's counters live, while the query runs —
-// concurrent queries on one cluster each report their own tasks, spill
-// bytes, shuffle traffic and recoveries (this is how overlapping execution
-// is observable). See package metrics for the counter names.
-func (q *Query) Metric(name string) int64 { return q.r.qmet.Get(name) }
-
 // Result waits for completion and returns the concatenated output exactly
 // as the one-shot Runner.Run always has. If a Cursor consumed part of the
 // stream, Result returns only the remainder — use one or the other.

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"context"
-	"fmt"
 	"sort"
 	"time"
 
@@ -13,17 +11,26 @@ import (
 )
 
 // recover implements Algorithm 2 of the paper: reconcile the GCS to a
-// consistent state after worker failures. It
+// consistent state after worker failures. In ONE transaction it
 //
-//  1. raises the GCS barrier and waits for live TaskManagers to quiesce,
-//  2. computes the rewind set by walking stages in reverse topological
+//  1. computes the rewind set by walking stages in reverse topological
 //     order, scheduling replay tasks for surviving backups, input re-reads
 //     for lost reader partitions, and cascading rewinds when a partition
 //     is unrecoverable,
-//  3. re-places rewound channels — pipeline-parallel (different stages to
+//  2. re-places rewound channels — pipeline-parallel (different stages to
 //     different workers, Figure 3 bottom) or data-parallel — and resets
 //     their cursors, and
-//  4. drops the barrier and bumps the global epoch.
+//  3. bumps the global epoch.
+//
+// The paper takes a GCS-level lock so that TaskManagers cannot write while
+// the coordinator reconciles (§IV-B). Here the transaction is that lock:
+// every worker-side write is fenced on what it reconciles — a task commit
+// on its worker's liveness, the channel epoch and the global epoch
+// (groupCommitter.flush), a checkpoint mark on the channel epoch
+// (persistAfterCommit), a replay entry's removal on the global epoch
+// (runOneReplay) — so a write prepared under the pre-recovery image either
+// lands before this transaction, which then sees it, or is refused after it
+// and retried under the new image.
 //
 // The coordinator only ever writes the GCS; it never talks to a
 // TaskManager directly, which is what makes nested failures easy to
@@ -36,82 +43,32 @@ import (
 // key hash and the query's seeded partition count (the GCS "opp" key), so
 // the replacement worker reconstructs the same per-partition state the
 // dead worker held.
-func (r *Runner) recover(ctx context.Context) error {
+func (r *Runner) recover() error {
 	started := time.Now()
 	r.recovered++
 	r.count(metrics.RecoveryTasks, 1)
-
-	// Raise the barrier.
-	gen := r.recovered
-	if err := r.gcsUpdate(func(tx *gcs.Txn) error {
-		txPutInt(tx, r.keyBarrier(), gen)
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	// Wait for every live TaskManager to acknowledge: an ack is a commit, so
-	// the wait is for the version to pass the one observed before the view
-	// that found an ack missing. Workers that die while we wait commit
-	// nothing; a heartbeat later they are dropped from the wait set.
-	deadline := time.Now().Add(5 * time.Second)
-	for before, wait := uint64(0), time.Duration(0); ; wait = r.cfg.HeartbeatInterval {
-		before = r.gcsAwait(ctx, before, wait)
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		allAcked := true
-		err := r.gcsView(func(tx *gcs.Txn) error {
-			for _, w := range r.cl.Workers {
-				if !w.Alive() {
-					continue
-				}
-				if txGetInt(tx, r.keyAck(int(w.ID)), 0) != gen {
-					allAcked = false
-					return nil
-				}
-			}
-			return nil
-		})
-		if err != nil {
+	// The epoch moves with the placements it names, so TaskManagers reload
+	// them, and every commit prepared under the old image is refused.
+	err := r.gcsUpdate(func(tx *gcs.Txn) error {
+		if err := r.reconcile(tx); err != nil {
 			return err
 		}
-		if allAcked {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("engine: recovery barrier timed out")
-		}
-	}
-
-	// With the barrier held the coordinator has exclusive access; plan and
-	// apply the whole reconciliation in one transaction.
-	err := r.gcsUpdate(func(tx *gcs.Txn) error {
-		return r.reconcile(tx)
+		txPutInt(tx, r.keyGlobalEpoch(), txGetInt(tx, r.keyGlobalEpoch(), 0)+1)
+		return nil
 	})
 	if err != nil {
 		return err
 	}
-
-	// Drop the barrier; bump the global epoch so TaskManagers reload
-	// placements.
-	if err := r.gcsUpdate(func(tx *gcs.Txn) error {
-		tx.Delete(r.keyBarrier())
-		txPutInt(tx, r.keyGlobalEpoch(), txGetInt(tx, r.keyGlobalEpoch(), 0)+1)
-		return nil
-	}); err != nil {
-		return err
-	}
 	if r.rec != nil {
-		// One span for the whole pass (barrier -> reconcile -> epoch bump),
-		// stamped with the recovery generation.
+		// One span for the whole pass (reconcile and epoch bump), stamped with
+		// the recovery generation.
 		r.rec.Record(trace.Span{Kind: trace.KindRecovery, Worker: -1, Stage: -1, Channel: -1, Seq: -1,
-			Epoch: gen, Start: started, Dur: time.Since(started)})
+			Epoch: r.recovered, Start: started, Dur: time.Since(started)})
 	}
 	return nil
 }
 
-// reconcile is the body of Algorithm 2, run under the barrier.
+// reconcile is the body of Algorithm 2, run inside recover's transaction.
 func (r *Runner) reconcile(tx *gcs.Txn) error {
 	aliveIDs := r.cl.Alive()
 	if len(aliveIDs) == 0 {

@@ -374,7 +374,7 @@ func (r *Runner) coordinate(ctx context.Context) error {
 			if !r.ft.has(capLineage) {
 				return ErrQueryFailed
 			}
-			if err := r.recover(ctx); err != nil {
+			if err := r.recover(); err != nil {
 				return err
 			}
 			aliveBefore = aliveNow

@@ -17,20 +17,25 @@ import (
 
 // schemaRecorder notes what every committed update wrote, by key class —
 // the segment after q/<qid>/ — and keeps the flushes apart: each is the write
-// set of a batch of task commits. Its record is a txnHook's after.
+// set of a batch of task commits. So are the other updates that move the
+// global epoch past the seeded 1: each is a recovery pass. Its record is a
+// txnHook's after.
 type schemaRecorder struct {
-	mu      sync.Mutex
-	written map[string]bool
-	flushes []map[string]int // per flush: class -> keys put
+	mu         sync.Mutex
+	written    map[string]bool
+	flushes    []map[string]int // per flush: class -> keys put
+	recoveries []map[string]int // per epoch-moving update: the same
 }
 
 func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 	puts := map[string]int{}
+	recovery := false
 	for k, v := range tx.Writes() {
 		if v != nil {
 			_, rest, _ := strings.Cut(strings.TrimPrefix(k, "q/"), "/")
 			class, _, _ := strings.Cut(rest, "/")
 			puts[class]++
+			recovery = recovery || class == "gep" && string(v) != "1"
 		}
 	}
 	s.mu.Lock()
@@ -40,14 +45,17 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 	}
 	if flush {
 		s.flushes = append(s.flushes, puts)
+	} else if recovery {
+		s.recoveries = append(s.recoveries, puts)
 	}
 }
 
 // TestControlStoreSchema holds the engine to docs/contracts/control-store.md:
 // under every FT mode, with and without a kill, every key class written has a
 // row on the page, every flush writes per task commit exactly what the page's
-// "A task commit" table says for the mode, and no row on the page goes
-// unwritten by all of them.
+// "A task commit" table says for the mode, each recovery pass is one update
+// writing only what reconcile and the epoch bump write, and no row on the page
+// goes unwritten by all of them.
 func TestControlStoreSchema(t *testing.T) {
 	page, err := os.ReadFile("../../docs/contracts/control-store.md")
 	if err != nil {
@@ -126,6 +134,21 @@ func TestControlStoreSchema(t *testing.T) {
 				}
 				if len(rec.flushes) == 0 {
 					t.Error("no flush recorded")
+				}
+				// A recovery pass is one transaction: the update that moves the
+				// epoch writes the whole reconciliation, and nothing else does.
+				if err == nil && len(rec.recoveries) != rep.Recoveries {
+					t.Errorf("%d updates moved the global epoch, want one per recovery (%d)", len(rec.recoveries), rep.Recoveries)
+				}
+				for _, puts := range rec.recoveries {
+					if puts["pl"] == 0 || puts["cep"] == 0 {
+						t.Errorf("the update that moved the epoch wrote %v: no rewind", puts)
+					}
+					for class := range puts {
+						if !slices.Contains([]string{"pl", "cep", "cur", "rp", "rpi", "gep"}, class) {
+							t.Errorf("a recovery pass wrote %v: %q is outside pl, cep, cur, rp, rpi, gep", puts, class)
+						}
+					}
 				}
 			})
 		}

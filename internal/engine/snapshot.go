@@ -6,7 +6,7 @@ import (
 )
 
 // snapshot is one immutable image of the query's control-plane namespace:
-// everything a round of Algorithm 1 reads — the recovery header and every
+// everything a round of Algorithm 1 reads — the global epoch and every
 // channel's coordinates — taken in ONE GCS view and stamped with the
 // namespace version probed before that view. It is the only thing a poll
 // round, a task step, a push, a replay and the coordinator's completion check
@@ -17,8 +17,7 @@ import (
 type snapshot struct {
 	ver uint64
 
-	bar int // recovery barrier generation; 0 = down
-	gep int // global placement epoch: seeded 1, one more per finished recovery
+	gep int // global placement epoch: seeded 1, one more per recovery
 	opp int // operator partition count seeded for the query
 
 	chans [][]chanMeta // [stage][channel]
@@ -70,7 +69,6 @@ func (r *Runner) loadSnapshot(ver uint64) (*snapshot, error) {
 	err := r.gcsView(func(tx *gcs.Txn) error {
 		s = &snapshot{
 			ver:   ver,
-			bar:   txGetInt(tx, r.keyBarrier(), 0),
 			gep:   txGetInt(tx, r.keyGlobalEpoch(), 0),
 			opp:   txGetInt(tx, r.keyOpParallelism(), r.cfg.Parallelism),
 			chans: make([][]chanMeta, len(r.par)),

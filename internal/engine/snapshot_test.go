@@ -176,14 +176,14 @@ func TestStaleImageDoesNotRunANewChannelSet(t *testing.T) {
 	}
 	// A slow thread still holds the old image: its round runs nothing.
 	r.snap.Store(old)
-	if progressed, _, scanned := tm.poll(old.ver, func() {}); progressed || scanned != old.ver {
+	if progressed, scanned := tm.poll(old.ver, func() {}); progressed || scanned != old.ver {
 		t.Errorf("a round under the pre-recovery image: progressed %v under version %d (image %d)", progressed, scanned, old.ver)
 	}
 	if cs := tm.channels[moved]; cs.cep != -1 || cs.op != nil {
 		t.Errorf("the pre-recovery image reached channel %s: epoch %d", moved, cs.cep)
 	}
 	r.snap.Store(fresh)
-	if progressed, _, _ := tm.poll(fresh.ver, func() {}); !progressed {
+	if progressed, _ := tm.poll(fresh.ver, func() {}); !progressed {
 		t.Error("a round under the current image ran nothing")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // GCS under the owning query's namespace q/<qid>/ (§IV-B: "the single source
 // of truth for the execution state of the entire system"), so any number of
 // in-flight queries coexist in one GCS without clobbering each other's
-// lineage, cursors, barriers or recovery queues, and a query's whole
+// lineage, cursors, epochs or recovery queues, and a query's whole
 // namespace is deleted when it finishes. docs/contracts/control-store.md is
 // the normative table — value, the one writer, every reader and lifetime of
 // each class; a class nothing reads is not written — and TestControlStoreSchema
@@ -25,18 +25,18 @@ import (
 //	lin/<s>.<c>.<q>  pd/<s>.<c>.<q>
 //	            a task's committed lineage record; the worker holding its
 //	            upstream backup (written only when the policy backs up)
-//	bar  ack/<w>  gep  opp
-//	            recovery barrier generation and worker w's acknowledgment of
-//	            it; global placement epoch (seeded 1, +1 per finished
-//	            recovery); operator partition count, seeded so that a
-//	            replacement worker splits state as the dead one did
+//	gep  opp
+//	            global placement epoch (seeded 1, +1 per recovery, in the
+//	            transaction that reconciles); operator partition count,
+//	            seeded so that a replacement worker splits state as the dead
+//	            one did
 //	rp/<w>/<s>.<c>.<q>  rpi/<w>/<s>.<c>.<q>
 //	            replay queues: worker w re-pushes its stored piece set of the
 //	            task — or re-reads the task's split — for the consumer
 //	            channels in the value ("ds.dc;...")
 //
 // The key helpers are Runner methods because the Runner owns the query id;
-// barriers, acks and epochs are per query, which is what lets one query
+// epochs and replay queues are per query, which is what lets one query
 // recover from a worker failure without quiescing the others.
 
 // QueryNamespace is query qid's GCS namespace, spelled here and nowhere else;
@@ -118,8 +118,6 @@ func (r *Runner) keyCheckpoint(c lineage.ChannelID) string { return r.keys[c.Sta
 
 func (r *Runner) keyLineage(t lineage.TaskName) string { return r.keyNS() + "lin/" + t.String() }
 func (r *Runner) keyPartDir(t lineage.TaskName) string { return r.keyNS() + "pd/" + t.String() }
-func (r *Runner) keyBarrier() string                   { return r.keyNS() + "bar" }
-func (r *Runner) keyAck(w int) string                  { return fmt.Sprintf("%sack/%d", r.keyNS(), w) }
 func (r *Runner) keyGlobalEpoch() string               { return r.keyNS() + "gep" }
 func (r *Runner) keyOpParallelism() string             { return r.keyNS() + "opp" }
 

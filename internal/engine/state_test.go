@@ -28,7 +28,7 @@ func TestKeySchema(t *testing.T) {
 		r.keyPartDir(n):      "q/q7/pd/2.5.9",
 		r.keyCheckpoint(c):   "q/q7/ck/2.5",
 		r.keyReplay(3, n):    "q/q7/rp/3/2.5.9",
-		r.keyBarrier():       "q/q7/bar",
+		r.keyGlobalEpoch():   "q/q7/gep",
 		r.keyOpParallelism(): "q/q7/opp",
 	} {
 		if key != want {

@@ -218,7 +218,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 	})
 	if err != nil {
 		if err == gcs.ErrAborted {
-			return false, nil // keep pending; retried after barrier/rewind
+			return false, nil // keep pending; retried under the next image
 		}
 		return false, err
 	}

@@ -9,7 +9,6 @@ import (
 	"quokka/internal/batch"
 	"quokka/internal/cluster"
 	"quokka/internal/flight"
-	"quokka/internal/gcs"
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/ops"
@@ -36,7 +35,6 @@ type taskManager struct {
 	mu       sync.Mutex
 	channels map[lineage.ChannelID]*chanState
 	gep      int // global epoch the channel set was loaded at
-	ackedBar int // last barrier generation acknowledged
 
 	// cpu bounds concurrently modelled kernel work on this worker: I/O
 	// waits (S3 reads, shuffle pushes, disk writes) do not hold a slot,
@@ -55,10 +53,9 @@ type taskManager struct {
 
 	// replayGen is the last global epoch whose replay queue this TaskManager
 	// has fully drained. It starts at the seeded epoch, 1, which has none: the
-	// epoch moves where a recovery ends, in the transaction after the one that
-	// filled the queues, so prefix scans of the replay queue only happen after
-	// a recovery, never in steady state. replayLock ensures a single thread
-	// drains the queue at a time.
+	// epoch moves in the recovery transaction that fills the queues, so prefix
+	// scans of the replay queue only happen after a recovery, never in steady
+	// state. replayLock ensures a single thread drains the queue at a time.
 	replayGen  int
 	replayLock sync.Mutex
 
@@ -173,9 +170,9 @@ func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 //
 // A thread scans (poll) under the image of the version it last saw, again
 // while that makes progress. Only a commit makes a channel runnable — inputs
-// count once their lineage is persisted, a barrier rises and falls by commits,
-// a replay entry is written by one — so with nothing to do it waits for the
-// version to pass the one it scanned under. One thread per worker waits, the
+// count once their lineage is persisted, a recovery is one, a replay entry is
+// written by one — so with nothing to do it waits for the version to pass the
+// one it scanned under. One thread per worker waits, the
 // holder of the watcher token, and the rest queue for it: every idle thread
 // waiting is a herd, each re-reading the image and re-probing every mailbox
 // per commit. The watcher hands the token on before it does work
@@ -197,10 +194,7 @@ func (t *taskManager) loop(ctx context.Context) {
 	for ctx.Err() == nil {
 		ver := t.r.gcsAwait(ctx, seen, wait)
 		alone := wait > 0 && int(t.queued.Load()) == t.r.cfg.ThreadsPerWorker-1
-		progressed, barrier, scanned := t.poll(ver, yield)
-		if barrier != 0 {
-			t.ackBarrier(barrier) // a commit, as the barrier's fall will be
-		}
+		progressed, scanned := t.poll(ver, yield)
 		if progressed && alone && scanned == seen {
 			// A timer ended the wait, every other thread was queued, and under
 			// the same image there is work: nothing was going to wake this worker.
@@ -228,25 +222,21 @@ func (t *taskManager) loop(ctx context.Context) {
 // image of namespace version ver — the round's only read of the control store,
 // and none at all while the version has not moved — keeping the control plane
 // cost per task negligible, as the paper reports for its optimized naming
-// scheme (§IV-B). A raised barrier ends the round: its generation is returned
-// for the caller to acknowledge. yield is called before any work is done;
-// scanned is the version of the image the round ran under, ver or newer.
-func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, barrier int, scanned uint64) {
+// scheme (§IV-B). yield is called before any work is done; scanned is the
+// version of the image the round ran under, ver or newer.
+func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, scanned uint64) {
 	snap, err := t.r.snapshotAt(ver)
 	if err != nil {
 		if t.w.Alive() {
 			t.r.reportFailure(err)
 		}
-		return false, 0, ver
-	}
-	if snap.bar != 0 {
-		return false, snap.bar, snap.ver
+		return false, ver
 	}
 	if !t.refreshChannels(snap) {
 		// A slow thread's image from before the recovery that made the channel
 		// set: a fresh channel would take its pre-rewind row for news, and probe
 		// its mailbox — clearing it — below the dead incarnation's watermark.
-		return false, 0, snap.ver
+		return false, snap.ver
 	}
 
 	// Replay queues are only populated by recovery; skip the prefix scans
@@ -292,25 +282,7 @@ func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, barrier i
 			progressed = true
 		}
 	}
-	return progressed, 0, snap.ver
-}
-
-// ackBarrier records that this TaskManager has quiesced under barrier
-// generation gen, implementing the GCS-level lock of §IV-B. gen is the
-// barrier the round's snapshot showed; should it have dropped since, the
-// acknowledgment is harmless (recover waits for the generation it raised).
-func (t *taskManager) ackBarrier(gen int) {
-	t.mu.Lock()
-	already := gen == t.ackedBar
-	t.ackedBar = gen
-	t.mu.Unlock()
-	if already {
-		return
-	}
-	t.r.gcsUpdate(func(tx *gcs.Txn) error {
-		txPutInt(tx, t.r.keyAck(int(t.w.ID)), gen)
-		return nil
-	})
+	return progressed, snap.ver
 }
 
 // refreshChannels re-derives the set of channels placed on this worker when

@@ -105,12 +105,11 @@ func TestTracingRecoveryEpochs(t *testing.T) {
 	// Kill worker 1 once its reader channel (seeded on it: channel c starts on
 	// worker c) has committed a task, so the recovery has lineage to replay —
 	// a kill timed on the cluster-wide task count can land before that.
-	killed := killWhen(r, 1, func(tx *gcs.Txn) bool {
+	killInTxn(cl, 1, func(tx *gcs.Txn) bool {
 		return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 0, Channel: 1}), 0) > 0
 	})
 	q := r.Start(t.Context())
 	out, rep, err := q.Result()
-	<-killed
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

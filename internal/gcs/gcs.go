@@ -5,7 +5,7 @@
 // version counters on which a reader waits (AwaitNS) until something changed.
 //
 // Everything coordinated in Quokka — committed lineage, outstanding tasks,
-// channel placement, done markers, the recovery barrier flag — lives here.
+// channel placement, done markers, the epochs recovery moves — lives here.
 // The head node (and hence the GCS) is assumed not to fail, as in the
 // paper; workers may fail at any time without corrupting it.
 //

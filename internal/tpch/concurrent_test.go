@@ -120,8 +120,8 @@ func TestConcurrentTPCHMatchesSerial(t *testing.T) {
 }
 
 // TestConcurrentTPCHKillWorker: the same mix in flight when a worker dies;
-// every query must recover independently (its own barrier, its own
-// lineage replay) and still match its serial run.
+// every query must recover independently (its own recovery transaction, its
+// own lineage replay) and still match its serial run.
 func TestConcurrentTPCHKillWorker(t *testing.T) {
 	mix := []concurrentCase{{3, 4, 32_000}, {6, 4, 0}, {9, 2, 0}}
 	cl := loadCluster(t, 4)
@@ -131,6 +131,17 @@ func TestConcurrentTPCHKillWorker(t *testing.T) {
 		want[i] = serialReference(t, cl, c)
 	}
 
+	// Kill once every query has committed a little work but none has
+	// plausibly finished: per-QUERY commits, not the cluster total, so a
+	// fast query cannot mask one still seeding.
+	killOnCommits(cl, 1, func(commits map[string]int) bool {
+		for _, c := range commits {
+			if c < 2 {
+				return false
+			}
+		}
+		return len(commits) == len(mix)
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 	qs := make([]*engine.Query, len(mix))
@@ -148,27 +159,6 @@ func TestConcurrentTPCHKillWorker(t *testing.T) {
 		}
 		qs[i] = r.Start(ctx)
 	}
-	// Kill once every query has committed a little work but none has
-	// plausibly finished: per-QUERY counters, not the cluster total, so a
-	// fast query cannot mask one still seeding.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		ready := true
-		for _, q := range qs {
-			if q.Metric(metrics.TasksExecuted) < 2 {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stress mix did not start executing")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	cl.Worker(1).Kill()
 
 	recoveries := 0
 	for i, q := range qs {

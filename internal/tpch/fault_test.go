@@ -6,6 +6,7 @@ package tpch
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,13 +14,11 @@ import (
 	"quokka/internal/batch"
 	"quokka/internal/cluster"
 	"quokka/internal/engine"
-	"quokka/internal/flight"
+	"quokka/internal/gcs"
 	"quokka/internal/metrics"
 )
 
-var _ = batch.Encode // fault tests return batches via runQueryWithKill
-
-func runQueryWithKill(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Config, victim int, afterTasks int64) *batch.Batch {
+func runQueryWithKill(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Config, victim int, afterTasks int) *batch.Batch {
 	t.Helper()
 	plan, err := Query(q)
 	if err != nil {
@@ -29,34 +28,18 @@ func runQueryWithKill(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Confi
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The kill is delivered from inside the push of whichever task pushes next
-	// once afterTasks have run — a task not yet committed, so the query cannot
-	// have finished, however fast it runs — with a polling goroutine behind it
-	// for a query whose pushes are all done.
-	done := make(chan struct{})
-	var once sync.Once
-	due := func() bool {
-		if cl.Metrics.Get(metrics.TasksExecuted) < afterTasks {
-			return false
+	// The kill is fired from inside the flush that carries the afterTasks-th
+	// task commit, so the query cannot have finished, however fast it runs.
+	killOnCommits(cl, victim, func(commits map[string]int) bool {
+		total := 0
+		for _, c := range commits {
+			total += c
 		}
-		once.Do(func() {
-			cl.Worker(cluster.WorkerID(victim)).Kill()
-			close(done)
-		})
-		return true
-	}
-	for _, w := range cl.Workers {
-		w.Peer = killerTransport{Peer: w.Peer, due: due}
-	}
-	go func() {
-		for !due() {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
+		return total >= afterTasks
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	out, rep, err := r.Run(ctx)
-	<-done
 	if err != nil {
 		t.Fatalf("q%d with failure: %v", q, err)
 	}
@@ -66,15 +49,41 @@ func runQueryWithKill(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Confi
 	return out
 }
 
-// killerTransport asks due before every push.
-type killerTransport struct {
-	flight.Peer
-	due func() bool
+// killOnCommits kills the given worker from inside the first flush — the one
+// UpdateMulti caller — after which due holds of the task commits flushed so
+// far: cur/ puts, counted per query id. Install it before the queries start.
+func killOnCommits(cl *cluster.Cluster, victim int, due func(commits map[string]int) bool) {
+	cl.GCS = &commitKiller{Backend: cl.GCS, kill: cl.Worker(cluster.WorkerID(victim)).Kill,
+		due: due, commits: map[string]int{}}
 }
 
-func (k killerTransport) Push(p flight.Partition) error {
-	k.due()
-	return k.Peer.Push(p)
+// commitKiller is killOnCommits' gcs.Backend decorator.
+type commitKiller struct {
+	gcs.Backend
+	kill func() // idempotent
+	due  func(commits map[string]int) bool
+
+	mu      sync.Mutex
+	commits map[string]int
+}
+
+func (k *commitKiller) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+	return k.Backend.UpdateMulti(nss, func(tx *gcs.Txn) error {
+		if err := fn(tx); err != nil {
+			return err
+		}
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		for key, v := range tx.Writes() {
+			if qid, rest, _ := strings.Cut(strings.TrimPrefix(key, "q/"), "/"); v != nil && strings.HasPrefix(rest, "cur/") {
+				k.commits[qid]++
+			}
+		}
+		if k.due(k.commits) {
+			k.kill()
+		}
+		return nil
+	})
 }
 
 // TestTPCHFailureRecoveryMatchesFailureFree kills a worker mid-query on

@@ -43,8 +43,8 @@ const (
 	// KindRewind marks a channel rewound by recovery; Epoch is the NEW
 	// channel epoch the replacement incarnation executes under.
 	KindRewind
-	// KindRecovery is one whole recovery pass (barrier, reconcile, epoch
-	// bump); Epoch is the recovery generation.
+	// KindRecovery is one whole recovery pass (one transaction: reconcile
+	// and epoch bump); Epoch is the recovery generation.
 	KindRecovery
 )
 
