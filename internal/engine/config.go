@@ -70,9 +70,9 @@ const (
 	// capLineage: task lineage is logged to the GCS before outputs are
 	// consumable, so a worker loss is recovered instead of failing the query.
 	capLineage ftCaps = 1 << iota
-	// capBackup: every pushed piece set is kept on the producer's local disk;
-	// recovery replays from it while the producer lives and cascades the
-	// rewind when it does not.
+	// capBackup: every pushed piece set is kept on the producer's local disk
+	// (elided slots as marks; see elidesLocal); recovery replays from it while
+	// the producer lives and cascades the rewind when it does not.
 	capBackup
 	// capSpool: outputs crossing a wide edge are persisted in the durable
 	// store before they are pushed; recovery re-feeds them from there on any
@@ -97,6 +97,17 @@ func (c ftCaps) has(bit ftCaps) bool { return c&bit != 0 }
 // query cannot be split across worker processes: each would spool into,
 // and recover from, a store the others cannot see.
 func (c ftCaps) needsSharedStore() bool { return c.has(capSpool | capCheckpoint) }
+
+// elidesLocal reports whether a non-empty piece whose consumer shares its
+// producer's worker goes unencoded, handed over as its batch alone. Under
+// write-ahead lineage a backup is read only to re-feed a consumer whose worker
+// died from a producer whose worker lives, and a channel leaves its worker
+// only when that worker dies — so no replay names a piece that was local
+// (ROADMAP, "A task's output is serialised at most once"). A spool object is
+// read after its writer died, and a checkpoint restart keeps pd/ owners that
+// died below its mark, so a later cascade can rewind a live producer and read
+// a backup beside it: those two keep every piece's bytes.
+func (c ftCaps) elidesLocal() bool { return !c.has(capSpool | capCheckpoint) }
 
 // RecoveryMode selects how rewound channels are spread over live workers.
 type RecoveryMode uint8

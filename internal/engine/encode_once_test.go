@@ -78,10 +78,11 @@ func (s *fullSink) Deliver(t lineage.TaskName, data []byte, epoch int) bool {
 
 // TestRetriesDoNotReencode holds tasks pending for many poll rounds — an
 // output-stage task behind a full collector, producers behind a consumer
-// that refuses their pushes — and checks each output was serialized once:
-// the collector is offered the very same bytes every round, and
-// shuffle.bytes.raw (counted per encoded piece) ends where an undisturbed
-// run's does.
+// that refuses their pushes — and checks each output was serialized at most
+// once: the collector is offered the very same bytes every round, a retried
+// push the same bytes or — elided, to the consumer beside it — the same
+// batch and no bytes, and shuffle.bytes.raw (counted per encoded piece) and
+// shuffle.pieces.elided end where an undisturbed run's do.
 func TestRetriesDoNotReencode(t *testing.T) {
 	const n, rounds = 1000, 25
 	tables := map[string][]*batch.Batch{"numbers": numbersTable(n, 8)}
@@ -100,12 +101,16 @@ func TestRetriesDoNotReencode(t *testing.T) {
 	offers := map[lineage.TaskName][]offer{}
 	logPushes(cl, func(p flight.Partition) error {
 		// The aggregate's mailbox turns away each filter task's first pushes.
-		if p.Dest.Stage != 2 || len(p.Data) == 0 {
+		if p.Dest.Stage != 2 || len(p.Data) == 0 && p.Batch == nil {
 			return nil
+		}
+		o := offer{batch: p.Batch}
+		if len(p.Data) > 0 {
+			o.data = &p.Data[0]
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		offers[p.From] = append(offers[p.From], offer{&p.Data[0], p.Batch})
+		offers[p.From] = append(offers[p.From], o)
 		if refused[p.From]++; refused[p.From] <= rounds {
 			return errors.New("mailbox busy")
 		}
@@ -142,8 +147,9 @@ func TestRetriesDoNotReencode(t *testing.T) {
 		}
 	}
 	// A retried push offers the same bytes and, to a consumer on the
-	// producer's worker, the same batch.
-	handed := 0
+	// producer's worker, the same batch — with no bytes at all: the piece was
+	// elided, and a retry does not encode it either.
+	handed, elided := 0, 0
 	for task, all := range offers {
 		for _, o := range all {
 			if o != all[0] {
@@ -153,11 +159,14 @@ func TestRetriesDoNotReencode(t *testing.T) {
 		if all[0].batch != nil {
 			handed++
 		}
+		if all[0].data == nil {
+			elided++
+		}
 	}
-	if handed == 0 {
-		t.Error("no push to the aggregate carried its batch")
+	if handed == 0 || elided == 0 || elided == len(offers) {
+		t.Errorf("of %d producers' pushes to the aggregate, %d carried a batch and %d no bytes: want some of each kind", len(offers), handed, elided)
 	}
-	for _, name := range []string{metrics.ShuffleRawBytes, metrics.ShuffleWireBytes} {
+	for _, name := range []string{metrics.ShuffleRawBytes, metrics.ShuffleWireBytes, metrics.PiecesElided} {
 		if got, want := rep.Metrics[name], clean.Metrics[name]; got != want {
 			t.Errorf("%s = %d with %d refused rounds per task, %d undisturbed: retries re-encoded", name, got, rounds, want)
 		}
@@ -224,7 +233,10 @@ func sharedSubtreeTable(n, splits int) []*batch.Batch {
 // can recover and checks the recovery pushed, for each of the shared
 // producer's three edges, exactly the bytes the original push carried —
 // the piece set is the push payload, the backup and the replay source —
-// and that the result is the failure-free run's, byte for byte.
+// and that the result is the failure-free run's, byte for byte. A piece
+// elided under write-ahead lineage was pushed as its batch alone; its
+// consumer died with it, so only a re-read of the reader's split re-feeds
+// it, and that re-encodes the very rows the consumer was handed.
 func TestReplayedPiecesAreTheStoredOnes(t *testing.T) {
 	tables := map[string][]*batch.Batch{"t": sharedSubtreeTable(4000, 40)}
 	for _, ft := range []FTMode{FTWriteAheadLineage, FTCheckpoint, FTSpool} {
@@ -275,13 +287,14 @@ func TestReplayedPiecesAreTheStoredOnes(t *testing.T) {
 				dest  lineage.ChannelID
 				input int
 			}
-			original := map[pieceKey][]byte{}
+			original := map[pieceKey]flight.Partition{}
 			replayedTo := map[int]int{} // shared stage's pieces, by consumer stage
+			reread := 0                 // elided pieces re-fed from a re-read split
 			for _, p := range *pushes {
 				k := pieceKey{p.From, p.Dest, p.Input}
 				if p.Epoch != flight.EpochCommitted {
 					if _, seen := original[k]; !seen {
-						original[k] = p.Data
+						original[k] = p
 					}
 					continue
 				}
@@ -290,9 +303,23 @@ func TestReplayedPiecesAreTheStoredOnes(t *testing.T) {
 					// Its first push went to the worker that then died.
 					continue
 				}
-				if !bytes.Equal(p.Data, first) {
+				if len(first.Data) == 0 && first.Batch != nil {
+					if p.From.Stage != 0 {
+						t.Fatalf("elided piece %s -> %s input %d was replayed from a backup", p.From, p.Dest, p.Input)
+					}
+					rows, err := batch.Decode(p.Data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(batch.Encode(rows), batch.Encode(first.Batch)) {
+						t.Fatalf("re-read %s -> %s: %d rows, the consumer was handed %d", p.From, p.Dest, rows.NumRows(), first.Batch.NumRows())
+					}
+					reread++
+					continue
+				}
+				if !bytes.Equal(p.Data, first.Data) {
 					t.Fatalf("replayed %s -> %s input %d: %d bytes differ from the %d originally pushed",
-						p.From, p.Dest, p.Input, len(p.Data), len(first))
+						p.From, p.Dest, p.Input, len(p.Data), len(first.Data))
 				}
 				if p.From.Stage == 1 && len(p.Data) > 0 {
 					replayedTo[p.Dest.Stage]++
@@ -302,6 +329,9 @@ func TestReplayedPiecesAreTheStoredOnes(t *testing.T) {
 				if replayedTo[stage] == 0 {
 					t.Errorf("no stored piece of the shared stage was replayed to stage %d (%s)", stage, fmt.Sprint(replayedTo))
 				}
+			}
+			if elides := ftTable[ft].elidesLocal(); elides != (reread > 0) {
+				t.Errorf("%d elided pieces re-read from their split, under a policy that elides: %v", reread, elides)
 			}
 		})
 	}

@@ -16,10 +16,12 @@ import (
 	"quokka/internal/batch"
 	"quokka/internal/cluster"
 	"quokka/internal/expr"
+	"quokka/internal/flight"
 	"quokka/internal/gcs"
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/ops"
+	"quokka/internal/storage"
 	"quokka/internal/trace"
 )
 
@@ -118,12 +120,84 @@ func committedWatermark(tx *gcs.Txn, r *Runner, id lineage.ChannelID, n int) lin
 	return wm
 }
 
+// backupAudit is a worker's disk that checks every upstream backup a replay
+// reads against the replay entry asking for it: a read whose destinations
+// name an elided slot is the one the write-ahead lineage argument says never
+// happens (ROADMAP, "A task's output is serialised at most once").
+type backupAudit struct {
+	storage.Disk
+	r   *Runner
+	w   int
+	log *auditLog
+}
+
+// auditLog is what the audited disks of one query saw: backup reads, how many
+// of them were of a set holding an elided slot, and every elided slot a
+// replay named.
+type auditLog struct {
+	mu            sync.Mutex
+	reads, beside int
+	named         []string
+}
+
+func (d backupAudit) Read(key string) ([]byte, error) {
+	data, err := d.Disk.Read(key)
+	name, isBackup := strings.CutPrefix(key, backupQueryPrefix(d.r.qid))
+	if err != nil || !isBackup {
+		return data, err
+	}
+	task, err := lineage.ParseTaskName(name)
+	if err != nil {
+		return nil, err
+	}
+	ps, err := parsePieceSet(data)
+	if err != nil {
+		return nil, err
+	}
+	var dests []lineage.ChannelID
+	d.r.cl.GCS.ViewNS(d.r.keyNS(), func(tx *gcs.Txn) error {
+		v, _ := tx.Get(d.r.keyReplay(d.w, task))
+		dests, err = parseReplayDests(v)
+		return err
+	})
+	d.log.mu.Lock()
+	defer d.log.mu.Unlock()
+	d.log.reads++
+	if slices.ContainsFunc(ps, func(e edgePieces) bool { return e.elided != nil }) {
+		d.log.beside++
+	}
+	for _, dest := range dests {
+		for ei, e := range d.r.plan.Consumers(task.Stage) {
+			if _, _, err := ps.piece(ei, dest.Channel); e.To == dest.Stage && errors.Is(err, errElidedPiece) {
+				d.log.named = append(d.log.named, fmt.Sprintf("%s -> %s", task, dest))
+			}
+		}
+	}
+	return data, nil
+}
+
+// auditBackups puts a backupAudit on every worker of r's cluster; the test
+// fails if any replay named an elided slot. Install it before the query starts.
+func auditBackups(t *testing.T, r *Runner) *auditLog {
+	log := &auditLog{}
+	for _, w := range r.cl.Workers {
+		w.Disk = backupAudit{Disk: w.Disk, r: r, w: int(w.ID), log: log}
+	}
+	t.Cleanup(func() {
+		if len(log.named) > 0 {
+			t.Errorf("%d backup reads named an elided slot: %v", len(log.named), log.named)
+		}
+	})
+	return log
+}
+
 func runWithFailure(t *testing.T, cl *cluster.Cluster, p *Plan, cfg Config, victim int, afterTasks int) (*batch.Batch, *Report, error) {
 	t.Helper()
 	r, err := NewRunner(cl, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	auditBackups(t, r)
 	killAfterTasks(cl, victim, afterTasks)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -267,6 +341,7 @@ func TestNestedFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auditBackups(t, r)
 	killAfterTasks(cl, 1, 4)
 	killAfterTasks(cl, 3, 12)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -386,6 +461,7 @@ func TestKillInsideRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auditBackups(t, r)
 	killInTxn(cl, 1, func(tx *gcs.Txn) bool {
 		return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 1, Channel: 1}), 0) > 0
 	})
@@ -643,4 +719,111 @@ func TestFatalTaskErrorFailsQuery(t *testing.T) {
 		t.Fatalf("Run over a corrupt split: %v (deadline: %v), want the decode error", err, ctx.Err())
 	}
 	assertNoQueryState(t, cl, "after a fatal task error")
+}
+
+// TestElidedPieceIsNeverRead: under write-ahead lineage a survivor's backup is
+// read only for consumers whose worker died, and so never for a piece that
+// was elided — its consumer shared the survivor's worker. The audit sees
+// backups holding elided slots read and none named. The guards behind the
+// argument hold where it would break: a replay entry naming an elided slot
+// fails the query with errElidedPiece, as does an elided piece offered to
+// another worker by a live producer; a dead producer's offer is refused like
+// any push from the dead.
+func TestElidedPieceIsNeverRead(t *testing.T) {
+	t.Run("kill", func(t *testing.T) {
+		cl := testCluster(t, 4, joinTables(1200))
+		r, err := NewRunner(cl, joinPlan(), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := auditBackups(t, r)
+		// Kill worker 1 once the fact readers on the three others have each
+		// committed two splits: every split holds every join key, so each of
+		// their backups elides the piece for the join channel beside it, and
+		// the rewound join channel 1 needs them all re-fed.
+		killInTxn(cl, 1, func(tx *gcs.Txn) bool {
+			for _, c := range []int{0, 2, 3} {
+				if txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 1, Channel: c}), 0) < 2 {
+					return false
+				}
+			}
+			return true
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		out, rep, err := r.Run(ctx)
+		if err != nil || out == nil || out.NumRows() != 10 {
+			t.Fatalf("Run: %v, %v", out, err)
+		}
+		if rep.Recoveries == 0 || log.beside == 0 {
+			t.Fatalf("%d recoveries, %d backup reads, %d of sets holding an elided slot: the kill exercised nothing", rep.Recoveries, log.reads, log.beside)
+		}
+	})
+
+	t.Run("guards", func(t *testing.T) {
+		cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(400, 4)})
+		r, err := NewRunner(cl, scanFilterAggPlan(0), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.seed(); err != nil {
+			t.Fatal(err)
+		}
+		log := &auditLog{}
+		w0 := cl.Worker(0)
+		w0.Disk = backupAudit{Disk: w0.Disk, r: r, w: 0, log: log}
+		tm := newTaskManager(r, w0)
+		// A reader task on worker 0 whose direct-edge piece went to the filter
+		// channel beside it, elided; backed up as the policy keeps it.
+		task := lineage.TaskName{Stage: 0, Channel: 0, Seq: 0}
+		rows := numbersTable(10, 1)[0]
+		edges := r.plan.Consumers(task.Stage)
+		beside := func(stage, ch int) bool { return ch == 0 }
+		set, pieces, err := tm.encodePieces(rows, edges, task.Channel, beside)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tm.disk.Write(backupKey(r.qid, task), set); err != nil {
+			t.Fatal(err)
+		}
+		// A replay entry naming it, as no reconcile under this policy writes.
+		if err := r.gcsUpdate(func(tx *gcs.Txn) error {
+			addReplayDest(tx, r.keyReplay(0, task), lineage.ChannelID{Stage: 1, Channel: 0})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := r.snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran, _ := tm.runReplays(snap); ran {
+			t.Error("a replay of an elided piece ran")
+		}
+		select {
+		case err := <-r.failCh:
+			if !errors.Is(err, errElidedPiece) {
+				t.Errorf("the replay failed the query with %v, want errElidedPiece", err)
+			}
+		default:
+			t.Error("a replay named an elided slot and the query goes on")
+		}
+		if len(log.named) != 1 {
+			t.Errorf("the audit recorded %v, want the one elided slot named", log.named)
+		}
+
+		// The same piece offered to channel 1 of the filter stage, on worker 1.
+		_, b, err := pieces.piece(0, 0)
+		if err != nil || b == nil {
+			t.Fatalf("built elided piece: %v, %v", b, err)
+		}
+		away := lineage.ChannelID{Stage: 1, Channel: 1}
+		if err := tm.pushPiece(snap, task, away, 0, nil, b, 0); !errors.Is(err, errElidedPiece) {
+			t.Errorf("a live producer's elided piece pushed to another worker: %v, want errElidedPiece", err)
+		}
+		w0.Kill()
+		if err := tm.pushPiece(snap, task, away, 0, nil, b, 0); !errors.Is(err, flight.ErrServerDown) {
+			t.Errorf("a dead producer's elided piece pushed to another worker: %v, want flight.ErrServerDown", err)
+		}
+	})
 }

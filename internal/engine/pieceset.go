@@ -8,7 +8,7 @@ import (
 	"quokka/internal/batch"
 )
 
-// A piece set is one task's output, serialized exactly once: for every
+// A piece set is one task's output, serialized at most once: for every
 // consumer edge of the producing stage (in plan.Consumers order) the
 // encoded piece of every destination channel, back to back behind a small
 // self-describing index.
@@ -18,26 +18,43 @@ import (
 //	per edge:  shared uint8, nchan uint32
 //	lengths:   uint32 per piece, edge after edge — nchan of them, or one
 //	           when the edge is shared (a Broadcast edge stores its single
-//	           payload once and every channel receives it)
+//	           payload once and every channel receives it); 0xFFFFFFFF marks
+//	           an elided slot, whose piece has no bytes here
 //	payloads:  the pieces, in length order
 //
 // The container is the push payload (every flight.Partition.Data is a
 // sub-slice of it), the upstream backup and the spooled object, so a replay
 // re-pushes stored pieces as they are — no decode, no re-partitioning, no
 // re-encode. A zero-length container is an empty output: every piece empty.
+//
+// An elided slot is a non-empty piece that was never encoded: its consumer
+// sat on the producer's worker when the task was encoded, under a policy
+// that never replays such a piece (ftCaps.elidesLocal). The consumer is
+// handed the batch, and the bytes exist nowhere. Reading one back is
+// errElidedPiece, never an empty piece.
 
-const pieceSetMagic = 0x31535051 // "QPS1"
+const (
+	pieceSetMagic = 0x31535051 // "QPS1"
+	elidedLen     = 0xFFFFFFFF // the length an elided slot records
+)
 
 // errCorruptPieceSet is wrapped by every piece-set parse error.
 var errCorruptPieceSet = errors.New("engine: corrupt piece set")
+
+// errElidedPiece is reading an elided slot from a stored set, or pushing one
+// to another worker: the piece exists only as a batch in its producer's
+// process. No retry can give it bytes, so it fails the query.
+var errElidedPiece = errors.New("engine: elided piece read")
 
 // edgePieces is one consumer edge's part of a piece set.
 type edgePieces struct {
 	nchan  int      // destination channels
 	shared bool     // one payload serves all nchan channels
-	data   [][]byte // nchan payloads, or one when shared; nil = empty partition
-	// batches[i] is the batch data[i] encodes, on a set encodePieces just
-	// built; nil on a parsed one (a backup, a spool object).
+	data   [][]byte // nchan payloads, or one when shared; nil = empty or elided
+	// elided[i] marks slot i elided; nil when no slot of the edge is.
+	elided []bool
+	// batches[i] is the batch slot i holds, on a set encodePieces just built;
+	// nil on a parsed one (a backup, a spool object).
 	batches []*batch.Batch
 }
 
@@ -46,14 +63,16 @@ type edgePieces struct {
 type pieceSet []edgePieces
 
 // piece returns the payload for channel ch of consumer edge e and, on a set
-// built in this process, the batch behind it; ok is false when the set has
-// no such piece (a container that does not match the plan).
-func (ps pieceSet) piece(e, ch int) (data []byte, b *batch.Batch, ok bool) {
+// built in this process, the batch behind it — an elided slot's is its only
+// form. It fails for a piece the set does not have (a container that does
+// not match the plan) and, with errElidedPiece, for an elided slot of a
+// parsed set.
+func (ps pieceSet) piece(e, ch int) (data []byte, b *batch.Batch, err error) {
 	if ps == nil {
-		return nil, nil, true
+		return nil, nil, nil
 	}
 	if e < 0 || e >= len(ps) || ch < 0 || ch >= ps[e].nchan {
-		return nil, nil, false
+		return nil, nil, fmt.Errorf("%w: no piece for edge %d channel %d", errCorruptPieceSet, e, ch)
 	}
 	if ps[e].shared {
 		ch = 0
@@ -61,13 +80,16 @@ func (ps pieceSet) piece(e, ch int) (data []byte, b *batch.Batch, ok bool) {
 	if ps[e].batches != nil {
 		b = ps[e].batches[ch]
 	}
-	return ps[e].data[ch], b, true
+	if b == nil && ps[e].elided != nil && ps[e].elided[ch] {
+		return nil, nil, fmt.Errorf("%w: edge %d channel %d", errElidedPiece, e, ch)
+	}
+	return ps[e].data[ch], b, nil
 }
 
 // pieceSetWriter lays a container out in buf. begin writes the index with
 // zeroed lengths; the caller then appends each piece's bytes to buf and
 // calls add, which records what was appended since the previous piece and
-// the batch it encodes.
+// the batch it encodes — or, appending nothing, calls elide.
 type pieceSetWriter struct {
 	buf     []byte
 	slot    int            // offset of the next unrecorded length
@@ -98,8 +120,13 @@ func beginPieceSet(buf []byte, edges []Edge, par []int) pieceSetWriter {
 
 // add records the bytes appended to buf since the previous piece (possibly
 // none: an empty partition, whose b is nil) as the next piece, encoding b.
-func (w *pieceSetWriter) add(b *batch.Batch) {
-	binary.LittleEndian.PutUint32(w.buf[w.slot:], uint32(len(w.buf)-w.mark))
+func (w *pieceSetWriter) add(b *batch.Batch) { w.record(uint32(len(w.buf)-w.mark), b) }
+
+// elide records the next piece as an elided slot holding b, unencoded.
+func (w *pieceSetWriter) elide(b *batch.Batch) { w.record(elidedLen, b) }
+
+func (w *pieceSetWriter) record(length uint32, b *batch.Batch) {
+	binary.LittleEndian.PutUint32(w.buf[w.slot:], length)
 	w.slot += 4
 	w.mark = len(w.buf)
 	w.batches = append(w.batches, b)
@@ -151,8 +178,16 @@ func parsePieceSet(data []byte) (pieceSet, error) {
 		}
 		ps[i].data = make([][]byte, n)
 		for c := range ps[i].data {
-			l := int(binary.LittleEndian.Uint32(data[slot:]))
+			raw := binary.LittleEndian.Uint32(data[slot:])
 			slot += 4
+			if raw == elidedLen {
+				if ps[i].elided == nil {
+					ps[i].elided = make([]bool, n)
+				}
+				ps[i].elided[c] = true
+				continue
+			}
+			l := int(raw)
 			if l > len(data)-pos {
 				return corrupt("edge %d piece %d: length %d exceeds container", i, c, l)
 			}

@@ -16,8 +16,10 @@ import (
 // edges it becomes a piece set, without (the output stage) the whole-output
 // frame that is the result partition. Retries, the backup and the spool all
 // use the bytes; the piece set keeps the batch behind each piece until the
-// task commits, for pushes to consumers on this worker.
-func (t *taskManager) encodeOutput(p *pendingTask, edges []Edge, prodChannel int) error {
+// task commits, for pushes to consumers on this worker. Where the policy
+// elides local pieces, which consumers are local is decided here, once, by
+// cs.snap — the image pushPiece places the first push by.
+func (t *taskManager) encodeOutput(cs *chanState, p *pendingTask, edges []Edge) error {
 	if p.out.NumRows() > 0 {
 		p.outRows = int64(p.out.NumRows())
 		if len(edges) == 0 {
@@ -27,8 +29,12 @@ func (t *taskManager) encodeOutput(p *pendingTask, edges []Edge, prodChannel int
 				p.payload = batch.Encode(p.out)
 			}
 		} else {
+			var local func(stage, ch int) bool
+			if t.r.ft.elidesLocal() {
+				local = func(stage, ch int) bool { return cs.snap.chans[stage][ch].place == int(t.w.ID) }
+			}
 			var err error
-			if p.payload, p.pieces, err = t.encodePieces(p.out, edges, prodChannel); err != nil {
+			if p.payload, p.pieces, err = t.encodePieces(p.out, edges, cs.id.Channel, local); err != nil {
 				return err
 			}
 		}
@@ -45,13 +51,15 @@ var pieceBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // encodePieces serializes a non-empty output for every consumer edge of
 // its stage into one piece set and indexes it, with the batch behind each
-// piece. prodChannel is the producing channel (used by direct edges).
-func (t *taskManager) encodePieces(out *batch.Batch, edges []Edge, prodChannel int) ([]byte, pieceSet, error) {
+// piece. prodChannel is the producing channel (used by direct edges). local,
+// when set, names the consumer channels on this worker, whose non-empty
+// pieces are elided instead of encoded.
+func (t *taskManager) encodePieces(out *batch.Batch, edges []Edge, prodChannel int, local func(stage, ch int) bool) ([]byte, pieceSet, error) {
 	bp := pieceBufs.Get().(*[]byte)
 	w := beginPieceSet((*bp)[:0], edges, t.r.par)
 	var err error
 	for _, e := range edges {
-		if err = t.partitionFor(&w, out, e, prodChannel); err != nil {
+		if err = t.partitionFor(&w, out, e, prodChannel, local); err != nil {
 			break
 		}
 	}
@@ -71,16 +79,39 @@ func (t *taskManager) encodePieces(out *batch.Batch, edges []Edge, prodChannel i
 
 // partitionFor splits a non-empty output batch for one consumer edge and
 // appends one encoded piece per consumer channel to the piece set (an empty
-// partition is a zero-length piece; a broadcast edge is one shared piece).
-// prodChannel is the producing channel (used by direct edges). Routing
-// (HashPartition over the key encoding) happens on the decoded batch and
-// is untouched by the codec choice — compression only changes the bytes a
-// partition travels as, never which partition a row lands in.
-func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, prodChannel int) error {
+// partition is a zero-length piece; a broadcast edge is one shared piece,
+// local only when every channel is). prodChannel is the producing channel
+// (used by direct edges). Routing (HashPartition over the key encoding)
+// happens on the decoded batch and is untouched by the codec choice or by
+// elision — they only change the bytes a partition travels as, never which
+// partition a row lands in.
+func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, prodChannel int, local func(stage, ch int) bool) error {
 	n := t.r.par[e.To]
-	// put appends b's piece; nil is an empty partition.
-	put := func(b *batch.Batch) {
-		if b != nil {
+	// elided reports whether channel ch's piece — every channel's, for ch < 0 —
+	// stays a batch.
+	elided := func(ch int) bool {
+		if local == nil {
+			return false
+		}
+		if ch >= 0 {
+			return local(e.To, ch)
+		}
+		for c := 0; c < n; c++ {
+			if !local(e.To, c) {
+				return false
+			}
+		}
+		return true
+	}
+	// put appends channel ch's piece b; nil is an empty partition.
+	put := func(ch int, b *batch.Batch) {
+		switch {
+		case b == nil:
+			w.add(nil)
+		case elided(ch):
+			w.elide(b)
+			t.r.count(metrics.PiecesElided, 1)
+		default:
 			if t.r.cfg.ShuffleCompress {
 				w.buf = batch.AppendCompressed(w.buf, b)
 			} else {
@@ -88,16 +119,16 @@ func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, 
 			}
 			t.r.count(metrics.ShuffleRawBytes, int64(batch.RawEncodedSize(b)))
 			t.r.count(metrics.ShuffleWireBytes, int64(len(w.buf)-w.mark))
+			w.add(b)
 		}
-		w.add(b)
 	}
 	// only sends the whole output to one channel of n.
 	only := func(target int) {
 		for i := 0; i < n; i++ {
 			if i == target {
-				put(out)
+				put(i, out)
 			} else {
-				put(nil)
+				put(i, nil)
 			}
 		}
 	}
@@ -107,26 +138,27 @@ func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, 
 	case PartitionDirect:
 		only(prodChannel % n)
 	case PartitionBroadcast:
-		put(out)
+		put(-1, out)
 	case PartitionHash:
 		for _, k := range e.Part.Keys {
 			if out.Schema.Index(k) < 0 {
 				return fmt.Errorf("engine: partition key %q missing from output schema %s", k, out.Schema)
 			}
 		}
-		for _, pb := range out.HashPartition(e.Part.Keys, n) {
+		for i, pb := range out.HashPartition(e.Part.Keys, n) {
 			if pb.NumRows() == 0 {
 				pb = nil
 			}
-			put(pb)
+			put(i, pb)
 		}
 	}
 	return nil
 }
 
 // pushOutputs pushes a task's pieces to the Flight servers of the consuming
-// channels' workers. Output-stage tasks deliver to the head-node collector
-// instead. Empty partitions are still pushed: watermarks count them.
+// channels' workers — an elided one as its batch alone. Output-stage tasks
+// deliver to the head-node collector instead. Empty partitions are still
+// pushed: watermarks count them.
 func (t *taskManager) pushOutputs(cs *chanState, task lineage.TaskName, p *pendingTask, edges []Edge) error {
 	if len(edges) == 0 {
 		if !t.r.sink.Deliver(task, p.payload, cs.cep) {
@@ -138,7 +170,10 @@ func (t *taskManager) pushOutputs(cs *chanState, task lineage.TaskName, p *pendi
 	}
 	for ei, e := range edges {
 		for cc := 0; cc < t.r.par[e.To]; cc++ {
-			data, b, _ := p.pieces.piece(ei, cc)
+			data, b, err := p.pieces.piece(ei, cc)
+			if err != nil {
+				return err
+			}
 			dest := lineage.ChannelID{Stage: e.To, Channel: cc}
 			if err := t.pushPiece(cs.snap, task, dest, e.Input, data, b, cs.cep); err != nil {
 				return err
@@ -153,13 +188,20 @@ func (t *taskManager) pushOutputs(cs *chanState, task lineage.TaskName, p *pendi
 // according to snap — the image whose global epoch fences the caller's
 // commit (or replay-entry delete), so a piece placed by a stale image is
 // never acknowledged. b, the batch data encodes (nil for a replay), goes
-// along only to a consumer on this worker, which then need not decode.
+// along only to a consumer on this worker, which then need not decode; an
+// elided piece (no data, a batch) can go nowhere else.
 func (t *taskManager) pushPiece(snap *snapshot, from lineage.TaskName, dest lineage.ChannelID, input int, data []byte, b *batch.Batch, epoch int) error {
 	wid := snap.chans[dest.Stage][dest.Channel].place
 	if wid < 0 {
 		return fmt.Errorf("engine: no placement for channel %s", dest)
 	}
 	dw := t.r.cl.Worker(cluster.WorkerID(wid))
+	if len(data) == 0 && b != nil && dw.ID != t.w.ID {
+		if !t.w.Alive() {
+			return flight.ErrServerDown // a zombie's retry: refused like a push to the dead
+		}
+		return fmt.Errorf("%w: %s for %s, now on worker %d", errElidedPiece, from, dest, wid)
+	}
 	local := dw.ID == t.w.ID || len(data) == 0
 	p := flight.Partition{
 		Query: t.r.qid, From: from, Dest: dest, Input: input, Data: data,

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -94,7 +95,7 @@ func (t *taskManager) runOneReplay(snap *snapshot, fullKey, rest string, destsRa
 				return false
 			}
 			if out.NumRows() > 0 {
-				if _, pieces, err = t.encodePieces(out, edges, task.Channel); err != nil {
+				if _, pieces, err = t.encodePieces(out, edges, task.Channel, nil); err != nil {
 					return false
 				}
 			}
@@ -123,8 +124,14 @@ func (t *taskManager) runOneReplay(snap *snapshot, fullKey, rest string, destsRa
 			if e.To != dest.Stage {
 				continue
 			}
-			data, _, ok := pieces.piece(ei, dest.Channel)
-			if !ok {
+			data, _, err := pieces.piece(ei, dest.Channel)
+			if errors.Is(err, errElidedPiece) {
+				// A survivor was asked for a piece whose consumer shared its
+				// worker: the write-ahead lineage argument is broken.
+				t.r.reportFailure(fmt.Errorf("engine: replay %s -> %s: %w", task, dest, err))
+				return false
+			}
+			if err != nil {
 				return false
 			}
 			if err := t.pushPiece(snap, task, dest, e.Input, data, nil, flight.EpochCommitted); err != nil {

@@ -84,8 +84,11 @@ func (r *Runner) loadSnapshot(ver uint64) (*snapshot, error) {
 				m.done = txGetInt(tx, r.keyDone(id), -1)
 				// A finished channel has no task at its cursor. Equality, not
 				// presence: a rewound channel keeps its done/ key while its
-				// cursor starts over.
-				if m.done == m.cursor {
+				// cursor starts over. A record at the cursor, or a mark step
+				// would restore, exists only for a channel reconcile rewound,
+				// and reconcile raises the epoch of each: one never rewound
+				// (epoch 0) has neither.
+				if m.done == m.cursor || m.cep == 0 {
 					continue
 				}
 				if v, ok := tx.Get(r.keyLineage(lineage.TaskName{Stage: st, Channel: c, Seq: m.cursor})); ok {

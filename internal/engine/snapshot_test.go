@@ -124,6 +124,45 @@ func TestStepRejectsStaleSnapshot(t *testing.T) {
 	rejects(cs, rewound, "image the replay already consumed")
 }
 
+// TestSnapshotSkipsNeverRewoundChannels: the image reads a lineage record at
+// the cursor, or a checkpoint mark, only for a channel some recovery rewound
+// (epoch above 0) — only reconcile leaves a record at a cursor. Records
+// planted at the cursor of an epoch-0 channel are not loaded; the same
+// records at an epoch-1 channel are.
+func TestSnapshotSkipsNeverRewoundChannels(t *testing.T) {
+	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(400, 4)})
+	cfg := DefaultConfig()
+	cfg.FT = FTCheckpoint
+	r, err := NewRunner(cl, scanFilterAggPlan(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.seed(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, rewound := lineage.ChannelID{Stage: 1, Channel: 0}, lineage.ChannelID{Stage: 1, Channel: 1}
+	if err := r.gcsUpdate(func(tx *gcs.Txn) error {
+		for _, id := range []lineage.ChannelID{fresh, rewound} {
+			tx.Put(r.keyLineage(lineage.TaskName{Stage: id.Stage, Channel: id.Channel, Seq: 0}), lineage.Consume(0, id.Channel, 0, 1).Encode())
+			tx.Put(r.keyCheckpoint(id), encodeCheckpoint(checkpointMark{Seq: 0, ObjKey: "ckpt/x"}))
+		}
+		txPutInt(tx, r.keyChanEpoch(rewound), 1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := r.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := s.chans[fresh.Stage][fresh.Channel]; m.replayRec != nil || m.checkpoint != nil {
+		t.Errorf("epoch-0 channel %s: record %v, mark %v loaded", fresh, m.replayRec, m.checkpoint)
+	}
+	if m := s.chans[rewound.Stage][rewound.Channel]; m.replayRec == nil || m.checkpoint == nil {
+		t.Errorf("epoch-1 channel %s: record %v, mark %v, want both loaded", rewound, m.replayRec, m.checkpoint)
+	}
+}
+
 // TestStaleImageDoesNotRunANewChannelSet: a round does not run under an image
 // older than the recovery that made the worker's channel set. A channel a
 // recovery has just placed on this worker starts blank, so step's checks

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -56,7 +57,8 @@ func (t *taskManager) runTask(cs *chanState, rec lineage.Record, isReplay bool) 
 // consume runs the operator over the chosen inputs and returns the
 // concatenated output (nil if no rows) plus the consumed input volume
 // (rows and wire bytes, for the task's trace span). A piece pushed from
-// this worker comes with its producer's batch; only the others are decoded.
+// this worker comes with its producer's batch — an elided one with nothing
+// else; only the others are decoded.
 func (t *taskManager) consume(cs *chanState, rec lineage.Record) (out *batch.Batch, inRows, inBytes int64, err error) {
 	pieces, err := t.mb.Take(t.r.qid, cs.id, rec.Input, rec.UpChannel, rec.FromSeq, rec.Count)
 	if err != nil {
@@ -64,7 +66,7 @@ func (t *taskManager) consume(cs *chanState, rec lineage.Record) (out *batch.Bat
 	}
 	var outs []*batch.Batch
 	for _, pc := range pieces {
-		if len(pc.Data) == 0 {
+		if len(pc.Data) == 0 && pc.Batch == nil {
 			continue // empty partition: counts for the watermark only
 		}
 		b, how := pc.Batch, metrics.PiecesHanded
@@ -168,7 +170,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 	// so compressed backups and spools replay exactly like raw ones.
 	edges := t.r.plan.Consumers(cs.id.Stage)
 	if p.out != nil {
-		if err := t.encodeOutput(p, edges, cs.id.Channel); err != nil {
+		if err := t.encodeOutput(cs, p, edges); err != nil {
 			return false, err
 		}
 	}
@@ -180,12 +182,16 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 	// Push results downstream. Per Algorithm 1, a failed push (dead
 	// consumer) aborts the task without committing; the pending outputs
 	// are retried after recovery re-places the consumer. Push failures
-	// are transient by construction, never fatal.
+	// are transient by construction, never fatal — but for an elided piece
+	// whose consumer left this live worker, which no retry can give bytes.
 	var pushStart time.Time
 	if t.r.rec != nil {
 		pushStart = time.Now()
 	}
 	if err := t.pushOutputs(cs, task, p, edges); err != nil {
+		if errors.Is(err, errElidedPiece) {
+			return false, err
+		}
 		return false, nil
 	}
 	if t.r.rec != nil {

@@ -117,8 +117,10 @@ type pendingTask struct {
 	// The task's one serialization, built by the first finishTask: the piece
 	// set of a stage with consumers (pieces indexes it), the result frame of
 	// an output-stage task. nil for an empty output. Pieces depend on channel
-	// counts, never on placement, so they stay valid across a recovery; they
-	// keep the batch behind each piece, for same-worker pushes, until commit.
+	// counts and on which consumers sat on this worker when they were built
+	// (elided slots); a consumer leaves a live worker never, so they stay
+	// valid across a recovery. They keep the batch behind each piece, for
+	// same-worker pushes, until commit.
 	payload []byte
 	pieces  pieceSet
 	outRows int64

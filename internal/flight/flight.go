@@ -45,7 +45,8 @@ type Partition struct {
 	Epoch int
 	// Local marks a same-worker delivery (producer and consumer channels
 	// share the machine): no network transfer is charged, like Arrow
-	// Flight's local IPC path, and the mailbox keeps Batch.
+	// Flight's local IPC path, and the mailbox keeps Batch. A Local push may
+	// carry no Data: a piece its producer never encoded travels as Batch alone.
 	Local bool
 	// Batch is the batch Data encodes, as its producer built it, for the
 	// consumer to use instead of decoding. It never travels over the wire.
@@ -115,7 +116,8 @@ type Server struct {
 	failed bool
 	// boxes[edge][producerSeq] = encoded batch + producer epoch (+ the batch)
 	boxes map[edgeKey]map[int]slot
-	bytes int64
+	bytes int64 // the slots' sizes
+
 	// results holds what SpoolResult parked, swept by DropQuery and Fail.
 	results map[resultKey]slot
 }
@@ -128,11 +130,21 @@ type resultKey struct {
 
 // slot is one mailbox entry: the partition bytes plus the epoch of the
 // producer incarnation that pushed them, and the batch a Local push left.
-// Whatever frees the slot frees the batch with it.
+// Whatever frees the slot frees the batch with it. size is what it counts
+// for in BufferedBytes: its bytes, or a bytes-less slot's batch.
 type slot struct {
 	epoch int
 	data  []byte
 	batch *batch.Batch
+	size  int64
+}
+
+func newSlot(p Partition) slot {
+	size := int64(len(p.Data))
+	if size == 0 && p.Batch != nil {
+		size = p.Batch.ByteSize()
+	}
+	return slot{epoch: p.Epoch, data: p.Data, batch: p.Batch, size: size}
 }
 
 // NewServer creates an empty mailbox.
@@ -161,6 +173,7 @@ func (s *Server) Push(p Partition) error {
 		s.cost.Apply(s.cost.Network, int64(len(p.Data)))
 		p.Batch = nil
 	}
+	sl := newSlot(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
@@ -176,10 +189,10 @@ func (s *Server) Push(p Partition) error {
 		if old.epoch > p.Epoch {
 			return nil // stale push from a rewound incarnation
 		}
-		s.bytes -= int64(len(old.data))
+		s.bytes -= old.size
 	}
-	box[p.From.Seq] = slot{epoch: p.Epoch, data: p.Data, batch: p.Batch}
-	s.bytes += int64(len(p.Data))
+	box[p.From.Seq] = sl
+	s.bytes += sl.size
 	if !p.Local {
 		s.met.Add(metrics.NetworkBytes, int64(len(p.Data)))
 		// The modelled-vs-wire split: this counter is what the COST MODEL
@@ -205,7 +218,7 @@ func (s *Server) Probe(query string, dest lineage.ChannelID, edges []Edge) []int
 		box := s.boxes[edgeKey{query, dest, e.Input, e.UpChannel}]
 		for seq, d := range box {
 			if seq < e.Watermark {
-				s.bytes -= int64(len(d.data))
+				s.bytes -= d.size
 				delete(box, seq)
 			}
 		}
@@ -248,7 +261,7 @@ func (s *Server) Drop(query string, dest lineage.ChannelID, input, upChannel, fr
 	box := s.boxes[edgeKey{query, dest, input, upChannel}]
 	for i := 0; i < count; i++ {
 		if d, ok := box[from+i]; ok {
-			s.bytes -= int64(len(d.data))
+			s.bytes -= d.size
 			delete(box, from+i)
 		}
 	}
@@ -264,7 +277,7 @@ func (s *Server) DropQuery(query string) {
 	for k, box := range s.boxes {
 		if k.query == query {
 			for _, d := range box {
-				s.bytes -= int64(len(d.data))
+				s.bytes -= d.size
 			}
 			delete(s.boxes, k)
 		}

@@ -72,12 +72,13 @@ const (
 	SpoolWriteBytes  = "spool.write.bytes"
 	PiecesHanded     = "shuffle.pieces.handed"  // pieces consumed as the batch a same-worker producer built
 	PiecesDecoded    = "shuffle.pieces.decoded" // pieces consumed by decoding (cross-worker pushes, replays)
+	PiecesElided     = "shuffle.pieces.elided"  // non-empty pieces never encoded: their consumer shares the producer's worker
 	BackupWriteBytes = "backup.write.bytes"
 	SpillWriteBytes  = "spill.bytes"        // operator state spilled to local disk (raw framed size)
 	SpillWireBytes   = "spill.bytes.wire"   // spill run bytes as written (post-compression)
 	SpillReadBytes   = "spill.read.bytes"   // spilled state read back
-	ShuffleRawBytes  = "shuffle.bytes.raw"  // shuffle partition bytes before compression
-	ShuffleWireBytes = "shuffle.bytes.wire" // shuffle partition bytes as encoded for the wire
+	ShuffleRawBytes  = "shuffle.bytes.raw"  // encoded shuffle pieces' bytes before compression
+	ShuffleWireBytes = "shuffle.bytes.wire" // encoded shuffle pieces' bytes as encoded for the wire
 	ScanSplitsPruned = "scan.splits.pruned" // table splits zone-map pruning removed before scheduling
 	ScanBytesSkipped = "scan.bytes.skipped" // encoded column bytes whose decode the scan skipped
 	SpillRuns        = "spill.runs"         // run files written

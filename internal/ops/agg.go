@@ -2,8 +2,10 @@ package ops
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"quokka/internal/batch"
 	"quokka/internal/expr"
@@ -375,16 +377,37 @@ func aggOutType(kind AggKind, st *aggState) batch.Type {
 
 // sortedGroups returns group indexes ordered by their encoded key bytes —
 // the deterministic output order (identical to the former map-based
-// implementation's sort over encoded-key strings).
+// implementation's sort over encoded-key strings). Keys are compared by an
+// 8-byte prefix first, and in full only where the prefixes tie.
 func (a *HashAgg) sortedGroups() []int {
-	order := make([]int, a.table.Len())
-	for i := range order {
-		order[i] = i
+	type group struct {
+		prefix uint64
+		g      int
 	}
-	sort.Slice(order, func(x, y int) bool {
-		return bytes.Compare(a.table.Key(order[x]), a.table.Key(order[y])) < 0
+	groups := make([]group, a.table.Len())
+	for g := range groups {
+		groups[g] = group{keyPrefix(a.table.Key(g)), g}
+	}
+	slices.SortFunc(groups, func(x, y group) int {
+		if c := cmp.Compare(x.prefix, y.prefix); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.table.Key(x.g), a.table.Key(y.g))
 	})
+	order := make([]int, len(groups))
+	for i, gr := range groups {
+		order[i] = gr.g
+	}
 	return order
+}
+
+// keyPrefix is k's first eight bytes, zero-padded, as a big-endian number:
+// where two keys' prefixes differ, they order as bytes.Compare orders the
+// keys (a shorter key pads with zeros, which never sort above a byte).
+func keyPrefix(k []byte) uint64 {
+	var b [8]byte
+	copy(b[:], k)
+	return binary.BigEndian.Uint64(b[:])
 }
 
 // Finalize implements Operator. It emits one row per group, sorted by the

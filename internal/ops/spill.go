@@ -1,9 +1,9 @@
 package ops
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 
 	"quokka/internal/batch"
 	"quokka/internal/spill"
@@ -124,37 +124,55 @@ func dropField(b *batch.Batch, name string) *batch.Batch {
 	return batch.MustNew(batch.NewSchema(fields...), cols)
 }
 
-// mergeGroupOutputs concatenates per-partition aggregation outputs and
-// re-sorts the rows into the serial operator's global key-encoding order,
-// making partitioned (and spilled) finalize byte-identical to the serial
-// in-memory path. Shared by parallelAgg and the spilled HashAgg.
+// mergeGroupOutputs merges per-partition aggregation outputs, each already
+// in key-encoding order (HashAgg.Finalize sorts), into the serial operator's
+// global key-encoding order. A group lives in exactly one partition, so the
+// merge order is the global order, and partitioned (and spilled) finalize is
+// byte-identical to the serial in-memory path by construction. Shared by
+// parallelAgg and the spilled HashAgg.
 func mergeGroupOutputs(outs []*batch.Batch, groupBy []string) (*batch.Batch, error) {
-	var nonNil []*batch.Batch
+	var runs []*batch.Batch
 	for _, o := range outs {
 		if o != nil && o.NumRows() > 0 {
-			nonNil = append(nonNil, o)
+			runs = append(runs, o)
 		}
 	}
-	merged, err := batch.Concat(nonNil)
-	if err != nil || merged == nil {
-		return nil, err
+	merged, err := batch.Concat(runs)
+	if err != nil || len(runs) <= 1 {
+		return merged, err
 	}
 	keyIdx, err := keyIndexes(merged.Schema, groupBy)
 	if err != nil {
 		return nil, err
 	}
+	// Every row's key encoding in one arena: row r's ends at ends[r].
 	n := merged.NumRows()
-	keys := make([]string, n)
-	var key []byte
+	var arena []byte
+	ends := make([]int, n+1)
 	for r := 0; r < n; r++ {
-		key = batch.AppendKey(key[:0], merged, keyIdx, r)
-		keys[r] = string(key)
+		arena = batch.AppendKey(arena, merged, keyIdx, r)
+		ends[r+1] = len(arena)
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	key := func(r int) []byte { return arena[ends[r]:ends[r+1]] }
+	// Run i's next row in merged is heads[i], until it reaches limits[i].
+	heads, limits := make([]int, len(runs)), make([]int, len(runs))
+	for i, run := range runs {
+		limits[i] = heads[i] + run.NumRows()
+		if i+1 < len(runs) {
+			heads[i+1] = limits[i]
+		}
 	}
-	sort.Slice(idx, func(i, j int) bool { return keys[idx[i]] < keys[idx[j]] })
+	idx := make([]int, 0, n)
+	for len(idx) < n {
+		best := -1
+		for i := range runs {
+			if heads[i] < limits[i] && (best < 0 || bytes.Compare(key(heads[i]), key(heads[best])) < 0) {
+				best = i
+			}
+		}
+		idx = append(idx, heads[best])
+		heads[best]++
+	}
 	return merged.Gather(idx), nil
 }
 

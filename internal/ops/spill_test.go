@@ -1,8 +1,11 @@
 package ops
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"quokka/internal/batch"
@@ -218,6 +221,59 @@ func TestAggSpillMatchesInMemory(t *testing.T) {
 		if got := env.disk.UsedBytesPrefix("spill/"); got != 0 {
 			t.Errorf("%s: %d spill bytes leaked after finalize", cfg.name, got)
 		}
+	}
+}
+
+// TestMergeGroupOutputsIsAFullSort: partition outputs, each in key-encoding
+// order as Finalize leaves them, merge into exactly what a full sort of all
+// their rows gives — however the groups fell into partitions, however many
+// partitions are empty, in whatever order they come. The keys share long
+// prefixes, so many ties are broken past the first eight bytes.
+func TestMergeGroupOutputsIsAFullSort(t *testing.T) {
+	s := batch.NewSchema(batch.F("name", batch.String), batch.F("k", batch.Int64), batch.F("v", batch.Float64))
+	groupBy, keyIdx := []string{"name", "k"}, []int{0, 1}
+	rng := rand.New(rand.NewSource(5))
+	const n = 3000
+	names, ks, vs := make([]string, n), make([]int64, n), make([]float64, n)
+	for i := range names {
+		names[i] = strings.Repeat("x", rng.Intn(12)) + fmt.Sprint(rng.Intn(40))
+		ks[i] = int64(rng.Intn(1<<20))*int64(n) + int64(i) // distinct: each row is its own group
+		vs[i] = rng.Float64()
+	}
+	all := batch.MustNew(s, []*batch.Column{batch.NewStringColumn(names), batch.NewIntColumn(ks), batch.NewFloatColumn(vs)})
+	sorted := func(b *batch.Batch, rows []int) *batch.Batch {
+		key := func(r int) []byte { return batch.AppendKey(nil, b, keyIdx, r) }
+		sort.Slice(rows, func(i, j int) bool { return bytes.Compare(key(rows[i]), key(rows[j])) < 0 })
+		return b.Gather(rows)
+	}
+	every := make([]int, n)
+	for i := range every {
+		every[i] = i
+	}
+	want := batch.Encode(sorted(all, every))
+	for _, parts := range []int{1, 2, 5, 16} {
+		rows := make([][]int, parts+1) // one partition more, left empty
+		for r := 0; r < n; r++ {
+			p := rng.Intn(parts)
+			rows[p] = append(rows[p], r)
+		}
+		outs := make([]*batch.Batch, len(rows))
+		for p, rs := range rows {
+			if len(rs) > 0 {
+				outs[p] = sorted(all, rs)
+			}
+		}
+		rng.Shuffle(len(outs), func(i, j int) { outs[i], outs[j] = outs[j], outs[i] })
+		got, err := mergeGroupOutputs(outs, groupBy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(batch.Encode(got), want) {
+			t.Fatalf("%d partitions: the merge is not the full sort", parts)
+		}
+	}
+	if got, err := mergeGroupOutputs([]*batch.Batch{nil, nil}, groupBy); got != nil || err != nil {
+		t.Fatalf("merge of empty partitions: %v, %v", got, err)
 	}
 }
 

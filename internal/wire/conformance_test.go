@@ -776,6 +776,29 @@ func flightConformance(t *testing.T, b *backends) {
 		}
 	})
 
+	// A same-worker push may carry no bytes — a piece its producer never
+	// encoded travels as its batch alone — and the mailbox counts the slot at
+	// the batch's size until whatever frees it does.
+	t.Run("handed-batch-elided", func(t *testing.T) {
+		eq := q + "-elided"
+		hb := oneRowBatch()
+		before := b.server(0).BufferedBytes()
+		if err := own.Push(flight.Partition{Query: eq, From: lineage.TaskName{Seq: 0}, Dest: dest, Local: true, Batch: hb}); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.server(0).BufferedBytes() - before; got != hb.ByteSize() {
+			t.Fatalf("a bytes-less slot counts %d buffered bytes, want its batch's %d", got, hb.ByteSize())
+		}
+		got, err := own.Take(eq, dest, 0, 0, 0, 1)
+		if err != nil || got[0].Data != nil || got[0].Batch != hb {
+			t.Fatalf("take of a bytes-less slot: %+v, %v", got, err)
+		}
+		own.Drop(eq, dest, 0, 0, 0, 1)
+		if got := b.server(0).BufferedBytes(); got != before {
+			t.Fatalf("buffered %d after the drop, want %d", got, before)
+		}
+	})
+
 	// DropQuery clears the query's partitions and leaves another query's
 	// alone.
 	t.Run("drop-query", func(t *testing.T) {

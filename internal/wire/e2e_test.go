@@ -348,14 +348,16 @@ func killMidQuery(cl *cluster.Cluster, w cluster.WorkerID) <-chan struct{} {
 // TestProcessModeKillWorker kills one wire-attached worker mid-query (from
 // the head side: mailbox failed, worker process zombied) and demands full
 // recovery — exact result (FP tolerance on the float sums, like the fault
-// suite) plus rewind/replay spans in the merged trace.
+// suite) plus rewind/replay spans in the merged trace. The survivors elided
+// the pieces their own consumers read, and recovery read none of them: a
+// replay naming one fails the query with the worker's error.
 func TestProcessModeKillWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-mode e2e is not short")
 	}
 	const workers, q = 3, 9
 	cfg := engine.DefaultConfig()
-	cl, _ := distCluster(t, workers, engine.WithTracing(true))
+	cl, _, mets := distClusterMet(t, workers, engine.WithTracing(true))
 	want := memRun(t, q, workers, cfg)
 
 	killed := killMidQuery(cl, 1)
@@ -383,6 +385,11 @@ func TestProcessModeKillWorker(t *testing.T) {
 	}
 	if replays == 0 {
 		t.Error("trace holds no replayed-task spans")
+	}
+	for _, w := range []int{0, 2} {
+		if mets[w].Get(metrics.PiecesElided) == 0 {
+			t.Errorf("surviving worker %d elided no piece", w)
+		}
 	}
 
 	// The cluster keeps working minus the dead worker: the next query runs
