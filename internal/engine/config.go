@@ -205,21 +205,6 @@ type Config struct {
 	// Result path buffers everything, as it must).
 	CursorBufferBytes int64
 
-	// LineageFlushInterval controls group-commit of task lineage: instead
-	// of one GCS transaction per task commit, each query's commits are
-	// batched into a single transaction per flush. 0 (the default) inherits
-	// the cluster's WithLineageFlushInterval option, falling back to
-	// opportunistic batching — no added latency, commits queued while a
-	// flush transaction is in flight fold into the next one. A positive
-	// value additionally holds each flush open for that long to widen
-	// batches. Negative disables group commit (one transaction per task,
-	// the pre-group-commit behaviour). Group commit preserves the
-	// commit-before-ack ordering of Algorithm 1 exactly: a task's outputs
-	// remain unconsumable until its flush transaction commits, and every
-	// batched entry carries its own liveness/epoch fences. Timing-only;
-	// never output-visible.
-	LineageFlushInterval time.Duration
-
 	// PollInterval bounds what a lost wake-up costs: a worker's idle watcher
 	// waits for the query's namespace to move and rescans regardless after 16
 	// of these, which is also when an event that is no commit (a cursor
@@ -282,17 +267,16 @@ func TrinoConfig() Config {
 // Configure options write and resolve reads. The zero value is the built-in
 // behaviour.
 type clusterOptions struct {
-	cursorBuffer       int64         // WithCursorBufferBytes; 0 = DefaultCursorBufferBytes
-	flushInterval      time.Duration // WithLineageFlushInterval
-	shuffleCompressOff bool          // WithShuffleCompression(false)
-	spillCompressOff   bool          // WithSpillCompression(false)
-	tracing            bool          // WithTracing
+	cursorBuffer       int64 // WithCursorBufferBytes; 0 = DefaultCursorBufferBytes
+	shuffleCompressOff bool  // WithShuffleCompression(false)
+	spillCompressOff   bool  // WithSpillCompression(false)
+	tracing            bool  // WithTracing
 }
 
 // Policy is one query's effective settings: the caller's Config with every
 // floor and inherited value filled in — so CursorBufferBytes is never 0
-// (negative = no bound) and LineageFlushInterval is the query's own or the
-// cluster's — plus the cluster-level options as they stood at submit time.
+// (negative = no bound) — plus the cluster-level options as they stood at
+// submit time.
 // resolve builds it once; the Runner keeps it and WorkerQuerySpec ships it
 // whole, so the head and every worker process run one query under one
 // policy and nothing downstream re-derives a default.
@@ -341,9 +325,6 @@ func resolve(cfg Config, o clusterOptions) (Policy, error) {
 	}
 	if cfg.CursorBufferBytes == 0 {
 		cfg.CursorBufferBytes = DefaultCursorBufferBytes
-	}
-	if cfg.LineageFlushInterval == 0 {
-		cfg.LineageFlushInterval = o.flushInterval
 	}
 	return Policy{
 		Config:          cfg,

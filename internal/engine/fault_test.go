@@ -297,6 +297,38 @@ func TestRecoverySpoolMode(t *testing.T) {
 	}
 }
 
+// TestSpoolOverwritesARefusedIncarnationsObject: a task that spooled and pushed
+// and then lost its worker before committing leaves its object behind, and the
+// rewound channel re-executes that sequence number with freshly chosen inputs.
+// The object is planted here as that leftover; the incarnation that commits
+// must store its own bytes over it, or a later replay from the spool re-pushes
+// the dead incarnation's pieces against the new one's lineage.
+func TestSpoolOverwritesARefusedIncarnationsObject(t *testing.T) {
+	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(400, 8)})
+	cfg := DefaultConfig()
+	cfg.FT = FTSpool
+	r, err := NewRunner(cl, scanFilterAggPlan(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := spoolKey(lineage.TaskName{Stage: 1, Channel: 0, Seq: 0}) // the filter feeds the aggregate: spooled
+	if err := r.spool.Put(key, []byte("zombie")); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, _, err := r.Run(ctx); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	v, err := r.spool.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, perr := parsePieceSet(v); perr != nil || string(v) == "zombie" {
+		t.Errorf("the committed task's spool object is %q (%v): the leftover shadows it", v, perr)
+	}
+}
+
 func TestRecoveryCheckpointMode(t *testing.T) {
 	cl := testCluster(t, 4, joinTables(800))
 	cfg := DefaultConfig()
@@ -602,6 +634,7 @@ func TestCheckpointRestartRestoresState(t *testing.T) {
 	sortCh := lineage.ChannelID{Stage: 1, Channel: 0}
 	var mark checkpointMark
 	var folded lineage.Watermark
+	var cep int
 	killInTxn(cl, 0, func(tx *gcs.Txn) bool {
 		v, _ := tx.Get(r.keyCheckpoint(sortCh))
 		m, err := decodeCheckpoint(v)
@@ -610,6 +643,7 @@ func TestCheckpointRestartRestoresState(t *testing.T) {
 		}
 		if mark.Seq == 0 {
 			mark, folded = m, committedWatermark(tx, r, sortCh, m.Seq)
+			cep = txGetInt(tx, r.keyChanEpoch(sortCh), 0)
 		}
 		return true
 	})
@@ -625,6 +659,11 @@ func TestCheckpointRestartRestoresState(t *testing.T) {
 	}
 	if !reflect.DeepEqual(mark.WM, folded) {
 		t.Errorf("mark at task %d carries watermark %v, its lineage folds to %v", mark.Seq, mark.WM, folded)
+	}
+	// The object is stored before the commit carrying the mark, under the
+	// committing incarnation's epoch: a refused one cannot overwrite it.
+	if want := fmt.Sprintf("ckpt/%s/%s.e%d/%d", r.qid, sortCh, cep, mark.Seq); mark.ObjKey != want {
+		t.Errorf("mark at task %d names object %q, want %q", mark.Seq, mark.ObjKey, want)
 	}
 	if !bytes.Equal(batch.Encode(got), batch.Encode(want)) {
 		t.Fatalf("result differs from the failure-free run: %d rows, want %d", got.NumRows(), want.NumRows())

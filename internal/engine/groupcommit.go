@@ -23,13 +23,12 @@ import (
 //
 // Batching arises naturally: while one flush transaction is in flight
 // (paying the GCS round-trip cost), commits from every in-flight query's
-// executor threads queue up and fold into the next transaction. A positive
-// flush interval additionally holds each flush open to widen batches; the
-// default (0) adds no latency at all.
+// executor threads queue up and fold into the next transaction. Nothing
+// holds a flush open, so batching adds no latency.
 //
-// flush is the only function that writes a task commit. A query that turns
-// batching off (LineageFlushInterval < 0: one GCS transaction per task
-// commit) goes through it too, as a batch of one on the committing thread.
+// flush is the only GCS write a worker makes: a task commit (with its
+// checkpoint mark, when one is due) and the retirement of a replay entry are
+// both entries of it, each under its own fences.
 //
 // The committer is started by the first task manager to come up and
 // stopped when the last one exits (see clusterShared, runTaskManager).
@@ -40,11 +39,13 @@ type groupCommitter struct {
 	done   chan struct{}
 }
 
-// commitReq carries everything one task commit writes, plus the fences
+// commitReq carries everything one flush entry writes, plus the fences
 // guarding it. Values are copied in by the requester (which holds the
 // channel's protocol lock), so the flusher never touches chanState. The
 // runner pointer scopes every key to the request's own query namespace and
-// carries its policy (flush interval, whether lineage is logged).
+// carries its policy (whether lineage is logged, whether there is a backup).
+// An entry is a task commit, or — retire set — a replay entry's retirement,
+// which writes nothing else and is fenced on no channel.
 type commitReq struct {
 	r        *Runner
 	alive    func() bool // requester worker's liveness
@@ -56,13 +57,17 @@ type commitReq struct {
 	rec      lineage.Record
 	finalize bool
 	isReplay bool
+	mark     []byte // encoded checkpoint mark written beside the cursor, or nil
+	retire   string // the rp/ or rpi/ key a drained replay entry deletes
 	resp     chan error
 }
 
 // logsLineage reports whether this commit writes a lineage record: a replay
-// retraces a record that is already committed, and a query without the
-// lineage capability logs none.
-func (q *commitReq) logsLineage() bool { return !q.isReplay && q.r.ft.has(capLineage) }
+// retraces a record that is already committed, a retirement commits no task,
+// and a query without the lineage capability logs none.
+func (q *commitReq) logsLineage() bool {
+	return !q.isReplay && q.retire == "" && q.r.ft.has(capLineage)
+}
 
 func newGroupCommitter(store gcs.Backend) *groupCommitter {
 	g := &groupCommitter{
@@ -75,20 +80,15 @@ func newGroupCommitter(store gcs.Backend) *groupCommitter {
 	return g
 }
 
-// commit hands a task commit to flush and blocks until it resolves: queued
-// for the flusher to batch, or — when the query's policy turns batching off
-// — flushed alone, here, on the caller's goroutine.
+// commit queues an entry for the flusher and blocks until its flush resolves.
 // Returns gcs.ErrAborted when the entry was fenced off (channel rewound,
-// epoch changed, worker died) — the task then stays pending and is retried.
+// epoch changed, worker died) — a task then stays pending and is retried, a
+// replay entry stays queued.
 // The enqueue-to-resolve time is the requesting query's flush latency.
 func (g *groupCommitter) commit(req *commitReq) error {
 	req.resp = make(chan error, 1)
 	start := time.Now()
-	if req.r.cfg.LineageFlushInterval < 0 {
-		g.flush([]*commitReq{req})
-	} else {
-		g.reqs <- req
-	}
+	g.reqs <- req
 	err := <-req.resp
 	req.r.hFlush.observe(int64(time.Since(start)))
 	return err
@@ -114,26 +114,8 @@ func (g *groupCommitter) loop() {
 			return
 		}
 		batch := []*commitReq{first}
-		if hold := first.r.cfg.LineageFlushInterval; hold > 0 {
-			timer := time.NewTimer(hold)
-		hold:
-			for {
-				select {
-				case r2 := <-g.reqs:
-					batch = append(batch, r2)
-				case <-timer.C:
-					break hold
-				case <-g.stopCh:
-					timer.Stop()
-					g.flush(batch)
-					g.drainAbort()
-					return
-				}
-			}
-			timer.Stop()
-		}
-		// Opportunistic drain: everything queued while we were flushing
-		// (or holding) joins this transaction.
+		// Opportunistic drain: everything queued while we were flushing joins
+		// this transaction.
 	drain:
 		for {
 			select {
@@ -159,15 +141,15 @@ func (g *groupCommitter) drainAbort() {
 	}
 }
 
-// flush commits a batch of task commits — possibly spanning several
-// queries — in ONE GCS transaction over their namespaces' shards. Each
-// entry keeps its own fences: entries whose worker died, whose channel was
-// rewound, or whose placement epoch moved are refused individually while
-// the rest commit — identical outcomes to flushing each commit alone, just
+// flush commits a batch of entries — possibly spanning several queries — in
+// ONE GCS transaction over their namespaces' shards. Each entry keeps its
+// own fences: entries whose worker died, whose placement epoch moved, or —
+// a task commit — whose channel was rewound are refused individually while
+// the rest commit — identical outcomes to flushing each entry alone, just
 // amortized onto one head-node round trip. (A query's recovery is one
 // transaction on its namespace shard that moves the epoch, so this
 // transaction serializes against it: before it, and recovery sees the
-// commit; after it, and the commit is refused. From a worker process the
+// entry; after it, and the entry is refused. From a worker process the
 // fences are its read set, which the head validates.)
 func (g *groupCommitter) flush(batch []*commitReq) {
 	errs := make([]error, len(batch))
@@ -188,16 +170,20 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 		}
 		applied := 0
 		for i, req := range batch {
-			// Fenced: the worker died, the channel was rewound under the task,
-			// or placement moved since its pushes (a retry under a fresh view
-			// keeps pieces off a stale worker).
-			if !req.alive() ||
-				txGetInt(tx, req.r.keyChanEpoch(req.id), 0) != req.cep ||
-				geps[req.r] != req.gep {
+			r := req.r
+			// Fenced: the worker died, placement moved since the entry's
+			// image (a retry under a fresh view keeps pieces off a stale
+			// worker), or the channel was rewound under the task.
+			if !req.alive() || geps[r] != req.gep ||
+				req.retire == "" && txGetInt(tx, r.keyChanEpoch(req.id), 0) != req.cep {
 				errs[i] = gcs.ErrAborted
 				continue
 			}
-			r := req.r
+			applied++
+			if req.retire != "" {
+				tx.Delete(req.retire)
+				continue
+			}
 			if req.logsLineage() {
 				tx.Put(r.keyLineage(req.task), req.rec.Encode())
 			}
@@ -208,7 +194,9 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 			if req.finalize {
 				txPutInt(tx, r.keyDone(req.id), req.task.Seq+1)
 			}
-			applied++
+			if req.mark != nil {
+				tx.Put(r.keyCheckpoint(req.id), req.mark)
+			}
 		}
 		if applied == 0 {
 			return gcs.ErrAborted // nothing to commit; no empty round trip

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"quokka/internal/cluster"
 	"quokka/internal/spill"
 )
@@ -49,15 +47,6 @@ func WithWorkerMemoryBudget(bytes int64) Option {
 // DefaultCursorBufferBytes; negative disables the bound.
 func WithCursorBufferBytes(n int64) Option {
 	return inherited(func(o *clusterOptions) { o.cursorBuffer = n })
-}
-
-// WithLineageFlushInterval sets the cluster default for lineage group
-// commit (Config.LineageFlushInterval, when set on a query, takes
-// precedence). 0 restores the default opportunistic batching; a positive
-// interval holds each flush open that long to widen batches; negative
-// disables group commit entirely.
-func WithLineageFlushInterval(d time.Duration) Option {
-	return inherited(func(o *clusterOptions) { o.flushInterval = d })
 }
 
 // WithShuffleCompression selects the compressed (QBA2) codec for shuffle

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"quokka/internal/gcs"
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/ops"
@@ -22,16 +21,14 @@ func spoolKey(task lineage.TaskName) string { return "spool/" + task.String() }
 // any consumer can see it. Only exchange (wide-edge) outputs spool; fused
 // narrow pipelines don't materialize, which is why the paper's category I
 // queries see little spooling after aggregation pushdown (§V-C). A replayed
-// task's object is already there.
+// task's object is the committed one, already there. A first execution
+// always writes its own: an object under its key may be a refused
+// incarnation's, which pushed other inputs' output and never committed.
 func (t *taskManager) persistBeforePush(cs *chanState, task lineage.TaskName, p *pendingTask, isReplay bool) error {
 	if !t.r.ft.has(capSpool) || !t.r.spooled[cs.id.Stage] || isReplay {
 		return nil
 	}
-	key := spoolKey(task)
-	if t.r.spool.Has(key) {
-		return nil // a retry of a pending task: same bytes, already stored
-	}
-	if err := t.r.spool.Put(key, p.payload); err != nil {
+	if err := t.r.spool.Put(spoolKey(task), p.payload); err != nil {
 		return err
 	}
 	t.r.count(metrics.SpoolWriteBytes, int64(len(p.payload)))
@@ -65,39 +62,38 @@ func (t *taskManager) storedPieceSet(task lineage.TaskName) ([]byte, error) {
 	return t.disk.Read(backupKey(t.r.qid, task))
 }
 
-// persistAfterCommit (capCheckpoint) snapshots the channel's operator state
-// every CheckpointEveryTasks committed tasks; a finished channel has no
-// state worth keeping. The snapshot goes to durable storage — this is
-// exactly the growing-state cost §V-C measures.
-func (t *taskManager) persistAfterCommit(cs *chanState, p *pendingTask) {
+// persistBeforeCommit (capCheckpoint) snapshots the channel's operator state
+// every CheckpointEveryTasks tasks and returns the encoded mark the task's
+// commit writes beside its cursor, or nil; a finished channel has no state
+// worth keeping. The snapshot goes to durable storage — this is exactly the
+// growing-state cost §V-C measures — before the commit, so the mark lands
+// with the task it follows, under the same fences, or not at all. The state
+// already holds this task's input, so the mark's watermark does too. The
+// object's key carries the channel epoch: an incarnation whose commit is
+// refused never overwrites the object a newer one's mark names.
+func (t *taskManager) persistBeforeCommit(cs *chanState, p *pendingTask) []byte {
 	if !t.r.ft.has(capCheckpoint) || p.finalize || cs.op == nil {
-		return
+		return nil
 	}
 	sn, ok := cs.op.(ops.Snapshotter)
-	if !ok {
-		return
-	}
-	if cs.cursor-cs.lastCkpt < t.r.cfg.CheckpointEveryTasks {
-		return
+	seq := p.seq + 1
+	if !ok || seq-cs.lastCkpt < t.r.cfg.CheckpointEveryTasks {
+		return nil
 	}
 	data, err := sn.Snapshot()
 	if err != nil || len(data) == 0 {
-		return
+		return nil
 	}
-	objKey := fmt.Sprintf("ckpt/%s/%s/%d", t.r.qid, cs.id, cs.cursor)
+	objKey := fmt.Sprintf("ckpt/%s/%s.e%d/%d", t.r.qid, cs.id, cs.cep, seq)
 	if err := t.r.spool.Put(objKey, data); err != nil {
-		return
+		return nil
 	}
 	t.r.count(metrics.CheckpointBytes, int64(len(data)))
-	mark := checkpointMark{Seq: cs.cursor, ObjKey: objKey, WM: cs.wm}
-	t.r.gcsUpdate(func(tx *gcs.Txn) error {
-		if txGetInt(tx, t.r.keyChanEpoch(cs.id), 0) != cs.cep {
-			return gcs.ErrAborted
-		}
-		tx.Put(t.r.keyCheckpoint(cs.id), encodeCheckpoint(mark))
-		return nil
-	})
-	cs.lastCkpt = cs.cursor
+	wm := cs.wm.Clone()
+	if p.rec.Kind == lineage.KindConsume {
+		wm[lineage.EdgeChannel{Input: p.rec.Input, UpChannel: p.rec.UpChannel}] += p.rec.Count
+	}
+	return encodeCheckpoint(checkpointMark{Seq: seq, ObjKey: objKey, WM: wm})
 }
 
 // restoreCheckpoint loads the operator state snapshot referenced by the

@@ -24,13 +24,13 @@ import (
 //
 // The paper takes a GCS-level lock so that TaskManagers cannot write while
 // the coordinator reconciles (§IV-B). Here the transaction is that lock:
-// every worker-side write is fenced on what it reconciles — a task commit
-// on its worker's liveness, the channel epoch and the global epoch
-// (groupCommitter.flush), a checkpoint mark on the channel epoch
-// (persistAfterCommit), a replay entry's removal on the global epoch
-// (runOneReplay) — so a write prepared under the pre-recovery image either
-// lands before this transaction, which then sees it, or is refused after it
-// and retried under the new image.
+// a worker's only write is an entry of groupCommitter.flush, fenced on what
+// this transaction moves — a task commit, with its checkpoint mark, on its
+// worker's liveness, the channel epoch and the global epoch; a replay
+// entry's retirement on its worker's liveness and the global epoch — so a
+// write prepared under the pre-recovery image either lands before this
+// transaction, which then sees it, or is refused after it and retried under
+// the new image.
 //
 // The coordinator only ever writes the GCS; it never talks to a
 // TaskManager directly, which is what makes nested failures easy to

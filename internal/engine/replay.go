@@ -18,7 +18,7 @@ import (
 // consumers. These are the light-blue recovery tasks of Figure 5. The queue
 // is the one thing a round lists, so it is a view of its own; where the
 // pieces go is snap's placement, and snap's global epoch fences each entry's
-// removal.
+// retirement.
 func (t *taskManager) runReplays(snap *snapshot) (ran, drained bool) {
 	prefixRp := fmt.Sprintf("%srp/%d/", t.r.keyNS(), t.w.ID)
 	prefixRpi := fmt.Sprintf("%srpi/%d/", t.r.keyNS(), t.w.ID)
@@ -48,7 +48,7 @@ func (t *taskManager) runReplays(snap *snapshot) (ran, drained bool) {
 	return ran, len(rp)+len(rpi) == 0
 }
 
-// runOneReplay executes a single replay entry and removes it from the GCS.
+// runOneReplay executes a single replay entry and retires it.
 func (t *taskManager) runOneReplay(snap *snapshot, fullKey, rest string, destsRaw []byte, fromSource bool) bool {
 	task, err := lineage.ParseTaskName(rest)
 	if err != nil {
@@ -151,12 +151,10 @@ func (t *taskManager) runOneReplay(snap *snapshot, fullKey, rest string, destsRa
 			Stage: task.Stage, Channel: task.Channel, Seq: task.Seq, Epoch: snap.gep,
 			Start: replayStart, Dur: time.Since(replayStart)})
 	}
-	err = t.r.gcsUpdate(func(tx *gcs.Txn) error {
-		if txGetInt(tx, t.r.keyGlobalEpoch(), 0) != snap.gep {
-			return gcs.ErrAborted // placement changed; redo under a fresh snapshot
-		}
-		tx.Delete(fullKey)
-		return nil
-	})
-	return err == nil
+	// Retire the entry: an entry of the committer's flush, fenced on the
+	// worker's liveness and on the global epoch its pushes were placed by (a
+	// refused one is redone under a fresh snapshot). One entry per replay:
+	// each retirement moves the namespace version, which wakes the rewound
+	// consumer to take its piece.
+	return t.gc.commit(&commitReq{r: t.r, alive: t.w.Alive, gep: snap.gep, retire: fullKey}) == nil
 }

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"os"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,25 +19,46 @@ import (
 
 // schemaRecorder notes what every committed update wrote, by key class —
 // the segment after q/<qid>/ — and keeps the flushes apart: each is the write
-// set of a batch of task commits. So are the other updates that move the
-// global epoch past the seeded 1: each is a recovery pass. Its record is a
-// txnHook's after.
+// set of a batch of task commits and replay retirements. Every other update
+// is counted, and those that move the global epoch past the seeded 1 are
+// kept too: each is a recovery pass. A checkpoint mark a flush writes is
+// checked against the entry beside it. Its record is a txnHook's after.
 type schemaRecorder struct {
 	mu         sync.Mutex
 	written    map[string]bool
-	flushes    []map[string]int // per flush: class -> keys put
-	recoveries []map[string]int // per epoch-moving update: the same
+	flushes    []flushWrites
+	updates    int              // committed updates that are no flush
+	recoveries []map[string]int // per epoch-moving update: class -> keys put
+	badMarks   []string
 }
 
+// flushWrites is one flush's write set: class -> keys put, and keys deleted.
+type flushWrites struct{ puts, deletes map[string]int }
+
 func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
-	puts := map[string]int{}
+	puts, deletes := map[string]int{}, map[string]int{}
 	recovery := false
+	var badMarks []string
 	for k, v := range tx.Writes() {
-		if v != nil {
-			_, rest, _ := strings.Cut(strings.TrimPrefix(k, "q/"), "/")
-			class, _, _ := strings.Cut(rest, "/")
-			puts[class]++
-			recovery = recovery || class == "gep" && string(v) != "1"
+		ns, rest, _ := strings.Cut(strings.TrimPrefix(k, "q/"), "/")
+		class, ch, _ := strings.Cut(rest, "/")
+		if v == nil {
+			deletes[class]++
+			continue
+		}
+		puts[class]++
+		recovery = recovery || class == "gep" && string(v) != "1"
+		if flush && class == "ck" {
+			// The mark's Seq is the cursor committed beside it, and its object
+			// is the committing incarnation's: named under the epoch the entry
+			// was fenced on.
+			ns = "q/" + ns + "/"
+			m, err := decodeCheckpoint(v)
+			cur := tx.Writes()[ns+"cur/"+ch]
+			cep := txGetInt(tx, ns+"cep/"+ch, 0)
+			if err != nil || strconv.Itoa(m.Seq) != string(cur) || !strings.Contains(m.ObjKey, fmt.Sprintf("/%s.e%d/", ch, cep)) {
+				badMarks = append(badMarks, fmt.Sprintf("%s = %q beside cur %q at cep %d", k, v, cur, cep))
+			}
 		}
 	}
 	s.mu.Lock()
@@ -43,9 +66,13 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 	for class := range puts {
 		s.written[class] = true
 	}
+	s.badMarks = append(s.badMarks, badMarks...)
 	if flush {
-		s.flushes = append(s.flushes, puts)
-	} else if recovery {
+		s.flushes = append(s.flushes, flushWrites{puts, deletes})
+		return
+	}
+	s.updates++
+	if recovery {
 		s.recoveries = append(s.recoveries, puts)
 	}
 }
@@ -53,9 +80,12 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 // TestControlStoreSchema holds the engine to docs/contracts/control-store.md:
 // under every FT mode, with and without a kill, every key class written has a
 // row on the page, every flush writes per task commit exactly what the page's
-// "A task commit" table says for the mode, each recovery pass is one update
-// writing only what reconcile and the epoch bump write, and no row on the page
-// goes unwritten by all of them.
+// "A task commit" table says for the mode — a ck mark only under checkpoint,
+// naming the cursor beside it and an object of the committing epoch — and
+// deletes nothing but the replay entries it retires, each recovery pass is one
+// update writing only what reconcile and the epoch bump write, the head's
+// seed, recovery passes and cleanup are the only updates that are no flush,
+// and no row on the page goes unwritten by all of them.
 func TestControlStoreSchema(t *testing.T) {
 	page, err := os.ReadFile("../../docs/contracts/control-store.md")
 	if err != nil {
@@ -72,6 +102,7 @@ func TestControlStoreSchema(t *testing.T) {
 	}
 
 	anyMode := map[string]bool{}
+	anyRetired := false
 	for _, ft := range []FTMode{FTNone, FTWriteAheadLineage, FTSpool, FTCheckpoint} {
 		for _, kill := range []bool{false, true} {
 			name := ft.String() + map[bool]string{false: "/no-fault", true: "/one-kill"}[kill]
@@ -111,35 +142,57 @@ func TestControlStoreSchema(t *testing.T) {
 					}
 				}
 				caps := ftTable[ft]
-				for _, puts := range rec.flushes {
+				retired := 0
+				for _, f := range rec.flushes {
+					puts := f.puts
 					n := puts["cur"] // task commits in this flush
-					wantLin, wantPD := 0, 0
+					wantLin, wantPD, maxCk := 0, 0, 0
 					if caps.has(capLineage) {
 						wantLin = n
 					}
 					if caps.has(capBackup) {
 						wantPD = n
 					}
+					if caps.has(capCheckpoint) {
+						maxCk = n
+					}
 					// A replayed task retraces its record and writes none.
 					okLin := puts["lin"] == wantLin || kill && puts["lin"] < wantLin
 					other := 0
 					for class := range puts {
-						if !slices.Contains([]string{"cur", "lin", "pd", "done"}, class) {
+						if !slices.Contains([]string{"cur", "lin", "pd", "done", "ck"}, class) {
 							other++
 						}
 					}
-					if n == 0 || !okLin || puts["pd"] != wantPD || puts["done"] > n || other != 0 {
-						t.Errorf("a flush of %d task commits wrote %v, want lin %d, pd %d, at most %d done and nothing else", n, puts, wantLin, wantPD, n)
+					// What a flush deletes is replay entries it retires, and
+					// nothing else.
+					for class, k := range f.deletes {
+						if class != "rp" && class != "rpi" {
+							t.Errorf("a flush deleted %v: only rp and rpi entries are retired", f.deletes)
+						}
+						retired += k
+					}
+					if n == 0 && len(f.deletes) == 0 || !okLin || puts["pd"] != wantPD || puts["done"] > n || puts["ck"] > maxCk || other != 0 {
+						t.Errorf("a flush of %d task commits wrote %v, want lin %d, pd %d, at most %d done, at most %d ck and nothing else", n, puts, wantLin, wantPD, n, maxCk)
 					}
 				}
 				if len(rec.flushes) == 0 {
 					t.Error("no flush recorded")
+				}
+				for _, m := range rec.badMarks {
+					t.Errorf("a flush wrote a mark that is not its entry's: %s", m)
+				}
+				// Every other update is the head's: seed, each recovery pass,
+				// cleanup. A worker writes through the flush alone.
+				if want := 2 + r.recovered; rec.updates != want {
+					t.Errorf("%d updates were no flush, want %d: seed, %d recovery passes, cleanup", rec.updates, want, r.recovered)
 				}
 				// A recovery pass is one transaction: the update that moves the
 				// epoch writes the whole reconciliation, and nothing else does.
 				if err == nil && len(rec.recoveries) != rep.Recoveries {
 					t.Errorf("%d updates moved the global epoch, want one per recovery (%d)", len(rec.recoveries), rep.Recoveries)
 				}
+				queued := 0
 				for _, puts := range rec.recoveries {
 					if puts["pl"] == 0 || puts["cep"] == 0 {
 						t.Errorf("the update that moved the epoch wrote %v: no rewind", puts)
@@ -149,9 +202,17 @@ func TestControlStoreSchema(t *testing.T) {
 							t.Errorf("a recovery pass wrote %v: %q is outside pl, cep, cur, rp, rpi, gep", puts, class)
 						}
 					}
+					queued += puts["rp"] + puts["rpi"]
 				}
+				if queued > 0 && retired == 0 {
+					t.Errorf("recovery queued %d replay entries and no flush retired one", queued)
+				}
+				anyRetired = anyRetired || retired > 0
 			})
 		}
+	}
+	if !anyRetired {
+		t.Error("no mode retired a replay entry: the kills exercised nothing")
 	}
 	for _, class := range slices.Sorted(maps.Keys(onPage)) {
 		if !anyMode[class] {

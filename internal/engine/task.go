@@ -156,11 +156,11 @@ func (t *taskManager) readSplit(spec *ReaderSpec, split int) (*batch.Batch, erro
 
 // finishTask is the core of Algorithm 1, a straight line: encode the task's
 // output once, persist what the FT policy wants durable before a consumer
-// can see it, push, persist the producer-local backup, commit the
-// write-ahead lineage in one flush, then the post-commit bookkeeping. The
-// three persist steps (persist.go) each ask the policy for their capability
-// and are no-ops without it. isReplay skips re-writing lineage that is
-// already committed.
+// can see it, push, persist the producer-local backup and any checkpoint due,
+// commit the write-ahead lineage in one flush, then the post-commit
+// bookkeeping. The three persist steps (persist.go) each ask the policy for
+// their capability and are no-ops without it. isReplay skips re-writing
+// lineage that is already committed.
 func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (bool, error) {
 	task := lineage.TaskName{Stage: cs.id.Stage, Channel: cs.id.Channel, Seq: p.seq}
 	// One serialization serves the push, the spool and the upstream backup,
@@ -204,12 +204,15 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 		return false, err
 	}
 
-	// Commit: lineage + cursor (+ done marker) atomically. The
-	// write set is handed to the cluster's shared committer, whose flush
+	// Commit: lineage + cursor (+ done marker, + checkpoint mark) atomically.
+	// The write set is handed to the cluster's shared committer, whose flush
 	// folds commits from many channels — across every admitted query — into
-	// one GCS transaction (or, with batching off, carries this one alone);
-	// commit-before-ack ordering is preserved because this call blocks until
-	// the flush containing it has been applied.
+	// one GCS transaction; commit-before-ack ordering is preserved because
+	// this call blocks until the flush containing it has been applied. A
+	// retry offers the mark its first attempt stored.
+	if p.mark == nil {
+		p.mark = t.persistBeforeCommit(cs, p)
+	}
 	err := t.gc.commit(&commitReq{
 		r:        t.r,
 		alive:    t.w.Alive,
@@ -221,6 +224,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 		rec:      p.rec,
 		finalize: p.finalize,
 		isReplay: isReplay,
+		mark:     p.mark,
 	})
 	if err != nil {
 		if err == gcs.ErrAborted {
@@ -236,6 +240,9 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 		cs.wm[lineage.EdgeChannel{Input: p.rec.Input, UpChannel: p.rec.UpChannel}] += p.rec.Count
 	}
 	cs.cursor = p.seq + 1
+	if p.mark != nil {
+		cs.lastCkpt = cs.cursor
+	}
 	cs.pending = nil
 	if p.finalize {
 		cs.done = true
@@ -262,7 +269,5 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 			OutRows: p.outRows, OutBytes: int64(len(p.payload)),
 			SpillBytes: spillB, SpillRuns: spillR})
 	}
-
-	t.persistAfterCommit(cs, p)
 	return true, nil
 }

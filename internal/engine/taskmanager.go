@@ -124,6 +124,9 @@ type pendingTask struct {
 	payload []byte
 	pieces  pieceSet
 	outRows int64
+	// mark is the checkpoint mark the commit carries, once its snapshot is
+	// stored (persistBeforeCommit); nil when none is due.
+	mark []byte
 
 	// started stamps task creation; the task-latency histogram and trace
 	// span measure creation -> successful commit, so backpressure retries

@@ -3,12 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"quokka/internal/batch"
+	"quokka/internal/cluster"
 	"quokka/internal/expr"
+	"quokka/internal/gcs"
 	"quokka/internal/metrics"
 	"quokka/internal/ops"
 )
@@ -200,48 +203,87 @@ func cursorKillPlan() *Plan {
 	return multiChannelOutputPlan()
 }
 
-// TestGroupCommitReducesTxns: the same query committed per-task
-// (LineageFlushInterval < 0) and group-committed with a held-open flush
-// window produces identical bytes, while the grouped run folds many task
-// commits into shared transactions.
+// firstFlushHold holds the first flush — the one UpdateMulti caller — until
+// at least three more entries wait in the cluster's committer queue, or 10 s
+// pass; every flush's task commits (cur/ puts) are noted in order.
+type firstFlushHold struct {
+	gcs.Backend
+	cl      *cluster.Cluster
+	mu      sync.Mutex
+	commits []int
+	queued  int // the queue length the held flush was released at
+}
+
+func (h *firstFlushHold) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+	h.mu.Lock()
+	first := h.commits == nil
+	if first {
+		h.commits = []int{}
+	}
+	h.mu.Unlock()
+	if first {
+		s := sharedFor(h.cl)
+		s.gcMu.Lock()
+		g := s.gc
+		s.gcMu.Unlock()
+		for deadline := time.Now().Add(10 * time.Second); len(g.reqs) < 3 && time.Now().Before(deadline); {
+			time.Sleep(50 * time.Microsecond)
+		}
+		h.mu.Lock()
+		h.queued = len(g.reqs)
+		h.mu.Unlock()
+	}
+	return h.Backend.UpdateMulti(nss, func(tx *gcs.Txn) error {
+		err := fn(tx)
+		if err == nil {
+			n := 0
+			for k, v := range tx.Writes() {
+				if _, rest, _ := strings.Cut(strings.TrimPrefix(k, "q/"), "/"); v != nil && strings.HasPrefix(rest, "cur/") {
+					n++
+				}
+			}
+			h.mu.Lock()
+			h.commits = append(h.commits, n)
+			h.mu.Unlock()
+		}
+		return err
+	})
+}
+
+// TestGroupCommitReducesTxns: commits queued while a flush is in flight fold
+// into the next one. The first flush is held until three more task commits
+// wait behind it — twelve reader channels each finish a split and queue — so
+// the next flush carries them all; every committed task is one flush entry,
+// and the bytes are an unheld run's.
 func TestGroupCommitReducesTxns(t *testing.T) {
 	tables := map[string][]*batch.Batch{"numbers": numbersTable(3000, 24)}
+	p := func() *Plan {
+		return MustPlan(
+			&Stage{ID: 0, Name: "read", Parallelism: 12, Reader: &ReaderSpec{Table: "numbers"}},
+			&Stage{ID: 1, Name: "agg", Parallelism: 1,
+				Op:     ops.NewHashAggSpec(nil, ops.Sum("s", expr.C("v")), ops.CountStar("c")),
+				Inputs: []StageInput{{Stage: 0, Part: Single()}}},
+		)
+	}
+	want, _ := runPlan(t, testCluster(t, 4, tables), p(), DefaultConfig())
+
 	cl := testCluster(t, 4, tables)
-
-	solo := DefaultConfig()
-	solo.LineageFlushInterval = -1 // one GCS transaction per task commit
-	outSolo, repSolo := runPlan(t, cl, scanFilterAggPlan(0), solo)
-	// Batching off goes through the same flush, one entry at a time.
-	if n := repSolo.Metrics[metrics.GCSTxnBatched]; n != 0 {
-		t.Errorf("disabled group commit folded %d commits into shared transactions", n)
-	}
-	if got := repSolo.Metrics[metrics.LineageFlushes]; got != repSolo.TasksExecuted {
-		t.Errorf("disabled group commit: %d flushes for %d committed tasks, want one each", got, repSolo.TasksExecuted)
-	}
-
-	grouped := DefaultConfig()
-	grouped.LineageFlushInterval = 200 * time.Microsecond
-	outGrouped, repGrouped := runPlan(t, cl, scanFilterAggPlan(0), grouped)
-
-	if string(batch.Encode(outSolo)) != string(batch.Encode(outGrouped)) {
+	hold := &firstFlushHold{Backend: cl.GCS, cl: cl}
+	cl.GCS = hold
+	out, rep := runPlan(t, cl, p(), DefaultConfig())
+	if string(batch.Encode(out)) != string(batch.Encode(want)) {
 		t.Fatal("group commit changed query output")
 	}
-	flushes := repGrouped.Metrics[metrics.LineageFlushes]
-	batched := repGrouped.Metrics[metrics.GCSTxnBatched]
-	commits := flushes + batched
-	if flushes == 0 {
-		t.Fatal("group commit issued no flushes")
+	hold.mu.Lock()
+	defer hold.mu.Unlock()
+	if hold.queued < 3 || len(hold.commits) < 2 || hold.commits[1] < 3 {
+		t.Errorf("the first flush was released with %d entries queued, and the flushes carried %v task commits: want >= 3 in the second", hold.queued, hold.commits)
 	}
-	if batched == 0 {
-		t.Error("no task commits were folded into shared transactions")
-	}
-	if commits != repGrouped.TasksExecuted {
+	flushes := rep.Metrics[metrics.LineageFlushes]
+	batched := rep.Metrics[metrics.GCSTxnBatched]
+	if flushes+batched != rep.TasksExecuted {
 		t.Errorf("flushes(%d) + batched(%d) = %d, want TasksExecuted = %d",
-			flushes, batched, commits, repGrouped.TasksExecuted)
-	}
-	if repGrouped.Metrics[metrics.LineageRecords] != repSolo.Metrics[metrics.LineageRecords] {
-		t.Errorf("lineage records differ: grouped %d vs solo %d",
-			repGrouped.Metrics[metrics.LineageRecords], repSolo.Metrics[metrics.LineageRecords])
+			flushes, batched, flushes+batched, rep.TasksExecuted)
 	}
 }
 
@@ -251,38 +293,32 @@ func TestOptionDefaultsResolve(t *testing.T) {
 	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(100, 2)})
 	s := sharedFor(cl)
 
-	// res resolves a Config carrying just the two inheritable fields.
-	res := func(cursor int64, flush time.Duration) Policy {
+	// res resolves a Config carrying just the inheritable field.
+	res := func(cursor int64) Policy {
 		t.Helper()
 		cfg := DefaultConfig()
-		cfg.CursorBufferBytes, cfg.LineageFlushInterval = cursor, flush
+		cfg.CursorBufferBytes = cursor
 		p, err := resolve(cfg, s.options())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	if got := res(0, 0).CursorBufferBytes; got != DefaultCursorBufferBytes {
+	if got := res(0).CursorBufferBytes; got != DefaultCursorBufferBytes {
 		t.Errorf("built-in cursor default = %d", got)
 	}
-	Configure(cl, WithCursorBufferBytes(9999), WithLineageFlushInterval(-1))
-	if got := res(0, 0).CursorBufferBytes; got != 9999 {
+	Configure(cl, WithCursorBufferBytes(9999))
+	if got := res(0).CursorBufferBytes; got != 9999 {
 		t.Errorf("cluster cursor default = %d, want 9999", got)
 	}
-	if got := res(123, 0).CursorBufferBytes; got != 123 {
+	if got := res(123).CursorBufferBytes; got != 123 {
 		t.Errorf("per-query cursor override = %d, want 123", got)
 	}
-	if got := res(-1, 0).CursorBufferBytes; got >= 0 {
+	if got := res(-1).CursorBufferBytes; got >= 0 {
 		t.Errorf("negative per-query cursor = %d, want it kept negative (unbounded)", got)
 	}
-	if got := res(0, 0).LineageFlushInterval; got != -1 {
-		t.Errorf("cluster flush default = %v, want -1", got)
-	}
-	if got := res(0, time.Millisecond).LineageFlushInterval; got != time.Millisecond {
-		t.Errorf("per-query flush override = %v", got)
-	}
-	Configure(cl, WithCursorBufferBytes(0), WithLineageFlushInterval(0))
-	if got := res(0, 0).CursorBufferBytes; got != DefaultCursorBufferBytes {
+	Configure(cl, WithCursorBufferBytes(0))
+	if got := res(0).CursorBufferBytes; got != DefaultCursorBufferBytes {
 		t.Errorf("reset cursor default = %d", got)
 	}
 
@@ -308,13 +344,13 @@ func TestOptionDefaultsResolve(t *testing.T) {
 
 	// The resolved values reach the runner.
 	cfg := DefaultConfig()
-	cfg.LineageFlushInterval = -1
+	cfg.MaxTake = 5
 	r, err := NewRunner(cl, scanFilterAggPlan(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.cfg.LineageFlushInterval != -1 || r.cfg.CursorBufferBytes != DefaultCursorBufferBytes {
-		t.Errorf("runner resolved flush=%v cursor=%d", r.cfg.LineageFlushInterval, r.cfg.CursorBufferBytes)
+	if r.cfg.MaxTake != 5 || r.cfg.CursorBufferBytes != DefaultCursorBufferBytes {
+		t.Errorf("runner resolved max take=%d cursor=%d", r.cfg.MaxTake, r.cfg.CursorBufferBytes)
 	}
 
 	// Admission and worker-memory options reach shared state; 0 restores

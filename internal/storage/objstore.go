@@ -127,14 +127,6 @@ func (s *ObjectStore) GetFree(key string) ([]byte, error) {
 	return v, nil
 }
 
-// Has reports whether key exists, without I/O cost.
-func (s *ObjectStore) Has(key string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.data[key]
-	return ok
-}
-
 // Delete removes a key; absent keys are ignored.
 func (s *ObjectStore) Delete(key string) {
 	s.mu.Lock()

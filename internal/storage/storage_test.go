@@ -113,7 +113,7 @@ func TestObjectStore(t *testing.T) {
 		t.Errorf("billed bytes = %d, want 3", met.Get(metrics.ObjWriteBytes))
 	}
 	s.Delete("tbl/0")
-	if s.Has("tbl/0") {
+	if s.Size("tbl/0") != -1 {
 		t.Error("Delete failed")
 	}
 	if _, err := s.Get("tbl/0"); err == nil {

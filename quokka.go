@@ -109,16 +109,6 @@ func WithWorkerMemoryBudget(bytes int64) Option { return engine.WithWorkerMemory
 // built-in default (4 MiB); negative disables the bound.
 func WithCursorBufferBytes(n int64) Option { return engine.WithCursorBufferBytes(n) }
 
-// WithLineageFlushInterval sets the cluster default for lineage group
-// commit. A query's own RunConfig.LineageFlushInterval, when set, takes
-// precedence. 0 restores the default opportunistic batching; a positive
-// interval holds each flush open that long to widen batches; negative
-// disables group commit (one GCS transaction per task, the pre-group-commit
-// behaviour).
-func WithLineageFlushInterval(d time.Duration) Option {
-	return engine.WithLineageFlushInterval(d)
-}
-
 // WithShuffleCompression selects the compressed (QBA2) codec for shuffle
 // partitions, result partitions and replay backups (true, the default) or the
 // raw encoding-0 format (false) — the escape hatch for debugging wire
