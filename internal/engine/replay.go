@@ -3,86 +3,46 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"quokka/internal/flight"
-	"quokka/internal/gcs"
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/trace"
 )
 
-// runReplays drains this worker's replay queue: re-pushing backed-up
-// partitions (rp/) and re-reading input splits (rpi/) for rewound
-// consumers. These are the light-blue recovery tasks of Figure 5. The queue
-// is the one thing a round lists, so it is a view of its own; where the
-// pieces go is snap's placement, and snap's global epoch fences each entry's
-// retirement.
-func (t *taskManager) runReplays(snap *snapshot) (ran, drained bool) {
-	prefixRp := fmt.Sprintf("%srp/%d/", t.r.keyNS(), t.w.ID)
-	prefixRpi := fmt.Sprintf("%srpi/%d/", t.r.keyNS(), t.w.ID)
-	var rp, rpi []string
-	var dests map[string][]byte
-	t.r.gcsView(func(tx *gcs.Txn) error {
-		dests = make(map[string][]byte)
-		rp = tx.List(prefixRp)
-		rpi = tx.List(prefixRpi)
-		for _, k := range append(append([]string(nil), rp...), rpi...) {
-			if v, ok := tx.Get(k); ok {
-				dests[k] = v
-			}
+// runReplays drains this worker's replay queue as snap holds it, under
+// replayLock: the light-blue recovery tasks of Figure 5, pieces placed by snap
+// and retirements fenced on its global epoch. An entry already retired is
+// skipped; a failed one is tried again next round. yield runs before any does.
+func (t *taskManager) runReplays(snap *snapshot, yield func()) (ran bool) {
+	for _, e := range snap.replays {
+		if e.worker != int(t.w.ID) || t.retired[e.key] >= snap.gep {
+			continue
 		}
-		return nil
-	})
-	for _, k := range rp {
-		if t.runOneReplay(snap, k, strings.TrimPrefix(k, prefixRp), dests[k], false) {
+		yield()
+		if t.runOneReplay(snap, e) {
+			t.retired[e.key] = snap.gep
 			ran = true
 		}
 	}
-	for _, k := range rpi {
-		if t.runOneReplay(snap, k, strings.TrimPrefix(k, prefixRpi), dests[k], true) {
-			ran = true
-		}
-	}
-	return ran, len(rp)+len(rpi) == 0
+	return ran
 }
 
 // runOneReplay executes a single replay entry and retires it.
-func (t *taskManager) runOneReplay(snap *snapshot, fullKey, rest string, destsRaw []byte, fromSource bool) bool {
-	task, err := lineage.ParseTaskName(rest)
-	if err != nil {
-		return false
-	}
-	var replayStart time.Time
+func (t *taskManager) runOneReplay(snap *snapshot, entry replayEntry) bool {
+	task, replayStart := entry.task, time.Time{}
 	if t.r.rec != nil {
 		replayStart = time.Now()
-	}
-	dests, err := parseReplayDests(destsRaw)
-	if err != nil || len(dests) == 0 {
-		return false
 	}
 	// The pieces to re-push: stored ones, exactly as first pushed, wherever a
 	// backup or spool object exists; only an input re-read has to rebuild
 	// them from the source split.
 	edges := t.r.plan.Consumers(task.Stage)
 	var pieces pieceSet
-	if fromSource {
+	if entry.input {
 		// Re-read the split named by the committed lineage.
-		var rec lineage.Record
-		found := false
-		t.r.gcsView(func(tx *gcs.Txn) error {
-			if v, ok := tx.Get(t.r.keyLineage(task)); ok {
-				if r2, err := lineage.DecodeRecord(v); err == nil {
-					rec, found = r2, true
-				}
-			}
-			return nil
-		})
-		if !found {
-			return false
-		}
-		switch rec.Kind {
+		switch entry.rec.Kind {
 		case lineage.KindRead:
 			st := t.r.plan.Stages[task.Stage]
 			if st.Reader == nil {
@@ -90,7 +50,7 @@ func (t *taskManager) runOneReplay(snap *snapshot, fullKey, rest string, destsRa
 			}
 			// Same physical split, same column projection as the original
 			// read — the replayed output is byte-identical.
-			out, err := t.readSplit(st.Reader, rec.Split)
+			out, err := t.readSplit(st.Reader, entry.rec.Split)
 			if err != nil {
 				return false
 			}
@@ -119,7 +79,7 @@ func (t *taskManager) runOneReplay(snap *snapshot, fullKey, rest string, destsRa
 	// input edge feeding each destination stage), re-reading the backup
 	// once for all of them.
 	pushed := false
-	for _, dest := range dests {
+	for _, dest := range entry.dests {
 		for ei, e := range edges {
 			if e.To != dest.Stage {
 				continue
@@ -156,5 +116,5 @@ func (t *taskManager) runOneReplay(snap *snapshot, fullKey, rest string, destsRa
 	// refused one is redone under a fresh snapshot). One entry per replay:
 	// each retirement moves the namespace version, which wakes the rewound
 	// consumer to take its piece.
-	return t.gc.commit(&commitReq{r: t.r, alive: t.w.Alive, gep: snap.gep, retire: fullKey}) == nil
+	return t.gc.commit(&commitReq{r: t.r, alive: t.w.Alive, gep: snap.gep, retire: entry.key}) == nil
 }

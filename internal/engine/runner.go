@@ -240,16 +240,6 @@ func (r *Runner) gcsAwait(ctx context.Context, after uint64, wait time.Duration)
 	return ver
 }
 
-// gcsView runs a read-only GCS transaction, counted into the per-query
-// transaction total (views carry no payload).
-func (r *Runner) gcsView(fn func(tx *gcs.Txn) error) error {
-	err := r.cl.GCS.ViewNS(r.keyNS(), fn)
-	if err == nil {
-		r.qmet.Add(metrics.GCSTxns, 1)
-	}
-	return err
-}
-
 // Run executes the query to completion, returning the concatenated output
 // and a report. It blocks until the query finishes, fails, or ctx is
 // cancelled. Run is sugar over Start + Query.Result — every caller that

@@ -1,26 +1,44 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
+	"strconv"
+	"strings"
+
 	"quokka/internal/gcs"
 	"quokka/internal/lineage"
+	"quokka/internal/metrics"
 )
 
 // snapshot is one immutable image of the query's control-plane namespace:
-// everything a round of Algorithm 1 reads — the global epoch and every
-// channel's coordinates — taken in ONE GCS view and stamped with the
-// namespace version probed before that view. It is the only thing a poll
-// round, a task step, a push, a replay and the coordinator's completion check
-// know about the control store; "is this stale" is one comparison of ver with
-// the live version. A channel may have moved since the image was taken, so
-// step still checks it against the live chanState and every commit is fenced
-// in its own transaction.
+// everything a round of Algorithm 1 reads — the global epoch, every
+// channel's coordinates and every worker's replay queue — taken in ONE GCS
+// view and stamped with the namespace version probed before that view. It is
+// the only thing a poll round, a task step, a push, a replay and the
+// coordinator's completion check know about the control store; "is this
+// stale" is one comparison of ver with the live version. A channel may have
+// moved since the image was taken, so step still checks it against the live
+// chanState and every commit is fenced in its own transaction.
 type snapshot struct {
 	ver uint64
 
 	gep int // global placement epoch: seeded 1, one more per recovery
 	opp int // operator partition count seeded for the query
 
-	chans [][]chanMeta // [stage][channel]
+	chans   [][]chanMeta  // [stage][channel]
+	replays []replayEntry // every worker's replay queue: rp/, then rpi/, each in key order
+}
+
+// replayEntry is one rp/ or rpi/ entry: worker re-pushes task's pieces to dests
+// from its stored piece set or — input — from the split lineage record rec names.
+type replayEntry struct {
+	key    string // what the entry's retirement deletes
+	worker int
+	task   lineage.TaskName
+	dests  []lineage.ChannelID
+	input  bool
+	rec    lineage.Record
 }
 
 // chanMeta is one channel's row of a snapshot.
@@ -53,7 +71,7 @@ func (r *Runner) snapshotAt(ver uint64) (*snapshot, error) {
 	// The stamp is the version probed BEFORE the view, so it is never newer
 	// than the content: a commit that raced the view shows as a version past
 	// the stamp, and the next round loads again.
-	s, err := r.loadSnapshot(ver)
+	s, err := r.loadSnapshot(ver, r.snap.Load())
 	if err != nil {
 		return nil, err
 	}
@@ -61,17 +79,31 @@ func (r *Runner) snapshotAt(ver uint64) (*snapshot, error) {
 	return s, nil
 }
 
-// loadSnapshot reads the whole image in one view. It never lists: every key
-// is known from the plan. The image is built inside the body, because a body
-// may run more than once on a remote backend.
-func (r *Runner) loadSnapshot(ver uint64) (*snapshot, error) {
+// loadSnapshot reads the whole image in one view, a worker's only read of the
+// control store; a body may run more than once remotely, so it builds the image.
+// Channel keys are known from the plan. Replay entries are written only by
+// recover, which moves the global epoch, and only deleted after: none at the
+// seeded epoch, listed at the first image of a later one, and at prev's epoch
+// those of prev's still there.
+func (r *Runner) loadSnapshot(ver uint64, prev *snapshot) (*snapshot, error) {
 	var s *snapshot
-	err := r.gcsView(func(tx *gcs.Txn) error {
+	err := r.cl.GCS.ViewNS(r.keyNS(), func(tx *gcs.Txn) error {
 		s = &snapshot{
 			ver:   ver,
 			gep:   txGetInt(tx, r.keyGlobalEpoch(), 0),
 			opp:   txGetInt(tx, r.keyOpParallelism(), r.cfg.Parallelism),
 			chans: make([][]chanMeta, len(r.par)),
+		}
+		if prev != nil && prev.gep == s.gep {
+			for _, e := range prev.replays {
+				if _, ok := tx.Get(e.key); ok {
+					s.replays = append(s.replays, e)
+				}
+			}
+		} else if s.gep > 1 {
+			if err := r.loadReplays(tx, s); err != nil {
+				return err
+			}
 		}
 		for st, n := range r.par {
 			s.chans[st] = make([]chanMeta, n)
@@ -112,5 +144,34 @@ func (r *Runner) loadSnapshot(ver uint64) (*snapshot, error) {
 		}
 		return nil
 	})
+	if err == nil {
+		r.qmet.Add(metrics.GCSTxns, 1) // a view carries no payload
+	}
 	return s, err
+}
+
+// loadReplays lists every worker's replay queue into s: each entry's
+// destinations and, for an input re-read, the lineage record naming its split.
+func (r *Runner) loadReplays(tx *gcs.Txn, s *snapshot) error {
+	for _, class := range []string{"rp/", "rpi/"} {
+		prefix := r.keyNS() + class
+		for _, k := range tx.List(prefix) {
+			w, name, _ := strings.Cut(strings.TrimPrefix(k, prefix), "/")
+			dests, _ := tx.Get(k)
+			e := replayEntry{key: k, input: class == "rpi/"}
+			var errs [4]error
+			e.worker, errs[0] = strconv.Atoi(w)
+			e.task, errs[1] = lineage.ParseTaskName(name)
+			e.dests, errs[2] = parseReplayDests(dests)
+			if e.input {
+				rec, _ := tx.Get(r.keyLineage(e.task))
+				e.rec, errs[3] = lineage.DecodeRecord(rec)
+			}
+			if err := errors.Join(errs[:]...); err != nil {
+				return fmt.Errorf("engine: replay entry %s: %w", k, err)
+			}
+			s.replays = append(s.replays, e)
+		}
+	}
+	return nil
 }

@@ -2,9 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"quokka/internal/batch"
 	"quokka/internal/expr"
@@ -72,7 +77,7 @@ func TestStepRejectsStaleSnapshot(t *testing.T) {
 		mu.Lock()
 		n = len(*pushes)
 		mu.Unlock()
-		r.gcsView(func(tx *gcs.Txn) error {
+		r.cl.GCS.ViewNS(r.keyNS(), func(tx *gcs.Txn) error {
 			cur, _ := tx.Get(r.keyCursor(reader))
 			state = "cur=" + string(cur) + " " + strings.Join(tx.List(r.keyNS()+"lin/"), ",")
 			return nil
@@ -331,6 +336,115 @@ func TestSnapshotOneViewPerVersion(t *testing.T) {
 	base = txns()
 	if next := everyone(10); next.opp != 5 || next.ver != r.gcsVersion() || txns()-base != 1 {
 		t.Errorf("after the race: opp %d at version %d (namespace at %d), %d views", next.opp, next.ver, r.gcsVersion(), txns()-base)
+	}
+}
+
+// viewCounter counts the views of the control store and, of them, the ones
+// loadSnapshot makes: the images loaded. fail, if set, is asked before each
+// view; an error it returns fails the view with its body unrun, as a lost
+// exchange would.
+type viewCounter struct {
+	gcs.Backend
+	views, loads atomic.Int64
+	fail         func() error
+}
+
+func (v *viewCounter) ViewNS(ns string, fn func(tx *gcs.Txn) error) error {
+	v.views.Add(1)
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for f, more := frames.Next(); ; f, more = frames.Next() {
+		if strings.HasSuffix(f.Function, ".(*Runner).loadSnapshot") {
+			v.loads.Add(1)
+			break
+		}
+		if !more {
+			break
+		}
+	}
+	if v.fail != nil {
+		if err := v.fail(); err != nil {
+			return err
+		}
+	}
+	return v.Backend.ViewNS(ns, fn)
+}
+
+// TestEveryWorkerReadIsAnImageLoad: a worker reads the control store only by
+// loading an image, through a recovery and the replay drain after it — the
+// replay queue and the lineage an input re-read needs come with the image, so
+// the views equal the images loaded. And a view that fails after the recovery
+// committed is a failed image load: the query ends, with its result or with
+// that error, and never waits for a replay nobody will run.
+func TestEveryWorkerReadIsAnImageLoad(t *testing.T) {
+	errLost := errors.New("view lost")
+	// run kills worker 1 once the fact readers on the other three have each
+	// committed two splits, so the recovery queues backups to replay and a
+	// lost reader's splits to re-read; failAt > 0 fails the failAt-th view
+	// after the recovery transaction.
+	run := func(t *testing.T, failAt int64) (*viewCounter, *Report, error) {
+		t.Helper()
+		cl := testCluster(t, 4, joinTables(1200))
+		views := &viewCounter{Backend: cl.GCS}
+		cl.GCS = views
+		r, err := NewRunner(cl, joinPlan(), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		killInTxn(cl, 1, func(tx *gcs.Txn) bool {
+			for _, c := range []int{0, 2, 3} {
+				if txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 1, Channel: c}), 0) < 2 {
+					return false
+				}
+			}
+			return true
+		})
+		var recovered atomic.Bool
+		var after atomic.Int64
+		cl.GCS = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, _ bool) {
+			if _, ok := tx.Writes()[r.keyGlobalEpoch()]; ok && txGetInt(tx, r.keyGlobalEpoch(), 0) > 1 {
+				recovered.Store(true)
+			}
+		}}
+		views.fail = func() error {
+			if failAt > 0 && recovered.Load() && after.Add(1) == failAt {
+				return errLost
+			}
+			return nil
+		}
+		defer func() {
+			if failAt > 0 && after.Load() < failAt {
+				t.Errorf("%d views after the recovery: none failed", after.Load())
+			}
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		out, rep, err := r.Run(ctx)
+		if ctx.Err() != nil {
+			t.Fatalf("the query stalled: %v", err)
+		}
+		if err == nil && (out == nil || out.NumRows() != 10) {
+			t.Fatalf("result: %v", out)
+		}
+		return views, rep, err
+	}
+
+	views, rep, err := run(t, 0)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Recoveries == 0 || rep.Metrics[metrics.RecoveryReplays] == 0 {
+		t.Fatalf("%d recoveries, %d replays: the kill exercised nothing", rep.Recoveries, rep.Metrics[metrics.RecoveryReplays])
+	}
+	if v, l := views.views.Load(), views.loads.Load(); v != l || l == 0 {
+		t.Errorf("%d views of the control store for %d images loaded: a worker read outside the image", v, l)
+	}
+	for _, at := range []int64{1, 2, 3, 5} {
+		t.Run(fmt.Sprintf("view-%d-after-recovery-fails", at), func(t *testing.T) {
+			if _, _, err := run(t, at); err != nil && !errors.Is(err, errLost) {
+				t.Fatalf("Run: %v, want the result or %v", err, errLost)
+			}
+		})
 	}
 }
 

@@ -51,13 +51,12 @@ type taskManager struct {
 	// this worker, spilling operator state to the worker's local disk.
 	spill *spill.Context
 
-	// replayGen is the last global epoch whose replay queue this TaskManager
-	// has fully drained. It starts at the seeded epoch, 1, which has none: the
-	// epoch moves in the recovery transaction that fills the queues, so prefix
-	// scans of the replay queue only happen after a recovery, never in steady
-	// state. replayLock ensures a single thread drains the queue at a time.
-	replayGen  int
+	// replayLock lets one thread at a time drain the worker's replay queue;
+	// retired maps each entry it retired to the fencing global epoch, so an
+	// older image still listing it does not run it again (a later recovery
+	// may queue the key anew).
 	replayLock sync.Mutex
+	retired    map[string]int
 
 	// watch holds the worker's one watcher token (loop): an idle thread parks on
 	// the namespace version only while it has taken it; queued wait for it.
@@ -140,9 +139,9 @@ type pendingTask struct {
 func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 	t := &taskManager{
 		r: r, w: w, mb: w.Mailbox, disk: w.Disk,
-		channels:  map[lineage.ChannelID]*chanState{},
-		gep:       -1,
-		replayGen: 1,
+		channels: map[lineage.ChannelID]*chanState{},
+		gep:      -1,
+		retired:  map[string]int{},
 		// The CPU slot pool is a WORKER resource shared by every in-flight
 		// query: concurrent queries' channels (and their partition lanes)
 		// compete for the same modelled cores instead of each bringing
@@ -244,23 +243,11 @@ func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, scanned u
 		return false, snap.ver
 	}
 
-	// Replay queues are only populated by recovery; skip the prefix scans
-	// entirely in steady state and once this epoch's queue drained.
-	t.mu.Lock()
-	needReplays := t.replayGen < snap.gep
-	t.mu.Unlock()
-	if needReplays && t.replayLock.TryLock() {
-		yield()
-		ran, drained := t.runReplays(snap)
+	// Replay queues exist only after a recovery; in steady state the image
+	// holds none and this costs nothing.
+	if len(snap.replays) > 0 && t.replayLock.TryLock() {
+		progressed = t.runReplays(snap, yield)
 		t.replayLock.Unlock()
-		if ran {
-			progressed = true
-		}
-		if drained && !ran {
-			t.mu.Lock()
-			t.replayGen = max(t.replayGen, snap.gep)
-			t.mu.Unlock()
-		}
 	}
 	t.mu.Lock()
 	states := make([]*chanState, 0, len(t.channels))

@@ -36,11 +36,11 @@ import (
 // it calls, specified in docs/contracts/gcs-backend.md. Store is the
 // in-memory default (the head node's real store); a process-mode worker's
 // wire client runs each transaction body locally against a Replica of the
-// namespace, at one frame to the head per transaction (replica.go). A body
-// is therefore a pure function of its reads, and on a remote backend runs
-// again when the head finds them stale. Every transaction names its
-// namespaces: the whole-store Update and View are Store methods only, so
-// no remote peer can lock — or enumerate — every query's shard.
+// namespace (replica.go): a view at no frame — it sees what its client
+// observed — an update at one, a wait at one whose answer brings the replica up
+// to what it woke for. A body is a pure function of its reads, run again when
+// the head finds them stale. Update and View are Store methods only: no remote
+// peer can lock — or enumerate — every query's shard.
 type Backend interface {
 	UpdateNS(ns string, fn func(tx *Txn) error) error
 	UpdateMulti(nss []string, fn func(tx *Txn) error) error

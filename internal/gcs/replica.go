@@ -10,12 +10,12 @@ import (
 
 // The store's remote form (docs/contracts/gcs-backend.md): a worker process
 // keeps a Replica of each namespace it runs and runs transaction bodies
-// against it, at one frame to the head per transaction. The head answers,
-// under the shard lock and waiting on no peer, Sync — what changed since
-// version v (a view) — and Commit — apply this write set if these reads are
-// still current (an update) — from a per-namespace change log that starts at
-// the namespace's first Sync and goes with its last key: a namespace no
-// replica follows costs a commit one empty-map check.
+// against it. The head answers, under the shard lock and waiting on no peer,
+// Sync — what changed since version v (a wait that woke, a first contact) —
+// and Commit — apply this write set if these reads are still current (an
+// update) — from a per-namespace change log that starts at the namespace's
+// first Sync and goes with its last key: a namespace no replica follows costs
+// a commit one empty-map check.
 
 // IsNamespace reports whether ns is exactly one query's "q/<qid>/" prefix.
 // Sync and Commit enumerate what they are given: "" would list a shard.
@@ -86,8 +86,8 @@ func (sh *shard) delta(ns string, v uint64) Delta {
 	return d
 }
 
-// Sync answers a remote ViewNS — it is a view — with the Delta for a replica
-// of ns at version since (0: it holds nothing).
+// Sync answers a remote wait that woke, or a first contact — it is a view —
+// with the Delta for a replica of ns at version since (0: it holds nothing).
 func (s *Store) Sync(ns string, since uint64) (d Delta) {
 	s.ViewNS(ns, func(*Txn) error {
 		d = s.shards[shardOf(ns)].delta(ns, since)

@@ -43,8 +43,8 @@ func DefaultAnalyzers() []*Analyzer {
 			},
 			SweepFuncs: []FuncRef{
 				// The per-query teardown/rewind sweeps (arguments built by
-				// the blessed helpers above) and the per-worker replay-
-				// queue scan (prefix under q/<qid>/rp/). Runner.cleanup
+				// the blessed helpers above) and the snapshot's replay-
+				// queue scan (prefixes q/<qid>/rp/, rpi/). Runner.cleanup
 				// lists and deletes the query's GCS namespace;
 				// runTaskManager — the one launch of a worker's task manager,
 				// in the head's process or a worker's — sweeps THAT worker's
@@ -53,7 +53,7 @@ func DefaultAnalyzers() []*Analyzer {
 				{Pkg: "quokka/internal/engine", Name: "Runner.cleanup"},
 				{Pkg: "quokka/internal/engine", Name: "Runner.runTaskManager"},
 				{Pkg: "quokka/internal/engine", Name: "taskManager.resetChannel"},
-				{Pkg: "quokka/internal/engine", Name: "taskManager.runReplays"},
+				{Pkg: "quokka/internal/engine", Name: "Runner.loadReplays"},
 				// The wire server's transaction handler has the store
 				// enumerate a namespace a REMOTE caller named (Sync and Commit
 				// answer with what changed in it): the prefix was built

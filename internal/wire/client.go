@@ -89,15 +89,11 @@ func (p *pool) close() {
 	p.idle = nil
 }
 
-// roundTrip runs one request/response exchange on a pooled conn.
-func (p *pool) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
-	return p.roundTripCtx(context.Background(), typ, payload)
-}
-
-// roundTripCtx is roundTrip for an exchange the head may park: ctx ending
-// poisons the conn's deadline, failing the pending read, and a conn whose
-// deadline may have been poisoned is closed, never pooled.
-func (p *pool) roundTripCtx(ctx context.Context, typ byte, payload []byte) (rt byte, rp []byte, err error) {
+// roundTrip runs one request/response exchange on a pooled conn. ctx ending —
+// the head may park an exchange — poisons the conn's deadline, failing the
+// pending read, and a conn whose deadline may have been poisoned is closed,
+// never pooled.
+func (p *pool) roundTrip(ctx context.Context, typ byte, payload []byte) (rt byte, rp []byte, err error) {
 	c, err := p.get()
 	if err != nil {
 		return 0, nil, err
@@ -116,8 +112,8 @@ func (p *pool) roundTripCtx(ctx context.Context, typ byte, payload []byte) (rt b
 
 // expect runs a round trip whose response must be want (or mtErrResp,
 // which is decoded into an error).
-func (p *pool) expect(typ byte, payload []byte, want byte) ([]byte, error) {
-	rt, rp, err := p.roundTrip(typ, payload)
+func (p *pool) expect(ctx context.Context, typ byte, payload []byte, want byte) ([]byte, error) {
+	rt, rp, err := p.roundTrip(ctx, typ, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +128,7 @@ func (p *pool) expect(typ byte, payload []byte, want byte) ([]byte, error) {
 
 // bytesOf runs a round trip answered by one byte string (mtBytesResp).
 func (p *pool) bytesOf(typ byte, payload []byte) ([]byte, error) {
-	rp, err := p.expect(typ, payload, mtBytesResp)
+	rp, err := p.expect(context.Background(), typ, payload, mtBytesResp)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +140,7 @@ func (p *pool) bytesOf(typ byte, payload []byte) ([]byte, error) {
 // boolOf runs a round trip answered by one bool (mtBoolResp); a failed
 // exchange reads as false.
 func (p *pool) boolOf(typ byte, payload []byte) bool {
-	rp, err := p.expect(typ, payload, mtBoolResp)
+	rp, err := p.expect(context.Background(), typ, payload, mtBoolResp)
 	r := rbuf{b: rp}
 	ok := r.boolean("bool response")
 	return ok && err == nil && r.err() == nil
@@ -153,10 +149,11 @@ func (p *pool) boolOf(typ byte, payload []byte) bool {
 // ---------------------------------------------------------------------------
 // GCS client
 
-// gcsClient implements gcs.Backend against the head's store at one request
-// frame per transaction. It keeps a gcs.Replica of every namespace its
-// process runs; a transaction body runs locally against them — a view after
-// a sync, an update before a commit frame the head validates.
+// gcsClient implements gcs.Backend against the head's store. It keeps a
+// gcs.Replica of every namespace its process runs; a transaction body runs
+// locally against them — a view with no frame, an update before the one commit
+// frame the head validates — and a wait is one follow frame, whose answer
+// brings the replica up to what it woke for.
 type gcsClient struct {
 	p *pool
 
@@ -172,19 +169,31 @@ type gcsClient struct {
 // the update reports gcs.ErrAborted: "fenced, try again on a later round".
 const maxBodyRuns = 8
 
-// replica returns the process's replica of ns, creating it — empty, at
-// version 0, known = false — on first use.
-func (g *gcsClient) replica(ns string) (rep *gcs.Replica, known bool) {
+// replica returns the process's replica of ns, fetched while it holds nothing
+// (version 0) by one follow frame that parks for nothing: a body never runs on
+// a namespace nothing is known about.
+func (g *gcsClient) replica(ns string) (*gcs.Replica, error) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if rep, known = g.reps[ns]; !known {
-		if g.reps == nil {
-			g.reps = make(map[string]*gcs.Replica)
-		}
+	if g.reps == nil {
+		g.reps = make(map[string]*gcs.Replica)
+	}
+	rep := g.reps[ns]
+	if rep == nil {
 		rep = &gcs.Replica{NS: ns}
 		g.reps[ns] = rep
 	}
-	return rep, known
+	g.mu.Unlock()
+	if g.version(rep) == 0 {
+		return rep, g.follow(context.Background(), rep, 0, 0)
+	}
+	return rep, nil
+}
+
+// version is rep's version, read under the lock its deltas are applied under.
+func (g *gcsClient) version(rep *gcs.Replica) uint64 {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return rep.Version
 }
 
 // forget drops the replica of a namespace whose query stopped on this worker.
@@ -194,10 +203,10 @@ func (g *gcsClient) forget(ns string) {
 	g.mu.Unlock()
 }
 
-// exchange sends one transaction frame about reps and applies the answer's
-// deltas — and own, the request's write set, if the answer says committed.
-func (g *gcsClient) exchange(typ byte, req []byte, reps []*gcs.Replica, own map[string][]byte) (committed bool, err error) {
-	rp, err := g.p.expect(typ, req, mtGCSResult)
+// exchange sends one frame about reps and applies the answer's deltas — and
+// own, the request's write set, if the answer says committed.
+func (g *gcsClient) exchange(ctx context.Context, typ byte, req []byte, reps []*gcs.Replica, own map[string][]byte) (committed bool, err error) {
+	rp, err := g.p.expect(ctx, typ, req, mtGCSResult)
 	if err != nil {
 		return false, err
 	}
@@ -223,14 +232,16 @@ func (g *gcsClient) exchange(typ byte, req []byte, reps []*gcs.Replica, own map[
 	return committed, nil
 }
 
-// sync brings one replica up to the head's version: a view's one frame.
-func (g *gcsClient) sync(rep *gcs.Replica) error {
+// follow is the one frame that waits: the head parks it until the namespace's
+// version passes after, or park (capped by the head) elapses, and answers with
+// the delta that brings rep to where it woke — nothing, if it did not.
+func (g *gcsClient) follow(ctx context.Context, rep *gcs.Replica, after uint64, park time.Duration) error {
 	var w wbuf
 	w.str(rep.NS)
-	g.mu.RLock()
-	w.u64(rep.Version)
-	g.mu.RUnlock()
-	_, err := g.exchange(mtGCSSync, w.b, []*gcs.Replica{rep}, nil)
+	w.u64(g.version(rep))
+	w.u64(after)
+	w.u32(uint32(min(max(park, 0).Microseconds(), math.MaxUint32)))
+	_, err := g.exchange(ctx, mtGCSFollow, w.b, []*gcs.Replica{rep}, nil)
 	return err
 }
 
@@ -242,30 +253,28 @@ func (g *gcsClient) body(reps []*gcs.Replica, readOnly bool, fn func(tx *gcs.Txn
 	return tx, fn(tx)
 }
 
-// ViewNS is always one frame, never zero: the sync is what makes the body
-// see every transaction committed before the view began.
+// ViewNS runs the body against the replica with no frame: it sees everything
+// this client has observed — its last AwaitNS answer, its own committed
+// updates — and perhaps more.
 func (g *gcsClient) ViewNS(ns string, fn func(tx *gcs.Txn) error) error {
-	rep, _ := g.replica(ns)
-	if err := g.sync(rep); err != nil {
+	rep, err := g.replica(ns)
+	if err != nil {
 		return err
 	}
-	_, err := g.body([]*gcs.Replica{rep}, true, fn)
+	_, err = g.body([]*gcs.Replica{rep}, true, fn)
 	return err
 }
 
-// UpdateMulti runs the body against the replicas as last synced (a new
-// replica is synced first: a body never runs on a namespace nothing is known
-// about) and ships what it read and wrote in one frame; answered stale, it
-// runs the body again on the state the answer's deltas brought. A body's
-// error aborts without a frame: an abort has no effect wherever decided.
+// UpdateMulti runs the body against the replicas as last brought up to date
+// and ships what it read and wrote in one frame; answered stale, it runs the
+// body again on the state the answer's deltas brought. A body's error aborts
+// without a frame: an abort has no effect wherever decided.
 func (g *gcsClient) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
 	reps := make([]*gcs.Replica, len(nss))
 	for i, ns := range nss {
-		rep, known := g.replica(ns)
-		if reps[i] = rep; !known {
-			if err := g.sync(rep); err != nil {
-				return err
-			}
+		var err error
+		if reps[i], err = g.replica(ns); err != nil {
+			return err
 		}
 	}
 	for run := 0; run < maxBodyRuns; run++ {
@@ -282,7 +291,7 @@ func (g *gcsClient) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error 
 			w.strs(rs.Prefixes)
 		}
 		w.kvs(tx.Writes())
-		if committed, err := g.exchange(mtGCSCommit, w.b, reps, tx.Writes()); committed || err != nil {
+		if committed, err := g.exchange(context.Background(), mtGCSCommit, w.b, reps, tx.Writes()); committed || err != nil {
 			return err
 		}
 	}
@@ -293,19 +302,18 @@ func (g *gcsClient) UpdateNS(ns string, fn func(tx *gcs.Txn) error) error {
 	return g.UpdateMulti([]string{ns}, fn)
 }
 
-// AwaitNS is one frame, which the head parks for at most park and its own cap.
-// No error slot: a failed exchange or a malformed answer reads as 0 — once park
+// AwaitNS returns the replica's version: with no frame when it is already past
+// after (the client's own commit moved it), else after one follow frame, parked
+// for at most park and the head's cap. A failed exchange reads as 0 — once park
 // or ctx has run out, lest a dead head turn a waiting loop into a spinning one.
 func (g *gcsClient) AwaitNS(ctx context.Context, ns string, after uint64, park time.Duration) uint64 {
 	start := time.Now()
-	var w wbuf
-	w.str(ns)
-	w.u64(after)
-	w.u32(uint32(min(max(park, 0).Microseconds(), math.MaxUint32)))
-	rt, rp, err := g.p.roundTripCtx(ctx, mtGCSAwaitNS, w.b)
-	r := rbuf{b: rp}
-	if v := r.u64("version"); err == nil && rt == mtU64Resp && r.err() == nil {
-		return v
+	rep, err := g.replica(ns)
+	if err == nil && g.version(rep) <= after {
+		err = g.follow(ctx, rep, after, park)
+	}
+	if err == nil {
+		return g.version(rep)
 	}
 	if rest := park - time.Since(start); rest > 0 {
 		select {
@@ -348,14 +356,14 @@ func (f *flightClient) Push(p flight.Partition) error {
 	w.i64(int64(p.Epoch))
 	w.boolean(p.Local)
 	w.bytes(p.Data)
-	_, err := f.p.expect(mtFlPush, w.b, mtOK)
+	_, err := f.p.expect(context.Background(), mtFlPush, w.b, mtOK)
 	return err
 }
 
 // DropQuery has no error slot and swallows wire failures: it is cleanup, and
 // a mailbox that cannot be reached is gone or going.
 func (f *flightClient) DropQuery(query string) {
-	f.p.roundTrip(mtFlDropQuery, f.req(query).b)
+	f.p.roundTrip(context.Background(), mtFlDropQuery, f.req(query).b)
 }
 
 // Fail does nothing through a worker's handle on a peer: liveness is the
@@ -403,7 +411,7 @@ func (o *objClient) PutFree(key string, value []byte) {
 	w.str(key)
 	w.boolean(true) // free: the only form of put there is
 	w.bytes(value)
-	_, _ = o.p.expect(mtObjPut, w.b, mtOK)
+	_, _ = o.p.expect(context.Background(), mtObjPut, w.b, mtOK)
 	o.mu.Lock()
 	o.cache, o.size, o.epoch = nil, 0, o.epoch+1
 	o.mu.Unlock()

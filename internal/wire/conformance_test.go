@@ -242,18 +242,31 @@ func gcsConformance(t *testing.T, b *backends) {
 
 	// AwaitNS returns the namespace's shard version: at once when it is past
 	// after or max is 0, else when a commit — not a view, not an aborted update
-	// — moves it, when max elapses or when ctx ends. One request frame per call.
+	// — moves it, when max elapses or when ctx ends. Over the wire a wait the
+	// client's own commits already answered costs no frame and any other one,
+	// and a view after a wake costs none and sees what the wait woke for.
 	t.Run("await", func(t *testing.T) {
-		ctx, frames := context.Background(), b.opFrames("gcs_await_ns")
+		ctx := context.Background()
+		b.peer.AwaitNS(ctx, ns, 0, 0) // the peer's first contact, before the count
+		frames := b.opFrames("gcs_follow")
+		follows := func(want int64, what string) {
+			t.Helper()
+			if n := b.opFrames("gcs_follow") - frames; b.remote && n != want {
+				t.Errorf("%s: %d follow frames, want %d", what, n, want)
+			}
+			frames = b.opFrames("gcs_follow")
+		}
 		v0 := g.AwaitNS(ctx, ns, 0, 0)
 		if v0 == 0 || g.AwaitNS(ctx, ns, v0-1, 5*time.Second) != v0 {
 			t.Fatalf("version %d, or a wait for a version already passed parked", v0)
 		}
+		follows(0, "two waits the client's own commits answered")
 		g.ViewNS(ns, func(tx *gcs.Txn) error { return nil })
 		g.UpdateNS(ns, func(tx *gcs.Txn) error { return gcs.ErrAborted })
 		if v := g.AwaitNS(ctx, ns, v0, 20*time.Millisecond); v != v0 {
 			t.Errorf("version moved without a commit: %d -> %d", v0, v)
 		}
+		follows(1, "a wait that times out")
 		// Parked with max = 5 s (the pause only lets it park: a commit that beat
 		// it would return it at once), woken by a second client's commit.
 		parked := func(ctx context.Context, after uint64) <-chan uint64 {
@@ -270,9 +283,20 @@ func gcsConformance(t *testing.T, b *backends) {
 		if woke := time.Since(start); v1 <= v0 || woke > time.Second {
 			t.Errorf("a peer's commit: version %d -> %d after %v, want a wake-up", v0, v1, woke)
 		}
-		if n := b.opFrames("gcs_await_ns") - frames; b.remote && n != 4 {
-			t.Errorf("%d request frames for 4 calls", n)
+		follows(1, "a wait a peer's commit ended")
+		seesV := func(what string) {
+			t.Helper()
+			if err := g.ViewNS(ns, func(tx *gcs.Txn) error {
+				if v, _ := tx.Get(nsKey("v")); string(v) != "1" {
+					return fmt.Errorf("the peer's write reads %q", v)
+				}
+				return nil
+			}); err != nil {
+				t.Errorf("view %s: %v", what, err)
+			}
 		}
+		seesV("after the wake")
+		follows(0, "a view after the wake")
 		// Cancelled while parked: it returns nothing newer, and what it was
 		// parked on is not handed to the next exchange.
 		cctx, cancel := context.WithCancel(ctx)
@@ -284,14 +308,7 @@ func gcsConformance(t *testing.T, b *backends) {
 		if v := g.AwaitNS(ctx, ns, 0, 0); v != v1 {
 			t.Errorf("after a cancelled wait the version reads %d, want %d", v, v1)
 		}
-		if err := g.ViewNS(ns, func(tx *gcs.Txn) error {
-			if v, _ := tx.Get(nsKey("v")); string(v) != "1" {
-				return fmt.Errorf("the peer's write reads %q", v)
-			}
-			return nil
-		}); err != nil {
-			t.Errorf("view after a cancelled wait: %v", err)
-		}
+		seesV("after a cancelled wait")
 	})
 }
 
@@ -309,8 +326,8 @@ func (b *backends) mailboxFrames() (n int64) {
 
 // namespaceKeys is what a replica of ns at version since is sent — every key
 // a worker would receive — and whether it was the whole namespace: in memory
-// the store's own answer, over the wire the decoded answer to a raw sync
-// frame.
+// the store's own answer, over the wire the decoded answer to a raw follow
+// frame that parks for nothing, a first contact's.
 func namespaceKeys(t *testing.T, b *backends, ns string, since uint64) (keys []string, full bool) {
 	t.Helper()
 	d := gcs.Delta{}
@@ -320,14 +337,16 @@ func namespaceKeys(t *testing.T, b *backends, ns string, since uint64) (keys []s
 		var w wbuf
 		w.str(ns)
 		w.u64(since)
-		rp, err := b.gcs.(*gcsClient).p.expect(mtGCSSync, w.b, mtGCSResult)
+		w.u64(0)
+		w.u32(0)
+		rp, err := b.gcs.(*gcsClient).p.expect(context.Background(), mtGCSFollow, w.b, mtGCSResult)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := rbuf{b: rp}
 		r.boolean("committed")
 		if n := r.u32("delta count"); n != 1 {
-			t.Fatalf("sync answered %d deltas", n)
+			t.Fatalf("follow answered %d deltas", n)
 		}
 		d = gcs.Delta{Version: r.u64("version"), Full: r.boolean("full"), Set: r.kvs("entry")}
 		if err := r.err(); err != nil {
@@ -341,12 +360,17 @@ func namespaceKeys(t *testing.T, b *backends, ns string, since uint64) (keys []s
 }
 
 // replicaConformance is the part of the control-store contract that exists
-// because a remote backend runs bodies against a replica: one frame per
-// transaction, re-run on a stale read, deletes and nothing foreign in a
+// because a remote backend runs bodies against a replica: no frame for a view,
+// one for an update, re-run on a stale read, deletes and nothing foreign in a
 // delta, no residue after the query. The assertions on outcomes hold in
 // memory too; the frame counts are checked where there are frames.
 func replicaConformance(t *testing.T, b *backends) {
 	g, ns := b.gcs, confNS
+	// sees has be observe every commit the store holds, as the engine's wait
+	// does before it loads an image: a view promises what its client observed.
+	sees := func(be gcs.Backend) {
+		be.AwaitNS(context.Background(), ns, b.store.VersionNS(ns)-1, time.Second)
+	}
 	put := func(be gcs.Backend, ns, key, val string) {
 		t.Helper()
 		if err := be.UpdateNS(ns, func(tx *gcs.Txn) error { tx.Put(key, []byte(val)); return nil }); err != nil {
@@ -368,6 +392,7 @@ func replicaConformance(t *testing.T, b *backends) {
 	}
 	read := func(be gcs.Backend, key string) (val string, ok bool) {
 		t.Helper()
+		sees(be)
 		if err := be.ViewNS(ns, func(tx *gcs.Txn) error {
 			v, present := tx.Get(key)
 			val, ok = string(v), present
@@ -378,32 +403,60 @@ func replicaConformance(t *testing.T, b *backends) {
 		return val, ok
 	}
 
-	// A view is one request frame however much its body reads — and never
-	// zero: it sees what a peer committed just before it.
+	// A view runs against the replica, however much its body reads: no frame
+	// after the client's own commits, or after a wait that observed a peer's,
+	// and it sees them. Only a first contact — a namespace the client never
+	// followed — costs one frame.
 	t.Run("view-one-frame", func(t *testing.T) {
 		put(g, ns, nsKey("one-1"), "1")
 		put(g, ns, nsKey("one-2"), "2")
-		put(b.peer, ns, nsKey("one-3"), "3")
-		syncs, commits := b.opFrames("gcs_sync"), b.opFrames("gcs_commit")
-		err := g.ViewNS(ns, func(tx *gcs.Txn) error {
-			for i, k := range []string{"one-1", "one-2", "one-3"} {
-				if v, ok := tx.Get(nsKey(k)); !ok || string(v) != fmt.Sprint(i+1) {
-					return fmt.Errorf("%s = %q, %v", k, v, ok)
+		follows, commits := b.opFrames("gcs_follow"), b.opFrames("gcs_commit")
+		frames := func(want int64, what string) {
+			t.Helper()
+			f, c := b.opFrames("gcs_follow")-follows, b.opFrames("gcs_commit")-commits
+			if b.remote && (f != want || c != 0) {
+				t.Errorf("%s cost %d follow + %d commit frames, want %d + 0", what, f, c, want)
+			}
+			follows, commits = b.opFrames("gcs_follow"), b.opFrames("gcs_commit")
+		}
+		view := func(be gcs.Backend, n int) error {
+			return be.ViewNS(ns, func(tx *gcs.Txn) error {
+				for i := 1; i <= n; i++ {
+					k := fmt.Sprintf("one-%d", i)
+					if v, ok := tx.Get(nsKey(k)); !ok || string(v) != fmt.Sprint(i) {
+						return fmt.Errorf("%s = %q, %v", k, v, ok)
+					}
 				}
-			}
-			if got := tx.List(nsKey("one-")); len(got) != 3 {
-				return fmt.Errorf("list = %v", got)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+				if got := tx.List(nsKey("one-")); len(got) != n {
+					return fmt.Errorf("list = %v", got)
+				}
+				return nil
+			})
 		}
-		if b.remote {
-			if s, c := b.opFrames("gcs_sync")-syncs, b.opFrames("gcs_commit")-commits; s != 1 || c != 0 {
-				t.Fatalf("a view of 3 reads and a list cost %d sync + %d commit frames, want 1 + 0", s, c)
-			}
+		if err := view(g, 2); err != nil {
+			t.Fatalf("after its own commits: %v", err)
 		}
+		frames(0, "a view of 2 reads and a list after the client's own commits")
+		ctx := context.Background()
+		v := g.AwaitNS(ctx, ns, 0, 0)
+		put(b.peer, ns, nsKey("one-3"), "3")
+		follows, commits = b.opFrames("gcs_follow"), b.opFrames("gcs_commit") // the peer's frames
+		if g.AwaitNS(ctx, ns, v, time.Second) <= v {
+			t.Fatal("a wait did not observe the peer's commit")
+		}
+		frames(1, "the wait that observed a peer's commit")
+		if err := view(g, 3); err != nil {
+			t.Fatalf("after the wait: %v", err)
+		}
+		frames(0, "a view of 3 reads and a list after the wait")
+		fresh := gcs.Backend(b.store)
+		if c, ok := g.(*gcsClient); ok {
+			fresh = &gcsClient{p: c.p}
+		}
+		if err := view(fresh, 3); err != nil {
+			t.Fatalf("a first contact: %v", err)
+		}
+		frames(1, "a first-contact view")
 	})
 
 	// An update whose reads are current is one request frame: read set,
@@ -411,14 +464,14 @@ func replicaConformance(t *testing.T, b *backends) {
 	t.Run("update-one-frame", func(t *testing.T) {
 		put(g, ns, counter, "0")
 		read(g, counter) // the replica is current
-		syncs, commits := b.opFrames("gcs_sync"), b.opFrames("gcs_commit")
+		follows, commits := b.opFrames("gcs_follow"), b.opFrames("gcs_commit")
 		runs := 0
 		if err := bump(g, func() { runs++ }); err != nil {
 			t.Fatal(err)
 		}
 		if b.remote {
-			if s, c := b.opFrames("gcs_sync")-syncs, b.opFrames("gcs_commit")-commits; s != 0 || c != 1 {
-				t.Fatalf("a read-modify-write cost %d sync + %d commit frames, want 0 + 1", s, c)
+			if f, c := b.opFrames("gcs_follow")-follows, b.opFrames("gcs_commit")-commits; f != 0 || c != 1 {
+				t.Fatalf("a read-modify-write cost %d follow + %d commit frames, want 0 + 1", f, c)
 			}
 		}
 		if v, _ := read(b.peer, counter); v != "1" || runs != 1 {
@@ -470,6 +523,7 @@ func replicaConformance(t *testing.T, b *backends) {
 		if err := b.peer.UpdateNS(ns, func(tx *gcs.Txn) error { tx.Delete(nsKey("d1")); return nil }); err != nil {
 			t.Fatal(err)
 		}
+		sees(g)
 		err := g.ViewNS(ns, func(tx *gcs.Txn) error {
 			if _, ok := tx.Get(nsKey("d1")); ok {
 				return fmt.Errorf("deleted key still readable")

@@ -117,7 +117,7 @@ func opMailbox(t testing.TB, self uint32, met *metrics.Collector) *mailbox {
 // proto.go: what the head's listener serves, what a worker's does.
 var (
 	headRequests = map[byte]bool{
-		mtGCSSync: true, mtGCSCommit: true, mtGCSAwaitNS: true,
+		mtGCSCommit: true, mtGCSFollow: true,
 		mtObjPut: true, mtObjGet: true, mtSinkDeliver: true,
 	}
 	mailboxRequests = map[byte]bool{mtFlPush: true, mtFlDropQuery: true}
@@ -129,15 +129,19 @@ var (
 // store-wide version and its long poll, the two per-edge mailbox probes and
 // their response, the owner-only mailbox methods (take, drop, spool, probe,
 // with the two responses only they were answered by) that left the wire when
-// workers began hosting their own mailboxes, and the worker-side result spool's
+// workers began hosting their own mailboxes, the worker-side result spool's
 // fetch, drop and manifest delivery, which left when a result began reaching
-// the head once.
+// the head once, and the sync and the version-only await with its response,
+// which became the one follow frame when a wake began carrying its delta.
 const (
 	retiredTxnBegin    = byte(0x10)
 	retiredTxnDone     = byte(0x17)
 	retiredGCSVerNS    = byte(0x18)
 	retiredGCSVersion  = byte(0x19)
 	retiredGCSWait     = byte(0x1a)
+	retiredGCSSync     = byte(0x1b)
+	retiredGCSAwait    = byte(0x1d)
+	retiredU64Resp     = byte(0x42)
 	retiredFlContig    = byte(0x21)
 	retiredFlDropBelow = byte(0x24)
 	retiredIntResp     = byte(0x43)
@@ -168,7 +172,7 @@ func TestOpMessageSetPinned(t *testing.T) {
 	}
 	retired := []byte{retiredGCSVerNS, retiredGCSVersion, retiredGCSWait, retiredFlContig, retiredFlDropBelow, retiredIntResp,
 		retiredFlTake, retiredFlDrop, retiredFlSpool, retiredFlProbe, retiredBytesList, retiredIntsResp,
-		retiredFlFetch, retiredFlDropRes, retiredSinkSpooled}
+		retiredFlFetch, retiredFlDropRes, retiredSinkSpooled, retiredGCSSync, retiredGCSAwait, retiredU64Resp}
 	for typ := retiredTxnBegin; typ <= retiredTxnDone; typ++ {
 		retired = append(retired, typ)
 	}
@@ -270,6 +274,14 @@ func retiredFrames() map[string]rawFrame {
 	for _, v := range []int64{0, 6, 9} { // worker, size, an epoch that would win
 		manifest.i64(v)
 	}
+	// The sync and the await as their last client spoke them: a replica at
+	// version 0 asking for the whole namespace; a wait past version 0 that
+	// parks for nothing. The await's answer, as a request, is a bare u64.
+	var sync wbuf
+	sync.str(confNS)
+	sync.u64(0)
+	await := wbuf{b: sync.b}
+	await.u32(0)
 	return map[string]rawFrame{
 		"obj put, costed":  {0x30, put.b},
 		"obj has":          {0x32, key("tbl-x/0")},
@@ -301,6 +313,9 @@ func retiredFrames() map[string]rawFrame {
 		"flight fetch":       {retiredFlFetch, result.b},
 		"flight drop result": {retiredFlDropRes, result.b},
 		"sink spooled":       {retiredSinkSpooled, manifest.b},
+		"gcs sync":           {retiredGCSSync, sync.b},
+		"gcs await":          {retiredGCSAwait, await.b},
+		"u64 response":       {retiredU64Resp, make([]byte, 8)},
 	}
 }
 

@@ -71,11 +71,6 @@ func TestDistSIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// KillWorker on a spawned worker delivers a real SIGKILL to its
-	// process (Server.Spawn installed the hook); the dropped control conn
-	// then confirms the death to the head's liveness detection.
-	killed := killMidQuery(cl, 1)
-
 	plan, err := tpch.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -87,6 +82,10 @@ func TestDistSIGKILL(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 	query := r.Start(ctx)
+	// KillWorker on a spawned worker delivers a real SIGKILL to its
+	// process (Server.Spawn installed the hook); the dropped control conn
+	// then confirms the death to the head's liveness detection.
+	killed := killMidQuery(cl, 1, query)
 	got, rep, runErr := query.Result()
 	<-killed
 	if runErr != nil {

@@ -140,6 +140,18 @@ func distWorkers(t *testing.T, workers int, prep func(w *workerRT), opts ...engi
 
 func distRun(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Config) (*batch.Batch, *engine.Report, []trace.Span, error) {
 	t.Helper()
+	query := distStart(t, cl, q, cfg)
+	out, rep, runErr := query.Result()
+	var spans []trace.Span
+	if rec := query.Trace(); rec.Enabled() {
+		spans = rec.Snapshot()
+	}
+	return out, rep, spans, runErr
+}
+
+// distStart starts TPC-H query q on cl under a deadline the test's end cancels.
+func distStart(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Config) *engine.Query {
+	t.Helper()
 	plan, err := tpch.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -149,14 +161,8 @@ func distRun(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Config) (*batc
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	query := r.Start(ctx)
-	out, rep, runErr := query.Result()
-	var spans []trace.Span
-	if rec := query.Trace(); rec.Enabled() {
-		spans = rec.Snapshot()
-	}
-	return out, rep, spans, runErr
+	t.Cleanup(cancel)
+	return r.Start(ctx)
 }
 
 // staticCfg fixes task consumption (no dynamic take): with consumption
@@ -313,20 +319,22 @@ func TestProcessModeDynamicEquivalence(t *testing.T) {
 	sameResult(t, q, want, got)
 }
 
-// killMidQuery kills worker w once lineage commits are landing and one of
-// them is w's own: the query is then provably mid-flight, with committed
-// tasks of the victim to preserve (replay) and in-flight ones to rewind. (Ten
-// commits alone used to imply that; at a frame per transaction the worker the
-// head starts first can land ten before the next has landed one.) The
-// returned channel closes once the kill is delivered.
-func killMidQuery(cl *cluster.Cluster, w cluster.WorkerID) <-chan struct{} {
+// killMidQuery kills worker w once ten commits have landed in the started
+// query's namespace and one of them is w's own: the query is then provably
+// mid-flight, with committed tasks of the victim to preserve (replay) and
+// in-flight ones to rewind. (Ten commits alone used to imply that; at a frame
+// per transaction the worker the head starts first can land ten before the
+// next has landed one.) It checks after every wake of the head store's wait on
+// the namespace, so the kill is placed by the commits, not by a clock. The
+// returned channel closes once the kill is delivered, or the query ended first.
+func killMidQuery(cl *cluster.Cluster, w cluster.WorkerID, query *engine.Query) <-chan struct{} {
 	store := cl.GCS.(*gcs.Store)
-	base := store.Version()
+	ns := engine.QueryNamespace(query.QueryID())
 	victimCommitted := func() (yes bool) {
-		store.View(func(tx *gcs.Txn) error {
-			for _, k := range tx.List("") {
-				// pd/<task> records which worker holds a committed task's backup.
-				if v, _ := tx.Get(k); strings.Contains(k, "/pd/") && string(v) == strconv.Itoa(int(w)) {
+		store.ViewNS(ns, func(tx *gcs.Txn) error {
+			// pd/<task> records which worker holds a committed task's backup.
+			for _, k := range tx.List(ns + "pd/") {
+				if v, _ := tx.Get(k); string(v) == strconv.Itoa(int(w)) {
 					yes = true
 				}
 			}
@@ -334,13 +342,22 @@ func killMidQuery(cl *cluster.Cluster, w cluster.WorkerID) <-chan struct{} {
 		})
 		return yes
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-query.Done()
+		cancel()
+	}()
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
-		for store.Version() < base+10 || !victimCommitted() {
-			time.Sleep(time.Millisecond)
+		base := store.VersionNS(ns)
+		for seen := base; ctx.Err() == nil; {
+			if seen >= base+10 && victimCommitted() {
+				cl.Worker(w).Kill()
+				return
+			}
+			seen = store.AwaitNS(ctx, ns, seen, time.Second)
 		}
-		cl.Worker(w).Kill()
 	}()
 	return killed
 }
@@ -360,9 +377,9 @@ func TestProcessModeKillWorker(t *testing.T) {
 	cl, _, mets := distClusterMet(t, workers, engine.WithTracing(true))
 	want := memRun(t, q, workers, cfg)
 
-	killed := killMidQuery(cl, 1)
-
-	got, rep, spans, err := distRun(t, cl, q, cfg)
+	query := distStart(t, cl, q, cfg)
+	killed := killMidQuery(cl, 1, query)
+	got, rep, err := query.Result()
 	<-killed
 	if err != nil {
 		t.Fatalf("Q%d with mid-query kill: %v", q, err)
@@ -372,7 +389,7 @@ func TestProcessModeKillWorker(t *testing.T) {
 		t.Error("no recovery recorded despite mid-query kill")
 	}
 	var rewinds, replays int
-	for _, s := range spans {
+	for _, s := range query.Trace().Snapshot() {
 		switch {
 		case s.Kind == trace.KindRewind:
 			rewinds++

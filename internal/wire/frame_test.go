@@ -47,7 +47,7 @@ func TestFrameCleanEOFAtBoundary(t *testing.T) {
 // 0 is the one legal truncation (clean EOF between frames).
 func TestFrameTruncationSweep(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, mtGCSSync, []byte("q/abc123/lin/0.1.2")); err != nil {
+	if err := writeFrame(&buf, mtGCSFollow, []byte("q/abc123/lin/0.1.2")); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()

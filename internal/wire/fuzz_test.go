@@ -70,8 +70,8 @@ func TestPushFrameCarriesNoBatch(t *testing.T) {
 
 // opResponses are the frames a listener may answer an op with.
 var opResponses = map[byte]bool{
-	mtOK: true, mtErrResp: true, mtU64Resp: true, mtBoolResp: true,
-	mtBytesResp: true, mtGCSResult: true,
+	mtOK: true, mtErrResp: true, mtBoolResp: true, mtBytesResp: true,
+	mtGCSResult: true,
 }
 
 // fuzzDispatch drives one dispatcher with one (type, payload) frame over a
@@ -115,13 +115,14 @@ func fuzzDispatch(t *testing.T, handle func(net.Conn, byte, []byte) error, decla
 
 // FuzzHandleOp feeds the head's op dispatcher arbitrary (type, payload)
 // frames. Every type outside its declared request set (the retired ones and
-// every flight type included: the head hosts no mailbox), a transaction or
-// await frame naming anything but whole query namespaces and the costed object
-// put are refused whatever their payload. The
-// checked-in corpus (testdata/fuzz/FuzzHandleOp) is the truncation sweep's
-// body at several cuts, one frame per retired type, and the transaction, await
-// and (retired) probe frames well-formed and with hostile counts. An await
-// frame parks for the server's cap at most (opServer: 1 ms), whatever it asks for.
+// every flight type included: the head hosts no mailbox), a commit or follow
+// frame naming anything but whole query namespaces and the costed object put
+// are refused whatever their payload. The checked-in corpus
+// (testdata/fuzz/FuzzHandleOp) is the truncation sweep's body at several cuts,
+// one frame per retired type, and the commit, follow (gcs-sync*: a fetch that
+// parks for nothing; gcs-await*: a wait) and (retired) probe frames
+// well-formed and with hostile counts. A follow frame parks for the server's
+// cap at most (opServer: 1 ms), whatever it asks for.
 func FuzzHandleOp(f *testing.F) {
 	f.Add(mtFlPush, pushBody())
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
@@ -129,7 +130,7 @@ func FuzzHandleOp(f *testing.F) {
 			return
 		}
 		switch {
-		case typ == mtGCSSync || typ == mtGCSAwaitNS:
+		case typ == mtGCSFollow:
 			r := rbuf{b: payload}
 			if ns := r.str("ns"); !gcs.IsNamespace(ns) {
 				t.Fatalf("0x%02x of %q accepted: not one query's namespace", typ, ns)

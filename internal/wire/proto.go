@@ -16,9 +16,9 @@ import (
 // This const block is the whole message set: one request type per method
 // of the three backend contracts (docs/contracts/) that has a remote caller,
 // plus the control plane, the result sink and the shared responses. A type
-// byte not listed here — including the retired 0x10–0x1a, 0x21–0x25,
-// 0x27–0x2b, 0x32–0x35, 0x39, 0x43, 0x46 and 0x47 — is refused as ErrCorrupt
-// and the conn closed; retired bytes are not reused.
+// byte not listed here — including the retired 0x10–0x1b, 0x1d, 0x21–0x25,
+// 0x27–0x2b, 0x32–0x35, 0x39, 0x42, 0x43, 0x46 and 0x47 — is refused as
+// ErrCorrupt and the conn closed; retired bytes are not reused.
 const (
 	// Control plane, worker <-> head.
 	mtHello      = byte(0x01) // C->S: u32 worker id, str address of the worker's mailbox listener
@@ -29,15 +29,13 @@ const (
 	mtStopped    = byte(0x06) // C->S: str qid, bytes gob []trace.Span, u32 n, n*(str counter, i64 delta since the worker's last report, never negative)
 	mtFail       = byte(0x07) // C->S: str qid, str errmsg
 
-	// GCS. A transaction is one request frame: its body runs in the worker
-	// against a replica of the namespace (gcs.Replica), a view after a sync,
-	// an update before a commit that ships what the body read and wrote. A
-	// namespace is exactly one "q/<qid>/" prefix (gcs.IsNamespace); a kvs is
-	// u32 n, n*(str key, bool deleted, bytes val); a delta is u64 version,
-	// bool full, kvs.
-	mtGCSSync    = byte(0x1b) // C->S: str ns, u64 replica version -> mtGCSResult (one delta)
-	mtGCSCommit  = byte(0x1c) // C->S: u32 n, n*(str ns, u64 replica version, u32 k, k*str read key, u32 p, p*str read prefix), kvs writes -> mtGCSResult (n deltas)
-	mtGCSAwaitNS = byte(0x1d) // C->S: str ns, u64 after, u32 max microseconds -> mtU64Resp, once the version passes after or max (capped by the head) elapses
+	// GCS. Bodies run against the worker's replica (gcs.Replica): a view sends
+	// nothing, an update one commit frame, a wait one follow frame answered with
+	// what it woke for. A namespace is exactly one "q/<qid>/" prefix; a kvs is
+	// u32 n, n*(str key, bool deleted, bytes val); a delta is u64 version, bool
+	// full, kvs.
+	mtGCSCommit = byte(0x1c) // C->S: u32 n, n*(str ns, u64 replica version, u32 k, k*str read key, u32 p, p*str read prefix), kvs writes -> mtGCSResult (n deltas)
+	mtGCSFollow = byte(0x1e) // C->S: str ns, u64 replica version, u64 after, u32 max microseconds -> mtGCSResult (one delta), once the version passes after (the delta since the replica version) or max, capped by the head, elapses (an empty one)
 
 	// Flight, served by the worker that hosts the mailbox: what a peer (push)
 	// and the head (drop query) ask of it. Every request names the mailbox's
@@ -58,7 +56,6 @@ const (
 	// Responses.
 	mtOK        = byte(0x40) // empty
 	mtErrResp   = byte(0x41) // u8 code, str msg
-	mtU64Resp   = byte(0x42) // u64
 	mtBoolResp  = byte(0x44) // bool
 	mtBytesResp = byte(0x45) // bytes
 	mtGCSResult = byte(0x48) // bool committed, u32 n, n*delta
@@ -69,7 +66,7 @@ const (
 // listener counts frames and bytes by (metrics.WireFrames/WireBytes + name).
 var (
 	headOps = map[byte]string{
-		mtGCSSync: "gcs_sync", mtGCSCommit: "gcs_commit", mtGCSAwaitNS: "gcs_await_ns",
+		mtGCSCommit: "gcs_commit", mtGCSFollow: "gcs_follow",
 		mtObjPut: "obj_put", mtObjGet: "obj_get",
 		mtSinkDeliver: "sink_deliver",
 	}

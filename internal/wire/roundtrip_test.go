@@ -30,8 +30,9 @@ import (
 // to 8.4; with every poll read served from one snapshot — a sync only when the
 // namespace version moved — 6.8 to 7.1; with each worker hosting its own
 // mailbox (probe, take, drop and spool are function calls, a same-worker push
-// too) 3.4 to 3.8, of which a worker's listener serves about one.
-const framesPerTaskBudget = 5
+// too) 3.4 to 3.8, of which a worker's listener serves about one; with a wake
+// one frame that carries its delta and a view none, about 3.2.
+const framesPerTaskBudget = 4
 
 // TestRoundTripsPerTask runs one TPC-H query on two wire-attached workers and
 // divides the op request frames the fleet served — the head's and, reported
@@ -94,22 +95,23 @@ func TestRoundTripsPerTask(t *testing.T) {
 	if pushes >= moved {
 		t.Errorf("%d push frames for %d pieces: a same-worker piece crossed a socket", pushes, moved)
 	}
-	// A transaction is one frame: as many sync and commit frames as the store
-	// counted transactions from the wire, never more.
-	txnFrames := cl.Metrics.Get(metrics.WireFrames+"gcs_sync") + cl.Metrics.Get(metrics.WireFrames+"gcs_commit")
-	if txns := cl.Metrics.Get(metrics.GCSTxns); txnFrames > txns {
-		t.Errorf("%d transaction frames for %d transactions", txnFrames, txns)
+	// An update is one frame: never more commit frames than the store counted
+	// transactions.
+	commits := cl.Metrics.Get(metrics.WireFrames + "gcs_commit")
+	if txns := cl.Metrics.Get(metrics.GCSTxns); commits > txns {
+		t.Errorf("%d commit frames for %d transactions", commits, txns)
 	}
-	// A worker reads the store only when an await showed its version moved: one
-	// sync per observed version change, plus each worker's first contact.
-	syncs, awaits := cl.Metrics.Get(metrics.WireFrames+"gcs_sync"), cl.Metrics.Get(metrics.WireFrames+"gcs_await_ns")
-	if syncs > awaits+workers {
-		t.Errorf("%d sync frames for %d awaits: a scan read the store without a version change", syncs, awaits)
+	// A worker reads the store only by following it: no sync or version-only
+	// await frame (retired, so refused and counted as such above), and a view
+	// costs none. One thread per worker watches, a commit ends its wait once,
+	// and the wake's answer carries the delta: at most a follow per commit
+	// plus each worker's first contact and last wait. Every idle thread
+	// watching — the herd — would multiply them.
+	if n := cl.Metrics.Get(metrics.WireFrames+"gcs_sync") + cl.Metrics.Get(metrics.WireFrames+"gcs_await_ns"); n != 0 {
+		t.Errorf("%d sync or await frames of the retired kinds", n)
 	}
-	// One thread per worker watches the version, and a commit ends its wait
-	// once. Every idle thread watching — the herd — multiplies the awaits.
-	if commits := cl.Metrics.Get(metrics.WireFrames + "gcs_commit"); awaits > commits+2*workers {
-		t.Errorf("%d await frames for %d commit frames on %d workers", awaits, commits, workers)
+	if follows := cl.Metrics.Get(metrics.WireFrames + "gcs_follow"); follows > commits+2*workers {
+		t.Errorf("%d follow frames for %d commit frames on %d workers", follows, commits, workers)
 	}
 }
 

@@ -39,7 +39,7 @@ type Server struct {
 	// the address the worker names when it attaches.
 	peers []*pool
 
-	// parkCap bounds how long one mtGCSAwaitNS frame parks its handler,
+	// parkCap bounds how long one mtGCSFollow frame parks its handler,
 	// whatever the peer asked for: a dead or hostile one pins a goroutine
 	// that long and no longer, a live one asks again.
 	parkCap time.Duration
@@ -579,7 +579,7 @@ func (s *Server) StartQuery(r *engine.Runner) (func(), error) {
 // client can act on are sent as mtErrResp instead.
 func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 	switch typ {
-	case mtGCSSync, mtGCSCommit, mtGCSAwaitNS:
+	case mtGCSCommit, mtGCSFollow:
 		return s.handleGCS(c, typ, payload)
 
 	case mtObjPut:
@@ -632,13 +632,13 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 // ---------------------------------------------------------------------------
 // One-frame GCS transactions
 
-// handleGCS serves a transaction or await frame: the whole request is decoded,
-// the store answers it under its own shard locks — an await parked on none —
-// and only then is the answer written: no lock is held across a conn read or
-// write, so a hung or dead peer cannot stall a query's control plane. The
-// transactions enumerate a namespace the PEER named (built worker-side by the
-// blessed helper, opaque bytes here), so each must be exactly one query's
-// namespace; an await is held to the same rule.
+// handleGCS serves a commit or follow frame: the whole request is decoded,
+// the store answers it under its own shard locks — a follow parked on none,
+// then read like a view — and only then is the answer written: no lock is held
+// across a conn read or write, so a hung or dead peer cannot stall a query's
+// control plane. Both enumerate a namespace the PEER named (built worker-side
+// by the blessed helper, opaque bytes here), so each must be exactly one
+// query's namespace.
 func (s *Server) handleGCS(c net.Conn, typ byte, payload []byte) error {
 	r := rbuf{b: payload}
 	namespace := func() string {
@@ -650,20 +650,16 @@ func (s *Server) handleGCS(c net.Conn, typ byte, payload []byte) error {
 	}
 	var committed bool
 	var deltas []gcs.Delta
-	if typ == mtGCSAwaitNS {
-		ns, after, park := namespace(), r.u64("after"), time.Duration(r.u32("max"))*time.Microsecond
+	if typ == mtGCSFollow {
+		ns, since, after, park := namespace(), r.u64("replica version"), r.u64("after"), time.Duration(r.u32("max"))*time.Microsecond
 		if err := r.err(); err != nil {
 			return err
 		}
-		var w wbuf
-		w.u64(s.store.AwaitNS(context.Background(), ns, after, min(park, s.parkCap)))
-		return writeFrame(c, mtU64Resp, w.b)
-	} else if typ == mtGCSSync {
-		ns, since := namespace(), r.u64("replica version")
-		if err := r.err(); err != nil {
-			return err
+		d := gcs.Delta{Version: since} // nothing past after: nothing read, the replica left as it was
+		if s.store.AwaitNS(context.Background(), ns, after, min(park, s.parkCap)) > after {
+			d = s.store.Sync(ns, since)
 		}
-		deltas = []gcs.Delta{s.store.Sync(ns, since)}
+		deltas = []gcs.Delta{d}
 	} else {
 		reads := make([]gcs.ReadSet, r.count("namespace count", 20))
 		for i := range reads {
