@@ -73,15 +73,16 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 23769
+LOC_MAX := 23870
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi
 
 ## bench: one iteration of every benchmark in short mode (CI smoke: drives
 ## each paper figure once, in modelled time), plus the allocation-regression
-## guard over the hash-path inner loops and the QBA2 encoder. Measurements
-## come from `bash benchmark/run.sh`, not from here.
+## guard over the hash-path inner loops, wide aggregation's bytes per group
+## and the QBA2 encoder. Measurements come from `bash benchmark/run.sh`, not
+## from here.
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) test -short -run 'ZeroAllocs' ./internal/ops/ ./internal/batch/
@@ -91,6 +92,7 @@ bench:
 ## target in one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendCompressedMatchesReference$$' -fuzztime 10s ./internal/batch
+	$(GO) test -run '^$$' -fuzz '^FuzzGroupOrderMatchesComparator$$' -fuzztime 10s ./internal/ops
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePieceSet$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleOp$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzMailboxOp$$' -fuzztime 10s ./internal/wire

@@ -65,18 +65,20 @@ func Min(name string, e expr.Expr) AggExpr { return AggExpr{name, AggMin, e} }
 // Max returns max(e) as name.
 func Max(name string, e expr.Expr) AggExpr { return AggExpr{name, AggMax, e} }
 
-// aggState holds the running value of one aggregate for one group.
-type aggState struct {
-	f     float64 // sum, or min/max for numeric
-	i     int64   // counts; min/max for ints
-	s     string  // min/max for strings
-	seen  bool
-	isInt bool
-	isStr bool
-}
+// Bits of a state's flags byte: the state consumed a row (count and
+// count(*) never set it), and its input was Int64/Date, or String.
+const (
+	stSeen uint8 = 1 << iota
+	stInt
+	stStr
+)
 
-// aggStateSize approximates one aggState's footprint for StateBytes;
-// carried over from the map-based implementation's accounting.
+// snapshotFlags are the flag bits a snapshot's __b, __n and __t columns
+// carry, in that order.
+var snapshotFlags = [3]uint8{stSeen, stInt, stStr}
+
+// aggStateSize approximates one aggregate state's footprint for
+// StateBytes; carried over from the map-based implementation's accounting.
 const aggStateSize = 24
 
 // HashAgg is a hash aggregation grouped by the GroupBy columns. With an
@@ -84,11 +86,17 @@ const aggStateSize = 24
 // one row. The group table is the channel's state variable.
 //
 // Groups live in an arena-backed open-addressing table (batch.HashTable):
-// the encoded key bytes sit contiguously in the arena, the table maps a
+// the encoded key bytes sit contiguously in the arena, and the table maps a
 // row's cached 64-bit hash (shared with the partition router) to a dense
-// group index, and all per-group state is held in flat slices indexed by
-// it — group key values in columnar keyCols, aggregate states in a single
-// strided states slice. The update loop allocates nothing per row.
+// group index g. Everything else about a group sits in flat slices indexed
+// by g: its key values in columnar keyCols, and aggregate k's running
+// state at g*len(Aggs)+k of a struct of arrays — floats, ints and a flags
+// byte always, strs only once some aggregate's input is a String column.
+// Apart from strs no state slice holds a pointer for the GC to scan, and
+// each grows by doubling, once per batch. A batch is consumed in two
+// passes: the first maps every row to its group, the second folds each
+// aggregate's input column into its groups' states. Neither allocates per
+// row.
 type HashAgg struct {
 	GroupBy []string
 	Aggs    []AggExpr
@@ -97,29 +105,33 @@ type HashAgg struct {
 	// aggregation pair: a global (no-key) partial that never consumed a
 	// row finalizes to NOTHING instead of the one default row, so empty
 	// producer channels cannot inject spurious zero states (typed by an
-	// unseen aggState as Float64) into the final merge. The final stage
+	// unseen state as Float64) into the final merge. The final stage
 	// keeps the default row, preserving SQL's one-row global aggregate
 	// over empty input.
 	Partial bool
 
 	// DefaultTypes, when set, types aggregate outputs whose state never
 	// saw a row (the empty-input global default row) — the planner knows
-	// the static output type, where an unseen aggState can only guess
+	// the static output type, where an unseen state can only guess
 	// Float64. States that consumed data keep their data-derived type.
 	DefaultTypes []batch.Type
 
 	table      *batch.HashTable
-	states     []aggState      // len = groups * len(Aggs), strided per group
+	floats     []float64       // sum, min or max of a Float64 input
+	ints       []int64         // counts; sum, min or max of an Int64/Date input
+	flags      []uint8         // stSeen | stInt | stStr
+	strs       []string        // min or max of a String input; nil until one arrives
 	keyCols    []*batch.Column // group key values, one row per group
 	stateBytes int64
 	keySchema  *batch.Schema
 
 	// Per-batch scratch, reused across Consume calls.
-	srcSchema   *batch.Schema // cache key for keyIdx resolution
-	keyIdx      []int
-	inputs      []*batch.Column
-	keyScratch  []byte
-	hashScratch []uint64
+	srcSchema    *batch.Schema // cache key for keyIdx resolution
+	keyIdx       []int
+	inputs       []*batch.Column
+	keyScratch   []byte
+	hashScratch  []uint64
+	groupScratch []int32 // each row's group index
 
 	// Out-of-core state (see spill.go). sp is nil without a memory
 	// budget; once spSpilled is set the frozen group states and all
@@ -265,8 +277,12 @@ func (a *HashAgg) consumeHashed(_ int, b *batch.Batch, hashes []uint64) ([]*batc
 	n := b.NumRows()
 	sel := b.Sel
 	nAggs := len(a.Aggs)
+	if cap(a.groupScratch) < n {
+		a.groupScratch = make([]int32, n)
+	}
+	groups := a.groupScratch[:n]
 	key := a.keyScratch
-	for i := 0; i < n; i++ {
+	for i := range groups {
 		r := i
 		if sel != nil {
 			r = int(sel[i])
@@ -277,17 +293,15 @@ func (a *HashAgg) consumeHashed(_ int, b *batch.Batch, hashes []uint64) ([]*batc
 			for c, ci := range a.keyIdx {
 				a.keyCols[c].AppendFrom(b.Cols[ci], r)
 			}
-			for k := 0; k < nAggs; k++ {
-				a.states = append(a.states, aggState{})
-			}
 			a.stateBytes += int64(nAggs)*aggStateSize + keyColRowBytes(b, a.keyIdx, r)
 		}
-		st := a.states[g*nAggs : (g+1)*nAggs]
-		for k := 0; k < nAggs; k++ {
-			updateAgg(&st[k], a.Aggs[k].Kind, inputs[k], r)
-		}
+		groups[i] = int32(g)
 	}
 	a.keyScratch = key
+	a.growStates(slices.ContainsFunc(inputs, func(c *batch.Column) bool { return c != nil && c.Type == batch.String }))
+	for k, ag := range a.Aggs {
+		a.updateAgg(k, ag.Kind, inputs[k], groups, sel)
+	}
 	// Release the evaluated input columns: the scratch slice keeps its
 	// capacity, but holding the pointers would pin the batch's column
 	// payloads until the next Consume.
@@ -300,100 +314,163 @@ func (a *HashAgg) consumeHashed(_ int, b *batch.Batch, hashes []uint64) ([]*batc
 	return nil, nil
 }
 
-func updateAgg(st *aggState, kind AggKind, in *batch.Column, r int) {
-	switch kind {
-	case AggCountStar:
-		st.i++
-		return
-	case AggCount:
-		st.i++
-		return
+// growStates lengthens the state slices to one state per aggregate of
+// every group in the table, allocating strs once withStrs says some
+// aggregate's input is a String column.
+func (a *HashAgg) growStates(withStrs bool) {
+	n := a.table.Len() * len(a.Aggs)
+	if a.strs == nil && withStrs {
+		a.strs = make([]string, len(a.flags), cap(a.flags))
 	}
-	switch in.Type {
-	case batch.Int64, batch.Date:
-		v := in.Ints[r]
-		switch kind {
-		case AggSum:
-			st.i += v
-			st.isInt = true
-		case AggMin:
-			if !st.seen || v < st.i {
-				st.i = v
-			}
-			st.isInt = true
-		case AggMax:
-			if !st.seen || v > st.i {
-				st.i = v
-			}
-			st.isInt = true
-		}
-	case batch.Float64:
-		v := in.Floats[r]
-		switch kind {
-		case AggSum:
-			st.f += v
-		case AggMin:
-			if !st.seen || v < st.f {
-				st.f = v
-			}
-		case AggMax:
-			if !st.seen || v > st.f {
-				st.f = v
-			}
-		}
-	case batch.String:
-		v := in.Strings[r]
-		st.isStr = true
-		switch kind {
-		case AggMin:
-			if !st.seen || v < st.s {
-				st.s = v
-			}
-		case AggMax:
-			if !st.seen || v > st.s {
-				st.s = v
-			}
-		default:
-			// sum over strings is a plan bug; keep zero.
-		}
+	a.floats, a.ints, a.flags = extend(a.floats, n), extend(a.ints, n), extend(a.flags, n)
+	if a.strs != nil {
+		a.strs = extend(a.strs, n)
 	}
-	st.seen = true
 }
 
-// aggOutType decides the output column type of an aggregate from its state.
-func aggOutType(kind AggKind, st *aggState) batch.Type {
+// extend returns s lengthened with zero values to n, doubling its capacity
+// whenever it has to grow: append alone grows a large slice by 1.25x,
+// copying and clearing all of it each time.
+func extend[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n > cap(s) {
+		grown := make([]T, len(s), max(n, 2*cap(s)))
+		copy(grown, s)
+		s = grown
+	}
+	old := len(s)
+	s = s[:n]
+	clear(s[old:])
+	return s
+}
+
+// updateAgg folds aggregate k's input column into the states of the groups
+// the batch's rows belong to: logical row i — physical row sel[i], or i
+// without a selection — is in group groups[i]. Rows fold in batch order,
+// so each group's float sum adds in arrival order.
+func (a *HashAgg) updateAgg(k int, kind AggKind, in *batch.Column, groups, sel []int32) {
+	nAggs := len(a.Aggs)
+	if kind == AggCount || kind == AggCountStar {
+		for _, g := range groups {
+			a.ints[int(g)*nAggs+k]++
+		}
+		return
+	}
+	for i, g := range groups {
+		r := i
+		if sel != nil {
+			r = int(sel[i])
+		}
+		j := int(g)*nAggs + k
+		switch in.Type {
+		case batch.Int64, batch.Date:
+			fold(a.ints, a.flags, j, kind, in.Ints[r])
+			a.flags[j] |= stInt
+		case batch.Float64:
+			fold(a.floats, a.flags, j, kind, in.Floats[r])
+		case batch.String:
+			if kind != AggSum { // sum over strings is a plan bug; keep zero.
+				fold(a.strs, a.flags, j, kind, in.Strings[r])
+			}
+			a.flags[j] |= stStr
+		}
+		a.flags[j] |= stSeen
+	}
+}
+
+// fold applies v to state j of an aggregate of kind sum, min or max.
+func fold[T int64 | float64 | string](st []T, flags []uint8, j int, kind AggKind, v T) {
+	switch {
+	case kind == AggSum:
+		st[j] += v
+	case flags[j]&stSeen == 0, kind == AggMin && v < st[j], kind == AggMax && v > st[j]:
+		st[j] = v
+	}
+}
+
+// aggOutType decides the output column type of an aggregate from its
+// state's flags.
+func aggOutType(kind AggKind, flags uint8) batch.Type {
 	switch kind {
 	case AggCount, AggCountStar:
 		return batch.Int64
 	}
-	if st.isStr {
+	if flags&stStr != 0 {
 		return batch.String
 	}
-	if st.isInt {
+	if flags&stInt != 0 {
 		return batch.Int64
 	}
 	return batch.Float64
 }
 
+// radixMinGroups is the group count from which sortedGroups counting-sorts
+// by key prefix; below it a comparison sort is cheaper.
+const radixMinGroups = 256
+
 // sortedGroups returns group indexes ordered by their encoded key bytes —
 // the deterministic output order (identical to the former map-based
-// implementation's sort over encoded-key strings). Keys are compared by an
-// 8-byte prefix first, and in full only where the prefixes tie.
+// implementation's sort over encoded-key strings). Keys order by an 8-byte
+// prefix first, and in full only where the prefixes tie. From
+// radixMinGroups groups on, the prefix order comes from a stable LSD
+// counting pass per prefix byte, skipping the bytes every group shares;
+// each run of equal prefixes is then sorted by its full keys.
 func (a *HashAgg) sortedGroups() []int {
 	type group struct {
 		prefix uint64
 		g      int
 	}
 	groups := make([]group, a.table.Len())
+	var varies uint64 // the prefix bits on which some two groups differ
 	for g := range groups {
 		groups[g] = group{keyPrefix(a.table.Key(g)), g}
+		varies |= groups[g].prefix ^ groups[0].prefix
 	}
-	slices.SortFunc(groups, func(x, y group) int {
+	byKey := func(x, y group) int {
 		if c := cmp.Compare(x.prefix, y.prefix); c != 0 {
 			return c
 		}
 		return bytes.Compare(a.table.Key(x.g), a.table.Key(y.g))
-	})
+	}
+	if len(groups) < radixMinGroups {
+		slices.SortFunc(groups, byKey)
+	} else {
+		var tmp []group
+		for shift := 0; shift < 64; shift += 8 {
+			if varies>>shift&0xff == 0 {
+				continue // every group has this byte
+			}
+			if tmp == nil {
+				tmp = make([]group, len(groups))
+			}
+			var offs [256]int
+			for _, gr := range groups {
+				offs[byte(gr.prefix>>shift)]++
+			}
+			sum := 0
+			for i, c := range offs {
+				offs[i], sum = sum, sum+c
+			}
+			for _, gr := range groups {
+				d := byte(gr.prefix >> shift)
+				tmp[offs[d]] = gr
+				offs[d]++
+			}
+			groups, tmp = tmp, groups
+		}
+		for i := 0; i < len(groups); {
+			j := i + 1
+			for j < len(groups) && groups[j].prefix == groups[i].prefix {
+				j++
+			}
+			if j-i > 1 {
+				slices.SortFunc(groups[i:j], byKey)
+			}
+			i = j
+		}
+	}
 	order := make([]int, len(groups))
 	for i, gr := range groups {
 		order[i] = gr.g
@@ -424,13 +501,13 @@ func (a *HashAgg) Finalize() ([]*batch.Batch, error) {
 			return nil, nil
 		}
 		// Global aggregate with Consume never called: exactly one default
-		// row. (A global aggregate that consumed only zero-row batches
-		// emits nothing — a nil vs empty distinction preserved from the
-		// map-based implementation, whose byte-identical replay the
-		// recovery tests pin.)
+		// row, its states unseen. (A global aggregate that consumed only
+		// zero-row batches emits nothing — a nil vs empty distinction
+		// preserved from the map-based implementation, whose
+		// byte-identical replay the recovery tests pin.)
 		a.table = batch.NewHashTable(0)
 		a.table.InsertKey(batch.HashKey(nil), nil)
-		a.states = make([]aggState, len(a.Aggs))
+		a.growStates(false)
 		a.keySchema = batch.NewSchema()
 		a.keyCols = nil
 	}
@@ -440,36 +517,46 @@ func (a *HashAgg) Finalize() ([]*batch.Batch, error) {
 	order := a.sortedGroups()
 	nAggs := len(a.Aggs)
 
-	first := a.states[order[0]*nAggs : (order[0]+1)*nAggs]
+	first := order[0] * nAggs
 	fields := append([]batch.Field(nil), a.keySchema.Fields...)
 	for i, ag := range a.Aggs {
-		t := aggOutType(ag.Kind, &first[i])
-		if !first[i].seen && i < len(a.DefaultTypes) {
+		t := aggOutType(ag.Kind, a.flags[first+i])
+		if a.flags[first+i]&stSeen == 0 && i < len(a.DefaultTypes) {
 			t = a.DefaultTypes[i]
 		}
 		fields = append(fields, batch.Field{Name: ag.Name, Type: t})
 	}
-	schema := batch.NewSchema(fields...)
-	bl := batch.NewBuilder(schema, len(order))
-	nk := a.keySchema.Len()
-	for _, g := range order {
-		for c := 0; c < nk; c++ {
-			bl.Col(c).AppendFrom(a.keyCols[c], g)
-		}
-		st := a.states[g*nAggs : (g+1)*nAggs]
-		for i := 0; i < nAggs; i++ {
-			col := bl.Col(nk + i)
-			switch col.Type {
-			case batch.Int64:
-				col.Ints = append(col.Ints, st[i].i)
-			case batch.Float64:
-				col.Floats = append(col.Floats, st[i].f)
-			case batch.String:
-				col.Strings = append(col.Strings, st[i].s)
+	cols := make([]*batch.Column, 0, len(fields))
+	for _, c := range a.keyCols {
+		cols = append(cols, c.Gather(order))
+	}
+	for k := range a.Aggs {
+		cols = append(cols, a.aggColumn(k, fields[len(a.keyCols)+k].Type, order))
+	}
+	return single(batch.MustNew(batch.NewSchema(fields...), cols)), nil
+}
+
+// aggColumn gathers aggregate k's state of each of groups, in that order,
+// into a column of type t: Int64 reads ints, Float64 floats, String strs
+// ("" where no input was ever a String column).
+func (a *HashAgg) aggColumn(k int, t batch.Type, groups []int) *batch.Column {
+	col := batch.NewColumn(t, len(groups))
+	for _, g := range groups {
+		j := g*len(a.Aggs) + k
+		switch t {
+		case batch.Int64:
+			col.Ints = append(col.Ints, a.ints[j])
+		case batch.Float64:
+			col.Floats = append(col.Floats, a.floats[j])
+		case batch.String:
+			if a.strs == nil {
+				col.Strings = append(col.Strings, "")
+			} else {
+				col.Strings = append(col.Strings, a.strs[j])
 			}
 		}
 	}
-	return single(bl.Build()), nil
+	return col
 }
 
 // keyColRowBytes is the columnar footprint of row r's key values
@@ -507,49 +594,45 @@ func (a *HashAgg) Snapshot() ([]byte, error) {
 	return batch.Encode(a.snapshotBatch()), nil
 }
 
-// snapshotBatch builds the snapshot batch: group keys plus the exact
-// per-aggregate state columns, in group insertion order. Also the freeze
-// format of spillState (floats round-trip bit-exactly via the codec's
-// Float64bits encoding).
+// snapshotBatch builds the snapshot batch: group keys plus, per aggregate,
+// its state's six columns __f (float), __i (int), __s (string), __b
+// (seen), __n (int input) and __t (string input), in group insertion
+// order. Also the freeze format of spillState (floats round-trip
+// bit-exactly via the codec's Float64bits encoding).
 func (a *HashAgg) snapshotBatch() *batch.Batch {
-	groups := a.table.Len()
-	nAggs := len(a.Aggs)
+	groups := make([]int, a.table.Len())
+	for g := range groups {
+		groups[g] = g
+	}
 	fields := append([]batch.Field(nil), a.keySchema.Fields...)
-	for i := range a.Aggs {
+	cols := append([]*batch.Column(nil), a.keyCols...) // encoded or gathered before the operator moves on
+	for k := range a.Aggs {
+		var flag [3][]bool
+		for f, bit := range snapshotFlags {
+			flag[f] = make([]bool, len(groups))
+			for g := range groups {
+				flag[f][g] = a.flags[g*len(a.Aggs)+k]&bit != 0
+			}
+		}
 		fields = append(fields,
-			batch.F(fmt.Sprintf("__f%d", i), batch.Float64),
-			batch.F(fmt.Sprintf("__i%d", i), batch.Int64),
-			batch.F(fmt.Sprintf("__s%d", i), batch.String),
-			batch.F(fmt.Sprintf("__b%d", i), batch.Bool),
-			batch.F(fmt.Sprintf("__n%d", i), batch.Bool),
-			batch.F(fmt.Sprintf("__t%d", i), batch.Bool),
+			batch.F(fmt.Sprintf("__f%d", k), batch.Float64),
+			batch.F(fmt.Sprintf("__i%d", k), batch.Int64),
+			batch.F(fmt.Sprintf("__s%d", k), batch.String),
+			batch.F(fmt.Sprintf("__b%d", k), batch.Bool),
+			batch.F(fmt.Sprintf("__n%d", k), batch.Bool),
+			batch.F(fmt.Sprintf("__t%d", k), batch.Bool),
 		)
+		cols = append(cols,
+			a.aggColumn(k, batch.Float64, groups), a.aggColumn(k, batch.Int64, groups), a.aggColumn(k, batch.String, groups),
+			batch.NewBoolColumn(flag[0]), batch.NewBoolColumn(flag[1]), batch.NewBoolColumn(flag[2]))
 	}
-	schema := batch.NewSchema(fields...)
-	bl := batch.NewBuilder(schema, groups)
-	nk := a.keySchema.Len()
-	for g := 0; g < groups; g++ {
-		for c := 0; c < nk; c++ {
-			bl.Col(c).AppendFrom(a.keyCols[c], g)
-		}
-		st := a.states[g*nAggs : (g+1)*nAggs]
-		for i := 0; i < nAggs; i++ {
-			base := nk + i*6
-			bl.Col(base).Floats = append(bl.Col(base).Floats, st[i].f)
-			bl.Col(base + 1).Ints = append(bl.Col(base+1).Ints, st[i].i)
-			bl.Col(base + 2).Strings = append(bl.Col(base+2).Strings, st[i].s)
-			bl.Col(base + 3).Bools = append(bl.Col(base+3).Bools, st[i].seen)
-			bl.Col(base + 4).Bools = append(bl.Col(base+4).Bools, st[i].isInt)
-			bl.Col(base + 5).Bools = append(bl.Col(base+5).Bools, st[i].isStr)
-		}
-	}
-	return bl.Build()
+	return batch.MustNew(batch.NewSchema(fields...), cols)
 }
 
 // Restore implements Snapshotter.
 func (a *HashAgg) Restore(data []byte) error {
 	a.table = batch.NewHashTable(0)
-	a.states = nil
+	a.floats, a.ints, a.flags, a.strs = nil, nil, nil, nil
 	a.keyCols = nil
 	a.stateBytes = 0
 	a.keySchema = nil
@@ -603,18 +686,27 @@ func (a *HashAgg) restoreFromBatch(b *batch.Batch) error {
 		for c := 0; c < nk; c++ {
 			a.keyCols[c].AppendFrom(b.Cols[c], r)
 		}
-		for i := 0; i < nAggs; i++ {
-			base := nk + i*6
-			a.states = append(a.states, aggState{
-				f:     b.Cols[base].Floats[r],
-				i:     b.Cols[base+1].Ints[r],
-				s:     b.Cols[base+2].Strings[r],
-				seen:  b.Cols[base+3].Bools[r],
-				isInt: b.Cols[base+4].Bools[r],
-				isStr: b.Cols[base+5].Bools[r],
-			})
-		}
 		a.stateBytes += int64(nAggs)*aggStateSize + keyColRowBytes(b, keyIdx, r)
+	}
+	withStrs := false
+	for k := 0; k < nAggs; k++ {
+		withStrs = withStrs || slices.ContainsFunc(b.Cols[nk+k*6+2].Strings, func(s string) bool { return s != "" })
+	}
+	a.growStates(withStrs)
+	for k := 0; k < nAggs; k++ {
+		st := b.Cols[nk+k*6 : nk+k*6+6]
+		for r := 0; r < n; r++ {
+			j := r*nAggs + k
+			a.floats[j], a.ints[j] = st[0].Floats[r], st[1].Ints[r]
+			if a.strs != nil {
+				a.strs[j] = st[2].Strings[r]
+			}
+			for f, bit := range snapshotFlags {
+				if st[3+f].Bools[r] {
+					a.flags[j] |= bit
+				}
+			}
+		}
 	}
 	if a.sp != nil && len(a.GroupBy) > 0 {
 		// Restored state must be resident before replay continues; force

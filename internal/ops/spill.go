@@ -145,15 +145,24 @@ func mergeGroupOutputs(outs []*batch.Batch, groupBy []string) (*batch.Batch, err
 	if err != nil {
 		return nil, err
 	}
-	// Every row's key encoding in one arena: row r's ends at ends[r].
+	// Every row's key encoding in one arena: row r's ends at ends[r], and
+	// its 8-byte prefix is prefixes[r].
 	n := merged.NumRows()
 	var arena []byte
 	ends := make([]int, n+1)
+	prefixes := make([]uint64, n)
 	for r := 0; r < n; r++ {
 		arena = batch.AppendKey(arena, merged, keyIdx, r)
 		ends[r+1] = len(arena)
+		prefixes[r] = keyPrefix(arena[ends[r]:])
 	}
 	key := func(r int) []byte { return arena[ends[r]:ends[r+1]] }
+	less := func(r, s int) bool {
+		if prefixes[r] != prefixes[s] {
+			return prefixes[r] < prefixes[s]
+		}
+		return bytes.Compare(key(r), key(s)) < 0
+	}
 	// Run i's next row in merged is heads[i], until it reaches limits[i].
 	heads, limits := make([]int, len(runs)), make([]int, len(runs))
 	for i, run := range runs {
@@ -166,7 +175,7 @@ func mergeGroupOutputs(outs []*batch.Batch, groupBy []string) (*batch.Batch, err
 	for len(idx) < n {
 		best := -1
 		for i := range runs {
-			if heads[i] < limits[i] && (best < 0 || bytes.Compare(key(heads[i]), key(heads[best])) < 0) {
+			if heads[i] < limits[i] && (best < 0 || less(heads[i], heads[best])) {
 				best = i
 			}
 		}
@@ -476,7 +485,7 @@ func (a *HashAgg) spillState() error {
 			}
 		}
 		a.table = batch.NewHashTable(0)
-		a.states = nil
+		a.floats, a.ints, a.flags, a.strs = nil, nil, nil, nil
 		for i := range a.keyCols {
 			a.keyCols[i] = batch.NewColumn(a.keySchema.Fields[i].Type, 0)
 		}

@@ -237,7 +237,7 @@ func (l *lowerer) lowerAgg(n *Node) int {
 	in := l.lower(n.Inputs[0])
 	part, parallelism := aggPartition(n.Keys)
 	// The binder's static aggregate output types feed the operator's
-	// empty-input default row (an unseen aggState cannot know an int sum
+	// empty-input default row (an unseen aggregate state cannot know an int sum
 	// from a float one).
 	defaults := make([]batch.Type, len(n.Aggs))
 	for i := range n.Aggs {
@@ -257,7 +257,7 @@ func (l *lowerer) lowerAgg(n *Node) int {
 	// shuffle to the final merge. The partial spec suppresses the global
 	// aggregate's empty-input default row — producer channels that saw no
 	// rows must contribute nothing, or their zero states (typed Float64 by
-	// the unseen aggState) would corrupt min/max/int-sum merges; the final
+	// the unseen aggregate state) would corrupt min/max/int-sum merges; the final
 	// stage still emits the default row when every channel was empty.
 	partial := l.add(&engine.Stage{
 		Name:   "agg-partial",
