@@ -73,15 +73,15 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 23870
+LOC_MAX := 24286
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi
 
 ## bench: one iteration of every benchmark in short mode (CI smoke: drives
 ## each paper figure once, in modelled time), plus the allocation-regression
-## guard over the hash-path inner loops, wide aggregation's bytes per group
-## and the QBA2 encoder. Measurements come from `bash benchmark/run.sh`, not
+## guard over the hash-path inner loops, wide aggregation's bytes per group,
+## shuffle routing's bytes per row and the QBA2 encoder. Measurements come from `bash benchmark/run.sh`, not
 ## from here.
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./...

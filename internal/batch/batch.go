@@ -2,7 +2,6 @@ package batch
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -220,57 +219,26 @@ func (b *Batch) SplitRows(n int) []*Batch {
 	return out
 }
 
-// HashPartition splits the batch into p partitions by hashing the named key
-// columns. Rows with equal keys always land in the same partition, which is
-// the contract shuffles rely on. Deterministic across runs.
-//
-// The per-row hash is fnv-1a over the shuffle encoding (raw string bytes,
-// no length prefix — kept bit-compatible with the original hash/fnv
-// implementation so shuffle partition assignment is unchanged), inlined so
-// the scan allocates nothing per row.
+// HashPartition splits the batch into p partitions by its key hash over
+// the named columns — fnv-1a over the key encoding (AppendKey: fixed-width
+// numbers, length-prefixed strings), the hash every route and hash table
+// uses — mod p. Rows with equal keys always land in the same partition,
+// which is the contract shuffles rely on; row order is kept within each.
+// It is HashKeys followed by Scatter's counting sort, so a partition that
+// gets every row is the batch itself; an empty one is an empty batch.
 func (b *Batch) HashPartition(keys []string, p int) []*Batch {
 	if p <= 1 {
 		return []*Batch{b}
 	}
-	b = b.Materialize()
 	keyIdx := make([]int, len(keys))
 	for i, k := range keys {
 		keyIdx[i] = b.Schema.MustIndex(k)
 	}
-	rows := b.NumRows()
-	part := make([][]int, p)
-	for r := 0; r < rows; r++ {
-		h := uint64(fnvOffset64)
-		for _, ci := range keyIdx {
-			c := b.Cols[ci]
-			switch c.Type {
-			case Int64, Date:
-				h = hash8(h, uint64(c.Ints[r]))
-			case Float64:
-				h = hash8(h, math.Float64bits(c.Floats[r]))
-			case String:
-				s := c.Strings[r]
-				for j := 0; j < len(s); j++ {
-					h = hash1(h, s[j])
-				}
-			case Bool:
-				if c.Bools[r] {
-					h = hash1(h, 1)
-				} else {
-					h = hash1(h, 0)
-				}
-			}
-		}
-		k := int(h % uint64(p))
-		part[k] = append(part[k], r)
-	}
-	out := make([]*Batch, p)
-	for k := 0; k < p; k++ {
-		if len(part[k]) == 0 {
+	out, _ := Scatter([]*Batch{b}, keyIdx, p) // one source: no schema to mismatch
+	for k := range out {
+		if out[k] == nil {
 			out[k] = Empty(b.Schema)
-			continue
 		}
-		out[k] = b.Gather(part[k])
 	}
 	return out
 }

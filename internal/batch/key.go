@@ -19,7 +19,8 @@ import (
 // The hash is fnv-1a over that encoding. Both the constants and the
 // encoding are part of the recovery determinism contract: operator
 // partition assignment is HashKey(encoding) mod P, recorded in the GCS
-// "opp" key at query seed time. Changing either changes partition
+// "opp" key at query seed time, and a hash edge's channel assignment is
+// the same hash mod the consumer's channel count (Scatter). Changing either changes partition
 // assignment and would break lineage replay against state built before
 // the change.
 

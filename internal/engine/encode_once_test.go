@@ -259,12 +259,15 @@ func TestReplayedPiecesAreTheStoredOnes(t *testing.T) {
 			// stage's channels on two survivors have committed a task over a
 			// split of their own reader (the direct edge's other partitions are
 			// empty): their backups, or spool objects, then feed the rewound
-			// consumers.
+			// consumers. The victim's own channel must have consumed one too,
+			// or under write-ahead lineage no elided reader piece died with it.
 			consumedOwn := func(tx *gcs.Txn, ch int) bool {
 				wm := committedWatermark(tx, r, lineage.ChannelID{Stage: 1, Channel: ch}, -1)
 				return wm[lineage.EdgeChannel{Input: 0, UpChannel: ch}] > 0
 			}
-			killInTxn(cl, 1, func(tx *gcs.Txn) bool { return consumedOwn(tx, 0) && consumedOwn(tx, 2) })
+			killInTxn(cl, 1, func(tx *gcs.Txn) bool {
+				return consumedOwn(tx, 0) && consumedOwn(tx, 1) && consumedOwn(tx, 2)
+			})
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			got, rep, err := r.Run(ctx)

@@ -818,7 +818,7 @@ func TestElidedPieceIsNeverRead(t *testing.T) {
 		rows := numbersTable(10, 1)[0]
 		edges := r.plan.Consumers(task.Stage)
 		beside := func(stage, ch int) bool { return ch == 0 }
-		set, pieces, err := tm.encodePieces(rows, edges, task.Channel, beside)
+		set, pieces, err := tm.encodePieces(&taskOutput{outs: []*batch.Batch{rows}}, edges, task.Channel, beside)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,27 +20,55 @@ import (
 // elides local pieces, which consumers are local is decided here, once, by
 // cs.snap — the image pushPiece places the first push by.
 func (t *taskManager) encodeOutput(cs *chanState, p *pendingTask, edges []Edge) error {
-	if p.out.NumRows() > 0 {
-		p.outRows = int64(p.out.NumRows())
-		if len(edges) == 0 {
-			if t.r.cfg.ShuffleCompress {
-				p.payload = batch.EncodeCompressed(p.out)
-			} else {
-				p.payload = batch.Encode(p.out)
-			}
-		} else {
-			var local func(stage, ch int) bool
-			if t.r.ft.elidesLocal() {
-				local = func(stage, ch int) bool { return cs.snap.chans[stage][ch].place == int(t.w.ID) }
-			}
-			var err error
-			if p.payload, p.pieces, err = t.encodePieces(p.out, edges, cs.id.Channel, local); err != nil {
-				return err
-			}
+	var out taskOutput
+	for _, b := range p.outs {
+		if b.NumRows() > 0 {
+			out.outs = append(out.outs, b)
+			p.outRows += int64(b.NumRows())
 		}
 	}
-	p.out = nil
-	return nil
+	p.outs = nil
+	if p.outRows == 0 {
+		return nil
+	}
+	if len(edges) == 0 {
+		whole, err := out.concat()
+		if err != nil {
+			return err
+		}
+		if t.r.cfg.ShuffleCompress {
+			p.payload = batch.EncodeCompressed(whole)
+		} else {
+			p.payload = batch.Encode(whole)
+		}
+		return nil
+	}
+	var local func(stage, ch int) bool
+	if t.r.ft.elidesLocal() {
+		local = func(stage, ch int) bool { return cs.snap.chans[stage][ch].place == int(t.w.ID) }
+	}
+	var err error
+	p.payload, p.pieces, err = t.encodePieces(&out, edges, cs.id.Channel, local)
+	return err
+}
+
+// taskOutput is a non-empty task output as its operator returned it: a list
+// of batches, routed straight from the list by a hash edge and concatenated
+// only for an edge that sends it whole, then once for every such edge.
+type taskOutput struct {
+	outs  []*batch.Batch // none of them empty
+	whole *batch.Batch
+}
+
+// concat is the output as one batch.
+func (o *taskOutput) concat() (*batch.Batch, error) {
+	if o.whole == nil {
+		var err error
+		if o.whole, err = batch.Concat(o.outs); err != nil {
+			return nil, err
+		}
+	}
+	return o.whole, nil
 }
 
 // pieceBufs recycles the buffers piece sets are built in: a set is
@@ -54,7 +82,7 @@ var pieceBufs = sync.Pool{New: func() any { return new([]byte) }}
 // piece. prodChannel is the producing channel (used by direct edges). local,
 // when set, names the consumer channels on this worker, whose non-empty
 // pieces are elided instead of encoded.
-func (t *taskManager) encodePieces(out *batch.Batch, edges []Edge, prodChannel int, local func(stage, ch int) bool) ([]byte, pieceSet, error) {
+func (t *taskManager) encodePieces(out *taskOutput, edges []Edge, prodChannel int, local func(stage, ch int) bool) ([]byte, pieceSet, error) {
 	bp := pieceBufs.Get().(*[]byte)
 	w := beginPieceSet((*bp)[:0], edges, t.r.par)
 	var err error
@@ -77,15 +105,18 @@ func (t *taskManager) encodePieces(out *batch.Batch, edges []Edge, prodChannel i
 	return set, ps, err
 }
 
-// partitionFor splits a non-empty output batch for one consumer edge and
-// appends one encoded piece per consumer channel to the piece set (an empty
+// partitionFor splits a non-empty output for one consumer edge and appends
+// one encoded piece per consumer channel to the piece set (an empty
 // partition is a zero-length piece; a broadcast edge is one shared piece,
 // local only when every channel is). prodChannel is the producing channel
-// (used by direct edges). Routing (HashPartition over the key encoding)
-// happens on the decoded batch and is untouched by the codec choice or by
-// elision — they only change the bytes a partition travels as, never which
+// (used by direct edges). A hash edge routes straight from the output's
+// batches (batch.Scatter: each row hashed once, over the key encoding, and
+// copied once into its channel's piece, which holds the rows concatenating
+// the batches and partitioning the result would); every other edge sends
+// the output whole. Routing is untouched by the codec choice or by elision
+// — they only change the bytes a partition travels as, never which
 // partition a row lands in.
-func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, prodChannel int, local func(stage, ch int) bool) error {
+func (t *taskManager) partitionFor(w *pieceSetWriter, out *taskOutput, e Edge, prodChannel int, local func(stage, ch int) bool) error {
 	n := t.r.par[e.To]
 	// elided reports whether channel ch's piece — every channel's, for ch < 0 —
 	// stays a batch.
@@ -123,32 +154,44 @@ func (t *taskManager) partitionFor(w *pieceSetWriter, out *batch.Batch, e Edge, 
 		}
 	}
 	// only sends the whole output to one channel of n.
-	only := func(target int) {
+	only := func(target int) error {
+		whole, err := out.concat()
+		if err != nil {
+			return err
+		}
 		for i := 0; i < n; i++ {
 			if i == target {
-				put(i, out)
+				put(i, whole)
 			} else {
 				put(i, nil)
 			}
 		}
+		return nil
 	}
 	switch e.Part.Kind {
 	case PartitionSingle:
-		only(0)
+		return only(0)
 	case PartitionDirect:
-		only(prodChannel % n)
+		return only(prodChannel % n)
 	case PartitionBroadcast:
-		put(-1, out)
+		whole, err := out.concat()
+		if err != nil {
+			return err
+		}
+		put(-1, whole)
 	case PartitionHash:
-		for _, k := range e.Part.Keys {
-			if out.Schema.Index(k) < 0 {
-				return fmt.Errorf("engine: partition key %q missing from output schema %s", k, out.Schema)
+		schema := out.outs[0].Schema
+		keyIdx := make([]int, len(e.Part.Keys))
+		for i, k := range e.Part.Keys {
+			if keyIdx[i] = schema.Index(k); keyIdx[i] < 0 {
+				return fmt.Errorf("engine: partition key %q missing from output schema %s", k, schema)
 			}
 		}
-		for i, pb := range out.HashPartition(e.Part.Keys, n) {
-			if pb.NumRows() == 0 {
-				pb = nil
-			}
+		parts, err := batch.Scatter(out.outs, keyIdx, n)
+		if err != nil {
+			return err
+		}
+		for i, pb := range parts {
 			put(i, pb)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"quokka/internal/batch"
 	"quokka/internal/flight"
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
@@ -55,7 +56,7 @@ func (t *taskManager) runOneReplay(snap *snapshot, entry replayEntry) bool {
 				return false
 			}
 			if out.NumRows() > 0 {
-				if _, pieces, err = t.encodePieces(out, edges, task.Channel, nil); err != nil {
+				if _, pieces, err = t.encodePieces(&taskOutput{outs: []*batch.Batch{out}}, edges, task.Channel, nil); err != nil {
 					return false
 				}
 			}

@@ -27,18 +27,20 @@ func (t *taskManager) runTask(cs *chanState, rec lineage.Record, isReplay bool) 
 	case lineage.KindRead:
 		// rec.Split is physical, and every read of it uses the plan's column
 		// projection: a replayed read is byte-identical.
-		p.out, err = t.readSplit(cs.stage.Reader, rec.Split)
+		var b *batch.Batch
+		if b, err = t.readSplit(cs.stage.Reader, rec.Split); b != nil {
+			p.outs = []*batch.Batch{b}
+		}
 	case lineage.KindConsume:
-		p.out, p.inRows, p.inBytes, err = t.consume(cs, rec)
+		p.outs, p.inRows, p.inBytes, err = t.consume(cs, rec)
 	case lineage.KindFinalize:
 		p.finalize = true
 		if cs.op != nil { // a reader channel has no operator: it finalizes empty
-			var outs []*batch.Batch
-			if outs, err = cs.op.Finalize(); err != nil {
+			if p.outs, err = cs.op.Finalize(); err != nil {
 				return false, fmt.Errorf("engine: finalize %s: %w", cs.id, err)
 			}
-			if p.out, err = batch.Concat(outs); p.out != nil {
-				t.chargeCompute(cs.op, p.out)
+			if len(p.outs) > 0 {
+				t.chargeCompute(cs.op, p.outs...)
 			}
 		}
 	default:
@@ -54,17 +56,16 @@ func (t *taskManager) runTask(cs *chanState, rec lineage.Record, isReplay bool) 
 	return t.finishTask(cs, p, isReplay)
 }
 
-// consume runs the operator over the chosen inputs and returns the
-// concatenated output (nil if no rows) plus the consumed input volume
+// consume runs the operator over the chosen inputs and returns its output
+// batches, in order and unconcatenated, plus the consumed input volume
 // (rows and wire bytes, for the task's trace span). A piece pushed from
 // this worker comes with its producer's batch — an elided one with nothing
 // else; only the others are decoded.
-func (t *taskManager) consume(cs *chanState, rec lineage.Record) (out *batch.Batch, inRows, inBytes int64, err error) {
+func (t *taskManager) consume(cs *chanState, rec lineage.Record) (outs []*batch.Batch, inRows, inBytes int64, err error) {
 	pieces, err := t.mb.Take(t.r.qid, cs.id, rec.Input, rec.UpChannel, rec.FromSeq, rec.Count)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	var outs []*batch.Batch
 	for _, pc := range pieces {
 		if len(pc.Data) == 0 && pc.Batch == nil {
 			continue // empty partition: counts for the watermark only
@@ -89,17 +90,17 @@ func (t *taskManager) consume(cs *chanState, rec lineage.Record) (out *batch.Bat
 		}
 		outs = append(outs, o...)
 	}
-	out, err = batch.Concat(outs)
-	return out, inRows, inBytes, err
+	return outs, inRows, inBytes, nil
 }
 
 // chargeCompute applies the modelled operator-kernel cost of op processing
-// b, adjusted by the configured kernel efficiency. The operator's share
-// count is how many partitions execute the work concurrently: each share
-// holds its own CPU slot for 1/shares of the payload, so partitioned
-// operators finish in ~1/shares the modelled wall time when slots are free
-// — the cost-model analogue of the real morsel parallelism in internal/ops.
-func (t *taskManager) chargeCompute(op ops.Operator, b *batch.Batch) {
+// bs (their payload together, as one batch), adjusted by the configured
+// kernel efficiency. The operator's share count is how many partitions
+// execute the work concurrently: each share holds its own CPU slot for
+// 1/shares of the payload, so partitioned operators finish in ~1/shares the
+// modelled wall time when slots are free — the cost-model analogue of the
+// real morsel parallelism in internal/ops.
+func (t *taskManager) chargeCompute(op ops.Operator, bs ...*batch.Batch) {
 	if t.r.cl.Cost.TimeScale <= 0 {
 		// Real time: nothing would be slept, so neither the operator nor a
 		// CPU slot — the channel ops.Pool runs real partition lanes on — is
@@ -111,9 +112,14 @@ func (t *taskManager) chargeCompute(op ops.Operator, b *batch.Batch) {
 	// and the model must not claim parallelism the kernels don't deliver.
 	// (Finalize passes its output's row count; hash-partitioned operators,
 	// the only ones with real finalize fan-out, ignore it.)
-	bytes, shares := b.ByteSize(), 1
+	var bytes int64
+	rows, shares := 0, 1
+	for _, b := range bs {
+		bytes += b.ByteSize()
+		rows += b.NumRows()
+	}
 	if p, ok := op.(ops.Partitioned); ok {
-		shares = p.SharesFor(b.NumRows())
+		shares = p.SharesFor(rows)
 	}
 	link := t.r.cl.Cost.Compute
 	if s := t.r.cfg.ComputeScale; s > 0 && s != 1 {
@@ -169,7 +175,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 	// downstream (frames are self-describing and decode to identical bytes),
 	// so compressed backups and spools replay exactly like raw ones.
 	edges := t.r.plan.Consumers(cs.id.Stage)
-	if p.out != nil {
+	if p.outs != nil {
 		if err := t.encodeOutput(cs, p, edges); err != nil {
 			return false, err
 		}

@@ -110,7 +110,7 @@ type chanState struct {
 type pendingTask struct {
 	seq      int
 	rec      lineage.Record
-	out      *batch.Batch // nil if the task produced no rows, and once encoded
+	outs     []*batch.Batch // the operator's output batches, in order; nil once encoded
 	finalize bool
 
 	// The task's one serialization, built by the first finishTask: the piece

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -226,5 +228,69 @@ func TestTypeErrors(t *testing.T) {
 	}
 	if _, err := (BoolExpr{IsAnd: true}).Eval(b); err == nil {
 		t.Error("want error for empty bool expr")
+	}
+}
+
+// TestQuickCmpLitMatchesColumnCompare: a comparison against a literal (on
+// either side) equals the general path's comparison against the literal
+// broadcast into a column, for every operator and type family — NaN and
+// ±0.0 among the floats, Date columns against Int64 literals, and mixed
+// int/float operands, which keep the general path.
+func TestQuickCmpLitMatchesColumnCompare(t *testing.T) {
+	specials := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), -1.5}
+	f := func(ints []int64, floats []float64, strs []string, pick uint8, opRaw uint8, litRaw int64) bool {
+		n := min(len(ints), len(floats), len(strs))
+		ints, floats, strs = ints[:n], floats[:n], strs[:n]
+		for i := range floats {
+			if ints[i]%3 == 0 {
+				floats[i] = specials[uint64(ints[i])%uint64(len(specials))]
+			}
+			ints[i] %= 8 // small domain: equal values occur
+		}
+		s := batch.NewSchema(batch.F("i", batch.Int64), batch.F("d", batch.Date),
+			batch.F("f", batch.Float64), batch.F("s", batch.String))
+		b := batch.MustNew(s, []*batch.Column{batch.NewIntColumn(ints), batch.NewDateColumn(ints),
+			batch.NewFloatColumn(floats), batch.NewStringColumn(strs)})
+		op := CmpOp(opRaw % 6)
+		var col string
+		var lit Lit
+		switch pick % 6 {
+		case 0:
+			col, lit = "i", Int64(litRaw%8)
+		case 1:
+			col, lit = "d", Int64(litRaw%8)
+		case 2:
+			col, lit = "f", Float64(specials[uint64(litRaw)%uint64(len(specials))])
+		case 3:
+			col, lit = "f", Float64(float64(litRaw%8)/2)
+		case 4:
+			col, lit = "s", Str("")
+			if n > 0 && litRaw%2 == 0 {
+				lit = Str(strs[uint64(litRaw)%uint64(n)])
+			}
+		case 5:
+			col, lit = "i", Float64(float64(litRaw%8)/2)
+		}
+		lc, err := lit.Eval(b)
+		if err != nil {
+			return false
+		}
+		wide := batch.MustNew(batch.NewSchema(append(s.Fields, batch.F("lit", lit.Type))...),
+			append(append([]*batch.Column(nil), b.Cols...), lc))
+		for _, pair := range [][2]Cmp{
+			{{op, C(col), lit}, {op, C(col), C("lit")}},
+			{{op, lit, C(col)}, {op, C("lit"), C(col)}},
+		} {
+			got, err1 := pair[0].EvalBoolInto(b, nil)
+			want, err2 := pair[1].EvalBoolInto(wide, nil)
+			if err1 != nil || err2 != nil || !slices.Equal(got, want) {
+				t.Logf("%s: got %v, want %v (%v, %v)", pair[0], got, want, err1, err2)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }

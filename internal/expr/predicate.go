@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"quokka/internal/batch"
 )
@@ -123,13 +124,26 @@ func (e Cmp) Eval(b *batch.Batch) (*batch.Column, error) {
 	return batch.NewBoolColumn(out), nil
 }
 
-// EvalBoolInto implements BoolEvaler.
+// EvalBoolInto implements BoolEvaler. A column compared against a literal
+// of its own type family is compared against the literal's value, never a
+// broadcast column of it. A literal on the left is swapped to the right,
+// with the operator flipped: the three-way comparison below is
+// antisymmetric, so the result is the same.
 func (e Cmp) EvalBoolInto(b *batch.Batch, dst []bool) ([]bool, error) {
-	lc, err := e.L.Eval(b)
+	l, r, op := e.L, e.R, e.Op
+	if _, ok := l.(Lit); ok {
+		l, r, op = r, l, flipOp(op)
+	}
+	lc, err := l.Eval(b)
 	if err != nil {
 		return nil, err
 	}
-	rc, err := e.R.Eval(b)
+	if lit, ok := r.(Lit); ok {
+		if out, ok := cmpLit(op, lc, lit, dst); ok {
+			return out, nil
+		}
+	}
+	rc, err := r.Eval(b)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +152,7 @@ func (e Cmp) EvalBoolInto(b *batch.Batch, dst []bool) ([]bool, error) {
 	switch {
 	case lc.Type == batch.String && rc.Type == batch.String:
 		for i := 0; i < n; i++ {
-			out[i] = cmpToBool(e.Op, strings.Compare(lc.Strings[i], rc.Strings[i]))
+			out[i] = cmpToBool(op, strings.Compare(lc.Strings[i], rc.Strings[i]))
 		}
 	case lc.Type == batch.Bool && rc.Type == batch.Bool:
 		for i := 0; i < n; i++ {
@@ -149,18 +163,18 @@ func (e Cmp) EvalBoolInto(b *batch.Batch, dst []bool) ([]bool, error) {
 			case lc.Bools[i] && !rc.Bools[i]:
 				c = 1
 			}
-			out[i] = cmpToBool(e.Op, c)
+			out[i] = cmpToBool(op, c)
 		}
 	case isIntLike(lc.Type) && isIntLike(rc.Type):
 		for i := 0; i < n; i++ {
 			l, r := lc.Ints[i], rc.Ints[i]
 			switch {
 			case l < r:
-				out[i] = cmpToBool(e.Op, -1)
+				out[i] = cmpToBool(op, -1)
 			case l > r:
-				out[i] = cmpToBool(e.Op, 1)
+				out[i] = cmpToBool(op, 1)
 			default:
-				out[i] = cmpToBool(e.Op, 0)
+				out[i] = cmpToBool(op, 0)
 			}
 		}
 	default:
@@ -175,11 +189,11 @@ func (e Cmp) EvalBoolInto(b *batch.Batch, dst []bool) ([]bool, error) {
 		for i := 0; i < n; i++ {
 			switch {
 			case lf[i] < rf[i]:
-				out[i] = cmpToBool(e.Op, -1)
+				out[i] = cmpToBool(op, -1)
 			case lf[i] > rf[i]:
-				out[i] = cmpToBool(e.Op, 1)
+				out[i] = cmpToBool(op, 1)
 			default:
-				out[i] = cmpToBool(e.Op, 0)
+				out[i] = cmpToBool(op, 0)
 			}
 		}
 	}
@@ -187,6 +201,69 @@ func (e Cmp) EvalBoolInto(b *batch.Batch, dst []bool) ([]bool, error) {
 }
 
 func (e Cmp) String() string { return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R) }
+
+// flipOp is the operator that compares r with l as op compares l with r.
+func flipOp(op CmpOp) CmpOp {
+	switch op {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	}
+	return op
+}
+
+// cmpLit evaluates "c op lit" when c is int-like and the literal too, or
+// both are floats, or both strings: a scalar loop per operator. Any other
+// pairing (mixed int/float, bools) reports !ok and takes the general path.
+func cmpLit(op CmpOp, c *batch.Column, lit Lit, dst []bool) ([]bool, bool) {
+	switch {
+	case isIntLike(c.Type) && isIntLike(lit.Type):
+		return cmpConst(op, c.Ints, lit.Int, boolScratch(dst, len(c.Ints))), true
+	case c.Type == batch.Float64 && lit.Type == batch.Float64:
+		return cmpConst(op, c.Floats, lit.Float, boolScratch(dst, len(c.Floats))), true
+	case c.Type == batch.String && lit.Type == batch.String:
+		return cmpConst(op, c.Strings, lit.Str, boolScratch(dst, len(c.Strings))), true
+	}
+	return nil, false
+}
+
+// cmpConst writes v op k for every value v into out, under the three-way
+// comparison the general path uses: values neither below nor above k are
+// equal to it, so a float NaN equals everything and -0.0 equals 0.0.
+func cmpConst[T int64 | float64 | string](op CmpOp, vs []T, k T, out []bool) []bool {
+	switch op {
+	case OpEq:
+		for i, v := range vs {
+			out[i] = !(v < k || v > k)
+		}
+	case OpNe:
+		for i, v := range vs {
+			out[i] = v < k || v > k
+		}
+	case OpLt:
+		for i, v := range vs {
+			out[i] = v < k
+		}
+	case OpLe:
+		for i, v := range vs {
+			out[i] = !(v > k)
+		}
+	case OpGt:
+		for i, v := range vs {
+			out[i] = v > k
+		}
+	case OpGe:
+		for i, v := range vs {
+			out[i] = !(v < k)
+		}
+	}
+	return out
+}
 
 // BoolExpr combines boolean sub-expressions with AND/OR.
 type BoolExpr struct {
@@ -209,23 +286,27 @@ func (e BoolExpr) Eval(b *batch.Batch) (*batch.Column, error) {
 	return batch.NewBoolColumn(out), nil
 }
 
-// EvalBoolInto implements BoolEvaler: the accumulator lives in dst;
-// argument sub-results still allocate when their expressions do.
+// boolArgs recycles the scratch BoolExpr evaluates its later arguments in.
+var boolArgs = sync.Pool{New: func() any { return new([]bool) }}
+
+// EvalBoolInto implements BoolEvaler: the first argument evaluates into
+// dst, every later one into one pooled scratch buffer.
 func (e BoolExpr) EvalBoolInto(b *batch.Batch, dst []bool) ([]bool, error) {
 	if len(e.Args) == 0 {
 		return nil, fmt.Errorf("expr: empty boolean expression")
 	}
-	acc, err := evalBool(e.Args[0], b)
-	if err != nil {
-		return nil, err
+	out, err := EvalBoolInto(e.Args[0], b, dst)
+	if err != nil || len(e.Args) == 1 {
+		return out, err
 	}
-	out := boolScratch(dst, len(acc))
-	copy(out, acc)
+	sp := boolArgs.Get().(*[]bool)
+	defer boolArgs.Put(sp)
 	for _, a := range e.Args[1:] {
-		v, err := evalBool(a, b)
+		v, err := EvalBoolInto(a, b, *sp)
 		if err != nil {
 			return nil, err
 		}
+		*sp = v
 		if e.IsAnd {
 			for i := range out {
 				out[i] = out[i] && v[i]

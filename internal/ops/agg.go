@@ -5,7 +5,9 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"quokka/internal/batch"
 	"quokka/internal/expr"
@@ -107,7 +109,8 @@ type HashAgg struct {
 	// producer channels cannot inject spurious zero states (typed by an
 	// unseen state as Float64) into the final merge. The final stage
 	// keeps the default row, preserving SQL's one-row global aggregate
-	// over empty input.
+	// over empty input. A keyed partial forwards, rather than aggregates,
+	// a batch whose keys are mostly distinct (Consume).
 	Partial bool
 
 	// DefaultTypes, when set, types aggregate outputs whose state never
@@ -189,7 +192,7 @@ func (s hashAggSpec) NewParallel(channel, channels, partitions int, pool *Pool) 
 	for p := range parts {
 		parts[p] = &HashAgg{GroupBy: s.GroupBy, Aggs: s.Aggs}
 	}
-	return &parallelAgg{groupBy: s.GroupBy, aggs: s.Aggs, parts: parts, pool: pool}
+	return &parallelAgg{groupBy: s.GroupBy, aggs: s.Aggs, partial: s.Partial, parts: parts, pool: pool}
 }
 
 // resolveKeys caches the GroupBy column resolution; recomputed only when
@@ -224,8 +227,122 @@ func (a *HashAgg) resolveKeys(s *batch.Schema) error {
 
 // Consume implements Operator. The serial path computes key hashes in one
 // vectorized pass; the partition router supplies them via consumeHashed.
+// A keyed partial aggregate forwards a batch that would not reduce (see
+// forwardStates) instead of aggregating it.
 func (a *HashAgg) Consume(_ int, b *batch.Batch) ([]*batch.Batch, error) {
-	return a.consumeHashed(0, b, nil)
+	if !a.Partial || len(a.GroupBy) == 0 {
+		return a.consumeHashed(0, b, nil)
+	}
+	if err := a.resolveKeys(b.Schema); err != nil {
+		return nil, err
+	}
+	a.hashScratch = batch.HashKeys(a.hashScratch, b, a.keyIdx)
+	if distinctOverHalf(a.hashScratch) {
+		return forwardStates(b, a.keyIdx, a.Aggs)
+	}
+	return a.consumeHashed(0, b, a.hashScratch)
+}
+
+// hashSets recycles the sets distinctOverHalf counts in.
+var hashSets = sync.Pool{New: func() any { return new([]uint64) }}
+
+// distinctOverHalf reports whether more than half of a batch's key hashes
+// are distinct: whether a partial aggregate forwards the batch. It reads
+// nothing but the hashes, so the choice is a pure function of the consumed
+// batch — the same under replay, at every Parallelism, spilled or not, and
+// after a Restore, with no state to snapshot — and it stops counting as
+// soon as the answer is certain.
+func distinctOverHalf(hashes []uint64) bool {
+	n := len(hashes)
+	if n == 0 {
+		return false
+	}
+	logSize := bits.Len(uint(n - 1)) // at least n slots; counting stops by n/2+1 entries
+	sp := hashSets.Get().(*[]uint64)
+	defer hashSets.Put(sp)
+	set := extend((*sp)[:0], 1<<logSize)
+	*sp = set
+	mask := uint64(len(set) - 1)
+	distinct, sawZero := 0, false // 0 marks an empty slot, so hash 0 is counted aside
+	for i, h := range hashes {
+		if h == 0 {
+			if !sawZero {
+				sawZero, distinct = true, distinct+1
+			}
+		} else {
+			for j := h >> (64 - logSize); ; j = (j + 1) & mask { // home slot: the hash's top bits
+				if set[j] == h {
+					break
+				}
+				if set[j] == 0 {
+					set[j], distinct = h, distinct+1
+					break
+				}
+			}
+		}
+		if 2*distinct > n {
+			return true
+		}
+		if dupes := i + 1 - distinct; 2*(n-dupes) <= n {
+			return false
+		}
+	}
+	return false
+}
+
+// forwardStates emits every row of b as a one-row partial state, in row
+// order: the key columns, then per aggregate 1 for count and count(*) and
+// the input value for sum, min and max, typed as Finalize types a state
+// (aggOutType: a Date input becomes Int64; a sum over strings is ""). A
+// partial aggregate forwards a batch whose keys are mostly distinct, since
+// aggregating it would emit nearly as many rows after hashing every row
+// into the table; the final aggregate merges the forwarded states as it
+// merges finalized ones, so the schema is Finalize's. Columns b holds
+// without a selection are shared, not copied.
+func forwardStates(b *batch.Batch, keyIdx []int, aggs []AggExpr) ([]*batch.Batch, error) {
+	n := b.NumRows()
+	if n == 0 {
+		return nil, nil
+	}
+	view := func(c *batch.Column) *batch.Column {
+		if b.Sel != nil {
+			return c.GatherI32(b.Sel)
+		}
+		return c
+	}
+	fields := make([]batch.Field, 0, len(keyIdx)+len(aggs))
+	cols := make([]*batch.Column, 0, len(keyIdx)+len(aggs))
+	for _, ci := range keyIdx {
+		fields = append(fields, b.Schema.Fields[ci])
+		cols = append(cols, view(b.Cols[ci]))
+	}
+	phys := b.Phys()
+	for _, ag := range aggs {
+		var col *batch.Column
+		if ag.Kind == AggCount || ag.Kind == AggCountStar {
+			ones := make([]int64, n)
+			for i := range ones {
+				ones[i] = 1
+			}
+			col = batch.NewIntColumn(ones)
+		} else {
+			in, err := ag.Of.Eval(phys)
+			if err != nil {
+				return nil, fmt.Errorf("ops: agg %q: %w", ag.Name, err)
+			}
+			switch in = view(in); {
+			case in.Type == batch.Date:
+				col = batch.NewIntColumn(in.Ints)
+			case in.Type == batch.String && ag.Kind == AggSum:
+				col = batch.NewStringColumn(make([]string, n))
+			default:
+				col = in
+			}
+		}
+		fields = append(fields, batch.Field{Name: ag.Name, Type: col.Type})
+		cols = append(cols, col)
+	}
+	return single(batch.MustNew(batch.NewSchema(fields...), cols)), nil
 }
 
 // consumeHashed is Consume with optional precomputed key hashes aligned

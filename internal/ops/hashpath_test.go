@@ -272,7 +272,8 @@ func TestHashJoinMatchesMapReference(t *testing.T) {
 
 // TestRouterEquivalence: the vectorized hash-once router must assign every
 // row the same partition as the original per-row encode-then-fnv router —
-// the determinism contract the GCS opp record depends on.
+// the determinism contract the GCS opp record depends on — and so must the
+// engine's shuffle router, HashPartition, length-prefixed strings included.
 func TestRouterEquivalence(t *testing.T) {
 	f := func(ints []int64, strs []string, pRaw uint8) bool {
 		n := len(ints)
@@ -295,6 +296,13 @@ func TestRouterEquivalence(t *testing.T) {
 			key = batch.AppendKey(key[:0], b, keyIdx, r)
 			if got, want := int(hashes[r]%uint64(p)), PartitionOf(key, p); got != want {
 				return false
+			}
+		}
+		for k, part := range b.HashPartition([]string{"i", "s"}, p) {
+			for r := 0; r < part.NumRows(); r++ {
+				if key = batch.AppendKey(key[:0], part, keyIdx, r); PartitionOf(key, p) != k {
+					return false
+				}
 			}
 		}
 		return true

@@ -145,36 +145,22 @@ func rowHashes(b *batch.Batch, keyIdx []int, pool *Pool) []uint64 {
 }
 
 // splitByPartition gathers b's rows into one sub-batch per partition —
-// partition = hash mod partitions — preserving row order within each
-// partition and carrying each row's hash alongside so partition operators
-// never re-hash. Empty partitions yield an empty batch with b's schema
-// when keepEmpty is set (build sides need the schema), nil otherwise.
+// partition = hash mod partitions — by batch.ScatterHashed's counting sort,
+// preserving row order within each partition and carrying each row's hash
+// alongside so partition operators never re-hash. Empty partitions yield an
+// empty batch with b's schema when keepEmpty is set (build sides need the
+// schema), nil otherwise.
 func splitByPartition(b *batch.Batch, hashes []uint64, partitions int, keepEmpty bool) ([]*batch.Batch, [][]uint64) {
-	rows := make([][]int, partitions)
-	for r, h := range hashes {
-		p := int(h % uint64(partitions))
-		rows[p] = append(rows[p], r)
-	}
-	out := make([]*batch.Batch, partitions)
-	outHashes := make([][]uint64, partitions)
-	for p := 0; p < partitions; p++ {
-		switch {
-		case len(rows[p]) == len(hashes):
-			out[p] = b // single-partition batch: skip the copy
-			outHashes[p] = hashes
-		case len(rows[p]) > 0:
-			out[p] = b.Gather(rows[p])
-			hs := make([]uint64, len(rows[p]))
-			for i, r := range rows[p] {
-				hs[i] = hashes[r]
+	out, outHashes := batch.ScatterHashed(b, hashes, partitions)
+	if keepEmpty {
+		for p := range out {
+			if out[p] == nil {
+				out[p] = batch.Empty(b.Schema)
+				// Non-nil so downstream knows the (zero) hashes are present;
+				// a nil slice would make the build side fall back to
+				// re-hashing the whole merged batch.
+				outHashes[p] = []uint64{}
 			}
-			outHashes[p] = hs
-		case keepEmpty:
-			out[p] = batch.Empty(b.Schema)
-			// Non-nil so downstream knows the (zero) hashes are present;
-			// a nil slice would make the build side fall back to
-			// re-hashing the whole merged batch.
-			outHashes[p] = []uint64{}
 		}
 	}
 	return out, outHashes
@@ -450,6 +436,7 @@ func (j *parallelJoin) Restore(data []byte) error {
 type parallelAgg struct {
 	groupBy []string
 	aggs    []AggExpr
+	partial bool // forwards a batch that would not reduce, as HashAgg.Partial does
 	parts   []*HashAgg
 	pool    *Pool
 	sp      *spill.Op // channel spill handle; lanes hold Subs of it
@@ -468,12 +455,18 @@ func (a *parallelAgg) Consume(_ int, b *batch.Batch) ([]*batch.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	subs, hashes := routeByKey(b, keyIdx, len(a.parts), a.pool, false)
+	hashes := rowHashes(b, keyIdx, a.pool)
+	if a.partial && distinctOverHalf(hashes) {
+		// Decided over the whole batch, before routing: the serial
+		// operator's choice, emitting the serial operator's rows.
+		return forwardStates(b, keyIdx, a.aggs)
+	}
+	subs, subHashes := splitByPartition(b, hashes, len(a.parts), false)
 	return nil, a.pool.Run(len(a.parts), func(p int) error {
 		if subs[p] == nil {
 			return nil
 		}
-		_, err := a.parts[p].consumeHashed(0, subs[p], hashes[p])
+		_, err := a.parts[p].consumeHashed(0, subs[p], subHashes[p])
 		return err
 	})
 }
