@@ -8,13 +8,9 @@ package quokka
 
 import (
 	"io"
-	"strconv"
 	"testing"
 
-	"quokka/internal/batch"
 	"quokka/internal/bench"
-	"quokka/internal/expr"
-	"quokka/internal/ops"
 )
 
 // benchParams returns a reduced configuration for in-test benchmarks.
@@ -159,98 +155,3 @@ func BenchmarkFig11b(b *testing.B) {
 		}
 	}
 }
-
-// --- Morsel-parallel operator benchmarks -------------------------------
-//
-// These measure the real (not cost-modelled) kernel speedup of partition-
-// parallel hash join and hash aggregation: the same workload on the serial
-// operator vs split into 4 hash partitions on a 4-slot CPU pool, the
-// engine's configuration at CPUPerWorker=4.
-
-func morselJoinData() (build, probe *batch.Batch) {
-	const nBuild, nProbe = 100_000, 200_000
-	bs := batch.NewSchema(batch.F("k", batch.Int64), batch.F("name", batch.String))
-	bk := make([]int64, nBuild)
-	bn := make([]string, nBuild)
-	for i := range bk {
-		bk[i] = int64(i)
-		bn[i] = "name-" + strconv.Itoa(i%1000)
-	}
-	ps := batch.NewSchema(batch.F("k", batch.Int64), batch.F("v", batch.Float64))
-	pk := make([]int64, nProbe)
-	pv := make([]float64, nProbe)
-	for i := range pk {
-		pk[i] = int64(i % (nBuild * 2)) // half the probes miss
-		pv[i] = float64(i)
-	}
-	build = batch.MustNew(bs, []*batch.Column{batch.NewIntColumn(bk), batch.NewStringColumn(bn)})
-	probe = batch.MustNew(ps, []*batch.Column{batch.NewIntColumn(pk), batch.NewFloatColumn(pv)})
-	return build, probe
-}
-
-func benchMorselJoin(b *testing.B, partitions int) {
-	build, probe := morselJoinData()
-	spec := ops.NewHashJoinSpec(ops.InnerJoin, []string{"k"}, []string{"k"}).(ops.ParallelSpec)
-	pool := ops.NewPool(make(chan struct{}, 4), nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op := spec.NewParallel(0, 1, partitions, pool)
-		if _, err := op.Consume(0, build); err != nil {
-			b.Fatal(err)
-		}
-		out, err := op.Consume(1, probe)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := 0
-		for _, o := range out {
-			rows += o.NumRows()
-		}
-		if rows != probe.NumRows()/2 {
-			b.Fatalf("join rows = %d", rows)
-		}
-	}
-}
-
-// BenchmarkMorselJoinSerial is the single-threaded hash join baseline.
-func BenchmarkMorselJoinSerial(b *testing.B) { benchMorselJoin(b, 1) }
-
-// BenchmarkMorselJoinParallel4 runs the same join split into 4 hash
-// partitions on 4 CPU slots; the acceptance bar is >= 1.5x the serial
-// baseline on the same machine.
-func BenchmarkMorselJoinParallel4(b *testing.B) { benchMorselJoin(b, 4) }
-
-func benchMorselAgg(b *testing.B, partitions int) {
-	const nRows, nGroups = 400_000, 100_000
-	s := batch.NewSchema(batch.F("g", batch.Int64), batch.F("v", batch.Float64))
-	gs := make([]int64, nRows)
-	vs := make([]float64, nRows)
-	for i := range gs {
-		gs[i] = int64(i % nGroups)
-		vs[i] = float64(i)
-	}
-	in := batch.MustNew(s, []*batch.Column{batch.NewIntColumn(gs), batch.NewFloatColumn(vs)})
-	spec := ops.NewHashAggSpec([]string{"g"}, ops.Sum("s", expr.C("v")), ops.CountStar("c")).(ops.ParallelSpec)
-	pool := ops.NewPool(make(chan struct{}, 4), nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op := spec.NewParallel(0, 1, partitions, pool)
-		if _, err := op.Consume(0, in); err != nil {
-			b.Fatal(err)
-		}
-		out, err := op.Finalize()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != 1 || out[0].NumRows() != nGroups {
-			b.Fatalf("agg output: %v", out)
-		}
-	}
-}
-
-// BenchmarkMorselAggSerial is the single-threaded hash aggregation baseline.
-func BenchmarkMorselAggSerial(b *testing.B) { benchMorselAgg(b, 1) }
-
-// BenchmarkMorselAggParallel4 runs the same aggregation split into 4 hash
-// partitions on 4 CPU slots.
-func BenchmarkMorselAggParallel4(b *testing.B) { benchMorselAgg(b, 4) }

@@ -91,13 +91,13 @@ func shiftFor(slots int) uint {
 }
 
 // slotIndex maps a raw hash to its home slot via Fibonacci hashing (high
-// bits of hash * 2^64/phi). Partitioned operators hold keys whose raw
-// hashes are all congruent mod the partition count — identical low bits —
-// so masking the raw hash would collapse home positions onto every P-th
-// slot and cause severe linear-probe clustering; the multiplicative remix
-// spreads them. The raw hash is still what slots store and growth
-// reinserts by, and what partition routing uses (hash mod P), so the
-// remix is invisible outside slot placement.
+// bits of hash * 2^64/phi). The operator of a hash-routed channel holds
+// keys whose raw hashes are all congruent mod the channel count —
+// identical low bits — so masking the raw hash would collapse home
+// positions onto every n-th slot and cause severe linear-probe clustering;
+// the multiplicative remix spreads them. The raw hash is still what slots
+// store and growth reinserts by, and what channel routing uses (hash mod
+// n), so the remix is invisible outside slot placement.
 func (t *HashTable) slotIndex(hash uint64) uint64 {
 	return (hash * fibMul) >> t.shift
 }

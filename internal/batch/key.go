@@ -17,12 +17,10 @@ import (
 // and a single 0/1 byte for bools.
 //
 // The hash is fnv-1a over that encoding. Both the constants and the
-// encoding are part of the recovery determinism contract: operator
-// partition assignment is HashKey(encoding) mod P, recorded in the GCS
-// "opp" key at query seed time, and a hash edge's channel assignment is
-// the same hash mod the consumer's channel count (Scatter). Changing either changes partition
-// assignment and would break lineage replay against state built before
-// the change.
+// encoding are part of the recovery determinism contract: a hash edge's
+// channel assignment is HashKey(encoding) mod the consumer's channel count
+// (Scatter). Changing either changes channel assignment and would break
+// lineage replay against state built before the change.
 
 const (
 	fnvOffset64 = 14695981039346656037

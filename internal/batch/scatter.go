@@ -5,12 +5,12 @@ import (
 	"sync"
 )
 
-// Every hash route — a shuffle edge's channels, a partitioned operator's
-// lanes — is one counting sort: a histogram pass over each row's partition
-// hash % n, prefix sums, one int32 permutation that groups the rows by
-// partition (stably: row order survives within a partition), then one
-// exactly sized gather per column of each partition. A row is hashed once
-// and copied once, whichever batch of a list it sits in.
+// A hash edge's route to its consumer's channels is one counting sort: a
+// histogram pass over each row's partition hash % n, prefix sums, one int32
+// permutation that groups the rows by partition (stably: row order survives
+// within a partition), then one exactly sized gather per column of each
+// partition. A row is hashed once and copied once, whichever batch of a
+// list it sits in.
 
 // router is the scratch of one counting sort. perm holds, partition after
 // partition, source-local logical row indexes; within partition k, source
@@ -69,29 +69,18 @@ func (r *router) count(hashes []uint64, n int) int {
 }
 
 // place is the counting sort's scatter pass over the rows count saw, source
-// after source. With permHashes (of len(hashes)) the hashes are permuted
-// beside the rows.
-func (r *router) place(srcs []*Batch, hashes []uint64, n int, permHashes []uint64) {
-	r.perm = resize(r.perm, len(hashes))
+// after source.
+func (r *router) place(srcs []*Batch, n int) {
+	r.perm = resize(r.perm, len(r.part))
 	r.pos = resize(r.pos, n)
 	r.cuts = resize(r.cuts, len(srcs)*n)
 	copy(r.pos, r.offs[:n])
 	i := 0
 	for s, src := range srcs {
 		rows := src.NumRows()
-		part := r.part[i : i+rows]
-		if permHashes == nil {
-			for j, k := range part {
-				r.perm[r.pos[k]] = int32(j)
-				r.pos[k]++
-			}
-		} else {
-			hs := hashes[i : i+rows]
-			for j, k := range part {
-				p := r.pos[k]
-				r.perm[p], permHashes[p] = int32(j), hs[j]
-				r.pos[k]++
-			}
+		for j, k := range r.part[i : i+rows] {
+			r.perm[r.pos[k]] = int32(j)
+			r.pos[k]++
 		}
 		copy(r.cuts[s*n:], r.pos)
 		i += rows
@@ -172,36 +161,11 @@ func Scatter(srcs []*Batch, keyIdx []int, n int) ([]*Batch, error) {
 		out[k] = srcs[0]
 		return out, nil
 	}
-	r.place(srcs, r.hashes, n, nil)
+	r.place(srcs, n)
 	for k := range out {
 		if r.offs[k] < r.offs[k+1] {
 			out[k] = r.gather(srcs, n, k)
 		}
 	}
 	return out, nil
-}
-
-// ScatterHashed is Scatter over one source whose row hashes are known; it
-// also returns each partition's hashes in the partition's row order,
-// permuted in the same pass (sub-slices of one array, capacity-capped). A
-// partition that received every row is b itself with hashes itself,
-// selection and all. Empty partitions are nil, with nil hashes.
-func ScatterHashed(b *Batch, hashes []uint64, n int) ([]*Batch, [][]uint64) {
-	out := make([]*Batch, n)
-	outHashes := make([][]uint64, n)
-	r := routers.Get().(*router)
-	defer routers.Put(r)
-	if k := r.count(hashes, n); k >= 0 {
-		out[k], outHashes[k] = b, hashes
-		return out, outHashes
-	}
-	srcs := []*Batch{b}
-	permHashes := make([]uint64, len(hashes))
-	r.place(srcs, hashes, n, permHashes)
-	for k := range out {
-		if lo, hi := r.offs[k], r.offs[k+1]; lo < hi {
-			out[k], outHashes[k] = r.gather(srcs, n, k), permHashes[lo:hi:hi]
-		}
-	}
-	return out, outHashes
 }

@@ -111,24 +111,18 @@ func TestQuickScatterMatchesConcatThenPartition(t *testing.T) {
 }
 
 // TestScatterKeepsAWholeSourceUncopied: a lone source without a selection
-// whose every row goes to one partition is that partition; ScatterHashed
-// hands back the caller's hashes with it.
+// whose every row goes to one partition is that partition.
 func TestScatterKeepsAWholeSourceUncopied(t *testing.T) {
 	b := scatterSource(rand.New(rand.NewSource(1)), 50, 1, false)
 	parts, err := Scatter([]*Batch{b}, []int{0, 1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hashes := HashKeys(nil, b, []int{0, 1})
-	hparts, hhashes := ScatterHashed(b, hashes, 4)
-	whole := int(hashes[0] % 4)
+	whole := int(HashKeys(nil, b, []int{0, 1})[0] % 4)
 	for k := range parts {
-		if (k == whole) != (parts[k] == b) || (k == whole) != (hparts[k] == b) {
-			t.Fatalf("partition %d: got %p / %p, source %p", k, parts[k], hparts[k], b)
+		if (k == whole) != (parts[k] == b) {
+			t.Fatalf("partition %d: got %p, source %p", k, parts[k], b)
 		}
-	}
-	if &hhashes[whole][0] != &hashes[0] {
-		t.Error("ScatterHashed copied the hashes of a whole source")
 	}
 }
 

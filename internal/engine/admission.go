@@ -106,10 +106,9 @@ func (s *clusterShared) newQueryID() string {
 }
 
 // cpuFor returns the worker's shared CPU slot pool, creating it with the
-// given capacity on first use. Intra-operator partition lanes, modelled
-// kernel work, and every concurrent query's channels all compete for the
-// same slots, so admission of a second query never doubles the modelled
-// cores of the machine.
+// given capacity on first use. Every concurrent query's modelled kernel
+// work competes for the same slots, so admission of a second query never
+// doubles the modelled cores of the machine.
 //
 // The pool models the worker's CORES, which are hardware, not a query
 // knob: the first query to execute on a cluster sizes each worker's pool

@@ -164,12 +164,14 @@ type Config struct {
 
 	// ThreadsPerWorker is the number of executor threads per TaskManager.
 	// Threads model in-flight tasks, not cores: modelled I/O waits do not
-	// consume CPU. CPUPerWorker bounds concurrently modelled *compute*.
-	// Cores are a property of the worker machine, not of a query: the
-	// first query executed on a cluster sizes each worker's shared CPU
-	// slot pool from its CPUPerWorker, and concurrently running queries
-	// share that pool — a later query's differing CPUPerWorker does not
-	// resize it. The value only shapes modelled timing, never results.
+	// consume CPU. CPUPerWorker is the number of CPU slots a worker's
+	// modelled kernel work holds, one per charge, so it shapes modelled
+	// time only: in real time (TimeScale ≤ 0) no slot is taken, and results
+	// never depend on it. Cores are a property of the worker machine, not
+	// of a query: the first query executed on a cluster sizes each worker's
+	// shared slot pool from its CPUPerWorker, and concurrently running
+	// queries share that pool — a later query's differing CPUPerWorker does
+	// not resize it.
 	ThreadsPerWorker int
 	CPUPerWorker     int
 
@@ -182,18 +184,14 @@ type Config struct {
 	// for sort) and produce byte-identical outputs: spilling never changes
 	// task output content or order, which is what keeps write-ahead
 	// lineage replay sound without making spill decisions deterministic.
-	// Spill partitions come from the TOP bits of the 64-bit key hash and
-	// never touch the `hash mod P` routing contract (GCS "opp" key).
+	// Spill partitions come from the TOP bits of the 64-bit key hash, so
+	// they never interact with a hash edge's `hash mod channels` routing.
 	MemoryBudget int64
 
-	// Parallelism is the number of hash partitions each stateful operator
-	// (hash join, grouped hash aggregation) splits its state into;
-	// partitions build/probe/accumulate concurrently on the worker's CPU
-	// slots. 0 derives it from CPUPerWorker. 1 forces the serial operator
-	// path. The value is recorded in the GCS at query seed time and must
-	// stay fixed across recoveries: partition assignment is a pure function
-	// of key hash mod Parallelism, and write-ahead lineage replay relies on
-	// rebuilding identical per-partition state.
+	// Parallelism has no effect. Every operator runs serially inside its
+	// channel, and a stage's parallelism is its channel count
+	// (Stage.Parallelism). The field stays because the struct's fields are
+	// frozen (PUBLIC_API.md).
 	Parallelism int
 
 	// CursorBufferBytes bounds the head-node buffer of committed-but-unread
@@ -312,7 +310,6 @@ func resolve(cfg Config, o clusterOptions) (Policy, error) {
 	cfg.MinTake = min(cfg.MinTake, cfg.MaxTake)
 	unset(&cfg.ThreadsPerWorker, d.ThreadsPerWorker)
 	unset(&cfg.CPUPerWorker, d.CPUPerWorker)
-	unset(&cfg.Parallelism, cfg.CPUPerWorker)
 	unset(&cfg.CheckpointEveryTasks, d.CheckpointEveryTasks)
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = d.PollInterval

@@ -166,7 +166,7 @@ func runTPCH(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Config) *engin
 }
 
 // TestHandedBatchIsItsPiece runs every TPC-H query under each FT mode, on 2
-// and 3 workers, with serial and 4-way partitioned operators, and a killed
+// and 3 workers, at Parallelism 1 and 4 (which must not matter), and a killed
 // worker under each mode that logs lineage: every batch a consumer was handed
 // re-encodes to its piece's bytes — or, elided, to the batch its producer
 // pushed — when taken and again after the query. An operator that wrote to

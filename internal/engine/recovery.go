@@ -36,13 +36,6 @@ import (
 // TaskManager directly, which is what makes nested failures easy to
 // handle (§IV-B): if another worker dies mid-recovery, the next pass
 // simply reconciles again.
-//
-// Recovery is agnostic to intra-operator parallelism: a rewound channel's
-// operator — partitioned or serial — is rebuilt purely by replaying the
-// channel's logged inputs, and partition assignment is a pure function of
-// key hash and the query's seeded partition count (the GCS "opp" key), so
-// the replacement worker reconstructs the same per-partition state the
-// dead worker held.
 func (r *Runner) recover() error {
 	started := time.Now()
 	r.recovered++

@@ -326,11 +326,6 @@ func (r *Runner) seed() error {
 				txPutInt(tx, r.keyPlacement(id), int(w))
 			}
 		}
-		// Record the operator partition count: every TaskManager — including
-		// ones that replay lineage onto fresh workers after a failure — must
-		// split stateful operator state into the same hash partitions, or
-		// replayed state would not match what the dead worker had built.
-		txPutInt(tx, r.keyOpParallelism(), r.cfg.Parallelism)
 		txPutInt(tx, r.keyGlobalEpoch(), 1)
 		return nil
 	})

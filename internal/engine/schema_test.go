@@ -20,14 +20,15 @@ import (
 // schemaRecorder notes what every committed update wrote, by key class —
 // the segment after q/<qid>/ — and keeps the flushes apart: each is the write
 // set of a batch of task commits and replay retirements. Every other update
-// is counted, and those that move the global epoch past the seeded 1 are
-// kept too: each is a recovery pass. A checkpoint mark a flush writes is
+// is counted; the first, the seed, is kept, and so are those that move the
+// global epoch past the seeded 1: each is a recovery pass. A checkpoint mark a flush writes is
 // checked against the entry beside it. Its record is a txnHook's after.
 type schemaRecorder struct {
 	mu         sync.Mutex
 	written    map[string]bool
 	flushes    []flushWrites
 	updates    int              // committed updates that are no flush
+	seed       map[string]int   // the first of them: class -> keys put
 	recoveries []map[string]int // per epoch-moving update: class -> keys put
 	badMarks   []string
 }
@@ -72,6 +73,9 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 		return
 	}
 	s.updates++
+	if s.seed == nil {
+		s.seed = puts
+	}
 	if recovery {
 		s.recoveries = append(s.recoveries, puts)
 	}
@@ -84,8 +88,9 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 // naming the cursor beside it and an object of the committing epoch — and
 // deletes nothing but the replay entries it retires, each recovery pass is one
 // update writing only what reconcile and the epoch bump write, the head's
-// seed, recovery passes and cleanup are the only updates that are no flush,
-// and no row on the page goes unwritten by all of them.
+// seed — which writes placements and the global epoch alone — recovery
+// passes and cleanup are the only updates that are no flush, and no row on
+// the page goes unwritten by all of them.
 func TestControlStoreSchema(t *testing.T) {
 	page, err := os.ReadFile("../../docs/contracts/control-store.md")
 	if err != nil {
@@ -186,6 +191,9 @@ func TestControlStoreSchema(t *testing.T) {
 				// cleanup. A worker writes through the flush alone.
 				if want := 2 + r.recovered; rec.updates != want {
 					t.Errorf("%d updates were no flush, want %d: seed, %d recovery passes, cleanup", rec.updates, want, r.recovered)
+				}
+				if rec.seed["pl"] == 0 || rec.seed["gep"] != 1 || len(rec.seed) != 2 {
+					t.Errorf("the seed wrote %v, want placements and gep alone", rec.seed)
 				}
 				// A recovery pass is one transaction: the update that moves the
 				// epoch writes the whole reconciliation, and nothing else does.

@@ -24,7 +24,6 @@ type snapshot struct {
 	ver uint64
 
 	gep int // global placement epoch: seeded 1, one more per recovery
-	opp int // operator partition count seeded for the query
 
 	chans   [][]chanMeta  // [stage][channel]
 	replays []replayEntry // every worker's replay queue: rp/, then rpi/, each in key order
@@ -91,7 +90,6 @@ func (r *Runner) loadSnapshot(ver uint64, prev *snapshot) (*snapshot, error) {
 		s = &snapshot{
 			ver:   ver,
 			gep:   txGetInt(tx, r.keyGlobalEpoch(), 0),
-			opp:   txGetInt(tx, r.keyOpParallelism(), r.cfg.Parallelism),
 			chans: make([][]chanMeta, len(r.par)),
 		}
 		if prev != nil && prev.gep == s.gep {

@@ -309,33 +309,33 @@ func TestSnapshotOneViewPerVersion(t *testing.T) {
 		t.Errorf("unchanged version: image %p -> %p, %d transactions since the first view", first, again, txns()-base-1)
 	}
 
-	commit(r.keyOpParallelism(), 3)
+	commit(r.keyGlobalEpoch(), 3)
 	base = txns()
 	second := everyone(20)
 	if got := txns() - base; got != 1 {
 		t.Errorf("after one commit: %d views for 32 pollers, want 1", got)
 	}
-	if second == first || second.opp != 3 || second.ver <= first.ver {
-		t.Errorf("after one commit: opp %d at version %d (was %d)", second.opp, second.ver, first.ver)
+	if second == first || second.gep != 3 || second.ver <= first.ver {
+		t.Errorf("after one commit: gep %d at version %d (was %d)", second.gep, second.ver, first.ver)
 	}
 
 	// A commit lands between a view's read and its return. The image must not
 	// claim the version that commit produced.
-	commit(r.keyOpParallelism(), 4)
+	commit(r.keyGlobalEpoch(), 4)
 	store.after = func() {
 		store.after = nil
-		commit(r.keyOpParallelism(), 5)
+		commit(r.keyGlobalEpoch(), 5)
 	}
 	raced, err := r.snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if now := r.gcsVersion(); raced.opp != 4 || raced.ver >= now {
-		t.Fatalf("raced image: opp %d stamped %d, namespace at %d", raced.opp, raced.ver, now)
+	if now := r.gcsVersion(); raced.gep != 4 || raced.ver >= now {
+		t.Fatalf("raced image: gep %d stamped %d, namespace at %d", raced.gep, raced.ver, now)
 	}
 	base = txns()
-	if next := everyone(10); next.opp != 5 || next.ver != r.gcsVersion() || txns()-base != 1 {
-		t.Errorf("after the race: opp %d at version %d (namespace at %d), %d views", next.opp, next.ver, r.gcsVersion(), txns()-base)
+	if next := everyone(10); next.gep != 5 || next.ver != r.gcsVersion() || txns()-base != 1 {
+		t.Errorf("after the race: gep %d at version %d (namespace at %d), %d views", next.gep, next.ver, r.gcsVersion(), txns()-base)
 	}
 }
 

@@ -105,7 +105,7 @@ func assertNoSpillFiles(t *testing.T, cl *cluster.Cluster, label string) {
 
 // TestSpillBudgetSweepByteIdentical is the central engine guarantee: the
 // same query under unlimited, tight, and pathological single-batch
-// budgets — at serial and partition-parallel operators — produces
+// budgets — at Parallelism 1 and 4, which must not matter — produces
 // byte-identical results, actually spills when constrained, and leaves no
 // spill files behind.
 func TestSpillBudgetSweepByteIdentical(t *testing.T) {
@@ -163,7 +163,7 @@ func TestSpillBudgetSweepByteIdentical(t *testing.T) {
 // admits (TryGrow) fits the budget; what is forced past it — a reservation
 // settled to the operator's real size, a partition made resident at the end of
 // the recursion, a merge source's chunk — stacks on top of a full budget when
-// channels or partition lanes of one worker run at once. So: serially the
+// channels of one worker run at once. So: serially the
 // accounted high-water mark respects a workable budget outright, and in the
 // default configuration whatever it has above the budget, forced grows put
 // there (spill.forced.peak.bytes is how far they went).

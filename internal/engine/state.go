@@ -25,11 +25,9 @@ import (
 //	lin/<s>.<c>.<q>  pd/<s>.<c>.<q>
 //	            a task's committed lineage record; the worker holding its
 //	            upstream backup (written only when the policy backs up)
-//	gep  opp
+//	gep
 //	            global placement epoch (seeded 1, +1 per recovery, in the
-//	            transaction that reconciles); operator partition count,
-//	            seeded so that a replacement worker splits state as the dead
-//	            one did
+//	            transaction that reconciles)
 //	rp/<w>/<s>.<c>.<q>  rpi/<w>/<s>.<c>.<q>
 //	            replay queues: worker w re-pushes its stored piece set of the
 //	            task — or re-reads the task's split — for the consumer
@@ -119,7 +117,6 @@ func (r *Runner) keyCheckpoint(c lineage.ChannelID) string { return r.keys[c.Sta
 func (r *Runner) keyLineage(t lineage.TaskName) string { return r.keyNS() + "lin/" + t.String() }
 func (r *Runner) keyPartDir(t lineage.TaskName) string { return r.keyNS() + "pd/" + t.String() }
 func (r *Runner) keyGlobalEpoch() string               { return r.keyNS() + "gep" }
-func (r *Runner) keyOpParallelism() string             { return r.keyNS() + "opp" }
 
 func (r *Runner) keyReplay(w int, t lineage.TaskName) string {
 	return fmt.Sprintf("%srp/%d/%s", r.keyNS(), w, t)

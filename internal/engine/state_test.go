@@ -20,16 +20,15 @@ func TestKeySchema(t *testing.T) {
 	c := lineage.ChannelID{Stage: 2, Channel: 5}
 	n := lineage.TaskName{Stage: 2, Channel: 5, Seq: 9}
 	for key, want := range map[string]string{
-		r.keyPlacement(c):    "q/q7/pl/2.5",
-		r.keyChanEpoch(c):    "q/q7/cep/2.5",
-		r.keyCursor(c):       "q/q7/cur/2.5",
-		r.keyLineage(n):      "q/q7/lin/2.5.9",
-		r.keyDone(c):         "q/q7/done/2.5",
-		r.keyPartDir(n):      "q/q7/pd/2.5.9",
-		r.keyCheckpoint(c):   "q/q7/ck/2.5",
-		r.keyReplay(3, n):    "q/q7/rp/3/2.5.9",
-		r.keyGlobalEpoch():   "q/q7/gep",
-		r.keyOpParallelism(): "q/q7/opp",
+		r.keyPlacement(c):  "q/q7/pl/2.5",
+		r.keyChanEpoch(c):  "q/q7/cep/2.5",
+		r.keyCursor(c):     "q/q7/cur/2.5",
+		r.keyLineage(n):    "q/q7/lin/2.5.9",
+		r.keyDone(c):       "q/q7/done/2.5",
+		r.keyPartDir(n):    "q/q7/pd/2.5.9",
+		r.keyCheckpoint(c): "q/q7/ck/2.5",
+		r.keyReplay(3, n):  "q/q7/rp/3/2.5.9",
+		r.keyGlobalEpoch(): "q/q7/gep",
 	} {
 		if key != want {
 			t.Errorf("key = %q, want %q", key, want)

@@ -64,23 +64,10 @@ func (t *taskManager) step(cs *chanState, snap *snapshot) (bool, error) {
 	return t.normalStep(cs)
 }
 
-// newOperator instantiates the channel's operator. When the query's
-// recorded partition count is > 1 and the spec supports it, the operator is
-// created partition-parallel: its state split into hash partitions that
-// execute on this worker's CPU-slot pool. The partition count comes from
-// the GCS (seeded once per query), not the local config, so replacement
-// TaskManagers replaying lineage rebuild identically partitioned state.
+// newOperator instantiates the channel's operator, which runs serially on
+// the channel's thread: a stage's parallelism is its channel count.
 func (t *taskManager) newOperator(cs *chanState) ops.Operator {
-	p := cs.snap.opp
-	var op ops.Operator
-	if p > 1 {
-		if ps, ok := cs.stage.Op.(ops.ParallelSpec); ok {
-			op = ps.NewParallel(cs.id.Channel, t.r.par[cs.id.Stage], p, t.pool)
-		}
-	}
-	if op == nil {
-		op = cs.stage.Op.New(cs.id.Channel, t.r.par[cs.id.Stage])
-	}
+	op := cs.stage.Op.New(cs.id.Channel, t.r.par[cs.id.Stage])
 	// Memory governance: spill-capable operators get a handle namespaced
 	// by query, channel AND channel epoch, so a rewound channel's
 	// replacement operator never collides with (or reads) stale

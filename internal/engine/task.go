@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"quokka/internal/batch"
@@ -40,7 +39,7 @@ func (t *taskManager) runTask(cs *chanState, rec lineage.Record, isReplay bool) 
 				return false, fmt.Errorf("engine: finalize %s: %w", cs.id, err)
 			}
 			if len(p.outs) > 0 {
-				t.chargeCompute(cs.op, p.outs...)
+				t.chargeCompute(p.outs...)
 			}
 		}
 	default:
@@ -83,7 +82,7 @@ func (t *taskManager) consume(cs *chanState, rec lineage.Record) (outs []*batch.
 		}
 		inRows += int64(b.NumRows())
 		inBytes += int64(len(pc.Data))
-		t.chargeCompute(cs.op, b)
+		t.chargeCompute(b)
 		o, err := cs.op.Consume(rec.Input, b)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("engine: %s consume: %w", cs.id, err)
@@ -93,58 +92,25 @@ func (t *taskManager) consume(cs *chanState, rec lineage.Record) (outs []*batch.
 	return outs, inRows, inBytes, nil
 }
 
-// chargeCompute applies the modelled operator-kernel cost of op processing
-// bs (their payload together, as one batch), adjusted by the configured
-// kernel efficiency. The operator's share count is how many partitions
-// execute the work concurrently: each share holds its own CPU slot for
-// 1/shares of the payload, so partitioned operators finish in ~1/shares the
-// modelled wall time when slots are free — the cost-model analogue of the
-// real morsel parallelism in internal/ops.
-func (t *taskManager) chargeCompute(op ops.Operator, bs ...*batch.Batch) {
+// chargeCompute applies the modelled operator-kernel cost of processing bs
+// (their payload together, as one batch), adjusted by the configured kernel
+// efficiency, holding one of the worker's CPU slots for its duration.
+func (t *taskManager) chargeCompute(bs ...*batch.Batch) {
 	if t.r.cl.Cost.TimeScale <= 0 {
-		// Real time: nothing would be slept, so neither the operator nor a
-		// CPU slot — the channel ops.Pool runs real partition lanes on — is
-		// touched.
-		return
+		return // real time: nothing would be slept, so no slot is taken
 	}
-	// Shares are the CPU slots the operator really fans a batch of this many
-	// rows out over: row-wise morsel operators run small batches on one lane,
-	// and the model must not claim parallelism the kernels don't deliver.
-	// (Finalize passes its output's row count; hash-partitioned operators,
-	// the only ones with real finalize fan-out, ignore it.)
 	var bytes int64
-	rows, shares := 0, 1
 	for _, b := range bs {
 		bytes += b.ByteSize()
-		rows += b.NumRows()
-	}
-	if p, ok := op.(ops.Partitioned); ok {
-		shares = p.SharesFor(rows)
 	}
 	link := t.r.cl.Cost.Compute
 	if s := t.r.cfg.ComputeScale; s > 0 && s != 1 {
 		link.BytesPerS *= s
 		link.Latency = time.Duration(float64(link.Latency) / s)
 	}
-	if shares <= 1 {
-		// Hold a CPU slot for the duration of the modelled kernel work.
-		t.cpu <- struct{}{}
-		t.r.cl.Cost.Apply(link, bytes)
-		<-t.cpu
-		return
-	}
-	share := bytes / int64(shares)
-	var wg sync.WaitGroup
-	for i := 0; i < shares; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t.cpu <- struct{}{}
-			t.r.cl.Cost.Apply(link, share)
-			<-t.cpu
-		}()
-	}
-	wg.Wait()
+	t.cpu <- struct{}{}
+	t.r.cl.Cost.Apply(link, bytes)
+	<-t.cpu
 }
 
 // readSplit reads one physical split for a reader spec, decoding only the

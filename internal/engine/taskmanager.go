@@ -41,11 +41,6 @@ type taskManager struct {
 	// so compute overlaps I/O exactly as in an engine with async reads.
 	cpu chan struct{}
 
-	// pool fans partitioned operator work (hash join build/probe, hash
-	// aggregation) out across the cpu slots, so intra-operator parallelism
-	// and inter-channel parallelism compete for the same modelled cores.
-	pool *ops.Pool
-
 	// spill is the worker's memory-governance context (nil when
 	// Config.MemoryBudget is 0): one accountant shared by all channels on
 	// this worker, spilling operator state to the worker's local disk.
@@ -70,10 +65,7 @@ type taskManager struct {
 type chanState struct {
 	// protocol serializes the Algorithm 1 task protocol (input choice,
 	// lineage commit, cursor advance) — channel tasks stay sequential, as
-	// the lineage log requires. It no longer implies single-threaded
-	// compute: inside a task, partitioned operators fan build/probe/
-	// accumulate work out across per-partition goroutines, each owning one
-	// hash partition of the operator state.
+	// the lineage log requires, and so does the operator they run.
 	protocol sync.Mutex
 
 	id    lineage.ChannelID
@@ -143,16 +135,12 @@ func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 		gep:      -1,
 		retired:  map[string]int{},
 		// The CPU slot pool is a WORKER resource shared by every in-flight
-		// query: concurrent queries' channels (and their partition lanes)
-		// compete for the same modelled cores instead of each bringing
-		// their own.
+		// query: concurrent queries' channels compete for the same modelled
+		// cores instead of each bringing their own.
 		cpu:   r.shared.cpuFor(w.ID, r.cfg.CPUPerWorker),
 		watch: make(chan struct{}, 1),
 	}
 	t.watch <- struct{}{}
-	t.pool = ops.NewPool(t.cpu, func(n int) {
-		r.count(metrics.PartitionTasks, int64(n))
-	})
 	if r.cfg.MemoryBudget > 0 {
 		// The accountant is per query per worker (MemoryBudget is a query
 		// knob); the worker's cross-query ledger tracks total accounted

@@ -330,7 +330,7 @@ func TestOptionDefaultsResolve(t *testing.T) {
 	}
 	d := DefaultConfig()
 	if zero.MaxTake != d.MaxTake || zero.MinTake != 1 || zero.ThreadsPerWorker != d.ThreadsPerWorker ||
-		zero.CPUPerWorker != d.CPUPerWorker || zero.Parallelism != d.CPUPerWorker ||
+		zero.CPUPerWorker != d.CPUPerWorker ||
 		zero.CheckpointEveryTasks != d.CheckpointEveryTasks ||
 		zero.PollInterval != d.PollInterval || zero.HeartbeatInterval != d.HeartbeatInterval {
 		t.Errorf("zero Config resolved to %+v", zero.Config)

@@ -80,8 +80,15 @@ func heldQuery(t *testing.T, workers int) (*awaitRecorder, *Query, context.Cance
 	)
 	cfg := slowPollCfg()
 	cfg.CursorBufferBytes = 1
+	r, err := NewRunner(cl, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bound the result buffer before the query runs: a cursor attached after
+	// Start can come too late, once a fast query has delivered everything.
+	r.collector.stream(cfg.CursorBufferBytes)
 	ctx, cancel := context.WithCancel(context.Background())
-	q := startPlan(t, cl, p, cfg, ctx)
+	q := r.Start(ctx)
 	q.Cursor()
 	return rec, q, cancel
 }

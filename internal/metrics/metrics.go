@@ -63,7 +63,7 @@ const (
 	TasksExecuted    = "tasks.executed"
 	TasksReplayed    = "tasks.replayed"
 	PartitionsMoved  = "partitions.moved"
-	PartitionTasks   = "partition.tasks" // intra-operator partition tasks dispatched to the CPU pool
+	PartitionTasks   = "partition.tasks" // always 0: operators run serially in their channel; kept for benchmark/result.go
 	CheckpointBytes  = "checkpoint.bytes"
 	RecoveryTasks    = "recovery.tasks"
 	RecoveryReplays  = "recovery.replays"

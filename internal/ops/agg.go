@@ -89,7 +89,7 @@ const aggStateSize = 24
 //
 // Groups live in an arena-backed open-addressing table (batch.HashTable):
 // the encoded key bytes sit contiguously in the arena, and the table maps a
-// row's cached 64-bit hash (shared with the partition router) to a dense
+// row's 64-bit key hash (batch.HashKeys, computed once per batch) to a dense
 // group index g. Everything else about a group sits in flat slices indexed
 // by g: its key values in columnar keyCols, and aggregate k's running
 // state at g*len(Aggs)+k of a struct of arrays — floats, ints and a flags
@@ -143,9 +143,7 @@ type HashAgg struct {
 	spSpilled bool
 }
 
-// NewHashAggSpec builds a Spec for a hash aggregation. The returned spec
-// implements ParallelSpec; global aggregates (empty groupBy) always run
-// serially, since every row belongs to the single group.
+// NewHashAggSpec builds a Spec for a hash aggregation.
 func NewHashAggSpec(groupBy []string, aggs ...AggExpr) Spec {
 	return hashAggSpec{GroupBy: groupBy, Aggs: aggs}
 }
@@ -164,7 +162,7 @@ func NewHashAggTypedSpec(groupBy []string, defaults []batch.Type, aggs ...AggExp
 	return hashAggSpec{GroupBy: groupBy, Aggs: aggs, Defaults: defaults}
 }
 
-// hashAggSpec instantiates HashAgg operators, serial or partitioned.
+// hashAggSpec instantiates HashAgg operators.
 // Fields are exported so process mode can gob-serialize plans.
 type hashAggSpec struct {
 	GroupBy  []string
@@ -181,18 +179,6 @@ func (s hashAggSpec) Name() string {
 // New implements Spec.
 func (s hashAggSpec) New(_, _ int) Operator {
 	return &HashAgg{GroupBy: s.GroupBy, Aggs: s.Aggs, Partial: s.Partial, DefaultTypes: s.Defaults}
-}
-
-// NewParallel implements ParallelSpec.
-func (s hashAggSpec) NewParallel(channel, channels, partitions int, pool *Pool) Operator {
-	if partitions <= 1 || len(s.GroupBy) == 0 {
-		return s.New(channel, channels)
-	}
-	parts := make([]*HashAgg, partitions)
-	for p := range parts {
-		parts[p] = &HashAgg{GroupBy: s.GroupBy, Aggs: s.Aggs}
-	}
-	return &parallelAgg{groupBy: s.GroupBy, aggs: s.Aggs, partial: s.Partial, parts: parts, pool: pool}
 }
 
 // resolveKeys caches the GroupBy column resolution; recomputed only when
@@ -225,13 +211,12 @@ func (a *HashAgg) resolveKeys(s *batch.Schema) error {
 	return nil
 }
 
-// Consume implements Operator. The serial path computes key hashes in one
-// vectorized pass; the partition router supplies them via consumeHashed.
-// A keyed partial aggregate forwards a batch that would not reduce (see
-// forwardStates) instead of aggregating it.
+// Consume implements Operator. Key hashes are computed in one vectorized
+// pass. A keyed partial aggregate forwards a batch that would not reduce
+// (see forwardStates) instead of aggregating it.
 func (a *HashAgg) Consume(_ int, b *batch.Batch) ([]*batch.Batch, error) {
 	if !a.Partial || len(a.GroupBy) == 0 {
-		return a.consumeHashed(0, b, nil)
+		return nil, a.consumeHashed(b, nil)
 	}
 	if err := a.resolveKeys(b.Schema); err != nil {
 		return nil, err
@@ -240,7 +225,7 @@ func (a *HashAgg) Consume(_ int, b *batch.Batch) ([]*batch.Batch, error) {
 	if distinctOverHalf(a.hashScratch) {
 		return forwardStates(b, a.keyIdx, a.Aggs)
 	}
-	return a.consumeHashed(0, b, a.hashScratch)
+	return nil, a.consumeHashed(b, a.hashScratch)
 }
 
 // hashSets recycles the sets distinctOverHalf counts in.
@@ -249,7 +234,7 @@ var hashSets = sync.Pool{New: func() any { return new([]uint64) }}
 // distinctOverHalf reports whether more than half of a batch's key hashes
 // are distinct: whether a partial aggregate forwards the batch. It reads
 // nothing but the hashes, so the choice is a pure function of the consumed
-// batch — the same under replay, at every Parallelism, spilled or not, and
+// batch — the same under replay, spilled or not, and
 // after a Restore, with no state to snapshot — and it stops counting as
 // soon as the answer is certain.
 func distinctOverHalf(hashes []uint64) bool {
@@ -345,27 +330,27 @@ func forwardStates(b *batch.Batch, keyIdx []int, aggs []AggExpr) ([]*batch.Batch
 	return single(batch.MustNew(batch.NewSchema(fields...), cols)), nil
 }
 
-// consumeHashed is Consume with optional precomputed key hashes aligned
-// with b's logical rows.
-func (a *HashAgg) consumeHashed(_ int, b *batch.Batch, hashes []uint64) ([]*batch.Batch, error) {
+// consumeHashed aggregates b, given its key hashes aligned with its logical
+// rows or nil to compute them.
+func (a *HashAgg) consumeHashed(b *batch.Batch, hashes []uint64) error {
 	if a.table == nil {
 		a.table = batch.NewHashTable(0)
 	}
 	if err := a.resolveKeys(b.Schema); err != nil {
-		return nil, err
+		return err
 	}
 	// Memory governance: global aggregates never spill (their state is one
 	// row); grouped aggregation spills when the worst-case growth of this
 	// batch would not fit the worker's budget.
 	if a.sp != nil && len(a.GroupBy) > 0 {
 		if a.spSpilled {
-			return nil, a.spillConsume(b, hashes)
+			return a.spillConsume(b, hashes)
 		}
 		if !a.sp.Reserve(spillAggBatchEst(b, len(a.Aggs))) {
 			if err := a.spillState(); err != nil {
-				return nil, err
+				return err
 			}
-			return nil, a.spillConsume(b, hashes)
+			return a.spillConsume(b, hashes)
 		}
 	}
 	// Evaluate aggregate input expressions once per batch, into a reused
@@ -383,7 +368,7 @@ func (a *HashAgg) consumeHashed(_ int, b *batch.Batch, hashes []uint64) ([]*batc
 		}
 		c, err := ag.Of.Eval(phys)
 		if err != nil {
-			return nil, fmt.Errorf("ops: agg %q: %w", ag.Name, err)
+			return fmt.Errorf("ops: agg %q: %w", ag.Name, err)
 		}
 		inputs[i] = c
 	}
@@ -428,7 +413,7 @@ func (a *HashAgg) consumeHashed(_ int, b *batch.Batch, hashes []uint64) ([]*batc
 	if a.sp != nil && len(a.GroupBy) > 0 {
 		a.sp.SyncTo(a.StateBytes()) // settle the worst-case estimate
 	}
-	return nil, nil
+	return nil
 }
 
 // growStates lengthens the state slices to one state per aggregate of

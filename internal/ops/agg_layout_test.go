@@ -81,16 +81,13 @@ func goldenAggInputs() []*batch.Batch {
 var aggGolden = map[string]string{
 	"p1/finalize":     "72020155d8be5410649491e931e0b17ae6be701c425fd4429725ac9e810c0ee2",
 	"p1/snapshot":     "aa4c9306afa66d5242df9c088f08685b603fd2165dbca3b1a95da6bdfdb5bf4d",
-	"p4/finalize":     "72020155d8be5410649491e931e0b17ae6be701c425fd4429725ac9e810c0ee2",
-	"p4/snapshot":     "f75243656a0ea27138fa5737b304c342e2fe8bf95ef16a8e6ccc84bae149c4db",
 	"global/finalize": "9464f0bf81397b7467e72ad1ee7231b017a2d88c3fa3e1fa8c8d428c4dfd04ef",
 	"global/snapshot": "1d51e4c803f9a05c53a5aa3b53f4e10391e476620696214db36b0c51265df097",
 	"global/default":  "23cbb4d6e5119ee84b381dd3bb3976f9b72cca26618c1524002df25c5d92b368",
 }
 
 // TestAggBytesMatchGolden: the aggregate's Finalize output and Snapshot
-// bytes are the pinned ones, at Parallelism 1 and 4 and for the global
-// aggregate, and restoring the pinned snapshot then consuming on emits
+// bytes are the pinned ones, grouped and for the global aggregate, and restoring the pinned snapshot then consuming on emits
 // exactly what an operator that never snapshotted emits.
 func TestAggBytesMatchGolden(t *testing.T) {
 	in := goldenAggInputs()
@@ -104,15 +101,14 @@ func TestAggBytesMatchGolden(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		groupBy []string
-		p       int
-	}{{"p1", []string{"g", "name"}, 1}, {"p4", []string{"g", "name"}, 4}, {"global", nil, 1}} {
-		spec := NewHashAggTypedSpec(c.groupBy, goldenAggDefaults, goldenAggs()...).(ParallelSpec)
-		whole := spec.NewParallel(0, 1, c.p, testPool(4))
+	}{{"p1", []string{"g", "name"}}, {"global", nil}} {
+		spec := NewHashAggTypedSpec(c.groupBy, goldenAggDefaults, goldenAggs()...)
+		whole := spec.New(0, 1)
 		consumeAll(t, whole, 0, in...)
 		want := encodeOuts(finalize(t, whole))
 		check(c.name+"/finalize", []byte(want))
 
-		half := spec.NewParallel(0, 1, c.p, testPool(4))
+		half := spec.New(0, 1)
 		consumeAll(t, half, 0, in[0])
 		snap, err := half.(Snapshotter).Snapshot()
 		if err != nil {
@@ -120,7 +116,7 @@ func TestAggBytesMatchGolden(t *testing.T) {
 		}
 		check(c.name+"/snapshot", snap)
 
-		restored := spec.NewParallel(0, 1, c.p, testPool(4))
+		restored := spec.New(0, 1)
 		if err := restored.(Snapshotter).Restore(snap); err != nil {
 			t.Fatal(err)
 		}

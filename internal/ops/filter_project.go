@@ -34,8 +34,7 @@ const (
 	selViewMinKeepDen = 4
 )
 
-// NewFilterSpec builds a Spec for a Filter with the given predicate. The
-// returned spec implements ParallelSpec via row-range morsels.
+// NewFilterSpec builds a Spec for a Filter with the given predicate.
 func NewFilterSpec(pred expr.Expr) Spec {
 	return filterSpec{Pred: pred}
 }
@@ -45,9 +44,6 @@ type filterSpec struct{ Pred expr.Expr }
 
 func (s filterSpec) Name() string          { return fmt.Sprintf("filter[%s]", s.Pred) }
 func (s filterSpec) New(_, _ int) Operator { return &Filter{Pred: s.Pred} }
-func (s filterSpec) NewParallel(_, _, partitions int, pool *Pool) Operator {
-	return rowwiseParallel(partitions, pool, func() Operator { return &Filter{Pred: s.Pred} })
-}
 
 // Consume implements Operator.
 func (f *Filter) Consume(_ int, b *batch.Batch) ([]*batch.Batch, error) {
@@ -127,8 +123,7 @@ type Project struct {
 	Exprs []NamedExpr
 }
 
-// NewProjectSpec builds a Spec for a Project. The returned spec implements
-// ParallelSpec via row-range morsels.
+// NewProjectSpec builds a Spec for a Project.
 func NewProjectSpec(exprs ...NamedExpr) Spec {
 	return projectSpec{Exprs: exprs}
 }
@@ -138,9 +133,6 @@ type projectSpec struct{ Exprs []NamedExpr }
 
 func (s projectSpec) Name() string          { return fmt.Sprintf("project[%d cols]", len(s.Exprs)) }
 func (s projectSpec) New(_, _ int) Operator { return &Project{Exprs: s.Exprs} }
-func (s projectSpec) NewParallel(_, _, partitions int, pool *Pool) Operator {
-	return rowwiseParallel(partitions, pool, func() Operator { return &Project{Exprs: s.Exprs} })
-}
 
 // Consume implements Operator.
 func (p *Project) Consume(_ int, b *batch.Batch) ([]*batch.Batch, error) {
@@ -209,11 +201,6 @@ func (s filterProjectSpec) Name() string {
 }
 func (s filterProjectSpec) New(_, _ int) Operator {
 	return &FilterProject{Pred: s.Pred, Exprs: s.Exprs}
-}
-func (s filterProjectSpec) NewParallel(_, _, partitions int, pool *Pool) Operator {
-	return rowwiseParallel(partitions, pool, func() Operator {
-		return &FilterProject{Pred: s.Pred, Exprs: s.Exprs}
-	})
 }
 
 // Consume implements Operator.

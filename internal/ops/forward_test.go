@@ -100,61 +100,58 @@ func runPartial(t *testing.T, op Operator, pieces []*batch.Batch) partialRun {
 
 // TestForwardingPartialIsAPureFunctionOfItsInput: a partial aggregate
 // forwards exactly the pieces whose keys are mostly distinct, and emits the
-// same bytes, call by call, at Parallelism 1 and 4, with and without a
-// budget that forces its table to spill, and across a Snapshot/Restore
-// between two pieces.
+// same bytes, call by call, with and without a budget that forces its
+// table to spill, and across a Snapshot/Restore between two pieces.
 func TestForwardingPartialIsAPureFunctionOfItsInput(t *testing.T) {
 	pieces := forwardPieces()
-	spec := NewHashAggPartialSpec([]string{"g", "name"}, forwardAggs()...).(ParallelSpec)
+	spec := NewHashAggPartialSpec([]string{"g", "name"}, forwardAggs()...)
 	want := runPartial(t, spec.New(0, 1), pieces)
 	for i, forwarded := range []bool{false, true, true, true, false, true} {
 		if got := want.consumed[i] != ""; got != forwarded {
 			t.Fatalf("piece %d: forwarded %v, want %v", i, got, forwarded)
 		}
 	}
-	for _, p := range []int{1, 4} {
-		for _, budget := range []int64{0, 2_000} {
-			op := spec.NewParallel(0, 1, p, testPool(4))
-			var env *spillEnv
-			if budget > 0 {
-				env = newSpillEnv(budget, 4)
-				op.(Spillable).SetSpill(env.ctx.NewOp("spill/fwd"))
-			}
-			got := runPartial(t, op, pieces)
-			if env != nil && env.spilledRuns() == 0 {
-				t.Errorf("p%d budget %d: nothing spilled", p, budget)
-			}
-			for i := range pieces {
-				if got.consumed[i] != want.consumed[i] {
-					t.Errorf("p%d budget %d: piece %d emitted other bytes", p, budget, i)
-				}
-			}
-			if got.final != want.final {
-				t.Errorf("p%d budget %d: Finalize emitted other bytes", p, budget)
-			}
+	for _, budget := range []int64{0, 2_000} {
+		op := spec.New(0, 1)
+		var env *spillEnv
+		if budget > 0 {
+			env = newSpillEnv(budget, 4)
+			op.(Spillable).SetSpill(env.ctx.NewOp("spill/fwd"))
 		}
-
-		// Snapshot after the first three pieces, restore into a fresh
-		// operator, consume the rest: the same bytes as never stopping.
-		half := spec.NewParallel(0, 1, p, testPool(4))
-		consumeAll(t, half, 0, pieces[:3]...)
-		snap, err := half.(Snapshotter).Snapshot()
-		if err != nil {
-			t.Fatal(err)
+		got := runPartial(t, op, pieces)
+		if env != nil && env.spilledRuns() == 0 {
+			t.Errorf("budget %d: nothing spilled", budget)
 		}
-		restored := spec.NewParallel(0, 1, p, testPool(4))
-		if err := restored.(Snapshotter).Restore(snap); err != nil {
-			t.Fatal(err)
-		}
-		got := runPartial(t, restored, pieces[3:])
-		for i := range got.consumed {
-			if got.consumed[i] != want.consumed[3+i] {
-				t.Errorf("p%d: restored, piece %d emitted other bytes", p, 3+i)
+		for i := range pieces {
+			if got.consumed[i] != want.consumed[i] {
+				t.Errorf("budget %d: piece %d emitted other bytes", budget, i)
 			}
 		}
 		if got.final != want.final {
-			t.Errorf("p%d: restored, Finalize emitted other bytes", p)
+			t.Errorf("budget %d: Finalize emitted other bytes", budget)
 		}
+	}
+
+	// Snapshot after the first three pieces, restore into a fresh
+	// operator, consume the rest: the same bytes as never stopping.
+	half := spec.New(0, 1)
+	consumeAll(t, half, 0, pieces[:3]...)
+	snap, err := half.(Snapshotter).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := spec.New(0, 1)
+	if err := restored.(Snapshotter).Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	got := runPartial(t, restored, pieces[3:])
+	for i := range got.consumed {
+		if got.consumed[i] != want.consumed[3+i] {
+			t.Errorf("restored, piece %d emitted other bytes", 3+i)
+		}
+	}
+	if got.final != want.final {
+		t.Error("restored, Finalize emitted other bytes")
 	}
 }
 

@@ -116,31 +116,25 @@ func hashPathAggInputs(t *testing.T) []*batch.Batch {
 }
 
 // TestHashAggMatchesMapReference: the arena/open-addressing aggregation
-// must be byte-identical to the map-based reference, at Parallelism 1 and
-// 4, including the key-encoding edge cases (length-prefixed multi-string
-// keys, signed-zero floats as distinct groups).
+// must be byte-identical to the map-based reference, including the
+// key-encoding edge cases (length-prefixed multi-string keys, signed-zero
+// floats as distinct groups).
 func TestHashAggMatchesMapReference(t *testing.T) {
 	in := hashPathAggInputs(t)
 	groupBy := []string{"a", "b", "f"}
 	want := refAggSumCount(t, in, groupBy, "v")
 
-	spec := NewHashAggSpec(groupBy, Sum("s", expr.C("v")), CountStar("c")).(ParallelSpec)
-	for _, p := range []int{1, 4} {
-		op := spec.NewParallel(0, 1, p, testPool(4))
-		consumeAll(t, op, 0, in...)
-		got := finalize(t, op)
-		if len(got) != 1 {
-			t.Fatalf("p=%d: finalize returned %d batches", p, len(got))
-		}
-		if string(batch.Encode(got[0])) != string(batch.Encode(want)) {
-			t.Errorf("p=%d: output differs from map reference\nwant %v\ngot  %v", p, want, got[0])
-		}
+	op := NewHashAggSpec(groupBy, Sum("s", expr.C("v")), CountStar("c")).New(0, 1)
+	consumeAll(t, op, 0, in...)
+	out := finalize(t, op)
+	if len(out) != 1 {
+		t.Fatalf("finalize returned %d batches", len(out))
+	}
+	if string(batch.Encode(out[0])) != string(batch.Encode(want)) {
+		t.Errorf("output differs from map reference\nwant %v\ngot  %v", want, out[0])
 	}
 	// The multi-string edge cases must stay distinct groups: 3 string
 	// splits of "abc" x 2 zero signs + 7 regular keys x 2 signs = 20.
-	op := spec.NewParallel(0, 1, 1, testPool(1))
-	consumeAll(t, op, 0, in...)
-	out := finalize(t, op)
 	if got := out[0].NumRows(); got != 20 {
 		t.Errorf("distinct groups = %d, want 20 (length prefix or -0.0 semantics broken)", got)
 	}
@@ -249,63 +243,61 @@ func zeroValueOf(t batch.Type) any {
 	return nil
 }
 
-// TestHashJoinMatchesMapReference: all four join types, Parallelism 1 and
-// 4, against the map-based reference row multiset.
+// TestHashJoinMatchesMapReference: all four join types over duplicate and
+// hash-colliding keys, against the map-based reference row multiset.
 func TestHashJoinMatchesMapReference(t *testing.T) {
 	build, probe := parJoinInputs(t, 80, 120)
 	for _, typ := range []JoinType{InnerJoin, LeftOuterJoin, SemiJoin, AntiJoin} {
 		want := refJoinRows(t, typ,
 			append([]*batch.Batch(nil), build...), probe, []string{"k"}, []string{"k"})
-		for _, p := range []int{1, 4} {
-			spec := NewHashJoinSpec(typ, []string{"k"}, []string{"k"}).(ParallelSpec)
-			op := spec.NewParallel(0, 1, p, testPool(4))
-			var out []*batch.Batch
-			out = append(out, consumeAll(t, op, 0, build...)...)
-			out = append(out, consumeAll(t, op, 1, probe...)...)
-			out = append(out, finalize(t, op)...)
-			if got := rowSet(t, out); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s p=%d: %d rows vs reference %d rows", typ, p, len(got), len(want))
-			}
+		op := NewHashJoinSpec(typ, []string{"k"}, []string{"k"}).New(0, 1)
+		var out []*batch.Batch
+		out = append(out, consumeAll(t, op, 0, build...)...)
+		out = append(out, consumeAll(t, op, 1, probe...)...)
+		out = append(out, finalize(t, op)...)
+		if got := rowSet(t, out); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d rows vs reference %d rows", typ, len(got), len(want))
 		}
 	}
 }
 
-// TestRouterEquivalence: the vectorized hash-once router must assign every
-// row the same partition as the original per-row encode-then-fnv router —
-// the determinism contract the GCS opp record depends on — and so must the
-// engine's shuffle router, HashPartition, length-prefixed strings included.
+// TestRouterEquivalence: the hash-edge router, batch.Scatter, must send
+// every row to the channel the per-row encode-then-fnv contract names —
+// fnv-1a over the key encoding, length-prefixed strings included, mod the
+// channel count — and the vectorized hash it computes must be that hash.
 func TestRouterEquivalence(t *testing.T) {
-	f := func(ints []int64, strs []string, pRaw uint8) bool {
-		n := len(ints)
-		if len(strs) < n {
-			n = len(strs)
-		}
-		if n == 0 {
+	f := func(ints []int64, strs []string, nRaw uint8) bool {
+		rows := min(len(ints), len(strs))
+		if rows == 0 {
 			return true
 		}
-		p := int(pRaw)%7 + 1
+		n := int(nRaw)%7 + 1
 		s := batch.NewSchema(batch.F("i", batch.Int64), batch.F("s", batch.String))
 		b := batch.MustNew(s, []*batch.Column{
-			batch.NewIntColumn(ints[:n]), batch.NewStringColumn(strs[:n]),
+			batch.NewIntColumn(ints[:rows]), batch.NewStringColumn(strs[:rows]),
 		})
 		keyIdx := []int{0, 1}
-		hashes := rowHashes(b, keyIdx, nil)
+		hashes := batch.HashKeys(nil, b, keyIdx)
 		var key []byte
-		for r := 0; r < n; r++ {
-			// The original router: appendKey per row, then fnv-1a mod P.
-			key = batch.AppendKey(key[:0], b, keyIdx, r)
-			if got, want := int(hashes[r]%uint64(p)), PartitionOf(key, p); got != want {
+		for r := 0; r < rows; r++ {
+			if key = batch.AppendKey(key[:0], b, keyIdx, r); hashes[r] != batch.HashKey(key) {
 				return false
 			}
 		}
-		for k, part := range b.HashPartition([]string{"i", "s"}, p) {
-			for r := 0; r < part.NumRows(); r++ {
-				if key = batch.AppendKey(key[:0], part, keyIdx, r); PartitionOf(key, p) != k {
+		parts, err := batch.Scatter([]*batch.Batch{b}, keyIdx, n)
+		if err != nil {
+			return false
+		}
+		routed := 0
+		for k, part := range parts {
+			for r := 0; part != nil && r < part.NumRows(); r++ {
+				if key = batch.AppendKey(key[:0], part, keyIdx, r); batch.HashKey(key)%uint64(n) != uint64(k) {
 					return false
 				}
+				routed++
 			}
 		}
-		return true
+		return routed == rows
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -352,14 +344,6 @@ func TestFilterSelectionEquivalence(t *testing.T) {
 	gv, gm := finalize(t, aggView), finalize(t, aggMat)
 	if string(batch.Encode(gv[0])) != string(batch.Encode(gm[0])) {
 		t.Error("agg over selection view differs from materialized")
-	}
-
-	// Parallel agg fed the view: still byte-identical.
-	aggPar := aggSpec.(ParallelSpec).NewParallel(0, 1, 4, testPool(4))
-	consumeAll(t, aggPar, 0, out[0])
-	gp := finalize(t, aggPar)
-	if string(batch.Encode(gp[0])) != string(batch.Encode(gm[0])) {
-		t.Error("parallel agg over selection view differs")
 	}
 
 	// Join probe fed the view vs the copy: identical row multiset.

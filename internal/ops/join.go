@@ -44,9 +44,8 @@ func (t JoinType) String() string {
 // The index is an arena-backed open-addressing table over the distinct
 // build keys (batch.HashTable); build rows are grouped per key in a CSR
 // layout (refStart/refRows into the merged build batch). Probing walks the
-// table with the row's cached 64-bit hash — supplied by the partition
-// router when the operator runs partitioned, computed in one vectorized
-// pass otherwise — and materializes output column-at-a-time from reusable
+// table with each row's 64-bit key hash, computed in one vectorized pass
+// per batch, and materializes output column-at-a-time from reusable
 // match vectors, so the inner probe loop allocates nothing per row.
 //
 // Output columns are probe columns followed by build columns (minus the
@@ -56,17 +55,16 @@ type HashJoin struct {
 	BuildKeys []string
 	ProbeKeys []string
 
-	build       []*batch.Batch // retained build batches (state)
-	buildHashes [][]uint64     // per retained batch: router-cached key hashes
-	stateBytes  int64
-	merged      *batch.Batch // build side concatenated at first probe
-	table       *batch.HashTable
-	refStart    []int32 // CSR: key k's build rows are refRows[refStart[k]:refStart[k+1]]
-	refRows     []int32
-	buildProj   []int // build column indexes carried to output
-	outSchema   *batch.Schema
-	probeKeyIx  []int
-	buildKeyIx  []int
+	build      []*batch.Batch // retained build batches (state)
+	stateBytes int64
+	merged     *batch.Batch // build side concatenated at first probe
+	table      *batch.HashTable
+	refStart   []int32 // CSR: key k's build rows are refRows[refStart[k]:refStart[k+1]]
+	refRows    []int32
+	buildProj  []int // build column indexes carried to output
+	outSchema  *batch.Schema
+	probeKeyIx []int
+	buildKeyIx []int
 
 	// Reusable probe scratch (satellite of the zero-alloc probe loop).
 	keyScratch  []byte
@@ -88,9 +86,7 @@ type HashJoin struct {
 	resBytes      int64
 }
 
-// NewHashJoinSpec builds a Spec for a hash join. The returned spec
-// implements ParallelSpec: joins always partition (the key lists are
-// non-empty by construction).
+// NewHashJoinSpec builds a Spec for a hash join.
 func NewHashJoinSpec(t JoinType, buildKeys, probeKeys []string) Spec {
 	if len(buildKeys) != len(probeKeys) || len(buildKeys) == 0 {
 		panic("ops: join key lists must be equal length and non-empty")
@@ -98,7 +94,7 @@ func NewHashJoinSpec(t JoinType, buildKeys, probeKeys []string) Spec {
 	return hashJoinSpec{Typ: t, BuildKeys: buildKeys, ProbeKeys: probeKeys}
 }
 
-// hashJoinSpec instantiates HashJoin operators, serial or partitioned.
+// hashJoinSpec instantiates HashJoin operators.
 // Fields are exported so process mode can gob-serialize plans.
 type hashJoinSpec struct {
 	Typ       JoinType
@@ -116,21 +112,6 @@ func (s hashJoinSpec) New(_, _ int) Operator {
 	return &HashJoin{Type: s.Typ, BuildKeys: s.BuildKeys, ProbeKeys: s.ProbeKeys}
 }
 
-// NewParallel implements ParallelSpec.
-func (s hashJoinSpec) NewParallel(channel, channels, partitions int, pool *Pool) Operator {
-	if partitions <= 1 {
-		return s.New(channel, channels)
-	}
-	parts := make([]*HashJoin, partitions)
-	for p := range parts {
-		parts[p] = &HashJoin{Type: s.Typ, BuildKeys: s.BuildKeys, ProbeKeys: s.ProbeKeys}
-	}
-	return &parallelJoin{
-		typ: s.Typ, buildKeys: s.BuildKeys, probeKeys: s.ProbeKeys,
-		parts: parts, pool: pool,
-	}
-}
-
 func keyIndexes(s *batch.Schema, keys []string) ([]int, error) {
 	out := make([]int, len(keys))
 	for i, k := range keys {
@@ -143,16 +124,8 @@ func keyIndexes(s *batch.Schema, keys []string) ([]int, error) {
 	return out, nil
 }
 
-// Consume implements Operator. The serial path computes key hashes in one
-// vectorized pass; the partition router supplies them via consumeHashed.
+// Consume implements Operator.
 func (j *HashJoin) Consume(input int, b *batch.Batch) ([]*batch.Batch, error) {
-	return j.consumeHashed(input, b, nil)
-}
-
-// consumeHashed is Consume with optional precomputed key hashes, aligned
-// with b's logical rows (hash-once routing: the partitioner already hashed
-// every row to pick its partition).
-func (j *HashJoin) consumeHashed(input int, b *batch.Batch, hashes []uint64) ([]*batch.Batch, error) {
 	switch input {
 	case 0:
 		if b.Sel != nil {
@@ -168,15 +141,14 @@ func (j *HashJoin) consumeHashed(input int, b *batch.Batch, hashes []uint64) ([]
 				}
 			}
 			if j.spSpilled {
-				return nil, j.spillBuildBatch(b, hashes)
+				return nil, j.spillBuildBatch(b)
 			}
 		}
 		j.build = append(j.build, b)
-		j.buildHashes = append(j.buildHashes, hashes)
 		j.stateBytes += b.ByteSize()
 		return nil, nil
 	case 1:
-		return j.probe(b, hashes)
+		return j.probe(b, nil)
 	default:
 		return nil, fmt.Errorf("ops: join input %d out of range", input)
 	}
@@ -220,26 +192,7 @@ func (j *HashJoin) buildIndex(probeSchema *batch.Schema) error {
 			}
 		}
 
-		// Cached router hashes survive concatenation only if every batch
-		// carried them; otherwise hash the merged batch in one pass.
 		var hashes []uint64
-		complete := true
-		for _, h := range j.buildHashes {
-			if h == nil {
-				complete = false
-				break
-			}
-		}
-		if complete {
-			total := 0
-			for _, h := range j.buildHashes {
-				total += len(h)
-			}
-			hashes = make([]uint64, 0, total)
-			for _, h := range j.buildHashes {
-				hashes = append(hashes, h...)
-			}
-		}
 		merged, err := batch.Concat(j.build)
 		if err != nil {
 			return err
@@ -249,15 +202,12 @@ func (j *HashJoin) buildIndex(probeSchema *batch.Schema) error {
 		// restored operator still knows the build schema).
 		j.merged = merged
 		j.build = nil
-		j.buildHashes = nil
 		if merged != nil {
 			n := merged.NumRows()
 			// Size the directory for the build row count up front (an
 			// upper bound on distinct keys) so the build pass never grows.
 			j.table = batch.NewHashTable(n)
-			if hashes == nil {
-				hashes = batch.HashKeys(nil, merged, ix)
-			}
+			hashes = batch.HashKeys(nil, merged, ix)
 			// Pass 1: distinct keys + per-key row counts.
 			rowKey := make([]int32, n)
 			var key []byte
@@ -492,7 +442,6 @@ func (j *HashJoin) Snapshot() ([]byte, error) {
 // Restore implements Snapshotter.
 func (j *HashJoin) Restore(data []byte) error {
 	j.build = nil
-	j.buildHashes = nil
 	j.stateBytes = 0
 	j.merged = nil
 	j.table = nil
@@ -509,7 +458,6 @@ func (j *HashJoin) Restore(data []byte) error {
 		return err
 	}
 	j.build = []*batch.Batch{b}
-	j.buildHashes = [][]uint64{nil}
 	j.stateBytes = b.ByteSize()
 	return nil
 }

@@ -19,10 +19,8 @@ import (
 // Stateful operators accumulate across Consume calls; Finalize flushes any
 // remaining output once every input is exhausted. Implementations are not
 // safe for concurrent use by multiple callers; the engine runs each
-// channel's tasks serially, as the paper requires. An operator may fan a
-// single Consume or Finalize call out across hash partitions of its own
-// state internally (see ParallelSpec in parallel.go) — that parallelism is
-// the operator's private business and must finish before the call returns.
+// channel's tasks serially, as the paper requires, and a stage's
+// parallelism is its channel count.
 type Operator interface {
 	// Consume processes one batch from the given input index and returns
 	// zero or more output batches.

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -160,6 +161,15 @@ func TestJoinEmptyBuild(t *testing.T) {
 	if out[0].NumRows() != probe.NumRows() {
 		t.Fatal("anti join with empty build should pass everything")
 	}
+	semi := NewHashJoinSpec(SemiJoin, []string{"k"}, []string{"k"}).New(0, 1)
+	if out := consumeAll(t, semi, 1, probe); len(out) != 0 {
+		t.Fatalf("semi join with empty build emitted %v", out)
+	}
+	left := NewHashJoinSpec(LeftOuterJoin, []string{"k"}, []string{"k"}).New(0, 1)
+	out = consumeAll(t, left, 1, probe)
+	if len(out) != 1 || out[0].NumRows() != probe.NumRows() || slices.Contains(out[0].Col("__matched").Bools, true) {
+		t.Fatalf("left outer join with empty build should pass everything unmatched: %v", out)
+	}
 }
 
 func TestJoinColumnCollision(t *testing.T) {
@@ -173,25 +183,37 @@ func TestJoinColumnCollision(t *testing.T) {
 	}
 }
 
+// TestJoinSnapshotRestore: a join restored from a snapshot of its build
+// side probes exactly as the original — also over a build side of several
+// batches with duplicate and hash-colliding keys.
 func TestJoinSnapshotRestore(t *testing.T) {
 	build, probe := joinInputs(t)
-	op := NewHashJoinSpec(InnerJoin, []string{"k"}, []string{"k"}).New(0, 1).(*HashJoin)
-	consumeAll(t, op, 0, build)
-	if op.StateBytes() == 0 {
-		t.Fatal("state bytes should grow with build side")
-	}
-	snap, err := op.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	op2 := NewHashJoinSpec(InnerJoin, []string{"k"}, []string{"k"}).New(0, 1).(*HashJoin)
-	if err := op2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	out1 := consumeAll(t, op, 1, probe)
-	out2 := consumeAll(t, op2, 1, probe)
-	if !reflect.DeepEqual(batch.Encode(out1[0]), batch.Encode(out2[0])) {
-		t.Fatal("restored join behaves differently")
+	collBuild, collProbe := parJoinInputs(t, 40, 60)
+	for _, c := range []struct {
+		name         string
+		build, probe []*batch.Batch
+	}{{"simple", []*batch.Batch{build}, []*batch.Batch{probe}}, {"colliding", collBuild, collProbe}} {
+		op := NewHashJoinSpec(InnerJoin, []string{"k"}, []string{"k"}).New(0, 1).(*HashJoin)
+		consumeAll(t, op, 0, c.build...)
+		if op.StateBytes() == 0 {
+			t.Fatalf("%s: state bytes should grow with build side", c.name)
+		}
+		snap, err := op.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		op2 := NewHashJoinSpec(InnerJoin, []string{"k"}, []string{"k"}).New(0, 1).(*HashJoin)
+		if err := op2.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		out1 := consumeAll(t, op, 1, c.probe...)
+		out2 := consumeAll(t, op2, 1, c.probe...)
+		if encodeOuts(out1) != encodeOuts(out2) {
+			t.Fatalf("%s: restored join behaves differently", c.name)
+		}
+		if op.StateBytes() != op2.StateBytes() {
+			t.Errorf("%s: state bytes %d vs %d", c.name, op.StateBytes(), op2.StateBytes())
+		}
 	}
 }
 
@@ -262,6 +284,24 @@ func TestHashAggSnapshotRestore(t *testing.T) {
 	o1, o2 := finalize(t, op), finalize(t, op2)
 	if !reflect.DeepEqual(batch.Encode(o1[0]), batch.Encode(o2[0])) {
 		t.Fatalf("restored agg differs:\n%v\nvs\n%v", o1[0], o2[0])
+	}
+
+	// The same over many groups with hash-colliding keys, restored after
+	// the first of two batches.
+	build, _ := parJoinInputs(t, 120, 0)
+	spec := NewHashAggSpec([]string{"k"}, Sum("s", expr.C("k")), CountStar("c"))
+	whole, restored := spec.New(0, 1), spec.New(0, 1)
+	consumeAll(t, whole, 0, build[0])
+	if snap, err = whole.(Snapshotter).Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.(Snapshotter).Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	consumeAll(t, whole, 0, build[1])
+	consumeAll(t, restored, 0, build[1])
+	if got, want := encodeOuts(finalize(t, restored)), encodeOuts(finalize(t, whole)); got != want {
+		t.Error("restored agg over colliding keys differs")
 	}
 }
 

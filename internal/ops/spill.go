@@ -14,10 +14,10 @@ import (
 // operator gets a spill.Op handle; state that would exceed the worker's
 // shared budget moves to per-partition run files on the worker's local
 // disk, partitioned by the TOP bits of the same 64-bit key hash the
-// partition router computes (batch.HashKeys) — disjoint in effect from the
-// pinned `hash mod P` routing, with no second hash function (spilled rows
-// read back from disk recompute the identical fnv-1a hash) and no change
-// to the GCS "opp" contract.
+// hash-edge router computes (batch.HashKeys) — disjoint in effect from the
+// channel routing `hash mod channels`, which reads the low bits, with no
+// second hash function (spilled rows read back from disk recompute the
+// identical fnv-1a hash).
 //
 // INVARIANT (recovery depends on it): spilling is output-transparent.
 // Every operator's task outputs are byte-identical — content AND order —
@@ -124,12 +124,11 @@ func dropField(b *batch.Batch, name string) *batch.Batch {
 	return batch.MustNew(batch.NewSchema(fields...), cols)
 }
 
-// mergeGroupOutputs merges per-partition aggregation outputs, each already
-// in key-encoding order (HashAgg.Finalize sorts), into the serial operator's
-// global key-encoding order. A group lives in exactly one partition, so the
-// merge order is the global order, and partitioned (and spilled) finalize is
-// byte-identical to the serial in-memory path by construction. Shared by
-// parallelAgg and the spilled HashAgg.
+// mergeGroupOutputs merges per-spill-partition aggregation outputs, each
+// already in key-encoding order (HashAgg.Finalize sorts), into the in-memory
+// operator's global key-encoding order. A group lives in exactly one
+// partition, so the merge order is the global order, and a spilled finalize
+// is byte-identical to the in-memory path by construction.
 func mergeGroupOutputs(outs []*batch.Batch, groupBy []string) (*batch.Batch, error) {
 	var runs []*batch.Batch
 	for _, o := range outs {
@@ -210,32 +209,24 @@ func (j *HashJoin) spillBuild() error {
 		}
 		j.buildKeyIx = ix
 	}
-	for i, bb := range j.build {
-		hs := j.buildHashes[i]
-		if hs == nil {
-			hs = batch.HashKeys(nil, bb, j.buildKeyIx)
-		}
-		if err := j.spillBuildRows(bb, hs); err != nil {
+	for _, bb := range j.build {
+		if err := j.spillBuildBatch(bb); err != nil {
 			return err
 		}
 	}
 	j.build = nil
-	j.buildHashes = nil
 	j.stateBytes = 0
 	j.sp.ReleaseAll()
 	j.spSpilled = true
 	return nil
 }
 
-// spillBuildBatch routes one incoming build batch directly to disk.
-func (j *HashJoin) spillBuildBatch(b *batch.Batch, hashes []uint64) error {
+// spillBuildBatch routes one build batch directly to disk.
+func (j *HashJoin) spillBuildBatch(b *batch.Batch) error {
 	if b.NumRows() == 0 {
 		return nil
 	}
-	if hashes == nil {
-		hashes = batch.HashKeys(nil, b, j.buildKeyIx)
-	}
-	return j.spillBuildRows(b, hashes)
+	return j.spillBuildRows(b, batch.HashKeys(nil, b, j.buildKeyIx))
 }
 
 func (j *HashJoin) spillBuildRows(b *batch.Batch, hashes []uint64) error {
@@ -323,7 +314,7 @@ func (j *HashJoin) probeShard(o *spill.Op, part int, sub *batch.Batch, subHashes
 		// Evict the previous partition BEFORE sizing this one, or its
 		// residency would spuriously (and stickily) force a re-split of a
 		// partition that fits on its own. The load-vs-recurse decision
-		// reserves atomically (TryGrow): concurrent lanes race for the
+		// reserves atomically (TryGrow): a worker's channels race for the
 		// budget, and the loser recurses instead of forcing past it.
 		j.dropResident()
 		if !o.IsResplit(part) && o.Level()+1 < spill.MaxDepth && o.PartBytes(part) > 0 {
@@ -360,7 +351,7 @@ func (j *HashJoin) probeShard(o *spill.Op, part int, sub *batch.Batch, subHashes
 			return nil, err
 		}
 	}
-	outs, err := j.resJoin.consumeHashed(1, sub, subHashes)
+	outs, err := j.resJoin.probe(sub, subHashes)
 	if err != nil {
 		return nil, err
 	}
@@ -380,7 +371,7 @@ func (j *HashJoin) loadResident(o *spill.Op, part int, probeSchema *batch.Schema
 	inner := &HashJoin{Type: j.Type, BuildKeys: j.BuildKeys, ProbeKeys: j.ProbeKeys}
 	// Seed the build schema even for empty partitions so output schemas
 	// stay consistent across fragments.
-	if _, err := inner.consumeHashed(0, batch.Empty(j.spBuildSchema), nil); err != nil {
+	if _, err := inner.Consume(0, batch.Empty(j.spBuildSchema)); err != nil {
 		return err
 	}
 	for _, r := range o.Runs(part) {
@@ -389,7 +380,7 @@ func (j *HashJoin) loadResident(o *spill.Op, part int, probeSchema *batch.Schema
 			return err
 		}
 		for _, b := range bs {
-			if _, err := inner.consumeHashed(0, b, nil); err != nil {
+			if _, err := inner.Consume(0, b); err != nil {
 				return err
 			}
 		}
@@ -553,7 +544,7 @@ func (a *HashAgg) finalizePart(o *spill.Op, part int, outs *[]*batch.Batch) erro
 				// Written exactly once per partition, before any raw run.
 				err = sub.restoreFromBatch(rb)
 			} else {
-				_, err = sub.consumeHashed(0, rb, nil)
+				err = sub.consumeHashed(rb, nil)
 			}
 			if err != nil {
 				return err
@@ -908,39 +899,4 @@ func compareCols(a *batch.Column, i int, b *batch.Column, j int) int {
 		}
 	}
 	return 0
-}
-
-// ---------------------------------------------------------------------------
-// Partition-parallel wrappers: forward spill handles to the lanes.
-
-// SetSpill implements Spillable: each partition lane gets its own
-// namespace under the channel's handle so lanes never share a manifest
-// (they execute concurrently).
-func (j *parallelJoin) SetSpill(o *spill.Op) {
-	j.sp = o
-	for i, p := range j.parts {
-		p.SetSpill(o.Sub(fmt.Sprintf("lane%02d", i)))
-	}
-}
-
-// DropSpill implements Spillable.
-func (j *parallelJoin) DropSpill() {
-	for _, p := range j.parts {
-		p.DropSpill()
-	}
-}
-
-// SetSpill implements Spillable.
-func (a *parallelAgg) SetSpill(o *spill.Op) {
-	a.sp = o
-	for i, p := range a.parts {
-		p.SetSpill(o.Sub(fmt.Sprintf("lane%02d", i)))
-	}
-}
-
-// DropSpill implements Spillable.
-func (a *parallelAgg) DropSpill() {
-	for _, p := range a.parts {
-		p.DropSpill()
-	}
 }

@@ -480,33 +480,52 @@ func TestSpillManifestIgnoresStaleFiles(t *testing.T) {
 	}
 }
 
-// TestParallelOpsSpillMatchesSerial: partition-parallel join/agg with
-// budgets produce the same finalized bytes as the serial in-memory path
-// (the lanes share the worker accountant and spill independently).
+// TestParallelOpsSpillMatchesSerial: an aggregate run across four hash
+// channels whose operators share one worker accountant, consuming in turn
+// and spilling independently, merges to the same finalized bytes as the
+// serial in-memory run.
 func TestParallelOpsSpillMatchesSerial(t *testing.T) {
 	inputs := aggWorkload(t, 3000, 700)
 	want := runAgg(t, nil, inputs)
+	const n = 4
+	shares := scatterTo(t, inputs, []string{"g"}, n)
 	for _, budget := range []int64{1 << 30, 30_000, 2_000} {
 		env := newSpillEnv(budget, 16)
 		spec := NewHashAggSpec([]string{"g"},
 			Sum("s", expr.C("v")), CountStar("c"),
 			Min("lo", expr.C("tag")), Max("hi", expr.C("tag")),
-			Min("vlo", expr.C("v"))).(ParallelSpec)
-		op := spec.NewParallel(0, 1, 4, NewPool(make(chan struct{}, 4), nil))
-		op.(Spillable).SetSpill(env.ctx.NewOp("spill/par"))
-		for _, b := range inputs {
-			if _, err := op.Consume(0, b); err != nil {
-				t.Fatal(err)
+			Min("vlo", expr.C("v")))
+		chans := make([]Operator, n)
+		for c := range chans {
+			chans[c] = spec.New(c, n)
+			chans[c].(Spillable).SetSpill(env.ctx.NewOp(fmt.Sprintf("spill/ch%d", c)))
+		}
+		for i := range inputs {
+			for c, op := range chans {
+				if i < len(shares[c]) {
+					consumeAll(t, op, 0, shares[c][i])
+				}
 			}
 		}
-		out, err := op.Finalize()
+		outs := make([]*batch.Batch, n)
+		for c, op := range chans {
+			if out := finalize(t, op); len(out) == 1 {
+				outs[c] = out[0]
+			}
+		}
+		merged, err := mergeGroupOutputs(outs, []string{"g"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := encodeOuts(out); got != want {
-			t.Fatalf("budget %d: parallel agg output differs from serial in-memory", budget)
+		if got := encodeOuts([]*batch.Batch{merged}); got != want {
+			t.Fatalf("budget %d: the channels' merged output differs from serial in-memory", budget)
 		}
-		op.(Spillable).DropSpill()
+		if budget < 1<<30 && env.spilledRuns() == 0 {
+			t.Errorf("budget %d: expected spilling, saw none", budget)
+		}
+		for _, op := range chans {
+			op.(Spillable).DropSpill()
+		}
 		if got := env.disk.UsedBytesPrefix("spill/"); got != 0 {
 			t.Errorf("budget %d: %d spill bytes leaked", budget, got)
 		}

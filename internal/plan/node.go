@@ -8,8 +8,8 @@
 // printer backing EXPLAIN.
 //
 // The optimizer only changes WHICH columns and rows flow — never key
-// identity, key encoding, partition routing (`fnv-1a mod P`) or the GCS
-// "opp" record — and every pass is a pure function of the tree and the
+// identity, key encoding or channel routing (`fnv-1a mod channels`) — and
+// every pass is a pure function of the tree and the
 // catalog, so planning is deterministic and write-ahead-lineage replay
 // rebuilds identical stages.
 package plan

@@ -5,11 +5,11 @@
 //
 // Spill partitions are selected from the TOP bits of the per-row 64-bit
 // key hash (batch.HashKeys): level L uses bits [64-(L+1)*bits, 64-L*bits).
-// Operator partition routing is pinned to hash mod P (the GCS "opp"
-// contract), which is dominated by the LOW bits, so spill partitioning
-// subdivides each routed partition without interacting with the routing
-// invariant — there is no second hash function (rows read back from disk
-// recompute the identical fnv-1a hash) and no change to the opp record.
+// A hash edge routes a row to channel hash mod channels, which is dominated
+// by the LOW bits, so spill partitioning subdivides a channel's keys
+// without interacting with the routing invariant — and there is no second
+// hash function (rows read back from disk recompute the identical fnv-1a
+// hash).
 //
 // The load-bearing property of the whole subsystem is that spilling is
 // OUTPUT-TRANSPARENT: an operator's task outputs are a pure function of
@@ -89,9 +89,9 @@ func (l *Ledger) fits(delta int64) bool {
 }
 
 // Accountant tracks accounted operator state bytes for one worker under a
-// budget. Safe for concurrent use: a worker's channels (and the partition
-// lanes inside partitioned operators) share one accountant, so spill
-// pressure reflects the worker's total state, like a real memory pool.
+// budget. Safe for concurrent use: a worker's channels share one
+// accountant, so spill pressure reflects the worker's total state, like a
+// real memory pool.
 // When several queries run concurrently, each query has its own accountant
 // per worker (its MemoryBudget is a per-query knob), optionally attached to
 // the worker's cross-query Ledger.
@@ -155,7 +155,7 @@ func (a *Accountant) Release(delta int64) {
 }
 
 // TryGrow atomically grows by delta only if the result stays within the
-// budget (no check-then-grow race between concurrent partition lanes).
+// budget (no check-then-grow race between a worker's channels).
 // The worker-wide ledger check is advisory (checked up front, not held
 // atomically with the grow): overshoot between queries only means a later
 // Fits turns negative sooner, which is safe by output transparency.
@@ -236,20 +236,19 @@ func (c *Context) PartitionAt(hash uint64, level int) int {
 }
 
 // NewOp creates an operator spill handle rooted at the given disk key
-// namespace (level 0: top hash bits). The root and every handle derived
-// from it (Sub lanes, Child levels) share one write-totals block, so the
-// engine can attribute spill volume to the owning channel no matter how
-// deep the recursion went.
+// namespace (level 0: top hash bits). The root and every Child level
+// derived from it share one write-totals block, so the engine can
+// attribute spill volume to the owning channel no matter how deep the
+// recursion went.
 func (c *Context) NewOp(ns string) *Op {
 	return &Op{c: c, ns: ns, totals: &opTotals{}}
 }
 
-// opTotals accumulates run-file writes across an Op tree (root + Sub lanes
-// + Child levels). Atomic because partition lanes may write from the CPU
-// pool concurrently.
+// opTotals accumulates run-file writes across an Op tree (root + Child
+// levels), all written by the owning channel's thread.
 type opTotals struct {
-	bytes atomic.Int64 // raw framed size, matching metrics.SpillWriteBytes
-	runs  atomic.Int64
+	bytes int64 // raw framed size, matching metrics.SpillWriteBytes
+	runs  int64
 }
 
 // Kind tags a run: raw input rows vs a serialized operator-state snapshot.
@@ -278,8 +277,8 @@ type partMeta struct {
 
 // Op is one operator instance's spill handle: a manifest of the run files
 // it wrote per spill partition, plus child handles for recursive
-// re-partitioning. Not safe for concurrent use — each operator (or each
-// partition lane of a partitioned operator) owns its own Op.
+// re-partitioning. Not safe for concurrent use — each operator owns its
+// own Op.
 type Op struct {
 	c        *Context
 	ns       string
@@ -288,18 +287,17 @@ type Op struct {
 	seq      int
 	parts    map[int]*partMeta
 	children map[int]*Op
-	subs     []*Op     // lanes created via Sub, dropped with the parent
 	totals   *opTotals // shared write totals across the whole Op tree
 }
 
 // WrittenBytes returns the raw framed bytes written across the whole Op
-// tree (root, lanes and children) since NewOp. Monotonic — Drop does not
+// tree (root and children) since NewOp. Monotonic — Drop does not
 // reset it, so callers can diff it to attribute spill volume per task.
 func (o *Op) WrittenBytes() int64 {
 	if o == nil || o.totals == nil {
 		return 0
 	}
-	return o.totals.bytes.Load()
+	return o.totals.bytes
 }
 
 // WrittenRuns returns the run files written across the whole Op tree since
@@ -308,7 +306,7 @@ func (o *Op) WrittenRuns() int64 {
 	if o == nil || o.totals == nil {
 		return 0
 	}
-	return o.totals.runs.Load()
+	return o.totals.runs
 }
 
 // Context returns the worker spill context the op is bound to.
@@ -319,15 +317,6 @@ func (o *Op) Level() int { return o.level }
 
 // PartitionOf returns the spill partition of a key hash at this op's level.
 func (o *Op) PartitionOf(hash uint64) int { return o.c.PartitionAt(hash, o.level) }
-
-// Sub returns a handle at the SAME level under a nested namespace — one
-// per partition lane of a partitioned operator, so lanes never share a
-// manifest. Dropped together with the parent.
-func (o *Op) Sub(name string) *Op {
-	s := &Op{c: o.c, ns: o.ns + "/" + name, level: o.level, totals: o.totals}
-	o.subs = append(o.subs, s)
-	return s
-}
 
 // Child returns the handle for recursive re-partitioning of one spill
 // partition: one level deeper, namespaced under the partition. Memoized.
@@ -455,8 +444,8 @@ func (o *Op) writeRun(part int, kind Kind, countPart bool, bs ...*batch.Batch) e
 	o.c.met.Add(metrics.SpillWireBytes, int64(len(data)))
 	o.c.met.Add(metrics.SpillRuns, 1)
 	if o.totals != nil {
-		o.totals.bytes.Add(raw)
-		o.totals.runs.Add(1)
+		o.totals.bytes += raw
+		o.totals.runs++
 	}
 	return nil
 }
@@ -596,7 +585,7 @@ func (o *Op) IsResplit(part int) bool {
 }
 
 // Drop releases every reservation and deletes every run file of this op,
-// its lanes, and its children. The op remains usable afterwards (a
+// and of its children. The op remains usable afterwards (a
 // restored operator may spill again).
 func (o *Op) Drop() {
 	o.ReleaseAll()
@@ -610,8 +599,4 @@ func (o *Op) Drop() {
 		c.Drop()
 	}
 	o.children = nil
-	for _, s := range o.subs {
-		s.Drop()
-	}
-	o.subs = nil // repeated SetSpill on restore creates fresh lanes
 }

@@ -125,40 +125,42 @@ func TestRunRoundTripAndManifest(t *testing.T) {
 	}
 }
 
-func TestChildAndSubNamespaces(t *testing.T) {
+func TestChildNamespaces(t *testing.T) {
 	c, disk, _ := testCtx(1<<20, 4)
 	o := c.NewOp("spill/ch")
-	lane := o.Sub("lane01")
-	child := lane.Child(3)
-	if child.Level() != lane.Level()+1 {
+	child := o.Child(3)
+	if child.Level() != o.Level()+1 {
 		t.Fatalf("child level = %d", child.Level())
 	}
-	if err := lane.WriteRun(3, Raw, testBatch(1)); err != nil {
+	if err := o.WriteRun(3, Raw, testBatch(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := child.WriteRun(0, Raw, testBatch(2)); err != nil {
 		t.Fatal(err)
 	}
-	keys := disk.List("spill/ch")
+	keys := disk.List("spill/")
 	if len(keys) != 2 {
 		t.Fatalf("keys: %v", keys)
 	}
 	for _, k := range keys {
-		if !strings.HasPrefix(k, "spill/ch/lane01") {
-			t.Errorf("lane key escaped namespace: %s", k)
+		if !strings.HasPrefix(k, "spill/ch/") {
+			t.Errorf("key escaped the op's namespace: %s", k)
 		}
 	}
-	lane.MarkResplit(3)
-	if !lane.IsResplit(3) {
+	o.MarkResplit(3)
+	if !o.IsResplit(3) {
 		t.Error("MarkResplit not recorded")
 	}
-	if lane.PartBytes(3) != 0 {
+	if o.PartBytes(3) != 0 {
 		t.Error("resplit partition still reports bytes")
 	}
-	if disk.UsedBytesPrefix("spill/ch/lane01/p03/") == 0 {
+	if disk.UsedBytesPrefix("spill/ch/p03/") == 0 {
 		t.Error("child runs must survive MarkResplit")
 	}
-	// Dropping the root drops lanes and children transitively.
+	if o.WrittenRuns() != 2 {
+		t.Errorf("the root counts %d runs written across its tree, want 2", o.WrittenRuns())
+	}
+	// Dropping the root drops its children transitively.
 	o.Drop()
 	if got := disk.UsedBytesPrefix("spill/"); got != 0 {
 		t.Errorf("root Drop left %d bytes", got)

@@ -29,8 +29,8 @@ type concurrentCase struct {
 }
 
 var concurrentMix = []concurrentCase{
-	{1, 1, 0},      // scan-aggregate, serial operators
-	{6, 4, 0},      // selective scan-aggregate, partitioned
+	{1, 1, 0},      // scan-aggregate
+	{6, 4, 0},      // selective scan-aggregate
 	{3, 4, 32_000}, // pipelined join under a budget (spills)
 	{9, 2, 64_000}, // deep multi-join under a budget
 	{18, 4, 0},     // large join + top-k

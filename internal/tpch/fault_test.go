@@ -104,8 +104,8 @@ func TestTPCHFailureRecoveryMatchesFailureFree(t *testing.T) {
 		{9, engine.DefaultConfig(), "Q9-wal"},
 		{3, engine.SparkConfig(), "Q3-spark"},
 		{10, engine.TrinoConfig(), "Q10-trino"},
-		// Partition-parallel operators: replay must rebuild the same hash-
-		// partitioned join/agg state the dead worker held mid-probe.
+		// Config.Parallelism has no effect: the same kill at another value
+		// must recover to the same result.
 		{9, par4(engine.DefaultConfig()), "Q9-wal-par4"},
 	}
 	for _, tc := range cases {
