@@ -1,0 +1,265 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"quokka/internal/batch"
+	"quokka/internal/expr"
+	"quokka/internal/gcs"
+	"quokka/internal/metrics"
+	"quokka/internal/ops"
+)
+
+// The committer advances the image past its own flush instead of letting the
+// next round reload it (groupCommitter.advanceImage). These tests pin the two
+// halves of that rule: an advanced image is the image a load at its version
+// reads, and a flush that was not the only write since the image advances
+// nothing.
+
+// q1ShapedPlan is TPC-H Q1's shape over the join tests' fact table: a scan, a
+// filter, a grouped aggregate behind a hash shuffle and a sort on one channel.
+func q1ShapedPlan() *Plan {
+	return MustPlan(
+		&Stage{ID: 0, Name: "read", Reader: &ReaderSpec{Table: "fact"}},
+		&Stage{ID: 1, Name: "filter",
+			Op:     ops.NewFilterSpec(expr.Ge(expr.C("v"), expr.Float64(0))),
+			Inputs: []StageInput{{Stage: 0, Part: Direct()}}},
+		&Stage{ID: 2, Name: "agg",
+			Op:     ops.NewHashAggSpec([]string{"fk"}, ops.Sum("sv", expr.C("v")), ops.CountStar("c")),
+			Inputs: []StageInput{{Stage: 1, Part: Hash("fk")}}},
+		&Stage{ID: 3, Name: "sort", Parallelism: 1,
+			Op:     ops.NewSortSpec(ops.Asc("fk")),
+			Inputs: []StageInput{{Stage: 2, Part: Single()}}},
+	)
+}
+
+// imageDiff describes how two images of one version differ, or is "".
+func imageDiff(advanced, loaded *snapshot) string {
+	keys := func(s *snapshot) (k []string) {
+		for _, e := range s.replays {
+			k = append(k, e.key)
+		}
+		return k
+	}
+	if advanced.ver == loaded.ver && advanced.gep == loaded.gep &&
+		reflect.DeepEqual(advanced.chans, loaded.chans) && slices.Equal(keys(advanced), keys(loaded)) {
+		return ""
+	}
+	return fmt.Sprintf("version %d/%d: advanced gep %d rows %v replays %v; loaded gep %d rows %v replays %v",
+		advanced.ver, loaded.ver, advanced.gep, advanced.chans, keys(advanced), loaded.gep, loaded.chans, keys(loaded))
+}
+
+// imageCheck compares every image the committer advances with one loaded at
+// the same version. After each committed flush it loads the image of the
+// flush's version — when nothing else wrote the namespace before the load
+// ended — and when the next flush starts, by which time the committer has
+// published whatever it advanced, it compares the two. UpdateMulti is the
+// committer's alone, so all of this runs on its goroutine.
+type imageCheck struct {
+	gcs.Backend
+	store  *gcs.Store
+	r      *Runner
+	failed context.CancelFunc // ends the query at the first difference
+
+	loaded   *snapshot // the image loaded at the last flush's version
+	advances int64     // the runner's advances when it was loaded
+	compared int
+	diffs    []string
+}
+
+func (c *imageCheck) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+	c.compare()
+	ns := c.r.keyNS()
+	var ver uint64 // the version this flush commits, if it does
+	err := c.Backend.UpdateMulti(nss, func(tx *gcs.Txn) error {
+		ver = c.store.VersionNS(ns) + 1
+		return fn(tx)
+	})
+	if err != nil || c.store.VersionNS(ns) != ver {
+		return err
+	}
+	c.advances = c.r.qmet.Get(metrics.ImageAdvances)
+	if s, lerr := c.r.loadSnapshot(ver, nil); lerr == nil && c.store.VersionNS(ns) == ver {
+		c.loaded = s
+	}
+	return err
+}
+
+// compare checks the image the last flush advanced, if it did and nothing
+// newer has replaced it: an advance never publishes over a newer image, and a
+// load never over one as new.
+func (c *imageCheck) compare() {
+	loaded := c.loaded
+	c.loaded = nil
+	s := c.r.snap.Load()
+	if loaded == nil || c.r.qmet.Get(metrics.ImageAdvances) == c.advances || s.ver != loaded.ver {
+		return
+	}
+	c.compared++
+	if d := imageDiff(s, loaded); d != "" {
+		c.diffs = append(c.diffs, d)
+		c.failed()
+	}
+}
+
+// TestAdvancedImageEqualsLoadedImage: an image the committer advanced past
+// its flush equals the image a load at that version reads, row for row and
+// replay entry for replay entry — for a join and a Q1-shaped plan, in every
+// FT mode, with and without a worker killed mid-query (after which rewound
+// channels refuse to advance and replay entries retire).
+func TestAdvancedImageEqualsLoadedImage(t *testing.T) {
+	tables := joinTables(12000)
+	plans := []struct {
+		name string
+		plan func() *Plan
+	}{{"join", joinPlan}, {"q1", q1ShapedPlan}}
+	for _, p := range plans {
+		for _, ft := range []FTMode{FTWriteAheadLineage, FTNone, FTCheckpoint, FTSpool} {
+			for _, kill := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/kill=%v", p.name, ft, kill), func(t *testing.T) {
+					cl := testCluster(t, 4, tables)
+					cfg := DefaultConfig()
+					cfg.FT = ft
+					r, err := NewRunner(cl, p.plan(), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					store := cl.GCS.(*gcs.Store)
+					if kill {
+						killAfterTasks(cl, 1, 200)
+					}
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+					defer cancel()
+					check := &imageCheck{Backend: cl.GCS, store: store, r: r, failed: cancel}
+					cl.GCS = check
+					_, rep, err := r.Run(ctx)
+					check.compare()
+					if len(check.diffs) > 0 {
+						t.Fatalf("%d advanced images differ from the loaded ones; first: %s", len(check.diffs), check.diffs[0])
+					}
+					if err != nil && !(kill && ft == FTNone && err == ErrQueryFailed) {
+						t.Fatalf("Run: %v", err)
+					}
+					t.Logf("%d advanced images compared", check.compared)
+					if check.compared < 50 {
+						t.Errorf("%d advanced images compared, want >= 50", check.compared)
+					}
+					if kill && ft != FTNone && rep.Recoveries == 0 {
+						t.Error("the kill exercised no recovery")
+					}
+				})
+			}
+		}
+	}
+}
+
+// foreignWrite commits one write of someone else's into the query's namespace
+// right after the armed flush committed — after loading and publishing the
+// image at that flush's version, so that an image taken after the commit
+// would be stamped with it. It records whether the committer advanced the
+// image past that flush.
+type foreignWrite struct {
+	gcs.Backend
+	r      *Runner
+	failed context.CancelFunc
+	write  func(tx *gcs.Txn) error
+
+	flushes  int
+	armedAt  uint64 // the version the armed flush committed; 0 until it has
+	advances int64  // the runner's advances just before the foreign write
+	loads    int64  // the runner's loads just after it
+	pending  bool   // the armed flush's outcome is not checked yet
+	advanced bool
+	err      error // the foreign write's own failure
+}
+
+// check records, once the armed flush has been acked, whether its committer
+// advanced the image: only the committer advances, one flush at a time.
+func (f *foreignWrite) check() {
+	if f.pending {
+		f.pending = false
+		if f.advanced = f.r.qmet.Get(metrics.ImageAdvances) != f.advances; f.advanced {
+			f.failed()
+		}
+	}
+}
+
+func (f *foreignWrite) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+	f.check()
+	err := f.Backend.UpdateMulti(nss, fn)
+	if f.flushes++; err != nil || f.armedAt != 0 || f.flushes < 5 {
+		return err
+	}
+	ver := f.Backend.AwaitNS(context.Background(), f.r.keyNS(), 0, 0)
+	if _, serr := f.r.snapshotAt(ver); serr != nil {
+		return err
+	}
+	f.armedAt, f.advances, f.pending = ver, f.r.qmet.Get(metrics.ImageAdvances), true
+	if f.err = f.r.gcsUpdate(f.write); f.err != nil {
+		f.failed()
+	}
+	f.loads = f.r.qmet.Get(metrics.ImageLoads)
+	return err
+}
+
+// TestAdvanceRefusedAfterAForeignWrite: a flush followed, before its committer
+// probes, by someone else's write to the namespace — an inert key, or the
+// recovery transaction itself — is not the only write since the image, so the
+// committer advances nothing, the next round loads, and the result is the
+// failure-free run's. Advancing there would publish an image missing that
+// write: after a recovery, one whose global epoch every later flush is
+// refused against.
+func TestAdvanceRefusedAfterAForeignWrite(t *testing.T) {
+	tables := joinTables(2000)
+	want, _ := runPlan(t, testCluster(t, 4, tables), joinPlan(), DefaultConfig())
+	writes := map[string]func(r *Runner) func(tx *gcs.Txn) error{
+		"inert-key": func(r *Runner) func(tx *gcs.Txn) error {
+			return func(tx *gcs.Txn) error { tx.Put(r.keyNS()+"test/inert", []byte("x")); return nil }
+		},
+		"recover": func(r *Runner) func(tx *gcs.Txn) error {
+			return func(tx *gcs.Txn) error {
+				if err := r.reconcile(tx); err != nil {
+					return err
+				}
+				txPutInt(tx, r.keyGlobalEpoch(), txGetInt(tx, r.keyGlobalEpoch(), 0)+1)
+				return nil
+			}
+		},
+	}
+	for name, write := range writes {
+		t.Run(name, func(t *testing.T) {
+			cl := testCluster(t, 4, tables)
+			r, err := NewRunner(cl, joinPlan(), DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			f := &foreignWrite{Backend: cl.GCS, r: r, failed: cancel, write: write(r)}
+			cl.GCS = f
+			got, rep, err := r.Run(ctx)
+			f.check()
+			if f.armedAt == 0 || f.err != nil {
+				t.Fatalf("no flush was followed by a foreign write (%v)", f.err)
+			}
+			if f.advanced {
+				t.Fatalf("the committer advanced the image past the flush at version %d, followed by a foreign write", f.armedAt)
+			}
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if rep.Metrics[metrics.ImageLoads] <= f.loads {
+				t.Errorf("no image was loaded after the foreign write (%d loads)", rep.Metrics[metrics.ImageLoads])
+			}
+			if !bytes.Equal(batch.Encode(got), batch.Encode(want)) {
+				t.Fatalf("result differs from the failure-free run:\nwant %v\ngot  %v", want, got)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"time"
 
 	"quokka/internal/gcs"
@@ -28,7 +29,10 @@ import (
 //
 // flush is the only GCS write a worker makes: a task commit (with its
 // checkpoint mark, when one is due) and the retirement of a replay entry are
-// both entries of it, each under its own fences.
+// both entries of it, each under its own fences. A flush moves each of its
+// queries' namespace version; where it was the only write since the image
+// the query's rounds run under, the committer publishes the image it
+// produced before acking (advanceImage), so no round reloads it.
 //
 // The committer is started by the first task manager to come up and
 // stopped when the last one exits (see clusterShared, runTaskManager).
@@ -153,11 +157,13 @@ func (g *groupCommitter) drainAbort() {
 // fences are its read set, which the head validates.)
 func (g *groupCommitter) flush(batch []*commitReq) {
 	errs := make([]error, len(batch))
-	geps := make(map[*Runner]int, 4) // each query's live global epoch
+	geps := make(map[*Runner]int, 4)        // each query's live global epoch
+	prevs := make(map[*Runner]*snapshot, 4) // each query's image before the commit
 	nss := make([]string, 0, 4)
 	for _, req := range batch {
 		if _, ok := geps[req.r]; !ok {
 			geps[req.r] = 0
+			prevs[req.r] = req.r.snap.Load()
 			nss = append(nss, req.r.keyNS())
 		}
 	}
@@ -209,6 +215,10 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 			errs[i] = err
 		}
 	} else {
+		// First, so that a round woken by this commit finds the image published.
+		for r, prev := range prevs {
+			g.advanceImage(r, prev, geps[r], batch, errs)
+		}
 		applied := 0
 		for i, req := range batch {
 			if errs[i] != nil {
@@ -239,5 +249,34 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 	}
 	for i, req := range batch {
 		req.resp <- errs[i]
+	}
+}
+
+// advanceImage publishes the image of r's namespace this committed flush
+// produced, so that no round reloads it: prev, r's image as published before
+// the commit, with the flush's applied entries of r folded in. That is the
+// image at the commit's version only if nothing else wrote the namespace in
+// between, which the probe shows as the version exactly one past prev's stamp
+// (the commit moved it by one; over the wire the client's own commit moved
+// its replica, so the probe costs no frame). prev must be the image from
+// before the commit: one published after it may be stamped with the commit's
+// version, and pass the check while missing a write that landed just after.
+// Otherwise nothing is published, and the next round loads.
+func (g *groupCommitter) advanceImage(r *Runner, prev *snapshot, gep int, batch []*commitReq, errs []error) {
+	if prev == nil {
+		return
+	}
+	ver := g.store.AwaitNS(context.Background(), r.keyNS(), prev.ver, 0)
+	if ver != prev.ver+1 {
+		return
+	}
+	var applied []*commitReq
+	for i, req := range batch {
+		if req.r == r && errs[i] == nil {
+			applied = append(applied, req)
+		}
+	}
+	if s := prev.advance(ver, gep, applied); s != nil && r.publish(s) {
+		r.count(metrics.ImageAdvances, 1)
 	}
 }

@@ -95,8 +95,9 @@ type Runner struct {
 	keys [][]chanKeys
 
 	// snap is the published image of the query's namespace (snapshot.go),
-	// shared by every task manager and the coordinator of this process;
-	// snapLoad makes its reload single-flight.
+	// shared by every task manager and the coordinator of this process, and
+	// only ever replaced by a newer one (publish); snapLoad makes its reload
+	// single-flight.
 	snap     atomic.Pointer[snapshot]
 	snapLoad sync.Mutex
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -14,10 +16,12 @@ import (
 // snapshot is one immutable image of the query's control-plane namespace:
 // everything a round of Algorithm 1 reads — the global epoch, every
 // channel's coordinates and every worker's replay queue — taken in ONE GCS
-// view and stamped with the namespace version probed before that view. It is
-// the only thing a poll round, a task step, a push, a replay and the
-// coordinator's completion check know about the control store; "is this
-// stale" is one comparison of ver with the live version. A channel may have
+// view and stamped with the namespace version probed before that view, or
+// advanced by the group committer past a flush that was the only write since
+// the image it started from (advance). It is the only thing a poll round, a
+// task step, a push, a replay and the coordinator's completion check know
+// about the control store; "is this stale" is one comparison of ver with the
+// live version. A channel may have
 // moved since the image was taken, so step still checks it against the live
 // chanState and every commit is fenced in its own transaction.
 type snapshot struct {
@@ -53,29 +57,84 @@ type chanMeta struct {
 }
 
 // snapshotAt returns the image of the namespace at ver, a version the caller's
-// gcsAwait just returned: the published one while the version has not moved,
-// else a fresh load. Loads are single-flight, so a version change costs one
-// view however many threads and workers of this process scan.
+// gcsAwait just returned: the published one while it is that new — loaded, or
+// advanced by the committer past its own flush — else a fresh load. Loads are
+// single-flight, so a version change costs one view however many threads and
+// workers of this process scan.
 func (r *Runner) snapshotAt(ver uint64) (*snapshot, error) {
-	if s := r.snap.Load(); s != nil && s.ver == ver {
+	if s := r.snap.Load(); s != nil && s.ver >= ver {
 		return s, nil
 	}
 	r.snapLoad.Lock()
 	defer r.snapLoad.Unlock()
-	// Whoever held the lock may have loaded what this thread came for. No
-	// second probe: in a worker process the version is a round trip.
-	if s := r.snap.Load(); s != nil && s.ver >= ver {
+	// Whoever held the lock may have published what this thread came for. No
+	// second probe: in a worker process the version is a round trip. A version
+	// one past the image's is most often this process's own flush, woken on
+	// before its committer published the image it produced (advanceImage), so
+	// the committer gets a few chances at the processor before a load is paid
+	// for. Only the cost of a load rides on this; either image is correct.
+	s := r.snap.Load()
+	for i := 0; i < 3 && s != nil && s.ver+1 == ver; i++ {
+		runtime.Gosched()
+		s = r.snap.Load()
+	}
+	if s != nil && s.ver >= ver {
 		return s, nil
 	}
 	// The stamp is the version probed BEFORE the view, so it is never newer
 	// than the content: a commit that raced the view shows as a version past
 	// the stamp, and the next round loads again.
-	s, err := r.loadSnapshot(ver, r.snap.Load())
+	s, err := r.loadSnapshot(ver, s)
 	if err != nil {
 		return nil, err
 	}
-	r.snap.Store(s)
+	r.publish(s)
 	return s, nil
+}
+
+// publish makes s the image of the namespace unless one at least as new is
+// published already: a slow load never replaces the committer's advance.
+func (r *Runner) publish(s *snapshot) bool {
+	for cur := r.snap.Load(); cur == nil || cur.ver < s.ver; cur = r.snap.Load() {
+		if r.snap.CompareAndSwap(cur, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// advance returns the image at ver = s.ver+1 that a flush which was the only
+// write since s's stamp leaves: s with the flush's applied entries folded in
+// — a task commit moves its channel's cursor, and done on finalize; a
+// retirement drops its replay entry — sharing every row it does not touch.
+// gep is the global epoch the flush read. It returns nil when the new image
+// would need a read: an entry on a rewound channel, whose row carries the
+// lineage record and checkpoint mark at its cursor.
+func (s *snapshot) advance(ver uint64, gep int, applied []*commitReq) *snapshot {
+	if s.gep != gep {
+		return nil
+	}
+	n := &snapshot{ver: ver, gep: s.gep, chans: slices.Clone(s.chans), replays: s.replays}
+	copied := make([]bool, len(n.chans))
+	for _, req := range applied {
+		if req.retire != "" {
+			n.replays = slices.DeleteFunc(slices.Clone(n.replays), func(e replayEntry) bool { return e.key == req.retire })
+			continue
+		}
+		st, c := req.id.Stage, req.id.Channel
+		if n.chans[st][c].cep != 0 {
+			return nil
+		}
+		if !copied[st] {
+			n.chans[st], copied[st] = slices.Clone(n.chans[st]), true
+		}
+		m := &n.chans[st][c]
+		m.cursor = req.task.Seq + 1
+		if req.finalize {
+			m.done = req.task.Seq + 1
+		}
+	}
+	return n
 }
 
 // loadSnapshot reads the whole image in one view, a worker's only read of the
@@ -144,6 +203,7 @@ func (r *Runner) loadSnapshot(ver uint64, prev *snapshot) (*snapshot, error) {
 	})
 	if err == nil {
 		r.qmet.Add(metrics.GCSTxns, 1) // a view carries no payload
+		r.count(metrics.ImageLoads, 1)
 	}
 	return s, err
 }

@@ -21,8 +21,8 @@ func (t *taskManager) step(cs *chanState, snap *snapshot) (bool, error) {
 	// meta.cursor", which for a stale cursor is the PREVIOUS task's record;
 	// replaying it at the current seq would duplicate that task's output
 	// and commit the seq without lineage. Skip instead — whatever moved the
-	// channel also bumped the namespace version, so the next poll round
-	// loads a fresh snapshot.
+	// channel also moved the namespace version, so the next poll round runs
+	// under a newer image: loaded, or advanced past the committer's flush.
 	if meta.cep < cs.cep {
 		return false, nil
 	}

@@ -164,8 +164,10 @@ func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 // while that makes progress. Only a commit makes a channel runnable — inputs
 // count once their lineage is persisted, a recovery is one, a replay entry is
 // written by one — so with nothing to do it waits for the version to pass the
-// one it scanned under. One thread per worker waits, the
-// holder of the watcher token, and the rest queue for it: every idle thread
+// one it scanned under; a commit of this process's own moves it without a
+// load, its committer having published the image the flush produced. One
+// thread per worker waits, the holder of the watcher token, and the rest
+// queue for it: every idle thread
 // waiting is a herd, each re-reading the image and re-probing every mailbox
 // per commit. The watcher hands the token on before it does work
 // (chanState.yield, poll), so while something runs, something watches. A
@@ -212,10 +214,11 @@ func (t *taskManager) loop(ctx context.Context) {
 
 // poll runs one round over the worker's channels and replay queue under the
 // image of namespace version ver — the round's only read of the control store,
-// and none at all while the version has not moved — keeping the control plane
-// cost per task negligible, as the paper reports for its optimized naming
-// scheme (§IV-B). yield is called before any work is done; scanned is the
-// version of the image the round ran under, ver or newer.
+// and none at all while the version has not moved, or moved only by flushes
+// of this process's own that the committer advanced the image past — keeping
+// the control plane cost per task negligible, as the paper reports for its
+// optimized naming scheme (§IV-B). yield is called before any work is done;
+// scanned is the version of the image the round ran under, ver or newer.
 func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, scanned uint64) {
 	snap, err := t.r.snapshotAt(ver)
 	if err != nil {

@@ -103,6 +103,14 @@ const (
 	WaitFallbackHits = "engine.wait.fallback_hits" // of those, found work nothing else was going to do: a lost wake-up
 )
 
+// How a process came by each image of a query's namespace (engine.snapshot):
+// read in one view of the control store, or advanced by the group committer
+// past a flush that was the only write since the image's stamp.
+const (
+	ImageLoads    = "engine.image.loads"
+	ImageAdvances = "engine.image.advances"
+)
+
 // Process-mode traffic by message type, counted by the listener that serves it
 // (a worker's reaches the head with its counter report): WireFrames+<op> request
 // frames, WireBytes+<op> their bytes plus the answers'. <op>, at the head

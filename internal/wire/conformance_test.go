@@ -310,6 +310,42 @@ func gcsConformance(t *testing.T, b *backends) {
 		}
 		seesV("after a cancelled wait")
 	})
+
+	// A committed update moves the version by exactly one. After a client's
+	// own commit with no other writer, the probe (max 0) answers exactly the
+	// version before the commit plus one, without parking and — over the wire —
+	// without a frame: the commit's answer moved the replica. Another client's
+	// commit in between shows as more than one. (The group committer advances
+	// its image on exactly that answer.)
+	t.Run("version-after-commit", func(t *testing.T) {
+		ctx := context.Background()
+		commit := func(be gcs.Backend) {
+			t.Helper()
+			if err := be.UpdateNS(ns, func(tx *gcs.Txn) error { tx.Put(nsKey("vac"), []byte("x")); return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frames := func() int64 { return b.opFrames("gcs_follow") + b.opFrames("gcs_commit") }
+		commit(g) // its answer brings the client up to the namespace's version
+		v := g.AwaitNS(ctx, ns, 0, 0)
+		if now := b.store.VersionNS(ns); v != now {
+			t.Fatalf("after an own commit the probe answered %d, namespace at %d", v, now)
+		}
+		commit(g)
+		before := frames()
+		if got := g.AwaitNS(ctx, ns, v, 0); got != v+1 {
+			t.Errorf("after an own commit with no other writer the probe answered %d, want %d", got, v+1)
+		}
+		if n := frames() - before; b.remote && n != 0 {
+			t.Errorf("the probe after an own commit cost %d frames, want 0", n)
+		}
+		v++
+		commit(b.peer)
+		commit(g)
+		if got := g.AwaitNS(ctx, ns, v, 0); got <= v+1 {
+			t.Errorf("with a second client's commit before an own one the probe answered %d, want more than %d", got, v+1)
+		}
+	})
 }
 
 // opFrames reads the head's request-frame counter of one op type (0 in

@@ -47,7 +47,7 @@ func TestRoundTripsPerTask(t *testing.T) {
 	const workers, q = 2, 3
 	cl, _ := distCluster(t, workers, engine.WithTracing(true))
 	want := memRun(t, q, workers, staticCfg())
-	got, _, spans, err := distRun(t, cl, q, staticCfg())
+	got, rep, spans, err := distRun(t, cl, q, staticCfg())
 	if err != nil {
 		t.Fatalf("Q%d over the wire: %v", q, err)
 	}
@@ -79,6 +79,14 @@ func TestRoundTripsPerTask(t *testing.T) {
 	}
 	perTask := float64(frames) / float64(tasks)
 	t.Logf("Q%d: %d request frames / %d tasks = %.1f per task %v", q, frames, tasks, perTask, table)
+	// A worker advances its image past its own commits and loads one, with
+	// no frame, after anyone else's: a peer's commit, the head's seed. The
+	// head's coordinator commits nothing a worker writes, so it loads after
+	// every commit it wakes for.
+	head := rep.Metrics[metrics.ImageLoads]
+	loads := cl.Metrics.Get(metrics.ImageLoads) - head
+	t.Logf("image loads per task: %.2f in the workers (%d advances), %.2f at the head",
+		float64(loads)/float64(tasks), cl.Metrics.Get(metrics.ImageAdvances), float64(head)/float64(tasks))
 	if perTask > framesPerTaskBudget {
 		t.Errorf("%.1f request frames per committed task, budget %d", perTask, framesPerTaskBudget)
 	}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"quokka/internal/gcs"
 )
 
 // TestSubmitCursorMatchesCollect: the public streaming path. A sorted
@@ -113,12 +115,28 @@ func TestSubmitConcurrentQueries(t *testing.T) {
 	}
 }
 
+// flushGate holds every flush of task commits — the control store's one
+// UpdateMulti caller — until open is closed: until then no query commits a
+// task, so none can finish.
+type flushGate struct {
+	gcs.Backend
+	open chan struct{}
+}
+
+func (g flushGate) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+	<-g.open
+	return g.Backend.UpdateMulti(nss, fn)
+}
+
 // TestSubmitCancel: cancelling one in-flight query surfaces
 // context.Canceled from Wait and leaves a concurrent query's result
-// untouched.
+// untouched. Commits are held until the cancel, so the victim cannot finish
+// before it however fast it runs.
 func TestSubmitCancel(t *testing.T) {
 	c := newTestCluster(t, 3)
 	salesTable(t, c, 4000)
+	gate := flushGate{Backend: c.inner.GCS, open: make(chan struct{})}
+	c.inner.GCS = gate
 	sess := NewSession(c)
 	frame := sess.Read("sales").
 		GroupBy([]string{"region"}, SumOf("total", Col("amount"))).
@@ -133,6 +151,7 @@ func TestSubmitCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim.Cancel()
+	close(gate.open)
 	if err := victim.Wait(); !errors.Is(err, context.Canceled) {
 		t.Errorf("victim err = %v, want context.Canceled", err)
 	}
