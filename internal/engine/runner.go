@@ -56,6 +56,7 @@ type Runner struct {
 	cfg    Policy         // the query's resolved settings (see resolve)
 	ft     ftCaps         // the policy's FT mode as capability bits; the only form read downstream
 	qid    string         // cluster-unique query id; prefixes all per-query state
+	ns     string         // QueryNamespace(qid), set by newRunner (keyNS)
 	shared *clusterShared // per-cluster admission + worker resource pools
 
 	spool *storage.ObjectStore // durable target of the spool and checkpoint capabilities
@@ -158,6 +159,7 @@ func newRunner(cl *cluster.Cluster, plan *Plan, pol Policy, qid string) (*Runner
 		cfg:    pol,
 		ft:     ftTable[pol.FT],
 		qid:    qid,
+		ns:     QueryNamespace(qid),
 		shared: sharedFor(cl),
 		met:    cl.Metrics,
 		qmet:   qmet,

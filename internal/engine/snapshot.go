@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"strconv"
@@ -54,6 +55,52 @@ type chanMeta struct {
 	// rewound channel retraces it instead of choosing inputs.
 	replayRec  *lineage.Record
 	checkpoint *checkpointMark
+}
+
+// equal reports whether two rows hold the same coordinates: the lineage
+// record and checkpoint mark by value, as a load decodes them afresh.
+func (m *chanMeta) equal(o *chanMeta) bool {
+	if m == o {
+		return true
+	}
+	if m.place != o.place || m.cep != o.cep || m.cursor != o.cursor || m.done != o.done ||
+		(m.replayRec == nil) != (o.replayRec == nil) || (m.checkpoint == nil) != (o.checkpoint == nil) {
+		return false
+	}
+	if m.replayRec != nil && *m.replayRec != *o.replayRec {
+		return false
+	}
+	a, b := m.checkpoint, o.checkpoint
+	return a == nil || a.Seq == b.Seq && a.ObjKey == b.ObjKey && maps.Equal(a.WM, b.WM)
+}
+
+// changesFor reports whether n holds anything a step of channel id, whose
+// stage consumes inputs, read under s and n does not: the global epoch, the
+// replay queues — any entry in either image counts, since a retirement that
+// empties a queue is what tells a retracing consumer its piece has arrived —
+// the channel's own row, or the row of a stage it consumes. A row an advance
+// did not touch is shared between its images, so that is a pointer compare;
+// a loaded image compares element by element.
+func (s *snapshot) changesFor(n *snapshot, id lineage.ChannelID, inputs []StageInput) bool {
+	if s == n {
+		return false
+	}
+	if s.gep != n.gep || len(s.replays) > 0 || len(n.replays) > 0 {
+		return true
+	}
+	if !s.chans[id.Stage][id.Channel].equal(&n.chans[id.Stage][id.Channel]) {
+		return true
+	}
+	for _, in := range inputs {
+		if a, b := s.chans[in.Stage], n.chans[in.Stage]; &a[0] != &b[0] {
+			for c := range a {
+				if !a[c].equal(&b[c]) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // snapshotAt returns the image of the namespace at ver, a version the caller's

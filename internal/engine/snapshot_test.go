@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,6 +128,103 @@ func TestStepRejectsStaleSnapshot(t *testing.T) {
 	}
 	rejects(cs, afterOne, "image of the previous epoch (same cursor)")
 	rejects(cs, rewound, "image the replay already consumed")
+}
+
+// TestChangesFor pins the idle rule's comparison (chanState.idle): a channel
+// whose step found nothing to do under s is stepped again under n only when n
+// changes what that step read — the global epoch, a replay queue, its own
+// row, the row of a stage it consumes — whether n was advanced from s, its
+// untouched rows shared, or loaded, every row built afresh.
+func TestChangesFor(t *testing.T) {
+	// Stages: 0 and 3 read; 1 consumes 0; 2 consumes 1. The channel is (1, 0).
+	id, inputs := lineage.ChannelID{Stage: 1, Channel: 0}, []StageInput{{Stage: 0}}
+	row := func(cursors ...int) []chanMeta {
+		r := make([]chanMeta, len(cursors))
+		for c, cur := range cursors {
+			r[c] = chanMeta{place: c % 2, cursor: cur, done: -1}
+		}
+		return r
+	}
+	s := &snapshot{ver: 7, gep: 2, chans: [][]chanMeta{row(3, 2), row(1, 1), row(0), row(5, 4)}}
+	advanced := func(st, c int) *snapshot {
+		t.Helper()
+		n := s.advance(s.ver+1, s.gep, []*commitReq{{id: lineage.ChannelID{Stage: st, Channel: c},
+			task: lineage.TaskName{Stage: st, Channel: c, Seq: s.chans[st][c].cursor}}})
+		if n == nil {
+			t.Fatalf("advance of (%d, %d) refused", st, c)
+		}
+		return n
+	}
+	// loaded is s as a load at ver+1 would build it: no row, record or mark
+	// shared; edit changes the copy.
+	loaded := func(from *snapshot, edit func(n *snapshot)) *snapshot {
+		n := &snapshot{ver: from.ver + 1, gep: from.gep, chans: make([][]chanMeta, len(from.chans))}
+		for st, r := range from.chans {
+			n.chans[st] = slices.Clone(r)
+			for c := range n.chans[st] {
+				m := &n.chans[st][c]
+				if m.replayRec != nil {
+					rec := *m.replayRec
+					m.replayRec = &rec
+				}
+				if m.checkpoint != nil {
+					ck := *m.checkpoint
+					ck.WM = ck.WM.Clone()
+					m.checkpoint = &ck
+				}
+			}
+		}
+		if edit != nil {
+			edit(n)
+		}
+		return n
+	}
+	withReplays := func(from *snapshot, rp ...replayEntry) *snapshot {
+		n := *from
+		n.replays = rp
+		return &n
+	}
+	entry := replayEntry{key: "q/q1/rp/1/0.1.0", worker: 1, task: lineage.TaskName{Stage: 0, Channel: 1}}
+	// A rewound channel's row carries the lineage record and checkpoint mark at
+	// its cursor; a load decodes both afresh.
+	rewound := loaded(s, func(n *snapshot) {
+		n.chans[1][0].cep = 1
+		n.chans[1][0].replayRec = &lineage.Record{Kind: lineage.KindConsume, UpChannel: 1, Count: 2}
+		n.chans[1][0].checkpoint = &checkpointMark{Seq: 1, ObjKey: "ck/1.0", WM: lineage.Watermark{{UpChannel: 1}: 2}}
+	})
+
+	for _, tc := range []struct {
+		name string
+		s, n *snapshot
+		want bool
+	}{
+		{"same image", s, s, false},
+		{"advance of an unrelated stage", s, advanced(3, 1), false},
+		{"advance of a consuming stage", s, advanced(2, 0), false},
+		{"advance of a sibling channel", s, advanced(1, 1), false},
+		{"advance of its own row", s, advanced(1, 0), true},
+		{"advance of an input stage's row", s, advanced(0, 1), true},
+		{"another global epoch", s, loaded(s, func(n *snapshot) { n.gep++ }), true},
+		{"a replay queue appears", s, withReplays(s, entry), true},
+		{"a replay queue is drained", withReplays(s, entry), s, true},
+		{"a replay queue is unchanged", withReplays(s, entry), withReplays(advanced(3, 0), entry), true},
+		{"load, same content", s, loaded(s, nil), false},
+		{"load of a rewound row, same content", rewound, loaded(rewound, nil), false},
+		{"load, unrelated stage moved", s, loaded(s, func(n *snapshot) { n.chans[3][0].cursor++ }), false},
+		{"load, own cursor moved", s, loaded(s, func(n *snapshot) { n.chans[1][0].cursor++ }), true},
+		{"load, own epoch moved", s, loaded(s, func(n *snapshot) { n.chans[1][0].cep++ }), true},
+		{"load, input finished", s, loaded(s, func(n *snapshot) { n.chans[0][1].done = 2 }), true},
+		{"load, input moved worker", s, loaded(s, func(n *snapshot) { n.chans[0][0].place = 1 }), true},
+		{"load, another record to retrace", rewound, loaded(rewound, func(n *snapshot) { n.chans[1][0].replayRec.Count = 3 }), true},
+		{"load, no record to retrace", rewound, loaded(rewound, func(n *snapshot) { n.chans[1][0].replayRec = nil }), true},
+		{"load, another checkpoint watermark", rewound, loaded(rewound, func(n *snapshot) {
+			n.chans[1][0].checkpoint.WM[lineage.EdgeChannel{UpChannel: 0}] = 1
+		}), true},
+	} {
+		if got := tc.s.changesFor(tc.n, id, inputs); got != tc.want {
+			t.Errorf("%s: changesFor = %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }
 
 // TestSnapshotSkipsNeverRewoundChannels: the image reads a lineage record at

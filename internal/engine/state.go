@@ -41,7 +41,9 @@ import (
 // exported for the process-mode worker, which drops its replica of it.
 func QueryNamespace(qid string) string { return "q/" + qid + "/" }
 
-func (r *Runner) keyNS() string { return QueryNamespace(r.qid) }
+// keyNS is the query's namespace, built once by newRunner: a flush formats
+// several keys per entry from it.
+func (r *Runner) keyNS() string { return r.ns }
 
 // Disk key schema. Worker-local disk state is namespaced per query just
 // like the GCS: spill run files under spill/<qid>/, upstream partition

@@ -15,7 +15,7 @@ import (
 func TestKeySchema(t *testing.T) {
 	// Every key lives under the owning query's namespace: that prefix is
 	// what lets concurrent queries share one GCS without collisions.
-	r := &Runner{qid: "q7", par: []int{1, 1, 6}}
+	r := &Runner{qid: "q7", ns: QueryNamespace("q7"), par: []int{1, 1, 6}}
 	r.buildKeys()
 	c := lineage.ChannelID{Stage: 2, Channel: 5}
 	n := lineage.TaskName{Stage: 2, Channel: 5, Seq: 9}
@@ -37,7 +37,7 @@ func TestKeySchema(t *testing.T) {
 }
 
 func TestReplayDestRoundTrip(t *testing.T) {
-	r := &Runner{qid: "q1"}
+	r := &Runner{qid: "q1", ns: QueryNamespace("q1")}
 	store := gcs.New(storage.TestCostModel(), &metrics.Collector{})
 	task := lineage.TaskName{Stage: 1, Channel: 2, Seq: 3}
 	d1 := lineage.ChannelID{Stage: 4, Channel: 0}

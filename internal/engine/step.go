@@ -176,9 +176,16 @@ func (t *taskManager) chooseInput(cs *chanState) (*inputChoice, bool) {
 		return nil, true
 	}
 
-	// The current phase's edges that could yield a task — upstream committed
-	// cursor past this channel's watermark — go into ONE mailbox probe (which
-	// also clears retransmissions below each watermark); none, no probe.
+	// The current phase's edges that could yield a task go into ONE mailbox
+	// probe (which also clears retransmissions below each watermark); none, no
+	// probe. An edge can yield one only when its committed, unconsumed outputs
+	// — upstream cursor past this channel's watermark — make a take: while the
+	// producer runs, at least MinTake of them (a full StaticBatch under the
+	// static policy); once it has finished, any.
+	least := t.r.cfg.MinTake
+	if !t.r.cfg.Dynamic {
+		least = t.r.cfg.StaticBatch
+	}
 	var probes []flight.Edge
 	for e, in := range cs.stage.Inputs {
 		if in.Phase != curPhase {
@@ -195,7 +202,8 @@ func (t *taskManager) chooseInput(cs *chanState) (*inputChoice, bool) {
 			continue
 		}
 		for uc, up := range ups {
-			if wm := cs.wm[lineage.EdgeChannel{Input: e, UpChannel: uc}]; up.cursor > wm {
+			wm := cs.wm[lineage.EdgeChannel{Input: e, UpChannel: uc}]
+			if up.cursor > wm && (up.done >= 0 || up.cursor-wm >= least) {
 				probes = append(probes, flight.Edge{Input: e, UpChannel: uc, Watermark: wm})
 			}
 		}
@@ -220,15 +228,14 @@ func (t *taskManager) chooseInput(cs *chanState) (*inputChoice, bool) {
 			// dribbles while the producer is still running: tiny tasks
 			// would drown the pipeline in per-task overhead. Once the
 			// producer finishes, any remainder is consumed.
-			if !upFinished && avail < t.r.cfg.MinTake {
+			if !upFinished && avail < least {
 				continue
 			}
 			take = min(avail, t.r.cfg.MaxTake)
 		} else {
-			k := t.r.cfg.StaticBatch
 			switch {
-			case avail >= k:
-				take = k
+			case avail >= least:
+				take = least
 			case upFinished && wm+avail == up.done:
 				take = avail // final short batch
 			default:

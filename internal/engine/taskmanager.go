@@ -84,6 +84,11 @@ type chanState struct {
 	// set beside it, hands the stepping thread's watcher token on (loop).
 	snap  *snapshot
 	yield func()
+	// idle is the image of the channel's last step when that step found
+	// nothing to do; nil after one that made progress, left a task pending or
+	// failed. poll steps the channel again only under an image that changes
+	// something the step read (snapshot.changesFor).
+	idle *snapshot
 
 	// spillOp is the operator's root spill handle (nil without memory
 	// governance); spillBytes/spillRuns are its write totals at the last
@@ -165,7 +170,9 @@ func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 // count once their lineage is persisted, a recovery is one, a replay entry is
 // written by one — so with nothing to do it waits for the version to pass the
 // one it scanned under; a commit of this process's own moves it without a
-// load, its committer having published the image the flush produced. One
+// load, its committer having published the image the flush produced. A
+// round steps only the channels the new image changed (poll), so a commit
+// costs the channels that read the committed row, not the worker's all. One
 // thread per worker waits, the holder of the watcher token, and the rest
 // queue for it: every idle thread
 // waiting is a herd, each re-reading the image and re-probing every mailbox
@@ -219,6 +226,17 @@ func (t *taskManager) loop(ctx context.Context) {
 // the control plane cost per task negligible, as the paper reports for its
 // optimized naming scheme (§IV-B). yield is called before any work is done;
 // scanned is the version of the image the round ran under, ver or newer.
+//
+// A channel whose last step found nothing to do keeps the image of that step
+// (chanState.idle) and is skipped, neither stepped nor probed, until an image
+// changes what the step read: the global epoch, a replay queue, its own row,
+// the row of a stage it consumes (snapshot.changesFor). No wake-up is lost to
+// this. A step reads the mailbox besides the image, and a piece reaches it
+// only before a commit that moves a row: its producer pushes before it
+// commits, and a replay entry is retired, changing the queue, after its
+// re-push. A step that made progress, left a task pending — a push refused,
+// the collector full: retried every round, as no commit need follow — or
+// failed keeps no record.
 func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, scanned uint64) {
 	snap, err := t.r.snapshotAt(ver)
 	if err != nil {
@@ -246,12 +264,24 @@ func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, scanned u
 		states = append(states, cs)
 	}
 	t.mu.Unlock()
+	var run, skipped int64
 	for _, cs := range states {
 		if !cs.protocol.TryLock() {
 			continue
 		}
+		if cs.idle != nil && !cs.idle.changesFor(snap, cs.id, cs.stage.Inputs) {
+			cs.idle = snap // equal in all the step read, and more likely shared with the next
+			cs.protocol.Unlock()
+			skipped++
+			continue
+		}
 		cs.yield = yield
 		ok, err := t.step(cs, snap)
+		run++
+		cs.idle = nil
+		if !ok && err == nil && cs.pending == nil {
+			cs.idle = snap
+		}
 		cs.protocol.Unlock()
 		if err != nil {
 			// Errors from a dying worker are expected; anything else is a
@@ -264,6 +294,12 @@ func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, scanned u
 		if ok {
 			progressed = true
 		}
+	}
+	if run > 0 {
+		t.r.count(metrics.StepsRun, run)
+	}
+	if skipped > 0 {
+		t.r.count(metrics.StepsSkipped, skipped)
 	}
 	return progressed, snap.ver
 }

@@ -117,9 +117,13 @@ func Finalize() Record { return Record{Kind: KindFinalize} }
 func (r Record) Encode() []byte {
 	switch r.Kind {
 	case KindConsume:
-		return []byte(fmt.Sprintf("C %d %d %d %d", r.Input, r.UpChannel, r.FromSeq, r.Count))
+		b := append(make([]byte, 0, 24), "C "...)
+		b = append(strconv.AppendInt(b, int64(r.Input), 10), ' ')
+		b = append(strconv.AppendInt(b, int64(r.UpChannel), 10), ' ')
+		b = append(strconv.AppendInt(b, int64(r.FromSeq), 10), ' ')
+		return strconv.AppendInt(b, int64(r.Count), 10)
 	case KindRead:
-		return []byte(fmt.Sprintf("R %d", r.Split))
+		return strconv.AppendInt([]byte("R "), int64(r.Split), 10)
 	case KindFinalize:
 		return []byte("F")
 	}

@@ -1,6 +1,8 @@
 package lineage
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -107,6 +109,34 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: Encode writes exactly the bytes of its fmt form, for any values
+// — negatives and the extremes of int included — and any kind.
+func TestQuickEncodeIsTheFmtForm(t *testing.T) {
+	fmtForm := func(r Record) []byte {
+		switch r.Kind {
+		case KindConsume:
+			return []byte(fmt.Sprintf("C %d %d %d %d", r.Input, r.UpChannel, r.FromSeq, r.Count))
+		case KindRead:
+			return []byte(fmt.Sprintf("R %d", r.Split))
+		case KindFinalize:
+			return []byte("F")
+		}
+		return nil
+	}
+	f := func(kind uint8, input, uc, from, count, split int) bool {
+		r := Record{Kind: Kind(kind % 4), Input: input, UpChannel: uc, FromSeq: from, Count: count, Split: split}
+		return string(r.Encode()) == string(fmtForm(r))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, v := range []int{0, -1, math.MinInt, math.MaxInt} {
+		if !f(0, v, v, v, v, v) || !f(1, v, v, v, v, v) {
+			t.Errorf("Encode of %d is not its fmt form", v)
+		}
 	}
 }
 

@@ -18,8 +18,10 @@ import (
 // and latency histograms. The zero value is ready to use. It is safe for
 // concurrent use.
 type Collector struct {
-	mu       sync.Mutex
-	counters map[string]*atomic.Int64
+	// counters maps a name to its *atomic.Int64: a name seen before costs
+	// a lock-free load, so concurrent counting serialises on nothing.
+	counters sync.Map
+	mu       sync.Mutex // guards hists
 	hists    map[string]*Histogram
 
 	// fan, when non-nil, makes this collector a write-only tee: Add and
@@ -111,6 +113,13 @@ const (
 	ImageAdvances = "engine.image.advances"
 )
 
+// What a poll round did with each channel it claimed: stepped it, or skipped
+// it because the round's image changes nothing its last, fruitless step read.
+const (
+	StepsRun     = "engine.steps.run"
+	StepsSkipped = "engine.steps.skipped"
+)
+
 // Process-mode traffic by message type, counted by the listener that serves it
 // (a worker's reaches the head with its counter report): WireFrames+<op> request
 // frames, WireBytes+<op> their bytes plus the answers'. <op>, at the head
@@ -152,17 +161,11 @@ func (c *Collector) Counter(name string) *atomic.Int64 {
 	if c == nil || c.fan != nil {
 		return new(atomic.Int64)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.counters == nil {
-		c.counters = make(map[string]*atomic.Int64)
+	if v, ok := c.counters.Load(name); ok {
+		return v.(*atomic.Int64)
 	}
-	v, ok := c.counters[name]
-	if !ok {
-		v = new(atomic.Int64)
-		c.counters[name] = v
-	}
-	return v
+	v, _ := c.counters.LoadOrStore(name, new(atomic.Int64))
+	return v.(*atomic.Int64)
 }
 
 // Add increments the named counter by delta. A nil Collector is a no-op,
@@ -213,13 +216,11 @@ func (c *Collector) Get(name string) int64 {
 		}
 		return c.fan[len(c.fan)-1].Get(name)
 	}
-	c.mu.Lock()
-	v, ok := c.counters[name]
-	c.mu.Unlock()
+	v, ok := c.counters.Load(name)
 	if !ok {
 		return 0
 	}
-	return v.Load()
+	return v.(*atomic.Int64).Load()
 }
 
 // Snapshot returns a copy of all counters.
@@ -233,12 +234,11 @@ func (c *Collector) Snapshot() map[string]int64 {
 		}
 		return c.fan[len(c.fan)-1].Snapshot()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.counters))
-	for k, v := range c.counters {
-		out[k] = v.Load()
-	}
+	out := make(map[string]int64)
+	c.counters.Range(func(k, v any) bool {
+		out[k.(string)] = v.(*atomic.Int64).Load()
+		return true
+	})
 	return out
 }
 

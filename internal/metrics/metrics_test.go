@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -57,6 +58,46 @@ func TestConcurrentAdds(t *testing.T) {
 	wg.Wait()
 	if got := c.Get(TasksExecuted); got != 8000 {
 		t.Errorf("lost updates: %d", got)
+	}
+}
+
+// TestConcurrentNewAndExistingNames races Add, Get and Snapshot over names
+// that exist and names each goroutine creates: no update is lost, no name
+// is created twice, and a snapshot never reads a count above the final one.
+// Meant for -race.
+func TestConcurrentNewAndExistingNames(t *testing.T) {
+	c := &Collector{}
+	c.Add(TasksExecuted, 0)
+	const goroutines, rounds = 8, 500
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < rounds; j++ {
+				c.Add(TasksExecuted, 1)
+				c.Add(fmt.Sprintf("new.%d", j%50), 1) // every goroutine races to create these
+				if v := c.Get(TasksExecuted); v < 1 || v > goroutines*rounds {
+					t.Errorf("Get = %d mid-run", v)
+				}
+				if v := c.Snapshot()[TasksExecuted]; v > goroutines*rounds {
+					t.Errorf("Snapshot = %d mid-run", v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Get(TasksExecuted); got != goroutines*rounds {
+		t.Errorf("%s = %d, want %d", TasksExecuted, got, goroutines*rounds)
+	}
+	snap := c.Snapshot()
+	for j := 0; j < 50; j++ {
+		if got := snap[fmt.Sprintf("new.%d", j)]; got != goroutines*rounds/50 {
+			t.Errorf("new.%d = %d, want %d", j, got, goroutines*rounds/50)
+		}
+	}
+	if len(snap) != 51 {
+		t.Errorf("%d names, want 51", len(snap))
 	}
 }
 
