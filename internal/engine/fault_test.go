@@ -758,6 +758,52 @@ func TestFatalTaskErrorFailsQuery(t *testing.T) {
 	assertNoQueryState(t, cl, "after a fatal task error")
 }
 
+// TestFatalTaskErrorIsNeverCommitted: a task whose output cannot be routed —
+// a shuffle key its output lacks — fails on every step, a retry of it
+// included, and commits nothing. From a worker process the failure reaches
+// the coordinator asynchronously, so a retry that committed what the failed
+// encode dropped would finish the query first, with an empty result.
+func TestFatalTaskErrorIsNeverCommitted(t *testing.T) {
+	cl := testCluster(t, 1, map[string][]*batch.Batch{"numbers": numbersTable(400, 4)})
+	bad := MustPlan(
+		&Stage{ID: 0, Name: "read", Reader: &ReaderSpec{Table: "numbers"}},
+		&Stage{ID: 1, Name: "count", Parallelism: 1,
+			Op:     ops.NewHashAggSpec(nil, ops.CountStar("c")),
+			Inputs: []StageInput{{Stage: 0, Part: Hash("no_such_column")}}},
+	)
+	r, err := NewRunner(cl, bad, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.seed(); err != nil {
+		t.Fatal(err)
+	}
+	tm := newTaskManager(r, cl.Worker(0))
+	tm.gc = r.shared.committer(cl.GCS)
+	defer r.shared.committerDone()
+	snap, err := r.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm.refreshChannels(snap)
+	reader := lineage.ChannelID{Stage: 0, Channel: 0}
+	cs := tm.channels[reader]
+	for i := 0; i < 3; i++ {
+		cs.protocol.Lock()
+		ok, err := tm.step(cs, snap)
+		cs.protocol.Unlock()
+		if ok || err == nil || !strings.Contains(err.Error(), "no_such_column") {
+			t.Fatalf("step %d: progressed %v, error %v; want the partition-key error", i, ok, err)
+		}
+	}
+	cl.GCS.ViewNS(r.keyNS(), func(tx *gcs.Txn) error {
+		if cur := txGetInt(tx, r.keyCursor(reader), 0); cur != 0 {
+			t.Errorf("the failing reader committed %d tasks", cur)
+		}
+		return nil
+	})
+}
+
 // TestElidedPieceIsNeverRead: under write-ahead lineage a survivor's backup is
 // read only for consumers whose worker died, and so never for a piece that
 // was elided — its consumer shared the survivor's worker. The audit sees

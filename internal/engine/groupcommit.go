@@ -194,7 +194,9 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 				tx.Put(r.keyLineage(req.task), req.rec.Encode())
 			}
 			txPutInt(tx, r.keyCursor(req.id), req.task.Seq+1)
-			if r.ft.has(capBackup) {
+			if r.ft.has(capCheckpoint) {
+				// A restart from a mark keeps owners below it that may have
+				// died; under WAL the owner is the channel's pl/ (reconcile).
 				txPutInt(tx, r.keyPartDir(req.task), req.workerID)
 			}
 			if req.finalize {

@@ -106,9 +106,18 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 				for uc := 0; uc < r.par[up]; uc++ {
 					uid := lineage.ChannelID{Stage: up, Channel: uc}
 					committed := txGetInt(tx, r.keyCursor(uid), 0)
+					// The owner rule: a channel leaves its worker only when
+					// that worker dies, and then its cursor starts over, so
+					// every task below the cursor was committed by its host.
+					// A checkpoint restart keeps tasks below its mark, whose
+					// owners its commits recorded in pd/.
+					host := txGetInt(tx, r.keyPlacement(uid), -1)
 					for q := 0; q < committed; q++ {
 						utask := lineage.TaskName{Stage: up, Channel: uc, Seq: q}
-						owner := txGetInt(tx, r.keyPartDir(utask), -1)
+						owner := host
+						if r.ft.has(capCheckpoint) {
+							owner = txGetInt(tx, r.keyPartDir(utask), -1)
+						}
 						switch {
 						case r.ft.has(capSpool) && r.spooled[up]:
 							// Spooled partitions are durable: fetch them

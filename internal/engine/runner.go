@@ -290,7 +290,8 @@ func (r *Runner) execute(ctx context.Context) error {
 }
 
 // cleanup tears down what the head owns of the query: its flight mailbox
-// slots and its whole GCS namespace. Worker-local disk state (spill runs,
+// slots and its whole GCS namespace, dropped in one step (gcs.Txn.DeleteNS:
+// no List, no per-key delete). Worker-local disk state (spill runs,
 // upstream backups) is swept by each worker's runTaskManager as its threads
 // exit. Must only run after the query's task managers have stopped (they
 // would otherwise re-create state behind the sweep).
@@ -300,11 +301,8 @@ func (r *Runner) cleanup() {
 			w.Peer.DropQuery(r.qid)
 		}
 	}
-	ns := r.keyNS()
 	r.gcsUpdate(func(tx *gcs.Txn) error {
-		for _, k := range tx.List(ns) {
-			tx.Delete(k)
-		}
+		tx.DeleteNS(r.keyNS())
 		return nil
 	})
 }

@@ -22,7 +22,9 @@ import (
 // set of a batch of task commits and replay retirements. Every other update
 // is counted; the first, the seed, is kept, and so are those that move the
 // global epoch past the seeded 1: each is a recovery pass. A checkpoint mark a flush writes is
-// checked against the entry beside it. Its record is a txnHook's after.
+// checked against the entry beside it, and the latest update's per-key writes
+// are counted: the last is cleanup, which drops the namespace instead. Its
+// record is a txnHook's after.
 type schemaRecorder struct {
 	mu         sync.Mutex
 	written    map[string]bool
@@ -30,6 +32,7 @@ type schemaRecorder struct {
 	updates    int              // committed updates that are no flush
 	seed       map[string]int   // the first of them: class -> keys put
 	recoveries []map[string]int // per epoch-moving update: class -> keys put
+	lastWrites int              // per-key writes of the latest of them
 	badMarks   []string
 }
 
@@ -73,6 +76,7 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 		return
 	}
 	s.updates++
+	s.lastWrites = len(tx.Writes())
 	if s.seed == nil {
 		s.seed = puts
 	}
@@ -89,7 +93,8 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 // deletes nothing but the replay entries it retires, each recovery pass is one
 // update writing only what reconcile and the epoch bump write, the head's
 // seed — which writes placements and the global epoch alone — recovery
-// passes and cleanup are the only updates that are no flush, and no row on
+// passes and cleanup are the only updates that are no flush, cleanup drops
+// the namespace with no per-key write and leaves nothing of it, and no row on
 // the page goes unwritten by all of them.
 func TestControlStoreSchema(t *testing.T) {
 	page, err := os.ReadFile("../../docs/contracts/control-store.md")
@@ -114,6 +119,7 @@ func TestControlStoreSchema(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cl := testCluster(t, 4, joinTables(800))
 				rec := &schemaRecorder{written: map[string]bool{}}
+				store := cl.GCS
 				cl.GCS = txnHook{Backend: cl.GCS, after: rec.record}
 				cfg := DefaultConfig()
 				cfg.FT = ft
@@ -137,6 +143,8 @@ func TestControlStoreSchema(t *testing.T) {
 				if (err != nil) != (kill && ft == FTNone) || kill && ft != FTNone && rep.Recoveries == 0 {
 					t.Fatalf("Run: %v (report %+v)", err, rep)
 				}
+				cl.GCS = store
+				assertNoQueryState(t, cl, name)
 
 				rec.mu.Lock()
 				defer rec.mu.Unlock()
@@ -155,11 +163,10 @@ func TestControlStoreSchema(t *testing.T) {
 					if caps.has(capLineage) {
 						wantLin = n
 					}
-					if caps.has(capBackup) {
-						wantPD = n
-					}
+					// Under wal the owner of a backup is its channel's pl/:
+					// only a checkpoint restart keeps owners pd/ must name.
 					if caps.has(capCheckpoint) {
-						maxCk = n
+						wantPD, maxCk = n, n
 					}
 					// A replayed task retraces its record and writes none.
 					okLin := puts["lin"] == wantLin || kill && puts["lin"] < wantLin
@@ -191,6 +198,9 @@ func TestControlStoreSchema(t *testing.T) {
 				// cleanup. A worker writes through the flush alone.
 				if want := 2 + r.recovered; rec.updates != want {
 					t.Errorf("%d updates were no flush, want %d: seed, %d recovery passes, cleanup", rec.updates, want, r.recovered)
+				}
+				if rec.lastWrites != 0 {
+					t.Errorf("cleanup buffered %d per-key writes, want the namespace dropped with none", rec.lastWrites)
 				}
 				if rec.seed["pl"] == 0 || rec.seed["gep"] != 1 || len(rec.seed) != 2 {
 					t.Errorf("the seed wrote %v, want placements and gep alone", rec.seed)

@@ -14,17 +14,18 @@ import (
 // of truth for the execution state of the entire system"), so any number of
 // in-flight queries coexist in one GCS without clobbering each other's
 // lineage, cursors, epochs or recovery queues, and a query's whole
-// namespace is deleted when it finishes. docs/contracts/control-store.md is
-// the normative table — value, the one writer, every reader and lifetime of
-// each class; a class nothing reads is not written — and TestControlStoreSchema
-// holds this package to it. In short:
+// namespace is dropped in one step when it finishes (gcs.Txn.DeleteNS).
+// docs/contracts/control-store.md is the normative table — value, the one
+// writer, every reader and lifetime of each class; a class nothing reads is
+// not written — and TestControlStoreSchema holds this package to it. In short:
 //
 //	pl/<s>.<c>  cep/<s>.<c>  cur/<s>.<c>  done/<s>.<c>  ck/<s>.<c>
 //	            a channel's placement, epoch, task cursor, finished task
 //	            count, checkpoint mark "<seq> <objkey> <watermark>"
 //	lin/<s>.<c>.<q>  pd/<s>.<c>.<q>
 //	            a task's committed lineage record; the worker holding its
-//	            upstream backup (written only when the policy backs up)
+//	            upstream backup (written under checkpoint only: under wal the
+//	            owner of every task below a channel's cursor is its pl/)
 //	gep
 //	            global placement epoch (seeded 1, +1 per recovery, in the
 //	            transaction that reconciles)

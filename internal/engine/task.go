@@ -143,6 +143,10 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 	edges := t.r.plan.Consumers(cs.id.Stage)
 	if p.outs != nil {
 		if err := t.encodeOutput(cs, p, edges); err != nil {
+			// Not a transient failure: the next step runs the task afresh and
+			// fails again, where a retry of p would commit the output that
+			// encodeOutput already let go of.
+			cs.pending = nil
 			return false, err
 		}
 	}

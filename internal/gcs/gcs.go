@@ -86,6 +86,18 @@ func (sh *shard) apply(k string, v []byte, ver uint64) {
 	}
 }
 
+// drop deletes every key of namespace ns in one pass over the shard, and its
+// change log with them: a replica that asks again is sent the empty namespace
+// in full. The caller holds the shard lock.
+func (sh *shard) drop(ns string) {
+	for k := range sh.data {
+		if strings.HasPrefix(k, ns) {
+			delete(sh.data, k)
+		}
+	}
+	delete(sh.logs, ns)
+}
+
 // Store is the Global Control Store. It is safe for concurrent use.
 // Transactions are serializable: single-namespace transactions hold their
 // shard's lock; cross-namespace transactions hold every shard lock.
@@ -139,6 +151,7 @@ type Txn struct {
 	locked []int             // the shards this transaction holds, ascending
 	one    [1]int            // backs locked for a one-namespace transaction
 	writes map[string][]byte // nil value means delete
+	drops  []string          // namespaces dropped at commit, before writes apply
 	bytes  int64
 
 	// rep, when set, makes this a replica transaction (ReplicaTxn): reads are
@@ -175,6 +188,9 @@ func (s *Store) run(tx *Txn, fn func(tx *Txn) error) error {
 	}
 	err := fn(tx)
 	if err == nil && tx.writes != nil {
+		for _, ns := range tx.drops {
+			s.shards[shardOf(ns)].drop(ns)
+		}
 		for k, v := range tx.writes {
 			sh := &s.shards[tx.locked[0]]
 			if len(tx.locked) > 1 {
@@ -345,6 +361,20 @@ func (tx *Txn) Put(key string, value []byte) {
 
 // Delete removes key at commit.
 func (tx *Txn) Delete(key string) { tx.write("Delete", key, nil) }
+
+// DeleteNS drops namespace ns at commit: every key of it committed before the
+// transaction goes, in one pass over its shard, with no per-key write. The
+// body's own writes apply after the drop, so they survive it, and its reads
+// still see the committed keys. Only the head drops a namespace: in a replica
+// or read-only transaction, or on anything but one query's namespace, it
+// panics.
+func (tx *Txn) DeleteNS(ns string) {
+	if tx.rep != nil || tx.writes == nil || !IsNamespace(ns) {
+		panic(fmt.Sprintf("gcs: DeleteNS(%q) outside a head update, or not a namespace", ns))
+	}
+	tx.shardFor(ns)
+	tx.drops = append(tx.drops, ns)
+}
 
 // List returns the sorted keys having the given prefix, reflecting
 // uncommitted writes of this transaction. In a namespaced transaction the

@@ -14,8 +14,8 @@ import (
 // Sync — what changed since version v (a wait that woke, a first contact) —
 // and Commit — apply this write set if these reads are still current (an
 // update) — from a per-namespace change log that starts at the namespace's
-// first Sync and goes with its last key: a namespace no replica follows costs
-// a commit one empty-map check.
+// first Sync and goes with its last key, or with the namespace (Txn.DeleteNS):
+// a namespace no replica follows costs a commit one empty-map check.
 
 // IsNamespace reports whether ns is exactly one query's "q/<qid>/" prefix.
 // Sync and Commit enumerate what they are given: "" would list a shard.
@@ -48,7 +48,7 @@ func (sh *shard) record(k string, v []byte, ver uint64) {
 		l.live++
 	}
 	if l.live == 0 {
-		delete(sh.logs, ns) // swept (Runner.cleanup): nothing left to follow
+		delete(sh.logs, ns) // nothing left to follow
 	}
 }
 

@@ -57,8 +57,9 @@ func TestIsNamespace(t *testing.T) {
 
 // TestChangeTrackingLifecycle: no namespace is tracked until a replica syncs
 // it; from then on a Sync returns exactly the keys written or deleted since
-// the version named; and when the namespace's last key is deleted (what
-// Runner.cleanup does) the log goes with it — nothing of the query is left.
+// the version named; and when the namespace's last key is deleted, or the
+// namespace is dropped (what Runner.cleanup does), the log goes with it —
+// nothing of the query is left.
 func TestChangeTrackingLifecycle(t *testing.T) {
 	s, _ := newStore()
 	ns := "q/life/"
@@ -122,6 +123,19 @@ func TestChangeTrackingLifecycle(t *testing.T) {
 	}
 	if d := s.Sync(ns, d.Version); !d.Full || len(d.Set) != 0 || followed(s) != 0 {
 		t.Fatalf("sync after sweep: %+v, %d tracked", d, followed(s))
+	}
+
+	// The drop: the same, in one step with no per-key write.
+	putKeys(t, s, ns, "a", "1", "lin/0.0.0", "r")
+	if d := s.Sync(ns, 0); len(d.Set) != 2 || followed(s) != 1 {
+		t.Fatalf("refollow: %+v, %d tracked", d, followed(s))
+	}
+	s.UpdateNS(ns, func(tx *Txn) error { tx.DeleteNS(ns); return nil })
+	if n := followed(s); n != 0 {
+		t.Fatalf("%d namespaces tracked after the drop", n)
+	}
+	if d := s.Sync(ns, s.VersionNS(ns)-1); !d.Full || len(d.Set) != 0 || followed(s) != 0 {
+		t.Fatalf("sync after drop: %+v, %d tracked", d, followed(s))
 	}
 }
 

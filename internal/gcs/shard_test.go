@@ -3,6 +3,7 @@ package gcs
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -188,5 +189,79 @@ func TestAwaitNS(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > goroutines {
 		t.Errorf("%d goroutines, %d before the waits", n, goroutines)
+	}
+}
+
+// TestDeleteNSDropsTheNamespace: a drop deletes every key of its namespace in
+// one committed update — one version bump, a parked waiter woken — and
+// nothing of another namespace on the same shard; the body's own writes land
+// after it, and its reads still see the committed keys; and only a head
+// update may make it.
+func TestDeleteNSDropsTheNamespace(t *testing.T) {
+	s, _ := newStore()
+	ns, other := sameShardNamespaces()
+	keys := []string{"pl/0.0", "cur/0.0", "lin/0.0.0", "lin/0.0.1", "rp/1/0.0.0", "gep"}
+	for _, k := range keys {
+		putKeys(t, s, ns, k, "x")
+		putKeys(t, s, other, k, "y")
+	}
+	listNS := func(ns string) (got []string) {
+		s.ViewNS(ns, func(tx *Txn) error { got = tx.List(ns); return nil })
+		return got
+	}
+	sh := &s.shards[shardOf(ns)]
+	v, store := s.VersionNS(ns), s.Version()
+	woke := make(chan uint64, 1)
+	go func() { woke <- s.AwaitNS(context.Background(), ns, v, time.Hour) }()
+	for parked := 0; parked == 0; {
+		runtime.Gosched()
+		sh.mu.Lock()
+		parked = sh.waiters
+		sh.mu.Unlock()
+	}
+
+	err := s.UpdateNS(ns, func(tx *Txn) error {
+		tx.Put(ns+"early", []byte("1"))
+		tx.DeleteNS(ns)
+		if _, ok := tx.Get(ns + "gep"); !ok {
+			t.Error("a committed key reads absent before the commit that drops it")
+		}
+		tx.Put(ns+"late", []byte("2"))
+		if len(tx.Writes()) != 2 {
+			t.Errorf("%d buffered writes, want the body's two puts and nothing for the drop", len(tx.Writes()))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := <-woke; got != v+1 || s.VersionNS(ns) != v+1 || s.Version() != store+1 {
+		t.Errorf("the drop woke a waiter at %d, shard at %d, store at %d; want %d, %d, %d", got, s.VersionNS(ns), s.Version(), v+1, v+1, store+1)
+	}
+	if got := listNS(ns); !reflect.DeepEqual(got, []string{ns + "early", ns + "late"}) {
+		t.Errorf("dropped namespace holds %v, want the body's own writes alone", got)
+	}
+	if got := listNS(other); len(got) != len(keys) {
+		t.Errorf("the namespace sharing the shard holds %v, want its %d keys", got, len(keys))
+	}
+
+	refused := func(what string, body func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("DeleteNS %s did not panic", what)
+			}
+		}()
+		body()
+	}
+	refused("in a replica transaction", func() {
+		ReplicaTxn([]*Replica{{NS: other}}, false).DeleteNS(other)
+	})
+	refused("in a view", func() { s.txnNS(other, nil).DeleteNS(other) })
+	refused("of a key prefix", func() {
+		s.txnNS(other, map[string][]byte{}).DeleteNS(other + "lin/")
+	})
+	if got := listNS(other); len(got) != len(keys) {
+		t.Errorf("a refused drop changed %v", got)
 	}
 }

@@ -44,13 +44,10 @@ func DefaultAnalyzers() []*Analyzer {
 			SweepFuncs: []FuncRef{
 				// The per-query teardown/rewind sweeps (arguments built by
 				// the blessed helpers above) and the snapshot's replay-
-				// queue scan (prefixes q/<qid>/rp/, rpi/). Runner.cleanup
-				// lists and deletes the query's GCS namespace;
-				// runTaskManager — the one launch of a worker's task manager,
-				// in the head's process or a worker's — sweeps THAT worker's
-				// disk of the one query's spill/backup namespaces as its
-				// threads exit.
-				{Pkg: "quokka/internal/engine", Name: "Runner.cleanup"},
+				// queue scan (prefixes q/<qid>/rp/, rpi/). runTaskManager —
+				// the one launch of a worker's task manager, in the head's
+				// process or a worker's — sweeps THAT worker's disk of the
+				// one query's spill/backup namespaces as its threads exit.
 				{Pkg: "quokka/internal/engine", Name: "Runner.runTaskManager"},
 				{Pkg: "quokka/internal/engine", Name: "taskManager.resetChannel"},
 				{Pkg: "quokka/internal/engine", Name: "Runner.loadReplays"},
@@ -64,7 +61,13 @@ func DefaultAnalyzers() []*Analyzer {
 				{Pkg: "quokka/internal/wire", Name: "Server.handleGCS"},
 			},
 			SweepMethodNames: []string{"DeletePrefix"},
-			RangeMethods:     map[string]string{"List": "gcs.Txn", "Sync": "gcs.Store", "Commit": "gcs.Store"},
+			RangeMethods: map[string]string{"List": "gcs.Txn", "DeleteNS": "gcs.Txn",
+				"Sync": "gcs.Store", "Commit": "gcs.Store"},
+			// Dropping a query's whole GCS namespace is teardown's alone:
+			// Runner.cleanup, once the query's task managers have stopped.
+			MethodCallers: map[string][]FuncRef{
+				"DeleteNS": {{Pkg: "quokka/internal/engine", Name: "Runner.cleanup"}},
+			},
 			DefiningPkgs: []string{
 				"quokka/internal/storage",
 				"quokka/internal/gcs",

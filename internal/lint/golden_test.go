@@ -111,7 +111,8 @@ func TestGoldenNSKey(t *testing.T) {
 			},
 			SweepFuncs:       []FuncRef{{Pkg: pkgPath, Name: "sweep"}},
 			SweepMethodNames: []string{"DeletePrefix"},
-			RangeMethods:     map[string]string{"List": "a.Txn"},
+			RangeMethods:     map[string]string{"List": "a.Txn", "DeleteNS": "a.Txn"},
+			MethodCallers:    map[string][]FuncRef{"DeleteNS": {{Pkg: pkgPath, Name: "teardown"}}},
 		})
 	})
 }

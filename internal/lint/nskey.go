@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -24,6 +25,9 @@ type NSKeyConfig struct {
 	// RangeMethods pins (type, method) pairs as range operations; the
 	// type is matched by its fully qualified name suffix ("gcs.Txn").
 	RangeMethods map[string]string // method name -> qualified type suffix
+	// MethodCallers narrows a range method to its own callers: one named
+	// here is legal only inside these functions, not in every SweepFunc.
+	MethodCallers map[string][]FuncRef
 	// DefiningPkgs may declare and use the range operations freely (the
 	// storage/GCS layers that implement them).
 	DefiningPkgs []string
@@ -109,11 +113,15 @@ func NewNSKey(cfg NSKeyConfig) *Analyzer {
 							isRange = recvTypeMatches(pass, sel, suffix)
 						}
 					}
-					if !isRange || defining[pass.Pkg.Path] || sweepOK[ref] {
+					audited := sweepOK[ref]
+					if only, pinned := cfg.MethodCallers[name]; pinned {
+						audited = slices.Contains(only, ref)
+					}
+					if !isRange || defining[pass.Pkg.Path] || audited {
 						return true
 					}
 					pass.Reportf(node.Pos(),
-						"%s call outside the audited sweep functions — recovery and teardown are per-query; range deletes/scans are only legal in the blessed per-query sweep sites (never sweep a bare prefix)", name)
+						"%s call outside the audited sweep functions%s — recovery and teardown are per-query; range deletes/scans are only legal in the blessed per-query sweep sites (never sweep a bare prefix)", name, blessedNames(cfg.MethodCallers[name]))
 				}
 				return true
 			})

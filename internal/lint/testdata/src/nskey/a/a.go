@@ -14,6 +14,9 @@ type Txn struct{}
 
 func (Txn) List(prefix string) []string { return nil }
 
+// DeleteNS is a range delete narrowed to its own caller, teardown.
+func (Txn) DeleteNS(ns string) {}
+
 // Other has a List method too, but is not the pinned range type.
 type Other struct{}
 
@@ -31,6 +34,8 @@ func sweep(d Disk, t Txn, qid string) {
 	d.DeletePrefix(spillPrefix(qid))
 	d.DeletePrefix(backupPrefix(qid))
 	_ = t.List(spillPrefix(qid))
+	// A method narrowed to its own callers is illegal even here.
+	t.DeleteNS(qid) // want "DeleteNS call outside the audited sweep functions (teardown)"
 }
 
 // Inline key construction outside the blessed helpers is illegal.
@@ -48,6 +53,9 @@ func badSweep(d Disk, t Txn, qid string) {
 	d.DeletePrefix(spillPrefix(qid)) // want "DeletePrefix call outside the audited sweep functions"
 	_ = t.List(spillPrefix(qid))     // want "List call outside the audited sweep functions"
 }
+
+// teardown is DeleteNS's one blessed caller.
+func teardown(t Txn, ns string) { t.DeleteNS(ns) }
 
 // List on a type other than the pinned range type is not a range scan.
 func okList(o Other) { o.List("x") }

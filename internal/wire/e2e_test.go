@@ -332,9 +332,12 @@ func killMidQuery(cl *cluster.Cluster, w cluster.WorkerID, query *engine.Query) 
 	ns := engine.QueryNamespace(query.QueryID())
 	victimCommitted := func() (yes bool) {
 		store.ViewNS(ns, func(tx *gcs.Txn) error {
-			// pd/<task> records which worker holds a committed task's backup.
-			for _, k := range tx.List(ns + "pd/") {
-				if v, _ := tx.Get(k); string(v) == strconv.Itoa(int(w)) {
+			// Under write-ahead lineage every task below a channel's cursor
+			// was committed by the worker its pl/ names.
+			for _, k := range tx.List(ns + "pl/") {
+				v, _ := tx.Get(k)
+				cur, _ := tx.Get(ns + "cur/" + strings.TrimPrefix(k, ns+"pl/"))
+				if n, _ := strconv.Atoi(string(cur)); string(v) == strconv.Itoa(int(w)) && n > 0 {
 					yes = true
 				}
 			}
