@@ -1,5 +1,5 @@
-# Local entry points mirroring .github/workflows/ci.yml — keep the two in
-# lockstep so "make ci" passing locally means the pipeline is green.
+# Local entry points. .github/workflows/ci.yml runs these targets, so
+# "make ci" passing locally means the pipeline is green.
 
 GO ?= go
 
@@ -79,7 +79,7 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 23721
+LOC_MAX := 23647
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -91,7 +91,7 @@ loc-check:
 ## from here.
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) test -short -run 'ZeroAllocs' ./internal/ops/ ./internal/batch/
+	$(GO) test -short -run 'ZeroAllocs' -v ./internal/ops/ ./internal/batch/
 
 ## fuzz-smoke: each native fuzz target mutates for 10 s on top of its
 ## checked-in corpus (which plain `go test` only replays). -fuzz takes one

@@ -201,7 +201,7 @@ func (d *DataFrame) catalog() plan.Catalog {
 // optimize validates the frame's logical plan against the cluster catalog
 // and runs the rule-based optimizer.
 func (d *DataFrame) optimize() (*plan.Node, error) {
-	opt, err := plan.Optimize(d.node, d.catalog(), plan.Options{})
+	opt, err := plan.Optimize(d.node, d.catalog())
 	if err != nil {
 		return nil, fmt.Errorf("quokka: invalid query: %w", err)
 	}

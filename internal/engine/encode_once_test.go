@@ -234,9 +234,9 @@ func sharedSubtreeTable(n, splits int) []*batch.Batch {
 // producer's three edges, exactly the bytes the original push carried —
 // the piece set is the push payload, the backup and the replay source —
 // and that the result is the failure-free run's, byte for byte. A piece
-// elided under write-ahead lineage was pushed as its batch alone; its
-// consumer died with it, so only a re-read of the reader's split re-feeds
-// it, and that re-encodes the very rows the consumer was handed.
+// elided under write-ahead lineage was pushed as its batch alone and has no
+// stored bytes; its consumer died with it, and so did its producer, whose
+// re-execution re-feeds the rewound consumer the very rows it was handed.
 func TestReplayedPiecesAreTheStoredOnes(t *testing.T) {
 	tables := map[string][]*batch.Batch{"t": sharedSubtreeTable(4000, 40)}
 	for _, ft := range []FTMode{FTWriteAheadLineage, FTCheckpoint, FTSpool} {
@@ -291,34 +291,25 @@ func TestReplayedPiecesAreTheStoredOnes(t *testing.T) {
 				input int
 			}
 			original := map[pieceKey]flight.Partition{}
-			replayedTo := map[int]int{} // shared stage's pieces, by consumer stage
-			reread := 0                 // elided pieces re-fed from a re-read split
+			again := map[pieceKey][]flight.Partition{} // a rewound producer's pushes of a piece
+			replayedTo := map[int]int{}                // shared stage's pieces, by consumer stage
 			for _, p := range *pushes {
 				k := pieceKey{p.From, p.Dest, p.Input}
+				first, seen := original[k]
 				if p.Epoch != flight.EpochCommitted {
-					if _, seen := original[k]; !seen {
+					if !seen {
 						original[k] = p
+					} else if p.Epoch > first.Epoch {
+						again[k] = append(again[k], p)
 					}
 					continue
 				}
-				first, seen := original[k]
 				if !seen {
 					// Its first push went to the worker that then died.
 					continue
 				}
 				if len(first.Data) == 0 && first.Batch != nil {
-					if p.From.Stage != 0 {
-						t.Fatalf("elided piece %s -> %s input %d was replayed from a backup", p.From, p.Dest, p.Input)
-					}
-					rows, err := batch.Decode(p.Data)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(batch.Encode(rows), batch.Encode(first.Batch)) {
-						t.Fatalf("re-read %s -> %s: %d rows, the consumer was handed %d", p.From, p.Dest, rows.NumRows(), first.Batch.NumRows())
-					}
-					reread++
-					continue
+					t.Fatalf("elided piece %s -> %s input %d was re-pushed as stored bytes", p.From, p.Dest, p.Input)
 				}
 				if !bytes.Equal(p.Data, first.Data) {
 					t.Fatalf("replayed %s -> %s input %d: %d bytes differ from the %d originally pushed",
@@ -333,8 +324,37 @@ func TestReplayedPiecesAreTheStoredOnes(t *testing.T) {
 					t.Errorf("no stored piece of the shared stage was replayed to stage %d (%s)", stage, fmt.Sprint(replayedTo))
 				}
 			}
-			if elides := ftTable[ft].elidesLocal(); elides != (reread > 0) {
-				t.Errorf("%d elided pieces re-read from their split, under a policy that elides: %v", reread, elides)
+			// rows is what a push carries, as encoded rows: its batch if elided.
+			rows := func(p flight.Partition) []byte {
+				if len(p.Data) == 0 && p.Batch != nil {
+					return batch.Encode(p.Batch)
+				}
+				b, err := batch.Decode(p.Data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return batch.Encode(b)
+			}
+			// Every elided reader piece on the victim (channel 1's: a piece is
+			// elided only beside its consumer) comes back from the rewound
+			// reader's retrace of its split, and nowhere else.
+			refed := 0
+			for k, first := range original {
+				if k.from.Stage != 0 || k.from.Channel != 1 || len(first.Data) > 0 || first.Batch == nil {
+					continue
+				}
+				if len(again[k]) == 0 {
+					t.Errorf("elided piece %s -> %s never reached the rewound consumer again", k.from, k.dest)
+				}
+				for _, p := range again[k] {
+					if !bytes.Equal(rows(p), rows(first)) {
+						t.Errorf("rewound reader re-fed %s -> %s rows that differ from those first handed over", k.from, k.dest)
+					}
+				}
+				refed++
+			}
+			if elides := ftTable[ft].elidesLocal(); elides != (refed > 0) {
+				t.Errorf("%d elided reader pieces died with their consumer, under a policy that elides: %v", refed, elides)
 			}
 		})
 	}

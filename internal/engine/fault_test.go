@@ -191,6 +191,77 @@ func auditBackups(t *testing.T, r *Runner) *auditLog {
 	return log
 }
 
+// backupLog is a worker's disk that counts the upstream backups written, by
+// the producing task's stage.
+type backupLog struct {
+	storage.Disk
+	r       *Runner
+	mu      *sync.Mutex
+	byStage map[int]int
+}
+
+func (d backupLog) Write(key string, value []byte) error {
+	if name, ok := strings.CutPrefix(key, backupQueryPrefix(d.r.qid)); ok {
+		task, err := lineage.ParseTaskName(name)
+		if err != nil {
+			return err
+		}
+		d.mu.Lock()
+		d.byStage[task.Stage]++
+		d.mu.Unlock()
+	}
+	return d.Disk.Write(key, value)
+}
+
+// TestOutputStageWritesNoBackup: no replay entry ever names an output-stage
+// task — the head holds its results — so under every policy that backs up,
+// with and without a kill, no backup is written for one, and one is for
+// every other stage. The kill takes the output stage's host, so its channel
+// runs again after the recovery.
+func TestOutputStageWritesNoBackup(t *testing.T) {
+	for _, ft := range []FTMode{FTWriteAheadLineage, FTCheckpoint} {
+		for _, kill := range []bool{false, true} {
+			t.Run(ft.String()+map[bool]string{false: "/no-fault", true: "/one-kill"}[kill], func(t *testing.T) {
+				cl := testCluster(t, 4, joinTables(800))
+				cfg := DefaultConfig()
+				cfg.FT = ft
+				cfg.CheckpointEveryTasks = 2
+				r, err := NewRunner(cl, joinPlan(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				written := map[int]int{}
+				for _, w := range cl.Workers {
+					w.Disk = backupLog{Disk: w.Disk, r: r, mu: &mu, byStage: written}
+				}
+				if kill {
+					killInTxn(cl, 0, func(tx *gcs.Txn) bool {
+						return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 2, Channel: 0}), 0) > 0
+					})
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				defer cancel()
+				out, rep, err := r.Run(ctx)
+				if err != nil || out == nil || out.NumRows() != 10 || kill && rep.Recoveries == 0 {
+					t.Fatalf("Run: %v, result %v, %d recoveries", err, out, rep.Recoveries)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for s := range r.plan.Stages {
+					output := len(r.plan.Consumers(s)) == 0
+					if output && written[s] > 0 {
+						t.Errorf("%d backups written for output stage %d", written[s], s)
+					}
+					if !output && written[s] == 0 {
+						t.Errorf("no backup written for stage %d", s)
+					}
+				}
+			})
+		}
+	}
+}
+
 func runWithFailure(t *testing.T, cl *cluster.Cluster, p *Plan, cfg Config, victim int, afterTasks int) (*batch.Batch, *Report, error) {
 	t.Helper()
 	r, err := NewRunner(cl, p, cfg)

@@ -62,7 +62,7 @@ type commitReq struct {
 	finalize bool
 	isReplay bool
 	mark     []byte // encoded checkpoint mark written beside the cursor, or nil
-	retire   string // the rp/ or rpi/ key a drained replay entry deletes
+	retire   string // the rp/ key a drained replay entry deletes
 	resp     chan error
 }
 

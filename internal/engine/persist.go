@@ -38,10 +38,11 @@ func (t *taskManager) persistBeforePush(cs *chanState, task lineage.TaskName, p 
 // persistAfterPush (capBackup) is the upstream backup: the pushed bytes go
 // to the producer's local disk so consumers can be re-fed after someone
 // else's failure. Reader outputs are backed up too (Figure 5 shows stage-0
-// partitions replayed from TaskManagers); only partitions whose backup died
-// with its worker fall back to Algorithm 2's "input task" S3 re-read.
-func (t *taskManager) persistAfterPush(task lineage.TaskName, p *pendingTask) error {
-	if !t.r.ft.has(capBackup) {
+// partitions replayed from TaskManagers); a partition whose backup died with
+// its worker comes back from its rewound producer, a reader's from its split.
+// An output-stage task has no consumer to re-feed: the head holds its result.
+func (t *taskManager) persistAfterPush(task lineage.TaskName, p *pendingTask, edges []Edge) error {
+	if !t.r.ft.has(capBackup) || len(edges) == 0 {
 		return nil
 	}
 	if err := t.disk.Write(backupKey(t.r.qid, task), p.payload); err != nil {

@@ -14,9 +14,8 @@ import (
 // consistent state after worker failures. In ONE transaction it
 //
 //  1. computes the rewind set by walking stages in reverse topological
-//     order, scheduling replay tasks for surviving backups, input re-reads
-//     for lost reader partitions, and cascading rewinds when a partition
-//     is unrecoverable,
+//     order, scheduling replay tasks for surviving backups and spooled
+//     partitions, and cascading rewinds to the producers of the rest,
 //  2. re-places rewound channels — pipeline-parallel (different stages to
 //     different workers, Figure 3 bottom) or data-parallel — and resets
 //     their cursors, and
@@ -90,7 +89,7 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 	// partitions: they restart from scratch, because a checkpoint restart
 	// would skip the tasks — and so the partitions — below the checkpoint.
 	reproduce := make(map[lineage.ChannelID]bool)
-	rrInput := 0 // round-robin cursor for input re-read placement
+	rrSpool := 0 // round-robin cursor for spool replay placement
 	for s := len(r.plan.Stages) - 1; s >= 0; s-- {
 		stage := r.plan.Stages[s]
 		for c := 0; c < r.par[s]; c++ {
@@ -123,23 +122,20 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 							// Spooled partitions are durable: fetch them
 							// from the object store on any live worker.
 							// No cascade — the whole point of spooling.
-							w := int(aliveIDs[rrInput%len(aliveIDs)])
-							rrInput++
+							w := int(aliveIDs[rrSpool%len(aliveIDs)])
+							rrSpool++
 							addReplayDest(tx, r.keyReplay(w, utask), id)
 						case r.ft.has(capBackup) && aliveSet[owner]:
 							// Replay from the owner's local backup — the
 							// cheap, common case of Figure 5.
 							addReplayDest(tx, r.keyReplay(owner, utask), id)
-						case r.plan.Stages[up].Reader != nil:
-							// Input task: re-read the lost split anywhere
-							// (data-parallel, like Spark, §III-B).
-							w := int(aliveIDs[rrInput%len(aliveIDs)])
-							rrInput++
-							addReplayDest(tx, r.keyInputReplay(w, utask), id)
 						default:
 							// Backup lost with its worker (or spool mode
 							// with an unspooled narrow stage): rewind the
-							// producer channel too (Figure 5's (0,2,*)).
+							// producer channel too (Figure 5's (0,2,*)). A
+							// reader is no exception: its retrace re-reads
+							// the split. (With a backup a reader's owner is
+							// its host, so it is rewound already.)
 							rewind[uid] = true
 							reproduce[uid] = true
 						}

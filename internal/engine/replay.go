@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"quokka/internal/batch"
 	"quokka/internal/flight"
-	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/trace"
 )
@@ -36,45 +34,16 @@ func (t *taskManager) runOneReplay(snap *snapshot, entry replayEntry) bool {
 	if t.r.rec != nil {
 		replayStart = time.Now()
 	}
-	// The pieces to re-push: stored ones, exactly as first pushed, wherever a
-	// backup or spool object exists; only an input re-read has to rebuild
-	// them from the source split.
-	edges := t.r.plan.Consumers(task.Stage)
-	var pieces pieceSet
-	if entry.input {
-		// Re-read the split named by the committed lineage.
-		switch entry.rec.Kind {
-		case lineage.KindRead:
-			st := t.r.plan.Stages[task.Stage]
-			if st.Reader == nil {
-				return false
-			}
-			// Same physical split, same column projection as the original
-			// read — the replayed output is byte-identical.
-			out, err := t.readSplit(st.Reader, entry.rec.Split)
-			if err != nil {
-				return false
-			}
-			if out.NumRows() > 0 {
-				if _, pieces, err = t.encodePieces(&taskOutput{outs: []*batch.Batch{out}}, edges, task.Channel, nil); err != nil {
-					return false
-				}
-			}
-		case lineage.KindFinalize:
-			// A reader's final task produced an empty partition; re-push
-			// the emptiness so the consumer's watermark can pass it.
-		default:
-			return false
-		}
-	} else {
-		stored, err := t.storedPieceSet(task)
-		if err != nil {
-			return false // disk lost; the next recovery pass reroutes
-		}
-		if pieces, err = parsePieceSet(stored); err != nil {
-			return false
-		}
+	// The pieces to re-push are the stored ones, exactly as first pushed.
+	stored, err := t.storedPieceSet(task)
+	if err != nil {
+		return false // disk lost; the next recovery pass reroutes
 	}
+	pieces, err := parsePieceSet(stored)
+	if err != nil {
+		return false
+	}
+	edges := t.r.plan.Consumers(task.Stage)
 
 	// Push only the pieces destined for the rewound consumers (one per
 	// input edge feeding each destination stage), re-reading the backup

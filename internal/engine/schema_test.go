@@ -131,7 +131,7 @@ func TestControlStoreSchema(t *testing.T) {
 				if kill {
 					// Worker 2 dies once its own fact-reader channel and a
 					// survivor's have committed: recovery then has a backup to
-					// replay (rp) and a lost one to re-read (rpi).
+					// replay (rp) and a lost one its rewound reader re-reads.
 					cur := func(tx *gcs.Txn, c int) int {
 						return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 1, Channel: c}), 0)
 					}
@@ -179,8 +179,8 @@ func TestControlStoreSchema(t *testing.T) {
 					// What a flush deletes is replay entries it retires, and
 					// nothing else.
 					for class, k := range f.deletes {
-						if class != "rp" && class != "rpi" {
-							t.Errorf("a flush deleted %v: only rp and rpi entries are retired", f.deletes)
+						if class != "rp" {
+							t.Errorf("a flush deleted %v: only rp entries are retired", f.deletes)
 						}
 						retired += k
 					}
@@ -216,11 +216,11 @@ func TestControlStoreSchema(t *testing.T) {
 						t.Errorf("the update that moved the epoch wrote %v: no rewind", puts)
 					}
 					for class := range puts {
-						if !slices.Contains([]string{"pl", "cep", "cur", "rp", "rpi", "gep"}, class) {
-							t.Errorf("a recovery pass wrote %v: %q is outside pl, cep, cur, rp, rpi, gep", puts, class)
+						if !slices.Contains([]string{"pl", "cep", "cur", "rp", "gep"}, class) {
+							t.Errorf("a recovery pass wrote %v: %q is outside pl, cep, cur, rp, gep", puts, class)
 						}
 					}
-					queued += puts["rp"] + puts["rpi"]
+					queued += puts["rp"]
 				}
 				if queued > 0 && retired == 0 {
 					t.Errorf("recovery queued %d replay entries and no flush retired one", queued)

@@ -31,18 +31,15 @@ type snapshot struct {
 	gep int // global placement epoch: seeded 1, one more per recovery
 
 	chans   [][]chanMeta  // [stage][channel]
-	replays []replayEntry // every worker's replay queue: rp/, then rpi/, each in key order
+	replays []replayEntry // every worker's replay queue, in key order
 }
 
-// replayEntry is one rp/ or rpi/ entry: worker re-pushes task's pieces to dests
-// from its stored piece set or — input — from the split lineage record rec names.
+// replayEntry is one rp/ entry: worker re-pushes task's stored pieces to dests.
 type replayEntry struct {
 	key    string // what the entry's retirement deletes
 	worker int
 	task   lineage.TaskName
 	dests  []lineage.ChannelID
-	input  bool
-	rec    lineage.Record
 }
 
 // chanMeta is one channel's row of a snapshot.
@@ -255,28 +252,22 @@ func (r *Runner) loadSnapshot(ver uint64, prev *snapshot) (*snapshot, error) {
 	return s, err
 }
 
-// loadReplays lists every worker's replay queue into s: each entry's
-// destinations and, for an input re-read, the lineage record naming its split.
+// loadReplays lists every worker's replay queue into s, each entry with its
+// destinations.
 func (r *Runner) loadReplays(tx *gcs.Txn, s *snapshot) error {
-	for _, class := range []string{"rp/", "rpi/"} {
-		prefix := r.keyNS() + class
-		for _, k := range tx.List(prefix) {
-			w, name, _ := strings.Cut(strings.TrimPrefix(k, prefix), "/")
-			dests, _ := tx.Get(k)
-			e := replayEntry{key: k, input: class == "rpi/"}
-			var errs [4]error
-			e.worker, errs[0] = strconv.Atoi(w)
-			e.task, errs[1] = lineage.ParseTaskName(name)
-			e.dests, errs[2] = parseReplayDests(dests)
-			if e.input {
-				rec, _ := tx.Get(r.keyLineage(e.task))
-				e.rec, errs[3] = lineage.DecodeRecord(rec)
-			}
-			if err := errors.Join(errs[:]...); err != nil {
-				return fmt.Errorf("engine: replay entry %s: %w", k, err)
-			}
-			s.replays = append(s.replays, e)
+	prefix := r.keyNS() + "rp/"
+	for _, k := range tx.List(prefix) {
+		w, name, _ := strings.Cut(strings.TrimPrefix(k, prefix), "/")
+		dests, _ := tx.Get(k)
+		e := replayEntry{key: k}
+		var errs [3]error
+		e.worker, errs[0] = strconv.Atoi(w)
+		e.task, errs[1] = lineage.ParseTaskName(name)
+		e.dests, errs[2] = parseReplayDests(dests)
+		if err := errors.Join(errs[:]...); err != nil {
+			return fmt.Errorf("engine: replay entry %s: %w", k, err)
 		}
+		s.replays = append(s.replays, e)
 	}
 	return nil
 }

@@ -470,15 +470,15 @@ func (v *viewCounter) ViewNS(ns string, fn func(tx *gcs.Txn) error) error {
 
 // TestEveryWorkerReadIsAnImageLoad: a worker reads the control store only by
 // loading an image, through a recovery and the replay drain after it — the
-// replay queue and the lineage an input re-read needs come with the image, so
-// the views equal the images loaded. And a view that fails after the recovery
+// replay queue and the lineage record a rewound channel retraces come with the
+// image, so the views equal the images loaded. And a view that fails after the recovery
 // committed is a failed image load: the query ends, with its result or with
 // that error, and never waits for a replay nobody will run.
 func TestEveryWorkerReadIsAnImageLoad(t *testing.T) {
 	errLost := errors.New("view lost")
 	// run kills worker 1 once the fact readers on the other three have each
 	// committed two splits, so the recovery queues backups to replay and a
-	// lost reader's splits to re-read; failAt > 0 fails the failAt-th view
+	// lost reader retraces its splits; failAt > 0 fails the failAt-th view
 	// after the recovery transaction.
 	run := func(t *testing.T, failAt int64) (*viewCounter, *Report, error) {
 		t.Helper()

@@ -29,10 +29,9 @@ import (
 //	gep
 //	            global placement epoch (seeded 1, +1 per recovery, in the
 //	            transaction that reconciles)
-//	rp/<w>/<s>.<c>.<q>  rpi/<w>/<s>.<c>.<q>
+//	rp/<w>/<s>.<c>.<q>
 //	            replay queues: worker w re-pushes its stored piece set of the
-//	            task — or re-reads the task's split — for the consumer
-//	            channels in the value ("ds.dc;...")
+//	            task for the consumer channels in the value ("ds.dc;...")
 //
 // The key helpers are Runner methods because the Runner owns the query id;
 // epochs and replay queues are per query, which is what lets one query
@@ -123,10 +122,6 @@ func (r *Runner) keyGlobalEpoch() string               { return r.keyNS() + "gep
 
 func (r *Runner) keyReplay(w int, t lineage.TaskName) string {
 	return fmt.Sprintf("%srp/%d/%s", r.keyNS(), w, t)
-}
-
-func (r *Runner) keyInputReplay(w int, t lineage.TaskName) string {
-	return fmt.Sprintf("%srpi/%d/%s", r.keyNS(), w, t)
 }
 
 // addReplayDest appends a consumer channel to a replay entry's destination

@@ -176,7 +176,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 			Start: pushStart, Dur: time.Since(pushStart), OutBytes: int64(len(p.payload))})
 	}
 
-	if err := t.persistAfterPush(task, p); err != nil {
+	if err := t.persistAfterPush(task, p, edges); err != nil {
 		return false, err
 	}
 

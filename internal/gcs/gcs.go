@@ -77,7 +77,7 @@ type shard struct {
 // The caller holds the shard lock.
 func (sh *shard) apply(k string, v []byte, ver uint64) {
 	if len(sh.logs) > 0 {
-		sh.record(k, v, ver)
+		sh.record(k, ver)
 	}
 	if v == nil {
 		delete(sh.data, k)

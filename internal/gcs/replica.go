@@ -14,18 +14,17 @@ import (
 // Sync — what changed since version v (a wait that woke, a first contact) —
 // and Commit — apply this write set if these reads are still current (an
 // update) — from a per-namespace change log that starts at the namespace's
-// first Sync and goes with its last key, or with the namespace (Txn.DeleteNS):
-// a namespace no replica follows costs a commit one empty-map check.
+// first Sync and goes with the namespace (Txn.DeleteNS): a namespace no
+// replica follows costs a commit one empty-map check.
 
 // IsNamespace reports whether ns is exactly one query's "q/<qid>/" prefix.
 // Sync and Commit enumerate what they are given: "" would list a shard.
 func IsNamespace(ns string) bool { return ns != "" && nsOf(ns) == ns }
 
 // nsLog is one namespace's change log: every key written or deleted after
-// version start, in version order; live counts the namespace's present keys.
+// version start, in version order.
 type nsLog struct {
 	start uint64
-	live  int
 	recs  []change
 }
 
@@ -35,20 +34,9 @@ type change struct {
 }
 
 // record logs one write about to be applied, if its namespace is followed.
-func (sh *shard) record(k string, v []byte, ver uint64) {
-	ns := nsOf(k)
-	l := sh.logs[ns]
-	if l == nil {
-		return
-	}
-	l.recs = append(l.recs, change{ver, k})
-	if _, had := sh.data[k]; had && v == nil {
-		l.live--
-	} else if !had && v != nil {
-		l.live++
-	}
-	if l.live == 0 {
-		delete(sh.logs, ns) // nothing left to follow
+func (sh *shard) record(k string, ver uint64) {
+	if l := sh.logs[nsOf(k)]; l != nil {
+		l.recs = append(l.recs, change{ver, k})
 	}
 }
 
@@ -75,7 +63,7 @@ func (sh *shard) delta(ns string, v uint64) Delta {
 			}
 		}
 		if l == nil && len(d.Set) > 0 {
-			sh.logs[ns] = &nsLog{start: d.Version, live: len(d.Set)}
+			sh.logs[ns] = &nsLog{start: d.Version}
 		}
 		return d
 	}

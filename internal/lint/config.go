@@ -44,7 +44,7 @@ func DefaultAnalyzers() []*Analyzer {
 			SweepFuncs: []FuncRef{
 				// The per-query teardown/rewind sweeps (arguments built by
 				// the blessed helpers above) and the snapshot's replay-
-				// queue scan (prefixes q/<qid>/rp/, rpi/). runTaskManager —
+				// queue scan (prefix q/<qid>/rp/). runTaskManager —
 				// the one launch of a worker's task manager, in the head's
 				// process or a worker's — sweeps THAT worker's disk of the
 				// one query's spill/backup namespaces as its threads exit.

@@ -123,8 +123,8 @@ const (
 // Process-mode traffic by message type, counted by the listener that serves it
 // (a worker's reaches the head with its counter report): WireFrames+<op> request
 // frames, WireBytes+<op> their bytes plus the answers'. <op>, at the head
-// (wire.headOps): gcs_{sync,commit,await_ns} obj_{put,get} sink_{deliver,spooled};
-// at a worker's mailbox (wire.mailboxOps): fl_{push,drop_query,fetch,drop_result}.
+// (wire.headOps): gcs_commit gcs_follow obj_put obj_get sink_deliver; at a
+// worker's mailbox (wire.mailboxOps): fl_push fl_drop_query.
 const (
 	WireFrames        = "wire.frames."
 	WireBytes         = "wire.bytes."

@@ -51,7 +51,7 @@ func (c *memCatalog) TableRows(name string) (int64, bool) {
 
 func mustOptimize(t *testing.T, n *Node) *Node {
 	t.Helper()
-	out, err := Optimize(n, testCatalog(), Options{})
+	out, err := Optimize(n, testCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestBroadcastSelection(t *testing.T) {
 	// No statistics: shuffle.
 	cat := testCatalog()
 	cat.rows = nil
-	root, err := Optimize(mk(), cat, Options{})
+	root, err := Optimize(mk(), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestBroadcastSelection(t *testing.T) {
 	}
 	// Forced broadcast is never overridden.
 	jb := Join(ops.InnerJoin, Broadcast, build(), []string{"rid"}, probe(), []string{"region"})
-	root, err = Optimize(Project(jb, ops.NE("id", expr.C("id"))), cat, Options{})
+	root, err = Optimize(Project(jb, ops.NE("id", expr.C("id"))), cat)
 	if err != nil {
 		t.Fatal(err)
 	}

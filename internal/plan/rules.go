@@ -8,17 +8,9 @@ import (
 	"quokka/internal/ops"
 )
 
-// Options tunes the optimizer.
-type Options struct {
-	// BroadcastRows is the estimated-build-side row threshold below which
-	// an Auto join becomes a broadcast join. 0 uses DefaultBroadcastRows;
-	// negative disables automatic broadcast selection.
-	BroadcastRows int64
-}
-
-// DefaultBroadcastRows is the default auto-broadcast threshold: dimension-
-// table-sized build sides are cheaper to replicate than to shuffle the
-// (much larger) probe side for.
+// DefaultBroadcastRows is the estimated-build-side row threshold below which
+// an Auto join becomes a broadcast join: dimension-table-sized build sides
+// are cheaper to replicate than to shuffle the (much larger) probe side for.
 const DefaultBroadcastRows = 25_000
 
 // maxPushdownPasses bounds the pushdown fixpoint loop; filters only ever
@@ -43,7 +35,7 @@ const maxPushdownPasses = 64
 // query always produces the same plan — the determinism write-ahead-
 // lineage replay relies on. The rules only change which columns and rows
 // flow; key encoding and `hash mod P` routing are untouched.
-func Optimize(root *Node, cat Catalog, opt Options) (*Node, error) {
+func Optimize(root *Node, cat Catalog) (*Node, error) {
 	// Work on a private clone: Bind writes schemas into nodes, and the
 	// caller's DAG may be shared across frames and across concurrent
 	// Collect/Explain calls — the user's tree must stay untouched.
@@ -73,7 +65,7 @@ func Optimize(root *Node, cat Catalog, opt Options) (*Node, error) {
 	if err := Bind(root, cat); err != nil {
 		return nil, err
 	}
-	root = chooseStrategies(root, cat, opt)
+	root = chooseStrategies(root, cat)
 	if err := Bind(root, cat); err != nil {
 		return nil, err
 	}
@@ -576,11 +568,7 @@ func setToSlice(set map[string]struct{}) []string {
 // otherwise. Estimates use table row counts scaled by textbook predicate
 // selectivities (see estimateRows); any choice is correct — only which
 // side crosses the network changes — so crude estimates are safe.
-func chooseStrategies(root *Node, cat Catalog, opt Options) *Node {
-	threshold := opt.BroadcastRows
-	if threshold == 0 {
-		threshold = DefaultBroadcastRows
-	}
+func chooseStrategies(root *Node, cat Catalog) *Node {
 	est := newEstimator(cat)
 	return rewrite(root, func(n *Node, ins []*Node) *Node {
 		out := withInputs(n, ins)
@@ -589,10 +577,8 @@ func chooseStrategies(root *Node, cat Catalog, opt Options) *Node {
 		}
 		cp := out.shallowCopy()
 		cp.Strategy = Shuffle
-		if threshold > 0 {
-			if rows, ok := est.rows(n.Inputs[0]); ok && rows <= float64(threshold) {
-				cp.Strategy = Broadcast
-			}
+		if rows, ok := est.rows(n.Inputs[0]); ok && rows <= DefaultBroadcastRows {
+			cp.Strategy = Broadcast
 		}
 		return cp
 	})

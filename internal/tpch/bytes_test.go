@@ -47,7 +47,7 @@ func prunedQuery(t *testing.T, cl *cluster.Cluster, q int) *engine.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := plan.Optimize(node, plan.NewStoreCatalog(cl.ObjStore), plan.Options{})
+	opt, err := plan.Optimize(node, plan.NewStoreCatalog(cl.ObjStore))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestZoneMapPruningPrunesClusteredScan(t *testing.T) {
 	nOrders := int64(testData.Orders.NumRows())
 	node := selectiveScan(nOrders / 10)
 	cat := plan.NewStoreCatalog(cl.ObjStore)
-	opt, err := plan.Optimize(node, cat, plan.Options{})
+	opt, err := plan.Optimize(node, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestZoneMapPruningPrunesClusteredScan(t *testing.T) {
 	}
 
 	// Baseline: same logical query, planned without split statistics.
-	base, err := plan.Optimize(selectiveScan(nOrders/10), Catalog(1), plan.Options{})
+	base, err := plan.Optimize(selectiveScan(nOrders/10), Catalog(1))
 	if err != nil {
 		t.Fatal(err)
 	}

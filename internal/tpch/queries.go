@@ -71,7 +71,7 @@ func Query(n int) (*engine.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt, err := plan.Optimize(node, Catalog(1), plan.Options{})
+	opt, err := plan.Optimize(node, Catalog(1))
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func ExplainAt(n int, sf float64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	opt, err := plan.Optimize(node, Catalog(sf), plan.Options{})
+	opt, err := plan.Optimize(node, Catalog(sf))
 	if err != nil {
 		return "", err
 	}

@@ -625,7 +625,7 @@ func replicaConformance(t *testing.T, b *backends) {
 		}
 	})
 
-	// When the query is over — every key of the namespace deleted, the
+	// When the query is over — its namespace dropped at the head, the
 	// worker's replica forgotten — neither end keeps anything of it: the head
 	// no longer knows what changed since any version (it answers with the
 	// whole, empty, namespace; gcs.TestChangeTrackingLifecycle looks inside),
@@ -635,17 +635,12 @@ func replicaConformance(t *testing.T, b *backends) {
 		if _, full := namespaceKeys(t, b, ns, version); full {
 			t.Fatalf("a followed namespace answered a current replica with the whole namespace")
 		}
-		if err := b.peer.UpdateNS(ns, func(tx *gcs.Txn) error {
-			for _, k := range tx.List(ns) {
-				tx.Delete(k)
-			}
-			return nil
-		}); err != nil {
+		if err := b.store.UpdateNS(ns, func(tx *gcs.Txn) error { tx.DeleteNS(ns); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ { // the second sync finds what the first left: nothing
 			if keys, full := namespaceKeys(t, b, ns, version); !full || len(keys) != 0 {
-				t.Fatalf("swept namespace: full=%v, keys %v; want the whole, empty namespace", full, keys)
+				t.Fatalf("dropped namespace: full=%v, keys %v; want the whole, empty namespace", full, keys)
 			}
 		}
 		if c, ok := g.(*gcsClient); ok {

@@ -21,7 +21,7 @@ func tpchPlan(c *Cluster, q int) (*plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return plan.Optimize(node, plan.NewStoreCatalog(c.inner.ObjStore), plan.Options{})
+	return plan.Optimize(node, plan.NewStoreCatalog(c.inner.ObjStore))
 }
 
 // RunTPCH executes TPC-H query q (1..22) on the cluster to completion:
