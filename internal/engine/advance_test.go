@@ -12,6 +12,7 @@ import (
 	"quokka/internal/batch"
 	"quokka/internal/expr"
 	"quokka/internal/gcs"
+	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/ops"
 )
@@ -71,20 +72,36 @@ type imageCheck struct {
 	advances int64     // the runner's advances when it was loaded
 	compared int
 	diffs    []string
+
+	readerCommit   bool // the last flush committed a task of a rewound reader
+	readerAdvances int  // advances past such a flush
 }
 
 func (c *imageCheck) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
 	c.compare()
 	ns := c.r.keyNS()
 	var ver uint64 // the version this flush commits, if it does
+	readerCommit := false
 	err := c.Backend.UpdateMulti(nss, func(tx *gcs.Txn) error {
 		ver = c.store.VersionNS(ns) + 1
-		return fn(tx)
+		if err := fn(tx); err != nil {
+			return err
+		}
+		readerCommit = false
+		for st, stage := range c.r.plan.Stages {
+			for ch := 0; stage.Reader != nil && ch < c.r.par[st]; ch++ {
+				id := lineage.ChannelID{Stage: st, Channel: ch}
+				if tx.Writes()[c.r.keyCursor(id)] != nil && txGetInt(tx, c.r.keyChanEpoch(id), 0) > 0 {
+					readerCommit = true
+				}
+			}
+		}
+		return nil
 	})
 	if err != nil || c.store.VersionNS(ns) != ver {
 		return err
 	}
-	c.advances = c.r.qmet.Get(metrics.ImageAdvances)
+	c.advances, c.readerCommit = c.r.qmet.Get(metrics.ImageAdvances), readerCommit
 	if s, lerr := c.r.loadSnapshot(ver, nil); lerr == nil && c.store.VersionNS(ns) == ver {
 		c.loaded = s
 	}
@@ -95,6 +112,10 @@ func (c *imageCheck) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error
 // newer has replaced it: an advance never publishes over a newer image, and a
 // load never over one as new.
 func (c *imageCheck) compare() {
+	if c.readerCommit && c.r.qmet.Get(metrics.ImageAdvances) != c.advances {
+		c.readerAdvances++
+	}
+	c.readerCommit = false
 	loaded := c.loaded
 	c.loaded = nil
 	s := c.r.snap.Load()
@@ -112,7 +133,9 @@ func (c *imageCheck) compare() {
 // its flush equals the image a load at that version reads, row for row and
 // replay entry for replay entry — for a join and a Q1-shaped plan, in every
 // FT mode, with and without a worker killed mid-query (after which rewound
-// channels refuse to advance and replay entries retire).
+// consumers refuse to advance and replay entries retire). A rewound reader's
+// row holds no record and no mark, so a flush carrying its commit advances:
+// every kill that recovers shows one.
 func TestAdvancedImageEqualsLoadedImage(t *testing.T) {
 	tables := joinTables(12000)
 	plans := []struct {
@@ -152,6 +175,9 @@ func TestAdvancedImageEqualsLoadedImage(t *testing.T) {
 					}
 					if kill && ft != FTNone && rep.Recoveries == 0 {
 						t.Error("the kill exercised no recovery")
+					}
+					if kill && ft != FTNone && check.readerAdvances == 0 {
+						t.Error("no advance folded a rewound reader's commit")
 					}
 				})
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"quokka/internal/batch"
 	"quokka/internal/lineage"
 )
 
@@ -227,13 +228,23 @@ func (c *collector) next(ctx context.Context) (data []byte, ok bool, err error) 
 	}
 }
 
-// snapshot returns the buffered payloads.
-func (c *collector) snapshot() map[lineage.TaskName][]byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[lineage.TaskName][]byte, len(c.parts))
-	for k, v := range c.parts {
-		out[k] = v.data
+// nextBatch is next decoded: the next output partition that holds rows, or
+// nil at end of stream. An empty partition is watermark filler.
+func (c *collector) nextBatch(ctx context.Context) (*batch.Batch, error) {
+	for {
+		data, ok, err := c.next(ctx)
+		if !ok || err != nil {
+			return nil, err
+		}
+		if len(data) == 0 {
+			continue
+		}
+		b, err := batch.Decode(data)
+		if err != nil {
+			return nil, fmt.Errorf("engine: corrupt result partition: %w", err)
+		}
+		if b.NumRows() > 0 {
+			return b, nil
+		}
 	}
-	return out
 }

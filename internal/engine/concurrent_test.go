@@ -219,7 +219,7 @@ func TestCursorMatchesRun(t *testing.T) {
 
 // TestCursorMultiChannelOrder: when the output stage has several channels,
 // the cursor yields channel 0's partitions in sequence order, then channel
-// 1's, matching the (channel, seq) order assembleResult always used.
+// 1's, matching the (channel, seq) order Result drains them in.
 func TestCursorMultiChannelOrder(t *testing.T) {
 	tables := map[string][]*batch.Batch{"numbers": numbersTable(2000, 16)}
 	cl := testCluster(t, 4, tables)
@@ -258,6 +258,45 @@ func TestCursorMultiChannelOrder(t *testing.T) {
 	}
 	if string(batch.Encode(all)) != string(batch.Encode(want)) {
 		t.Error("multi-channel cursor stream differs from Result order")
+	}
+}
+
+// TestResultAfterPartialCursor: Result drains the same stream a Cursor reads,
+// so after a Cursor took the first batches, Result returns the rest, in
+// order: the two together are the whole result.
+func TestResultAfterPartialCursor(t *testing.T) {
+	tables := map[string][]*batch.Batch{"numbers": numbersTable(2000, 16)}
+	cl := testCluster(t, 4, tables)
+	p := MustPlan(
+		&Stage{ID: 0, Name: "read", Reader: &ReaderSpec{Table: "numbers"}},
+		&Stage{ID: 1, Name: "filter",
+			Op:     ops.NewFilterSpec(expr.Ge(expr.C("id"), expr.Int64(0))),
+			Inputs: []StageInput{{Stage: 0, Part: Direct()}}},
+	)
+	want, _ := runPlan(t, cl, p, DefaultConfig())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	q := startPlan(t, cl, p, DefaultConfig(), ctx)
+	cur := q.Cursor()
+	var got []*batch.Batch
+	for range 3 {
+		b, err := cur.Next()
+		if err != nil || b == nil {
+			t.Fatalf("cursor: %v, %v", b, err)
+		}
+		got = append(got, b)
+	}
+	rest, _, err := q.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := batch.Concat(append(got, rest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rest.NumRows() == 0 || string(batch.Encode(all)) != string(batch.Encode(want)) {
+		t.Errorf("3 cursor batches + Result (%d rows) differ from the whole result (%d rows)", rest.NumRows(), want.NumRows())
 	}
 }
 

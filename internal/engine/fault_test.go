@@ -113,7 +113,7 @@ func committedWatermark(tx *gcs.Txn, r *Runner, id lineage.ChannelID, n int) lin
 	wm := lineage.Watermark{}
 	for q := range n {
 		v, _ := tx.Get(r.keyLineage(lineage.TaskName{Stage: id.Stage, Channel: id.Channel, Seq: q}))
-		if rec, err := lineage.DecodeRecord(v); err == nil && rec.Kind == lineage.KindConsume {
+		if rec, err := lineage.DecodeRecord(v); err == nil {
 			wm[lineage.EdgeChannel{Input: rec.Input, UpChannel: rec.UpChannel}] += rec.Count
 		}
 	}

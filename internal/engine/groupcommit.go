@@ -58,7 +58,7 @@ type commitReq struct {
 	cep      int
 	gep      int // global epoch of the snapshot the task's pushes were placed by
 	task     lineage.TaskName
-	rec      lineage.Record
+	rec      *lineage.Record // a consume task's range, the one thing logged
 	finalize bool
 	isReplay bool
 	mark     []byte // encoded checkpoint mark written beside the cursor, or nil
@@ -66,11 +66,12 @@ type commitReq struct {
 	resp     chan error
 }
 
-// logsLineage reports whether this commit writes a lineage record: a replay
-// retraces a record that is already committed, a retirement commits no task,
-// and a query without the lineage capability logs none.
+// logsLineage reports whether this commit writes a lineage record: only a
+// consume task's first execution does — a replay retraces a record that is
+// already committed, a read or a last task (and a retirement) has none, and
+// a query without the lineage capability logs none.
 func (q *commitReq) logsLineage() bool {
-	return !q.isReplay && q.retire == "" && q.r.ft.has(capLineage)
+	return q.rec != nil && !q.isReplay && q.r.ft.has(capLineage)
 }
 
 func newGroupCommitter(store gcs.Backend) *groupCommitter {

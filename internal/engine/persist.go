@@ -91,7 +91,7 @@ func (t *taskManager) persistBeforeCommit(cs *chanState, p *pendingTask) []byte 
 	}
 	t.r.count(metrics.CheckpointBytes, int64(len(data)))
 	wm := cs.wm.Clone()
-	if p.rec.Kind == lineage.KindConsume {
+	if p.rec != nil {
 		wm[lineage.EdgeChannel{Input: p.rec.Input, UpChannel: p.rec.UpChannel}] += p.rec.Count
 	}
 	return encodeCheckpoint(checkpointMark{Seq: seq, ObjKey: objKey, WM: wm})

@@ -67,8 +67,9 @@ type StageInput struct {
 // Channel c of a reader stage with parallelism P reads splits c, c+P,
 // c+2P, ... — one split per task, so readers pipeline with downstream
 // stages. When the planner pruned splits, the cursor walk indexes the
-// Splits survivor list instead; lineage still records the physical split
-// number it resolves to, so replay is identical with or without pruning.
+// Splits survivor list instead, which is part of the plan: a rewound reader
+// resolves each cursor to the same physical split, so its retrace is
+// identical with or without pruning.
 type ReaderSpec struct {
 	Table string
 	// Splits is the zone-map pruning survivor list: the physical split

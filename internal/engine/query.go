@@ -132,13 +132,25 @@ func (q *Query) Trace() *trace.Recorder { return q.r.rec }
 func (q *Query) Stats() []StageStats { return q.r.stageStats() }
 
 // Result waits for completion and returns the concatenated output exactly
-// as the one-shot Runner.Run always has. If a Cursor consumed part of the
+// as the one-shot Runner.Run always has: it drains the collector in
+// (channel, seq) order, as a Cursor does. If a Cursor consumed part of the
 // stream, Result returns only the remainder — use one or the other.
 func (q *Query) Result() (*batch.Batch, *Report, error) {
 	if err := q.Wait(); err != nil {
 		return nil, nil, err
 	}
-	out, err := q.r.assembleResult()
+	var batches []*batch.Batch
+	for {
+		b, err := q.r.collector.nextBatch(context.Background())
+		if err != nil {
+			return nil, nil, err
+		}
+		if b == nil {
+			break
+		}
+		batches = append(batches, b)
+	}
+	out, err := batch.Concat(batches)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -189,33 +201,17 @@ func (c *Cursor) NextContext(ctx context.Context) (*batch.Batch, error) {
 	// cancellation is observed promptly.
 	stop := context.AfterFunc(ctx, r.collector.wake)
 	defer stop()
-	for {
-		stallStart := time.Now()
-		data, ok, err := r.collector.next(ctx)
-		r.hStall.observe(int64(time.Since(stallStart)))
-		if err != nil {
-			if ctx.Err() == nil {
-				c.err = err // terminal query error: latch it
-			}
-			return nil, err
+	stallStart := time.Now()
+	b, err := r.collector.nextBatch(ctx)
+	r.hStall.observe(int64(time.Since(stallStart)))
+	if err != nil {
+		if ctx.Err() == nil {
+			c.err = err // terminal query error or corrupt partition: latch it
 		}
-		if !ok {
-			c.eos = true
-			return nil, nil
-		}
-		if len(data) == 0 {
-			continue // empty partition: watermark filler, no rows
-		}
-		b, err := batch.Decode(data)
-		if err != nil {
-			c.err = err
-			return nil, err
-		}
-		if b.NumRows() == 0 {
-			continue
-		}
-		return b, nil
+		return nil, err
 	}
+	c.eos = b == nil
+	return b, nil
 }
 
 // Err returns the error that terminated iteration, if any.

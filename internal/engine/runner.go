@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,8 +31,8 @@ type Report struct {
 	QueryID       string
 	Duration      time.Duration
 	Recoveries    int
-	TasksExecuted int64
-	TasksReplayed int64
+	TasksExecuted int64 // committed tasks, replayed ones included
+	TasksReplayed int64 // consume tasks retraced under their logged range
 	Metrics       map[string]int64
 	// Histograms snapshots the query's latency distributions (task latency,
 	// admission wait, flush latency, cursor stall — see the metrics.*NS
@@ -409,38 +407,6 @@ func (r *Runner) queryDone(ver uint64) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// assembleResult decodes and concatenates the output partitions still held
-// by the collector in (channel, seq) order. Partitions already consumed
-// through a Cursor have been released and are not re-assembled.
-func (r *Runner) assembleResult() (*batch.Batch, error) {
-	parts := r.collector.snapshot()
-	names := make([]lineage.TaskName, 0, len(parts))
-	for n := range parts {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if names[i].Channel != names[j].Channel {
-			return names[i].Channel < names[j].Channel
-		}
-		return names[i].Seq < names[j].Seq
-	})
-	var batches []*batch.Batch
-	for _, n := range names {
-		data := parts[n]
-		if len(data) == 0 {
-			continue
-		}
-		b, err := batch.Decode(data)
-		if err != nil {
-			return nil, fmt.Errorf("engine: corrupt result partition %s: %w", n, err)
-		}
-		if b.NumRows() > 0 {
-			batches = append(batches, b)
-		}
-	}
-	return batch.Concat(batches)
 }
 
 // reportFailure surfaces a fatal task error (bad plan, corrupt data) to

@@ -36,11 +36,18 @@ type schemaRecorder struct {
 	badMarks   []string
 }
 
-// flushWrites is one flush's write set: class -> keys put, and keys deleted.
-type flushWrites struct{ puts, deletes map[string]int }
+// flushWrites is one flush's write set: class -> keys put, and keys deleted;
+// and per task commit, the task ("<s>.<c>.<q>", from the cursor it moved)
+// and whether it finished its channel, beside the tasks whose lin/ it wrote.
+type flushWrites struct {
+	puts, deletes map[string]int
+	commits       map[string]bool // task -> wrote its channel's done/
+	lin           map[string]bool
+}
 
 func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 	puts, deletes := map[string]int{}, map[string]int{}
+	commits, lin := map[string]bool{}, map[string]bool{}
 	recovery := false
 	var badMarks []string
 	for k, v := range tx.Writes() {
@@ -52,6 +59,13 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 		}
 		puts[class]++
 		recovery = recovery || class == "gep" && string(v) != "1"
+		switch {
+		case flush && class == "cur":
+			seq, _ := strconv.Atoi(string(v))
+			commits[ch+"."+strconv.Itoa(seq-1)] = tx.Writes()["q/"+ns+"/done/"+ch] != nil
+		case flush && class == "lin":
+			lin[ch] = true
+		}
 		if flush && class == "ck" {
 			// The mark's Seq is the cursor committed beside it, and its object
 			// is the committing incarnation's: named under the epoch the entry
@@ -72,7 +86,7 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 	}
 	s.badMarks = append(s.badMarks, badMarks...)
 	if flush {
-		s.flushes = append(s.flushes, flushWrites{puts, deletes})
+		s.flushes = append(s.flushes, flushWrites{puts, deletes, commits, lin})
 		return
 	}
 	s.updates++
@@ -88,7 +102,9 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 // TestControlStoreSchema holds the engine to docs/contracts/control-store.md:
 // under every FT mode, with and without a kill, every key class written has a
 // row on the page, every flush writes per task commit exactly what the page's
-// "A task commit" table says for the mode — a ck mark only under checkpoint,
+// "A task commit" table says for the mode — lin for a consume task's first
+// execution alone, never for a reader's task, a last task or a retrace of a
+// record already written; a ck mark only under checkpoint,
 // naming the cursor beside it and an object of the committing epoch — and
 // deletes nothing but the replay entries it retires, each recovery pass is one
 // update writing only what reconcile and the epoch bump write, the head's
@@ -112,7 +128,7 @@ func TestControlStoreSchema(t *testing.T) {
 	}
 
 	anyMode := map[string]bool{}
-	anyRetired := false
+	anyRetired, anyRetraced := false, false
 	for _, ft := range []FTMode{FTNone, FTWriteAheadLineage, FTSpool, FTCheckpoint} {
 		for _, kill := range []bool{false, true} {
 			name := ft.String() + map[bool]string{false: "/no-fault", true: "/one-kill"}[kill]
@@ -129,13 +145,15 @@ func TestControlStoreSchema(t *testing.T) {
 					t.Fatal(err)
 				}
 				if kill {
-					// Worker 2 dies once its own fact-reader channel and a
-					// survivor's have committed: recovery then has a backup to
-					// replay (rp) and a lost one its rewound reader re-reads.
-					cur := func(tx *gcs.Txn, c int) int {
-						return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 1, Channel: c}), 0)
+					// Worker 2 dies once its own fact-reader channel, a
+					// survivor's and its own join channel have committed:
+					// recovery then has a backup to replay (rp), a lost one its
+					// rewound reader re-reads, and a logged range the rewound
+					// join retraces.
+					cur := func(tx *gcs.Txn, s, c int) int {
+						return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: s, Channel: c}), 0)
 					}
-					killInTxn(cl, 2, func(tx *gcs.Txn) bool { return cur(tx, 2) > 0 && cur(tx, 0) > 0 })
+					killInTxn(cl, 2, func(tx *gcs.Txn) bool { return cur(tx, 1, 2) > 0 && cur(tx, 1, 0) > 0 && cur(tx, 2, 2) > 0 })
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 				defer cancel()
@@ -156,20 +174,36 @@ func TestControlStoreSchema(t *testing.T) {
 				}
 				caps := ftTable[ft]
 				retired := 0
+				logged := map[string]bool{} // tasks whose lin/ an earlier flush wrote
 				for _, f := range rec.flushes {
 					puts := f.puts
 					n := puts["cur"] // task commits in this flush
-					wantLin, wantPD, maxCk := 0, 0, 0
-					if caps.has(capLineage) {
-						wantLin = n
-					}
+					wantPD, maxCk := 0, 0
 					// Under wal the owner of a backup is its channel's pl/:
 					// only a checkpoint restart keeps owners pd/ must name.
 					if caps.has(capCheckpoint) {
 						wantPD, maxCk = n, n
 					}
-					// A replayed task retraces its record and writes none.
-					okLin := puts["lin"] == wantLin || kill && puts["lin"] < wantLin
+					// Only a consume task's first execution logs its range: a
+					// reader's split and a last task are re-derived, and a
+					// retraced task's record is written already.
+					wantLin := map[string]bool{}
+					for task, final := range f.commits {
+						if logged[task] {
+							anyRetraced = true
+						}
+						name, err := lineage.ParseTaskName(task)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if caps.has(capLineage) && len(r.plan.Stages[name.Stage].Inputs) > 0 && !final && !logged[task] {
+							wantLin[task] = true
+						}
+					}
+					if !maps.Equal(f.lin, wantLin) {
+						t.Errorf("a flush committing tasks %v (true: it finished its channel) wrote lin for %v, want %v", f.commits, f.lin, wantLin)
+					}
+					maps.Copy(logged, f.lin)
 					other := 0
 					for class := range puts {
 						if !slices.Contains([]string{"cur", "lin", "pd", "done", "ck"}, class) {
@@ -184,8 +218,8 @@ func TestControlStoreSchema(t *testing.T) {
 						}
 						retired += k
 					}
-					if n == 0 && len(f.deletes) == 0 || !okLin || puts["pd"] != wantPD || puts["done"] > n || puts["ck"] > maxCk || other != 0 {
-						t.Errorf("a flush of %d task commits wrote %v, want lin %d, pd %d, at most %d done, at most %d ck and nothing else", n, puts, wantLin, wantPD, n, maxCk)
+					if n == 0 && len(f.deletes) == 0 || len(f.commits) != n || puts["pd"] != wantPD || puts["done"] > n || puts["ck"] > maxCk || other != 0 {
+						t.Errorf("a flush of %d task commits wrote %v, want pd %d, at most %d done, at most %d ck and nothing else", n, puts, wantPD, n, maxCk)
 					}
 				}
 				if len(rec.flushes) == 0 {
@@ -231,6 +265,9 @@ func TestControlStoreSchema(t *testing.T) {
 	}
 	if !anyRetired {
 		t.Error("no mode retired a replay entry: the kills exercised nothing")
+	}
+	if !anyRetraced {
+		t.Error("no mode committed a task whose record was logged already: no kill made a consumer retrace")
 	}
 	for _, class := range slices.Sorted(maps.Keys(onPage)) {
 		if !anyMode[class] {

@@ -152,8 +152,10 @@ func (r *Runner) publish(s *snapshot) bool {
 // — a task commit moves its channel's cursor, and done on finalize; a
 // retirement drops its replay entry — sharing every row it does not touch.
 // gep is the global epoch the flush read. It returns nil when the new image
-// would need a read: an entry on a rewound channel, whose row carries the
-// lineage record and checkpoint mark at its cursor.
+// would need a read: an entry on a rewound channel of a stage with inputs,
+// whose row carries the lineage record and checkpoint mark at its cursor. A
+// rewound reader's row carries neither: its splits are re-derived, not
+// logged, and it has no operator state to mark.
 func (s *snapshot) advance(ver uint64, gep int, applied []*commitReq) *snapshot {
 	if s.gep != gep {
 		return nil
@@ -166,7 +168,7 @@ func (s *snapshot) advance(ver uint64, gep int, applied []*commitReq) *snapshot 
 			continue
 		}
 		st, c := req.id.Stage, req.id.Channel
-		if n.chans[st][c].cep != 0 {
+		if n.chans[st][c].cep != 0 && len(req.r.plan.Stages[st].Inputs) > 0 {
 			return nil
 		}
 		if !copied[st] {

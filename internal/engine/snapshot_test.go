@@ -111,7 +111,8 @@ func TestStepRejectsStaleSnapshot(t *testing.T) {
 	rejects(cs, atSeed, "previous image (cursor 0, channel at 1)")
 
 	// Rewind the channel as reconcile would, and let it retrace task 0 under
-	// the new epoch: it stands at cursor 1 again, epoch 1.
+	// the new epoch: it stands at cursor 1 again, epoch 1. Its row carries no
+	// record, as a reader re-derives its split from the cursor.
 	if err := r.gcsUpdate(func(tx *gcs.Txn) error {
 		txPutInt(tx, r.keyChanEpoch(reader), 1)
 		txPutInt(tx, r.keyCursor(reader), 0)
@@ -120,8 +121,8 @@ func TestStepRejectsStaleSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	rewound := image()
-	if rewound.chans[0][0].replayRec == nil {
-		t.Fatal("the rewound image carries no lineage record to retrace")
+	if m := rewound.chans[0][0]; m.cep != 1 || m.cursor != 0 || m.replayRec != nil {
+		t.Fatalf("the rewound image: epoch %d, cursor %d, record %v; want epoch 1, cursor 0 and no record", m.cep, m.cursor, m.replayRec)
 	}
 	if !step(cs, rewound) || cs.cep != 1 || cs.cursor != 1 {
 		t.Fatalf("replay under the new epoch: epoch %d, cursor %d", cs.cep, cs.cursor)
@@ -189,7 +190,7 @@ func TestChangesFor(t *testing.T) {
 	// its cursor; a load decodes both afresh.
 	rewound := loaded(s, func(n *snapshot) {
 		n.chans[1][0].cep = 1
-		n.chans[1][0].replayRec = &lineage.Record{Kind: lineage.KindConsume, UpChannel: 1, Count: 2}
+		n.chans[1][0].replayRec = &lineage.Record{UpChannel: 1, Count: 2}
 		n.chans[1][0].checkpoint = &checkpointMark{Seq: 1, ObjKey: "ck/1.0", WM: lineage.Watermark{{UpChannel: 1}: 2}}
 	})
 

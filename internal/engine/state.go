@@ -23,9 +23,9 @@ import (
 //	            a channel's placement, epoch, task cursor, finished task
 //	            count, checkpoint mark "<seq> <objkey> <watermark>"
 //	lin/<s>.<c>.<q>  pd/<s>.<c>.<q>
-//	            a task's committed lineage record; the worker holding its
-//	            upstream backup (written under checkpoint only: under wal the
-//	            owner of every task below a channel's cursor is its pl/)
+//	            a consume task's committed lineage record; the worker holding
+//	            a task's upstream backup (written under checkpoint only: under
+//	            wal the owner of every task below a channel's cursor is its pl/)
 //	gep
 //	            global placement epoch (seeded 1, +1 per recovery, in the
 //	            transaction that reconciles)

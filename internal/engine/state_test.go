@@ -172,7 +172,7 @@ func TestCollectorFences(t *testing.T) {
 	task := func(seq int) lineage.TaskName { return lineage.TaskName{Seq: seq} }
 	c.Deliver(task(0), []byte("fresh"), 2)
 	c.Deliver(task(0), []byte("zombie"), 1)
-	if got := c.snapshot()[task(0)]; string(got) != "fresh" {
+	if got := c.parts[task(0)].data; string(got) != "fresh" {
 		t.Errorf("after a zombie delivery the entry is %q, want fresh", got)
 	}
 	c.Deliver(task(1), []byte("one"), 2)

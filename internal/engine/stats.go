@@ -19,7 +19,7 @@ type StageStats struct {
 	Detail       string
 	Parallelism  int
 	Tasks        int64
-	Replays      int64
+	Replays      int64 // consume tasks retraced under their logged range
 	InRows       int64
 	InBytes      int64
 	OutRows      int64

@@ -133,9 +133,10 @@ func (t *taskManager) normalStep(cs *chanState) (bool, error) {
 	choice, exhausted := t.chooseInput(cs)
 	switch {
 	case choice != nil:
-		return t.runTask(cs, lineage.Consume(choice.ec.Input, choice.ec.UpChannel, choice.from, choice.count), false)
+		rec := lineage.Consume(choice.ec.Input, choice.ec.UpChannel, choice.from, choice.count)
+		return t.runTask(cs, &rec, -1, false)
 	case exhausted:
-		return t.runTask(cs, lineage.Finalize(), false) // the channel's final task
+		return t.runTask(cs, nil, -1, false) // the channel's final task
 	}
 	return false, nil // nothing consumable yet; task "exits without executing"
 }
@@ -252,27 +253,29 @@ func (t *taskManager) chooseInput(cs *chanState) (*inputChoice, bool) {
 // readerStep executes one input-reader task: read the channel's next
 // split from the object store. With zone-map pruning the cursor walk
 // indexes the survivor list, which is mapped to the physical split number
-// before the read — and it is the PHYSICAL number that lineage records, so
-// a replay never needs the survivor list to find the same bytes.
+// before the read. The split follows from the cursor and the plan alone, so
+// nothing is logged: a rewound reader re-reads its splits through here, as
+// its first run did.
 func (t *taskManager) readerStep(cs *chanState) (bool, error) {
 	split := cs.id.Channel + cs.cursor*t.r.par[cs.id.Stage]
 	if split >= cs.splits {
-		return t.runTask(cs, lineage.Finalize(), false)
+		return t.runTask(cs, nil, -1, false)
 	}
 	if spec := cs.stage.Reader; spec.Splits != nil {
 		split = spec.Splits[split]
 	}
-	return t.runTask(cs, lineage.Read(split), false)
+	return t.runTask(cs, nil, split, false)
 }
 
-// replayStep re-executes a task under its committed lineage: the task is
-// "retracing its footsteps" (§IV-C) and may not choose inputs dynamically.
+// replayStep re-executes a consume task under its committed lineage: the
+// task is "retracing its footsteps" (§IV-C) and may not choose inputs
+// dynamically.
 func (t *taskManager) replayStep(cs *chanState, rec lineage.Record) (bool, error) {
 	// All replayed inputs must be present; if replays are still in flight,
 	// wait.
 	edge := flight.Edge{Input: rec.Input, UpChannel: rec.UpChannel, Watermark: rec.FromSeq}
-	if rec.Kind == lineage.KindConsume && t.mb.Probe(t.r.qid, cs.id, []flight.Edge{edge})[0] < rec.Count {
+	if t.mb.Probe(t.r.qid, cs.id, []flight.Edge{edge})[0] < rec.Count {
 		return false, nil
 	}
-	return t.runTask(cs, rec, true)
+	return t.runTask(cs, &rec, -1, true)
 }

@@ -13,26 +13,26 @@ import (
 	"quokka/internal/trace"
 )
 
-// runTask executes the task a lineage record describes — read a split, run
-// the operator over a range of one upstream channel's outputs, or finalize —
-// and finishes it (push, back up, commit). A record just chosen and a
-// record retraced from the log run through here alike, which is what makes
-// a replayed task's output the original's.
-func (t *taskManager) runTask(cs *chanState, rec lineage.Record, isReplay bool) (bool, error) {
+// runTask executes one task and finishes it (push, back up, commit): with
+// rec set, the consume of its range; else the read of split, the physical
+// split readerStep computed, or — split < 0 — the channel's last task. A
+// range just chosen and one retraced from the log run through here alike,
+// which is what makes a replayed task's output the original's.
+func (t *taskManager) runTask(cs *chanState, rec *lineage.Record, split int, isReplay bool) (bool, error) {
 	cs.yield()
 	p := &pendingTask{seq: cs.cursor, rec: rec, started: time.Now()}
 	var err error
-	switch rec.Kind {
-	case lineage.KindRead:
-		// rec.Split is physical, and every read of it uses the plan's column
-		// projection: a replayed read is byte-identical.
+	switch {
+	case rec != nil:
+		p.outs, p.inRows, p.inBytes, err = t.consume(cs, *rec)
+	case split >= 0:
+		// split is physical, and every read of it uses the plan's column
+		// projection: a retraced read is byte-identical.
 		var b *batch.Batch
-		if b, err = t.readSplit(cs.stage.Reader, rec.Split); b != nil {
+		if b, err = t.readSplit(cs.stage.Reader, split); b != nil {
 			p.outs = []*batch.Batch{b}
 		}
-	case lineage.KindConsume:
-		p.outs, p.inRows, p.inBytes, err = t.consume(cs, rec)
-	case lineage.KindFinalize:
+	default:
 		p.finalize = true
 		if cs.op != nil { // a reader channel has no operator: it finalizes empty
 			if p.outs, err = cs.op.Finalize(); err != nil {
@@ -42,8 +42,6 @@ func (t *taskManager) runTask(cs *chanState, rec lineage.Record, isReplay bool) 
 				t.chargeCompute(p.outs...)
 			}
 		}
-	default:
-		err = fmt.Errorf("engine: %s: lineage record of unknown kind %d", cs.id, rec.Kind)
 	}
 	if err != nil {
 		return false, err
@@ -211,7 +209,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 
 	// Post-commit bookkeeping. The watermark lives here, with the operator
 	// state it describes, and nowhere in the control store.
-	if p.rec.Kind == lineage.KindConsume {
+	if p.rec != nil {
 		t.mb.Drop(t.r.qid, cs.id, p.rec.Input, p.rec.UpChannel, p.rec.FromSeq, p.rec.Count)
 		cs.wm[lineage.EdgeChannel{Input: p.rec.Input, UpChannel: p.rec.UpChannel}] += p.rec.Count
 	}

@@ -106,8 +106,8 @@ type chanState struct {
 // exactly-once state mutation.
 type pendingTask struct {
 	seq      int
-	rec      lineage.Record
-	outs     []*batch.Batch // the operator's output batches, in order; nil once encoded
+	rec      *lineage.Record // the consumed range; nil for a read or a last task
+	outs     []*batch.Batch  // the operator's output batches, in order; nil once encoded
 	finalize bool
 
 	// The task's one serialization, built by the first finishTask: the piece

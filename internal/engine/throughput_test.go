@@ -203,58 +203,66 @@ func cursorKillPlan() *Plan {
 	return multiChannelOutputPlan()
 }
 
-// firstFlushHold holds the first flush — the one UpdateMulti caller — until
-// at least three more entries wait in the cluster's committer queue, or 10 s
-// pass; every flush's task commits (cur/ puts) are noted in order.
+// firstFlushHold holds the first flush — the one UpdateMulti caller — after
+// it committed and before it returns, keeping its entries unacknowledged and
+// the committer busy, until min(3, readers − n) entries are queued, n being
+// the task commits it carried: every reader channel whose first task was not
+// among them commits that task without waiting on any other commit, so that
+// many are sure to queue. Every flush's task commits (cur/ puts) are noted in
+// order, and the queue length at the release.
 type firstFlushHold struct {
 	gcs.Backend
 	cl      *cluster.Cluster
+	readers int // reader channels, each committing its first task unprompted
 	mu      sync.Mutex
 	commits []int
+	want    int // entries the release waits for
 	queued  int // the queue length the held flush was released at
 }
 
 func (h *firstFlushHold) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
-	h.mu.Lock()
-	first := h.commits == nil
-	if first {
-		h.commits = []int{}
+	n := 0
+	err := h.Backend.UpdateMulti(nss, func(tx *gcs.Txn) error {
+		err := fn(tx)
+		n = 0
+		for k, v := range tx.Writes() {
+			if _, rest, _ := strings.Cut(strings.TrimPrefix(k, "q/"), "/"); v != nil && strings.HasPrefix(rest, "cur/") {
+				n++
+			}
+		}
+		return err
+	})
+	if err != nil {
+		return err
 	}
+	h.mu.Lock()
+	h.commits = append(h.commits, n)
+	first := len(h.commits) == 1
 	h.mu.Unlock()
 	if first {
 		s := sharedFor(h.cl)
 		s.gcMu.Lock()
 		g := s.gc
 		s.gcMu.Unlock()
-		for deadline := time.Now().Add(10 * time.Second); len(g.reqs) < 3 && time.Now().Before(deadline); {
+		// The deadline only keeps a broken committer from hanging the test:
+		// the entries waited for arrive whatever the timing.
+		want := min(3, h.readers-n)
+		for deadline := time.Now().Add(10 * time.Second); len(g.reqs) < want && time.Now().Before(deadline); {
 			time.Sleep(50 * time.Microsecond)
 		}
 		h.mu.Lock()
-		h.queued = len(g.reqs)
+		h.want, h.queued = want, len(g.reqs)
 		h.mu.Unlock()
 	}
-	return h.Backend.UpdateMulti(nss, func(tx *gcs.Txn) error {
-		err := fn(tx)
-		if err == nil {
-			n := 0
-			for k, v := range tx.Writes() {
-				if _, rest, _ := strings.Cut(strings.TrimPrefix(k, "q/"), "/"); v != nil && strings.HasPrefix(rest, "cur/") {
-					n++
-				}
-			}
-			h.mu.Lock()
-			h.commits = append(h.commits, n)
-			h.mu.Unlock()
-		}
-		return err
-	})
+	return nil
 }
 
 // TestGroupCommitReducesTxns: commits queued while a flush is in flight fold
-// into the next one. The first flush is held until three more task commits
-// wait behind it — twelve reader channels each finish a split and queue — so
-// the next flush carries them all; every committed task is one flush entry,
-// and the bytes are an unheld run's.
+// into the next one. The first flush is held until the reader commits it did
+// not carry — twelve reader channels each finish a split and queue — are
+// queued behind it, up to three; the next flush carries every entry queued at
+// the release. Every committed task is one flush entry, and the bytes are an
+// unheld run's.
 func TestGroupCommitReducesTxns(t *testing.T) {
 	tables := map[string][]*batch.Batch{"numbers": numbersTable(3000, 24)}
 	p := func() *Plan {
@@ -268,7 +276,7 @@ func TestGroupCommitReducesTxns(t *testing.T) {
 	want, _ := runPlan(t, testCluster(t, 4, tables), p(), DefaultConfig())
 
 	cl := testCluster(t, 4, tables)
-	hold := &firstFlushHold{Backend: cl.GCS, cl: cl}
+	hold := &firstFlushHold{Backend: cl.GCS, cl: cl, readers: 12}
 	cl.GCS = hold
 	out, rep := runPlan(t, cl, p(), DefaultConfig())
 	if string(batch.Encode(out)) != string(batch.Encode(want)) {
@@ -276,8 +284,9 @@ func TestGroupCommitReducesTxns(t *testing.T) {
 	}
 	hold.mu.Lock()
 	defer hold.mu.Unlock()
-	if hold.queued < 3 || len(hold.commits) < 2 || hold.commits[1] < 3 {
-		t.Errorf("the first flush was released with %d entries queued, and the flushes carried %v task commits: want >= 3 in the second", hold.queued, hold.commits)
+	if hold.queued < hold.want || len(hold.commits) < 2 || hold.commits[1] < hold.queued {
+		t.Errorf("the first flush was released with %d entries queued (waiting for %d), and the flushes carried %v task commits: want the second to carry every queued one",
+			hold.queued, hold.want, hold.commits)
 	}
 	flushes := rep.Metrics[metrics.LineageFlushes]
 	batched := rep.Metrics[metrics.GCSTxnBatched]

@@ -93,7 +93,9 @@ func TestTracingStageStats(t *testing.T) {
 }
 
 // A KillWorker run's trace must show the recovery: rewind spans for the
-// re-placed channels and replayed work, under more than one epoch.
+// re-placed channels and work of a rewound incarnation (task spans at channel
+// epoch 1 or more: a retraced consume task, a reader's re-read or a
+// re-derived last task), under more than one epoch.
 func TestTracingRecoveryEpochs(t *testing.T) {
 	const n = 2000
 	cl := testCluster(t, 4, map[string][]*batch.Batch{"numbers": numbersTable(n, 100)})
@@ -103,7 +105,7 @@ func TestTracingRecoveryEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill worker 1 once its reader channel (seeded on it: channel c starts on
-	// worker c) has committed a task, so the recovery has lineage to replay —
+	// worker c) has committed a task, so the recovery has work to retrace —
 	// a kill timed on the cluster-wide task count can land before that.
 	killInTxn(cl, 1, func(tx *gcs.Txn) bool {
 		return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 0, Channel: 1}), 0) > 0
@@ -118,7 +120,7 @@ func TestTracingRecoveryEpochs(t *testing.T) {
 		t.Fatal("expected at least one recovery")
 	}
 
-	var rewinds, replays, recoveries int
+	var rewinds, rewoundTasks, recoveries int
 	epochs := map[int]bool{}
 	for _, s := range q.Trace().Snapshot() {
 		epochs[s.Epoch] = true
@@ -127,8 +129,8 @@ func TestTracingRecoveryEpochs(t *testing.T) {
 			rewinds++
 		case s.Kind == trace.KindRecovery:
 			recoveries++
-		case s.Kind == trace.KindTask && s.Replay:
-			replays++
+		case s.Kind == trace.KindTask && s.Epoch >= 1:
+			rewoundTasks++
 		}
 	}
 	if rewinds == 0 {
@@ -137,8 +139,8 @@ func TestTracingRecoveryEpochs(t *testing.T) {
 	if recoveries != rep.Recoveries {
 		t.Errorf("recovery spans = %d, want %d", recoveries, rep.Recoveries)
 	}
-	if replays == 0 {
-		t.Error("no replayed task spans recorded")
+	if rewoundTasks == 0 {
+		t.Error("no task spans of a rewound incarnation recorded")
 	}
 	if len(epochs) < 2 {
 		t.Errorf("want >= 2 distinct epochs in the trace, got %v", epochs)

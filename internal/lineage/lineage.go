@@ -5,10 +5,12 @@
 // the same name. Because tasks consume from exactly one upstream channel
 // at a time, in order, a task's lineage compresses to four small integers:
 // which input edge, which upstream channel, the first consumed sequence
-// number and how many outputs were consumed. Reader tasks log the split
-// they read; the final task of a channel logs a Finalize marker. This is
-// the KB-sized information whose write-ahead logging replaces MB-sized
-// spooling.
+// number and how many outputs were consumed. This is the KB-sized
+// information whose write-ahead logging replaces MB-sized spooling. Only
+// that range is logged, because only it is decided at run time: a reader
+// task's split follows from its sequence number and the plan, and a
+// channel's last task from its inputs' done marks, so a retrace re-derives
+// both the way the first run did.
 //
 // Lineage records name *inputs*, never operator state: recovery assumes
 // that re-feeding a fresh operator the logged input sequence reconstructs
@@ -73,88 +75,39 @@ func ParseChannelID(s string) (ChannelID, error) {
 	return c, nil
 }
 
-// Kind distinguishes the three task shapes.
-type Kind uint8
-
-// Record kinds.
-const (
-	// KindConsume is a normal task: consumed Count outputs starting at
-	// FromSeq from upstream channel UpChannel on input edge Input.
-	KindConsume Kind = iota
-	// KindRead is an input-reader task: read split Split from the object
-	// store.
-	KindRead
-	// KindFinalize is a channel's last task: all inputs were exhausted and
-	// the operator's Finalize output was emitted.
-	KindFinalize
-)
-
-// Record is the committed lineage of one task. Only the fields relevant to
-// Kind are meaningful.
+// Record is the committed lineage of one consume task: it consumed Count
+// outputs starting at FromSeq from upstream channel UpChannel on input edge
+// Input — the one dependency a task decides at run time.
 type Record struct {
-	Kind      Kind
-	Input     int // input edge index (KindConsume)
-	UpChannel int // upstream channel within that edge (KindConsume)
-	FromSeq   int // first upstream output consumed (KindConsume)
-	Count     int // number of upstream outputs consumed (KindConsume)
-	Split     int // object-store split (KindRead)
+	Input     int // input edge index
+	UpChannel int // upstream channel within that edge
+	FromSeq   int // first upstream output consumed
+	Count     int // number of upstream outputs consumed
 }
 
 // Consume constructs a consume record.
 func Consume(input, upChannel, fromSeq, count int) Record {
-	return Record{Kind: KindConsume, Input: input, UpChannel: upChannel, FromSeq: fromSeq, Count: count}
+	return Record{Input: input, UpChannel: upChannel, FromSeq: fromSeq, Count: count}
 }
-
-// Read constructs a reader record.
-func Read(split int) Record { return Record{Kind: KindRead, Split: split} }
-
-// Finalize constructs a finalize record.
-func Finalize() Record { return Record{Kind: KindFinalize} }
 
 // Encode renders the record in its compact textual wire form. The form is
 // what gets written into the GCS; its size (tens of bytes) is the whole
 // point of write-ahead lineage.
 func (r Record) Encode() []byte {
-	switch r.Kind {
-	case KindConsume:
-		b := append(make([]byte, 0, 24), "C "...)
-		b = append(strconv.AppendInt(b, int64(r.Input), 10), ' ')
-		b = append(strconv.AppendInt(b, int64(r.UpChannel), 10), ' ')
-		b = append(strconv.AppendInt(b, int64(r.FromSeq), 10), ' ')
-		return strconv.AppendInt(b, int64(r.Count), 10)
-	case KindRead:
-		return strconv.AppendInt([]byte("R "), int64(r.Split), 10)
-	case KindFinalize:
-		return []byte("F")
-	}
-	return nil
+	b := append(make([]byte, 0, 24), "C "...)
+	b = append(strconv.AppendInt(b, int64(r.Input), 10), ' ')
+	b = append(strconv.AppendInt(b, int64(r.UpChannel), 10), ' ')
+	b = append(strconv.AppendInt(b, int64(r.FromSeq), 10), ' ')
+	return strconv.AppendInt(b, int64(r.Count), 10)
 }
 
 // DecodeRecord parses the Encode form.
 func DecodeRecord(data []byte) (Record, error) {
-	if len(data) == 0 {
-		return Record{}, fmt.Errorf("lineage: empty record")
+	var r Record
+	if _, err := fmt.Sscanf(string(data), "C %d %d %d %d", &r.Input, &r.UpChannel, &r.FromSeq, &r.Count); err != nil {
+		return Record{}, fmt.Errorf("lineage: bad record %q: %w", data, err)
 	}
-	s := string(data)
-	switch s[0] {
-	case 'C':
-		var r Record
-		r.Kind = KindConsume
-		if _, err := fmt.Sscanf(s, "C %d %d %d %d", &r.Input, &r.UpChannel, &r.FromSeq, &r.Count); err != nil {
-			return Record{}, fmt.Errorf("lineage: bad consume record %q: %w", s, err)
-		}
-		return r, nil
-	case 'R':
-		var r Record
-		r.Kind = KindRead
-		if _, err := fmt.Sscanf(s, "R %d", &r.Split); err != nil {
-			return Record{}, fmt.Errorf("lineage: bad read record %q: %w", s, err)
-		}
-		return r, nil
-	case 'F':
-		return Record{Kind: KindFinalize}, nil
-	}
-	return Record{}, fmt.Errorf("lineage: unknown record %q", s)
+	return r, nil
 }
 
 // String implements fmt.Stringer.

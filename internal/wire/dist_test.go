@@ -36,7 +36,8 @@ func buildWorkerBinary(t *testing.T) string {
 // TestDistSIGKILL is the paper's fault model made literal: a query runs
 // across three real worker processes and one of them is SIGKILLed (kill
 // -9, no cleanup, no goodbye) mid-query. The survivors must deliver the
-// exact result, with rewind/replay spans in the merged trace.
+// exact result, with rewind spans and a rewound incarnation's task spans in
+// the merged trace.
 func TestDistSIGKILL(t *testing.T) {
 	if os.Getenv("QUOKKA_DIST_TEST") == "" {
 		t.Skip("set QUOKKA_DIST_TEST=1 to run the multi-process SIGKILL test")
@@ -95,20 +96,20 @@ func TestDistSIGKILL(t *testing.T) {
 	if rep.Recoveries == 0 {
 		t.Error("no recovery recorded despite SIGKILLed worker")
 	}
-	var rewinds, replays int
+	var rewinds, rewoundTasks int
 	for _, s := range query.Trace().Snapshot() {
 		switch {
 		case s.Kind == trace.KindRewind:
 			rewinds++
-		case s.Kind == trace.KindTask && s.Replay:
-			replays++
+		case s.Kind == trace.KindTask && s.Epoch >= 1: // work of a rewound incarnation
+			rewoundTasks++
 		}
 	}
 	if rewinds == 0 {
 		t.Error("trace holds no rewind spans")
 	}
-	if replays == 0 {
-		t.Error("trace holds no replayed-task spans")
+	if rewoundTasks == 0 {
+		t.Error("trace holds no task spans of a rewound incarnation")
 	}
 	if n := srv.AttachedWorkers(); n != workers-1 {
 		t.Errorf("%d workers still attached, want %d (one SIGKILLed)", n, workers-1)

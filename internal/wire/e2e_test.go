@@ -368,7 +368,8 @@ func killMidQuery(cl *cluster.Cluster, w cluster.WorkerID, query *engine.Query) 
 // TestProcessModeKillWorker kills one wire-attached worker mid-query (from
 // the head side: mailbox failed, worker process zombied) and demands full
 // recovery — exact result (FP tolerance on the float sums, like the fault
-// suite) plus rewind/replay spans in the merged trace. The survivors elided
+// suite) plus rewind spans and task spans of a rewound incarnation (channel
+// epoch 1 or more) in the merged trace. The survivors elided
 // the pieces their own consumers read, and recovery read none of them: a
 // replay naming one fails the query with the worker's error.
 func TestProcessModeKillWorker(t *testing.T) {
@@ -391,20 +392,20 @@ func TestProcessModeKillWorker(t *testing.T) {
 	if rep.Recoveries == 0 {
 		t.Error("no recovery recorded despite mid-query kill")
 	}
-	var rewinds, replays int
+	var rewinds, rewoundTasks int
 	for _, s := range query.Trace().Snapshot() {
 		switch {
 		case s.Kind == trace.KindRewind:
 			rewinds++
-		case s.Kind == trace.KindTask && s.Replay:
-			replays++
+		case s.Kind == trace.KindTask && s.Epoch >= 1: // work of a rewound incarnation
+			rewoundTasks++
 		}
 	}
 	if rewinds == 0 {
 		t.Error("trace holds no rewind spans")
 	}
-	if replays == 0 {
-		t.Error("trace holds no replayed-task spans")
+	if rewoundTasks == 0 {
+		t.Error("trace holds no task spans of a rewound incarnation")
 	}
 	for _, w := range []int{0, 2} {
 		if mets[w].Get(metrics.PiecesElided) == 0 {

@@ -90,8 +90,9 @@ func (r *Result) Recoveries() int { return r.report.Recoveries }
 // replays).
 func (r *Result) TasksExecuted() int64 { return r.report.TasksExecuted }
 
-// TasksReplayed returns the number of tasks re-executed under logged
-// lineage during recovery.
+// TasksReplayed returns the number of consume tasks re-executed under
+// their logged lineage during recovery. A rewound reader's re-read and a
+// re-derived last task are counted as executed, not replayed.
 func (r *Result) TasksReplayed() int64 { return r.report.TasksReplayed }
 
 // Metric returns one named counter from the run (see Cluster.Metrics for
