@@ -16,6 +16,8 @@ test:
 ## flight, cluster) may sit at 0 % unless internal/lint/dark.allow names it —
 ## the check that found checkpoint restart, the fatal-error path and zone-map
 ## pruning untested. A listed function that is no longer dark fails it too.
+## The converse, a function only tests reach, is internal/lint's
+## TestEveryFunctionIsReached (in `make test`), with internal/lint/reach.allow.
 dark:
 	$(GO) test -coverpkg=./... -coverprofile=.dark.cover ./... > /dev/null
 	@$(GO) tool cover -func=.dark.cover | awk '$$NF == "0.0%" && $$1 ~ /internal\/(engine|wire|gcs|flight|cluster)\// \
@@ -79,7 +81,7 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 23579
+LOC_MAX := 23394
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -98,6 +100,7 @@ bench:
 ## target in one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendCompressedMatchesReference$$' -fuzztime 10s ./internal/batch
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/batch
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupOrderMatchesComparator$$' -fuzztime 10s ./internal/ops
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePieceSet$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleOp$$' -fuzztime 10s ./internal/wire

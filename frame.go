@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"quokka/internal/engine"
 	"quokka/internal/ops"
 	"quokka/internal/plan"
 )
@@ -229,15 +228,6 @@ func (d *DataFrame) Explain() (string, error) {
 // concurrently, stream results through a Cursor, or cancel mid-flight.
 func (d *DataFrame) Collect(ctx context.Context, cfg RunConfig) (*Result, error) {
 	q, err := d.Submit(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return q.Result()
-}
-
-// runPlan executes an engine plan on a cluster to completion.
-func runPlan(ctx context.Context, c *Cluster, phys *engine.Plan, cfg RunConfig) (*Result, error) {
-	q, err := submitPlan(ctx, c, phys, cfg)
 	if err != nil {
 		return nil, err
 	}

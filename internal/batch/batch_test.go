@@ -280,8 +280,11 @@ func TestQuickHashPartitionPreservesRows(t *testing.T) {
 func TestBuilder(t *testing.T) {
 	src := testBatch(t)
 	bl := NewBuilder(src.Schema, 4)
-	bl.AppendRowFrom(src, 2)
-	bl.AppendRowFrom(src, 0)
+	for _, j := range []int{2, 0} {
+		for i, c := range src.Cols {
+			bl.Col(i).AppendFrom(c, j)
+		}
+	}
 	out := bl.Build()
 	if out.NumRows() != 2 || out.Col("id").Ints[0] != 3 || out.Col("id").Ints[1] != 1 {
 		t.Errorf("builder output wrong: %v", out)

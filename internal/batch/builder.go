@@ -17,24 +17,8 @@ func NewBuilder(schema *Schema, capHint int) *Builder {
 	return &Builder{schema: schema, cols: cols}
 }
 
-// AppendRowFrom copies row j of src into the builder. src must have the same
-// column layout as the builder's schema.
-func (bl *Builder) AppendRowFrom(src *Batch, j int) {
-	for i, c := range bl.cols {
-		c.AppendFrom(src.Cols[i], j)
-	}
-}
-
 // Col exposes builder column i for direct appends (hot paths).
 func (bl *Builder) Col(i int) *Column { return bl.cols[i] }
-
-// Len returns the number of rows appended so far.
-func (bl *Builder) Len() int {
-	if len(bl.cols) == 0 {
-		return 0
-	}
-	return bl.cols[0].Len()
-}
 
 // Build finalizes the builder into a Batch. The builder must not be reused.
 func (bl *Builder) Build() *Batch {

@@ -182,7 +182,10 @@ func decode1(data []byte) (*Batch, error) {
 		return nil, err
 	}
 	rows := int(nr)
-	schema := NewSchema(fields...)
+	schema, err := newSchema(fields)
+	if err != nil {
+		return nil, corruptf("%v", err)
+	}
 	cols := make([]*Column, nf)
 	for i, f := range fields {
 		c := &Column{Type: f.Type}

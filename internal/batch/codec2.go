@@ -19,8 +19,8 @@ import (
 //	per column: payload (payloadLen bytes, layout per encoding)
 //
 // Encoding 0 (raw) is byte-for-byte the QBA1 column layout, so the
-// uncompressed format remains expressible and is the escape hatch when
-// compression is disabled. payloadLen makes columns skippable without
+// uncompressed format remains expressible: it is what a column no other
+// encoding shrinks is written in. payloadLen makes columns skippable without
 // decoding — the scan path uses this to drop columns the fused projection
 // discarded — and doubles as a strict validation bound.
 //
@@ -41,6 +41,14 @@ const (
 	encDelta  = 3 // Int64/Date: zigzag uvarint first value, then deltas
 	encRLE    = 4 // Bool: first value byte + alternating uvarint run lengths
 )
+
+// rleMaxRows bounds the rows a frame of run-length columns alone may
+// declare per frame byte. Every other encoding costs at least a byte a
+// value, so any other column bounds a frame's rows by its length, while one
+// five-byte run claims 2^32-1 bools. The encoder writes a bool column raw
+// rather than past this ratio when the frame has no other kind of column,
+// so every frame it writes decodes.
+const rleMaxRows = 1 << 12
 
 // encScratch is the encoder's reusable working memory for the dictionary
 // candidates of the column being sized. Pooled: a steady-state encode
@@ -91,11 +99,15 @@ func (sc *encScratch) appendFrame(dst []byte, b *Batch) []byte {
 		dst = append(dst, byte(f.Type), 0, 0, 0, 0, 0) // enc and payloadLen filled below
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.NumRows()))
+	boolsOnly := true
+	for _, c := range b.Cols {
+		boolsOnly = boolsOnly && c.Type == Bool
+	}
 	for i, c := range b.Cols {
 		hdr += 4 + len(b.Schema.Fields[i].Name) + 1
 		start := len(dst)
 		var enc byte
-		dst, enc = sc.appendColumn(dst, c)
+		dst, enc = sc.appendColumn(dst, c, boolsOnly)
 		dst[hdr] = enc
 		binary.LittleEndian.PutUint32(dst[hdr+1:], uint32(len(dst)-start))
 		hdr += 5
@@ -144,8 +156,9 @@ func RawEncodedSize(b *Batch) int {
 }
 
 // appendColumn appends one materialized column's payload in its smallest
-// encoding (ties to the lowest number) and returns that encoding.
-func (sc *encScratch) appendColumn(dst []byte, c *Column) ([]byte, byte) {
+// encoding (ties to the lowest number) and returns that encoding. boolsOnly
+// says the frame has no column but bools, which bounds run-length encoding.
+func (sc *encScratch) appendColumn(dst []byte, c *Column, boolsOnly bool) ([]byte, byte) {
 	switch c.Type {
 	case Int64, Date:
 		return appendInts(dst, c.Ints)
@@ -154,7 +167,7 @@ func (sc *encScratch) appendColumn(dst []byte, c *Column) ([]byte, byte) {
 	case String:
 		return sc.appendStrings(dst, c.Strings)
 	case Bool:
-		return appendBools(dst, c.Bools)
+		return appendBools(dst, c.Bools, boolsOnly)
 	}
 	return dst, encRaw
 }
@@ -397,8 +410,10 @@ sizing:
 
 // appendBools writes a bool column raw (one byte per value) or run-length
 // encoded: one byte for the first value, then alternating uvarint run
-// lengths. Empty columns are an empty raw payload.
-func appendBools(dst []byte, vals []bool) ([]byte, byte) {
+// lengths. An empty column is raw (an empty payload), and so, in a frame of
+// bools only, is a column whose runs would claim more than rleMaxRows rows a
+// payload byte.
+func appendBools(dst []byte, vals []bool, boolsOnly bool) ([]byte, byte) {
 	n := len(vals)
 	size := 1
 	run := uint64(1)
@@ -411,7 +426,7 @@ func appendBools(dst []byte, vals []bool) ([]byte, byte) {
 		run = 1
 	}
 	size += uvarintLen(run)
-	if n == 0 || size >= n {
+	if n == 0 || size >= n || boolsOnly && n > rleMaxRows*size {
 		dst, at := grow(dst, n)
 		for i, v := range vals {
 			if v {
@@ -532,6 +547,18 @@ func decode2(data []byte, keep map[string]bool) (*Batch, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	// Bound the rows before anything is allocated for them: a frame with a
+	// column in any encoding but RLE holds at least a byte a row, and one of
+	// RLE columns alone holds at most rleMaxRows rows a byte.
+	limit := int64(len(data)) * rleMaxRows
+	for _, h := range hdrs {
+		if h.enc != encRLE {
+			limit = int64(len(data))
+		}
+	}
+	if nf > 0 && int64(nr) > limit {
+		return nil, 0, corruptf("row count %d exceeds a %d-byte frame", nr, len(data))
+	}
 	rows := int(nr)
 	var skipped int64
 	fields := make([]Field, 0, nf)
@@ -556,7 +583,11 @@ func decode2(data []byte, keep map[string]bool) (*Batch, int64, error) {
 	if pos != len(data) {
 		return nil, 0, corruptf("%d trailing bytes", len(data)-pos)
 	}
-	b, err := New(NewSchema(fields...), cols)
+	schema, err := newSchema(fields)
+	if err != nil {
+		return nil, 0, corruptf("%v", err)
+	}
+	b, err := New(schema, cols)
 	if err != nil {
 		return nil, 0, corruptf("inconsistent columns: %v", err)
 	}

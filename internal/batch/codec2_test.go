@@ -267,6 +267,64 @@ func TestCorruptCountsRejected(t *testing.T) {
 	}
 }
 
+// TestRowsBoundedByFrameLength: a frame's row count is refused before
+// anything is allocated when the frame is too short to hold it, and every
+// frame the encoder writes stays within that bound. A column of bools
+// alone is run-length encoded up to exactly rleMaxRows rows a payload byte
+// and raw past it; beside a column of another type, any run is RLE.
+func TestRowsBoundedByFrameLength(t *testing.T) {
+	// One run of 16384 rows is a 4-byte RLE payload (flag + 3-byte
+	// uvarint): exactly rleMaxRows rows a byte. One row more goes raw.
+	const atCap = 4 * rleMaxRows
+	for _, rows := range []int{atCap, atCap + 1} {
+		bools := NewBoolColumn(make([]bool, rows))
+		want := byte(encRLE)
+		if rows > atCap {
+			want = encRaw
+		}
+		qba2Single(t, "b", bools, want)
+		assertTransparent(t, colOf(bools))
+		assertMatchesReference(t, "bools only", colOf(bools))
+		if want == encRaw {
+			// Beside an int column the same bools are RLE.
+			mixed := MustNew(NewSchema(F("i", Int64), F("b", Bool)),
+				[]*Column{NewIntColumn(make([]int64, rows)), bools})
+			// Field k's encoding byte, one-letter names: 8 + 11k + 6.
+			if enc := EncodeCompressed(mixed)[25]; enc != encRLE {
+				t.Fatalf("%d bools beside an int column encoded as %d, want RLE", rows, enc)
+			}
+			assertTransparent(t, mixed)
+			assertMatchesReference(t, "bools beside ints", mixed)
+		}
+	}
+
+	// Hand-built frames: one RLE run claiming 2^32-1 rows (six payload
+	// bytes), and a varint column declaring more rows than the frame has
+	// bytes. Both are corrupt, for Decode and DecodeProject alike.
+	frame := func(typ Type, enc byte, rows uint32, payload []byte) []byte {
+		var d []byte
+		put32 := func(v uint32) { d = binary.LittleEndian.AppendUint32(d, v) }
+		put32(codecMagic2)
+		put32(1)
+		put32(1)
+		d = append(d, 'c', byte(typ), enc)
+		put32(uint32(len(payload)))
+		put32(rows)
+		return append(d, payload...)
+	}
+	for name, d := range map[string][]byte{
+		"rle run past the bound": frame(Bool, encRLE, math.MaxUint32, binary.AppendUvarint([]byte{1}, math.MaxUint32)),
+		"varint rows past frame": frame(Int64, encVarint, 1<<20, []byte{0, 0}),
+	} {
+		if _, err := Decode(d); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode error = %v, want ErrCorrupt", name, err)
+		}
+		if _, _, err := DecodeProject(d, []string{"other"}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeProject error = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // TestUnknownEncodingRejected: a column tagged with an encoding no encoder
 // has ever written (5 was once reserved for DEFLATE) is corrupt for every
 // column type, never a panic.
@@ -340,8 +398,12 @@ func ReferenceEncodeCompressed(b *Batch) []byte {
 	payloads := make([][]byte, len(b.Cols))
 	encs := make([]byte, len(b.Cols))
 	size := 12
+	boolsOnly := true
+	for _, c := range b.Cols {
+		boolsOnly = boolsOnly && c.Type == Bool
+	}
 	for i, c := range b.Cols {
-		encs[i], payloads[i] = refEncodeColumn(c)
+		encs[i], payloads[i] = refEncodeColumn(c, boolsOnly)
 		size += 10 + len(b.Schema.Fields[i].Name) + len(payloads[i])
 	}
 	out := make([]byte, 0, size)
@@ -365,7 +427,7 @@ func ReferenceEncodeCompressed(b *Batch) []byte {
 	return out
 }
 
-func refEncodeColumn(c *Column) (byte, []byte) {
+func refEncodeColumn(c *Column, boolsOnly bool) (byte, []byte) {
 	best := rawColumnPayload(c)
 	bestEnc := byte(encRaw)
 	consider := func(enc byte, p []byte) {
@@ -380,7 +442,11 @@ func refEncodeColumn(c *Column) (byte, []byte) {
 	case String:
 		consider(encDict, dictPayload(c.Strings))
 	case Bool:
-		consider(encRLE, rlePayload(c.Bools))
+		// In a frame of bools only, RLE may claim at most rleMaxRows rows
+		// a payload byte.
+		if p := rlePayload(c.Bools); !boolsOnly || len(c.Bools) <= rleMaxRows*len(p) {
+			consider(encRLE, p)
+		}
 	case Float64:
 		consider(encDict, dictFloatPayload(c.Floats))
 	}

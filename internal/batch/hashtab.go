@@ -24,14 +24,6 @@ type KeyArena struct {
 	bounds []uint32 // len = nkeys+1; bounds[0] = 0
 }
 
-// Len returns the number of keys in the arena.
-func (a *KeyArena) Len() int {
-	if len(a.bounds) == 0 {
-		return 0
-	}
-	return len(a.bounds) - 1
-}
-
 // Append copies key into the arena and returns its index.
 func (a *KeyArena) Append(key []byte) int {
 	if len(a.bounds) == 0 {
@@ -110,9 +102,6 @@ func (t *HashTable) Len() int { return t.n }
 
 // Key returns the encoded key for payload index i.
 func (t *HashTable) Key(i int) []byte { return t.arena.Key(i) }
-
-// Hash returns the cached hash for payload index i.
-func (t *HashTable) Hash(i int) uint64 { return t.hashes[i] }
 
 // Bytes returns the table's memory footprint: arena, hash cache and slot
 // directory.

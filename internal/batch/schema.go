@@ -58,14 +58,24 @@ type Schema struct {
 
 // NewSchema builds a schema from fields. Field names must be unique.
 func NewSchema(fields ...Field) *Schema {
+	s, err := newSchema(fields)
+	if err != nil {
+		panic(err.Error())
+	}
+	return s
+}
+
+// newSchema is NewSchema returning a repeated field name as an error: a
+// decoder's fields come from the bytes it was given.
+func newSchema(fields []Field) (*Schema, error) {
 	s := &Schema{Fields: fields, index: make(map[string]int, len(fields))}
 	for i, f := range fields {
 		if _, dup := s.index[f.Name]; dup {
-			panic(fmt.Sprintf("batch: duplicate field %q in schema", f.Name))
+			return nil, fmt.Errorf("batch: duplicate field %q in schema", f.Name)
 		}
 		s.index[f.Name] = i
 	}
-	return s
+	return s, nil
 }
 
 // Len returns the number of fields.
@@ -96,9 +106,6 @@ func (s *Schema) MustIndex(name string) int {
 	}
 	return i
 }
-
-// Field returns the field at position i.
-func (s *Schema) Field(i int) Field { return s.Fields[i] }
 
 // Equal reports whether two schemas have identical fields in order.
 func (s *Schema) Equal(o *Schema) bool {

@@ -83,7 +83,7 @@ func (c *imageCheck) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error
 	var ver uint64 // the version this flush commits, if it does
 	readerCommit := false
 	err := c.Backend.UpdateMulti(nss, func(tx *gcs.Txn) error {
-		ver = c.store.VersionNS(ns) + 1
+		ver = c.store.AwaitNS(context.Background(), ns, 0, 0) + 1
 		if err := fn(tx); err != nil {
 			return err
 		}
@@ -98,11 +98,11 @@ func (c *imageCheck) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error
 		}
 		return nil
 	})
-	if err != nil || c.store.VersionNS(ns) != ver {
+	if err != nil || c.store.AwaitNS(context.Background(), ns, 0, 0) != ver {
 		return err
 	}
 	c.advances, c.readerCommit = c.r.qmet.Get(metrics.ImageAdvances), readerCommit
-	if s, lerr := c.r.loadSnapshot(ver, nil); lerr == nil && c.store.VersionNS(ns) == ver {
+	if s, lerr := c.r.loadSnapshot(ver, nil); lerr == nil && c.store.AwaitNS(context.Background(), ns, 0, 0) == ver {
 		c.loaded = s
 	}
 	return err

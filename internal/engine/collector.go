@@ -67,21 +67,20 @@ func newCollector(outStage, channels int) *collector {
 
 // Deliver offers a payload partition to the head node. It reports false
 // only under cursor backpressure (buffer full); the producing task must
-// then retry.
+// then retry. t is an output-stage task: a local task by construction, a
+// relayed one checked by Runner.DeliverResult.
 func (c *collector) Deliver(t lineage.TaskName, data []byte, epoch int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.Channel < c.channels {
-		if t.Seq < c.read[t.Channel] {
-			return true // already consumed through the cursor; drop the rerun
-		}
-		if n := c.doneCount[t.Channel]; n >= 0 && t.Seq >= n {
-			// The channel committed exactly n tasks; this is the leftover of
-			// an aborted task from a pre-rewind incarnation. Accept-and-drop:
-			// its commit is doomed to be fenced off anyway, and refusing would
-			// put the producer into a pointless backpressure retry loop.
-			return true
-		}
+	if t.Seq < c.read[t.Channel] {
+		return true // already consumed through the cursor; drop the rerun
+	}
+	if n := c.doneCount[t.Channel]; n >= 0 && t.Seq >= n {
+		// The channel committed exactly n tasks; this is the leftover of
+		// an aborted task from a pre-rewind incarnation. Accept-and-drop:
+		// its commit is doomed to be fenced off anyway, and refusing would
+		// put the producer into a pointless backpressure retry loop.
+		return true
 	}
 	size := int64(len(data))
 	if old, ok := c.parts[t]; ok {
@@ -110,7 +109,7 @@ func (c *collector) Deliver(t lineage.TaskName, data []byte, epoch int) bool {
 func (c *collector) has(t lineage.TaskName) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.Channel < c.channels && t.Seq < c.read[t.Channel] {
+	if t.Seq < c.read[t.Channel] {
 		return true
 	}
 	_, ok := c.parts[t]

@@ -194,7 +194,7 @@ func TestCursorMatchesRun(t *testing.T) {
 		cur := q.Cursor()
 		var got []*batch.Batch
 		for {
-			b, err := cur.Next()
+			b, err := cur.NextContext(context.Background())
 			if err != nil {
 				t.Fatalf("buf %d: cursor: %v", bufBytes, err)
 			}
@@ -240,7 +240,7 @@ func TestCursorMultiChannelOrder(t *testing.T) {
 	cur := q.Cursor()
 	var got []*batch.Batch
 	for {
-		b, err := cur.Next()
+		b, err := cur.NextContext(context.Background())
 		if err != nil {
 			t.Fatalf("cursor: %v", err)
 		}
@@ -281,7 +281,7 @@ func TestResultAfterPartialCursor(t *testing.T) {
 	cur := q.Cursor()
 	var got []*batch.Batch
 	for range 3 {
-		b, err := cur.Next()
+		b, err := cur.NextContext(context.Background())
 		if err != nil || b == nil {
 			t.Fatalf("cursor: %v, %v", b, err)
 		}
@@ -297,6 +297,34 @@ func TestResultAfterPartialCursor(t *testing.T) {
 	}
 	if rest.NumRows() == 0 || string(batch.Encode(all)) != string(batch.Encode(want)) {
 		t.Errorf("3 cursor batches + Result (%d rows) differ from the whole result (%d rows)", rest.NumRows(), want.NumRows())
+	}
+}
+
+// TestResultBehindUnreadCursor: with a Cursor attached and never read, the
+// collector refuses every delivery but the cursor's next partition once its
+// buffer is full, so a Result that waited for completion before draining
+// would never return. Result drains while the query runs.
+func TestResultBehindUnreadCursor(t *testing.T) {
+	tables := map[string][]*batch.Batch{"numbers": numbersTable(2000, 16)}
+	cl := testCluster(t, 4, tables)
+	p := MustPlan(
+		&Stage{ID: 0, Name: "read", Reader: &ReaderSpec{Table: "numbers"}},
+		&Stage{ID: 1, Name: "filter",
+			Op:     ops.NewFilterSpec(expr.Ge(expr.C("id"), expr.Int64(0))),
+			Inputs: []StageInput{{Stage: 0, Part: Direct()}}},
+	)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	cfg := DefaultConfig()
+	cfg.CursorBufferBytes = 2048
+	q := startPlan(t, cl, p, cfg, ctx)
+	q.Cursor()
+	out, _, err := q.Result()
+	if err != nil {
+		t.Fatalf("Result behind an unread cursor: %v", err)
+	}
+	if out.NumRows() != 2000 {
+		t.Fatalf("Result returned %d rows, want 2000", out.NumRows())
 	}
 }
 

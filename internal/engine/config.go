@@ -265,10 +265,8 @@ func TrinoConfig() Config {
 // Configure options write and resolve reads. The zero value is the built-in
 // behaviour.
 type clusterOptions struct {
-	cursorBuffer       int64 // WithCursorBufferBytes; 0 = DefaultCursorBufferBytes
-	shuffleCompressOff bool  // WithShuffleCompression(false)
-	spillCompressOff   bool  // WithSpillCompression(false)
-	tracing            bool  // WithTracing
+	cursorBuffer int64 // WithCursorBufferBytes; 0 = DefaultCursorBufferBytes
+	tracing      bool  // WithTracing
 }
 
 // Policy is one query's effective settings: the caller's Config with every
@@ -281,10 +279,6 @@ type clusterOptions struct {
 type Policy struct {
 	Config
 
-	// ShuffleCompress / SpillCompress select QBA2 over raw encoding-0 for
-	// shuffle, backup and spool bytes / for spill runs. Frozen per query:
-	// decode is self-describing, but byte metrics should mean one thing.
-	ShuffleCompress, SpillCompress bool
 	// Tracing attaches a flight recorder to the query.
 	Tracing bool
 }
@@ -323,10 +317,5 @@ func resolve(cfg Config, o clusterOptions) (Policy, error) {
 	if cfg.CursorBufferBytes == 0 {
 		cfg.CursorBufferBytes = DefaultCursorBufferBytes
 	}
-	return Policy{
-		Config:          cfg,
-		ShuffleCompress: !o.shuffleCompressOff,
-		SpillCompress:   !o.spillCompressOff,
-		Tracing:         o.tracing,
-	}, nil
+	return Policy{Config: cfg, Tracing: o.tracing}, nil
 }

@@ -49,24 +49,6 @@ func WithCursorBufferBytes(n int64) Option {
 	return inherited(func(o *clusterOptions) { o.cursorBuffer = n })
 }
 
-// WithShuffleCompression selects the compressed (QBA2) codec for shuffle
-// partitions, result partitions and replay backups (true, the default) or the
-// raw encoding-0 format (false) — the escape hatch for debugging wire
-// bytes. Compression is output-transparent: decoded batches are
-// byte-identical either way, so results, lineage replay and routing are
-// unaffected. Only queries submitted after the call observe the change.
-func WithShuffleCompression(on bool) Option {
-	return inherited(func(o *clusterOptions) { o.shuffleCompressOff = !on })
-}
-
-// WithSpillCompression selects the compressed (QBA2) codec for spill run
-// files (true, the default) or raw encoding-0 frames (false). Same
-// transparency contract as WithShuffleCompression. Only queries submitted
-// after the call observe the change.
-func WithSpillCompression(on bool) Option {
-	return inherited(func(o *clusterOptions) { o.spillCompressOff = !on })
-}
-
 // WithTracing enables (or disables) the per-query flight recorder: with it
 // on, every query submitted afterwards records structured spans — task
 // executions, partition pushes, lineage flushes, admission wait, recovery

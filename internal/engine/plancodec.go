@@ -8,11 +8,10 @@ import (
 
 // WorkerQuerySpec is everything a worker process needs to execute its
 // share of one query: the physical plan and the policy the head resolved at
-// submit time — the execution config with its floors applied, codec
-// choices, group-commit interval, tracing. The worker runs the query under
-// exactly that policy (metrics and replay byte-identity depend on one query
-// never mixing codecs) and resolves nothing itself. It travels gob-encoded
-// inside the wire layer's START_QUERY message.
+// submit time — the execution config with its floors applied, and tracing.
+// The worker runs the query under exactly that policy and resolves nothing
+// itself. It travels gob-encoded inside the wire layer's START_QUERY
+// message.
 //
 // Plans are serializable because every built-in operator spec and
 // expression node is a data-only value type registered with gob (see

@@ -36,11 +36,7 @@ func (t *taskManager) encodeOutput(cs *chanState, p *pendingTask, edges []Edge) 
 		if err != nil {
 			return err
 		}
-		if t.r.cfg.ShuffleCompress {
-			p.payload = batch.EncodeCompressed(whole)
-		} else {
-			p.payload = batch.Encode(whole)
-		}
+		p.payload = batch.EncodeCompressed(whole)
 		return nil
 	}
 	var local func(stage, ch int) bool
@@ -143,11 +139,7 @@ func (t *taskManager) partitionFor(w *pieceSetWriter, out *taskOutput, e Edge, p
 			w.elide(b)
 			t.r.count(metrics.PiecesElided, 1)
 		default:
-			if t.r.cfg.ShuffleCompress {
-				w.buf = batch.AppendCompressed(w.buf, b)
-			} else {
-				w.buf = batch.AppendRaw(w.buf, b)
-			}
+			w.buf = batch.AppendCompressed(w.buf, b)
 			t.r.count(metrics.ShuffleRawBytes, int64(batch.RawEncodedSize(b)))
 			t.r.count(metrics.ShuffleWireBytes, int64(len(w.buf)-w.mark))
 			w.add(b)

@@ -131,14 +131,13 @@ func (q *Query) Trace() *trace.Recorder { return q.r.rec }
 // query still runs.
 func (q *Query) Stats() []StageStats { return q.r.stageStats() }
 
-// Result waits for completion and returns the concatenated output exactly
-// as the one-shot Runner.Run always has: it drains the collector in
-// (channel, seq) order, as a Cursor does. If a Cursor consumed part of the
-// stream, Result returns only the remainder — use one or the other.
+// Result returns the concatenated output and the report, exactly as the
+// one-shot Runner.Run always has. It drains the collector in (channel, seq)
+// order while the query runs, as a Cursor does — so a bounded cursor buffer
+// never holds the output stage back — and then waits for completion. If a
+// Cursor consumed part of the stream, Result returns only the remainder —
+// use one or the other.
 func (q *Query) Result() (*batch.Batch, *Report, error) {
-	if err := q.Wait(); err != nil {
-		return nil, nil, err
-	}
 	var batches []*batch.Batch
 	for {
 		b, err := q.r.collector.nextBatch(context.Background())
@@ -149,6 +148,9 @@ func (q *Query) Result() (*batch.Batch, *Report, error) {
 			break
 		}
 		batches = append(batches, b)
+	}
+	if err := q.Wait(); err != nil {
+		return nil, nil, err
 	}
 	out, err := batch.Concat(batches)
 	if err != nil {
@@ -181,17 +183,11 @@ type Cursor struct {
 	eos bool
 }
 
-// Next returns the next non-empty output batch, blocking until one is
-// committed. It returns (nil, nil) at end of stream and the query's
-// terminal error if execution fails or is cancelled. Sugar for
-// NextContext(context.Background()).
-func (c *Cursor) Next() (*batch.Batch, error) {
-	return c.NextContext(context.Background())
-}
-
-// NextContext is Next honouring ctx: a ctx expiry unblocks the wait and
-// returns ctx.Err() without latching it — the cursor stays usable and the
-// query keeps running.
+// NextContext returns the next non-empty output batch, blocking until one is
+// committed. It returns (nil, nil) at end of stream and the query's terminal
+// error if execution fails or is cancelled. A ctx expiry unblocks the wait
+// and returns ctx.Err() without latching it — the cursor stays usable and
+// the query keeps running.
 func (c *Cursor) NextContext(ctx context.Context) (*batch.Batch, error) {
 	if c.err != nil || c.eos {
 		return nil, c.err

@@ -42,7 +42,7 @@ func TestReplayDestRoundTrip(t *testing.T) {
 	task := lineage.TaskName{Stage: 1, Channel: 2, Seq: 3}
 	d1 := lineage.ChannelID{Stage: 4, Channel: 0}
 	d2 := lineage.ChannelID{Stage: 5, Channel: 7}
-	store.Update(func(tx *gcs.Txn) error {
+	store.UpdateNS(r.ns, func(tx *gcs.Txn) error {
 		addReplayDest(tx, r.keyReplay(0, task), d1)
 		addReplayDest(tx, r.keyReplay(0, task), d2)
 		addReplayDest(tx, r.keyReplay(0, task), d1) // dedup
@@ -98,7 +98,7 @@ func TestCheckpointMarkRoundTrip(t *testing.T) {
 
 func TestTxHelpers(t *testing.T) {
 	store := gcs.New(storage.TestCostModel(), &metrics.Collector{})
-	store.Update(func(tx *gcs.Txn) error {
+	store.UpdateNS("", func(tx *gcs.Txn) error {
 		txPutInt(tx, "n", 42)
 		tx.Put("bad", []byte("not-a-number"))
 		return nil

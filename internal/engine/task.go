@@ -135,9 +135,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 	task := lineage.TaskName{Stage: cs.id.Stage, Channel: cs.id.Channel, Seq: p.seq}
 	// One serialization serves the push, the spool and the upstream backup,
 	// under every FT mode; the modes differ only in where else the bytes go.
-	// A retry of a pending task finds it built. The codec choice is invisible
-	// downstream (frames are self-describing and decode to identical bytes),
-	// so compressed backups and spools replay exactly like raw ones.
+	// A retry of a pending task finds it built.
 	edges := t.r.plan.Consumers(cs.id.Stage)
 	if p.outs != nil {
 		if err := t.encodeOutput(cs, p, edges); err != nil {

@@ -156,7 +156,6 @@ func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 		acct := spill.NewAccountant(r.cfg.MemoryBudget, r.tee)
 		acct.AttachLedger(r.shared.ledgerFor(w.ID))
 		t.spill = spill.NewContext(t.disk, acct, r.tee, spill.DefaultPartitions)
-		t.spill.SetCompression(r.cfg.SpillCompress)
 	}
 	return t
 }

@@ -111,7 +111,7 @@ func TestConcurrentCursorsAdmission8(t *testing.T) {
 			defer wg.Done()
 			var parts []*batch.Batch
 			for {
-				b, err := cur.Next()
+				b, err := cur.NextContext(context.Background())
 				if err != nil {
 					errs[i] = err
 					return
@@ -165,7 +165,7 @@ func TestKillWorkerMidCursorFetch(t *testing.T) {
 	var parts []*batch.Batch
 	killed := false
 	for {
-		b, err := cur.Next()
+		b, err := cur.NextContext(context.Background())
 		if err != nil {
 			t.Fatalf("cursor after kill=%v: %v", killed, err)
 		}
@@ -344,8 +344,8 @@ func TestOptionDefaultsResolve(t *testing.T) {
 		zero.PollInterval != d.PollInterval || zero.HeartbeatInterval != d.HeartbeatInterval {
 		t.Errorf("zero Config resolved to %+v", zero.Config)
 	}
-	if !zero.ShuffleCompress || !zero.SpillCompress || zero.Tracing {
-		t.Errorf("zero options resolved to compress=%v/%v tracing=%v", zero.ShuffleCompress, zero.SpillCompress, zero.Tracing)
+	if zero.Tracing {
+		t.Error("zero options resolved to tracing on")
 	}
 	if _, err := resolve(Config{}, clusterOptions{}); err == nil {
 		t.Error("static mode without StaticBatch resolved")
@@ -400,7 +400,7 @@ func TestContextAwareHandles(t *testing.T) {
 	// The handle is still fully usable.
 	var rows int
 	for {
-		b, err := cur.Next()
+		b, err := cur.NextContext(context.Background())
 		if err != nil {
 			t.Fatalf("Next after expiry: %v", err)
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"quokka/internal/cluster"
+	"quokka/internal/lineage"
 	"quokka/internal/trace"
 )
 
@@ -128,10 +129,18 @@ func RunWorkerQuery(ctx context.Context, cl *cluster.Cluster, spec *WorkerQueryS
 // The head-side counterparts the wire server needs to relay worker
 // messages into a running query.
 
-// HeadSink is this runner's head-node collector as a ResultSink: the wire
-// server feeds worker-relayed output partitions into it, with the
-// collector's usual backpressure semantics.
-func (r *Runner) HeadSink() ResultSink { return r.collector }
+// DeliverResult feeds a worker-relayed output partition into this runner's
+// head-node collector, with the collector's usual backpressure semantics.
+// A task that is not one of the query's output-stage tasks is refused with
+// an error and changes nothing: a worker's frame is not trusted to index
+// the collector.
+func (r *Runner) DeliverResult(t lineage.TaskName, data []byte, epoch int) (bool, error) {
+	c := r.collector
+	if t.Stage != c.outStage || t.Channel < 0 || t.Channel >= c.channels || t.Seq < 0 {
+		return false, fmt.Errorf("engine: task %s is not an output task of query %s", t, r.qid)
+	}
+	return c.Deliver(t, data, epoch), nil
+}
 
 // ReportWorkerFailure surfaces a worker process's fatal task error to the
 // coordinator, failing the query like a local reportFailure would.

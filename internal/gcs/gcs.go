@@ -106,9 +106,6 @@ type Store struct {
 	met  *metrics.Collector
 
 	shards [numShards]shard
-
-	// version is the store-wide commit counter (Version).
-	version atomic.Uint64
 }
 
 // New creates an empty store with the given cost model; each transaction
@@ -214,7 +211,6 @@ func (s *Store) run(tx *Txn, fn func(tx *Txn) error) error {
 		return err
 	}
 	if tx.writes != nil {
-		s.version.Add(1)
 		s.met.Add(metrics.GCSBytes, tx.bytes)
 	}
 	s.met.Add(metrics.GCSTxns, 1)
@@ -252,15 +248,11 @@ func (s *Store) UpdateMulti(nss []string, fn func(tx *Txn) error) error {
 	return s.run(&Txn{s: s, locked: locked, writes: make(map[string][]byte)}, fn)
 }
 
-// VersionNS is the commit counter of the shard holding ns: an atomic read.
-func (s *Store) VersionNS(ns string) uint64 {
-	return s.shards[shardOf(ns)].ver.Load()
-}
-
-// AwaitNS returns that counter as soon as it exceeds after, when max elapses
-// or when ctx is done; max <= 0 never parks. Shards are shared, so a return
-// with the version unchanged may come early; a commit is never slept through,
-// and is visible to a ViewNS that follows the AwaitNS observing it.
+// AwaitNS returns the commit counter of the shard holding ns as soon as it
+// exceeds after, when max elapses or when ctx is done; max <= 0 never parks
+// and is an atomic read. Shards are shared, so a return with the version
+// unchanged may come early; a commit is never slept through, and is visible
+// to a ViewNS that follows the AwaitNS observing it.
 func (s *Store) AwaitNS(ctx context.Context, ns string, after uint64, max time.Duration) uint64 {
 	sh := &s.shards[shardOf(ns)]
 	if v := sh.ver.Load(); v > after || max <= 0 {
@@ -301,24 +293,13 @@ func (s *Store) ViewNS(ns string, fn func(tx *Txn) error) error {
 	return s.run(s.txnNS(ns, nil), fn)
 }
 
-// Update runs fn as a read-write transaction over the whole keyspace. It
-// takes every shard lock, so it serializes against all namespaced
-// transactions; use UpdateNS when the keys touched live under one query
-// namespace.
-func (s *Store) Update(fn func(tx *Txn) error) error {
-	return s.run(&Txn{s: s, locked: allShards(), writes: make(map[string][]byte)}, fn)
-}
-
 // View runs fn as a read-only transaction over the whole keyspace.
 func (s *Store) View(fn func(tx *Txn) error) error {
-	return s.run(&Txn{s: s, locked: allShards()}, fn)
-}
-
-func allShards() (all []int) {
-	for i := 0; i < numShards; i++ {
-		all = append(all, i)
+	all := make([]int, numShards)
+	for i := range all {
+		all[i] = i
 	}
-	return all
+	return s.run(&Txn{s: s, locked: all}, fn)
 }
 
 // WriteBytes returns the transaction's accumulated write payload (keys +
@@ -402,8 +383,3 @@ func (tx *Txn) List(prefix string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Version returns the store-wide commit counter: it increases on every
-// committed update of any namespace. Not part of Backend — in-process
-// callers (tests) read it as their "nothing changed anywhere" probe.
-func (s *Store) Version() uint64 { return s.version.Load() }

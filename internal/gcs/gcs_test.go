@@ -16,7 +16,7 @@ func newStore() (*Store, *metrics.Collector) {
 
 func TestPutGetDelete(t *testing.T) {
 	s, met := newStore()
-	err := s.Update(func(tx *Txn) error {
+	err := s.UpdateNS("", func(tx *Txn) error {
 		tx.Put("a", []byte("1"))
 		tx.Put("b", []byte("2"))
 		return nil
@@ -33,7 +33,7 @@ func TestPutGetDelete(t *testing.T) {
 		}
 		return nil
 	})
-	s.Update(func(tx *Txn) error {
+	s.UpdateNS("", func(tx *Txn) error {
 		tx.Delete("a")
 		return nil
 	})
@@ -50,7 +50,7 @@ func TestPutGetDelete(t *testing.T) {
 
 func TestTxnReadsOwnWrites(t *testing.T) {
 	s, _ := newStore()
-	s.Update(func(tx *Txn) error {
+	s.UpdateNS("", func(tx *Txn) error {
 		tx.Put("k", []byte("v"))
 		if v, ok := tx.Get("k"); !ok || string(v) != "v" {
 			t.Error("txn should see its own write")
@@ -65,7 +65,7 @@ func TestTxnReadsOwnWrites(t *testing.T) {
 
 func TestAbortDiscardsWrites(t *testing.T) {
 	s, _ := newStore()
-	err := s.Update(func(tx *Txn) error {
+	err := s.UpdateNS("", func(tx *Txn) error {
 		tx.Put("x", []byte("1"))
 		return ErrAborted
 	})
@@ -82,13 +82,13 @@ func TestAbortDiscardsWrites(t *testing.T) {
 
 func TestListWithPrefix(t *testing.T) {
 	s, _ := newStore()
-	s.Update(func(tx *Txn) error {
+	s.UpdateNS("", func(tx *Txn) error {
 		tx.Put("task/1", nil)
 		tx.Put("task/2", nil)
 		tx.Put("lineage/1", nil)
 		return nil
 	})
-	s.Update(func(tx *Txn) error {
+	s.UpdateNS("", func(tx *Txn) error {
 		tx.Put("task/3", []byte("new"))
 		tx.Delete("task/1")
 		got := tx.List("task/")
@@ -102,7 +102,7 @@ func TestListWithPrefix(t *testing.T) {
 
 func TestConcurrentCountersAreSerializable(t *testing.T) {
 	s, _ := newStore()
-	s.Update(func(tx *Txn) error { tx.Put("n", []byte("0")); return nil })
+	s.UpdateNS("", func(tx *Txn) error { tx.Put("n", []byte("0")); return nil })
 	var wg sync.WaitGroup
 	const workers, iters = 8, 50
 	for w := 0; w < workers; w++ {
@@ -110,7 +110,7 @@ func TestConcurrentCountersAreSerializable(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				s.Update(func(tx *Txn) error {
+				s.UpdateNS("", func(tx *Txn) error {
 					v, _ := tx.Get("n")
 					var n int
 					fmt.Sscanf(string(v), "%d", &n)

@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -72,8 +73,8 @@ func TestChangeTrackingLifecycle(t *testing.T) {
 	if !first.Full || !reflect.DeepEqual(deltaMap(first), map[string]string{ns + "a": "1", ns + "b": "2"}) {
 		t.Fatalf("first contact: full=%v %v", first.Full, deltaMap(first))
 	}
-	if first.Version != s.VersionNS(ns) || followed(s) != 1 {
-		t.Fatalf("first contact: version %d (shard %d), %d tracked", first.Version, s.VersionNS(ns), followed(s))
+	if first.Version != s.AwaitNS(context.Background(), ns, 0, 0) || followed(s) != 1 {
+		t.Fatalf("first contact: version %d (shard %d), %d tracked", first.Version, s.AwaitNS(context.Background(), ns, 0, 0), followed(s))
 	}
 
 	// Nothing changed: an empty delta at the same version.
@@ -150,7 +151,7 @@ func TestDeltaCarriesOneNamespace(t *testing.T) {
 	}
 	putKeys(t, s, b, "k", "b2", "k2", "b3")
 	d := s.Sync(a, da.Version)
-	if len(d.Set) != 0 || d.Full || d.Version != s.VersionNS(a) || d.Version == da.Version {
+	if len(d.Set) != 0 || d.Full || d.Version != s.AwaitNS(context.Background(), a, 0, 0) || d.Version == da.Version {
 		t.Fatalf("a commit to %s reached %s's replica: %+v", b, a, d)
 	}
 	// One transaction writing both: each log gets its own keys.
@@ -188,8 +189,8 @@ func TestCommitValidatesReadSet(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("commit with current reads: %v, %v", ok, err)
 	}
-	if !reflect.DeepEqual(deltaMap(deltas[0]), map[string]string{ns + "other": "x"}) || deltas[0].Version != s.VersionNS(ns) {
-		t.Fatalf("committed delta %v at %d (shard %d)", deltaMap(deltas[0]), deltas[0].Version, s.VersionNS(ns))
+	if !reflect.DeepEqual(deltaMap(deltas[0]), map[string]string{ns + "other": "x"}) || deltas[0].Version != s.AwaitNS(context.Background(), ns, 0, 0) {
+		t.Fatalf("committed delta %v at %d (shard %d)", deltaMap(deltas[0]), deltas[0].Version, s.AwaitNS(context.Background(), ns, 0, 0))
 	}
 	if got := met.Get("gcs.txns") - txns; got != 1 {
 		t.Fatalf("a commit counted %d transactions", got)
@@ -197,10 +198,10 @@ func TestCommitValidatesReadSet(t *testing.T) {
 
 	// The same read set again is stale now: n moved (we moved it). Nothing is
 	// applied, nothing counted, and the delta names n.
-	version, txns := s.VersionNS(ns), met.Get("gcs.txns")
+	version, txns := s.AwaitNS(context.Background(), ns, 0, 0), met.Get("gcs.txns")
 	ok, deltas, err = s.Commit(reads([]string{ns + "n"}, nil), map[string][]byte{ns + "n": []byte("lost")})
-	if err != nil || ok || s.VersionNS(ns) != version || met.Get("gcs.txns") != txns {
-		t.Fatalf("stale commit: %v, %v, version %d -> %d", ok, err, version, s.VersionNS(ns))
+	if err != nil || ok || s.AwaitNS(context.Background(), ns, 0, 0) != version || met.Get("gcs.txns") != txns {
+		t.Fatalf("stale commit: %v, %v, version %d -> %d", ok, err, version, s.AwaitNS(context.Background(), ns, 0, 0))
 	}
 	if got := deltaMap(deltas[0]); got[ns+"n"] != "2" {
 		t.Fatalf("stale delta %v, want n = 2", got)
@@ -208,7 +209,7 @@ func TestCommitValidatesReadSet(t *testing.T) {
 
 	// A listed prefix is stale when a key under it appears or goes; a delete
 	// in the write set deletes.
-	at = s.VersionNS(ns)
+	at = s.AwaitNS(context.Background(), ns, 0, 0)
 	s.UpdateNS(ns, func(tx *Txn) error { tx.Delete(ns + "rp/0/x"); return nil })
 	if ok, _, _ := s.Commit(reads(nil, []string{ns + "rp/1/"}), map[string][]byte{ns + "other": nil}); !ok {
 		t.Fatalf("a delete under rp/0/ made a list of rp/1/ stale")
@@ -237,11 +238,11 @@ func TestCommitValidatesReadSet(t *testing.T) {
 			break
 		}
 	}
-	version = s.Version()
-	at = s.VersionNS(ns)
+	version = s.versionSum()
+	at = s.AwaitNS(context.Background(), ns, 0, 0)
 	_, _, err = s.Commit(reads(nil, nil), map[string][]byte{ns + "n": []byte("x"), foreign + "k": []byte("x")})
-	if err == nil || s.Version() != version {
-		t.Fatalf("foreign write: err %v, version %d -> %d", err, version, s.Version())
+	if err == nil || s.versionSum() != version {
+		t.Fatalf("foreign write: err %v, version %d -> %d", err, version, s.versionSum())
 	}
 }
 

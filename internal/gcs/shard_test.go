@@ -89,7 +89,7 @@ func TestLegacyListSpansShards(t *testing.T) {
 
 func TestNamespaceTxnMetricsAndVersion(t *testing.T) {
 	s, met := newStore()
-	v0 := s.Version()
+	v0 := s.versionSum()
 	s.UpdateNS("q/q1/", func(tx *Txn) error { tx.Put("q/q1/a", []byte("xyz")); return nil })
 	if got := met.Get("gcs.txns"); got != 1 {
 		t.Errorf("gcs.txns = %d, want 1", got)
@@ -97,7 +97,7 @@ func TestNamespaceTxnMetricsAndVersion(t *testing.T) {
 	if got := met.Get("gcs.bytes"); got != int64(len("q/q1/a")+3) {
 		t.Errorf("gcs.bytes = %d", got)
 	}
-	if s.Version() <= v0 {
+	if s.versionSum() <= v0 {
 		t.Error("NS update did not bump the store version")
 	}
 }
@@ -140,7 +140,7 @@ func TestAwaitNS(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 
 	commit(ns)
-	v := s.VersionNS(ns)
+	v := s.AwaitNS(context.Background(), ns, 0, 0)
 	if got := s.AwaitNS(ctx, ns, v-1, time.Hour); got != v {
 		t.Fatalf("waiting for a passed version returned %d, want %d at once", got, v)
 	}
@@ -210,7 +210,7 @@ func TestDeleteNSDropsTheNamespace(t *testing.T) {
 		return got
 	}
 	sh := &s.shards[shardOf(ns)]
-	v, store := s.VersionNS(ns), s.Version()
+	v, store := s.AwaitNS(context.Background(), ns, 0, 0), s.versionSum()
 	woke := make(chan uint64, 1)
 	go func() { woke <- s.AwaitNS(context.Background(), ns, v, time.Hour) }()
 	for parked := 0; parked == 0; {
@@ -235,8 +235,8 @@ func TestDeleteNSDropsTheNamespace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := <-woke; got != v+1 || s.VersionNS(ns) != v+1 || s.Version() != store+1 {
-		t.Errorf("the drop woke a waiter at %d, shard at %d, store at %d; want %d, %d, %d", got, s.VersionNS(ns), s.Version(), v+1, v+1, store+1)
+	if got := <-woke; got != v+1 || s.AwaitNS(context.Background(), ns, 0, 0) != v+1 || s.versionSum() != store+1 {
+		t.Errorf("the drop woke a waiter at %d, shard at %d, store at %d; want %d, %d, %d", got, s.AwaitNS(context.Background(), ns, 0, 0), s.versionSum(), v+1, v+1, store+1)
 	}
 	if got := listNS(ns); !reflect.DeepEqual(got, []string{ns + "early", ns + "late"}) {
 		t.Errorf("dropped namespace holds %v, want the body's own writes alone", got)

@@ -36,9 +36,6 @@ type TaskName struct {
 	Seq     int
 }
 
-// Channel returns the task's channel identity.
-func (t TaskName) ChannelID() ChannelID { return ChannelID{t.Stage, t.Channel} }
-
 // String renders the name as "stage.channel.seq". Task names are built on
 // the engine's hottest paths (GCS keys, backup keys, mailbox slots), so
 // this avoids fmt's reflection cost.

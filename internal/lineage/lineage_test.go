@@ -20,9 +20,6 @@ func TestTaskNameRoundTrip(t *testing.T) {
 	if _, err := ParseTaskName("garbage"); err == nil {
 		t.Error("want parse error")
 	}
-	if n.ChannelID() != (ChannelID{2, 7}) {
-		t.Error("ChannelID wrong")
-	}
 }
 
 func TestChannelIDRoundTrip(t *testing.T) {

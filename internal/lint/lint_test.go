@@ -10,14 +10,7 @@ import (
 // invariant and the offending site — fix the code (or, deliberately and
 // with review, extend config.go's blessed lists).
 func TestInvariantsModuleClean(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	pkgs, err := l.LoadModule()
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
+	l, pkgs := loadModule(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("suspiciously few packages loaded (%d) — loader broken?", len(pkgs))
 	}

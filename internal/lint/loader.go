@@ -97,9 +97,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the loaded module's path ("quokka").
-func (l *Loader) ModulePath() string { return l.modPath }
-
 // LoadModule discovers every package directory under the module root
 // (skipping testdata, hidden directories and vendor) and loads each one.
 // Returned packages are sorted by import path.

@@ -132,7 +132,7 @@ const (
 )
 
 // Histogram names used across the engine. All values are durations in
-// nanoseconds observed via Collector.Observe.
+// nanoseconds observed via Collector.Hist.
 const (
 	TaskLatencyNS   = "task.latency.ns"   // task creation -> committed
 	AdmissionWaitNS = "admission.wait.ns" // admission queue wait before execution
@@ -341,14 +341,6 @@ type HistogramSnapshot struct {
 	Buckets [HistBuckets]int64
 }
 
-// Mean returns the arithmetic mean of observed values (0 when empty).
-func (s HistogramSnapshot) Mean() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / s.Count
-}
-
 // Quantile returns an upper bound on the q-quantile (0 <= q <= 1): the
 // inclusive upper edge of the bucket holding the q*Count-th observation.
 // With log2 buckets the bound is within 2x of the true value.
@@ -396,7 +388,7 @@ func (c *Collector) hist(name string) *Histogram {
 // directly, skipping the map lookup per event. A nil Collector returns
 // nil (and a nil *Histogram's Observe is a no-op). On a tee, Hist resolves
 // against the last target — observations through it reach only that
-// target, so tees that must fan out use Collector.Observe instead.
+// target, so a histogram that must fan out is resolved once per target.
 func (c *Collector) Hist(name string) *Histogram {
 	if c == nil {
 		return nil
@@ -408,22 +400,6 @@ func (c *Collector) Hist(name string) *Histogram {
 		return c.fan[len(c.fan)-1].Hist(name)
 	}
 	return c.hist(name)
-}
-
-// Observe records one value into the named histogram. On a tee the
-// observation fans out to every target, mirroring Add and Max. A nil
-// Collector is a no-op.
-func (c *Collector) Observe(name string, v int64) {
-	if c == nil {
-		return
-	}
-	if c.fan != nil {
-		for _, t := range c.fan {
-			t.Observe(name, v)
-		}
-		return
-	}
-	c.hist(name).Observe(v)
 }
 
 // Histograms returns a snapshot of every histogram. On a tee, reads

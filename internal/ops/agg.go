@@ -55,9 +55,6 @@ type AggExpr struct {
 // Sum returns sum(e) as name.
 func Sum(name string, e expr.Expr) AggExpr { return AggExpr{name, AggSum, e} }
 
-// Count returns count(e) as name.
-func Count(name string, e expr.Expr) AggExpr { return AggExpr{name, AggCount, e} }
-
 // CountStar returns count(*) as name.
 func CountStar(name string) AggExpr { return AggExpr{Name: name, Kind: AggCountStar} }
 

@@ -23,7 +23,7 @@ import (
 func goldenAggs() []AggExpr {
 	return []AggExpr{
 		Sum("isum", expr.C("iv")), Sum("fsum", expr.C("fv")),
-		Count("cnt", expr.C("fv")), CountStar("n"),
+		{"cnt", AggCount, expr.C("fv")}, CountStar("n"),
 		Min("smin", expr.C("sv")), Max("smax", expr.C("sv")),
 		Min("imin", expr.C("iv")), Max("imax", expr.C("iv")),
 		Min("fmin", expr.C("fv")), Max("fmax", expr.C("fv")),

@@ -16,7 +16,7 @@ import (
 func forwardAggs() []AggExpr {
 	return []AggExpr{
 		Sum("isum", expr.C("iv")), Sum("dsum", expr.C("dv")),
-		Count("cnt", expr.C("sv")), CountStar("n"),
+		{"cnt", AggCount, expr.C("sv")}, CountStar("n"),
 		Min("imin", expr.C("iv")), Max("imax", expr.C("iv")),
 		Min("dmin", expr.C("dv")), Max("dmax", expr.C("dv")),
 		Min("smin", expr.C("sv")), Max("smax", expr.C("sv")),

@@ -136,9 +136,6 @@ type Node struct {
 	schema *batch.Schema // resolved by Bind
 }
 
-// Schema returns the node's output schema; nil before Bind.
-func (n *Node) Schema() *batch.Schema { return n.schema }
-
 // Scan reads a catalog table.
 func Scan(table string) *Node { return &Node{Kind: KindScan, Table: table} }
 

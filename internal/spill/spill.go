@@ -66,13 +66,6 @@ func NewLedger(budget int64, met *metrics.Collector) *Ledger {
 	return &Ledger{budget: budget, met: met}
 }
 
-// Used returns the currently accounted bytes across all attached
-// accountants.
-func (l *Ledger) Used() int64 { return l.cur.Load() }
-
-// Peak returns the high-water mark of accounted bytes.
-func (l *Ledger) Peak() int64 { return l.peak.Load() }
-
 func (l *Ledger) grow(delta int64) {
 	cur := l.cur.Add(delta)
 	for {
@@ -115,26 +108,11 @@ func (a *Accountant) AttachLedger(l *Ledger) { a.parent = l }
 // Budget returns the configured budget.
 func (a *Accountant) Budget() int64 { return a.budget }
 
-// Used returns the currently accounted bytes.
-func (a *Accountant) Used() int64 { return a.cur.Load() }
-
 // Peak returns the high-water mark of accounted bytes.
 func (a *Accountant) Peak() int64 { return a.peak.Load() }
 
-// Fits reports whether growing by delta would stay within the budget —
-// both this query's own budget and, when attached, the worker-wide ledger
-// shared with concurrent queries. Rejection only ever makes an operator
-// spill, and spilling is output-transparent, so cross-query pressure may
-// be arbitrarily racy without perturbing lineage replay.
-func (a *Accountant) Fits(delta int64) bool {
-	if a.parent != nil && !a.parent.fits(delta) {
-		return false
-	}
-	return a.cur.Load()+delta <= a.budget
-}
-
 // Grow adds delta to the accounted bytes unconditionally and updates the
-// peak. Callers check Fits first and spill instead when it fails; growing
+// peak. Callers try TryGrow first and spill instead when it fails; growing
 // past the budget is reserved for ForceReserve-style last resorts, the only
 // way past it: SpillForcedPeak is how far they took it.
 func (a *Accountant) Grow(delta int64) {
@@ -158,7 +136,7 @@ func (a *Accountant) Release(delta int64) {
 // budget (no check-then-grow race between a worker's channels).
 // The worker-wide ledger check is advisory (checked up front, not held
 // atomically with the grow): overshoot between queries only means a later
-// Fits turns negative sooner, which is safe by output transparency.
+// TryGrow fails sooner, which is safe by output transparency.
 func (a *Accountant) TryGrow(delta int64) bool {
 	if a.parent != nil && !a.parent.fits(delta) {
 		return false
@@ -197,16 +175,17 @@ type Context struct {
 	met   *metrics.Collector
 	parts int
 	bits  uint
-	// compress selects the QBA2 compressed frame codec for run files.
-	// Decoding is self-describing (RunIter dispatches on each frame's
-	// magic), so flipping it mid-query only affects runs written after the
-	// flip — reads always work. Spilling stays output-transparent either
-	// way: decoded frames are byte-identical regardless of encoding.
+	// compress selects the QBA2 compressed frame codec for run files (the
+	// default) over raw encoding-0 frames. Decoding is self-describing
+	// (RunIter dispatches on each frame's magic), and spilling stays
+	// output-transparent either way: decoded frames are byte-identical
+	// regardless of encoding.
 	compress bool
 }
 
 // SetCompression selects compressed (QBA2) or raw (encoding-0) run files
-// for subsequent writes.
+// for subsequent writes. The engine never calls it; the benchmark's spill
+// layer does.
 func (c *Context) SetCompression(on bool) { c.compress = on }
 
 // NewContext creates a worker spill context. parts must be a power of two.
@@ -218,7 +197,7 @@ func NewContext(disk storage.Disk, acct *Accountant, met *metrics.Collector, par
 	for 1<<bits < parts {
 		bits++
 	}
-	return &Context{disk: disk, acct: acct, met: met, parts: parts, bits: bits}
+	return &Context{disk: disk, acct: acct, met: met, parts: parts, bits: bits, compress: true}
 }
 
 // Accountant returns the worker's shared accountant.

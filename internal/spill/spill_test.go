@@ -29,9 +29,10 @@ func TestAccountant(t *testing.T) {
 	if a.TryGrow(50) {
 		t.Fatal("TryGrow past budget succeeded")
 	}
-	if !a.Fits(40) || a.Fits(41) {
-		t.Fatalf("Fits boundary wrong at used=%d", a.Used())
+	if a.TryGrow(41) || !a.TryGrow(40) {
+		t.Fatalf("TryGrow boundary wrong at used=%d", a.Used())
 	}
+	a.Release(40)
 	a.Grow(50) // forced: may exceed
 	if a.Used() != 110 || a.Peak() != 110 {
 		t.Fatalf("forced grow: used=%d peak=%d", a.Used(), a.Peak())

@@ -2,8 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"quokka/internal/metrics"
@@ -50,7 +48,7 @@ type ObjectStore struct {
 
 	mu   sync.RWMutex
 	data map[string][]byte
-	gen  uint64 // puts and deletes so far: what a remote cache of objects is valid under
+	gen  uint64 // puts so far: what a remote cache of objects is valid under
 }
 
 // NewObjectStore creates an empty durable store with the given profile.
@@ -90,7 +88,7 @@ func (s *ObjectStore) PutFree(key string, value []byte) {
 	s.gen++
 }
 
-// PutGen returns how many puts and deletes the store has applied. Whoever
+// PutGen returns how many puts the store has applied. Whoever
 // caches its objects elsewhere (a worker process, docs/contracts/
 // storage-objects.md) holds them valid only while this stands still.
 func (s *ObjectStore) PutGen() uint64 {
@@ -125,37 +123,4 @@ func (s *ObjectStore) GetFree(key string) ([]byte, error) {
 		return nil, fmt.Errorf("storage: object %q not found", key)
 	}
 	return v, nil
-}
-
-// Delete removes a key; absent keys are ignored.
-func (s *ObjectStore) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.data, key)
-	s.gen++
-}
-
-// List returns the sorted keys with the given prefix.
-func (s *ObjectStore) List(prefix string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for k := range s.data {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Size returns the stored size of key, or -1 if absent. No I/O cost.
-func (s *ObjectStore) Size(key string) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.data[key]
-	if !ok {
-		return -1
-	}
-	return int64(len(v))
 }

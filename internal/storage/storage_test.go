@@ -102,21 +102,14 @@ func TestObjectStore(t *testing.T) {
 	if err != nil || string(v) != "defg" {
 		t.Fatalf("Get = %q, %v", v, err)
 	}
-	if got := s.List("tbl/"); len(got) != 2 {
-		t.Errorf("List = %v", got)
-	}
-	if s.Size("tbl/0") != 3 || s.Size("none") != -1 {
-		t.Error("Size wrong")
+	if v, err := s.GetFree("tbl/0"); err != nil || string(v) != "abc" {
+		t.Errorf("GetFree(tbl/0) = %q, %v", v, err)
 	}
 	// PutFree must not be billed.
 	if met.Get(metrics.ObjWriteBytes) != 3 {
 		t.Errorf("billed bytes = %d, want 3", met.Get(metrics.ObjWriteBytes))
 	}
-	s.Delete("tbl/0")
-	if s.Size("tbl/0") != -1 {
-		t.Error("Delete failed")
-	}
-	if _, err := s.Get("tbl/0"); err == nil {
+	if _, err := s.Get("none"); err == nil {
 		t.Error("want error on missing object")
 	}
 }

@@ -73,12 +73,12 @@ func TestOptimizerEquivalence(t *testing.T) {
 // anything else nondeterministic.
 func TestOptimizedPlansAreDeterministic(t *testing.T) {
 	for _, q := range QueryNumbers() {
-		a, err := Explain(q)
+		a, err := ExplainAt(q, 1)
 		if err != nil {
 			t.Fatalf("q%d: %v", q, err)
 		}
 		for i := 0; i < 3; i++ {
-			b, err := Explain(q)
+			b, err := ExplainAt(q, 1)
 			if err != nil {
 				t.Fatalf("q%d: %v", q, err)
 			}
@@ -102,7 +102,7 @@ func TestNaiveQueriesRun(t *testing.T) {
 // TestExplainGoldenQ6 pins the full optimized plan of the simplest query:
 // the pushed predicate and the pruned scan columns must render exactly.
 func TestExplainGoldenQ6(t *testing.T) {
-	got, err := Explain(6)
+	got, err := ExplainAt(6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestExplainGoldenQ6(t *testing.T) {
 // joins to three scans, projection pruning between the joins, and the
 // statistics-driven broadcast of the filtered customer build side.
 func TestExplainGoldenQ3(t *testing.T) {
-	got, err := Explain(3)
+	got, err := ExplainAt(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestExplainGoldenQ3(t *testing.T) {
 // TestExplainSharedFrame: DAG-shaped queries render shared subtrees once.
 func TestExplainSharedFrame(t *testing.T) {
 	for _, q := range []int{2, 11, 15, 17, 22} {
-		s, err := Explain(q)
+		s, err := ExplainAt(q, 1)
 		if err != nil {
 			t.Fatalf("q%d: %v", q, err)
 		}
@@ -159,7 +159,7 @@ func TestExplainSharedFrame(t *testing.T) {
 // standalone filter above a scan.
 func TestOptimizerPushesAndPrunes(t *testing.T) {
 	for _, q := range QueryNumbers() {
-		s, err := Explain(q)
+		s, err := ExplainAt(q, 1)
 		if err != nil {
 			t.Fatalf("q%d: %v", q, err)
 		}

@@ -78,24 +78,6 @@ func Query(n int) (*engine.Plan, error) {
 	return plan.Lower(opt, plan.Optimized)
 }
 
-// NaiveQuery lowers query n exactly as typed — no pushdown, no pruning,
-// no fusion, no partial aggregation, Auto joins shuffling. It is the
-// planner benchmark's baseline and the equivalence suite's witness.
-func NaiveQuery(n int) (*engine.Plan, error) {
-	node, err := LogicalQuery(n)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.Bind(node, Catalog(1)); err != nil {
-		return nil, err
-	}
-	return plan.Lower(node, plan.Naive)
-}
-
-// Explain renders the optimized logical plan of query n at the SF-1
-// statistics Query plans with.
-func Explain(n int) (string, error) { return ExplainAt(n, 1) }
-
 // ExplainAt renders the optimized logical plan of query n planned
 // against the spec's catalog statistics at scale factor sf — no data is
 // generated or loaded.

@@ -122,9 +122,6 @@ func New(workers, shardCap int, stageNames []string) *Recorder {
 	}
 }
 
-// Enabled reports whether the recorder records (false on nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Record appends a span to the shard of its worker (Span.Worker -1 or out
 // of range lands on the head shard). Lock-cheap: one shard-local mutex,
 // no allocation beyond amortized slice growth up to the shard cap.

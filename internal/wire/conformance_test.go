@@ -328,7 +328,7 @@ func gcsConformance(t *testing.T, b *backends) {
 		frames := func() int64 { return b.opFrames("gcs_follow") + b.opFrames("gcs_commit") }
 		commit(g) // its answer brings the client up to the namespace's version
 		v := g.AwaitNS(ctx, ns, 0, 0)
-		if now := b.store.VersionNS(ns); v != now {
+		if now := b.store.AwaitNS(context.Background(), ns, 0, 0); v != now {
 			t.Fatalf("after an own commit the probe answered %d, namespace at %d", v, now)
 		}
 		commit(g)
@@ -405,7 +405,7 @@ func replicaConformance(t *testing.T, b *backends) {
 	// sees has be observe every commit the store holds, as the engine's wait
 	// does before it loads an image: a view promises what its client observed.
 	sees := func(be gcs.Backend) {
-		be.AwaitNS(context.Background(), ns, b.store.VersionNS(ns)-1, time.Second)
+		be.AwaitNS(context.Background(), ns, b.store.AwaitNS(context.Background(), ns, 0, 0)-1, time.Second)
 	}
 	put := func(be gcs.Backend, ns, key, val string) {
 		t.Helper()
@@ -521,7 +521,7 @@ func replicaConformance(t *testing.T, b *backends) {
 	// lock makes that interleaving impossible; the peer goes first.)
 	t.Run("conflict-rerun", func(t *testing.T) {
 		start, _ := read(g, counter)
-		version := b.store.VersionNS(ns)
+		version := b.store.AwaitNS(context.Background(), ns, 0, 0)
 		runs := 0
 		if !b.remote {
 			bump(b.peer, nil)
@@ -544,7 +544,7 @@ func replicaConformance(t *testing.T, b *backends) {
 		if want := map[bool]int{false: 1, true: 2}[b.remote]; runs != want {
 			t.Fatalf("body ran %d times, want %d", runs, want)
 		}
-		if got := b.store.VersionNS(ns); got != version+2 {
+		if got := b.store.AwaitNS(context.Background(), ns, 0, 0); got != version+2 {
 			t.Fatalf("version moved %d -> %d, want two commits: the stale attempt must apply nothing", version, got)
 		}
 	})
@@ -581,9 +581,9 @@ func replicaConformance(t *testing.T, b *backends) {
 		var other string
 		for i := 0; other == ""; i++ {
 			cand := engine.QueryNamespace(fmt.Sprintf("conf-%d", i))
-			before := b.store.VersionNS(ns)
+			before := b.store.AwaitNS(context.Background(), ns, 0, 0)
 			put(b.peer, cand, cand+"k", "theirs")
-			if b.store.VersionNS(ns) != before {
+			if b.store.AwaitNS(context.Background(), ns, 0, 0) != before {
 				other = cand // same shard: its commit moved our version
 			}
 		}
@@ -631,7 +631,7 @@ func replicaConformance(t *testing.T, b *backends) {
 	// whole, empty, namespace; gcs.TestChangeTrackingLifecycle looks inside),
 	// and the client holds no replica.
 	t.Run("replica-dropped-with-query", func(t *testing.T) {
-		version := b.store.VersionNS(ns)
+		version := b.store.AwaitNS(context.Background(), ns, 0, 0)
 		if _, full := namespaceKeys(t, b, ns, version); full {
 			t.Fatalf("a followed namespace answered a current replica with the whole namespace")
 		}

@@ -7,8 +7,10 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"reflect"
@@ -341,7 +343,20 @@ func TestRetiredFramesRefused(t *testing.T) {
 	store.UpdateNS(confNS, func(tx *gcs.Txn) error { tx.Put(confNS+"conf-a", []byte("1")); return nil })
 	mbox.fl.Push(flight.Partition{Query: "q-keep", Dest: lineage.ChannelID{Stage: 1}, Data: []byte("piece")})
 	mbox.fl.SpoolResult("q-keep", lineage.TaskName{Stage: 1}, []byte("result"), 1)
-	version, buffered := store.Version(), mbox.fl.BufferedBytes()
+	// image is every key and value of the whole store: a retired frame must
+	// write nothing to any namespace, not only confNS's.
+	image := func() map[string]string {
+		m := map[string]string{}
+		store.View(func(tx *gcs.Txn) error {
+			for _, k := range tx.List("") {
+				v, _ := tx.Get(k)
+				m[k] = string(v)
+			}
+			return nil
+		})
+		return m
+	}
+	version, keys, buffered, gen := store.AwaitNS(context.Background(), confNS, 0, 0), image(), mbox.fl.BufferedBytes(), objs.PutGen()
 
 	listeners := []struct {
 		name, addr string
@@ -370,14 +385,17 @@ func TestRetiredFramesRefused(t *testing.T) {
 		}
 	}
 
-	if got := objs.List(""); !reflect.DeepEqual(got, []string{"tbl-x/0"}) {
-		t.Errorf("object store keys = %v", got)
+	if got := objs.PutGen(); got != gen {
+		t.Errorf("object store put generation moved %d -> %d", gen, got)
 	}
 	if v, _ := objs.GetFree("tbl-x/0"); string(v) != "split0" {
 		t.Errorf("object = %q, want split0", v)
 	}
-	if store.Version() != version {
-		t.Errorf("GCS version moved %d -> %d", version, store.Version())
+	if store.AwaitNS(context.Background(), confNS, 0, 0) != version {
+		t.Errorf("GCS version moved %d -> %d", version, store.AwaitNS(context.Background(), confNS, 0, 0))
+	}
+	if got := image(); !maps.Equal(got, keys) {
+		t.Errorf("GCS keyspace changed: %v -> %v", keys, got)
 	}
 	if mbox.fl.BufferedBytes() != buffered {
 		t.Errorf("mailbox holds %d bytes, had %d", mbox.fl.BufferedBytes(), buffered)
@@ -405,14 +423,14 @@ func TestTxnPeerCrashAborts(t *testing.T) {
 	store := cl.GCS.(*gcs.Store)
 	key := confNS + "conf-a"
 	store.UpdateNS(confNS, func(tx *gcs.Txn) error { tx.Put(key, []byte("1")); return nil })
-	version := store.Version()
+	version := store.AwaitNS(context.Background(), confNS, 0, 0)
 
 	// The frame a healthy client would send: read conf-a at the current
 	// version, overwrite it.
 	var w wbuf
 	w.u32(1)
 	w.str(confNS)
-	w.u64(store.VersionNS(confNS))
+	w.u64(store.AwaitNS(context.Background(), confNS, 0, 0))
 	w.strs([]string{key})
 	w.strs(nil)
 	w.u32(1)
@@ -458,8 +476,8 @@ func TestTxnPeerCrashAborts(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("shard lock held after a peer's conn dropped")
 	}
-	if store.Version() != version {
-		t.Errorf("cut frames moved the version %d -> %d", version, store.Version())
+	if store.AwaitNS(context.Background(), confNS, 0, 0) != version {
+		t.Errorf("cut frames moved the version %d -> %d", version, store.AwaitNS(context.Background(), confNS, 0, 0))
 	}
 
 	// The whole frame, for contrast, commits.
@@ -476,7 +494,7 @@ func TestTxnPeerCrashAborts(t *testing.T) {
 	if err != nil || rt != mtGCSResult || rp[0] != 1 {
 		t.Fatalf("whole frame: 0x%02x %v, %v; want committed", rt, rp, err)
 	}
-	if store.Version() != version+1 {
-		t.Errorf("version %d after the whole frame, want %d", store.Version(), version+1)
+	if store.AwaitNS(context.Background(), confNS, 0, 0) != version+1 {
+		t.Errorf("version %d after the whole frame, want %d", store.AwaitNS(context.Background(), confNS, 0, 0), version+1)
 	}
 }

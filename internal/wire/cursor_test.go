@@ -6,6 +6,9 @@ package wire
 
 import (
 	"context"
+	"errors"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -13,6 +16,7 @@ import (
 	"quokka/internal/cluster"
 	"quokka/internal/engine"
 	"quokka/internal/expr"
+	"quokka/internal/lineage"
 	"quokka/internal/metrics"
 	"quokka/internal/ops"
 	"quokka/internal/trace"
@@ -49,7 +53,7 @@ func drain(t *testing.T, cur *engine.Cursor, each func(n int)) *batch.Batch {
 	t.Helper()
 	var parts []*batch.Batch
 	for {
-		b, err := cur.Next()
+		b, err := cur.NextContext(context.Background())
 		if err != nil {
 			t.Fatalf("cursor after %d batches: %v", len(parts), err)
 		}
@@ -115,6 +119,75 @@ func TestProcessModeCursorMatchesResult(t *testing.T) {
 	}
 	t.Logf("through a 2 KiB cursor: %d sink_deliver frames for %d output tasks (%.2f each)",
 		frames-before, tasks, float64(frames-before)/float64(tasks))
+}
+
+// TestBadDeliveryRefused: the head does not trust a worker's result frame. A
+// sink_deliver for a live query naming a task that is not one of its
+// output-stage tasks — a negative or out-of-range channel, another stage, a
+// negative sequence — closes the conn unanswered with ErrCorrupt and changes
+// nothing: the head keeps serving, and the query's stream is still the
+// whole result.
+func TestBadDeliveryRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-mode e2e is not short")
+	}
+	cl, srv := distCluster(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	want, _, err := startCursorPlan(ctx, t, cl).Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// An attached cursor nobody reads holds the query live, its output stage
+	// pending on the full buffer.
+	q := startCursorPlan(ctx, t, cl)
+	cur := q.Cursor()
+	for {
+		srv.mu.Lock()
+		live := srv.queries[q.QueryID()] != nil
+		srv.mu.Unlock()
+		if live {
+			break
+		}
+		select {
+		case <-q.Done():
+			t.Fatalf("query ended before it was registered: %v", q.Wait())
+		case <-time.After(time.Millisecond):
+		}
+	}
+	for _, task := range []lineage.TaskName{
+		{Stage: 1, Channel: -1}, {Stage: 1, Channel: 2}, {Stage: 0}, {Stage: 1, Seq: -1},
+	} {
+		var w wbuf
+		w.str(q.QueryID())
+		w.task(task)
+		w.i64(0)
+		w.bytes(make([]byte, 4096))
+		c, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := writeFrame(c, mtSinkDeliver, w.b); err != nil {
+			t.Fatal(err)
+		}
+		if rt, _, err := readFrame(c); err != io.EOF {
+			t.Errorf("delivery of %s: the head answered 0x%02x, %v; want the conn closed", task, rt, err)
+		}
+		c.Close()
+		if err := srv.handleOp(c, mtSinkDeliver, w.b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("delivery of %s: the dispatcher returned %v, want ErrCorrupt", task, err)
+		}
+	}
+
+	got := drain(t, cur, func(int) {})
+	if err := q.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if string(batch.Encode(got)) != string(batch.Encode(want)) {
+		t.Fatalf("stream after refused deliveries: %d rows, want %d", got.NumRows(), want.NumRows())
+	}
 }
 
 // TestProcessModeKillWorkerMidCursor is engine.TestKillWorkerMidCursorFetch

@@ -143,7 +143,7 @@ func distRun(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Config) (*batc
 	query := distStart(t, cl, q, cfg)
 	out, rep, runErr := query.Result()
 	var spans []trace.Span
-	if rec := query.Trace(); rec.Enabled() {
+	if rec := query.Trace(); rec != nil {
 		spans = rec.Snapshot()
 	}
 	return out, rep, spans, runErr
@@ -353,7 +353,7 @@ func killMidQuery(cl *cluster.Cluster, w cluster.WorkerID, query *engine.Query) 
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
-		base := store.VersionNS(ns)
+		base := store.AwaitNS(context.Background(), ns, 0, 0)
 		for seen := base; ctx.Err() == nil; {
 			if seen >= base+10 && victimCommitted() {
 				cl.Worker(w).Kill()

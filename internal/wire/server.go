@@ -401,14 +401,6 @@ func (s *Server) AwaitWorkers(n int, timeout time.Duration) error {
 	return nil
 }
 
-// AttachedWorkers returns how many worker processes are currently
-// attached.
-func (s *Server) AttachedWorkers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ctrl)
-}
-
 // Spawn launches a quokka-worker process from the given binary for worker
 // id, pointed at this server, and installs a SIGKILL hook on the cluster
 // worker: Cluster.KillWorker then delivers a real kill -9 to the process,
@@ -622,8 +614,15 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		s.mu.Unlock()
 		// An unknown query means it already finished teardown: accept-and-
 		// drop, so a straggler worker never spins on backpressure retries.
+		accepted := true
+		if run != nil {
+			var err error
+			if accepted, err = run.DeliverResult(t, data, epoch); err != nil {
+				return fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
+		}
 		var w wbuf
-		w.boolean(run == nil || run.HeadSink().Deliver(t, data, epoch))
+		w.boolean(accepted)
 		return writeFrame(c, mtBoolResp, w.b)
 	}
 	return fmt.Errorf("%w: unknown op 0x%02x", ErrCorrupt, typ)

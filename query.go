@@ -60,9 +60,9 @@ func (q *Query) WaitContext(ctx context.Context) error { return q.inner.WaitCont
 // is still waiting in the admission queue.
 func (q *Query) Cancel() { q.inner.Cancel() }
 
-// Result waits for completion and materializes the output, exactly like
-// Collect. If a Cursor already consumed part of the stream, only the
-// remainder is returned.
+// Result materializes the output as the query runs and returns it once
+// the query completes, exactly like Collect. If a Cursor already consumed
+// part of the stream, only the remainder is returned.
 func (q *Query) Result() (*Result, error) {
 	out, rep, err := q.inner.Result()
 	if err != nil {

@@ -109,20 +109,6 @@ func WithWorkerMemoryBudget(bytes int64) Option { return engine.WithWorkerMemory
 // built-in default (4 MiB); negative disables the bound.
 func WithCursorBufferBytes(n int64) Option { return engine.WithCursorBufferBytes(n) }
 
-// WithShuffleCompression selects the compressed (QBA2) codec for shuffle
-// partitions, result partitions and replay backups (true, the default) or the
-// raw encoding-0 format (false) — the escape hatch for debugging wire
-// bytes. Compression is output-transparent: decoded batches are
-// byte-identical either way, so results, lineage replay and routing are
-// unaffected. Only queries submitted after the call observe the change.
-func WithShuffleCompression(on bool) Option { return engine.WithShuffleCompression(on) }
-
-// WithSpillCompression selects the compressed (QBA2) codec for spill run
-// files (true, the default) or raw encoding-0 frames (false). Same
-// transparency contract as WithShuffleCompression. Only queries submitted
-// after the call observe the change.
-func WithSpillCompression(on bool) Option { return engine.WithSpillCompression(on) }
-
 // WithListenAddr switches a cluster into process mode: the head serves
 // its control plane — GCS transactions, the object store and the result
 // sink — to quokka-worker processes over TCP on the given address (":0"
