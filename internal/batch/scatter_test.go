@@ -132,7 +132,9 @@ func TestScatterKeepsAWholeSourceUncopied(t *testing.T) {
 // the key hashes, partition ids and permutation are pooled scratch. The
 // bound is the measured 24.1 bytes per row plus 25 %; concatenating first
 // and then partitioning with per-channel row lists (append-grown index
-// slices, a second copy of every row) allocated 79.7 bytes per row.
+// slices, a second copy of every row) allocated 79.7 bytes per row. Under the
+// race detector the bound is not asserted (raceEnabled): its sync.Pool drops
+// pooled routers at random, and each rebuild costs about 1.6 bytes per row.
 func TestRouteZeroAllocsPerRowBound(t *testing.T) {
 	const rows, sources, bound = 32768, 4, 30.0
 	s := NewSchema(F("k", Int64), F("v", Float64), F("d", Date))
@@ -159,8 +161,8 @@ func TestRouteZeroAllocsPerRowBound(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRow := float64(after.TotalAlloc-before.TotalAlloc) / (runs * rows)
-	t.Logf("routing allocates %.2f bytes per row", perRow)
-	if perRow > bound {
+	t.Logf("routing allocates %.2f bytes per row (race detector: %v)", perRow, raceEnabled)
+	if perRow > bound && !raceEnabled {
 		t.Errorf("routing allocates %.2f bytes per row, bound %.0f", perRow, bound)
 	}
 }

@@ -7,19 +7,17 @@ import (
 	"sync/atomic"
 
 	"quokka/internal/cluster"
-	"quokka/internal/gcs"
 	"quokka/internal/metrics"
-	"quokka/internal/spill"
 )
 
 // This file holds the cluster's cross-query execution state: the admission
 // controller that bounds how many queries execute at once (FIFO queueing
 // beyond the bound), the per-worker CPU slot pools shared by every
-// in-flight query, and the optional per-worker memory ledger that makes
-// concurrent queries' spill accountants feel each other's pressure.
+// in-flight query, and the group committer (groupcommit.go) that folds
+// every query's lineage commits into shared flushes.
 //
-// Nothing here touches the per-query GCS namespaces: admission is a purely
-// head-node concern, and a queued query has no execution state at all (its
+// Admission touches no per-query GCS namespace: it is a purely head-node
+// concern, and a queued query has no execution state at all (its
 // namespace is seeded only once it is admitted).
 
 // DefaultAdmissionLimit is the default bound on concurrently admitted
@@ -33,12 +31,6 @@ type clusterShared struct {
 
 	mu   sync.Mutex
 	cpus map[cluster.WorkerID]chan struct{}
-	mem  map[cluster.WorkerID]*spill.Ledger
-	// workerBudget caps the accounted operator bytes per worker summed
-	// over every in-flight query (0 = no cross-query cap; each query is
-	// still governed by its own MemoryBudget).
-	workerBudget int64
-	met          *metrics.Collector
 
 	// opts is what the Configure options set and resolve reads: the
 	// cluster-level half of every query's Policy.
@@ -51,37 +43,9 @@ type clusterShared struct {
 	listenAddr string
 	exec       RemoteExec
 
-	// The cluster's shared group committer: ONE flusher serves every
-	// admitted query, so concurrent queries' lineage commits fold into the
-	// same GCS transactions. Refcounted — it runs only while some worker's
-	// task-manager threads are up (see runTaskManager).
-	gcMu   sync.Mutex
-	gcRefs int
-	gc     *groupCommitter
-}
-
-// committer returns the cluster's shared group committer, starting it on
-// first acquisition. Every acquirer must call committerDone after its last
-// task-manager thread has exited.
-func (s *clusterShared) committer(store gcs.Backend) *groupCommitter {
-	s.gcMu.Lock()
-	defer s.gcMu.Unlock()
-	if s.gcRefs == 0 {
-		s.gc = newGroupCommitter(store)
-	}
-	s.gcRefs++
-	return s.gc
-}
-
-// committerDone releases one acquisition; the last release stops the
-// flusher (safe: no registered query remains, so no requester can block).
-func (s *clusterShared) committerDone() {
-	s.gcMu.Lock()
-	defer s.gcMu.Unlock()
-	if s.gcRefs--; s.gcRefs == 0 {
-		s.gc.stop()
-		s.gc = nil
-	}
+	// gc is the cluster's shared group committer: concurrent queries'
+	// lineage commits fold into the same GCS transactions.
+	gc groupCommitter
 }
 
 // sharedFor returns (creating on first use) the cluster's shared engine
@@ -91,8 +55,6 @@ func sharedFor(cl *cluster.Cluster) *clusterShared {
 		return &clusterShared{
 			admit: newAdmission(DefaultAdmissionLimit, cl.Metrics),
 			cpus:  make(map[cluster.WorkerID]chan struct{}),
-			mem:   make(map[cluster.WorkerID]*spill.Ledger),
-			met:   cl.Metrics,
 			exec:  localExec{},
 		}
 	}).(*clusterShared)
@@ -127,21 +89,6 @@ func (s *clusterShared) cpuFor(w cluster.WorkerID, capacity int) chan struct{} {
 		s.cpus[w] = ch
 	}
 	return ch
-}
-
-// ledgerFor returns the worker's cross-query memory ledger. Without a
-// configured worker-wide budget the ledger is track-only: it never rejects
-// (per-query budgets govern alone) but still records the worker's total
-// accounted bytes across queries and the mem.worker.peak gauge.
-func (s *clusterShared) ledgerFor(w cluster.WorkerID) *spill.Ledger {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.mem[w]
-	if !ok {
-		l = spill.NewLedger(s.workerBudget, s.met)
-		s.mem[w] = l
-	}
-	return l
 }
 
 // admission is a FIFO bounded-concurrency gate.

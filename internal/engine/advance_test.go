@@ -61,7 +61,8 @@ func imageDiff(advanced, loaded *snapshot) string {
 // flush's version — when nothing else wrote the namespace before the load
 // ended — and when the next flush starts, by which time the committer has
 // published whatever it advanced, it compares the two. UpdateMulti is the
-// committer's alone, so all of this runs on its goroutine.
+// committer's alone, and its flushes run one at a time (each on the thread of
+// a requester), so none of this runs concurrently with itself.
 type imageCheck struct {
 	gcs.Backend
 	store  *gcs.Store

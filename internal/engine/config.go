@@ -265,14 +265,12 @@ func TrinoConfig() Config {
 // Configure options write and resolve reads. The zero value is the built-in
 // behaviour.
 type clusterOptions struct {
-	cursorBuffer int64 // WithCursorBufferBytes; 0 = DefaultCursorBufferBytes
-	tracing      bool  // WithTracing
+	tracing bool // WithTracing
 }
 
 // Policy is one query's effective settings: the caller's Config with every
-// floor and inherited value filled in — so CursorBufferBytes is never 0
-// (negative = no bound) — plus the cluster-level options as they stood at
-// submit time.
+// floor and default filled in — so CursorBufferBytes is never 0 (negative =
+// no bound) — plus the cluster-level options as they stood at submit time.
 // resolve builds it once; the Runner keeps it and WorkerQuerySpec ships it
 // whole, so the head and every worker process run one query under one
 // policy and nothing downstream re-derives a default.
@@ -310,9 +308,6 @@ func resolve(cfg Config, o clusterOptions) (Policy, error) {
 	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = d.HeartbeatInterval
-	}
-	if cfg.CursorBufferBytes == 0 {
-		cfg.CursorBufferBytes = o.cursorBuffer
 	}
 	if cfg.CursorBufferBytes == 0 {
 		cfg.CursorBufferBytes = DefaultCursorBufferBytes

@@ -850,8 +850,6 @@ func TestFatalTaskErrorIsNeverCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm := newTaskManager(r, cl.Worker(0))
-	tm.gc = r.shared.committer(cl.GCS)
-	defer r.shared.committerDone()
 	snap, err := r.snapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"time"
 
 	"quokka/internal/gcs"
@@ -16,38 +18,42 @@ import (
 // admitted query fold into the same flush transaction (gcs.UpdateMulti
 // spans their namespaces), so batch width grows with the admission level
 // at exactly the point where one-transaction-per-task would knee the head
-// node over. Task managers enqueue a commit request and block until their
+// node over. Task managers queue a commit request and block until their
 // flush transaction commits (or their entry is fenced off), so the
 // protocol ordering of Algorithm 1 is unchanged per query: a task's
 // outputs become consumable only after its lineage is durable in the GCS,
 // and the task is acknowledged only after that.
 //
-// Batching arises naturally: while one flush transaction is in flight
-// (paying the GCS round-trip cost), commits from every in-flight query's
-// executor threads queue up and fold into the next transaction. Nothing
-// holds a flush open, so batching adds no latency.
+// Batching arises naturally, and no goroutine of its own serves it: the
+// requester that finds no flush running takes the queue — its own entry and
+// whatever queued before it — and runs the flush on its own thread. Commits
+// from every in-flight query's executor threads queue meanwhile (while the
+// flush pays the GCS round trip), and when it is done it hands the next
+// flush to the oldest of them. Nothing holds a flush open, so batching adds
+// no latency.
 //
 // flush is the only GCS write a worker makes: a task commit (with its
 // checkpoint mark, when one is due) and the retirement of a replay entry are
 // both entries of it, each under its own fences. A flush moves each of its
 // queries' namespace version; where it was the only write since the image
-// the query's rounds run under, the committer publishes the image it
-// produced before acking (advanceImage), so no round reloads it.
-//
-// The committer is started by the first task manager to come up and
-// stopped when the last one exits (see clusterShared, runTaskManager).
+// the query's rounds run under, the flush publishes the image it produced
+// before acking (advanceImage), so no round reloads it.
 type groupCommitter struct {
-	store  gcs.Backend
-	reqs   chan *commitReq
-	stopCh chan struct{}
-	done   chan struct{}
+	mu       sync.Mutex
+	queue    []*commitReq // entries waiting for the next flush
+	flushing bool         // a requester runs the flush, or was handed it
 }
+
+// errRunFlush, sent on a queued requester's answer channel, hands it the next
+// flush.
+var errRunFlush = errors.New("engine: run the next flush")
 
 // commitReq carries everything one flush entry writes, plus the fences
 // guarding it. Values are copied in by the requester (which holds the
-// channel's protocol lock), so the flusher never touches chanState. The
+// channel's protocol lock), so the flush never touches chanState. The
 // runner pointer scopes every key to the request's own query namespace and
-// carries its policy (whether lineage is logged, whether there is a backup).
+// carries its policy (whether lineage is logged, whether there is a backup)
+// and its cluster's GCS, which the flush writes through.
 // An entry is a task commit, or — retire set — a replay entry's retirement,
 // which writes nothing else and is fenced on no channel.
 type commitReq struct {
@@ -74,18 +80,8 @@ func (q *commitReq) logsLineage() bool {
 	return q.rec != nil && !q.isReplay && q.r.ft.has(capLineage)
 }
 
-func newGroupCommitter(store gcs.Backend) *groupCommitter {
-	g := &groupCommitter{
-		store:  store,
-		reqs:   make(chan *commitReq, 1024),
-		stopCh: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go g.loop()
-	return g
-}
-
-// commit queues an entry for the flusher and blocks until its flush resolves.
+// commit queues an entry for the next flush and blocks until that flush
+// resolves it, running the flush itself when no other requester is.
 // Returns gcs.ErrAborted when the entry was fenced off (channel rewound,
 // epoch changed, worker died) — a task then stays pending and is retried, a
 // replay entry stays queued.
@@ -93,57 +89,33 @@ func newGroupCommitter(store gcs.Backend) *groupCommitter {
 func (g *groupCommitter) commit(req *commitReq) error {
 	req.resp = make(chan error, 1)
 	start := time.Now()
-	g.reqs <- req
-	err := <-req.resp
+	g.mu.Lock()
+	g.queue = append(g.queue, req)
+	run := !g.flushing
+	g.flushing = true
+	g.mu.Unlock()
+	var err error
+	if !run {
+		err = <-req.resp
+		run = err == errRunFlush
+	}
+	if run {
+		g.mu.Lock()
+		batch := g.queue
+		g.queue = nil
+		g.mu.Unlock()
+		g.flush(batch)
+		g.mu.Lock()
+		if len(g.queue) > 0 {
+			g.queue[0].resp <- errRunFlush // never blocks: a queued entry has no answer yet
+		} else {
+			g.flushing = false
+		}
+		g.mu.Unlock()
+		err = <-req.resp // the flush just answered it
+	}
 	req.r.hFlush.observe(int64(time.Since(start)))
 	return err
-}
-
-// stop shuts the flusher down. Must only be called once no
-// acquirer remains (clusterShared refcounts them, and runTaskManager only
-// releases after its task-manager threads exited), so no requester can be
-// left waiting; any residue in the queue is refused.
-func (g *groupCommitter) stop() {
-	close(g.stopCh)
-	<-g.done
-}
-
-func (g *groupCommitter) loop() {
-	defer close(g.done)
-	for {
-		var first *commitReq
-		select {
-		case first = <-g.reqs:
-		case <-g.stopCh:
-			g.drainAbort()
-			return
-		}
-		batch := []*commitReq{first}
-		// Opportunistic drain: everything queued while we were flushing joins
-		// this transaction.
-	drain:
-		for {
-			select {
-			case r2 := <-g.reqs:
-				batch = append(batch, r2)
-			default:
-				break drain
-			}
-		}
-		g.flush(batch)
-	}
-}
-
-// drainAbort refuses whatever is left in the queue at shutdown.
-func (g *groupCommitter) drainAbort() {
-	for {
-		select {
-		case req := <-g.reqs:
-			req.resp <- gcs.ErrAborted
-		default:
-			return
-		}
-	}
 }
 
 // flush commits a batch of entries — possibly spanning several queries — in
@@ -170,7 +142,7 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 	}
 	var bytes int64
 	flushStart := time.Now()
-	err := g.store.UpdateMulti(nss, func(tx *gcs.Txn) error {
+	err := batch[0].r.cl.GCS.UpdateMulti(nss, func(tx *gcs.Txn) error {
 		clear(errs) // a remote backend re-runs a body whose fences moved under it
 		for r := range geps {
 			geps[r] = txGetInt(tx, r.keyGlobalEpoch(), 0)
@@ -269,7 +241,7 @@ func (g *groupCommitter) advanceImage(r *Runner, prev *snapshot, gep int, batch 
 	if prev == nil {
 		return
 	}
-	ver := g.store.AwaitNS(context.Background(), r.keyNS(), prev.ver, 0)
+	ver := r.cl.GCS.AwaitNS(context.Background(), r.keyNS(), prev.ver, 0)
 	if ver != prev.ver+1 {
 		return
 	}

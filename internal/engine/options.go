@@ -1,15 +1,12 @@
 package engine
 
-import (
-	"quokka/internal/cluster"
-	"quokka/internal/spill"
-)
+import "quokka/internal/cluster"
 
 // Option is a cluster-level tuning knob applied with Configure (or passed
 // through the public quokka.NewCluster / quokka.NewSession constructors).
 // Options configure the engine state shared by every query on one cluster
-// — admission, cross-query memory, and the defaults a query's Config
-// falls back to — as opposed to Config, which tunes one execution.
+// — admission, process mode, and the defaults a query's Config falls back
+// to — as opposed to Config, which tunes one execution.
 type Option func(*clusterShared)
 
 // WithAdmissionLimit bounds how many queries the cluster executes
@@ -23,30 +20,6 @@ func WithAdmissionLimit(n int) Option {
 		}
 		s.admit.setLimit(n)
 	}
-}
-
-// WithWorkerMemoryBudget installs a per-worker accounted-memory cap shared
-// by ALL in-flight queries: concurrent budgeted queries then spill against
-// the worker's total accounted operator state, not just their own
-// Config.MemoryBudget. 0 (the default) disables the cross-query cap. Only
-// queries submitted after the call observe it.
-func WithWorkerMemoryBudget(bytes int64) Option {
-	return func(s *clusterShared) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.workerBudget = bytes
-		// Drop ledgers built under the old budget; new queries get fresh
-		// ones.
-		s.mem = make(map[cluster.WorkerID]*spill.Ledger)
-	}
-}
-
-// WithCursorBufferBytes sets the cluster default for the head-node buffer
-// bound while a streaming Cursor is attached (Config.CursorBufferBytes,
-// when set on a query, takes precedence). 0 restores
-// DefaultCursorBufferBytes; negative disables the bound.
-func WithCursorBufferBytes(n int64) Option {
-	return inherited(func(o *clusterOptions) { o.cursorBuffer = n })
 }
 
 // WithTracing enables (or disables) the per-query flight recorder: with it

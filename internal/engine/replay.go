@@ -86,5 +86,5 @@ func (t *taskManager) runOneReplay(snap *snapshot, entry replayEntry) bool {
 	// refused one is redone under a fresh snapshot). One entry per replay:
 	// each retirement moves the namespace version, which wakes the rewound
 	// consumer to take its piece.
-	return t.gc.commit(&commitReq{r: t.r, alive: t.w.Alive, gep: snap.gep, retire: entry.key}) == nil
+	return t.r.shared.gc.commit(&commitReq{r: t.r, alive: t.w.Alive, gep: snap.gep, retire: entry.key}) == nil
 }

@@ -114,9 +114,9 @@ func (r *Runner) snapshotAt(ver uint64) (*snapshot, error) {
 	// Whoever held the lock may have published what this thread came for. No
 	// second probe: in a worker process the version is a round trip. A version
 	// one past the image's is most often this process's own flush, woken on
-	// before its committer published the image it produced (advanceImage), so
-	// the committer gets a few chances at the processor before a load is paid
-	// for. Only the cost of a load rides on this; either image is correct.
+	// before the thread running it published the image it produced
+	// (advanceImage), so that thread gets a few chances at the processor
+	// before a load is paid for. Only the cost of a load rides on this; either image is correct.
 	s := r.snap.Load()
 	for i := 0; i < 3 && s != nil && s.ver+1 == ver; i++ {
 		runtime.Gosched()

@@ -50,8 +50,6 @@ func TestStepRejectsStaleSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm := newTaskManager(r, cl.Worker(0))
-	tm.gc = r.shared.committer(cl.GCS)
-	defer r.shared.committerDone()
 	reader := lineage.ChannelID{Stage: 0, Channel: 0}
 
 	image := func() *snapshot {
@@ -285,8 +283,6 @@ func TestStaleImageDoesNotRunANewChannelSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm := newTaskManager(r, cl.Worker(0))
-	tm.gc = r.shared.committer(cl.GCS)
-	defer r.shared.committerDone()
 	old, err := r.snapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -185,7 +185,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 	if p.mark == nil {
 		p.mark = t.persistBeforeCommit(cs, p)
 	}
-	err := t.gc.commit(&commitReq{
+	err := t.r.shared.gc.commit(&commitReq{
 		r:        t.r,
 		alive:    t.w.Alive,
 		workerID: int(t.w.ID),

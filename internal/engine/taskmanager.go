@@ -28,9 +28,6 @@ type taskManager struct {
 	// mailbox, its local disk — which only the process hosting w has.
 	mb   flight.Mailbox
 	disk storage.Disk
-	// gc is the cluster's shared committer, held by runTaskManager for
-	// exactly the lifetime of this task manager's threads.
-	gc *groupCommitter
 
 	mu       sync.Mutex
 	channels map[lineage.ChannelID]*chanState
@@ -148,13 +145,9 @@ func newTaskManager(r *Runner, w *cluster.Worker) *taskManager {
 	t.watch <- struct{}{}
 	if r.cfg.MemoryBudget > 0 {
 		// The accountant is per query per worker (MemoryBudget is a query
-		// knob); the worker's cross-query ledger tracks total accounted
-		// state across queries and, when WithWorkerMemoryBudget configured a
-		// cap, makes concurrent queries spill against the worker's total as
-		// well. The tee collector routes spill metrics into both the
+		// knob). The tee collector routes spill metrics into both the
 		// cluster-wide and the per-query counters.
 		acct := spill.NewAccountant(r.cfg.MemoryBudget, r.tee)
-		acct.AttachLedger(r.shared.ledgerFor(w.ID))
 		t.spill = spill.NewContext(t.disk, acct, r.tee, spill.DefaultPartitions)
 	}
 	return t

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -205,19 +207,24 @@ func cursorKillPlan() *Plan {
 
 // firstFlushHold holds the first flush — the one UpdateMulti caller — after
 // it committed and before it returns, keeping its entries unacknowledged and
-// the committer busy, until min(3, readers − n) entries are queued, n being
-// the task commits it carried: every reader channel whose first task was not
-// among them commits that task without waiting on any other commit, so that
-// many are sure to queue. Every flush's task commits (cur/ puts) are noted in
-// order, and the queue length at the release.
+// its requester busy, until min(3, readers − n) entries spanning at least
+// queries queries are queued, n being the task commits it carried: every reader
+// channel whose first task was not among them commits that task without
+// waiting on any other commit, so that many are sure to queue. Every flush's
+// task commits (cur/ puts), namespaces and goroutine are noted in order, and
+// the queue at the release.
 type firstFlushHold struct {
 	gcs.Backend
 	cl      *cluster.Cluster
 	readers int // reader channels, each committing its first task unprompted
+	queries int // distinct queries the entries queued at the release span
 	mu      sync.Mutex
 	commits []int
-	want    int // entries the release waits for
-	queued  int // the queue length the held flush was released at
+	nss     [][]string
+	runs    []string // the goroutine that ran each flush
+	want    int      // entries the release waits for
+	queued  int      // the queue length the held flush was released at
+	queueNS []string // the namespaces of the entries queued at the release
 }
 
 func (h *firstFlushHold) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
@@ -237,24 +244,55 @@ func (h *firstFlushHold) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) e
 	}
 	h.mu.Lock()
 	h.commits = append(h.commits, n)
+	h.nss = append(h.nss, slices.Clone(nss))
+	h.runs = append(h.runs, goroutineID())
 	first := len(h.commits) == 1
 	h.mu.Unlock()
 	if first {
-		s := sharedFor(h.cl)
-		s.gcMu.Lock()
-		g := s.gc
-		s.gcMu.Unlock()
+		g := &sharedFor(h.cl).gc
+		want := min(3, h.readers-n)
+		var queueNS []string
 		// The deadline only keeps a broken committer from hanging the test:
 		// the entries waited for arrive whatever the timing.
-		want := min(3, h.readers-n)
-		for deadline := time.Now().Add(10 * time.Second); len(g.reqs) < want && time.Now().Before(deadline); {
-			time.Sleep(50 * time.Microsecond)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
+			g.mu.Lock()
+			queueNS = queueNS[:0]
+			for _, req := range g.queue {
+				queueNS = append(queueNS, req.r.keyNS())
+			}
+			g.mu.Unlock()
+			if len(queueNS) >= want && len(distinct(queueNS)) >= h.queries {
+				break
+			}
 		}
 		h.mu.Lock()
-		h.want, h.queued = want, len(g.reqs)
+		h.want, h.queued, h.queueNS = want, len(queueNS), queueNS
 		h.mu.Unlock()
 	}
 	return nil
+}
+
+// distinct returns the sorted distinct strings of s.
+func distinct(s []string) []string {
+	return slices.Compact(slices.Sorted(slices.Values(s)))
+}
+
+// goroutineID is the running goroutine's number, read off its stack header.
+func goroutineID() string {
+	var buf [64]byte
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine "), " ")
+	return id
+}
+
+// groupCommitPlan reads twelve splits on twelve reader channels into one
+// aggregate, so twelve first commits queue unprompted.
+func groupCommitPlan() *Plan {
+	return MustPlan(
+		&Stage{ID: 0, Name: "read", Parallelism: 12, Reader: &ReaderSpec{Table: "numbers"}},
+		&Stage{ID: 1, Name: "agg", Parallelism: 1,
+			Op:     ops.NewHashAggSpec(nil, ops.Sum("s", expr.C("v")), ops.CountStar("c")),
+			Inputs: []StageInput{{Stage: 0, Part: Single()}}},
+	)
 }
 
 // TestGroupCommitReducesTxns: commits queued while a flush is in flight fold
@@ -265,20 +303,12 @@ func (h *firstFlushHold) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) e
 // unheld run's.
 func TestGroupCommitReducesTxns(t *testing.T) {
 	tables := map[string][]*batch.Batch{"numbers": numbersTable(3000, 24)}
-	p := func() *Plan {
-		return MustPlan(
-			&Stage{ID: 0, Name: "read", Parallelism: 12, Reader: &ReaderSpec{Table: "numbers"}},
-			&Stage{ID: 1, Name: "agg", Parallelism: 1,
-				Op:     ops.NewHashAggSpec(nil, ops.Sum("s", expr.C("v")), ops.CountStar("c")),
-				Inputs: []StageInput{{Stage: 0, Part: Single()}}},
-		)
-	}
-	want, _ := runPlan(t, testCluster(t, 4, tables), p(), DefaultConfig())
+	want, _ := runPlan(t, testCluster(t, 4, tables), groupCommitPlan(), DefaultConfig())
 
 	cl := testCluster(t, 4, tables)
-	hold := &firstFlushHold{Backend: cl.GCS, cl: cl, readers: 12}
+	hold := &firstFlushHold{Backend: cl.GCS, cl: cl, readers: 12, queries: 1}
 	cl.GCS = hold
-	out, rep := runPlan(t, cl, p(), DefaultConfig())
+	out, rep := runPlan(t, cl, groupCommitPlan(), DefaultConfig())
 	if string(batch.Encode(out)) != string(batch.Encode(want)) {
 		t.Fatal("group commit changed query output")
 	}
@@ -296,13 +326,63 @@ func TestGroupCommitReducesTxns(t *testing.T) {
 	}
 }
 
-// TestOptionDefaultsResolve: cluster options become the per-query defaults
-// and a query's own Config still wins.
+// TestGroupCommitFoldsQueries: the committer is the cluster's, so commits of
+// different queries fold into one transaction, and the next flush is handed
+// to a queued requester. Two queries run at once while the first flush is
+// held until entries of both are queued; the next flush spans both
+// namespaces, carries every entry queued at the release, and runs on a
+// goroutine other than the held one's — the requester it was handed to. Both
+// queries return the bytes of an unheld run.
+func TestGroupCommitFoldsQueries(t *testing.T) {
+	tables := map[string][]*batch.Batch{"numbers": numbersTable(3000, 24)}
+	want, _ := runPlan(t, testCluster(t, 4, tables), groupCommitPlan(), DefaultConfig())
+
+	cl := testCluster(t, 4, tables)
+	hold := &firstFlushHold{Backend: cl.GCS, cl: cl, readers: 24, queries: 2}
+	cl.GCS = hold
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	qs := []*Query{
+		startPlan(t, cl, groupCommitPlan(), DefaultConfig(), ctx),
+		startPlan(t, cl, groupCommitPlan(), DefaultConfig(), ctx),
+	}
+	for i, q := range qs {
+		out, _, err := q.Result()
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if string(batch.Encode(out)) != string(batch.Encode(want)) {
+			t.Errorf("query %d: group commit changed its output", i)
+		}
+	}
+	hold.mu.Lock()
+	defer hold.mu.Unlock()
+	queued := distinct(hold.queueNS)
+	t.Logf("released with %d entries of %v queued; the flushes carried %v task commits over %v",
+		hold.queued, queued, hold.commits[:min(3, len(hold.commits))], hold.nss[:min(3, len(hold.nss))])
+	if hold.queued < hold.want || len(queued) < 2 {
+		t.Fatalf("the first flush was released with %d entries of namespaces %v queued: want %d of both queries",
+			hold.queued, queued, hold.want)
+	}
+	if len(hold.commits) < 2 || hold.commits[1] < hold.queued {
+		t.Errorf("the flushes carried %v task commits: want the second to carry the %d queued at the release", hold.commits, hold.queued)
+	}
+	if len(hold.nss) < 2 || !slices.Equal(distinct(hold.nss[1]), queued) {
+		t.Errorf("the second flush spans namespaces %v, want %v", hold.nss[1:2], queued)
+	}
+	if len(hold.runs) < 2 || hold.runs[1] == hold.runs[0] {
+		t.Errorf("flushes ran on goroutines %v: want the second handed to a queued requester", hold.runs[:min(2, len(hold.runs))])
+	}
+}
+
+// TestOptionDefaultsResolve: a query's Config floors to the documented
+// defaults, and tracing, the one setting a query inherits from the cluster
+// options, comes from Configure.
 func TestOptionDefaultsResolve(t *testing.T) {
 	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(100, 2)})
 	s := sharedFor(cl)
 
-	// res resolves a Config carrying just the inheritable field.
+	// res resolves a Config carrying just the cursor bound.
 	res := func(cursor int64) Policy {
 		t.Helper()
 		cfg := DefaultConfig()
@@ -316,19 +396,19 @@ func TestOptionDefaultsResolve(t *testing.T) {
 	if got := res(0).CursorBufferBytes; got != DefaultCursorBufferBytes {
 		t.Errorf("built-in cursor default = %d", got)
 	}
-	Configure(cl, WithCursorBufferBytes(9999))
-	if got := res(0).CursorBufferBytes; got != 9999 {
-		t.Errorf("cluster cursor default = %d, want 9999", got)
-	}
 	if got := res(123).CursorBufferBytes; got != 123 {
 		t.Errorf("per-query cursor override = %d, want 123", got)
 	}
 	if got := res(-1).CursorBufferBytes; got >= 0 {
 		t.Errorf("negative per-query cursor = %d, want it kept negative (unbounded)", got)
 	}
-	Configure(cl, WithCursorBufferBytes(0))
-	if got := res(0).CursorBufferBytes; got != DefaultCursorBufferBytes {
-		t.Errorf("reset cursor default = %d", got)
+	Configure(cl, WithTracing(true))
+	if !res(0).Tracing {
+		t.Error("WithTracing(true) did not reach the resolved policy")
+	}
+	Configure(cl, WithTracing(false))
+	if res(0).Tracing {
+		t.Error("WithTracing(false) did not reach the resolved policy")
 	}
 
 	// A zero Config resolves to the documented defaults; MinTake alone
@@ -362,13 +442,12 @@ func TestOptionDefaultsResolve(t *testing.T) {
 		t.Errorf("runner resolved max take=%d cursor=%d", r.cfg.MaxTake, r.cfg.CursorBufferBytes)
 	}
 
-	// Admission and worker-memory options reach shared state; 0 restores
-	// the admission default.
-	Configure(cl, WithAdmissionLimit(2), WithWorkerMemoryBudget(1<<20))
-	if s.admit.limit != 2 || s.workerBudget != 1<<20 {
-		t.Error("admission / worker-memory options did not reach shared state")
+	// The admission option reaches shared state; 0 restores the default.
+	Configure(cl, WithAdmissionLimit(2))
+	if s.admit.limit != 2 {
+		t.Error("the admission option did not reach shared state")
 	}
-	Configure(cl, WithAdmissionLimit(0), WithWorkerMemoryBudget(0))
+	Configure(cl, WithAdmissionLimit(0))
 	if s.admit.limit != DefaultAdmissionLimit {
 		t.Error("WithAdmissionLimit(0) should restore the default")
 	}

@@ -27,12 +27,6 @@ import (
 // process is.
 func (r *Runner) runTaskManager(ctx context.Context, w *cluster.Worker) {
 	t := newTaskManager(r, w)
-	// The committer is held for exactly the threads' lifetime: a thread
-	// blocks inside finishTask until its flush resolves, so the flusher must
-	// outlive them all. It is cluster-shared and refcounted: commits fold
-	// across every worker and admitted query of this process, which in a
-	// worker process also amortizes wire round trips.
-	t.gc = r.shared.committer(r.cl.GCS)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	go func() {
@@ -51,7 +45,6 @@ func (r *Runner) runTaskManager(ctx context.Context, w *cluster.Worker) {
 		}()
 	}
 	wg.Wait()
-	r.shared.committerDone()
 	// Worker-local teardown on every exit path — completion, failure and
 	// cancellation: this query's spill runs and upstream backups on THIS
 	// worker's disk, the no-leak guarantee the tests assert on. Only w's own

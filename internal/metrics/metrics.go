@@ -90,7 +90,6 @@ const (
 	QueriesQueued    = "queries.queued"     // queries that waited in the admission queue
 	QueriesActive    = "queries.active"     // currently admitted queries (up/down counter)
 	QueriesPeak      = "queries.peak"       // high-water mark of concurrently admitted queries (gauge)
-	WorkerMemPeak    = "mem.worker.peak"    // peak accounted operator bytes on any worker, across queries (gauge)
 )
 
 // SpillForcedPeak is how far forced reservations, which skip the budget check,
@@ -147,7 +146,6 @@ var gaugeNames = map[string]bool{
 	SpillPeakBytes:  true,
 	SpillForcedPeak: true,
 	QueriesPeak:     true,
-	WorkerMemPeak:   true,
 }
 
 // IsGauge reports whether name is a high-water-mark gauge (set via Max)

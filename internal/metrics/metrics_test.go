@@ -245,7 +245,7 @@ func TestStringSections(t *testing.T) {
 	if i := strings.Index(s, TaskLatencyNS); i < histHdr {
 		t.Fatalf("histogram should sit in the histogram section:\n%s", s)
 	}
-	if !IsGauge(QueriesPeak) || !IsGauge(WorkerMemPeak) || IsGauge(TasksExecuted) {
+	if !IsGauge(QueriesPeak) || !IsGauge(SpillForcedPeak) || IsGauge(TasksExecuted) {
 		t.Fatal("IsGauge misclassifies")
 	}
 }

@@ -47,51 +47,15 @@ const DefaultPartitions = 16
 // single giant key, which no amount of hash partitioning can split.
 const MaxDepth = 4
 
-// Ledger tracks accounted operator state bytes for one worker ACROSS
-// queries. Each concurrent query's per-worker Accountant can attach to the
-// worker's ledger; grows and releases then also flow through the ledger, so
-// worker-wide pressure is visible (and, when the ledger carries a budget,
-// enforced) no matter which query allocated the state. A nil ledger, and a
-// ledger with budget 0, preserve the per-query-only semantics exactly.
-type Ledger struct {
-	budget int64 // 0 = track only, never reject
-	met    *metrics.Collector
-	cur    atomic.Int64
-	peak   atomic.Int64
-}
-
-// NewLedger creates a worker-wide ledger. budget 0 tracks usage without
-// enforcing a cap.
-func NewLedger(budget int64, met *metrics.Collector) *Ledger {
-	return &Ledger{budget: budget, met: met}
-}
-
-func (l *Ledger) grow(delta int64) {
-	cur := l.cur.Add(delta)
-	for {
-		p := l.peak.Load()
-		if cur <= p || l.peak.CompareAndSwap(p, cur) {
-			break
-		}
-	}
-	l.met.Max(metrics.WorkerMemPeak, cur)
-}
-
-func (l *Ledger) fits(delta int64) bool {
-	return l.budget <= 0 || l.cur.Load()+delta <= l.budget
-}
-
 // Accountant tracks accounted operator state bytes for one worker under a
 // budget. Safe for concurrent use: a worker's channels share one
 // accountant, so spill pressure reflects the worker's total state, like a
 // real memory pool.
 // When several queries run concurrently, each query has its own accountant
-// per worker (its MemoryBudget is a per-query knob), optionally attached to
-// the worker's cross-query Ledger.
+// per worker (its MemoryBudget is a per-query knob).
 type Accountant struct {
 	budget int64
 	met    *metrics.Collector
-	parent *Ledger // optional worker-wide ledger shared across queries
 	cur    atomic.Int64
 	peak   atomic.Int64
 }
@@ -100,10 +64,6 @@ type Accountant struct {
 func NewAccountant(budget int64, met *metrics.Collector) *Accountant {
 	return &Accountant{budget: budget, met: met}
 }
-
-// AttachLedger routes this accountant's grows and releases through the
-// worker-wide ledger as well. Call before any accounting happens.
-func (a *Accountant) AttachLedger(l *Ledger) { a.parent = l }
 
 // Budget returns the configured budget.
 func (a *Accountant) Budget() int64 { return a.budget }
@@ -119,28 +79,16 @@ func (a *Accountant) Grow(delta int64) {
 	cur := a.cur.Add(delta)
 	a.bumpPeak(cur)
 	a.met.Max(metrics.SpillForcedPeak, cur-a.budget)
-	if a.parent != nil {
-		a.parent.grow(delta)
-	}
 }
 
 // Release subtracts delta from the accounted bytes.
 func (a *Accountant) Release(delta int64) {
 	a.cur.Add(-delta)
-	if a.parent != nil {
-		a.parent.grow(-delta)
-	}
 }
 
 // TryGrow atomically grows by delta only if the result stays within the
 // budget (no check-then-grow race between a worker's channels).
-// The worker-wide ledger check is advisory (checked up front, not held
-// atomically with the grow): overshoot between queries only means a later
-// TryGrow fails sooner, which is safe by output transparency.
 func (a *Accountant) TryGrow(delta int64) bool {
-	if a.parent != nil && !a.parent.fits(delta) {
-		return false
-	}
 	for {
 		cur := a.cur.Load()
 		if cur+delta > a.budget {
@@ -148,9 +96,6 @@ func (a *Accountant) TryGrow(delta int64) bool {
 		}
 		if a.cur.CompareAndSwap(cur, cur+delta) {
 			a.bumpPeak(cur + delta)
-			if a.parent != nil {
-				a.parent.grow(delta)
-			}
 			return true
 		}
 	}

@@ -86,7 +86,7 @@ const (
 
 // Option is a cluster-level tuning knob, passed to NewCluster, NewSession
 // or Cluster.Configure. Options tune the execution state shared by every
-// query on one cluster — admission, cross-query memory, and the defaults a
+// query on one cluster — admission, process mode, and the defaults a
 // query's RunConfig falls back to — whereas RunConfig tunes one execution.
 type Option = engine.Option
 
@@ -95,19 +95,6 @@ type Option = engine.Option
 // are admitted as slots free up; n <= 0 restores the default. Raising the
 // limit immediately admits queued queries.
 func WithAdmissionLimit(n int) Option { return engine.WithAdmissionLimit(n) }
-
-// WithWorkerMemoryBudget installs a per-worker accounted-memory cap shared
-// by ALL in-flight queries: concurrent budgeted queries then spill against
-// the worker's total accounted operator state, not just their own
-// RunConfig.MemoryBudget. 0 (the default) disables the cross-query cap.
-// Only queries submitted after it is applied observe it.
-func WithWorkerMemoryBudget(bytes int64) Option { return engine.WithWorkerMemoryBudget(bytes) }
-
-// WithCursorBufferBytes sets the cluster default for the head-node buffer
-// bound while a streaming Cursor is attached. A query's own
-// RunConfig.CursorBufferBytes, when set, takes precedence. 0 restores the
-// built-in default (4 MiB); negative disables the bound.
-func WithCursorBufferBytes(n int64) Option { return engine.WithCursorBufferBytes(n) }
 
 // WithListenAddr switches a cluster into process mode: the head serves
 // its control plane — GCS transactions, the object store and the result
