@@ -427,6 +427,89 @@ func TestRecoveryCheckpointMode(t *testing.T) {
 	}
 }
 
+// TestDirectPartnersShareAWorker: reconcile keeps a narrow chain — the
+// channels Direct edges at equal parallelism join — on one worker, as seed
+// placed it, so the chain's pieces pass as batches after a recovery too. Two
+// kills in turn, the second on the worker the first recovery moved the victim's
+// filter channel to, under every mode that recovers: after each recovery pass
+// every such edge has its producer and consumer channel on one worker, and the
+// result is the failure-free run's, byte for byte.
+func TestDirectPartnersShareAWorker(t *testing.T) {
+	tables := map[string][]*batch.Batch{"t": sharedSubtreeTable(12000, 120)}
+	for _, ft := range []FTMode{FTWriteAheadLineage, FTCheckpoint, FTSpool} {
+		t.Run(ft.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.FT = ft
+			cfg.CheckpointEveryTasks = 2
+			want, _ := runPlan(t, testCluster(t, 4, tables), sharedSubtreePlan(), cfg)
+
+			cl := testCluster(t, 4, tables)
+			r, err := NewRunner(cl, sharedSubtreePlan(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			auditBackups(t, r)
+			// apart names an edge a recovery pass left across two workers.
+			apart := func(tx *gcs.Txn) string {
+				for s, st := range r.plan.Stages {
+					for _, in := range st.Inputs {
+						for c := 0; in.Part.Kind == PartitionDirect && r.par[in.Stage] == r.par[s] && c < r.par[s]; c++ {
+							up, down := lineage.ChannelID{Stage: in.Stage, Channel: c}, lineage.ChannelID{Stage: s, Channel: c}
+							if a, b := txGetInt(tx, r.keyPlacement(up), -1), txGetInt(tx, r.keyPlacement(down), -1); a != b {
+								return fmt.Sprintf("%s on worker %d, %s on worker %d", up, a, down, b)
+							}
+						}
+					}
+				}
+				return ""
+			}
+			filter := lineage.ChannelID{Stage: 1, Channel: 1} // seeded on worker 1, the first victim
+			var mu sync.Mutex
+			var passes []string // per recovery pass, the edge it left apart or ""
+			second := -1        // the second victim
+			cl.GCS = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, flush bool) {
+				mu.Lock()
+				defer mu.Unlock()
+				gep := txGetInt(tx, r.keyGlobalEpoch(), 0)
+				if _, ok := tx.Writes()[r.keyGlobalEpoch()]; ok && gep > 1 {
+					passes = append(passes, apart(tx))
+				}
+				switch {
+				case gep == 1 && flush:
+					for c := range r.par[filter.Stage] {
+						if txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: filter.Stage, Channel: c}), 0) < 2 {
+							return
+						}
+					}
+					cl.Worker(1).Kill()
+				case gep == 2 && flush && second < 0 && tx.Writes()[r.keyCursor(filter)] != nil:
+					second = txGetInt(tx, r.keyPlacement(filter), -1)
+					cl.Worker(cluster.WorkerID(second)).Kill()
+				}
+			}}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			got, rep, err := r.Run(ctx)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if second < 0 || second == 1 || rep.Recoveries < 2 {
+				t.Fatalf("second victim %d, %d recoveries: the kills did not land in turn", second, rep.Recoveries)
+			}
+			for i, a := range passes {
+				if a != "" {
+					t.Errorf("recovery pass %d left a Direct edge across workers: %s", i+1, a)
+				}
+			}
+			if !bytes.Equal(batch.Encode(got), batch.Encode(want)) {
+				t.Fatalf("result differs from the failure-free run:\nwant %v\ngot  %v", want, got)
+			}
+		})
+	}
+}
+
 func TestNoFaultToleranceFailsQuery(t *testing.T) {
 	cl := testCluster(t, 4, map[string][]*batch.Batch{"numbers": numbersTable(2000, 24)})
 	cfg := DefaultConfig()

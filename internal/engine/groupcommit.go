@@ -33,11 +33,11 @@ import (
 // no latency.
 //
 // flush is the only GCS write a worker makes: a task commit (with its
-// checkpoint mark, when one is due) and the retirement of a replay entry are
-// both entries of it, each under its own fences. A flush moves each of its
-// queries' namespace version; where it was the only write since the image
-// the query's rounds run under, the flush publishes the image it produced
-// before acking (advanceImage), so no round reloads it.
+// checkpoint mark, when one is due) and the retirement of a replay round's
+// entries are both entries of it, each under its own fences. A flush moves
+// each of its queries' namespace version; where it was the only write since
+// the image the query's rounds run under, the flush publishes the image it
+// produced before acking (advanceImage), so no round reloads it.
 type groupCommitter struct {
 	mu       sync.Mutex
 	queue    []*commitReq // entries waiting for the next flush
@@ -54,8 +54,9 @@ var errRunFlush = errors.New("engine: run the next flush")
 // runner pointer scopes every key to the request's own query namespace and
 // carries its policy (whether lineage is logged, whether there is a backup)
 // and its cluster's GCS, which the flush writes through.
-// An entry is a task commit, or — retire set — a replay entry's retirement,
-// which writes nothing else and is fenced on no channel.
+// An entry is a task commit, or — retire set — the retirement of the replay
+// entries one round re-pushed, which writes nothing else and is fenced on no
+// channel.
 type commitReq struct {
 	r        *Runner
 	alive    func() bool // requester worker's liveness
@@ -67,9 +68,13 @@ type commitReq struct {
 	rec      *lineage.Record // a consume task's range, the one thing logged
 	finalize bool
 	isReplay bool
-	mark     []byte // encoded checkpoint mark written beside the cursor, or nil
-	retire   string // the rp/ key a drained replay entry deletes
-	resp     chan error
+	mark     []byte   // encoded checkpoint mark written beside the cursor, or nil
+	retire   []string // the rp/ keys of the replay entries a round drained
+	// next is the encoded lin/ record at the new cursor of a rewound row of a
+	// stage with inputs, read by the flush that applies the commit so that the
+	// image advances past it (snapshot.advance); nil when there is none.
+	next []byte
+	resp chan error
 }
 
 // logsLineage reports whether this commit writes a lineage record: only a
@@ -154,13 +159,15 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 			// image (a retry under a fresh view keeps pieces off a stale
 			// worker), or the channel was rewound under the task.
 			if !req.alive() || geps[r] != req.gep ||
-				req.retire == "" && txGetInt(tx, r.keyChanEpoch(req.id), 0) != req.cep {
+				req.retire == nil && txGetInt(tx, r.keyChanEpoch(req.id), 0) != req.cep {
 				errs[i] = gcs.ErrAborted
 				continue
 			}
 			applied++
-			if req.retire != "" {
-				tx.Delete(req.retire)
+			if req.retire != nil {
+				for _, k := range req.retire {
+					tx.Delete(k)
+				}
 				continue
 			}
 			if req.logsLineage() {
@@ -177,6 +184,12 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 			}
 			if req.mark != nil {
 				tx.Put(r.keyCheckpoint(req.id), req.mark)
+			}
+			// A rewound row carries the record at its cursor: read it here,
+			// where the commit moves the cursor, so the image advances.
+			req.next = nil
+			if req.cep != 0 && !req.finalize && len(r.plan.Stages[req.id.Stage].Inputs) > 0 {
+				req.next, _ = tx.Get(r.keyLineage(lineage.TaskName{Stage: req.id.Stage, Channel: req.id.Channel, Seq: req.task.Seq + 1}))
 			}
 		}
 		if applied == 0 {

@@ -16,7 +16,8 @@ import (
 //  1. computes the rewind set by walking stages in reverse topological
 //     order, scheduling replay tasks for surviving backups and spooled
 //     partitions, and cascading rewinds to the producers of the rest,
-//  2. re-places rewound channels — pipeline-parallel (different stages to
+//  2. re-places rewound channels — a narrow chain on one worker, as seed
+//     placed it, the roots of chains pipeline-parallel (different stages to
 //     different workers, Figure 3 bottom) or data-parallel — and resets
 //     their cursors, and
 //  3. bumps the global epoch.
@@ -26,7 +27,7 @@ import (
 // a worker's only write is an entry of groupCommitter.flush, fenced on what
 // this transaction moves — a task commit, with its checkpoint mark, on its
 // worker's liveness, the channel epoch and the global epoch; a replay
-// entry's retirement on its worker's liveness and the global epoch — so a
+// round's retirement on its worker's liveness and the global epoch — so a
 // write prepared under the pre-recovery image either lands before this
 // transaction, which then sees it, or is refused after it and retried under
 // the new image.
@@ -157,24 +158,41 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 		return ids[i].Channel < ids[j].Channel
 	})
 
-	// Stage rank assigns rewound channels of different stages to different
-	// workers (pipeline-parallel); data-parallel ignores the stage.
-	stageRank := make(map[int]int)
-	for _, id := range ids {
-		if _, ok := stageRank[id.Stage]; !ok {
-			stageRank[id.Stage] = len(stageRank)
+	// A chain is the stages Direct edges at equal parallelism join: channel c
+	// of each sat on one worker at seed, and its pieces pass as batches. A
+	// rewound chain member goes where its chain is — to a member that was not
+	// rewound, or to the first one re-placed — so only the roots of chains
+	// are spread: stage rank assigns rewound roots of different stages to
+	// different workers (pipeline-parallel); data-parallel ignores the stage.
+	chain := r.chains()
+	home := make(map[lineage.ChannelID]int)
+	for s := range r.plan.Stages {
+		for c := 0; c < r.par[s]; c++ {
+			if id := (lineage.ChannelID{Stage: s, Channel: c}); !rewind[id] {
+				home[lineage.ChannelID{Stage: chain[s], Channel: c}] = txGetInt(tx, r.keyPlacement(id), -1)
+			}
 		}
 	}
-	for i, id := range ids {
-		var w int
-		if r.cfg.Recovery == RecoveryPipelineParallel && r.plan.Stages[id.Stage].Reader == nil {
-			// Stateful channels: one worker per stage (recovery
-			// parallelism tracks pipeline depth, §III-B).
-			w = int(aliveIDs[stageRank[id.Stage]%len(aliveIDs)])
-		} else {
-			// Readers always recover data-parallel; Spark mode spreads
-			// everything data-parallel.
-			w = int(aliveIDs[i%len(aliveIDs)])
+	stageRank := make(map[int]int)
+	roots := 0
+	for _, id := range ids {
+		root := lineage.ChannelID{Stage: chain[id.Stage], Channel: id.Channel}
+		w, placed := home[root]
+		if !placed {
+			if _, ok := stageRank[id.Stage]; !ok {
+				stageRank[id.Stage] = len(stageRank)
+			}
+			if r.cfg.Recovery == RecoveryPipelineParallel && r.plan.Stages[id.Stage].Reader == nil {
+				// Stateful channels: one worker per stage (recovery
+				// parallelism tracks pipeline depth, §III-B).
+				w = int(aliveIDs[stageRank[id.Stage]%len(aliveIDs)])
+			} else {
+				// Readers always recover data-parallel; Spark mode spreads
+				// everything data-parallel.
+				w = int(aliveIDs[roots%len(aliveIDs)])
+			}
+			home[root] = w
+			roots++
 		}
 		txPutInt(tx, r.keyPlacement(id), w)
 		newCep := txGetInt(tx, r.keyChanEpoch(id), 0) + 1
@@ -205,4 +223,21 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 		// on the dead worker are gone and will be re-pushed by replays.
 	}
 	return nil
+}
+
+// chains maps each stage to the first stage of its narrow chain, which a
+// stage joins through its first Direct input at equal parallelism: channel c
+// of every member sits on one worker, as seed placed it.
+func (r *Runner) chains() []int {
+	chain := make([]int, len(r.plan.Stages))
+	for s, st := range r.plan.Stages {
+		chain[s] = s
+		for _, in := range st.Inputs {
+			if in.Part.Kind == PartitionDirect && r.par[in.Stage] == r.par[s] {
+				chain[s] = chain[in.Stage]
+				break
+			}
+		}
+	}
+	return chain
 }

@@ -12,23 +12,34 @@ import (
 
 // runReplays drains this worker's replay queue as snap holds it, under
 // replayLock: the light-blue recovery tasks of Figure 5, pieces placed by snap
-// and retirements fenced on its global epoch. An entry already retired is
+// and the retirement fenced on its global epoch. An entry already retired is
 // skipped; a failed one is tried again next round. yield runs before any does.
+// Every entry the round re-pushed retires in one flush entry, fenced on the
+// worker's liveness and on that epoch (a refused one leaves them all to be
+// redone under a fresh snapshot): one version bump per round, which wakes the
+// rewound consumers the entries name (snapshot.changesFor) to take their pieces.
 func (t *taskManager) runReplays(snap *snapshot, yield func()) (ran bool) {
+	var pushed []string
 	for _, e := range snap.replays {
 		if e.worker != int(t.w.ID) || t.retired[e.key] >= snap.gep {
 			continue
 		}
 		yield()
 		if t.runOneReplay(snap, e) {
-			t.retired[e.key] = snap.gep
-			ran = true
+			pushed = append(pushed, e.key)
 		}
 	}
-	return ran
+	if pushed == nil || t.r.shared.gc.commit(&commitReq{r: t.r, alive: t.w.Alive, gep: snap.gep, retire: pushed}) != nil {
+		return false
+	}
+	for _, k := range pushed {
+		t.retired[k] = snap.gep
+	}
+	return true
 }
 
-// runOneReplay executes a single replay entry and retires it.
+// runOneReplay re-pushes a single replay entry's pieces; it reports whether
+// they all went out.
 func (t *taskManager) runOneReplay(snap *snapshot, entry replayEntry) bool {
 	task, replayStart := entry.task, time.Time{}
 	if t.r.rec != nil {
@@ -81,10 +92,5 @@ func (t *taskManager) runOneReplay(snap *snapshot, entry replayEntry) bool {
 			Stage: task.Stage, Channel: task.Channel, Seq: task.Seq, Epoch: snap.gep,
 			Start: replayStart, Dur: time.Since(replayStart)})
 	}
-	// Retire the entry: an entry of the committer's flush, fenced on the
-	// worker's liveness and on the global epoch its pushes were placed by (a
-	// refused one is redone under a fresh snapshot). One entry per replay:
-	// each retirement moves the namespace version, which wakes the rewound
-	// consumer to take its piece.
-	return t.r.shared.gc.commit(&commitReq{r: t.r, alive: t.w.Alive, gep: snap.gep, retire: entry.key}) == nil
+	return true
 }

@@ -72,17 +72,17 @@ func (m *chanMeta) equal(o *chanMeta) bool {
 }
 
 // changesFor reports whether n holds anything a step of channel id, whose
-// stage consumes inputs, read under s and n does not: the global epoch, the
-// replay queues — any entry in either image counts, since a retirement that
-// empties a queue is what tells a retracing consumer its piece has arrived —
-// the channel's own row, or the row of a stage it consumes. A row an advance
-// did not touch is shared between its images, so that is a pointer compare;
-// a loaded image compares element by element.
+// stage consumes inputs, read under s and n does not: the global epoch, a
+// replay entry that re-pushes to the channel — any in either image counts,
+// since its retirement is what tells the retracing consumer its piece has
+// arrived — the channel's own row, or the row of a stage it consumes. A row
+// an advance did not touch is shared between its images, so that is a
+// pointer compare; a loaded image compares element by element.
 func (s *snapshot) changesFor(n *snapshot, id lineage.ChannelID, inputs []StageInput) bool {
 	if s == n {
 		return false
 	}
-	if s.gep != n.gep || len(s.replays) > 0 || len(n.replays) > 0 {
+	if s.gep != n.gep || names(s.replays, id) || names(n.replays, id) {
 		return true
 	}
 	if !s.chans[id.Stage][id.Channel].equal(&n.chans[id.Stage][id.Channel]) {
@@ -98,6 +98,11 @@ func (s *snapshot) changesFor(n *snapshot, id lineage.ChannelID, inputs []StageI
 		}
 	}
 	return false
+}
+
+// names reports whether any of the replay entries re-pushes to channel id.
+func names(replays []replayEntry, id lineage.ChannelID) bool {
+	return slices.ContainsFunc(replays, func(e replayEntry) bool { return slices.Contains(e.dests, id) })
 }
 
 // snapshotAt returns the image of the namespace at ver, a version the caller's
@@ -150,12 +155,14 @@ func (r *Runner) publish(s *snapshot) bool {
 // advance returns the image at ver = s.ver+1 that a flush which was the only
 // write since s's stamp leaves: s with the flush's applied entries folded in
 // — a task commit moves its channel's cursor, and done on finalize; a
-// retirement drops its replay entry — sharing every row it does not touch.
-// gep is the global epoch the flush read. It returns nil when the new image
-// would need a read: an entry on a rewound channel of a stage with inputs,
-// whose row carries the lineage record and checkpoint mark at its cursor. A
+// retirement drops its replay entries — sharing every row it does not touch.
+// gep is the global epoch the flush read. A rewound row of a stage with
+// inputs carries the lineage record and checkpoint mark at its cursor, as a
+// load reads them: the record is the one the flush read at the new cursor
+// (commitReq.next), the mark the one the commit wrote, else the row's own. A
 // rewound reader's row carries neither: its splits are re-derived, not
-// logged, and it has no operator state to mark.
+// logged, and it has no operator state to mark. It returns nil only when s is
+// of another epoch, or a record or mark does not decode, which a load reports.
 func (s *snapshot) advance(ver uint64, gep int, applied []*commitReq) *snapshot {
 	if s.gep != gep {
 		return nil
@@ -163,14 +170,11 @@ func (s *snapshot) advance(ver uint64, gep int, applied []*commitReq) *snapshot 
 	n := &snapshot{ver: ver, gep: s.gep, chans: slices.Clone(s.chans), replays: s.replays}
 	copied := make([]bool, len(n.chans))
 	for _, req := range applied {
-		if req.retire != "" {
-			n.replays = slices.DeleteFunc(slices.Clone(n.replays), func(e replayEntry) bool { return e.key == req.retire })
+		if req.retire != nil {
+			n.replays = slices.DeleteFunc(slices.Clone(n.replays), func(e replayEntry) bool { return slices.Contains(req.retire, e.key) })
 			continue
 		}
 		st, c := req.id.Stage, req.id.Channel
-		if n.chans[st][c].cep != 0 && len(req.r.plan.Stages[st].Inputs) > 0 {
-			return nil
-		}
 		if !copied[st] {
 			n.chans[st], copied[st] = slices.Clone(n.chans[st]), true
 		}
@@ -178,6 +182,27 @@ func (s *snapshot) advance(ver uint64, gep int, applied []*commitReq) *snapshot 
 		m.cursor = req.task.Seq + 1
 		if req.finalize {
 			m.done = req.task.Seq + 1
+		}
+		if m.cep == 0 || len(req.r.plan.Stages[st].Inputs) == 0 {
+			continue
+		}
+		m.replayRec = nil
+		if req.next != nil {
+			rec, err := lineage.DecodeRecord(req.next)
+			if err != nil {
+				return nil
+			}
+			m.replayRec = &rec
+		}
+		if req.mark != nil {
+			ck, err := decodeCheckpoint(req.mark)
+			if err != nil {
+				return nil
+			}
+			m.checkpoint = &ck
+		}
+		if m.done == m.cursor {
+			m.replayRec, m.checkpoint = nil, nil
 		}
 	}
 	return n

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -131,8 +130,9 @@ func TestStepRejectsStaleSnapshot(t *testing.T) {
 
 // TestChangesFor pins the idle rule's comparison (chanState.idle): a channel
 // whose step found nothing to do under s is stepped again under n only when n
-// changes what that step read — the global epoch, a replay queue, its own
-// row, the row of a stage it consumes — whether n was advanced from s, its
+// changes what that step read — the global epoch, a replay entry that names
+// it (in either image), its own row, the row of a stage it consumes — whether
+// n was advanced from s, its
 // untouched rows shared, or loaded, every row built afresh.
 func TestChangesFor(t *testing.T) {
 	// Stages: 0 and 3 read; 1 consumes 0; 2 consumes 1. The channel is (1, 0).
@@ -183,7 +183,10 @@ func TestChangesFor(t *testing.T) {
 		n.replays = rp
 		return &n
 	}
-	entry := replayEntry{key: "q/q1/rp/1/0.1.0", worker: 1, task: lineage.TaskName{Stage: 0, Channel: 1}}
+	entry := replayEntry{key: "q/q1/rp/1/0.1.0", worker: 1, task: lineage.TaskName{Stage: 0, Channel: 1},
+		dests: []lineage.ChannelID{{Stage: 2, Channel: 0}, id}}
+	other := replayEntry{key: "q/q1/rp/1/0.1.1", worker: 1, task: lineage.TaskName{Stage: 0, Channel: 1, Seq: 1},
+		dests: []lineage.ChannelID{{Stage: 1, Channel: 1}}}
 	// A rewound channel's row carries the lineage record and checkpoint mark at
 	// its cursor; a load decodes both afresh.
 	rewound := loaded(s, func(n *snapshot) {
@@ -204,9 +207,11 @@ func TestChangesFor(t *testing.T) {
 		{"advance of its own row", s, advanced(1, 0), true},
 		{"advance of an input stage's row", s, advanced(0, 1), true},
 		{"another global epoch", s, loaded(s, func(n *snapshot) { n.gep++ }), true},
-		{"a replay queue appears", s, withReplays(s, entry), true},
-		{"a replay queue is drained", withReplays(s, entry), s, true},
-		{"a replay queue is unchanged", withReplays(s, entry), withReplays(advanced(3, 0), entry), true},
+		{"an entry naming it appears", s, withReplays(s, entry), true},
+		{"an entry naming it is retired", withReplays(s, entry, other), withReplays(s, other), true},
+		{"an entry naming it is unchanged", withReplays(s, entry), withReplays(advanced(3, 0), entry), true},
+		{"only an entry naming another channel is retired", withReplays(s, other), s, false},
+		{"an entry naming another channel is unchanged", withReplays(s, other), withReplays(advanced(3, 0), other), false},
 		{"load, same content", s, loaded(s, nil), false},
 		{"load of a rewound row, same content", rewound, loaded(rewound, nil), false},
 		{"load, unrelated stage moved", s, loaded(s, func(n *snapshot) { n.chans[3][0].cursor++ }), false},
@@ -534,13 +539,14 @@ func TestEveryWorkerReadIsAnImageLoad(t *testing.T) {
 	if v, l := views.views.Load(), views.loads.Load(); v != l || l == 0 {
 		t.Errorf("%d views of the control store for %d images loaded: a worker read outside the image", v, l)
 	}
-	for _, at := range []int64{1, 2, 3, 5} {
-		t.Run(fmt.Sprintf("view-%d-after-recovery-fails", at), func(t *testing.T) {
-			if _, _, err := run(t, at); err != nil && !errors.Is(err, errLost) {
-				t.Fatalf("Run: %v, want the result or %v", err, errLost)
-			}
-		})
-	}
+	// The image advances past every commit, a rewound channel's included, so a
+	// recovery is followed by one load in nearly every run; a later one
+	// happens only by scheduling. The failure goes to that first load.
+	t.Run("view-1-after-recovery-fails", func(t *testing.T) {
+		if _, _, err := run(t, 1); err != nil && !errors.Is(err, errLost) {
+			t.Fatalf("Run: %v, want the result or %v", err, errLost)
+		}
+	})
 }
 
 // q3Tables and q3ShapedPlan are TPC-H Q3's shape over toy tables: two joins

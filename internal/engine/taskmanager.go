@@ -221,12 +221,12 @@ func (t *taskManager) loop(ctx context.Context) {
 //
 // A channel whose last step found nothing to do keeps the image of that step
 // (chanState.idle) and is skipped, neither stepped nor probed, until an image
-// changes what the step read: the global epoch, a replay queue, its own row,
-// the row of a stage it consumes (snapshot.changesFor). No wake-up is lost to
-// this. A step reads the mailbox besides the image, and a piece reaches it
-// only before a commit that moves a row: its producer pushes before it
-// commits, and a replay entry is retired, changing the queue, after its
-// re-push. A step that made progress, left a task pending — a push refused,
+// changes what the step read: the global epoch, a replay entry that names the
+// channel, its own row, the row of a stage it consumes (snapshot.changesFor).
+// No wake-up is lost to this. A step reads the mailbox besides the image, and
+// a piece reaches it only before a commit that moves a row: its producer
+// pushes before it commits, and a replay entry that names the channel is
+// retired after its re-push. A step that made progress, left a task pending — a push refused,
 // the collector full: retried every round, as no commit need follow — or
 // failed keeps no record.
 func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, scanned uint64) {
