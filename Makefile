@@ -39,8 +39,10 @@ dark:
 ## reads its producer's batch, which must stay its piece — under write-ahead
 ## lineage the piece is never encoded and no replay reads its slot — and a
 ## checkpoint restart keeps the results its output channel delivered below
-## the mark; a worker writes only through the flush, with and without a
-## kill, in every FT mode, and reads only by loading an image, a failed one
+## the mark, and a rewound consumer needing the tasks below a producer's
+## restart cursor cascades the producer, their committer being dead; a worker
+## writes only through the flush, which reads only its fences, with and
+## without a kill, in every FT mode, and reads only by loading an image, a failed one
 ## failing the query rather than stalling it — or by the image the committer
 ## advanced past its own flush, which must equal the one a load reads and
 ## must not be published after someone else's write; and a spooled task
@@ -60,7 +62,7 @@ race: wake-stress
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestSubmit|TestAdmissionLimitPublic' .
 	$(GO) test -race -count=5 -run 'TestProcessModeKillWorker|TestProcessModeCursorMatchesResult|TestProcessModeKillWorkerMidCursor|TestPeerPushFailureIsARetryNotAVerdict|TestWorkerStopClosesMailboxConns' ./internal/wire
-	$(GO) test -race -count=5 -run 'TestHandedBatchIsItsPiece|TestLocalPiecesAreNeverEncoded|TestElidedPieceIsNeverRead|Recover|Fail|Kill|Dead|TestReplayedPiecesAreTheStoredOnes|TestCheckpointRestart(RestoresState|KeepsDeliveredResults)|TestControlStoreSchema|TestEveryWorkerReadIsAnImageLoad|TestAdvancedImageEqualsLoadedImage|TestAdvanceRefusedAfterAForeignWrite|TestChangesFor|TestReplayRoundRetiresOnce|TestDirectPartnersShareAWorker|TestStepsPerTask|TestSpoolOverwritesARefusedIncarnationsObject|TestGroupCommit' ./internal/engine
+	$(GO) test -race -count=5 -run 'TestHandedBatchIsItsPiece|TestLocalPiecesAreNeverEncoded|TestElidedPieceIsNeverRead|Recover|Fail|Kill|Dead|TestReplayedPiecesAreTheStoredOnes|TestCheckpointRestart(RestoresState|KeepsDeliveredResults)|TestOwnerBelowARestartHasDied|TestControlStoreSchema|TestFlushReadsOnlyItsFences|TestEveryWorkerReadIsAnImageLoad|TestAdvancedImageEqualsLoadedImage|TestAdvanceRefusedAfterAForeignWrite|TestChangesFor|TestReplayRoundRetiresOnce|TestDirectPartnersShareAWorker|TestStepsPerTask|TestSpoolOverwritesARefusedIncarnationsObject|TestGroupCommit' ./internal/engine
 	$(GO) test -race -count=5 -run 'TestDeleteNSDropsTheNamespace|TestChangeTrackingLifecycle' ./internal/gcs
 	$(GO) test -race -count=3 -run 'TestTPCHFailureRecoveryMatchesFailureFree|TestTPCHCheckpointRecovery|TestCompressedFaultRecovery|TestConcurrentTPCHKillWorker' ./internal/tpch
 
@@ -87,7 +89,7 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 23276
+LOC_MAX := 23267
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi

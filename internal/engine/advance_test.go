@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -40,7 +40,12 @@ func q1ShapedPlan() *Plan {
 	)
 }
 
-// imageDiff describes how two images of one version differ, or is "".
+// imageDiff describes how two images of one version differ, or is "": in
+// epoch, replay entries and rows — a row's coordinates and the record a step
+// at its cursor retraces. loaded read every retrace afresh at the version's
+// cursors, where advanced carries its epoch's: the records agree at every
+// cursor, and the mark is the epoch's restart mark, which a load past the
+// restart does not find.
 func imageDiff(advanced, loaded *snapshot) string {
 	keys := func(s *snapshot) (k []string) {
 		for _, e := range s.replays {
@@ -48,12 +53,20 @@ func imageDiff(advanced, loaded *snapshot) string {
 		}
 		return k
 	}
+	rows := func(s *snapshot) (out []string) {
+		for _, row := range s.chans {
+			for _, m := range row {
+				out = append(out, fmt.Sprintf("%d/%d/%d/%d %v", m.place, m.cep, m.cursor, m.done, m.record()))
+			}
+		}
+		return out
+	}
 	if advanced.ver == loaded.ver && advanced.gep == loaded.gep &&
-		reflect.DeepEqual(advanced.chans, loaded.chans) && slices.Equal(keys(advanced), keys(loaded)) {
+		slices.Equal(rows(advanced), rows(loaded)) && slices.Equal(keys(advanced), keys(loaded)) {
 		return ""
 	}
 	return fmt.Sprintf("version %d/%d: advanced gep %d rows %v replays %v; loaded gep %d rows %v replays %v",
-		advanced.ver, loaded.ver, advanced.gep, advanced.chans, keys(advanced), loaded.gep, loaded.chans, keys(loaded))
+		advanced.ver, loaded.ver, advanced.gep, rows(advanced), keys(advanced), loaded.gep, rows(loaded), keys(loaded))
 }
 
 // imageCheck compares every image the committer advances with one loaded at
@@ -74,26 +87,40 @@ type imageCheck struct {
 	compared int
 	diffs    []string
 
-	readerCommit   bool // the last flush committed a task of a rewound reader
-	readerAdvances int  // advances past such a flush
+	// What the last flush committed of a rewound channel: any task, and a
+	// consumer's retraced one; and the advances past such flushes.
+	rewoundCommit, retraceCommit     bool
+	rewoundAdvances, retraceAdvances int
 }
 
 func (c *imageCheck) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
 	c.compare()
 	ns := c.r.keyNS()
 	var ver uint64 // the version this flush commits, if it does
-	readerCommit := false
+	rewoundCommit, retraceCommit := false, false
 	err := c.Backend.UpdateMulti(nss, func(tx *gcs.Txn) error {
 		ver = c.store.AwaitNS(context.Background(), ns, 0, 0) + 1
 		if err := fn(tx); err != nil {
 			return err
 		}
-		readerCommit = false
+		// A retraced task commits a cursor and no record of its own.
+		rewoundCommit, retraceCommit = false, false
 		for st, stage := range c.r.plan.Stages {
-			for ch := 0; stage.Reader != nil && ch < c.r.par[st]; ch++ {
+			for ch := 0; ch < c.r.par[st]; ch++ {
 				id := lineage.ChannelID{Stage: st, Channel: ch}
-				if tx.Writes()[c.r.keyCursor(id)] != nil && txGetInt(tx, c.r.keyChanEpoch(id), 0) > 0 {
-					readerCommit = true
+				cur := tx.Writes()[c.r.keyCursor(id)]
+				if cur == nil || txGetInt(tx, c.r.keyChanEpoch(id), 0) == 0 {
+					continue
+				}
+				rewoundCommit = true
+				if len(stage.Inputs) == 0 {
+					continue
+				}
+				seq, _ := strconv.Atoi(string(cur))
+				if _, logged := tx.Writes()[c.r.keyLineage(lineage.TaskName{Stage: st, Channel: ch, Seq: seq - 1})]; !logged {
+					if _, ok := tx.Get(c.r.keyLineage(lineage.TaskName{Stage: st, Channel: ch, Seq: seq - 1})); ok {
+						retraceCommit = true
+					}
 				}
 			}
 		}
@@ -102,7 +129,7 @@ func (c *imageCheck) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error
 	if err != nil || c.store.AwaitNS(context.Background(), ns, 0, 0) != ver {
 		return err
 	}
-	c.advances, c.readerCommit = c.r.qmet.Get(metrics.ImageAdvances), readerCommit
+	c.advances, c.rewoundCommit, c.retraceCommit = c.r.qmet.Get(metrics.ImageAdvances), rewoundCommit, retraceCommit
 	if s, lerr := c.r.loadSnapshot(ver, nil); lerr == nil && c.store.AwaitNS(context.Background(), ns, 0, 0) == ver {
 		c.loaded = s
 	}
@@ -113,10 +140,13 @@ func (c *imageCheck) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error
 // newer has replaced it: an advance never publishes over a newer image, and a
 // load never over one as new.
 func (c *imageCheck) compare() {
-	if c.readerCommit && c.r.qmet.Get(metrics.ImageAdvances) != c.advances {
-		c.readerAdvances++
+	if advanced := c.r.qmet.Get(metrics.ImageAdvances) != c.advances; advanced && c.rewoundCommit {
+		c.rewoundAdvances++
+		if c.retraceCommit {
+			c.retraceAdvances++
+		}
 	}
-	c.readerCommit = false
+	c.rewoundCommit, c.retraceCommit = false, false
 	loaded := c.loaded
 	c.loaded = nil
 	s := c.r.snap.Load()
@@ -134,15 +164,18 @@ func (c *imageCheck) compare() {
 // its flush equals the image a load at that version reads, row for row and
 // replay entry for replay entry — for a join and a Q1-shaped plan, in every
 // FT mode, with and without a worker killed mid-query (after which rewound
-// consumers refuse to advance and replay entries retire). A rewound reader's
-// row holds no record and no mark, so a flush carrying its commit advances:
-// every kill that recovers shows one.
+// consumers retrace their records and replay entries retire). The advanced
+// image carries its epoch's retraces, the load reads them afresh from each
+// cursor, and a step finds the same record in both. A flush carrying a
+// rewound channel's commit advances: every kill that recovers shows one, and
+// some kill shows one past a consumer's retraced task.
 func TestAdvancedImageEqualsLoadedImage(t *testing.T) {
 	tables := joinTables(12000)
 	plans := []struct {
 		name string
 		plan func() *Plan
 	}{{"join", joinPlan}, {"q1", q1ShapedPlan}}
+	retraceAdvances := 0
 	for _, p := range plans {
 		for _, ft := range []FTMode{FTWriteAheadLineage, FTNone, FTCheckpoint, FTSpool} {
 			for _, kill := range []bool{false, true} {
@@ -177,12 +210,17 @@ func TestAdvancedImageEqualsLoadedImage(t *testing.T) {
 					if kill && ft != FTNone && rep.Recoveries == 0 {
 						t.Error("the kill exercised no recovery")
 					}
-					if kill && ft != FTNone && check.readerAdvances == 0 {
-						t.Error("no advance folded a rewound reader's commit")
+					if kill && ft != FTNone && check.rewoundAdvances == 0 {
+						t.Error("no advance folded a rewound channel's commit")
 					}
+					retraceAdvances += check.retraceAdvances
 				})
 			}
 		}
+	}
+	t.Logf("%d advances past a consumer's retraced task", retraceAdvances)
+	if retraceAdvances == 0 {
+		t.Error("no advance folded a consumer's retraced task: no kill made one retrace")
 	}
 }
 

@@ -104,9 +104,9 @@ func (c ftCaps) needsSharedStore() bool { return c.has(capSpool | capCheckpoint)
 // died from a producer whose worker lives, and a channel leaves its worker
 // only when that worker dies — so no replay names a piece that was local
 // (ROADMAP, "A task's output is serialised at most once"). A spool object is
-// read after its writer died, and a checkpoint restart keeps pd/ owners that
-// died below its mark, so a later cascade can rewind a live producer and read
-// a backup beside it: those two keep every piece's bytes.
+// read after its writer died, and a checkpoint restart keeps tasks below its
+// mark (rs/) whose committer died, so a later cascade can rewind a live
+// producer and read a backup beside it: those two keep every piece's bytes.
 func (c ftCaps) elidesLocal() bool { return !c.has(capSpool | capCheckpoint) }
 
 // RecoveryMode selects how rewound channels are spread over live workers.

@@ -879,6 +879,65 @@ func TestCheckpointRestartKeepsDeliveredResults(t *testing.T) {
 	}
 }
 
+// TestOwnerBelowARestartHasDied: under checkpoint a channel that restarted
+// from a mark keeps its tasks below the mark, and their backups died with the
+// worker that committed them. The join channel on worker 1 is killed past a
+// mark and restarts from it on a survivor; then the aggregate's worker 0 dies,
+// and the rewound aggregate needs every join task re-fed: those at or above
+// the join's restart cursor from its new host, those below it from no one — so
+// the second pass cascades the join, from 0, and drops its restart cursor. The
+// result is the failure-free run's byte for byte.
+func TestOwnerBelowARestartHasDied(t *testing.T) {
+	tables := joinTables(4000)
+	cfg := DefaultConfig()
+	cfg.FT = FTCheckpoint
+	cfg.CheckpointEveryTasks = 2
+	cfg.MaxTake = 1
+	want, _ := runPlan(t, testCluster(t, 4, tables), joinPlan(), cfg)
+
+	cl := testCluster(t, 4, tables)
+	r, err := NewRunner(cl, joinPlan(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	join, agg := lineage.ChannelID{Stage: 2, Channel: 1}, lineage.ChannelID{Stage: 3, Channel: 0}
+	killInTxn(cl, 1, func(tx *gcs.Txn) bool {
+		v, _ := tx.Get(r.keyCheckpoint(join))
+		m, err := decodeCheckpoint(v)
+		return err == nil && m.Seq >= 4 && txGetInt(tx, r.keyCursor(join), 0) > m.Seq
+	})
+	// Worker 0 hosts the aggregate; it dies once the join, restarted on
+	// another worker, has committed past its restart cursor.
+	killInTxn(cl, 0, func(tx *gcs.Txn) bool {
+		restart := txGetInt(tx, r.keyRestart(join), 0)
+		return restart > 0 && txGetInt(tx, r.keyCursor(join), 0) > restart &&
+			txGetInt(tx, r.keyPlacement(join), -1) != 0 && txGetInt(tx, r.keyPlacement(agg), -1) == 0
+	})
+	var kept, dropped atomic.Bool // a pass kept the join's restart cursor; a later one dropped it
+	cl.GCS = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, flush bool) {
+		if v, ok := tx.Writes()[r.keyRestart(join)]; ok && !flush {
+			if v != nil {
+				kept.Store(true)
+			} else if kept.Load() {
+				dropped.Store(true)
+			}
+		}
+	}}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, rep, err := r.Run(ctx)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Recoveries < 2 || !kept.Load() || !dropped.Load() {
+		t.Fatalf("%d recoveries; restart cursor kept %v, dropped %v: want the join restarted from a mark, then cascaded from 0",
+			rep.Recoveries, kept.Load(), dropped.Load())
+	}
+	if !bytes.Equal(batch.Encode(got), batch.Encode(want)) {
+		t.Fatalf("result differs from the failure-free run:\nwant %v\ngot  %v", want, got)
+	}
+}
+
 // rowMultiset renders every row of b and sorts them.
 func rowMultiset(b *batch.Batch) []string {
 	var rows []string

@@ -60,7 +60,6 @@ var errRunFlush = errors.New("engine: run the next flush")
 type commitReq struct {
 	r        *Runner
 	alive    func() bool // requester worker's liveness
-	workerID int
 	id       lineage.ChannelID
 	cep      int
 	gep      int // global epoch of the snapshot the task's pushes were placed by
@@ -70,11 +69,7 @@ type commitReq struct {
 	isReplay bool
 	mark     []byte   // encoded checkpoint mark written beside the cursor, or nil
 	retire   []string // the rp/ keys of the replay entries a round drained
-	// next is the encoded lin/ record at the new cursor of a rewound row of a
-	// stage with inputs, read by the flush that applies the commit so that the
-	// image advances past it (snapshot.advance); nil when there is none.
-	next []byte
-	resp chan error
+	resp     chan error
 }
 
 // logsLineage reports whether this commit writes a lineage record: only a
@@ -174,22 +169,11 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 				tx.Put(r.keyLineage(req.task), req.rec.Encode())
 			}
 			txPutInt(tx, r.keyCursor(req.id), req.task.Seq+1)
-			if r.ft.has(capCheckpoint) {
-				// A restart from a mark keeps owners below it that may have
-				// died; under WAL the owner is the channel's pl/ (reconcile).
-				txPutInt(tx, r.keyPartDir(req.task), req.workerID)
-			}
 			if req.finalize {
 				txPutInt(tx, r.keyDone(req.id), req.task.Seq+1)
 			}
 			if req.mark != nil {
 				tx.Put(r.keyCheckpoint(req.id), req.mark)
-			}
-			// A rewound row carries the record at its cursor: read it here,
-			// where the commit moves the cursor, so the image advances.
-			req.next = nil
-			if req.cep != 0 && !req.finalize && len(r.plan.Stages[req.id.Stage].Inputs) > 0 {
-				req.next, _ = tx.Get(r.keyLineage(lineage.TaskName{Stage: req.id.Stage, Channel: req.id.Channel, Seq: req.task.Seq + 1}))
 			}
 		}
 		if applied == 0 {

@@ -24,8 +24,8 @@ func spoolKey(task lineage.TaskName) string { return "spool/" + task.String() }
 // task's object is the committed one, already there. A first execution
 // always writes its own: an object under its key may be a refused
 // incarnation's, which pushed other inputs' output and never committed.
-func (t *taskManager) persistBeforePush(cs *chanState, task lineage.TaskName, p *pendingTask, isReplay bool) error {
-	if !t.r.ft.has(capSpool) || !t.r.spooled[cs.id.Stage] || isReplay {
+func (t *taskManager) persistBeforePush(cs *chanState, task lineage.TaskName, p *pendingTask) error {
+	if !t.r.ft.has(capSpool) || !t.r.spooled[cs.id.Stage] || p.replay {
 		return nil
 	}
 	if err := t.r.spool.Put(spoolKey(task), p.payload); err != nil {

@@ -106,17 +106,19 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 				for uc := 0; uc < r.par[up]; uc++ {
 					uid := lineage.ChannelID{Stage: up, Channel: uc}
 					committed := txGetInt(tx, r.keyCursor(uid), 0)
-					// The owner rule: a channel leaves its worker only when
-					// that worker dies, and then its cursor starts over, so
-					// every task below the cursor was committed by its host.
-					// A checkpoint restart keeps tasks below its mark, whose
-					// owners its commits recorded in pd/.
+					// The owner rule: every task at or above the channel's
+					// restart cursor was committed by its host, as a channel
+					// is re-placed only when it restarts. Every task below it
+					// was committed by a worker that has died since: only a
+					// channel on a dead worker restarts from a mark, a
+					// cascade restarts from 0, and workers never come back.
 					host := txGetInt(tx, r.keyPlacement(uid), -1)
+					restarted := txGetInt(tx, r.keyRestart(uid), 0)
 					for q := 0; q < committed; q++ {
 						utask := lineage.TaskName{Stage: up, Channel: uc, Seq: q}
 						owner := host
-						if r.ft.has(capCheckpoint) {
-							owner = txGetInt(tx, r.keyPartDir(utask), -1)
+						if q < restarted {
+							owner = -1
 						}
 						switch {
 						case r.ft.has(capSpool) && r.spooled[up]:
@@ -206,7 +208,8 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 		}
 
 		// A channel restarts from scratch, or at its checkpoint mark: the
-		// mark carries the watermark that goes with the operator state.
+		// mark carries the watermark that goes with the operator state. The
+		// restart cursor is the owner rule's boundary, kept only above 0.
 		restart := 0
 		if r.ft.has(capCheckpoint) && !reproduce[id] {
 			if v, ok := tx.Get(r.keyCheckpoint(id)); ok {
@@ -216,6 +219,11 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 			}
 		}
 		txPutInt(tx, r.keyCursor(id), restart)
+		if restart > 0 {
+			txPutInt(tx, r.keyRestart(id), restart)
+		} else if _, ok := tx.Get(r.keyRestart(id)); ok {
+			tx.Delete(r.keyRestart(id))
+		}
 		r.count(metrics.RecoveryRewinds, 1)
 
 		// Any partitions this channel had buffered on other live workers

@@ -34,6 +34,7 @@ type schemaRecorder struct {
 	recoveries []map[string]int // per epoch-moving update: class -> keys put
 	lastWrites int              // per-key writes of the latest of them
 	badMarks   []string
+	badRestart []string // rs puts that are not the restart cursor, above 0, beside them
 }
 
 // flushWrites is one flush's write set: class -> keys put, and keys deleted;
@@ -49,7 +50,7 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 	puts, deletes := map[string]int{}, map[string]int{}
 	commits, lin := map[string]bool{}, map[string]bool{}
 	recovery := false
-	var badMarks []string
+	var badMarks, badRestart []string
 	for k, v := range tx.Writes() {
 		ns, rest, _ := strings.Cut(strings.TrimPrefix(k, "q/"), "/")
 		class, ch, _ := strings.Cut(rest, "/")
@@ -65,6 +66,14 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 			commits[ch+"."+strconv.Itoa(seq-1)] = tx.Writes()["q/"+ns+"/done/"+ch] != nil
 		case flush && class == "lin":
 			lin[ch] = true
+		}
+		if !flush && (class == "rs" || class == "cur" && string(v) != "0") {
+			// A pass keeps a restart cursor for, and only for, a channel it
+			// restarts from a mark: the cursor it writes beside it, above 0.
+			cur, rs := tx.Writes()["q/"+ns+"/cur/"+ch], tx.Writes()["q/"+ns+"/rs/"+ch]
+			if string(cur) != string(rs) || string(rs) == "0" {
+				badRestart = append(badRestart, fmt.Sprintf("rs/%s = %q beside cur %q", ch, rs, cur))
+			}
 		}
 		if flush && class == "ck" {
 			// The mark's Seq is the cursor committed beside it, and its object
@@ -85,6 +94,7 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 		s.written[class] = true
 	}
 	s.badMarks = append(s.badMarks, badMarks...)
+	s.badRestart = append(s.badRestart, badRestart...)
 	if flush {
 		s.flushes = append(s.flushes, flushWrites{puts, deletes, commits, lin})
 		return
@@ -111,7 +121,8 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 // seed — which writes placements and the global epoch alone — recovery
 // passes and cleanup are the only updates that are no flush, cleanup drops
 // the namespace with no per-key write and leaves nothing of it, and no row on
-// the page goes unwritten by all of them.
+// the page goes unwritten by all of them. Under checkpoint a pass writes rs
+// for, and only for, a channel it restarts from a mark.
 func TestControlStoreSchema(t *testing.T) {
 	page, err := os.ReadFile("../../docs/contracts/control-store.md")
 	if err != nil {
@@ -153,7 +164,12 @@ func TestControlStoreSchema(t *testing.T) {
 					cur := func(tx *gcs.Txn, s, c int) int {
 						return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: s, Channel: c}), 0)
 					}
-					killInTxn(cl, 2, func(tx *gcs.Txn) bool { return cur(tx, 1, 2) > 0 && cur(tx, 1, 0) > 0 && cur(tx, 2, 2) > 0 })
+					// Under checkpoint the join channel has a mark to restart
+					// from, which the pass keeps in rs.
+					killInTxn(cl, 2, func(tx *gcs.Txn) bool {
+						_, marked := tx.Get(r.keyCheckpoint(lineage.ChannelID{Stage: 2, Channel: 2}))
+						return cur(tx, 1, 2) > 0 && cur(tx, 1, 0) > 0 && cur(tx, 2, 2) > 0 && (marked || ft != FTCheckpoint)
+					})
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 				defer cancel()
@@ -178,11 +194,9 @@ func TestControlStoreSchema(t *testing.T) {
 				for _, f := range rec.flushes {
 					puts := f.puts
 					n := puts["cur"] // task commits in this flush
-					wantPD, maxCk := 0, 0
-					// Under wal the owner of a backup is its channel's pl/:
-					// only a checkpoint restart keeps owners pd/ must name.
+					maxCk := 0
 					if caps.has(capCheckpoint) {
-						wantPD, maxCk = n, n
+						maxCk = n
 					}
 					// Only a consume task's first execution logs its range: a
 					// reader's split and a last task are re-derived, and a
@@ -206,7 +220,7 @@ func TestControlStoreSchema(t *testing.T) {
 					maps.Copy(logged, f.lin)
 					other := 0
 					for class := range puts {
-						if !slices.Contains([]string{"cur", "lin", "pd", "done", "ck"}, class) {
+						if !slices.Contains([]string{"cur", "lin", "done", "ck"}, class) {
 							other++
 						}
 					}
@@ -218,8 +232,8 @@ func TestControlStoreSchema(t *testing.T) {
 						}
 						retired += k
 					}
-					if n == 0 && len(f.deletes) == 0 || len(f.commits) != n || puts["pd"] != wantPD || puts["done"] > n || puts["ck"] > maxCk || other != 0 {
-						t.Errorf("a flush of %d task commits wrote %v, want pd %d, at most %d done, at most %d ck and nothing else", n, puts, wantPD, n, maxCk)
+					if n == 0 && len(f.deletes) == 0 || len(f.commits) != n || puts["done"] > n || puts["ck"] > maxCk || other != 0 {
+						t.Errorf("a flush of %d task commits wrote %v, want at most %d done, at most %d ck and nothing else", n, puts, n, maxCk)
 					}
 				}
 				if len(rec.flushes) == 0 {
@@ -227,6 +241,9 @@ func TestControlStoreSchema(t *testing.T) {
 				}
 				for _, m := range rec.badMarks {
 					t.Errorf("a flush wrote a mark that is not its entry's: %s", m)
+				}
+				for _, m := range rec.badRestart {
+					t.Errorf("a recovery pass wrote a restart cursor it did not restart at: %s", m)
 				}
 				// Every other update is the head's: seed, each recovery pass,
 				// cleanup. A worker writes through the flush alone.
@@ -250,8 +267,8 @@ func TestControlStoreSchema(t *testing.T) {
 						t.Errorf("the update that moved the epoch wrote %v: no rewind", puts)
 					}
 					for class := range puts {
-						if !slices.Contains([]string{"pl", "cep", "cur", "rp", "gep"}, class) {
-							t.Errorf("a recovery pass wrote %v: %q is outside pl, cep, cur, rp, gep", puts, class)
+						if !slices.Contains([]string{"pl", "cep", "cur", "rp", "gep", "rs"}, class) || class == "rs" && !caps.has(capCheckpoint) {
+							t.Errorf("a recovery pass under %s wrote %v: %q is outside pl, cep, cur, rp, gep (and rs under checkpoint)", ft, puts, class)
 						}
 					}
 					queued += puts["rp"]

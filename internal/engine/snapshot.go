@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"runtime"
 	"slices"
 	"strconv"
@@ -16,15 +15,15 @@ import (
 
 // snapshot is one immutable image of the query's control-plane namespace:
 // everything a round of Algorithm 1 reads — the global epoch, every
-// channel's coordinates and every worker's replay queue — taken in ONE GCS
-// view and stamped with the namespace version probed before that view, or
-// advanced by the group committer past a flush that was the only write since
-// the image it started from (advance). It is the only thing a poll round, a
-// task step, a push, a replay and the coordinator's completion check know
-// about the control store; "is this stale" is one comparison of ver with the
-// live version. A channel may have
-// moved since the image was taken, so step still checks it against the live
-// chanState and every commit is fenced in its own transaction.
+// channel's row and every worker's replay queue — taken in ONE GCS view and
+// stamped with the namespace version probed before that view, or advanced by
+// the group committer past a flush that was the only write since the image it
+// started from (advance). It is the only thing a poll round, a task step, a
+// push, a replay and the coordinator's completion check know about the
+// control store; "is this stale" is one comparison of ver with the live
+// version. A channel may have moved since the image was taken, so step still
+// checks it against the live chanState and every commit is fenced in its own
+// transaction.
 type snapshot struct {
 	ver uint64
 
@@ -42,33 +41,40 @@ type replayEntry struct {
 	dests  []lineage.ChannelID
 }
 
-// chanMeta is one channel's row of a snapshot.
+// chanMeta is one channel's row of a snapshot: its coordinates, and the
+// retrace every image at the snapshot's global epoch shares (loadSnapshot).
 type chanMeta struct {
 	place  int // hosting worker; -1 = unplaced
 	cep    int
 	cursor int
 	done   int // task count of the finished channel; -1 = still running
-	// replayRec is the committed lineage record at cursor, if there is one: a
-	// rewound channel retraces it instead of choosing inputs.
-	replayRec  *lineage.Record
-	checkpoint *checkpointMark
+	rt     *retrace
 }
 
-// equal reports whether two rows hold the same coordinates: the lineage
-// record and checkpoint mark by value, as a load decodes them afresh.
+// retrace is what a rewound channel of a stage with inputs re-runs under one
+// global epoch: its committed lineage records from a cursor up to the first
+// missing one, and under capCheckpoint its restart mark. Nothing the epoch
+// commits changes it: a retraced task writes no record, a first execution
+// writes one only past the first missing, and every rewind moves the epoch.
+type retrace struct {
+	from int              // the cursor of recs[0]
+	recs []lineage.Record // the records at from, from+1, ...
+	mark *checkpointMark  // the mark a restart at its Seq restores; nil if none
+}
+
+// record is the committed lineage record at the row's cursor, which a rewound
+// channel retraces instead of choosing inputs; nil when there is none.
+func (m *chanMeta) record() *lineage.Record {
+	if m.rt == nil || m.cursor < m.rt.from || m.cursor-m.rt.from >= len(m.rt.recs) {
+		return nil
+	}
+	return &m.rt.recs[m.cursor-m.rt.from]
+}
+
+// equal reports whether two rows hold the same coordinates. Rows of one
+// global epoch share their retrace, and changesFor compares the epochs first.
 func (m *chanMeta) equal(o *chanMeta) bool {
-	if m == o {
-		return true
-	}
-	if m.place != o.place || m.cep != o.cep || m.cursor != o.cursor || m.done != o.done ||
-		(m.replayRec == nil) != (o.replayRec == nil) || (m.checkpoint == nil) != (o.checkpoint == nil) {
-		return false
-	}
-	if m.replayRec != nil && *m.replayRec != *o.replayRec {
-		return false
-	}
-	a, b := m.checkpoint, o.checkpoint
-	return a == nil || a.Seq == b.Seq && a.ObjKey == b.ObjKey && maps.Equal(a.WM, b.WM)
+	return m.place == o.place && m.cep == o.cep && m.cursor == o.cursor && m.done == o.done
 }
 
 // changesFor reports whether n holds anything a step of channel id, whose
@@ -156,13 +162,8 @@ func (r *Runner) publish(s *snapshot) bool {
 // write since s's stamp leaves: s with the flush's applied entries folded in
 // — a task commit moves its channel's cursor, and done on finalize; a
 // retirement drops its replay entries — sharing every row it does not touch.
-// gep is the global epoch the flush read. A rewound row of a stage with
-// inputs carries the lineage record and checkpoint mark at its cursor, as a
-// load reads them: the record is the one the flush read at the new cursor
-// (commitReq.next), the mark the one the commit wrote, else the row's own. A
-// rewound reader's row carries neither: its splits are re-derived, not
-// logged, and it has no operator state to mark. It returns nil only when s is
-// of another epoch, or a record or mark does not decode, which a load reports.
+// gep is the global epoch the flush read; an image of another epoch has no
+// advance, as a new epoch's first image reads its retraces.
 func (s *snapshot) advance(ver uint64, gep int, applied []*commitReq) *snapshot {
 	if s.gep != gep {
 		return nil
@@ -183,37 +184,17 @@ func (s *snapshot) advance(ver uint64, gep int, applied []*commitReq) *snapshot 
 		if req.finalize {
 			m.done = req.task.Seq + 1
 		}
-		if m.cep == 0 || len(req.r.plan.Stages[st].Inputs) == 0 {
-			continue
-		}
-		m.replayRec = nil
-		if req.next != nil {
-			rec, err := lineage.DecodeRecord(req.next)
-			if err != nil {
-				return nil
-			}
-			m.replayRec = &rec
-		}
-		if req.mark != nil {
-			ck, err := decodeCheckpoint(req.mark)
-			if err != nil {
-				return nil
-			}
-			m.checkpoint = &ck
-		}
-		if m.done == m.cursor {
-			m.replayRec, m.checkpoint = nil, nil
-		}
 	}
 	return n
 }
 
 // loadSnapshot reads the whole image in one view, a worker's only read of the
 // control store; a body may run more than once remotely, so it builds the image.
-// Channel keys are known from the plan. Replay entries are written only by
-// recover, which moves the global epoch, and only deleted after: none at the
-// seeded epoch, listed at the first image of a later one, and at prev's epoch
-// those of prev's still there.
+// Channel keys are known from the plan. What moves only with the global epoch
+// is read by the first image at each epoch and carried by later ones, prev
+// being the image before this one: replay entries — written only by recover,
+// and only deleted after; none at the seeded epoch — while each still exists,
+// and each row's retrace.
 func (r *Runner) loadSnapshot(ver uint64, prev *snapshot) (*snapshot, error) {
 	var s *snapshot
 	err := r.cl.GCS.ViewNS(r.keyNS(), func(tx *gcs.Txn) error {
@@ -222,7 +203,8 @@ func (r *Runner) loadSnapshot(ver uint64, prev *snapshot) (*snapshot, error) {
 			gep:   txGetInt(tx, r.keyGlobalEpoch(), 0),
 			chans: make([][]chanMeta, len(r.par)),
 		}
-		if prev != nil && prev.gep == s.gep {
+		carried := prev != nil && prev.gep == s.gep
+		if carried {
 			for _, e := range prev.replays {
 				if _, ok := tx.Get(e.key); ok {
 					s.replays = append(s.replays, e)
@@ -242,31 +224,21 @@ func (r *Runner) loadSnapshot(ver uint64, prev *snapshot) (*snapshot, error) {
 				m.cep = txGetInt(tx, r.keyChanEpoch(id), 0)
 				m.cursor = txGetInt(tx, r.keyCursor(id), 0)
 				m.done = txGetInt(tx, r.keyDone(id), -1)
-				// A finished channel has no task at its cursor. Equality, not
-				// presence: a rewound channel keeps its done/ key while its
-				// cursor starts over. A record at the cursor, or a mark step
-				// would restore, exists only for a channel reconcile rewound,
-				// and reconcile raises the epoch of each: one never rewound
-				// (epoch 0) has neither.
-				if m.done == m.cursor || m.cep == 0 {
+				if carried {
+					m.rt = prev.chans[st][c].rt
 					continue
 				}
-				if v, ok := tx.Get(r.keyLineage(lineage.TaskName{Stage: st, Channel: c, Seq: m.cursor})); ok {
-					rec, err := lineage.DecodeRecord(v)
-					if err != nil {
-						return err
-					}
-					m.replayRec = &rec
-				}
-				if !r.ft.has(capCheckpoint) {
+				// A finished channel (equality, not presence: a rewound one
+				// keeps its done/ key while its cursor starts over), one never
+				// rewound (epoch 0: only reconcile leaves a record at a
+				// cursor) and a reader, whose splits are re-derived, have no
+				// retrace.
+				if m.done == m.cursor || m.cep == 0 || len(r.plan.Stages[st].Inputs) == 0 {
 					continue
 				}
-				if v, ok := tx.Get(r.keyCheckpoint(id)); ok {
-					ck, err := decodeCheckpoint(v)
-					if err != nil {
-						return err
-					}
-					m.checkpoint = &ck
+				var err error
+				if m.rt, err = r.loadRetrace(tx, id, m.cursor); err != nil {
+					return err
 				}
 			}
 		}
@@ -277,6 +249,32 @@ func (r *Runner) loadSnapshot(ver uint64, prev *snapshot) (*snapshot, error) {
 		r.count(metrics.ImageLoads, 1)
 	}
 	return s, err
+}
+
+// loadRetrace reads rewound channel id's retrace from cursor from on.
+func (r *Runner) loadRetrace(tx *gcs.Txn, id lineage.ChannelID, from int) (*retrace, error) {
+	rt := &retrace{from: from}
+	for q := from; ; q++ {
+		v, ok := tx.Get(r.keyLineage(lineage.TaskName{Stage: id.Stage, Channel: id.Channel, Seq: q}))
+		if !ok {
+			break
+		}
+		rec, err := lineage.DecodeRecord(v)
+		if err != nil {
+			return nil, err
+		}
+		rt.recs = append(rt.recs, rec)
+	}
+	if r.ft.has(capCheckpoint) {
+		if v, ok := tx.Get(r.keyCheckpoint(id)); ok {
+			ck, err := decodeCheckpoint(v)
+			if err != nil {
+				return nil, err
+			}
+			rt.mark = &ck
+		}
+	}
+	return rt, nil
 }
 
 // loadReplays lists every worker's replay queue into s, each entry with its

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -118,8 +119,8 @@ func TestStepRejectsStaleSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	rewound := image()
-	if m := rewound.chans[0][0]; m.cep != 1 || m.cursor != 0 || m.replayRec != nil {
-		t.Fatalf("the rewound image: epoch %d, cursor %d, record %v; want epoch 1, cursor 0 and no record", m.cep, m.cursor, m.replayRec)
+	if m := rewound.chans[0][0]; m.cep != 1 || m.cursor != 0 || m.rt != nil {
+		t.Fatalf("the rewound image: epoch %d, cursor %d, retrace %v; want epoch 1, cursor 0 and no retrace", m.cep, m.cursor, m.rt)
 	}
 	if !step(cs, rewound) || cs.cep != 1 || cs.cursor != 1 {
 		t.Fatalf("replay under the new epoch: epoch %d, cursor %d", cs.cep, cs.cursor)
@@ -154,24 +155,12 @@ func TestChangesFor(t *testing.T) {
 		}
 		return n
 	}
-	// loaded is s as a load at ver+1 would build it: no row, record or mark
-	// shared; edit changes the copy.
+	// loaded is s as a load at ver+1 would build it: no row shared, each
+	// row's retrace carried, as at one global epoch; edit changes the copy.
 	loaded := func(from *snapshot, edit func(n *snapshot)) *snapshot {
 		n := &snapshot{ver: from.ver + 1, gep: from.gep, chans: make([][]chanMeta, len(from.chans))}
 		for st, r := range from.chans {
 			n.chans[st] = slices.Clone(r)
-			for c := range n.chans[st] {
-				m := &n.chans[st][c]
-				if m.replayRec != nil {
-					rec := *m.replayRec
-					m.replayRec = &rec
-				}
-				if m.checkpoint != nil {
-					ck := *m.checkpoint
-					ck.WM = ck.WM.Clone()
-					m.checkpoint = &ck
-				}
-			}
 		}
 		if edit != nil {
 			edit(n)
@@ -187,13 +176,14 @@ func TestChangesFor(t *testing.T) {
 		dests: []lineage.ChannelID{{Stage: 2, Channel: 0}, id}}
 	other := replayEntry{key: "q/q1/rp/1/0.1.1", worker: 1, task: lineage.TaskName{Stage: 0, Channel: 1, Seq: 1},
 		dests: []lineage.ChannelID{{Stage: 1, Channel: 1}}}
-	// A rewound channel's row carries the lineage record and checkpoint mark at
-	// its cursor; a load decodes both afresh.
+	// A rewound channel's row carries its epoch's retrace: two records from
+	// its cursor on, and its restart mark.
 	rewound := loaded(s, func(n *snapshot) {
 		n.chans[1][0].cep = 1
-		n.chans[1][0].replayRec = &lineage.Record{UpChannel: 1, Count: 2}
-		n.chans[1][0].checkpoint = &checkpointMark{Seq: 1, ObjKey: "ck/1.0", WM: lineage.Watermark{{UpChannel: 1}: 2}}
+		n.chans[1][0].rt = &retrace{from: 1, recs: []lineage.Record{{UpChannel: 1, Count: 2}, {UpChannel: 0, Count: 1}},
+			mark: &checkpointMark{Seq: 1, ObjKey: "ck/1.0", WM: lineage.Watermark{{UpChannel: 1}: 2}}}
 	})
+	advancedRewound := rewound.advance(rewound.ver+1, rewound.gep, []*commitReq{{id: id, task: lineage.TaskName{Stage: 1, Seq: 1}}})
 
 	for _, tc := range []struct {
 		name string
@@ -219,23 +209,30 @@ func TestChangesFor(t *testing.T) {
 		{"load, own epoch moved", s, loaded(s, func(n *snapshot) { n.chans[1][0].cep++ }), true},
 		{"load, input finished", s, loaded(s, func(n *snapshot) { n.chans[0][1].done = 2 }), true},
 		{"load, input moved worker", s, loaded(s, func(n *snapshot) { n.chans[0][0].place = 1 }), true},
-		{"load, another record to retrace", rewound, loaded(rewound, func(n *snapshot) { n.chans[1][0].replayRec.Count = 3 }), true},
-		{"load, no record to retrace", rewound, loaded(rewound, func(n *snapshot) { n.chans[1][0].replayRec = nil }), true},
-		{"load, another checkpoint watermark", rewound, loaded(rewound, func(n *snapshot) {
-			n.chans[1][0].checkpoint.WM[lineage.EdgeChannel{UpChannel: 0}] = 1
+		{"advance of a rewound row to its next record", rewound, advancedRewound, true},
+		{"advance of an unrelated stage, a rewound row carried", rewound, rewound.advance(rewound.ver+1, rewound.gep,
+			[]*commitReq{{id: lineage.ChannelID{Stage: 3}, task: lineage.TaskName{Stage: 3, Seq: 5}}}), false},
+		{"load at the next epoch, the retrace read again", rewound, loaded(rewound, func(n *snapshot) {
+			n.gep++
+			n.chans[1][0].rt = &retrace{from: 1, recs: rewound.chans[1][0].rt.recs}
 		}), true},
 	} {
 		if got := tc.s.changesFor(tc.n, id, inputs); got != tc.want {
 			t.Errorf("%s: changesFor = %v, want %v", tc.name, got, tc.want)
 		}
 	}
+	if rec := advancedRewound.chans[1][0].record(); rec == nil || *rec != rewound.chans[1][0].rt.recs[1] {
+		t.Errorf("advanced past its first retraced task, the rewound row's record is %v, want the retrace's second", rec)
+	}
 }
 
-// TestSnapshotSkipsNeverRewoundChannels: the image reads a lineage record at
-// the cursor, or a checkpoint mark, only for a channel some recovery rewound
-// (epoch above 0) — only reconcile leaves a record at a cursor. Records
-// planted at the cursor of an epoch-0 channel are not loaded; the same
-// records at an epoch-1 channel are.
+// TestSnapshotSkipsNeverRewoundChannels: the image reads a retrace — the
+// lineage records from the cursor on, and the checkpoint mark — only for a
+// channel some recovery rewound (epoch above 0), as only reconcile leaves a
+// record at a cursor, and only at the first image of a global epoch: later
+// images at that epoch carry it while the cursor moves through it, and the
+// next epoch's first image reads it again. Records planted at the cursor of an
+// epoch-0 channel are not loaded; the same records at an epoch-1 channel are.
 func TestSnapshotSkipsNeverRewoundChannels(t *testing.T) {
 	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(400, 4)})
 	cfg := DefaultConfig()
@@ -248,25 +245,54 @@ func TestSnapshotSkipsNeverRewoundChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh, rewound := lineage.ChannelID{Stage: 1, Channel: 0}, lineage.ChannelID{Stage: 1, Channel: 1}
-	if err := r.gcsUpdate(func(tx *gcs.Txn) error {
+	update := func(fn func(tx *gcs.Txn)) *snapshot {
+		t.Helper()
+		if err := r.gcsUpdate(func(tx *gcs.Txn) error { fn(tx); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		s, err := r.snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	recs := []lineage.Record{lineage.Consume(0, 1, 0, 1), lineage.Consume(0, 1, 1, 2)}
+	s := update(func(tx *gcs.Txn) {
 		for _, id := range []lineage.ChannelID{fresh, rewound} {
-			tx.Put(r.keyLineage(lineage.TaskName{Stage: id.Stage, Channel: id.Channel, Seq: 0}), lineage.Consume(0, id.Channel, 0, 1).Encode())
-			tx.Put(r.keyCheckpoint(id), encodeCheckpoint(checkpointMark{Seq: 0, ObjKey: "ckpt/x"}))
+			for q, rec := range recs {
+				tx.Put(r.keyLineage(lineage.TaskName{Stage: id.Stage, Channel: id.Channel, Seq: q}), rec.Encode())
+			}
+			tx.Put(r.keyCheckpoint(id), encodeCheckpoint(checkpointMark{Seq: 1, ObjKey: "ckpt/x"}))
 		}
 		txPutInt(tx, r.keyChanEpoch(rewound), 1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	})
+	if m := s.chans[fresh.Stage][fresh.Channel]; m.rt != nil {
+		t.Errorf("epoch-0 channel %s: retrace %v loaded", fresh, m.rt)
 	}
-	s, err := r.snapshot()
-	if err != nil {
-		t.Fatal(err)
+	m := s.chans[rewound.Stage][rewound.Channel]
+	if m.rt == nil || m.rt.from != 0 || !slices.Equal(m.rt.recs, recs) || m.rt.mark == nil || m.rt.mark.Seq != 1 {
+		t.Fatalf("epoch-1 channel %s: retrace %+v, want records %v from cursor 0 and the mark at 1", rewound, m.rt, recs)
 	}
-	if m := s.chans[fresh.Stage][fresh.Channel]; m.replayRec != nil || m.checkpoint != nil {
-		t.Errorf("epoch-0 channel %s: record %v, mark %v loaded", fresh, m.replayRec, m.checkpoint)
+	if rec := m.record(); rec == nil || *rec != recs[0] {
+		t.Errorf("epoch-1 channel %s at cursor 0: record %v, want %v", rewound, rec, recs[0])
 	}
-	if m := s.chans[rewound.Stage][rewound.Channel]; m.replayRec == nil || m.checkpoint == nil {
-		t.Errorf("epoch-1 channel %s: record %v, mark %v, want both loaded", rewound, m.replayRec, m.checkpoint)
+
+	// The channel retraces task 0, and a record appears past the retrace: a
+	// later image at the epoch reads neither again, and carries the retrace
+	// to the new cursor.
+	s = update(func(tx *gcs.Txn) {
+		tx.Put(r.keyLineage(lineage.TaskName{Stage: rewound.Stage, Channel: rewound.Channel, Seq: 2}), recs[1].Encode())
+		txPutInt(tx, r.keyCursor(rewound), 1)
+	})
+	if n := s.chans[rewound.Stage][rewound.Channel]; n.rt != m.rt {
+		t.Errorf("a second image at the epoch read the retrace again: %+v", n.rt)
+	} else if rec := n.record(); rec == nil || *rec != recs[1] {
+		t.Errorf("at cursor 1: record %v, want %v", rec, recs[1])
+	}
+	// The next epoch's first image reads it from the cursor.
+	s = update(func(tx *gcs.Txn) { txPutInt(tx, r.keyGlobalEpoch(), 2) })
+	if n := s.chans[rewound.Stage][rewound.Channel]; n.rt == m.rt || n.rt.from != 1 || len(n.rt.recs) != 2 {
+		t.Errorf("the next epoch's image: retrace %+v, want the records at 1 and 2 read afresh", n.rt)
 	}
 }
 
@@ -547,6 +573,98 @@ func TestEveryWorkerReadIsAnImageLoad(t *testing.T) {
 			t.Fatalf("Run: %v, want the result or %v", err, errLost)
 		}
 	})
+}
+
+// flushReads runs every flush body once more, first, against a replica of
+// the store — as a worker process runs one — and counts the keys the body
+// asked for by class, and the prefixes it listed. A body may run more than
+// once (a remote backend re-runs one whose fences moved), so the real run
+// that follows is the flush.
+type flushReads struct {
+	gcs.Backend
+	store *gcs.Store
+	mu    sync.Mutex
+	read  map[string]int
+}
+
+func (f *flushReads) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+	reps := make([]*gcs.Replica, len(nss))
+	for i, ns := range nss {
+		reps[i] = &gcs.Replica{NS: ns}
+		reps[i].Apply(f.store.Sync(ns, 0), nil)
+	}
+	tx := gcs.ReplicaTxn(reps, false)
+	fn(tx)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, rs := range tx.ReadSets() {
+		for _, k := range rs.Keys {
+			class, _, _ := strings.Cut(strings.TrimPrefix(k, rs.NS), "/")
+			f.read[class]++
+		}
+		for _, p := range rs.Prefixes {
+			f.read["list "+p]++
+		}
+	}
+	return f.Backend.UpdateMulti(nss, fn)
+}
+
+// TestFlushReadsOnlyItsFences: a flush body reads no key but its fences — the
+// global epoch of each query, the channel epoch of each task commit — in every
+// FT mode, with and without a kill. What a commit needs of the control store
+// came with the image its task ran under: a rewound channel's next record is
+// its image's retrace, and a backup's owner is the owner rule's, not a key
+// the commit writes.
+func TestFlushReadsOnlyItsFences(t *testing.T) {
+	tables := joinTables(800)
+	for _, ft := range []FTMode{FTNone, FTWriteAheadLineage, FTSpool, FTCheckpoint} {
+		for _, kill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/kill=%v", ft, kill), func(t *testing.T) {
+				cl := testCluster(t, 4, tables)
+				store := cl.GCS.(*gcs.Store)
+				cfg := DefaultConfig()
+				cfg.FT = ft
+				cfg.CheckpointEveryTasks = 2
+				r, err := NewRunner(cl, joinPlan(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kill {
+					// Worker 2 dies once its join channel has logged two
+					// ranges, one of them above its checkpoint mark if it has
+					// one: the rewound channel then retraces it.
+					join := lineage.ChannelID{Stage: 2, Channel: 2}
+					killInTxn(cl, 2, func(tx *gcs.Txn) bool {
+						v, _ := tx.Get(r.keyCheckpoint(join))
+						m, _ := decodeCheckpoint(v)
+						cur := txGetInt(tx, r.keyCursor(join), 0)
+						return cur > 2 && cur > m.Seq
+					})
+				}
+				reads := &flushReads{Backend: cl.GCS, store: store, read: map[string]int{}}
+				cl.GCS = reads
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				_, rep, err := r.Run(ctx)
+				if (err != nil) != (kill && ft == FTNone) || kill && ft != FTNone && rep.Recoveries == 0 {
+					t.Fatalf("Run: %v (report %+v)", err, rep)
+				}
+				reads.mu.Lock()
+				defer reads.mu.Unlock()
+				for class, n := range reads.read {
+					if class != "gep" && class != "cep" {
+						t.Errorf("flush bodies read %q %d times: a flush reads only gep and cep", class, n)
+					}
+				}
+				if reads.read["gep"] == 0 || reads.read["cep"] == 0 {
+					t.Errorf("flush bodies read %v: no fence recorded", reads.read)
+				}
+				if kill && ft != FTNone && rep.Metrics[metrics.TasksReplayed] == 0 {
+					t.Error("no task was retraced: the kill exercised no rewound consumer's commit")
+				}
+			})
+		}
+	}
 }
 
 // q3Tables and q3ShapedPlan are TPC-H Q3's shape over toy tables: two joins

@@ -19,13 +19,13 @@ import (
 // writer, every reader and lifetime of each class; a class nothing reads is
 // not written — and TestControlStoreSchema holds this package to it. In short:
 //
-//	pl/<s>.<c>  cep/<s>.<c>  cur/<s>.<c>  done/<s>.<c>  ck/<s>.<c>
+//	pl/<s>.<c>  cep/<s>.<c>  cur/<s>.<c>  done/<s>.<c>  ck/<s>.<c>  rs/<s>.<c>
 //	            a channel's placement, epoch, task cursor, finished task
-//	            count, checkpoint mark "<seq> <objkey> <watermark>"
-//	lin/<s>.<c>.<q>  pd/<s>.<c>.<q>
-//	            a consume task's committed lineage record; the worker holding
-//	            a task's upstream backup (written under checkpoint only: under
-//	            wal the owner of every task below a channel's cursor is its pl/)
+//	            count, checkpoint mark "<seq> <objkey> <watermark>", restart
+//	            cursor (under checkpoint, when it restarted from a mark: the
+//	            tasks below it were committed by workers that have died)
+//	lin/<s>.<c>.<q>
+//	            a consume task's committed lineage record
 //	gep
 //	            global placement epoch (seeded 1, +1 per recovery, in the
 //	            transaction that reconciles)
@@ -86,7 +86,7 @@ func backupKey(qid string, t lineage.TaskName) string {
 // formatted once at runner setup and the table is read-only (hence
 // lock-free) afterwards.
 type chanKeys struct {
-	place, cep, cursor, done, ck string
+	place, cep, cursor, done, ck, restart string
 }
 
 // buildKeys precomputes the per-channel key table, indexed [stage][channel]
@@ -100,11 +100,12 @@ func (r *Runner) buildKeys() {
 		for c := range r.keys[s] {
 			cs := lineage.ChannelID{Stage: s, Channel: c}.String()
 			r.keys[s][c] = chanKeys{
-				place:  ns + "pl/" + cs,
-				cep:    ns + "cep/" + cs,
-				cursor: ns + "cur/" + cs,
-				done:   ns + "done/" + cs,
-				ck:     ns + "ck/" + cs,
+				place:   ns + "pl/" + cs,
+				cep:     ns + "cep/" + cs,
+				cursor:  ns + "cur/" + cs,
+				done:    ns + "done/" + cs,
+				ck:      ns + "ck/" + cs,
+				restart: ns + "rs/" + cs,
 			}
 		}
 	}
@@ -115,9 +116,9 @@ func (r *Runner) keyChanEpoch(c lineage.ChannelID) string  { return r.keys[c.Sta
 func (r *Runner) keyCursor(c lineage.ChannelID) string     { return r.keys[c.Stage][c.Channel].cursor }
 func (r *Runner) keyDone(c lineage.ChannelID) string       { return r.keys[c.Stage][c.Channel].done }
 func (r *Runner) keyCheckpoint(c lineage.ChannelID) string { return r.keys[c.Stage][c.Channel].ck }
+func (r *Runner) keyRestart(c lineage.ChannelID) string    { return r.keys[c.Stage][c.Channel].restart }
 
 func (r *Runner) keyLineage(t lineage.TaskName) string { return r.keyNS() + "lin/" + t.String() }
-func (r *Runner) keyPartDir(t lineage.TaskName) string { return r.keyNS() + "pd/" + t.String() }
 func (r *Runner) keyGlobalEpoch() string               { return r.keyNS() + "gep" }
 
 func (r *Runner) keyReplay(w int, t lineage.TaskName) string {

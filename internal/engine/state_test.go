@@ -25,8 +25,8 @@ func TestKeySchema(t *testing.T) {
 		r.keyCursor(c):     "q/q7/cur/2.5",
 		r.keyLineage(n):    "q/q7/lin/2.5.9",
 		r.keyDone(c):       "q/q7/done/2.5",
-		r.keyPartDir(n):    "q/q7/pd/2.5.9",
 		r.keyCheckpoint(c): "q/q7/ck/2.5",
+		r.keyRestart(c):    "q/q7/rs/2.5",
 		r.keyReplay(3, n):  "q/q7/rp/3/2.5.9",
 		r.keyGlobalEpoch(): "q/q7/gep",
 	} {

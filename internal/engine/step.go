@@ -17,7 +17,7 @@ func (t *taskManager) step(cs *chanState, snap *snapshot) (bool, error) {
 	// (another executor thread committed a task, or recovery rewound the
 	// channel, between the snapshot and our TryLock). Epochs and cursors
 	// only grow, so staleness is detectable — and acting on a stale meta is
-	// not just wasted work: meta.replayRec is "the lineage record at
+	// not just wasted work: meta.record() is "the lineage record at
 	// meta.cursor", which for a stale cursor is the PREVIOUS task's record;
 	// replaying it at the current seq would duplicate that task's output
 	// and commit the seq without lineage. Skip instead — whatever moved the
@@ -43,8 +43,8 @@ func (t *taskManager) step(cs *chanState, snap *snapshot) (bool, error) {
 	cs.snap = snap
 	if cs.op == nil && cs.stage.Op != nil {
 		cs.op = t.newOperator(cs)
-		if meta.checkpoint != nil && meta.checkpoint.Seq == cs.cursor && cs.cursor > 0 {
-			if err := t.restoreCheckpoint(cs, meta.checkpoint); err != nil {
+		if rt := meta.rt; rt != nil && rt.mark != nil && rt.mark.Seq == cs.cursor {
+			if err := t.restoreCheckpoint(cs, rt.mark); err != nil {
 				return false, err
 			}
 		}
@@ -55,11 +55,11 @@ func (t *taskManager) step(cs *chanState, snap *snapshot) (bool, error) {
 			cs.pending = nil
 		} else {
 			cs.yield()
-			return t.finishTask(cs, p, meta.replayRec != nil)
+			return t.finishTask(cs, p)
 		}
 	}
-	if meta.replayRec != nil {
-		return t.replayStep(cs, *meta.replayRec)
+	if rec := meta.record(); rec != nil {
+		return t.replayStep(cs, *rec)
 	}
 	return t.normalStep(cs)
 }

@@ -20,7 +20,7 @@ import (
 // which is what makes a replayed task's output the original's.
 func (t *taskManager) runTask(cs *chanState, rec *lineage.Record, split int, isReplay bool) (bool, error) {
 	cs.yield()
-	p := &pendingTask{seq: cs.cursor, rec: rec, started: time.Now()}
+	p := &pendingTask{seq: cs.cursor, rec: rec, replay: isReplay, started: time.Now()}
 	var err error
 	switch {
 	case rec != nil:
@@ -50,7 +50,7 @@ func (t *taskManager) runTask(cs *chanState, rec *lineage.Record, split int, isR
 	if isReplay {
 		t.r.count(metrics.TasksReplayed, 1)
 	}
-	return t.finishTask(cs, p, isReplay)
+	return t.finishTask(cs, p)
 }
 
 // consume runs the operator over the chosen inputs and returns its output
@@ -129,9 +129,9 @@ func (t *taskManager) readSplit(spec *ReaderSpec, split int) (*batch.Batch, erro
 // can see it, push, persist the producer-local backup and any checkpoint due,
 // commit the write-ahead lineage in one flush, then the post-commit
 // bookkeeping. The three persist steps (persist.go) each ask the policy for
-// their capability and are no-ops without it. isReplay skips re-writing
-// lineage that is already committed.
-func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (bool, error) {
+// their capability and are no-ops without it. A retrace (p.replay) re-writes
+// no lineage: its record is committed already.
+func (t *taskManager) finishTask(cs *chanState, p *pendingTask) (bool, error) {
 	task := lineage.TaskName{Stage: cs.id.Stage, Channel: cs.id.Channel, Seq: p.seq}
 	// One serialization serves the push, the spool and the upstream backup,
 	// under every FT mode; the modes differ only in where else the bytes go.
@@ -147,7 +147,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 		}
 	}
 
-	if err := t.persistBeforePush(cs, task, p, isReplay); err != nil {
+	if err := t.persistBeforePush(cs, task, p); err != nil {
 		return false, err
 	}
 
@@ -167,7 +167,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 		return false, nil
 	}
 	if t.r.rec != nil {
-		t.r.rec.Record(trace.Span{Kind: trace.KindPush, Replay: isReplay, Worker: int(t.w.ID),
+		t.r.rec.Record(trace.Span{Kind: trace.KindPush, Replay: p.replay, Worker: int(t.w.ID),
 			Stage: cs.id.Stage, Channel: cs.id.Channel, Seq: p.seq, Epoch: cs.cep,
 			Start: pushStart, Dur: time.Since(pushStart), OutBytes: int64(len(p.payload))})
 	}
@@ -188,14 +188,13 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 	err := t.r.shared.gc.commit(&commitReq{
 		r:        t.r,
 		alive:    t.w.Alive,
-		workerID: int(t.w.ID),
 		id:       cs.id,
 		cep:      cs.cep,
 		gep:      cs.snap.gep,
 		task:     task,
 		rec:      p.rec,
 		finalize: p.finalize,
-		isReplay: isReplay,
+		isReplay: p.replay,
 		mark:     p.mark,
 	})
 	if err != nil {
@@ -234,7 +233,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask, isReplay bool) (
 			spillB, spillR = wb-cs.spillBytes, wr-cs.spillRuns
 			cs.spillBytes, cs.spillRuns = wb, wr
 		}
-		t.r.rec.Record(trace.Span{Kind: trace.KindTask, Replay: isReplay, Worker: int(t.w.ID),
+		t.r.rec.Record(trace.Span{Kind: trace.KindTask, Replay: p.replay, Worker: int(t.w.ID),
 			Stage: cs.id.Stage, Channel: cs.id.Channel, Seq: p.seq, Epoch: cs.cep,
 			Start: p.started, Dur: lat,
 			InRows: p.inRows, InBytes: p.inBytes,

@@ -106,6 +106,7 @@ type pendingTask struct {
 	rec      *lineage.Record // the consumed range; nil for a read or a last task
 	outs     []*batch.Batch  // the operator's output batches, in order; nil once encoded
 	finalize bool
+	replay   bool // a retrace of rec, which is committed already
 
 	// The task's one serialization, built by the first finishTask: the piece
 	// set of a stage with consumers (pieces indexes it), the result frame of
