@@ -24,10 +24,15 @@ import (
 // decoding — the scan path uses this to drop columns the fused projection
 // discarded — and doubles as a strict validation bound.
 //
+// Encodings 5–7 bit-pack: a u8 width w, then one w-bit value per row packed
+// LSB-first (the last byte zero-padded), so a column of two distinct values
+// costs a bit a row where a byte-aligned encoding costs eight.
+//
 // Compression is output-transparent: Decode(EncodeCompressed(b)) yields a
 // batch whose Encode bytes are identical to Encode(b). Float64 columns are
-// always raw Float64bits — bit-exactness (0.0 vs -0.0, NaN payloads) is a
-// routing/key invariant and is never traded for size.
+// raw Float64bits or a dictionary of exact bit patterns — bit-exactness
+// (0.0 vs -0.0, NaN payloads) is a routing/key invariant and is never traded
+// for size.
 
 const codecMagic2 = 0x51424132 // "QBA2"
 
@@ -35,19 +40,23 @@ const codecMagic2 = 0x51424132 // "QBA2"
 // candidate valid for the type; ties go to the lowest encoding number, so
 // the choice is deterministic.
 const (
-	encRaw    = 0 // QBA1 column layout (any type)
-	encDict   = 1 // String/Float64: dictionary + uvarint indexes
-	encVarint = 2 // Int64/Date: zigzag uvarint per value
-	encDelta  = 3 // Int64/Date: zigzag uvarint first value, then deltas
-	encRLE    = 4 // Bool: first value byte + alternating uvarint run lengths
+	encRaw        = 0 // QBA1 column layout (any type)
+	encDict       = 1 // String/Float64: dictionary + uvarint indexes
+	encVarint     = 2 // Int64/Date: zigzag uvarint per value
+	encDelta      = 3 // Int64/Date: zigzag uvarint first value, then deltas
+	encRLE        = 4 // Bool: first value byte + alternating uvarint run lengths
+	encFOR        = 5 // Int64/Date: i64 base (the minimum), width, value-base packed
+	encDeltaFOR   = 6 // Int64/Date: i64 first, i64 minimum delta, width, delta-minimum packed
+	encDictPacked = 7 // String/Float64: encoding 1's dictionary, width, indexes packed
 )
 
-// rleMaxRows bounds the rows a frame of run-length columns alone may
-// declare per frame byte. Every other encoding costs at least a byte a
-// value, so any other column bounds a frame's rows by its length, while one
-// five-byte run claims 2^32-1 bools. The encoder writes a bool column raw
-// rather than past this ratio when the frame has no other kind of column,
-// so every frame it writes decodes.
+// rleMaxRows bounds the rows a frame may declare per frame byte when no
+// column in it bounds them: a run-length column or a packed column of width
+// 0 costs the same few bytes whatever its row count, while every other
+// column costs at least its width in bits (8 for a byte-aligned encoding) a
+// row. The encoder writes a bool column raw rather than past this ratio when
+// the frame has no other kind of column, and takes a width-0 packed
+// candidate only within it, so every frame it writes decodes.
 const rleMaxRows = 1 << 12
 
 // encScratch is the encoder's reusable working memory for the dictionary
@@ -178,8 +187,9 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// uvarintLen is the number of bytes binary.PutUvarint writes for x.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+// uvarintLen is the number of bytes binary.PutUvarint writes for x:
+// ceil(bits/7), by a multiply instead of a division.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1)*9 + 64) >> 6 }
 
 // grow extends dst by n bytes and returns it with the offset of the first.
 func grow(dst []byte, n int) ([]byte, int) {
@@ -187,24 +197,120 @@ func grow(dst []byte, n int) ([]byte, int) {
 	return slices.Grow(dst, n)[:at+n], at
 }
 
-// appendInts sizes raw (8 bytes per value), varint (zigzag uvarint per
-// value) and delta (zigzag uvarint of the wrapping difference to the
-// previous value, the first against 0 — extreme spreads round-trip
-// exactly) in one pass and writes the winner.
-func appendInts(dst []byte, vals []int64) ([]byte, byte) {
-	varint, delta := 0, 0
+// packedLen is the payload bytes of count values packed at width w.
+func packedLen(count int, w uint) int { return (count*int(w) + 7) / 8 }
+
+// packedFits says a packed candidate of size bytes may hold n rows: any
+// width bounds the rows by the frame length, but a width-0 column costs
+// size bytes at any row count, so it must keep within rleMaxRows rows a
+// byte on its own.
+func packedFits(n, size int, w uint) bool { return w > 0 || n <= rleMaxRows*size }
+
+// dictWidth is the index width of a packed dictionary of nd entries.
+func dictWidth(nd int) uint {
+	if nd <= 1 {
+		return 0
+	}
+	return uint(bits.Len(uint(nd - 1)))
+}
+
+// packStep appends x, which fits in w bits, to acc's n pending bits,
+// storing the low 64 at dst[at:] once there are that many, and returns the
+// new position and pending bits. A packing loop keeps its state in locals
+// (so in registers) and ends with packTail.
+func packStep(dst []byte, at int, acc uint64, n uint, x uint64, w uint) (int, uint64, uint) {
+	acc |= x << n
+	if n += w; n < 64 {
+		return at, acc, n
+	}
+	binary.LittleEndian.PutUint64(dst[at:], acc)
+	n -= 64
+	return at + 8, x >> (w - n), n // the bits of x the word had no room for
+}
+
+// packTail writes the pending bits into the last bytes of the payload.
+func packTail(tail []byte, acc uint64) {
+	for i := range tail {
+		tail[i] = byte(acc >> (8 * i))
+	}
+}
+
+// putUvarint writes x as a uvarint at dst[at:] and returns the position
+// after it.
+func putUvarint(dst []byte, at int, x uint64) int {
+	if x < 0x80 {
+		dst[at] = byte(x)
+		return at + 1
+	}
+	return at + binary.PutUvarint(dst[at:], x)
+}
+
+// intRange is a non-empty column's smallest and largest value, and the
+// smallest and largest difference between neighbours (0 for one value).
+func intRange(vals []int64) (lo, hi, dlo, dhi int64) {
+	first := vals[0]
+	lo, hi = first, first
+	if len(vals) > 1 {
+		dlo, dhi = vals[1]-first, vals[1]-first
+	}
+	prev := first
+	for _, v := range vals[1:] {
+		d := v - prev
+		lo, hi = min(lo, v), max(hi, v)
+		dlo, dhi = min(dlo, d), max(dhi, d)
+		prev = v
+	}
+	return lo, hi, dlo, dhi
+}
+
+// varintSizes is the payload bytes of the varint and delta encodings.
+func varintSizes(vals []int64) (varint, delta int) {
 	prev := int64(0)
 	for _, v := range vals {
 		varint += uvarintLen(zigzag(v))
 		delta += uvarintLen(zigzag(v - prev))
 		prev = v
 	}
-	size, enc := 8*len(vals), byte(encRaw)
-	if varint < size {
-		size, enc = varint, encVarint
+	return varint, delta
+}
+
+// appendInts sizes raw (8 bytes per value), varint (zigzag uvarint per
+// value), delta (zigzag uvarint of the wrapping difference to the previous
+// value, the first against 0 — extreme spreads round-trip exactly), for
+// (each value's offset from the minimum, packed) and delta-for (each
+// difference's offset from the smallest difference, packed), and writes
+// the winner. The packed sizes take one pass over the column (intRange);
+// the uvarint sizes a second (varintSizes), made only when neither packed
+// candidate is already smaller than a byte a row.
+func appendInts(dst []byte, vals []int64) ([]byte, byte) {
+	n := len(vals)
+	if n == 0 {
+		return dst, encRaw // an empty payload: nothing is smaller
 	}
-	if delta < size {
-		size, enc = delta, encDelta
+	first := vals[0]
+	lo, hi, dlo, dhi := intRange(vals)
+	wFOR := uint(bits.Len64(uint64(hi - lo)))
+	wDelta := uint(bits.Len64(uint64(dhi - dlo)))
+	forSize := 9 + packedLen(n, wFOR)
+	deltaForSize := 17 + packedLen(n-1, wDelta)
+	size, enc := 8*n, byte(encRaw)
+	// A uvarint costs at least a byte, so a packed candidate of fewer than n
+	// bytes settles the choice without sizing varint and delta (at n bytes
+	// either may tie it, and wins the tie).
+	if min(forSize, deltaForSize) >= n {
+		varint, delta := varintSizes(vals)
+		if varint < size {
+			size, enc = varint, encVarint
+		}
+		if delta < size {
+			size, enc = delta, encDelta
+		}
+	}
+	if forSize < size && packedFits(n, forSize, wFOR) {
+		size, enc = forSize, encFOR
+	}
+	if deltaForSize < size && packedFits(n, deltaForSize, wDelta) {
+		size, enc = deltaForSize, encDeltaFOR
 	}
 	dst, at := grow(dst, size)
 	switch enc {
@@ -215,14 +321,35 @@ func appendInts(dst []byte, vals []int64) ([]byte, byte) {
 		}
 	case encVarint:
 		for _, v := range vals {
-			at += binary.PutUvarint(dst[at:], zigzag(v))
+			at = putUvarint(dst, at, zigzag(v))
 		}
 	case encDelta:
-		prev = 0
+		prev := int64(0)
 		for _, v := range vals {
-			at += binary.PutUvarint(dst[at:], zigzag(v-prev))
+			at = putUvarint(dst, at, zigzag(v-prev))
 			prev = v
 		}
+	case encFOR:
+		binary.LittleEndian.PutUint64(dst[at:], uint64(lo))
+		dst[at+8] = byte(wFOR)
+		at += 9
+		acc, pending := uint64(0), uint(0)
+		for _, v := range vals {
+			at, acc, pending = packStep(dst, at, acc, pending, uint64(v-lo), wFOR)
+		}
+		packTail(dst[at:], acc)
+	case encDeltaFOR:
+		binary.LittleEndian.PutUint64(dst[at:], uint64(first))
+		binary.LittleEndian.PutUint64(dst[at+8:], uint64(dlo))
+		dst[at+16] = byte(wDelta)
+		at += 17
+		acc, pending := uint64(0), uint(0)
+		prev := first
+		for _, v := range vals[1:] {
+			at, acc, pending = packStep(dst, at, acc, pending, uint64(v-prev-dlo), wDelta)
+			prev = v
+		}
+		packTail(dst[at:], acc)
 	}
 	return dst, enc
 }
@@ -281,35 +408,67 @@ func dictHashString(s string) uint64 {
 	return (h ^ word(last)) * fibMul
 }
 
-// appendIdx writes the per-row dictionary indexes as uvarints.
-func (sc *encScratch) appendIdx(dst []byte, at int) {
-	for _, d := range sc.idx {
-		if d < 0x80 {
-			dst[at] = byte(d)
-			at++
-		} else {
-			at += binary.PutUvarint(dst[at:], uint64(d))
+// dictChoice picks among raw (raw bytes), the uvarint-indexed dictionary
+// (dictSize bytes of dictionary, idxSize of indexes) and the packed one for
+// n rows over nd entries, and returns the winner's size and encoding.
+func dictChoice(n, nd, raw, dictSize, idxSize int) (int, byte) {
+	size, enc := raw, byte(encRaw)
+	if dictSize+idxSize < size {
+		size, enc = dictSize+idxSize, encDict
+	}
+	w := dictWidth(nd)
+	if packed := dictSize + 1 + packedLen(n, w); packed < size && packedFits(n, packed, w) {
+		size, enc = packed, encDictPacked
+	}
+	return size, enc
+}
+
+// dictHopeless says neither dictionary can be smaller than raw bytes any
+// more, r rows in with nd entries of dictSize bytes and idxSize index
+// bytes so far: every remaining row costs the uvarint indexes at least a
+// byte, and the packed indexes' width only grows with the dictionary.
+func dictHopeless(n, r, nd, raw, dictSize, idxSize int) bool {
+	return dictSize+idxSize+n-r >= raw && dictSize+1+packedLen(n, dictWidth(nd)) >= raw
+}
+
+// appendIdx writes the per-row dictionary indexes after a dictionary of nd
+// entries: uvarints for encoding 1, the width and the packed indexes for
+// encoding 7.
+func (sc *encScratch) appendIdx(dst []byte, at int, enc byte, nd int) {
+	if enc == encDictPacked {
+		w := dictWidth(nd)
+		dst[at] = byte(w)
+		at++
+		acc, pending := uint64(0), uint(0)
+		for _, d := range sc.idx {
+			at, acc, pending = packStep(dst, at, acc, pending, uint64(d), w)
 		}
+		packTail(dst[at:], acc)
+		return
+	}
+	for _, d := range sc.idx {
+		at = putUvarint(dst, at, uint64(d))
 	}
 }
 
 // appendFloats writes a float column raw or as a bit-pattern dictionary:
 // ndict uint32, each distinct Float64bits pattern (8 bytes LE) in
-// first-occurrence order, then one uvarint index per row. TPC-H-style
-// measures (quantities, discounts, prices) repeat heavily, and indexing
-// the distinct bit patterns is exact — -0.0 and every NaN payload keep
-// their bits; high-entropy columns stay raw.
+// first-occurrence order, then the per-row indexes, one uvarint each
+// (encoding 1) or packed (encoding 7). TPC-H-style measures (quantities,
+// discounts, prices) repeat heavily, and indexing the distinct bit patterns
+// is exact — -0.0 and every NaN payload keep their bits; high-entropy
+// columns stay raw.
 //
-// Sizing stops the moment the dictionary provably cannot be smaller than
-// raw (every remaining row costs at least one index byte), which is exact:
-// the choice is the one full sizing would make.
+// Sizing stops the moment neither dictionary can be smaller than raw
+// (dictHopeless), which is exact: the choice is the one full sizing would
+// make.
 func (sc *encScratch) appendFloats(dst []byte, vals []float64) ([]byte, byte) {
 	n := len(vals)
 	raw := 8 * n
 	slots, shift := sc.resetDict(n)
 	mask := uint64(len(slots) - 1)
 	idx, dict := sc.idx, sc.fdict[:0]
-	size := 4
+	dictSize, idxSize := 4, 0
 sizing:
 	for r, v := range vals {
 		w := math.Float64bits(v)
@@ -319,8 +478,9 @@ sizing:
 				d = uint32(len(dict))
 				dict = append(dict, w)
 				slots[i] = d + 1
-				if size += 8; size+n-r >= raw {
-					size = raw
+				dictSize += 8
+				if dictHopeless(n, r, len(dict), raw, dictSize, idxSize) {
+					dictSize = raw // neither dictionary is chosen
 					break sizing
 				}
 				break
@@ -330,32 +490,32 @@ sizing:
 			}
 		}
 		idx[r] = d
-		size += uvarintLen(uint64(d))
+		idxSize += uvarintLen(uint64(d))
 	}
 	sc.fdict = dict
-	if size >= raw {
-		dst, at := grow(dst, raw)
+	size, enc := dictChoice(n, len(dict), raw, dictSize, idxSize)
+	dst, at := grow(dst, size)
+	if enc == encRaw {
 		for _, v := range vals {
 			binary.LittleEndian.PutUint64(dst[at:], math.Float64bits(v))
 			at += 8
 		}
 		return dst, encRaw
 	}
-	dst, at := grow(dst, size)
 	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dict)))
 	at += 4
 	for _, w := range dict {
 		binary.LittleEndian.PutUint64(dst[at:], w)
 		at += 8
 	}
-	sc.appendIdx(dst, at)
-	return dst, encDict
+	sc.appendIdx(dst, at, enc, len(dict))
+	return dst, enc
 }
 
 // appendStrings writes a string column raw (uint32 length + bytes per row)
 // or as a dictionary: ndict uint32, each distinct string (uint32 length +
-// bytes) in first-occurrence order, then one uvarint index per row. Sizing
-// stops early exactly as for floats.
+// bytes) in first-occurrence order, then the per-row indexes as for floats.
+// Sizing stops early exactly as for floats.
 func (sc *encScratch) appendStrings(dst []byte, vals []string) ([]byte, byte) {
 	n := len(vals)
 	raw := 4 * n
@@ -365,7 +525,7 @@ func (sc *encScratch) appendStrings(dst []byte, vals []string) ([]byte, byte) {
 	slots, shift := sc.resetDict(n)
 	mask := uint64(len(slots) - 1)
 	idx, first := sc.idx, sc.first[:0]
-	size := 4
+	dictSize, idxSize := 4, 0
 sizing:
 	for r, v := range vals {
 		var d uint32
@@ -374,8 +534,9 @@ sizing:
 				d = uint32(len(first))
 				first = append(first, uint32(r))
 				slots[i] = d + 1
-				if size += 4 + len(v); size+n-r >= raw {
-					size = raw
+				dictSize += 4 + len(v)
+				if dictHopeless(n, r, len(first), raw, dictSize, idxSize) {
+					dictSize = raw // neither dictionary is chosen
 					break sizing
 				}
 				break
@@ -385,18 +546,18 @@ sizing:
 			}
 		}
 		idx[r] = d
-		size += uvarintLen(uint64(d))
+		idxSize += uvarintLen(uint64(d))
 	}
 	sc.first = first
-	if size >= raw {
-		dst, at := grow(dst, raw)
+	size, enc := dictChoice(n, len(first), raw, dictSize, idxSize)
+	dst, at := grow(dst, size)
+	if enc == encRaw {
 		for _, s := range vals {
 			binary.LittleEndian.PutUint32(dst[at:], uint32(len(s)))
 			at += 4 + copy(dst[at+4:], s)
 		}
 		return dst, encRaw
 	}
-	dst, at := grow(dst, size)
 	binary.LittleEndian.PutUint32(dst[at:], uint32(len(first)))
 	at += 4
 	for _, r := range first {
@@ -404,8 +565,8 @@ sizing:
 		binary.LittleEndian.PutUint32(dst[at:], uint32(len(s)))
 		at += 4 + copy(dst[at+4:], s)
 	}
-	sc.appendIdx(dst, at)
-	return dst, encDict
+	sc.appendIdx(dst, at, enc, len(first))
+	return dst, enc
 }
 
 // appendBools writes a bool column raw (one byte per value) or run-length
@@ -518,9 +679,10 @@ func decode2(data []byte, keep map[string]bool) (*Batch, int64, error) {
 		return nil, 0, corruptf("field count %d exceeds payload", nf)
 	}
 	type colHdr struct {
-		field Field
-		enc   byte
-		plen  int
+		field   Field
+		enc     byte
+		plen    int
+		payload []byte
 	}
 	hdrs := make([]colHdr, nf)
 	for i := range hdrs {
@@ -547,13 +709,27 @@ func decode2(data []byte, keep map[string]bool) (*Batch, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	// Bound the rows before anything is allocated for them: a frame with a
-	// column in any encoding but RLE holds at least a byte a row, and one of
-	// RLE columns alone holds at most rleMaxRows rows a byte.
+	for i := range hdrs {
+		if int64(hdrs[i].plen) > int64(len(data)-pos) {
+			return nil, 0, corruptf("column %q payload length %d exceeds frame", hdrs[i].field.Name, hdrs[i].plen)
+		}
+		hdrs[i].payload = data[pos : pos+hdrs[i].plen]
+		pos += hdrs[i].plen
+	}
+	if pos != len(data) {
+		return nil, 0, corruptf("%d trailing bytes", len(data)-pos)
+	}
+	// Bound the rows before anything is allocated for them: a column of
+	// width w bits a row holds at most 8/w rows a frame byte, and a frame of
+	// run-length and width-0 columns alone at most rleMaxRows.
 	limit := int64(len(data)) * rleMaxRows
 	for _, h := range hdrs {
-		if h.enc != encRLE {
-			limit = int64(len(data))
+		w, ok := rowBits(h.enc, h.payload)
+		if !ok {
+			return nil, 0, corruptf("column %q: packed payload without a valid width", h.field.Name)
+		}
+		if w > 0 {
+			limit = min(limit, 8*int64(len(data))/w)
 		}
 	}
 	if nf > 0 && int64(nr) > limit {
@@ -564,24 +740,16 @@ func decode2(data []byte, keep map[string]bool) (*Batch, int64, error) {
 	fields := make([]Field, 0, nf)
 	cols := make([]*Column, 0, nf)
 	for _, h := range hdrs {
-		if int64(h.plen) > int64(len(data)-pos) {
-			return nil, 0, corruptf("column %q payload length %d exceeds frame", h.field.Name, h.plen)
-		}
-		payload := data[pos : pos+h.plen]
-		pos += h.plen
 		if keep != nil && !keep[h.field.Name] {
 			skipped += int64(h.plen)
 			continue
 		}
-		c, err := decodeColumn(h.field, h.enc, rows, payload)
+		c, err := decodeColumn(h.field, h.enc, rows, h.payload)
 		if err != nil {
 			return nil, 0, err
 		}
 		fields = append(fields, h.field)
 		cols = append(cols, c)
-	}
-	if pos != len(data) {
-		return nil, 0, corruptf("%d trailing bytes", len(data)-pos)
 	}
 	schema, err := newSchema(fields)
 	if err != nil {
@@ -599,44 +767,28 @@ func decode2(data []byte, keep map[string]bool) (*Batch, int64, error) {
 // consumed — or the frame is rejected as corrupt.
 func decodeColumn(f Field, enc byte, rows int, p []byte) (*Column, error) {
 	c := &Column{Type: f.Type}
+	ints := f.Type == Int64 || f.Type == Date
+	var err error
 	switch {
 	case enc == encRaw:
 		return decodeRawColumn(f, rows, p)
-	case enc == encVarint && (f.Type == Int64 || f.Type == Date):
-		v, err := decodeVarints(f, rows, p)
-		if err != nil {
-			return nil, err
-		}
-		c.Ints = v
-	case enc == encDelta && (f.Type == Int64 || f.Type == Date):
-		v, err := decodeVarints(f, rows, p)
-		if err != nil {
-			return nil, err
-		}
-		for i := 1; i < len(v); i++ {
-			v[i] += v[i-1]
-		}
-		c.Ints = v
-	case enc == encDict && f.Type == String:
-		v, err := decodeDict(f, rows, p)
-		if err != nil {
-			return nil, err
-		}
-		c.Strings = v
-	case enc == encDict && f.Type == Float64:
-		v, err := decodeDictFloats(f, rows, p)
-		if err != nil {
-			return nil, err
-		}
-		c.Floats = v
+	case (enc == encVarint || enc == encDelta) && ints:
+		c.Ints, err = decodeVarints(f, rows, p, enc == encDelta)
+	case enc == encFOR && ints:
+		c.Ints, err = decodeFOR(f, rows, p)
+	case enc == encDeltaFOR && ints:
+		c.Ints, err = decodeDeltaFOR(f, rows, p)
+	case (enc == encDict || enc == encDictPacked) && f.Type == String:
+		c.Strings, err = decodeDict(f, rows, p, enc == encDictPacked)
+	case (enc == encDict || enc == encDictPacked) && f.Type == Float64:
+		c.Floats, err = decodeDictFloats(f, rows, p, enc == encDictPacked)
 	case enc == encRLE && f.Type == Bool:
-		v, err := decodeRLE(f, rows, p)
-		if err != nil {
-			return nil, err
-		}
-		c.Bools = v
+		c.Bools, err = decodeRLE(f, rows, p)
 	default:
 		return nil, corruptf("encoding %d invalid for column %q type %d", enc, f.Name, f.Type)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -699,22 +851,158 @@ func decodeRawColumn(f Field, rows int, p []byte) (*Column, error) {
 	return c, nil
 }
 
+// rowBits is the fewest payload bits a row of a column in encoding enc
+// costs, read from its payload p: the width of a packed encoding, 0 for
+// run-length, 8 for any other. ok is false when a packed payload is too
+// short to name its width or names one past 64.
+func rowBits(enc byte, p []byte) (bits int64, ok bool) {
+	switch enc {
+	case encRLE:
+		return 0, true
+	case encFOR, encDeltaFOR:
+		at := 8 // after the base, or the first value and the minimum delta
+		if enc == encDeltaFOR {
+			at = 16
+		}
+		if len(p) <= at || p[at] > 64 {
+			return 0, false
+		}
+		return int64(p[at]), true
+	case encDictPacked:
+		if len(p) < 4 {
+			return 0, false
+		}
+		return int64(dictWidth(int(binary.LittleEndian.Uint32(p)))), true
+	}
+	return 8, true
+}
+
+// packedWidth reads the width byte at p[at] of a packed payload and checks
+// that count values of that width fill the rest of it exactly.
+func packedWidth(f Field, p []byte, at, count int) (uint, error) {
+	if len(p) <= at || p[at] > 64 {
+		return 0, corruptf("packed column %q: missing or bad width", f.Name)
+	}
+	w := uint(p[at])
+	if len(p) != at+1+packedLen(count, w) {
+		return 0, corruptf("packed column %q: %d payload bytes for %d values of %d bits", f.Name, len(p), count, w)
+	}
+	return w, nil
+}
+
+// unpackBlock is how many packed values a decoder unpacks at a time, into
+// a buffer on its stack.
+const unpackBlock = 256
+
+// unpack reads len(out) values of width w packed LSB-first in p from value
+// index first on, a 64-bit word at a time, and returns out. The payload was
+// checked to hold every value read.
+func unpack(out []uint64, p []byte, first int, w uint) []uint64 {
+	mask := uint64(1)<<w - 1
+	bit := first * int(w)
+	at := bit >> 6 << 3 // the word holding the first value's low bit
+	acc := loadWord(p, at) >> (bit & 63)
+	n := 64 - uint(bit&63) // unread bits in acc
+	at += 8
+	for j := range out {
+		if n >= w {
+			out[j] = acc & mask
+			acc >>= w
+			n -= w
+			continue
+		}
+		word := loadWord(p, at)
+		at += 8
+		out[j] = (acc | word<<n) & mask
+		used := w - n // bits of the value in the new word, 1..64
+		acc, n = word>>used, 64-used
+	}
+	return out
+}
+
+// loadWord is the little-endian word at p[at:], zero-padded past the end.
+func loadWord(p []byte, at int) uint64 {
+	if at+8 <= len(p) {
+		return binary.LittleEndian.Uint64(p[at:])
+	}
+	var word uint64
+	for i := at; i < len(p); i++ {
+		word |= uint64(p[i]) << (8 * (i - at))
+	}
+	return word
+}
+
+// decodeFOR reads encoding 5: the base, the width, then each value's offset
+// from the base (wrapping).
+func decodeFOR(f Field, rows int, p []byte) ([]int64, error) {
+	w, err := packedWidth(f, p, 8, rows)
+	if err != nil {
+		return nil, err
+	}
+	base := int64(binary.LittleEndian.Uint64(p))
+	v := make([]int64, rows)
+	var buf [unpackBlock]uint64
+	for r := 0; r < rows; r += unpackBlock {
+		for j, x := range unpack(buf[:min(unpackBlock, rows-r)], p[9:], r, w) {
+			v[r+j] = base + int64(x)
+		}
+	}
+	return v, nil
+}
+
+// decodeDeltaFOR reads encoding 6: the first value, the minimum delta, the
+// width, then each later value's delta less the minimum (wrapping).
+func decodeDeltaFOR(f Field, rows int, p []byte) ([]int64, error) {
+	if rows == 0 {
+		return nil, corruptf("delta-for column %q: no first value for 0 rows", f.Name)
+	}
+	w, err := packedWidth(f, p, 16, rows-1)
+	if err != nil {
+		return nil, err
+	}
+	cur := int64(binary.LittleEndian.Uint64(p))
+	minDelta := int64(binary.LittleEndian.Uint64(p[8:]))
+	v := make([]int64, rows)
+	v[0] = cur
+	var buf [unpackBlock]uint64
+	for r := 1; r < rows; r += unpackBlock {
+		for j, x := range unpack(buf[:min(unpackBlock, rows-r)], p[17:], r-1, w) {
+			cur += minDelta + int64(x)
+			v[r+j] = cur
+		}
+	}
+	return v, nil
+}
+
 // decodeVarints reads exactly rows zigzag uvarints consuming the whole
-// payload.
-func decodeVarints(f Field, rows int, p []byte) ([]int64, error) {
+// payload; with delta (encoding 3) each is the difference to the previous
+// value, summed as it is read.
+func decodeVarints(f Field, rows int, p []byte, delta bool) ([]int64, error) {
 	// A uvarint costs at least one byte.
 	if rows > len(p) {
 		return nil, corruptf("varint column %q: row count %d exceeds payload", f.Name, rows)
 	}
 	v := make([]int64, rows)
 	pos := 0
-	for r := 0; r < rows; r++ {
-		u, n := binary.Uvarint(p[pos:])
-		if n <= 0 {
-			return nil, corruptf("varint column %q: bad varint at row %d", f.Name, r)
+	var acc int64
+	for r := range v {
+		var x int64
+		if pos < len(p) && p[pos] < 0x80 {
+			x = unzigzag(uint64(p[pos]))
+			pos++
+		} else {
+			u, n := binary.Uvarint(p[pos:])
+			if n <= 0 {
+				return nil, corruptf("varint column %q: bad varint at row %d", f.Name, r)
+			}
+			pos += n
+			x = unzigzag(u)
 		}
-		pos += n
-		v[r] = unzigzag(u)
+		if delta {
+			acc += x
+			x = acc
+		}
+		v[r] = x
 	}
 	if pos != len(p) {
 		return nil, corruptf("varint column %q: %d trailing payload bytes", f.Name, len(p)-pos)
@@ -722,7 +1010,77 @@ func decodeVarints(f Field, rows int, p []byte) ([]int64, error) {
 	return v, nil
 }
 
-func decodeDict(f Field, rows int, p []byte) ([]string, error) {
+// checkIndexes checks, before anything is allocated for them, the per-row
+// indexes p holds after a dictionary of nd entries: uvarints (the count
+// only; fillFromDict checks each as it reads it) or, with packed, the width
+// and exact length, and that every packed index is below nd. It returns the
+// packed width.
+func checkIndexes(f Field, rows int, p []byte, nd uint32, packed bool) (uint, error) {
+	if !packed {
+		if rows > len(p) {
+			return 0, corruptf("dict column %q: row count %d exceeds payload", f.Name, rows)
+		}
+		return 0, nil
+	}
+	w, err := packedWidth(f, p, 0, rows)
+	if err != nil {
+		return 0, err
+	}
+	if w != dictWidth(int(nd)) {
+		return 0, corruptf("dict column %q: width %d for %d entries", f.Name, w, nd)
+	}
+	if uint64(nd) < uint64(1)<<w { // some w-bit index is out of range
+		var buf [unpackBlock]uint64
+		for r := 0; r < rows; r += unpackBlock {
+			for _, d := range unpack(buf[:min(unpackBlock, rows-r)], p[1:], r, w) {
+				if d >= uint64(nd) {
+					return 0, corruptf("dict column %q: index %d out of range (dictionary size %d)", f.Name, d, nd)
+				}
+			}
+		}
+	}
+	return w, nil
+}
+
+// fillFromDict sets each row of v to the dictionary entry its index at p
+// names: packed at width w (checked by checkIndexes), or uvarints.
+func fillFromDict[T string | float64](f Field, v, dict []T, p []byte, packed bool, w uint) error {
+	if packed {
+		var buf [unpackBlock]uint64
+		for r := 0; r < len(v); r += unpackBlock {
+			for j, d := range unpack(buf[:min(unpackBlock, len(v)-r)], p[1:], r, w) {
+				v[r+j] = dict[d]
+			}
+		}
+		return nil
+	}
+	pos := 0
+	for r := range v {
+		var d uint64
+		if pos < len(p) && p[pos] < 0x80 {
+			d = uint64(p[pos])
+			pos++
+		} else {
+			var n int
+			if d, n = binary.Uvarint(p[pos:]); n <= 0 {
+				return corruptf("dict column %q: bad index varint at row %d", f.Name, r)
+			}
+			pos += n
+		}
+		if d >= uint64(len(dict)) {
+			return corruptf("dict column %q: index %d out of range (dictionary size %d)", f.Name, d, len(dict))
+		}
+		v[r] = dict[d]
+	}
+	if pos != len(p) {
+		return corruptf("dict column %q: %d trailing payload bytes", f.Name, len(p)-pos)
+	}
+	return nil
+}
+
+// decodeDict reads a string dictionary column, encoding 1 or, with packed,
+// encoding 7.
+func decodeDict(f Field, rows int, p []byte, packed bool) ([]string, error) {
 	if len(p) < 4 {
 		return nil, corruptf("dict column %q: truncated dictionary size", f.Name)
 	}
@@ -732,8 +1090,9 @@ func decodeDict(f Field, rows int, p []byte) ([]string, error) {
 	if int64(nd)*4 > int64(len(p)-pos) {
 		return nil, corruptf("dict column %q: dictionary size %d exceeds payload", f.Name, nd)
 	}
-	dict := make([]string, nd)
-	for i := range dict {
+	// Walk the entries before building them, so the indexes are checked
+	// before anything is allocated.
+	for i := uint32(0); i < nd; i++ {
 		if pos+4 > len(p) {
 			return nil, corruptf("dict column %q: truncated entry %d", f.Name, i)
 		}
@@ -742,63 +1101,45 @@ func decodeDict(f Field, rows int, p []byte) ([]string, error) {
 		if int64(sl) > int64(len(p)-pos) {
 			return nil, corruptf("dict column %q: truncated entry %d", f.Name, i)
 		}
-		dict[i] = string(p[pos : pos+sl])
 		pos += sl
 	}
-	if rows > len(p)-pos {
-		return nil, corruptf("dict column %q: row count %d exceeds payload", f.Name, rows)
+	idx := p[pos:]
+	w, err := checkIndexes(f, rows, idx, nd, packed)
+	if err != nil {
+		return nil, err
+	}
+	dict := make([]string, nd)
+	pos = 4
+	for i := range dict {
+		sl := int(binary.LittleEndian.Uint32(p[pos:]))
+		dict[i] = string(p[pos+4 : pos+4+sl])
+		pos += 4 + sl
 	}
 	v := make([]string, rows)
-	for r := 0; r < rows; r++ {
-		u, n := binary.Uvarint(p[pos:])
-		if n <= 0 {
-			return nil, corruptf("dict column %q: bad index varint at row %d", f.Name, r)
-		}
-		if u >= uint64(nd) {
-			return nil, corruptf("dict column %q: index %d out of range (dictionary size %d)", f.Name, u, nd)
-		}
-		pos += n
-		v[r] = dict[u]
-	}
-	if pos != len(p) {
-		return nil, corruptf("dict column %q: %d trailing payload bytes", f.Name, len(p)-pos)
-	}
-	return v, nil
+	return v, fillFromDict(f, v, dict, idx, packed, w)
 }
 
-func decodeDictFloats(f Field, rows int, p []byte) ([]float64, error) {
+// decodeDictFloats reads a float dictionary column, encoding 1 or, with
+// packed, encoding 7.
+func decodeDictFloats(f Field, rows int, p []byte, packed bool) ([]float64, error) {
 	if len(p) < 4 {
 		return nil, corruptf("float dict column %q: truncated dictionary size", f.Name)
 	}
 	nd := binary.LittleEndian.Uint32(p)
-	pos := 4
-	if int64(nd)*8 > int64(len(p)-pos) {
+	if int64(nd)*8 > int64(len(p)-4) {
 		return nil, corruptf("float dict column %q: dictionary size %d exceeds payload", f.Name, nd)
+	}
+	idx := p[4+8*int(nd):]
+	w, err := checkIndexes(f, rows, idx, nd, packed)
+	if err != nil {
+		return nil, err
 	}
 	dict := make([]float64, nd)
 	for i := range dict {
-		dict[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[pos:]))
-		pos += 8
-	}
-	if rows > len(p)-pos {
-		return nil, corruptf("float dict column %q: row count %d exceeds payload", f.Name, rows)
+		dict[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[4+8*i:]))
 	}
 	v := make([]float64, rows)
-	for r := 0; r < rows; r++ {
-		u, n := binary.Uvarint(p[pos:])
-		if n <= 0 {
-			return nil, corruptf("float dict column %q: bad index varint at row %d", f.Name, r)
-		}
-		if u >= uint64(nd) {
-			return nil, corruptf("float dict column %q: index %d out of range (dictionary size %d)", f.Name, u, nd)
-		}
-		pos += n
-		v[r] = dict[u]
-	}
-	if pos != len(p) {
-		return nil, corruptf("float dict column %q: %d trailing payload bytes", f.Name, len(p)-pos)
-	}
-	return v, nil
+	return v, fillFromDict(f, v, dict, idx, packed, w)
 }
 
 func decodeRLE(f Field, rows int, p []byte) ([]bool, error) {
@@ -815,14 +1156,20 @@ func decodeRLE(f Field, rows int, p []byte) ([]bool, error) {
 	pos := 1
 	v := make([]bool, 0, rows)
 	for len(v) < rows {
-		u, n := binary.Uvarint(p[pos:])
-		if n <= 0 {
-			return nil, corruptf("rle column %q: bad run length at offset %d", f.Name, pos)
+		var u uint64
+		if pos < len(p) && p[pos] < 0x80 {
+			u = uint64(p[pos])
+			pos++
+		} else {
+			var n int
+			if u, n = binary.Uvarint(p[pos:]); n <= 0 {
+				return nil, corruptf("rle column %q: bad run length at offset %d", f.Name, pos)
+			}
+			pos += n
 		}
 		if u == 0 || u > uint64(rows-len(v)) {
 			return nil, corruptf("rle column %q: run length %d with %d rows remaining", f.Name, u, rows-len(v))
 		}
-		pos += n
 		for i := uint64(0); i < u; i++ {
 			v = append(v, cur)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -256,15 +257,35 @@ func TestCorruptCountsRejected(t *testing.T) {
 			t.Errorf("%s: error = %v, want ErrCorrupt", tc.name, err)
 		}
 	}
-	// Dictionary index out of range: encode a dict column and bump an
-	// index byte past the dictionary size.
-	schema := NewSchema(Field{Name: "s", Type: String})
-	db := MustNew(schema, []*Column{NewStringColumn([]string{"a", "a", "a", "a", "a", "a", "a", "a"})})
-	d := EncodeCompressed(db)
-	d[len(d)-1] = 0x7F // last row's dict index
+	// Dictionary index out of range: encode a dict column whose last row
+	// names entry 299 (a two-byte uvarint) and bump that index past the
+	// dictionary size.
+	strs, _ := skewedDict()
+	d := qba2Single(t, "s", NewStringColumn(append(strs, "299")), encDict)
+	d[len(d)-2], d[len(d)-1] = 0xFF, 0x7F // last row's dict index: 16383
 	if _, err := Decode(d); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("dict index out of range: error = %v, want ErrCorrupt", err)
 	}
+	// A packed index past the dictionary is refused before the column is
+	// built.
+	if _, err := Decode(indexPastDict()); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("packed dict index out of range: error = %v, want ErrCorrupt", err)
+	}
+}
+
+// skewedDict is a column over 300 distinct values, most rows drawing on the
+// first 128: their one-byte uvarint indexes beat 9-bit packed ones, so the
+// encoder keeps encoding 1.
+func skewedDict() (strs []string, floats []float64) {
+	for i := 0; i < 2300; i++ {
+		k := i
+		if i >= 300 {
+			k = i % 128
+		}
+		strs = append(strs, strconv.Itoa(k))
+		floats = append(floats, float64(k)/4)
+	}
+	return strs, floats
 }
 
 // TestRowsBoundedByFrameLength: a frame's row count is refused before
@@ -298,23 +319,31 @@ func TestRowsBoundedByFrameLength(t *testing.T) {
 		}
 	}
 
-	// Hand-built frames: one RLE run claiming 2^32-1 rows (six payload
-	// bytes), and a varint column declaring more rows than the frame has
-	// bytes. Both are corrupt, for Decode and DecodeProject alike.
-	frame := func(typ Type, enc byte, rows uint32, payload []byte) []byte {
-		var d []byte
-		put32 := func(v uint32) { d = binary.LittleEndian.AppendUint32(d, v) }
-		put32(codecMagic2)
-		put32(1)
-		put32(1)
-		d = append(d, 'c', byte(typ), enc)
-		put32(uint32(len(payload)))
-		put32(rows)
-		return append(d, payload...)
+	// A constant int column is for at width 0 (a 9-byte payload) up to
+	// exactly rleMaxRows rows a payload byte; one row more is delta-for at
+	// width 0 (17 bytes).
+	const forCap = 9 * rleMaxRows
+	for rows, want := range map[int]byte{forCap: encFOR, forCap + 1: encDeltaFOR} {
+		ints := NewIntColumn(make([]int64, rows))
+		qba2Single(t, "i", ints, want)
+		assertTransparent(t, colOf(ints))
+		assertMatchesReference(t, "constant ints", colOf(ints))
 	}
+	atBound, pastBound := width0Frames()
+	if b, err := Decode(atBound); err != nil || b.NumRows() != len(atBound)*rleMaxRows {
+		t.Errorf("width-0 frame at the bound: %v", err)
+	}
+
+	// Hand-built frames: one RLE run claiming 2^32-1 rows (six payload
+	// bytes), a varint column declaring more rows than the frame has bytes,
+	// a 1-bit packed column declaring more than 8 rows a frame byte, and a
+	// width-0 column one row past the bound. All are corrupt, for Decode and
+	// DecodeProject alike.
 	for name, d := range map[string][]byte{
-		"rle run past the bound": frame(Bool, encRLE, math.MaxUint32, binary.AppendUvarint([]byte{1}, math.MaxUint32)),
-		"varint rows past frame": frame(Int64, encVarint, 1<<20, []byte{0, 0}),
+		"rle run past the bound": frame1(Bool, encRLE, math.MaxUint32, binary.AppendUvarint([]byte{1}, math.MaxUint32)),
+		"varint rows past frame": frame1(Int64, encVarint, 1<<20, []byte{0, 0}),
+		"1-bit rows past frame":  frame1(Int64, encFOR, 1<<20, append(make([]byte, 8), 1, 0)),
+		"width 0 past the bound": pastBound,
 	} {
 		if _, err := Decode(d); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: Decode error = %v, want ErrCorrupt", name, err)
@@ -326,8 +355,8 @@ func TestRowsBoundedByFrameLength(t *testing.T) {
 }
 
 // TestUnknownEncodingRejected: a column tagged with an encoding no encoder
-// has ever written (5 was once reserved for DEFLATE) is corrupt for every
-// column type, never a panic.
+// writes (8, the first one unassigned) is corrupt for every column type,
+// never a panic.
 func TestUnknownEncodingRejected(t *testing.T) {
 	for _, typ := range []Type{Int64, Float64, String, Bool, Date} {
 		var frame []byte
@@ -335,7 +364,7 @@ func TestUnknownEncodingRejected(t *testing.T) {
 		put32(codecMagic2)
 		put32(1) // one field
 		put32(1) // nameLen
-		frame = append(frame, 'f', byte(typ), 5)
+		frame = append(frame, 'f', byte(typ), 8)
 		put32(0) // payloadLen
 		put32(0) // nrows
 		if _, err := Decode(frame); !errors.Is(err, ErrCorrupt) {
@@ -435,12 +464,25 @@ func refEncodeColumn(c *Column, boolsOnly bool) (byte, []byte) {
 			best, bestEnc = p, enc
 		}
 	}
+	// A packed candidate of width 0 holds at most rleMaxRows rows a payload
+	// byte.
+	considerPacked := func(enc byte, p []byte, w int) {
+		if w > 0 || c.Len() <= rleMaxRows*len(p) {
+			consider(enc, p)
+		}
+	}
 	switch c.Type {
 	case Int64, Date:
 		consider(encVarint, varintPayload(c.Ints))
 		consider(encDelta, deltaPayload(c.Ints))
+		if len(c.Ints) > 0 {
+			considerPacked(forPayload(c.Ints))
+			considerPacked(deltaForPayload(c.Ints))
+		}
 	case String:
-		consider(encDict, dictPayload(c.Strings))
+		head, idx := refStringDict(c.Strings)
+		consider(encDict, dictPayload(head, idx))
+		considerPacked(dictPackedPayload(head, idx))
 	case Bool:
 		// In a frame of bools only, RLE may claim at most rleMaxRows rows
 		// a payload byte.
@@ -448,7 +490,9 @@ func refEncodeColumn(c *Column, boolsOnly bool) (byte, []byte) {
 			consider(encRLE, p)
 		}
 	case Float64:
-		consider(encDict, dictFloatPayload(c.Floats))
+		head, idx := refFloatDict(c.Floats)
+		consider(encDict, dictPayload(head, idx))
+		considerPacked(dictPackedPayload(head, idx))
 	}
 	return bestEnc, best
 }
@@ -510,53 +554,124 @@ func deltaPayload(vals []int64) []byte {
 	return out
 }
 
-func dictPayload(vals []string) []byte {
-	idx := make(map[string]uint64, 16)
-	order := make([]string, 0, 16)
-	for _, s := range vals {
-		if _, ok := idx[s]; !ok {
-			idx[s] = uint64(len(order))
-			order = append(order, s)
+// refWidth is the bits needed to write every value up to hi.
+func refWidth(hi uint64) int {
+	w := 0
+	for w < 64 && hi>>w != 0 {
+		w++
+	}
+	return w
+}
+
+// refPack packs vals at width w, LSB-first, one bit at a time.
+func refPack(vals []uint64, w int) []byte {
+	out := make([]byte, (len(vals)*w+7)/8)
+	for i, v := range vals {
+		for b := 0; b < w; b++ {
+			if v>>b&1 == 1 {
+				at := i*w + b
+				out[at/8] |= 1 << (at % 8)
+			}
 		}
-	}
-	out := make([]byte, 0, len(vals)*2)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(order)))
-	out = append(out, u32[:]...)
-	for _, s := range order {
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(s)))
-		out = append(out, u32[:]...)
-		out = append(out, s...)
-	}
-	for _, s := range vals {
-		out = binary.AppendUvarint(out, idx[s])
 	}
 	return out
 }
 
-func dictFloatPayload(vals []float64) []byte {
+// refPacked is a packed candidate: head, the width byte, then vals packed at
+// the width their largest needs.
+func refPacked(enc byte, head []byte, vals []uint64) (byte, []byte, int) {
+	hi := uint64(0)
+	for _, v := range vals {
+		hi = max(hi, v)
+	}
+	w := refWidth(hi)
+	return enc, append(append(head, byte(w)), refPack(vals, w)...), w
+}
+
+func forPayload(vals []int64) (byte, []byte, int) {
+	lo := slices.Min(vals)
+	offs := make([]uint64, len(vals))
+	for i, v := range vals {
+		offs[i] = uint64(v - lo)
+	}
+	return refPacked(encFOR, binary.LittleEndian.AppendUint64(nil, uint64(lo)), offs)
+}
+
+func deltaForPayload(vals []int64) (byte, []byte, int) {
+	deltas := make([]int64, len(vals)-1)
+	for i := range deltas {
+		deltas[i] = vals[i+1] - vals[i]
+	}
+	lo := int64(0)
+	if len(deltas) > 0 {
+		lo = slices.Min(deltas)
+	}
+	offs := make([]uint64, len(deltas))
+	for i, d := range deltas {
+		offs[i] = uint64(d - lo)
+	}
+	head := binary.LittleEndian.AppendUint64(nil, uint64(vals[0]))
+	return refPacked(encDeltaFOR, binary.LittleEndian.AppendUint64(head, uint64(lo)), offs)
+}
+
+// refStringDict is a string column's dictionary (ndict, then each distinct
+// string in first-occurrence order) and its per-row indexes.
+func refStringDict(vals []string) ([]byte, []uint64) {
+	idx := make(map[string]uint64, 16)
+	order := make([]string, 0, 16)
+	rows := make([]uint64, len(vals))
+	for r, s := range vals {
+		if _, ok := idx[s]; !ok {
+			idx[s] = uint64(len(order))
+			order = append(order, s)
+		}
+		rows[r] = idx[s]
+	}
+	head := binary.LittleEndian.AppendUint32(nil, uint32(len(order)))
+	for _, s := range order {
+		head = binary.LittleEndian.AppendUint32(head, uint32(len(s)))
+		head = append(head, s...)
+	}
+	return head, rows
+}
+
+// refFloatDict is refStringDict over exact Float64bits patterns.
+func refFloatDict(vals []float64) ([]byte, []uint64) {
 	idx := make(map[uint64]uint64, 16)
 	order := make([]uint64, 0, 16)
-	for _, v := range vals {
+	rows := make([]uint64, len(vals))
+	for r, v := range vals {
 		bits := math.Float64bits(v)
 		if _, ok := idx[bits]; !ok {
 			idx[bits] = uint64(len(order))
 			order = append(order, bits)
 		}
+		rows[r] = idx[bits]
 	}
-	out := make([]byte, 0, 4+8*len(order)+2*len(vals))
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(order)))
-	out = append(out, u32[:]...)
-	var u64 [8]byte
+	head := binary.LittleEndian.AppendUint32(nil, uint32(len(order)))
 	for _, bits := range order {
-		binary.LittleEndian.PutUint64(u64[:], bits)
-		out = append(out, u64[:]...)
+		head = binary.LittleEndian.AppendUint64(head, bits)
 	}
-	for _, v := range vals {
-		out = binary.AppendUvarint(out, idx[math.Float64bits(v)])
+	return head, rows
+}
+
+func dictPayload(head []byte, idx []uint64) []byte {
+	out := slices.Clone(head)
+	for _, d := range idx {
+		out = binary.AppendUvarint(out, d)
 	}
 	return out
+}
+
+// dictPackedPayload packs the indexes at the width of the largest index
+// the dictionary has, whether or not a row uses it.
+func dictPackedPayload(head []byte, idx []uint64) (byte, []byte, int) {
+	nd := binary.LittleEndian.Uint32(head)
+	w := 0
+	if nd > 1 {
+		w = refWidth(uint64(nd - 1))
+	}
+	return encDictPacked, append(append(slices.Clone(head), byte(w)), refPack(idx, w)...), w
 }
 
 func rlePayload(vals []bool) []byte {
@@ -598,6 +713,18 @@ func assertMatchesReference(t testing.TB, what string, b *Batch) {
 	if got := EncodeCompressed(b); !bytes.Equal(got, want) {
 		t.Fatalf("%s: EncodeCompressed differs from the reference encoder", what)
 	}
+}
+
+// columnEncodings lists the encoding of each column of a QBA2 frame.
+func columnEncodings(frame []byte) []byte {
+	encs := make([]byte, binary.LittleEndian.Uint32(frame[4:]))
+	pos := 8
+	for i := range encs {
+		nl := int(binary.LittleEndian.Uint32(frame[pos:]))
+		encs[i] = frame[pos+4+nl+1]
+		pos += 4 + nl + 6
+	}
+	return encs
 }
 
 // colOf builds a one-column batch.
@@ -921,6 +1048,14 @@ func TestAppendCompressedZeroAllocs(t *testing.T) {
 	for _, b := range []*Batch{lineitemShaped(4096), lineitemShaped(4096).Select("l_quantity", "l_comment")} {
 		var sc encScratch
 		dst := sc.appendFrame(make([]byte, 0, RawEncodedSize(b)), b) // warm the scratch
+		if len(b.Cols) > 2 {
+			// The guard covers every packed writer.
+			for _, enc := range []byte{encFOR, encDeltaFOR, encDictPacked} {
+				if !bytes.Contains(columnEncodings(dst), []byte{enc}) {
+					t.Fatalf("lineitem-shaped frame has no column in encoding %d: %v", enc, columnEncodings(dst))
+				}
+			}
+		}
 		if allocs := testing.AllocsPerRun(20, func() { dst = sc.appendFrame(dst[:0], b) }); allocs != 0 {
 			t.Errorf("%d columns: %.1f allocs per encode, want 0", len(b.Cols), allocs)
 		}

@@ -2,6 +2,9 @@ package batch
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -16,6 +19,37 @@ func qba2Single(t testing.TB, name string, col *Column, want byte) []byte {
 	return frame
 }
 
+// frame1 hand-builds a QBA2 frame of one column named "c".
+func frame1(typ Type, enc byte, rows uint32, payload []byte) []byte {
+	d := binary.LittleEndian.AppendUint32(nil, codecMagic2)
+	d = binary.LittleEndian.AppendUint32(d, 1)
+	d = binary.LittleEndian.AppendUint32(d, 1)
+	d = append(d, 'c', byte(typ), enc)
+	d = binary.LittleEndian.AppendUint32(d, uint32(len(payload)))
+	d = binary.LittleEndian.AppendUint32(d, rows)
+	return append(d, payload...)
+}
+
+// width0Frames are frames of one width-0 for column (9 payload bytes, 32
+// frame bytes) declaring exactly the rleMaxRows rows a frame byte the
+// decoder accepts, and one row more, which it refuses.
+func width0Frames() (atBound, pastBound []byte) {
+	payload := append(binary.LittleEndian.AppendUint64(nil, 7), 0)
+	const rows = (4 + 4 + 11 + 4 + 9) * rleMaxRows
+	return frame1(Int64, encFOR, rows, payload), frame1(Int64, encFOR, rows+1, payload)
+}
+
+// indexPastDict is an encoding 7 column of three entries whose last row's
+// 2-bit index is 3: corrupt.
+func indexPastDict() []byte {
+	p := binary.LittleEndian.AppendUint32(nil, 3)
+	for _, s := range []string{"A", "N", "R"} {
+		p = append(binary.LittleEndian.AppendUint32(p, 1), s...)
+	}
+	p = append(p, 2, 0b11_10_01_00) // width 2; rows 0..3 index 0, 1, 2, 3
+	return frame1(String, encDictPacked, 4, p)
+}
+
 // FuzzDecode holds the decoder every received piece, backup, spool object
 // and spill run goes through to its contract on arbitrary bytes: Decode and
 // DecodeProject never panic; a frame Decode accepts re-encodes (Encode) to
@@ -24,25 +58,51 @@ func qba2Single(t testing.TB, name string, col *Column, want byte) []byte {
 func FuzzDecode(f *testing.F) {
 	ints := make([]int64, 64)
 	sorted := make([]int64, 64)
+	stepped := make([]int64, 64)
+	small := make([]int64, 64)
 	bools := make([]bool, 64)
 	floats := make([]float64, 64)
 	strs := make([]string, 64)
 	for i := range ints {
 		ints[i] = int64(i%7) - 3
 		sorted[i] = 1_000_000 + int64(i)*3
+		stepped[i] = 1_000_000 + int64(i)*3 + int64(i%2)
+		small[i] = int64(i % 7)
 		bools[i] = i >= 40
 		floats[i] = float64(i%3) + 0.5
 		strs[i] = []string{"AIR", "MAIL", "SHIP"}[i%3]
 	}
+	outliers := slices.Clone(ints)
+	outliers[10], outliers[50] = 1<<40, -1<<40
+	jumpy := slices.Clone(sorted)
+	for i := 32; i < len(jumpy); i++ {
+		jumpy[i] += 1 << 30
+	}
 	noisy := []float64{0.1, -0, 3.25e300, 1e-300}
 	seeds := [][]byte{
 		qba2Single(f, "raw", NewFloatColumn(noisy), encRaw),
-		qba2Single(f, "sdict", NewStringColumn(strs), encDict),
-		qba2Single(f, "fdict", NewFloatColumn(floats), encDict),
-		qba2Single(f, "varint", NewIntColumn(ints), encVarint),
-		qba2Single(f, "delta", NewIntColumn(sorted), encDelta),
+		// The encoder packs small dictionaries' indexes (encoding 7), but the
+		// decoder reads uvarint ones (encoding 1) too.
+		frame1(String, encDict, 64, dictPayload(refStringDict(strs))),
+		frame1(Float64, encDict, 64, dictPayload(refFloatDict(floats))),
+		qba2Single(f, "varint", NewIntColumn(outliers), encVarint),
+		qba2Single(f, "delta", NewIntColumn(jumpy), encDelta),
 		qba2Single(f, "rle", NewBoolColumn(bools), encRLE),
+		qba2Single(f, "for", NewIntColumn(small), encFOR),
+		qba2Single(f, "for0", NewIntColumn(make([]int64, 64)), encFOR),
+		qba2Single(f, "dfor", NewDateColumn(stepped), encDeltaFOR),
+		qba2Single(f, "dfor0", NewIntColumn(sorted), encDeltaFOR),
+		qba2Single(f, "spacked", NewStringColumn(strs), encDictPacked),
+		qba2Single(f, "fpacked", NewFloatColumn(floats), encDictPacked),
+		qba2Single(f, "spacked0", NewStringColumn(make([]string, 64)), encDictPacked),
+		// Width 64, the widest: base MinInt64 plus offsets 0, 2^64-1, 5.
+		frame1(Int64, encFOR, 3, slices.Concat(binary.LittleEndian.AppendUint64(nil, 1<<63), []byte{64},
+			binary.LittleEndian.AppendUint64(nil, 0), binary.LittleEndian.AppendUint64(nil, math.MaxUint64),
+			binary.LittleEndian.AppendUint64(nil, 5))),
+		indexPastDict(),
 	}
+	atBound, pastBound := width0Frames()
+	seeds = append(seeds, atBound, pastBound)
 	all := MustNew(NewSchema(F("i", Int64), F("d", Date), F("f", Float64), F("s", String), F("b", Bool)),
 		[]*Column{NewIntColumn(ints), NewDateColumn(sorted), NewFloatColumn(floats), NewStringColumn(strs), NewBoolColumn(bools)})
 	whole := EncodeCompressed(all)

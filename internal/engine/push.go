@@ -137,11 +137,11 @@ func (t *taskManager) partitionFor(w *pieceSetWriter, out *taskOutput, e Edge, p
 			w.add(nil)
 		case elided(ch):
 			w.elide(b)
-			t.r.count(metrics.PiecesElided, 1)
+			t.r.cElided.add(1)
 		default:
 			w.buf = batch.AppendCompressed(w.buf, b)
-			t.r.count(metrics.ShuffleRawBytes, int64(batch.RawEncodedSize(b)))
-			t.r.count(metrics.ShuffleWireBytes, int64(len(w.buf)-w.mark))
+			t.r.cRawBytes.add(int64(batch.RawEncodedSize(b)))
+			t.r.cWireBytes.add(int64(len(w.buf) - w.mark))
 			w.add(b)
 		}
 	}
@@ -213,7 +213,7 @@ func (t *taskManager) pushOutputs(cs *chanState, task lineage.TaskName, p *pendi
 			if err := t.pushPiece(cs.snap, task, dest, e.Input, data, b, cs.cep); err != nil {
 				return err
 			}
-			t.r.count(metrics.PartitionsMoved, 1)
+			t.r.cMoved.add(1)
 		}
 	}
 	return nil

@@ -88,6 +88,9 @@ type Runner struct {
 	hAdmit histPair
 	hFlush histPair
 	hStall histPair
+	// Pre-resolved counter pairs for the events counted per task, step and
+	// piece: one atomic add into each collector, no name lookup.
+	cHanded, cDecoded, cElided, cRawBytes, cWireBytes, cMoved, cTasks, cStepsRun, cStepsSkipped ctrPair
 
 	// keys is the prebuilt per-channel GCS key table, [stage][channel]
 	// (read-only after newRunner; see buildKeys).
@@ -111,6 +114,17 @@ type histPair struct {
 func (h histPair) observe(v int64) {
 	h.q.Observe(v)
 	h.c.Observe(v)
+}
+
+// ctrPair is histPair's counter analogue: Runner.count's two collectors,
+// resolved once per Runner for the hottest names.
+type ctrPair struct {
+	q, c *atomic.Int64
+}
+
+func (p ctrPair) add(delta int64) {
+	p.q.Add(delta)
+	p.c.Add(delta)
 }
 
 // NewRunner validates the plan against the cluster and prepares a runner,
@@ -195,6 +209,11 @@ func newRunner(cl *cluster.Cluster, plan *Plan, pol Policy, qid string) (*Runner
 	r.hAdmit = histPair{qmet.Hist(metrics.AdmissionWaitNS), cl.Metrics.Hist(metrics.AdmissionWaitNS)}
 	r.hFlush = histPair{qmet.Hist(metrics.FlushLatencyNS), cl.Metrics.Hist(metrics.FlushLatencyNS)}
 	r.hStall = histPair{qmet.Hist(metrics.CursorStallNS), cl.Metrics.Hist(metrics.CursorStallNS)}
+	pair := func(name string) ctrPair { return ctrPair{qmet.Counter(name), cl.Metrics.Counter(name)} }
+	r.cHanded, r.cDecoded, r.cElided = pair(metrics.PiecesHanded), pair(metrics.PiecesDecoded), pair(metrics.PiecesElided)
+	r.cRawBytes, r.cWireBytes = pair(metrics.ShuffleRawBytes), pair(metrics.ShuffleWireBytes)
+	r.cMoved, r.cTasks = pair(metrics.PartitionsMoved), pair(metrics.TasksExecuted)
+	r.cStepsRun, r.cStepsSkipped = pair(metrics.StepsRun), pair(metrics.StepsSkipped)
 	return r, nil
 }
 

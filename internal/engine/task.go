@@ -67,14 +67,14 @@ func (t *taskManager) consume(cs *chanState, rec lineage.Record) (outs []*batch.
 		if len(pc.Data) == 0 && pc.Batch == nil {
 			continue // empty partition: counts for the watermark only
 		}
-		b, how := pc.Batch, metrics.PiecesHanded
+		b, how := pc.Batch, t.r.cHanded
 		if b == nil {
 			if b, err = batch.Decode(pc.Data); err != nil {
 				return nil, 0, 0, fmt.Errorf("engine: corrupt partition for %s: %w", cs.id, err)
 			}
-			how = metrics.PiecesDecoded
+			how = t.r.cDecoded
 		}
-		t.r.count(how, 1)
+		how.add(1)
 		if b.NumRows() == 0 {
 			continue
 		}
@@ -223,7 +223,7 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask) (bool, error) {
 			sb.DropSpill()
 		}
 	}
-	t.r.count(metrics.TasksExecuted, 1)
+	t.r.cTasks.add(1)
 	lat := time.Since(p.started)
 	t.r.hTask.observe(int64(lat))
 	if t.r.rec != nil {

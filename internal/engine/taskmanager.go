@@ -289,10 +289,10 @@ func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, scanned u
 		}
 	}
 	if run > 0 {
-		t.r.count(metrics.StepsRun, run)
+		t.r.cStepsRun.add(run)
 	}
 	if skipped > 0 {
-		t.r.count(metrics.StepsSkipped, skipped)
+		t.r.cStepsSkipped.add(skipped)
 	}
 	return progressed, snap.ver
 }

@@ -7,6 +7,7 @@ package tpch
 
 import (
 	"context"
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
@@ -209,4 +210,80 @@ func TestCompressedFaultRecovery(t *testing.T) {
 	want := runQuery(t, loadCluster(t, 4), 9, cfg)
 	got := runQueryWithKill(t, loadCluster(t, 4), 9, cfg, 2, 25)
 	assertSameResult(t, 9, want, got)
+}
+
+// parentTableBytes is what every table at SF 0.03 cut into 32,768-row
+// splits stored before QBA2 had bit-packed encodings (5-7): 8,178,050 bytes.
+const parentTableBytes = 8_178_050
+
+// frameCol is one column of a QBA2 frame: its encoding and payload.
+type frameCol struct {
+	enc     byte
+	payload []byte
+}
+
+// frameColumns reads a QBA2 frame's header: each column by name.
+func frameColumns(frame []byte) map[string]frameCol {
+	u32 := func(at int) int { return int(binary.LittleEndian.Uint32(frame[at:])) }
+	var names []string
+	var encs []byte
+	var lens []int
+	pos := 8
+	for range u32(4) {
+		nl := u32(pos)
+		names = append(names, string(frame[pos+4:pos+4+nl]))
+		encs = append(encs, frame[pos+4+nl+1])
+		lens = append(lens, u32(pos+4+nl+2))
+		pos += 4 + nl + 6
+	}
+	pos += 4 // nrows
+	cols := map[string]frameCol{}
+	for i, name := range names {
+		cols[name] = frameCol{encs[i], frame[pos : pos+lens[i]]}
+		pos += lens[i]
+	}
+	return cols
+}
+
+// TestStoredTableBytes pins what bit-packing saves on the stored tables at
+// SF 0.03 in 32,768-row splits — every byte a scan reads — and where it
+// comes from: the low-cardinality lineitem strings are packed dictionary
+// indexes (encoding 7) of at most 3 bits a row, and l_orderkey, sorted with
+// small steps, is delta-for (encoding 6).
+func TestStoredTableBytes(t *testing.T) {
+	total := 0
+	for name, table := range Generate(0.03).Tables() {
+		for i, split := range table.SplitRows(32768) {
+			frame := batch.EncodeCompressed(split)
+			total += len(frame)
+			if name != "lineitem" {
+				continue
+			}
+			cols := frameColumns(frame)
+			for _, c := range []string{"l_returnflag", "l_linestatus", "l_shipmode", "l_shipinstruct"} {
+				col := cols[c]
+				if col.enc != 7 {
+					t.Errorf("lineitem split %d: %s in encoding %d, want 7 (dict-packed)", i, c, col.enc)
+					continue
+				}
+				// The width byte follows the dictionary: ndict, then each
+				// entry's length and bytes.
+				at := 4
+				for range binary.LittleEndian.Uint32(col.payload) {
+					at += 4 + int(binary.LittleEndian.Uint32(col.payload[at:]))
+				}
+				if w := col.payload[at]; w > 3 {
+					t.Errorf("lineitem split %d: %s packed at %d bits a row, want at most 3", i, c, w)
+				}
+			}
+			if enc := cols["l_orderkey"].enc; enc != 6 {
+				t.Errorf("lineitem split %d: l_orderkey in encoding %d, want 6 (delta-for)", i, enc)
+			}
+		}
+	}
+	t.Logf("stored table bytes: %d (%d before bit-packing, %.1f%% less)", total, parentTableBytes,
+		100*(1-float64(total)/parentTableBytes))
+	if total*100 > parentTableBytes*85 {
+		t.Errorf("stored table bytes %d, want at most 85%% of %d", total, parentTableBytes)
+	}
 }
