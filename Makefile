@@ -50,7 +50,10 @@ dark:
 ## channels its image changed, at most 4 steps per executed task, a replay
 ## round retiring its entries in one flush that wakes only the channels they
 ## name; and two kills in turn leave every Direct edge at equal parallelism
-## on one worker, in every mode that recovers; and both
+## on one worker, in every mode that recovers; and a rewound reader re-reads
+## exactly its runs of splits, a pruned survivor list and a short last run
+## included, and a fused plan (a reader running a filter, a join running a
+## select and a partial aggregate in one task) recovers in every mode; and both
 ## group-commit tests: commits queued behind a held flush fold into the next
 ## one, across two queries, and a queued requester, not the held one's
 ## thread, runs it (the committer has no goroutine of its own);
@@ -62,7 +65,7 @@ race: wake-stress
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestSubmit|TestAdmissionLimitPublic' .
 	$(GO) test -race -count=5 -run 'TestProcessModeKillWorker|TestProcessModeCursorMatchesResult|TestProcessModeKillWorkerMidCursor|TestPeerPushFailureIsARetryNotAVerdict|TestWorkerStopClosesMailboxConns' ./internal/wire
-	$(GO) test -race -count=5 -run 'TestHandedBatchIsItsPiece|TestLocalPiecesAreNeverEncoded|TestElidedPieceIsNeverRead|Recover|Fail|Kill|Dead|TestReplayedPiecesAreTheStoredOnes|TestCheckpointRestart(RestoresState|KeepsDeliveredResults)|TestOwnerBelowARestartHasDied|TestControlStoreSchema|TestFlushReadsOnlyItsFences|TestEveryWorkerReadIsAnImageLoad|TestAdvancedImageEqualsLoadedImage|TestAdvanceRefusedAfterAForeignWrite|TestChangesFor|TestReplayRoundRetiresOnce|TestDirectPartnersShareAWorker|TestStepsPerTask|TestSpoolOverwritesARefusedIncarnationsObject|TestGroupCommit' ./internal/engine
+	$(GO) test -race -count=5 -run 'TestHandedBatchIsItsPiece|TestLocalPiecesAreNeverEncoded|TestElidedPieceIsNeverRead|Recover|Fail|Kill|Dead|TestReplayedPiecesAreTheStoredOnes|TestCheckpointRestart(RestoresState|KeepsDeliveredResults)|TestOwnerBelowARestartHasDied|TestControlStoreSchema|TestFlushReadsOnlyItsFences|TestEveryWorkerReadIsAnImageLoad|TestAdvancedImageEqualsLoadedImage|TestAdvanceRefusedAfterAForeignWrite|TestChangesFor|TestReplayRoundRetiresOnce|TestDirectPartnersShareAWorker|TestRewoundReaderReReadsItsRuns|TestFusedChainRecovery|TestStepsPerTask|TestSpoolOverwritesARefusedIncarnationsObject|TestGroupCommit' ./internal/engine
 	$(GO) test -race -count=5 -run 'TestDeleteNSDropsTheNamespace|TestChangeTrackingLifecycle' ./internal/gcs
 	$(GO) test -race -count=3 -run 'TestTPCHFailureRecoveryMatchesFailureFree|TestTPCHCheckpointRecovery|TestCompressedFaultRecovery|TestConcurrentTPCHKillWorker' ./internal/tpch
 
@@ -89,7 +92,7 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 23633
+LOC_MAX := 23901
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -97,8 +100,9 @@ loc-check:
 ## bench: one iteration of every benchmark in short mode (CI smoke: drives
 ## each paper figure once, in modelled time), plus the allocation-regression
 ## guard over the hash-path inner loops, wide aggregation's bytes per group,
-## shuffle routing's bytes per row and the QBA2 encoder. Measurements come from `bash benchmark/run.sh`, not
-## from here.
+## shuffle routing's bytes per row, the QBA2 encoder and a fused operator
+## chain's hand-off between its members. Measurements come from
+## `bash benchmark/run.sh`, not from here.
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) test -short -run 'ZeroAllocs' -v ./internal/ops/ ./internal/batch/

@@ -51,9 +51,10 @@ func (s *Session) Read(table string) *DataFrame {
 // returns a new frame wrapping a new logical-plan node; the shared tree
 // underneath means a frame used twice (e.g. joined with its own
 // aggregate) executes once. Collect runs the optimizer — constant
-// folding, predicate pushdown, projection pruning, filter+project fusion,
-// partial aggregation, automatic broadcast-join selection — and then the
-// engine. Use Explain to see the optimized plan without running it.
+// folding, predicate pushdown, projection pruning, partial aggregation,
+// automatic broadcast-join selection — lowers the plan with its narrow
+// chains fused into one stage each, and runs it on the engine. Use Explain
+// to see the optimized plan without running it.
 type DataFrame struct {
 	s    *Session
 	node *plan.Node

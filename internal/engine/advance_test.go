@@ -170,7 +170,9 @@ func (c *imageCheck) compare() {
 // rewound channel's commit advances: every kill that recovers shows one, and
 // some kill shows one past a consumer's retraced task.
 func TestAdvancedImageEqualsLoadedImage(t *testing.T) {
-	tables := joinTables(12000)
+	// Eight times the fact splits the one-split reader tasks ran over: runs of
+	// MinTake splits give the readers as many tasks, and the kill lands mid-query.
+	tables := joinTables(96000)
 	plans := []struct {
 		name string
 		plan func() *Plan

@@ -142,7 +142,8 @@ type Config struct {
 	// upstream outputs as are available (at least MinTake while the
 	// producer is still running, at most MaxTake). When Dynamic is false,
 	// tasks consume exactly StaticBatch outputs per step (Figure 8's
-	// static lineage strategies).
+	// static lineage strategies). The same number, MinTake or StaticBatch,
+	// is the run of splits one reader task reads.
 	Dynamic     bool
 	StaticBatch int
 	MinTake     int
@@ -313,4 +314,14 @@ func resolve(cfg Config, o clusterOptions) (Policy, error) {
 		cfg.CursorBufferBytes = DefaultCursorBufferBytes
 	}
 	return Policy{Config: cfg, Tracing: o.tracing}, nil
+}
+
+// runLen is the take a task waits for while its producer runs — MinTake,
+// or a full StaticBatch under the static policy — and the run of splits
+// one reader task reads.
+func (p Policy) runLen() int {
+	if !p.Dynamic {
+		return p.StaticBatch
+	}
+	return p.MinTake
 }

@@ -753,84 +753,117 @@ func TestFailureRecoveryWithParallelOperators(t *testing.T) {
 	}
 }
 
+// readerChainAggPlan is one reader-rooted stage whose runs go through a map
+// and a global partial aggregate, fused: an output stage whose state lives
+// with a reader.
+func readerChainAggPlan() *Plan {
+	return MustPlan(&Stage{ID: 0, Name: "read▸map▸agg-partial", Reader: &ReaderSpec{Table: "numbers"},
+		Op: ops.Chain{Members: []ops.Spec{
+			ops.NewFilterProjectSpec(nil, ops.NE("v", expr.C("v"))),
+			ops.NewHashAggPartialSpec(nil, ops.Sum("s", expr.C("v")), ops.CountStar("c")),
+		}}})
+}
+
 // TestCheckpointRestartRestoresState: the one kind of channel that restarts
 // from a checkpoint mark — an output-stage channel, which no rewound consumer
-// needs re-produced — does: killed past a mark, the sort channel comes back at
-// the mark's Seq, not at 0, with the snapshot's rows and the mark's watermark
+// needs re-produced — does: killed past a mark, the channel comes back at the
+// mark's Seq, not at 0, with the snapshot's state and the mark's watermark
 // (the only stored one there is: it equals the fold of the lineage below the
-// mark), and the result is the no-fault run's byte for byte.
+// mark), and the result is the no-fault run's byte for byte. Both a sort fed
+// by a shuffle and a reader-rooted chain, whose partial aggregate is
+// checkpointed and whose restart is at a run boundary: its next task re-reads
+// the run at the mark's Seq, and none below it.
 func TestCheckpointRestartRestoresState(t *testing.T) {
 	const n = 6000
 	tables := map[string][]*batch.Batch{"numbers": numbersTable(n, 120)}
-	cfg := DefaultConfig()
-	cfg.FT = FTCheckpoint
-	cfg.CheckpointEveryTasks = 2
-	cfg.MaxTake = 2 // many small sort tasks: marks land while there is work left
-	want, _ := runPlan(t, testCluster(t, 4, tables), spillSortPlan(), cfg)
-	if want == nil || want.NumRows() != n {
-		t.Fatalf("failure-free result: %v", want)
-	}
-
-	cl := testCluster(t, 4, tables)
-	Configure(cl, WithTracing(true))
-	r, err := NewRunner(cl, spillSortPlan(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The sort channel is seeded on worker 0. Kill it once the channel has
-	// committed past a mark, so the restart has lineage above the mark to
-	// retrace as well.
-	sortCh := lineage.ChannelID{Stage: 1, Channel: 0}
-	var mark checkpointMark
-	var folded lineage.Watermark
-	var cep int
-	killInTxn(cl, 0, func(tx *gcs.Txn) bool {
-		v, _ := tx.Get(r.keyCheckpoint(sortCh))
-		m, err := decodeCheckpoint(v)
-		if err != nil || m.Seq == 0 || txGetInt(tx, r.keyCursor(sortCh), 0) <= m.Seq {
-			return false
-		}
-		if mark.Seq == 0 {
-			mark, folded = m, committedWatermark(tx, r, sortCh, m.Seq)
-			cep = txGetInt(tx, r.keyChanEpoch(sortCh), 0)
-		}
-		return true
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	q := r.Start(ctx)
-	got, rep, err := q.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Recoveries == 0 {
-		t.Fatal("no kill, or none the query noticed: nothing recovered")
-	}
-	if !reflect.DeepEqual(mark.WM, folded) {
-		t.Errorf("mark at task %d carries watermark %v, its lineage folds to %v", mark.Seq, mark.WM, folded)
-	}
-	// The object is stored before the commit carrying the mark, under the
-	// committing incarnation's epoch: a refused one cannot overwrite it.
-	if want := fmt.Sprintf("ckpt/%s/%s.e%d/%d", r.qid, sortCh, cep, mark.Seq); mark.ObjKey != want {
-		t.Errorf("mark at task %d names object %q, want %q", mark.Seq, mark.ObjKey, want)
-	}
-	if !bytes.Equal(batch.Encode(got), batch.Encode(want)) {
-		t.Fatalf("result differs from the failure-free run: %d rows, want %d", got.NumRows(), want.NumRows())
-	}
-	// The restarted incarnation: its first task is at a mark (the one the kill
-	// saw, or a later one), and it consumed fewer rows than the table has —
-	// the rest came out of the snapshot.
-	first, rows := -1, int64(0)
-	for _, s := range q.Trace().Snapshot() {
-		if s.Kind == trace.KindTask && s.Stage == sortCh.Stage && s.Epoch > 0 {
-			if first < 0 || s.Seq < first {
-				first = s.Seq
+	for _, tc := range []struct {
+		name string
+		plan func() *Plan
+		ch   lineage.ChannelID
+		rows int // the failure-free result's: the sort's input, a partial row a chain channel
+	}{
+		// The sort channel is seeded on worker 0, and so is the chain's
+		// channel 0.
+		{"sort", spillSortPlan, lineage.ChannelID{Stage: 1, Channel: 0}, n},
+		{"reader-chain", readerChainAggPlan, lineage.ChannelID{Stage: 0, Channel: 0}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.FT = FTCheckpoint
+			cfg.CheckpointEveryTasks = 2
+			cfg.MaxTake = 2 // many small sort tasks: marks land while there is work left
+			cfg.MinTake = 2 // reader runs of 2 splits: 15 tasks to a chain channel
+			want, _ := runPlan(t, testCluster(t, 4, tables), tc.plan(), cfg)
+			if want == nil || want.NumRows() != tc.rows {
+				t.Fatalf("failure-free result: %v, want %d rows", want, tc.rows)
 			}
-			rows += s.InRows
-		}
-	}
-	if first < mark.Seq || rows >= n {
-		t.Errorf("the rewound sort channel restarted at task %d having consumed %d of %d rows: want a start at or past the mark (task %d) and the rest from its snapshot", first, rows, n, mark.Seq)
+
+			cl := testCluster(t, 4, tables)
+			Configure(cl, WithTracing(true))
+			r, err := NewRunner(cl, tc.plan(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Kill worker 0 once the channel has committed past a mark, so
+			// the restart has tasks above the mark to run again as well.
+			var mark checkpointMark
+			var folded lineage.Watermark
+			var cep int
+			killInTxn(cl, 0, func(tx *gcs.Txn) bool {
+				v, _ := tx.Get(r.keyCheckpoint(tc.ch))
+				m, err := decodeCheckpoint(v)
+				if err != nil || m.Seq == 0 || txGetInt(tx, r.keyCursor(tc.ch), 0) <= m.Seq {
+					return false
+				}
+				if mark.Seq == 0 {
+					mark, folded = m, committedWatermark(tx, r, tc.ch, m.Seq)
+					cep = txGetInt(tx, r.keyChanEpoch(tc.ch), 0)
+				}
+				return true
+			})
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			q := r.Start(ctx)
+			got, rep, err := q.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Recoveries == 0 {
+				t.Fatal("no kill, or none the query noticed: nothing recovered")
+			}
+			if !reflect.DeepEqual(mark.WM, folded) {
+				t.Errorf("mark at task %d carries watermark %v, its lineage folds to %v", mark.Seq, mark.WM, folded)
+			}
+			// The object is stored before the commit carrying the mark, under
+			// the committing incarnation's epoch: a refused one cannot
+			// overwrite it.
+			if want := fmt.Sprintf("ckpt/%s/%s.e%d/%d", r.qid, tc.ch, cep, mark.Seq); mark.ObjKey != want {
+				t.Errorf("mark at task %d names object %q, want %q", mark.Seq, mark.ObjKey, want)
+			}
+			if !bytes.Equal(batch.Encode(got), batch.Encode(want)) {
+				t.Fatalf("result differs from the failure-free run: %d rows, want %d", got.NumRows(), want.NumRows())
+			}
+			// The restarted incarnation: its first task is at a mark (the one
+			// the kill saw, or a later one); a consumer consumed fewer rows
+			// than the table has, and a reader read fewer runs than its
+			// channel has — the rest came out of the snapshot.
+			first, rows, tasks := -1, int64(0), 0
+			for _, s := range q.Trace().Snapshot() {
+				if s.Kind == trace.KindTask && s.Stage == tc.ch.Stage && s.Channel == tc.ch.Channel && s.Epoch > 0 {
+					if first < 0 || s.Seq < first {
+						first = s.Seq
+					}
+					rows += s.InRows
+					tasks++
+				}
+			}
+			if first < mark.Seq || rows >= n {
+				t.Errorf("the rewound channel restarted at task %d having consumed %d of %d rows: want a start at or past the mark (task %d) and the rest from its snapshot", first, rows, n, mark.Seq)
+			}
+			if tc.ch.Stage == 0 && tasks >= 16 {
+				t.Errorf("the rewound reader ran %d tasks, its channel's whole 15 runs and last task: nothing came from the snapshot", tasks)
+			}
+		})
 	}
 }
 

@@ -29,8 +29,10 @@ const (
 	// aggregates).
 	PartitionSingle
 	// PartitionDirect keeps data on the producer's channel index (modulo
-	// the consumer's parallelism): the zero-shuffle narrow dependency of
-	// scan->filter edges.
+	// the consumer's parallelism): the zero-shuffle narrow dependency. The
+	// Optimized lowering fuses a consumer it alone feeds into the
+	// producer's stage, so it is left at shared producers and broadcast
+	// join probe sides.
 	PartitionDirect
 )
 
@@ -64,12 +66,14 @@ type StageInput struct {
 }
 
 // ReaderSpec marks a stage as an input reader over an object-store table.
-// Channel c of a reader stage with parallelism P reads splits c, c+P,
-// c+2P, ... — one split per task, so readers pipeline with downstream
-// stages. When the planner pruned splits, the cursor walk indexes the
-// Splits survivor list instead, which is part of the plan: a rewound reader
-// resolves each cursor to the same physical split, so its retrace is
-// identical with or without pruning.
+// A reader task reads a run of R splits, R being the take a consumer waits
+// for (Policy.runLen: MinTake, or StaticBatch under the static policy):
+// run k of channel c of a stage with parallelism P is entries
+// c + (kR+i)·P, i < R, of the split list — the Splits survivor list when
+// the planner pruned, which is part of the plan. The run follows from the
+// channel's cursor and the plan alone, so a rewound reader re-reads the
+// same physical splits and logs nothing. A reader stage with an Op runs
+// each split's batch through it in the same task.
 type ReaderSpec struct {
 	Table string
 	// Splits is the zone-map pruning survivor list: the physical split
@@ -85,7 +89,9 @@ type ReaderSpec struct {
 	Cols []string
 }
 
-// Stage is one pipeline stage. Exactly one of Reader and Op is set.
+// Stage is one pipeline stage: a reader, an operator over inputs, or a
+// reader whose splits run through an operator (a fused narrow chain, the
+// plan's ops.Chain or a single spec).
 type Stage struct {
 	ID          int
 	Name        string
@@ -123,9 +129,9 @@ func MustPlan(stages ...*Stage) *Plan {
 	return p
 }
 
-// Validate checks structural invariants: contiguous IDs, reader XOR
-// operator, edges referencing earlier stages only (the DAG is given in
-// topological order), and a unique output stage.
+// Validate checks structural invariants: contiguous IDs, a reader, inputs
+// or a reader plus an operator, edges referencing earlier stages only (the
+// DAG is given in topological order), and a unique output stage.
 func (p *Plan) Validate() error {
 	if len(p.Stages) == 0 {
 		return fmt.Errorf("engine: empty plan")
@@ -134,13 +140,12 @@ func (p *Plan) Validate() error {
 		if s.ID != i {
 			return fmt.Errorf("engine: stage at index %d has ID %d", i, s.ID)
 		}
-		if (s.Reader == nil) == (s.Op == nil) {
-			return fmt.Errorf("engine: stage %d must have exactly one of Reader or Op", i)
-		}
-		if s.Reader != nil && len(s.Inputs) != 0 {
+		switch {
+		case s.Reader != nil && len(s.Inputs) != 0:
 			return fmt.Errorf("engine: reader stage %d cannot have inputs", i)
-		}
-		if s.Reader == nil && len(s.Inputs) == 0 {
+		case s.Reader == nil && s.Op == nil:
+			return fmt.Errorf("engine: stage %d has neither a Reader nor an Op", i)
+		case s.Reader == nil && len(s.Inputs) == 0:
 			return fmt.Errorf("engine: compute stage %d has no inputs", i)
 		}
 		for e, in := range s.Inputs {

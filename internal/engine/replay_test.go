@@ -19,7 +19,10 @@ import (
 // would write it: the global epoch moved, and two of the filter's backed-up
 // tasks queued on worker 0 for the aggregate channel on worker 1.
 func TestReplayRoundRetiresOnce(t *testing.T) {
-	cl := testCluster(t, 2, joinTables(1000))
+	// Eight times the splits the one-split reader tasks ran over: runs of
+	// MinTake splits give each reader channel as many tasks, and the filter
+	// commits several.
+	cl := testCluster(t, 2, joinTables(8000))
 	r, err := NewRunner(cl, q1ShapedPlan(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

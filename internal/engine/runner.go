@@ -184,8 +184,10 @@ func newRunner(cl *cluster.Cluster, plan *Plan, pol Policy, qid string) (*Runner
 		r.par[i] = plan.Parallelism(i, len(cl.Workers))
 	}
 	// Spooling persists shuffle partitions: outputs that cross a wide
-	// (exchange) edge. Narrow Direct edges are pipeline-fused, as in
-	// Trino, and never materialize durably.
+	// (exchange) edge. A narrow chain runs inside one fused stage, as
+	// Trino pipelines it, and the Direct edges the planner leaves — a
+	// shared producer's, a broadcast join's probe side — never
+	// materialize durably either.
 	r.spooled = make([]bool, len(plan.Stages))
 	for i := range plan.Stages {
 		for _, e := range plan.Consumers(i) {

@@ -53,9 +53,10 @@ type chanMeta struct {
 
 // retrace is what a rewound channel of a stage with inputs re-runs under one
 // global epoch: its committed lineage records from a cursor up to the first
-// missing one, and under capCheckpoint its restart mark. Nothing the epoch
-// commits changes it: a retraced task writes no record, a first execution
-// writes one only past the first missing, and every rewind moves the epoch.
+// missing one, and under capCheckpoint its restart mark — all a rewound
+// reader with an operator has. Nothing the epoch commits changes it: a
+// retraced task writes no record, a first execution writes one only past the
+// first missing, and every rewind moves the epoch.
 type retrace struct {
 	from int              // the cursor of recs[0]
 	recs []lineage.Record // the records at from, from+1, ...
@@ -231,9 +232,11 @@ func (r *Runner) loadSnapshot(ver uint64, prev *snapshot) (*snapshot, error) {
 				// A finished channel (equality, not presence: a rewound one
 				// keeps its done/ key while its cursor starts over), one never
 				// rewound (epoch 0: only reconcile leaves a record at a
-				// cursor) and a reader, whose splits are re-derived, have no
-				// retrace.
-				if m.done == m.cursor || m.cep == 0 || len(r.plan.Stages[st].Inputs) == 0 {
+				// cursor) and a bare reader, whose runs are re-derived, have
+				// no retrace. A reader with an operator has one under
+				// capCheckpoint: its restart mark, and no records.
+				reader := r.plan.Stages[st].Reader != nil
+				if m.done == m.cursor || m.cep == 0 || reader && (r.plan.Stages[st].Op == nil || !r.ft.has(capCheckpoint)) {
 					continue
 				}
 				var err error

@@ -742,7 +742,9 @@ func q3ShapedPlan() *Plan {
 // 2.7 to 3.6 per task on this shape, and reloading after every flush 1.6 to
 // 1.8.
 func TestTxnsPerTask(t *testing.T) {
-	cl := testCluster(t, 2, q3Tables(800, 4000))
+	// Eight times the splits the one-split reader tasks ran over: runs of
+	// MinTake splits give the readers as many tasks to amortise over.
+	cl := testCluster(t, 2, q3Tables(6400, 32000))
 	out, rep := runPlan(t, cl, q3ShapedPlan(), DefaultConfig())
 	if out == nil || out.NumRows() != 10 {
 		t.Fatalf("result: %v", out)

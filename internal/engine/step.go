@@ -134,9 +134,9 @@ func (t *taskManager) normalStep(cs *chanState) (bool, error) {
 	switch {
 	case choice != nil:
 		rec := lineage.Consume(choice.ec.Input, choice.ec.UpChannel, choice.from, choice.count)
-		return t.runTask(cs, &rec, -1, false)
+		return t.runTask(cs, &rec, nil, false)
 	case exhausted:
-		return t.runTask(cs, nil, -1, false) // the channel's final task
+		return t.runTask(cs, nil, nil, false) // the channel's final task
 	}
 	return false, nil // nothing consumable yet; task "exits without executing"
 }
@@ -183,10 +183,7 @@ func (t *taskManager) chooseInput(cs *chanState) (*inputChoice, bool) {
 	// — upstream cursor past this channel's watermark — make a take: while the
 	// producer runs, at least MinTake of them (a full StaticBatch under the
 	// static policy); once it has finished, any.
-	least := t.r.cfg.MinTake
-	if !t.r.cfg.Dynamic {
-		least = t.r.cfg.StaticBatch
-	}
+	least := t.r.cfg.runLen()
 	var probes []flight.Edge
 	for e, in := range cs.stage.Inputs {
 		if in.Phase != curPhase {
@@ -250,21 +247,33 @@ func (t *taskManager) chooseInput(cs *chanState) (*inputChoice, bool) {
 	return best, false
 }
 
-// readerStep executes one input-reader task: read the channel's next
-// split from the object store. With zone-map pruning the cursor walk
-// indexes the survivor list, which is mapped to the physical split number
-// before the read. The split follows from the cursor and the plan alone, so
-// nothing is logged: a rewound reader re-reads its splits through here, as
-// its first run did.
+// readerStep executes one input-reader task: read the channel's next run
+// of splits from the object store (ReaderSpec). With zone-map pruning the
+// run indexes the survivor list, which is mapped to physical split numbers
+// before the read. The run follows from the cursor and the plan alone, so
+// nothing is logged: a rewound reader re-reads its runs through here, as its
+// first run did. A channel whose next run is empty finalizes.
 func (t *taskManager) readerStep(cs *chanState) (bool, error) {
-	split := cs.id.Channel + cs.cursor*t.r.par[cs.id.Stage]
-	if split >= cs.splits {
-		return t.runTask(cs, nil, -1, false)
+	run := readerRun(cs.stage.Reader, cs.id.Channel, t.r.par[cs.id.Stage], t.r.cfg.runLen(), cs.cursor, cs.splits)
+	return t.runTask(cs, nil, run, false)
+}
+
+// readerRun returns the physical splits of run k of reader channel c, at
+// parallelism par and run length n over a split list of splits entries:
+// entries c + (kn+i)·par, i < n, that exist; nil past the last.
+func readerRun(spec *ReaderSpec, c, par, n, k, splits int) []int {
+	var run []int
+	for i := range n {
+		e := c + (k*n+i)*par
+		if e >= splits {
+			break
+		}
+		if spec.Splits != nil {
+			e = spec.Splits[e]
+		}
+		run = append(run, e)
 	}
-	if spec := cs.stage.Reader; spec.Splits != nil {
-		split = spec.Splits[split]
-	}
-	return t.runTask(cs, nil, split, false)
+	return run
 }
 
 // replayStep re-executes a consume task under its committed lineage: the
@@ -277,5 +286,5 @@ func (t *taskManager) replayStep(cs *chanState, rec lineage.Record) (bool, error
 	if t.mb.Probe(t.r.qid, cs.id, []flight.Edge{edge})[0] < rec.Count {
 		return false, nil
 	}
-	return t.runTask(cs, &rec, -1, true)
+	return t.runTask(cs, &rec, nil, true)
 }

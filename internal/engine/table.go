@@ -128,14 +128,17 @@ func TableZoneMaps(store storage.Objects, name string) ([]*batch.ZoneMap, error)
 	return zms, nil
 }
 
-// ReadSplitCols reads one split keeping only the named columns (nil =
-// all), paying the full object-store read cost — the split object still
-// moves whole — but skipping the decode of dropped column payloads.
-// skipped reports the encoded bytes whose decode was avoided.
-func ReadSplitCols(store storage.Objects, name string, i int, cols []string) (*batch.Batch, int64, error) {
-	v, err := store.Get(tableSplitKey(name, i))
-	if err != nil {
-		return nil, 0, fmt.Errorf("engine: split %d of table %q: %w", i, name, err)
+// readSplits fetches a reader run's split objects in one request
+// (storage.Objects.GetMany), paying the full object-store read cost of each:
+// a split object moves whole, whatever columns the plan decodes of it.
+func readSplits(store storage.Objects, name string, splits []int) ([][]byte, error) {
+	keys := make([]string, len(splits))
+	for i, s := range splits {
+		keys[i] = tableSplitKey(name, s)
 	}
-	return batch.DecodeProject(v, cols)
+	vals, err := store.GetMany(keys)
+	if err != nil {
+		return nil, fmt.Errorf("engine: splits %v of table %q: %w", splits, name, err)
+	}
+	return vals, nil
 }

@@ -14,27 +14,22 @@ import (
 )
 
 // runTask executes one task and finishes it (push, back up, commit): with
-// rec set, the consume of its range; else the read of split, the physical
-// split readerStep computed, or — split < 0 — the channel's last task. A
+// rec set, the consume of its range; else the read of run, the physical
+// splits readerStep computed, or — run nil — the channel's last task. A
 // range just chosen and one retraced from the log run through here alike,
 // which is what makes a replayed task's output the original's.
-func (t *taskManager) runTask(cs *chanState, rec *lineage.Record, split int, isReplay bool) (bool, error) {
+func (t *taskManager) runTask(cs *chanState, rec *lineage.Record, run []int, isReplay bool) (bool, error) {
 	cs.yield()
 	p := &pendingTask{seq: cs.cursor, rec: rec, replay: isReplay, started: time.Now()}
 	var err error
 	switch {
 	case rec != nil:
 		p.outs, p.inRows, p.inBytes, err = t.consume(cs, *rec)
-	case split >= 0:
-		// split is physical, and every read of it uses the plan's column
-		// projection: a retraced read is byte-identical.
-		var b *batch.Batch
-		if b, err = t.readSplit(cs.stage.Reader, split); b != nil {
-			p.outs = []*batch.Batch{b}
-		}
+	case run != nil:
+		p.outs, p.inRows, err = t.readRun(cs, run)
 	default:
 		p.finalize = true
-		if cs.op != nil { // a reader channel has no operator: it finalizes empty
+		if cs.op != nil { // a bare reader has no operator: it finalizes empty
 			if p.outs, err = cs.op.Finalize(); err != nil {
 				return false, fmt.Errorf("engine: finalize %s: %w", cs.id, err)
 			}
@@ -75,19 +70,32 @@ func (t *taskManager) consume(cs *chanState, rec lineage.Record) (outs []*batch.
 			how = t.r.cDecoded
 		}
 		how.add(1)
-		if b.NumRows() == 0 {
-			continue
-		}
 		inRows += int64(b.NumRows())
 		inBytes += int64(len(pc.Data))
-		t.chargeCompute(b)
-		o, err := cs.op.Consume(rec.Input, b)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("engine: %s consume: %w", cs.id, err)
+		if outs, err = t.feed(cs, rec.Input, b, outs); err != nil {
+			return nil, 0, 0, err
 		}
-		outs = append(outs, o...)
 	}
 	return outs, inRows, inBytes, nil
+}
+
+// feed runs one input batch through the stage's operator, charging its
+// modelled compute, and appends what it emits to outs: a reader's split and
+// a shuffled piece go through the operator alike. A bare reader emits what
+// it read.
+func (t *taskManager) feed(cs *chanState, input int, b *batch.Batch, outs []*batch.Batch) ([]*batch.Batch, error) {
+	if cs.op == nil {
+		return append(outs, b), nil
+	}
+	if b.NumRows() == 0 {
+		return outs, nil
+	}
+	t.chargeCompute(b)
+	o, err := cs.op.Consume(input, b)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %s consume: %w", cs.id, err)
+	}
+	return append(outs, o...), nil
 }
 
 // chargeCompute applies the modelled operator-kernel cost of processing bs
@@ -111,17 +119,30 @@ func (t *taskManager) chargeCompute(bs ...*batch.Batch) {
 	<-t.cpu
 }
 
-// readSplit reads one physical split for a reader spec, decoding only the
-// columns the plan consumes and crediting the skipped column bytes.
-func (t *taskManager) readSplit(spec *ReaderSpec, split int) (*batch.Batch, error) {
-	b, skipped, err := ReadSplitCols(t.r.cl.ObjStore, spec.Table, split, spec.Cols)
+// readRun reads a reader task's splits, fetched in one request, and decodes
+// each with the plan's column projection, so a retraced read is
+// byte-identical, feeding it to the stage's operator. It returns the outputs
+// and the rows read, the stage's rows in.
+func (t *taskManager) readRun(cs *chanState, run []int) (outs []*batch.Batch, rows int64, err error) {
+	spec := cs.stage.Reader
+	vals, err := readSplits(t.r.cl.ObjStore, spec.Table, run)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if skipped > 0 {
-		t.r.count(metrics.ScanBytesSkipped, skipped)
+	for _, v := range vals {
+		b, skipped, err := batch.DecodeProject(v, spec.Cols)
+		if err != nil {
+			return nil, 0, err
+		}
+		if skipped > 0 {
+			t.r.count(metrics.ScanBytesSkipped, skipped)
+		}
+		rows += int64(b.NumRows())
+		if outs, err = t.feed(cs, 0, b, outs); err != nil {
+			return nil, 0, err
+		}
 	}
-	return b, nil
+	return outs, rows, nil
 }
 
 // finishTask is the core of Algorithm 1, a straight line: encode the task's

@@ -15,4 +15,5 @@ func init() {
 	gob.Register(topKSpec{})
 	gob.Register(hashAggSpec{})
 	gob.Register(hashJoinSpec{})
+	gob.Register(Chain{})
 }

@@ -12,12 +12,14 @@ type Mode uint8
 
 // Lowering modes.
 const (
-	// Optimized lowering expects an Optimize'd tree: scans fuse their
-	// pushed predicate and pruned column list into one map stage,
-	// projection-over-filter pairs fuse into the FilterProject fast path,
+	// Optimized lowering expects an Optimize'd tree: scans carry their
+	// pushed predicate and pruned column list into a map behind the reader,
 	// aggregations split into a partial stage on the producer's channels
 	// plus a shuffled final merge (aggregation pushdown), and join
-	// strategies are taken as resolved.
+	// strategies are taken as resolved. A Direct child takes its producer's
+	// parallelism, and every single-consumer stage reached by a Direct edge
+	// fuses into its producer (fuse): a task is drawn only where lineage is
+	// needed.
 	Optimized Mode = iota
 	// Naive lowering emits exactly one stage per logical node, the way the
 	// user typed the query: no fusion, no partial aggregation, Auto joins
@@ -33,8 +35,11 @@ const (
 // while key encoding and `hash mod P` routing stay the operators' pinned
 // contract.
 func Lower(root *Node, mode Mode) (*engine.Plan, error) {
-	l := &lowerer{mode: mode, memo: make(map[*Node]int), counts: refCounts(root)}
+	l := &lowerer{mode: mode, memo: make(map[*Node]int)}
 	l.lower(root)
+	if mode == Optimized {
+		return engine.NewPlan(fuse(l.stages)...)
+	}
 	return engine.NewPlan(l.stages...)
 }
 
@@ -42,10 +47,19 @@ type lowerer struct {
 	mode   Mode
 	stages []*engine.Stage
 	memo   map[*Node]int
-	counts map[*Node]int
 }
 
+// add appends a stage. Under Optimized lowering a Direct child takes its
+// producer's parallelism, so every Direct edge joins equal channel counts: a
+// select over a global aggregate keeps no empty channels, and fuses.
 func (l *lowerer) add(s *engine.Stage) int {
+	if l.mode == Optimized {
+		for _, in := range s.Inputs {
+			if in.Part.Kind == engine.PartitionDirect {
+				s.Parallelism = l.stages[in.Stage].Parallelism
+			}
+		}
+	}
 	s.ID = len(l.stages)
 	l.stages = append(l.stages, s)
 	return s.ID
@@ -132,9 +146,8 @@ func (l *lowerer) lowerScan(n *Node) int {
 	if n.Pred == nil && n.Cols == nil {
 		return r
 	}
-	// The pushed predicate and pruned column list fuse into one map stage
-	// directly behind the reader — the shape of the hand-written TPC-H
-	// scan pipelines.
+	// The pushed predicate and pruned column list run in one map behind the
+	// reader.
 	return l.add(&engine.Stage{
 		Name:   "map",
 		Detail: n.describe(),
@@ -144,66 +157,22 @@ func (l *lowerer) lowerScan(n *Node) int {
 }
 
 func (l *lowerer) lowerFilter(n *Node) int {
-	child := n.Inputs[0]
-	if l.mode == Optimized && l.fusable(child) && child.Kind == KindScan {
-		// Filter directly over a scan (pushdown normally merges these, but
-		// a caller can lower un-optimized trees too): one fused map.
-		r := l.reader(child)
-		pred := n.Pred
-		if child.Pred != nil {
-			pred = expr.And(child.Pred, n.Pred)
-		}
-		return l.add(&engine.Stage{
-			Name:   "map",
-			Detail: n.describe(),
-			Op:     ops.NewFilterProjectSpec(pred, ops.KeepCols(scanKeep(child)...)...),
-			Inputs: direct(r),
-		})
-	}
 	return l.add(&engine.Stage{
 		Name:   "filter",
 		Detail: n.describe(),
 		Op:     ops.NewFilterSpec(n.Pred),
-		Inputs: direct(l.lower(child)),
+		Inputs: direct(l.lower(n.Inputs[0])),
 	})
 }
 
 func (l *lowerer) lowerProject(n *Node) int {
-	child := n.Inputs[0]
-	if l.mode == Optimized && l.fusable(child) {
-		switch child.Kind {
-		case KindFilter:
-			// Projection over filter: the FilterProject fast path.
-			return l.add(&engine.Stage{
-				Name:   "map",
-				Detail: n.describe(),
-				Op:     ops.NewFilterProjectSpec(child.Pred, n.Exprs...),
-				Inputs: direct(l.lower(child.Inputs[0])),
-			})
-		case KindScan:
-			// Projection over a scan: evaluate the projection in the scan's
-			// map stage (the pruned column list is subsumed by it).
-			r := l.reader(child)
-			return l.add(&engine.Stage{
-				Name:   "map",
-				Detail: n.describe(),
-				Op:     ops.NewFilterProjectSpec(child.Pred, n.Exprs...),
-				Inputs: direct(r),
-			})
-		}
-	}
 	return l.add(&engine.Stage{
 		Name:   "select",
 		Detail: n.describe(),
 		Op:     ops.NewProjectSpec(n.Exprs...),
-		Inputs: direct(l.lower(child)),
+		Inputs: direct(l.lower(n.Inputs[0])),
 	})
 }
-
-// fusable reports whether a child node may be absorbed into its parent's
-// stage: single-consumer only, since a shared child must exist as its own
-// stage for its other consumers.
-func (l *lowerer) fusable(child *Node) bool { return l.counts[child] == 1 }
 
 func (l *lowerer) lowerJoin(n *Node) int {
 	build := l.lower(n.Inputs[0])
@@ -300,4 +269,45 @@ func (l *lowerer) lowerSort(n *Node) int {
 		Parallelism: 1,
 		Inputs:      []engine.StageInput{{Stage: in, Part: engine.Single()}},
 	})
+}
+
+// fuse folds every stage whose one input is a Direct edge from a producer it
+// alone consumes into that producer (add gave it the producer's parallelism):
+// the pair runs as one operator chain in one task (ops.Chain), its name and
+// detail the members' joined by "▸". What is left of Direct edges is a shared
+// producer's and a broadcast join's probe side. Stage IDs are renumbered;
+// the order stays topological, as a member's consumers come after its
+// chain's first stage.
+func fuse(stages []*engine.Stage) []*engine.Stage {
+	consumers := make([]int, len(stages))
+	for _, s := range stages {
+		for _, in := range s.Inputs {
+			consumers[in.Stage]++
+		}
+	}
+	var out []*engine.Stage
+	at := make([]int, len(stages)) // a lowered stage's fused stage
+	for i, s := range stages {
+		if in := s.Inputs; len(in) == 1 && in[0].Part.Kind == engine.PartitionDirect && consumers[in[0].Stage] == 1 {
+			f := out[at[in[0].Stage]]
+			f.Name += "▸" + s.Name
+			f.Detail += " ▸ " + s.Detail
+			switch op := f.Op.(type) {
+			case nil:
+				f.Op = s.Op
+			case ops.Chain:
+				f.Op = ops.Chain{Members: append(op.Members, s.Op)}
+			default:
+				f.Op = ops.Chain{Members: []ops.Spec{op, s.Op}}
+			}
+			at[i] = f.ID
+			continue
+		}
+		for e := range s.Inputs {
+			s.Inputs[e].Stage = at[s.Inputs[e].Stage]
+		}
+		s.ID, at[i] = len(out), len(out)
+		out = append(out, s)
+	}
+	return out
 }

@@ -224,8 +224,9 @@ func TestConstantFolding(t *testing.T) {
 	}
 }
 
-// TestLoweringShapes: the optimized plan fuses filter+project into map
-// stages and splits aggregations; naive lowering emits one stage per node.
+// TestLoweringShapes: the optimized plan fuses the scan's map, the select
+// and the partial aggregate into the reader's stage, leaving the shuffled
+// final merge; naive lowering emits one stage per node.
 func TestLoweringShapes(t *testing.T) {
 	build := func() *Node {
 		f := Filter(Scan("sales"), expr.Gt(expr.C("amount"), expr.Float64(1)))
@@ -252,13 +253,20 @@ func TestLoweringShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// scan reader, fused map, agg-partial, agg.
-	if len(lowered.Stages) != 4 {
-		t.Errorf("optimized stages = %d, want 4: %v", len(lowered.Stages), stageNames(lowered))
+	// scan reader with its map, select and agg-partial; agg.
+	if len(lowered.Stages) != 2 {
+		t.Fatalf("optimized stages = %d, want 2: %v", len(lowered.Stages), stageNames(lowered))
 	}
 	names := stageNames(lowered)
-	if names[1] != "map" || names[2] != "agg-partial" {
+	if names[0] != "scan-sales▸map▸select▸agg-partial" || names[1] != "agg" {
 		t.Errorf("optimized shape wrong: %v", names)
+	}
+	s := lowered.Stages[0]
+	if ch, ok := s.Op.(ops.Chain); s.Reader == nil || !ok || len(ch.Members) != 3 {
+		t.Errorf("fused stage: reader %v, op %v; want a reader and a 3-member chain", s.Reader, s.Op)
+	}
+	if got := strings.Count(s.Detail, " ▸ "); got != 3 {
+		t.Errorf("fused detail keeps %d member details, want 4: %q", got+1, s.Detail)
 	}
 }
 

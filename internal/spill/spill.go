@@ -259,6 +259,13 @@ func (o *Op) Child(part int) *Op {
 	return c
 }
 
+// Member returns the handle of member i of a fused operator chain: a root
+// of its own, namespaced under this one, sharing its write totals so the
+// chain's volume stays attributed to its channel.
+func (o *Op) Member(i int) *Op {
+	return &Op{c: o.c, ns: fmt.Sprintf("%s/m%d", o.ns, i), level: o.level, totals: o.totals}
+}
+
 // Reserve accounts delta bytes of in-memory operator state if it fits the
 // budget; it reports false (without reserving) when the operator should
 // spill instead.

@@ -34,6 +34,7 @@ func (p Profile) String() string {
 type Objects interface {
 	PutFree(key string, value []byte)
 	Get(key string) ([]byte, error)
+	GetMany(keys []string) ([][]byte, error)
 	GetFree(key string) ([]byte, error)
 }
 
@@ -109,6 +110,21 @@ func (s *ObjectStore) Get(key string) ([]byte, error) {
 	s.met.Add(metrics.ObjReadBytes, int64(len(v)))
 	s.met.Add(metrics.ObjReads, 1)
 	return v, nil
+}
+
+// GetMany retrieves the value under each key, each read costed and metered
+// as a Get: a remote client fetches them in one request, this store one by
+// one.
+func (s *ObjectStore) GetMany(keys []string) ([][]byte, error) {
+	vals := make([][]byte, len(keys))
+	for i, k := range keys {
+		v, err := s.Get(k)
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = v
+	}
+	return vals, nil
 }
 
 // GetFree retrieves the value under key without applying I/O cost or

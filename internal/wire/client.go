@@ -126,17 +126,6 @@ func (p *pool) expect(ctx context.Context, typ byte, payload []byte, want byte) 
 	return rp, nil
 }
 
-// bytesOf runs a round trip answered by one byte string (mtBytesResp).
-func (p *pool) bytesOf(typ byte, payload []byte) ([]byte, error) {
-	rp, err := p.expect(context.Background(), typ, payload, mtBytesResp)
-	if err != nil {
-		return nil, err
-	}
-	r := rbuf{b: rp}
-	data := r.bytesOwned("bytes response")
-	return data, r.err()
-}
-
 // boolOf runs a round trip answered by one bool (mtBoolResp); a failed
 // exchange reads as false.
 func (p *pool) boolOf(typ byte, payload []byte) bool {
@@ -417,34 +406,67 @@ func (o *objClient) PutFree(key string, value []byte) {
 	o.mu.Unlock()
 }
 
-func (o *objClient) get(key string, free bool) ([]byte, error) {
+// get answers keys from the cache and fetches the rest in one frame.
+func (o *objClient) get(keys []string, free bool) ([][]byte, error) {
+	vals := make([][]byte, len(keys))
+	var miss []string
+	var at []int
 	o.mu.Lock()
-	val, hit := o.cache[key]
+	for i, k := range keys {
+		if v, hit := o.cache[k]; hit {
+			vals[i] = v
+		} else {
+			miss, at = append(miss, k), append(at, i)
+		}
+	}
 	epoch := o.epoch
 	o.mu.Unlock()
-	if hit {
-		return val, nil
+	if len(miss) == 0 {
+		return vals, nil
 	}
 	var w wbuf
-	w.str(key)
+	w.strs(miss)
 	w.boolean(free)
-	val, err := o.p.bytesOf(mtObjGet, w.b)
+	rp, err := o.p.expect(context.Background(), mtObjGet, w.b, mtBytesResp)
+	if err != nil {
+		return nil, err
+	}
+	r := rbuf{b: rp}
+	for _, i := range at {
+		vals[i] = r.bytesOwned("object")
+	}
+	if err := r.err(); err != nil {
+		return nil, err
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, raced := o.cache[key]; err != nil || raced || o.epoch != epoch || int64(len(val)) > o.max {
-		return val, err
+	for j, key := range miss {
+		val := vals[at[j]]
+		if _, raced := o.cache[key]; raced || o.epoch != epoch || int64(len(val)) > o.max {
+			continue
+		}
+		if o.cache == nil || o.size+int64(len(val)) > o.max { // full: start over, no ranking nobody measured
+			o.cache, o.size = make(map[string][]byte), 0
+		}
+		o.cache[key] = val
+		o.size += int64(len(val))
 	}
-	if o.cache == nil || o.size+int64(len(val)) > o.max { // full: start over, no ranking nobody measured
-		o.cache, o.size = make(map[string][]byte), 0
-	}
-	o.cache[key] = val
-	o.size += int64(len(val))
-	return val, nil
+	return vals, nil
 }
 
-func (o *objClient) Get(key string) ([]byte, error) { return o.get(key, false) }
+// one is get's answer to a single key.
+func one(vals [][]byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return vals[0], nil
+}
 
-func (o *objClient) GetFree(key string) ([]byte, error) { return o.get(key, true) }
+func (o *objClient) Get(key string) ([]byte, error) { return one(o.get([]string{key}, false)) }
+
+func (o *objClient) GetMany(keys []string) ([][]byte, error) { return o.get(keys, false) }
+
+func (o *objClient) GetFree(key string) ([]byte, error) { return one(o.get([]string{key}, true)) }
 
 // ---------------------------------------------------------------------------
 // Result sink client

@@ -927,8 +927,16 @@ func objConformance(t *testing.T, b *backends) {
 	if v, err = o.Get("tbl-x/0"); err != nil || string(v) != "split0-v2" {
 		t.Fatalf("get after overwrite = %q, %v", v, err)
 	}
+	// GetMany answers in key order, each value what Get answers.
+	vs, err := o.GetMany([]string{"tbl-x/1", "tbl-x/0"})
+	if err != nil || len(vs) != 2 || string(vs[0]) != "split1" || string(vs[1]) != "split0-v2" {
+		t.Fatalf("getmany = %q, %v", vs, err)
+	}
 	if _, err := o.Get("absent"); err == nil {
 		t.Fatalf("get of absent key succeeded")
+	}
+	if _, err := o.GetMany([]string{"tbl-x/0", "absent"}); err == nil {
+		t.Fatalf("getmany naming an absent key succeeded")
 	}
 	if _, err := o.GetFree("absent"); err == nil {
 		t.Fatalf("getfree of absent key succeeded")

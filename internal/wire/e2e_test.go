@@ -369,7 +369,9 @@ func killMidQuery(cl *cluster.Cluster, w cluster.WorkerID, query *engine.Query) 
 // the head side: mailbox failed, worker process zombied) and demands full
 // recovery — exact result (FP tolerance on the float sums, like the fault
 // suite) plus rewind spans and task spans of a rewound incarnation (channel
-// epoch 1 or more) in the merged trace. The survivors elided
+// epoch 1 or more) in the merged trace. Q9's plan is fused: its readers run
+// maps, and operator chains cross the wire as gob-encoded ops.Chain specs,
+// which rewound channels rebuild. The survivors elided
 // the pieces their own consumers read, and recovery read none of them: a
 // replay naming one fails the query with the worker's error.
 func TestProcessModeKillWorker(t *testing.T) {
@@ -377,6 +379,22 @@ func TestProcessModeKillWorker(t *testing.T) {
 		t.Skip("process-mode e2e is not short")
 	}
 	const workers, q = 3, 9
+	plan, err := tpch.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var readerOps, chains int
+	for _, s := range plan.Stages {
+		if s.Reader != nil && s.Op != nil {
+			readerOps++
+		}
+		if _, ok := s.Op.(ops.Chain); ok {
+			chains++
+		}
+	}
+	if readerOps == 0 || chains == 0 {
+		t.Fatalf("Q%d's plan has %d readers with an operator and %d chains: nothing is fused", q, readerOps, chains)
+	}
 	cfg := engine.DefaultConfig()
 	cl, _, mets := distClusterMet(t, workers, engine.WithTracing(true))
 	want := memRun(t, q, workers, cfg)

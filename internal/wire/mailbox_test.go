@@ -608,3 +608,55 @@ func TestObjCacheBounded(t *testing.T) {
 		t.Errorf("cache accounts %d bytes, holds %d", o.size, sum)
 	}
 }
+
+// TestGetManyIsOneFrame: a reader run's split objects cost one obj_get frame,
+// carrying only the keys the worker's cache cannot answer, and come back in
+// key order, each billed to the head's store as one read; a key never put
+// fails the whole fetch and caches nothing.
+func TestGetManyIsOneFrame(t *testing.T) {
+	cl, err := cluster.New(cluster.Options{Workers: 1, Cost: storage.CostModel{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(cl, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := newPool(srv.Addr())
+	defer p.close()
+	o := &objClient{p: p, max: objCacheMax}
+	for i := 0; i < 4; i++ {
+		cl.ObjStore.PutFree(fmt.Sprint("k", i), []byte(fmt.Sprint("v", i)))
+	}
+	frames := func() int64 { return cl.Metrics.Get(metrics.WireFrames + "obj_get") }
+	reads := func() int64 { return cl.Metrics.Get(metrics.ObjReads) }
+	for _, step := range []struct {
+		keys          []string
+		frames, reads int64
+	}{
+		{[]string{"k2", "k0", "k1"}, 1, 3},
+		{[]string{"k1", "k3", "k0"}, 1, 1}, // k1 and k0 are cached
+		{[]string{"k3", "k2"}, 0, 0},
+	} {
+		f0, r0 := frames(), reads()
+		vals, err := o.GetMany(step.keys)
+		if err != nil {
+			t.Fatalf("%v: %v", step.keys, err)
+		}
+		for i, k := range step.keys {
+			if want := "v" + k[1:]; string(vals[i]) != want {
+				t.Errorf("%v: value %d is %q, want %q", step.keys, i, vals[i], want)
+			}
+		}
+		if f, r := frames()-f0, reads()-r0; f != step.frames || r != step.reads {
+			t.Errorf("%v: %d frames and %d store reads, want %d and %d", step.keys, f, r, step.frames, step.reads)
+		}
+	}
+	if _, err := o.GetMany([]string{"k4", "absent"}); err == nil {
+		t.Error("a fetch naming a key never put succeeded")
+	}
+	if _, kept := o.cache["k4"]; kept || len(o.cache) != 4 {
+		t.Errorf("a failed fetch changed the cache: %d objects", len(o.cache))
+	}
+}

@@ -47,7 +47,7 @@ const (
 	// Object store. A put is always the uncosted PutFree: free must be true
 	// (the costed form was retired with storage.Objects.Put and is refused).
 	mtObjPut = byte(0x30) // str key, bool free, bytes val -> mtOK
-	mtObjGet = byte(0x31) // str key, bool free -> mtBytesResp
+	mtObjGet = byte(0x31) // u32 n, n*str key, bool free -> mtBytesResp (n*bytes, in key order)
 
 	// Result sink: worker task managers relaying output-stage deliveries
 	// into the head-side collector of the named query.
@@ -57,7 +57,7 @@ const (
 	mtOK        = byte(0x40) // empty
 	mtErrResp   = byte(0x41) // u8 code, str msg
 	mtBoolResp  = byte(0x44) // bool
-	mtBytesResp = byte(0x45) // bytes
+	mtBytesResp = byte(0x45) // byte strings, as many as the request named
 	mtGCSResult = byte(0x48) // bool committed, u32 n, n*delta
 )
 

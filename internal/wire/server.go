@@ -587,7 +587,7 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		return writeFrame(c, mtOK, nil)
 	case mtObjGet:
 		r := rbuf{b: payload}
-		key, free := r.str("key"), r.boolean("free")
+		keys, free := r.strs("key"), r.boolean("free")
 		if err := r.err(); err != nil {
 			return err
 		}
@@ -595,12 +595,14 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 		if free {
 			get = s.objs.GetFree
 		}
-		val, err := get(key)
-		if err != nil {
-			return writeFrame(c, mtErrResp, encodeErr(err))
-		}
 		var w wbuf
-		w.bytes(val)
+		for _, key := range keys {
+			val, err := get(key)
+			if err != nil {
+				return writeFrame(c, mtErrResp, encodeErr(err))
+			}
+			w.bytes(val)
+		}
 		return writeFrame(c, mtBytesResp, w.b)
 
 	case mtSinkDeliver:

@@ -254,6 +254,15 @@ func TestSubmitTracedObservability(t *testing.T) {
 	if rows == 0 {
 		t.Error("per-stage actuals carry no output rows")
 	}
+	// The scan, its map and the partial aggregate run as one fused stage,
+	// named and detailed by its chain: rows in are the rows it read, rows
+	// out the partial groups it emitted.
+	if fused := stats[0]; !strings.HasPrefix(fused.Name, "scan-sales▸") || !strings.HasSuffix(fused.Name, "▸agg-partial") ||
+		!strings.Contains(fused.Detail, "scan sales") || !strings.Contains(fused.Detail, " ▸ partial agg") {
+		t.Errorf("fused stage %q, detail %q: want its chain's names and details", fused.Name, fused.Detail)
+	} else if fused.InRows != 1500 || fused.OutRows == 0 || fused.OutRows >= fused.InRows {
+		t.Errorf("fused stage rows in %d, out %d: want the 1500 rows read in and the partial groups out", fused.InRows, fused.OutRows)
+	}
 
 	ea := res.ExplainAnalyze()
 	for _, want := range []string{"scan sales", "agg", "rows_in", "bytes_out"} {
