@@ -92,15 +92,17 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 23901
+LOC_MAX := 24185
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi
 
 ## bench: one iteration of every benchmark in short mode (CI smoke: drives
 ## each paper figure once, in modelled time), plus the allocation-regression
-## guard over the hash-path inner loops, wide aggregation's bytes per group,
-## shuffle routing's bytes per row, the QBA2 encoder and a fused operator
+## guard over the hash-path inner loops, wide aggregation's bytes per group
+## under an int and a string key (state slices, key arena, hash cache and key
+## columns all grow by doubling), shuffle routing's bytes per row, the QBA2
+## encoder (every packed writer, decimals included) and a fused operator
 ## chain's hand-off between its members. Measurements come from
 ## `bash benchmark/run.sh`, not from here.
 bench:

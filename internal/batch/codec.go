@@ -136,7 +136,7 @@ func Decode(data []byte) (*Batch, error) {
 	case codecMagic:
 		return decode1(data)
 	case codecMagic2:
-		b, _, err := decode2(data, nil)
+		b, _, err := new(Projection).decode2(data)
 		return b, err
 	default:
 		return nil, corruptf("bad magic %#x", magic)

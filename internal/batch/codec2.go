@@ -24,15 +24,19 @@ import (
 // decoding — the scan path uses this to drop columns the fused projection
 // discarded — and doubles as a strict validation bound.
 //
-// Encodings 5–7 bit-pack: a u8 width w, then one w-bit value per row packed
+// Encodings 5–8 bit-pack: a u8 width w, then one w-bit value per row packed
 // LSB-first (the last byte zero-padded), so a column of two distinct values
-// costs a bit a row where a byte-aligned encoding costs eight.
+// costs a bit a row where a byte-aligned encoding costs eight. Encoding 8
+// (decimal) packs two such streams: each float's nearest integer at a decimal
+// exponent e, and the wrapping distance from the bits of that integer over
+// 10^e to the float's own bits.
 //
 // Compression is output-transparent: Decode(EncodeCompressed(b)) yields a
 // batch whose Encode bytes are identical to Encode(b). Float64 columns are
-// raw Float64bits or a dictionary of exact bit patterns — bit-exactness
-// (0.0 vs -0.0, NaN payloads) is a routing/key invariant and is never traded
-// for size.
+// raw Float64bits, a dictionary of exact bit patterns, or a decimal plus an
+// exact bit correction — every bit pattern comes back (0.0 vs -0.0, NaN
+// payloads): bit-exactness is a routing/key invariant and is never traded for
+// size.
 
 const codecMagic2 = 0x51424132 // "QBA2"
 
@@ -48,6 +52,7 @@ const (
 	encFOR        = 5 // Int64/Date: i64 base (the minimum), width, value-base packed
 	encDeltaFOR   = 6 // Int64/Date: i64 first, i64 minimum delta, width, delta-minimum packed
 	encDictPacked = 7 // String/Float64: encoding 1's dictionary, width, indexes packed
+	encDecimal    = 8 // Float64: u8 exponent, i64 base, width, i64 minimum correction, width, both packed
 )
 
 // rleMaxRows bounds the rows a frame may declare per frame byte when no
@@ -67,6 +72,8 @@ type encScratch struct {
 	idx   []uint32 // per-row dictionary index, valid when the dictionary won
 	fdict []uint64 // distinct Float64bits patterns, first-occurrence order
 	first []uint32 // string dictionary: row of each entry's first occurrence
+	ints  []int64  // the decimal candidate's integers
+	cors  []int64  // the decimal candidate's bit corrections
 	out   []byte   // EncodeCompressed's build buffer
 }
 
@@ -214,6 +221,20 @@ func dictWidth(nd int) uint {
 	return uint(bits.Len(uint(nd - 1)))
 }
 
+// pack writes uint64(v-lo) for each of vals, which fits in w bits, at
+// dst[at:] packed LSB-first, the last byte zero-padded, and returns the
+// position after them. Whatever dst holds past that position may be
+// overwritten.
+func pack[T int64 | uint32](dst []byte, at int, vals []T, lo T, w uint) int {
+	end := at + packedLen(len(vals), w)
+	acc, n := uint64(0), uint(0)
+	for _, v := range vals {
+		at, acc, n = packStep(dst, at, acc, n, uint64(v-lo), w)
+	}
+	packTail(dst[at:end], acc)
+	return end
+}
+
 // packStep appends x, which fits in w bits, to acc's n pending bits,
 // storing the low 64 at dst[at:] once there are that many, and returns the
 // new position and pending bits. A packing loop keeps its state in locals
@@ -332,12 +353,7 @@ func appendInts(dst []byte, vals []int64) ([]byte, byte) {
 	case encFOR:
 		binary.LittleEndian.PutUint64(dst[at:], uint64(lo))
 		dst[at+8] = byte(wFOR)
-		at += 9
-		acc, pending := uint64(0), uint(0)
-		for _, v := range vals {
-			at, acc, pending = packStep(dst, at, acc, pending, uint64(v-lo), wFOR)
-		}
-		packTail(dst[at:], acc)
+		pack(dst, at+9, vals, lo, wFOR)
 	case encDeltaFOR:
 		binary.LittleEndian.PutUint64(dst[at:], uint64(first))
 		binary.LittleEndian.PutUint64(dst[at+8:], uint64(dlo))
@@ -423,12 +439,12 @@ func dictChoice(n, nd, raw, dictSize, idxSize int) (int, byte) {
 	return size, enc
 }
 
-// dictHopeless says neither dictionary can be smaller than raw bytes any
+// dictHopeless says neither dictionary can be smaller than bound bytes any
 // more, r rows in with nd entries of dictSize bytes and idxSize index
 // bytes so far: every remaining row costs the uvarint indexes at least a
 // byte, and the packed indexes' width only grows with the dictionary.
-func dictHopeless(n, r, nd, raw, dictSize, idxSize int) bool {
-	return dictSize+idxSize+n-r >= raw && dictSize+1+packedLen(n, dictWidth(nd)) >= raw
+func dictHopeless(n, r, nd, bound, dictSize, idxSize int) bool {
+	return dictSize+idxSize+n-r >= bound && dictSize+1+packedLen(n, dictWidth(nd)) >= bound
 }
 
 // appendIdx writes the per-row dictionary indexes after a dictionary of nd
@@ -438,12 +454,7 @@ func (sc *encScratch) appendIdx(dst []byte, at int, enc byte, nd int) {
 	if enc == encDictPacked {
 		w := dictWidth(nd)
 		dst[at] = byte(w)
-		at++
-		acc, pending := uint64(0), uint(0)
-		for _, d := range sc.idx {
-			at, acc, pending = packStep(dst, at, acc, pending, uint64(d), w)
-		}
-		packTail(dst[at:], acc)
+		pack(dst, at+1, sc.idx, 0, w)
 		return
 	}
 	for _, d := range sc.idx {
@@ -451,40 +462,46 @@ func (sc *encScratch) appendIdx(dst []byte, at int, enc byte, nd int) {
 	}
 }
 
-// appendFloats writes a float column raw or as a bit-pattern dictionary:
-// ndict uint32, each distinct Float64bits pattern (8 bytes LE) in
-// first-occurrence order, then the per-row indexes, one uvarint each
-// (encoding 1) or packed (encoding 7). TPC-H-style measures (quantities,
-// discounts, prices) repeat heavily, and indexing the distinct bit patterns
-// is exact — -0.0 and every NaN payload keep their bits; high-entropy
-// columns stay raw.
+// appendFloats writes a float column raw, as a bit-pattern dictionary
+// (ndict uint32, each distinct Float64bits pattern, 8 bytes LE, in
+// first-occurrence order, then the per-row indexes, one uvarint each in
+// encoding 1 or packed in encoding 7) or as decimals (encoding 8, see
+// decimalOf). TPC-H-style measures repeat heavily or are decimals of two
+// places (prices), and both forms are exact — -0.0 and every NaN payload keep
+// their bits; high-entropy columns stay raw.
 //
-// Sizing stops the moment neither dictionary can be smaller than raw
-// (dictHopeless), which is exact: the choice is the one full sizing would
-// make.
+// The decimal candidate is sized first, in one pass at the exponent its
+// sample picks, and the dictionaries after it: their sizing stops the
+// moment neither can beat raw or the decimal any more (dictHopeless), which
+// is exact — the choice is the one full sizing would make.
 func (sc *encScratch) appendFloats(dst []byte, vals []float64) ([]byte, byte) {
 	n := len(vals)
 	raw := 8 * n
+	dec := sc.sizeDecimal(vals, raw)
+	bound := raw // a dictionary must come in under it to be chosen
+	if dec.size > 0 {
+		bound = min(raw, dec.size+1) // encoding 8 loses a tie to either dictionary
+	}
 	slots, shift := sc.resetDict(n)
 	mask := uint64(len(slots) - 1)
 	idx, dict := sc.idx, sc.fdict[:0]
 	dictSize, idxSize := 4, 0
 sizing:
 	for r, v := range vals {
-		w := math.Float64bits(v)
+		fb := math.Float64bits(v)
 		var d uint32
-		for i := dictHome(w, shift); ; i = (i + 1) & mask {
+		for i := dictHome(fb, shift); ; i = (i + 1) & mask {
 			if s := slots[i]; s == 0 {
 				d = uint32(len(dict))
-				dict = append(dict, w)
+				dict = append(dict, fb)
 				slots[i] = d + 1
 				dictSize += 8
-				if dictHopeless(n, r, len(dict), raw, dictSize, idxSize) {
+				if dictHopeless(n, r, len(dict), bound, dictSize, idxSize) {
 					dictSize = raw // neither dictionary is chosen
 					break sizing
 				}
 				break
-			} else if dict[s-1] == w {
+			} else if dict[s-1] == fb {
 				d = s - 1
 				break
 			}
@@ -494,22 +511,144 @@ sizing:
 	}
 	sc.fdict = dict
 	size, enc := dictChoice(n, len(dict), raw, dictSize, idxSize)
+	if dec.size > 0 && dec.size < size {
+		size, enc = dec.size, encDecimal
+	}
 	dst, at := grow(dst, size)
-	if enc == encRaw {
+	switch enc {
+	case encRaw:
 		for _, v := range vals {
 			binary.LittleEndian.PutUint64(dst[at:], math.Float64bits(v))
 			at += 8
 		}
-		return dst, encRaw
+	case encDecimal:
+		sc.appendDecimal(dst, at, dec)
+	default:
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dict)))
+		at += 4
+		for _, fb := range dict {
+			binary.LittleEndian.PutUint64(dst[at:], fb)
+			at += 8
+		}
+		sc.appendIdx(dst, at, enc, len(dict))
 	}
-	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dict)))
-	at += 4
-	for _, w := range dict {
-		binary.LittleEndian.PutUint64(dst[at:], w)
-		at += 8
-	}
-	sc.appendIdx(dst, at, enc, len(dict))
 	return dst, enc
+}
+
+// decimalHeader is encoding 8's header bytes: u8 exponent e, i64 base (the
+// smallest integer), u8 width w, i64 minimum correction, u8 width w2.
+const decimalHeader = 19
+
+// pow10 is 10^e for every exponent encoding 8 may name, each exact.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// decimalSample is the most rows decimalExponent reads.
+const decimalSample = 64
+
+// decimalValue is d/10^e as a float64, where p is 10^e: one correctly rounded
+// division, so a value that is the nearest double to its decimal is exactly
+// decimalValue of its integer. Encoder and decoder both compute it here.
+func decimalValue(d int64, p float64) float64 { return float64(d) / p }
+
+// decimalOf is v's encoding 8 form at p = 10^e: d, the integer nearest v·10^e
+// (half to even), and c, the wrapping difference from the bits of
+// decimalValue(d) to v's bits, so Float64frombits(Float64bits(
+// decimalValue(d, p)) + c) is v, bit for bit. ok is false unless
+// |v·10^e| < 2^53 (so false for an infinite or NaN v), where d and its
+// float64 are exact.
+func decimalOf(v, p float64) (d, c int64, ok bool) {
+	x := v * p
+	if !(math.Abs(x) < 1<<53) {
+		return 0, 0, false
+	}
+	d = int64(math.RoundToEven(x))
+	return d, int64(math.Float64bits(v) - math.Float64bits(decimalValue(d, p))), true
+}
+
+// decimalExponent picks encoding 8's exponent for a non-empty vals from at
+// most decimalSample rows at an even stride: the e in 0–9 whose sampled
+// integers and corrections pack narrowest together (w + w2), ties to the
+// smaller, the search stopping at the first e whose sampled corrections are
+// all equal (a larger one only widens the integers). It returns the sample's
+// widths too, which the whole column's can only exceed; ok is false when no
+// exponent fits every sampled value.
+func decimalExponent(vals []float64) (e int, w, w2 uint, ok bool) {
+	stride := (len(vals) + decimalSample - 1) / decimalSample
+	for k, p := range pow10 {
+		dlo, clo, fits := decimalOf(vals[0], p)
+		dhi, chi := dlo, clo
+		for r := stride; r < len(vals) && fits; r += stride {
+			var d, c int64
+			d, c, fits = decimalOf(vals[r], p)
+			dlo, dhi, clo, chi = min(dlo, d), max(dhi, d), min(clo, c), max(chi, c)
+		}
+		if !fits {
+			continue
+		}
+		kw, kw2 := uint(bits.Len64(uint64(dhi-dlo))), uint(bits.Len64(uint64(chi-clo)))
+		if !ok || kw+kw2 < w+w2 {
+			e, w, w2, ok = k, kw, kw2, true
+		}
+		if kw2 == 0 {
+			break
+		}
+	}
+	return e, w, w2, ok
+}
+
+// decimalForm is a column's sized encoding 8 candidate; size 0 when it does
+// not apply.
+type decimalForm struct {
+	size, e    int
+	base, cmin int64 // the smallest integer and correction
+	w, w2      uint
+}
+
+// sizeDecimal sizes the decimal candidate (encoding 8) of vals and keeps its
+// integers and corrections in the scratch for appendDecimal. The candidate
+// does not apply when no exponent fits every value, or when the sample alone
+// shows it cannot be smaller than raw bytes.
+func (sc *encScratch) sizeDecimal(vals []float64, raw int) decimalForm {
+	n := len(vals)
+	if n == 0 {
+		return decimalForm{}
+	}
+	e, w, w2, ok := decimalExponent(vals)
+	if !ok || decimalHeader+packedLen(n, w)+packedLen(n, w2) >= raw {
+		return decimalForm{}
+	}
+	p := pow10[e]
+	ds, cs := slices.Grow(sc.ints[:0], n)[:n], slices.Grow(sc.cors[:0], n)[:n]
+	sc.ints, sc.cors = ds, cs
+	dlo, dhi, clo, chi := int64(math.MaxInt64), int64(math.MinInt64), int64(math.MaxInt64), int64(math.MinInt64)
+	for r, v := range vals {
+		d, c, fits := decimalOf(v, p)
+		if !fits {
+			return decimalForm{}
+		}
+		ds[r], cs[r] = d, c
+		dlo, dhi, clo, chi = min(dlo, d), max(dhi, d), min(clo, c), max(chi, c)
+	}
+	f := decimalForm{e: e, base: dlo, cmin: clo,
+		w: uint(bits.Len64(uint64(dhi - dlo))), w2: uint(bits.Len64(uint64(chi - clo)))}
+	f.size = decimalHeader + packedLen(n, f.w) + packedLen(n, f.w2)
+	if !packedFits(n, f.size, f.w+f.w2) {
+		return decimalForm{}
+	}
+	return f
+}
+
+// appendDecimal writes the encoding 8 payload sizeDecimal sized at dst[at:]:
+// the header, then each integer less the smallest at width w, then each
+// correction less the smallest at width w2.
+func (sc *encScratch) appendDecimal(dst []byte, at int, f decimalForm) {
+	dst[at] = byte(f.e)
+	binary.LittleEndian.PutUint64(dst[at+1:], uint64(f.base))
+	dst[at+9] = byte(f.w)
+	binary.LittleEndian.PutUint64(dst[at+10:], uint64(f.cmin))
+	dst[at+18] = byte(f.w2)
+	at = pack(dst, at+decimalHeader, sc.ints, f.base, f.w)
+	pack(dst, at, sc.cors, f.cmin, f.w2)
 }
 
 // appendStrings writes a string column raw (uint32 length + bytes per row)
@@ -622,32 +761,64 @@ func appendBools(dst []byte, vals []bool, boolsOnly bool) ([]byte, byte) {
 // Decode). For QBA2 frames the payloads of dropped columns are skipped via
 // their declared lengths, never decoded; skipped reports those bytes. QBA1
 // frames have no payload index, so they decode fully and then drop the
-// unwanted columns (skipped = 0).
+// unwanted columns (skipped = 0). A caller decoding many frames with one
+// keep list prepares a Projection once instead.
 func DecodeProject(data []byte, keep []string) (*Batch, int64, error) {
+	return NewProjection(keep).Decode(data)
+}
+
+// Projection is DecodeProject's keep list, prepared once for a run of
+// frames: it hands a batch the previous one's *Schema when their kept
+// fields are equal, so the splits of one table share one schema, and it
+// reuses its scratch for the field headers. Not safe for concurrent use.
+type Projection struct {
+	keep map[string]bool // nil: every column
+	last *Schema         // the schema of the last batch built
+	hdrs []colHdr
+}
+
+// colHdr is one QBA2 field header and, once the frame is checked, its
+// payload.
+type colHdr struct {
+	name    []byte // within the frame
+	typ     Type
+	enc     byte
+	kept    bool
+	plen    int
+	payload []byte
+}
+
+// NewProjection prepares the keep list for DecodeProject's semantics.
+func NewProjection(keep []string) *Projection {
+	p := &Projection{}
+	if keep != nil {
+		p.keep = make(map[string]bool, len(keep))
+		for _, k := range keep {
+			p.keep[k] = true
+		}
+	}
+	return p
+}
+
+// Decode is DecodeProject(data, keep) for the projection's keep list.
+func (p *Projection) Decode(data []byte) (*Batch, int64, error) {
 	if len(data) < 4 {
 		return nil, 0, corruptf("frame shorter than magic (%d bytes)", len(data))
 	}
-	var keepSet map[string]bool
-	if keep != nil {
-		keepSet = make(map[string]bool, len(keep))
-		for _, k := range keep {
-			keepSet[k] = true
-		}
-	}
 	switch magic := binary.LittleEndian.Uint32(data); magic {
 	case codecMagic2:
-		return decode2(data, keepSet)
+		return p.decode2(data)
 	case codecMagic:
 		b, err := decode1(data)
 		if err != nil {
 			return nil, 0, err
 		}
-		if keepSet == nil {
+		if p.keep == nil {
 			return b, 0, nil
 		}
 		names := make([]string, 0, len(b.Schema.Fields))
 		for _, f := range b.Schema.Fields {
-			if keepSet[f.Name] {
+			if p.keep[f.Name] {
 				names = append(names, f.Name)
 			}
 		}
@@ -657,10 +828,9 @@ func DecodeProject(data []byte, keep []string) (*Batch, int64, error) {
 	}
 }
 
-// decode2 parses the QBA2 format, skipping columns not in keep (nil keep
-// decodes everything). All declared counts and payload lengths are
-// validated before allocation.
-func decode2(data []byte, keep map[string]bool) (*Batch, int64, error) {
+// decode2 parses the QBA2 format, skipping columns not in the keep list.
+// All declared counts and payload lengths are validated before allocation.
+func (p *Projection) decode2(data []byte) (*Batch, int64, error) {
 	pos := 4 // magic checked by caller
 	get32 := func() (uint32, error) {
 		if pos+4 > len(data) {
@@ -678,13 +848,9 @@ func decode2(data []byte, keep map[string]bool) (*Batch, int64, error) {
 	if int64(nf)*10 > int64(len(data)-pos) {
 		return nil, 0, corruptf("field count %d exceeds payload", nf)
 	}
-	type colHdr struct {
-		field   Field
-		enc     byte
-		plen    int
-		payload []byte
-	}
-	hdrs := make([]colHdr, nf)
+	hdrs := slices.Grow(p.hdrs[:0], int(nf))[:nf]
+	p.hdrs = hdrs
+	kept := 0
 	for i := range hdrs {
 		nl, err := get32()
 		if err != nil {
@@ -694,27 +860,32 @@ func decode2(data []byte, keep map[string]bool) (*Batch, int64, error) {
 		if int64(nl) > int64(len(data)-pos)-6 {
 			return nil, 0, corruptf("truncated field header at offset %d", pos)
 		}
-		hdrs[i].field.Name = string(data[pos : pos+int(nl)])
+		h := &hdrs[i]
+		h.name = data[pos : pos+int(nl)]
 		pos += int(nl)
-		hdrs[i].field.Type = Type(data[pos])
-		hdrs[i].enc = data[pos+1]
+		h.typ, h.enc = Type(data[pos]), data[pos+1]
+		h.kept = p.keep == nil || p.keep[string(h.name)]
+		if h.kept {
+			kept++
+		}
 		pos += 2
 		pl, err := get32()
 		if err != nil {
 			return nil, 0, err
 		}
-		hdrs[i].plen = int(pl)
+		h.plen = int(pl)
 	}
 	nr, err := get32()
 	if err != nil {
 		return nil, 0, err
 	}
 	for i := range hdrs {
-		if int64(hdrs[i].plen) > int64(len(data)-pos) {
-			return nil, 0, corruptf("column %q payload length %d exceeds frame", hdrs[i].field.Name, hdrs[i].plen)
+		h := &hdrs[i]
+		if int64(h.plen) > int64(len(data)-pos) {
+			return nil, 0, corruptf("column %q payload length %d exceeds frame", h.name, h.plen)
 		}
-		hdrs[i].payload = data[pos : pos+hdrs[i].plen]
-		pos += hdrs[i].plen
+		h.payload = data[pos : pos+h.plen]
+		pos += h.plen
 	}
 	if pos != len(data) {
 		return nil, 0, corruptf("%d trailing bytes", len(data)-pos)
@@ -726,7 +897,7 @@ func decode2(data []byte, keep map[string]bool) (*Batch, int64, error) {
 	for _, h := range hdrs {
 		w, ok := rowBits(h.enc, h.payload)
 		if !ok {
-			return nil, 0, corruptf("column %q: packed payload without a valid width", h.field.Name)
+			return nil, 0, corruptf("column %q: packed payload without a valid width", h.name)
 		}
 		if w > 0 {
 			limit = min(limit, 8*int64(len(data))/w)
@@ -735,31 +906,62 @@ func decode2(data []byte, keep map[string]bool) (*Batch, int64, error) {
 	if nf > 0 && int64(nr) > limit {
 		return nil, 0, corruptf("row count %d exceeds a %d-byte frame", nr, len(data))
 	}
+	schema, err := p.schemaFor(hdrs, kept)
+	if err != nil {
+		return nil, 0, err
+	}
 	rows := int(nr)
 	var skipped int64
-	fields := make([]Field, 0, nf)
-	cols := make([]*Column, 0, nf)
+	cols := make([]*Column, 0, kept)
 	for _, h := range hdrs {
-		if keep != nil && !keep[h.field.Name] {
-			skipped += int64(h.plen)
+		if !h.kept {
+			skipped += int64(len(h.payload))
 			continue
 		}
-		c, err := decodeColumn(h.field, h.enc, rows, h.payload)
+		c, err := decodeColumn(schema.Fields[len(cols)], h.enc, rows, h.payload)
 		if err != nil {
 			return nil, 0, err
 		}
-		fields = append(fields, h.field)
 		cols = append(cols, c)
-	}
-	schema, err := newSchema(fields)
-	if err != nil {
-		return nil, 0, corruptf("%v", err)
 	}
 	b, err := New(schema, cols)
 	if err != nil {
 		return nil, 0, corruptf("inconsistent columns: %v", err)
 	}
 	return b, skipped, nil
+}
+
+// schemaFor is the schema of the kept fields among hdrs: the previous
+// batch's when they are equal to its fields, else a new one. A repeated
+// field name is corrupt.
+func (p *Projection) schemaFor(hdrs []colHdr, kept int) (*Schema, error) {
+	if last := p.last; last != nil && len(last.Fields) == kept {
+		j := 0
+		for _, h := range hdrs {
+			if !h.kept {
+				continue
+			}
+			if f := last.Fields[j]; f.Type != h.typ || f.Name != string(h.name) {
+				break
+			}
+			j++
+		}
+		if j == kept {
+			return last, nil
+		}
+	}
+	fields := make([]Field, 0, kept)
+	for _, h := range hdrs {
+		if h.kept {
+			fields = append(fields, Field{Name: string(h.name), Type: h.typ})
+		}
+	}
+	schema, err := newSchema(fields)
+	if err != nil {
+		return nil, corruptf("%v", err)
+	}
+	p.last = schema
+	return schema, nil
 }
 
 // decodeColumn decodes one QBA2 column payload. The payload must be
@@ -782,6 +984,8 @@ func decodeColumn(f Field, enc byte, rows int, p []byte) (*Column, error) {
 		c.Strings, err = decodeDict(f, rows, p, enc == encDictPacked)
 	case (enc == encDict || enc == encDictPacked) && f.Type == Float64:
 		c.Floats, err = decodeDictFloats(f, rows, p, enc == encDictPacked)
+	case enc == encDecimal && f.Type == Float64:
+		c.Floats, err = decodeDecimal(f, rows, p)
 	case enc == encRLE && f.Type == Bool:
 		c.Bools, err = decodeRLE(f, rows, p)
 	default:
@@ -852,9 +1056,9 @@ func decodeRawColumn(f Field, rows int, p []byte) (*Column, error) {
 }
 
 // rowBits is the fewest payload bits a row of a column in encoding enc
-// costs, read from its payload p: the width of a packed encoding, 0 for
-// run-length, 8 for any other. ok is false when a packed payload is too
-// short to name its width or names one past 64.
+// costs, read from its payload p: the width of a packed encoding (both
+// widths' sum for decimals), 0 for run-length, 8 for any other. ok is false
+// when a packed payload is too short to name its width or names one past 64.
 func rowBits(enc byte, p []byte) (bits int64, ok bool) {
 	switch enc {
 	case encRLE:
@@ -873,6 +1077,11 @@ func rowBits(enc byte, p []byte) (bits int64, ok bool) {
 			return 0, false
 		}
 		return int64(dictWidth(int(binary.LittleEndian.Uint32(p)))), true
+	case encDecimal:
+		if len(p) < decimalHeader || p[9] > 64 || p[18] > 64 {
+			return 0, false
+		}
+		return int64(p[9]) + int64(p[18]), true
 	}
 	return 8, true
 }
@@ -895,9 +1104,17 @@ func packedWidth(f Field, p []byte, at, count int) (uint, error) {
 const unpackBlock = 256
 
 // unpack reads len(out) values of width w packed LSB-first in p from value
-// index first on, a 64-bit word at a time, and returns out. The payload was
-// checked to hold every value read.
+// index first on, and returns out. The payload was checked to hold every
+// value read.
 func unpack(out []uint64, p []byte, first int, w uint) []uint64 {
+	if w > unpackNarrow && w <= 57 {
+		return unpackWide(out, p, first, w)
+	}
+	return unpackWords(out, p, first, w)
+}
+
+// unpackWords is unpack a 64-bit word at a time.
+func unpackWords(out []uint64, p []byte, first int, w uint) []uint64 {
 	mask := uint64(1)<<w - 1
 	bit := first * int(w)
 	at := bit >> 6 << 3 // the word holding the first value's low bit
@@ -916,6 +1133,32 @@ func unpack(out []uint64, p []byte, first int, w uint) []uint64 {
 		out[j] = (acc | word<<n) & mask
 		used := w - n // bits of the value in the new word, 1..64
 		acc, n = word>>used, 64-used
+	}
+	return out
+}
+
+// unpackNarrow is the widest width unpack reads a word at a time, behind a
+// branch per value that predicts well while a word holds many values; wider
+// ones (up to 57 bits, which with their offset in a byte fit one unaligned
+// 64-bit load) unpackWide reads without it (BenchmarkUnpack shows the
+// crossing).
+const unpackNarrow = 8
+
+// unpackWide is unpack by one unaligned load per value: each value's bits
+// are the 64 bits from its first byte on, shifted by its offset in that byte
+// and masked, whatever the other values are.
+func unpackWide(out []uint64, p []byte, first int, w uint) []uint64 {
+	mask := uint64(1)<<w - 1
+	bit := uint(first) * w
+	j := 0
+	for ; j < len(out) && int(bit>>3)+8 <= len(p); j++ {
+		at := bit >> 3
+		out[j] = binary.LittleEndian.Uint64(p[at:at+8]) >> (bit & 7) & mask
+		bit += w
+	}
+	for ; j < len(out); j++ {
+		out[j] = loadWord(p, int(bit>>3)) >> (bit & 7) & mask
+		bit += w
 	}
 	return out
 }
@@ -1140,6 +1383,38 @@ func decodeDictFloats(f Field, rows int, p []byte, packed bool) ([]float64, erro
 	}
 	v := make([]float64, rows)
 	return v, fillFromDict(f, v, dict, idx, packed, w)
+}
+
+// decodeDecimal reads encoding 8: the header, then rows integers less the
+// base at width w, then rows corrections less the smallest at width w2. The
+// exponent, both widths and the exact payload length are checked before
+// anything is allocated.
+func decodeDecimal(f Field, rows int, p []byte) ([]float64, error) {
+	if len(p) < decimalHeader || int(p[0]) >= len(pow10) || p[9] > 64 || p[18] > 64 {
+		return nil, corruptf("decimal column %q: missing or bad header", f.Name)
+	}
+	w, w2 := uint(p[9]), uint(p[18])
+	dlen := packedLen(rows, w)
+	if len(p) != decimalHeader+dlen+packedLen(rows, w2) {
+		return nil, corruptf("decimal column %q: %d payload bytes for %d values of %d+%d bits", f.Name, len(p), rows, w, w2)
+	}
+	pe := pow10[p[0]]
+	base, cmin := int64(binary.LittleEndian.Uint64(p[1:])), binary.LittleEndian.Uint64(p[10:])
+	ds, cs := p[decimalHeader:decimalHeader+dlen], p[decimalHeader+dlen:]
+	v := make([]float64, rows)
+	var dbuf, cbuf [unpackBlock]uint64 // cbuf stays 0 when every correction is cmin
+	for r := 0; r < rows; r += unpackBlock {
+		k := min(unpackBlock, rows-r)
+		d, c := unpack(dbuf[:k], ds, r, w), cbuf[:k]
+		if w2 > 0 {
+			unpack(c, cs, r, w2)
+		}
+		out := v[r : r+k]
+		for j := range out {
+			out[j] = math.Float64frombits(math.Float64bits(decimalValue(base+int64(d[j]), pe)) + cmin + c[j])
+		}
+	}
+	return v, nil
 }
 
 func decodeRLE(f Field, rows int, p []byte) ([]bool, error) {

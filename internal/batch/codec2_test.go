@@ -209,6 +209,39 @@ func TestDecodeProject(t *testing.T) {
 	}
 }
 
+// TestProjectionSharesSchemas: a projection decodes each frame as
+// DecodeProject does, hands consecutive frames of equal kept fields one
+// schema, and builds a new one when the fields change.
+func TestProjectionSharesSchemas(t *testing.T) {
+	keep := []string{"region", "seq", "f"}
+	p := NewProjection(keep)
+	var prev *Schema
+	for i, rows := range []int{10, 0, 200} {
+		data := EncodeCompressed(codecBatch(rows))
+		got, skipped, err := p.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantSkipped, _ := DecodeProject(data, keep)
+		if !bytes.Equal(Encode(got), Encode(want)) || skipped != wantSkipped {
+			t.Fatalf("frame %d: projection decodes otherwise than DecodeProject", i)
+		}
+		if prev != nil && got.Schema != prev {
+			t.Fatalf("frame %d: equal fields, another schema", i)
+		}
+		prev = got.Schema
+	}
+	other := MustNew(NewSchema(F("seq", Date), F("f", Float64)),
+		[]*Column{NewDateColumn([]int64{1}), NewFloatColumn([]float64{2})})
+	got, _, err := p.Decode(EncodeCompressed(other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Schema == prev || got.Schema.Fields[0] != F("seq", Date) || got.Schema.Index("f") != 1 {
+		t.Fatalf("changed fields decoded under the old schema: %v", got.Schema)
+	}
+}
+
 // TestTruncatedFramesReturnTypedErrors feeds every strict prefix of both
 // formats to Decode: each must fail with ErrCorrupt (or decode the empty
 // frame), never panic.
@@ -333,6 +366,11 @@ func TestRowsBoundedByFrameLength(t *testing.T) {
 	if b, err := Decode(atBound); err != nil || b.NumRows() != len(atBound)*rleMaxRows {
 		t.Errorf("width-0 frame at the bound: %v", err)
 	}
+	// A decimal column of both widths 0 bounds nothing either.
+	decAtBound, decPastBound := decimal0Frames()
+	if b, err := Decode(decAtBound); err != nil || b.NumRows() != len(decAtBound)*rleMaxRows || b.Cols[0].Floats[0] != 1.25 {
+		t.Errorf("decimal width-0 frame at the bound: %v", err)
+	}
 
 	// Hand-built frames: one RLE run claiming 2^32-1 rows (six payload
 	// bytes), a varint column declaring more rows than the frame has bytes,
@@ -340,10 +378,11 @@ func TestRowsBoundedByFrameLength(t *testing.T) {
 	// width-0 column one row past the bound. All are corrupt, for Decode and
 	// DecodeProject alike.
 	for name, d := range map[string][]byte{
-		"rle run past the bound": frame1(Bool, encRLE, math.MaxUint32, binary.AppendUvarint([]byte{1}, math.MaxUint32)),
-		"varint rows past frame": frame1(Int64, encVarint, 1<<20, []byte{0, 0}),
-		"1-bit rows past frame":  frame1(Int64, encFOR, 1<<20, append(make([]byte, 8), 1, 0)),
-		"width 0 past the bound": pastBound,
+		"rle run past the bound":          frame1(Bool, encRLE, math.MaxUint32, binary.AppendUvarint([]byte{1}, math.MaxUint32)),
+		"varint rows past frame":          frame1(Int64, encVarint, 1<<20, []byte{0, 0}),
+		"1-bit rows past frame":           frame1(Int64, encFOR, 1<<20, append(make([]byte, 8), 1, 0)),
+		"width 0 past the bound":          pastBound,
+		"decimal widths 0 past the bound": decPastBound,
 	} {
 		if _, err := Decode(d); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: Decode error = %v, want ErrCorrupt", name, err)
@@ -355,7 +394,7 @@ func TestRowsBoundedByFrameLength(t *testing.T) {
 }
 
 // TestUnknownEncodingRejected: a column tagged with an encoding no encoder
-// writes (8, the first one unassigned) is corrupt for every column type,
+// writes (9, the first one unassigned) is corrupt for every column type,
 // never a panic.
 func TestUnknownEncodingRejected(t *testing.T) {
 	for _, typ := range []Type{Int64, Float64, String, Bool, Date} {
@@ -364,7 +403,7 @@ func TestUnknownEncodingRejected(t *testing.T) {
 		put32(codecMagic2)
 		put32(1) // one field
 		put32(1) // nameLen
-		frame = append(frame, 'f', byte(typ), 8)
+		frame = append(frame, 'f', byte(typ), 9)
 		put32(0) // payloadLen
 		put32(0) // nrows
 		if _, err := Decode(frame); !errors.Is(err, ErrCorrupt) {
@@ -409,6 +448,94 @@ func TestZoneMapRoundTrip(t *testing.T) {
 		if _, err := DecodeZoneMap(enc[:i]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("prefix %d: error = %v, want ErrCorrupt", i, err)
 		}
+	}
+}
+
+// TestDecimalBitExact: every float comes back bit for bit through
+// EncodeCompressed and Decode, whichever encoding its column takes, and the
+// columns encoding 8 fits take it: decimals of either sign, values an ulp
+// off their decimal, a column crossing zero. Values no exponent fits (NaN,
+// ±Inf, MaxFloat64) keep their column off encoding 8, and -0.0 beside
+// decimals costs it a 64-bit correction, which raw beats.
+func TestDecimalBitExact(t *testing.T) {
+	rows := func(n int, f func(i int) float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = f(i)
+		}
+		return v
+	}
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		name string
+		vals []float64
+		want int // the column's encoding; -1: any
+	}{
+		{"zeros", rows(300, func(i int) float64 { return []float64{0, negZero}[i%2] }), encDictPacked},
+		{"nan payloads", rows(300, func(i int) float64 { return math.Float64frombits(0x7FF8000000000000 | uint64(i)) }), encRaw},
+		{"infinities", rows(300, func(i int) float64 { return []float64{math.Inf(1), math.Inf(-1), 1.5}[i%3] }), encDictPacked},
+		{"subnormals", rows(300, func(i int) float64 { return math.Float64frombits(uint64(i*i + 1)) }), -1},
+		{"extremes", rows(300, func(i int) float64 {
+			return []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, float64(i)}[i%4]
+		}), -1},
+		{"negative decimals", rows(300, func(i int) float64 { return float64(-1-i*7919%100000) / 100 }), encDecimal},
+		{"an ulp off", rows(300, func(i int) float64 {
+			v := float64(1+i*131%10000) / 100
+			return math.Float64frombits(math.Float64bits(v) + uint64(i%3) - 1)
+		}), encDecimal},
+		{"crosses zero", rows(1001, func(i int) float64 { return float64(i-500) / 100 }), encDecimal},
+		{"all equal", rows(300, func(int) float64 { return 2.75 }), encDictPacked},
+		{"-0.0 beside decimals", rows(300, func(i int) float64 {
+			if i == 150 {
+				return negZero
+			}
+			return float64(i*7919%100000) / 100
+		}), encRaw},
+	} {
+		col := colOf(NewFloatColumn(c.vals))
+		frame := EncodeCompressed(col)
+		if enc := int(frame[14]); c.want >= 0 && enc != c.want {
+			t.Errorf("%s: encoding %d, want %d", c.name, enc, c.want)
+		}
+		got, err := Decode(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i, v := range c.vals {
+			if g := got.Cols[0].Floats[i]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Fatalf("%s row %d: bits %#x, want %#x", c.name, i, math.Float64bits(g), math.Float64bits(v))
+			}
+		}
+		assertMatchesReference(t, c.name, col)
+	}
+}
+
+// TestDecimalExponent: the exponent is the fewest places that hold the
+// column's sample, and a price computed as quantity × retail price in float
+// (the TPC-H way, so often not the double nearest its decimal) still packs
+// at two places with at most 2 bits of correction a row.
+func TestDecimalExponent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct {
+		scale float64
+		e     int
+	}{{1, 0}, {10, 1}, {100, 2}, {1e6, 6}, {1e9, 9}} {
+		vals := make([]float64, 500)
+		for i := range vals {
+			vals[i] = float64(rng.Intn(1e6)*10+1) / c.scale // a last digit that is not 0
+		}
+		if e, _, _, ok := decimalExponent(vals); !ok || e != c.e {
+			t.Errorf("decimals of %d places: exponent %d (ok %v)", c.e, e, ok)
+		}
+	}
+	prices := make([]float64, 4096)
+	for i := range prices {
+		prices[i] = float64(1+rng.Intn(50)) * (float64(90000+rng.Intn(110001)) / 100)
+	}
+	frame := qba2Single(t, "p", NewFloatColumn(prices), encDecimal)
+	p := frame[22+1:]
+	if e, w2 := p[0], p[18]; e != 2 || w2 > 2 {
+		t.Errorf("prices: exponent %d, correction width %d; want 2 and at most 2", e, w2)
 	}
 }
 
@@ -493,8 +620,90 @@ func refEncodeColumn(c *Column, boolsOnly bool) (byte, []byte) {
 		head, idx := refFloatDict(c.Floats)
 		consider(encDict, dictPayload(head, idx))
 		considerPacked(dictPackedPayload(head, idx))
+		if p, w, ok := refDecimalPayload(c.Floats); ok {
+			considerPacked(encDecimal, p, w)
+		}
 	}
 	return bestEnc, best
+}
+
+// refDecimal is v at exponent e in encoding 8's terms: the integer d nearest
+// v·10^e and the wrapping distance c from the bits of d/10^e to v's; ok is
+// false unless |v·10^e| < 2^53.
+func refDecimal(v float64, e int) (d, c int64, ok bool) {
+	p := math.Pow10(e)
+	x := v * p
+	if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) >= 1<<53 {
+		return 0, 0, false
+	}
+	d = int64(math.RoundToEven(x))
+	return d, int64(math.Float64bits(v) - math.Float64bits(float64(d)/p)), true
+}
+
+// refDecimalWidths is the packed widths of the integers and corrections of
+// vals at exponent e, and whether every value fits.
+func refDecimalWidths(vals []float64, e int) (w, w2 int, ok bool) {
+	var ds, cs []int64
+	for _, v := range vals {
+		d, c, fits := refDecimal(v, e)
+		if !fits {
+			return 0, 0, false
+		}
+		ds, cs = append(ds, d), append(cs, c)
+	}
+	return refWidth(uint64(slices.Max(ds) - slices.Min(ds))), refWidth(uint64(slices.Max(cs) - slices.Min(cs))), true
+}
+
+// refDecimalPayload is the encoding 8 candidate: the exponent the sample
+// rule picks (every ceil(n/64)-th row from the first; the e in 0–9 with the
+// narrowest w + w2 there, ties to the smaller, stopping at the first e whose
+// sampled corrections are all equal), then the header and both packed
+// streams. ok is false when no exponent fits the sample or the chosen one
+// does not fit every value; w is the row's width, w + w2.
+func refDecimalPayload(vals []float64) (p []byte, w int, ok bool) {
+	if len(vals) == 0 {
+		return nil, 0, false
+	}
+	stride := (len(vals) + 63) / 64
+	var sample []float64
+	for r := 0; r < len(vals); r += stride {
+		sample = append(sample, vals[r])
+	}
+	e, best := -1, 0
+	for k := 0; k <= 9; k++ {
+		sw, sw2, fits := refDecimalWidths(sample, k)
+		if !fits {
+			continue
+		}
+		if e < 0 || sw+sw2 < best {
+			e, best = k, sw+sw2
+		}
+		if sw2 == 0 {
+			break
+		}
+	}
+	if e < 0 {
+		return nil, 0, false
+	}
+	w1, w2, fits := refDecimalWidths(vals, e)
+	if !fits {
+		return nil, 0, false
+	}
+	ds, cs := make([]int64, len(vals)), make([]int64, len(vals))
+	for i, v := range vals {
+		ds[i], cs[i], _ = refDecimal(v, e)
+	}
+	base, cmin := slices.Min(ds), slices.Min(cs)
+	doffs, coffs := make([]uint64, len(vals)), make([]uint64, len(vals))
+	for i := range vals {
+		doffs[i], coffs[i] = uint64(ds[i]-base), uint64(cs[i]-cmin)
+	}
+	p = append(p, byte(e))
+	p = binary.LittleEndian.AppendUint64(p, uint64(base))
+	p = append(p, byte(w1))
+	p = binary.LittleEndian.AppendUint64(p, uint64(cmin))
+	p = append(p, byte(w2))
+	return slices.Concat(p, refPack(doffs, w1), refPack(coffs, w2)), w1 + w2, true
 }
 
 func rawColumnPayload(c *Column) []byte {
@@ -743,7 +952,8 @@ func TestAppendCompressedMatchesReference(t *testing.T) {
 	// Every (rows, distinct) shape up to 40 rows, which walks through the
 	// exact break-even sizes of both dictionaries: 4 + 8·nd + rows == 8·rows
 	// (floats; e.g. 4 rows of 3 values, 12 rows of 10) must stay raw, one
-	// value fewer must switch to the dictionary.
+	// value fewer must switch to the dictionary. Hundredths are decimals
+	// (encoding 8 competes); arbitrary bit patterns are not.
 	for rows := 1; rows <= 40; rows++ {
 		for nd := 1; nd <= rows; nd++ {
 			fs := make([]float64, rows)
@@ -751,6 +961,10 @@ func TestAppendCompressedMatchesReference(t *testing.T) {
 				fs[i] = float64(i%nd) * 0.01
 			}
 			assertMatchesReference(t, "float break-even", colOf(NewFloatColumn(fs)))
+			for i := range fs {
+				fs[i] = math.Float64frombits(0x9E3779B97F4A7C15 * uint64(i%nd+1))
+			}
+			assertMatchesReference(t, "float bits break-even", colOf(NewFloatColumn(fs)))
 			for _, slen := range []int{0, 1, 3, 4, 9} {
 				ss := make([]string, rows)
 				for i := range ss {
@@ -891,6 +1105,12 @@ func fuzzCodecBatch(data []byte) *Batch {
 			return uint64(next()) % alphabet
 		}
 		c := NewColumn(typ, rows)
+		// An alphabet of 246 or more draws floats of alphabet-246 decimal
+		// places; a smaller one, hundredths.
+		scale := 100.0
+		if alphabet >= 246 {
+			scale = math.Pow10(int(alphabet - 246))
+		}
 		for r := 0; r < rows; r++ {
 			switch v := value(); typ {
 			case Int64, Date:
@@ -899,7 +1119,7 @@ func fuzzCodecBatch(data []byte) *Batch {
 				if alphabet == 0 {
 					c.Floats = append(c.Floats, math.Float64frombits(v))
 				} else {
-					c.Floats = append(c.Floats, float64(v)/100)
+					c.Floats = append(c.Floats, float64(v)/scale)
 				}
 			case String:
 				c.Strings = append(c.Strings, strings.Repeat("k", int(v%4))+strconv.FormatUint(v, 36))
@@ -925,6 +1145,23 @@ func fuzzCodecBatch(data []byte) *Batch {
 // frame decodes back transparently. Corpus in testdata/fuzz.
 func FuzzAppendCompressedMatchesReference(f *testing.F) {
 	f.Add([]byte{})
+	// Decimals (encoding 8): 199 rows of one float column drawing integers
+	// (exponent 0) or billionths (exponent 9) from the bytes that follow;
+	// a constant column (both widths 0, which the dictionary beats); and
+	// -0.0 beside decimals as bit patterns (a width-64 correction, which raw
+	// beats).
+	ramp := make([]byte, 256)
+	for i := range ramp {
+		ramp[i] = byte(i * 7)
+	}
+	f.Add(append([]byte{199, 0, 0, 1, 246}, ramp...))
+	f.Add(append([]byte{199, 0, 0, 1, 255}, ramp...))
+	f.Add([]byte{199, 0, 0, 1, 1})
+	var bitsOf []byte
+	for _, v := range []float64{1.25, math.Copysign(0, -1), 2.5, 0.75} {
+		bitsOf = binary.BigEndian.AppendUint64(bitsOf, math.Float64bits(v))
+	}
+	f.Add(append([]byte{4, 0, 0, 1, 0}, bitsOf...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzCodecBatch(data)
 		assertMatchesReference(t, "fuzz", b)
@@ -1050,7 +1287,7 @@ func TestAppendCompressedZeroAllocs(t *testing.T) {
 		dst := sc.appendFrame(make([]byte, 0, RawEncodedSize(b)), b) // warm the scratch
 		if len(b.Cols) > 2 {
 			// The guard covers every packed writer.
-			for _, enc := range []byte{encFOR, encDeltaFOR, encDictPacked} {
+			for _, enc := range []byte{encFOR, encDeltaFOR, encDictPacked, encDecimal} {
 				if !bytes.Contains(columnEncodings(dst), []byte{enc}) {
 					t.Fatalf("lineitem-shaped frame has no column in encoding %d: %v", enc, columnEncodings(dst))
 				}
@@ -1058,6 +1295,86 @@ func TestAppendCompressedZeroAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(20, func() { dst = sc.appendFrame(dst[:0], b) }); allocs != 0 {
 			t.Errorf("%d columns: %.1f allocs per encode, want 0", len(b.Cols), allocs)
+		}
+	}
+}
+
+// TestPackPathsMatchReference: pack writes refPack's bytes at every width
+// and length, and both unpacking loops read the values back.
+func TestPackPathsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for w := uint(0); w <= 64; w++ {
+		for _, n := range []int{0, 1, 7, 64, 1001} {
+			vals, offs := make([]int64, n), make([]uint64, n)
+			for i := range vals {
+				offs[i] = rng.Uint64() >> (64 - w) // 0 at width 0
+				vals[i] = int64(offs[i]) + math.MinInt64
+			}
+			want := refPack(offs, int(w))
+			dst := make([]byte, len(want)+3)
+			if end := pack(dst, 3, vals, math.MinInt64, w); end != len(dst) || !bytes.Equal(dst[3:], want) {
+				t.Fatalf("width %d, %d values: packed bytes differ from the reference", w, n)
+			}
+			out := make([]uint64, n)
+			if n > 0 && !slices.Equal(unpackWords(out, want, 0, w), offs) {
+				t.Fatalf("width %d, %d values: unpackWords differs", w, n)
+			}
+			if n > 0 && w <= 57 && !slices.Equal(unpackWide(out, want, 0, w), offs) {
+				t.Fatalf("width %d, %d values: unpackWide differs", w, n)
+			}
+		}
+	}
+}
+
+// BenchmarkPack times pack at the widths a lineitem frame packs at — 3 (a
+// dictionary of flags or modes), 13 (l_partkey at SF 0.03), 24 (a price's
+// integers in cents) — and at 48.
+func BenchmarkPack(b *testing.B) {
+	const n = 32768
+	rng := rand.New(rand.NewSource(3))
+	for _, w := range []uint{3, 13, 24, 48} {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = rng.Int63n(1 << w)
+		}
+		dst := make([]byte, packedLen(n, w))
+		b.Run("w"+strconv.Itoa(int(w)), func(b *testing.B) {
+			for b.Loop() {
+				pack(dst, 0, vals, 0, w)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
+		})
+	}
+}
+
+// BenchmarkUnpack times both unpacking loops at the widths BenchmarkPack
+// packs at and at 8; unpackNarrow is where the
+// word-at-a-time loop stops beating the load per value.
+func BenchmarkUnpack(b *testing.B) {
+	const n = 32768
+	rng := rand.New(rand.NewSource(3))
+	for _, w := range []uint{3, 8, 13, 24, 48} {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = rng.Int63n(1 << w)
+		}
+		p := make([]byte, packedLen(n, w))
+		pack(p, 0, vals, 0, w)
+		var out [unpackBlock]uint64
+		for _, wide := range []bool{false, true} {
+			name := "w" + strconv.Itoa(int(w)) + map[bool]string{false: "/word", true: "/wide"}[wide]
+			b.Run(name, func(b *testing.B) {
+				for b.Loop() {
+					for r := 0; r < n; r += unpackBlock {
+						if wide {
+							unpackWide(out[:], p, r, w)
+						} else {
+							unpackWords(out[:], p, r, w)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
+			})
 		}
 	}
 }

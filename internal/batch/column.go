@@ -182,18 +182,32 @@ func (c *Column) Slice(lo, hi int) *Column {
 	return out
 }
 
-// AppendFrom appends row j of src (which must have the same type) to c.
+// AppendFrom appends row j of src (which must have the same type) to c,
+// doubling c's capacity when it is full (see Reserve).
 func (c *Column) AppendFrom(src *Column, j int) {
 	switch c.Type {
 	case Int64, Date:
-		c.Ints = append(c.Ints, src.Ints[j])
+		c.Ints = append(Reserve(c.Ints, 1), src.Ints[j])
 	case Float64:
-		c.Floats = append(c.Floats, src.Floats[j])
+		c.Floats = append(Reserve(c.Floats, 1), src.Floats[j])
 	case String:
-		c.Strings = append(c.Strings, src.Strings[j])
+		c.Strings = append(Reserve(c.Strings, 1), src.Strings[j])
 	case Bool:
-		c.Bools = append(c.Bools, src.Bools[j])
+		c.Bools = append(Reserve(c.Bools, 1), src.Bools[j])
 	}
+}
+
+// Reserve returns s with room for n more elements, at least doubling its
+// capacity when it must grow. A slice that grows one append at a time, as a
+// hash table's key arena or an aggregate's key column does, is otherwise
+// copied at every 1.25x step once it is large.
+func Reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	grown := make([]T, len(s), max(len(s)+n, 2*cap(s)))
+	copy(grown, s)
+	return grown
 }
 
 // AppendAll appends every row of src (same type) to c.

@@ -19,7 +19,8 @@ func qba2Single(t testing.TB, name string, col *Column, want byte) []byte {
 	return frame
 }
 
-// frame1 hand-builds a QBA2 frame of one column named "c".
+// frame1 hand-builds a QBA2 frame of one column named "c". A one-column
+// frame's payload starts 22 bytes plus the name's length in.
 func frame1(typ Type, enc byte, rows uint32, payload []byte) []byte {
 	d := binary.LittleEndian.AppendUint32(nil, codecMagic2)
 	d = binary.LittleEndian.AppendUint32(d, 1)
@@ -37,6 +38,24 @@ func width0Frames() (atBound, pastBound []byte) {
 	payload := append(binary.LittleEndian.AppendUint64(nil, 7), 0)
 	const rows = (4 + 4 + 11 + 4 + 9) * rleMaxRows
 	return frame1(Int64, encFOR, rows, payload), frame1(Int64, encFOR, rows+1, payload)
+}
+
+// decimalHead is an encoding 8 header: exponent e, base, width w, minimum
+// correction, width w2.
+func decimalHead(e byte, base int64, w byte, cmin int64, w2 byte) []byte {
+	p := binary.LittleEndian.AppendUint64([]byte{e}, uint64(base))
+	p = binary.LittleEndian.AppendUint64(append(p, w), uint64(cmin))
+	return append(p, w2)
+}
+
+// decimal0Frames are frames of one encoding 8 column with both widths 0
+// (the 19-byte header alone: 42 frame bytes, every row 1.25) declaring
+// exactly the rleMaxRows rows a frame byte the decoder accepts, and one row
+// more, which it refuses.
+func decimal0Frames() (atBound, pastBound []byte) {
+	payload := decimalHead(2, 125, 0, 0, 0)
+	const rows = (4 + 4 + 11 + 4 + decimalHeader) * rleMaxRows
+	return frame1(Float64, encDecimal, rows, payload), frame1(Float64, encDecimal, rows+1, payload)
 }
 
 // indexPastDict is an encoding 7 column of three entries whose last row's
@@ -102,6 +121,26 @@ func FuzzDecode(f *testing.F) {
 		indexPastDict(),
 	}
 	atBound, pastBound := width0Frames()
+	seeds = append(seeds, atBound, pastBound)
+	// Decimals (encoding 8) at exponents 0 and 9, both widths 0, a width-64
+	// correction (-0.0 beside decimals, which the encoder leaves raw), and a
+	// second stream one byte short.
+	integers, nanos := make([]float64, 64), make([]float64, 64)
+	for i := range integers {
+		integers[i] = float64(i*37%101) - 50
+		nanos[i] = float64(i*7919%1000003) / 1e9
+	}
+	negZero, _, _ := refDecimalPayload([]float64{1.25, math.Copysign(0, -1), 2.5, -0.75})
+	dec0 := qba2Single(f, "dec0", NewFloatColumn(integers), encDecimal)
+	dec9 := qba2Single(f, "dec9", NewFloatColumn(nanos), encDecimal)
+	if dec0[26] != 0 || dec9[26] != 9 || negZero[18] != 64 {
+		f.Fatalf("decimal seeds: exponents %d and %d, correction width %d; want 0, 9 and 64", dec0[26], dec9[26], negZero[18])
+	}
+	seeds = append(seeds, dec0, dec9,
+		frame1(Float64, encDecimal, 64, decimalHead(2, 125, 0, 0, 0)),
+		frame1(Float64, encDecimal, 4, negZero),
+		frame1(Float64, encDecimal, 64, dec9[22+len("dec9"):len(dec9)-1]))
+	atBound, pastBound = decimal0Frames()
 	seeds = append(seeds, atBound, pastBound)
 	all := MustNew(NewSchema(F("i", Int64), F("d", Date), F("f", Float64), F("s", String), F("b", Bool)),
 		[]*Column{NewIntColumn(ints), NewDateColumn(sorted), NewFloatColumn(floats), NewStringColumn(strs), NewBoolColumn(bools)})

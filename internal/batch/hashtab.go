@@ -29,8 +29,8 @@ func (a *KeyArena) Append(key []byte) int {
 	if len(a.bounds) == 0 {
 		a.bounds = append(a.bounds, 0)
 	}
-	a.buf = append(a.buf, key...)
-	a.bounds = append(a.bounds, uint32(len(a.buf)))
+	a.buf = append(Reserve(a.buf, len(key)), key...)
+	a.bounds = append(Reserve(a.bounds, 1), uint32(len(a.buf)))
 	return len(a.bounds) - 2
 }
 
@@ -120,7 +120,7 @@ func (t *HashTable) InsertKey(hash uint64, key []byte) (idx int, inserted bool) 
 		s := &t.slots[i]
 		if s.idx == 0 {
 			id := t.arena.Append(key)
-			t.hashes = append(t.hashes, hash)
+			t.hashes = append(Reserve(t.hashes, 1), hash)
 			s.hash = hash
 			s.idx = uint32(id) + 1
 			t.n++

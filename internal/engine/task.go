@@ -120,17 +120,18 @@ func (t *taskManager) chargeCompute(bs ...*batch.Batch) {
 }
 
 // readRun reads a reader task's splits, fetched in one request, and decodes
-// each with the plan's column projection, so a retraced read is
-// byte-identical, feeding it to the stage's operator. It returns the outputs
-// and the rows read, the stage's rows in.
+// each with the plan's column projection, prepared once for the run, so a
+// retraced read is byte-identical, feeding it to the stage's operator. It
+// returns the outputs and the rows read, the stage's rows in.
 func (t *taskManager) readRun(cs *chanState, run []int) (outs []*batch.Batch, rows int64, err error) {
 	spec := cs.stage.Reader
 	vals, err := readSplits(t.r.cl.ObjStore, spec.Table, run)
 	if err != nil {
 		return nil, 0, err
 	}
+	proj := batch.NewProjection(spec.Cols)
 	for _, v := range vals {
-		b, skipped, err := batch.DecodeProject(v, spec.Cols)
+		b, skipped, err := proj.Decode(v)
 		if err != nil {
 			return nil, 0, err
 		}

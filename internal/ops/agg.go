@@ -427,20 +427,14 @@ func (a *HashAgg) growStates(withStrs bool) {
 	}
 }
 
-// extend returns s lengthened with zero values to n, doubling its capacity
-// whenever it has to grow: append alone grows a large slice by 1.25x,
-// copying and clearing all of it each time.
+// extend returns s lengthened with zero values to n, growing it as
+// batch.Reserve does.
 func extend[T any](s []T, n int) []T {
 	if n <= len(s) {
 		return s
 	}
-	if n > cap(s) {
-		grown := make([]T, len(s), max(n, 2*cap(s)))
-		copy(grown, s)
-		s = grown
-	}
 	old := len(s)
-	s = s[:n]
+	s = batch.Reserve(s, n-old)[:n]
 	clear(s[old:])
 	return s
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"testing"
 
 	"quokka/internal/batch"
@@ -228,38 +229,50 @@ func FuzzGroupOrderMatchesComparator(f *testing.F) {
 // --- allocation guard for wide aggregation --------------------------------
 
 // wideAggBytesPerGroup bounds what a fresh operator allocates per group
-// while 65,536 distinct groups arrive: the measured value (x86-64, Go 1.24)
-// plus 25 % headroom. Growing each state slice by one zero struct at a time
-// allocated well past it.
-const wideAggBytesPerGroup = 371
+// while 65,536 distinct groups arrive, keyed by an int or by a string: the
+// measured value (x86-64, Go 1.24) plus 25 % headroom. Growing each state
+// slice by one zero struct at a time allocated well past it, and so did
+// growing the key arena, the hash cache and the key columns by append's
+// 1.25x (296.9 B a group for the int key, 384.3 for the string key).
+var wideAggBytesPerGroup = map[batch.Type]float64{batch.Int64: 285, batch.String: 330}
 
 // TestWideAggZeroAllocsPerGroupBound: founding a group costs amortised
-// slice growth only — no per-group allocation, and state slices that grow
-// by doubling, not by append's 1.25x.
+// slice growth only — no per-group allocation, and state slices, key arena,
+// hash cache and key columns that grow by doubling, not by append's 1.25x.
 func TestWideAggZeroAllocsPerGroupBound(t *testing.T) {
 	const batches, rows = 16, 4096
-	s := batch.NewSchema(batch.F("k", batch.Int64), batch.F("v", batch.Float64), batch.F("q", batch.Int64))
-	in := make([]*batch.Batch, batches)
-	for i := range in {
-		ks, vs, qs := make([]int64, rows), make([]float64, rows), make([]int64, rows)
-		for r := range ks {
-			ks[r] = int64(i*rows+r) * 4 // distinct: every row founds a group
-			vs[r], qs[r] = float64(r), int64(r)
+	for _, kt := range []batch.Type{batch.Int64, batch.String} {
+		s := batch.NewSchema(batch.F("k", kt), batch.F("v", batch.Float64), batch.F("q", batch.Int64))
+		in := make([]*batch.Batch, batches)
+		for i := range in {
+			ks, vs, qs := make([]int64, rows), make([]float64, rows), make([]int64, rows)
+			for r := range ks {
+				ks[r] = int64(i*rows+r) * 4 // distinct: every row founds a group
+				vs[r], qs[r] = float64(r), int64(r)
+			}
+			key := batch.NewIntColumn(ks)
+			if kt == batch.String {
+				strs := make([]string, rows)
+				for r, k := range ks {
+					strs[r] = "key-" + strconv.FormatInt(k, 10)
+				}
+				key = batch.NewStringColumn(strs)
+			}
+			in[i] = batch.MustNew(s, []*batch.Column{key, batch.NewFloatColumn(vs), batch.NewIntColumn(qs)})
 		}
-		in[i] = batch.MustNew(s, []*batch.Column{batch.NewIntColumn(ks), batch.NewFloatColumn(vs), batch.NewIntColumn(qs)})
-	}
-	op := NewHashAggSpec([]string{"k"}, Sum("v", expr.C("v")), Sum("q", expr.C("q")), CountStar("n")).New(0, 1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, b := range in {
-		if _, err := op.Consume(0, b); err != nil {
-			t.Fatal(err)
+		op := NewHashAggSpec([]string{"k"}, Sum("v", expr.C("v")), Sum("q", expr.C("q")), CountStar("n")).New(0, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, b := range in {
+			if _, err := op.Consume(0, b); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	runtime.ReadMemStats(&after)
-	perGroup := float64(after.TotalAlloc-before.TotalAlloc) / (batches * rows)
-	t.Logf("wide aggregation: %.1f B allocated per group", perGroup)
-	if perGroup > wideAggBytesPerGroup {
-		t.Errorf("wide aggregation allocates %.1f B per group, bound %d", perGroup, wideAggBytesPerGroup)
+		runtime.ReadMemStats(&after)
+		perGroup := float64(after.TotalAlloc-before.TotalAlloc) / (batches * rows)
+		t.Logf("wide aggregation, %s key: %.1f B allocated per group", kt, perGroup)
+		if bound := wideAggBytesPerGroup[kt]; perGroup > bound {
+			t.Errorf("wide aggregation, %s key, allocates %.1f B per group, bound %.0f", kt, perGroup, bound)
+		}
 	}
 }

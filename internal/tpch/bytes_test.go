@@ -214,7 +214,11 @@ func TestCompressedFaultRecovery(t *testing.T) {
 
 // parentTableBytes is what every table at SF 0.03 cut into 32,768-row
 // splits stored before QBA2 had bit-packed encodings (5-7): 8,178,050 bytes.
-const parentTableBytes = 8_178_050
+// packedTableBytes is what they stored with 5-7 but before decimals (8).
+const (
+	parentTableBytes = 8_178_050
+	packedTableBytes = 6_730_632
+)
 
 // frameCol is one column of a QBA2 frame: its encoding and payload.
 type frameCol struct {
@@ -245,11 +249,36 @@ func frameColumns(frame []byte) map[string]frameCol {
 	return cols
 }
 
-// TestStoredTableBytes pins what bit-packing saves on the stored tables at
-// SF 0.03 in 32,768-row splits — every byte a scan reads — and where it
-// comes from: the low-cardinality lineitem strings are packed dictionary
-// indexes (encoding 7) of at most 3 bits a row, and l_orderkey, sorted with
-// small steps, is delta-for (encoding 6).
+// packedBits is the bits a row a packed float or string column costs: the
+// index width of a packed dictionary (encoding 7), or the integer and
+// correction widths of a decimal column (encoding 8) together.
+func packedBits(t *testing.T, col frameCol, strs bool) int {
+	switch col.enc {
+	case 7:
+		// The width byte follows the dictionary: ndict, then each entry's
+		// length and bytes (strings) or bit pattern (floats).
+		nd := binary.LittleEndian.Uint32(col.payload)
+		at := 4 + 8*int(nd)
+		if strs {
+			at = 4
+			for range nd {
+				at += 4 + int(binary.LittleEndian.Uint32(col.payload[at:]))
+			}
+		}
+		return int(col.payload[at])
+	case 8:
+		return int(col.payload[9]) + int(col.payload[18])
+	}
+	t.Errorf("encoding %d is not packed", col.enc)
+	return 64
+}
+
+// TestStoredTableBytes pins what bit-packing and decimals save on the stored
+// tables at SF 0.03 in 32,768-row splits — every byte a scan reads — and
+// where it comes from: the low-cardinality lineitem strings are packed
+// dictionary indexes (encoding 7) of at most 3 bits a row, l_orderkey,
+// sorted with small steps, is delta-for (encoding 6), l_extendedprice is
+// decimal (encoding 8) of at most 27 bits a row, and l_discount costs 4.
 func TestStoredTableBytes(t *testing.T) {
 	total := 0
 	for name, table := range Generate(0.03).Tables() {
@@ -266,24 +295,32 @@ func TestStoredTableBytes(t *testing.T) {
 					t.Errorf("lineitem split %d: %s in encoding %d, want 7 (dict-packed)", i, c, col.enc)
 					continue
 				}
-				// The width byte follows the dictionary: ndict, then each
-				// entry's length and bytes.
-				at := 4
-				for range binary.LittleEndian.Uint32(col.payload) {
-					at += 4 + int(binary.LittleEndian.Uint32(col.payload[at:]))
-				}
-				if w := col.payload[at]; w > 3 {
+				if w := packedBits(t, col, true); w > 3 {
 					t.Errorf("lineitem split %d: %s packed at %d bits a row, want at most 3", i, c, w)
 				}
 			}
 			if enc := cols["l_orderkey"].enc; enc != 6 {
 				t.Errorf("lineitem split %d: l_orderkey in encoding %d, want 6 (delta-for)", i, enc)
 			}
+			if col := cols["l_extendedprice"]; col.enc != 8 {
+				t.Errorf("lineitem split %d: l_extendedprice in encoding %d, want 8 (decimal)", i, col.enc)
+			} else if w := packedBits(t, col, false); w > 27 {
+				t.Errorf("lineitem split %d: l_extendedprice packed at %d bits a row, want at most 27", i, w)
+			}
+			if col := cols["l_discount"]; col.enc != 7 && col.enc != 8 {
+				t.Errorf("lineitem split %d: l_discount in encoding %d, want a packed one", i, col.enc)
+			} else if w := packedBits(t, col, false); w != 4 {
+				t.Errorf("lineitem split %d: l_discount packed at %d bits a row, want 4", i, w)
+			}
 		}
 	}
-	t.Logf("stored table bytes: %d (%d before bit-packing, %.1f%% less)", total, parentTableBytes,
-		100*(1-float64(total)/parentTableBytes))
+	t.Logf("stored table bytes: %d (%d before bit-packing, %.1f%% less; %d before decimals, %.1f%% less)",
+		total, parentTableBytes, 100*(1-float64(total)/parentTableBytes),
+		packedTableBytes, 100*(1-float64(total)/packedTableBytes))
 	if total*100 > parentTableBytes*85 {
 		t.Errorf("stored table bytes %d, want at most 85%% of %d", total, parentTableBytes)
+	}
+	if total*100 > packedTableBytes*90 {
+		t.Errorf("stored table bytes %d, want at most 90%% of %d", total, packedTableBytes)
 	}
 }
