@@ -41,8 +41,9 @@ dark:
 ## checkpoint restart keeps the results its output channel delivered below
 ## the mark, and a rewound consumer needing the tasks below a producer's
 ## restart cursor cascades the producer, their committer being dead; a worker
-## writes only through the flush, which reads only its fences, with and
-## without a kill, in every FT mode, and reads only by loading an image, a failed one
+## writes only through the flush, whose entries are guarded only on their
+## fences, with and without a kill, in every FT mode, and reads only by loading
+## an image, a failed one
 ## failing the query rather than stalling it — or by the image the committer
 ## advanced past its own flush, which must equal the one a load reads and
 ## must not be published after someone else's write; and a spooled task
@@ -92,7 +93,7 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 24185
+LOC_MAX := 24221
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi

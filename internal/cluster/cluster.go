@@ -83,10 +83,13 @@ func (w *Worker) Kill() {
 }
 
 // Cluster is the set of workers plus the shared services: the GCS on the
-// head node and the durable object store.
+// head node and the durable object store. Head is the head's own write path
+// on that store — seed, recovery, cleanup — and nil in a worker process's view
+// of the cluster.
 type Cluster struct {
 	Workers  []*Worker
 	GCS      gcs.Backend
+	Head     gcs.Head
 	ObjStore storage.Objects
 	Cost     storage.CostModel
 	Metrics  *metrics.Collector
@@ -126,8 +129,10 @@ func New(opt Options) (*Cluster, error) {
 	if met == nil {
 		met = &metrics.Collector{}
 	}
+	store := gcs.New(opt.Cost, met)
 	c := &Cluster{
-		GCS:     gcs.New(opt.Cost, met),
+		GCS:     store,
+		Head:    store,
 		Cost:    opt.Cost,
 		Metrics: met,
 	}

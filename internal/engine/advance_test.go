@@ -73,7 +73,7 @@ func imageDiff(advanced, loaded *snapshot) string {
 // the same version. After each committed flush it loads the image of the
 // flush's version — when nothing else wrote the namespace before the load
 // ended — and when the next flush starts, by which time the committer has
-// published whatever it advanced, it compares the two. UpdateMulti is the
+// published whatever it advanced, it compares the two. Apply is the
 // committer's alone, and its flushes run one at a time (each on the thread of
 // a requester), so none of this runs concurrently with itself.
 type imageCheck struct {
@@ -93,47 +93,56 @@ type imageCheck struct {
 	rewoundAdvances, retraceAdvances int
 }
 
-func (c *imageCheck) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+func (c *imageCheck) Apply(entries []gcs.Entry) ([]bool, error) {
 	c.compare()
-	ns := c.r.keyNS()
-	var ver uint64 // the version this flush commits, if it does
-	rewoundCommit, retraceCommit := false, false
-	err := c.Backend.UpdateMulti(nss, func(tx *gcs.Txn) error {
-		ver = c.store.AwaitNS(context.Background(), ns, 0, 0) + 1
-		if err := fn(tx); err != nil {
-			return err
+	ctx, ns := context.Background(), c.r.keyNS()
+	ver := c.store.AwaitNS(ctx, ns, 0, 0) + 1 // the version this flush commits, if nothing comes before it
+	applied, err := c.Backend.Apply(entries)
+	puts, guards := map[string][]byte{}, map[string]int64{}
+	for i, e := range entries {
+		if err == nil && applied[i] && e.NS == ns {
+			for _, p := range e.Puts {
+				puts[p.Key] = p.Val
+			}
+			for _, g := range e.Guards {
+				guards[g.Key] = g.Want
+			}
 		}
-		// A retraced task commits a cursor and no record of its own.
-		rewoundCommit, retraceCommit = false, false
+	}
+	if len(puts) == 0 || c.store.AwaitNS(ctx, ns, 0, 0) != ver {
+		return applied, err
+	}
+	// A retraced task commits a cursor and no record of its own, under a
+	// channel epoch above 0.
+	c.rewoundCommit, c.retraceCommit = false, false
+	c.store.ViewNS(ns, func(tx *gcs.Txn) error {
 		for st, stage := range c.r.plan.Stages {
 			for ch := 0; ch < c.r.par[st]; ch++ {
 				id := lineage.ChannelID{Stage: st, Channel: ch}
-				cur := tx.Writes()[c.r.keyCursor(id)]
-				if cur == nil || txGetInt(tx, c.r.keyChanEpoch(id), 0) == 0 {
+				cur := puts[c.r.keyCursor(id)]
+				if cur == nil || guards[c.r.keyChanEpoch(id)] == 0 {
 					continue
 				}
-				rewoundCommit = true
+				c.rewoundCommit = true
 				if len(stage.Inputs) == 0 {
 					continue
 				}
 				seq, _ := strconv.Atoi(string(cur))
-				if _, logged := tx.Writes()[c.r.keyLineage(lineage.TaskName{Stage: st, Channel: ch, Seq: seq - 1})]; !logged {
-					if _, ok := tx.Get(c.r.keyLineage(lineage.TaskName{Stage: st, Channel: ch, Seq: seq - 1})); ok {
-						retraceCommit = true
+				rec := c.r.keyLineage(lineage.TaskName{Stage: st, Channel: ch, Seq: seq - 1})
+				if _, logged := puts[rec]; !logged {
+					if _, ok := tx.Get(rec); ok {
+						c.retraceCommit = true
 					}
 				}
 			}
 		}
 		return nil
 	})
-	if err != nil || c.store.AwaitNS(context.Background(), ns, 0, 0) != ver {
-		return err
-	}
-	c.advances, c.rewoundCommit, c.retraceCommit = c.r.qmet.Get(metrics.ImageAdvances), rewoundCommit, retraceCommit
-	if s, lerr := c.r.loadSnapshot(ver, nil); lerr == nil && c.store.AwaitNS(context.Background(), ns, 0, 0) == ver {
+	c.advances = c.r.qmet.Get(metrics.ImageAdvances)
+	if s, lerr := c.r.loadSnapshot(ver, nil); lerr == nil && c.store.AwaitNS(ctx, ns, 0, 0) == ver {
 		c.loaded = s
 	}
-	return err
+	return applied, err
 }
 
 // compare checks the image the last flush advanced, if it did and nothing
@@ -257,22 +266,22 @@ func (f *foreignWrite) check() {
 	}
 }
 
-func (f *foreignWrite) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+func (f *foreignWrite) Apply(entries []gcs.Entry) ([]bool, error) {
 	f.check()
-	err := f.Backend.UpdateMulti(nss, fn)
-	if f.flushes++; err != nil || f.armedAt != 0 || f.flushes < 5 {
-		return err
+	applied, err := f.Backend.Apply(entries)
+	if f.flushes++; err != nil || !slices.Contains(applied, true) || f.armedAt != 0 || f.flushes < 5 {
+		return applied, err
 	}
 	ver := f.Backend.AwaitNS(context.Background(), f.r.keyNS(), 0, 0)
 	if _, serr := f.r.snapshotAt(ver); serr != nil {
-		return err
+		return applied, err
 	}
 	f.armedAt, f.advances, f.pending = ver, f.r.qmet.Get(metrics.ImageAdvances), true
 	if f.err = f.r.gcsUpdate(f.write); f.err != nil {
 		f.failed()
 	}
 	f.loads = f.r.qmet.Get(metrics.ImageLoads)
-	return err
+	return applied, err
 }
 
 // TestAdvanceRefusedAfterAForeignWrite: a flush followed, before its committer

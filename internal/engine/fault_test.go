@@ -45,13 +45,13 @@ func killOnCommits(cl *cluster.Cluster, victim int, due func(commits map[string]
 	kill := cl.Worker(cluster.WorkerID(victim)).Kill // idempotent
 	var mu sync.Mutex
 	commits := map[string]int{}
-	cl.GCS = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, flush bool) {
-		if !flush {
+	hookTxns(cl, func(_ *gcs.Txn, c committed) {
+		if !c.flush() {
 			return
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		for k, v := range tx.Writes() {
+		for k, v := range c.writes {
 			if qid, rest, _ := strings.Cut(strings.TrimPrefix(k, "q/"), "/"); v != nil && strings.HasPrefix(rest, "cur/") {
 				commits[qid]++
 			}
@@ -59,47 +59,112 @@ func killOnCommits(cl *cluster.Cluster, victim int, due func(commits map[string]
 		if due(commits) {
 			kill()
 		}
-	}}
+	})
 }
 
-// killInTxn kills the given worker from inside the first update transaction
-// on the cluster's control store that leaves cond true: placed by what has
-// been committed, and never late — a poller can sample its way past a short
+// killInTxn kills the given worker from inside the first write to the
+// cluster's control store that leaves cond true — a head transaction, or the
+// flush whose entries are not acknowledged yet: placed by what has been
+// committed, and never late — a poller can sample its way past a short
 // query's last commit and then wait for good. Install it before the query
 // starts.
 func killInTxn(cl *cluster.Cluster, victim int, cond func(tx *gcs.Txn) bool) {
 	kill := cl.Worker(cluster.WorkerID(victim)).Kill // idempotent
-	cl.GCS = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, _ bool) {
+	hookTxns(cl, func(tx *gcs.Txn, _ committed) {
 		if cond(tx) {
 			kill()
 		}
-	}}
+	})
 }
 
-// txnHook shows after every update transaction that is about to commit — its
-// body returned nil — and whether it is a flush of task commits, the one
-// UpdateMulti caller there is.
+// txnHook shows every committed write to the control store: a head
+// transaction from inside it, once its body returned nil, with the keys the
+// body changed; a flush as soon as it applied, before its requesters hear of
+// it, with a view of each namespace it wrote and the entries applied there.
 type txnHook struct {
 	gcs.Backend
-	after func(tx *gcs.Txn, flush bool)
+	head  gcs.Head
+	after func(tx *gcs.Txn, c committed)
 }
 
-func (h txnHook) body(flush bool, fn func(tx *gcs.Txn) error) func(tx *gcs.Txn) error {
-	return func(tx *gcs.Txn) error {
-		err := fn(tx)
-		if err == nil {
-			h.after(tx, flush)
+// committed is one committed write as a txnHook shows it: the keys it wrote
+// (nil value: deleted) and, for a flush, the entries it applied.
+type committed struct {
+	writes  map[string][]byte
+	entries []gcs.Entry // nil for a head transaction
+}
+
+func (c committed) flush() bool { return c.entries != nil }
+
+// hookTxns puts a txnHook calling after on both of cl's write paths.
+func hookTxns(cl *cluster.Cluster, after func(tx *gcs.Txn, c committed)) {
+	h := &txnHook{Backend: cl.GCS, head: cl.Head, after: after}
+	cl.GCS, cl.Head = h, h
+}
+
+func (h *txnHook) UpdateNS(ns string, fn func(tx *gcs.Txn) error) error {
+	return h.head.UpdateNS(ns, func(tx *gcs.Txn) error {
+		before := nsImage(tx, ns)
+		if err := fn(tx); err != nil {
+			return err
 		}
-		return err
+		writes := map[string][]byte{}
+		after := nsImage(tx, ns)
+		for k, v := range after {
+			if w, ok := before[k]; !ok || !bytes.Equal(v, w) {
+				writes[k] = v
+			}
+		}
+		for k := range before {
+			if _, ok := after[k]; !ok {
+				writes[k] = nil
+			}
+		}
+		h.after(tx, committed{writes: writes})
+		return nil
+	})
+}
+
+// nsImage is every key of ns as tx reads it, with its value.
+func nsImage(tx *gcs.Txn, ns string) map[string][]byte {
+	m := map[string][]byte{}
+	for _, k := range tx.List(ns) {
+		m[k], _ = tx.Get(k)
 	}
+	return m
 }
 
-func (h txnHook) UpdateNS(ns string, fn func(tx *gcs.Txn) error) error {
-	return h.Backend.UpdateNS(ns, h.body(false, fn))
-}
-
-func (h txnHook) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
-	return h.Backend.UpdateMulti(nss, h.body(true, fn))
+func (h *txnHook) Apply(entries []gcs.Entry) ([]bool, error) {
+	applied, err := h.Backend.Apply(entries)
+	if err != nil {
+		return applied, err
+	}
+	var nss []string
+	byNS := map[string][]gcs.Entry{}
+	for i, e := range entries {
+		if applied[i] {
+			if byNS[e.NS] == nil {
+				nss = append(nss, e.NS)
+			}
+			byNS[e.NS] = append(byNS[e.NS], e)
+		}
+	}
+	for _, ns := range nss {
+		c := committed{writes: map[string][]byte{}, entries: byNS[ns]}
+		for _, e := range c.entries {
+			for _, p := range e.Puts {
+				c.writes[p.Key] = p.Val
+			}
+			for _, k := range e.Deletes {
+				c.writes[k] = nil
+			}
+		}
+		h.Backend.ViewNS(ns, func(tx *gcs.Txn) error {
+			h.after(tx, c)
+			return nil
+		})
+	}
+	return applied, err
 }
 
 // committedWatermark folds a channel's committed lineage — its first n lin/
@@ -467,14 +532,14 @@ func TestDirectPartnersShareAWorker(t *testing.T) {
 			var mu sync.Mutex
 			var passes []string // per recovery pass, the edge it left apart or ""
 			second := -1        // the second victim
-			cl.GCS = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, flush bool) {
+			hookTxns(cl, func(tx *gcs.Txn, c committed) {
 				mu.Lock()
 				defer mu.Unlock()
 				gep := txGetInt(tx, r.keyGlobalEpoch(), 0)
-				if _, ok := tx.Writes()[r.keyGlobalEpoch()]; ok && gep > 1 {
+				if _, ok := c.writes[r.keyGlobalEpoch()]; ok && gep > 1 {
 					passes = append(passes, apart(tx))
 				}
-				switch {
+				switch flush := c.flush(); {
 				case gep == 1 && flush:
 					for c := range r.par[filter.Stage] {
 						if txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: filter.Stage, Channel: c}), 0) < 2 {
@@ -482,11 +547,11 @@ func TestDirectPartnersShareAWorker(t *testing.T) {
 						}
 					}
 					cl.Worker(1).Kill()
-				case gep == 2 && flush && second < 0 && tx.Writes()[r.keyCursor(filter)] != nil:
+				case gep == 2 && flush && second < 0 && c.writes[r.keyCursor(filter)] != nil:
 					second = txGetInt(tx, r.keyPlacement(filter), -1)
 					cl.Worker(cluster.WorkerID(second)).Kill()
 				}
-			}}
+			})
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			got, rep, err := r.Run(ctx)
@@ -551,22 +616,29 @@ func TestNestedFailures(t *testing.T) {
 	}
 }
 
-// flushHold holds the first flush — the one UpdateMulti caller — that starts
-// once armed is set: it kills victim, then lets the flush run only when the
-// query's global epoch has reached 2 (a recovery committed), or after 10 s.
-// The flush's outcome goes to held.
+// flushHold holds the first flush — the one Apply caller — that starts once
+// armed is set: it kills victim, then lets the flush run only when the query's
+// global epoch has reached 2 (a recovery committed), or after 10 s. The
+// flush's outcome goes to held.
 type flushHold struct {
 	gcs.Backend
 	r      *Runner
 	victim *cluster.Worker
 	armed  atomic.Bool
 	taken  atomic.Bool
-	held   chan error
+	held   chan heldFlush
 }
 
-func (h *flushHold) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+// heldFlush is what the held flush carried and what came of it.
+type heldFlush struct {
+	entries int
+	applied []bool
+	err     error
+}
+
+func (h *flushHold) Apply(entries []gcs.Entry) ([]bool, error) {
 	if !h.armed.Load() || h.taken.Swap(true) {
-		return h.Backend.UpdateMulti(nss, fn)
+		return h.Backend.Apply(entries)
 	}
 	h.victim.Kill()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -578,9 +650,9 @@ func (h *flushHold) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error 
 			return nil
 		})
 	}
-	err := h.Backend.UpdateMulti(nss, fn)
-	h.held <- err
-	return err
+	applied, err := h.Backend.Apply(entries)
+	h.held <- heldFlush{len(entries), applied, err}
+	return applied, err
 }
 
 // TestFlushAcrossRecoveryIsFenced pins the fence that makes a recovery one
@@ -604,15 +676,16 @@ func TestFlushAcrossRecoveryIsFenced(t *testing.T) {
 	// committed; the next flush kills worker 2 as it starts, so every entry it
 	// carries was prepared under the seeded epoch, and is held across the
 	// recovery that follows.
-	hold := &flushHold{r: r, victim: cl.Worker(2), held: make(chan error, 1)}
+	hold := &flushHold{r: r, victim: cl.Worker(2), held: make(chan heldFlush, 1)}
 	cur := func(tx *gcs.Txn, c int) int {
 		return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 1, Channel: c}), 0)
 	}
-	hold.Backend = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, flush bool) {
-		if flush && cur(tx, 0) > 0 && cur(tx, 2) > 0 {
+	hookTxns(cl, func(tx *gcs.Txn, c committed) {
+		if c.flush() && cur(tx, 0) > 0 && cur(tx, 2) > 0 {
 			hold.armed.Store(true)
 		}
-	}}
+	})
+	hold.Backend = cl.GCS
 	cl.GCS = hold
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -621,9 +694,12 @@ func TestFlushAcrossRecoveryIsFenced(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	select {
-	case err := <-hold.held:
-		if err != gcs.ErrAborted {
-			t.Errorf("the flush held across the recovery returned %v, want gcs.ErrAborted: it applied entries prepared under the old epoch", err)
+	case h := <-hold.held:
+		if h.err != nil || slices.Contains(h.applied, true) {
+			t.Errorf("the flush held across the recovery applied %v (%v), want nothing: it applied entries prepared under the old epoch", h.applied, h.err)
+		}
+		if fenced := rep.Metrics[metrics.EntriesFenced]; fenced < int64(h.entries) {
+			t.Errorf("%s = %d, want at least the %d entries the held flush carried", metrics.EntriesFenced, fenced, h.entries)
 		}
 	default:
 		t.Fatal("no flush was held")
@@ -651,9 +727,10 @@ func TestKillInsideRecovery(t *testing.T) {
 	killInTxn(cl, 1, func(tx *gcs.Txn) bool {
 		return txGetInt(tx, r.keyCursor(lineage.ChannelID{Stage: 1, Channel: 1}), 0) > 0
 	})
-	killInTxn(cl, 3, func(tx *gcs.Txn) bool {
-		v, ok := tx.Writes()[r.keyGlobalEpoch()]
-		return ok && string(v) == "2"
+	hookTxns(cl, func(_ *gcs.Txn, c committed) {
+		if v, ok := c.writes[r.keyGlobalEpoch()]; ok && string(v) == "2" {
+			cl.Worker(3).Kill()
+		}
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -947,15 +1024,15 @@ func TestOwnerBelowARestartHasDied(t *testing.T) {
 			txGetInt(tx, r.keyPlacement(join), -1) != 0 && txGetInt(tx, r.keyPlacement(agg), -1) == 0
 	})
 	var kept, dropped atomic.Bool // a pass kept the join's restart cursor; a later one dropped it
-	cl.GCS = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, flush bool) {
-		if v, ok := tx.Writes()[r.keyRestart(join)]; ok && !flush {
+	hookTxns(cl, func(_ *gcs.Txn, c committed) {
+		if v, ok := c.writes[r.keyRestart(join)]; ok && !c.flush() {
 			if v != nil {
 				kept.Store(true)
 			} else if kept.Load() {
 				dropped.Store(true)
 			}
 		}
-	}}
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	got, rep, err := r.Run(ctx)

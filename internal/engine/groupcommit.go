@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // groupCommitter batches per-task lineage commits into shared GCS
 // transactions — the write-ahead lineage analogue of database group
 // commit. ONE committer serves the whole cluster: commits from EVERY
-// admitted query fold into the same flush transaction (gcs.UpdateMulti
+// admitted query fold into the same flush transaction (gcs.Backend.Apply
 // spans their namespaces), so batch width grows with the admission level
 // at exactly the point where one-transaction-per-task would knee the head
 // node over. Task managers queue a commit request and block until their
@@ -118,88 +119,85 @@ func (g *groupCommitter) commit(req *commitReq) error {
 	return err
 }
 
+// entry is the flush entry the request writes, its fences as its guards: a
+// task commit, guarded on its channel's epoch and its query's global epoch,
+// or a round's retirement of its replay entries, guarded on the global epoch
+// alone. Worker liveness is no key: flush checks it before the call.
+func (q *commitReq) entry() gcs.Entry {
+	r := q.r
+	gep := gcs.Guard{Key: r.keyGlobalEpoch(), Want: int64(q.gep)}
+	if q.retire != nil {
+		return gcs.Entry{NS: r.keyNS(), Guards: []gcs.Guard{gep}, Deletes: q.retire}
+	}
+	e := gcs.Entry{NS: r.keyNS(), Guards: []gcs.Guard{gep, {Key: r.keyChanEpoch(q.id), Want: int64(q.cep)}},
+		Puts: make([]gcs.KV, 0, 4)}
+	seq := []byte(strconv.Itoa(q.task.Seq + 1))
+	if q.logsLineage() {
+		e.Puts = append(e.Puts, gcs.KV{Key: r.keyLineage(q.task), Val: q.rec.Encode()})
+	}
+	e.Puts = append(e.Puts, gcs.KV{Key: r.keyCursor(q.id), Val: seq})
+	if q.finalize {
+		e.Puts = append(e.Puts, gcs.KV{Key: r.keyDone(q.id), Val: seq})
+	}
+	if q.mark != nil {
+		e.Puts = append(e.Puts, gcs.KV{Key: r.keyCheckpoint(q.id), Val: q.mark})
+	}
+	return e
+}
+
 // flush commits a batch of entries — possibly spanning several queries — in
-// ONE GCS transaction over their namespaces' shards. Each entry keeps its
-// own fences: entries whose worker died, whose placement epoch moved, or —
-// a task commit — whose channel was rewound are refused individually while
-// the rest commit — identical outcomes to flushing each entry alone, just
-// amortized onto one head-node round trip. (A query's recovery is one
-// transaction on its namespace shard that moves the epoch, so this
-// transaction serializes against it: before it, and recovery sees the
-// entry; after it, and the entry is refused. From a worker process the
-// fences are its read set, which the head validates.)
+// ONE GCS Apply over their namespaces' shards. Each entry keeps its own
+// fences: one whose worker died is refused before the call, and one whose
+// placement epoch moved or — a task commit — whose channel was rewound is
+// refused by its guards, while the rest commit — identical outcomes to
+// flushing each entry alone, just amortized onto one head-node round trip. (A
+// query's recovery is one transaction on its namespace shard that moves the
+// epoch, so this transaction serializes against it: before it, and recovery
+// sees the entry; after it, and the entry is refused.)
 func (g *groupCommitter) flush(batch []*commitReq) {
 	errs := make([]error, len(batch))
-	geps := make(map[*Runner]int, 4)        // each query's live global epoch
-	prevs := make(map[*Runner]*snapshot, 4) // each query's image before the commit
-	nss := make([]string, 0, 4)
-	for _, req := range batch {
-		if _, ok := geps[req.r]; !ok {
-			geps[req.r] = 0
-			prevs[req.r] = req.r.snap.Load()
-			nss = append(nss, req.r.keyNS())
+	entries, at := make([]gcs.Entry, 0, len(batch)), make([]int, 0, len(batch)) // at: each entry's batch index
+	prevs := make(map[*Runner]*snapshot, 4)                                     // each query's image before the commit
+	for i, req := range batch {
+		if !req.alive() {
+			errs[i] = gcs.ErrAborted
+			req.r.count(metrics.EntriesFenced, 1)
+			continue
 		}
+		if _, ok := prevs[req.r]; !ok {
+			prevs[req.r] = req.r.snap.Load()
+		}
+		entries, at = append(entries, req.entry()), append(at, i)
+	}
+	flushStart := time.Now()
+	var applied []bool
+	var err error
+	if len(entries) > 0 {
+		applied, err = batch[0].r.cl.GCS.Apply(entries)
 	}
 	var bytes int64
-	flushStart := time.Now()
-	err := batch[0].r.cl.GCS.UpdateMulti(nss, func(tx *gcs.Txn) error {
-		clear(errs) // a remote backend re-runs a body whose fences moved under it
-		for r := range geps {
-			geps[r] = txGetInt(tx, r.keyGlobalEpoch(), 0)
-		}
-		applied := 0
-		for i, req := range batch {
-			r := req.r
-			// Fenced: the worker died, placement moved since the entry's
-			// image (a retry under a fresh view keeps pieces off a stale
-			// worker), or the channel was rewound under the task.
-			if !req.alive() || geps[r] != req.gep ||
-				req.retire == nil && txGetInt(tx, r.keyChanEpoch(req.id), 0) != req.cep {
-				errs[i] = gcs.ErrAborted
-				continue
-			}
-			applied++
-			if req.retire != nil {
-				for _, k := range req.retire {
-					tx.Delete(k)
-				}
-				continue
-			}
-			if req.logsLineage() {
-				tx.Put(r.keyLineage(req.task), req.rec.Encode())
-			}
-			txPutInt(tx, r.keyCursor(req.id), req.task.Seq+1)
-			if req.finalize {
-				txPutInt(tx, r.keyDone(req.id), req.task.Seq+1)
-			}
-			if req.mark != nil {
-				tx.Put(r.keyCheckpoint(req.id), req.mark)
-			}
-		}
-		if applied == 0 {
-			return gcs.ErrAborted // nothing to commit; no empty round trip
-		}
-		bytes = tx.WriteBytes()
-		return nil
-	})
-	if err != nil {
-		for i := range errs {
+	n := 0                                             // entries applied
+	done := make(map[*Runner][]*commitReq, len(prevs)) // each query's applied entries
+	for j, i := range at {
+		switch req := batch[i]; {
+		case err != nil:
 			errs[i] = err
-		}
-	} else {
-		// First, so that a round woken by this commit finds the image published.
-		for r, prev := range prevs {
-			g.advanceImage(r, prev, geps[r], batch, errs)
-		}
-		applied := 0
-		for i, req := range batch {
-			if errs[i] != nil {
-				continue
-			}
-			applied++
+		case !applied[j]:
+			errs[i] = gcs.ErrAborted
+			req.r.count(metrics.EntriesFenced, 1)
+		default:
+			n++
+			done[req.r] = append(done[req.r], req)
+			bytes += entries[j].Bytes()
 			if req.logsLineage() {
 				req.r.count(metrics.LineageRecords, 1)
 			}
+		}
+	}
+	if n > 0 {
+		// First, so that a round woken by this commit finds the image published.
+		for r, reqs := range done {
+			g.advanceImage(r, prevs[r], reqs)
 		}
 		// The flush transaction — and the transactions it saved — is
 		// attributed to the triggering query, so sums over concurrent
@@ -208,15 +206,15 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 		lead.qmet.Add(metrics.GCSTxns, 1)
 		lead.qmet.Add(metrics.GCSBytes, bytes)
 		lead.count(metrics.LineageFlushes, 1)
-		if applied > 1 {
-			lead.count(metrics.GCSTxnBatched, int64(applied-1))
+		if n > 1 {
+			lead.count(metrics.GCSTxnBatched, int64(n-1))
 		}
 		if lead.rec != nil {
 			// One flush span on the lead query's recorder (same attribution
 			// as the flush counters): InRows doubles as entries applied.
 			lead.rec.Record(trace.Span{Kind: trace.KindFlush, Worker: -1, Stage: -1, Channel: -1, Seq: -1,
 				Start: flushStart, Dur: time.Since(flushStart),
-				InRows: int64(applied), OutBytes: bytes})
+				InRows: int64(n), OutBytes: bytes})
 		}
 	}
 	for i, req := range batch {
@@ -233,8 +231,9 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 // its replica, so the probe costs no frame). prev must be the image from
 // before the commit: one published after it may be stamped with the commit's
 // version, and pass the check while missing a write that landed just after.
-// Otherwise nothing is published, and the next round loads.
-func (g *groupCommitter) advanceImage(r *Runner, prev *snapshot, gep int, batch []*commitReq, errs []error) {
+// Otherwise nothing is published, and the next round loads. The entries that
+// applied were all guarded on the live global epoch.
+func (g *groupCommitter) advanceImage(r *Runner, prev *snapshot, applied []*commitReq) {
 	if prev == nil {
 		return
 	}
@@ -242,13 +241,7 @@ func (g *groupCommitter) advanceImage(r *Runner, prev *snapshot, gep int, batch 
 	if ver != prev.ver+1 {
 		return
 	}
-	var applied []*commitReq
-	for i, req := range batch {
-		if req.r == r && errs[i] == nil {
-			applied = append(applied, req)
-		}
-	}
-	if s := prev.advance(ver, gep, applied); s != nil && r.publish(s) {
+	if s := prev.advance(ver, applied[0].gep, applied); s != nil && r.publish(s) {
 		r.count(metrics.ImageAdvances, 1)
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -29,19 +28,17 @@ func TestReplayRoundRetiresOnce(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var retirements [][]string // the rp/ keys each flush deleted
-	cl.GCS = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, flush bool) {
+	hookTxns(cl, func(_ *gcs.Txn, c committed) {
 		var keys []string
-		for k, v := range tx.Writes() {
-			if v == nil && strings.Contains(k, "/rp/") {
-				keys = append(keys, k)
-			}
+		for _, e := range c.entries {
+			keys = append(keys, e.Deletes...)
 		}
-		if flush && keys != nil {
+		if keys != nil {
 			mu.Lock()
 			retirements = append(retirements, keys)
 			mu.Unlock()
 		}
-	}}
+	})
 	if err := r.seed(); err != nil {
 		t.Fatal(err)
 	}

@@ -226,13 +226,13 @@ func (r *Runner) count(name string, delta int64) {
 	r.qmet.Add(name, delta)
 }
 
-// gcsUpdate runs a read-write GCS transaction and attributes its traffic
-// to this query: every engine transaction touches only the query's own
-// namespace, so the attribution is exact. The store keeps counting the
-// cluster totals itself.
+// gcsUpdate runs one of the head's own read-write GCS transactions — seed,
+// recover, cleanup — on its store, and attributes its traffic to this query:
+// every engine transaction touches only the query's own namespace, so the
+// attribution is exact. The store keeps counting the cluster totals itself.
 func (r *Runner) gcsUpdate(fn func(tx *gcs.Txn) error) error {
 	var bytes int64
-	err := r.cl.GCS.UpdateNS(r.keyNS(), func(tx *gcs.Txn) error {
+	err := r.cl.Head.UpdateNS(r.keyNS(), func(tx *gcs.Txn) error {
 		if err := fn(tx); err != nil {
 			return err
 		}

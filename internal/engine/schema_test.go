@@ -17,21 +17,22 @@ import (
 	"quokka/internal/lineage"
 )
 
-// schemaRecorder notes what every committed update wrote, by key class —
-// the segment after q/<qid>/ — and keeps the flushes apart: each is the write
-// set of a batch of task commits and replay retirements. Every other update
-// is counted; the first, the seed, is kept, and so are those that move the
-// global epoch past the seeded 1: each is a recovery pass. A checkpoint mark a flush writes is
-// checked against the entry beside it, and the latest update's per-key writes
-// are counted: the last is cleanup, which drops the namespace instead. Its
-// record is a txnHook's after.
+// schemaRecorder notes what every committed write wrote, by key class — the
+// segment after q/<qid>/ — and keeps the flushes apart: each is the write set
+// of a batch of task commits and replay retirements, read from the entries it
+// applied. Every head transaction is counted; the first, the seed, is kept,
+// and so are those that move the global epoch past the seeded 1: each is a
+// recovery pass. A checkpoint mark a flush writes is checked against the entry
+// it rides in, and the latest head transaction's per-key writes are counted:
+// the last is cleanup, which drops the namespace instead. Its record is a
+// txnHook's after.
 type schemaRecorder struct {
 	mu         sync.Mutex
 	written    map[string]bool
 	flushes    []flushWrites
-	updates    int              // committed updates that are no flush
+	updates    int              // committed head transactions
 	seed       map[string]int   // the first of them: class -> keys put
-	recoveries []map[string]int // per epoch-moving update: class -> keys put
+	recoveries []map[string]int // per epoch-moving one: class -> keys put
 	lastWrites int              // per-key writes of the latest of them
 	badMarks   []string
 	badRestart []string // rs puts that are not the restart cursor, above 0, beside them
@@ -46,46 +47,20 @@ type flushWrites struct {
 	lin           map[string]bool
 }
 
-func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
+// keyClass splits an engine key into its namespace, class and the rest.
+func keyClass(k string) (ns, class, ch string) {
+	ns, rest, _ := strings.Cut(strings.TrimPrefix(k, "q/"), "/")
+	class, ch, _ = strings.Cut(rest, "/")
+	return "q/" + ns + "/", class, ch
+}
+
+func (s *schemaRecorder) record(tx *gcs.Txn, c committed) {
 	puts, deletes := map[string]int{}, map[string]int{}
-	commits, lin := map[string]bool{}, map[string]bool{}
-	recovery := false
-	var badMarks, badRestart []string
-	for k, v := range tx.Writes() {
-		ns, rest, _ := strings.Cut(strings.TrimPrefix(k, "q/"), "/")
-		class, ch, _ := strings.Cut(rest, "/")
-		if v == nil {
+	for k, v := range c.writes {
+		if _, class, _ := keyClass(k); v == nil {
 			deletes[class]++
-			continue
-		}
-		puts[class]++
-		recovery = recovery || class == "gep" && string(v) != "1"
-		switch {
-		case flush && class == "cur":
-			seq, _ := strconv.Atoi(string(v))
-			commits[ch+"."+strconv.Itoa(seq-1)] = tx.Writes()["q/"+ns+"/done/"+ch] != nil
-		case flush && class == "lin":
-			lin[ch] = true
-		}
-		if !flush && (class == "rs" || class == "cur" && string(v) != "0") {
-			// A pass keeps a restart cursor for, and only for, a channel it
-			// restarts from a mark: the cursor it writes beside it, above 0.
-			cur, rs := tx.Writes()["q/"+ns+"/cur/"+ch], tx.Writes()["q/"+ns+"/rs/"+ch]
-			if string(cur) != string(rs) || string(rs) == "0" {
-				badRestart = append(badRestart, fmt.Sprintf("rs/%s = %q beside cur %q", ch, rs, cur))
-			}
-		}
-		if flush && class == "ck" {
-			// The mark's Seq is the cursor committed beside it, and its object
-			// is the committing incarnation's: named under the epoch the entry
-			// was fenced on.
-			ns = "q/" + ns + "/"
-			m, err := decodeCheckpoint(v)
-			cur := tx.Writes()[ns+"cur/"+ch]
-			cep := txGetInt(tx, ns+"cep/"+ch, 0)
-			if err != nil || strconv.Itoa(m.Seq) != string(cur) || !strings.Contains(m.ObjKey, fmt.Sprintf("/%s.e%d/", ch, cep)) {
-				badMarks = append(badMarks, fmt.Sprintf("%s = %q beside cur %q at cep %d", k, v, cur, cep))
-			}
+		} else {
+			puts[class]++
 		}
 	}
 	s.mu.Lock()
@@ -93,19 +68,70 @@ func (s *schemaRecorder) record(tx *gcs.Txn, flush bool) {
 	for class := range puts {
 		s.written[class] = true
 	}
-	s.badMarks = append(s.badMarks, badMarks...)
-	s.badRestart = append(s.badRestart, badRestart...)
-	if flush {
-		s.flushes = append(s.flushes, flushWrites{puts, deletes, commits, lin})
+	if c.flush() {
+		f := flushWrites{puts, deletes, map[string]bool{}, map[string]bool{}}
+		for _, e := range c.entries {
+			s.recordEntry(e, f)
+		}
+		s.flushes = append(s.flushes, f)
 		return
 	}
+	recovery := false
+	for k, v := range c.writes {
+		ns, class, ch := keyClass(k)
+		recovery = recovery || class == "gep" && v != nil && string(v) != "1"
+		if v != nil && (class == "rs" || class == "cur" && string(v) != "0") {
+			// A pass keeps a restart cursor for, and only for, a channel it
+			// restarts from a mark: the cursor it leaves beside it, above 0.
+			cur, _ := tx.Get(ns + "cur/" + ch)
+			rs, _ := tx.Get(ns + "rs/" + ch)
+			if string(cur) != string(rs) || string(rs) == "0" {
+				s.badRestart = append(s.badRestart, fmt.Sprintf("rs/%s = %q beside cur %q", ch, rs, cur))
+			}
+		}
+	}
 	s.updates++
-	s.lastWrites = len(tx.Writes())
+	s.lastWrites = len(c.writes)
 	if s.seed == nil {
 		s.seed = puts
 	}
 	if recovery {
 		s.recoveries = append(s.recoveries, puts)
+	}
+}
+
+// recordEntry notes one flush entry's task commit into f: the task its cursor
+// names, whether it wrote done and lin, and whether a mark beside it names that
+// cursor and an object of the epoch its cep guard fenced it on.
+func (s *schemaRecorder) recordEntry(e gcs.Entry, f flushWrites) {
+	vals := map[string][]byte{}
+	for _, p := range e.Puts {
+		vals[p.Key] = p.Val
+	}
+	for _, p := range e.Puts {
+		ns, class, ch := keyClass(p.Key)
+		switch class {
+		case "cur":
+			seq, _ := strconv.Atoi(string(p.Val))
+			f.commits[ch+"."+strconv.Itoa(seq-1)] = vals[ns+"done/"+ch] != nil
+		case "lin":
+			f.lin[ch] = true
+		case "ck":
+			// The mark's Seq is the cursor committed beside it, and its object
+			// is the committing incarnation's: named under the epoch the entry
+			// was fenced on.
+			cep := int64(-1)
+			for _, g := range e.Guards {
+				if g.Key == ns+"cep/"+ch {
+					cep = g.Want
+				}
+			}
+			m, err := decodeCheckpoint(p.Val)
+			cur := vals[ns+"cur/"+ch]
+			if err != nil || strconv.Itoa(m.Seq) != string(cur) || !strings.Contains(m.ObjKey, fmt.Sprintf("/%s.e%d/", ch, cep)) {
+				s.badMarks = append(s.badMarks, fmt.Sprintf("%s = %q beside cur %q at cep %d", p.Key, p.Val, cur, cep))
+			}
+		}
 	}
 }
 
@@ -146,8 +172,8 @@ func TestControlStoreSchema(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cl := testCluster(t, 4, joinTables(800))
 				rec := &schemaRecorder{written: map[string]bool{}}
-				store := cl.GCS
-				cl.GCS = txnHook{Backend: cl.GCS, after: rec.record}
+				store, head := cl.GCS, cl.Head
+				hookTxns(cl, rec.record)
 				cfg := DefaultConfig()
 				cfg.FT = ft
 				cfg.CheckpointEveryTasks = 2
@@ -177,7 +203,7 @@ func TestControlStoreSchema(t *testing.T) {
 				if (err != nil) != (kill && ft == FTNone) || kill && ft != FTNone && rep.Recoveries == 0 {
 					t.Fatalf("Run: %v (report %+v)", err, rep)
 				}
-				cl.GCS = store
+				cl.GCS, cl.Head = store, head
 				assertNoQueryState(t, cl, name)
 
 				rec.mu.Lock()
@@ -245,10 +271,10 @@ func TestControlStoreSchema(t *testing.T) {
 				for _, m := range rec.badRestart {
 					t.Errorf("a recovery pass wrote a restart cursor it did not restart at: %s", m)
 				}
-				// Every other update is the head's: seed, each recovery pass,
-				// cleanup. A worker writes through the flush alone.
+				// Every other write is a head transaction: seed, each recovery
+				// pass, cleanup. A worker writes through the flush alone.
 				if want := 2 + r.recovered; rec.updates != want {
-					t.Errorf("%d updates were no flush, want %d: seed, %d recovery passes, cleanup", rec.updates, want, r.recovered)
+					t.Errorf("%d head transactions, want %d: seed, %d recovery passes, cleanup", rec.updates, want, r.recovered)
 				}
 				if rec.lastWrites != 0 {
 					t.Errorf("cleanup buffered %d per-key writes, want the namespace dropped with none", rec.lastWrites)

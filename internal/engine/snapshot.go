@@ -163,8 +163,9 @@ func (r *Runner) publish(s *snapshot) bool {
 // write since s's stamp leaves: s with the flush's applied entries folded in
 // — a task commit moves its channel's cursor, and done on finalize; a
 // retirement drops its replay entries — sharing every row it does not touch.
-// gep is the global epoch the flush read; an image of another epoch has no
-// advance, as a new epoch's first image reads its retraces.
+// gep is the global epoch the applied entries were guarded on; an image of
+// another epoch has no advance, as a new epoch's first image reads its
+// retraces.
 func (s *snapshot) advance(ver uint64, gep int, applied []*commitReq) *snapshot {
 	if s.gep != gep {
 		return nil
@@ -190,8 +191,7 @@ func (s *snapshot) advance(ver uint64, gep int, applied []*commitReq) *snapshot 
 }
 
 // loadSnapshot reads the whole image in one view, a worker's only read of the
-// control store; a body may run more than once remotely, so it builds the image.
-// Channel keys are known from the plan. What moves only with the global epoch
+// control store. Channel keys are known from the plan. What moves only with the global epoch
 // is read by the first image at each epoch and carried by later ones, prev
 // being the image before this one: replay entries — written only by recover,
 // and only deleted after; none at the seeded epoch — while each still exists,

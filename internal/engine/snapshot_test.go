@@ -511,8 +511,6 @@ func TestEveryWorkerReadIsAnImageLoad(t *testing.T) {
 	run := func(t *testing.T, failAt int64) (*viewCounter, *Report, error) {
 		t.Helper()
 		cl := testCluster(t, 4, joinTables(1200))
-		views := &viewCounter{Backend: cl.GCS}
-		cl.GCS = views
 		r, err := NewRunner(cl, joinPlan(), DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -527,11 +525,15 @@ func TestEveryWorkerReadIsAnImageLoad(t *testing.T) {
 		})
 		var recovered atomic.Bool
 		var after atomic.Int64
-		cl.GCS = txnHook{Backend: cl.GCS, after: func(tx *gcs.Txn, _ bool) {
-			if _, ok := tx.Writes()[r.keyGlobalEpoch()]; ok && txGetInt(tx, r.keyGlobalEpoch(), 0) > 1 {
+		hookTxns(cl, func(tx *gcs.Txn, c committed) {
+			if _, ok := c.writes[r.keyGlobalEpoch()]; ok && txGetInt(tx, r.keyGlobalEpoch(), 0) > 1 {
 				recovered.Store(true)
 			}
-		}}
+		})
+		// Outermost: the hooks' own views of what a flush applied are no
+		// worker's reads.
+		views := &viewCounter{Backend: cl.GCS}
+		cl.GCS = views
 		views.fail = func() error {
 			if failAt > 0 && recovered.Load() && after.Add(1) == failAt {
 				return errLost
@@ -575,53 +577,39 @@ func TestEveryWorkerReadIsAnImageLoad(t *testing.T) {
 	})
 }
 
-// flushReads runs every flush body once more, first, against a replica of
-// the store — as a worker process runs one — and counts the keys the body
-// asked for by class, and the prefixes it listed. A body may run more than
-// once (a remote backend re-runs one whose fences moved), so the real run
-// that follows is the flush.
-type flushReads struct {
+// flushGuards counts the guard keys of every flush entry by class: what a
+// flush reads of the control store is its guards and nothing else.
+type flushGuards struct {
 	gcs.Backend
-	store *gcs.Store
-	mu    sync.Mutex
-	read  map[string]int
+	mu      sync.Mutex
+	guarded map[string]int
 }
 
-func (f *flushReads) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
-	reps := make([]*gcs.Replica, len(nss))
-	for i, ns := range nss {
-		reps[i] = &gcs.Replica{NS: ns}
-		reps[i].Apply(f.store.Sync(ns, 0), nil)
-	}
-	tx := gcs.ReplicaTxn(reps, false)
-	fn(tx)
+func (f *flushGuards) Apply(entries []gcs.Entry) ([]bool, error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, rs := range tx.ReadSets() {
-		for _, k := range rs.Keys {
-			class, _, _ := strings.Cut(strings.TrimPrefix(k, rs.NS), "/")
-			f.read[class]++
-		}
-		for _, p := range rs.Prefixes {
-			f.read["list "+p]++
+	for _, e := range entries {
+		for _, g := range e.Guards {
+			class, _, _ := strings.Cut(strings.TrimPrefix(g.Key, e.NS), "/")
+			f.guarded[class]++
 		}
 	}
-	return f.Backend.UpdateMulti(nss, fn)
+	f.mu.Unlock()
+	return f.Backend.Apply(entries)
 }
 
-// TestFlushReadsOnlyItsFences: a flush body reads no key but its fences — the
-// global epoch of each query, the channel epoch of each task commit — in every
-// FT mode, with and without a kill. What a commit needs of the control store
-// came with the image its task ran under: a rewound channel's next record is
-// its image's retrace, and a backup's owner is the owner rule's, not a key
-// the commit writes.
+// TestFlushReadsOnlyItsFences: a flush reads the control store only through
+// its entries' guards — data the store checks, where a body could once read
+// anything — and every guard key is a fence: the global epoch of the entry's
+// query, or the channel epoch of a task commit. In every FT mode, with and
+// without a kill. What a commit needs of the control store came with the image
+// its task ran under: a rewound channel's next record is its image's retrace,
+// and a backup's owner is the owner rule's, not a key the commit writes.
 func TestFlushReadsOnlyItsFences(t *testing.T) {
 	tables := joinTables(800)
 	for _, ft := range []FTMode{FTNone, FTWriteAheadLineage, FTSpool, FTCheckpoint} {
 		for _, kill := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/kill=%v", ft, kill), func(t *testing.T) {
 				cl := testCluster(t, 4, tables)
-				store := cl.GCS.(*gcs.Store)
 				cfg := DefaultConfig()
 				cfg.FT = ft
 				cfg.CheckpointEveryTasks = 2
@@ -641,23 +629,23 @@ func TestFlushReadsOnlyItsFences(t *testing.T) {
 						return cur > 2 && cur > m.Seq
 					})
 				}
-				reads := &flushReads{Backend: cl.GCS, store: store, read: map[string]int{}}
-				cl.GCS = reads
+				guards := &flushGuards{Backend: cl.GCS, guarded: map[string]int{}}
+				cl.GCS = guards
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 				defer cancel()
 				_, rep, err := r.Run(ctx)
 				if (err != nil) != (kill && ft == FTNone) || kill && ft != FTNone && rep.Recoveries == 0 {
 					t.Fatalf("Run: %v (report %+v)", err, rep)
 				}
-				reads.mu.Lock()
-				defer reads.mu.Unlock()
-				for class, n := range reads.read {
+				guards.mu.Lock()
+				defer guards.mu.Unlock()
+				for class, n := range guards.guarded {
 					if class != "gep" && class != "cep" {
-						t.Errorf("flush bodies read %q %d times: a flush reads only gep and cep", class, n)
+						t.Errorf("flush entries are guarded on %q %d times: a flush reads only gep and cep", class, n)
 					}
 				}
-				if reads.read["gep"] == 0 || reads.read["cep"] == 0 {
-					t.Errorf("flush bodies read %v: no fence recorded", reads.read)
+				if guards.guarded["gep"] == 0 || guards.guarded["cep"] == 0 {
+					t.Errorf("flush entries are guarded on %v: no fence recorded", guards.guarded)
 				}
 				if kill && ft != FTNone && rep.Metrics[metrics.TasksReplayed] == 0 {
 					t.Error("no task was retraced: the kill exercised no rewound consumer's commit")

@@ -205,7 +205,7 @@ func cursorKillPlan() *Plan {
 	return multiChannelOutputPlan()
 }
 
-// firstFlushHold holds the first flush — the one UpdateMulti caller — after
+// firstFlushHold holds the first flush — the one Apply caller — after
 // it committed and before it returns, keeping its entries unacknowledged and
 // its requester busy, until min(3, readers − n) entries spanning at least
 // queries queries are queued, n being the task commits it carried: every reader
@@ -227,20 +227,22 @@ type firstFlushHold struct {
 	queueNS []string // the namespaces of the entries queued at the release
 }
 
-func (h *firstFlushHold) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+func (h *firstFlushHold) Apply(entries []gcs.Entry) ([]bool, error) {
+	applied, err := h.Backend.Apply(entries)
+	if err != nil || !slices.Contains(applied, true) {
+		return applied, err
+	}
 	n := 0
-	err := h.Backend.UpdateMulti(nss, func(tx *gcs.Txn) error {
-		err := fn(tx)
-		n = 0
-		for k, v := range tx.Writes() {
-			if _, rest, _ := strings.Cut(strings.TrimPrefix(k, "q/"), "/"); v != nil && strings.HasPrefix(rest, "cur/") {
+	var nss []string
+	for i, e := range entries {
+		if !slices.Contains(nss, e.NS) {
+			nss = append(nss, e.NS)
+		}
+		for _, p := range e.Puts {
+			if _, rest, _ := strings.Cut(strings.TrimPrefix(p.Key, "q/"), "/"); applied[i] && strings.HasPrefix(rest, "cur/") {
 				n++
 			}
 		}
-		return err
-	})
-	if err != nil {
-		return err
 	}
 	h.mu.Lock()
 	h.commits = append(h.commits, n)
@@ -269,7 +271,7 @@ func (h *firstFlushHold) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) e
 		h.want, h.queued, h.queueNS = want, len(queueNS), queueNS
 		h.mu.Unlock()
 	}
-	return nil
+	return applied, err
 }
 
 // distinct returns the sorted distinct strings of s.

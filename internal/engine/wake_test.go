@@ -43,12 +43,12 @@ func (a *awaitRecorder) AwaitNS(ctx context.Context, ns string, after uint64, pa
 	return a.Backend.AwaitNS(ctx, ns, after, park)
 }
 
-func (a *awaitRecorder) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
-	err := a.Backend.UpdateMulti(nss, fn)
+func (a *awaitRecorder) Apply(entries []gcs.Entry) ([]bool, error) {
+	applied, err := a.Backend.Apply(entries)
 	a.mu.Lock()
 	a.lastFlush = time.Now()
 	a.mu.Unlock()
-	return err
+	return applied, err
 }
 
 func (a *awaitRecorder) watchers() (now, peak int) {

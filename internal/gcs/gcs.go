@@ -10,9 +10,9 @@
 // paper; workers may fail at any time without corrupting it.
 //
 // The keyspace is sharded by namespace — the "q/<qid>/" prefix every
-// engine key carries — so concurrent queries' transactions (UpdateNS,
-// ViewNS) lock only their own shard and never contend on one global
-// mutex. Whole-store transactions (Update, View) exist on Store only, for
+// engine key carries — so concurrent queries' transactions (Apply,
+// UpdateNS, ViewNS) lock only their own shards and never contend on one
+// global mutex. Whole-store transactions (Update, View) exist on Store only, for
 // in-process callers that scan everything — tests and leak probes; they
 // take every shard lock in order, preserving full serializability against
 // the single-shard path.
@@ -20,8 +20,11 @@ package gcs
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,20 +35,94 @@ import (
 	"quokka/internal/storage"
 )
 
-// Backend is the GCS surface the engine runs against — exactly the methods
-// it calls, specified in docs/contracts/gcs-backend.md. Store is the
-// in-memory default (the head node's real store); a process-mode worker's
-// wire client runs each transaction body locally against a Replica of the
-// namespace (replica.go): a view at no frame — it sees what its client
-// observed — an update at one, a wait at one whose answer brings the replica up
-// to what it woke for. A body is a pure function of its reads, run again when
-// the head finds them stale. Update and View are Store methods only: no remote
-// peer can lock — or enumerate — every query's shard.
+// Backend is the GCS surface a worker runs against — exactly the methods it
+// calls, specified in docs/contracts/gcs-backend.md. Store is the in-memory
+// default (the head node's real store); a process-mode worker's wire client
+// keeps a Replica of each namespace it runs (replica.go): a view at no frame —
+// it sees what its client observed — an Apply of guarded entries at one, a
+// wait at one whose answer brings the replica up to what it woke for. No
+// worker code runs inside the store, and no remote peer can lock — or
+// enumerate — every query's shard.
 type Backend interface {
-	UpdateNS(ns string, fn func(tx *Txn) error) error
-	UpdateMulti(nss []string, fn func(tx *Txn) error) error
+	Apply(entries []Entry) (applied []bool, err error)
 	ViewNS(ns string, fn func(tx *Txn) error) error
 	AwaitNS(ctx context.Context, ns string, after uint64, max time.Duration) uint64
+}
+
+// Head is the head's write path on its own store: a body over one namespace,
+// run once under the shard lock, for seed, recovery and cleanup.
+type Head interface {
+	UpdateNS(ns string, fn func(tx *Txn) error) error
+}
+
+// Entry is one guarded write of an Apply: if every guard holds, its puts and
+// then its deletes land, all keys of namespace NS.
+type Entry struct {
+	NS      string
+	Guards  []Guard
+	Puts    []KV
+	Deletes []string
+}
+
+// Guard is a key and the integer it must hold, in decimal; an absent key
+// holds 0, a value that is no integer nothing.
+type Guard struct {
+	Key  string
+	Want int64
+}
+
+// KV is one put.
+type KV struct {
+	Key string
+	Val []byte
+}
+
+// Bytes is what the entry writes, keys and values: its share of gcs.bytes.
+func (e *Entry) Bytes() (n int64) {
+	for _, p := range e.Puts {
+		n += int64(len(p.Key) + len(p.Val))
+	}
+	for _, k := range e.Deletes {
+		n += int64(len(k))
+	}
+	return n
+}
+
+// check refuses an entry whose namespace is not one query's, or with a key
+// outside it.
+func (e *Entry) check() error {
+	ok := IsNamespace(e.NS)
+	in := func(k string) { ok = ok && nsOf(k) == e.NS }
+	for _, g := range e.Guards {
+		in(g.Key)
+	}
+	for _, p := range e.Puts {
+		in(p.Key)
+	}
+	for _, k := range e.Deletes {
+		in(k)
+	}
+	if !ok {
+		return fmt.Errorf("gcs: a key outside entry namespace %q", e.NS)
+	}
+	return nil
+}
+
+// holds reports whether every guard of e holds in tx.
+func (e *Entry) holds(tx *Txn) bool {
+	for _, g := range e.Guards {
+		n := int64(0)
+		if v, ok := tx.Get(g.Key); ok {
+			var err error
+			if n, err = strconv.ParseInt(string(v), 10, 64); err != nil {
+				return false
+			}
+		}
+		if n != g.Want {
+			return false
+		}
+	}
+	return true
 }
 
 // numShards is the fixed shard count of the keyspace. Namespaces hash onto
@@ -151,10 +228,9 @@ type Txn struct {
 	drops  []string          // namespaces dropped at commit, before writes apply
 	bytes  int64
 
-	// rep, when set, makes this a replica transaction (ReplicaTxn): reads are
-	// served from worker-side Replicas and recorded, so the head can check at
-	// commit that they are still current.
-	rep *replicaReads
+	// rep, when set, makes this a replica transaction (ReplicaTxn): a view
+	// whose reads are served from a worker-side Replica.
+	rep *Replica
 }
 
 // ErrAborted is returned when a transaction body asks to abort.
@@ -233,9 +309,13 @@ func (s *Store) txnNS(ns string, writes map[string][]byte) *Txn {
 }
 
 // UpdateMulti runs fn as one read-write transaction spanning the shards of
-// the given namespaces — the group committer's path for folding several
-// queries' lineage commits into a single head-node round trip.
+// the given namespaces, in one head-node round trip.
 func (s *Store) UpdateMulti(nss []string, fn func(tx *Txn) error) error {
+	return s.run(s.txnMulti(nss), fn)
+}
+
+// txnMulti builds a read-write transaction holding the shards of nss.
+func (s *Store) txnMulti(nss []string) *Txn {
 	var seen [numShards]bool
 	var locked []int
 	for _, ns := range nss {
@@ -245,7 +325,60 @@ func (s *Store) UpdateMulti(nss []string, fn func(tx *Txn) error) error {
 		}
 	}
 	sort.Ints(locked)
-	return s.run(&Txn{s: s, locked: locked, writes: make(map[string][]byte)}, fn)
+	return &Txn{s: s, locked: locked, writes: make(map[string][]byte)}
+}
+
+// errNoneApplied ends an Apply none of whose entries held.
+var errNoneApplied = errors.New("gcs: no entry applied")
+
+// Apply applies, in one transaction over the entries' shards and in order,
+// every entry whose guards hold — a guard sees what the entries applied before
+// it wrote — and answers one bit per entry. If none applies it writes nothing,
+// moves no version and counts nothing. A key outside its entry's namespace
+// fails the call before any lock is taken.
+func (s *Store) Apply(entries []Entry) ([]bool, error) {
+	applied, _, err := s.ApplySync(entries, nil, nil)
+	return applied, err
+}
+
+// ApplySync is Apply for a remote replica: in the same transaction it answers,
+// for each namespace nss[i], the Delta from version since[i] to the shard's
+// version after the call, less the applied entries, which the caller folds in.
+func (s *Store) ApplySync(entries []Entry, nss []string, since []uint64) (applied []bool, deltas []Delta, err error) {
+	all := append(make([]string, 0, len(nss)+len(entries)), nss...)
+	for i := range entries {
+		if err := entries[i].check(); err != nil {
+			return nil, nil, err
+		}
+		all = append(all, entries[i].NS)
+	}
+	applied, deltas = make([]bool, len(entries)), make([]Delta, len(nss))
+	err = s.run(s.txnMulti(all), func(tx *Txn) error {
+		for i, ns := range nss {
+			deltas[i] = s.shards[shardOf(ns)].delta(ns, since[i])
+		}
+		for i := range entries {
+			if applied[i] = entries[i].holds(tx); applied[i] {
+				for _, p := range entries[i].Puts {
+					tx.Put(p.Key, p.Val)
+				}
+				for _, k := range entries[i].Deletes {
+					tx.Delete(k)
+				}
+			}
+		}
+		if !slices.Contains(applied, true) {
+			return errNoneApplied
+		}
+		for i := range deltas {
+			deltas[i].Version++ // the version this transaction installs
+		}
+		return nil
+	})
+	if err == errNoneApplied {
+		err = nil
+	}
+	return applied, deltas, err
 }
 
 // AwaitNS returns the commit counter of the shard holding ns as soon as it
@@ -314,7 +447,8 @@ func (tx *Txn) Get(key string) (val []byte, ok bool) {
 		return v, v != nil
 	}
 	if tx.rep != nil {
-		return tx.rep.get(key)
+		v, ok := tx.rep.read(key)[key]
+		return v, ok
 	}
 	v, ok := tx.shardFor(key).data[key]
 	return v, ok
@@ -326,11 +460,7 @@ func (tx *Txn) write(op, key string, value []byte) {
 	if tx.writes == nil {
 		panic("gcs: " + op + " inside read-only transaction")
 	}
-	if tx.rep != nil {
-		tx.rep.replicaFor(key)
-	} else {
-		tx.shardFor(key)
-	}
+	tx.shardFor(key)
 	tx.writes[key] = value
 	tx.bytes += int64(len(key) + len(value))
 }
@@ -346,11 +476,11 @@ func (tx *Txn) Delete(key string) { tx.write("Delete", key, nil) }
 // DeleteNS drops namespace ns at commit: every key of it committed before the
 // transaction goes, in one pass over its shard, with no per-key write. The
 // body's own writes apply after the drop, so they survive it, and its reads
-// still see the committed keys. Only the head drops a namespace: in a replica
-// or read-only transaction, or on anything but one query's namespace, it
-// panics.
+// still see the committed keys. Only the head drops a namespace: in a
+// read-only transaction — a replica's included — or on anything but one
+// query's namespace, it panics.
 func (tx *Txn) DeleteNS(ns string) {
-	if tx.rep != nil || tx.writes == nil || !IsNamespace(ns) {
+	if tx.writes == nil || !IsNamespace(ns) {
 		panic(fmt.Sprintf("gcs: DeleteNS(%q) outside a head update, or not a namespace", ns))
 	}
 	tx.shardFor(ns)
@@ -370,7 +500,7 @@ func (tx *Txn) List(prefix string) []string {
 		}
 	}
 	if tx.rep != nil {
-		scan(tx.rep.list(prefix))
+		scan(tx.rep.read(prefix))
 	}
 	for _, si := range tx.locked {
 		scan(tx.s.shards[si].data)

@@ -1,24 +1,22 @@
 package gcs
 
 import (
-	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 )
 
 // The store's remote form (docs/contracts/gcs-backend.md): a worker process
-// keeps a Replica of each namespace it runs and runs transaction bodies
-// against it. The head answers, under the shard lock and waiting on no peer,
-// Sync — what changed since version v (a wait that woke, a first contact) —
-// and Commit — apply this write set if these reads are still current (an
-// update) — from a per-namespace change log that starts at the namespace's
-// first Sync and goes with the namespace (Txn.DeleteNS): a namespace no
-// replica follows costs a commit one empty-map check.
+// keeps a Replica of each namespace it runs and runs view bodies against it.
+// The head answers, under the shard lock and waiting on no peer, Sync — what
+// changed since version v (a wait that woke, a first contact) — and ApplySync
+// — these guarded entries, and what changed besides — from a per-namespace
+// change log that starts at the namespace's first Sync and goes with the
+// namespace (Txn.DeleteNS): a namespace no replica follows costs a commit one
+// empty-map check.
 
 // IsNamespace reports whether ns is exactly one query's "q/<qid>/" prefix.
-// Sync and Commit enumerate what they are given: "" would list a shard.
+// Sync and ApplySync enumerate what they are given: "" would list a shard.
 func IsNamespace(ns string) bool { return ns != "" && nsOf(ns) == ns }
 
 // nsLog is one namespace's change log: every key written or deleted after
@@ -84,80 +82,6 @@ func (s *Store) Sync(ns string, since uint64) (d Delta) {
 	return d
 }
 
-// ReadSet is one namespace's share of a replica transaction: the version of
-// the replica the body ran against, the keys it asked Get for and the
-// prefixes it asked List for.
-type ReadSet struct {
-	NS       string
-	Version  uint64
-	Keys     []string
-	Prefixes []string
-}
-
-// staleAfter reports whether something rs read is among d's changes.
-func (rs *ReadSet) staleAfter(d Delta) bool {
-	if d.Full {
-		return d.Version != rs.Version // cannot tell what changed, if anything did
-	}
-	for k := range d.Set {
-		under := func(prefix string) bool { return strings.HasPrefix(k, prefix) }
-		if slices.Contains(rs.Keys, k) || slices.ContainsFunc(rs.Prefixes, under) {
-			return true
-		}
-	}
-	return false
-}
-
-var errStale = errors.New("gcs: read set stale")
-
-// Commit answers a remote UpdateNS / UpdateMulti: if nothing the body read
-// changed after the version it read it at, writes (nil value: delete) are
-// applied as one real transaction over the namespaces in reads — shard
-// discipline enforced, versions bumped, counted like any update, serialised
-// now. Otherwise nothing is applied and the caller runs its body again.
-// Either way deltas[i] brings a replica of reads[i].NS to the shard's
-// version after the call — not including writes, which the caller has.
-func (s *Store) Commit(reads []ReadSet, writes map[string][]byte) (committed bool, deltas []Delta, err error) {
-	nss := make([]string, len(reads))
-	for i := range reads {
-		nss[i] = reads[i].NS
-	}
-	deltas = make([]Delta, len(reads))
-	err = s.UpdateMulti(nss, func(tx *Txn) (err error) {
-		// A write outside the named namespaces' shards panics in tx.Put, as
-		// for any local body; from a peer it must fail the call, not the head.
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("gcs: commit: %v", p)
-			}
-		}()
-		for i := range reads {
-			deltas[i] = s.shards[shardOf(reads[i].NS)].delta(reads[i].NS, reads[i].Version)
-			if reads[i].staleAfter(deltas[i]) {
-				err = errStale
-			}
-		}
-		if err != nil {
-			return err
-		}
-		for k, v := range writes {
-			if v == nil {
-				tx.Delete(k)
-			} else {
-				tx.Put(k, v)
-			}
-		}
-		for i := range deltas {
-			deltas[i].Version++ // the version this transaction installs
-		}
-		return nil
-	})
-	if err == errStale {
-		return false, deltas, nil
-	}
-	return err == nil, deltas, err
-}
-
 // Replica is a worker-side copy of one namespace as of shard version
 // Version: what replica transactions read. Empty at version 0 until its
 // first Delta. Not safe for concurrent use; the wire client guards it.
@@ -167,79 +91,46 @@ type Replica struct {
 	data    map[string][]byte
 }
 
-// Apply brings the replica to d.Version: d's changes, then own — the write
-// set the caller's transaction committed at d.Version, if any — of which the
-// replica takes its namespace's keys. A delta no newer than the replica is
-// skipped whole: answers arrive out of order, and a later one covered it.
-func (r *Replica) Apply(d Delta, own map[string][]byte) {
+// Fold brings the replica to d.Version: d's changes, then the writes of own —
+// the entries the caller's Apply had applied at d.Version, if any — of its
+// namespace. A delta no newer than the replica is skipped whole: answers
+// arrive out of order, and a later one covered it.
+func (r *Replica) Fold(d Delta, own []Entry) {
 	if d.Version <= r.Version {
 		return
 	}
 	if d.Full || r.data == nil {
 		r.data = make(map[string][]byte, len(d.Set))
 	}
-	for _, set := range []map[string][]byte{d.Set, own} {
-		for k, v := range set {
-			if v == nil {
-				delete(r.data, k)
-			} else if strings.HasPrefix(k, r.NS) {
-				r.data[k] = v
+	for k, v := range d.Set {
+		if v == nil {
+			delete(r.data, k)
+		} else if nsOf(k) == r.NS {
+			r.data[k] = v
+		}
+	}
+	for _, e := range own {
+		for _, p := range e.Puts {
+			if e.NS == r.NS {
+				r.data[p.Key] = p.Val
 			}
+		}
+		for _, k := range e.Deletes {
+			delete(r.data, k)
 		}
 	}
 	r.Version = d.Version
 }
 
-// replicaReads is the read side of a replica transaction: the replicas it
-// runs over, one per namespace it names, and what the body read in each.
-type replicaReads struct {
-	reps  []*Replica
-	reads []ReadSet
-}
+// ReplicaTxn builds a read-only transaction whose reads are served from rep;
+// the caller keeps rep unchanged while the body runs.
+func ReplicaTxn(rep *Replica) *Txn { return &Txn{rep: rep} }
 
-// ReplicaTxn builds a transaction whose reads are served from reps — one per
-// namespace it names — and recorded; writes (unless readOnly) buffer. The
-// caller keeps reps unchanged while the body runs, then ships ReadSets and
-// Writes to the head's Commit.
-func ReplicaTxn(reps []*Replica, readOnly bool) *Txn {
-	rr := &replicaReads{reps: reps, reads: make([]ReadSet, len(reps))}
-	for i, r := range reps {
-		rr.reads[i] = ReadSet{NS: r.NS, Version: r.Version}
+// read returns the data a read of key scans; a key of another namespace
+// panics, as one outside a local transaction's shards does.
+func (r *Replica) read(key string) map[string][]byte {
+	if nsOf(key) != r.NS {
+		panic(fmt.Sprintf("gcs: key %q outside the transaction's namespace %q", key, r.NS))
 	}
-	tx := &Txn{rep: rr}
-	if !readOnly {
-		tx.writes = make(map[string][]byte)
-	}
-	return tx
+	return r.data
 }
-
-// replicaFor returns the index of the replica of key's namespace; a key of a
-// namespace the transaction did not name panics, as outside a local one's shards.
-func (rr *replicaReads) replicaFor(key string) int {
-	for i, r := range rr.reps {
-		if r.NS == nsOf(key) {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("gcs: key %q outside the transaction's namespaces", key))
-}
-
-func (rr *replicaReads) get(key string) ([]byte, bool) {
-	i := rr.replicaFor(key)
-	rr.reads[i].Keys = append(rr.reads[i].Keys, key)
-	v, ok := rr.reps[i].data[key]
-	return v, ok
-}
-
-// list records a List of prefix and returns the data to scan for it.
-func (rr *replicaReads) list(prefix string) map[string][]byte {
-	i := rr.replicaFor(prefix)
-	rr.reads[i].Prefixes = append(rr.reads[i].Prefixes, prefix)
-	return rr.reps[i].data
-}
-
-// ReadSets is what a replica transaction's body read, per namespace.
-func (tx *Txn) ReadSets() []ReadSet { return tx.rep.reads }
-
-// Writes is a replica transaction's buffered write set (nil value: delete).
-func (tx *Txn) Writes() map[string][]byte { return tx.writes }

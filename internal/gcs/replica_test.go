@@ -4,13 +4,14 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
+
+	"quokka/internal/metrics"
 )
 
 // The store's remote form: change tracking that starts with the first Sync
 // of a namespace and ends with its last key, deltas that carry exactly what
-// changed, and Commit's validation of a shipped read set.
+// changed, and Apply's guarded entries.
 
 func putKeys(t *testing.T, s *Store, ns string, kv ...string) {
 	t.Helper()
@@ -99,10 +100,10 @@ func TestChangeTrackingLifecycle(t *testing.T) {
 
 	// A replica applies what it is sent and ends where the store is.
 	rep := &Replica{NS: ns}
-	rep.Apply(first, nil)
-	rep.Apply(d, nil)
-	rep.Apply(first, nil) // an answer arriving late changes nothing
-	tx := ReplicaTxn([]*Replica{rep}, true)
+	rep.Fold(first, nil)
+	rep.Fold(d, nil)
+	rep.Fold(first, nil) // an answer arriving late changes nothing
+	tx := ReplicaTxn(rep)
 	if got := tx.List(ns); !reflect.DeepEqual(got, []string{ns + "a", ns + "c"}) || rep.Version != d.Version {
 		t.Fatalf("replica holds %v at %d, want a and c at %d", got, rep.Version, d.Version)
 	}
@@ -169,128 +170,109 @@ func TestDeltaCarriesOneNamespace(t *testing.T) {
 	}
 }
 
-// TestCommitValidatesReadSet: a shipped transaction is applied only if what
-// it read is still current — per key and per listed prefix, not per shard —
-// and otherwise answered stale with the delta that makes a re-run current.
-func TestCommitValidatesReadSet(t *testing.T) {
+// TestApplyChecksGuards: Apply applies, in one transaction and in entry
+// order, every entry whose guards hold — an absent key holding 0, a guard
+// seeing what an entry before it wrote — and answers one bit per entry; with
+// none applied it writes nothing, moves no version and counts nothing; an
+// entry with a key outside its namespace fails the call with no effect; and
+// ApplySync's delta is what others changed, not the entries applied.
+func TestApplyChecksGuards(t *testing.T) {
 	s, met := newStore()
 	ns := "q/val/"
-	putKeys(t, s, ns, "fence", "0", "n", "1", "rp/0/x", "d")
+	putKeys(t, s, ns, "gep", "2", "cep/1", "x", "other", "o")
 	at := s.Sync(ns, 0).Version
-	reads := func(keys, prefixes []string) []ReadSet {
-		return []ReadSet{{NS: ns, Version: at, Keys: keys, Prefixes: prefixes}}
+	putKeys(t, s, ns, "theirs", "y")
+	kv := func(k, v string) KV { return KV{Key: ns + k, Val: []byte(v)} }
+	entries := []Entry{
+		{NS: ns, Guards: []Guard{{ns + "gep", 2}, {ns + "cep/0", 0}}, Puts: []KV{kv("cur/0", "1"), kv("lin/0", "r")}},
+		{NS: ns, Guards: []Guard{{ns + "gep", 1}}, Puts: []KV{kv("cur/1", "1")}},                     // the epoch moved
+		{NS: ns, Guards: []Guard{{ns + "cep/1", 0}}, Puts: []KV{kv("cur/2", "1")}},                   // no integer
+		{NS: ns, Guards: []Guard{{ns + "cur/0", 1}}, Deletes: []string{ns + "other"}},                // sees entry 0
+		{NS: ns, Guards: []Guard{{ns + "gep", 2}, {ns + "absent", 1}}, Puts: []KV{kv("cur/3", "1")}}, // absent reads 0
+	}
+	ctx := context.Background()
+	version, txns, bytes := s.AwaitNS(ctx, ns, 0, 0), met.Get(metrics.GCSTxns), met.Get(metrics.GCSBytes)
+	applied, deltas, err := s.ApplySync(entries, []string{ns}, []uint64{at})
+	if err != nil || !reflect.DeepEqual(applied, []bool{true, false, false, true, false}) {
+		t.Fatalf("applied %v, %v", applied, err)
+	}
+	if got := s.AwaitNS(ctx, ns, 0, 0); got != version+1 || met.Get(metrics.GCSTxns) != txns+1 {
+		t.Fatalf("version %d -> %d, %d transactions: want one", version, got, met.Get(metrics.GCSTxns)-txns)
+	}
+	if got, want := met.Get(metrics.GCSBytes)-bytes, entries[0].Bytes()+entries[3].Bytes(); got != want {
+		t.Fatalf("gcs.bytes moved %d, want the applied entries' %d", got, want)
+	}
+	if got := deltaMap(deltas[0]); !reflect.DeepEqual(got, map[string]string{ns + "theirs": "y"}) || deltas[0].Version != version+1 {
+		t.Fatalf("delta %v at %d, want theirs alone at %d", got, deltas[0].Version, version+1)
+	}
+	s.ViewNS(ns, func(tx *Txn) error {
+		if got := tx.List(ns); !reflect.DeepEqual(got, []string{ns + "cep/1", ns + "cur/0", ns + "gep", ns + "lin/0", ns + "theirs"}) {
+			t.Errorf("store holds %v", got)
+		}
+		return nil
+	})
+
+	// None applied: nothing written, the version unmoved, nothing counted.
+	version, txns = s.AwaitNS(ctx, ns, 0, 0), met.Get(metrics.GCSTxns)
+	applied, err = s.Apply([]Entry{{NS: ns, Guards: []Guard{{ns + "gep", 7}}, Puts: []KV{kv("lost", "x")}}})
+	if err != nil || !reflect.DeepEqual(applied, []bool{false}) || s.AwaitNS(ctx, ns, 0, 0) != version || met.Get(metrics.GCSTxns) != txns {
+		t.Fatalf("a refused Apply: %v, %v, version %d -> %d, %d transactions", applied, err, version, s.AwaitNS(ctx, ns, 0, 0), met.Get(metrics.GCSTxns)-txns)
 	}
 
-	// An unrelated key moved: still current, applied, and the delta is what
-	// others changed — not the write set.
-	putKeys(t, s, ns, "other", "x")
-	txns := met.Get("gcs.txns")
-	ok, deltas, err := s.Commit(reads([]string{ns + "fence", ns + "n"}, nil), map[string][]byte{ns + "n": []byte("2")})
-	if err != nil || !ok {
-		t.Fatalf("commit with current reads: %v, %v", ok, err)
-	}
-	if !reflect.DeepEqual(deltaMap(deltas[0]), map[string]string{ns + "other": "x"}) || deltas[0].Version != s.AwaitNS(context.Background(), ns, 0, 0) {
-		t.Fatalf("committed delta %v at %d (shard %d)", deltaMap(deltas[0]), deltas[0].Version, s.AwaitNS(context.Background(), ns, 0, 0))
-	}
-	if got := met.Get("gcs.txns") - txns; got != 1 {
-		t.Fatalf("a commit counted %d transactions", got)
-	}
-
-	// The same read set again is stale now: n moved (we moved it). Nothing is
-	// applied, nothing counted, and the delta names n.
-	version, txns := s.AwaitNS(context.Background(), ns, 0, 0), met.Get("gcs.txns")
-	ok, deltas, err = s.Commit(reads([]string{ns + "n"}, nil), map[string][]byte{ns + "n": []byte("lost")})
-	if err != nil || ok || s.AwaitNS(context.Background(), ns, 0, 0) != version || met.Get("gcs.txns") != txns {
-		t.Fatalf("stale commit: %v, %v, version %d -> %d", ok, err, version, s.AwaitNS(context.Background(), ns, 0, 0))
-	}
-	if got := deltaMap(deltas[0]); got[ns+"n"] != "2" {
-		t.Fatalf("stale delta %v, want n = 2", got)
-	}
-
-	// A listed prefix is stale when a key under it appears or goes; a delete
-	// in the write set deletes.
-	at = s.AwaitNS(context.Background(), ns, 0, 0)
-	s.UpdateNS(ns, func(tx *Txn) error { tx.Delete(ns + "rp/0/x"); return nil })
-	if ok, _, _ := s.Commit(reads(nil, []string{ns + "rp/1/"}), map[string][]byte{ns + "other": nil}); !ok {
-		t.Fatalf("a delete under rp/0/ made a list of rp/1/ stale")
-	}
-	if ok, _, _ := s.Commit(reads(nil, []string{ns + "rp/0/"}), nil); ok {
-		t.Fatalf("a delete under a listed prefix went unnoticed")
-	}
-	if got := deltaMap(s.Sync(ns, at)); got[ns+"other"] != "<deleted>" {
-		t.Fatalf("shipped delete not applied: %v", got)
-	}
-
-	// A replica older than the log cannot be validated: stale, with the
-	// whole namespace.
-	other := "q/val-untracked/"
-	putKeys(t, s, other, "k", "v")
-	ok, deltas, _ = s.Commit([]ReadSet{{NS: other, Version: 0, Keys: []string{other + "k"}}}, nil)
-	if ok || !deltas[0].Full || len(deltas[0].Set) != 1 {
-		t.Fatalf("commit from a replica holding nothing: %v, %+v", ok, deltas[0])
-	}
-
-	// A write outside the named namespaces' shards fails the call and applies
-	// nothing.
+	// A key outside its entry's namespace, or a namespace that is not one
+	// query's, fails the call: no entry applies, not even a good one.
 	var foreign string
 	for i := 0; ; i++ {
 		if foreign = fmt.Sprintf("q/val-foreign-%d/", i); shardOf(foreign) != shardOf(ns) {
 			break
 		}
 	}
-	version = s.versionSum()
-	at = s.AwaitNS(context.Background(), ns, 0, 0)
-	_, _, err = s.Commit(reads(nil, nil), map[string][]byte{ns + "n": []byte("x"), foreign + "k": []byte("x")})
-	if err == nil || s.versionSum() != version {
-		t.Fatalf("foreign write: err %v, version %d -> %d", err, version, s.versionSum())
+	good := Entry{NS: ns, Puts: []KV{kv("good", "x")}}
+	for name, bad := range map[string]Entry{
+		"put":       {NS: ns, Puts: []KV{{foreign + "k", []byte("x")}}},
+		"guard":     {NS: ns, Guards: []Guard{{foreign + "gep", 0}}},
+		"delete":    {NS: ns, Deletes: []string{"bare"}},
+		"namespace": {NS: "", Puts: []KV{{"k", []byte("x")}}},
+	} {
+		store := s.versionSum()
+		if _, err := s.Apply([]Entry{good, bad}); err == nil || s.versionSum() != store {
+			t.Errorf("a foreign %s: err %v, version %d -> %d", name, err, store, s.versionSum())
+		}
 	}
 }
 
-// TestReplicaTxnRecordsReads: a replica transaction serves reads from the
-// replica, records them — not the ones its own writes answered — and refuses
-// keys of a namespace it did not name.
-func TestReplicaTxnRecordsReads(t *testing.T) {
+// TestReplicaFoldsAppliedEntries: a replica transaction is a view — reads
+// from the replica, a write panics, a key of another namespace is refused — and
+// a fold takes the delta, then the applied entries of the replica's own
+// namespace; an answer older than the replica changes nothing.
+func TestReplicaFoldsAppliedEntries(t *testing.T) {
 	a, b := &Replica{NS: "q/a/"}, &Replica{NS: "q/b/"}
-	a.Apply(Delta{Version: 3, Full: true, Set: map[string][]byte{"q/a/x": []byte("1"), "q/a/rp/1": []byte("d")}}, nil)
-	b.Apply(Delta{Version: 7, Full: true}, nil)
-	tx := ReplicaTxn([]*Replica{a, b}, false)
-	tx.Put("q/b/new", []byte("n"))
-	tx.Get("q/b/new") // own write: not a read of the replica
-	tx.Get("q/a/x")
-	tx.Get("q/b/absent")
-	if got := tx.List("q/a/rp/"); !reflect.DeepEqual(got, []string{"q/a/rp/1"}) {
-		t.Fatalf("list = %v", got)
+	a.Fold(Delta{Version: 3, Full: true, Set: map[string][]byte{"q/a/x": []byte("1"), "q/a/rp/1": []byte("d")}}, nil)
+	b.Fold(Delta{Version: 7, Full: true}, nil)
+	own := []Entry{
+		{NS: "q/b/", Puts: []KV{{"q/b/new", []byte("n")}}},
+		{NS: "q/a/", Deletes: []string{"q/a/rp/1"}},
 	}
-	want := []ReadSet{
-		{NS: "q/a/", Version: 3, Keys: []string{"q/a/x"}, Prefixes: []string{"q/a/rp/"}},
-		{NS: "q/b/", Version: 7, Keys: []string{"q/b/absent"}},
+	b.Fold(Delta{Version: 8}, own)
+	a.Fold(Delta{Version: 4, Set: map[string][]byte{"q/a/y": []byte("2")}}, own)
+	a.Fold(Delta{Version: 4, Set: map[string][]byte{"q/a/late": []byte("3")}}, nil)
+	if v, ok := ReplicaTxn(b).Get("q/b/new"); !ok || string(v) != "n" || b.Version != 8 {
+		t.Fatalf("own put missing from its namespace's replica (version %d)", b.Version)
 	}
-	if got := tx.ReadSets(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("read sets %+v, want %+v", got, want)
+	if got := ReplicaTxn(a).List("q/a/"); !reflect.DeepEqual(got, []string{"q/a/x", "q/a/y"}) || a.Version != 4 {
+		t.Fatalf("replica of q/a/ holds %v at %d, want x and y at 4", got, a.Version)
 	}
-	keys := make([]string, 0, 1)
-	for k := range tx.Writes() {
-		keys = append(keys, k)
+	panics := func(what string, body func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		body()
 	}
-	sort.Strings(keys)
-	if !reflect.DeepEqual(keys, []string{"q/b/new"}) {
-		t.Fatalf("writes = %v", keys)
-	}
-	// The committed write set is overlaid by namespace.
-	b.Apply(Delta{Version: 8}, tx.Writes())
-	a.Apply(Delta{Version: 4}, tx.Writes())
-	if v, ok := ReplicaTxn([]*Replica{b}, true).Get("q/b/new"); !ok || string(v) != "n" {
-		t.Fatalf("own write missing from its namespace's replica")
-	}
-	if got := ReplicaTxn([]*Replica{a}, true).List("q/a/"); len(got) != 2 {
-		t.Fatalf("own write leaked into another namespace's replica: %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a key of an unnamed namespace was readable")
-		}
-	}()
-	ReplicaTxn([]*Replica{a}, true).Get("q/c/x")
+	panics("a put in a replica transaction", func() { ReplicaTxn(a).Put("q/a/x", []byte("2")) })
+	panics("a read of another namespace", func() { ReplicaTxn(a).Get("q/c/x") })
 }
 
 // BenchmarkUpdateNS is the in-memory commit path with no replica attached —

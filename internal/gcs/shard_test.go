@@ -227,8 +227,8 @@ func TestDeleteNSDropsTheNamespace(t *testing.T) {
 			t.Error("a committed key reads absent before the commit that drops it")
 		}
 		tx.Put(ns+"late", []byte("2"))
-		if len(tx.Writes()) != 2 {
-			t.Errorf("%d buffered writes, want the body's two puts and nothing for the drop", len(tx.Writes()))
+		if len(tx.writes) != 2 {
+			t.Errorf("%d buffered writes, want the body's two puts and nothing for the drop", len(tx.writes))
 		}
 		return nil
 	})
@@ -254,9 +254,7 @@ func TestDeleteNSDropsTheNamespace(t *testing.T) {
 		}()
 		body()
 	}
-	refused("in a replica transaction", func() {
-		ReplicaTxn([]*Replica{{NS: other}}, false).DeleteNS(other)
-	})
+	refused("in a replica transaction", func() { ReplicaTxn(&Replica{NS: other}).DeleteNS(other) })
 	refused("in a view", func() { s.txnNS(other, nil).DeleteNS(other) })
 	refused("of a key prefix", func() {
 		s.txnNS(other, map[string][]byte{}).DeleteNS(other + "lin/")

@@ -52,8 +52,8 @@ func DefaultAnalyzers() []*Analyzer {
 				{Pkg: "quokka/internal/engine", Name: "taskManager.resetChannel"},
 				{Pkg: "quokka/internal/engine", Name: "Runner.loadReplays"},
 				// The wire server's transaction handler has the store
-				// enumerate a namespace a REMOTE caller named (Sync and Commit
-				// answer with what changed in it): the prefix was built
+				// enumerate a namespace a REMOTE caller named (Sync and
+				// ApplySync answer with what changed in it): the prefix was built
 				// worker-side by the blessed helper and arrives as opaque
 				// bytes. The handler is audited to refuse anything but exactly
 				// one query's namespace — wire code still cannot construct
@@ -62,7 +62,7 @@ func DefaultAnalyzers() []*Analyzer {
 			},
 			SweepMethodNames: []string{"DeletePrefix"},
 			RangeMethods: map[string]string{"List": "gcs.Txn", "DeleteNS": "gcs.Txn",
-				"Sync": "gcs.Store", "Commit": "gcs.Store"},
+				"Sync": "gcs.Store", "ApplySync": "gcs.Store"},
 			// Dropping a query's whole GCS namespace is teardown's alone:
 			// Runner.cleanup, once the query's task managers have stopped.
 			MethodCallers: map[string][]FuncRef{

@@ -71,6 +71,7 @@ const (
 	RecoveryReplays  = "recovery.replays"
 	RecoveryRewinds  = "recovery.rewinds"
 	LineageRecords   = "lineage.records"
+	EntriesFenced    = "lineage.entries_fenced" // flush entries refused: a guard did not hold, or the requester's worker died
 	SpoolWriteBytes  = "spool.write.bytes"
 	PiecesHanded     = "shuffle.pieces.handed"  // pieces consumed as the batch a same-worker producer built
 	PiecesDecoded    = "shuffle.pieces.decoded" // pieces consumed by decoding (cross-worker pushes, replays)
@@ -122,7 +123,7 @@ const (
 // Process-mode traffic by message type, counted by the listener that serves it
 // (a worker's reaches the head with its counter report): WireFrames+<op> request
 // frames, WireBytes+<op> their bytes plus the answers'. <op>, at the head
-// (wire.headOps): gcs_commit gcs_follow obj_put obj_get sink_deliver; at a
+// (wire.headOps): gcs_apply gcs_follow obj_put obj_get sink_deliver; at a
 // worker's mailbox (wire.mailboxOps): fl_push fl_drop_query.
 const (
 	WireFrames        = "wire.frames."

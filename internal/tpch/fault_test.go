@@ -50,8 +50,9 @@ func runQueryWithKill(t *testing.T, cl *cluster.Cluster, q int, cfg engine.Confi
 }
 
 // killOnCommits kills the given worker from inside the first flush — the one
-// UpdateMulti caller — after which due holds of the task commits flushed so
-// far: cur/ puts, counted per query id. Install it before the queries start.
+// Apply caller — after which due holds of the task commits flushed so far:
+// cur/ puts of the entries applied, counted per query id. Install it before
+// the queries start.
 func killOnCommits(cl *cluster.Cluster, victim int, due func(commits map[string]int) bool) {
 	cl.GCS = &commitKiller{Backend: cl.GCS, kill: cl.Worker(cluster.WorkerID(victim)).Kill,
 		due: due, commits: map[string]int{}}
@@ -67,23 +68,24 @@ type commitKiller struct {
 	commits map[string]int
 }
 
-func (k *commitKiller) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
-	return k.Backend.UpdateMulti(nss, func(tx *gcs.Txn) error {
-		if err := fn(tx); err != nil {
-			return err
-		}
-		k.mu.Lock()
-		defer k.mu.Unlock()
-		for key, v := range tx.Writes() {
-			if qid, rest, _ := strings.Cut(strings.TrimPrefix(key, "q/"), "/"); v != nil && strings.HasPrefix(rest, "cur/") {
+func (k *commitKiller) Apply(entries []gcs.Entry) ([]bool, error) {
+	applied, err := k.Backend.Apply(entries)
+	if err != nil {
+		return applied, err
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for i, e := range entries {
+		for _, p := range e.Puts {
+			if qid, rest, _ := strings.Cut(strings.TrimPrefix(p.Key, "q/"), "/"); applied[i] && strings.HasPrefix(rest, "cur/") {
 				k.commits[qid]++
 			}
 		}
-		if k.due(k.commits) {
-			k.kill()
-		}
-		return nil
-	})
+	}
+	if k.due(k.commits) {
+		k.kill()
+	}
+	return applied, err
 }
 
 // TestTPCHFailureRecoveryMatchesFailureFree kills a worker mid-query on

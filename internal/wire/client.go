@@ -139,28 +139,22 @@ func (p *pool) boolOf(typ byte, payload []byte) bool {
 // GCS client
 
 // gcsClient implements gcs.Backend against the head's store. It keeps a
-// gcs.Replica of every namespace its process runs; a transaction body runs
-// locally against them — a view with no frame, an update before the one commit
-// frame the head validates — and a wait is one follow frame, whose answer
-// brings the replica up to what it woke for.
+// gcs.Replica of every namespace its process runs: a view runs its body
+// locally against one with no frame, an Apply is one frame of guarded entries,
+// and a wait is one follow frame; each answer brings the replicas up to what
+// the head saw.
 type gcsClient struct {
 	p *pool
 
-	// mu guards the replicas: bodies read under RLock, answers apply their
+	// mu guards the replicas: views read under RLock, answers fold their
 	// deltas under Lock, nothing is held across a round trip.
 	mu   sync.RWMutex
 	reps map[string]*gcs.Replica
 }
 
-// maxBodyRuns bounds how often one update runs its body. A stale answer means
-// another writer committed a key the body read — for the engine's bodies a
-// recovery pass, which writes a handful of times and is done. Past the bound
-// the update reports gcs.ErrAborted: "fenced, try again on a later round".
-const maxBodyRuns = 8
-
 // replica returns the process's replica of ns, fetched while it holds nothing
-// (version 0) by one follow frame that parks for nothing: a body never runs on
-// a namespace nothing is known about.
+// (version 0) by one follow frame that parks for nothing: nothing runs on a
+// namespace nothing is known about.
 func (g *gcsClient) replica(ns string) (*gcs.Replica, error) {
 	g.mu.Lock()
 	if g.reps == nil {
@@ -192,33 +186,38 @@ func (g *gcsClient) forget(ns string) {
 	g.mu.Unlock()
 }
 
-// exchange sends one frame about reps and applies the answer's deltas — and
-// own, the request's write set, if the answer says committed.
-func (g *gcsClient) exchange(ctx context.Context, typ byte, req []byte, reps []*gcs.Replica, own map[string][]byte) (committed bool, err error) {
+// exchange sends one frame about reps and folds the answer into them: each
+// namespace's delta, then the entries of sent the answer says applied — one
+// bit per entry sent, none for a follow.
+func (g *gcsClient) exchange(ctx context.Context, typ byte, req []byte, reps []*gcs.Replica, sent []gcs.Entry) ([]bool, error) {
 	rp, err := g.p.expect(ctx, typ, req, mtGCSResult)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	r := rbuf{b: rp}
-	if committed = r.boolean("committed"); !committed {
-		own = nil
+	applied := make([]bool, len(sent))
+	var own []gcs.Entry
+	for i := range applied {
+		if applied[i] = r.boolean("applied"); applied[i] {
+			own = append(own, sent[i])
+		}
 	}
 	if n := int(r.u32("delta count")); r.e == nil && n != len(reps) {
-		return false, fmt.Errorf("%w: %d deltas for %d namespaces", ErrCorrupt, n, len(reps))
+		return nil, fmt.Errorf("%w: %d deltas for %d namespaces", ErrCorrupt, n, len(reps))
 	}
 	deltas := make([]gcs.Delta, len(reps))
 	for i := range deltas {
 		deltas[i] = gcs.Delta{Version: r.u64("delta version"), Full: r.boolean("delta full"), Set: r.kvs("delta entry")}
 	}
 	if err := r.err(); err != nil {
-		return false, err
+		return nil, err
 	}
 	g.mu.Lock()
 	for i, rep := range reps {
-		rep.Apply(deltas[i], own)
+		rep.Fold(deltas[i], own)
 	}
 	g.mu.Unlock()
-	return committed, nil
+	return applied, nil
 }
 
 // follow is the one frame that waits: the head parks it until the namespace's
@@ -234,65 +233,63 @@ func (g *gcsClient) follow(ctx context.Context, rep *gcs.Replica, after uint64, 
 	return err
 }
 
-// body runs fn against the replicas as they stand.
-func (g *gcsClient) body(reps []*gcs.Replica, readOnly bool, fn func(tx *gcs.Txn) error) (*gcs.Txn, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	tx := gcs.ReplicaTxn(reps, readOnly)
-	return tx, fn(tx)
-}
-
 // ViewNS runs the body against the replica with no frame: it sees everything
-// this client has observed — its last AwaitNS answer, its own committed
-// updates — and perhaps more.
+// this client has observed — its last AwaitNS answer, its own applied entries
+// — and perhaps more.
 func (g *gcsClient) ViewNS(ns string, fn func(tx *gcs.Txn) error) error {
 	rep, err := g.replica(ns)
 	if err != nil {
 		return err
 	}
-	_, err = g.body([]*gcs.Replica{rep}, true, fn)
-	return err
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return fn(gcs.ReplicaTxn(rep))
 }
 
-// UpdateMulti runs the body against the replicas as last brought up to date
-// and ships what it read and wrote in one frame; answered stale, it runs the
-// body again on the state the answer's deltas brought. A body's error aborts
-// without a frame: an abort has no effect wherever decided.
-func (g *gcsClient) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
-	reps := make([]*gcs.Replica, len(nss))
-	for i, ns := range nss {
-		var err error
-		if reps[i], err = g.replica(ns); err != nil {
-			return err
+// Apply is one frame: the namespaces the entries name, each with its replica's
+// version, then the entries, each naming its namespace by index. No entry, no
+// frame.
+func (g *gcsClient) Apply(entries []gcs.Entry) ([]bool, error) {
+	if len(entries) == 0 {
+		return nil, nil
+	}
+	var reps []*gcs.Replica
+	var w wbuf
+	index := make(map[string]uint32, 2)
+	for _, e := range entries {
+		if _, ok := index[e.NS]; !ok {
+			rep, err := g.replica(e.NS)
+			if err != nil {
+				return nil, err
+			}
+			index[e.NS], reps = uint32(len(reps)), append(reps, rep)
 		}
 	}
-	for run := 0; run < maxBodyRuns; run++ {
-		tx, err := g.body(reps, false, fn)
-		if err != nil {
-			return err
-		}
-		var w wbuf
-		w.u32(uint32(len(nss)))
-		for _, rs := range tx.ReadSets() {
-			w.str(rs.NS)
-			w.u64(rs.Version)
-			w.strs(rs.Keys)
-			w.strs(rs.Prefixes)
-		}
-		w.kvs(tx.Writes())
-		if committed, err := g.exchange(context.Background(), mtGCSCommit, w.b, reps, tx.Writes()); committed || err != nil {
-			return err
-		}
+	w.u32(uint32(len(reps)))
+	for _, rep := range reps {
+		w.str(rep.NS)
+		w.u64(g.version(rep))
 	}
-	return gcs.ErrAborted
-}
-
-func (g *gcsClient) UpdateNS(ns string, fn func(tx *gcs.Txn) error) error {
-	return g.UpdateMulti([]string{ns}, fn)
+	w.u32(uint32(len(entries)))
+	for _, e := range entries {
+		w.u32(index[e.NS])
+		w.u32(uint32(len(e.Guards)))
+		for _, gd := range e.Guards {
+			w.str(gd.Key)
+			w.i64(gd.Want)
+		}
+		w.u32(uint32(len(e.Puts)))
+		for _, p := range e.Puts {
+			w.str(p.Key)
+			w.bytes(p.Val)
+		}
+		w.strs(e.Deletes)
+	}
+	return g.exchange(context.Background(), mtGCSApply, w.b, reps, entries)
 }
 
 // AwaitNS returns the replica's version: with no frame when it is already past
-// after (the client's own commit moved it), else after one follow frame, parked
+// after (the client's own Apply moved it), else after one follow frame, parked
 // for at most park and the head's cap. A failed exchange reads as 0 — once park
 // or ctx has run out, lest a dead head turn a waiting loop into a spinning one.
 func (g *gcsClient) AwaitNS(ctx context.Context, ns string, after uint64, park time.Duration) uint64 {

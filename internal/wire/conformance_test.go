@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"weak"
@@ -45,7 +46,8 @@ type backends struct {
 	remote bool
 	// store is the authoritative store behind gcs (the same value in memory);
 	// peer, over the wire, is a second worker process's client of it; met
-	// counts the head's op frames, mboxMet what the mailbox listeners serve.
+	// counts the store's transactions and the head's op frames, mboxMet what
+	// the mailbox listeners serve.
 	store   *gcs.Store
 	peer    gcs.Backend
 	met     *metrics.Collector
@@ -62,6 +64,7 @@ func memBackends(t *testing.T) *backends {
 		gcs:    store,
 		store:  store,
 		peer:   store,
+		met:    met,
 		fl:     func(i int) flight.Peer { return servers[i] },
 		obj:    storage.NewObjectStore(cost, storage.ProfileS3, met),
 		server: func(i int) *flight.Server { return servers[i] },
@@ -136,113 +139,166 @@ var confNS = engine.QueryNamespace("conf")
 // nsKey builds a test key inside confNS.
 func nsKey(part string) string { return confNS + "conf-" + part }
 
+// puts is an entry of unguarded puts of ns, key and value by turns.
+func puts(ns string, kv ...string) gcs.Entry {
+	e := gcs.Entry{NS: ns}
+	for i := 0; i < len(kv); i += 2 {
+		e.Puts = append(e.Puts, gcs.KV{Key: kv[i], Val: []byte(kv[i+1])})
+	}
+	return e
+}
+
+// apply runs one Apply on be, failing the test on an error.
+func apply(t *testing.T, be gcs.Backend, entries ...gcs.Entry) []bool {
+	t.Helper()
+	applied, err := be.Apply(entries)
+	if err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	return applied
+}
+
 // gcsConformance's cases share one store and run in order: later cases
 // read what earlier ones committed.
 func gcsConformance(t *testing.T, b *backends) {
 	g := b.gcs
 	ns := confNS
-
-	// Write, read-your-writes inside the txn, then visibility after commit.
-	t.Run("read-your-writes", func(t *testing.T) {
-		err := g.UpdateNS(ns, func(tx *gcs.Txn) error {
-			tx.Put(nsKey("a"), []byte("1"))
-			tx.Put(nsKey("b"), []byte("2"))
-			if v, ok := tx.Get(nsKey("a")); !ok || string(v) != "1" {
-				return fmt.Errorf("read-your-writes: got %q ok=%v", v, ok)
+	// reads is what a view of ns reads of keys, "" for an absent one.
+	reads := func(be gcs.Backend, ns string, keys ...string) []string {
+		t.Helper()
+		got := make([]string, len(keys))
+		if err := be.ViewNS(ns, func(tx *gcs.Txn) error {
+			for i, k := range keys {
+				v, _ := tx.Get(k)
+				got[i] = string(v)
 			}
 			return nil
-		})
-		if err != nil {
-			t.Fatalf("update: %v", err)
-		}
-		err = g.ViewNS(ns, func(tx *gcs.Txn) error {
-			if v, ok := tx.Get(nsKey("a")); !ok || string(v) != "1" {
-				return fmt.Errorf("committed value: got %q ok=%v", v, ok)
-			}
-			if _, ok := tx.Get(nsKey("missing")); ok {
-				return fmt.Errorf("absent key reported present")
-			}
-			return nil
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatalf("view: %v", err)
 		}
+		return got
+	}
+	// unmoved checks that what ran in between wrote nothing and moved no
+	// version: the store's keys, its namespace version and gcs.txns.
+	unmoved := func(what string, run func()) {
+		t.Helper()
+		version, txns := b.store.AwaitNS(context.Background(), ns, 0, 0), b.met.Get(metrics.GCSTxns)
+		run()
+		if v, n := b.store.AwaitNS(context.Background(), ns, 0, 0), b.met.Get(metrics.GCSTxns); v != version || n != txns {
+			t.Errorf("%s: version %d -> %d, %d transactions counted", what, version, v, n-txns)
+		}
+	}
+
+	// An applied entry's writes are visible to the caller's next view.
+	t.Run("read-your-writes", func(t *testing.T) {
+		if got := apply(t, g, puts(ns, nsKey("a"), "1", nsKey("b"), "2")); !reflect.DeepEqual(got, []bool{true}) {
+			t.Fatalf("applied %v", got)
+		}
+		if got := reads(g, ns, nsKey("a"), nsKey("b"), nsKey("missing")); !reflect.DeepEqual(got, []string{"1", "2", ""}) {
+			t.Fatalf("a view after the Apply reads %q", got)
+		}
 	})
 
-	// List reflects committed state merged with uncommitted writes and
-	// deletes, sorted; the delete commits.
+	// An entry's puts and deletes merge into what a List returns, sorted.
 	t.Run("list-merge", func(t *testing.T) {
-		err := g.UpdateNS(ns, func(tx *gcs.Txn) error {
-			tx.Put(nsKey("c"), []byte("3"))
-			tx.Delete(nsKey("a"))
-			got := tx.List(nsKey(""))
-			want := []string{nsKey("b"), nsKey("c")}
-			if !reflect.DeepEqual(got, want) {
-				return fmt.Errorf("list = %v, want %v", got, want)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("list txn: %v", err)
-		}
+		e := puts(ns, nsKey("c"), "3")
+		e.Deletes = []string{nsKey("a")}
+		apply(t, g, e)
 		g.ViewNS(ns, func(tx *gcs.Txn) error {
-			if _, ok := tx.Get(nsKey("a")); ok {
-				t.Errorf("deleted key still present")
+			if got, want := tx.List(nsKey("")), []string{nsKey("b"), nsKey("c")}; !reflect.DeepEqual(got, want) {
+				t.Errorf("list = %v, want %v", got, want)
 			}
 			return nil
 		})
 	})
 
-	// A body error aborts: no effects, and the error comes back with its
-	// identity intact (the engine compares against gcs.ErrAborted).
+	// An Apply none of whose entries holds is identical to none: nothing
+	// written, the version unmoved, no transaction counted — whatever it would
+	// have written.
 	t.Run("abort-identity", func(t *testing.T) {
-		err := g.UpdateNS(ns, func(tx *gcs.Txn) error {
-			tx.Put(nsKey("doomed"), []byte("x"))
-			return gcs.ErrAborted
-		})
-		if !errors.Is(err, gcs.ErrAborted) {
-			t.Fatalf("abort error identity lost: %v", err)
-		}
-		g.ViewNS(ns, func(tx *gcs.Txn) error {
-			if _, ok := tx.Get(nsKey("doomed")); ok {
-				t.Errorf("aborted write visible")
+		refused := puts(ns, nsKey("doomed"), "x")
+		refused.Guards = []gcs.Guard{{Key: nsKey("b"), Want: 7}}
+		unmoved("an Apply of one refused entry", func() {
+			if got := apply(t, g, refused, refused); !reflect.DeepEqual(got, []bool{false, false}) {
+				t.Errorf("applied %v, want nothing", got)
 			}
-			return nil
 		})
+		if got := reads(g, ns, nsKey("doomed")); got[0] != "" {
+			t.Errorf("a refused write reads %q", got[0])
+		}
 	})
 
-	// UpdateMulti commits over the namespaces it names, atomically, and an
-	// abort discards the whole write set.
+	// A guard holds when its key holds its integer: an absent key holds 0, a
+	// value that is no integer holds nothing.
+	t.Run("refused-guard", func(t *testing.T) {
+		guarded := func(key string, want int64, put string) gcs.Entry {
+			e := puts(ns, nsKey(put), "x")
+			e.Guards = []gcs.Guard{{Key: nsKey(key), Want: want}}
+			return e
+		}
+		apply(t, g, puts(ns, nsKey("five"), "5"))
+		got := apply(t, g, guarded("absent", 0, "g1"), guarded("absent", 1, "g2"),
+			guarded("five", 5, "g3"), guarded("five", 4, "g4"), guarded("c", 3, "g5"), guarded("c", 0, "g6"))
+		if want := []bool{true, false, true, false, true, false}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("applied %v, want %v", got, want)
+		}
+		apply(t, g, puts(ns, nsKey("word"), "three"))
+		if got := apply(t, g, guarded("word", 0, "g7"), guarded("word", 3, "g8")); slices.Contains(got, true) {
+			t.Fatalf("a guard on a value that is no integer held: %v", got)
+		}
+	})
+
+	// Entries apply one by one: those whose guards hold land, the others do
+	// not, all in one transaction that moves the version by one.
+	t.Run("partial-apply", func(t *testing.T) {
+		version, txns := b.store.AwaitNS(context.Background(), ns, 0, 0), b.met.Get(metrics.GCSTxns)
+		refused := puts(ns, nsKey("p2"), "x")
+		refused.Guards = []gcs.Guard{{Key: nsKey("five"), Want: 6}}
+		if got := apply(t, g, puts(ns, nsKey("p1"), "x"), refused, puts(ns, nsKey("p3"), "x")); !reflect.DeepEqual(got, []bool{true, false, true}) {
+			t.Fatalf("applied %v", got)
+		}
+		if v, n := b.store.AwaitNS(context.Background(), ns, 0, 0), b.met.Get(metrics.GCSTxns); v != version+1 || n != txns+1 {
+			t.Fatalf("a partial apply moved the version %d -> %d and counted %d transactions, want one", version, v, n-txns)
+		}
+		if got := reads(g, ns, nsKey("p1"), nsKey("p2"), nsKey("p3")); !reflect.DeepEqual(got, []string{"x", "", "x"}) {
+			t.Fatalf("reads %q after a partial apply", got)
+		}
+	})
+
+	// Entries of two namespaces apply in one transaction, in one frame over
+	// the wire; a key outside its entry's namespace fails the whole call, the
+	// other namespace's entry included, as a caller's error.
 	t.Run("multi", func(t *testing.T) {
-		err := g.UpdateMulti([]string{ns}, func(tx *gcs.Txn) error {
-			tx.Put(nsKey("m1"), []byte("x"))
-			tx.Put(nsKey("m2"), []byte("y"))
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("multi: %v", err)
+		other := engine.QueryNamespace("conf-multi")
+		frames, txns := b.opFrames("gcs_apply"), b.met.Get(metrics.GCSTxns)
+		if got := apply(t, g, puts(ns, nsKey("m1"), "x"), puts(other, other+"m2", "y")); !reflect.DeepEqual(got, []bool{true, true}) {
+			t.Fatalf("applied %v", got)
 		}
-		err = g.UpdateMulti([]string{ns}, func(tx *gcs.Txn) error {
-			tx.Put(nsKey("m3"), []byte("z"))
-			return gcs.ErrAborted
-		})
-		if !errors.Is(err, gcs.ErrAborted) {
-			t.Fatalf("multi abort identity lost: %v", err)
+		if n := b.met.Get(metrics.GCSTxns) - txns; n != 1 {
+			t.Errorf("two namespaces applied in %d transactions, want one", n)
 		}
-		g.ViewNS(ns, func(tx *gcs.Txn) error {
-			_, ok1 := tx.Get(nsKey("m1"))
-			_, ok2 := tx.Get(nsKey("m2"))
-			_, ok3 := tx.Get(nsKey("m3"))
-			if !ok1 || !ok2 || ok3 {
-				t.Errorf("multi visibility: m1=%v m2=%v m3(aborted)=%v", ok1, ok2, ok3)
+		if n := b.opFrames("gcs_apply") - frames; b.remote && n != 1 {
+			t.Errorf("two namespaces applied in %d frames, want one", n)
+		}
+		if got := reads(g, ns, nsKey("m1")); got[0] != "x" {
+			t.Errorf("m1 reads %q", got[0])
+		}
+		if got := reads(g, other, other+"m2"); got[0] != "y" {
+			t.Errorf("the other namespace's m2 reads %q", got[0])
+		}
+		unmoved("an Apply with a foreign key", func() {
+			if _, err := g.Apply([]gcs.Entry{puts(other, other+"m3", "z"), puts(ns, nsKey("m4"), "z", other+"m5", "z")}); err == nil {
+				t.Error("a key outside its entry's namespace was accepted")
 			}
-			return nil
 		})
+		if got := reads(g, other, other+"m3", other+"m5"); !reflect.DeepEqual(got, []string{"", ""}) {
+			t.Errorf("a failed Apply wrote %q", got)
+		}
 	})
 
 	// AwaitNS returns the namespace's shard version: at once when it is past
-	// after or max is 0, else when a commit — not a view, not an aborted update
-	// — moves it, when max elapses or when ctx ends. Over the wire a wait the
+	// after or max is 0, else when a commit — not a view, not an Apply that
+	// applied nothing — moves it, when max elapses or when ctx ends. Over the wire a wait the
 	// client's own commits already answered costs no frame and any other one,
 	// and a view after a wake costs none and sees what the wait woke for.
 	t.Run("await", func(t *testing.T) {
@@ -262,7 +318,9 @@ func gcsConformance(t *testing.T, b *backends) {
 		}
 		follows(0, "two waits the client's own commits answered")
 		g.ViewNS(ns, func(tx *gcs.Txn) error { return nil })
-		g.UpdateNS(ns, func(tx *gcs.Txn) error { return gcs.ErrAborted })
+		refused := puts(ns, nsKey("never"), "x")
+		refused.Guards = []gcs.Guard{{Key: nsKey("five"), Want: 0}}
+		apply(t, g, refused)
 		if v := g.AwaitNS(ctx, ns, v0, 20*time.Millisecond); v != v0 {
 			t.Errorf("version moved without a commit: %d -> %d", v0, v)
 		}
@@ -276,9 +334,7 @@ func gcsConformance(t *testing.T, b *backends) {
 			return got
 		}
 		start, got := time.Now(), parked(ctx, v0)
-		if err := b.peer.UpdateNS(ns, func(tx *gcs.Txn) error { tx.Put(nsKey("v"), []byte("1")); return nil }); err != nil {
-			t.Fatal(err)
-		}
+		apply(t, b.peer, puts(ns, nsKey("v"), "1"))
 		v1 := <-got
 		if woke := time.Since(start); v1 <= v0 || woke > time.Second {
 			t.Errorf("a peer's commit: version %d -> %d after %v, want a wake-up", v0, v1, woke)
@@ -311,7 +367,7 @@ func gcsConformance(t *testing.T, b *backends) {
 		seesV("after a cancelled wait")
 	})
 
-	// A committed update moves the version by exactly one. After a client's
+	// A committed Apply moves the version by exactly one. After a client's
 	// own commit with no other writer, the probe (max 0) answers exactly the
 	// version before the commit plus one, without parking and — over the wire —
 	// without a frame: the commit's answer moved the replica. Another client's
@@ -319,13 +375,8 @@ func gcsConformance(t *testing.T, b *backends) {
 	// its image on exactly that answer.)
 	t.Run("version-after-commit", func(t *testing.T) {
 		ctx := context.Background()
-		commit := func(be gcs.Backend) {
-			t.Helper()
-			if err := be.UpdateNS(ns, func(tx *gcs.Txn) error { tx.Put(nsKey("vac"), []byte("x")); return nil }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		frames := func() int64 { return b.opFrames("gcs_follow") + b.opFrames("gcs_commit") }
+		commit := func(be gcs.Backend) { apply(t, be, puts(ns, nsKey("vac"), "x")) }
+		frames := func() int64 { return b.opFrames("gcs_follow") + b.opFrames("gcs_apply") }
 		commit(g) // its answer brings the client up to the namespace's version
 		v := g.AwaitNS(ctx, ns, 0, 0)
 		if now := b.store.AwaitNS(context.Background(), ns, 0, 0); v != now {
@@ -380,7 +431,6 @@ func namespaceKeys(t *testing.T, b *backends, ns string, since uint64) (keys []s
 			t.Fatal(err)
 		}
 		r := rbuf{b: rp}
-		r.boolean("committed")
 		if n := r.u32("delta count"); n != 1 {
 			t.Fatalf("follow answered %d deltas", n)
 		}
@@ -396,8 +446,8 @@ func namespaceKeys(t *testing.T, b *backends, ns string, since uint64) (keys []s
 }
 
 // replicaConformance is the part of the control-store contract that exists
-// because a remote backend runs bodies against a replica: no frame for a view,
-// one for an update, re-run on a stale read, deletes and nothing foreign in a
+// because a remote backend keeps a replica: no frame for a view, one for an
+// Apply, a guard refused on a stale read, deletes and nothing foreign in a
 // delta, no residue after the query. The assertions on outcomes hold in
 // memory too; the frame counts are checked where there are frames.
 func replicaConformance(t *testing.T, b *backends) {
@@ -407,24 +457,23 @@ func replicaConformance(t *testing.T, b *backends) {
 	sees := func(be gcs.Backend) {
 		be.AwaitNS(context.Background(), ns, b.store.AwaitNS(context.Background(), ns, 0, 0)-1, time.Second)
 	}
-	put := func(be gcs.Backend, ns, key, val string) {
-		t.Helper()
-		if err := be.UpdateNS(ns, func(tx *gcs.Txn) error { tx.Put(key, []byte(val)); return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
+	put := func(be gcs.Backend, ns, key, val string) { apply(t, be, puts(ns, key, val)) }
 	counter := nsKey("n")
-	bump := func(be gcs.Backend, body func()) error {
-		return be.UpdateNS(ns, func(tx *gcs.Txn) error {
-			if body != nil {
-				body()
-			}
+	// bump is a read-modify-write of counter: the value a view reads is the
+	// guard of the put that adds one. between runs after the read.
+	bump := func(be gcs.Backend, between func()) bool {
+		var n int
+		be.ViewNS(ns, func(tx *gcs.Txn) error {
 			v, _ := tx.Get(counter)
-			var n int
 			fmt.Sscanf(string(v), "%d", &n)
-			tx.Put(counter, []byte(fmt.Sprint(n+1)))
 			return nil
 		})
+		if between != nil {
+			between()
+		}
+		e := puts(ns, counter, fmt.Sprint(n+1))
+		e.Guards = []gcs.Guard{{Key: counter, Want: int64(n)}}
+		return apply(t, be, e)[0]
 	}
 	read := func(be gcs.Backend, key string) (val string, ok bool) {
 		t.Helper()
@@ -446,14 +495,14 @@ func replicaConformance(t *testing.T, b *backends) {
 	t.Run("view-one-frame", func(t *testing.T) {
 		put(g, ns, nsKey("one-1"), "1")
 		put(g, ns, nsKey("one-2"), "2")
-		follows, commits := b.opFrames("gcs_follow"), b.opFrames("gcs_commit")
+		follows, applies := b.opFrames("gcs_follow"), b.opFrames("gcs_apply")
 		frames := func(want int64, what string) {
 			t.Helper()
-			f, c := b.opFrames("gcs_follow")-follows, b.opFrames("gcs_commit")-commits
+			f, c := b.opFrames("gcs_follow")-follows, b.opFrames("gcs_apply")-applies
 			if b.remote && (f != want || c != 0) {
-				t.Errorf("%s cost %d follow + %d commit frames, want %d + 0", what, f, c, want)
+				t.Errorf("%s cost %d follow + %d apply frames, want %d + 0", what, f, c, want)
 			}
-			follows, commits = b.opFrames("gcs_follow"), b.opFrames("gcs_commit")
+			follows, applies = b.opFrames("gcs_follow"), b.opFrames("gcs_apply")
 		}
 		view := func(be gcs.Backend, n int) error {
 			return be.ViewNS(ns, func(tx *gcs.Txn) error {
@@ -476,7 +525,7 @@ func replicaConformance(t *testing.T, b *backends) {
 		ctx := context.Background()
 		v := g.AwaitNS(ctx, ns, 0, 0)
 		put(b.peer, ns, nsKey("one-3"), "3")
-		follows, commits = b.opFrames("gcs_follow"), b.opFrames("gcs_commit") // the peer's frames
+		follows, applies = b.opFrames("gcs_follow"), b.opFrames("gcs_apply") // the peer's frames
 		if g.AwaitNS(ctx, ns, v, time.Second) <= v {
 			t.Fatal("a wait did not observe the peer's commit")
 		}
@@ -495,57 +544,55 @@ func replicaConformance(t *testing.T, b *backends) {
 		frames(1, "a first-contact view")
 	})
 
-	// An update whose reads are current is one request frame: read set,
-	// write set and verdict.
+	// An Apply is one request frame: its entries and its guards, and the
+	// answer with the applied bits; no follow before it while the replica is
+	// current, and none after it to see its own writes.
 	t.Run("update-one-frame", func(t *testing.T) {
 		put(g, ns, counter, "0")
 		read(g, counter) // the replica is current
-		follows, commits := b.opFrames("gcs_follow"), b.opFrames("gcs_commit")
-		runs := 0
-		if err := bump(g, func() { runs++ }); err != nil {
-			t.Fatal(err)
+		follows, applies := b.opFrames("gcs_follow"), b.opFrames("gcs_apply")
+		if !bump(g, nil) {
+			t.Fatal("a read-modify-write on a current replica was refused")
 		}
 		if b.remote {
-			if f, c := b.opFrames("gcs_follow")-follows, b.opFrames("gcs_commit")-commits; f != 0 || c != 1 {
-				t.Fatalf("a read-modify-write cost %d follow + %d commit frames, want 0 + 1", f, c)
+			if f, c := b.opFrames("gcs_follow")-follows, b.opFrames("gcs_apply")-applies; f != 0 || c != 1 {
+				t.Fatalf("a read-modify-write cost %d follow + %d apply frames, want 0 + 1", f, c)
 			}
 		}
-		if v, _ := read(b.peer, counter); v != "1" || runs != 1 {
-			t.Fatalf("counter = %q after %d body runs, want 1 after 1", v, runs)
+		if v, _ := read(b.peer, counter); v != "1" {
+			t.Fatalf("counter = %q, want 1", v)
 		}
 	})
 
-	// A peer's commit to a key the body read lands between the body and its
-	// commit: nothing is applied, the body runs again on the fresh value, and
-	// the result is the serial order's — no lost update. (In memory the shard
-	// lock makes that interleaving impossible; the peer goes first.)
+	// A peer's commit to the guarded key lands between the caller's read and
+	// its Apply: the entry is refused and nothing is applied; the caller runs
+	// its read-modify-write again on what the refusal's answer brought — no
+	// follow — and the result is the serial order's: no lost update.
 	t.Run("conflict-rerun", func(t *testing.T) {
 		start, _ := read(g, counter)
 		version := b.store.AwaitNS(context.Background(), ns, 0, 0)
 		runs := 0
-		if !b.remote {
-			bump(b.peer, nil)
-		}
-		err := bump(g, func() {
-			if runs++; runs == 1 && b.remote {
-				if err := bump(b.peer, nil); err != nil {
-					t.Error(err)
+		for done := false; !done && runs < 4; {
+			runs++
+			done = bump(g, func() {
+				// The peer's replica may be behind: a refusal brings it up.
+				for i := 0; runs == 1 && !bump(b.peer, nil); i++ {
+					if i == 2 {
+						t.Fatal("the peer's bump was refused on a current replica")
+					}
 				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
+			})
 		}
 		var from int
 		fmt.Sscanf(start, "%d", &from)
 		if v, _ := read(b.peer, counter); v != fmt.Sprint(from+2) {
 			t.Fatalf("counter = %q, want %d: an update was lost", v, from+2)
 		}
-		if want := map[bool]int{false: 1, true: 2}[b.remote]; runs != want {
-			t.Fatalf("body ran %d times, want %d", runs, want)
+		if runs != 2 {
+			t.Fatalf("the read-modify-write ran %d times, want 2", runs)
 		}
 		if got := b.store.AwaitNS(context.Background(), ns, 0, 0); got != version+2 {
-			t.Fatalf("version moved %d -> %d, want two commits: the stale attempt must apply nothing", version, got)
+			t.Fatalf("version moved %d -> %d, want two commits: the refused attempt must apply nothing", version, got)
 		}
 	})
 
@@ -556,9 +603,7 @@ func replicaConformance(t *testing.T, b *backends) {
 		if _, ok := read(g, nsKey("d1")); !ok {
 			t.Fatal("d1 missing before the delete")
 		}
-		if err := b.peer.UpdateNS(ns, func(tx *gcs.Txn) error { tx.Delete(nsKey("d1")); return nil }); err != nil {
-			t.Fatal(err)
-		}
+		apply(t, b.peer, gcs.Entry{NS: ns, Deletes: []string{nsKey("d1")}})
 		sees(g)
 		err := g.ViewNS(ns, func(tx *gcs.Txn) error {
 			if _, ok := tx.Get(nsKey("d1")); ok {
@@ -576,7 +621,7 @@ func replicaConformance(t *testing.T, b *backends) {
 
 	// Two namespaces on one shard share a lock and a version counter and
 	// nothing else: a worker syncing one is never sent a key of the other,
-	// and a commit to the other does not make its reads stale.
+	// and a commit to the other refuses none of its guards.
 	t.Run("sync-namespace-isolation", func(t *testing.T) {
 		var other string
 		for i := 0; other == ""; i++ {
@@ -600,16 +645,8 @@ func replicaConformance(t *testing.T, b *backends) {
 			t.Fatalf("syncing %s delivered %v", other, got)
 		}
 		read(g, counter)
-		runs := 0
-		if err := bump(g, func() {
-			if runs++; runs == 1 && b.remote {
-				put(b.peer, other, other+"k2", "theirs") // moves the shard version mid-transaction
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if runs != 1 {
-			t.Fatalf("a commit to another namespace on the shard re-ran the body (%d runs)", runs)
+		if !bump(g, func() { put(b.peer, other, other+"k2", "theirs") }) { // moves the shard version between read and Apply
+			t.Fatal("a commit to another namespace on the shard refused a guard")
 		}
 		// Reading the other query's key inside this namespace's transaction is
 		// refused outright over the wire (in memory the shard is shared).

@@ -119,7 +119,7 @@ func opMailbox(t testing.TB, self uint32, met *metrics.Collector) *mailbox {
 // proto.go: what the head's listener serves, what a worker's does.
 var (
 	headRequests = map[byte]bool{
-		mtGCSCommit: true, mtGCSFollow: true,
+		mtGCSApply: true, mtGCSFollow: true,
 		mtObjPut: true, mtObjGet: true, mtSinkDeliver: true,
 	}
 	mailboxRequests = map[byte]bool{mtFlPush: true, mtFlDropQuery: true}
@@ -133,8 +133,10 @@ var (
 // with the two responses only they were answered by) that left the wire when
 // workers began hosting their own mailboxes, the worker-side result spool's
 // fetch, drop and manifest delivery, which left when a result began reaching
-// the head once, and the sync and the version-only await with its response,
-// which became the one follow frame when a wake began carrying its delta.
+// the head once, the sync and the version-only await with its response,
+// which became the one follow frame when a wake began carrying its delta, and
+// the commit of a transaction body's read and write sets, which became the
+// apply of guarded entries when the one body a worker ran became data.
 const (
 	retiredTxnBegin    = byte(0x10)
 	retiredTxnDone     = byte(0x17)
@@ -142,6 +144,7 @@ const (
 	retiredGCSVersion  = byte(0x19)
 	retiredGCSWait     = byte(0x1a)
 	retiredGCSSync     = byte(0x1b)
+	retiredGCSCommit   = byte(0x1c)
 	retiredGCSAwait    = byte(0x1d)
 	retiredU64Resp     = byte(0x42)
 	retiredFlContig    = byte(0x21)
@@ -174,7 +177,7 @@ func TestOpMessageSetPinned(t *testing.T) {
 	}
 	retired := []byte{retiredGCSVerNS, retiredGCSVersion, retiredGCSWait, retiredFlContig, retiredFlDropBelow, retiredIntResp,
 		retiredFlTake, retiredFlDrop, retiredFlSpool, retiredFlProbe, retiredBytesList, retiredIntsResp,
-		retiredFlFetch, retiredFlDropRes, retiredSinkSpooled, retiredGCSSync, retiredGCSAwait, retiredU64Resp}
+		retiredFlFetch, retiredFlDropRes, retiredSinkSpooled, retiredGCSSync, retiredGCSCommit, retiredGCSAwait, retiredU64Resp}
 	for typ := retiredTxnBegin; typ <= retiredTxnDone; typ++ {
 		retired = append(retired, typ)
 	}
@@ -284,6 +287,16 @@ func retiredFrames() map[string]rawFrame {
 	sync.u64(0)
 	await := wbuf{b: sync.b}
 	await.u32(0)
+	// The commit as its last client spoke it: one namespace at the replica
+	// version it read nothing at, a write set of one put — which nothing could
+	// have found stale.
+	var gcsCommit wbuf
+	gcsCommit.u32(1)
+	gcsCommit.str(confNS)
+	gcsCommit.u64(0)
+	gcsCommit.strs(nil)
+	gcsCommit.strs(nil)
+	gcsCommit.kvs(map[string][]byte{confNS + "conf-a": []byte("overwritten")})
 	return map[string]rawFrame{
 		"obj put, costed":  {0x30, put.b},
 		"obj has":          {0x32, key("tbl-x/0")},
@@ -317,6 +330,7 @@ func retiredFrames() map[string]rawFrame {
 		"sink spooled":       {retiredSinkSpooled, manifest.b},
 		"gcs sync":           {retiredGCSSync, sync.b},
 		"gcs await":          {retiredGCSAwait, await.b},
+		"gcs commit":         {retiredGCSCommit, gcsCommit.b},
 		"u64 response":       {retiredU64Resp, make([]byte, 8)},
 	}
 }
@@ -407,7 +421,7 @@ func TestRetiredFramesRefused(t *testing.T) {
 
 // TestTxnPeerCrashAborts: a peer that dies inside a transaction leaves
 // nothing behind. A transaction is one frame, so "inside" is mid-frame: the
-// conn drops with the commit frame cut at every offset. Whatever arrived, no
+// conn drops with the apply frame cut at every offset. Whatever arrived, no
 // write is applied, the version does not move, and the namespace's shard
 // lock was never taken — a local transaction goes through at once.
 func TestTxnPeerCrashAborts(t *testing.T) {
@@ -425,20 +439,23 @@ func TestTxnPeerCrashAborts(t *testing.T) {
 	store.UpdateNS(confNS, func(tx *gcs.Txn) error { tx.Put(key, []byte("1")); return nil })
 	version := store.AwaitNS(context.Background(), confNS, 0, 0)
 
-	// The frame a healthy client would send: read conf-a at the current
-	// version, overwrite it.
+	// The frame a healthy client would send: overwrite conf-a, guarded on the
+	// value it holds.
 	var w wbuf
 	w.u32(1)
 	w.str(confNS)
-	w.u64(store.AwaitNS(context.Background(), confNS, 0, 0))
-	w.strs([]string{key})
-	w.strs(nil)
+	w.u64(version)
+	w.u32(1) // one entry, of namespace 0
+	w.u32(0)
 	w.u32(1)
 	w.str(key)
-	w.boolean(false)
+	w.i64(1)
+	w.u32(1)
+	w.str(key)
 	w.bytes([]byte("from the dead"))
+	w.strs(nil)
 	var frame bytes.Buffer
-	if err := writeFrame(&frame, mtGCSCommit, w.b); err != nil {
+	if err := writeFrame(&frame, mtGCSApply, w.b); err != nil {
 		t.Fatal(err)
 	}
 	full := frame.Bytes()
@@ -492,7 +509,7 @@ func TestTxnPeerCrashAborts(t *testing.T) {
 	}
 	rt, rp, err := readFrame(c)
 	if err != nil || rt != mtGCSResult || rp[0] != 1 {
-		t.Fatalf("whole frame: 0x%02x %v, %v; want committed", rt, rp, err)
+		t.Fatalf("whole frame: 0x%02x %v, %v; want its entry applied", rt, rp, err)
 	}
 	if store.AwaitNS(context.Background(), confNS, 0, 0) != version+1 {
 		t.Errorf("version %d after the whole frame, want %d", store.AwaitNS(context.Background(), confNS, 0, 0), version+1)

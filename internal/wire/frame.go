@@ -15,11 +15,10 @@
 // never a verdict (docs/contracts/flight-transport.md).
 //
 // Every operation is one request frame answered by one response frame, a
-// GCS transaction included: its body runs in the worker against a replica
-// of the query's namespace (gcs.Replica) — a view after one sync frame, an
-// update before one commit frame that ships what the body read and wrote,
-// applied only if the reads are still current. Neither listener keeps
-// per-conn state or holds a lock while it reads from or writes to a conn.
+// GCS write included: an apply frame of guarded entries, each applied only if
+// its guards hold. A view reads the worker's replica of the query's namespace
+// (gcs.Replica) with no frame. Neither listener keeps per-conn state or holds
+// a lock while it reads from or writes to a conn.
 //
 // Framing is deliberately minimal: a four-byte header (magic, version,
 // type, flags) and a big-endian length, then the payload — which for

@@ -77,9 +77,9 @@ var opResponses = map[byte]bool{
 // fuzzDispatch drives one dispatcher with one (type, payload) frame over a
 // net.Pipe and holds it to the refused-frame rule: whatever arrives, no panic,
 // and either one well-formed response frame of a declared request type, or a
-// refusal with ErrCorrupt and no answer. It reports whether the frame was
-// accepted.
-func fuzzDispatch(t *testing.T, handle func(net.Conn, byte, []byte) error, declared map[byte]bool, typ byte, payload []byte) bool {
+// refusal with ErrCorrupt and no answer. It returns the answer's type, 0 for a
+// refused frame.
+func fuzzDispatch(t *testing.T, handle func(net.Conn, byte, []byte) error, declared map[byte]bool, typ byte, payload []byte) byte {
 	srv, cli := net.Pipe()
 	done := make(chan error, 1)
 	go func() {
@@ -99,7 +99,7 @@ func fuzzDispatch(t *testing.T, handle func(net.Conn, byte, []byte) error, decla
 		if rerr == nil {
 			t.Fatalf("type 0x%02x: answered 0x%02x and then refused", typ, rt)
 		}
-		return false
+		return 0
 	}
 	if rerr != nil || !opResponses[rt] {
 		t.Fatalf("type 0x%02x: accepted, but the answer was 0x%02x, %v", typ, rt, rerr)
@@ -110,23 +110,28 @@ func fuzzDispatch(t *testing.T, handle func(net.Conn, byte, []byte) error, decla
 	if !declared[typ] {
 		t.Fatalf("type 0x%02x accepted: retired, never declared or the other listener's", typ)
 	}
-	return true
+	return rt
 }
 
 // FuzzHandleOp feeds the head's op dispatcher arbitrary (type, payload)
 // frames. Every type outside its declared request set (the retired ones and
-// every flight type included: the head hosts no mailbox), a commit or follow
-// frame naming anything but whole query namespaces and the costed object put
-// are refused whatever their payload. The checked-in corpus
-// (testdata/fuzz/FuzzHandleOp) is the truncation sweep's body at several cuts,
-// one frame per retired type, and the commit, follow (gcs-sync*: a fetch that
-// parks for nothing; gcs-await*: a wait) and (retired) probe frames
-// well-formed and with hostile counts. A follow frame parks for the server's
-// cap at most (opServer: 1 ms), whatever it asks for.
+// every flight type included: the head hosts no mailbox), an apply or follow
+// frame naming anything but whole query namespaces, an apply of no entry and
+// the costed object put are refused whatever their payload; an apply with a
+// key outside its entry's namespace is answered with an error and writes
+// nothing. The checked-in corpus (testdata/fuzz/FuzzHandleOp) is the
+// truncation sweep's body at several cuts, one frame per retired type — the
+// gcs-commit* and txn-update* seeds are the retired commit frame's — and the
+// apply, follow (gcs-sync*: a fetch that parks for nothing; gcs-await*: a
+// wait) and (retired) probe frames well-formed and with hostile counts. A
+// follow frame parks for the server's cap at most (opServer: 1 ms), whatever
+// it asks for.
 func FuzzHandleOp(f *testing.F) {
 	f.Add(mtFlPush, pushBody())
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
-		if !fuzzDispatch(t, opServer(t).handleOp, headRequests, typ, payload) {
+		srv := opServer(t)
+		rt := fuzzDispatch(t, srv.handleOp, headRequests, typ, payload)
+		if rt == 0 {
 			return
 		}
 		switch {
@@ -135,22 +140,24 @@ func FuzzHandleOp(f *testing.F) {
 			if ns := r.str("ns"); !gcs.IsNamespace(ns) {
 				t.Fatalf("0x%02x of %q accepted: not one query's namespace", typ, ns)
 			}
-		case typ == mtGCSCommit:
+		case typ == mtGCSApply:
 			r := rbuf{b: payload}
-			n := r.u32("namespace count")
-			if n == 0 {
-				t.Fatal("commit over no namespace accepted")
-			}
-			for ; n > 0; n-- {
+			for n := r.u32("namespace count"); n > 0; n-- {
 				if ns := r.str("ns"); !gcs.IsNamespace(ns) {
-					t.Fatalf("commit over %q accepted: not one query's namespace", ns)
+					t.Fatalf("apply over %q accepted: not one query's namespace", ns)
 				}
 				r.u64("version")
-				for _, what := range []string{"keys", "prefixes"} {
-					for k := r.u32(what); k > 0; k-- {
-						r.str(what)
+			}
+			if r.u32("entry count") == 0 {
+				t.Fatal("apply of no entry accepted")
+			}
+			if rt == mtErrResp {
+				srv.store.View(func(tx *gcs.Txn) error {
+					if keys := tx.List(""); len(keys) != 0 {
+						t.Fatalf("an apply answered with an error wrote %q", keys)
 					}
-				}
+					return nil
+				})
 			}
 		case typ == mtObjPut:
 			r := rbuf{b: payload}
@@ -178,7 +185,7 @@ func FuzzMailboxOp(f *testing.F) {
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
 		m.fl.SpoolResult("q-keep", keep, []byte("kept"), 0)
 		before := m.fl.BufferedBytes()
-		if fuzzDispatch(t, m.handle, mailboxRequests, typ, payload) {
+		if fuzzDispatch(t, m.handle, mailboxRequests, typ, payload) != 0 {
 			if wid := (&rbuf{b: payload}).u32("worker"); wid != m.self {
 				t.Fatalf("0x%02x for worker %d accepted by worker %d", typ, wid, m.self)
 			}

@@ -16,7 +16,7 @@ import (
 // This const block is the whole message set: one request type per method
 // of the three backend contracts (docs/contracts/) that has a remote caller,
 // plus the control plane, the result sink and the shared responses. A type
-// byte not listed here — including the retired 0x10–0x1b, 0x1d, 0x21–0x25,
+// byte not listed here — including the retired 0x10–0x1d, 0x21–0x25,
 // 0x27–0x2b, 0x32–0x35, 0x39, 0x42, 0x43, 0x46 and 0x47 — is refused as
 // ErrCorrupt and the conn closed; retired bytes are not reused.
 const (
@@ -29,12 +29,13 @@ const (
 	mtStopped    = byte(0x06) // C->S: str qid, bytes gob []trace.Span, u32 n, n*(str counter, i64 delta since the worker's last report, never negative)
 	mtFail       = byte(0x07) // C->S: str qid, str errmsg
 
-	// GCS. Bodies run against the worker's replica (gcs.Replica): a view sends
-	// nothing, an update one commit frame, a wait one follow frame answered with
-	// what it woke for. A namespace is exactly one "q/<qid>/" prefix; a kvs is
-	// u32 n, n*(str key, bool deleted, bytes val); a delta is u64 version, bool
-	// full, kvs.
-	mtGCSCommit = byte(0x1c) // C->S: u32 n, n*(str ns, u64 replica version, u32 k, k*str read key, u32 p, p*str read prefix), kvs writes -> mtGCSResult (n deltas)
+	// GCS. A view runs against the worker's replica (gcs.Replica) and sends
+	// nothing, an Apply is one frame of guarded entries, a wait one follow frame
+	// answered with what it woke for. A namespace is exactly one "q/<qid>/"
+	// prefix; an entry is u32 namespace index, u32 g, g*(str key, i64 want),
+	// u32 p, p*(str key, bytes val), u32 d, d*str key deleted; a kvs is u32 n,
+	// n*(str key, bool deleted, bytes val); a delta is u64 version, bool full, kvs.
+	mtGCSApply  = byte(0x1f) // C->S: u32 n, n*(str ns, u64 replica version), u32 e, e*entry -> mtGCSResult (e applied bits, n deltas)
 	mtGCSFollow = byte(0x1e) // C->S: str ns, u64 replica version, u64 after, u32 max microseconds -> mtGCSResult (one delta), once the version passes after (the delta since the replica version) or max, capped by the head, elapses (an empty one)
 
 	// Flight, served by the worker that hosts the mailbox: what a peer (push)
@@ -58,7 +59,7 @@ const (
 	mtErrResp   = byte(0x41) // u8 code, str msg
 	mtBoolResp  = byte(0x44) // bool
 	mtBytesResp = byte(0x45) // byte strings, as many as the request named
-	mtGCSResult = byte(0x48) // bool committed, u32 n, n*delta
+	mtGCSResult = byte(0x48) // one bool applied per entry the request carried (none for a follow), u32 n, n*delta
 )
 
 // headOps and mailboxOps are the two dispatch sets — what the head's listener
@@ -66,7 +67,7 @@ const (
 // listener counts frames and bytes by (metrics.WireFrames/WireBytes + name).
 var (
 	headOps = map[byte]string{
-		mtGCSCommit: "gcs_commit", mtGCSFollow: "gcs_follow",
+		mtGCSApply: "gcs_apply", mtGCSFollow: "gcs_follow",
 		mtObjPut: "obj_put", mtObjGet: "obj_get",
 		mtSinkDeliver: "sink_deliver",
 	}

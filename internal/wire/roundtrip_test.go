@@ -103,11 +103,11 @@ func TestRoundTripsPerTask(t *testing.T) {
 	if pushes >= moved {
 		t.Errorf("%d push frames for %d pieces: a same-worker piece crossed a socket", pushes, moved)
 	}
-	// An update is one frame: never more commit frames than the store counted
-	// transactions.
-	commits := cl.Metrics.Get(metrics.WireFrames + "gcs_commit")
-	if txns := cl.Metrics.Get(metrics.GCSTxns); commits > txns {
-		t.Errorf("%d commit frames for %d transactions", commits, txns)
+	// A flush is one frame: never more apply frames than the workers' flushes
+	// (each a transaction unless every entry was refused).
+	commits := cl.Metrics.Get(metrics.WireFrames + "gcs_apply")
+	if flushes := cl.Metrics.Get(metrics.LineageFlushes) + cl.Metrics.Get(metrics.EntriesFenced); commits > flushes {
+		t.Errorf("%d apply frames for %d flushes", commits, flushes)
 	}
 	// A worker reads the store only by following it: no sync or version-only
 	// await frame (retired, so refused and counted as such above), and a view
@@ -119,7 +119,7 @@ func TestRoundTripsPerTask(t *testing.T) {
 		t.Errorf("%d sync or await frames of the retired kinds", n)
 	}
 	if follows := cl.Metrics.Get(metrics.WireFrames + "gcs_follow"); follows > commits+2*workers {
-		t.Errorf("%d follow frames for %d commit frames on %d workers", follows, commits, workers)
+		t.Errorf("%d follow frames for %d apply frames on %d workers", follows, commits, workers)
 	}
 }
 
@@ -136,10 +136,12 @@ func knownOp(op string) bool {
 
 // TestConcurrentClientsSerialize is the -race stress of the one-frame
 // protocol: N wire clients — N worker processes' worth of replicas — each
-// increment one shared counter k times by read-modify-write. Every increment
-// must land exactly once (a stale read is answered Stale and re-run, never
-// committed), and once a fence key flips, every later fenced increment
-// aborts with gcs.ErrAborted instead of committing past it.
+// increment one shared counter k times by read-modify-write, the value read
+// from the replica being the guard of the put. Every increment must land
+// exactly once (a stale read is refused, and the refusal's answer brings the
+// replica up for the next try), and once a fence key is raised, every later
+// increment — guarded on the fence being down — is refused instead of
+// committing past it.
 func TestConcurrentClientsSerialize(t *testing.T) {
 	cl, err := cluster.New(cluster.Options{Workers: 1, Cost: storage.CostModel{}})
 	if err != nil {
@@ -156,23 +158,25 @@ func TestConcurrentClientsSerialize(t *testing.T) {
 	store.UpdateNS(ns, func(tx *gcs.Txn) error { tx.Put(counter, []byte("0")); return nil })
 
 	const clients, each = 6, 40
-	// increment is the engine's commit in miniature: fence read, then a
-	// read-modify-write. An exhausted re-run budget reads as ErrAborted with
-	// the fence down, and is simply tried again.
+	// increment is the engine's commit in miniature: an entry guarded on the
+	// fence and on what its image read. A refusal with the fence up is final.
 	increment := func(g gcs.Backend) error {
 		for {
+			var n int
 			fenced := false
-			err := g.UpdateNS(ns, func(tx *gcs.Txn) error {
-				if _, fenced = tx.Get(fence); fenced {
-					return gcs.ErrAborted
-				}
+			g.ViewNS(ns, func(tx *gcs.Txn) error {
 				v, _ := tx.Get(counter)
-				var n int
 				fmt.Sscanf(string(v), "%d", &n)
-				tx.Put(counter, []byte(fmt.Sprint(n+1)))
+				_, fenced = tx.Get(fence)
 				return nil
 			})
-			if err != gcs.ErrAborted || fenced {
+			if fenced {
+				return gcs.ErrAborted
+			}
+			applied, err := g.Apply([]gcs.Entry{{NS: ns,
+				Guards: []gcs.Guard{{Key: fence, Want: 0}, {Key: counter, Want: int64(n)}},
+				Puts:   []gcs.KV{{Key: counter, Val: []byte(fmt.Sprint(n + 1))}}}})
+			if err != nil || applied[0] {
 				return err
 			}
 		}
@@ -213,7 +217,7 @@ func TestConcurrentClientsSerialize(t *testing.T) {
 	store.UpdateNS(ns, func(tx *gcs.Txn) error {
 		v, _ := tx.Get(counter)
 		fmt.Sscanf(string(v), "%d", &atFence)
-		tx.Put(fence, []byte("up"))
+		tx.Put(fence, []byte("1"))
 		return nil
 	})
 	wg.Wait()

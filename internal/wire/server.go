@@ -571,7 +571,7 @@ func (s *Server) StartQuery(r *engine.Runner) (func(), error) {
 // client can act on are sent as mtErrResp instead.
 func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 	switch typ {
-	case mtGCSCommit, mtGCSFollow:
+	case mtGCSApply, mtGCSFollow:
 		return s.handleGCS(c, typ, payload)
 
 	case mtObjPut:
@@ -633,13 +633,13 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 // ---------------------------------------------------------------------------
 // One-frame GCS transactions
 
-// handleGCS serves a commit or follow frame: the whole request is decoded,
+// handleGCS serves an apply or follow frame: the whole request is decoded,
 // the store answers it under its own shard locks — a follow parked on none,
-// then read like a view — and only then is the answer written: no lock is held
-// across a conn read or write, so a hung or dead peer cannot stall a query's
-// control plane. Both enumerate a namespace the PEER named (built worker-side
-// by the blessed helper, opaque bytes here), so each must be exactly one
-// query's namespace.
+// then read like a view; an apply checked before any lock is taken — and only
+// then is the answer written: no lock is held across a conn read or write, so
+// a hung or dead peer cannot stall a query's control plane. Both enumerate a
+// namespace the PEER named (built worker-side by the blessed helper, opaque
+// bytes here), so each must be exactly one query's namespace.
 func (s *Server) handleGCS(c net.Conn, typ byte, payload []byte) error {
 	r := rbuf{b: payload}
 	namespace := func() string {
@@ -649,7 +649,7 @@ func (s *Server) handleGCS(c net.Conn, typ byte, payload []byte) error {
 		}
 		return ns
 	}
-	var committed bool
+	var applied []bool
 	var deltas []gcs.Delta
 	if typ == mtGCSFollow {
 		ns, since, after, park := namespace(), r.u64("replica version"), r.u64("after"), time.Duration(r.u32("max"))*time.Microsecond
@@ -662,26 +662,45 @@ func (s *Server) handleGCS(c net.Conn, typ byte, payload []byte) error {
 		}
 		deltas = []gcs.Delta{d}
 	} else {
-		reads := make([]gcs.ReadSet, r.count("namespace count", 20))
-		for i := range reads {
-			reads[i] = gcs.ReadSet{NS: namespace(), Version: r.u64("replica version"),
-				Keys: r.strs("read key"), Prefixes: r.strs("read prefix")}
+		nss := make([]string, r.count("namespace count", 12))
+		since := make([]uint64, len(nss))
+		for i := range nss {
+			nss[i], since[i] = namespace(), r.u64("replica version")
 		}
-		writes := r.kvs("write")
+		entries := make([]gcs.Entry, r.count("entry count", 16))
+		for i := range entries {
+			e := &entries[i]
+			if j := int(r.u32("namespace index")); r.e == nil && j >= len(nss) {
+				r.e = fmt.Errorf("%w: namespace index %d of %d", ErrCorrupt, j, len(nss))
+			} else if r.e == nil {
+				e.NS = nss[j]
+			}
+			e.Guards = make([]gcs.Guard, r.count("guard count", 12))
+			for k := range e.Guards {
+				e.Guards[k] = gcs.Guard{Key: r.str("guard key"), Want: r.i64("guard value")}
+			}
+			e.Puts = make([]gcs.KV, r.count("put count", 8))
+			for k := range e.Puts {
+				e.Puts[k] = gcs.KV{Key: r.str("put key"), Val: r.bytesOwned("put value")}
+			}
+			e.Deletes = r.strs("delete")
+		}
 		if err := r.err(); err != nil {
 			return err
 		}
-		if len(reads) == 0 {
-			return fmt.Errorf("%w: commit over no namespace", ErrCorrupt)
+		if len(entries) == 0 {
+			return fmt.Errorf("%w: apply of no entry", ErrCorrupt)
 		}
 		var err error
-		if committed, deltas, err = s.store.Commit(reads, writes); err != nil {
-			// A write outside the named namespaces: the peer's error, no effect.
+		if applied, deltas, err = s.store.ApplySync(entries, nss, since); err != nil {
+			// A key outside its entry's namespace: the peer's error, no effect.
 			return writeFrame(c, mtErrResp, encodeErr(err))
 		}
 	}
 	var w wbuf
-	w.boolean(committed)
+	for _, ok := range applied {
+		w.boolean(ok)
+	}
 	w.u32(uint32(len(deltas)))
 	for _, d := range deltas {
 		w.u64(d.Version)

@@ -116,16 +116,16 @@ func TestSubmitConcurrentQueries(t *testing.T) {
 }
 
 // flushGate holds every flush of task commits — the control store's one
-// UpdateMulti caller — until open is closed: until then no query commits a
-// task, so none can finish.
+// Apply caller — until open is closed: until then no query commits a task, so
+// none can finish.
 type flushGate struct {
 	gcs.Backend
 	open chan struct{}
 }
 
-func (g flushGate) UpdateMulti(nss []string, fn func(tx *gcs.Txn) error) error {
+func (g flushGate) Apply(entries []gcs.Entry) ([]bool, error) {
 	<-g.open
-	return g.Backend.UpdateMulti(nss, fn)
+	return g.Backend.Apply(entries)
 }
 
 // TestSubmitCancel: cancelling one in-flight query surfaces
