@@ -34,7 +34,9 @@ dark:
 ## public Submit/Cursor API suites in the root package, plus five rounds of
 ## the wire kill suite: a worker killed, stopped or unreachable mid-query now
 ## takes its own listener, accepted conns and mailbox with it, in its own time,
-## and a cursor streams over the wire through a kill; and five rounds of the
+## under write-ahead lineage, spool (a replay reads the head's store) and
+## checkpoint (a restart reads a mark another process put), leaving no
+## object behind, and a cursor streams over the wire through a kill; and five rounds of the
 ## engine kill suites beside the handed-batch check: a same-worker consumer
 ## reads its producer's batch, which must stay its piece — under write-ahead
 ## lineage the piece is never encoded and no replay reads its slot — and a
@@ -47,7 +49,8 @@ dark:
 ## failing the query rather than stalling it — or by the image the committer
 ## advanced past its own flush, which must equal the one a load reads and
 ## must not be published after someone else's write; and a spooled task
-## overwrites what a refused incarnation left; and a round steps only the
+## overwrites what a refused incarnation left, and teardown sweeps every
+## object a spool or checkpoint query stored; and a round steps only the
 ## channels its image changed, at most 4 steps per executed task, a replay
 ## round retiring its entries in one flush that wakes only the channels they
 ## name; and two kills in turn leave every Direct edge at equal parallelism
@@ -66,7 +69,7 @@ race: wake-stress
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestSubmit|TestAdmissionLimitPublic' .
 	$(GO) test -race -count=5 -run 'TestProcessModeKillWorker|TestProcessModeCursorMatchesResult|TestProcessModeKillWorkerMidCursor|TestPeerPushFailureIsARetryNotAVerdict|TestWorkerStopClosesMailboxConns' ./internal/wire
-	$(GO) test -race -count=5 -run 'TestHandedBatchIsItsPiece|TestLocalPiecesAreNeverEncoded|TestElidedPieceIsNeverRead|Recover|Fail|Kill|Dead|TestReplayedPiecesAreTheStoredOnes|TestCheckpointRestart(RestoresState|KeepsDeliveredResults)|TestOwnerBelowARestartHasDied|TestControlStoreSchema|TestFlushReadsOnlyItsFences|TestEveryWorkerReadIsAnImageLoad|TestAdvancedImageEqualsLoadedImage|TestAdvanceRefusedAfterAForeignWrite|TestChangesFor|TestReplayRoundRetiresOnce|TestDirectPartnersShareAWorker|TestRewoundReaderReReadsItsRuns|TestFusedChainRecovery|TestStepsPerTask|TestSpoolOverwritesARefusedIncarnationsObject|TestGroupCommit' ./internal/engine
+	$(GO) test -race -count=5 -run 'TestHandedBatchIsItsPiece|TestLocalPiecesAreNeverEncoded|TestElidedPieceIsNeverRead|Recover|Fail|Kill|Dead|TestReplayedPiecesAreTheStoredOnes|TestCheckpointRestart(RestoresState|KeepsDeliveredResults)|TestOwnerBelowARestartHasDied|TestControlStoreSchema|TestFlushReadsOnlyItsFences|TestEveryWorkerReadIsAnImageLoad|TestAdvancedImageEqualsLoadedImage|TestAdvanceRefusedAfterAForeignWrite|TestChangesFor|TestReplayRoundRetiresOnce|TestDirectPartnersShareAWorker|TestRewoundReaderReReadsItsRuns|TestFusedChainRecovery|TestStepsPerTask|TestSpoolOverwritesARefusedIncarnationsObject|TestPerQueryObjectsAreSwept|TestGroupCommit' ./internal/engine
 	$(GO) test -race -count=5 -run 'TestDeleteNSDropsTheNamespace|TestChangeTrackingLifecycle' ./internal/gcs
 	$(GO) test -race -count=3 -run 'TestTPCHFailureRecoveryMatchesFailureFree|TestTPCHCheckpointRecovery|TestCompressedFaultRecovery|TestConcurrentTPCHKillWorker' ./internal/tpch
 

@@ -195,7 +195,7 @@ func (d *DataFrame) JoinScalar(scalar *DataFrame, dCols, scalarCols []Named) *Da
 
 // catalog resolves table metadata from the session's cluster store.
 func (d *DataFrame) catalog() plan.Catalog {
-	return plan.NewStoreCatalog(d.s.cluster.inner.ObjStore)
+	return plan.NewStoreCatalog(d.s.cluster.inner.HeadObjs)
 }
 
 // optimize validates the frame's logical plan against the cluster catalog

@@ -155,7 +155,7 @@ func (h *Harness) Fig9(workers int) ([]OverheadRow, error) {
 	var rows []OverheadRow
 	var to, qo, wo []float64
 	for _, q := range tpch.RepresentativeQueries {
-		// Trino: static pipelined; FT off vs HDFS spooling.
+		// Trino: static pipelined; FT off vs spooling to the harness store (S3).
 		trinoOff := engine.TrinoConfig()
 		trinoOff.FT = engine.FTNone
 		tOff, _, err := h.run(workers, q, trinoOff)

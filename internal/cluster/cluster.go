@@ -84,13 +84,15 @@ func (w *Worker) Kill() {
 
 // Cluster is the set of workers plus the shared services: the GCS on the
 // head node and the durable object store. Head is the head's own write path
-// on that store — seed, recovery, cleanup — and nil in a worker process's view
-// of the cluster.
+// on the GCS (seed, recovery, cleanup) and HeadObjs its own object store
+// (table loads, catalog reads, the per-query sweep); both are nil in a worker
+// process's view of the cluster.
 type Cluster struct {
 	Workers  []*Worker
 	GCS      gcs.Backend
 	Head     gcs.Head
 	ObjStore storage.Objects
+	HeadObjs *storage.ObjectStore
 	Cost     storage.CostModel
 	Metrics  *metrics.Collector
 
@@ -136,11 +138,11 @@ func New(opt Options) (*Cluster, error) {
 		Cost:    opt.Cost,
 		Metrics: met,
 	}
-	if opt.ObjStore != nil {
-		c.ObjStore = opt.ObjStore
-	} else {
-		c.ObjStore = storage.NewObjectStore(opt.Cost, opt.Profile, met)
+	c.HeadObjs = opt.ObjStore
+	if c.HeadObjs == nil {
+		c.HeadObjs = storage.NewObjectStore(opt.Cost, opt.Profile, met)
 	}
+	c.ObjStore = c.HeadObjs
 	for i := 0; i < opt.Workers; i++ {
 		c.Workers = append(c.Workers, NewWorker(
 			WorkerID(i),

@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 	"time"
-
-	"quokka/internal/storage"
 )
 
 // ExecutionMode selects pipelined vs stagewise scheduling.
@@ -92,12 +90,6 @@ var ftTable = map[FTMode]ftCaps{
 
 func (c ftCaps) has(bit ftCaps) bool { return c&bit != 0 }
 
-// needsSharedStore reports whether the mode writes through Runner.spool.
-// That store is private to the process that built the runner, so such a
-// query cannot be split across worker processes: each would spool into,
-// and recover from, a store the others cannot see.
-func (c ftCaps) needsSharedStore() bool { return c.has(capSpool | capCheckpoint) }
-
 // elidesLocal reports whether a non-empty piece whose consumer shares its
 // producer's worker goes unencoded, handed over as its batch alone. Under
 // write-ahead lineage a backup is read only to re-feed a consumer whose worker
@@ -148,10 +140,6 @@ type Config struct {
 	StaticBatch int
 	MinTake     int
 	MaxTake     int
-
-	// SpoolProfile selects where FTSpool persists partitions (S3 or
-	// HDFS). Trino's production default is HDFS.
-	SpoolProfile storage.Profile
 
 	// ComputeScale scales operator kernel throughput relative to the cost
 	// model's vectorised-native baseline. 1 (or 0) is DuckDB/Polars-class;
@@ -227,7 +215,6 @@ func DefaultConfig() Config {
 		MinTake:              8,
 		MaxTake:              64,
 		StaticBatch:          8,
-		SpoolProfile:         storage.ProfileS3,
 		CheckpointEveryTasks: 4,
 		ThreadsPerWorker:     8,
 		CPUPerWorker:         2,
@@ -253,12 +240,11 @@ func SparkConfig() Config {
 }
 
 // TrinoConfig returns the Trino stand-in: pipelined execution with static
-// task dependencies and durable spooling to HDFS.
+// task dependencies and durable spooling to the cluster's object store.
 func TrinoConfig() Config {
 	c := DefaultConfig()
 	c.Dynamic = false
 	c.FT = FTSpool
-	c.SpoolProfile = storage.ProfileHDFS
 	return c
 }
 

@@ -21,7 +21,7 @@ func testCluster(t *testing.T, n int, tables map[string][]*batch.Batch) *cluster
 		t.Fatal(err)
 	}
 	for name, splits := range tables {
-		WriteTable(cl.ObjStore, name, splits)
+		WriteTable(cl.HeadObjs, name, splits)
 	}
 	return cl
 }

@@ -436,9 +436,10 @@ func TestRecoverySpoolMode(t *testing.T) {
 // TestSpoolOverwritesARefusedIncarnationsObject: a task that spooled and pushed
 // and then lost its worker before committing leaves its object behind, and the
 // rewound channel re-executes that sequence number with freshly chosen inputs.
-// The object is planted here as that leftover; the incarnation that commits
-// must store its own bytes over it, or a later replay from the spool re-pushes
-// the dead incarnation's pieces against the new one's lineage.
+// The object is planted here, in the cluster's store, as that leftover; the
+// incarnation that commits must store its own bytes over it, or a later replay
+// from the spool re-pushes the dead incarnation's pieces against the new one's
+// lineage. Teardown then sweeps it with the rest of the query's objects.
 func TestSpoolOverwritesARefusedIncarnationsObject(t *testing.T) {
 	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(400, 8)})
 	cfg := DefaultConfig()
@@ -447,21 +448,142 @@ func TestSpoolOverwritesARefusedIncarnationsObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := spoolKey(lineage.TaskName{Stage: 1, Channel: 0, Seq: 0}) // the filter feeds the aggregate: spooled
-	if err := r.spool.Put(key, []byte("zombie")); err != nil {
+	key := spoolKey(r.qid, lineage.TaskName{Stage: 1, Channel: 0, Seq: 0}) // the filter feeds the aggregate: spooled
+	if err := cl.ObjStore.Put(key, []byte("zombie")); err != nil {
 		t.Fatal(err)
 	}
+	puts := &objPuts{Objects: cl.ObjStore, last: map[string][]byte{}}
+	cl.ObjStore = puts
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, _, err := r.Run(ctx); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	v, err := r.spool.Get(key)
+	v, ok := puts.get(key)
+	if _, perr := parsePieceSet(v); !ok || perr != nil {
+		t.Errorf("the committed task's spool object is %q (%v): the leftover shadows it", v, perr)
+	}
+	if _, err := cl.HeadObjs.Get(key); err == nil {
+		t.Error("the spool object outlived the query")
+	}
+}
+
+// objPuts records the last value put under each key on its way to the store.
+type objPuts struct {
+	storage.Objects
+	mu   sync.Mutex
+	last map[string][]byte
+	fail error // when set, every Put fails with it and stores nothing
+}
+
+func (o *objPuts) Put(key string, value []byte) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.fail != nil {
+		return o.fail
+	}
+	o.last[key] = value
+	return o.Objects.Put(key, value)
+}
+
+func (o *objPuts) get(key string) ([]byte, bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	v, ok := o.last[key]
+	return v, ok
+}
+
+// TestPerQueryObjectsAreSwept: spool and checkpoint store objects under the
+// query's ft/ prefix of the cluster's store while it runs, and teardown
+// leaves none behind, killed or not — while the tables stay.
+func TestPerQueryObjectsAreSwept(t *testing.T) {
+	for _, mode := range []FTMode{FTSpool, FTCheckpoint} {
+		for _, kill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/kill=%v", mode, kill), func(t *testing.T) {
+				cl := testCluster(t, 4, joinTables(800))
+				tables := cl.HeadObjs.PutGen()
+				puts := &objPuts{Objects: cl.ObjStore, last: map[string][]byte{}}
+				cl.ObjStore = puts
+				cfg := DefaultConfig()
+				cfg.FT = mode
+				cfg.CheckpointEveryTasks = 2
+				r, err := NewRunner(cl, joinPlan(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kill {
+					killAfterTasks(cl, 2, 8)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				defer cancel()
+				out, rep, err := r.Run(ctx)
+				if err != nil || out == nil || out.NumRows() != 10 {
+					t.Fatalf("Run: %v, %v", out, err)
+				}
+				if kill && rep.Recoveries == 0 {
+					t.Error("the kill exercised no recovery")
+				}
+				puts.mu.Lock()
+				stored := len(puts.last)
+				for k := range puts.last {
+					if qid, ok := ObjectQuery(k); !ok || qid != r.qid {
+						t.Errorf("object %q is not under the query's prefix", k)
+					}
+				}
+				puts.mu.Unlock()
+				if stored == 0 {
+					t.Fatal("the query stored no object")
+				}
+				if n := cl.HeadObjs.DeletePrefix(ObjectPrefix(r.qid)); n != 0 {
+					t.Errorf("%d of the query's %d objects outlived it", n, stored)
+				}
+				if _, err := TableSplits(cl.ObjStore, "fact"); err != nil || cl.HeadObjs.PutGen() != tables {
+					t.Errorf("the sweep touched the tables: %v, put generation %d -> %d", err, tables, cl.HeadObjs.PutGen())
+				}
+			})
+		}
+	}
+}
+
+// TestFailedSpoolPutFailsTheQuery: a spool object that could not be stored
+// fails its task before the push — no piece of the spooled stage reaches a
+// consumer, so nothing of it is committed either — and the query fails with
+// the store's error, the worker being alive. A checkpoint that could not be
+// stored only goes unmarked.
+func TestFailedSpoolPutFailsTheQuery(t *testing.T) {
+	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(400, 8)})
+	storeDown := errors.New("store unreachable")
+	cl.ObjStore = &objPuts{Objects: cl.ObjStore, last: map[string][]byte{}, fail: storeDown}
+	mu, pushes := logPushes(cl, nil)
+	cfg := DefaultConfig()
+	cfg.FT = FTSpool
+	r, err := NewRunner(cl, scanFilterAggPlan(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, perr := parsePieceSet(v); perr != nil || string(v) == "zombie" {
-		t.Errorf("the committed task's spool object is %q (%v): the leftover shadows it", v, perr)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, _, err := r.Run(ctx); !errors.Is(err, storeDown) {
+		t.Fatalf("Run: %v, want the put's error", err)
+	}
+	mu.Lock()
+	for _, p := range *pushes {
+		if p.From.Stage == 1 { // the filter, the spooled stage
+			t.Errorf("%s pushed past a failed spool put", p.From)
+		}
+	}
+	mu.Unlock()
+
+	// A snapshot that could not be stored is not marked: the commit goes
+	// ahead without it and the query completes.
+	cfg.FT, cfg.CheckpointEveryTasks = FTCheckpoint, 1
+	ck, err := NewRunner(cl, scanFilterAggPlan(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, rep, err := ck.Run(ctx)
+	if err != nil || out == nil || out.NumRows() != 1 || rep.Metrics[metrics.CheckpointBytes] != 0 {
+		t.Fatalf("checkpoint run over a failing store: %v, %v, %d checkpoint bytes", out, err, rep.Metrics[metrics.CheckpointBytes])
 	}
 }
 
@@ -914,7 +1036,7 @@ func TestCheckpointRestartRestoresState(t *testing.T) {
 			// The object is stored before the commit carrying the mark, under
 			// the committing incarnation's epoch: a refused one cannot
 			// overwrite it.
-			if want := fmt.Sprintf("ckpt/%s/%s.e%d/%d", r.qid, tc.ch, cep, mark.Seq); mark.ObjKey != want {
+			if want := fmt.Sprintf("%sckpt/%s.e%d/%d", ObjectPrefix(r.qid), tc.ch, cep, mark.Seq); mark.ObjKey != want {
 				t.Errorf("mark at task %d names object %q, want %q", mark.Seq, mark.ObjKey, want)
 			}
 			if !bytes.Equal(batch.Encode(got), batch.Encode(want)) {
@@ -1067,7 +1189,7 @@ func rowMultiset(b *batch.Batch) []string {
 // that a task manager retrying it forever would run out.
 func TestFatalTaskErrorFailsQuery(t *testing.T) {
 	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(400, 8)})
-	cl.ObjStore.PutFree(tableSplitKey("numbers", 3), []byte("not a batch"))
+	cl.HeadObjs.PutFree(tableSplitKey("numbers", 3), []byte("not a batch"))
 	r, err := NewRunner(cl, scanFilterAggPlan(0), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -136,7 +136,7 @@ func handoffCluster(t *testing.T, workers int, data *tpch.Data) (*cluster.Cluste
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpch.Load(cl.ObjStore, data, 256)
+	tpch.Load(cl.HeadObjs, data, 256)
 	log := &handoffLog{pushed: map[*batch.Batch][]byte{}}
 	for _, w := range cl.Workers {
 		w.Mailbox = checkedMailbox{Mailbox: w.Mailbox, log: log}

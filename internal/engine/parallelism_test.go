@@ -28,7 +28,7 @@ func TestParallelismMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpch.Load(cl.ObjStore, tpch.Generate(sf), 256)
+	tpch.Load(cl.HeadObjs, tpch.Generate(sf), 256)
 
 	join := plan.Project(
 		plan.Join(ops.InnerJoin, plan.Shuffle, plan.Scan("orders"), []string{"o_orderkey"},

@@ -14,9 +14,6 @@ import (
 // restore. Each asks the runner's capability bits (config.go) and does
 // nothing without its capability; none of them knows the FT mode.
 
-// spoolKey names a task's spooled piece set in the runner's durable store.
-func spoolKey(task lineage.TaskName) string { return "spool/" + task.String() }
-
 // persistBeforePush (capSpool) makes the task's piece set durable before
 // any consumer can see it. Only exchange (wide-edge) outputs spool; fused
 // narrow pipelines don't materialize, which is why the paper's category I
@@ -28,7 +25,7 @@ func (t *taskManager) persistBeforePush(cs *chanState, task lineage.TaskName, p 
 	if !t.r.ft.has(capSpool) || !t.r.spooled[cs.id.Stage] || p.replay {
 		return nil
 	}
-	if err := t.r.spool.Put(spoolKey(task), p.payload); err != nil {
+	if err := t.r.cl.ObjStore.Put(spoolKey(t.r.qid, task), p.payload); err != nil {
 		return err
 	}
 	t.r.count(metrics.SpoolWriteBytes, int64(len(p.payload)))
@@ -58,7 +55,7 @@ func (t *taskManager) persistAfterPush(task lineage.TaskName, p *pendingTask, ed
 // worker's upstream backup.
 func (t *taskManager) storedPieceSet(task lineage.TaskName) ([]byte, error) {
 	if t.r.ft.has(capSpool) {
-		return t.r.spool.Get(spoolKey(task))
+		return t.r.cl.ObjStore.Get(spoolKey(t.r.qid, task))
 	}
 	return t.disk.Read(backupKey(t.r.qid, task))
 }
@@ -69,9 +66,7 @@ func (t *taskManager) storedPieceSet(task lineage.TaskName) ([]byte, error) {
 // worth keeping. The snapshot goes to durable storage — this is exactly the
 // growing-state cost §V-C measures — before the commit, so the mark lands
 // with the task it follows, under the same fences, or not at all. The state
-// already holds this task's input, so the mark's watermark does too. The
-// object's key carries the channel epoch: an incarnation whose commit is
-// refused never overwrites the object a newer one's mark names.
+// already holds this task's input, so the mark's watermark does too.
 func (t *taskManager) persistBeforeCommit(cs *chanState, p *pendingTask) []byte {
 	if !t.r.ft.has(capCheckpoint) || p.finalize || cs.op == nil {
 		return nil
@@ -85,8 +80,8 @@ func (t *taskManager) persistBeforeCommit(cs *chanState, p *pendingTask) []byte 
 	if err != nil || len(data) == 0 {
 		return nil
 	}
-	objKey := fmt.Sprintf("ckpt/%s/%s.e%d/%d", t.r.qid, cs.id, cs.cep, seq)
-	if err := t.r.spool.Put(objKey, data); err != nil {
+	objKey := checkpointKey(t.r.qid, cs.id, cs.cep, seq)
+	if err := t.r.cl.ObjStore.Put(objKey, data); err != nil {
 		return nil
 	}
 	t.r.count(metrics.CheckpointBytes, int64(len(data)))
@@ -104,7 +99,7 @@ func (t *taskManager) restoreCheckpoint(cs *chanState, ck *checkpointMark) error
 	if !ok {
 		return fmt.Errorf("engine: channel %s has checkpoint but operator cannot restore", cs.id)
 	}
-	data, err := t.r.spool.Get(ck.ObjKey)
+	data, err := t.r.cl.ObjStore.Get(ck.ObjKey)
 	if err != nil {
 		return err
 	}

@@ -23,21 +23,8 @@ type WorkerQuerySpec struct {
 	Cfg     Policy
 }
 
-// shippable is the process-mode rejection, asked on both sides of the
-// wire: by the head before a spec is encoded and by the worker after it is
-// decoded.
-func (s *WorkerQuerySpec) shippable() error {
-	if ftTable[s.Cfg.FT].needsSharedStore() {
-		return fmt.Errorf("engine: FT mode %s needs an object store every worker shares; process mode has none", s.Cfg.FT)
-	}
-	return nil
-}
-
 // Encode serializes the spec for the wire.
 func (s *WorkerQuerySpec) Encode() ([]byte, error) {
-	if err := s.shippable(); err != nil {
-		return nil, err
-	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
 		return nil, fmt.Errorf("engine: encode worker spec: %w", err)
@@ -55,9 +42,6 @@ func DecodeWorkerSpec(data []byte) (*WorkerQuerySpec, error) {
 		return nil, fmt.Errorf("engine: worker spec has no plan")
 	}
 	if err := s.Plan.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.shippable(); err != nil {
 		return nil, err
 	}
 	return &s, nil

@@ -12,7 +12,6 @@ import (
 	"quokka/internal/gcs"
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
-	"quokka/internal/storage"
 	"quokka/internal/trace"
 )
 
@@ -57,10 +56,9 @@ type Runner struct {
 	ns     string         // QueryNamespace(qid), set by newRunner (keyNS)
 	shared *clusterShared // per-cluster admission + worker resource pools
 
-	spool *storage.ObjectStore // durable target of the spool and checkpoint capabilities
-	met   *metrics.Collector   // cluster-wide collector
-	qmet  *metrics.Collector   // per-query collector (feeds the Report)
-	tee   *metrics.Collector   // write-only fan-out to both of the above
+	met  *metrics.Collector // cluster-wide collector
+	qmet *metrics.Collector // per-query collector (feeds the Report)
+	tee  *metrics.Collector // write-only fan-out to both of the above
 
 	out     int    // output stage
 	par     []int  // parallelism per stage
@@ -177,7 +175,6 @@ func newRunner(cl *cluster.Cluster, plan *Plan, pol Policy, qid string) (*Runner
 		qmet:   qmet,
 		tee:    metrics.Tee(cl.Metrics, qmet),
 		out:    out,
-		spool:  storage.NewObjectStore(cl.Cost, pol.SpoolProfile, cl.Metrics),
 	}
 	r.par = make([]int, len(plan.Stages))
 	for i := range plan.Stages {
@@ -309,17 +306,19 @@ func (r *Runner) execute(ctx context.Context) error {
 }
 
 // cleanup tears down what the head owns of the query: its flight mailbox
-// slots and its whole GCS namespace, dropped in one step (gcs.Txn.DeleteNS:
-// no List, no per-key delete). Worker-local disk state (spill runs,
-// upstream backups) is swept by each worker's runTaskManager as its threads
-// exit. Must only run after the query's task managers have stopped (they
-// would otherwise re-create state behind the sweep).
+// slots, its spooled piece sets and checkpoint snapshots in the object store,
+// and its whole GCS namespace, dropped in one step (gcs.Txn.DeleteNS: no
+// List, no per-key delete). Worker-local disk state (spill runs, upstream
+// backups) is swept by each worker's runTaskManager as its threads exit.
+// Must only run after the query's task managers have stopped (they would
+// otherwise re-create state behind the sweep).
 func (r *Runner) cleanup() {
 	for _, w := range r.cl.Workers {
 		if w.Alive() {
 			w.Peer.DropQuery(r.qid)
 		}
 	}
+	r.cl.HeadObjs.DeletePrefix(ObjectPrefix(r.qid))
 	r.gcsUpdate(func(tx *gcs.Txn) error {
 		tx.DeleteNS(r.keyNS())
 		return nil

@@ -81,6 +81,31 @@ func backupKey(qid string, t lineage.TaskName) string {
 	return backupQueryPrefix(qid) + t.String()
 }
 
+// Object key schema: what a query stores in the durable object store lives
+// under ft/<qid>/ — piece sets under spool/<task>, operator snapshots under
+// ckpt/<channel>.e<cep>/<seq> — and the head's cleanup sweeps it.
+
+// ObjectPrefix is the blessed construction site of the "ft/" namespace.
+func ObjectPrefix(qid string) string { return "ft/" + qid + "/" }
+
+// ObjectQuery reads ObjectPrefix back: the query a key is an object of, or
+// false (the wire server's check of a worker's put).
+func ObjectQuery(key string) (qid string, ok bool) {
+	rest, ok := strings.CutPrefix(key, "ft/")
+	qid, obj, _ := strings.Cut(rest, "/")
+	return qid, ok && qid != "" && obj != ""
+}
+
+func spoolKey(qid string, task lineage.TaskName) string {
+	return ObjectPrefix(qid) + "spool/" + task.String()
+}
+
+// checkpointKey carries the channel epoch: an incarnation whose commit is
+// refused never overwrites the object a newer one's mark names.
+func checkpointKey(qid string, id lineage.ChannelID, cep, seq int) string {
+	return fmt.Sprintf("%sckpt/%s.e%d/%d", ObjectPrefix(qid), id, cep, seq)
+}
+
 // chanKeys holds one channel's prebuilt GCS key strings. A snapshot load
 // builds keys for every channel of the plan, so the per-channel keys are
 // formatted once at runner setup and the table is read-only (hence

@@ -34,7 +34,7 @@ func TestStepsPerTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpch.Load(cl.ObjStore, tpch.Generate(0.002), 128)
+	tpch.Load(cl.HeadObjs, tpch.Generate(0.002), 128)
 	var probes atomic.Int64
 	for _, w := range cl.Workers {
 		w.Mailbox = probeCounter{Mailbox: w.Mailbox, n: &probes}

@@ -39,12 +39,12 @@ func tableZoneMapKey(name string, i int) string {
 	return tablePrefix(name) + "zm/" + strconv.Itoa(i)
 }
 
-// WriteTable stores batches as the splits of a table, without I/O cost
-// (dataset preparation is not part of the measured query). Splits must be
+// WriteTable stores batches as the splits of a table in the head's store,
+// without I/O cost (dataset preparation is not part of the measured query). Splits must be
 // non-empty so the schema metadata can be recorded — represent an empty
 // table as one zero-row batch (both loaders already do), or the planner
 // catalog will not see the table.
-func WriteTable(store storage.Objects, name string, splits []*batch.Batch) {
+func WriteTable(store *storage.ObjectStore, name string, splits []*batch.Batch) {
 	rows := 0
 	for i, b := range splits {
 		store.PutFree(tableSplitKey(name, i), batch.EncodeCompressed(b))
@@ -60,9 +60,9 @@ func WriteTable(store storage.Objects, name string, splits []*batch.Batch) {
 }
 
 // TableRowCount returns the table's total row count from the catalog
-// metadata. Metadata reads are free: planning is not part of the measured
-// query.
-func TableRowCount(store storage.Objects, name string) (int64, error) {
+// metadata in the head's store. Metadata reads are free: planning is not
+// part of the measured query.
+func TableRowCount(store *storage.ObjectStore, name string) (int64, error) {
 	v, err := store.GetFree(tableRowsKey(name))
 	if err != nil {
 		return 0, fmt.Errorf("engine: table %q has no row-count metadata: %w", name, err)
@@ -75,7 +75,7 @@ func TableRowCount(store storage.Objects, name string) (int64, error) {
 }
 
 // TableSchema returns the table's schema from the catalog metadata.
-func TableSchema(store storage.Objects, name string) (*batch.Schema, error) {
+func TableSchema(store *storage.ObjectStore, name string) (*batch.Schema, error) {
 	v, err := store.GetFree(tableSchemaKey(name))
 	if err != nil {
 		return nil, fmt.Errorf("engine: table %q not found: %w", name, err)
@@ -104,7 +104,7 @@ func TableSplits(store storage.Objects, name string) (int, error) {
 // split number. Tables written before zone maps existed (or stores that
 // lost the entries) return an error; planners treat that as "no stats" and
 // skip pruning. Metadata reads are free, like the rest of the catalog.
-func TableZoneMaps(store storage.Objects, name string) ([]*batch.ZoneMap, error) {
+func TableZoneMaps(store *storage.ObjectStore, name string) ([]*batch.ZoneMap, error) {
 	v, err := store.GetFree(tableMetaKey(name))
 	if err != nil {
 		return nil, fmt.Errorf("engine: table %q not found: %w", name, err)

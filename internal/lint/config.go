@@ -40,6 +40,9 @@ func DefaultAnalyzers() []*Analyzer {
 				"bk/": {{Pkg: "quokka/internal/engine", Name: "backupQueryPrefix"}},
 				// tbl/<name>/... — table catalog + split objects.
 				"tbl/": {{Pkg: "quokka/internal/engine", Name: "tablePrefix"}},
+				// ft/<qid>/... — spooled piece sets and checkpoint snapshots,
+				// parsed back by the wire server's put check.
+				"ft/": {{Pkg: "quokka/internal/engine", Name: "ObjectPrefix"}, {Pkg: "quokka/internal/engine", Name: "ObjectQuery"}},
 			},
 			SweepFuncs: []FuncRef{
 				// The per-query teardown/rewind sweeps (arguments built by
@@ -48,6 +51,8 @@ func DefaultAnalyzers() []*Analyzer {
 				// the one launch of a worker's task manager, in the head's
 				// process or a worker's — sweeps THAT worker's disk of the
 				// one query's spill/backup namespaces as its threads exit.
+				// Runner.cleanup sweeps the head's object store of ft/<qid>/.
+				{Pkg: "quokka/internal/engine", Name: "Runner.cleanup"},
 				{Pkg: "quokka/internal/engine", Name: "Runner.runTaskManager"},
 				{Pkg: "quokka/internal/engine", Name: "taskManager.resetChannel"},
 				{Pkg: "quokka/internal/engine", Name: "Runner.loadReplays"},

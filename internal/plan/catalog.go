@@ -11,11 +11,11 @@ import (
 // splits). Metadata reads are free — planning is not part of the measured
 // query.
 type storeCatalog struct {
-	store storage.Objects
+	store *storage.ObjectStore
 }
 
-// NewStoreCatalog returns a Catalog over the tables of an object store.
-func NewStoreCatalog(store storage.Objects) Catalog {
+// NewStoreCatalog returns a Catalog over the tables of the head's store.
+func NewStoreCatalog(store *storage.ObjectStore) Catalog {
 	return storeCatalog{store: store}
 }
 

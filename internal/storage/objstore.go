@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"quokka/internal/metrics"
@@ -24,18 +25,15 @@ func (p Profile) String() string {
 	return "s3"
 }
 
-// Objects is durable shared storage (the S3/HDFS role) as the engine reads
-// and loads tables through it — exactly the methods table.go calls,
-// specified in docs/contracts/storage-objects.md. It survives worker
-// failures. ObjectStore is the in-memory default; process-mode workers use
-// a wire client that proxies these calls to the head. Spooled partitions
-// and checkpoints go through a runner's own *ObjectStore, not through this
-// interface, so it carries no costed write, delete or listing.
+// Objects is durable shared storage (the S3/HDFS role) as a worker uses it:
+// table splits, a query's spooled piece sets and checkpoint snapshots
+// (docs/contracts/storage-objects.md). ObjectStore is the in-memory default,
+// a wire client in a worker process; table loads, catalog reads and the
+// per-query sweep are the head's own, on its *ObjectStore.
 type Objects interface {
-	PutFree(key string, value []byte)
+	Put(key string, value []byte) error
 	Get(key string) ([]byte, error)
 	GetMany(keys []string) ([][]byte, error)
-	GetFree(key string) ([]byte, error)
 }
 
 // ObjectStore simulates durable shared storage (S3 or HDFS). It survives
@@ -49,7 +47,7 @@ type ObjectStore struct {
 
 	mu   sync.RWMutex
 	data map[string][]byte
-	gen  uint64 // puts so far: what a remote cache of objects is valid under
+	gen  uint64 // table loads so far: what a remote cache of tables is valid under
 }
 
 // NewObjectStore creates an empty durable store with the given profile.
@@ -64,15 +62,11 @@ func (s *ObjectStore) link() LinkCost {
 	return s.cost.S3
 }
 
-// Put durably stores value under key.
+// Put durably stores value under key, billed at the store's link. It does
+// not move PutGen: a cache of tables never has to drop a query's objects.
 func (s *ObjectStore) Put(key string, value []byte) error {
 	s.cost.Apply(s.link(), int64(len(value)))
-	s.mu.Lock()
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	s.data[key] = cp
-	s.gen++
-	s.mu.Unlock()
+	s.set(key, value, 0)
 	s.met.Add(metrics.ObjWriteBytes, int64(len(value)))
 	s.met.Add(metrics.ObjWrites, 1)
 	return nil
@@ -80,17 +74,17 @@ func (s *ObjectStore) Put(key string, value []byte) error {
 
 // PutFree stores value without applying I/O cost. The TPC-H loader uses it
 // so that dataset preparation is not billed to the query under test.
-func (s *ObjectStore) PutFree(key string, value []byte) {
+func (s *ObjectStore) PutFree(key string, value []byte) { s.set(key, value, 1) }
+
+func (s *ObjectStore) set(key string, value []byte, loads uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	s.data[key] = cp
-	s.gen++
+	s.data[key] = append([]byte(nil), value...)
+	s.gen += loads
 }
 
-// PutGen returns how many puts the store has applied. Whoever
-// caches its objects elsewhere (a worker process, docs/contracts/
+// PutGen returns how many PutFree loads the store has applied. Whoever
+// caches its tables elsewhere (a worker process, docs/contracts/
 // storage-objects.md) holds them valid only while this stands still.
 func (s *ObjectStore) PutGen() uint64 {
 	s.mu.RLock()
@@ -100,11 +94,9 @@ func (s *ObjectStore) PutGen() uint64 {
 
 // Get retrieves the value under key.
 func (s *ObjectStore) Get(key string) ([]byte, error) {
-	s.mu.RLock()
-	v, ok := s.data[key]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("storage: object %q not found", key)
+	v, err := s.GetFree(key)
+	if err != nil {
+		return nil, err
 	}
 	s.cost.Apply(s.link(), int64(len(v)))
 	s.met.Add(metrics.ObjReadBytes, int64(len(v)))
@@ -128,7 +120,7 @@ func (s *ObjectStore) GetMany(keys []string) ([][]byte, error) {
 }
 
 // GetFree retrieves the value under key without applying I/O cost or
-// metrics. The query planner uses it for catalog metadata (table schemas
+// metrics. The head's planner uses it for catalog metadata (table schemas
 // and row counts): planning reads are not part of the measured query, just
 // as PutFree keeps dataset preparation off the bill.
 func (s *ObjectStore) GetFree(key string) ([]byte, error) {
@@ -139,4 +131,18 @@ func (s *ObjectStore) GetFree(key string) ([]byte, error) {
 		return nil, fmt.Errorf("storage: object %q not found", key)
 	}
 	return v, nil
+}
+
+// DeletePrefix removes every object whose key has the given prefix and
+// returns how many it removed. It does not move PutGen.
+func (s *ObjectStore) DeletePrefix(prefix string) (n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := range s.data {
+		if strings.HasPrefix(k, prefix) {
+			delete(s.data, k)
+			n++
+		}
+	}
+	return n
 }

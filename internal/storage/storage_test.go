@@ -114,6 +114,32 @@ func TestObjectStore(t *testing.T) {
 	}
 }
 
+// TestObjectStorePutGenCountsLoads: only a table load moves the put
+// generation a worker's cache of tables is valid under; a query's put and the
+// sweep of its prefix do not, and the sweep takes that prefix alone.
+func TestObjectStorePutGenCountsLoads(t *testing.T) {
+	s := NewObjectStore(TestCostModel(), ProfileS3, nil)
+	s.PutFree("tbl/0", []byte("t"))
+	gen := s.PutGen()
+	for _, k := range []string{"ft/q1/a", "ft/q1/b", "ft/q12/a"} {
+		if err := s.Put(k, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.DeletePrefix("ft/q1/"); n != 2 || s.PutGen() != gen {
+		t.Errorf("swept %d objects, put generation %d -> %d; want 2, unmoved", n, gen, s.PutGen())
+	}
+	for k, want := range map[string]bool{"tbl/0": true, "ft/q12/a": true, "ft/q1/a": false} {
+		if _, err := s.Get(k); (err == nil) != want {
+			t.Errorf("%s present = %v after the sweep, want %v", k, err == nil, want)
+		}
+	}
+	s.PutFree("tbl/0", []byte("t2"))
+	if s.PutGen() != gen+1 {
+		t.Errorf("a table load moved the put generation %d -> %d", gen, s.PutGen())
+	}
+}
+
 func TestProfileSelectsLink(t *testing.T) {
 	cm := TestCostModel()
 	s3 := NewObjectStore(cm, ProfileS3, nil)

@@ -48,7 +48,7 @@ func prunedQuery(t *testing.T, cl *cluster.Cluster, q int) *engine.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := plan.Optimize(node, plan.NewStoreCatalog(cl.ObjStore))
+	opt, err := plan.Optimize(node, plan.NewStoreCatalog(cl.HeadObjs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestZoneMapPruningPrunesClusteredScan(t *testing.T) {
 	cl := loadCluster(t, 4)
 	nOrders := int64(testData.Orders.NumRows())
 	node := selectiveScan(nOrders / 10)
-	cat := plan.NewStoreCatalog(cl.ObjStore)
+	cat := plan.NewStoreCatalog(cl.HeadObjs)
 	opt, err := plan.Optimize(node, cat)
 	if err != nil {
 		t.Fatal(err)

@@ -492,7 +492,7 @@ const DefaultSplitRows = 1024
 // Load writes all tables into the object store, splitting each into
 // DefaultSplitRows-row splits (or splitRows if > 0). Small dimension
 // tables become a single split.
-func Load(store storage.Objects, d *Data, splitRows int) {
+func Load(store *storage.ObjectStore, d *Data, splitRows int) {
 	if splitRows <= 0 {
 		splitRows = DefaultSplitRows
 	}

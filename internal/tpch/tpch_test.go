@@ -23,7 +23,7 @@ func loadCluster(t *testing.T, workers int) *cluster.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Load(cl.ObjStore, testData, 256)
+	Load(cl.HeadObjs, testData, 256)
 	return cl
 }
 

@@ -364,17 +364,16 @@ func (f *flightClient) Fail() {
 // Object store client
 
 // objClient implements storage.Objects against the head's store, keeping what
-// it fetched: table objects are written once, before queries run. The cache is
-// valid only under the head store's put generation the last start frame named
-// and emptied by its own PutFree; a fetch in flight across either — epoch
-// moved — is not kept (docs/contracts/storage-objects.md).
+// it fetched. The cache is valid only under the head store's put generation
+// the last start frame named (it only grows); a fetch in flight across a
+// change is not kept. A put leaves it alone: a per-query object is read only
+// once committed and never changes then (docs/contracts/storage-objects.md).
 type objClient struct {
 	p   *pool
 	max int64 // bound on the cached bytes (values only): objCacheMax outside tests
 
 	mu    sync.Mutex
 	gen   uint64
-	epoch uint64 // bumped by setGen and PutFree
 	cache map[string][]byte
 	size  int64
 }
@@ -387,24 +386,20 @@ func (o *objClient) setGen(gen uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if gen != o.gen {
-		o.gen, o.cache, o.size, o.epoch = gen, nil, 0, o.epoch+1
+		o.gen, o.cache, o.size = gen, nil, 0
 	}
 }
 
-// PutFree has no error slot: a failed put surfaces when the object is read.
-func (o *objClient) PutFree(key string, value []byte) {
+func (o *objClient) Put(key string, value []byte) error {
 	var w wbuf
 	w.str(key)
-	w.boolean(true) // free: the only form of put there is
 	w.bytes(value)
-	_, _ = o.p.expect(context.Background(), mtObjPut, w.b, mtOK)
-	o.mu.Lock()
-	o.cache, o.size, o.epoch = nil, 0, o.epoch+1
-	o.mu.Unlock()
+	_, err := o.p.expect(context.Background(), mtObjPut, w.b, mtOK)
+	return err
 }
 
-// get answers keys from the cache and fetches the rest in one frame.
-func (o *objClient) get(keys []string, free bool) ([][]byte, error) {
+// GetMany answers keys from the cache and fetches the rest in one frame.
+func (o *objClient) GetMany(keys []string) ([][]byte, error) {
 	vals := make([][]byte, len(keys))
 	var miss []string
 	var at []int
@@ -416,14 +411,13 @@ func (o *objClient) get(keys []string, free bool) ([][]byte, error) {
 			miss, at = append(miss, k), append(at, i)
 		}
 	}
-	epoch := o.epoch
+	gen := o.gen
 	o.mu.Unlock()
 	if len(miss) == 0 {
 		return vals, nil
 	}
 	var w wbuf
 	w.strs(miss)
-	w.boolean(free)
 	rp, err := o.p.expect(context.Background(), mtObjGet, w.b, mtBytesResp)
 	if err != nil {
 		return nil, err
@@ -439,7 +433,7 @@ func (o *objClient) get(keys []string, free bool) ([][]byte, error) {
 	defer o.mu.Unlock()
 	for j, key := range miss {
 		val := vals[at[j]]
-		if _, raced := o.cache[key]; raced || o.epoch != epoch || int64(len(val)) > o.max {
+		if _, raced := o.cache[key]; raced || o.gen != gen || int64(len(val)) > o.max {
 			continue
 		}
 		if o.cache == nil || o.size+int64(len(val)) > o.max { // full: start over, no ranking nobody measured
@@ -451,19 +445,13 @@ func (o *objClient) get(keys []string, free bool) ([][]byte, error) {
 	return vals, nil
 }
 
-// one is get's answer to a single key.
-func one(vals [][]byte, err error) ([]byte, error) {
+func (o *objClient) Get(key string) ([]byte, error) {
+	vals, err := o.GetMany([]string{key})
 	if err != nil {
 		return nil, err
 	}
 	return vals[0], nil
 }
-
-func (o *objClient) Get(key string) ([]byte, error) { return one(o.get([]string{key}, false)) }
-
-func (o *objClient) GetMany(keys []string) ([][]byte, error) { return o.get(keys, false) }
-
-func (o *objClient) GetFree(key string) ([]byte, error) { return one(o.get([]string{key}, true)) }
 
 // ---------------------------------------------------------------------------
 // Result sink client

@@ -37,6 +37,8 @@ type backends struct {
 	// server itself, or a client of the worker-hosted server's listener.
 	fl  func(i int) flight.Peer
 	obj storage.Objects
+	// head is the head's own object store behind obj, where tables are loaded.
+	head *storage.ObjectStore
 	// server is worker i's mailbox at its authoritative end (the in-memory
 	// server itself, or the worker-hosted server behind its listener): the
 	// owner's view, where a mailbox is failed and where the suite probes what
@@ -60,13 +62,15 @@ func memBackends(t *testing.T) *backends {
 	cost := storage.CostModel{}
 	servers := []*flight.Server{flight.NewServer(cost, met), flight.NewServer(cost, met)}
 	store := gcs.New(cost, met)
+	objs := storage.NewObjectStore(cost, storage.ProfileS3, met)
 	return &backends{
 		gcs:    store,
 		store:  store,
 		peer:   store,
 		met:    met,
 		fl:     func(i int) flight.Peer { return servers[i] },
-		obj:    storage.NewObjectStore(cost, storage.ProfileS3, met),
+		obj:    objs,
+		head:   objs,
 		server: func(i int) *flight.Server { return servers[i] },
 	}
 }
@@ -82,6 +86,9 @@ func wireBackends(t *testing.T) *backends {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
+	srv.mu.Lock()
+	srv.queries[confQuery] = nil // the suite's query runs: its puts are taken
+	srv.mu.Unlock()
 	p := newPool(srv.Addr())
 	t.Cleanup(p.close)
 	mboxMet := &metrics.Collector{}
@@ -98,6 +105,7 @@ func wireBackends(t *testing.T) *backends {
 		gcs:     &gcsClient{p: p},
 		fl:      func(i int) flight.Peer { return clients[i] },
 		obj:     &objClient{p: p, max: objCacheMax},
+		head:    cl.HeadObjs,
 		server:  func(i int) *flight.Server { return mailboxes[i].fl },
 		remote:  true,
 		store:   cl.GCS.(*gcs.Store),
@@ -132,9 +140,14 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// confNS is the suite's namespace: a query namespace like any other, built
-// by the engine's blessed helper (a remote backend serves nothing else).
-var confNS = engine.QueryNamespace("conf")
+// confQuery is the suite's query, confNS its namespace: a query namespace like
+// any other, built by the engine's blessed helper (a remote backend serves
+// nothing else), and confObj a key under its object prefix.
+const confQuery = "conf"
+
+var confNS = engine.QueryNamespace(confQuery)
+
+func confObj(part string) string { return engine.ObjectPrefix(confQuery) + part }
 
 // nsKey builds a test key inside confNS.
 func nsKey(part string) string { return confNS + "conf-" + part }
@@ -949,35 +962,54 @@ func flightConformance(t *testing.T, b *backends) {
 
 func objConformance(t *testing.T, b *backends) {
 	o := b.obj
-	o.PutFree("tbl-x/0", []byte("split0"))
-	o.PutFree("tbl-x/1", []byte("split1"))
-	v, err := o.Get("tbl-x/0")
-	if err != nil || string(v) != "split0" {
-		t.Fatalf("get = %q, %v", v, err)
-	}
-	v, err = o.GetFree("tbl-x/1")
-	if err != nil || string(v) != "split1" {
-		t.Fatalf("getfree = %q, %v", v, err)
-	}
-	// A put replaces: last writer wins.
-	o.PutFree("tbl-x/0", []byte("split0-v2"))
-	if v, err = o.Get("tbl-x/0"); err != nil || string(v) != "split0-v2" {
-		t.Fatalf("get after overwrite = %q, %v", v, err)
-	}
-	// GetMany answers in key order, each value what Get answers.
-	vs, err := o.GetMany([]string{"tbl-x/1", "tbl-x/0"})
-	if err != nil || len(vs) != 2 || string(vs[0]) != "split1" || string(vs[1]) != "split0-v2" {
-		t.Fatalf("getmany = %q, %v", vs, err)
-	}
-	if _, err := o.Get("absent"); err == nil {
-		t.Fatalf("get of absent key succeeded")
-	}
-	if _, err := o.GetMany([]string{"tbl-x/0", "absent"}); err == nil {
-		t.Fatalf("getmany naming an absent key succeeded")
-	}
-	if _, err := o.GetFree("absent"); err == nil {
-		t.Fatalf("getfree of absent key succeeded")
-	}
+	b.head.PutFree("tbl-x/0", []byte("split0"))
+	b.head.PutFree("tbl-x/1", []byte("split1"))
+	t.Run("put-get", func(t *testing.T) {
+		v, err := o.Get("tbl-x/0")
+		if err != nil || string(v) != "split0" {
+			t.Fatalf("get = %q, %v", v, err)
+		}
+		// A worker's put is a query's object, and a Get sees it. A put
+		// replaces, last writer wins — as the incarnation that commits writes
+		// over a refused one's leftover before anybody reads it.
+		if err := o.Put(confObj("spool/1.0.0"), []byte("pieces")); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		if err := o.Put(confObj("spool/1.0.0"), []byte("pieces-v2")); err != nil {
+			t.Fatalf("second put: %v", err)
+		}
+		if v, err := o.Get(confObj("spool/1.0.0")); err != nil || string(v) != "pieces-v2" {
+			t.Fatalf("get after put = %q, %v", v, err)
+		}
+		// GetMany answers in key order, each value what Get answers.
+		vs, err := o.GetMany([]string{"tbl-x/1", confObj("spool/1.0.0"), "tbl-x/0"})
+		if err != nil || len(vs) != 3 || string(vs[0]) != "split1" || string(vs[1]) != "pieces-v2" || string(vs[2]) != "split0" {
+			t.Fatalf("getmany = %q, %v", vs, err)
+		}
+		if _, err := o.Get("absent"); err == nil {
+			t.Fatalf("get of absent key succeeded")
+		}
+		if _, err := o.GetMany([]string{"tbl-x/0", "absent"}); err == nil {
+			t.Fatalf("getmany naming an absent key succeeded")
+		}
+	})
+	// The put error row: over the wire a worker's put of a key under no
+	// query's prefix is refused and stores nothing; in memory the put is the
+	// head's own call, and stored.
+	t.Run("put-outside-prefix", func(t *testing.T) {
+		gen := b.head.PutGen()
+		err := o.Put("tbl-x/0", []byte("overwritten"))
+		v, _ := b.head.GetFree("tbl-x/0")
+		if b.remote && (err == nil || string(v) != "split0") {
+			t.Errorf("a put outside a query's prefix: %v, the table object is %q", err, v)
+		}
+		if !b.remote && (err != nil || string(v) != "overwritten") {
+			t.Errorf("the head's own put: %v, the object is %q", err, v)
+		}
+		if b.head.PutGen() != gen {
+			t.Error("a put moved the put generation")
+		}
+	})
 }
 
 // failureConformance checks the one semantics recovery depends on most: a

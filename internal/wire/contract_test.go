@@ -99,7 +99,7 @@ func opServer(t testing.TB) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Server{cl: cl, store: cl.GCS.(*gcs.Store), objs: cl.ObjStore.(*storage.ObjectStore), met: cl.Metrics, queries: map[string]*engine.Runner{}, parkCap: time.Millisecond}
+	return &Server{cl: cl, store: cl.GCS.(*gcs.Store), met: cl.Metrics, queries: map[string]*engine.Runner{}, parkCap: time.Millisecond}
 }
 
 // opMailbox is worker self's mailbox behind a live loopback listener, counting
@@ -134,9 +134,10 @@ var (
 // workers began hosting their own mailboxes, the worker-side result spool's
 // fetch, drop and manifest delivery, which left when a result began reaching
 // the head once, the sync and the version-only await with its response,
-// which became the one follow frame when a wake began carrying its delta, and
+// which became the one follow frame when a wake began carrying its delta,
 // the commit of a transaction body's read and write sets, which became the
-// apply of guarded entries when the one body a worker ran became data.
+// apply of guarded entries when the one body a worker ran became data, and
+// the uncosted object put, which left with the head's table loads.
 const (
 	retiredTxnBegin    = byte(0x10)
 	retiredTxnDone     = byte(0x17)
@@ -159,6 +160,7 @@ const (
 	retiredFlFetch     = byte(0x28)
 	retiredFlDropRes   = byte(0x29)
 	retiredSinkSpooled = byte(0x39)
+	retiredObjPutFree  = byte(0x30)
 )
 
 // TestOpMessageSetPinned: of the 256 type bytes, each listener dispatches
@@ -177,7 +179,8 @@ func TestOpMessageSetPinned(t *testing.T) {
 	}
 	retired := []byte{retiredGCSVerNS, retiredGCSVersion, retiredGCSWait, retiredFlContig, retiredFlDropBelow, retiredIntResp,
 		retiredFlTake, retiredFlDrop, retiredFlSpool, retiredFlProbe, retiredBytesList, retiredIntsResp,
-		retiredFlFetch, retiredFlDropRes, retiredSinkSpooled, retiredGCSSync, retiredGCSCommit, retiredGCSAwait, retiredU64Resp}
+		retiredFlFetch, retiredFlDropRes, retiredSinkSpooled, retiredGCSSync, retiredGCSCommit, retiredGCSAwait, retiredU64Resp,
+		retiredObjPutFree}
 	for typ := retiredTxnBegin; typ <= retiredTxnDone; typ++ {
 		retired = append(retired, typ)
 	}
@@ -224,10 +227,18 @@ type rawFrame struct {
 // version once accepted and no longer does.
 func retiredFrames() map[string]rawFrame {
 	key := func(k string) []byte { var w wbuf; w.str(k); return w.b }
-	var put wbuf
-	put.str("tbl-x/0")
-	put.boolean(false) // the costed form
-	put.bytes([]byte("overwritten"))
+	// The object put and get as their last clients spoke them: a put with its
+	// free flag (both forms), a get of one key with its trailing free flag.
+	put := func(free bool) []byte {
+		var w wbuf
+		w.str("tbl-x/0")
+		w.boolean(free)
+		w.bytes([]byte("overwritten"))
+		return w.b
+	}
+	var getFree wbuf
+	getFree.strs([]string{"tbl-x/0"})
+	getFree.boolean(true)
 	var dropChan wbuf
 	dropChan.u32(0)
 	dropChan.str("q-keep")
@@ -298,7 +309,9 @@ func retiredFrames() map[string]rawFrame {
 	gcsCommit.strs(nil)
 	gcsCommit.kvs(map[string][]byte{confNS + "conf-a": []byte("overwritten")})
 	return map[string]rawFrame{
-		"obj put, costed":  {0x30, put.b},
+		"obj put, costed":  {retiredObjPutFree, put(false)},
+		"obj put, free":    {retiredObjPutFree, put(true)},
+		"obj get, free":    {mtObjGet, getFree.b},
 		"obj has":          {0x32, key("tbl-x/0")},
 		"obj delete":       {0x33, key("tbl-x/0")},
 		"obj list":         {0x34, key("tbl-x/")},
@@ -351,7 +364,7 @@ func TestRetiredFramesRefused(t *testing.T) {
 	defer srv.Close()
 	mbox := opMailbox(t, 0, nil)
 
-	objs := cl.ObjStore.(*storage.ObjectStore)
+	objs := cl.HeadObjs
 	objs.PutFree("tbl-x/0", []byte("split0"))
 	store := cl.GCS.(*gcs.Store)
 	store.UpdateNS(confNS, func(tx *gcs.Txn) error { tx.Put(confNS+"conf-a", []byte("1")); return nil })
@@ -513,5 +526,58 @@ func TestTxnPeerCrashAborts(t *testing.T) {
 	}
 	if store.AwaitNS(context.Background(), confNS, 0, 0) != version+1 {
 		t.Errorf("version %d after the whole frame, want %d", store.AwaitNS(context.Background(), confNS, 0, 0), version+1)
+	}
+}
+
+// TestObjPutChecksItsQuery: the head stores a worker's put only under a
+// running query's object prefix. A key under no query's prefix is a corrupt
+// frame — conn closed unanswered, store untouched — and a put for a query the
+// head does not run (finished, its objects swept) is answered and dropped.
+// None of it moves the put generation workers cache tables under.
+func TestObjPutChecksItsQuery(t *testing.T) {
+	srv := opServer(t)
+	srv.cl.HeadObjs.PutFree("tbl-x/0", []byte("split0"))
+	srv.queries["q-live"] = nil
+	gen := srv.cl.HeadObjs.PutGen()
+	put := func(key string) (answer byte, err error) {
+		var w wbuf
+		w.str(key)
+		w.bytes([]byte("obj"))
+		conn, cli := net.Pipe()
+		done := make(chan error, 1)
+		go func() {
+			done <- srv.handleOp(conn, mtObjPut, w.b)
+			conn.Close()
+		}()
+		rt, _, rerr := readFrame(cli)
+		cli.Close()
+		if err = <-done; rerr == nil {
+			answer = rt
+		}
+		return answer, err
+	}
+	for _, key := range []string{"tbl-x/0", "ft/", "ft/q-live", "ft//spool/1.0.0", "spool/q-live/1.0.0"} {
+		if rt, err := put(key); !errors.Is(err, ErrCorrupt) || rt != 0 {
+			t.Errorf("put of %q: answered 0x%02x, %v; want refused", key, rt, err)
+		}
+	}
+	if v, _ := srv.cl.HeadObjs.GetFree("tbl-x/0"); string(v) != "split0" {
+		t.Errorf("a refused put overwrote the table object: %q", v)
+	}
+	done, live := engine.ObjectPrefix("q-done")+"spool/1.0.0", engine.ObjectPrefix("q-live")+"spool/1.0.0"
+	if rt, err := put(done); err != nil || rt != mtOK {
+		t.Errorf("put for a finished query: 0x%02x, %v; want mtOK", rt, err)
+	}
+	if _, err := srv.cl.HeadObjs.Get(done); err == nil {
+		t.Error("a put for a finished query was stored")
+	}
+	if rt, err := put(live); err != nil || rt != mtOK {
+		t.Errorf("put for a running query: 0x%02x, %v; want mtOK", rt, err)
+	}
+	if v, err := srv.cl.HeadObjs.Get(live); err != nil || string(v) != "obj" {
+		t.Errorf("a running query's object: %q, %v", v, err)
+	}
+	if srv.cl.HeadObjs.PutGen() != gen {
+		t.Errorf("worker puts moved the put generation %d -> %d", gen, srv.cl.HeadObjs.PutGen())
 	}
 }

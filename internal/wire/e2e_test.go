@@ -8,10 +8,12 @@ package wire
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -367,18 +369,23 @@ func killMidQuery(cl *cluster.Cluster, w cluster.WorkerID, query *engine.Query) 
 
 // TestProcessModeKillWorker kills one wire-attached worker mid-query (from
 // the head side: mailbox failed, worker process zombied) and demands full
-// recovery — exact result (FP tolerance on the float sums, like the fault
-// suite) plus rewind spans and task spans of a rewound incarnation (channel
-// epoch 1 or more) in the merged trace. Q9's plan is fused: its readers run
-// maps, and operator chains cross the wire as gob-encoded ops.Chain specs,
-// which rewound channels rebuild. The survivors elided
-// the pieces their own consumers read, and recovery read none of them: a
-// replay naming one fails the query with the worker's error.
+// recovery under each FT mode that recovers — exact result (FP tolerance on
+// the float sums, like the fault suite) plus rewind spans and task spans of a
+// rewound incarnation (channel epoch 1 or more) in the merged trace. Q9's plan
+// is fused: its readers run maps, and operator chains cross the wire as
+// gob-encoded ops.Chain specs, which rewound channels rebuild. Under WAL the
+// survivors elided the pieces their own consumers read, and recovery read none
+// of them: a replay naming one fails the query with the worker's error. Under
+// spool a replay reads its pieces from the head's store, and under checkpoint
+// a rewound channel restarts from a mark whose snapshot another process put:
+// the kill comes from inside the flush that commits a mark of a channel no
+// other of its worker's channels consumes, so a restart from it is due.
+// After each query, killed or not, none of its objects is left in the store.
 func TestProcessModeKillWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-mode e2e is not short")
 	}
-	const workers, q = 3, 9
+	const q = 9
 	plan, err := tpch.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -395,18 +402,58 @@ func TestProcessModeKillWorker(t *testing.T) {
 	if readerOps == 0 || chains == 0 {
 		t.Fatalf("Q%d's plan has %d readers with an operator and %d chains: nothing is fused", q, readerOps, chains)
 	}
-	cfg := engine.DefaultConfig()
-	cl, _, mets := distClusterMet(t, workers, engine.WithTracing(true))
-	want := memRun(t, q, workers, cfg)
+	for _, mode := range []engine.FTMode{engine.FTWriteAheadLineage, engine.FTSpool, engine.FTCheckpoint} {
+		t.Run(mode.String(), func(t *testing.T) { killWorkerUnder(t, plan, q, mode) })
+	}
+}
 
+func killWorkerUnder(t *testing.T, plan *engine.Plan, q int, mode engine.FTMode) {
+	const workers = 3
+	cfg := engine.DefaultConfig()
+	cfg.FT = mode
+	if mode == engine.FTCheckpoint {
+		// Every task of a stateful channel leaves a mark, and a channel takes
+		// each input as it comes: the final aggregate marks after its first
+		// partial.
+		cfg.CheckpointEveryTasks, cfg.MinTake = 1, 1
+	}
+	var spoolReads, ckptReads atomic.Int64
+	var cl *cluster.Cluster
+	var armed atomic.Bool // the one kill under checkpoint is due
+	cl, _, ws, _ := distWorkers(t, workers, func(w *workerRT) {
+		w.cl.ObjStore = objReads{Objects: w.cl.ObjStore, spool: &spoolReads, ckpt: &ckptReads}
+		if mode == engine.FTCheckpoint {
+			w.cl.GCS = markKill{Backend: w.cl.GCS, self: w.self, plan: plan, workers: workers, kill: func() {
+				if armed.CompareAndSwap(true, false) {
+					cl.Worker(w.self).Kill()
+				}
+			}}
+		}
+	}, engine.WithTracing(true))
+	want := memRun(t, q, workers, cfg)
+	swept := func(qid string) {
+		t.Helper()
+		if n := cl.HeadObjs.DeletePrefix(engine.ObjectPrefix(qid)); n != 0 {
+			t.Errorf("%d objects of query %s outlived it", n, qid)
+		}
+	}
+
+	armed.Store(mode == engine.FTCheckpoint)
 	query := distStart(t, cl, q, cfg)
-	killed := killMidQuery(cl, 1, query)
+	var killed <-chan struct{}
+	if mode != engine.FTCheckpoint {
+		killed = killMidQuery(cl, 1, query)
+	}
 	got, rep, err := query.Result()
-	<-killed
+	if killed != nil {
+		<-killed
+	}
+	armed.Store(false)
 	if err != nil {
 		t.Fatalf("Q%d with mid-query kill: %v", q, err)
 	}
 	sameResult(t, q, want, got)
+	swept(query.QueryID())
 	if rep.Recoveries == 0 {
 		t.Error("no recovery recorded despite mid-query kill")
 	}
@@ -425,22 +472,100 @@ func TestProcessModeKillWorker(t *testing.T) {
 	if rewoundTasks == 0 {
 		t.Error("trace holds no task spans of a rewound incarnation")
 	}
-	for _, w := range []int{0, 2} {
-		if mets[w].Get(metrics.PiecesElided) == 0 {
-			t.Errorf("surviving worker %d elided no piece", w)
+	switch mode {
+	case engine.FTWriteAheadLineage:
+		for _, w := range []int{0, 2} {
+			if ws[w].cl.Metrics.Get(metrics.PiecesElided) == 0 {
+				t.Errorf("surviving worker %d elided no piece", w)
+			}
+		}
+	case engine.FTSpool:
+		if spoolReads.Load() == 0 {
+			t.Error("no replay read its pieces from the store")
+		}
+	case engine.FTCheckpoint:
+		if ckptReads.Load() == 0 {
+			t.Error("no channel restarted from a checkpoint mark")
 		}
 	}
 
 	// The cluster keeps working minus the dead worker: the next query runs
-	// on the survivors, byte-identical to in-memory.
-	got2, _, _, err := distRun(t, cl, 3, staticCfg())
+	// on the survivors, byte-identical to in-memory, and leaves no object.
+	qcfg := staticCfg()
+	qcfg.FT = mode
+	got2, rep2, _, err := distRun(t, cl, 3, qcfg)
 	if err != nil {
 		t.Fatalf("Q3 after worker loss: %v", err)
 	}
-	want2 := memRun(t, 3, workers, staticCfg())
+	want2 := memRun(t, 3, workers, qcfg)
 	if string(batch.Encode(got2)) != string(batch.Encode(want2)) {
 		t.Error("Q3 after worker loss differs from in-memory")
 	}
+	swept(rep2.QueryID)
+}
+
+// markKill kills its worker from inside the flush that commits a checkpoint
+// mark of one of its channels whose consumers all sit on other workers: a
+// channel no rewind of its own worker's channels reproduces, so it restarts
+// from the mark.
+type markKill struct {
+	gcs.Backend
+	self    cluster.WorkerID
+	plan    *engine.Plan
+	workers int
+	kill    func()
+}
+
+func (m markKill) Apply(entries []gcs.Entry) ([]bool, error) {
+	applied, err := m.Backend.Apply(entries)
+	for i, e := range entries {
+		if err != nil || !applied[i] {
+			continue
+		}
+		for _, kv := range e.Puts {
+			var st, ch int
+			if _, perr := fmt.Sscanf(strings.TrimPrefix(kv.Key, e.NS), "ck/%d.%d", &st, &ch); perr == nil && m.consumedElsewhere(e.NS, st) {
+				m.kill()
+			}
+		}
+	}
+	return applied, err
+}
+
+// consumedElsewhere reports whether every channel consuming stage st is
+// placed on another worker.
+func (m markKill) consumedElsewhere(ns string, st int) (yes bool) {
+	m.Backend.ViewNS(ns, func(tx *gcs.Txn) error {
+		yes = true
+		for _, e := range m.plan.Consumers(st) {
+			for c := 0; c < m.plan.Parallelism(e.To, m.workers); c++ {
+				if pl, _ := tx.Get(fmt.Sprintf("%spl/%d.%d", ns, e.To, c)); string(pl) == strconv.Itoa(int(m.self)) {
+					yes = false
+				}
+			}
+		}
+		return nil
+	})
+	return yes
+}
+
+// objReads counts a worker's reads of spooled piece sets and of checkpoint
+// snapshots on their way to the head's store.
+type objReads struct {
+	storage.Objects
+	spool, ckpt *atomic.Int64
+}
+
+func (o objReads) Get(key string) ([]byte, error) {
+	if qid, ok := engine.ObjectQuery(key); ok {
+		switch rest := strings.TrimPrefix(key, engine.ObjectPrefix(qid)); {
+		case strings.HasPrefix(rest, "spool/"):
+			o.spool.Add(1)
+		case strings.HasPrefix(rest, "ckpt/"):
+			o.ckpt.Add(1)
+		}
+	}
+	return o.Objects.Get(key)
 }
 
 // TestProcessModeFatalTaskErrorFailsQuery: a task error no retry can fix — a

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"quokka/internal/engine"
 	"quokka/internal/flight"
 	"quokka/internal/gcs"
 	"quokka/internal/lineage"
@@ -117,21 +118,28 @@ func fuzzDispatch(t *testing.T, handle func(net.Conn, byte, []byte) error, decla
 // frames. Every type outside its declared request set (the retired ones and
 // every flight type included: the head hosts no mailbox), an apply or follow
 // frame naming anything but whole query namespaces, an apply of no entry and
-// the costed object put are refused whatever their payload; an apply with a
-// key outside its entry's namespace is answered with an error and writes
-// nothing. The checked-in corpus (testdata/fuzz/FuzzHandleOp) is the
+// an object put of a key under no query's object prefix are refused whatever
+// their payload, and a refused put stores nothing; an accepted put stores its
+// object only for the query the head runs (q1) and drops any other's; an apply
+// with a key outside its entry's namespace is answered with an error and
+// writes nothing. The checked-in corpus (testdata/fuzz/FuzzHandleOp) is the
 // truncation sweep's body at several cuts, one frame per retired type — the
-// gcs-commit* and txn-update* seeds are the retired commit frame's — and the
-// apply, follow (gcs-sync*: a fetch that parks for nothing; gcs-await*: a
-// wait) and (retired) probe frames well-formed and with hostile counts. A
+// gcs-commit* and txn-update* seeds are the retired commit frame's, obj-put-free
+// and retired-obj-get-free the retired uncosted object forms — and the apply,
+// follow (gcs-sync*: a fetch that parks for nothing; gcs-await*: a wait),
+// object put and (retired) probe frames well-formed and with hostile counts. A
 // follow frame parks for the server's cap at most (opServer: 1 ms), whatever
 // it asks for.
 func FuzzHandleOp(f *testing.F) {
 	f.Add(mtFlPush, pushBody())
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
 		srv := opServer(t)
+		srv.queries["q1"] = nil
 		rt := fuzzDispatch(t, srv.handleOp, headRequests, typ, payload)
 		if rt == 0 {
+			if n := srv.cl.HeadObjs.DeletePrefix(""); n != 0 {
+				t.Fatalf("a refused 0x%02x stored %d objects", typ, n)
+			}
 			return
 		}
 		switch {
@@ -161,9 +169,13 @@ func FuzzHandleOp(f *testing.F) {
 			}
 		case typ == mtObjPut:
 			r := rbuf{b: payload}
-			r.str("key")
-			if !r.boolean("free") {
-				t.Fatal("costed object put accepted")
+			key, val := r.str("key"), r.bytesOwned("val")
+			qid, ok := engine.ObjectQuery(key)
+			if !ok {
+				t.Fatalf("put of %q accepted: under no query's object prefix", key)
+			}
+			if v, err := srv.cl.HeadObjs.Get(key); (qid == "q1") != (err == nil) || err == nil && !bytes.Equal(v, val) {
+				t.Fatalf("put of %q for query %s accepted: the store holds %q, %v", key, qid, v, err)
 			}
 		}
 	})

@@ -508,9 +508,10 @@ func TestWorkerReportIsCountersOnly(t *testing.T) {
 }
 
 // TestObjCacheHonoursPutGeneration: on the same attached workers a repeated
-// query fetches no table object again, and a table re-loaded on the head
-// between two queries is what the next one reads — its start frame names a new
-// put generation and the workers' caches empty.
+// query fetches no table object again — nor after a spool query put its piece
+// sets into the head's store, which moves no generation — and a table
+// re-loaded on the head between two queries is what the next one reads: its
+// start frame names a new put generation and the workers' caches empty.
 func TestObjCacheHonoursPutGeneration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-mode e2e is not short")
@@ -533,9 +534,27 @@ func TestObjCacheHonoursPutGeneration(t *testing.T) {
 	if warm := gets() - cold; cold == 0 || warm != 0 {
 		t.Errorf("%d obj_get frames on the first run, %d on the second: want some, then none", cold, warm)
 	}
+	spool := staticCfg()
+	spool.FT = engine.FTSpool
+	gen := cl.HeadObjs.PutGen()
+	puts := cl.Metrics.Get(metrics.WireFrames + "obj_put")
+	if _, _, _, err := distRun(t, cl, q, spool); err != nil {
+		t.Fatal(err)
+	}
+	if cl.Metrics.Get(metrics.WireFrames+"obj_put") == puts || cl.HeadObjs.PutGen() != gen {
+		t.Errorf("the spool query sent %d obj_put frames and moved the put generation %d -> %d; want some, and not",
+			cl.Metrics.Get(metrics.WireFrames+"obj_put")-puts, gen, cl.HeadObjs.PutGen())
+	}
+	before := gets()
+	if _, _, _, err := distRun(t, cl, q, staticCfg()); err != nil {
+		t.Fatal(err)
+	}
+	if n := gets() - before; n != 0 {
+		t.Errorf("a WAL query after a spool query sent %d obj_get frames for splits cached before it", n)
+	}
 
 	other := tpch.Generate(0.004)
-	tpch.Load(cl.ObjStore, other, 1024)
+	tpch.Load(cl.HeadObjs, other, 1024)
 	ref := storage.NewObjectStore(storage.CostModel{}, storage.ProfileS3, nil)
 	tpch.Load(ref, other, 1024)
 	refCl, err := cluster.New(cluster.Options{Workers: workers, Cost: storage.CostModel{}, ObjStore: ref})
@@ -574,9 +593,9 @@ func TestObjCacheBounded(t *testing.T) {
 	o := &objClient{p: p, max: 1000}
 	val := func(i, n int) []byte { return []byte(strings.Repeat(fmt.Sprint(i%10), n)) }
 	for i := 0; i < 20; i++ {
-		cl.ObjStore.PutFree(fmt.Sprint("k", i), val(i, 300))
+		cl.HeadObjs.PutFree(fmt.Sprint("k", i), val(i, 300))
 	}
-	cl.ObjStore.PutFree("huge", val(7, 1001))
+	cl.HeadObjs.PutFree("huge", val(7, 1001))
 	gets := func() int64 { return cl.Metrics.Get(metrics.WireFrames + "obj_get") }
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 20; i++ {
@@ -593,7 +612,7 @@ func TestObjCacheBounded(t *testing.T) {
 		t.Errorf("the object fetched last: %v, %d frames; want a hit", err, gets()-before)
 	}
 	for i := 0; i < 2; i++ {
-		if v, err := o.GetFree("huge"); err != nil || len(v) != 1001 {
+		if v, err := o.Get("huge"); err != nil || len(v) != 1001 {
 			t.Fatalf("huge: %d bytes, %v", len(v), err)
 		}
 	}
@@ -627,7 +646,7 @@ func TestGetManyIsOneFrame(t *testing.T) {
 	defer p.close()
 	o := &objClient{p: p, max: objCacheMax}
 	for i := 0; i < 4; i++ {
-		cl.ObjStore.PutFree(fmt.Sprint("k", i), []byte(fmt.Sprint("v", i)))
+		cl.HeadObjs.PutFree(fmt.Sprint("k", i), []byte(fmt.Sprint("v", i)))
 	}
 	frames := func() int64 { return cl.Metrics.Get(metrics.WireFrames + "obj_get") }
 	reads := func() int64 { return cl.Metrics.Get(metrics.ObjReads) }

@@ -17,7 +17,7 @@ import (
 // of the three backend contracts (docs/contracts/) that has a remote caller,
 // plus the control plane, the result sink and the shared responses. A type
 // byte not listed here — including the retired 0x10–0x1d, 0x21–0x25,
-// 0x27–0x2b, 0x32–0x35, 0x39, 0x42, 0x43, 0x46 and 0x47 — is refused as
+// 0x27–0x2b, 0x30, 0x32–0x35, 0x39, 0x42, 0x43, 0x46 and 0x47 — is refused as
 // ErrCorrupt and the conn closed; retired bytes are not reused.
 const (
 	// Control plane, worker <-> head.
@@ -45,10 +45,10 @@ const (
 	mtFlPush      = byte(0x20) // + str query, task from, chan dest, i64 input, i64 epoch, bool local, bytes data -> mtOK
 	mtFlDropQuery = byte(0x26) // + str query -> mtOK
 
-	// Object store. A put is always the uncosted PutFree: free must be true
-	// (the costed form was retired with storage.Objects.Put and is refused).
-	mtObjPut = byte(0x30) // str key, bool free, bytes val -> mtOK
-	mtObjGet = byte(0x31) // u32 n, n*str key, bool free -> mtBytesResp (n*bytes, in key order)
+	// Object store, billed: a put names a per-query object (engine.ObjectQuery).
+	// The uncosted forms (0x30, a get's trailing free byte) are retired.
+	mtObjGet = byte(0x31) // u32 n, n*str key -> mtBytesResp (n*bytes, in key order)
+	mtObjPut = byte(0x36) // str key, bytes val -> mtOK, or mtErrResp when the store failed it
 
 	// Result sink: worker task managers relaying output-stage deliveries
 	// into the head-side collector of the named query.

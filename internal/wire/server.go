@@ -18,7 +18,6 @@ import (
 	"quokka/internal/engine"
 	"quokka/internal/gcs"
 	"quokka/internal/metrics"
-	"quokka/internal/storage"
 	"quokka/internal/trace"
 )
 
@@ -30,7 +29,6 @@ import (
 type Server struct {
 	cl    *cluster.Cluster
 	store *gcs.Store
-	objs  *storage.ObjectStore
 	met   *metrics.Collector
 	ln    net.Listener
 	meter *opMeter
@@ -50,6 +48,10 @@ type Server struct {
 	queries map[string]*engine.Runner
 	procs   []spawned
 	closed  bool
+
+	// putMu is held shared by a worker's object put from its query check on: a
+	// stop takes it once, so no put it let in lands behind the teardown sweep.
+	putMu sync.RWMutex
 }
 
 // spawned is a worker process this head started, and the end of the one
@@ -85,19 +87,15 @@ func (cc *controlConn) send(typ byte, payload []byte) error {
 }
 
 // NewServer starts the head's wire endpoint on addr (":0" for an
-// ephemeral port). The cluster's GCS and object store must be the in-memory
-// ones — the head is where the real stores live in process mode. Every
-// worker's Peer becomes the head's handle on the mailbox its process will
-// host, and the owner's view the in-memory cluster was built with goes:
-// installed here, once, so no query sees the fields change.
+// ephemeral port) for a cluster cluster.New built: the head is where the real
+// stores live in process mode. Every worker's Peer becomes the head's handle
+// on the mailbox its process will host, and the owner's view the in-memory
+// cluster was built with goes: installed here, once, so no query sees the
+// fields change.
 func NewServer(cl *cluster.Cluster, addr string) (*Server, error) {
 	store, ok := cl.GCS.(*gcs.Store)
 	if !ok {
 		return nil, fmt.Errorf("wire: cluster GCS is %T, need the head's in-memory *gcs.Store", cl.GCS)
-	}
-	objs, ok := cl.ObjStore.(*storage.ObjectStore)
-	if !ok {
-		return nil, fmt.Errorf("wire: cluster object store is %T, need the head's *storage.ObjectStore", cl.ObjStore)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -106,7 +104,6 @@ func NewServer(cl *cluster.Cluster, addr string) (*Server, error) {
 	s := &Server{
 		cl:      cl,
 		store:   store,
-		objs:    objs,
 		met:     cl.Metrics,
 		ln:      ln,
 		meter:   newOpMeter(cl.Metrics, headOps),
@@ -483,7 +480,7 @@ func (s *Server) StartQuery(r *engine.Runner) (func(), error) {
 	var msg wbuf
 	msg.str(qid)
 	msg.bytes(data)
-	msg.u64(s.objs.PutGen())
+	msg.u64(s.cl.HeadObjs.PutGen())
 	msg.strs(addrs)
 
 	// Every worker gets its frame before any ack is awaited: a start costs one
@@ -554,6 +551,8 @@ func (s *Server) StartQuery(r *engine.Runner) (func(), error) {
 		s.mu.Lock()
 		delete(s.queries, qid)
 		s.mu.Unlock()
+		s.putMu.Lock()
+		s.putMu.Unlock()
 	}
 
 	if startErr != nil {
@@ -576,28 +575,38 @@ func (s *Server) handleOp(c net.Conn, typ byte, payload []byte) error {
 
 	case mtObjPut:
 		r := rbuf{b: payload}
-		key, free, val := r.str("key"), r.boolean("free"), r.bytesOwned("val")
+		key, val := r.str("key"), r.bytesOwned("val")
 		if err := r.err(); err != nil {
 			return err
 		}
-		if !free {
-			return fmt.Errorf("%w: costed object put", ErrCorrupt)
+		qid, ok := engine.ObjectQuery(key)
+		if !ok {
+			return fmt.Errorf("%w: object put of %q, under no query's prefix", ErrCorrupt, key)
 		}
-		s.objs.PutFree(key, val)
+		// A query that is not running — finished, its objects swept — drops
+		// the put, as a late sink delivery is dropped.
+		var err error
+		s.putMu.RLock()
+		s.mu.Lock()
+		_, running := s.queries[qid]
+		s.mu.Unlock()
+		if running {
+			err = s.cl.HeadObjs.Put(key, val)
+		}
+		s.putMu.RUnlock()
+		if err != nil {
+			return writeFrame(c, mtErrResp, encodeErr(err))
+		}
 		return writeFrame(c, mtOK, nil)
 	case mtObjGet:
 		r := rbuf{b: payload}
-		keys, free := r.strs("key"), r.boolean("free")
+		keys := r.strs("key")
 		if err := r.err(); err != nil {
 			return err
 		}
-		get := s.objs.Get
-		if free {
-			get = s.objs.GetFree
-		}
 		var w wbuf
 		for _, key := range keys {
-			val, err := get(key)
+			val, err := s.cl.HeadObjs.Get(key)
 			if err != nil {
 				return writeFrame(c, mtErrResp, encodeErr(err))
 			}

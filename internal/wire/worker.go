@@ -108,8 +108,8 @@ func attachWorker(ctx context.Context, wc WorkerConfig, met *metrics.Collector) 
 	// latency, not modelled sleeps on top.
 	cost := storage.CostModel{}
 	w.pool = newPool(wc.Head)
-	w.objs = &objClient{p: w.pool, max: objCacheMax}
-	w.cl = &cluster.Cluster{GCS: &gcsClient{p: w.pool}, ObjStore: w.objs, Cost: cost, Metrics: met}
+	w.gcs, w.objs = &gcsClient{p: w.pool}, &objClient{p: w.pool, max: objCacheMax}
+	w.cl = &cluster.Cluster{GCS: w.gcs, ObjStore: w.objs, Cost: cost, Metrics: met}
 	w.peers = make([]*pool, numWorkers)
 	for i := range w.peers {
 		if i != self {
@@ -196,6 +196,7 @@ type workerRT struct {
 	cl    *cluster.Cluster
 	pool  *pool   // to the head
 	peers []*pool // to each peer's mailbox, by worker id; nil for self
+	gcs   *gcsClient
 	objs  *objClient
 	mb    *mailbox
 	self  cluster.WorkerID
@@ -368,7 +369,7 @@ func (w *workerRT) startQuery(ctx context.Context, qid string, specBytes []byte)
 		if runErr != nil {
 			onFail(runErr)
 		}
-		w.cl.GCS.(*gcsClient).forget(engine.QueryNamespace(qid)) // stopped here: the replica goes with it
+		w.gcs.forget(engine.QueryNamespace(qid)) // stopped here: the replica goes with it
 		var spansGob []byte
 		if len(spans) > 0 {
 			var buf bytes.Buffer

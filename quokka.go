@@ -57,7 +57,7 @@ var (
 	// lineage + upstream backup, data-parallel recovery.
 	SparkLikeConfig = engine.SparkConfig
 	// TrinoLikeConfig is the Trino stand-in: static pipelined execution
-	// with durable HDFS spooling.
+	// with durable spooling to the cluster's object store.
 	TrinoLikeConfig = engine.TrinoConfig
 )
 
@@ -128,7 +128,7 @@ type ClusterConfig struct {
 	// time: nothing sleeps and a run costs what the machine makes it cost.
 	TimeScale float64
 	// HDFSObjectStore selects the HDFS cost profile for the shared object
-	// store instead of S3.
+	// store, which tables, spooled outputs and checkpoints share, instead of S3.
 	HDFSObjectStore bool
 }
 
@@ -318,7 +318,7 @@ func (c *Cluster) CreateTable(name string, cols []ColumnDef, rows [][]any, split
 	if splits == nil {
 		splits = []*batch.Batch{b}
 	}
-	engine.WriteTable(c.inner.ObjStore, name, splits)
+	engine.WriteTable(c.inner.HeadObjs, name, splits)
 	return nil
 }
 

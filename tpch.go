@@ -11,7 +11,7 @@ import (
 // loads them into the cluster's object store. splitRows controls the
 // split granularity (0 uses the default). Generation is deterministic.
 func LoadTPCH(c *Cluster, sf float64, splitRows int) {
-	tpch.Load(c.inner.ObjStore, tpch.Generate(sf), splitRows)
+	tpch.Load(c.inner.HeadObjs, tpch.Generate(sf), splitRows)
 }
 
 // tpchPlan optimizes TPC-H query q against the cluster's own catalog, so
@@ -21,7 +21,7 @@ func tpchPlan(c *Cluster, q int) (*plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return plan.Optimize(node, plan.NewStoreCatalog(c.inner.ObjStore))
+	return plan.Optimize(node, plan.NewStoreCatalog(c.inner.HeadObjs))
 }
 
 // RunTPCH executes TPC-H query q (1..22) on the cluster to completion:
