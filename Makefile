@@ -64,12 +64,19 @@ dark:
 ## five rounds of the namespace drop teardown makes (one pass, one version
 ## bump, a parked waiter woken, the change log gone, a shard-mate untouched);
 ## and three rounds of the TPC-H kill suite, each kill fired from inside the
-## flush that carries a named task commit.
+## flush that carries a named task commit; and five rounds of the mailbox's
+## one release on both backends: a Drop frees only the slots its own task took
+## (a replay refilled since, by a first or a second recovery, stays) and a
+## probe frees nothing, so a stale round of a channel rewound in place leaves
+## its replays, and a failure-free TPC-H run leaves no byte in any mailbox;
+## and a spool replay queued on a worker that dies before serving it moves
+## to a live one.
 race: wake-stress
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestSubmit|TestAdmissionLimitPublic' .
 	$(GO) test -race -count=5 -run 'TestProcessModeKillWorker|TestProcessModeCursorMatchesResult|TestProcessModeKillWorkerMidCursor|TestPeerPushFailureIsARetryNotAVerdict|TestWorkerStopClosesMailboxConns' ./internal/wire
-	$(GO) test -race -count=5 -run 'TestHandedBatchIsItsPiece|TestLocalPiecesAreNeverEncoded|TestElidedPieceIsNeverRead|Recover|Fail|Kill|Dead|TestReplayedPiecesAreTheStoredOnes|TestCheckpointRestart(RestoresState|KeepsDeliveredResults)|TestOwnerBelowARestartHasDied|TestControlStoreSchema|TestFlushReadsOnlyItsFences|TestEveryWorkerReadIsAnImageLoad|TestAdvancedImageEqualsLoadedImage|TestAdvanceRefusedAfterAForeignWrite|TestChangesFor|TestReplayRoundRetiresOnce|TestDirectPartnersShareAWorker|TestRewoundReaderReReadsItsRuns|TestFusedChainRecovery|TestStepsPerTask|TestSpoolOverwritesARefusedIncarnationsObject|TestPerQueryObjectsAreSwept|TestGroupCommit' ./internal/engine
+	$(GO) test -race -count=5 -run 'TestHandedBatchIsItsPiece|TestLocalPiecesAreNeverEncoded|TestElidedPieceIsNeverRead|Recover|Fail|Kill|Dead|TestReplayedPiecesAreTheStoredOnes|TestCheckpointRestart(RestoresState|KeepsDeliveredResults)|TestOwnerBelowARestartHasDied|TestControlStoreSchema|TestFlushReadsOnlyItsFences|TestEveryWorkerReadIsAnImageLoad|TestAdvancedImageEqualsLoadedImage|TestAdvanceRefusedAfterAForeignWrite|TestChangesFor|TestReplayRoundRetiresOnce|TestDirectPartnersShareAWorker|TestRewoundReaderReReadsItsRuns|TestFusedChainRecovery|TestStepsPerTask|TestSpoolOverwritesARefusedIncarnationsObject|TestPerQueryObjectsAreSwept|TestGroupCommit|TestStaleRoundInPlaceKeepsReplays|TestDropFreesEveryConsumedSlot|TestSpoolReplayOfADeadWorkerIsRequeued' ./internal/engine
+	$(GO) test -race -count=5 -run 'TestDropAfterReplayLeavesTheReplay|TestDropAfterSecondReplayLeavesIt|TestProbeBelowSlotsLeavesThem|TestConformance/.*/flight' ./internal/flight ./internal/wire
 	$(GO) test -race -count=5 -run 'TestDeleteNSDropsTheNamespace|TestChangeTrackingLifecycle' ./internal/gcs
 	$(GO) test -race -count=3 -run 'TestTPCHFailureRecoveryMatchesFailureFree|TestTPCHCheckpointRecovery|TestCompressedFaultRecovery|TestConcurrentTPCHKillWorker' ./internal/tpch
 
@@ -96,7 +103,7 @@ loc:
 ## loc-check: the ratchet. `make loc` may not exceed LOC_MAX; a PR that
 ## removes code lowers LOC_MAX to its own count, a PR that has to add code
 ## raises it in the same diff, where a reviewer sees the number move.
-LOC_MAX := 24221
+LOC_MAX := 24213
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (ratchet $(LOC_MAX))"; \
 	if [ "$$n" -gt $(LOC_MAX) ]; then echo "make loc exceeds the ratchet: remove code or raise LOC_MAX in the Makefile"; exit 1; fi

@@ -42,16 +42,16 @@ const codecMagic2 = 0x51424132 // "QBA2"
 
 // Per-column encodings. The encoder picks, per column, the smallest
 // candidate valid for the type; ties go to the lowest encoding number, so
-// the choice is deterministic.
+// the choice is deterministic. Encodings 1 and 2 (a dictionary with
+// uvarint indexes, a zigzag uvarint per value) are retired: a frame tagging
+// a column with either is corrupt.
 const (
 	encRaw        = 0 // QBA1 column layout (any type)
-	encDict       = 1 // String/Float64: dictionary + uvarint indexes
-	encVarint     = 2 // Int64/Date: zigzag uvarint per value
 	encDelta      = 3 // Int64/Date: zigzag uvarint first value, then deltas
 	encRLE        = 4 // Bool: first value byte + alternating uvarint run lengths
 	encFOR        = 5 // Int64/Date: i64 base (the minimum), width, value-base packed
 	encDeltaFOR   = 6 // Int64/Date: i64 first, i64 minimum delta, width, delta-minimum packed
-	encDictPacked = 7 // String/Float64: encoding 1's dictionary, width, indexes packed
+	encDictPacked = 7 // String/Float64: u32 count, the entries, width, indexes packed
 	encDecimal    = 8 // Float64: u8 exponent, i64 base, width, i64 minimum correction, width, both packed
 )
 
@@ -284,25 +284,24 @@ func intRange(vals []int64) (lo, hi, dlo, dhi int64) {
 	return lo, hi, dlo, dhi
 }
 
-// varintSizes is the payload bytes of the varint and delta encodings.
-func varintSizes(vals []int64) (varint, delta int) {
+// deltaSize is the payload bytes of the delta encoding.
+func deltaSize(vals []int64) (size int) {
 	prev := int64(0)
 	for _, v := range vals {
-		varint += uvarintLen(zigzag(v))
-		delta += uvarintLen(zigzag(v - prev))
+		size += uvarintLen(zigzag(v - prev))
 		prev = v
 	}
-	return varint, delta
+	return size
 }
 
-// appendInts sizes raw (8 bytes per value), varint (zigzag uvarint per
-// value), delta (zigzag uvarint of the wrapping difference to the previous
-// value, the first against 0 — extreme spreads round-trip exactly), for
-// (each value's offset from the minimum, packed) and delta-for (each
-// difference's offset from the smallest difference, packed), and writes
-// the winner. The packed sizes take one pass over the column (intRange);
-// the uvarint sizes a second (varintSizes), made only when neither packed
-// candidate is already smaller than a byte a row.
+// appendInts sizes raw (8 bytes per value), delta (zigzag uvarint of the
+// wrapping difference to the previous value, the first against 0 — extreme
+// spreads round-trip exactly), for (each value's offset from the minimum,
+// packed) and delta-for (each difference's offset from the smallest
+// difference, packed), and writes the winner. The packed sizes take one
+// pass over the column (intRange); the delta size a second (deltaSize),
+// made only when no packed candidate that may be taken is already smaller
+// than a byte a row.
 func appendInts(dst []byte, vals []int64) ([]byte, byte) {
 	n := len(vals)
 	if n == 0 {
@@ -314,23 +313,20 @@ func appendInts(dst []byte, vals []int64) ([]byte, byte) {
 	wDelta := uint(bits.Len64(uint64(dhi - dlo)))
 	forSize := 9 + packedLen(n, wFOR)
 	deltaForSize := 17 + packedLen(n-1, wDelta)
+	forOK, deltaForOK := packedFits(n, forSize, wFOR), packedFits(n, deltaForSize, wDelta)
 	size, enc := 8*n, byte(encRaw)
-	// A uvarint costs at least a byte, so a packed candidate of fewer than n
-	// bytes settles the choice without sizing varint and delta (at n bytes
-	// either may tie it, and wins the tie).
-	if min(forSize, deltaForSize) >= n {
-		varint, delta := varintSizes(vals)
-		if varint < size {
-			size, enc = varint, encVarint
-		}
-		if delta < size {
+	// A uvarint costs at least a byte, so a packed candidate that may be
+	// taken at fewer than n bytes settles the choice without sizing delta (at
+	// n bytes delta may tie it, and wins the tie).
+	if !(forOK && forSize < n || deltaForOK && deltaForSize < n) {
+		if delta := deltaSize(vals); delta < size {
 			size, enc = delta, encDelta
 		}
 	}
-	if forSize < size && packedFits(n, forSize, wFOR) {
+	if forSize < size && forOK {
 		size, enc = forSize, encFOR
 	}
-	if deltaForSize < size && packedFits(n, deltaForSize, wDelta) {
+	if deltaForSize < size && deltaForOK {
 		size, enc = deltaForSize, encDeltaFOR
 	}
 	dst, at := grow(dst, size)
@@ -339,10 +335,6 @@ func appendInts(dst []byte, vals []int64) ([]byte, byte) {
 		for _, v := range vals {
 			binary.LittleEndian.PutUint64(dst[at:], uint64(v))
 			at += 8
-		}
-	case encVarint:
-		for _, v := range vals {
-			at = putUvarint(dst, at, zigzag(v))
 		}
 	case encDelta:
 		prev := int64(0)
@@ -424,68 +416,55 @@ func dictHashString(s string) uint64 {
 	return (h ^ word(last)) * fibMul
 }
 
-// dictChoice picks among raw (raw bytes), the uvarint-indexed dictionary
-// (dictSize bytes of dictionary, idxSize of indexes) and the packed one for
-// n rows over nd entries, and returns the winner's size and encoding.
-func dictChoice(n, nd, raw, dictSize, idxSize int) (int, byte) {
-	size, enc := raw, byte(encRaw)
-	if dictSize+idxSize < size {
-		size, enc = dictSize+idxSize, encDict
-	}
+// dictChoice picks between raw (raw bytes) and the dictionary (dictSize
+// bytes of dictionary, then its packed indexes) for n rows over nd entries,
+// and returns the winner's size and encoding.
+func dictChoice(n, nd, raw, dictSize int) (int, byte) {
 	w := dictWidth(nd)
-	if packed := dictSize + 1 + packedLen(n, w); packed < size && packedFits(n, packed, w) {
-		size, enc = packed, encDictPacked
+	if packed := dictSize + 1 + packedLen(n, w); packed < raw && packedFits(n, packed, w) {
+		return packed, encDictPacked
 	}
-	return size, enc
+	return raw, encRaw
 }
 
-// dictHopeless says neither dictionary can be smaller than bound bytes any
-// more, r rows in with nd entries of dictSize bytes and idxSize index
-// bytes so far: every remaining row costs the uvarint indexes at least a
-// byte, and the packed indexes' width only grows with the dictionary.
-func dictHopeless(n, r, nd, bound, dictSize, idxSize int) bool {
-	return dictSize+idxSize+n-r >= bound && dictSize+1+packedLen(n, dictWidth(nd)) >= bound
+// dictHopeless says the dictionary can no longer be smaller than bound
+// bytes, with nd entries of dictSize bytes so far: both only grow, and the
+// packed indexes' width with the entries.
+func dictHopeless(n, nd, bound, dictSize int) bool {
+	return dictSize+1+packedLen(n, dictWidth(nd)) >= bound
 }
 
 // appendIdx writes the per-row dictionary indexes after a dictionary of nd
-// entries: uvarints for encoding 1, the width and the packed indexes for
-// encoding 7.
-func (sc *encScratch) appendIdx(dst []byte, at int, enc byte, nd int) {
-	if enc == encDictPacked {
-		w := dictWidth(nd)
-		dst[at] = byte(w)
-		pack(dst, at+1, sc.idx, 0, w)
-		return
-	}
-	for _, d := range sc.idx {
-		at = putUvarint(dst, at, uint64(d))
-	}
+// entries: the width, then the indexes packed.
+func (sc *encScratch) appendIdx(dst []byte, at int, nd int) {
+	w := dictWidth(nd)
+	dst[at] = byte(w)
+	pack(dst, at+1, sc.idx, 0, w)
 }
 
 // appendFloats writes a float column raw, as a bit-pattern dictionary
-// (ndict uint32, each distinct Float64bits pattern, 8 bytes LE, in
-// first-occurrence order, then the per-row indexes, one uvarint each in
-// encoding 1 or packed in encoding 7) or as decimals (encoding 8, see
-// decimalOf). TPC-H-style measures repeat heavily or are decimals of two
+// (encoding 7: ndict uint32, each distinct Float64bits pattern, 8 bytes LE,
+// in first-occurrence order, then the per-row indexes packed) or as decimals
+// (encoding 8, see decimalOf). TPC-H-style measures repeat heavily or are decimals of two
 // places (prices), and both forms are exact — -0.0 and every NaN payload keep
 // their bits; high-entropy columns stay raw.
 //
 // The decimal candidate is sized first, in one pass at the exponent its
-// sample picks, and the dictionaries after it: their sizing stops the
-// moment neither can beat raw or the decimal any more (dictHopeless), which
-// is exact — the choice is the one full sizing would make.
+// sample picks, and the dictionary after it: its sizing stops the moment it
+// cannot beat raw or the decimal any more (dictHopeless), which is exact —
+// the choice is the one full sizing would make.
 func (sc *encScratch) appendFloats(dst []byte, vals []float64) ([]byte, byte) {
 	n := len(vals)
 	raw := 8 * n
 	dec := sc.sizeDecimal(vals, raw)
 	bound := raw // a dictionary must come in under it to be chosen
 	if dec.size > 0 {
-		bound = min(raw, dec.size+1) // encoding 8 loses a tie to either dictionary
+		bound = min(raw, dec.size+1) // encoding 8 loses a tie to the dictionary
 	}
 	slots, shift := sc.resetDict(n)
 	mask := uint64(len(slots) - 1)
 	idx, dict := sc.idx, sc.fdict[:0]
-	dictSize, idxSize := 4, 0
+	dictSize := 4
 sizing:
 	for r, v := range vals {
 		fb := math.Float64bits(v)
@@ -496,8 +475,8 @@ sizing:
 				dict = append(dict, fb)
 				slots[i] = d + 1
 				dictSize += 8
-				if dictHopeless(n, r, len(dict), bound, dictSize, idxSize) {
-					dictSize = raw // neither dictionary is chosen
+				if dictHopeless(n, len(dict), bound, dictSize) {
+					dictSize = raw // the dictionary is not chosen
 					break sizing
 				}
 				break
@@ -507,10 +486,9 @@ sizing:
 			}
 		}
 		idx[r] = d
-		idxSize += uvarintLen(uint64(d))
 	}
 	sc.fdict = dict
-	size, enc := dictChoice(n, len(dict), raw, dictSize, idxSize)
+	size, enc := dictChoice(n, len(dict), raw, dictSize)
 	if dec.size > 0 && dec.size < size {
 		size, enc = dec.size, encDecimal
 	}
@@ -523,14 +501,14 @@ sizing:
 		}
 	case encDecimal:
 		sc.appendDecimal(dst, at, dec)
-	default:
+	case encDictPacked:
 		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dict)))
 		at += 4
 		for _, fb := range dict {
 			binary.LittleEndian.PutUint64(dst[at:], fb)
 			at += 8
 		}
-		sc.appendIdx(dst, at, enc, len(dict))
+		sc.appendIdx(dst, at, len(dict))
 	}
 	return dst, enc
 }
@@ -652,9 +630,9 @@ func (sc *encScratch) appendDecimal(dst []byte, at int, f decimalForm) {
 }
 
 // appendStrings writes a string column raw (uint32 length + bytes per row)
-// or as a dictionary: ndict uint32, each distinct string (uint32 length +
-// bytes) in first-occurrence order, then the per-row indexes as for floats.
-// Sizing stops early exactly as for floats.
+// or as a dictionary (encoding 7): ndict uint32, each distinct string
+// (uint32 length + bytes) in first-occurrence order, then the per-row
+// indexes packed. Sizing stops early exactly as for floats.
 func (sc *encScratch) appendStrings(dst []byte, vals []string) ([]byte, byte) {
 	n := len(vals)
 	raw := 4 * n
@@ -664,7 +642,7 @@ func (sc *encScratch) appendStrings(dst []byte, vals []string) ([]byte, byte) {
 	slots, shift := sc.resetDict(n)
 	mask := uint64(len(slots) - 1)
 	idx, first := sc.idx, sc.first[:0]
-	dictSize, idxSize := 4, 0
+	dictSize := 4
 sizing:
 	for r, v := range vals {
 		var d uint32
@@ -674,8 +652,8 @@ sizing:
 				first = append(first, uint32(r))
 				slots[i] = d + 1
 				dictSize += 4 + len(v)
-				if dictHopeless(n, r, len(first), raw, dictSize, idxSize) {
-					dictSize = raw // neither dictionary is chosen
+				if dictHopeless(n, len(first), raw, dictSize) {
+					dictSize = raw // the dictionary is not chosen
 					break sizing
 				}
 				break
@@ -685,10 +663,9 @@ sizing:
 			}
 		}
 		idx[r] = d
-		idxSize += uvarintLen(uint64(d))
 	}
 	sc.first = first
-	size, enc := dictChoice(n, len(first), raw, dictSize, idxSize)
+	size, enc := dictChoice(n, len(first), raw, dictSize)
 	dst, at := grow(dst, size)
 	if enc == encRaw {
 		for _, s := range vals {
@@ -704,7 +681,7 @@ sizing:
 		binary.LittleEndian.PutUint32(dst[at:], uint32(len(s)))
 		at += 4 + copy(dst[at+4:], s)
 	}
-	sc.appendIdx(dst, at, enc, len(first))
+	sc.appendIdx(dst, at, len(first))
 	return dst, enc
 }
 
@@ -974,16 +951,16 @@ func decodeColumn(f Field, enc byte, rows int, p []byte) (*Column, error) {
 	switch {
 	case enc == encRaw:
 		return decodeRawColumn(f, rows, p)
-	case (enc == encVarint || enc == encDelta) && ints:
-		c.Ints, err = decodeVarints(f, rows, p, enc == encDelta)
+	case enc == encDelta && ints:
+		c.Ints, err = decodeDelta(f, rows, p)
 	case enc == encFOR && ints:
 		c.Ints, err = decodeFOR(f, rows, p)
 	case enc == encDeltaFOR && ints:
 		c.Ints, err = decodeDeltaFOR(f, rows, p)
-	case (enc == encDict || enc == encDictPacked) && f.Type == String:
-		c.Strings, err = decodeDict(f, rows, p, enc == encDictPacked)
-	case (enc == encDict || enc == encDictPacked) && f.Type == Float64:
-		c.Floats, err = decodeDictFloats(f, rows, p, enc == encDictPacked)
+	case enc == encDictPacked && f.Type == String:
+		c.Strings, err = decodeDict(f, rows, p)
+	case enc == encDictPacked && f.Type == Float64:
+		c.Floats, err = decodeDictFloats(f, rows, p)
 	case enc == encDecimal && f.Type == Float64:
 		c.Floats, err = decodeDecimal(f, rows, p)
 	case enc == encRLE && f.Type == Bool:
@@ -1217,10 +1194,10 @@ func decodeDeltaFOR(f Field, rows int, p []byte) ([]int64, error) {
 	return v, nil
 }
 
-// decodeVarints reads exactly rows zigzag uvarints consuming the whole
-// payload; with delta (encoding 3) each is the difference to the previous
-// value, summed as it is read.
-func decodeVarints(f Field, rows int, p []byte, delta bool) ([]int64, error) {
+// decodeDelta reads encoding 3: exactly rows zigzag uvarints consuming the
+// whole payload, each the difference to the previous value, summed as it is
+// read.
+func decodeDelta(f Field, rows int, p []byte) ([]int64, error) {
 	// A uvarint costs at least one byte.
 	if rows > len(p) {
 		return nil, corruptf("varint column %q: row count %d exceeds payload", f.Name, rows)
@@ -1241,11 +1218,8 @@ func decodeVarints(f Field, rows int, p []byte, delta bool) ([]int64, error) {
 			pos += n
 			x = unzigzag(u)
 		}
-		if delta {
-			acc += x
-			x = acc
-		}
-		v[r] = x
+		acc += x
+		v[r] = acc
 	}
 	if pos != len(p) {
 		return nil, corruptf("varint column %q: %d trailing payload bytes", f.Name, len(p)-pos)
@@ -1253,18 +1227,10 @@ func decodeVarints(f Field, rows int, p []byte, delta bool) ([]int64, error) {
 	return v, nil
 }
 
-// checkIndexes checks, before anything is allocated for them, the per-row
-// indexes p holds after a dictionary of nd entries: uvarints (the count
-// only; fillFromDict checks each as it reads it) or, with packed, the width
-// and exact length, and that every packed index is below nd. It returns the
-// packed width.
-func checkIndexes(f Field, rows int, p []byte, nd uint32, packed bool) (uint, error) {
-	if !packed {
-		if rows > len(p) {
-			return 0, corruptf("dict column %q: row count %d exceeds payload", f.Name, rows)
-		}
-		return 0, nil
-	}
+// checkIndexes checks, before anything is allocated for them, the packed
+// per-row indexes p holds after a dictionary of nd entries: the width and
+// exact length, and that every index is below nd. It returns the width.
+func checkIndexes(f Field, rows int, p []byte, nd uint32) (uint, error) {
 	w, err := packedWidth(f, p, 0, rows)
 	if err != nil {
 		return 0, err
@@ -1286,44 +1252,18 @@ func checkIndexes(f Field, rows int, p []byte, nd uint32, packed bool) (uint, er
 }
 
 // fillFromDict sets each row of v to the dictionary entry its index at p
-// names: packed at width w (checked by checkIndexes), or uvarints.
-func fillFromDict[T string | float64](f Field, v, dict []T, p []byte, packed bool, w uint) error {
-	if packed {
-		var buf [unpackBlock]uint64
-		for r := 0; r < len(v); r += unpackBlock {
-			for j, d := range unpack(buf[:min(unpackBlock, len(v)-r)], p[1:], r, w) {
-				v[r+j] = dict[d]
-			}
+// names, packed at width w (checked by checkIndexes).
+func fillFromDict[T string | float64](v, dict []T, p []byte, w uint) {
+	var buf [unpackBlock]uint64
+	for r := 0; r < len(v); r += unpackBlock {
+		for j, d := range unpack(buf[:min(unpackBlock, len(v)-r)], p[1:], r, w) {
+			v[r+j] = dict[d]
 		}
-		return nil
 	}
-	pos := 0
-	for r := range v {
-		var d uint64
-		if pos < len(p) && p[pos] < 0x80 {
-			d = uint64(p[pos])
-			pos++
-		} else {
-			var n int
-			if d, n = binary.Uvarint(p[pos:]); n <= 0 {
-				return corruptf("dict column %q: bad index varint at row %d", f.Name, r)
-			}
-			pos += n
-		}
-		if d >= uint64(len(dict)) {
-			return corruptf("dict column %q: index %d out of range (dictionary size %d)", f.Name, d, len(dict))
-		}
-		v[r] = dict[d]
-	}
-	if pos != len(p) {
-		return corruptf("dict column %q: %d trailing payload bytes", f.Name, len(p)-pos)
-	}
-	return nil
 }
 
-// decodeDict reads a string dictionary column, encoding 1 or, with packed,
-// encoding 7.
-func decodeDict(f Field, rows int, p []byte, packed bool) ([]string, error) {
+// decodeDict reads a string dictionary column, encoding 7.
+func decodeDict(f Field, rows int, p []byte) ([]string, error) {
 	if len(p) < 4 {
 		return nil, corruptf("dict column %q: truncated dictionary size", f.Name)
 	}
@@ -1347,7 +1287,7 @@ func decodeDict(f Field, rows int, p []byte, packed bool) ([]string, error) {
 		pos += sl
 	}
 	idx := p[pos:]
-	w, err := checkIndexes(f, rows, idx, nd, packed)
+	w, err := checkIndexes(f, rows, idx, nd)
 	if err != nil {
 		return nil, err
 	}
@@ -1359,12 +1299,12 @@ func decodeDict(f Field, rows int, p []byte, packed bool) ([]string, error) {
 		pos += 4 + sl
 	}
 	v := make([]string, rows)
-	return v, fillFromDict(f, v, dict, idx, packed, w)
+	fillFromDict(v, dict, idx, w)
+	return v, nil
 }
 
-// decodeDictFloats reads a float dictionary column, encoding 1 or, with
-// packed, encoding 7.
-func decodeDictFloats(f Field, rows int, p []byte, packed bool) ([]float64, error) {
+// decodeDictFloats reads a float dictionary column, encoding 7.
+func decodeDictFloats(f Field, rows int, p []byte) ([]float64, error) {
 	if len(p) < 4 {
 		return nil, corruptf("float dict column %q: truncated dictionary size", f.Name)
 	}
@@ -1373,7 +1313,7 @@ func decodeDictFloats(f Field, rows int, p []byte, packed bool) ([]float64, erro
 		return nil, corruptf("float dict column %q: dictionary size %d exceeds payload", f.Name, nd)
 	}
 	idx := p[4+8*int(nd):]
-	w, err := checkIndexes(f, rows, idx, nd, packed)
+	w, err := checkIndexes(f, rows, idx, nd)
 	if err != nil {
 		return nil, err
 	}
@@ -1382,7 +1322,8 @@ func decodeDictFloats(f Field, rows int, p []byte, packed bool) ([]float64, erro
 		dict[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[4+8*i:]))
 	}
 	v := make([]float64, rows)
-	return v, fillFromDict(f, v, dict, idx, packed, w)
+	fillFromDict(v, dict, idx, w)
+	return v, nil
 }
 
 // decodeDecimal reads encoding 8: the header, then rows integers less the

@@ -13,9 +13,9 @@ import (
 )
 
 // codecBatch builds a batch exercising every column type with shapes that
-// trigger every encoding: sequential ints (delta), small mixed-sign ints
-// (varint), repetitive strings (dict), long bool runs (RLE), plus floats
-// that must stay bit-exact.
+// trigger the encodings: sequential ints, small mixed-sign ints, repetitive
+// strings (dict), long bool runs (RLE), plus floats that must stay
+// bit-exact.
 func codecBatch(rows int) *Batch {
 	seq := make([]int64, rows)
 	mixed := make([]int64, rows)
@@ -290,35 +290,11 @@ func TestCorruptCountsRejected(t *testing.T) {
 			t.Errorf("%s: error = %v, want ErrCorrupt", tc.name, err)
 		}
 	}
-	// Dictionary index out of range: encode a dict column whose last row
-	// names entry 299 (a two-byte uvarint) and bump that index past the
-	// dictionary size.
-	strs, _ := skewedDict()
-	d := qba2Single(t, "s", NewStringColumn(append(strs, "299")), encDict)
-	d[len(d)-2], d[len(d)-1] = 0xFF, 0x7F // last row's dict index: 16383
-	if _, err := Decode(d); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("dict index out of range: error = %v, want ErrCorrupt", err)
-	}
 	// A packed index past the dictionary is refused before the column is
 	// built.
 	if _, err := Decode(indexPastDict()); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("packed dict index out of range: error = %v, want ErrCorrupt", err)
 	}
-}
-
-// skewedDict is a column over 300 distinct values, most rows drawing on the
-// first 128: their one-byte uvarint indexes beat 9-bit packed ones, so the
-// encoder keeps encoding 1.
-func skewedDict() (strs []string, floats []float64) {
-	for i := 0; i < 2300; i++ {
-		k := i
-		if i >= 300 {
-			k = i % 128
-		}
-		strs = append(strs, strconv.Itoa(k))
-		floats = append(floats, float64(k)/4)
-	}
-	return strs, floats
 }
 
 // TestRowsBoundedByFrameLength: a frame's row count is refused before
@@ -354,9 +330,10 @@ func TestRowsBoundedByFrameLength(t *testing.T) {
 
 	// A constant int column is for at width 0 (a 9-byte payload) up to
 	// exactly rleMaxRows rows a payload byte; one row more is delta-for at
-	// width 0 (17 bytes).
-	const forCap = 9 * rleMaxRows
-	for rows, want := range map[int]byte{forCap: encFOR, forCap + 1: encDeltaFOR} {
+	// width 0 (17 bytes), up to its own cap; past that it is delta, a byte a
+	// row, which no packed candidate of width 0 may undercut.
+	const forCap, deltaForCap = 9 * rleMaxRows, 17 * rleMaxRows
+	for rows, want := range map[int]byte{forCap: encFOR, forCap + 1: encDeltaFOR, deltaForCap: encDeltaFOR, deltaForCap + 1: encDelta} {
 		ints := NewIntColumn(make([]int64, rows))
 		qba2Single(t, "i", ints, want)
 		assertTransparent(t, colOf(ints))
@@ -373,13 +350,13 @@ func TestRowsBoundedByFrameLength(t *testing.T) {
 	}
 
 	// Hand-built frames: one RLE run claiming 2^32-1 rows (six payload
-	// bytes), a varint column declaring more rows than the frame has bytes,
+	// bytes), a delta column declaring more rows than the frame has bytes,
 	// a 1-bit packed column declaring more than 8 rows a frame byte, and a
 	// width-0 column one row past the bound. All are corrupt, for Decode and
 	// DecodeProject alike.
 	for name, d := range map[string][]byte{
 		"rle run past the bound":          frame1(Bool, encRLE, math.MaxUint32, binary.AppendUvarint([]byte{1}, math.MaxUint32)),
-		"varint rows past frame":          frame1(Int64, encVarint, 1<<20, []byte{0, 0}),
+		"delta rows past frame":           frame1(Int64, encDelta, 1<<20, []byte{0, 0}),
 		"1-bit rows past frame":           frame1(Int64, encFOR, 1<<20, append(make([]byte, 8), 1, 0)),
 		"width 0 past the bound":          pastBound,
 		"decimal widths 0 past the bound": decPastBound,
@@ -393,10 +370,33 @@ func TestRowsBoundedByFrameLength(t *testing.T) {
 	}
 }
 
+// The retired encodings: a dictionary with uvarint indexes (1) and a zigzag
+// uvarint per value (2). No encoder writes either, and the decoder refuses
+// both.
+const (
+	encRetiredDict   = 1
+	encRetiredVarint = 2
+)
+
 // TestUnknownEncodingRejected: a column tagged with an encoding no encoder
 // writes (9, the first one unassigned) is corrupt for every column type,
-// never a panic.
+// never a panic; so is one tagged with a retired encoding, 1 or 2, whose
+// payload is well formed in the retired layout.
 func TestUnknownEncodingRejected(t *testing.T) {
+	strs := []string{"AIR", "MAIL", "AIR", "SHIP"}
+	floats := []float64{0.5, 1.5, 0.5, 2.5}
+	ints := []int64{-3, 7, 1 << 40, 0}
+	for name, frame := range map[string][]byte{
+		"string dict":  frame1(String, encRetiredDict, 4, dictPayload(refStringDict(strs))),
+		"float dict":   frame1(Float64, encRetiredDict, 4, dictPayload(refFloatDict(floats))),
+		"int varint":   frame1(Int64, encRetiredVarint, 4, varintPayload(ints)),
+		"date varint":  frame1(Date, encRetiredVarint, 4, varintPayload(ints)),
+		"empty varint": frame1(Int64, encRetiredVarint, 0, nil),
+	} {
+		if _, err := Decode(frame); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("retired %s: error = %v, want ErrCorrupt", name, err)
+		}
+	}
 	for _, typ := range []Type{Int64, Float64, String, Bool, Date} {
 		var frame []byte
 		put32 := func(v uint32) { frame = binary.LittleEndian.AppendUint32(frame, v) }
@@ -600,16 +600,13 @@ func refEncodeColumn(c *Column, boolsOnly bool) (byte, []byte) {
 	}
 	switch c.Type {
 	case Int64, Date:
-		consider(encVarint, varintPayload(c.Ints))
 		consider(encDelta, deltaPayload(c.Ints))
 		if len(c.Ints) > 0 {
 			considerPacked(forPayload(c.Ints))
 			considerPacked(deltaForPayload(c.Ints))
 		}
 	case String:
-		head, idx := refStringDict(c.Strings)
-		consider(encDict, dictPayload(head, idx))
-		considerPacked(dictPackedPayload(head, idx))
+		considerPacked(dictPackedPayload(refStringDict(c.Strings)))
 	case Bool:
 		// In a frame of bools only, RLE may claim at most rleMaxRows rows
 		// a payload byte.
@@ -617,9 +614,7 @@ func refEncodeColumn(c *Column, boolsOnly bool) (byte, []byte) {
 			consider(encRLE, p)
 		}
 	case Float64:
-		head, idx := refFloatDict(c.Floats)
-		consider(encDict, dictPayload(head, idx))
-		considerPacked(dictPackedPayload(head, idx))
+		considerPacked(dictPackedPayload(refFloatDict(c.Floats)))
 		if p, w, ok := refDecimalPayload(c.Floats); ok {
 			considerPacked(encDecimal, p, w)
 		}
@@ -745,6 +740,7 @@ func rawColumnPayload(c *Column) []byte {
 	return nil
 }
 
+// varintPayload is a retired encoding 2 payload: a zigzag uvarint a value.
 func varintPayload(vals []int64) []byte {
 	out := make([]byte, 0, len(vals)*2)
 	for _, v := range vals {
@@ -864,6 +860,8 @@ func refFloatDict(vals []float64) ([]byte, []uint64) {
 	return head, rows
 }
 
+// dictPayload is a retired encoding 1 payload: the dictionary, then a
+// uvarint index a row.
 func dictPayload(head []byte, idx []uint64) []byte {
 	out := slices.Clone(head)
 	for _, d := range idx {

@@ -100,11 +100,10 @@ func FuzzDecode(f *testing.F) {
 	noisy := []float64{0.1, -0, 3.25e300, 1e-300}
 	seeds := [][]byte{
 		qba2Single(f, "raw", NewFloatColumn(noisy), encRaw),
-		// The encoder packs small dictionaries' indexes (encoding 7), but the
-		// decoder reads uvarint ones (encoding 1) too.
-		frame1(String, encDict, 64, dictPayload(refStringDict(strs))),
-		frame1(Float64, encDict, 64, dictPayload(refFloatDict(floats))),
-		qba2Single(f, "varint", NewIntColumn(outliers), encVarint),
+		// Retired encodings 1 and 2, well formed in their old layouts: refused.
+		frame1(String, encRetiredDict, 64, dictPayload(refStringDict(strs))),
+		frame1(Float64, encRetiredDict, 64, dictPayload(refFloatDict(floats))),
+		frame1(Int64, encRetiredVarint, 64, varintPayload(outliers)),
 		qba2Single(f, "delta", NewIntColumn(jumpy), encDelta),
 		qba2Single(f, "rle", NewBoolColumn(bools), encRLE),
 		qba2Single(f, "for", NewIntColumn(small), encFOR),

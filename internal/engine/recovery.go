@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"quokka/internal/cluster"
 	"quokka/internal/gcs"
 	"quokka/internal/lineage"
 	"quokka/internal/metrics"
@@ -71,6 +72,12 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 	for _, w := range aliveIDs {
 		aliveSet[int(w)] = true
 	}
+	rrSpool := 0 // round-robin cursor for spool replay placement
+	if r.ft.has(capSpool) {
+		if err := r.requeueSpoolReplays(tx, aliveSet, aliveIDs, &rrSpool); err != nil {
+			return err
+		}
+	}
 
 	// A <- all tasks assigned to failed workers; R <- their channels.
 	rewind := make(map[lineage.ChannelID]bool)
@@ -90,7 +97,6 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 	// partitions: they restart from scratch, because a checkpoint restart
 	// would skip the tasks — and so the partitions — below the checkpoint.
 	reproduce := make(map[lineage.ChannelID]bool)
-	rrSpool := 0 // round-robin cursor for spool replay placement
 	for s := len(r.plan.Stages) - 1; s >= 0; s-- {
 		stage := r.plan.Stages[s]
 		for c := 0; c < r.par[s]; c++ {
@@ -229,6 +235,31 @@ func (r *Runner) reconcile(tx *gcs.Txn) error {
 		// Any partitions this channel had buffered on other live workers
 		// remain valid (idempotent re-pushes overwrite them); partitions
 		// on the dead worker are gone and will be re-pushed by replays.
+	}
+	return nil
+}
+
+// requeueSpoolReplays moves every replay entry queued on a worker that has
+// died since to a live one, round-robin from *rr. A spooled piece set
+// outlives the worker that was to serve it, and a consumer that was rewound
+// by an earlier pass, and not by this one, is owed the entry by no one else.
+// (A backup died with its owner, whose channels this pass rewinds, and
+// their retrace re-feeds every consumer.)
+func (r *Runner) requeueSpoolReplays(tx *gcs.Txn, alive map[int]bool, aliveIDs []cluster.WorkerID, rr *int) error {
+	var queued snapshot
+	if err := r.loadReplays(tx, &queued); err != nil {
+		return err
+	}
+	for _, e := range queued.replays {
+		if alive[e.worker] {
+			continue
+		}
+		tx.Delete(e.key)
+		to := r.keyReplay(int(aliveIDs[*rr%len(aliveIDs)]), e.task)
+		*rr++
+		for _, d := range e.dests {
+			addReplayDest(tx, to, d)
+		}
 	}
 	return nil
 }

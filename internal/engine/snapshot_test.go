@@ -300,10 +300,8 @@ func TestSnapshotSkipsNeverRewoundChannels(t *testing.T) {
 // older than the recovery that made the worker's channel set. A channel a
 // recovery has just placed on this worker starts blank, so step's checks
 // cannot tell its pre-rewind row — the dead incarnation's epoch, cursor and
-// watermark — from news: it would adopt the row, and its mailbox probe would
-// clear, below the dead incarnation's watermark, the partitions being replayed
-// for the new one, which then waits for them for good (the recovery
-// benchmark's rare "deadline exceeded").
+// watermark — from news: it would adopt the row and run the dead
+// incarnation's round, its retrace or its choice of inputs, as its own.
 func TestStaleImageDoesNotRunANewChannelSet(t *testing.T) {
 	cl := testCluster(t, 2, map[string][]*batch.Batch{"numbers": numbersTable(400, 4)})
 	r, err := NewRunner(cl, scanFilterAggPlan(0), DefaultConfig())

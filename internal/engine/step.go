@@ -178,8 +178,7 @@ func (t *taskManager) chooseInput(cs *chanState) (*inputChoice, bool) {
 	}
 
 	// The current phase's edges that could yield a task go into ONE mailbox
-	// probe (which also clears retransmissions below each watermark); none, no
-	// probe. An edge can yield one only when its committed, unconsumed outputs
+	// probe; none, no probe. An edge can yield one only when its committed, unconsumed outputs
 	// — upstream cursor past this channel's watermark — make a take: while the
 	// producer runs, at least MinTake of them (a full StaticBatch under the
 	// static policy); once it has finished, any.

@@ -13,6 +13,44 @@ import (
 	"quokka/internal/tpch"
 )
 
+// bufferedAtTeardown is a worker's mailbox as the head reaches it, reading
+// what the mailbox still buffers when the head sweeps a query.
+type bufferedAtTeardown struct {
+	flight.Peer
+	srv  *flight.Server
+	left *atomic.Int64
+}
+
+func (b bufferedAtTeardown) DropQuery(query string) {
+	b.left.Add(b.srv.BufferedBytes())
+	b.Peer.DropQuery(query)
+}
+
+// TestDropFreesEveryConsumedSlot: Drop is the mailbox's one release in a
+// query's life, and a failure-free run consumes every slot it fills, so each
+// TPC-H query on 2 workers leaves 0 bytes buffered on every worker when the
+// head sweeps it.
+func TestDropFreesEveryConsumedSlot(t *testing.T) {
+	cl, err := cluster.New(cluster.Options{Workers: 2, Cost: storage.TestCostModel()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpch.Load(cl.HeadObjs, tpch.Generate(0.002), 256)
+	left := make([]*atomic.Int64, len(cl.Workers))
+	for i, w := range cl.Workers {
+		left[i] = new(atomic.Int64)
+		w.Peer = bufferedAtTeardown{Peer: w.Peer, srv: w.Mailbox.(*flight.Server), left: left[i]}
+	}
+	for _, q := range tpch.QueryNumbers() {
+		runTPCH(t, cl, q, engine.DefaultConfig())
+		for i, n := range left {
+			if b := n.Swap(0); b != 0 {
+				t.Errorf("Q%d: worker %d still buffered %d bytes at teardown", q, i, b)
+			}
+		}
+	}
+}
+
 // probeCounter counts the mailbox probes of the worker it wraps.
 type probeCounter struct {
 	flight.Mailbox

@@ -24,7 +24,7 @@ func (t *taskManager) runTask(cs *chanState, rec *lineage.Record, run []int, isR
 	var err error
 	switch {
 	case rec != nil:
-		p.outs, p.inRows, p.inBytes, err = t.consume(cs, *rec)
+		err = t.consume(cs, p)
 	case run != nil:
 		p.outs, p.inRows, err = t.readRun(cs, run)
 	default:
@@ -48,35 +48,39 @@ func (t *taskManager) runTask(cs *chanState, rec *lineage.Record, run []int, isR
 	return t.finishTask(cs, p)
 }
 
-// consume runs the operator over the chosen inputs and returns its output
-// batches, in order and unconcatenated, plus the consumed input volume
-// (rows and wire bytes, for the task's trace span). A piece pushed from
-// this worker comes with its producer's batch — an elided one with nothing
-// else; only the others are decoded.
-func (t *taskManager) consume(cs *chanState, rec lineage.Record) (outs []*batch.Batch, inRows, inBytes int64, err error) {
+// consume runs the operator over p's range and sets p's output batches, in
+// order and unconcatenated, the consumed input volume (rows and wire bytes,
+// for the task's trace span) and the generations of the slots it took, which
+// the commit's Drop frees. A piece pushed from this worker comes with its
+// producer's batch — an elided one with nothing else; only the others are
+// decoded.
+func (t *taskManager) consume(cs *chanState, p *pendingTask) error {
+	rec := p.rec
 	pieces, err := t.mb.Take(t.r.qid, cs.id, rec.Input, rec.UpChannel, rec.FromSeq, rec.Count)
 	if err != nil {
-		return nil, 0, 0, err
+		return err
 	}
-	for _, pc := range pieces {
+	p.gens = make([]uint64, len(pieces))
+	for i, pc := range pieces {
+		p.gens[i] = pc.Gen
 		if len(pc.Data) == 0 && pc.Batch == nil {
 			continue // empty partition: counts for the watermark only
 		}
 		b, how := pc.Batch, t.r.cHanded
 		if b == nil {
 			if b, err = batch.Decode(pc.Data); err != nil {
-				return nil, 0, 0, fmt.Errorf("engine: corrupt partition for %s: %w", cs.id, err)
+				return fmt.Errorf("engine: corrupt partition for %s: %w", cs.id, err)
 			}
 			how = t.r.cDecoded
 		}
 		how.add(1)
-		inRows += int64(b.NumRows())
-		inBytes += int64(len(pc.Data))
-		if outs, err = t.feed(cs, rec.Input, b, outs); err != nil {
-			return nil, 0, 0, err
+		p.inRows += int64(b.NumRows())
+		p.inBytes += int64(len(pc.Data))
+		if p.outs, err = t.feed(cs, rec.Input, b, p.outs); err != nil {
+			return err
 		}
 	}
-	return outs, inRows, inBytes, nil
+	return nil
 }
 
 // feed runs one input batch through the stage's operator, charging its
@@ -227,9 +231,11 @@ func (t *taskManager) finishTask(cs *chanState, p *pendingTask) (bool, error) {
 	}
 
 	// Post-commit bookkeeping. The watermark lives here, with the operator
-	// state it describes, and nowhere in the control store.
+	// state it describes, and nowhere in the control store. The Drop frees
+	// only the slots this task took: one a replay refilled since is a rewound
+	// incarnation's.
 	if p.rec != nil {
-		t.mb.Drop(t.r.qid, cs.id, p.rec.Input, p.rec.UpChannel, p.rec.FromSeq, p.rec.Count)
+		t.mb.Drop(t.r.qid, cs.id, p.rec.Input, p.rec.UpChannel, p.rec.FromSeq, p.gens)
 		cs.wm[lineage.EdgeChannel{Input: p.rec.Input, UpChannel: p.rec.UpChannel}] += p.rec.Count
 	}
 	cs.cursor = p.seq + 1

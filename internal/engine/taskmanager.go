@@ -104,6 +104,7 @@ type chanState struct {
 type pendingTask struct {
 	seq      int
 	rec      *lineage.Record // the consumed range; nil for a read or a last task
+	gens     []uint64        // the generation of each slot of rec's take, for Drop
 	outs     []*batch.Batch  // the operator's output batches, in order; nil once encoded
 	finalize bool
 	replay   bool // a retrace of rec, which is committed already
@@ -240,8 +241,9 @@ func (t *taskManager) poll(ver uint64, yield func()) (progressed bool, scanned u
 	}
 	if !t.refreshChannels(snap) {
 		// A slow thread's image from before the recovery that made the channel
-		// set: a fresh channel would take its pre-rewind row for news, and probe
-		// its mailbox — clearing it — below the dead incarnation's watermark.
+		// set: a fresh channel would take its pre-rewind row for news and run
+		// the dead incarnation's round — its replay retrace or its choice of
+		// inputs — as its own.
 		return false, snap.ver
 	}
 

@@ -53,11 +53,13 @@ type Partition struct {
 	Batch *batch.Batch
 }
 
-// Piece is one slot as Take returns it: the bytes as pushed and, when a
-// Local push left it, the batch they encode (nil otherwise).
+// Piece is one slot as Take returns it: the bytes as pushed, when a Local
+// push left it the batch they encode (nil otherwise), and the slot's
+// generation — which push last reached it — for the taker's Drop.
 type Piece struct {
 	Data  []byte
 	Batch *batch.Batch
+	Gen   uint64
 }
 
 // EpochCommitted marks a push that re-feeds lineage-committed content:
@@ -83,12 +85,13 @@ type Peer interface {
 
 // Mailbox is the owner's view: nobody reads or frees a mailbox but the worker
 // it belongs to, so these three exist only where the mailbox lives and have
-// no remote form.
+// no remote form. Probe only reads; Drop frees exactly the slots a Take
+// returned, by their generations.
 type Mailbox interface {
 	Peer
 	Probe(query string, dest lineage.ChannelID, edges []Edge) []int
 	Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([]Piece, error)
-	Drop(query string, dest lineage.ChannelID, input, upChannel, from, count int)
+	Drop(query string, dest lineage.ChannelID, input, upChannel, from int, gens []uint64)
 }
 
 // Edge names one upstream channel of a consumer channel with the consumer's
@@ -116,7 +119,8 @@ type Server struct {
 	failed bool
 	// boxes[edge][producerSeq] = encoded batch + producer epoch (+ the batch)
 	boxes map[edgeKey]map[int]slot
-	bytes int64 // the slots' sizes
+	bytes int64  // the slots' sizes
+	gen   uint64 // the generation the last push stamped
 
 	// results holds what SpoolResult parked, swept by DropQuery and Fail.
 	results map[resultKey]slot
@@ -131,9 +135,13 @@ type resultKey struct {
 // slot is one mailbox entry: the partition bytes plus the epoch of the
 // producer incarnation that pushed them, and the batch a Local push left.
 // Whatever frees the slot frees the batch with it. size is what it counts
-// for in BufferedBytes: its bytes, or a bytes-less slot's batch.
+// for in BufferedBytes: its bytes, or a bytes-less slot's batch. gen is the
+// mailbox-wide count of pushes when the last one reached the slot: a slot a
+// later push reached has another, so a Drop by whoever took it before
+// leaves it.
 type slot struct {
 	epoch int
+	gen   uint64
 	data  []byte
 	batch *batch.Batch
 	size  int64
@@ -165,9 +173,12 @@ var ErrServerDown = fmt.Errorf("flight: server down (worker failed)")
 // idempotent within a producer epoch: re-pushing the same partition
 // replaces it; partitions the consumer has already dropped simply reappear
 // and will be ignored by the watermark. A push carrying a lower epoch than
-// the slot it targets is a zombie (see Partition.Epoch) and is dropped
-// without effect. Only a Local push keeps its Batch; any accepted push
-// replaces the slot's. Push fails if the hosting worker has failed.
+// the slot it targets is a zombie (see Partition.Epoch) and leaves the
+// slot's contents. Every push that reaches a slot, accepted or not, gives it
+// a new generation: a re-push means some incarnation may want the slot, and
+// the one a replay is kept for may be what refused it. Only a Local push
+// keeps its Batch; any accepted push replaces the slot's. Push fails if the
+// hosting worker has failed.
 func (s *Server) Push(p Partition) error {
 	if !p.Local {
 		s.cost.Apply(s.cost.Network, int64(len(p.Data)))
@@ -185,12 +196,16 @@ func (s *Server) Push(p Partition) error {
 		box = make(map[int]slot)
 		s.boxes[k] = box
 	}
+	s.gen++
 	if old, ok := box[p.From.Seq]; ok {
 		if old.epoch > p.Epoch {
-			return nil // stale push from a rewound incarnation
+			old.gen = s.gen // stale push from a rewound incarnation
+			box[p.From.Seq] = old
+			return nil
 		}
 		s.bytes -= old.size
 	}
+	sl.gen = s.gen
 	box[p.From.Seq] = sl
 	s.bytes += sl.size
 	if !p.Local {
@@ -207,21 +222,15 @@ func (s *Server) Push(p Partition) error {
 // Probe is a consumer channel's one question per poll round: for each edge,
 // how many consecutive producer sequence numbers from its watermark on are
 // present — how much of that upstream channel a task can consume (inputs are
-// taken in order, §III-A). On the way it removes every partition below the
-// watermark: a rewound producer retransmits its whole history and the
-// consumer ignores what it already consumed (§III). One lock for all edges.
+// taken in order, §III-A). It only reads: a probe under a stale image names a
+// dead incarnation's watermark, and slots below it may be a rewound one's
+// replays. One lock for all edges.
 func (s *Server) Probe(query string, dest lineage.ChannelID, edges []Edge) []int {
 	avail := make([]int, len(edges))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, e := range edges {
 		box := s.boxes[edgeKey{query, dest, e.Input, e.UpChannel}]
-		for seq, d := range box {
-			if seq < e.Watermark {
-				s.bytes -= d.size
-				delete(box, seq)
-			}
-		}
 		for {
 			if _, ok := box[e.Watermark+avail[i]]; !ok {
 				break
@@ -233,8 +242,8 @@ func (s *Server) Probe(query string, dest lineage.ChannelID, edges []Edge) []int
 }
 
 // Take returns the partitions [from, from+count) for the consumer edge
-// without removing them, each with the batch a Local push left in its slot.
-// It fails if any is missing.
+// without removing them, each with the batch a Local push left in its slot
+// and the slot's generation. It fails if any is missing.
 func (s *Server) Take(query string, dest lineage.ChannelID, input, upChannel, from, count int) ([]Piece, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -249,18 +258,22 @@ func (s *Server) Take(query string, dest lineage.ChannelID, input, upChannel, fr
 			return nil, fmt.Errorf("flight: partition %d.%d.%d for %s input %d missing",
 				dest.Stage, upChannel, from+i, dest, input)
 		}
-		out[i] = Piece{Data: d.data, Batch: d.batch}
+		out[i] = Piece{Data: d.data, Batch: d.batch, Gen: d.gen}
 	}
 	return out, nil
 }
 
-// Drop removes consumed partitions [from, from+count), freeing memory.
-func (s *Server) Drop(query string, dest lineage.ChannelID, input, upChannel, from, count int) {
+// Drop frees consumed partitions from, from+1, …, one per generation in
+// gens: each slot only while it holds the generation its taker was given. A
+// slot a push reached since the Take — a replay, or a retrace the replay's
+// epoch refused — may be a rewound incarnation's, and a late Drop by the
+// old one leaves it.
+func (s *Server) Drop(query string, dest lineage.ChannelID, input, upChannel, from int, gens []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	box := s.boxes[edgeKey{query, dest, input, upChannel}]
-	for i := 0; i < count; i++ {
-		if d, ok := box[from+i]; ok {
+	for i, gen := range gens {
+		if d, ok := box[from+i]; ok && d.gen == gen {
 			s.bytes -= d.size
 			delete(box, from+i)
 		}

@@ -24,10 +24,24 @@ func part(stage, ch, seq int, dest lineage.ChannelID, input int, data string) Pa
 }
 
 // contig asks the mailbox the one-edge form of the consumer's question: how
-// many partitions are buffered in sequence from `from` on. Like every Probe
-// it drops what lies below `from`.
+// many partitions are buffered in sequence from `from` on.
 func contig(s *Server, query string, dest lineage.ChannelID, input, upChannel, from int) int {
 	return s.Probe(query, dest, []Edge{{Input: input, UpChannel: upChannel, Watermark: from}})[0]
+}
+
+// takeGens takes [from, from+count) of an edge of q1, as a consumer task does,
+// and returns the generations its Drop names.
+func takeGens(t *testing.T, s *Server, dest lineage.ChannelID, input, upChannel, from, count int) []uint64 {
+	t.Helper()
+	pieces, err := s.Take("q1", dest, input, upChannel, from, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := make([]uint64, len(pieces))
+	for i, pc := range pieces {
+		gens[i] = pc.Gen
+	}
+	return gens
 }
 
 func TestPushTakeDrop(t *testing.T) {
@@ -41,11 +55,7 @@ func TestPushTakeDrop(t *testing.T) {
 	if got := contig(s, "q1", dest, 0, 2, 0); got != 3 {
 		t.Errorf("contiguous from 0 = %d, want 3", got)
 	}
-	data, err := s.Take("q1", dest, 0, 2, 0, 2)
-	if err != nil || len(data) != 2 {
-		t.Fatalf("Take: %v, %v", data, err)
-	}
-	s.Drop("q1", dest, 0, 2, 0, 2)
+	s.Drop("q1", dest, 0, 2, 0, takeGens(t, s, dest, 0, 2, 0, 2))
 	if got := contig(s, "q1", dest, 0, 2, 0); got != 0 {
 		t.Errorf("after drop contiguous from 0 = %d", got)
 	}
@@ -55,8 +65,8 @@ func TestPushTakeDrop(t *testing.T) {
 }
 
 // TestProbeBatch: one Probe answers several edges of a channel at once, each
-// from its own watermark, and drops below each watermark — nothing at or
-// above it, nothing of an edge it was not asked about.
+// from its own watermark, and frees nothing: below a watermark, at or above
+// it, or of an edge it was not asked about.
 func TestProbeBatch(t *testing.T) {
 	s := newServer()
 	dest := lineage.ChannelID{Stage: 1, Channel: 0}
@@ -73,13 +83,11 @@ func TestProbeBatch(t *testing.T) {
 	if len(got) != 3 || got[0] != 2 || got[1] != 0 || got[2] != 0 {
 		t.Fatalf("Probe = %v, want [2 0 0]", got)
 	}
-	// Dropped: seqs 0 and 1 of edge (0,0). Kept: its 2 and 3, edge (0,1)'s
-	// seq 1 (at or above its watermark), and the unprobed edge.
-	if want := int64(len("aa")*2 + len("bb") + len("cc")); s.BufferedBytes() != want {
+	if want := int64(len("aa")*4 + len("bb") + len("cc")); s.BufferedBytes() != want {
 		t.Errorf("BufferedBytes = %d after probe, want %d", s.BufferedBytes(), want)
 	}
-	if _, err := s.Take("q1", dest, 0, 0, 1, 1); err == nil {
-		t.Error("a partition below the watermark survived the probe")
+	if _, err := s.Take("q1", dest, 0, 0, 0, 2); err != nil {
+		t.Errorf("a partition below the watermark went with the probe: %v", err)
 	}
 	if got := s.Probe("q1", dest, nil); len(got) != 0 {
 		t.Errorf("empty probe = %v", got)
@@ -127,7 +135,7 @@ func TestEdgesAreIsolated(t *testing.T) {
 		t.Errorf("d1 input1 = %d", got)
 	}
 	// A drop frees one edge of one channel and nothing else.
-	s.Drop("q1", d1, 0, 0, 0, 1)
+	s.Drop("q1", d1, 0, 0, 0, takeGens(t, s, d1, 0, 0, 0, 1))
 	if got := contig(s, "q1", d1, 0, 0, 0); got != 0 {
 		t.Error("Drop should clear d1 input 0")
 	}
@@ -195,10 +203,10 @@ func TestHandedBatch(t *testing.T) {
 	for seq := range 3 {
 		push(seq, 1, true, b)
 	}
-	s.Drop("q1", dest, 0, 0, 0, 1)
-	contig(s, "q1", dest, 0, 0, 2) // drops seq 1
-	if n := handedSlots(s); n != 1 {
-		t.Fatalf("%d batches held after Drop and Probe, want 1", n)
+	s.Drop("q1", dest, 0, 0, 0, takeGens(t, s, dest, 0, 0, 0, 1))
+	contig(s, "q1", dest, 0, 0, 2) // frees nothing
+	if n := handedSlots(s); n != 2 {
+		t.Fatalf("%d batches held after Drop and Probe, want 2", n)
 	}
 	s.DropQuery("q1")
 	if n := handedSlots(s); n != 0 {
@@ -265,5 +273,93 @@ func TestMetricsAccounting(t *testing.T) {
 	if met.Get(metrics.NetworkBytes) != 5 || met.Get(metrics.NetworkPushes) != 1 {
 		t.Errorf("metrics: %d bytes, %d pushes",
 			met.Get(metrics.NetworkBytes), met.Get(metrics.NetworkPushes))
+	}
+}
+
+// Releases by an older incarnation: a slot refilled since its taker took it
+// is a rewound incarnation's, and only DropQuery, Fail or a Drop naming the
+// refill's generation frees it.
+
+// TestDropAfterReplayLeavesTheReplay: an old incarnation takes a range, the
+// recovery's replay refills it at EpochCommitted, and the old incarnation's
+// late Drop leaves the replay for the new one.
+func TestDropAfterReplayLeavesTheReplay(t *testing.T) {
+	s := newServer()
+	dest := lineage.ChannelID{Stage: 1, Channel: 0}
+	for seq := range 2 {
+		s.Push(part(0, 0, seq, dest, 0, "original"))
+	}
+	old := takeGens(t, s, dest, 0, 0, 0, 2)
+	for seq := range 2 {
+		p := part(0, 0, seq, dest, 0, "replayed")
+		p.Epoch = EpochCommitted
+		s.Push(p)
+	}
+	s.Drop("q1", dest, 0, 0, 0, old)
+	if got := contig(s, "q1", dest, 0, 0, 0); got != 2 {
+		t.Fatalf("the old incarnation's Drop freed a replay: %d of 2 left", got)
+	}
+	s.Drop("q1", dest, 0, 0, 0, takeGens(t, s, dest, 0, 0, 0, 2))
+	if s.BufferedBytes() != 0 {
+		t.Errorf("BufferedBytes = %d after the new incarnation's Drop", s.BufferedBytes())
+	}
+}
+
+// TestDropAfterSecondReplayLeavesIt: a second recovery's replay refills a
+// slot the first recovery's incarnation took — at the same epoch,
+// EpochCommitted — and that incarnation's late Drop leaves it.
+func TestDropAfterSecondReplayLeavesIt(t *testing.T) {
+	s := newServer()
+	dest := lineage.ChannelID{Stage: 1, Channel: 0}
+	replay := func() {
+		p := part(0, 0, 0, dest, 0, "replayed")
+		p.Epoch = EpochCommitted
+		s.Push(p)
+	}
+	replay()
+	first := takeGens(t, s, dest, 0, 0, 0, 1)
+	replay()
+	s.Drop("q1", dest, 0, 0, 0, first)
+	if got := contig(s, "q1", dest, 0, 0, 0); got != 1 {
+		t.Fatal("the first recovery's incarnation freed the second recovery's replay")
+	}
+}
+
+// TestDropAfterARefusedPushLeavesIt: an incarnation takes a replay; after
+// the recovery that rewinds it, its producer's retrace re-pushes the same
+// sequence number at its own epoch and is refused — the replay's content is
+// the same — and the old incarnation's late Drop must still leave the slot,
+// which the new incarnation needs and nobody will push again.
+func TestDropAfterARefusedPushLeavesIt(t *testing.T) {
+	s := newServer()
+	dest := lineage.ChannelID{Stage: 1, Channel: 0}
+	p := part(0, 0, 0, dest, 0, "replayed")
+	p.Epoch = EpochCommitted
+	s.Push(p)
+	old := takeGens(t, s, dest, 0, 0, 0, 1)
+	retrace := part(0, 0, 0, dest, 0, "retraced")
+	retrace.Epoch = 2
+	s.Push(retrace)
+	s.Drop("q1", dest, 0, 0, 0, old)
+	got, err := s.Take("q1", dest, 0, 0, 0, 1)
+	if err != nil || string(got[0].Data) != "replayed" {
+		t.Fatalf("after a refused re-push and the old taker's Drop: %q, %v; want the replay", got, err)
+	}
+}
+
+// TestProbeBelowSlotsLeavesThem: a probe whose watermark lies past buffered
+// slots — a round under a stale image names a dead incarnation's — answers
+// and frees nothing.
+func TestProbeBelowSlotsLeavesThem(t *testing.T) {
+	s := newServer()
+	dest := lineage.ChannelID{Stage: 1, Channel: 0}
+	for seq := range 3 {
+		s.Push(part(0, 0, seq, dest, 0, "r"))
+	}
+	if got := contig(s, "q1", dest, 0, 0, 5); got != 0 {
+		t.Fatalf("probe past the slots = %d", got)
+	}
+	if got := contig(s, "q1", dest, 0, 0, 0); got != 3 || s.BufferedBytes() != 3 {
+		t.Fatalf("after a probe past them: %d slots, %d bytes; want 3, 3", got, s.BufferedBytes())
 	}
 }

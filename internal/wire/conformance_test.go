@@ -703,9 +703,24 @@ func replicaConformance(t *testing.T, b *backends) {
 }
 
 // contig is the one-edge probe: how many partitions are buffered in sequence
-// from `from` on (and, like every probe, a drop of what lies below it).
+// from `from` on.
 func contig(fl flight.Mailbox, q string, dest lineage.ChannelID, input, up, from int) int {
 	return fl.Probe(q, dest, []flight.Edge{{Input: input, UpChannel: up, Watermark: from}})[0]
+}
+
+// takeGens takes [from, from+count) of an edge, as a consumer task does, and
+// returns the generations its Drop names.
+func takeGens(t *testing.T, own flight.Mailbox, q string, dest lineage.ChannelID, input, up, from, count int) []uint64 {
+	t.Helper()
+	pieces, err := own.Take(q, dest, input, up, from, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := make([]uint64, len(pieces))
+	for i, pc := range pieces {
+		gens[i] = pc.Gen
+	}
+	return gens
 }
 
 // oneRowBatch is a batch for a same-worker push to hand over.
@@ -783,20 +798,21 @@ func flightConformance(t *testing.T, b *backends) {
 		}
 	})
 
-	// The mailbox holds payloads until Drop frees them.
+	// The mailbox holds payloads until the Drop of what a task took frees
+	// them.
 	t.Run("drop", func(t *testing.T) {
 		if bb := b.server(0).BufferedBytes(); bb <= 0 {
 			t.Fatalf("buffered = %d, want > 0", bb)
 		}
-		own.Drop(q, dest, 0, 2, 0, 2)
+		own.Drop(q, dest, 0, 2, 0, takeGens(t, own, q, dest, 0, 2, 0, 2))
 		if n := contig(own, q, dest, 0, 2, 0); n != 0 {
 			t.Fatalf("after drop contiguous = %d, want 0", n)
 		}
 	})
 
-	// A probe clears retransmissions under its watermark and nothing at or
-	// above it (seq 3 from the gap push above is still buffered and must
-	// survive).
+	// A retransmission below a watermark stays through the probes past it
+	// until a Drop naming it frees it, and that Drop frees nothing else (seq 3
+	// from the gap push above is still buffered and must survive).
 	t.Run("drop-below", func(t *testing.T) {
 		push(1, 0, "r1")
 		push(2, 0, "r2")
@@ -804,11 +820,93 @@ func flightConformance(t *testing.T, b *backends) {
 		if n := contig(own, q, dest, 0, 2, 2); n != 2 {
 			t.Fatalf("contiguous from 2 = %d, want 2", n)
 		}
+		if got := b.server(0).BufferedBytes(); got != before {
+			t.Fatalf("buffered %d -> %d across a probe, want it unchanged", before, got)
+		}
+		own.Drop(q, dest, 0, 2, 1, takeGens(t, own, q, dest, 0, 2, 1, 1))
 		if got := b.server(0).BufferedBytes(); got != before-int64(len("r1")) {
 			t.Fatalf("buffered %d -> %d, want exactly seq 1 dropped", before, got)
 		}
 		if _, err := own.Take(q, dest, 0, 2, 1, 1); err == nil {
-			t.Fatalf("a partition below the watermark survived the probe")
+			t.Fatalf("a dropped partition survived its Drop")
+		}
+	})
+
+	// Releases by an older incarnation. A late Drop names the slots as its
+	// incarnation took them; a slot a push reached since — a replay that
+	// refilled it, the first recovery's or a second recovery's over the
+	// first's, or a retrace the replay's higher epoch refused — stays for the
+	// incarnation that is waiting for it. A probe whose watermark lies past
+	// slots, as a round under a stale image names a dead incarnation's, frees
+	// nothing.
+	t.Run("release-after-replay", func(t *testing.T) {
+		rq := q + "-replay"
+		at := func(seq, epoch int, data string) {
+			t.Helper()
+			if err := fl.Push(flight.Partition{Query: rq, From: lineage.TaskName{Stage: 0, Channel: 2, Seq: seq},
+				Dest: dest, Data: []byte(data), Epoch: epoch}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at(0, 0, "original")
+		at(1, 0, "original")
+		old := takeGens(t, own, rq, dest, 0, 2, 0, 2)
+		at(0, flight.EpochCommitted, "replayed")
+		at(1, flight.EpochCommitted, "replayed")
+		own.Drop(rq, dest, 0, 2, 0, old)
+		if n := contig(own, rq, dest, 0, 2, 0); n != 2 {
+			t.Fatalf("the old incarnation's Drop left %d of the 2 replayed slots", n)
+		}
+		own.Drop(rq, dest, 0, 2, 0, takeGens(t, own, rq, dest, 0, 2, 0, 2))
+		if n := contig(own, rq, dest, 0, 2, 0); n != 0 {
+			t.Fatalf("the new incarnation's Drop left %d slots", n)
+		}
+	})
+	t.Run("release-after-second-replay", func(t *testing.T) {
+		rq := q + "-replay2"
+		replay := func() {
+			t.Helper()
+			if err := fl.Push(flight.Partition{Query: rq, From: lineage.TaskName{Stage: 0, Channel: 2, Seq: 0},
+				Dest: dest, Data: []byte("replayed"), Epoch: flight.EpochCommitted}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		replay()
+		first := takeGens(t, own, rq, dest, 0, 2, 0, 1)
+		replay()
+		own.Drop(rq, dest, 0, 2, 0, first)
+		if n := contig(own, rq, dest, 0, 2, 0); n != 1 {
+			t.Fatal("the first recovery's incarnation freed the second recovery's replay")
+		}
+		fl.DropQuery(rq)
+	})
+	t.Run("release-after-refused-push", func(t *testing.T) {
+		rq := q + "-refused"
+		at := func(epoch int, data string) {
+			t.Helper()
+			if err := fl.Push(flight.Partition{Query: rq, From: lineage.TaskName{Stage: 0, Channel: 2, Seq: 0},
+				Dest: dest, Data: []byte(data), Epoch: epoch}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at(flight.EpochCommitted, "replayed")
+		old := takeGens(t, own, rq, dest, 0, 2, 0, 1)
+		at(2, "retraced") // refused: the replay's epoch is higher
+		own.Drop(rq, dest, 0, 2, 0, old)
+		got, err := own.Take(rq, dest, 0, 2, 0, 1)
+		if err != nil || string(got[0].Data) != "replayed" {
+			t.Fatalf("after a refused re-push and the old taker's Drop: %q, %v; want the replay", got, err)
+		}
+		fl.DropQuery(rq)
+	})
+	t.Run("probe-past-slots", func(t *testing.T) {
+		before := b.server(0).BufferedBytes()
+		if n := contig(own, q, dest, 0, 2, 9); n != 0 {
+			t.Fatalf("probe past the slots = %d", n)
+		}
+		if n := contig(own, q, dest, 0, 2, 2); n != 2 || b.server(0).BufferedBytes() != before {
+			t.Fatalf("after a probe past them: %d slots from 2, buffered %d -> %d; want 2, unchanged",
+				n, before, b.server(0).BufferedBytes())
 		}
 	})
 
@@ -885,7 +983,8 @@ func flightConformance(t *testing.T, b *backends) {
 		}
 	})
 
-	// Whatever frees a slot frees its batch: Drop, a probe past it, DropQuery.
+	// Whatever frees a slot frees its batch: Drop, DropQuery. A probe past it
+	// frees neither.
 	t.Run("handed-batch-released", func(t *testing.T) {
 		hq := q + "-handed"
 		handed := func(seq int) weak.Pointer[batch.Batch] {
@@ -896,17 +995,17 @@ func flightConformance(t *testing.T, b *backends) {
 			}
 			return weak.Make(hb)
 		}
-		dropped, below, swept := handed(0), handed(1), handed(2)
-		own.Drop(hq, dest, 0, 0, 0, 1)
+		dropped, below := handed(0), handed(1)
+		own.Drop(hq, dest, 0, 0, 0, takeGens(t, own, hq, dest, 0, 0, 0, 1))
 		contig(own, hq, dest, 0, 0, 2)
-		if !released(dropped) || !released(below) {
-			t.Fatalf("batch held after Drop: %v, after a probe past it: %v", !released(dropped), !released(below))
+		if !released(dropped) {
+			t.Fatal("batch held after Drop")
 		}
-		if released(swept) {
-			t.Fatal("a batch still in its slot was collected")
+		if released(below) {
+			t.Fatal("a batch still in its slot was collected after a probe past it")
 		}
 		fl.DropQuery(hq)
-		if !released(swept) {
+		if !released(below) {
 			t.Fatal("batch held after DropQuery")
 		}
 	})
@@ -928,7 +1027,7 @@ func flightConformance(t *testing.T, b *backends) {
 		if err != nil || got[0].Data != nil || got[0].Batch != hb {
 			t.Fatalf("take of a bytes-less slot: %+v, %v", got, err)
 		}
-		own.Drop(eq, dest, 0, 0, 0, 1)
+		own.Drop(eq, dest, 0, 0, 0, []uint64{got[0].Gen})
 		if got := b.server(0).BufferedBytes(); got != before {
 			t.Fatalf("buffered %d after the drop, want %d", got, before)
 		}
