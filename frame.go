@@ -121,7 +121,8 @@ const (
 
 // Join hash-joins d (the probe side) with build. The optimizer picks the
 // distribution: the build side is broadcast when catalog statistics say
-// it is small, otherwise both sides are co-partitioned on the join keys.
+// it is small, or small enough next to d that copying it to every worker
+// moves fewer rows; otherwise both sides are co-partitioned on the join keys.
 // Output columns are d's columns followed by build's non-key columns;
 // name collisions are rejected at plan time with ErrDuplicateColumn.
 func (d *DataFrame) Join(build *DataFrame, kind JoinKind, probeKeys, buildKeys []string) *DataFrame {
@@ -199,9 +200,9 @@ func (d *DataFrame) catalog() plan.Catalog {
 }
 
 // optimize validates the frame's logical plan against the cluster catalog
-// and runs the rule-based optimizer.
+// and runs the rule-based optimizer for the cluster's worker count.
 func (d *DataFrame) optimize() (*plan.Node, error) {
-	opt, err := plan.Optimize(d.node, d.catalog())
+	opt, err := plan.Optimize(d.node, d.catalog(), d.s.cluster.Workers())
 	if err != nil {
 		return nil, fmt.Errorf("quokka: invalid query: %w", err)
 	}

@@ -101,7 +101,7 @@ type killSpec struct {
 // runOnce executes one query once, optionally killing a worker.
 func (h *Harness) runOnce(workers, q int, cfg engine.Config, kill *killSpec) (time.Duration, *engine.Report, error) {
 	cl := h.newCluster(workers)
-	plan, err := tpch.Query(q)
+	plan, err := tpch.QueryOn(q, workers)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -168,7 +168,7 @@ func (h *Harness) runRestartBaseline(workers, q int, base time.Duration, frac fl
 	// Restart on the surviving workers.
 	cl := h.newCluster(workers)
 	cl.Worker(cluster.WorkerID(1)).Kill()
-	plan, err := tpch.Query(q)
+	plan, err := tpch.QueryOn(q, workers)
 	if err != nil {
 		return 0, err
 	}

@@ -34,7 +34,7 @@ func TestParallelismMatchesSerial(t *testing.T) {
 		plan.Join(ops.InnerJoin, plan.Shuffle, plan.Scan("orders"), []string{"o_orderkey"},
 			plan.Scan("lineitem"), []string{"l_orderkey"}),
 		ops.KeepCols("l_orderkey", "l_linenumber", "o_custkey", "l_extendedprice")...)
-	opt, err := plan.Optimize(join, tpch.Catalog(sf))
+	opt, err := plan.Optimize(join, tpch.Catalog(sf), len(cl.Workers))
 	if err != nil {
 		t.Fatal(err)
 	}

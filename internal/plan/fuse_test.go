@@ -13,7 +13,7 @@ import (
 // consume, or on a broadcast join's probe side, whose stage has a second
 // input — and every one joins equal parallelism. The count pins how many.
 func TestFusionLeavesOnlyNeededDirectEdges(t *testing.T) {
-	const wantDirect = 41
+	const wantDirect = 53
 	direct, stages := 0, 0
 	for _, q := range tpch.QueryNumbers() {
 		p, err := tpch.Query(q)

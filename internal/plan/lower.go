@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+
 	"quokka/internal/batch"
 	"quokka/internal/engine"
 	"quokka/internal/expr"
@@ -16,16 +18,26 @@ const (
 	// pushed predicate and pruned column list into a map behind the reader,
 	// aggregations split into a partial stage on the producer's channels
 	// plus a shuffled final merge (aggregation pushdown), and join
-	// strategies are taken as resolved. A Direct child takes its producer's
-	// parallelism, and every single-consumer stage reached by a Direct edge
-	// fuses into its producer (fuse): a task is drawn only where lineage is
-	// needed.
+	// strategies are taken as resolved. It tracks which columns each
+	// stage's output is hash-partitioned on: an aggregation whose input is
+	// already partitioned on some of its group keys is one final aggregate
+	// on its producer's channels, with no exchange, and a keyed aggregation
+	// whose only consumer aggregates on a subset of its keys routes by that
+	// subset, so the consumer needs none either (partitioning reuse). A
+	// Direct child takes its producer's parallelism, and every
+	// single-consumer stage reached by a Direct edge fuses into its
+	// producer (fuse): a task is drawn only where lineage is needed.
 	Optimized Mode = iota
 	// Naive lowering emits exactly one stage per logical node, the way the
 	// user typed the query: no fusion, no partial aggregation, Auto joins
 	// shuffle. It is the baseline the planner benchmark compares against,
 	// and what lineage replay determinism is trivially preserved by.
 	Naive
+	// Unpartitioned is Optimized lowering without partitioning reuse: every
+	// keyed aggregation exchanges its input and routes by all its keys. Only
+	// tests use it, as the baseline the data-movement guard compares
+	// against.
+	Unpartitioned
 )
 
 // Lower compiles a bound logical plan into the engine's physical plan.
@@ -36,24 +48,34 @@ const (
 // contract.
 func Lower(root *Node, mode Mode) (*engine.Plan, error) {
 	l := &lowerer{mode: mode, memo: make(map[*Node]int)}
-	l.lower(root)
 	if mode == Optimized {
-		return engine.NewPlan(fuse(l.stages)...)
+		l.parts, l.routes = make(map[int][]string), subsetRoutes(root)
 	}
-	return engine.NewPlan(l.stages...)
+	l.lower(root)
+	if mode == Naive {
+		return engine.NewPlan(l.stages...)
+	}
+	return engine.NewPlan(fuse(l.stages)...)
 }
 
 type lowerer struct {
 	mode   Mode
 	stages []*engine.Stage
 	memo   map[*Node]int
+	// parts maps a stage to the columns its output is hash-partitioned on at
+	// the default parallelism (absent: none known), and routes a keyed
+	// aggregation to the subset of its keys its final stage routes by
+	// (subsetRoutes). Both are nil, and no partitioning is reused, unless
+	// the lowering is Optimized.
+	parts  map[int][]string
+	routes map[*Node][]string
 }
 
-// add appends a stage. Under Optimized lowering a Direct child takes its
+// add appends a stage. Unless lowering naively, a Direct child takes its
 // producer's parallelism, so every Direct edge joins equal channel counts: a
 // select over a global aggregate keeps no empty channels, and fuses.
 func (l *lowerer) add(s *engine.Stage) int {
-	if l.mode == Optimized {
+	if l.mode != Naive {
 		for _, in := range s.Inputs {
 			if in.Part.Kind == engine.PartitionDirect {
 				s.Parallelism = l.stages[in.Stage].Parallelism
@@ -63,6 +85,14 @@ func (l *lowerer) add(s *engine.Stage) int {
 	s.ID = len(l.stages)
 	l.stages = append(l.stages, s)
 	return s.ID
+}
+
+// partitioned records that stage id's output is hash-partitioned on keys.
+func (l *lowerer) partitioned(id int, keys []string) int {
+	if l.parts != nil && keys != nil {
+		l.parts[id] = keys
+	}
+	return id
 }
 
 func direct(stage int) []engine.StageInput {
@@ -157,31 +187,51 @@ func (l *lowerer) lowerScan(n *Node) int {
 }
 
 func (l *lowerer) lowerFilter(n *Node) int {
-	return l.add(&engine.Stage{
+	in := l.lower(n.Inputs[0])
+	return l.partitioned(l.add(&engine.Stage{
 		Name:   "filter",
 		Detail: n.describe(),
 		Op:     ops.NewFilterSpec(n.Pred),
-		Inputs: direct(l.lower(n.Inputs[0])),
-	})
+		Inputs: direct(in),
+	}), l.parts[in])
 }
 
 func (l *lowerer) lowerProject(n *Node) int {
-	return l.add(&engine.Stage{
+	in := l.lower(n.Inputs[0])
+	id := l.add(&engine.Stage{
 		Name:   "select",
 		Detail: n.describe(),
 		Op:     ops.NewProjectSpec(n.Exprs...),
-		Inputs: direct(l.lower(n.Inputs[0])),
+		Inputs: direct(in),
 	})
+	if passesOn(n, l.parts[in]) {
+		l.partitioned(id, l.parts[in])
+	}
+	return id
 }
 
+// passesOn reports whether projection p outputs each of cols as itself, so a
+// partitioning on them survives it.
+func passesOn(p *Node, cols []string) bool {
+	for _, c := range cols {
+		if !slices.Contains(p.Exprs, ops.NE(c, expr.C(c))) {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerJoin routes both sides of a shuffled join by their keys, so its
+// output is partitioned on the probe keys; a broadcast join's output keeps
+// its probe side's partitioning, as its rows stay on their channel.
 func (l *lowerer) lowerJoin(n *Node) int {
 	build := l.lower(n.Inputs[0])
 	probe := l.lower(n.Inputs[1])
-	bPart, pPart := engine.Hash(n.BuildKeys...), engine.Hash(n.ProbeKeys...)
+	bPart, pPart, part := engine.Hash(n.BuildKeys...), engine.Hash(n.ProbeKeys...), n.ProbeKeys
 	if n.Strategy == Broadcast {
-		bPart, pPart = engine.Broadcast(), engine.Direct()
+		bPart, pPart, part = engine.Broadcast(), engine.Direct(), l.parts[probe]
 	}
-	return l.add(&engine.Stage{
+	return l.partitioned(l.add(&engine.Stage{
 		Name:   "join",
 		Detail: n.describe(),
 		Op:     ops.NewHashJoinSpec(n.JoinType, n.BuildKeys, n.ProbeKeys),
@@ -189,7 +239,7 @@ func (l *lowerer) lowerJoin(n *Node) int {
 			{Stage: build, Part: bPart, Phase: 0},
 			{Stage: probe, Part: pPart, Phase: 1},
 		},
-	})
+	}), part)
 }
 
 // aggPartition returns the final-stage routing of an aggregation: grouped
@@ -204,13 +254,26 @@ func aggPartition(keys []string) (engine.Partitioning, int) {
 
 func (l *lowerer) lowerAgg(n *Node) int {
 	in := l.lower(n.Inputs[0])
-	part, parallelism := aggPartition(n.Keys)
 	// The binder's static aggregate output types feed the operator's
 	// empty-input default row (an unseen aggregate state cannot know an int sum
 	// from a float one).
 	defaults := make([]batch.Type, len(n.Aggs))
 	for i := range n.Aggs {
 		defaults[i] = n.schema.Fields[len(n.Keys)+i].Type
+	}
+	if part := l.parts[in]; len(n.Keys) > 0 && part != nil && subset(part, n.Keys) {
+		// Every group already lives on one channel of the input: aggregate it
+		// there, in the producer's task, with no partial stage and no exchange.
+		return l.partitioned(l.add(&engine.Stage{
+			Name:   "agg",
+			Detail: n.describe(),
+			Op:     ops.NewHashAggTypedSpec(n.Keys, defaults, n.Aggs...),
+			Inputs: direct(in),
+		}), part)
+	}
+	part, parallelism := aggPartition(n.Keys)
+	if route, ok := l.routes[n]; ok {
+		part = engine.Hash(route...)
 	}
 	if l.mode == Naive {
 		return l.add(&engine.Stage{
@@ -245,13 +308,48 @@ func (l *lowerer) lowerAgg(n *Node) int {
 			merged[i] = ops.Max(a.Name, expr.C(a.Name))
 		}
 	}
-	return l.add(&engine.Stage{
+	return l.partitioned(l.add(&engine.Stage{
 		Name:        "agg",
 		Detail:      n.describe(),
 		Op:          ops.NewHashAggTypedSpec(n.Keys, defaults, merged...),
 		Parallelism: parallelism,
 		Inputs:      []engine.StageInput{{Stage: partial, Part: part}},
-	})
+	}), part.Keys)
+}
+
+// subsetRoutes maps each keyed aggregation whose only consumer is an
+// aggregation on a strict subset of its keys — through filters and
+// projections that pass that subset on, none of them shared — to that
+// subset. Routing its final stage by the subset leaves the consumer's input
+// partitioned on the consumer's own keys, so the consumer aggregates in
+// place. The walk follows the DAG's topological order, so the map's
+// contents, not its order, are all that reaches the plan.
+func subsetRoutes(root *Node) map[*Node][]string {
+	counts := refCounts(root)
+	routes := make(map[*Node][]string)
+	for _, n := range topoOrder(root) {
+		if n.Kind != KindAgg || len(n.Keys) == 0 {
+			continue
+		}
+		in := n.Inputs[0]
+		for counts[in] == 1 && (in.Kind == KindFilter || in.Kind == KindProject && passesOn(in, n.Keys)) {
+			in = in.Inputs[0]
+		}
+		if counts[in] == 1 && in.Kind == KindAgg && len(n.Keys) < len(in.Keys) && subset(n.Keys, in.Keys) {
+			routes[in] = n.Keys
+		}
+	}
+	return routes
+}
+
+// subset reports whether every column of sub is in set.
+func subset(sub, set []string) bool {
+	for _, c := range sub {
+		if !slices.Contains(set, c) {
+			return false
+		}
+	}
+	return true
 }
 
 func (l *lowerer) lowerSort(n *Node) int {

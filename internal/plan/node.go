@@ -4,14 +4,15 @@
 // reports column/type errors at plan time, a rule-based optimizer
 // (constant folding, predicate pushdown, projection pruning, filter+
 // project fusion, automatic broadcast-join selection), a lowering pass
-// that turns the tree into the engine's physical stages, and a plan
+// that turns the tree into the engine's physical stages (reusing a hash
+// partitioning where an aggregation's input already has one), and a plan
 // printer backing EXPLAIN.
 //
-// The optimizer only changes WHICH columns and rows flow — never key
-// identity, key encoding or channel routing (`fnv-1a mod channels`) — and
-// every pass is a pure function of the tree and the
-// catalog, so planning is deterministic and write-ahead-lineage replay
-// rebuilds identical stages.
+// The optimizer only changes WHICH columns and rows flow, and lowering only
+// which keys an exchange routes by — never key identity, key encoding or
+// the routing function (`fnv-1a mod channels`) — and every pass is a pure
+// function of the tree, the catalog and the worker count, so planning is
+// deterministic and write-ahead-lineage replay rebuilds identical stages.
 package plan
 
 import (
@@ -74,8 +75,8 @@ type Strategy uint8
 // Join distribution strategies.
 const (
 	// Auto lets the optimizer pick: broadcast when catalog statistics say
-	// the build side is small, shuffle otherwise (and always shuffle when
-	// statistics are unavailable).
+	// the build side is small, or small next to the probe side; shuffle
+	// otherwise (and always shuffle when statistics are unavailable).
 	Auto Strategy = iota
 	// Shuffle co-partitions both sides on the join keys.
 	Shuffle
@@ -124,6 +125,10 @@ type Node struct {
 	Strategy  Strategy
 	BuildKeys []string
 	ProbeKeys []string
+	// BuildRows and ProbeRows are the row estimates of the build and probe
+	// sides the optimizer resolved an Auto join's strategy from (0 = the
+	// strategy was not chosen from statistics).
+	BuildRows, ProbeRows float64
 
 	// Agg.
 	Keys []string
@@ -236,8 +241,12 @@ func (n *Node) describe() string {
 	case KindProject:
 		return "project " + namedExprList(n.Exprs)
 	case KindJoin:
-		return fmt.Sprintf("join %s (%s) build=%s probe=%s",
+		s := fmt.Sprintf("join %s (%s) build=%s probe=%s",
 			n.JoinType, n.Strategy, strList(n.BuildKeys), strList(n.ProbeKeys))
+		if n.BuildRows > 0 {
+			s += fmt.Sprintf(" est=(build ~%.0f, probe ~%.0f)", n.BuildRows, n.ProbeRows)
+		}
+		return s
 	case KindAgg:
 		return fmt.Sprintf("agg by %s %s", strList(n.Keys), aggExprList(n.Aggs))
 	case KindSort:

@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,9 +50,10 @@ func (c *memCatalog) TableRows(name string) (int64, bool) {
 	return r, ok
 }
 
+// mustOptimize plans n against testCatalog for a cluster of 4 workers.
 func mustOptimize(t *testing.T, n *Node) *Node {
 	t.Helper()
-	out, err := Optimize(n, testCatalog())
+	out, err := Optimize(n, testCatalog(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestBroadcastSelection(t *testing.T) {
 	// No statistics: shuffle.
 	cat := testCatalog()
 	cat.rows = nil
-	root, err := Optimize(mk(), cat)
+	root, err := Optimize(mk(), cat, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +197,50 @@ func TestBroadcastSelection(t *testing.T) {
 	}
 	// Forced broadcast is never overridden.
 	jb := Join(ops.InnerJoin, Broadcast, build(), []string{"rid"}, probe(), []string{"region"})
-	root, err = Optimize(Project(jb, ops.NE("id", expr.C("id"))), cat)
+	root, err = Optimize(Project(jb, ops.NE("id", expr.C("id"))), cat, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := Explain(root); !strings.Contains(got, "join inner (broadcast)") {
 		t.Errorf("explicit broadcast must stay:\n%s", got)
+	}
+}
+
+// TestBroadcastByRelativeSize: a build side too big for the fixed threshold
+// is still broadcast when its probe side is at least max(workers, 4) times
+// its size — copying it to every worker then moves fewer rows than
+// shuffling both sides — and EXPLAIN shows the estimates the choice came
+// from.
+func TestBroadcastByRelativeSize(t *testing.T) {
+	mk := func(buildPred expr.Expr) *Node {
+		build := Project(Filter(Scan("sales"), buildPred), ops.NE("sid", expr.C("id")))
+		j := Join(ops.SemiJoin, Auto, build, []string{"sid"}, Scan("sales"), []string{"id"})
+		return Project(j, ops.NE("amount", expr.C("amount")))
+	}
+	// region = 3: ~50,000 of 1,000,000 rows, over the threshold; amount > 1:
+	// ~300,000 rows, more than a quarter of the probe side.
+	small, large := expr.Eq(expr.C("region"), expr.Int64(3)), expr.Gt(expr.C("amount"), expr.Float64(1))
+	cases := []struct {
+		pred     expr.Expr
+		workers  int
+		strategy Strategy
+		est      string
+	}{
+		{small, 2, Broadcast, "build ~50000, probe ~1000000"},
+		{small, 4, Broadcast, "build ~50000, probe ~1000000"},
+		{small, 20, Broadcast, "build ~50000, probe ~1000000"},
+		{small, 21, Shuffle, "build ~50000, probe ~1000000"},
+		{large, 2, Shuffle, "build ~300000, probe ~1000000"},
+	}
+	for _, tc := range cases {
+		root, err := Optimize(mk(tc.pred), testCatalog(), tc.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("join semi (%s) build=[sid] probe=[id] est=(%s)", tc.strategy, tc.est)
+		if got := Explain(root); !strings.Contains(got, want) {
+			t.Errorf("%d workers: want %q in:\n%s", tc.workers, want, got)
+		}
 	}
 }
 
@@ -267,6 +307,56 @@ func TestLoweringShapes(t *testing.T) {
 	}
 	if got := strings.Count(s.Detail, " ▸ "); got != 3 {
 		t.Errorf("fused detail keeps %d member details, want 4: %q", got+1, s.Detail)
+	}
+}
+
+// TestAggregationReusesPartitioning: an aggregation over a shuffled join's
+// probe key runs as one final aggregate fused behind the join, unless a
+// projection between them redefines the key; and an aggregation whose only
+// consumer aggregates on a subset of its keys routes by that subset, so the
+// consumer fuses behind it. Unpartitioned lowering exchanges every time.
+func TestAggregationReusesPartitioning(t *testing.T) {
+	overJoin := func(key expr.Expr) *Node {
+		build := Project(Scan("sales"), ops.NE("sid", expr.C("id")))
+		j := Join(ops.SemiJoin, Shuffle, build, []string{"sid"}, Scan("sales"), []string{"id"})
+		p := Project(j, ops.NE("id", key), ops.NE("amount", expr.C("amount")))
+		return Agg(p, []string{"id"}, ops.Sum("total", expr.C("amount")))
+	}
+	twoAggs := func() *Node {
+		perPair := Agg(Scan("sales"), []string{"region", "id"}, ops.Max("top", expr.C("amount")))
+		return Agg(Filter(perPair, expr.Gt(expr.C("top"), expr.Float64(1))), []string{"region"}, ops.CountStar("n"))
+	}
+	cases := []struct {
+		name  string
+		root  *Node
+		mode  Mode
+		want  []string
+		route []string // when set: the keys stage 1's input routes by
+	}{
+		{"join-key", overJoin(expr.C("id")), Optimized,
+			[]string{"scan-sales▸map▸select", "scan-sales▸map", "join▸select▸agg"}, nil},
+		{"redefined-key", overJoin(expr.Add(expr.C("id"), expr.Int64(1))), Optimized,
+			[]string{"scan-sales▸map▸select", "scan-sales▸map", "join▸select▸agg-partial", "agg"}, nil},
+		{"join-key-unpartitioned", overJoin(expr.C("id")), Unpartitioned,
+			[]string{"scan-sales▸map▸select", "scan-sales▸map", "join▸select▸agg-partial", "agg"}, nil},
+		{"subset", twoAggs(), Optimized,
+			[]string{"scan-sales▸map▸agg-partial", "agg▸filter▸agg"}, []string{"region"}},
+		{"subset-unpartitioned", twoAggs(), Unpartitioned,
+			[]string{"scan-sales▸map▸agg-partial", "agg▸filter▸agg-partial", "agg"}, []string{"region", "id"}},
+	}
+	for _, tc := range cases {
+		p, err := Lower(mustOptimize(t, tc.root), tc.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stageNames(p); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: stages %v, want %v", tc.name, got, tc.want)
+		}
+		if tc.route != nil {
+			if got := p.Stages[1].Inputs[0].Part.Keys; !slices.Equal(got, tc.route) {
+				t.Errorf("%s: the first aggregation routes by %v, want %v", tc.name, got, tc.route)
+			}
+		}
 	}
 }
 

@@ -8,10 +8,21 @@ import (
 	"quokka/internal/ops"
 )
 
-// DefaultBroadcastRows is the estimated-build-side row threshold below which
-// an Auto join becomes a broadcast join: dimension-table-sized build sides
-// are cheaper to replicate than to shuffle the (much larger) probe side for.
-const DefaultBroadcastRows = 25_000
+// broadcastRows is the estimated build-side row count at or below which an
+// Auto join is broadcast whatever its probe side's size: a dimension-table-
+// sized build side is cheaper to replicate than to shuffle anything for.
+const broadcastRows = 25_000
+
+// broadcastRatio is the least probe-to-build estimate ratio at which an Auto
+// join is broadcast however large its build side. On W workers (one channel
+// each at the default parallelism) broadcasting B build rows moves (W-1)·B
+// rows and hash-shuffling both sides moves (B+P)·(W-1)/W, so the broadcast
+// moves fewer exactly when (W-1)·B < P. The ratio asked is therefore W, never
+// under broadcastRatio: W·B ≤ P keeps that inequality, and on small clusters
+// the floor keeps a margin for estimate error. It also bounds what the
+// broadcast costs in memory: each worker holds B ≤ P/W build rows, no more
+// than its share of the probe side.
+const broadcastRatio = 4
 
 // maxPushdownPasses bounds the pushdown fixpoint loop; filters only ever
 // move down, so the bound is never hit on well-formed plans.
@@ -26,16 +37,21 @@ const maxPushdownPasses = 64
 //  3. adjacent projection merging
 //  4. projection pruning (only columns a downstream operator needs
 //     survive each node)
-//  5. broadcast selection for Auto joins from catalog row statistics
+//  5. broadcast selection for Auto joins from catalog row statistics: a
+//     build side that is small (broadcastRows), or small enough next to its
+//     probe side that copying it to each of the workers moves fewer rows
+//     than shuffling both sides (broadcastRatio), is broadcast, and the
+//     estimates are recorded on the join for EXPLAIN
 //  6. split pruning: each scan's fused predicate folds against the
 //     catalog's per-split zone maps (when the catalog serves SplitStats),
 //     dropping splits no row of which can match
 //
-// Every pass is a pure function of the tree and the catalog, so the same
-// query always produces the same plan — the determinism write-ahead-
-// lineage replay relies on. The rules only change which columns and rows
-// flow; key encoding and `hash mod P` routing are untouched.
-func Optimize(root *Node, cat Catalog) (*Node, error) {
+// workers is the number of workers the plan is for: the copies a broadcast
+// makes. Every pass is a pure function of the tree, the catalog and workers,
+// so the same query always produces the same plan — the determinism write-
+// ahead-lineage replay relies on. The rules only change which columns and
+// rows flow; key encoding and `hash mod P` routing are untouched.
+func Optimize(root *Node, cat Catalog, workers int) (*Node, error) {
 	// Work on a private clone: Bind writes schemas into nodes, and the
 	// caller's DAG may be shared across frames and across concurrent
 	// Collect/Explain calls — the user's tree must stay untouched.
@@ -65,7 +81,7 @@ func Optimize(root *Node, cat Catalog) (*Node, error) {
 	if err := Bind(root, cat); err != nil {
 		return nil, err
 	}
-	root = chooseStrategies(root, cat)
+	root = chooseStrategies(root, cat, workers)
 	if err := Bind(root, cat); err != nil {
 		return nil, err
 	}
@@ -564,12 +580,16 @@ func setToSlice(set map[string]struct{}) []string {
 }
 
 // chooseStrategies resolves every Auto join: broadcast when the catalog's
-// row statistics estimate the build side under the threshold, shuffle
-// otherwise. Estimates use table row counts scaled by textbook predicate
-// selectivities (see estimateRows); any choice is correct — only which
-// side crosses the network changes — so crude estimates are safe.
-func chooseStrategies(root *Node, cat Catalog) *Node {
+// row statistics estimate the build side at most broadcastRows, or at most a
+// max(workers, broadcastRatio)-th of the probe side; shuffle otherwise.
+// Estimates use table row counts scaled by textbook predicate selectivities
+// (estimator.rows); any choice is correct — only which side crosses the
+// network changes — so crude estimates are safe. The estimates stay on the
+// join (BuildRows, ProbeRows), so EXPLAIN shows why its rows move the way
+// they do.
+func chooseStrategies(root *Node, cat Catalog, workers int) *Node {
 	est := newEstimator(cat)
+	ratio := float64(max(workers, broadcastRatio))
 	return rewrite(root, func(n *Node, ins []*Node) *Node {
 		out := withInputs(n, ins)
 		if n.Kind != KindJoin || n.Strategy != Auto {
@@ -577,7 +597,12 @@ func chooseStrategies(root *Node, cat Catalog) *Node {
 		}
 		cp := out.shallowCopy()
 		cp.Strategy = Shuffle
-		if rows, ok := est.rows(n.Inputs[0]); ok && rows <= DefaultBroadcastRows {
+		build, bok := est.rows(n.Inputs[0])
+		probe, pok := est.rows(n.Inputs[1])
+		if bok && pok {
+			cp.BuildRows, cp.ProbeRows = build, probe
+		}
+		if bok && (build <= broadcastRows || pok && ratio*build <= probe) {
 			cp.Strategy = Broadcast
 		}
 		return cp

@@ -48,7 +48,7 @@ func prunedQuery(t *testing.T, cl *cluster.Cluster, q int) *engine.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := plan.Optimize(node, plan.NewStoreCatalog(cl.HeadObjs))
+	opt, err := plan.Optimize(node, plan.NewStoreCatalog(cl.HeadObjs), len(cl.Workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestZoneMapPruningPrunesClusteredScan(t *testing.T) {
 	nOrders := int64(testData.Orders.NumRows())
 	node := selectiveScan(nOrders / 10)
 	cat := plan.NewStoreCatalog(cl.HeadObjs)
-	opt, err := plan.Optimize(node, cat)
+	opt, err := plan.Optimize(node, cat, len(cl.Workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestZoneMapPruningPrunesClusteredScan(t *testing.T) {
 	}
 
 	// Baseline: same logical query, planned without split statistics.
-	base, err := plan.Optimize(selectiveScan(nOrders/10), Catalog(1))
+	base, err := plan.Optimize(selectiveScan(nOrders/10), Catalog(1), len(cl.Workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,5 +322,68 @@ func TestStoredTableBytes(t *testing.T) {
 	}
 	if total*100 > packedTableBytes*90 {
 		t.Errorf("stored table bytes %d, want at most 90%% of %d", total, packedTableBytes)
+	}
+}
+
+// TestPlannerMovesFewerBytes guards the planner's data movement, counted as
+// the payload bytes pushed to another worker (net.bytes.modelled: a
+// broadcast piece counts once for every remote channel it reaches). Q3, Q5
+// and Q21, planned for the cluster they run on, move at most half the bytes
+// they move when every Auto join is forced to shuffle and lowering reuses no
+// partitioning (plan.Unpartitioned) — the plans before relative-size
+// broadcasts and partitioning reuse — on 2 and 4 workers, and no more on 16,
+// where a broadcast copies its build side 15 times. Results must not change.
+func TestPlannerMovesFewerBytes(t *testing.T) {
+	shuffleAll := func(q, workers int) *engine.Plan {
+		node, err := LogicalQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[*plan.Node]bool)
+		var walk func(n *plan.Node)
+		walk = func(n *plan.Node) {
+			if seen[n] {
+				return
+			}
+			seen[n] = true
+			if n.Kind == plan.KindJoin && n.Strategy == plan.Auto {
+				n.Strategy = plan.Shuffle
+			}
+			for _, in := range n.Inputs {
+				walk(in)
+			}
+		}
+		walk(node)
+		opt, err := plan.Optimize(node, Catalog(1), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := plan.Lower(opt, plan.Unpartitioned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, tc := range []struct{ workers, ratio int64 }{{2, 2}, {4, 2}, {16, 1}} {
+		var got, base int64
+		for _, q := range []int{3, 5, 21} {
+			p, err := QueryOn(q, int(tc.workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := engine.DefaultConfig()
+			wantOut, baseRep := runPlanRep(t, loadCluster(t, int(tc.workers)), shuffleAll(q, int(tc.workers)), cfg)
+			gotOut, gotRep := runPlanRep(t, loadCluster(t, int(tc.workers)), p, cfg)
+			assertSameResult(t, q, wantOut, gotOut)
+			g, b := gotRep.Metrics[metrics.NetBytesModelled], baseRep.Metrics[metrics.NetBytesModelled]
+			t.Logf("%d workers, Q%d: %d bytes to other workers, %d with every join shuffled and no partitioning reuse",
+				tc.workers, q, g, b)
+			got += g
+			base += b
+		}
+		if got <= 0 || tc.ratio*got > base {
+			t.Errorf("%d workers: Q3, Q5 and Q21 moved %d bytes to other workers, want at most 1/%d of %d",
+				tc.workers, got, tc.ratio, base)
+		}
 	}
 }

@@ -97,6 +97,9 @@ func TestTPCHFailureRecoveryMatchesFailureFree(t *testing.T) {
 		c.CPUPerWorker = 4
 		return c
 	}
+	ckpt := engine.DefaultConfig()
+	ckpt.FT = engine.FTCheckpoint
+	ckpt.CheckpointEveryTasks = 3
 	cases := []struct {
 		q    int
 		cfg  engine.Config
@@ -109,6 +112,16 @@ func TestTPCHFailureRecoveryMatchesFailureFree(t *testing.T) {
 		// Config.Parallelism has no effect: the same kill at another value
 		// must recover to the same result.
 		{9, par4(engine.DefaultConfig()), "Q9-wal-par4"},
+		// Joins broadcast for a build side small next to its probe side, and
+		// Q21's aggregation fused behind the one that routes by its key.
+		{18, engine.DefaultConfig(), "Q18-wal"},
+		{21, engine.DefaultConfig(), "Q21-wal"},
+		// Q13's aggregation runs in its join's task: under checkpoint the
+		// fused join-to-agg chain recovers to the same result. Recovery
+		// rebuilds that chain from scratch rather than from a checkpoint
+		// mark (its rewound consumer needs all its committed tasks), so this
+		// case does not exercise a fused chain restarted from a mark.
+		{13, ckpt, "Q13-checkpoint"},
 	}
 	for _, tc := range cases {
 		tc := tc

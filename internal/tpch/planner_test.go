@@ -118,7 +118,9 @@ func TestExplainGoldenQ6(t *testing.T) {
 
 // TestExplainGoldenQ3 pins a join query: predicate pushdown through two
 // joins to three scans, projection pruning between the joins, and the
-// statistics-driven broadcast of the filtered customer build side.
+// statistics-driven broadcasts with the estimates behind them: the filtered
+// customer build side under the fixed threshold, the orders build side for
+// being an eighth of the lineitem probe side.
 func TestExplainGoldenQ3(t *testing.T) {
 	got, err := ExplainAt(3, 1)
 	if err != nil {
@@ -128,9 +130,9 @@ func TestExplainGoldenQ3(t *testing.T) {
 		`sort [revenue desc, o_orderdate, l_orderkey] limit=10`,
 		`  agg by [l_orderkey, o_orderdate, o_shippriority] [sum((l_extendedprice * (1 - l_discount))) as revenue]`,
 		`    project [l_orderkey, l_extendedprice, l_discount, o_orderdate, o_shippriority]`,
-		`      join inner (shuffle) build=[o_orderkey] probe=[l_orderkey]`,
+		`      join inner (broadcast) build=[o_orderkey] probe=[l_orderkey] est=(build ~225000, probe ~1800000)`,
 		`        project [o_orderkey, o_orderdate, o_shippriority]`,
-		`          join semi (broadcast) build=[c_custkey] probe=[o_custkey]`,
+		`          join semi (broadcast) build=[c_custkey] probe=[o_custkey] est=(build ~7500, probe ~450000)`,
 		`            scan customer cols=[c_custkey] pred=(c_mktsegment = "BUILDING")`,
 		`            scan orders cols=[o_orderkey, o_custkey, o_orderdate, o_shippriority] pred=(o_orderdate < date(9204))`,
 		`        scan lineitem cols=[l_orderkey, l_extendedprice, l_discount] pred=(l_shipdate > date(9204))`,

@@ -65,13 +65,25 @@ func LogicalQuery(n int) (*plan.Node, error) {
 	return b(), nil
 }
 
-// Query returns the optimized physical plan for TPC-H query n.
+// planWorkers is the cluster size Query and ExplainAt plan for. A plan runs
+// correctly on any cluster; the size only sets which joins broadcast (see
+// plan.Optimize), and every plan of a cluster of up to 4 workers is the same.
+const planWorkers = 4
+
+// Query returns the optimized physical plan for TPC-H query n on a cluster
+// of planWorkers workers.
 func Query(n int) (*engine.Plan, error) {
+	return QueryOn(n, planWorkers)
+}
+
+// QueryOn returns the optimized physical plan for TPC-H query n on a
+// cluster of the given number of workers.
+func QueryOn(n, workers int) (*engine.Plan, error) {
 	node, err := LogicalQuery(n)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := plan.Optimize(node, Catalog(1))
+	opt, err := plan.Optimize(node, Catalog(1), workers)
 	if err != nil {
 		return nil, err
 	}
@@ -79,14 +91,14 @@ func Query(n int) (*engine.Plan, error) {
 }
 
 // ExplainAt renders the optimized logical plan of query n planned
-// against the spec's catalog statistics at scale factor sf — no data is
-// generated or loaded.
+// against the spec's catalog statistics at scale factor sf, for a cluster
+// of planWorkers workers — no data is generated or loaded.
 func ExplainAt(n int, sf float64) (string, error) {
 	node, err := LogicalQuery(n)
 	if err != nil {
 		return "", err
 	}
-	opt, err := plan.Optimize(node, Catalog(sf))
+	opt, err := plan.Optimize(node, Catalog(sf), planWorkers)
 	if err != nil {
 		return "", err
 	}

@@ -2,10 +2,11 @@ package quokka
 
 import (
 	"context"
+	"strings"
+	"sync"
 	"testing"
-	"time"
 
-	"quokka/internal/metrics"
+	"quokka/internal/gcs"
 )
 
 func newTestCluster(t *testing.T, workers int) *Cluster {
@@ -139,12 +140,9 @@ func TestJoinScalar(t *testing.T) {
 func TestPublicFaultInjection(t *testing.T) {
 	c := newTestCluster(t, 4)
 	salesTable(t, c, 4000)
-	go func() {
-		for c.inner.Metrics.Get(metrics.TasksExecuted) < 5 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		c.KillWorker(2)
-	}()
+	// Kill from inside the transaction that carries the fifth task commit,
+	// so the kill lands while the query runs, however fast it is.
+	c.inner.GCS = &commitKiller{Backend: c.inner.GCS, after: 5, kill: func() { c.KillWorker(2) }}
 	sess := NewSession(c)
 	res, err := sess.Read("sales").
 		GroupBy([]string{"region"}, SumOf("total", Col("amount"))).
@@ -156,9 +154,43 @@ func TestPublicFaultInjection(t *testing.T) {
 	if res.NumRows() != 7 {
 		t.Fatalf("rows = %d", res.NumRows())
 	}
+	if res.Recoveries() == 0 {
+		t.Error("the query finished without recovering from the kill")
+	}
 	if c.AliveWorkers() != 3 {
 		t.Errorf("alive = %d", c.AliveWorkers())
 	}
+}
+
+// commitKiller is a gcs.Backend that calls kill once, inside the transaction
+// that applies the after-th task commit (a put under a query's cur/ keys).
+type commitKiller struct {
+	gcs.Backend
+	after int
+	kill  func()
+
+	mu      sync.Mutex
+	commits int
+}
+
+func (k *commitKiller) Apply(entries []gcs.Entry) ([]bool, error) {
+	applied, err := k.Backend.Apply(entries)
+	if err != nil {
+		return applied, err
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for i, e := range entries {
+		for _, p := range e.Puts {
+			if _, rest, _ := strings.Cut(strings.TrimPrefix(p.Key, "q/"), "/"); applied[i] && strings.HasPrefix(rest, "cur/") {
+				k.commits++
+				if k.commits == k.after {
+					k.kill()
+				}
+			}
+		}
+	}
+	return applied, nil
 }
 
 func TestTPCHPublicAPI(t *testing.T) {

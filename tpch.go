@@ -14,14 +14,15 @@ func LoadTPCH(c *Cluster, sf float64, splitRows int) {
 	tpch.Load(c.inner.HeadObjs, tpch.Generate(sf), splitRows)
 }
 
-// tpchPlan optimizes TPC-H query q against the cluster's own catalog, so
-// broadcast selection sees the actually-loaded row counts.
+// tpchPlan optimizes TPC-H query q against the cluster's own catalog and
+// worker count, so broadcast selection sees the actually-loaded row counts
+// and the copies a broadcast makes.
 func tpchPlan(c *Cluster, q int) (*plan.Node, error) {
 	node, err := tpch.LogicalQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	return plan.Optimize(node, plan.NewStoreCatalog(c.inner.HeadObjs))
+	return plan.Optimize(node, plan.NewStoreCatalog(c.inner.HeadObjs), c.Workers())
 }
 
 // RunTPCH executes TPC-H query q (1..22) on the cluster to completion:
@@ -65,8 +66,9 @@ func ExplainTPCH(c *Cluster, q int) (string, error) {
 }
 
 // ExplainTPCHPlan renders the optimized plan of TPC-H query q planned
-// against the benchmark's catalog statistics at scale factor sf — no
-// cluster, no data generation. The quokka CLI's -explain uses it.
+// against the benchmark's catalog statistics at scale factor sf, for a
+// cluster of 4 workers — no cluster, no data generation. The quokka CLI's
+// -explain uses it.
 func ExplainTPCHPlan(q int, sf float64) (string, error) {
 	return tpch.ExplainAt(q, sf)
 }
